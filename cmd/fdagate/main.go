@@ -26,7 +26,7 @@
 //
 // With -analyze, fdagate is instead the cluster saturation analyzer: it
 // folds per-cluster-size `fdaload -ramp` reports into one
-// benchjson-compatible capacity report (the BENCH_PR10.json series):
+// capacity report in the BENCH_PR*.json shape (the BENCH_PR10.json series):
 //
 //	fdagate -analyze 1=ramp1.json,2=ramp2.json,4=ramp4.json:m1.json:m2.json -out capacity.json
 //

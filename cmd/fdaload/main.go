@@ -3,8 +3,8 @@
 // arrival process × job mix × duration × seed — into a bit-identical
 // request schedule, executes it open-loop with bounded in-flight
 // concurrency, and emits a JSON report with per-kind latency
-// percentiles, throughput, error and rejection counts in the benchjson
-// report shape. It can also replay a trace recorded by
+// percentiles, throughput, error and rejection counts in the
+// BENCH_PR*.json report shape. It can also replay a trace recorded by
 // `fdaserve -record` and step the arrival rate to locate the
 // saturation knee.
 //

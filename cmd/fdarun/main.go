@@ -38,40 +38,97 @@ import (
 	"repro/fda"
 	"repro/internal/buildinfo"
 	"repro/internal/comm"
+	"repro/internal/core"
 	"repro/internal/dist"
+	"repro/internal/experiments"
 	"repro/internal/obs"
 	"repro/internal/runstore"
 )
 
+// The flag surface. The training spec itself is a dist.JobSpec — the
+// same definition fdaserve admits and the coordinator ships to workers
+// — so a flag means one thing on every path.
+var (
+	fs       = flag.NewFlagSet("fdarun", flag.ExitOnError)
+	spec     dist.JobSpec
+	budget   = fs.Float64("budget", 0, "bytes/step bandwidth budget; wraps the FDA variant with the §5 adaptive-Θ controller")
+	async    = fs.Bool("async", false, "run the asynchronous (coordinator) FDA variant")
+	speeds   = fs.String("speeds", "", "comma-separated per-worker speeds for -async")
+	jobs     = fs.Int("jobs", runtime.GOMAXPROCS(0), "goroutines for the worker/eval loops (1 = sequential; results are bit-identical; no effect with -async, whose coordinator runner is sequential)")
+	progress = fs.Bool("progress", false, "print live sync/eval events while the run executes")
+	scenario = fs.String("scenario", "", "run on the simulated-network fabric under a named scenario (lan, fedwan, straggler) and report estimated time-to-accuracy")
+	worker   = fs.Bool("worker", false, "join a multi-process cluster as one worker (requires -connect; the coordinator supplies rank and job spec)")
+	connect  = fs.String("connect", "", "coordinator address for -worker")
+	coord    = fs.String("coordinator", "", "host a multi-process cluster on this address (e.g. :9000): wait for -k workers, drive the run, verify and print the result")
+	storeDir = fs.String("store", "", "run-registry directory holding trajectory-prefix snapshots for -warmstart")
+	warm     = fs.Bool("warmstart", false, "restore the longest stored trajectory prefix compatible with this run and publish new prefixes (needs -store; result is bit-identical to a cold run)")
+	traceOut = fs.String("trace", "", "write a whole-run Chrome trace-event JSON (open in Perfetto) to this file and enable telemetry; results are bit-identical with or without it")
+	version  = fs.Bool("version", false, "print version information and exit")
+)
+
+func init() {
+	fs.StringVar(&spec.Model, "model", "lenet5s", "zoo model: lenet5s, vgg16s, densenet121s, densenet201s, convnexts")
+	fs.StringVar(&spec.Strategy, "strategy", "LinearFDA", "LinearFDA, SketchFDA, OracleFDA, Synchronous, LocalSGD, IncTau, DecTau, PostLocal, LAG, FedAvg, FedAvgM, FedAdam")
+	fs.Float64Var(&spec.Theta, "theta", 0, "variance threshold Θ (0 = second entry of the model's default grid)")
+	fs.IntVar(&spec.Tau, "tau", 10, "τ for LocalSGD/IncTau/DecTau/PostLocal/LAG")
+	fs.IntVar(&spec.K, "k", 5, "number of workers K")
+	fs.IntVar(&spec.Batch, "batch", 32, "local mini-batch size")
+	fs.IntVar(&spec.Steps, "steps", 600, "maximum in-parallel steps")
+	fs.Float64Var(&spec.Target, "target", 0, "test-accuracy target (0 = run all steps)")
+	fs.StringVar(&spec.Het, "het", "iid", "data split: iid, label<Y>, pct<X>, dir<alpha>")
+	fs.Uint64Var(&spec.Seed, "seed", 1, "run seed")
+	fs.Float64Var(&spec.TopK, "topk", 0, "compose top-k sync compression with the given keep fraction")
+	fs.IntVar(&spec.QBits, "qbits", 0, "compose uniform quantization with the given bits per component")
+}
+
+// parseFlags fills the flag variables and resolves the spec's defaults
+// (Θ from the model's grid, the evaluation cadence).
+func parseFlags(args []string) {
+	fs.Parse(args)
+	spec = spec.WithDefaults()
+}
+
+// warmStart wires the session into the -store snapshot registry and
+// reports a restore. Sync-time knobs (codecs, -jobs) are deliberately
+// absent from the registry spec: it captures every trajectory- and
+// stopping-determining input, so prefix addresses can only collide
+// between runs that would replay the same silent steps (DESIGN.md §10),
+// and that is the sharing the prefix family machinery makes safe.
+func warmStart(sess *fda.Session, strat fda.Strategy) error {
+	if _, ok := strat.(core.PrefixSharer); !ok {
+		fmt.Fprintf(os.Stderr, "fdarun: %s does not share trajectory prefixes; -warmstart has no effect\n", strat.Name())
+		return nil
+	}
+	st, err := runstore.Open(*storeDir)
+	if err != nil {
+		return fmt.Errorf("opening store: %w", err)
+	}
+	var targets []float64
+	if spec.Target > 0 {
+		targets = []float64{spec.Target}
+	}
+	restored, err := experiments.WarmStart(sess, strat, st, runstore.Spec{
+		Experiment: "fdarun",
+		Seed:       spec.Seed,
+		Model:      spec.Model,
+		Strategy:   spec.Strategy,
+		Theta:      spec.Theta,
+		K:          spec.K,
+		Het:        spec.Het,
+		Targets:    targets,
+		Extra: map[string]string{
+			"batch": strconv.Itoa(spec.Batch),
+			"steps": strconv.Itoa(spec.Steps),
+		},
+	}, 0)
+	if restored > 0 {
+		fmt.Printf("warmstart: restored %d steps from a stored prefix snapshot\n", restored)
+	}
+	return err
+}
+
 func main() {
-	var (
-		model    = flag.String("model", "lenet5s", "zoo model: lenet5s, vgg16s, densenet121s, densenet201s, convnexts")
-		strategy = flag.String("strategy", "LinearFDA", "LinearFDA, SketchFDA, OracleFDA, Synchronous, LocalSGD, IncTau, DecTau, PostLocal, LAG, FedAvg, FedAvgM, FedAdam")
-		theta    = flag.Float64("theta", 0, "variance threshold Θ (0 = second entry of the model's default grid)")
-		tau      = flag.Int("tau", 10, "τ for LocalSGD/IncTau/DecTau/PostLocal/LAG")
-		budget   = flag.Float64("budget", 0, "bytes/step bandwidth budget; wraps the FDA variant with the §5 adaptive-Θ controller")
-		k        = flag.Int("k", 5, "number of workers K")
-		batch    = flag.Int("batch", 32, "local mini-batch size")
-		steps    = flag.Int("steps", 600, "maximum in-parallel steps")
-		target   = flag.Float64("target", 0, "test-accuracy target (0 = run all steps)")
-		het      = flag.String("het", "iid", "data split: iid, label<Y>, pct<X>, dir<alpha>")
-		seed     = flag.Uint64("seed", 1, "run seed")
-		topk     = flag.Float64("topk", 0, "compose top-k sync compression with the given keep fraction")
-		qbits    = flag.Int("qbits", 0, "compose uniform quantization with the given bits per component")
-		async    = flag.Bool("async", false, "run the asynchronous (coordinator) FDA variant")
-		speeds   = flag.String("speeds", "", "comma-separated per-worker speeds for -async")
-		jobs     = flag.Int("jobs", runtime.GOMAXPROCS(0), "goroutines for the worker/eval loops (1 = sequential; results are bit-identical; no effect with -async, whose coordinator runner is sequential)")
-		progress = flag.Bool("progress", false, "print live sync/eval events while the run executes")
-		scenario = flag.String("scenario", "", "run on the simulated-network fabric under a named scenario (lan, fedwan, straggler) and report estimated time-to-accuracy")
-		worker   = flag.Bool("worker", false, "join a multi-process cluster as one worker (requires -connect; the coordinator supplies rank and job spec)")
-		connect  = flag.String("connect", "", "coordinator address for -worker")
-		coord    = flag.String("coordinator", "", "host a multi-process cluster on this address (e.g. :9000): wait for -k workers, drive the run, verify and print the result")
-		storeDir = flag.String("store", "", "run-registry directory holding trajectory-prefix snapshots for -warmstart")
-		warm     = flag.Bool("warmstart", false, "restore the longest stored trajectory prefix compatible with this run and publish new prefixes (needs -store; result is bit-identical to a cold run)")
-		traceOut = flag.String("trace", "", "write a whole-run Chrome trace-event JSON (open in Perfetto) to this file and enable telemetry; results are bit-identical with or without it")
-		version  = flag.Bool("version", false, "print version information and exit")
-	)
-	flag.Parse()
+	parseFlags(os.Args[1:])
 
 	if *version {
 		fmt.Println(buildinfo.String("fdarun"))
@@ -94,13 +151,16 @@ func main() {
 		}()
 	}
 
+	// Ctrl-C cancels the run between steps; the session machinery makes
+	// that a clean stop with a partial summary instead of a hard kill.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	defer stop()
+
 	// Worker mode: everything about the run comes from the coordinator.
 	if *worker {
 		if *connect == "" {
 			fatal(errors.New("-worker requires -connect host:port"))
 		}
-		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-		defer stop()
 		res, rank, err := dist.RunWorker(ctx, *connect, *jobs)
 		if err != nil {
 			fatal(err)
@@ -109,9 +169,9 @@ func main() {
 		return
 	}
 
-	// Coordinator mode: no local training — serialize the job spec from
-	// the same flags, rendezvous -k worker processes, relay their
-	// collectives and report the verified cluster result.
+	// Coordinator mode: no local training — ship the job spec to -k
+	// worker processes, relay their collectives and report the verified
+	// cluster result.
 	if *coord != "" {
 		// Refuse rather than silently drop flags the job spec cannot
 		// carry to the workers.
@@ -121,21 +181,14 @@ func main() {
 		if *budget > 0 || *async {
 			fatal(errors.New("-budget and -async are not available in -coordinator mode"))
 		}
-		jspec := dist.JobSpec{
-			Model: *model, Strategy: *strategy, Theta: *theta, Tau: *tau,
-			K: *k, Batch: *batch, Steps: *steps, Target: *target,
-			Het: *het, Seed: *seed, TopK: *topk, QBits: *qbits,
-		}
-		co, err := comm.ListenCoordinator(*coord, *k)
+		co, err := comm.ListenCoordinator(*coord, spec.K)
 		if err != nil {
 			fatal(err)
 		}
 		defer co.Close()
-		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-		defer stop()
 		fmt.Printf("coordinating %d workers on %s (start them with: fdarun -worker -connect <host>%s)\n",
-			*k, co.Addr(), *coord)
-		res, err := dist.Coordinate(ctx, co, jspec)
+			spec.K, co.Addr(), *coord)
+		res, err := dist.Coordinate(ctx, co, spec)
 		if err != nil {
 			fatal(err)
 		}
@@ -146,33 +199,11 @@ func main() {
 		return
 	}
 
-	spec, err := fda.ModelByName(*model)
+	cfg, err := spec.BuildConfig()
 	if err != nil {
 		fatal(err)
 	}
-	train, test := fda.DatasetForModel(spec, *seed)
-	th := *theta
-	if th == 0 {
-		th = spec.ThetaGrid[1]
-	}
-
-	cfg := fda.Config{
-		K: *k, BatchSize: *batch, Seed: *seed,
-		Model: spec.Build, Optimizer: spec.Optimizer,
-		Train: train, Test: test,
-		Het:            parseHet(*het),
-		MaxSteps:       *steps,
-		TargetAccuracy: *target,
-		Parallelism:    *jobs,
-	}
-	switch {
-	case *topk > 0 && *qbits > 0:
-		cfg.SyncCodec = fda.Chain{Stages: []fda.Codec{fda.TopK{Fraction: *topk}, fda.Quantize{Bits: *qbits}}}
-	case *topk > 0:
-		cfg.SyncCodec = fda.TopK{Fraction: *topk}
-	case *qbits > 0:
-		cfg.SyncCodec = fda.Quantize{Bits: *qbits}
-	}
+	cfg.Parallelism = *jobs
 	if *scenario != "" {
 		scen, err := fda.ScenarioByName(*scenario)
 		if err != nil {
@@ -180,11 +211,6 @@ func main() {
 		}
 		cfg.Fabric = fda.NewSimFabric(cfg.K, fda.DefaultCostModel(), scen)
 	}
-
-	// Ctrl-C cancels the run between steps; the session machinery makes
-	// that a clean stop with a partial summary instead of a hard kill.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
 
 	if *async {
 		if *warm {
@@ -196,7 +222,7 @@ func main() {
 			// would report times the scenario did not produce.
 			fatal(errors.New("-scenario does not apply to -async (use -speeds for async heterogeneity)"))
 		}
-		ac := fda.AsyncConfig{Config: cfg, Theta: th, UseSketch: *strategy == "SketchFDA"}
+		ac := fda.AsyncConfig{Config: cfg, Theta: spec.Theta, UseSketch: spec.Strategy == "SketchFDA"}
 		if *speeds != "" {
 			for _, part := range strings.Split(*speeds, ",") {
 				v, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
@@ -218,19 +244,18 @@ func main() {
 		return
 	}
 
-	strat, err := dist.StrategyFor(*strategy, th, *tau, cfg)
+	strat, err := spec.BuildStrategy(cfg)
 	if err != nil {
 		fatal(err)
 	}
 	if *budget > 0 {
-		switch *strategy {
+		switch spec.Strategy {
 		case "LinearFDA", "SketchFDA":
 			strat = fda.NewAdaptiveTheta(strat, *budget)
 		default:
-			fatal(fmt.Errorf("-budget only applies to LinearFDA/SketchFDA"))
+			fatal(errors.New("-budget only applies to LinearFDA/SketchFDA"))
 		}
 	}
-
 	sess, err := fda.NewSession(ctx, cfg, strat)
 	if err != nil {
 		fatal(err)
@@ -245,30 +270,7 @@ func main() {
 		if *scenario != "" {
 			fatal(errors.New("-warmstart does not combine with -scenario (virtual-clock state is outside prefix snapshots)"))
 		}
-		// The spec captures every trajectory- and stopping-determining
-		// input, so prefix addresses can only collide between runs that
-		// would replay the same silent steps (DESIGN.md §10). Sync-time
-		// knobs (codecs, -jobs) are deliberately absent: that is the
-		// sharing the prefix family machinery makes safe.
-		var targets []float64
-		if *target > 0 {
-			targets = []float64{*target}
-		}
-		spec := runstore.Spec{
-			Experiment: "fdarun",
-			Seed:       *seed,
-			Model:      *model,
-			Strategy:   *strategy,
-			Theta:      th,
-			K:          *k,
-			Het:        *het,
-			Targets:    targets,
-			Extra: map[string]string{
-				"batch": strconv.Itoa(*batch),
-				"steps": strconv.Itoa(*steps),
-			},
-		}
-		if err := warmStart(sess, strat, cfg, *storeDir, spec); err != nil {
+		if err := warmStart(sess, strat); err != nil {
 			fatal(err)
 		}
 	}
@@ -317,16 +319,6 @@ func progressSink(enabled bool) fda.EventSink {
 			fmt.Fprintf(os.Stderr, "[done] %s\n", ev.Result.String())
 		}
 	}
-}
-
-// parseHet converts the -het flag through the shared grammar
-// (data.ParseHeterogeneity), fataling on a bad selector.
-func parseHet(s string) fda.Heterogeneity {
-	h, err := dist.ParseHet(s)
-	if err != nil {
-		fatal(err)
-	}
-	return h
 }
 
 func fatal(err error) {

@@ -1,0 +1,136 @@
+package main
+
+import (
+	"context"
+	"flag"
+	"math"
+	"reflect"
+	"testing"
+
+	"repro/fda"
+	"repro/internal/runstore"
+)
+
+// parse is parseFlags from a clean slate: every flag back at its
+// default first, so cases do not inherit each other's settings.
+func parse(args ...string) {
+	fs.VisitAll(func(f *flag.Flag) { f.Value.Set(f.DefValue) })
+	parseFlags(args)
+}
+
+// TestFlagsToResultGolden pins the flag surface → dist.JobSpec →
+// Config/Strategy path bit-for-bit against goldens captured from the
+// inline Config builder this binary had before it shared the spec with
+// fdaserve and the workers: the summary line, and the exact byte split,
+// sync count and accuracy bits behind it. The cases cover the Θ
+// default (no -theta), each codec flag alone and both chained, a
+// non-IID split and a τ-scheduled baseline.
+func TestFlagsToResultGolden(t *testing.T) {
+	cases := []struct {
+		args               []string
+		summary            string
+		comm, state, model int64
+		syncs              int
+		accBits            uint64
+	}{
+		{args: []string{"-model", "lenet5s", "-strategy", "LinearFDA", "-k", "3", "-steps", "60"},
+			summary: "LinearFDA: steps=60 epochs=2.4 comm=0.000GB (state 0.000, model 0.000) syncs=3 acc=0.4550 target=false",
+			comm:    127458, state: 1800, model: 125658, syncs: 3, accBits: 0x3fdd1eb851eb851f},
+		{args: []string{"-model", "lenet5s", "-strategy", "LinearFDA", "-k", "3", "-steps", "60", "-topk", "0.1", "-qbits", "8"},
+			summary: "LinearFDA: steps=60 epochs=2.4 comm=0.000GB (state 0.000, model 0.000) syncs=4 acc=0.3033 target=false",
+			comm:    115128, state: 1800, model: 113328, syncs: 4, accBits: 0x3fd369d0369d036a},
+		{args: []string{"-model", "lenet5s", "-strategy", "FedAvg", "-k", "3", "-steps", "60", "-qbits", "8", "-het", "label0"},
+			summary: "FedAvg: steps=60 epochs=2.4 comm=0.000GB (state 0.000, model 0.000) syncs=2 acc=0.4167 target=false",
+			comm:    83772, state: 0, model: 83772, syncs: 2, accBits: 0x3fdaaaaaaaaaaaab},
+		{args: []string{"-model", "lenet5s", "-strategy", "LocalSGD", "-tau", "5", "-k", "2", "-steps", "40", "-topk", "0.25", "-seed", "7"},
+			summary: "LocalSGD(τ=5): steps=40 epochs=1.1 comm=0.000GB (state 0.000, model 0.000) syncs=8 acc=0.2500 target=false",
+			comm:    167680, state: 0, model: 167680, syncs: 8, accBits: 0x3fd0000000000000},
+	}
+	for _, c := range cases {
+		parse(c.args...)
+		if want := 0.052360000000000004; spec.Theta != want { // lenet5s ThetaGrid[1]
+			t.Errorf("%v: Θ default resolved to %v, want %v", c.args, spec.Theta, want)
+		}
+		cfg, err := spec.BuildConfig()
+		if err != nil {
+			t.Fatal(err)
+		}
+		strat, err := spec.BuildStrategy(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := fda.MustRun(cfg, strat)
+		if got := res.String(); got != c.summary {
+			t.Errorf("%v:\n got %s\nwant %s", c.args, got, c.summary)
+		}
+		if res.CommBytes != c.comm || res.StateBytes != c.state || res.ModelBytes != c.model ||
+			res.SyncCount != c.syncs || math.Float64bits(res.FinalTestAcc) != c.accBits {
+			t.Errorf("%v: comm=%d state=%d model=%d syncs=%d accbits=%#x, want %d %d %d %d %#x", c.args,
+				res.CommBytes, res.StateBytes, res.ModelBytes, res.SyncCount, math.Float64bits(res.FinalTestAcc),
+				c.comm, c.state, c.model, c.syncs, c.accBits)
+		}
+	}
+}
+
+// TestWarmStartFlagPath drives -warmstart the way main does: the first
+// run publishes prefixes at the session's evaluation cadence, a second
+// run with a larger Θ restores the longest of them, and both land on
+// the bits of a cold run.
+func TestWarmStartFlagPath(t *testing.T) {
+	dir := t.TempDir()
+	run := func(theta string, warm bool) fda.Result {
+		parse("-model", "lenet5s", "-strategy", "LinearFDA", "-theta", theta,
+			"-k", "3", "-steps", "80", "-store", dir)
+		cfg, err := spec.BuildConfig()
+		if err != nil {
+			t.Fatal(err)
+		}
+		strat, err := spec.BuildStrategy(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sess, err := fda.NewSession(context.Background(), cfg, strat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if warm {
+			if err := warmStart(sess, strat); err != nil {
+				t.Fatal(err)
+			}
+		}
+		res, err := sess.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	if cold, warm := run("0.4", false), run("0.4", true); !reflect.DeepEqual(cold, warm) {
+		t.Fatal("publishing run diverged from the cold run")
+	}
+	published := func() []int {
+		st, err := runstore.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ms, err := st.Snapshots()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var steps []int
+		for _, m := range ms {
+			steps = append(steps, m.Steps)
+		}
+		return steps
+	}
+	// Prefixes sit on the EvalEvery=20 grid: Θ=0.4 first synchronizes
+	// before step 40, Θ=0.8 (restoring step 20) before step 60.
+	if got, want := published(), []int{20}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("first run published prefixes at steps %v, want %v", got, want)
+	}
+	if cold, warm := run("0.8", false), run("0.8", true); !reflect.DeepEqual(cold, warm) {
+		t.Fatal("restoring run diverged from the cold run")
+	}
+	if got, want := published(), []int{20, 40}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("second run left prefixes at steps %v, want %v", got, want)
+	}
+}

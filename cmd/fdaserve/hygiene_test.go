@@ -10,7 +10,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/cluster"
+	"repro/internal/dist"
 	"repro/internal/runstore"
 )
 
@@ -29,9 +29,8 @@ func TestTrainFailureDropsCheckpoint(t *testing.T) {
 	// Plant a stale checkpoint under the exact key the submission will
 	// compute; a negative Θ makes the strategy's Init panic, so the job
 	// fails before a single step.
-	req := trainRequest{TrainSpec: cluster.TrainSpec{Model: "lenet5s", Strategy: "SketchFDA", Theta: -1, K: 3, Steps: 40}}
-	req.withDefaults()
-	ckpt := s.checkpointPath(req.canonicalKey())
+	spec := dist.JobSpec{Model: "lenet5s", Strategy: "SketchFDA", Theta: -1, K: 3, Steps: 40}.WithDefaults()
+	ckpt := s.checkpointPath(spec.Key())
 	if err := os.MkdirAll(filepath.Dir(ckpt), 0o755); err != nil {
 		t.Fatal(err)
 	}

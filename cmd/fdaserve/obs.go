@@ -1,20 +1,11 @@
 package main
 
-import (
-	"log/slog"
-	"net/http"
-	"strconv"
-	"sync"
-	"time"
+import "repro/internal/obs"
 
-	"repro/internal/obs"
-)
-
-// This file is fdaserve's observability surface (DESIGN.md §11): the
-// instrument middleware wraps the whole API with per-route latency
-// histograms, status-code counters and a structured access log, and
-// GET /metrics exposes the process-wide registry — session, fabric,
-// runstore and HTTP telemetry alike — as Prometheus text.
+// This file holds fdaserve's job telemetry (DESIGN.md §11). The HTTP
+// side — per-route latency histograms, status-code counters, the access
+// log and the GET /metrics exposition — is cluster.HTTPShell, shared
+// with fdagate.
 
 // Job scheduling telemetry. Queue wait is the admission→start interval
 // (zero-ish under the in-process executor, real under a queueing one);
@@ -52,110 +43,4 @@ func jobRunSeconds(kind string) *obs.Histogram {
 		return jobRunTrain
 	}
 	return jobRunSweep
-}
-
-// httpTele caches the per-route metric handles so the middleware does
-// one sync.Map load per request instead of a registry lookup (same
-// idiom as the fabric's meter counters).
-type httpTele struct {
-	seconds *obs.Histogram
-	byCode  sync.Map // status code (int) -> *obs.Counter
-}
-
-var httpRoutes sync.Map // route pattern -> *httpTele
-
-func httpTeleFor(route string) *httpTele {
-	if t, ok := httpRoutes.Load(route); ok {
-		return t.(*httpTele)
-	}
-	t := &httpTele{seconds: obs.Default.Histogram("fdaserve_http_request_seconds",
-		"HTTP request latency by route pattern.", obs.Seconds, "route", route)}
-	actual, _ := httpRoutes.LoadOrStore(route, t)
-	return actual.(*httpTele)
-}
-
-func (t *httpTele) counter(route string, code int) *obs.Counter {
-	if c, ok := t.byCode.Load(code); ok {
-		return c.(*obs.Counter)
-	}
-	c := obs.Default.Counter("fdaserve_http_requests_total",
-		"HTTP requests by route pattern and status code.", "route", route, "code", strconv.Itoa(code))
-	actual, _ := t.byCode.LoadOrStore(code, c)
-	return actual.(*obs.Counter)
-}
-
-// statusWriter records the response status for the middleware. It must
-// implement http.Flusher: the SSE endpoint streams through it.
-type statusWriter struct {
-	http.ResponseWriter
-	status int
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	if w.status == 0 {
-		w.status = code
-	}
-	w.ResponseWriter.WriteHeader(code)
-}
-
-func (w *statusWriter) Write(p []byte) (int, error) {
-	if w.status == 0 {
-		w.status = http.StatusOK
-	}
-	return w.ResponseWriter.Write(p)
-}
-
-func (w *statusWriter) Flush() {
-	if f, ok := w.ResponseWriter.(http.Flusher); ok {
-		f.Flush()
-	}
-}
-
-// instrument wraps the API mux with telemetry and access logging. The
-// route label is the mux pattern (r.Pattern is populated by ServeMux on
-// the same request value, so it is readable here after ServeHTTP), so
-// /v1/runs/r1 and /v1/runs/r2 share the /v1/runs/{id} series instead of
-// exploding cardinality.
-func (s *server) instrument(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		sw := &statusWriter{ResponseWriter: w}
-		next.ServeHTTP(sw, r)
-		if sw.status == 0 {
-			sw.status = http.StatusOK
-		}
-		route := r.Pattern
-		if route == "" {
-			route = "(unmatched)"
-		}
-		dur := time.Since(start)
-		t := httpTeleFor(route)
-		t.seconds.Observe(int64(dur))
-		t.counter(route, sw.status).Inc()
-		if s.accessLog != nil {
-			attrs := []any{
-				slog.String("method", r.Method),
-				slog.String("path", r.URL.Path),
-				slog.String("route", route),
-				slog.Int("status", sw.status),
-				slog.Duration("dur", dur),
-			}
-			if id := r.PathValue("id"); id != "" {
-				attrs = append(attrs, slog.String("job", id))
-			}
-			s.accessLog.Info("access", attrs...)
-		}
-	})
-}
-
-// handlePromMetrics implements GET /metrics: the Prometheus text
-// exposition of the process-wide registry plus a fixed set of
-// runtime/metrics samples. GET /v1/metrics is its JSON twin.
-func (s *server) handlePromMetrics(w http.ResponseWriter, r *http.Request) {
-	s.sampleAdmissionGauges()
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	if err := obs.Default.WritePrometheus(w); err != nil {
-		return // client went away; nothing to salvage
-	}
-	_ = obs.WriteRuntimeMetrics(w)
 }

@@ -49,7 +49,7 @@ type server struct {
 	// warm enables trajectory-prefix snapshot reuse inside sweep jobs.
 	warm bool
 	// accessLog, when non-nil, receives one structured line per HTTP
-	// request from the instrument middleware.
+	// request from the HTTP shell.
 	accessLog *slog.Logger
 	// pprof mounts net/http/pprof under /debug/pprof/ when set.
 	pprof bool
@@ -104,11 +104,8 @@ func newServer(store *runstore.Store, jobs int, baseCtx context.Context) *server
 }
 
 // drain waits for every in-flight job to finish (used after the base
-// context is cancelled) and flushes the journal.
-func (s *server) drain() {
-	s.wg.Wait()
-	s.journal.close()
-}
+// context is cancelled).
+func (s *server) drain() { s.wg.Wait() }
 
 // Job status values. Transitions: running → done | failed | cancelled.
 // "interrupted" is assigned only at startup, to journaled jobs a
@@ -211,12 +208,42 @@ func (j *job) view() jobView {
 	return v
 }
 
-// markStarted stamps the moment an execute goroutine picked the job up
-// and feeds the admission→start interval to the queue-wait histogram.
-func (s *server) markStarted(j *job) {
-	now := int64(time.Since(s.started))
+// now is the server's monotonic clock: nanoseconds since it started.
+func (s *server) now() int64 { return int64(time.Since(s.started)) }
+
+// runJob is the life of every job goroutine, sweep or train: it stamps
+// the start (feeding the admission→start interval to the queue-wait
+// histogram), runs body under the job's context, maps its outcome — a
+// result, a cancellation, an error or a panic — to the one terminal
+// status, and releases everything waiting on the job. The caller has
+// already done s.wg.Add(1).
+func (s *server) runJob(ctx context.Context, j *job, body func(context.Context) (any, error)) {
+	now := s.now()
 	j.startedNs.Store(now)
 	jobQueueWait.Observe(now - j.admittedNs)
+	defer s.wg.Done()
+	defer j.events.close()
+	defer close(j.done)
+	defer func() {
+		if r := recover(); r != nil {
+			s.setStatus(j, statusFailed, fmt.Sprintf("panic: %v", r), nil)
+		}
+	}()
+	res, err := body(ctx)
+	switch {
+	case err == nil:
+		s.setStatus(j, statusDone, "", res)
+	case cancelled(err):
+		s.setStatus(j, statusCancelled, err.Error(), nil)
+	default:
+		s.setStatus(j, statusFailed, err.Error(), nil)
+	}
+}
+
+// cancelled reports whether err is a job context ending (DELETE,
+// shutdown or deadline) rather than a failure of the work itself.
+func cancelled(err error) bool {
+	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
 // setStatus records a terminal transition and journals it.
@@ -232,12 +259,12 @@ func (s *server) setStatus(j *job, status, errMsg string, result any) {
 	}
 	if status != statusRunning {
 		// Terminal transition: the job leaves the admission-cap window.
-		// setStatus runs exactly once per executed job (each execute
-		// goroutine ends in a single switch arm).
+		// setStatus runs exactly once per executed job (runJob ends in a
+		// single switch arm, or in its panic handler).
 		s.active.Add(-1)
 	}
 	if st := j.startedNs.Load(); status != statusRunning && st != 0 {
-		jobRunSeconds(j.Kind).Observe(int64(time.Since(s.started)) - st)
+		jobRunSeconds(j.Kind).Observe(s.now() - st)
 	}
 	s.journal.record(j.view(), j.key)
 }
@@ -297,7 +324,7 @@ func simulatedBytes(result any) int64 {
 //	GET    /v1/store                cached-run manifests
 //	GET    /v1/runs                 submitted jobs
 //	POST   /v1/runs                 submit a sweep {"experiment","scale","seed"}
-//	POST   /v1/train                submit a training session (see trainRequest)
+//	POST   /v1/train                submit a training session (a dist.JobSpec)
 //	GET    /v1/runs/{id}            poll one job
 //	DELETE /v1/runs/{id}            cancel one job (it becomes resumable)
 //	GET    /v1/runs/{id}/events     live progress as Server-Sent Events
@@ -305,14 +332,18 @@ func simulatedBytes(result any) int64 {
 //	GET    /v1/runs/{id}/output     fetch the rendered tables/plots
 //
 // With -pprof, net/http/pprof is additionally mounted under
-// /debug/pprof/. Every route runs behind the instrument middleware
-// (obs.go): per-route latency histograms, status counters, access log.
+// /debug/pprof/. Every route runs behind the shared HTTP shell
+// (cluster.HTTPShell): per-route latency histograms, status counters,
+// access log.
 func (s *server) routes() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintln(w, "ok")
 	})
-	mux.HandleFunc("GET /metrics", s.handlePromMetrics)
+	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
+		s.sampleAdmissionGauges()
+		cluster.ServePrometheus(w, r)
+	})
 	if s.pprof {
 		mux.HandleFunc("GET /debug/pprof/", pprof.Index)
 		mux.HandleFunc("GET /debug/pprof/cmdline", pprof.Cmdline)
@@ -323,7 +354,7 @@ func (s *server) routes() http.Handler {
 	mux.HandleFunc("GET /v1/healthz", s.handleHealthz)
 	mux.HandleFunc("GET /v1/metrics", s.handleMetrics)
 	mux.HandleFunc("GET /v1/version", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]string{"version": buildinfo.String("fdaserve")})
+		cluster.WriteJSON(w, http.StatusOK, map[string]string{"version": buildinfo.String("fdaserve")})
 	})
 	mux.HandleFunc("POST /v1/drain", s.handleDrain)
 	mux.HandleFunc("DELETE /v1/drain", s.handleDrain)
@@ -337,7 +368,7 @@ func (s *server) routes() http.Handler {
 	mux.HandleFunc("GET /v1/runs/{id}/events", s.handleEvents)
 	mux.HandleFunc("GET /v1/runs/{id}/records", s.handleRecords)
 	mux.HandleFunc("GET /v1/runs/{id}/output", s.handleOutput)
-	return s.instrument(s.record(mux))
+	return cluster.NewHTTPShell("fdaserve", s.now, s.accessLog).Instrument(s.record(mux))
 }
 
 // handleHealthz implements GET /v1/healthz: a JSON liveness probe (the
@@ -348,7 +379,7 @@ func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
 		status = "draining"
 	}
-	writeJSON(w, http.StatusOK, map[string]string{
+	cluster.WriteJSON(w, http.StatusOK, map[string]string{
 		"status":  status,
 		"replica": s.name,
 		"version": buildinfo.String("fdaserve"),
@@ -443,7 +474,7 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	m.StoreSnapshots = s.store.SnapshotCount()
 	m.Telemetry = obs.Default.Snapshot()
 	m.Runtime = obs.RuntimeSample()
-	writeJSON(w, http.StatusOK, m)
+	cluster.WriteJSON(w, http.StatusOK, m)
 }
 
 func (s *server) handleExperiments(w http.ResponseWriter, r *http.Request) {
@@ -455,19 +486,19 @@ func (s *server) handleExperiments(w http.ResponseWriter, r *http.Request) {
 	for _, r := range experiments.Runners() {
 		out = append(out, entry{r.Name, r.Artifact})
 	}
-	writeJSON(w, http.StatusOK, out)
+	cluster.WriteJSON(w, http.StatusOK, out)
 }
 
 func (s *server) handleStore(w http.ResponseWriter, r *http.Request) {
 	ms, err := s.store.List()
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, err.Error())
+		cluster.WriteError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
 	if ms == nil {
 		ms = []runstore.Manifest{}
 	}
-	writeJSON(w, http.StatusOK, ms)
+	cluster.WriteJSON(w, http.StatusOK, ms)
 }
 
 func (s *server) handleListRuns(w http.ResponseWriter, r *http.Request) {
@@ -477,31 +508,24 @@ func (s *server) handleListRuns(w http.ResponseWriter, r *http.Request) {
 		views = append(views, s.byID[id].view())
 	}
 	s.mu.Unlock()
-	writeJSON(w, http.StatusOK, views)
-}
-
-// submitRequest is the POST /v1/runs body. Like trainRequest, the spec
-// fields and canonical key live in cluster.SweepSpec so fdagate's
-// affinity routing and this server's dedupe cannot drift apart.
-type submitRequest struct {
-	cluster.SweepSpec
+	cluster.WriteJSON(w, http.StatusOK, views)
 }
 
 func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var req submitRequest
+	var req cluster.SweepSpec
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid JSON body: "+err.Error())
+		cluster.WriteError(w, http.StatusBadRequest, "invalid JSON body: "+err.Error())
 		return
 	}
 	req.ApplyDefaults()
 	if _, ok := experiments.Lookup(req.Experiment); !ok {
-		writeError(w, http.StatusBadRequest,
+		cluster.WriteError(w, http.StatusBadRequest,
 			fmt.Sprintf("unknown experiment %q (have %s)", req.Experiment, strings.Join(experiments.Names(), ", ")))
 		return
 	}
 	scale, err := experiments.ParseScale(req.Scale)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+		cluster.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 
@@ -518,12 +542,12 @@ func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if existing {
-		writeJSON(w, http.StatusOK, j.view())
+		cluster.WriteJSON(w, http.StatusOK, j.view())
 		return
 	}
 	s.wg.Add(1)
-	go s.executeSweep(j, scale, ctx)
-	writeJSON(w, http.StatusAccepted, j.view())
+	go s.runJob(ctx, j, func(ctx context.Context) (any, error) { return s.sweep(ctx, j, scale) })
+	cluster.WriteJSON(w, http.StatusAccepted, j.view())
 }
 
 // errAtCapacity/errDraining are returned by createJob when a new job is
@@ -572,7 +596,7 @@ func (s *server) writeUnavailable(w http.ResponseWriter, cause error) {
 		msg = "server draining: not accepting new jobs"
 	}
 	w.Header().Set("Retry-After", strconv.Itoa(retry))
-	writeJSON(w, http.StatusServiceUnavailable, map[string]any{
+	cluster.WriteJSON(w, http.StatusServiceUnavailable, map[string]any{
 		"error":           msg,
 		"in_flight":       s.active.Load(),
 		"max_queue":       s.maxQueue,
@@ -588,7 +612,7 @@ func (s *server) writeUnavailable(w http.ResponseWriter, cause error) {
 // admission.draining and routes new submissions elsewhere.
 func (s *server) handleDrain(w http.ResponseWriter, r *http.Request) {
 	s.draining.Store(r.Method == http.MethodPost)
-	writeJSON(w, http.StatusOK, map[string]any{
+	cluster.WriteJSON(w, http.StatusOK, map[string]any{
 		"draining":  s.draining.Load(),
 		"in_flight": s.active.Load(),
 	})
@@ -630,7 +654,7 @@ func (s *server) createJob(key string, init func(*job)) (*job, context.Context, 
 		done:       make(chan struct{}),
 		events:     newBroker(),
 		status:     statusRunning,
-		admittedNs: int64(time.Since(s.started)),
+		admittedNs: s.now(),
 	}
 	ctx, cancel := context.WithCancel(s.baseCtx)
 	j.cancel = cancel
@@ -647,21 +671,12 @@ func (s *server) createJob(key string, init func(*job)) (*job, context.Context, 
 	return j, ctx, false, nil
 }
 
-// executeSweep runs a figure sweep under ctx; the store-aware scheduler
-// inside the runner serves every already-cached cell from disk, and
+// sweep runs a figure sweep under ctx; the store-aware scheduler inside
+// the runner serves every already-cached cell from disk, and
 // cancellation (DELETE or shutdown) stops it between cells, so the
 // persisted cells fund the next submission of the same spec.
-func (s *server) executeSweep(j *job, scale experiments.Scale, ctx context.Context) {
-	s.markStarted(j)
-	defer s.wg.Done()
-	defer j.events.close()
-	defer close(j.done)
-	defer func() {
-		if r := recover(); r != nil {
-			s.setStatus(j, statusFailed, fmt.Sprintf("panic: %v", r), nil)
-		}
-	}()
-	res, err := experiments.Run(j.Experiment, experiments.Options{
+func (s *server) sweep(ctx context.Context, j *job, scale experiments.Scale) (any, error) {
+	return experiments.Run(j.Experiment, experiments.Options{
 		Scale: scale,
 		Seed:  j.Seed,
 		Out:   j.out,
@@ -681,14 +696,6 @@ func (s *server) executeSweep(j *job, scale experiments.Scale, ctx context.Conte
 			})
 		},
 	})
-	switch {
-	case err == nil:
-		s.setStatus(j, statusDone, "", res)
-	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-		s.setStatus(j, statusCancelled, err.Error(), nil)
-	default:
-		s.setStatus(j, statusFailed, err.Error(), nil)
-	}
 }
 
 func (s *server) job(r *http.Request) (*job, bool) {
@@ -701,10 +708,10 @@ func (s *server) job(r *http.Request) (*job, bool) {
 func (s *server) handleRun(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.job(r)
 	if !ok {
-		writeError(w, http.StatusNotFound, "no such run")
+		cluster.WriteError(w, http.StatusNotFound, "no such run")
 		return
 	}
-	writeJSON(w, http.StatusOK, j.view())
+	cluster.WriteJSON(w, http.StatusOK, j.view())
 }
 
 // handleCancel implements DELETE /v1/runs/{id}: the job's context is
@@ -715,21 +722,21 @@ func (s *server) handleRun(w http.ResponseWriter, r *http.Request) {
 func (s *server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.job(r)
 	if !ok {
-		writeError(w, http.StatusNotFound, "no such run")
+		cluster.WriteError(w, http.StatusNotFound, "no such run")
 		return
 	}
 	if st := j.view().Status; st != statusRunning {
-		writeError(w, http.StatusConflict, "run already "+st)
+		cluster.WriteError(w, http.StatusConflict, "run already "+st)
 		return
 	}
 	j.cancel()
 	select {
 	case <-j.done:
 	case <-r.Context().Done():
-		writeError(w, http.StatusRequestTimeout, "cancellation requested; run still draining")
+		cluster.WriteError(w, http.StatusRequestTimeout, "cancellation requested; run still draining")
 		return
 	}
-	writeJSON(w, http.StatusOK, j.view())
+	cluster.WriteJSON(w, http.StatusOK, j.view())
 }
 
 // handleEvents implements GET /v1/runs/{id}/events as Server-Sent
@@ -742,12 +749,12 @@ func (s *server) handleCancel(w http.ResponseWriter, r *http.Request) {
 func (s *server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.job(r)
 	if !ok {
-		writeError(w, http.StatusNotFound, "no such run")
+		cluster.WriteError(w, http.StatusNotFound, "no such run")
 		return
 	}
 	fl, ok := w.(http.Flusher)
 	if !ok {
-		writeError(w, http.StatusInternalServerError, "streaming unsupported")
+		cluster.WriteError(w, http.StatusInternalServerError, "streaming unsupported")
 		return
 	}
 	w.Header().Set("Content-Type", "text/event-stream")
@@ -780,7 +787,7 @@ func (s *server) handleEvents(w http.ResponseWriter, r *http.Request) {
 func (s *server) handleRecords(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.job(r)
 	if !ok {
-		writeError(w, http.StatusNotFound, "no such run")
+		cluster.WriteError(w, http.StatusNotFound, "no such run")
 		return
 	}
 	j.mu.Lock()
@@ -788,34 +795,22 @@ func (s *server) handleRecords(w http.ResponseWriter, r *http.Request) {
 	j.mu.Unlock()
 	switch status {
 	case statusRunning:
-		writeError(w, http.StatusConflict, "run still executing; poll /v1/runs/"+j.ID)
+		cluster.WriteError(w, http.StatusConflict, "run still executing; poll /v1/runs/"+j.ID)
 	case statusFailed, statusCancelled, statusInterrupted:
-		writeError(w, http.StatusConflict, "run "+status+"; see /v1/runs/"+j.ID)
+		cluster.WriteError(w, http.StatusConflict, "run "+status+"; see /v1/runs/"+j.ID)
 	default:
-		writeJSON(w, http.StatusOK, map[string]any{"id": j.ID, "records": result})
+		cluster.WriteJSON(w, http.StatusOK, map[string]any{"id": j.ID, "records": result})
 	}
 }
 
 func (s *server) handleOutput(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.job(r)
 	if !ok {
-		writeError(w, http.StatusNotFound, "no such run")
+		cluster.WriteError(w, http.StatusNotFound, "no such run")
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	fmt.Fprint(w, j.out.String())
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
-	_ = enc.Encode(v)
-}
-
-func writeError(w http.ResponseWriter, code int, msg string) {
-	writeJSON(w, code, map[string]string{"error": msg})
 }
 
 // writeSSE emits one Server-Sent Event with a JSON payload.
@@ -959,8 +954,6 @@ func (jn *journal) record(v jobView, key string) {
 		jn.bad = true
 	}
 }
-
-func (jn *journal) close() {}
 
 // read parses the journal into one entry per job — the last journaled
 // transition wins, in first-seen job order. Unparseable lines (a torn

@@ -17,9 +17,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/comm"
 	"repro/internal/core"
-	"repro/internal/data"
 	"repro/internal/dist"
-	"repro/internal/models"
 )
 
 // This file implements single-run training sessions as first-class
@@ -30,42 +28,10 @@ import (
 // bit-identically to a run that was never interrupted (the session
 // resume contract, pinned by TestTrainCancelResumeExact).
 
-// trainRequest is the POST /v1/train body. The spec fields, their
-// defaults and the canonical dedupe key all live in cluster.TrainSpec,
-// so the fdagate affinity router and this server's dedupe compute the
-// same key from one definition — a divergence would break cache-hit
-// routing, and sharing the type makes it a compile error instead.
-type trainRequest struct {
-	cluster.TrainSpec
-}
-
-func (t *trainRequest) withDefaults() { t.ApplyDefaults() }
-
-// canonicalKey identifies the training spec for dedupe and for the
-// resume checkpoint's content address.
-func (t trainRequest) canonicalKey() string { return t.Key() }
-
-// jobSpec converts the request into the distributed job payload.
-func (t trainRequest) jobSpec() dist.JobSpec {
-	return dist.JobSpec{
-		Model: t.Model, Strategy: t.Strategy, Theta: t.Theta, Tau: t.Tau,
-		K: t.K, Batch: t.Batch, Steps: t.Steps, EvalEvery: t.EvalEvery,
-		Target: t.Target, Het: t.Het, Seed: t.Seed,
-	}
-}
-
-// trainStrategyFor builds the requested strategy through the shared
-// name index; FedOpt variants bind their round length to cfg exactly as
-// fdarun does.
-func trainStrategyFor(req trainRequest, cfg core.Config) (core.Strategy, error) {
-	return dist.StrategyFor(req.Strategy, req.Theta, req.Tau, cfg)
-}
-
-// trainHet parses the heterogeneity selector through the shared grammar
-// (iid, label<Y>, pct<X>, dir<alpha>).
-func trainHet(s string) (data.Heterogeneity, error) {
-	return data.ParseHeterogeneity(s)
-}
+// The POST /v1/train body is a dist.JobSpec: its fields, defaults,
+// canonical dedupe key and Config construction all live there, so the
+// fdagate affinity router, this server's dedupe and the distributed
+// workers read one definition.
 
 // checkpointPath addresses the resume checkpoint of a train spec inside
 // the store directory.
@@ -75,192 +41,118 @@ func (s *server) checkpointPath(key string) string {
 }
 
 func (s *server) handleTrain(w http.ResponseWriter, r *http.Request) {
-	var req trainRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid JSON body: "+err.Error())
+	var spec dist.JobSpec
+	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
+		cluster.WriteError(w, http.StatusBadRequest, "invalid JSON body: "+err.Error())
 		return
 	}
-	if req.Model == "" || req.Strategy == "" {
-		writeError(w, http.StatusBadRequest, "model and strategy are required")
+	if spec.Model == "" || spec.Strategy == "" {
+		cluster.WriteError(w, http.StatusBadRequest, "model and strategy are required")
 		return
 	}
-	spec, err := models.ByName(req.Model)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	req.withDefaults()
-	het, err := trainHet(req.Het)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-
-	// The datasets are NOT synthesized here. Generating and normalizing
-	// a spec's workload costs hundreds of milliseconds — paying it on
-	// the admission path made POST /v1/train latency scale with dataset
-	// size instead of queue depth (and for distributed jobs the result
-	// was discarded entirely: the workers synthesize their own shards).
-	// Admission validates everything it can without the data and defers
-	// materialization to the job goroutine; core.NewSession re-validates
-	// the completed config before any training step runs.
-	cfg := core.Config{
-		K: req.K, BatchSize: req.Batch, Seed: req.Seed,
-		Model: spec.Build, Optimizer: spec.Optimizer,
-		Het:            het,
-		MaxSteps:       req.Steps,
-		EvalEvery:      req.EvalEvery,
-		TargetAccuracy: req.Target,
-		Parallelism:    s.jobs,
-	}
-	// Reject bad configs at the door with the structured field errors,
-	// instead of surfacing them later as a failed job.
-	if err := validateAdmission(cfg); err != nil {
+	spec = spec.WithDefaults()
+	// Reject bad specs at the door — with the structured field errors
+	// where there are any — instead of surfacing them later as a failed
+	// job. The datasets are NOT synthesized here: that costs hundreds of
+	// milliseconds and made admission latency scale with dataset size
+	// instead of queue depth (and distributed jobs never use the result:
+	// the workers synthesize their own shards). The job goroutine
+	// materializes them; core.NewSession re-validates the completed
+	// config before any training step runs.
+	if err := spec.Validate(); err != nil {
 		var cerr *core.ConfigError
 		if errors.As(err, &cerr) {
 			fields := make([]map[string]string, 0, len(cerr.Fields))
 			for _, f := range cerr.Fields {
 				fields = append(fields, map[string]string{"field": f.Field, "msg": f.Msg})
 			}
-			writeJSON(w, http.StatusBadRequest, map[string]any{"error": err.Error(), "fields": fields})
+			cluster.WriteJSON(w, http.StatusBadRequest, map[string]any{"error": err.Error(), "fields": fields})
 			return
 		}
-		writeError(w, http.StatusBadRequest, err.Error())
+		cluster.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	// Vet the strategy name now (unknown strategies stay a 400, not a
-	// failed job). The probe uses an empty placeholder dataset; the real
-	// strategy is rebuilt in the goroutine because the FedOpt variants
-	// derive their round length from Train.Len().
-	probe := cfg
-	probe.Train = &data.Dataset{}
-	if _, err := trainStrategyFor(req, probe); err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	if req.Distributed && s.fabricAddr == "" {
-		writeError(w, http.StatusBadRequest, "distributed training requires the server to be started with -fabric")
+	if spec.Distributed && s.fabricAddr == "" {
+		cluster.WriteError(w, http.StatusBadRequest, "distributed training requires the server to be started with -fabric")
 		return
 	}
 
-	j, ctx, existing, err := s.createJob(req.canonicalKey(), func(j *job) {
+	j, ctx, existing, err := s.createJob(spec.Key(), func(j *job) {
 		j.Kind = "train"
-		j.Experiment = req.Model + "/" + req.Strategy
-		j.Seed = req.Seed
+		j.Experiment = spec.Model + "/" + spec.Strategy
+		j.Seed = spec.Seed
 	})
 	if err != nil {
 		s.writeUnavailable(w, err)
 		return
 	}
 	if existing {
-		writeJSON(w, http.StatusOK, j.view())
+		cluster.WriteJSON(w, http.StatusOK, j.view())
 		return
+	}
+	train := s.trainLocal
+	if spec.Distributed {
+		train = s.trainDistributed
 	}
 	s.wg.Add(1)
-	if req.Distributed {
-		go s.executeTrainDistributed(j, req, ctx)
-	} else {
-		go s.executeTrain(j, spec, req, cfg, ctx)
-	}
-	writeJSON(w, http.StatusAccepted, j.view())
+	go s.runJob(ctx, j, func(ctx context.Context) (any, error) { return train(ctx, j, spec) })
+	cluster.WriteJSON(w, http.StatusAccepted, j.view())
 }
 
-// validateAdmission runs cfg.Validate but tolerates the Train/Test
-// emptiness errors: handleTrain admits before materializing the
-// datasets (see the comment there), and DatasetFor never yields an
-// empty set for a zoo spec, so those two fields cannot actually be
-// invalid. Every other field error is still rejected at the door.
-func validateAdmission(cfg core.Config) error {
-	err := cfg.Validate()
-	if err == nil {
-		return nil
-	}
-	var cerr *core.ConfigError
-	if !errors.As(err, &cerr) {
-		return err
-	}
-	fields := cerr.Fields[:0:0]
-	for _, f := range cerr.Fields {
-		if f.Field == "Train" || f.Field == "Test" {
-			continue
-		}
-		fields = append(fields, f)
-	}
-	if len(fields) == 0 {
-		return nil
-	}
-	return &core.ConfigError{Fields: fields}
-}
-
-// executeTrainDistributed coordinates one multi-process training run:
-// the job listens on the server's fabric address, waits for the K
-// worker processes, relays their collectives and records the verified
-// cluster Result. Cancellation (DELETE or shutdown) closes the
-// coordinator, which unblocks the workers with transport errors.
-func (s *server) executeTrainDistributed(j *job, req trainRequest, ctx context.Context) {
-	s.markStarted(j)
-	defer s.wg.Done()
-	defer j.events.close()
-	defer close(j.done)
-	defer func() {
-		if r := recover(); r != nil {
-			s.setStatus(j, statusFailed, fmt.Sprintf("panic: %v", r), nil)
-		}
-	}()
-
-	coord, err := comm.ListenCoordinator(s.fabricAddr, req.K)
+// trainDistributed coordinates one multi-process training run: the job
+// listens on the server's fabric address, waits for the K worker
+// processes, relays their collectives and returns the verified cluster
+// Result. Cancellation (DELETE or shutdown) closes the coordinator,
+// which unblocks the workers with transport errors.
+func (s *server) trainDistributed(ctx context.Context, j *job, spec dist.JobSpec) (core.Result, error) {
+	coord, err := comm.ListenCoordinator(s.fabricAddr, spec.K)
 	if err != nil {
-		s.setStatus(j, statusFailed, err.Error(), nil)
-		return
+		return core.Result{}, err
 	}
 	defer coord.Close()
 	j.mu.Lock()
 	j.fabricAddr = coord.Addr()
 	j.mu.Unlock()
-	j.events.publish("fabric", map[string]any{"addr": coord.Addr(), "workers": req.K})
+	j.events.publish("fabric", map[string]any{"addr": coord.Addr(), "workers": spec.K})
 
-	res, err := dist.Coordinate(ctx, coord, req.jobSpec())
-	switch {
-	case err == nil:
+	res, err := dist.Coordinate(ctx, coord, spec)
+	if err == nil {
 		j.steps.Store(int64(res.Steps))
 		j.syncs.Store(int64(res.SyncCount))
-		s.setStatus(j, statusDone, "", res)
-	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-		s.setStatus(j, statusCancelled, err.Error(), nil)
-	default:
-		s.setStatus(j, statusFailed, err.Error(), nil)
 	}
+	return res, err
 }
 
-// executeTrain drives one core.Session under the job's context,
-// restoring a prior interrupted submission's checkpoint when one exists
-// and writing one when this run is cancelled. Dataset synthesis and the
-// final strategy construction happen here, off the admission path — the
-// handler already vetted everything that can 400.
-func (s *server) executeTrain(j *job, spec models.Spec, req trainRequest, cfg core.Config, ctx context.Context) {
-	s.markStarted(j)
+// trainLocal drives one core.Session under the job's context, restoring
+// a prior interrupted submission's checkpoint when one exists and
+// writing one when this run is cancelled. Dataset synthesis happens
+// here, off the admission path — the handler already vetted everything
+// that can 400.
+func (s *server) trainLocal(ctx context.Context, j *job, spec dist.JobSpec) (res core.Result, err error) {
 	ckpt := s.checkpointPath(j.key)
-	defer s.wg.Done()
-	defer j.events.close()
-	defer close(j.done)
+	// The sessions directory only ever holds resumable state: a finished
+	// run has nothing left to resume, and a failed one (an error or a
+	// panic — re-running the same deterministic spec re-fails) would
+	// leave the checkpoint of an earlier cancellation behind as an
+	// orphan. Only a cancelled run keeps (and refreshes) it.
 	defer func() {
-		if r := recover(); r != nil {
+		if !cancelled(err) {
 			os.Remove(ckpt)
-			s.setStatus(j, statusFailed, fmt.Sprintf("panic: %v", r), nil)
 		}
 	}()
 
-	cfg.Train, cfg.Test = models.DatasetFor(spec, req.Seed)
-	strat, err := trainStrategyFor(req, cfg)
+	cfg, err := spec.BuildConfig()
 	if err != nil {
-		s.setStatus(j, statusFailed, err.Error(), nil)
-		return
+		return res, err
+	}
+	cfg.Parallelism = s.jobs
+	strat, err := spec.BuildStrategy(cfg)
+	if err != nil {
+		return res, err
 	}
 	sess, err := core.NewSession(ctx, cfg, strat)
 	if err != nil {
-		os.Remove(ckpt)
-		s.setStatus(j, statusFailed, err.Error(), nil)
-		return
+		return res, err
 	}
 	if snap, err := checkpoint.Load(ckpt); err == nil {
 		if err := sess.Restore(snap); err != nil {
@@ -289,12 +181,8 @@ func (s *server) executeTrain(j *job, spec models.Spec, req trainRequest, cfg co
 		}
 	})
 
-	res, err := sess.Run()
-	switch {
-	case err == nil:
-		os.Remove(ckpt) // the run is complete; nothing left to resume
-		s.setStatus(j, statusDone, "", res)
-	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
+	res, err = sess.Run()
+	if cancelled(err) {
 		if snap, serr := sess.Snapshot(); serr == nil {
 			if werr := saveCheckpoint(ckpt, snap); werr != nil {
 				fmt.Fprintf(os.Stderr, "fdaserve: saving resume checkpoint: %v\n", werr)
@@ -302,15 +190,8 @@ func (s *server) executeTrain(j *job, spec models.Spec, req trainRequest, cfg co
 		} else {
 			fmt.Fprintf(os.Stderr, "fdaserve: snapshotting cancelled session: %v\n", serr)
 		}
-		s.setStatus(j, statusCancelled, err.Error(), nil)
-	default:
-		// A failed run leaves nothing to resume (re-running the same
-		// deterministic spec re-fails), so its checkpoint — left by an
-		// earlier cancellation of this spec — would be an orphan. Drop it:
-		// the sessions directory only ever holds resumable state.
-		os.Remove(ckpt)
-		s.setStatus(j, statusFailed, err.Error(), nil)
 	}
+	return res, err
 }
 
 // sweepSessionCheckpoints removes session resume checkpoints older than

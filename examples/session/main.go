@@ -19,8 +19,7 @@ import (
 
 func main() {
 	// A small synthetic task and model (see examples/quickstart for the
-	// walk-through of these pieces). The config is assembled with the
-	// functional options this time.
+	// walk-through of these pieces).
 	train, test := fda.MNISTLike(7)
 	model := func(rng *fda.RNG) *fda.Network {
 		return fda.NewNetwork(rng,
@@ -29,16 +28,13 @@ func main() {
 			fda.NewDense(32, 10, fda.GlorotUniformInit),
 		)
 	}
-	cfg := fda.NewConfig(
-		fda.WithWorkers(6),
-		fda.WithSeed(7),
-		fda.WithModel(model),
-		fda.WithOptimizer(fda.NewAdam(1e-3)),
-		fda.WithData(train, test),
-		fda.WithMaxSteps(120),
-		fda.WithEvalEvery(30),
-		fda.WithParallelism(fda.AutoParallelism),
-	)
+	cfg := fda.Config{
+		K: 6, BatchSize: 32, Seed: 7,
+		Model: model, Optimizer: fda.NewAdam(1e-3),
+		Train: train, Test: test,
+		MaxSteps: 120, EvalEvery: 30,
+		Parallelism: fda.AutoParallelism,
+	}
 	theta := 0.05
 	newStrat := func() fda.Strategy { return fda.NewLinearFDA(theta) }
 

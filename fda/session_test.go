@@ -1,73 +1,15 @@
 package fda_test
 
 import (
-	"context"
 	"errors"
-	"reflect"
 	"testing"
 
 	"repro/fda"
 )
 
-// TestNewConfigOptions: the functional options compose a Config
-// equivalent to the struct literal, and the session-backed facade run
-// matches the batch entry point bit-for-bit.
-func TestNewConfigOptions(t *testing.T) {
-	train, test := fda.Synthetic(fda.SyntheticConfig{
-		Seed: 5, Classes: 4, TrainPer: 60, TestPer: 15,
-		Height: 6, Width: 6, Channels: 1,
-	})
-	model := func(rng *fda.RNG) *fda.Network {
-		return fda.NewNetwork(rng,
-			fda.NewDense(36, 16, fda.GlorotUniformInit),
-			fda.NewReLU(16),
-			fda.NewDense(16, 4, fda.GlorotUniformInit),
-		)
-	}
-	cfg := fda.NewConfig(
-		fda.WithWorkers(4),
-		fda.WithBatchSize(16),
-		fda.WithSeed(9),
-		fda.WithModel(model),
-		fda.WithOptimizer(fda.NewAdam(1e-3)),
-		fda.WithData(train, test),
-		fda.WithMaxSteps(40),
-		fda.WithEvalEvery(10),
-		fda.WithParallelism(2),
-	)
-	lit := fda.Config{
-		K: 4, BatchSize: 16, Seed: 9,
-		Model: model, Optimizer: fda.NewAdam(1e-3),
-		Train: train, Test: test,
-		MaxSteps: 40, EvalEvery: 10, Parallelism: 2,
-	}
-	want := fda.MustRun(lit, fda.NewLinearFDA(0.1))
-
-	sess, err := fda.NewSession(context.Background(), cfg, fda.NewLinearFDA(0.1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var done fda.DoneEvent
-	sess.Subscribe(func(e fda.Event) {
-		if d, ok := e.(fda.DoneEvent); ok {
-			done = d
-		}
-	})
-	got, err := sess.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(want, got) {
-		t.Fatalf("options-built session diverged from literal-config Run:\nwant: %v\ngot:  %v", want, got)
-	}
-	if !reflect.DeepEqual(done.Result, got) {
-		t.Fatal("DoneEvent result differs from Run return")
-	}
-}
-
 // TestValidateStructuredErrors: the facade surfaces per-field errors.
 func TestValidateStructuredErrors(t *testing.T) {
-	err := fda.NewConfig(fda.WithWorkers(-2)).Validate()
+	err := fda.Config{K: -2}.Validate()
 	var cerr *fda.ConfigError
 	if !errors.As(err, &cerr) {
 		t.Fatalf("want *fda.ConfigError, got %T (%v)", err, err)

@@ -15,7 +15,7 @@ import (
 // extracts each series' saturation knee, peak achieved throughput,
 // rejection rate and (when replica telemetry snapshots are supplied)
 // worst queue-wait p99, and expresses scaling as speedup over the
-// smallest series. The output is benchjson-compatible — BENCH_PR10.json
+// smallest series. The output has the BENCH_PR*.json shape — BENCH_PR10.json
 // is one of these — so existing tooling reads the throughput series
 // unchanged.
 
@@ -57,7 +57,7 @@ type CapacitySummary struct {
 }
 
 // CapacityReport is the analyzer's output document. The
-// goos/goarch/env/benchmarks keys mirror benchjson (one benchmark per
+// goos/goarch/env/benchmarks keys are workload.Report's (one benchmark per
 // series, op "Cluster/replicas=N"), so BENCH_*.json tooling consumes it
 // unchanged; Series carries the same figures in a typed shape.
 type CapacityReport struct {

@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/dist"
 	"repro/internal/workload"
 )
 
@@ -31,9 +32,8 @@ func TestTrainSpecKeyMatchesDefaults(t *testing.T) {
 	// A spec that spells out the defaults and one that leaves them zero
 	// must share a key — otherwise gateway affinity and server dedupe
 	// would disagree on "the same job".
-	short := TrainSpec{Model: "lenet5s", Strategy: "LinearFDA"}
-	short.ApplyDefaults()
-	long := TrainSpec{
+	short := dist.JobSpec{Model: "lenet5s", Strategy: "LinearFDA"}.WithDefaults()
+	long := dist.JobSpec{
 		Model: "lenet5s", Strategy: "LinearFDA", Theta: short.Theta,
 		Tau: 10, K: 5, Batch: 32, Steps: 200, EvalEvery: 20, Het: "iid", Seed: 1,
 	}
@@ -43,9 +43,9 @@ func TestTrainSpecKeyMatchesDefaults(t *testing.T) {
 	if !strings.HasPrefix(short.Key(), "train|lenet5s|LinearFDA|") {
 		t.Fatalf("unexpected key shape %q", short.Key())
 	}
-	dist := short
-	dist.Distributed = true
-	if dist.Key() == short.Key() {
+	distributed := short
+	distributed.Distributed = true
+	if distributed.Key() == short.Key() {
 		t.Fatal("distributed jobs must dedupe under their own key space")
 	}
 }
@@ -59,11 +59,7 @@ func TestAffinityAddressStability(t *testing.T) {
 	if !ok1 || !ok2 || a1 != a2 {
 		t.Fatalf("equivalent train bodies disagree: %q(%v) vs %q(%v)", a1, ok1, a2, ok2)
 	}
-	if a1 != Address(func() string {
-		s := TrainSpec{Model: "lenet5s", Strategy: "LinearFDA"}
-		s.ApplyDefaults()
-		return s.Key()
-	}()) {
+	if a1 != Address(dist.JobSpec{Model: "lenet5s", Strategy: "LinearFDA"}.WithDefaults().Key()) {
 		t.Fatal("AffinityAddress does not match Address(Key())")
 	}
 	if _, ok := AffinityAddress("train", []byte(`{"strategy":"LinearFDA"}`)); ok {

@@ -35,13 +35,12 @@ type Gateway struct {
 	// pending is the bounded admission gate for proxied submissions.
 	pending chan struct{}
 
-	mSubmit    *obs.Counter // routed via the affinity owner
-	mFallback  *obs.Counter // routed via the least-loaded fallback
-	mRetries   *obs.Counter
-	mRejGate   *obs.Counter // rejected at the gateway admission gate
-	mRejDown   *obs.Counter // rejected: no available replica
-	mRejUp     *obs.Counter // rejected: every candidate answered 503
-	httpRoutes sync.Map     // route pattern -> *gwTele
+	mSubmit   *obs.Counter // routed via the affinity owner
+	mFallback *obs.Counter // routed via the least-loaded fallback
+	mRetries  *obs.Counter
+	mRejGate  *obs.Counter // rejected at the gateway admission gate
+	mRejDown  *obs.Counter // rejected: no available replica
+	mRejUp    *obs.Counter // rejected: every candidate answered 503
 }
 
 // GatewayOptions configures a Gateway.
@@ -107,17 +106,11 @@ func (g *Gateway) Handler() http.Handler {
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintln(w, "ok")
 	})
-	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		if err := obs.Default.WritePrometheus(w); err != nil {
-			return
-		}
-		_ = obs.WriteRuntimeMetrics(w)
-	})
+	mux.HandleFunc("GET /metrics", ServePrometheus)
 	mux.HandleFunc("GET /v1/healthz", g.handleHealthz)
 	mux.HandleFunc("GET /v1/cluster", g.handleCluster)
 	mux.HandleFunc("GET /v1/version", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]string{"version": g.version, "role": "gateway"})
+		WriteJSON(w, http.StatusOK, map[string]string{"version": g.version, "role": "gateway"})
 	})
 	mux.HandleFunc("GET /v1/metrics", g.handleMetrics)
 	mux.HandleFunc("GET /v1/experiments", g.proxyAny)
@@ -130,79 +123,7 @@ func (g *Gateway) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/runs/{id}/events", g.handleByID)
 	mux.HandleFunc("GET /v1/runs/{id}/records", g.handleByID)
 	mux.HandleFunc("GET /v1/runs/{id}/output", g.handleByID)
-	return g.instrument(mux)
-}
-
-// gwTele caches one route's metric handles (same idiom as fdaserve's
-// middleware).
-type gwTele struct {
-	seconds *obs.Histogram
-	byCode  sync.Map // status code (int) -> *obs.Counter
-}
-
-func (g *Gateway) teleFor(route string) *gwTele {
-	if t, ok := g.httpRoutes.Load(route); ok {
-		return t.(*gwTele)
-	}
-	t := &gwTele{seconds: obs.Default.Histogram("fdagate_http_request_seconds",
-		"Gateway request latency by route pattern.", obs.Seconds, "route", route)}
-	actual, _ := g.httpRoutes.LoadOrStore(route, t)
-	return actual.(*gwTele)
-}
-
-func (t *gwTele) counter(route string, code int) *obs.Counter {
-	if c, ok := t.byCode.Load(code); ok {
-		return c.(*obs.Counter)
-	}
-	c := obs.Default.Counter("fdagate_http_requests_total",
-		"Gateway requests by route pattern and status code.", "route", route, "code", strconv.Itoa(code))
-	actual, _ := t.byCode.LoadOrStore(code, c)
-	return actual.(*obs.Counter)
-}
-
-type gwStatusWriter struct {
-	http.ResponseWriter
-	status int
-}
-
-func (w *gwStatusWriter) WriteHeader(code int) {
-	if w.status == 0 {
-		w.status = code
-	}
-	w.ResponseWriter.WriteHeader(code)
-}
-
-func (w *gwStatusWriter) Write(p []byte) (int, error) {
-	if w.status == 0 {
-		w.status = http.StatusOK
-	}
-	return w.ResponseWriter.Write(p)
-}
-
-func (w *gwStatusWriter) Flush() {
-	if f, ok := w.ResponseWriter.(http.Flusher); ok {
-		f.Flush()
-	}
-}
-
-// instrument wraps the mux with per-route latency histograms and
-// status counters under the fdagate_http_* families.
-func (g *Gateway) instrument(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		start := g.now()
-		sw := &gwStatusWriter{ResponseWriter: w}
-		next.ServeHTTP(sw, r)
-		if sw.status == 0 {
-			sw.status = http.StatusOK
-		}
-		route := r.Pattern
-		if route == "" {
-			route = "(unmatched)"
-		}
-		t := g.teleFor(route)
-		t.seconds.Observe(g.now() - start)
-		t.counter(route, sw.status).Inc()
-	})
+	return NewHTTPShell("fdagate", g.now, nil).Instrument(mux)
 }
 
 func (g *Gateway) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -217,7 +138,7 @@ func (g *Gateway) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if up == 0 {
 		status = "degraded"
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	WriteJSON(w, http.StatusOK, map[string]any{
 		"status":   status,
 		"role":     "gateway",
 		"version":  g.version,
@@ -227,7 +148,7 @@ func (g *Gateway) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 func (g *Gateway) handleCluster(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{
+	WriteJSON(w, http.StatusOK, map[string]any{
 		"replicas":    g.pool.Views(),
 		"max_pending": cap(g.pending),
 		"pending":     len(g.pending),
@@ -288,7 +209,7 @@ func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	m.Replicas = g.pool.Views()
 	m.Telemetry = obs.Default.Snapshot()
 	m.Runtime = obs.RuntimeSample()
-	writeJSON(w, http.StatusOK, m)
+	WriteJSON(w, http.StatusOK, m)
 }
 
 // handleSubmit routes a submission: content-address the body, walk the
@@ -298,7 +219,7 @@ func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 func (g *Gateway) handleSubmit(w http.ResponseWriter, r *http.Request, kind string) {
 	body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
 	if err != nil {
-		writeJSONError(w, http.StatusBadRequest, "reading body: "+err.Error())
+		WriteError(w, http.StatusBadRequest, "reading body: "+err.Error())
 		return
 	}
 	select {
@@ -307,7 +228,7 @@ func (g *Gateway) handleSubmit(w http.ResponseWriter, r *http.Request, kind stri
 	default:
 		g.mRejGate.Inc()
 		w.Header().Set("Retry-After", strconv.Itoa(g.pool.RetryAfterSec()))
-		writeJSON(w, http.StatusServiceUnavailable, map[string]any{
+		WriteJSON(w, http.StatusServiceUnavailable, map[string]any{
 			"error":       fmt.Sprintf("gateway at capacity: %d submissions pending (max %d); retry later", cap(g.pending), cap(g.pending)),
 			"max_pending": cap(g.pending),
 		})
@@ -319,7 +240,7 @@ func (g *Gateway) handleSubmit(w http.ResponseWriter, r *http.Request, kind stri
 	if len(candidates) == 0 {
 		g.mRejDown.Inc()
 		w.Header().Set("Retry-After", strconv.Itoa(g.pool.RetryAfterSec()))
-		writeJSON(w, http.StatusServiceUnavailable, map[string]any{
+		WriteJSON(w, http.StatusServiceUnavailable, map[string]any{
 			"error": "no replica available; retry later",
 		})
 		return
@@ -355,7 +276,7 @@ func (g *Gateway) handleSubmit(w http.ResponseWriter, r *http.Request, kind stri
 		g.mRejDown.Inc()
 	}
 	w.Header().Set("Retry-After", strconv.Itoa(g.pool.RetryAfterSec()))
-	writeJSON(w, http.StatusServiceUnavailable, map[string]any{
+	WriteJSON(w, http.StatusServiceUnavailable, map[string]any{
 		"error": "cluster at capacity: every candidate replica refused the submission; retry later",
 	})
 }
@@ -367,7 +288,7 @@ func (g *Gateway) handleByID(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	rep, upstream, ok := g.pool.SplitID(id)
 	if !ok {
-		writeJSONError(w, http.StatusNotFound, "no such run (unknown replica prefix in id "+strconv.Quote(id)+")")
+		WriteError(w, http.StatusNotFound, "no such run (unknown replica prefix in id "+strconv.Quote(id)+")")
 		return
 	}
 	suffix := ""
@@ -384,7 +305,7 @@ func (g *Gateway) handleByID(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		g.pool.OnTransportError(rep, err)
 		w.Header().Set("Retry-After", strconv.Itoa(g.pool.RetryAfterSec()))
-		writeJSON(w, http.StatusServiceUnavailable, map[string]any{
+		WriteJSON(w, http.StatusServiceUnavailable, map[string]any{
 			"error": fmt.Sprintf("replica %s unreachable; retry later", rep.Name()),
 		})
 		return
@@ -444,7 +365,7 @@ func (g *Gateway) handleListRuns(w http.ResponseWriter, r *http.Request) {
 	if len(partial) > 0 {
 		w.Header().Set("X-Fdagate-Partial", strings.Join(partial, ","))
 	}
-	writeJSON(w, http.StatusOK, merged)
+	WriteJSON(w, http.StatusOK, merged)
 }
 
 // proxyAny serves a replica-agnostic read (store catalog, experiment
@@ -469,7 +390,7 @@ func (g *Gateway) proxyAny(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Retry-After", strconv.Itoa(g.pool.RetryAfterSec()))
-	writeJSON(w, http.StatusServiceUnavailable, map[string]any{
+	WriteJSON(w, http.StatusServiceUnavailable, map[string]any{
 		"error": "no replica reachable; retry later",
 	})
 }
@@ -509,7 +430,7 @@ func (g *Gateway) forward(r *http.Request, rep *Replica, path string, body []byt
 func (g *Gateway) stream(w http.ResponseWriter, r *http.Request, rep *Replica, path string) {
 	req, err := http.NewRequestWithContext(r.Context(), r.Method, rep.Base+path, nil)
 	if err != nil {
-		writeJSONError(w, http.StatusInternalServerError, err.Error())
+		WriteError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
 	rep.dispatched.Add(1)
@@ -518,7 +439,7 @@ func (g *Gateway) stream(w http.ResponseWriter, r *http.Request, rep *Replica, p
 	if err != nil {
 		g.pool.OnTransportError(rep, err)
 		w.Header().Set("Retry-After", strconv.Itoa(g.pool.RetryAfterSec()))
-		writeJSON(w, http.StatusServiceUnavailable, map[string]any{
+		WriteJSON(w, http.StatusServiceUnavailable, map[string]any{
 			"error": fmt.Sprintf("replica %s unreachable; retry later", rep.Name()),
 		})
 		return
@@ -608,16 +529,4 @@ func retryAfterOf(resp *http.Response) int {
 		}
 	}
 	return 1
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
-	_ = enc.Encode(v)
-}
-
-func writeJSONError(w http.ResponseWriter, code int, msg string) {
-	writeJSON(w, code, map[string]string{"error": msg})
 }

@@ -25,85 +25,22 @@ import (
 	"encoding/json"
 	"fmt"
 
-	"repro/internal/models"
+	"repro/internal/dist"
 )
 
-// TrainSpec mirrors fdaserve's POST /v1/train body (cmd/fdaserve
-// train.go). The gateway decodes submissions into it to compute the
-// same canonical dedupe key the replica will compute, so affinity
-// routing and server-side dedupe always agree on what "the same job"
-// means.
-type TrainSpec struct {
-	Model       string  `json:"model"`
-	Strategy    string  `json:"strategy"`
-	Theta       float64 `json:"theta"`
-	Tau         int     `json:"tau"`
-	K           int     `json:"k"`
-	Batch       int     `json:"batch"`
-	Steps       int     `json:"steps"`
-	EvalEvery   int     `json:"eval_every"`
-	Target      float64 `json:"target"`
-	Het         string  `json:"het"`
-	Seed        uint64  `json:"seed"`
-	Distributed bool    `json:"distributed"`
-}
-
-// ApplyDefaults fills the zero-valued optional fields with the server's
-// documented defaults, mirroring trainRequest.withDefaults in
-// cmd/fdaserve. Two submissions that differ only in spelled-out
-// defaults must share one key.
-func (t *TrainSpec) ApplyDefaults() {
-	if t.Theta == 0 {
-		if spec, err := models.ByName(t.Model); err == nil && len(spec.ThetaGrid) > 1 {
-			t.Theta = spec.ThetaGrid[1]
-		}
-	}
-	if t.Tau == 0 {
-		t.Tau = 10
-	}
-	if t.K == 0 {
-		t.K = 5
-	}
-	if t.Batch == 0 {
-		t.Batch = 32
-	}
-	if t.Steps == 0 {
-		t.Steps = 200
-	}
-	if t.EvalEvery == 0 {
-		t.EvalEvery = 20
-	}
-	if t.Het == "" {
-		t.Het = "iid"
-	}
-	if t.Seed == 0 {
-		t.Seed = 1
-	}
-}
-
-// Key returns the canonical dedupe key of the spec — the same string
-// fdaserve registers the job under. Call ApplyDefaults first when the
-// spec came off the wire.
-func (t TrainSpec) Key() string {
-	key := fmt.Sprintf("train|%s|%s|%g|%d|%d|%d|%d|%d|%g|%s|%d",
-		t.Model, t.Strategy, t.Theta, t.Tau, t.K, t.Batch, t.Steps, t.EvalEvery, t.Target, t.Het, t.Seed)
-	if t.Distributed {
-		// Distributed jobs never share resume checkpoints with local
-		// ones, so they dedupe under their own key space.
-		key += "|dist"
-	}
-	return key
-}
-
-// SweepSpec mirrors fdaserve's POST /v1/runs body.
+// SweepSpec is the POST /v1/runs body: fdaserve decodes submissions
+// into it and the gateway computes the same canonical dedupe key from
+// it, so affinity routing and server-side dedupe always agree on what
+// "the same sweep" means. (Train jobs are dist.JobSpec, for the same
+// reason.)
 type SweepSpec struct {
 	Experiment string `json:"experiment"`
 	Scale      string `json:"scale"`
 	Seed       uint64 `json:"seed"`
 }
 
-// ApplyDefaults fills the server-side defaults (handleSubmit in
-// cmd/fdaserve).
+// ApplyDefaults fills the server-side defaults. Two submissions that
+// differ only in spelled-out defaults must share one key.
 func (s *SweepSpec) ApplyDefaults() {
 	if s.Scale == "" {
 		s.Scale = "quick"
@@ -136,12 +73,11 @@ func Address(key string) string {
 func AffinityAddress(kind string, body []byte) (addr string, ok bool) {
 	switch kind {
 	case "train":
-		var t TrainSpec
+		var t dist.JobSpec
 		if err := json.Unmarshal(body, &t); err != nil || t.Model == "" || t.Strategy == "" {
 			return "", false
 		}
-		t.ApplyDefaults()
-		return Address(t.Key()), true
+		return Address(t.WithDefaults().Key()), true
 	case "sweep":
 		var s SweepSpec
 		if err := json.Unmarshal(body, &s); err != nil || s.Experiment == "" {

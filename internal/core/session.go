@@ -400,6 +400,10 @@ func (s *Session) Err() error { return s.finishErr }
 // StepCount returns the number of completed global steps.
 func (s *Session) StepCount() int { return s.t }
 
+// Config returns the session's effective configuration: the one given
+// to NewSession with every zero-value default filled in.
+func (s *Session) Config() Config { return s.cfg }
+
 // Result returns the run summary accumulated so far; once Done it is
 // the final Result, bit-identical to what Run would have returned.
 func (s *Session) Result() Result { return s.res }

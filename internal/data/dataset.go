@@ -158,53 +158,3 @@ func (s *Sampler) SampleInto(batch *Batch, b int) {
 		batch.Y[i] = s.ds.Y[j]
 	}
 }
-
-// EpochIterator iterates a dataset in shuffled order in mini-batches; used
-// by the FedAvg-style baselines that train for E full local epochs.
-type EpochIterator struct {
-	ds    *Dataset
-	rng   *tensor.RNG
-	order []int
-	pos   int
-}
-
-// NewEpochIterator returns an iterator over ds.
-func NewEpochIterator(ds *Dataset, rng *tensor.RNG) *EpochIterator {
-	if ds.Len() == 0 {
-		panic("data: epoch iterator over empty dataset")
-	}
-	it := &EpochIterator{ds: ds, rng: rng}
-	it.reshuffle()
-	return it
-}
-
-func (it *EpochIterator) reshuffle() {
-	it.order = it.rng.Perm(it.ds.Len())
-	it.pos = 0
-}
-
-// Next returns the next mini-batch of at most b samples and whether the
-// epoch ended with this batch (the iterator reshuffles automatically).
-func (it *EpochIterator) Next(b int) (Batch, bool) {
-	if it.pos >= len(it.order) {
-		it.reshuffle()
-	}
-	end := it.pos + b
-	if end > len(it.order) {
-		end = len(it.order)
-	}
-	idx := it.order[it.pos:end]
-	batch := Batch{X: make([][]float64, len(idx)), Y: make([]int, len(idx))}
-	for i, j := range idx {
-		batch.X[i] = it.ds.X[j]
-		batch.Y[i] = it.ds.Y[j]
-	}
-	it.pos = end
-	return batch, it.pos >= len(it.order)
-}
-
-// StepsPerEpoch returns the number of size-b batches per local epoch.
-func (it *EpochIterator) StepsPerEpoch(b int) int {
-	n := it.ds.Len()
-	return (n + b - 1) / b
-}

@@ -121,40 +121,6 @@ func TestSamplerPanicsOnEmpty(t *testing.T) {
 	NewSampler(&Dataset{NumClasses: 2}, tensor.NewRNG(1))
 }
 
-func TestEpochIteratorCoversAllSamples(t *testing.T) {
-	ds := tinyDataset(23, 3)
-	it := NewEpochIterator(ds, tensor.NewRNG(7))
-	seen := map[float64]int{}
-	total := 0
-	done := false
-	for !done {
-		var b Batch
-		b, done = it.Next(5)
-		total += len(b.X)
-		for _, x := range b.X {
-			seen[x[0]]++
-		}
-	}
-	if total != 23 {
-		t.Fatalf("epoch visited %d samples want 23", total)
-	}
-	if it.StepsPerEpoch(5) != 5 {
-		t.Fatalf("StepsPerEpoch = %d want 5", it.StepsPerEpoch(5))
-	}
-}
-
-func TestEpochIteratorReshuffles(t *testing.T) {
-	ds := tinyDataset(10, 2)
-	it := NewEpochIterator(ds, tensor.NewRNG(11))
-	// Drain two epochs; should not panic and should keep producing batches.
-	for e := 0; e < 2; e++ {
-		done := false
-		for !done {
-			_, done = it.Next(3)
-		}
-	}
-}
-
 func TestSyntheticDeterminism(t *testing.T) {
 	tr1, te1 := MNISTLike(5)
 	tr2, te2 := MNISTLike(5)

@@ -16,6 +16,7 @@
 package dist
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/compress"
@@ -24,11 +25,12 @@ import (
 	"repro/internal/models"
 )
 
-// JobSpec is the serializable description of one distributed training
-// run — the payload the coordinator hands every worker at rank
-// assignment. It mirrors the fdarun flag surface / fdaserve train
-// request; every field is deterministic input, so two processes holding
-// equal specs build bit-identical cluster state.
+// JobSpec is the one definition of a train job: the fdarun flag
+// surface, the POST /v1/train body, the payload the coordinator hands
+// every worker at rank assignment, and the input of the dedupe key
+// fdaserve and the fdagate affinity router share. Every field is
+// deterministic input, so two processes holding equal specs build
+// bit-identical cluster state.
 type JobSpec struct {
 	// Model is a zoo model name (lenet5s, vgg16s, ...). Required.
 	Model string `json:"model"`
@@ -50,6 +52,9 @@ type JobSpec struct {
 	// TopK/QBits compose sync compression exactly as the fdarun flags.
 	TopK  float64 `json:"topk,omitempty"`
 	QBits int     `json:"qbits,omitempty"`
+	// Distributed asks fdaserve to coordinate the job across K worker
+	// processes on its TCP fabric instead of training in-process.
+	Distributed bool `json:"distributed,omitempty"`
 }
 
 // WithDefaults fills the documented zero-value defaults.
@@ -83,24 +88,42 @@ func (s JobSpec) WithDefaults() JobSpec {
 	return s
 }
 
-// BuildConfig materializes the replicated core.Config (datasets
-// generated, heterogeneity parsed, codec composed). The caller still
-// sets Fabric and Parallelism — the two knobs that are process-local by
-// design.
-func (s JobSpec) BuildConfig() (core.Config, error) {
+// Key returns the canonical dedupe key of a defaulted spec: the string
+// fdaserve registers the job under, addresses its resume checkpoint by,
+// and fdagate hashes for affinity routing. The compression fields enter
+// only when they compress, so every key minted before they were part of
+// the request body is unchanged.
+func (s JobSpec) Key() string {
+	key := fmt.Sprintf("train|%s|%s|%g|%d|%d|%d|%d|%d|%g|%s|%d",
+		s.Model, s.Strategy, s.Theta, s.Tau, s.K, s.Batch, s.Steps, s.EvalEvery, s.Target, s.Het, s.Seed)
+	if s.TopK > 0 {
+		key += fmt.Sprintf("|topk=%g", s.TopK)
+	}
+	if s.QBits > 0 {
+		key += fmt.Sprintf("|qbits=%d", s.QBits)
+	}
+	if s.Distributed {
+		// Distributed jobs never share resume checkpoints with local
+		// ones, so they dedupe under their own key space.
+		key += "|dist"
+	}
+	return key
+}
+
+// config is BuildConfig without the datasets: model looked up,
+// heterogeneity parsed, codec composed.
+func (s JobSpec) config() (core.Config, models.Spec, error) {
 	spec, err := models.ByName(s.Model)
 	if err != nil {
-		return core.Config{}, err
+		return core.Config{}, spec, err
 	}
-	het, err := ParseHet(s.Het)
+	het, err := data.ParseHeterogeneity(s.Het)
 	if err != nil {
-		return core.Config{}, err
+		return core.Config{}, spec, err
 	}
-	train, test := models.DatasetFor(spec, s.Seed)
 	cfg := core.Config{
 		K: s.K, BatchSize: s.Batch, Seed: s.Seed,
 		Model: spec.Build, Optimizer: spec.Optimizer,
-		Train: train, Test: test,
 		Het:            het,
 		MaxSteps:       s.Steps,
 		EvalEvery:      s.EvalEvery,
@@ -115,6 +138,49 @@ func (s JobSpec) BuildConfig() (core.Config, error) {
 	case s.QBits > 0:
 		cfg.SyncCodec = compress.Quantize{Bits: s.QBits}
 	}
+	return cfg, spec, nil
+}
+
+// Validate vets a spec at admission without synthesizing its datasets
+// (hundreds of milliseconds BuildConfig pays later, off the request
+// path): unknown model, heterogeneity or strategy names and every
+// invalid Config field (a *core.ConfigError) are rejected here, so none
+// of them can surface later as a failed job.
+func (s JobSpec) Validate() error {
+	cfg, _, err := s.config()
+	if err != nil {
+		return err
+	}
+	// DatasetFor never yields an empty set for a zoo spec, so Train/Test
+	// cannot actually be invalid; the empty placeholder is for the FedOpt
+	// constructors, which read Train's length.
+	cfg.Train = &data.Dataset{}
+	var cerr *core.ConfigError
+	if errors.As(cfg.Validate(), &cerr) {
+		fields := cerr.Fields[:0:0]
+		for _, f := range cerr.Fields {
+			if f.Field != "Train" && f.Field != "Test" {
+				fields = append(fields, f)
+			}
+		}
+		if len(fields) > 0 {
+			return &core.ConfigError{Fields: fields}
+		}
+	}
+	_, err = s.BuildStrategy(cfg)
+	return err
+}
+
+// BuildConfig materializes the replicated core.Config (datasets
+// generated, heterogeneity parsed, codec composed). The caller still
+// sets Fabric and Parallelism — the two knobs that are process-local by
+// design.
+func (s JobSpec) BuildConfig() (core.Config, error) {
+	cfg, spec, err := s.config()
+	if err != nil {
+		return core.Config{}, err
+	}
+	cfg.Train, cfg.Test = models.DatasetFor(spec, s.Seed)
 	return cfg, nil
 }
 
@@ -125,8 +191,9 @@ func (s JobSpec) BuildStrategy(cfg core.Config) (core.Strategy, error) {
 	return StrategyFor(s.Strategy, s.Theta, s.Tau, cfg)
 }
 
-// StrategyFor is the shared strategy-name index used by fdarun,
-// fdaserve and the distributed workers.
+// StrategyFor is the repo's one strategy-name index: fdarun, fdaserve,
+// the distributed workers and the experiment runners all resolve names
+// here.
 func StrategyFor(name string, theta float64, tau int, cfg core.Config) (core.Strategy, error) {
 	switch name {
 	case "LinearFDA":
@@ -156,10 +223,4 @@ func StrategyFor(name string, theta float64, tau int, cfg core.Config) (core.Str
 	default:
 		return nil, fmt.Errorf("dist: unknown strategy %q", name)
 	}
-}
-
-// ParseHet converts the het selector grammar (iid, label<Y>, pct<X>,
-// dir<alpha>) shared by fdarun and fdaserve into a scenario.
-func ParseHet(s string) (data.Heterogeneity, error) {
-	return data.ParseHeterogeneity(s)
 }

@@ -2,6 +2,7 @@ package dist
 
 import (
 	"context"
+	"errors"
 	"math"
 	"reflect"
 	"sync"
@@ -160,5 +161,32 @@ func TestJobSpecDefaults(t *testing.T) {
 	}
 	if _, err := StrategyFor("nope", 0, 1, core.Config{}); err == nil {
 		t.Fatal("unknown strategy accepted")
+	}
+}
+
+// TestJobSpecValidate pins admission-time validation: every strategy of
+// the index (including the FedOpt ones, whose constructors read the
+// training set) passes without datasets, and each kind of bad input is
+// rejected — field errors structured, with no Train/Test noise.
+func TestJobSpecValidate(t *testing.T) {
+	for _, name := range []string{"LinearFDA", "SketchFDA", "OracleFDA", "Synchronous", "LocalSGD", "IncTau",
+		"DecTau", "PostLocal", "LAG", "FedAvg", "FedAvgM", "FedAdam"} {
+		if err := (JobSpec{Model: "lenet5s", Strategy: name, TopK: 0.1}).WithDefaults().Validate(); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+	}
+	for _, bad := range []JobSpec{
+		{Model: "nope", Strategy: "LinearFDA"},
+		{Model: "lenet5s", Strategy: "Nope"},
+		{Model: "lenet5s", Strategy: "LinearFDA", Het: "bogus"},
+	} {
+		if err := bad.WithDefaults().Validate(); err == nil {
+			t.Errorf("%+v accepted", bad)
+		}
+	}
+	var cerr *core.ConfigError
+	err := JobSpec{Model: "lenet5s", Strategy: "LinearFDA", K: -2, Steps: -1}.WithDefaults().Validate()
+	if !errors.As(err, &cerr) || len(cerr.Fields) != 2 || cerr.Fields[0].Field != "K" || cerr.Fields[1].Field != "MaxSteps" {
+		t.Fatalf("want field errors for K and MaxSteps only, got %v", err)
 	}
 }

@@ -18,6 +18,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/data"
+	"repro/internal/dist"
 	"repro/internal/models"
 	"repro/internal/runstore"
 )
@@ -118,27 +119,16 @@ type Record struct {
 	Reached   bool
 }
 
-// strategyFor builds a strategy by name; FedOpt strategies need cfg to
-// derive their round length.
+// strategyFor builds a strategy from the shared name index
+// (dist.StrategyFor); the runners' strategy names are literals, so an
+// unknown one is a bug. None of the figures uses a τ-scheduled
+// baseline.
 func strategyFor(name string, theta float64, cfg core.Config) core.Strategy {
-	switch name {
-	case "LinearFDA":
-		return core.NewLinearFDA(theta)
-	case "SketchFDA":
-		return core.NewSketchFDA(theta)
-	case "OracleFDA":
-		return core.NewOracleFDA(theta)
-	case "Synchronous":
-		return core.NewSynchronous()
-	case "FedAvg":
-		return core.NewFedAvgFor(cfg, 1)
-	case "FedAvgM":
-		return core.NewFedAvgMFor(cfg, 1)
-	case "FedAdam":
-		return core.NewFedAdamFor(cfg, 1)
-	default:
-		panic("experiments: unknown strategy " + name)
+	s, err := dist.StrategyFor(name, theta, 0, cfg)
+	if err != nil {
+		panic(err)
 	}
+	return s
 }
 
 // isFDA reports whether the strategy consumes a Θ threshold.

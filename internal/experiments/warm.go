@@ -32,89 +32,94 @@ func (o Options) warmCell(spec runstore.Spec) *cellWarm {
 	return &cellWarm{store: o.Store, spec: spec, every: o.WarmEvery, stats: o.Stats}
 }
 
-// runWarm is core.MustRun with prefix-keyed snapshot reuse (DESIGN.md
-// §10). When the strategy shares a prefix family, the cell first
-// restores the longest stored trajectory prefix it can prove it would
-// have produced itself (sharer.AcceptPrefix over the published guard),
-// then trains only the divergent tail while publishing its own
-// pre-first-sync prefixes for sibling cells. The returned result is
-// bit-identical to a cold run's: restores are gated on the exact
-// complement of the strategy's synchronization predicate, and snapshot
-// store failures only cost reuse, never correctness.
+// runWarm is core.MustRun with prefix-keyed snapshot reuse (WarmStart).
+// A restore or session error panics, matching MustRun's contract: the
+// blob was CRC-verified and its spec re-hashed, so a restore failure is
+// a shape bug, not data rot.
 func runWarm(cfg core.Config, strat core.Strategy, warm *cellWarm) core.Result {
-	sharer, ok := strat.(core.PrefixSharer)
-	if warm == nil || !ok {
+	if warm == nil {
 		return core.MustRun(cfg, strat)
 	}
 	sess, err := core.NewSession(nil, cfg, strat)
 	if err != nil {
 		panic(err)
 	}
-	prefix := warm.spec.Prefix(sharer.PrefixFamily())
+	restored, err := WarmStart(sess, strat, warm.store, warm.spec, warm.every)
+	if err != nil {
+		panic(err)
+	}
+	if restored > 0 && warm.stats != nil {
+		warm.stats.SnapshotHits.Add(1)
+		warm.stats.StepsSaved.Add(int64(restored))
+	}
+	res, err := sess.Run()
+	if err != nil {
+		panic(err)
+	}
+	return res
+}
 
-	// Restore the longest admissible stored prefix, if any. baseGuard
-	// carries the restored manifest's guard forward: the session never
-	// re-observes the restored steps' statistics, so its own running
-	// maximum restarts low and republished prefixes must take the max.
+// WarmStart wires a fresh session into the trajectory-prefix snapshot
+// store (DESIGN.md §10). When the strategy shares a prefix family, the
+// session first restores the longest stored prefix it can prove it
+// would have produced itself (sharer.AcceptPrefix over the published
+// guard), then publishes its own pre-first-sync prefixes every `every`
+// steps (0 selects the session's evaluation cadence) for sibling runs.
+// It returns how many steps were restored. The run's result stays
+// bit-identical to a cold run's: restores are gated on the exact
+// complement of the strategy's synchronization predicate, and snapshot
+// store failures only cost reuse, never correctness — only a stored
+// prefix that fails to restore is an error. A strategy without a
+// prefix family makes the call a no-op.
+func WarmStart(sess *core.Session, strat core.Strategy, store *runstore.Store, spec runstore.Spec, every int) (restored int, err error) {
+	sharer, ok := strat.(core.PrefixSharer)
+	if !ok {
+		return 0, nil
+	}
+	cfg := sess.Config()
+	prefix := spec.Prefix(sharer.PrefixFamily())
+
+	// baseGuard carries the restored manifest's guard forward: the
+	// session never re-observes the restored steps' statistics, so its
+	// own running maximum restarts low and republished prefixes must
+	// take the max.
 	var baseGuard float64
 	rsp := obs.StartRegion("warmstart.restore", "runstore")
-	restored := 0
-	if blob, m, found, err := warm.store.BestSnapshot(prefix, cfg.MaxSteps, sharer.AcceptPrefix); err != nil || found {
+	blob, m, found, err := store.BestSnapshot(prefix, cfg.MaxSteps, sharer.AcceptPrefix)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "warmstart: snapshot store: %v\n", err)
+	}
+	if found {
+		snap, err := checkpoint.Unmarshal(blob)
+		if err == nil {
+			err = sess.Restore(snap)
+		}
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: snapshot store: %v\n", err)
+			return 0, fmt.Errorf("warmstart: restoring prefix %s@%d: %w", m.Hash, m.Steps, err)
 		}
-		if found {
-			snap, err := checkpoint.Unmarshal(blob)
-			if err == nil {
-				err = sess.Restore(snap)
-			}
-			if err != nil {
-				// The blob was CRC-verified and its spec re-hashed, so a
-				// restore failure is a shape bug, not data rot. Surfacing it
-				// as a panic matches MustRun's contract.
-				panic(fmt.Errorf("experiments: restore prefix %s@%d: %w", m.Hash, m.Steps, err))
-			}
-			baseGuard = m.Guard
-			restored = m.Steps
-			if warm.stats != nil {
-				warm.stats.SnapshotHits.Add(1)
-				warm.stats.StepsSaved.Add(int64(m.Steps))
-			}
-		}
+		baseGuard, restored = m.Guard, m.Steps
 	}
 	if rsp.Active() {
-		rsp.EndArgs("restored_steps", restored, "hit", restored > 0)
+		rsp.EndArgs("restored_steps", restored, "hit", found)
 	}
 
-	every := warm.every
 	if every <= 0 {
 		every = cfg.EvalEvery
 	}
-	if every <= 0 {
-		every = 1
-	}
-	if err := sess.PublishPrefixes(every, func(steps int, snap *checkpoint.Snapshot) {
+	return restored, sess.PublishPrefixes(every, func(steps int, snap *checkpoint.Snapshot) {
 		guard := sharer.PrefixGuard()
 		if baseGuard > guard {
 			guard = baseGuard
 		}
 		blob, err := checkpoint.Marshal(snap)
 		if err == nil {
-			err = warm.store.PutSnapshot(prefix, steps, guard, blob)
+			err = store.PutSnapshot(prefix, steps, guard, blob)
 		}
 		if err != nil {
 			// Publication failures cost siblings a warm start, nothing else.
-			fmt.Fprintf(os.Stderr, "experiments: snapshot publish: %v\n", err)
+			fmt.Fprintf(os.Stderr, "warmstart: snapshot publish: %v\n", err)
 		}
-	}); err != nil {
-		panic(err)
-	}
-
-	res, err := sess.Run()
-	if err != nil {
-		panic(err)
-	}
-	return res
+	})
 }
 
 // ThetaSweep ("thetasweep") is the warm-start showcase grid: every FDA

@@ -39,11 +39,6 @@ func Std(xs []float64) float64 {
 	return math.Sqrt(s / float64(len(xs)))
 }
 
-// Median returns the middle value (mean of middle pair for even lengths).
-func Median(xs []float64) float64 {
-	return Quantile(xs, 0.5)
-}
-
 // Quantile returns the q-quantile (0 ≤ q ≤ 1) with linear interpolation.
 func Quantile(xs []float64, q float64) float64 {
 	if len(xs) == 0 {

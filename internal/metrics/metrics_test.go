@@ -17,13 +17,13 @@ func TestMeanStdMedian(t *testing.T) {
 	if math.Abs(Std(xs)-math.Sqrt(1.25)) > 1e-12 {
 		t.Fatalf("std %v", Std(xs))
 	}
-	if Median(xs) != 2.5 {
-		t.Fatalf("median %v", Median(xs))
+	if Quantile(xs, 0.5) != 2.5 {
+		t.Fatalf("median %v", Quantile(xs, 0.5))
 	}
-	if Median([]float64{3, 1, 2}) != 2 {
+	if Quantile([]float64{3, 1, 2}, 0.5) != 2 {
 		t.Fatal("odd median")
 	}
-	if Mean(nil) != 0 || Std(nil) != 0 || Median(nil) != 0 {
+	if Mean(nil) != 0 || Std(nil) != 0 || Quantile(nil, 0.5) != 0 {
 		t.Fatal("empty-input behaviour")
 	}
 }

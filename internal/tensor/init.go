@@ -27,13 +27,6 @@ func HeNormal(rng *RNG, w []float64, fanIn int) {
 	}
 }
 
-// Uniform fills w with samples from U(lo, hi).
-func Uniform(rng *RNG, w []float64, lo, hi float64) {
-	for i := range w {
-		w[i] = lo + rng.Float64()*(hi-lo)
-	}
-}
-
 // Normal fills w with samples from N(mean, std^2).
 func Normal(rng *RNG, w []float64, mean, std float64) {
 	for i := range w {

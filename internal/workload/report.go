@@ -5,13 +5,13 @@ import (
 	"runtime/debug"
 )
 
-// The report emitted by fdaload is a superset of the benchjson report
-// shape (cmd/benchjson): the goos/goarch/env/benchmarks keys match
-// field for field, so existing tooling that reads BENCH_*.json series
-// consumes a load report unchanged, and the load-specific sections
+// The report emitted by fdaload is a superset of the committed
+// BENCH_PR*.json report shape: the goos/goarch/env/benchmarks keys
+// match field for field, so tooling that reads those series consumes a
+// load report unchanged, and the load-specific sections
 // (spec, load, ramp) ride alongside.
 
-// Benchmark mirrors benchjson's per-result JSON object.
+// Benchmark is the BENCH_PR*.json per-result object.
 type Benchmark struct {
 	Op          string             `json:"op"`
 	Iterations  int64              `json:"iterations"`
@@ -21,7 +21,7 @@ type Benchmark struct {
 	Metrics     map[string]float64 `json:"metrics,omitempty"`
 }
 
-// Env mirrors benchjson's environment block.
+// Env is the BENCH_PR*.json environment block.
 type Env struct {
 	GoVersion   string `json:"go_version"`
 	GOMAXPROCS  int    `json:"gomaxprocs"`
@@ -70,8 +70,8 @@ type Report struct {
 	Benchmarks    []Benchmark `json:"benchmarks"`
 }
 
-// EnvMeta samples the running process's environment, matching
-// benchjson's env block (also used by cluster.BuildCapacityReport).
+// EnvMeta samples the running process's environment (also used by
+// cluster.BuildCapacityReport).
 func EnvMeta() Env {
 	e := Env{
 		GoVersion:  runtime.Version(),
@@ -92,7 +92,7 @@ func EnvMeta() Env {
 }
 
 // BuildReport assembles the output document: env metadata, the raw
-// stats, and one benchjson-shaped benchmark entry per request kind
+// stats, and one Benchmark entry per request kind
 // (ns_per_op = mean latency; p50/p95/p99/rps/errors as custom
 // metrics) plus a Load/total rollup.
 func BuildReport(spec *Spec, stats RunStats, ramp []RampLevel) Report {

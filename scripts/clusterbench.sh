@@ -4,7 +4,7 @@
 # replicas on a fresh shared store behind fdagate, drives the same
 # geometric `fdaload -ramp` through the gateway, captures each replica's
 # /v1/metrics snapshot, and finally folds the per-size ramp reports into
-# one benchjson-compatible capacity report with `fdagate -analyze`.
+# one capacity report (BENCH_PR*.json shape) with `fdagate -analyze`.
 #
 # Methodology: the workload submits *distributed* train jobs (the
 # server admits each one and parks it waiting for fabric workers, like
