@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build fmt vet lint fuzz test race allocs bench benchmodule loc apicheck apigen loadsmoke clustersmoke clusterbench
+.PHONY: check build fmt vet lint fuzz test race allocs purego crossbuild bench benchmodule loc apicheck apigen loadsmoke clustersmoke clusterbench
 
 # check is the CI gate: formatting, static analysis (go vet plus the
 # fdavet invariant analyzers), the public-API surface diff, the full
@@ -30,13 +30,17 @@ lint:
 # its always-on seed corpus (the seeds run as plain tests under
 # `go test`). Targets: the checkpoint v2 container decoder, the
 # compress wire-frame decoders and the Prometheus exposition validator
-# — every parser that consumes bytes from disk or socket.
+# — every parser that consumes bytes from disk or socket — and the
+# kernel-vs-scalar-loop equality of internal/tensor, where the fuzzer
+# picks lengths, misalignments, aliasing and raw float bits for every
+# kernel that has an assembly body.
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test ./internal/checkpoint -fuzz FuzzUnmarshal -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/compress -fuzz FuzzWireDecode -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/compress -fuzz FuzzWireRoundtrip -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/obs -fuzz FuzzValidatePrometheusText -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/tensor -fuzz FuzzKernelsMatchScalar -fuzztime $(FUZZTIME)
 
 # The public surface of the fda package is pinned in docs/fda-api.txt
 # (a go doc -all dump). apicheck fails when a change alters it without
@@ -63,6 +67,18 @@ apigen:
 # need this separate uninstrumented run.
 allocs:
 	$(GO) test ./internal/core/ ./internal/obs/ -run ZeroAllocs -v | grep -v '^=== RUN'
+
+# purego runs the numeric core with the assembly compiled out, so the
+# portable Go loops — the specification the AVX2 kernels are pinned to,
+# and the only path off amd64 — cannot rot. internal/models carries the
+# trajectory digests that must match in both builds.
+purego:
+	$(GO) test -tags purego ./internal/tensor ./internal/nn ./internal/opt ./internal/models ./internal/core
+
+# crossbuild checks the build-tag split on a non-amd64 target.
+crossbuild:
+	GOARCH=arm64 $(GO) build ./...
+	GOARCH=arm64 $(GO) vet ./internal/tensor ./internal/opt
 
 build:
 	$(GO) build ./...

@@ -119,7 +119,7 @@ func (c *Coordinator) Serve(ctx context.Context, job []byte) (results [][]byte, 
 		}
 		cc := &coordConn{raw: raw, br: bufio.NewReaderSize(raw, 1<<16), bw: bufio.NewWriterSize(raw, 1<<16)}
 		register(cc)
-		fr, buf, rerr := readFrame(cc.br, nil)
+		fr, buf, rerr := readFrame(cc.br, nil, "")
 		cc.buf = buf
 		if rerr != nil {
 			return nil, fmt.Errorf("comm: worker %d handshake: %w", rank, rerr)
@@ -142,13 +142,13 @@ func (c *Coordinator) Serve(ctx context.Context, job []byte) (results [][]byte, 
 	results = make([][]byte, c.k)
 	parts := make([][]byte, c.k)
 	var bundle []byte
+	var kind string // outlives the round: readFrame reuses it while the kind repeats
 	for {
 		var seq uint32
-		var kind string
 		var op byte
 		var roundBytes int64
 		for rank, cc := range conns {
-			fr, buf, rerr := readFrame(cc.br, cc.buf)
+			fr, buf, rerr := readFrame(cc.br, cc.buf, kind)
 			cc.buf = buf
 			if rerr != nil {
 				if ctx.Err() != nil {

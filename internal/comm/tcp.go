@@ -69,7 +69,7 @@ func DialFabric(ctx context.Context, addr string, cost CostModel) (*TCPFabric, [
 		conn.Close()
 		return nil, nil, err
 	}
-	fr, _, err := readFrame(f.br, nil)
+	fr, _, err := readFrame(f.br, nil, "")
 	if err != nil {
 		conn.Close()
 		return nil, nil, fmt.Errorf("comm: waiting for rank assignment: %w", err)
@@ -124,7 +124,7 @@ func (f *TCPFabric) exchange(kind string, payload []byte) [][]byte {
 	if err := writeFrame(f.bw, frame{op: opContrib, rank: int32(f.rank), seq: f.seq, kind: kind, payload: payload}); err != nil {
 		f.fail(fmt.Errorf("sending contribution seq %d: %w", f.seq, err))
 	}
-	fr, buf, err := readFrame(f.br, f.recvBuf)
+	fr, buf, err := readFrame(f.br, f.recvBuf, kind)
 	f.recvBuf = buf
 	if err != nil {
 		f.fail(fmt.Errorf("awaiting bundle seq %d: %w", f.seq, err))
@@ -262,7 +262,7 @@ func (f *TCPFabric) SendResult(result []byte) error {
 	if err := writeFrame(f.bw, frame{op: opResult, rank: int32(f.rank), seq: f.seq, kind: "result", payload: result}); err != nil {
 		return err
 	}
-	fr, buf, err := readFrame(f.br, f.recvBuf)
+	fr, buf, err := readFrame(f.br, f.recvBuf, "")
 	f.recvBuf = buf
 	if err != nil {
 		return err

@@ -47,7 +47,10 @@ type frame struct {
 	payload []byte
 }
 
-// writeFrame encodes and flushes one frame.
+// writeFrame encodes and flushes one frame. The header and the CRC
+// trailer are built in the writer's own spare buffer (AvailableBuffer)
+// and the CRC is a running uint32, so a frame allocates nothing: the
+// fabric's state exchange is four frames per step.
 func writeFrame(w *bufio.Writer, f frame) error {
 	if len(f.kind) > 255 {
 		return fmt.Errorf("comm: wire kind %q too long", f.kind)
@@ -55,8 +58,7 @@ func writeFrame(w *bufio.Writer, f frame) error {
 	if len(f.payload) > maxFrameLen {
 		return fmt.Errorf("comm: wire payload %d exceeds frame cap", len(f.payload))
 	}
-	head := make([]byte, 0, 4+1+4+4+1+len(f.kind)+4)
-	head = append(head, wireMagic...)
+	head := append(w.AvailableBuffer(), wireMagic...)
 	head = append(head, f.op)
 	head = binary.LittleEndian.AppendUint32(head, uint32(f.rank))
 	head = binary.LittleEndian.AppendUint32(head, f.seq)
@@ -64,9 +66,9 @@ func writeFrame(w *bufio.Writer, f frame) error {
 	head = append(head, f.kind...)
 	head = binary.LittleEndian.AppendUint32(head, uint32(len(f.payload)))
 
-	crc := crc32.NewIEEE()
-	crc.Write(head[4:]) // opcode onward; magic is the resync marker, not data
-	crc.Write(f.payload)
+	// opcode onward; magic is the resync marker, not data
+	crc := crc32.Update(0, crc32.IEEETable, head[4:])
+	crc = crc32.Update(crc, crc32.IEEETable, f.payload)
 
 	if _, err := w.Write(head); err != nil {
 		return err
@@ -74,19 +76,38 @@ func writeFrame(w *bufio.Writer, f frame) error {
 	if _, err := w.Write(f.payload); err != nil {
 		return err
 	}
-	var tail [4]byte
-	binary.LittleEndian.PutUint32(tail[:], crc.Sum32())
-	if _, err := w.Write(tail[:]); err != nil {
+	if _, err := w.Write(binary.LittleEndian.AppendUint32(w.AvailableBuffer(), crc)); err != nil {
 		return err
 	}
 	return w.Flush()
 }
 
+// frameHeadLen is the fixed part of the header: magic(4) op(1) rank(4)
+// seq(4) kindLen(1); kind and payLen(4) follow.
+const frameHeadLen = 14
+
+// inFrame reports a stream that ends inside a frame: past a frame's first
+// byte no EOF is a clean one.
+func inFrame(err error) error {
+	if err == io.EOF {
+		return io.ErrUnexpectedEOF
+	}
+	return err
+}
+
 // readFrame reads and verifies one frame. buf, when non-nil and large
-// enough, backs the payload (zero-copy reuse across collectives).
-func readFrame(r *bufio.Reader, buf []byte) (frame, []byte, error) {
-	var head [14]byte // magic(4) op(1) rank(4) seq(4) kindLen(1)
-	if _, err := io.ReadFull(r, head[:]); err != nil {
+// enough, backs the payload (zero-copy reuse across collectives). kind
+// is the kind the caller expects or saw last on this connection: when the
+// frame carries the same bytes, the frame reuses that string instead of
+// allocating its own. The header is parsed in place in the reader's buffer
+// (Peek, then Discard), which must hold frameHeadLen+255+4 bytes. A stream
+// that ends between frames yields io.EOF, inside one io.ErrUnexpectedEOF.
+func readFrame(r *bufio.Reader, buf []byte, kind string) (frame, []byte, error) {
+	head, err := r.Peek(frameHeadLen)
+	if err != nil {
+		if len(head) > 0 {
+			err = inFrame(err)
+		}
 		return frame{}, buf, err
 	}
 	if string(head[:4]) != wireMagic {
@@ -97,17 +118,17 @@ func readFrame(r *bufio.Reader, buf []byte) (frame, []byte, error) {
 		rank: int32(binary.LittleEndian.Uint32(head[5:9])),
 		seq:  binary.LittleEndian.Uint32(head[9:13]),
 	}
-	kindLen := int(head[13])
-	crc := crc32.NewIEEE()
-	crc.Write(head[4:])
-
-	kindAndLen := make([]byte, kindLen+4)
-	if _, err := io.ReadFull(r, kindAndLen); err != nil {
-		return f, buf, err
+	kindEnd := frameHeadLen + int(head[13])
+	if head, err = r.Peek(kindEnd + 4); err != nil {
+		return f, buf, inFrame(err)
 	}
-	crc.Write(kindAndLen)
-	f.kind = string(kindAndLen[:kindLen])
-	payLen := int(binary.LittleEndian.Uint32(kindAndLen[kindLen:]))
+	crc := crc32.Update(0, crc32.IEEETable, head[4:])
+	f.kind = kind
+	if string(head[frameHeadLen:kindEnd]) != kind {
+		f.kind = string(head[frameHeadLen:kindEnd])
+	}
+	payLen := int(binary.LittleEndian.Uint32(head[kindEnd:]))
+	_, _ = r.Discard(len(head)) // cannot fail: these bytes were just peeked
 	if payLen > maxFrameLen {
 		return f, buf, fmt.Errorf("comm: wire payload %d exceeds frame cap", payLen)
 	}
@@ -116,16 +137,18 @@ func readFrame(r *bufio.Reader, buf []byte) (frame, []byte, error) {
 	}
 	f.payload = buf[:payLen]
 	if _, err := io.ReadFull(r, f.payload); err != nil {
-		return f, buf, err
+		return f, buf, inFrame(err)
 	}
-	crc.Write(f.payload)
+	crc = crc32.Update(crc, crc32.IEEETable, f.payload)
 
-	var tail [4]byte
-	if _, err := io.ReadFull(r, tail[:]); err != nil {
-		return f, buf, err
+	tail, err := r.Peek(4)
+	if err != nil {
+		return f, buf, inFrame(err)
 	}
-	if got, want := binary.LittleEndian.Uint32(tail[:]), crc.Sum32(); got != want {
-		return f, buf, fmt.Errorf("comm: wire CRC mismatch: frame %08x, computed %08x", got, want)
+	got := binary.LittleEndian.Uint32(tail)
+	_, _ = r.Discard(len(tail)) // cannot fail, as above
+	if got != crc {
+		return f, buf, fmt.Errorf("comm: wire CRC mismatch: frame %08x, computed %08x", got, crc)
 	}
 	if f.op == opError {
 		return f, buf, fmt.Errorf("comm: peer error: %s", f.payload)

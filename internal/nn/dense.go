@@ -68,15 +68,22 @@ func (l *Dense) Init(rng *tensor.RNG) {
 	tensor.Zero(l.b.Data)
 }
 
-// Forward computes y = W·x + b in one pass over the rows: each output
-// is its row dot product (accumulated left to right) plus the bias added
-// last — exactly the operation order of MatVec followed by a bias Add,
-// so results are bit-identical to the two-pass reference.
+// Forward computes y = W·x + b four rows per sweep of x (tensor.Dot4,
+// then single rows for out mod 4): each output is its own row dot
+// product, accumulated left to right, plus the bias added last — exactly
+// the operation order of MatVec followed by a bias Add, so results are
+// bit-identical to the two-pass reference. Four rows at once give the
+// kernel four independent accumulators where a lone Dot has one chain.
 func (l *Dense) Forward(x []float64, _ bool) []float64 {
 	copy(l.x, x)
-	b := l.b.Data
-	for i := 0; i < l.out; i++ {
-		l.y[i] = tensor.Dot(l.w.Row(i), x) + b[i]
+	w, b, y := l.w, l.b.Data, l.y
+	i := 0
+	for ; i+4 <= l.out; i += 4 {
+		s0, s1, s2, s3 := tensor.Dot4(x, w.Row(i), w.Row(i+1), w.Row(i+2), w.Row(i+3))
+		y[i], y[i+1], y[i+2], y[i+3] = s0+b[i], s1+b[i+1], s2+b[i+2], s3+b[i+3]
+	}
+	for ; i < l.out; i++ {
+		y[i] = tensor.Dot(w.Row(i), x) + b[i]
 	}
 	return l.y
 }

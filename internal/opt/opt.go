@@ -225,9 +225,9 @@ func (o *Adam) Step(params, grads []float64) {
 	o.t++
 	b1c := 1 - math.Pow(o.Beta1, float64(o.t))
 	b2c := 1 - math.Pow(o.Beta2, float64(o.t))
-	// Hoist the weight-decay mode out of the element loop; the moment and
-	// update expressions are unchanged from the scalar reference.
-	b1, b2, lr, eps := o.Beta1, o.Beta2, o.LR, o.Eps
+	// The weight-decay mode is chosen once, outside the element loop; the
+	// loop itself is the tensor.AdamStep kernel (vectorized bit-identically
+	// where the CPU allows).
 	coupledWD, decoupledWD := 0.0, 0.0
 	if o.WeightDecay != 0 {
 		if o.Decoupled {
@@ -236,20 +236,7 @@ func (o *Adam) Step(params, grads []float64) {
 			coupledWD = o.WeightDecay
 		}
 	}
-	m, v := o.m, o.v
-	for i, g := range grads {
-		if coupledWD != 0 {
-			g += coupledWD * params[i]
-		}
-		mi := b1*m[i] + (1-b1)*g
-		vi := b2*v[i] + (1-b2)*g*g
-		m[i] = mi
-		v[i] = vi
-		params[i] -= lr * (mi / b1c) / (math.Sqrt(vi/b2c) + eps)
-		if decoupledWD != 0 {
-			params[i] -= lr * decoupledWD * params[i]
-		}
-	}
+	tensor.AdamStep(params, grads, o.m, o.v, o.Beta1, o.Beta2, o.LR, o.Eps, b1c, b2c, coupledWD, decoupledWD)
 }
 
 // Reset implements Optimizer.

@@ -188,3 +188,51 @@ func TestLengthMismatchPanics(t *testing.T) {
 	}()
 	(&SGD{LR: 0.1}).Step([]float64{1, 2}, []float64{1})
 }
+
+// TestAdamStepMatchesScalarLoopExactly pins Adam.Step — bias corrections,
+// weight-decay mode selection and the tensor.AdamStep kernel behind it,
+// assembly included — to the element loop Step ran before the kernel
+// existed: 50 consecutive updates of a 1003-element vector (a vector main
+// loop plus a three-element tail) for Adam, coupled-decay Adam and AdamW,
+// every parameter and both moments compared with == after every update.
+func TestAdamStepMatchesScalarLoopExactly(t *testing.T) {
+	const n, steps = 1003, 50
+	for _, o := range []*Adam{
+		NewAdam(1e-3)().(*Adam),
+		{LR: 2e-3, Beta1: 0.9, Beta2: 0.999, Eps: 1e-7, WeightDecay: 1e-2},
+		NewAdamW(1e-3, 5e-2)().(*Adam),
+	} {
+		rng := tensor.NewRNG(77)
+		params := make([]float64, n)
+		tensor.Normal(rng, params, 0, 1)
+		wantP := tensor.Clone(params)
+		wantM, wantV := make([]float64, n), make([]float64, n)
+		g := make([]float64, n)
+		for step := 1; step <= steps; step++ {
+			tensor.Normal(rng, g, 0, 0.1)
+			o.Step(params, g)
+
+			b1c := 1 - math.Pow(o.Beta1, float64(step))
+			b2c := 1 - math.Pow(o.Beta2, float64(step))
+			for i, gi := range g {
+				if o.WeightDecay != 0 && !o.Decoupled {
+					gi += o.WeightDecay * wantP[i]
+				}
+				mi := o.Beta1*wantM[i] + (1-o.Beta1)*gi
+				vi := o.Beta2*wantV[i] + (1-o.Beta2)*gi*gi
+				wantM[i], wantV[i] = mi, vi
+				wantP[i] -= o.LR * (mi / b1c) / (math.Sqrt(vi/b2c) + o.Eps)
+				if o.WeightDecay != 0 && o.Decoupled {
+					wantP[i] -= o.LR * o.WeightDecay * wantP[i]
+				}
+			}
+			vecs, _ := o.StateSnapshot()
+			for i := range params {
+				if params[i] != wantP[i] || vecs[0][i] != wantM[i] || vecs[1][i] != wantV[i] {
+					t.Fatalf("%s wd=%v step %d element %d: (p, m, v) = (%v, %v, %v), scalar loop (%v, %v, %v)",
+						o.Name(), o.WeightDecay, step, i, params[i], vecs[0][i], vecs[1][i], wantP[i], wantM[i], wantV[i])
+				}
+			}
+		}
+	}
+}

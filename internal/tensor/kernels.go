@@ -8,7 +8,26 @@
 // determinism contract): a kernel is free to restructure *memory access*,
 // never *floating-point association*. kernels_test.go pins each kernel to
 // its scalar reference with exact (==) comparisons.
+//
+// On amd64 with AVX2 the AXPY/Dot4 families and AdamStep hand vectors of
+// at least simdMinLen elements to the assembly bodies in kernels_amd64.s,
+// which are bit-identical to the Go loops below (lanes hold independent
+// elements or independent accumulators, no FMA — DESIGN.md §7). The Go
+// loops remain the specification, the path for short vectors, and the
+// only path on other architectures and under -tags purego. Dot, Sum,
+// SquaredNorm and SubThenSquaredNorm feed one accumulator and have no
+// bit-identical vector form; they stay scalar everywhere.
 package tensor
+
+import "math"
+
+// simdMinLen is the shortest vector dispatched to assembly. A call
+// through the ABI0 wrapper (up to 26 argument words spilled to the stack,
+// eight broadcasts, VZEROUPPER) costs 10–15 ns; measured on the reference
+// box the Go loops win at 4 elements, the two break even at 6–7 and the
+// assembly wins from 8. Conv planes are 64, 16 and 4 elements long, so
+// this threshold sits on the hot path, not in a corner.
+const simdMinLen = 8
 
 // dotUnrolled is the shared body of Dot: a 4-way unrolled product loop
 // feeding one accumulator strictly left to right. The :i+4 capacity hints
@@ -40,6 +59,11 @@ func dotUnrolled(a, b []float64) float64 {
 //fda:noalloc
 func axpyUnrolled(alpha float64, x, y []float64) {
 	n := len(y)
+	if useAVX2 && n >= simdMinLen {
+		_ = x[n-1] // the assembly reads x[:n] unchecked
+		axpyAVX2(alpha, x, y)
+		return
+	}
 	i := 0
 	for ; i+4 <= n; i += 4 {
 		xx := x[i : i+4 : i+4]
@@ -180,17 +204,25 @@ func Sum(v []float64) float64 {
 // AXPY4 computes y += a0*x0 + a1*x1 + a2*x2 + a3*x3 in one sweep — the
 // quad-tap convolution kernel: one load/store of y per four taps instead
 // of four. Each element's partial sums chain in argument order, so the
-// result is bit-identical to four sequential AXPY calls.
+// result is bit-identical to four sequential AXPY calls. An x may be y
+// itself; operands must not overlap partially.
 //
 //fda:noalloc
 func AXPY4(a0, a1, a2, a3 float64, x0, x1, x2, x3, y []float64) {
-	checkLen("AXPY4", x0, y)
-	checkLen("AXPY4", x1, y)
-	checkLen("AXPY4", x2, y)
-	checkLen("AXPY4", x3, y)
+	n := len(y)
+	if len(x0) != n || len(x1) != n || len(x2) != n || len(x3) != n {
+		// One branch on the hot path; the pairwise checks name the culprit.
+		checkLen("AXPY4", x0, y)
+		checkLen("AXPY4", x1, y)
+		checkLen("AXPY4", x2, y)
+		checkLen("AXPY4", x3, y)
+	}
+	if useAVX2 && n >= simdMinLen {
+		axpy4AVX2(a0, a1, a2, a3, x0, x1, x2, x3, y)
+		return
+	}
 	// Reslice to the common length so the compiler can drop the per-index
 	// bounds checks in the fused loop.
-	n := len(y)
 	x0, x1, x2, x3 = x0[:n], x1[:n], x2[:n], x3[:n]
 	for i := range y {
 		s := y[i] + a0*x0[i]
@@ -207,11 +239,16 @@ func AXPY4(a0, a1, a2, a3 float64, x0, x1, x2, x3, y []float64) {
 //
 //fda:noalloc
 func Dot4(a, x0, x1, x2, x3 []float64) (s0, s1, s2, s3 float64) {
-	checkLen("Dot4", a, x0)
-	checkLen("Dot4", a, x1)
-	checkLen("Dot4", a, x2)
-	checkLen("Dot4", a, x3)
 	n := len(a)
+	if len(x0) != n || len(x1) != n || len(x2) != n || len(x3) != n {
+		checkLen("Dot4", a, x0)
+		checkLen("Dot4", a, x1)
+		checkLen("Dot4", a, x2)
+		checkLen("Dot4", a, x3)
+	}
+	if useAVX2 && n >= simdMinLen {
+		return dot4AVX2(a, x0, x1, x2, x3)
+	}
 	x0, x1, x2, x3 = x0[:n], x1[:n], x2[:n], x3[:n]
 	for i, av := range a {
 		s0 += av * x0[i]
@@ -226,16 +263,23 @@ func Dot4(a, x0, x1, x2, x3 []float64) (s0, s1, s2, s3 float64) {
 // computes ya += a0*x0+…+a3*x3 and yb += b0*x0+…+b3*x3 in one sweep,
 // loading each shared x element once for both destinations. Each
 // destination's partial sums chain in tap order, bit-identical to two
-// AXPY4 calls.
+// AXPY4 calls. Operands may coincide exactly (ya[i] is written before
+// yb[i] is read) but must not overlap partially.
 //
 //fda:noalloc
 func AXPY4x2(a0, a1, a2, a3, b0, b1, b2, b3 float64, x0, x1, x2, x3, ya, yb []float64) {
-	checkLen("AXPY4x2", x0, ya)
-	checkLen("AXPY4x2", x1, ya)
-	checkLen("AXPY4x2", x2, ya)
-	checkLen("AXPY4x2", x3, ya)
-	checkLen("AXPY4x2", yb, ya)
 	n := len(ya)
+	if len(x0) != n || len(x1) != n || len(x2) != n || len(x3) != n || len(yb) != n {
+		checkLen("AXPY4x2", x0, ya)
+		checkLen("AXPY4x2", x1, ya)
+		checkLen("AXPY4x2", x2, ya)
+		checkLen("AXPY4x2", x3, ya)
+		checkLen("AXPY4x2", yb, ya)
+	}
+	if useAVX2 && n >= simdMinLen {
+		axpy4x2AVX2(a0, a1, a2, a3, b0, b1, b2, b3, x0, x1, x2, x3, ya, yb)
+		return
+	}
 	x0, x1, x2, x3, yb = x0[:n], x1[:n], x2[:n], x3[:n], yb[:n]
 	for i := range ya {
 		v0, v1, v2, v3 := x0[i], x1[i], x2[i], x3[i]
@@ -259,12 +303,17 @@ func AXPY4x2(a0, a1, a2, a3, b0, b1, b2, b3 float64, x0, x1, x2, x3, ya, yb []fl
 //
 //fda:noalloc
 func Dot4x2(a, b, x0, x1, x2, x3 []float64) (s0, s1, s2, s3, t0, t1, t2, t3 float64) {
-	checkLen("Dot4x2", a, b)
-	checkLen("Dot4x2", a, x0)
-	checkLen("Dot4x2", a, x1)
-	checkLen("Dot4x2", a, x2)
-	checkLen("Dot4x2", a, x3)
 	n := len(a)
+	if len(b) != n || len(x0) != n || len(x1) != n || len(x2) != n || len(x3) != n {
+		checkLen("Dot4x2", a, b)
+		checkLen("Dot4x2", a, x0)
+		checkLen("Dot4x2", a, x1)
+		checkLen("Dot4x2", a, x2)
+		checkLen("Dot4x2", a, x3)
+	}
+	if useAVX2 && n >= simdMinLen {
+		return dot4x2AVX2(a, b, x0, x1, x2, x3)
+	}
 	b, x0, x1, x2, x3 = b[:n], x0[:n], x1[:n], x2[:n], x3[:n]
 	for i, av := range a {
 		v0, v1, v2, v3 := x0[i], x1[i], x2[i], x3[i]
@@ -279,4 +328,40 @@ func Dot4x2(a, b, x0, x1, x2, x3 []float64) (s0, s1, s2, s3, t0, t1, t2, t3 floa
 		t3 += bv * v3
 	}
 	return
+}
+
+// AdamStep is the element loop of one Adam update (opt.Adam.Step): for
+// every i it folds grads[i] into the moments m[i], v[i] and moves
+// params[i] by the bias-corrected step, where b1c = 1−β1ᵗ and b2c = 1−β2ᵗ.
+// A non-zero coupledWD adds classic L2 decay to the gradient; a non-zero
+// decoupledWD applies AdamW's decay to the updated weight. grads is only
+// read; the four vectors must not overlap. The expression shapes —
+// ((1−b2)·g)·g, (lr·(m/b1c)) / (√(v/b2c)+eps), (lr·wd)·p — are the
+// specification the assembly reproduces operation for operation.
+//
+//fda:noalloc
+func AdamStep(params, grads, m, v []float64, b1, b2, lr, eps, b1c, b2c, coupledWD, decoupledWD float64) {
+	n := len(params)
+	if len(grads) != n || len(m) != n || len(v) != n {
+		checkLen("AdamStep", grads, params)
+		checkLen("AdamStep", m, params)
+		checkLen("AdamStep", v, params)
+	}
+	if useAVX2 && n >= simdMinLen {
+		adamAVX2(params, grads, m, v, b1, b2, lr, eps, b1c, b2c, coupledWD, decoupledWD)
+		return
+	}
+	for i, g := range grads {
+		if coupledWD != 0 {
+			g += coupledWD * params[i]
+		}
+		mi := b1*m[i] + (1-b1)*g
+		vi := b2*v[i] + (1-b2)*g*g
+		m[i] = mi
+		v[i] = vi
+		params[i] -= lr * (mi / b1c) / (math.Sqrt(vi/b2c) + eps)
+		if decoupledWD != 0 {
+			params[i] -= lr * decoupledWD * params[i]
+		}
+	}
 }

@@ -1,0 +1,56 @@
+//go:build !purego
+
+package tensor
+
+// useAVX2 selects the assembly bodies in kernels_amd64.s. It is decided
+// once, from the CPU alone: there is no flag, variable or option that
+// turns the assembly off at run time — building with -tags purego (or
+// for another GOARCH) removes it instead.
+var useAVX2 = detectAVX2()
+
+// detectAVX2 reports whether the CPU implements AVX2 and the OS saves
+// the YMM state across context switches (CPUID.1:ECX OSXSAVE+AVX, XCR0
+// bits 1–2, CPUID.7.0:EBX AVX2).
+func detectAVX2() bool {
+	maxLeaf, _, _, _ := cpuid(0, 0)
+	if maxLeaf < 7 {
+		return false
+	}
+	const osxsave, avx = 1 << 27, 1 << 28
+	if _, _, ecx, _ := cpuid(1, 0); ecx&(osxsave|avx) != osxsave|avx {
+		return false
+	}
+	if xgetbv0()&6 != 6 {
+		return false
+	}
+	_, ebx, _, _ := cpuid(7, 0)
+	return ebx&(1<<5) != 0
+}
+
+func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
+
+func xgetbv0() uint32
+
+//go:noescape
+//fda:noalloc
+func axpyAVX2(alpha float64, x, y []float64)
+
+//go:noescape
+//fda:noalloc
+func axpy4AVX2(a0, a1, a2, a3 float64, x0, x1, x2, x3, y []float64)
+
+//go:noescape
+//fda:noalloc
+func axpy4x2AVX2(a0, a1, a2, a3, b0, b1, b2, b3 float64, x0, x1, x2, x3, ya, yb []float64)
+
+//go:noescape
+//fda:noalloc
+func dot4AVX2(a, x0, x1, x2, x3 []float64) (s0, s1, s2, s3 float64)
+
+//go:noescape
+//fda:noalloc
+func dot4x2AVX2(a, b, x0, x1, x2, x3 []float64) (s0, s1, s2, s3, t0, t1, t2, t3 float64)
+
+//go:noescape
+//fda:noalloc
+func adamAVX2(params, grads, m, v []float64, b1, b2, lr, eps, b1c, b2c, coupledWD, decoupledWD float64)

@@ -1,0 +1,490 @@
+//go:build !purego
+
+// AVX2 bodies of the hot kernels in kernels.go (DESIGN.md §7, "SIMD
+// kernels"). Every routine here is bit-identical to the Go loop it
+// stands in for, by construction:
+//
+//   - a vector lane holds a *different output element* (AXPY family,
+//     Adam) or a *different accumulator* (Dot4 family, after a 4×4 lane
+//     transpose of the four x rows) — never a share of one accumulator,
+//     so every sum still runs strictly left to right;
+//   - only VMULPD/VADDPD/VSUBPD/VDIVPD/VSQRTPD and their scalar forms,
+//     which round each lane exactly as MULSD/ADDSD/… round a scalar.
+//     No FMA, anywhere: a fused multiply-add rounds once where the Go
+//     code rounds twice (kernels_simd_test.go fails on the mnemonic);
+//   - operations are issued per element in the order the Go source
+//     evaluates them.
+//
+// Each routine finishes its own tail (n mod 4, or all of a short n) with
+// the scalar forms of the same instructions, and executes VZEROUPPER
+// before every RET so the SSE code the Go compiler emits pays no
+// transition penalty. Slices may be 8-byte aligned only: all vector
+// memory accesses are unaligned forms. Callers guarantee every input is
+// at least as long as the slice whose length the routine reads.
+
+#include "textflag.h"
+
+// func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
+TEXT ·cpuid(SB), NOSPLIT, $0-24
+	MOVL leaf+0(FP), AX
+	MOVL sub+4(FP), CX
+	CPUID
+	MOVL AX, eax+8(FP)
+	MOVL BX, ebx+12(FP)
+	MOVL CX, ecx+16(FP)
+	MOVL DX, edx+20(FP)
+	RET
+
+// func xgetbv0() uint32
+// Low half of XCR0; only valid when CPUID reports OSXSAVE.
+TEXT ·xgetbv0(SB), NOSPLIT, $0-4
+	XORL CX, CX
+	XGETBV
+	MOVL AX, ret+0(FP)
+	RET
+
+// func axpyAVX2(alpha float64, x, y []float64)
+// y[i] += alpha*x[i], i < len(y). Lanes are elements.
+TEXT ·axpyAVX2(SB), NOSPLIT, $0-56
+	VBROADCASTSD alpha+0(FP), Y0
+	MOVQ x_base+8(FP), SI
+	MOVQ y_base+32(FP), DI
+	MOVQ y_len+40(FP), CX
+	XORQ AX, AX
+	SUBQ $8, CX
+	JL   axpy_tail4
+
+axpy_loop8:
+	VMOVUPD (DI)(AX*8), Y1
+	VMOVUPD 32(DI)(AX*8), Y2
+	VMULPD  (SI)(AX*8), Y0, Y3
+	VMULPD  32(SI)(AX*8), Y0, Y4
+	VADDPD  Y3, Y1, Y1
+	VADDPD  Y4, Y2, Y2
+	VMOVUPD Y1, (DI)(AX*8)
+	VMOVUPD Y2, 32(DI)(AX*8)
+	ADDQ    $8, AX
+	CMPQ    AX, CX
+	JLE     axpy_loop8
+
+axpy_tail4:
+	ADDQ $4, CX
+	CMPQ AX, CX
+	JG   axpy_tail1
+	VMOVUPD (DI)(AX*8), Y1
+	VMULPD  (SI)(AX*8), Y0, Y3
+	VADDPD  Y3, Y1, Y1
+	VMOVUPD Y1, (DI)(AX*8)
+	ADDQ    $4, AX
+
+axpy_tail1:
+	ADDQ $4, CX
+	CMPQ AX, CX
+	JGE  axpy_done
+
+axpy_loop1:
+	VMOVSD (DI)(AX*8), X1
+	VMULSD (SI)(AX*8), X0, X3
+	VADDSD X3, X1, X1
+	VMOVSD X1, (DI)(AX*8)
+	INCQ   AX
+	CMPQ   AX, CX
+	JL     axpy_loop1
+
+axpy_done:
+	VZEROUPPER
+	RET
+
+// func axpy4AVX2(a0, a1, a2, a3 float64, x0, x1, x2, x3, y []float64)
+// y[i] = (((y[i] + a0*x0[i]) + a1*x1[i]) + a2*x2[i]) + a3*x3[i], i < len(y).
+// Lanes are elements; each element's partial sums chain in tap order.
+TEXT ·axpy4AVX2(SB), NOSPLIT, $0-152
+	VBROADCASTSD a0+0(FP), Y8
+	VBROADCASTSD a1+8(FP), Y9
+	VBROADCASTSD a2+16(FP), Y10
+	VBROADCASTSD a3+24(FP), Y11
+	MOVQ x0_base+32(FP), R8
+	MOVQ x1_base+56(FP), R9
+	MOVQ x2_base+80(FP), R10
+	MOVQ x3_base+104(FP), R11
+	MOVQ y_base+128(FP), DI
+	MOVQ y_len+136(FP), CX
+	XORQ AX, AX
+	SUBQ $4, CX
+	JL   axpy4_tail
+
+axpy4_loop4:
+	VMOVUPD (DI)(AX*8), Y4
+	VMULPD  (R8)(AX*8), Y8, Y6
+	VADDPD  Y6, Y4, Y4
+	VMULPD  (R9)(AX*8), Y9, Y6
+	VADDPD  Y6, Y4, Y4
+	VMULPD  (R10)(AX*8), Y10, Y6
+	VADDPD  Y6, Y4, Y4
+	VMULPD  (R11)(AX*8), Y11, Y6
+	VADDPD  Y6, Y4, Y4
+	VMOVUPD Y4, (DI)(AX*8)
+	ADDQ    $4, AX
+	CMPQ    AX, CX
+	JLE     axpy4_loop4
+
+axpy4_tail:
+	ADDQ $4, CX
+	CMPQ AX, CX
+	JGE  axpy4_done
+
+axpy4_loop1:
+	VMOVSD (DI)(AX*8), X4
+	VMULSD (R8)(AX*8), X8, X6
+	VADDSD X6, X4, X4
+	VMULSD (R9)(AX*8), X9, X6
+	VADDSD X6, X4, X4
+	VMULSD (R10)(AX*8), X10, X6
+	VADDSD X6, X4, X4
+	VMULSD (R11)(AX*8), X11, X6
+	VADDSD X6, X4, X4
+	VMOVSD X4, (DI)(AX*8)
+	INCQ   AX
+	CMPQ   AX, CX
+	JL     axpy4_loop1
+
+axpy4_done:
+	VZEROUPPER
+	RET
+
+// func axpy4x2AVX2(a0, a1, a2, a3, b0, b1, b2, b3 float64, x0, x1, x2, x3, ya, yb []float64)
+// The axpy4 chain for ya with a0..a3 and for yb with b0..b3, i < len(ya),
+// each shared x element loaded once. ya[i] is stored before yb[i] is
+// loaded, as in the Go loop.
+TEXT ·axpy4x2AVX2(SB), NOSPLIT, $0-208
+	VBROADCASTSD a0+0(FP), Y8
+	VBROADCASTSD a1+8(FP), Y9
+	VBROADCASTSD a2+16(FP), Y10
+	VBROADCASTSD a3+24(FP), Y11
+	VBROADCASTSD b0+32(FP), Y12
+	VBROADCASTSD b1+40(FP), Y13
+	VBROADCASTSD b2+48(FP), Y14
+	VBROADCASTSD b3+56(FP), Y15
+	MOVQ x0_base+64(FP), R8
+	MOVQ x1_base+88(FP), R9
+	MOVQ x2_base+112(FP), R10
+	MOVQ x3_base+136(FP), R11
+	MOVQ ya_base+160(FP), DI
+	MOVQ ya_len+168(FP), CX
+	MOVQ yb_base+184(FP), SI
+	XORQ AX, AX
+	SUBQ $4, CX
+	JL   axpy4x2_tail
+
+axpy4x2_loop4:
+	VMOVUPD (R8)(AX*8), Y0
+	VMOVUPD (R9)(AX*8), Y1
+	VMOVUPD (R10)(AX*8), Y2
+	VMOVUPD (R11)(AX*8), Y3
+	VMOVUPD (DI)(AX*8), Y4
+	VMULPD  Y0, Y8, Y6
+	VADDPD  Y6, Y4, Y4
+	VMULPD  Y1, Y9, Y6
+	VADDPD  Y6, Y4, Y4
+	VMULPD  Y2, Y10, Y6
+	VADDPD  Y6, Y4, Y4
+	VMULPD  Y3, Y11, Y6
+	VADDPD  Y6, Y4, Y4
+	VMOVUPD Y4, (DI)(AX*8)
+	VMOVUPD (SI)(AX*8), Y5
+	VMULPD  Y0, Y12, Y7
+	VADDPD  Y7, Y5, Y5
+	VMULPD  Y1, Y13, Y7
+	VADDPD  Y7, Y5, Y5
+	VMULPD  Y2, Y14, Y7
+	VADDPD  Y7, Y5, Y5
+	VMULPD  Y3, Y15, Y7
+	VADDPD  Y7, Y5, Y5
+	VMOVUPD Y5, (SI)(AX*8)
+	ADDQ    $4, AX
+	CMPQ    AX, CX
+	JLE     axpy4x2_loop4
+
+axpy4x2_tail:
+	ADDQ $4, CX
+	CMPQ AX, CX
+	JGE  axpy4x2_done
+
+axpy4x2_loop1:
+	VMOVSD (R8)(AX*8), X0
+	VMOVSD (R9)(AX*8), X1
+	VMOVSD (R10)(AX*8), X2
+	VMOVSD (R11)(AX*8), X3
+	VMOVSD (DI)(AX*8), X4
+	VMULSD X0, X8, X6
+	VADDSD X6, X4, X4
+	VMULSD X1, X9, X6
+	VADDSD X6, X4, X4
+	VMULSD X2, X10, X6
+	VADDSD X6, X4, X4
+	VMULSD X3, X11, X6
+	VADDSD X6, X4, X4
+	VMOVSD X4, (DI)(AX*8)
+	VMOVSD (SI)(AX*8), X5
+	VMULSD X0, X12, X7
+	VADDSD X7, X5, X5
+	VMULSD X1, X13, X7
+	VADDSD X7, X5, X5
+	VMULSD X2, X14, X7
+	VADDSD X7, X5, X5
+	VMULSD X3, X15, X7
+	VADDSD X7, X5, X5
+	VMOVSD X5, (SI)(AX*8)
+	INCQ   AX
+	CMPQ   AX, CX
+	JL     axpy4x2_loop1
+
+axpy4x2_done:
+	VZEROUPPER
+	RET
+
+// The Dot4 family keeps accumulator q in lane q. TRANSPOSE4 turns four
+// consecutive elements of the four rows x0..x3 (bases R8..R11, index AX)
+// into four column vectors Y4..Y7, column j = (x0[i+j], x1[i+j],
+// x2[i+j], x3[i+j]), so that acc += broadcast(a[i+j]) * column j, issued
+// for j = 0, 1, 2, 3, adds to every lane exactly the term, in exactly the
+// order, of that accumulator's scalar loop. COLUMN1 builds the one column
+// of a tail element. Both clobber Y2, Y3.
+#define TRANSPOSE4 \
+	VMOVUPD     (R8)(AX*8), X2; \
+	VMOVUPD     (R9)(AX*8), X3; \
+	VINSERTF128 $1, (R10)(AX*8), Y2, Y2; \
+	VINSERTF128 $1, (R11)(AX*8), Y3, Y3; \
+	VUNPCKLPD   Y3, Y2, Y4; \
+	VUNPCKHPD   Y3, Y2, Y5; \
+	VMOVUPD     16(R8)(AX*8), X2; \
+	VMOVUPD     16(R9)(AX*8), X3; \
+	VINSERTF128 $1, 16(R10)(AX*8), Y2, Y2; \
+	VINSERTF128 $1, 16(R11)(AX*8), Y3, Y3; \
+	VUNPCKLPD   Y3, Y2, Y6; \
+	VUNPCKHPD   Y3, Y2, Y7
+
+#define COLUMN1 \
+	VMOVSD      (R8)(AX*8), X2; \
+	VMOVHPD     (R9)(AX*8), X2, X2; \
+	VMOVSD      (R10)(AX*8), X3; \
+	VMOVHPD     (R11)(AX*8), X3, X3; \
+	VINSERTF128 $1, X3, Y2, Y4
+
+// ACCUM adds broadcast(off(ptr)(AX*8)) * col to acc, clobbering tmp.
+#define ACCUM(off, ptr, col, acc, tmp) \
+	VBROADCASTSD off(ptr)(AX*8), tmp; \
+	VMULPD       col, tmp, tmp; \
+	VADDPD       tmp, acc, acc
+
+// func dot4AVX2(a, x0, x1, x2, x3 []float64) (s0, s1, s2, s3 float64)
+// s_q = Σ a[i]*x_q[i] over i < len(a), each left to right from +0.
+TEXT ·dot4AVX2(SB), NOSPLIT, $0-152
+	MOVQ a_base+0(FP), SI
+	MOVQ a_len+8(FP), CX
+	MOVQ x0_base+24(FP), R8
+	MOVQ x1_base+48(FP), R9
+	MOVQ x2_base+72(FP), R10
+	MOVQ x3_base+96(FP), R11
+	VXORPD Y0, Y0, Y0
+	XORQ AX, AX
+	SUBQ $4, CX
+	JL   dot4_tail
+
+dot4_loop4:
+	TRANSPOSE4
+	ACCUM(0, SI, Y4, Y0, Y8)
+	ACCUM(8, SI, Y5, Y0, Y8)
+	ACCUM(16, SI, Y6, Y0, Y8)
+	ACCUM(24, SI, Y7, Y0, Y8)
+	ADDQ $4, AX
+	CMPQ AX, CX
+	JLE  dot4_loop4
+
+dot4_tail:
+	ADDQ $4, CX
+	CMPQ AX, CX
+	JGE  dot4_done
+
+dot4_loop1:
+	COLUMN1
+	ACCUM(0, SI, Y4, Y0, Y8)
+	INCQ AX
+	CMPQ AX, CX
+	JL   dot4_loop1
+
+dot4_done:
+	VMOVUPD Y0, s0+120(FP)
+	VZEROUPPER
+	RET
+
+// func dot4x2AVX2(a, b, x0, x1, x2, x3 []float64) (s0, s1, s2, s3, t0, t1, t2, t3 float64)
+// s_q = Σ a[i]*x_q[i], t_q = Σ b[i]*x_q[i] over i < len(a): two
+// accumulator vectors over one transpose of the shared x rows.
+TEXT ·dot4x2AVX2(SB), NOSPLIT, $0-208
+	MOVQ a_base+0(FP), SI
+	MOVQ a_len+8(FP), CX
+	MOVQ b_base+24(FP), DX
+	MOVQ x0_base+48(FP), R8
+	MOVQ x1_base+72(FP), R9
+	MOVQ x2_base+96(FP), R10
+	MOVQ x3_base+120(FP), R11
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	XORQ AX, AX
+	SUBQ $4, CX
+	JL   dot4x2_tail
+
+dot4x2_loop4:
+	TRANSPOSE4
+	ACCUM(0, SI, Y4, Y0, Y8)
+	ACCUM(0, DX, Y4, Y1, Y9)
+	ACCUM(8, SI, Y5, Y0, Y8)
+	ACCUM(8, DX, Y5, Y1, Y9)
+	ACCUM(16, SI, Y6, Y0, Y8)
+	ACCUM(16, DX, Y6, Y1, Y9)
+	ACCUM(24, SI, Y7, Y0, Y8)
+	ACCUM(24, DX, Y7, Y1, Y9)
+	ADDQ $4, AX
+	CMPQ AX, CX
+	JLE  dot4x2_loop4
+
+dot4x2_tail:
+	ADDQ $4, CX
+	CMPQ AX, CX
+	JGE  dot4x2_done
+
+dot4x2_loop1:
+	COLUMN1
+	ACCUM(0, SI, Y4, Y0, Y8)
+	ACCUM(0, DX, Y4, Y1, Y9)
+	INCQ AX
+	CMPQ AX, CX
+	JL   dot4x2_loop1
+
+dot4x2_done:
+	VMOVUPD Y0, s0+144(FP)
+	VMOVUPD Y1, t0+176(FP)
+	VZEROUPPER
+	RET
+
+// func adamAVX2(params, grads, m, v []float64, b1, b2, lr, eps, b1c, b2c, coupledWD, decoupledWD float64)
+// One Adam update per element, i < len(params), in the evaluation order of
+// adamGo: g += cwd*p (only if cwd != 0); m = b1*m + (1-b1)*g;
+// v = b2*v + ((1-b2)*g)*g; p -= (lr*(m/b1c)) / (sqrt(v/b2c) + eps);
+// p -= (lr*dwd)*p (only if dwd != 0). Lanes are elements. R12/R13 are
+// non-zero iff cwd/dwd != 0 in Go's sense (a shift drops the sign bit, so
+// ±0 is zero and NaN is not).
+TEXT ·adamAVX2(SB), NOSPLIT, $0-160
+	MOVQ params_base+0(FP), DI
+	MOVQ params_len+8(FP), CX
+	MOVQ grads_base+24(FP), SI
+	MOVQ m_base+48(FP), R8
+	MOVQ v_base+72(FP), R9
+	MOVQ $0x3FF0000000000000, AX
+	VMOVQ AX, X5
+	VMOVSD b1+96(FP), X8
+	VSUBSD X8, X5, X9
+	VMOVSD b2+104(FP), X10
+	VSUBSD X10, X5, X11
+	VMOVSD lr+112(FP), X12
+	VMOVSD coupledWD+144(FP), X6
+	VMULSD decoupledWD+152(FP), X12, X7
+	VBROADCASTSD X8, Y8
+	VBROADCASTSD X9, Y9
+	VBROADCASTSD X10, Y10
+	VBROADCASTSD X11, Y11
+	VBROADCASTSD X12, Y12
+	VBROADCASTSD X6, Y6
+	VBROADCASTSD X7, Y7
+	VBROADCASTSD eps+120(FP), Y13
+	VBROADCASTSD b1c+128(FP), Y14
+	VBROADCASTSD b2c+136(FP), Y15
+	MOVQ coupledWD+144(FP), R12
+	SHLQ $1, R12
+	MOVQ decoupledWD+152(FP), R13
+	SHLQ $1, R13
+	XORQ AX, AX
+	SUBQ $4, CX
+	JL   adam_tail
+
+adam_loop4:
+	VMOVUPD (SI)(AX*8), Y0
+	VMOVUPD (DI)(AX*8), Y1
+	TESTQ   R12, R12
+	JZ      adam_moments4
+	VMULPD  Y1, Y6, Y4
+	VADDPD  Y4, Y0, Y0
+
+adam_moments4:
+	VMULPD  (R8)(AX*8), Y8, Y2
+	VMULPD  Y0, Y9, Y4
+	VADDPD  Y4, Y2, Y2
+	VMOVUPD Y2, (R8)(AX*8)
+	VMULPD  (R9)(AX*8), Y10, Y3
+	VMULPD  Y0, Y11, Y4
+	VMULPD  Y0, Y4, Y4
+	VADDPD  Y4, Y3, Y3
+	VMOVUPD Y3, (R9)(AX*8)
+	VDIVPD  Y14, Y2, Y2
+	VMULPD  Y2, Y12, Y2
+	VDIVPD  Y15, Y3, Y3
+	VSQRTPD Y3, Y3
+	VADDPD  Y13, Y3, Y3
+	VDIVPD  Y3, Y2, Y2
+	VSUBPD  Y2, Y1, Y1
+	TESTQ   R13, R13
+	JZ      adam_store4
+	VMULPD  Y1, Y7, Y4
+	VSUBPD  Y4, Y1, Y1
+
+adam_store4:
+	VMOVUPD Y1, (DI)(AX*8)
+	ADDQ    $4, AX
+	CMPQ    AX, CX
+	JLE     adam_loop4
+
+adam_tail:
+	ADDQ $4, CX
+	CMPQ AX, CX
+	JGE  adam_done
+
+adam_loop1:
+	VMOVSD (SI)(AX*8), X0
+	VMOVSD (DI)(AX*8), X1
+	TESTQ  R12, R12
+	JZ     adam_moments1
+	VMULSD X1, X6, X4
+	VADDSD X4, X0, X0
+
+adam_moments1:
+	VMULSD  (R8)(AX*8), X8, X2
+	VMULSD  X0, X9, X4
+	VADDSD  X4, X2, X2
+	VMOVSD  X2, (R8)(AX*8)
+	VMULSD  (R9)(AX*8), X10, X3
+	VMULSD  X0, X11, X4
+	VMULSD  X0, X4, X4
+	VADDSD  X4, X3, X3
+	VMOVSD  X3, (R9)(AX*8)
+	VDIVSD  X14, X2, X2
+	VMULSD  X2, X12, X2
+	VDIVSD  X15, X3, X3
+	VSQRTSD X3, X3, X3
+	VADDSD  X13, X3, X3
+	VDIVSD  X3, X2, X2
+	VSUBSD  X2, X1, X1
+	TESTQ   R13, R13
+	JZ      adam_store1
+	VMULSD  X1, X7, X4
+	VSUBSD  X4, X1, X1
+
+adam_store1:
+	VMOVSD X1, (DI)(AX*8)
+	INCQ   AX
+	CMPQ   AX, CX
+	JL     adam_loop1
+
+adam_done:
+	VZEROUPPER
+	RET

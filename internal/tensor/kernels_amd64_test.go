@@ -1,0 +1,22 @@
+//go:build !purego
+
+package tensor
+
+// The raw assembly routines join the exact-equality matrix and the fuzz
+// target of kernels_simd_test.go, so they are also exercised below the
+// dispatch threshold (each must finish any tail, including all of a
+// short vector, on its own). On a CPU without AVX2 there is nothing to
+// run them on and the exported kernels take the Go path.
+func init() {
+	if !useAVX2 {
+		return
+	}
+	simdKernels = append(simdKernels,
+		axpyKernel("axpyAVX2", axpyAVX2),
+		axpy4Kernel("axpy4AVX2", axpy4AVX2),
+		axpy4x2Kernel("axpy4x2AVX2", axpy4x2AVX2),
+		dot4Kernel("dot4AVX2", dot4AVX2),
+		dot4x2Kernel("dot4x2AVX2", dot4x2AVX2),
+		adamKernel("adamAVX2", adamAVX2),
+	)
+}

@@ -1,0 +1,30 @@
+//go:build !amd64 || purego
+
+package tensor
+
+// This build has no assembly: useAVX2 is constant false, the compiler
+// drops every dispatch branch in kernels.go, and the Go loops are the
+// only path. The declarations below exist so those branches type-check.
+const useAVX2 = false
+
+func axpyAVX2(alpha float64, x, y []float64) { panic("tensor: no assembly in this build") }
+
+func axpy4AVX2(a0, a1, a2, a3 float64, x0, x1, x2, x3, y []float64) {
+	panic("tensor: no assembly in this build")
+}
+
+func axpy4x2AVX2(a0, a1, a2, a3, b0, b1, b2, b3 float64, x0, x1, x2, x3, ya, yb []float64) {
+	panic("tensor: no assembly in this build")
+}
+
+func dot4AVX2(a, x0, x1, x2, x3 []float64) (s0, s1, s2, s3 float64) {
+	panic("tensor: no assembly in this build")
+}
+
+func dot4x2AVX2(a, b, x0, x1, x2, x3 []float64) (s0, s1, s2, s3, t0, t1, t2, t3 float64) {
+	panic("tensor: no assembly in this build")
+}
+
+func adamAVX2(params, grads, m, v []float64, b1, b2, lr, eps, b1c, b2c, coupledWD, decoupledWD float64) {
+	panic("tensor: no assembly in this build")
+}

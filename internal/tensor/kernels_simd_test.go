@@ -1,0 +1,373 @@
+package tensor
+
+import (
+	"math"
+	"os"
+	"path/filepath"
+	"regexp"
+	"strings"
+	"testing"
+)
+
+// This file pins every kernel that has an assembly body to a scalar
+// oracle written here, in the test, with plain indexed loops — never to
+// another production kernel, which may itself dispatch to assembly. The
+// exported kernels are checked in every build (so -tags purego checks the
+// Go loops against the same oracles); kernels_amd64_test.go adds the raw
+// assembly routines, which must also be right below the dispatch
+// thresholds because each finishes its own tail.
+
+// simdKernel is one routine under test. run and oracle receive vecs
+// vectors of equal length and the scalars, mutate the vectors in place
+// and return any scalar results.
+type simdKernel struct {
+	name    string
+	vecs    int
+	scalars int
+	run     func(v [][]float64, c []float64) []float64
+	oracle  func(v [][]float64, c []float64) []float64
+	// alias lists operand pairs {i, j} that may be the very same slice.
+	alias [][2]int
+}
+
+// simdKernels is the matrix; kernels_amd64_test.go appends the raw
+// assembly routines to it through the same constructors.
+var simdKernels = []simdKernel{
+	axpyKernel("AXPY", AXPY),
+	axpy4Kernel("AXPY4", AXPY4),
+	axpy4x2Kernel("AXPY4x2", AXPY4x2),
+	dot4Kernel("Dot4", Dot4),
+	dot4x2Kernel("Dot4x2", Dot4x2),
+	adamKernel("AdamStep", AdamStep),
+}
+
+// One constructor per kernel signature: operand counts, permitted
+// aliasing and the oracle are stated once, whichever implementation f is.
+
+func axpyKernel(name string, f func(alpha float64, x, y []float64)) simdKernel {
+	return simdKernel{
+		name: name, vecs: 2, scalars: 1, alias: [][2]int{{0, 1}}, oracle: oracleAXPY,
+		run: func(v [][]float64, c []float64) []float64 { f(c[0], v[0], v[1]); return nil },
+	}
+}
+
+func axpy4Kernel(name string, f func(a0, a1, a2, a3 float64, x0, x1, x2, x3, y []float64)) simdKernel {
+	return simdKernel{
+		name: name, vecs: 5, scalars: 4, alias: [][2]int{{0, 4}, {3, 4}}, oracle: oracleAXPY4,
+		run: func(v [][]float64, c []float64) []float64 {
+			f(c[0], c[1], c[2], c[3], v[0], v[1], v[2], v[3], v[4])
+			return nil
+		},
+	}
+}
+
+func axpy4x2Kernel(name string, f func(a0, a1, a2, a3, b0, b1, b2, b3 float64, x0, x1, x2, x3, ya, yb []float64)) simdKernel {
+	return simdKernel{
+		name: name, vecs: 6, scalars: 8, alias: [][2]int{{3, 4}, {0, 5}, {4, 5}}, oracle: oracleAXPY4x2,
+		run: func(v [][]float64, c []float64) []float64 {
+			f(c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7], v[0], v[1], v[2], v[3], v[4], v[5])
+			return nil
+		},
+	}
+}
+
+func dot4Kernel(name string, f func(a, x0, x1, x2, x3 []float64) (s0, s1, s2, s3 float64)) simdKernel {
+	return simdKernel{
+		name: name, vecs: 5, alias: [][2]int{{0, 1}}, oracle: oracleDot4,
+		run: func(v [][]float64, _ []float64) []float64 {
+			s0, s1, s2, s3 := f(v[0], v[1], v[2], v[3], v[4])
+			return []float64{s0, s1, s2, s3}
+		},
+	}
+}
+
+func dot4x2Kernel(name string, f func(a, b, x0, x1, x2, x3 []float64) (s0, s1, s2, s3, t0, t1, t2, t3 float64)) simdKernel {
+	return simdKernel{
+		name: name, vecs: 6, alias: [][2]int{{0, 1}, {1, 5}}, oracle: oracleDot4x2,
+		run: func(v [][]float64, _ []float64) []float64 {
+			s0, s1, s2, s3, t0, t1, t2, t3 := f(v[0], v[1], v[2], v[3], v[4], v[5])
+			return []float64{s0, s1, s2, s3, t0, t1, t2, t3}
+		},
+	}
+}
+
+func adamKernel(name string, f func(params, grads, m, v []float64, b1, b2, lr, eps, b1c, b2c, coupledWD, decoupledWD float64)) simdKernel {
+	return simdKernel{
+		name: name, vecs: 4, scalars: 8, oracle: oracleAdam,
+		run: func(v [][]float64, c []float64) []float64 {
+			f(v[0], v[1], v[2], v[3], c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7])
+			return nil
+		},
+	}
+}
+
+func oracleAXPY(v [][]float64, c []float64) []float64 {
+	x, y := v[0], v[1]
+	for i := range y {
+		y[i] += c[0] * x[i]
+	}
+	return nil
+}
+
+func oracleAXPY4(v [][]float64, c []float64) []float64 {
+	y := v[4]
+	for i := range y {
+		s := y[i] + c[0]*v[0][i]
+		s += c[1] * v[1][i]
+		s += c[2] * v[2][i]
+		s += c[3] * v[3][i]
+		y[i] = s
+	}
+	return nil
+}
+
+func oracleAXPY4x2(v [][]float64, c []float64) []float64 {
+	ya, yb := v[4], v[5]
+	for i := range ya {
+		x0, x1, x2, x3 := v[0][i], v[1][i], v[2][i], v[3][i]
+		s := ya[i] + c[0]*x0
+		s += c[1] * x1
+		s += c[2] * x2
+		s += c[3] * x3
+		ya[i] = s
+		u := yb[i] + c[4]*x0
+		u += c[5] * x1
+		u += c[6] * x2
+		u += c[7] * x3
+		yb[i] = u
+	}
+	return nil
+}
+
+func oracleDot4(v [][]float64, _ []float64) []float64 {
+	out := make([]float64, 4)
+	for q := range out {
+		out[q] = scalarDot(v[0], v[1+q])
+	}
+	return out
+}
+
+func oracleDot4x2(v [][]float64, _ []float64) []float64 {
+	out := make([]float64, 8)
+	for q := 0; q < 4; q++ {
+		out[q] = scalarDot(v[0], v[2+q])
+		out[4+q] = scalarDot(v[1], v[2+q])
+	}
+	return out
+}
+
+// oracleAdam is the element loop opt.Adam.Step ran before it became a
+// kernel, copied so a change to AdamStep's Go body cannot move its own
+// oracle. Scalars: b1, b2, lr, eps, b1c, b2c, coupledWD, decoupledWD.
+func oracleAdam(v [][]float64, c []float64) []float64 {
+	params, grads, m, vv := v[0], v[1], v[2], v[3]
+	b1, b2, lr, eps, b1c, b2c, coupledWD, decoupledWD := c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7]
+	for i, g := range grads {
+		if coupledWD != 0 {
+			g += coupledWD * params[i]
+		}
+		mi := b1*m[i] + (1-b1)*g
+		vi := b2*vv[i] + (1-b2)*g*g
+		m[i] = mi
+		vv[i] = vi
+		params[i] -= lr * (mi / b1c) / (math.Sqrt(vi/b2c) + eps)
+		if decoupledWD != 0 {
+			params[i] -= lr * decoupledWD * params[i]
+		}
+	}
+	return nil
+}
+
+// sameBits is the comparison of this file: IEEE bit patterns, so −0 ≠ +0
+// and a result is Inf exactly when the oracle's is. Any NaN matches any
+// NaN: which payload survives x+y when both are NaN depends on operand
+// order, which the Go compiler is free to choose for the scalar code too,
+// so payloads were never part of the contract (DESIGN.md §7).
+func sameBits(a, b float64) bool {
+	return math.Float64bits(a) == math.Float64bits(b) || (a != a && b != b)
+}
+
+// specials are the values rounding and exception handling trip over.
+var specials = []float64{
+	0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(),
+	5e-324, -2.5e-310, 2.2250738585072014e-308, 1e300, -1e300, 1e-300, 1, -1,
+}
+
+// checkKernel runs k and its oracle on identical inputs and compares
+// every vector element and scalar result. fill(j) yields the j-th input
+// value. Vector q starts (off+q) mod 4 elements into its own allocation:
+// 8-byte aligned as Go guarantees, 32-byte aligned at most by accident.
+// aliasPair ≥ 0 makes the two operands of k.alias[aliasPair] one slice.
+func checkKernel(t *testing.T, k simdKernel, n, off, aliasPair int, fill func(j int) float64) {
+	t.Helper()
+	j := 0
+	next := func() float64 { j++; return fill(j - 1) }
+	c := make([]float64, k.scalars)
+	for i := range c {
+		c[i] = next()
+	}
+	got, want := make([][]float64, k.vecs), make([][]float64, k.vecs)
+	for q := range got {
+		o := (off + q) % 4
+		got[q] = make([]float64, o+n+3)[o : o+n]
+		for i := range got[q] {
+			got[q][i] = next()
+		}
+		want[q] = Clone(got[q])
+	}
+	if aliasPair >= 0 {
+		p := k.alias[aliasPair]
+		got[p[1]], want[p[1]] = got[p[0]], want[p[0]]
+	}
+	gs := k.run(got, c)
+	ws := k.oracle(want, c)
+	for q := range got {
+		for i := range got[q] {
+			if !sameBits(got[q][i], want[q][i]) {
+				t.Fatalf("%s n=%d off=%d alias=%d: vec %d[%d] = %v (%#x), scalar loop %v (%#x)", k.name, n, off,
+					aliasPair, q, i, got[q][i], math.Float64bits(got[q][i]), want[q][i], math.Float64bits(want[q][i]))
+			}
+		}
+	}
+	for i := range ws {
+		if !sameBits(gs[i], ws[i]) {
+			t.Fatalf("%s n=%d off=%d alias=%d: result %d = %v (%#x), scalar loop %v (%#x)", k.name, n, off,
+				aliasPair, i, gs[i], math.Float64bits(gs[i]), ws[i], math.Float64bits(ws[i]))
+		}
+	}
+}
+
+// simdLens covers every main-loop / 4-wide tail / 1-wide tail
+// combination of the 8- and 4-wide bodies, then long vectors.
+func simdLens() []int {
+	lens := make([]int, 0, 70)
+	for n := 0; n <= 67; n++ {
+		lens = append(lens, n)
+	}
+	return append(lens, 257, 1000)
+}
+
+// TestSIMDKernelsMatchScalarLoops is the exact-equality matrix: every
+// kernel × every length × misaligned starts × permitted aliasing ×
+// ordinary and special values.
+func TestSIMDKernelsMatchScalarLoops(t *testing.T) {
+	for _, k := range simdKernels {
+		t.Run(k.name, func(t *testing.T) {
+			rng := NewRNG(31)
+			ordinary := func(int) float64 {
+				return (rng.Float64() - 0.5) * math.Pow(10, float64(rng.Intn(7))-3)
+			}
+			// One value in three special: specials meet each other and
+			// ordinary values in every operand position.
+			special := func(j int) float64 {
+				if rng.Intn(3) == 0 {
+					return specials[rng.Intn(len(specials))]
+				}
+				return ordinary(j)
+			}
+			for _, n := range simdLens() {
+				for off := 0; off < 4; off++ {
+					for a := -1; a < len(k.alias); a++ {
+						checkKernel(t, k, n, off, a, ordinary)
+						checkKernel(t, k, n, off, a, special)
+					}
+				}
+			}
+		})
+	}
+}
+
+// FuzzKernelsMatchScalar lets the fuzzer choose the kernel, the length,
+// the misalignment, the aliasing and the raw bits of the leading inputs
+// (the rest come from a seeded stream).
+func FuzzKernelsMatchScalar(f *testing.F) {
+	f.Add(uint8(0), uint16(9), uint8(1), uint8(0), uint64(1), []byte{})
+	f.Add(uint8(2), uint16(4), uint8(3), uint8(2), uint64(2), []byte{0, 0, 0, 0, 0, 0, 0xf0, 0x7f, 1, 0, 0, 0, 0, 0, 0, 0})
+	f.Add(uint8(4), uint16(67), uint8(2), uint8(1), uint64(3), []byte{0, 0, 0, 0, 0, 0, 0xf8, 0xff})
+	f.Add(uint8(5), uint16(23), uint8(0), uint8(0), uint64(4), []byte{0, 0, 0, 0, 0, 0, 0, 0x80})
+	f.Fuzz(func(t *testing.T, which uint8, n uint16, off, alias uint8, seed uint64, raw []byte) {
+		k := simdKernels[int(which)%len(simdKernels)]
+		rng := NewRNG(seed)
+		fill := func(j int) float64 {
+			if 8*j+8 <= len(raw) {
+				var bits uint64
+				for b := 0; b < 8; b++ {
+					bits |= uint64(raw[8*j+b]) << (8 * b)
+				}
+				return math.Float64frombits(bits)
+			}
+			return (rng.Float64() - 0.5) * math.Pow(10, float64(rng.Intn(7))-3)
+		}
+		checkKernel(t, k, int(n)%300, int(off)%4, int(alias)%(len(k.alias)+1)-1, fill)
+	})
+}
+
+// TestMeanFoldsInArgumentOrderThenScalesOnce pins Mean's association:
+// ((v0+v1)+v2)+… in argument order, one multiplication by 1/K at the end.
+// Neither a pairwise tree nor a per-term scaling gives these bits.
+func TestMeanFoldsInArgumentOrderThenScalesOnce(t *testing.T) {
+	rng := NewRNG(51)
+	const n, k = 37, 5
+	vecs := make([][]float64, k)
+	for i := range vecs {
+		vecs[i] = randVec(rng, n)
+	}
+	got := make([]float64, n)
+	Mean(got, vecs...)
+	inv := 1 / float64(k)
+	for i := range got {
+		s := vecs[0][i]
+		for _, v := range vecs[1:] {
+			s += v[i]
+		}
+		if want := s * inv; got[i] != want {
+			t.Fatalf("Mean[%d] = %v, left fold scaled once = %v", i, got[i], want)
+		}
+	}
+}
+
+var (
+	asmFMA  = regexp.MustCompile(`\bVFN?M(ADD|SUB)`)
+	asmText = regexp.MustCompile(`^TEXT\s+·(\w+)`)
+	asmVec  = regexp.MustCompile(`\b[XYZ]\d+\b`)
+)
+
+// TestAssemblyHasNoFMAAndClearsUpperLanes reads the package's .s files
+// as text, so it holds on every platform: no fused multiply-add (it
+// rounds once where the Go code rounds twice — adding one "for speed"
+// silently breaks bit-identity with the portable build), and every RET
+// of a routine that touches vector registers is preceded by VZEROUPPER.
+func TestAssemblyHasNoFMAAndClearsUpperLanes(t *testing.T) {
+	files, err := filepath.Glob("*.s")
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no assembly files found: %v", err)
+	}
+	for _, file := range files {
+		src, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var fn, prev string
+		vector := false
+		for ln, line := range strings.Split(string(src), "\n") {
+			if i := strings.Index(line, "//"); i >= 0 {
+				line = line[:i]
+			}
+			line = strings.TrimSpace(strings.TrimSuffix(strings.TrimSpace(line), "\\"))
+			if line == "" {
+				continue
+			}
+			if asmFMA.MatchString(line) {
+				t.Errorf("%s:%d: fused multiply-add %q", file, ln+1, line)
+			}
+			if m := asmText.FindStringSubmatch(line); m != nil {
+				fn, vector = m[1], false
+			}
+			vector = vector || asmVec.MatchString(line)
+			if line == "RET" && vector && prev != "VZEROUPPER" {
+				t.Errorf("%s:%d: RET in %s not preceded by VZEROUPPER", file, ln+1, fn)
+			}
+			prev = line
+		}
+	}
+}

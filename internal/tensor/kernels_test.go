@@ -179,8 +179,10 @@ func TestAccumulateMatchesScalarReferenceExactly(t *testing.T) {
 }
 
 // TestAXPY4MatchesSequentialAXPYsExactly pins the quad-tap kernel's
-// per-element chaining: it must equal four sequential AXPY calls bit for
+// per-element chaining: it must equal four sequential AXPY sweeps bit for
 // bit, which is what carries the conv forward's bit-identity argument.
+// The sweeps are the scalar loop of kernels_simd_test.go, not AXPY itself:
+// a production kernel may dispatch to assembly and is no oracle.
 func TestAXPY4MatchesSequentialAXPYsExactly(t *testing.T) {
 	rng := NewRNG(21)
 	alphas := [4]float64{0.7, -1.3, 0.02, 5.5}
@@ -192,7 +194,7 @@ func TestAXPY4MatchesSequentialAXPYsExactly(t *testing.T) {
 		y := randVec(rng, n)
 		want := Clone(y)
 		for q := 0; q < 4; q++ {
-			AXPY(alphas[q], xs[q], want)
+			oracleAXPY([][]float64{xs[q], want}, alphas[q:])
 		}
 		AXPY4(alphas[0], alphas[1], alphas[2], alphas[3], xs[0], xs[1], xs[2], xs[3], y)
 		for i := range y {
@@ -214,8 +216,8 @@ func TestAXPY4x2MatchesTwoAXPY4Exactly(t *testing.T) {
 		}
 		ya, yb := randVec(rng, n), randVec(rng, n)
 		wantA, wantB := Clone(ya), Clone(yb)
-		AXPY4(a[0], a[1], a[2], a[3], xs[0], xs[1], xs[2], xs[3], wantA)
-		AXPY4(b[0], b[1], b[2], b[3], xs[0], xs[1], xs[2], xs[3], wantB)
+		oracleAXPY4(append(xs[:4:4], wantA), a[:])
+		oracleAXPY4(append(xs[:4:4], wantB), b[:])
 		AXPY4x2(a[0], a[1], a[2], a[3], b[0], b[1], b[2], b[3],
 			xs[0], xs[1], xs[2], xs[3], ya, yb)
 		for i := range ya {
@@ -238,7 +240,7 @@ func TestDot4MatchesSeparateDotsExactly(t *testing.T) {
 		s0, s1, s2, s3 := Dot4(a, xs[0], xs[1], xs[2], xs[3])
 		got := [4]float64{s0, s1, s2, s3}
 		for q := 0; q < 4; q++ {
-			if want := Dot(a, xs[q]); got[q] != want {
+			if want := scalarDot(a, xs[q]); got[q] != want {
 				t.Fatalf("n=%d q=%d: Dot4=%v Dot=%v", n, q, got[q], want)
 			}
 		}
@@ -257,10 +259,10 @@ func TestDot4x2MatchesSeparateDotsExactly(t *testing.T) {
 		gotS := [4]float64{s0, s1, s2, s3}
 		gotT := [4]float64{t0, t1, t2, t3}
 		for q := 0; q < 4; q++ {
-			if want := Dot(a, xs[q]); gotS[q] != want {
+			if want := scalarDot(a, xs[q]); gotS[q] != want {
 				t.Fatalf("n=%d q=%d: Dot4x2 a-row=%v Dot=%v", n, q, gotS[q], want)
 			}
-			if want := Dot(b, xs[q]); gotT[q] != want {
+			if want := scalarDot(b, xs[q]); gotT[q] != want {
 				t.Fatalf("n=%d q=%d: Dot4x2 b-row=%v Dot=%v", n, q, gotT[q], want)
 			}
 		}

@@ -85,7 +85,8 @@ func Scale(v []float64, c float64) {
 
 // AXPY computes y += alpha*x in place. The body is 4-way unrolled
 // (kernels.go); element updates are independent, so the result is
-// bit-identical to the scalar loop.
+// bit-identical to the scalar loop. x may be y itself; the two must not
+// overlap partially.
 //
 //fda:noalloc
 func AXPY(alpha float64, x, y []float64) {
@@ -129,7 +130,10 @@ func Normalize(v []float64) float64 {
 }
 
 // Mean stores the arithmetic mean of vecs into dst. It panics if vecs is
-// empty or lengths differ. dst may alias one of vecs.
+// empty or lengths differ. dst may alias one of vecs. The association is
+// part of the contract (it fixes every bit of a model average): the K
+// vectors are folded left to right in argument order, ((v0+v1)+v2)+…,
+// and the sum is scaled once by 1/K — never a tree, never K scaled terms.
 //
 //fda:noalloc
 func Mean(dst []float64, vecs ...[]float64) {
