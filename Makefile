@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build fmt vet lint fuzz test race allocs purego crossbuild bench benchmodule loc apicheck apigen loadsmoke clustersmoke clusterbench
+.PHONY: check build fmt vet lint fuzz test race allocs purego crossbuild bench benchmodule loc apicheck apigen loadsmoke clustersmoke
 
 # check is the CI gate: formatting, static analysis (go vet plus the
 # fdavet invariant analyzers), the public-API surface diff, the full
@@ -99,17 +99,14 @@ test:
 race:
 	$(GO) test -race -timeout 45m ./...
 
-# bench is a developer shortcut over the root go test benchmarks (the
-# paper's figure sweeps and ablations once each; the step-, kernel-,
-# fabric-, telemetry- and workload-level series at 100 iterations so
-# they read steady-state). It prints and writes no file: numbers are
-# recorded and compared with `go run -C benchmark repro/benchmark`
-# (BENCHMARK.json), the one benchmark performance claims cite.
+# bench prints the paper's artefacts — the Table 2 / Figure 3–13 /
+# ablation series at Tiny scale, once each — and the workload engine's
+# schedule-generation series. It writes no file and times no code path
+# a claim may cite: speed is measured with
+# `go run -C benchmark repro/benchmark` (BENCHMARK.json) only.
 bench:
-	$(GO) test -run '^$$' -bench '^Benchmark(Table2|Figure|Ablation|Sweep|RunWorkers)' \
+	$(GO) test -run '^$$' -bench '^Benchmark(Table2|Figure|Ablation)' \
 		-benchtime 1x -benchmem -timeout 0 .
-	$(GO) test -run '^$$' -bench '^Benchmark(LocalStep|Kernel|Fabric|Obs)' \
-		-benchtime 100x -benchmem -timeout 0 .
 	$(GO) test -run '^$$' -bench '^BenchmarkWorkload' \
 		-benchtime 100x -benchmem -timeout 0 ./internal/workload
 
@@ -124,9 +121,9 @@ loadsmoke:
 	@./.loadsmoke/fdaserve -store .loadsmoke/store -addr 127.0.0.1:18091 \
 		-max-queue 256 >.loadsmoke/server.log 2>&1 & \
 	pid=$$!; \
-	trap 'kill $$pid 2>/dev/null' EXIT; \
+	trap 'kill $$pid 2>/dev/null; wait' EXIT; \
 	for i in $$(seq 1 50); do \
-		curl -sf http://127.0.0.1:18091/v1/healthz >/dev/null 2>&1 && break; sleep 0.2; \
+		curl -sf http://127.0.0.1:18091/healthz >/dev/null 2>&1 && break; sleep 0.2; \
 	done; \
 	./.loadsmoke/fdaload -addr http://127.0.0.1:18091 -rate 40 -duration 2s \
 		-mix train=1,status=4,store=1 -steps 10 -k 1 -eval-every 10 \
@@ -136,12 +133,14 @@ loadsmoke:
 # clustersmoke is the scale-out CI gate (DESIGN.md §14): three fdaserve
 # replicas on one shared store behind fdagate, two seconds of Poisson
 # traffic through the gateway, and the fdaload report gated on zero
-# unexpected errors with at most 25% shed load.
+# unexpected errors with at most 25% shed load. Traffic starts once the
+# gateway is up (bare /healthz, the probe loadsmoke, CI and benchmark/
+# use) and its /v1/healthz reports a routable replica.
 clustersmoke:
 	@rm -rf .clustersmoke && mkdir -p .clustersmoke
 	@$(GO) build -o .clustersmoke/ ./cmd/fdaserve ./cmd/fdagate ./cmd/fdaload
 	@pids=""; \
-	trap 'kill $$pids 2>/dev/null' EXIT; \
+	trap 'kill $$pids 2>/dev/null; wait' EXIT; \
 	for i in 1 2 3; do \
 		./.clustersmoke/fdaserve -store .clustersmoke/store -addr 127.0.0.1:1809$$i \
 			-name r$$i -max-queue 64 >.clustersmoke/serve$$i.log 2>&1 & \
@@ -152,15 +151,10 @@ clustersmoke:
 		-poll 500ms >.clustersmoke/gate.log 2>&1 & \
 	pids="$$pids $$!"; \
 	for t in $$(seq 1 50); do \
+		curl -sf http://127.0.0.1:18090/healthz >/dev/null 2>&1 && \
 		curl -sf http://127.0.0.1:18090/v1/healthz 2>/dev/null | grep -q '"status":"ok"' && break; sleep 0.2; \
 	done; \
 	./.clustersmoke/fdaload -addr http://127.0.0.1:18090 -rate 15 -duration 2s \
 		-mix train=1,status=4,store=1 -steps 10 -k 1 -eval-every 10 \
 		-out .clustersmoke/report.json -check -max-rejected 0.25
 	@rm -rf .clustersmoke
-
-# clusterbench reproduces the committed BENCH_PR10.json: 1/2/4-replica
-# ramps through fdagate folded into one capacity report by
-# `fdagate -analyze` (see scripts/clusterbench.sh for the methodology).
-clusterbench:
-	@./scripts/clusterbench.sh BENCH_PR10.json

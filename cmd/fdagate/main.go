@@ -23,27 +23,16 @@
 // Job ids are namespaced "<replica-prefix>-<id>" (the prefix is derived
 // from the replica URL), so id-scoped requests route statelessly and
 // the gateway survives restarts without a job table.
-//
-// With -analyze, fdagate is instead the cluster saturation analyzer: it
-// folds per-cluster-size `fdaload -ramp` reports into one
-// capacity report in the BENCH_PR*.json shape (the BENCH_PR10.json series):
-//
-//	fdagate -analyze 1=ramp1.json,2=ramp2.json,4=ramp4.json:m1.json:m2.json -out capacity.json
-//
-// Each series is "N=rampreport.json" with optional colon-separated
-// replica /v1/metrics snapshots appended for queue-wait percentiles.
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
 	"net/http"
 	"os"
 	"os/signal"
-	"strconv"
 	"strings"
 	"syscall"
 	"time"
@@ -56,11 +45,9 @@ import (
 func main() {
 	var (
 		addr       = flag.String("addr", ":8070", "gateway listen address")
-		replicas   = flag.String("replicas", "", "comma-separated replica base URLs (required unless -analyze)")
+		replicas   = flag.String("replicas", "", "comma-separated replica base URLs (required)")
 		poll       = flag.Duration("poll", 1*time.Second, "replica health/load poll interval")
 		maxPending = flag.Int("max-pending", 1024, "bound on concurrently proxied submissions; beyond it the gateway answers 503 immediately")
-		analyze    = flag.String("analyze", "", "run the saturation analyzer instead of serving: comma-separated N=rampreport.json[:metrics.json...] series")
-		out        = flag.String("out", "", "-analyze: write the capacity report here (default: stdout)")
 		version    = flag.Bool("version", false, "print version information and exit")
 	)
 	flag.Parse()
@@ -69,16 +56,13 @@ func main() {
 		fmt.Println(buildinfo.String("fdagate"))
 		return
 	}
-	if *analyze != "" {
-		if err := runAnalyze(*analyze, *out); err != nil {
-			fatal(err)
-		}
-		return
-	}
 
 	bases := splitList(*replicas)
 	if len(bases) == 0 {
-		fatal(errors.New("at least one -replicas base URL is required (or use -analyze)"))
+		fatal(errors.New("at least one -replicas base URL is required"))
+	}
+	if *poll <= 0 {
+		fatal(fmt.Errorf("-poll must be a positive interval, got %v", *poll))
 	}
 
 	// The gateway always runs with telemetry on, like fdaserve: the
@@ -153,79 +137,6 @@ func main() {
 	if err := srv.Shutdown(shCtx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
 		fmt.Fprintf(os.Stderr, "fdagate: shutdown: %v\n", err)
 	}
-}
-
-// runAnalyze implements -analyze: parse the series spec, load each ramp
-// report (and optional metrics snapshots), and emit the capacity
-// report.
-func runAnalyze(spec, outPath string) error {
-	var series []cluster.CapacitySeries
-	for _, part := range strings.Split(spec, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		eq := strings.SplitN(part, "=", 2)
-		if len(eq) != 2 {
-			return fmt.Errorf("bad -analyze series %q (want N=rampreport.json[:metrics.json...])", part)
-		}
-		n, err := strconv.Atoi(strings.TrimSpace(eq[0]))
-		if err != nil {
-			return fmt.Errorf("bad replica count in %q: %w", part, err)
-		}
-		paths := strings.Split(eq[1], ":")
-		s := cluster.CapacitySeries{Replicas: n}
-		if err := readJSONFile(paths[0], &s.Report); err != nil {
-			return fmt.Errorf("series %d: %w", n, err)
-		}
-		for _, mp := range paths[1:] {
-			// Accept either a bare obs.Snap or a full fdaserve
-			// /v1/metrics document with the snapshot under "telemetry".
-			var doc struct {
-				Telemetry  obs.Snap             `json:"telemetry"`
-				Histograms []obs.HistogramValue `json:"histograms"`
-			}
-			if err := readJSONFile(mp, &doc); err != nil {
-				return fmt.Errorf("series %d metrics %s: %w", n, mp, err)
-			}
-			snap := doc.Telemetry
-			if len(snap.Histograms) == 0 {
-				snap.Histograms = doc.Histograms
-			}
-			s.Snaps = append(s.Snaps, snap)
-		}
-		series = append(series, s)
-	}
-	rep, err := cluster.BuildCapacityReport(series)
-	if err != nil {
-		return err
-	}
-	b, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	b = append(b, '\n')
-	if outPath == "" {
-		os.Stdout.Write(b)
-	} else if err := os.WriteFile(outPath, b, 0o644); err != nil {
-		return err
-	}
-	for _, s := range rep.Series {
-		fmt.Fprintf(os.Stderr, "fdagate: %d replica(s): knee %.1f req/s, peak %.1f req/s, speedup %.2fx, %.1f%% rejected, %d errors\n",
-			s.Replicas, s.SaturationRPS, s.PeakAchievedRPS, s.Speedup, 100*s.RejectionRate, s.Errors)
-	}
-	return nil
-}
-
-func readJSONFile(path string, v any) error {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	if err := json.Unmarshal(b, v); err != nil {
-		return fmt.Errorf("parsing %s: %w", path, err)
-	}
-	return nil
 }
 
 func splitList(s string) []string {

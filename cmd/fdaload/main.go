@@ -3,10 +3,8 @@
 // arrival process × job mix × duration × seed — into a bit-identical
 // request schedule, executes it open-loop with bounded in-flight
 // concurrency, and emits a JSON report with per-kind latency
-// percentiles, throughput, error and rejection counts in the
-// BENCH_PR*.json report shape. It can also replay a trace recorded by
-// `fdaserve -record` and step the arrival rate to locate the
-// saturation knee.
+// percentiles, throughput, error and rejection counts. It can also
+// replay a trace recorded by `fdaserve -record`.
 //
 //	# 10s of Poisson traffic at 50 req/s: 1 train per 4 status polls per 1 catalog read
 //	fdaload -addr http://localhost:8080 -rate 50 -duration 10s \
@@ -19,10 +17,6 @@
 //	# replay a recorded trace bit-identically
 //	fdaload -addr http://localhost:8080 -replay trace.jsonl -out report.json
 //
-//	# step 10→160 req/s to find the saturation knee
-//	fdaload -addr http://localhost:8080 -ramp 10,20,40,80,160 -duration 5s \
-//	        -mix train=1,status=4 -model lenet5s -steps 20 -out ramp.json
-//
 // The schedule (arrival offsets, kinds, payload bytes) is a pure
 // function of spec+seed; -export writes it as a tracev1 file without
 // touching the server, which is how the schedule-parity tests pin
@@ -30,18 +24,14 @@
 package main
 
 import (
-	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
-	"net/http"
 	"os"
 	"os/signal"
 	"strconv"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -58,7 +48,7 @@ func main() {
 
 		arrival  = flag.String("arrival", "poisson", "arrival process: poisson, bursty, diurnal")
 		rate     = flag.Float64("rate", 20, "mean arrival rate, requests/second")
-		duration = flag.Duration("duration", 10*time.Second, "schedule duration (per ramp level in -ramp mode)")
+		duration = flag.Duration("duration", 10*time.Second, "schedule duration")
 		mixFlag  = flag.String("mix", "train=1,status=3,store=1", "job mix as kind=weight pairs (kinds: train, sweep, status, records, store, cancel)")
 		onSec    = flag.Float64("on", 1, "bursty: burst length, seconds")
 		offSec   = flag.Float64("off", 1, "bursty: silence length, seconds")
@@ -76,7 +66,6 @@ func main() {
 		scale     = flag.String("scale", "tiny", "sweep cohort: experiment scale")
 
 		inflight    = flag.Int("inflight", 4096, "max concurrent in-flight requests (open loop; stalls are counted, not hidden)")
-		rampFlag    = flag.String("ramp", "", "comma-separated offered rates; run -duration at each and locate the saturation knee")
 		out         = flag.String("out", "", "write the JSON report here (default: stdout)")
 		check       = flag.Bool("check", false, "exit non-zero unless the run completed work (ok > 0) with zero unexpected errors")
 		maxRejected = flag.Float64("max-rejected", 1, "-check: maximum tolerated rejection rate (rejected/issued, 0..1); 1 allows any amount of shed load")
@@ -97,18 +86,21 @@ func main() {
 		close(stop)
 	}()
 
-	var rep workload.Report
-	switch {
-	case *replay != "":
-		reqs, src, err := loadTrace(*replay)
-		if err != nil {
+	// What to issue: a recorded trace verbatim, or the schedule a spec
+	// generates.
+	var (
+		reqs       []workload.Request
+		spec       *workload.Spec // nil for a replay
+		trace      string         // the replayed source, else empty
+		durationNS int64
+	)
+	if *replay != "" {
+		var err error
+		if reqs, trace, err = loadTrace(*replay); err != nil {
 			fatal(err)
 		}
-		stats := run(reqs, *addr, *inflight, 0, stop)
-		rep = workload.BuildReport(nil, stats, nil)
-		rep.Trace = src
-	default:
-		spec, err := buildSpec(specArgs{
+	} else {
+		sp, err := buildSpec(specArgs{
 			specFile: *specFile, arrival: *arrival, rate: *rate, duration: *duration,
 			mix: *mixFlag, on: *onSec, off: *offSec, period: *period, weights: *weights,
 			seed: *seed, model: *model, strategy: *strategy, steps: *steps, k: *k,
@@ -118,48 +110,23 @@ func main() {
 			fatal(err)
 		}
 		if *export != "" {
-			if err := exportSchedule(spec, *export); err != nil {
+			if err := exportSchedule(sp, *export); err != nil {
 				fatal(err)
 			}
 			fmt.Printf("fdaload: wrote schedule %s\n", *export)
 			return
 		}
-		if *rampFlag != "" {
-			levels, err := parseRates(*rampFlag)
-			if err != nil {
-				fatal(err)
-			}
-			var ramp []workload.RampLevel
-			for i, r := range levels {
-				lv := rampLevelSpec(spec, i)
-				lv.Arrival.Rate = r
-				reqs, err := lv.Schedule()
-				if err != nil {
-					fatal(err)
-				}
-				fmt.Fprintf(os.Stderr, "fdaload: ramp level %d/%d: %g req/s for %gs (%d requests)\n",
-					i+1, len(levels), r, lv.DurationSec, len(reqs))
-				stats := run(reqs, *addr, *inflight, int64(lv.DurationSec*1e9), stop)
-				ramp = append(ramp, workload.NewRampLevel(r, stats))
-				if stoppedNow(stop) {
-					break
-				}
-			}
-			last := workload.RunStats{}
-			if len(ramp) > 0 {
-				last = ramp[len(ramp)-1].Stats
-			}
-			rep = workload.BuildReport(&spec, last, ramp)
-		} else {
-			reqs, err := spec.Schedule()
-			if err != nil {
-				fatal(err)
-			}
-			fmt.Fprintf(os.Stderr, "fdaload: %d requests over %gs against %s\n", len(reqs), spec.DurationSec, *addr)
-			stats := run(reqs, *addr, *inflight, int64(spec.DurationSec*1e9), stop)
-			rep = workload.BuildReport(&spec, stats, nil)
+		if reqs, err = sp.Schedule(); err != nil {
+			fatal(err)
 		}
+		spec, durationNS = &sp, int64(sp.DurationSec*1e9)
 	}
+	stats, err := run(reqs, *addr, *inflight, durationNS, stop)
+	if err != nil {
+		fatal(err)
+	}
+	rep := workload.BuildReport(spec, stats)
+	rep.Trace = trace
 
 	b, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
@@ -182,51 +149,19 @@ func main() {
 	}
 }
 
-// run executes one schedule against the server(s).
-func run(reqs []workload.Request, addr string, inflight int, durationNS int64, stop <-chan struct{}) workload.RunStats {
-	target := newHTTPTarget(addr)
+// run executes one schedule against the server(s) named by addr.
+func run(reqs []workload.Request, addr string, inflight int, durationNS int64, stop <-chan struct{}) (workload.RunStats, error) {
+	target, err := workload.NewHTTPTarget(addr)
+	if err != nil {
+		return workload.RunStats{}, fmt.Errorf("-addr %q: %w", addr, err)
+	}
+	fmt.Fprintf(os.Stderr, "fdaload: %d requests against %s\n", len(reqs), addr)
 	return workload.Run(reqs, target, workload.RunOptions{
 		Clock:       newRealClock(),
 		MaxInFlight: inflight,
 		Stop:        stop,
 		DurationNS:  durationNS,
-	})
-}
-
-// rampLevelSpec derives level i's spec: a fresh schedule seed AND fresh
-// cohort seed bases. The templates are deep-copied — they are shared
-// pointers inside Mix — and their seed bases shifted far apart per
-// level, so every level submits brand-new specs instead of re-hitting
-// the previous level's dedupe keys (which would measure cache lookups,
-// not admission throughput). Still a pure function of (spec, i):
-// ramp runs stay deterministic.
-func rampLevelSpec(spec workload.Spec, i int) workload.Spec {
-	lv := spec
-	lv.Seed = spec.Seed + uint64(i)
-	lv.Mix = make([]workload.MixEntry, len(spec.Mix))
-	for m, e := range spec.Mix {
-		if e.Train != nil {
-			t := *e.Train
-			t.SeedBase += uint64(i) << 32
-			e.Train = &t
-		}
-		if e.Sweep != nil {
-			sw := *e.Sweep
-			sw.SeedBase += uint64(i) << 32
-			e.Sweep = &sw
-		}
-		lv.Mix[m] = e
-	}
-	return lv
-}
-
-func stoppedNow(stop <-chan struct{}) bool {
-	select {
-	case <-stop:
-		return true
-	default:
-		return false
-	}
+	}), nil
 }
 
 // specArgs carries the inline-flag spec configuration.
@@ -253,7 +188,7 @@ func buildSpec(a specArgs) (workload.Spec, error) {
 		}
 		return spec, spec.Validate()
 	}
-	ws, err := parseRates(a.weights)
+	ws, err := parseFloats(a.weights)
 	if err != nil {
 		return workload.Spec{}, fmt.Errorf("parsing -weights: %w", err)
 	}
@@ -298,7 +233,7 @@ func buildSpec(a specArgs) (workload.Spec, error) {
 	return spec, spec.Validate()
 }
 
-func parseRates(s string) ([]float64, error) {
+func parseFloats(s string) ([]float64, error) {
 	var out []float64
 	for _, part := range strings.Split(s, ",") {
 		v, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
@@ -344,40 +279,22 @@ func exportSchedule(spec workload.Spec, path string) error {
 	return f.Close()
 }
 
-// checkReport implements -check: the smoke gate used by CI. Beyond the
-// original zero-errors/nonzero-throughput gate, maxRejected bounds the
-// rejection rate (rejected/issued) so a cluster gate can insist on
-// graceful degradation — some shed load is expected at saturation, a
+// checkReport implements -check, the smoke gate used by CI: completed
+// work, zero unexpected errors, and a rejection rate (rejected/issued)
+// of at most maxRejected — some shed load is expected at saturation, a
 // cluster rejecting most of its traffic is not "sustaining" anything.
 func checkReport(rep workload.Report, maxRejected float64) error {
-	errs := rep.Load.Errors
-	ok := rep.Load.OK
-	rejected, issued := rep.Load.Rejected, rep.Load.Issued
-	for _, l := range rep.Ramp {
-		errs += l.Stats.Errors
-		ok += l.Stats.OK
-		rejected += l.Stats.Rejected
-		issued += l.Stats.Issued
+	s := rep.Load
+	if s.Errors != 0 {
+		return fmt.Errorf("%d unexpected errors", s.Errors)
 	}
-	// The single-run report already folds its own totals; ramp levels
-	// are distinct runs and accumulate (Load repeats the last level, so
-	// subtract it once to avoid double counting).
-	if n := len(rep.Ramp); n > 0 {
-		errs -= rep.Ramp[n-1].Stats.Errors
-		ok -= rep.Ramp[n-1].Stats.OK
-		rejected -= rep.Ramp[n-1].Stats.Rejected
-		issued -= rep.Ramp[n-1].Stats.Issued
-	}
-	if errs != 0 {
-		return fmt.Errorf("%d unexpected errors", errs)
-	}
-	if ok == 0 {
+	if s.OK == 0 {
 		return fmt.Errorf("no request completed successfully (throughput is zero)")
 	}
-	if issued > 0 && maxRejected < 1 {
-		if rate := float64(rejected) / float64(issued); rate > maxRejected {
+	if s.Issued > 0 && maxRejected < 1 {
+		if rate := float64(s.Rejected) / float64(s.Issued); rate > maxRejected {
 			return fmt.Errorf("rejection rate %.3f exceeds -max-rejected %.3f (%d of %d requests shed)",
-				rate, maxRejected, rejected, issued)
+				rate, maxRejected, s.Rejected, s.Issued)
 		}
 	}
 	return nil
@@ -391,26 +308,6 @@ func summarize(w io.Writer, rep workload.Report) {
 		fmt.Fprintf(w, "fdaload:   %-8s %5d ok  p50 %8.2fms  p95 %8.2fms  p99 %8.2fms\n",
 			ks.Kind, ks.OK, ks.P50Ms, ks.P95Ms, ks.P99Ms)
 	}
-	if len(rep.Ramp) > 0 {
-		for _, l := range rep.Ramp {
-			fmt.Fprintf(w, "fdaload: ramp %7.1f req/s offered -> %7.1f achieved, p99(train) %.2fms, %d rejected (%.1f%%), %d errors\n",
-				l.OfferedRPS, l.Stats.AchievedRPS, kindP99(l.Stats, workload.KindTrain), l.Stats.Rejected, 100*l.RejectionRate, l.Stats.Errors)
-		}
-		if rep.SaturationRPS > 0 {
-			fmt.Fprintf(w, "fdaload: saturation knee at %.1f req/s offered\n", rep.SaturationRPS)
-		} else {
-			fmt.Fprintln(w, "fdaload: no level sustained its offered rate (knee below the first rung)")
-		}
-	}
-}
-
-func kindP99(s workload.RunStats, k workload.Kind) float64 {
-	for _, ks := range s.Kinds {
-		if ks.Kind == k {
-			return ks.P99Ms
-		}
-	}
-	return 0
 }
 
 // realClock is the wall-clock implementation of workload.Clock: a
@@ -433,146 +330,6 @@ func (c *realClock) WaitUntil(ns int64, stop <-chan struct{}) {
 	select {
 	case <-t.C:
 	case <-stop:
-	}
-}
-
-// httpTarget executes requests against the fdaserve (or fdagate) API,
-// tracking the job ids its submissions create so poll kinds have real
-// targets. With multiple bases (-addr a,b,c) submissions round-robin
-// across them and each id remembers its submitting base — replica job
-// ids are replica-local, so polls must follow the replica that issued
-// them (the gateway namespaces ids itself, so a single gateway base
-// needs none of this).
-type httpTarget struct {
-	bases  []string
-	client *http.Client
-
-	mu     sync.Mutex
-	ids    []string          // submitted job ids, in creation order
-	idBase map[string]string // id -> submitting base URL
-	cursor atomic.Uint64
-	subSeq atomic.Uint64 // round-robin over bases for submissions
-}
-
-func newHTTPTarget(base string) *httpTarget {
-	tr := &http.Transport{
-		MaxIdleConns:        1 << 14,
-		MaxIdleConnsPerHost: 1 << 14,
-	}
-	var bases []string
-	for _, b := range strings.Split(base, ",") {
-		if b = strings.TrimRight(strings.TrimSpace(b), "/"); b != "" {
-			bases = append(bases, b)
-		}
-	}
-	return &httpTarget{
-		bases:  bases,
-		idBase: map[string]string{},
-		client: &http.Client{Transport: tr, Timeout: 5 * time.Minute},
-	}
-}
-
-// pickID returns a submitted job id round-robin with the base that owns
-// it, or "" when none is known yet (early polls fall back to collection
-// endpoints).
-func (t *httpTarget) pickID() (id, base string) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if len(t.ids) == 0 {
-		return "", ""
-	}
-	id = t.ids[int(t.cursor.Add(1))%len(t.ids)]
-	return id, t.idBase[id]
-}
-
-func (t *httpTarget) addID(id, base string) {
-	if id == "" {
-		return
-	}
-	t.mu.Lock()
-	if _, dup := t.idBase[id]; !dup {
-		t.ids = append(t.ids, id)
-		t.idBase[id] = base
-	}
-	t.mu.Unlock()
-}
-
-// submitBase picks the next base for a submission (round-robin).
-func (t *httpTarget) submitBase() string {
-	if len(t.bases) == 1 {
-		return t.bases[0]
-	}
-	return t.bases[int(t.subSeq.Add(1))%len(t.bases)]
-}
-
-func (t *httpTarget) Do(req workload.Request) workload.Outcome {
-	method, path, base := t.resolve(req)
-	var body io.Reader
-	if method == http.MethodPost && len(req.Body) > 0 {
-		body = bytes.NewReader(req.Body)
-	}
-	hr, err := http.NewRequest(method, base+path, body)
-	if err != nil {
-		return workload.Outcome{Err: err}
-	}
-	if body != nil {
-		hr.Header.Set("Content-Type", "application/json")
-	}
-	resp, err := t.client.Do(hr)
-	if err != nil {
-		return workload.Outcome{Err: err}
-	}
-	defer resp.Body.Close()
-	if method == http.MethodPost && resp.StatusCode < 300 {
-		var v struct {
-			ID string `json:"id"`
-		}
-		if json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&v) == nil {
-			t.addID(v.ID, base)
-		}
-	}
-	// Drain so the transport can reuse the connection.
-	io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<22))
-	return workload.Outcome{Status: resp.StatusCode}
-}
-
-// resolve maps a request to its method, URL path and base URL. Recorded
-// traces carry explicit paths; generated schedules resolve poll targets
-// against the ids this client has created, on the base that created
-// them.
-func (t *httpTarget) resolve(req workload.Request) (method, path, base string) {
-	if req.Path != "" {
-		switch req.Kind {
-		case workload.KindTrain, workload.KindSweep:
-			return http.MethodPost, req.Path, t.submitBase()
-		case workload.KindCancel:
-			return http.MethodDelete, req.Path, t.submitBase()
-		default:
-			return http.MethodGet, req.Path, t.submitBase()
-		}
-	}
-	switch req.Kind {
-	case workload.KindTrain:
-		return http.MethodPost, "/v1/train", t.submitBase()
-	case workload.KindSweep:
-		return http.MethodPost, "/v1/runs", t.submitBase()
-	case workload.KindStatus:
-		if id, b := t.pickID(); id != "" {
-			return http.MethodGet, "/v1/runs/" + id, b
-		}
-		return http.MethodGet, "/v1/runs", t.submitBase()
-	case workload.KindRecords:
-		if id, b := t.pickID(); id != "" {
-			return http.MethodGet, "/v1/runs/" + id + "/records", b
-		}
-		return http.MethodGet, "/v1/store", t.submitBase()
-	case workload.KindCancel:
-		if id, b := t.pickID(); id != "" {
-			return http.MethodDelete, "/v1/runs/" + id, b
-		}
-		return http.MethodGet, "/v1/runs", t.submitBase()
-	default:
-		return http.MethodGet, "/v1/store", t.submitBase()
 	}
 }
 

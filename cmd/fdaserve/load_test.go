@@ -218,32 +218,6 @@ type instantClock struct{}
 func (instantClock) Now() int64                               { return 0 }
 func (instantClock) WaitUntil(ns int64, stop <-chan struct{}) {}
 
-// httpLoadTarget is the e2e test's client: the same shape as fdaload's
-// driver, reduced to the two kinds this test schedules.
-type httpLoadTarget struct {
-	base   string
-	client *http.Client
-}
-
-func (h *httpLoadTarget) Do(r workload.Request) workload.Outcome {
-	var resp *http.Response
-	var err error
-	switch r.Kind {
-	case workload.KindTrain:
-		resp, err = h.client.Post(h.base+"/v1/train", "application/json", bytes.NewReader(r.Body))
-	case workload.KindStore:
-		resp, err = h.client.Get(h.base + "/v1/store")
-	default:
-		resp, err = h.client.Get(h.base + "/v1/runs")
-	}
-	if err != nil {
-		return workload.Outcome{Err: err}
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	return workload.Outcome{Status: resp.StatusCode}
-}
-
 // wallClock is the test's real-time Clock (test files are outside the
 // wallclock lint scope; the production twin lives in cmd/fdaload).
 type wallClock struct{ epoch time.Time }
@@ -319,10 +293,10 @@ func TestLoadE2EThousandConcurrentJobs(t *testing.T) {
 		t.Fatalf("schedule has %d train requests, need >=1000 (raise Rate)", trains)
 	}
 
-	target := &httpLoadTarget{base: ts.URL, client: &http.Client{
-		Transport: &http.Transport{MaxIdleConnsPerHost: 2048},
-		Timeout:   2 * time.Minute,
-	}}
+	target, err := workload.NewHTTPTarget(ts.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
 	stats := workload.Run(reqs, target, workload.RunOptions{
 		Clock:       wallClock{epoch: time.Now()},
 		MaxInFlight: 2048,
@@ -357,23 +331,20 @@ func TestLoadE2EThousandConcurrentJobs(t *testing.T) {
 	t.Logf("peak concurrent jobs: %d; achieved %.0f rps", peak, stats.AchievedRPS)
 
 	// The report must carry per-kind percentiles for every scheduled kind.
-	report := workload.BuildReport(&spec, stats, nil)
-	wantOps := map[string]bool{"Load/train": false, "Load/store": false, "Load/status": false, "Load/total": false}
-	for _, b := range report.Benchmarks {
-		if _, ok := wantOps[b.Op]; ok {
-			wantOps[b.Op] = true
+	report := workload.BuildReport(&spec, stats)
+	want := map[workload.Kind]bool{workload.KindTrain: false, workload.KindStore: false, workload.KindStatus: false}
+	for _, ks := range report.Load.Kinds {
+		if _, ok := want[ks.Kind]; !ok {
+			t.Fatalf("report carries unscheduled kind %s: %+v", ks.Kind, ks)
 		}
-		if b.Op == "Load/train" {
-			for _, m := range []string{"p50_ms", "p95_ms", "p99_ms"} {
-				if _, ok := b.Metrics[m]; !ok {
-					t.Fatalf("Load/train benchmark missing %s metric: %+v", m, b.Metrics)
-				}
-			}
+		want[ks.Kind] = true
+		if ks.OK != ks.Issued || ks.P50Ms <= 0 || ks.P50Ms > ks.P95Ms || ks.P95Ms > ks.P99Ms {
+			t.Fatalf("%s: ok %d of %d, p50/p95/p99 = %g/%g/%g ms", ks.Kind, ks.OK, ks.Issued, ks.P50Ms, ks.P95Ms, ks.P99Ms)
 		}
 	}
-	for op, seen := range wantOps {
+	for k, seen := range want {
 		if !seen {
-			t.Fatalf("report missing %s series: %+v", op, report.Benchmarks)
+			t.Fatalf("report missing kind %s: %+v", k, report.Load.Kinds)
 		}
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"repro/internal/dist"
-	"repro/internal/workload"
 )
 
 // fakeClock is a manually advanced monotonic clock.
@@ -260,46 +259,5 @@ func TestPollAdoptsReplicaState(t *testing.T) {
 	}
 	if got := p.Candidates(""); len(got) != 0 {
 		t.Fatalf("draining replica still a candidate: %v", got)
-	}
-}
-
-func TestCapacityReportSpeedupAndRejection(t *testing.T) {
-	mk := func(replicas int, knees ...workload.RampLevel) CapacitySeries {
-		rep := workload.BuildReport(nil, workload.RunStats{}, knees)
-		return CapacitySeries{Replicas: replicas, Report: rep}
-	}
-	lvl := func(offered, achieved float64, issued, rejected int64) workload.RampLevel {
-		return workload.NewRampLevel(offered, workload.RunStats{
-			OfferedRPS: offered, AchievedRPS: achieved, Issued: issued, OK: issued - rejected, Rejected: rejected,
-		})
-	}
-	rep, err := BuildCapacityReport([]CapacitySeries{
-		mk(4, lvl(40, 40, 400, 0), lvl(80, 79, 800, 40)),
-		mk(1, lvl(20, 20, 200, 0), lvl(40, 22, 400, 180)),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Series) != 2 || rep.Series[0].Replicas != 1 || rep.Series[1].Replicas != 4 {
-		t.Fatalf("series not ordered by replica count: %+v", rep.Series)
-	}
-	if rep.Series[0].SaturationRPS != 20 || rep.Series[1].SaturationRPS != 80 {
-		t.Fatalf("knees wrong: %+v", rep.Series)
-	}
-	if got := rep.Series[1].Speedup; got != 4 {
-		t.Fatalf("speedup = %g, want 4", got)
-	}
-	wantRej := float64(180) / float64(600)
-	if got := rep.Series[0].RejectionRate; got != wantRej {
-		t.Fatalf("rejection rate = %g, want %g", got, wantRej)
-	}
-	if rep.Benchmarks[1].Op != "Cluster/replicas=4" {
-		t.Fatalf("benchmark op = %q", rep.Benchmarks[1].Op)
-	}
-	if _, err := BuildCapacityReport(nil); err == nil {
-		t.Fatal("empty series must error")
-	}
-	if _, err := BuildCapacityReport([]CapacitySeries{mk(2), mk(2)}); err == nil {
-		t.Fatal("duplicate replica counts must error")
 	}
 }

@@ -1,8 +1,7 @@
 // Package cluster is the scale-out serving layer (DESIGN.md §14): a
-// replica pool with cache-affinity routing, the fdagate HTTP gateway
+// replica pool with cache-affinity routing and the fdagate HTTP gateway
 // that proxies the fdaserve v1 API across N replicas sharing one
-// content-addressed runstore, and the cluster saturation analyzer that
-// folds per-replica ramp reports into a single capacity report.
+// content-addressed runstore.
 //
 // Routing is two-tier. Submissions (train jobs, sweeps) are
 // content-addressed — the canonical dedupe key of the spec, hashed with

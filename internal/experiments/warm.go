@@ -128,7 +128,8 @@ func WarmStart(sess *core.Session, strat core.Strategy, store *runstore.Store, s
 // first synchronization fires, so with Options.Warm each cell serves
 // its siblings trajectory-prefix snapshots and the sweep's wall clock
 // collapses toward one trajectory per variant plus divergent tails —
-// the series BENCH_PR6.json measures cold vs warm.
+// the grid the benchmark's sweep_store workload runs cold, warm and
+// cached (experiments.cell_*_ms).
 func ThetaSweep(o Options) []Record {
 	lw := newLazyWorkload("lenet5s", o.Seed)
 	// The grid extends past the paper's ThetaGrid into the late-sync

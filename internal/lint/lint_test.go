@@ -166,7 +166,7 @@ func TestNoallocFixture(t *testing.T) {
 }
 
 // TestAllowDiagnostics covers the framework's own findings: unused,
-// malformed and unknown-analyzer annotations each fail the build, so
+// malformed and misaddressed annotations each fail the build, so
 // deleting a violation without its annotation — or vice versa — is
 // caught. Expectations are programmatic because an annotation and a
 // want comment cannot share a line.

@@ -1,5 +1,5 @@
 // Fixture for the framework's own diagnostics: unused, malformed and
-// unknown-analyzer //fda:allow annotations all fail the build, so
+// misaddressed (no such analyzer) //fda:allow annotations all fail, so
 // there are no silent exemptions. Expectations live in lint_test.go
 // (the annotation and a // want comment cannot share a line).
 package allows

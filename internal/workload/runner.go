@@ -1,8 +1,15 @@
 package workload
 
 import (
+	"bytes"
+	"encoding/json"
+	"errors"
+	"io"
+	"net/http"
+	"strings"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/obs"
 )
@@ -26,8 +33,8 @@ type Outcome struct {
 	Err    error
 }
 
-// Target executes one request against the system under load. The
-// driver's HTTP client implements it; tests substitute fakes.
+// Target executes one request against the system under load.
+// HTTPTarget is the production one; tests substitute fakes.
 type Target interface {
 	Do(req Request) Outcome
 }
@@ -78,8 +85,8 @@ type KindStats struct {
 type RunStats struct {
 	DurationSec float64 `json:"duration_sec"`
 	OfferedRPS  float64 `json:"offered_rps"`
-	// AchievedRPS is completed-OK requests per elapsed second — the
-	// throughput the saturation analysis compares against OfferedRPS.
+	// AchievedRPS is completed-OK requests per elapsed second, to be
+	// read against OfferedRPS.
 	AchievedRPS float64     `json:"achieved_rps"`
 	Scheduled   int64       `json:"scheduled"`
 	Issued      int64       `json:"issued"`
@@ -258,5 +265,152 @@ func stopped(stop <-chan struct{}) bool {
 		return true
 	default:
 		return false
+	}
+}
+
+// HTTPTarget is the production Target: it executes requests against
+// the fdaserve (or fdagate) API, tracking the job ids its submissions
+// create so poll kinds have real targets. With multiple bases
+// submissions round-robin across them and each id remembers its
+// submitting base — replica job ids are replica-local, so polls must
+// follow the replica that issued them (the gateway namespaces ids
+// itself, so a single gateway base needs none of this).
+type HTTPTarget struct {
+	bases  []string
+	client *http.Client
+
+	mu     sync.Mutex
+	ids    []string          // submitted job ids, in creation order
+	idBase map[string]string // id -> submitting base URL
+	cursor atomic.Uint64
+	subSeq atomic.Uint64 // round-robin over bases for submissions
+}
+
+// NewHTTPTarget builds the target for a comma-separated list of base
+// URLs. A list with no usable entry is an error here, not a divide by
+// zero in the first submission.
+func NewHTTPTarget(addr string) (*HTTPTarget, error) {
+	var bases []string
+	for _, b := range strings.Split(addr, ",") {
+		if b = strings.TrimRight(strings.TrimSpace(b), "/"); b != "" {
+			bases = append(bases, b)
+		}
+	}
+	if len(bases) == 0 {
+		return nil, errors.New("workload: no base URL to drive (want http://host:port[,http://host:port...])")
+	}
+	return &HTTPTarget{
+		bases:  bases,
+		idBase: map[string]string{},
+		client: &http.Client{
+			Transport: &http.Transport{MaxIdleConns: 1 << 14, MaxIdleConnsPerHost: 1 << 14},
+			Timeout:   5 * time.Minute,
+		},
+	}, nil
+}
+
+// pickID returns a submitted job id round-robin with the base that owns
+// it, or "" when none is known yet (early polls fall back to collection
+// endpoints).
+func (t *HTTPTarget) pickID() (id, base string) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if len(t.ids) == 0 {
+		return "", ""
+	}
+	id = t.ids[int(t.cursor.Add(1))%len(t.ids)]
+	return id, t.idBase[id]
+}
+
+func (t *HTTPTarget) addID(id, base string) {
+	if id == "" {
+		return
+	}
+	t.mu.Lock()
+	if _, dup := t.idBase[id]; !dup {
+		t.ids = append(t.ids, id)
+		t.idBase[id] = base
+	}
+	t.mu.Unlock()
+}
+
+// submitBase picks the next base for a submission (round-robin).
+func (t *HTTPTarget) submitBase() string {
+	if len(t.bases) == 1 {
+		return t.bases[0]
+	}
+	return t.bases[int(t.subSeq.Add(1))%len(t.bases)]
+}
+
+// Do issues req and reports the response status; a submission's
+// returned job id is remembered for later polls.
+func (t *HTTPTarget) Do(req Request) Outcome {
+	method, path, base := t.resolve(req)
+	var body io.Reader
+	if method == http.MethodPost && len(req.Body) > 0 {
+		body = bytes.NewReader(req.Body)
+	}
+	hr, err := http.NewRequest(method, base+path, body)
+	if err != nil {
+		return Outcome{Err: err}
+	}
+	if body != nil {
+		hr.Header.Set("Content-Type", "application/json")
+	}
+	resp, err := t.client.Do(hr)
+	if err != nil {
+		return Outcome{Err: err}
+	}
+	defer resp.Body.Close()
+	if method == http.MethodPost && resp.StatusCode < 300 {
+		var v struct {
+			ID string `json:"id"`
+		}
+		if json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&v) == nil {
+			t.addID(v.ID, base)
+		}
+	}
+	// Drain so the transport can reuse the connection.
+	io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<22))
+	return Outcome{Status: resp.StatusCode}
+}
+
+// resolve maps a request to its method, URL path and base URL. Recorded
+// traces carry explicit paths; generated schedules resolve poll targets
+// against the ids this client has created, on the base that created
+// them.
+func (t *HTTPTarget) resolve(req Request) (method, path, base string) {
+	if req.Path != "" {
+		switch req.Kind {
+		case KindTrain, KindSweep:
+			return http.MethodPost, req.Path, t.submitBase()
+		case KindCancel:
+			return http.MethodDelete, req.Path, t.submitBase()
+		default:
+			return http.MethodGet, req.Path, t.submitBase()
+		}
+	}
+	switch req.Kind {
+	case KindTrain:
+		return http.MethodPost, "/v1/train", t.submitBase()
+	case KindSweep:
+		return http.MethodPost, "/v1/runs", t.submitBase()
+	case KindStatus:
+		if id, b := t.pickID(); id != "" {
+			return http.MethodGet, "/v1/runs/" + id, b
+		}
+		return http.MethodGet, "/v1/runs", t.submitBase()
+	case KindRecords:
+		if id, b := t.pickID(); id != "" {
+			return http.MethodGet, "/v1/runs/" + id + "/records", b
+		}
+		return http.MethodGet, "/v1/store", t.submitBase()
+	case KindCancel:
+		if id, b := t.pickID(); id != "" {
+			return http.MethodDelete, "/v1/runs/" + id, b
+		}
+		return http.MethodGet, "/v1/runs", t.submitBase()
+	default:
+		return http.MethodGet, "/v1/store", t.submitBase()
 	}
 }
