@@ -29,16 +29,19 @@ lint:
 # fuzz gives each native fuzz target a short adversarial run on top of
 # its always-on seed corpus (the seeds run as plain tests under
 # `go test`). Targets: the checkpoint v2 container decoder, the
-# compress wire-frame decoders and the Prometheus exposition validator
-# — every parser that consumes bytes from disk or socket — and the
-# kernel-vs-scalar-loop equality of internal/tensor, where the fuzzer
-# picks lengths, misalignments, aliasing and raw float bits for every
-# kernel that has an assembly body.
+# compress wire-frame decoders, the socket fabric's frame reader and
+# bundle parser and the Prometheus exposition validator — parsers that
+# consume bytes from disk or socket — and the kernel-vs-scalar-loop
+# equality of internal/tensor, where the fuzzer picks lengths,
+# misalignments, aliasing and raw float bits for every kernel that has
+# an assembly body.
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test ./internal/checkpoint -fuzz FuzzUnmarshal -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/compress -fuzz FuzzWireDecode -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/compress -fuzz FuzzWireRoundtrip -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/comm -fuzz FuzzReadFrame -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/comm -fuzz FuzzSplitBundle -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/obs -fuzz FuzzValidatePrometheusText -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/tensor -fuzz FuzzKernelsMatchScalar -fuzztime $(FUZZTIME)
 
@@ -61,12 +64,13 @@ apigen:
 	@echo "wrote docs/fda-api.txt"
 
 # The AllocsPerRun assertions guard the steady-state zero-allocation
-# contract (DESIGN.md §7) and the telemetry layer's zero-alloc hot path
-# in both enabled and disabled states (DESIGN.md §11); race
-# instrumentation allocates, so they skip themselves under -race and
-# need this separate uninstrumented run.
+# contract (DESIGN.md §7), the telemetry layer's zero-alloc hot path
+# in both enabled and disabled states (DESIGN.md §11) and the socket
+# fabric's steady state, workers and coordinator together (DESIGN.md
+# §9); race instrumentation allocates, so they skip themselves under
+# -race and need this separate uninstrumented run.
 allocs:
-	$(GO) test ./internal/core/ ./internal/obs/ -run ZeroAllocs -v | grep -v '^=== RUN'
+	$(GO) test ./internal/core/ ./internal/obs/ ./internal/comm/ -run ZeroAllocs -v | grep -v '^=== RUN'
 
 # purego runs the numeric core with the assembly compiled out, so the
 # portable Go loops — the specification the AVX2 kernels are pinned to,

@@ -12,8 +12,9 @@ import (
 // cluster. It accepts exactly K worker connections, assigns global
 // ranks in connection order, hands every worker the job payload, and
 // then relays collectives: each round it reads one contribution frame
-// per worker, verifies they agree on (sequence, kind), concatenates the
-// payloads in rank order into a bundle and broadcasts it. The
+// per worker, verifies they agree on (sequence, kind) and writes the
+// payloads in rank order to every worker as one bundle frame, straight
+// from the buffers they were received into (bundleWriter). The
 // coordinator performs no arithmetic — reductions are replicated on the
 // workers — so it cannot perturb training math, only move bytes.
 //
@@ -24,6 +25,7 @@ type Coordinator struct {
 	k  int
 
 	mu        sync.Mutex
+	conns     []*coordConn // admitted by a Serve in progress
 	rounds    int64
 	wireBytes int64
 }
@@ -44,8 +46,23 @@ func ListenCoordinator(addr string, k int) (*Coordinator, error) {
 // Addr returns the coordinator's bound address.
 func (c *Coordinator) Addr() string { return c.ln.Addr().String() }
 
-// Close stops listening and aborts a Serve in progress.
-func (c *Coordinator) Close() error { return c.ln.Close() }
+// Close stops listening and aborts a Serve in progress: it also closes
+// the connections Serve has admitted, so a relay blocked reading or
+// writing one returns with an error.
+func (c *Coordinator) Close() error {
+	err := c.ln.Close()
+	c.closeConns()
+	return err
+}
+
+func (c *Coordinator) closeConns() {
+	c.mu.Lock()
+	for _, cc := range c.conns {
+		cc.raw.Close()
+	}
+	c.conns = nil
+	c.mu.Unlock()
+}
 
 // Stats reports relay totals: completed collective rounds and payload
 // bytes moved through the coordinator (both directions).
@@ -76,36 +93,12 @@ type coordConn struct {
 // until all workers finished or the context is cancelled (which closes
 // every connection, unblocking the workers with transport errors).
 func (c *Coordinator) Serve(ctx context.Context, job []byte) (results [][]byte, err error) {
-	// registered holds connections as the rendezvous admits them, guarded
-	// by c.mu because the cancellation watcher below closes them
-	// concurrently to unblock relay reads.
-	registered := make([]*coordConn, 0, c.k)
-	register := func(cc *coordConn) {
-		c.mu.Lock()
-		registered = append(registered, cc)
-		c.mu.Unlock()
-	}
-	closeAll := func() {
-		c.mu.Lock()
-		for _, cc := range registered {
-			cc.raw.Close()
-		}
-		c.mu.Unlock()
-	}
-	defer closeAll()
+	defer c.closeConns()
 
 	// Cancellation support: closing the listener unblocks Accept; closing
-	// the connections unblocks relay reads.
-	done := make(chan struct{})
-	defer close(done)
-	go func() {
-		select {
-		case <-ctx.Done():
-			c.ln.Close()
-			closeAll()
-		case <-done:
-		}
-	}()
+	// the connections unblocks relay reads and writes.
+	stop := context.AfterFunc(ctx, func() { c.Close() })
+	defer stop()
 
 	// Rendezvous: accept K workers, assign ranks in connection order.
 	conns := make([]*coordConn, 0, c.k)
@@ -118,7 +111,9 @@ func (c *Coordinator) Serve(ctx context.Context, job []byte) (results [][]byte, 
 			return nil, fmt.Errorf("comm: coordinator accept (have %d of %d workers): %w", rank, c.k, aerr)
 		}
 		cc := &coordConn{raw: raw, br: bufio.NewReaderSize(raw, 1<<16), bw: bufio.NewWriterSize(raw, 1<<16)}
-		register(cc)
+		c.mu.Lock() // Close and the cancellation above close c.conns concurrently
+		c.conns = append(c.conns, cc)
+		c.mu.Unlock()
 		fr, buf, rerr := readFrame(cc.br, nil, "")
 		cc.buf = buf
 		if rerr != nil {
@@ -141,7 +136,8 @@ func (c *Coordinator) Serve(ctx context.Context, job []byte) (results [][]byte, 
 	// same (seq, kind) or — on the final round — a result frame.
 	results = make([][]byte, c.k)
 	parts := make([][]byte, c.k)
-	var bundle []byte
+	crcs := make([]uint32, c.k)
+	var bundle bundleWriter
 	var kind string // outlives the round: readFrame reuses it while the kind repeats
 	for {
 		var seq uint32
@@ -169,8 +165,8 @@ func (c *Coordinator) Serve(ctx context.Context, job []byte) (results [][]byte, 
 				// The frame's payload view lives in cc.buf, which the next
 				// readFrame on this conn would clobber — but each conn is
 				// read once per round, so the views stay valid until the
-				// bundle is assembled below.
-				parts[rank] = fr.payload
+				// bundle is written below.
+				parts[rank], crcs[rank] = fr.payload, fr.crc
 				roundBytes += int64(len(fr.payload))
 			case opResult:
 				results[rank] = append([]byte(nil), fr.payload...)
@@ -188,16 +184,16 @@ func (c *Coordinator) Serve(ctx context.Context, job []byte) (results [][]byte, 
 			}
 			return results, nil
 		case opContrib:
-			bundle = appendBundle(bundle[:0], parts)
 			for rank, cc := range conns {
-				if werr := writeFrame(cc.bw, frame{op: opBundle, rank: int32(rank), seq: seq, kind: kind, payload: bundle}); werr != nil {
+				if werr := bundle.write(cc.raw, frame{op: opBundle, rank: int32(rank), seq: seq, kind: kind}, parts, crcs); werr != nil {
 					if ctx.Err() != nil {
 						return nil, ctx.Err()
 					}
 					return nil, fmt.Errorf("comm: broadcasting bundle to worker %d: %w", rank, werr)
 				}
 			}
-			c.addStats(1, roundBytes+int64(len(bundle))*int64(c.k))
+			bundleLen := 4 + 4*int64(c.k) + roundBytes
+			c.addStats(1, roundBytes+bundleLen*int64(c.k))
 		}
 	}
 }

@@ -7,8 +7,6 @@ import (
 	"fmt"
 	"net"
 	"time"
-
-	"repro/internal/tensor"
 )
 
 // TCPFabric is the socket backend: one fabric per worker process, each
@@ -16,7 +14,8 @@ import (
 // collective is one framed round trip — the worker sends its
 // contribution, the coordinator bundles all K contributions in rank
 // order and broadcasts the bundle, and every worker computes the
-// reduction locally with the same kernels as the in-process reference.
+// reduction locally, folding the bundle's bytes into the destination in
+// the in-process reference's association (meanF64s).
 // The coordinator therefore does no arithmetic at all: reductions are
 // replicated, which is what makes the training math bit-identical to
 // the other fabrics regardless of network timing.
@@ -37,12 +36,11 @@ type TCPFabric struct {
 	meter *Meter
 	seq   uint32
 
-	// Reusable receive state: the bundle buffer, per-rank payload views,
-	// decoded vectors and the reduction scratch.
+	// Reusable receive state: the bundle buffer, per-rank payload views
+	// and Gather's decoded vectors.
 	recvBuf  []byte
 	parts    [][]byte
 	vecs     [][]float64
-	mean     []float64
 	sendBuf  []byte
 	wireTx   int64
 	wireRx   int64
@@ -147,29 +145,14 @@ func (f *TCPFabric) exchange(kind string, payload []byte) [][]byte {
 	return parts
 }
 
-// gatherVecs exchanges the local vector and decodes all K into the
-// reusable vector scratch (rank order).
-func (f *TCPFabric) gatherVecs(kind string, local [][]float64) [][]float64 {
+// exchangeVec encodes the local vector, exchanges it and returns the K
+// encoded contributions (rank order).
+func (f *TCPFabric) exchangeVec(kind string, local [][]float64) [][]byte {
 	if len(local) != 1 {
 		f.fail(fmt.Errorf("TCPFabric drives 1 rank, got %d local vectors", len(local)))
 	}
-	n := len(local[0])
 	f.sendBuf = appendF64s(f.sendBuf[:0], local[0])
-	parts := f.exchange(kind, f.sendBuf)
-	if cap(f.vecs) < f.k {
-		f.vecs = make([][]float64, f.k)
-	}
-	f.vecs = f.vecs[:f.k]
-	for r, p := range parts {
-		if cap(f.vecs[r]) < n {
-			f.vecs[r] = make([]float64, n)
-		}
-		f.vecs[r] = f.vecs[r][:n]
-		if err := decodeF64s(f.vecs[r], p); err != nil {
-			f.fail(fmt.Errorf("rank %d contribution: %w", r, err))
-		}
-	}
-	return f.vecs
+	return f.exchange(kind, f.sendBuf)
 }
 
 // charge meters one collective over n elements, cluster-total like the
@@ -193,15 +176,11 @@ func (f *TCPFabric) AllReduce(kind string, local [][]float64) CostReport {
 	sp := startOp("AllReduce")
 	//fda:allow(wallclock, real socket timing on the TCP fabric; diagnostic only)
 	start := time.Now()
-	vecs := f.gatherVecs(kind, local)
-	n := len(local[0])
-	if cap(f.mean) < n {
-		f.mean = make([]float64, n)
+	parts := f.exchangeVec(kind, local)
+	if err := meanF64s(local[0], parts); err != nil {
+		f.fail(err)
 	}
-	mean := f.mean[:n]
-	tensor.Mean(mean, vecs...)
-	copy(local[0], mean)
-	rep := f.charge(kind, n, start)
+	rep := f.charge(kind, len(local[0]), start)
 	endOp(sp, kind, rep)
 	return rep
 }
@@ -211,8 +190,10 @@ func (f *TCPFabric) AllReduceMean(kind string, dst []float64, local [][]float64)
 	sp := startOp("AllReduceMean")
 	//fda:allow(wallclock, real socket timing on the TCP fabric; diagnostic only)
 	start := time.Now()
-	vecs := f.gatherVecs(kind, local)
-	tensor.Mean(dst, vecs...)
+	parts := f.exchangeVec(kind, local)
+	if err := meanF64s(dst, parts); err != nil {
+		f.fail(err)
+	}
 	rep := f.charge(kind, len(dst), start)
 	endOp(sp, kind, rep)
 	return rep
@@ -220,11 +201,16 @@ func (f *TCPFabric) AllReduceMean(kind string, dst []float64, local [][]float64)
 
 // Broadcast implements Fabric.
 func (f *TCPFabric) Broadcast(kind string, root int, local [][]float64) CostReport {
+	if root < 0 || root >= f.k {
+		panic(fmt.Sprintf("comm: Broadcast root %d outside cluster of %d", root, f.k))
+	}
 	sp := startOp("Broadcast")
 	//fda:allow(wallclock, real socket timing on the TCP fabric; diagnostic only)
 	start := time.Now()
-	vecs := f.gatherVecs(kind, local)
-	copy(local[0], vecs[root])
+	parts := f.exchangeVec(kind, local)
+	if err := decodeF64s(local[0], parts[root]); err != nil {
+		f.fail(fmt.Errorf("rank %d contribution: %w", root, err))
+	}
 	n := len(local[0])
 	payload := int64(n) * int64(f.cost.BytesPerParam)
 	total := payload * int64(f.k-1)
@@ -238,7 +224,22 @@ func (f *TCPFabric) Broadcast(kind string, root int, local [][]float64) CostRepo
 
 // Gather implements Fabric (uncharged measurement exchange).
 func (f *TCPFabric) Gather(local [][]float64) [][]float64 {
-	return f.gatherVecs("gather", local)
+	parts := f.exchangeVec("gather", local)
+	n := len(local[0])
+	if cap(f.vecs) < f.k {
+		f.vecs = make([][]float64, f.k)
+	}
+	f.vecs = f.vecs[:f.k]
+	for r, p := range parts {
+		if cap(f.vecs[r]) < n {
+			f.vecs[r] = make([]float64, n)
+		}
+		f.vecs[r] = f.vecs[r][:n]
+		if err := decodeF64s(f.vecs[r], p); err != nil {
+			f.fail(fmt.Errorf("rank %d contribution: %w", r, err))
+		}
+	}
+	return f.vecs
 }
 
 // ExchangeBytes implements Fabric: opaque payload exchange, uncharged.

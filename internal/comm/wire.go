@@ -7,6 +7,10 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"net"
+	"slices"
+
+	"repro/internal/tensor"
 )
 
 // The socket fabric's frame protocol. Every message between a worker
@@ -38,13 +42,33 @@ const (
 	opError   = 7 // either direction: fatal error message
 )
 
-// frame is one decoded protocol message.
+// frame is one decoded protocol message. crc is the CRC-32 of the
+// payload alone, a by-product of verifying a received frame (readFrame)
+// that lets the coordinator relay the payload without summing it again.
 type frame struct {
 	op      byte
 	rank    int32
 	seq     uint32
 	kind    string
 	payload []byte
+	crc     uint32
+}
+
+// appendFrameHead appends a frame's header, magic through payLen, to dst.
+func appendFrameHead(dst []byte, f frame, payLen int) ([]byte, error) {
+	if len(f.kind) > 255 {
+		return dst, fmt.Errorf("comm: wire kind %q too long", f.kind)
+	}
+	if payLen > maxFrameLen {
+		return dst, fmt.Errorf("comm: wire payload %d exceeds frame cap", payLen)
+	}
+	dst = append(dst, wireMagic...)
+	dst = append(dst, f.op)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(f.rank))
+	dst = binary.LittleEndian.AppendUint32(dst, f.seq)
+	dst = append(dst, byte(len(f.kind)))
+	dst = append(dst, f.kind...)
+	return binary.LittleEndian.AppendUint32(dst, uint32(payLen)), nil
 }
 
 // writeFrame encodes and flushes one frame. The header and the CRC
@@ -52,19 +76,10 @@ type frame struct {
 // and the CRC is a running uint32, so a frame allocates nothing: the
 // fabric's state exchange is four frames per step.
 func writeFrame(w *bufio.Writer, f frame) error {
-	if len(f.kind) > 255 {
-		return fmt.Errorf("comm: wire kind %q too long", f.kind)
+	head, err := appendFrameHead(w.AvailableBuffer(), f, len(f.payload))
+	if err != nil {
+		return err
 	}
-	if len(f.payload) > maxFrameLen {
-		return fmt.Errorf("comm: wire payload %d exceeds frame cap", len(f.payload))
-	}
-	head := append(w.AvailableBuffer(), wireMagic...)
-	head = append(head, f.op)
-	head = binary.LittleEndian.AppendUint32(head, uint32(f.rank))
-	head = binary.LittleEndian.AppendUint32(head, f.seq)
-	head = append(head, byte(len(f.kind)))
-	head = append(head, f.kind...)
-	head = binary.LittleEndian.AppendUint32(head, uint32(len(f.payload)))
 
 	// opcode onward; magic is the resync marker, not data
 	crc := crc32.Update(0, crc32.IEEETable, head[4:])
@@ -102,6 +117,8 @@ func inFrame(err error) error {
 // allocating its own. The header is parsed in place in the reader's buffer
 // (Peek, then Discard), which must hold frameHeadLen+255+4 bytes. A stream
 // that ends between frames yields io.EOF, inside one io.ErrUnexpectedEOF.
+// Header and payload are summed separately and the trailer is checked
+// against their combination, so the frame keeps its payload's own CRC.
 func readFrame(r *bufio.Reader, buf []byte, kind string) (frame, []byte, error) {
 	head, err := r.Peek(frameHeadLen)
 	if err != nil {
@@ -122,7 +139,7 @@ func readFrame(r *bufio.Reader, buf []byte, kind string) (frame, []byte, error) 
 	if head, err = r.Peek(kindEnd + 4); err != nil {
 		return f, buf, inFrame(err)
 	}
-	crc := crc32.Update(0, crc32.IEEETable, head[4:])
+	headCRC := crc32.Update(0, crc32.IEEETable, head[4:])
 	f.kind = kind
 	if string(head[frameHeadLen:kindEnd]) != kind {
 		f.kind = string(head[frameHeadLen:kindEnd])
@@ -139,7 +156,8 @@ func readFrame(r *bufio.Reader, buf []byte, kind string) (frame, []byte, error) 
 	if _, err := io.ReadFull(r, f.payload); err != nil {
 		return f, buf, inFrame(err)
 	}
-	crc = crc32.Update(crc, crc32.IEEETable, f.payload)
+	f.crc = crc32.Update(0, crc32.IEEETable, f.payload)
+	crc := crcCombine(headCRC, f.crc, payLen)
 
 	tail, err := r.Peek(4)
 	if err != nil {
@@ -156,16 +174,95 @@ func readFrame(r *bufio.Reader, buf []byte, kind string) (frame, []byte, error) 
 	return f, buf, nil
 }
 
+// crcPoly is the CRC-32 (IEEE) polynomial, bit-reversed as in hash/crc32.
+const crcPoly = 0xedb88320
+
+// crcMulMod returns a(x)·b(x) mod the CRC polynomial (reflected bit
+// order: bit 31 is x^0).
+//
+//fda:noalloc
+func crcMulMod(a, b uint32) uint32 {
+	var p uint32
+	for ; a != 0; a <<= 1 { // a's terms from x^0 up, until none is left
+		if a&(1<<31) != 0 {
+			p ^= b
+		}
+		b = b>>1 ^ crcPoly&-(b&1)
+	}
+	return p
+}
+
+// crcX2N[k] is x^(2^k) mod the CRC polynomial. x has order 2^32−1, so
+// the table repeats with period 32.
+var crcX2N = func() (t [32]uint32) {
+	t[0] = 1 << 30 // x^1
+	for k := 1; k < len(t); k++ {
+		t[k] = crcMulMod(t[k-1], t[k-1])
+	}
+	return t
+}()
+
+// crcCombine returns the CRC-32 of A‖B given crc(A), crc(B) and len(B):
+// crc(A)·x^(8·len(B)) + crc(B) in GF(2)[x] mod the polynomial (zlib's
+// crc32_combine; hash/crc32 has no equivalent). The cost is one
+// crcMulMod per set bit of lenB — under 2 µs for any length — where
+// summing B again costs its length.
+//
+//fda:noalloc
+func crcCombine(crcA, crcB uint32, lenB int) uint32 {
+	shift := uint32(1) << 31 // x^0
+	for n, k := uint64(lenB), 3; n != 0; n, k = n>>1, k+1 {
+		if n&1 != 0 {
+			shift = crcMulMod(crcX2N[k&31], shift)
+		}
+	}
+	return crcMulMod(shift, crcA) ^ crcB
+}
+
 // bundle framing: u32 count, then count × (u32 len, bytes), rank order.
 
-// appendBundle encodes parts into dst.
-func appendBundle(dst []byte, parts [][]byte) []byte {
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(parts)))
+// bundleWriter writes opBundle frames straight from the buffers the
+// contributions were received into: one vectored write of
+// header+count+len₀ | part₀ | len₁ | part₁ … | trailer, the frame CRC
+// combined from the parts' CRCs. No part is copied or summed again. The
+// fields are scratch reused across writes; vec is a field because
+// net.Buffers.WriteTo consumes its receiver through a pointer.
+type bundleWriter struct {
+	meta []byte // header, count, part lengths, trailer
+	iov  [][]byte
+	vec  net.Buffers
+}
+
+// write sends parts (crcs[r] = CRC-32 of parts[r]) as the payload of one
+// opBundle frame with header f.
+func (b *bundleWriter) write(w io.Writer, f frame, parts [][]byte, crcs []uint32) error {
+	payLen := 4
 	for _, p := range parts {
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(p)))
-		dst = append(dst, p...)
+		payLen += 4 + len(p)
 	}
-	return dst
+	meta, err := appendFrameHead(b.meta[:0], f, payLen)
+	if err != nil {
+		return err
+	}
+	// Grow first: iov holds views into meta, which must not move.
+	meta = slices.Grow(meta, 4+4*len(parts)+4)
+	meta = binary.LittleEndian.AppendUint32(meta, uint32(len(parts)))
+	iov := b.iov[:0]
+	crc := crc32.Update(0, crc32.IEEETable, meta[4:])
+	from := 0
+	for r, p := range parts {
+		lenAt := len(meta)
+		meta = binary.LittleEndian.AppendUint32(meta, uint32(len(p)))
+		crc = crc32.Update(crc, crc32.IEEETable, meta[lenAt:])
+		crc = crcCombine(crc, crcs[r], len(p))
+		iov = append(iov, meta[from:], p)
+		from = len(meta)
+	}
+	meta = binary.LittleEndian.AppendUint32(meta, crc)
+	iov = append(iov, meta[from:])
+	b.meta, b.iov, b.vec = meta, iov, iov
+	_, err = b.vec.WriteTo(w)
+	return err
 }
 
 // splitBundle decodes a bundle into per-rank payload views into b.
@@ -194,12 +291,80 @@ func splitBundle(b []byte, into [][]byte) ([][]byte, error) {
 	return into, nil
 }
 
-// appendF64s encodes v little-endian into dst.
+// appendF64s encodes v little-endian into dst. In the 4-wide form (here,
+// in decodeF64s and in addScaleF64s) the loop condition proves every
+// index in range, so the body carries no bounds check.
+//
+//fda:noalloc
 func appendF64s(dst []byte, v []float64) []byte {
-	for _, x := range v {
-		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(x))
+	at, end := len(dst), len(dst)+8*len(v)
+	if cap(dst) < end {
+		dst = append(make([]byte, 0, end), dst...) //fda:allow(noalloc, the send buffer grows once per vector length)
+	}
+	dst = dst[:end]
+	b := dst[at:]
+	for len(v) >= 4 && len(b) >= 32 {
+		binary.LittleEndian.PutUint64(b[0:8], math.Float64bits(v[0]))
+		binary.LittleEndian.PutUint64(b[8:16], math.Float64bits(v[1]))
+		binary.LittleEndian.PutUint64(b[16:24], math.Float64bits(v[2]))
+		binary.LittleEndian.PutUint64(b[24:32], math.Float64bits(v[3]))
+		v, b = v[4:], b[32:]
+	}
+	for i, x := range v {
+		binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(x))
 	}
 	return dst
+}
+
+// meanF64s stores into dst the mean of the K little-endian float64
+// vectors in parts, reading the bundle bytes once: a tile of dst at a
+// time, the first part is stored, the middle parts are added and the
+// last is added and scaled by 1/K — tensor.Mean's ((v0+v1)+…)·(1/K)
+// association, so the result equals decoding every part and calling
+// tensor.Mean bit for bit.
+//
+//fda:noalloc
+func meanF64s(dst []float64, parts [][]byte) error {
+	for r, p := range parts {
+		if len(p) != 8*len(dst) {
+			return fmt.Errorf("rank %d contribution: float payload %d bytes, want %d", r, len(p), 8*len(dst)) //fda:allow(noalloc, argument boxing on the protocol-error path only)
+		}
+	}
+	const tile = 512 // elements: K+1 tiles of 4 KiB stay in L1
+	last := len(parts) - 1
+	inv := 1 / float64(len(parts))
+	for lo := 0; lo < len(dst); lo += tile {
+		hi := min(lo+tile, len(dst))
+		d := dst[lo:hi]
+		_ = decodeF64s(d, parts[0][8*lo:8*hi]) // lengths checked above
+		for r := 1; r < last; r++ {
+			addScaleF64s(d, parts[r][8*lo:8*hi], 1)
+		}
+		if last > 0 {
+			addScaleF64s(d, parts[last][8*lo:8*hi], inv)
+		} else {
+			tensor.Scale(d, inv)
+		}
+	}
+	return nil
+}
+
+// addScaleF64s computes d[i] = (d[i] + b's i-th little-endian float64)·s
+// for len(d) = len(b)/8 elements. s = 1 is exact, so a middle part of a
+// mean is the plain sum.
+//
+//fda:noalloc
+func addScaleF64s(d []float64, b []byte, s float64) {
+	for len(d) >= 4 && len(b) >= 32 {
+		d[0] = (d[0] + math.Float64frombits(binary.LittleEndian.Uint64(b[0:8]))) * s
+		d[1] = (d[1] + math.Float64frombits(binary.LittleEndian.Uint64(b[8:16]))) * s
+		d[2] = (d[2] + math.Float64frombits(binary.LittleEndian.Uint64(b[16:24]))) * s
+		d[3] = (d[3] + math.Float64frombits(binary.LittleEndian.Uint64(b[24:32]))) * s
+		d, b = d[4:], b[32:]
+	}
+	for i := range d {
+		d[i] = (d[i] + math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))) * s
+	}
 }
 
 // decodeF64s decodes exactly len(dst) little-endian float64s from b.
@@ -207,8 +372,16 @@ func decodeF64s(dst []float64, b []byte) error {
 	if len(b) != 8*len(dst) {
 		return fmt.Errorf("comm: float payload %d bytes, want %d", len(b), 8*len(dst))
 	}
-	for i := range dst {
-		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
+	d := dst
+	for len(d) >= 4 && len(b) >= 32 {
+		d[0] = math.Float64frombits(binary.LittleEndian.Uint64(b[0:8]))
+		d[1] = math.Float64frombits(binary.LittleEndian.Uint64(b[8:16]))
+		d[2] = math.Float64frombits(binary.LittleEndian.Uint64(b[16:24]))
+		d[3] = math.Float64frombits(binary.LittleEndian.Uint64(b[24:32]))
+		d, b = d[4:], b[32:]
+	}
+	for i := range d {
+		d[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
 	}
 	return nil
 }
