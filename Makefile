@@ -64,13 +64,14 @@ apigen:
 	@echo "wrote docs/fda-api.txt"
 
 # The AllocsPerRun assertions guard the steady-state zero-allocation
-# contract (DESIGN.md §7), the telemetry layer's zero-alloc hot path
+# contract (DESIGN.md §7) — the batched loss-gradient pass on its own and
+# the whole training step — the telemetry layer's zero-alloc hot path
 # in both enabled and disabled states (DESIGN.md §11) and the socket
 # fabric's steady state, workers and coordinator together (DESIGN.md
 # §9); race instrumentation allocates, so they skip themselves under
 # -race and need this separate uninstrumented run.
 allocs:
-	$(GO) test ./internal/core/ ./internal/obs/ ./internal/comm/ -run ZeroAllocs -v | grep -v '^=== RUN'
+	$(GO) test ./internal/nn/ ./internal/core/ ./internal/obs/ ./internal/comm/ -run ZeroAllocs -v | grep -v '^=== RUN'
 
 # purego runs the numeric core with the assembly compiled out, so the
 # portable Go loops — the specification the AVX2 kernels are pinned to,

@@ -149,13 +149,10 @@ func readFrame(r *bufio.Reader, buf []byte, kind string) (frame, []byte, error) 
 	if payLen > maxFrameLen {
 		return f, buf, fmt.Errorf("comm: wire payload %d exceeds frame cap", payLen)
 	}
-	if cap(buf) < payLen {
-		buf = make([]byte, payLen)
-	}
-	f.payload = buf[:payLen]
-	if _, err := io.ReadFull(r, f.payload); err != nil {
+	if buf, err = readPayload(r, buf, payLen); err != nil {
 		return f, buf, inFrame(err)
 	}
+	f.payload = buf
 	f.crc = crc32.Update(0, crc32.IEEETable, f.payload)
 	crc := crcCombine(headCRC, f.crc, payLen)
 
@@ -172,6 +169,35 @@ func readFrame(r *bufio.Reader, buf []byte, kind string) (frame, []byte, error) 
 		return f, buf, fmt.Errorf("comm: peer error: %s", f.payload)
 	}
 	return f, buf, nil
+}
+
+// payloadGrowStep is the least the payload buffer grows by while a frame
+// larger than it is being read.
+const payloadGrowStep = 64 << 10
+
+// readPayload reads an n-byte payload into buf[:n]. A buffer that is
+// already large enough — every frame of a run after the first of its
+// size — is filled in one read. A larger payload is not allocated on the
+// header's word: the buffer grows as bytes arrive, to at most twice what
+// has been received (and at least payloadGrowStep) per step, so a stream
+// that declares up to the 1 GiB cap and then ends costs memory in
+// proportion to the bytes it actually sent.
+func readPayload(r io.Reader, buf []byte, n int) ([]byte, error) {
+	if cap(buf) >= n {
+		_, err := io.ReadFull(r, buf[:n])
+		return buf[:n], err
+	}
+	buf = buf[:0]
+	for len(buf) < n {
+		have := len(buf)
+		next := make([]byte, min(n, max(2*have, payloadGrowStep)))
+		copy(next, buf)
+		if _, err := io.ReadFull(r, next[have:]); err != nil {
+			return next, err
+		}
+		buf = next
+	}
+	return buf, nil
 }
 
 // crcPoly is the CRC-32 (IEEE) polynomial, bit-reversed as in hash/crc32.

@@ -8,6 +8,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/tensor"
@@ -77,6 +78,37 @@ func TestReadFrameBoundaries(t *testing.T) {
 		if _, err := read(bad); err == nil {
 			t.Fatalf("bit flip at byte %d accepted", i)
 		}
+	}
+}
+
+// TestReadFrameGrowsWithTheBytesThatArrive: a payload larger than the
+// caller's buffer is read in growing steps and comes back intact in a
+// buffer of exactly its size, and a header that declares the 1 GiB cap
+// over a stream that then ends fails as a cut frame after allocating in
+// proportion to the bytes received, not to the claim (FuzzReadFrame found
+// the up-front allocation and used to skip such inputs).
+func TestReadFrameGrowsWithTheBytesThatArrive(t *testing.T) {
+	payload := make([]byte, 3*payloadGrowStep+17)
+	for i := range payload {
+		payload[i] = byte(i * 7)
+	}
+	enc := frameBytes(t, frame{op: opContrib, rank: 1, seq: 7, kind: "model", payload: payload})
+	fr, buf, err := readFrame(bufio.NewReader(bytes.NewReader(enc)), make([]byte, 8), "model")
+	if err != nil || !bytes.Equal(fr.payload, payload) || cap(buf) != len(payload) {
+		t.Fatalf("large frame: %d payload bytes in a %d-byte buffer, %v", len(fr.payload), cap(buf), err)
+	}
+
+	short := bytes.Clone(enc[:frameHeadLen+len("model")+4+100])
+	binary.LittleEndian.PutUint32(short[frameHeadLen+len("model"):], maxFrameLen)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, err = readFrame(bufio.NewReader(bytes.NewReader(short)), nil, "model")
+	runtime.ReadMemStats(&after)
+	if err != io.ErrUnexpectedEOF {
+		t.Fatalf("short stream under a %d-byte claim: %v, want io.ErrUnexpectedEOF", maxFrameLen, err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 4*payloadGrowStep {
+		t.Fatalf("short stream under a %d-byte claim allocated %d bytes", maxFrameLen, got)
 	}
 }
 
@@ -272,15 +304,12 @@ func FuzzReadFrame(f *testing.F) {
 	f.Add(frameBytes(f, frame{op: opContrib, rank: 1, seq: 7, kind: "state", payload: bytes.Repeat([]byte{0xa5}, 16)}))
 	f.Add(frameBytes(f, frame{op: opHello, rank: -1}))
 	f.Add(frameBytes(f, frame{op: opError, payload: []byte("worker 1 failed")}))
+	// A header alone may declare a payload up to the 1 GiB cap; the
+	// reader must find the stream short without allocating it.
+	short := frameBytes(f, frame{op: opContrib, rank: 1, seq: 7, kind: "model"})
+	binary.LittleEndian.PutUint32(short[frameHeadLen+len("model"):], maxFrameLen)
+	f.Add(short)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		// The reader allocates what the header declares, up to the 1 GiB
-		// cap, before it finds the stream short: keep the fuzzer's memory
-		// for parsing.
-		if len(data) >= frameHeadLen {
-			if at := frameHeadLen + int(data[13]); len(data) >= at+4 && int(binary.LittleEndian.Uint32(data[at:])) > len(data) {
-				t.Skip()
-			}
-		}
 		fr, _, err := readFrame(bufio.NewReader(bytes.NewReader(data)), nil, "state")
 		if err != nil {
 			return

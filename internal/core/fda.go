@@ -201,9 +201,7 @@ func (l *LinearFDA) Init(env *Env) {
 	}
 	l.meanSt = make([]float64, 2)
 	l.body = func(i int, w *Worker) {
-		u, sq := w.DriftSquaredNorm(env.W0)
-		l.states[i][0] = sq
-		l.states[i][1] = tensor.Dot(l.xi, u)
+		l.states[i][0], l.states[i][1] = w.DriftState(env.W0, l.xi)
 	}
 }
 

@@ -17,10 +17,7 @@ func NewAvgPool2D(in Shape, size int) *AvgPool2D {
 	if size <= 0 || in.H%size != 0 || in.W%size != 0 {
 		panic("nn: AvgPool2D window must evenly divide input")
 	}
-	l := &AvgPool2D{in: in, size: size}
-	l.y = make([]float64, l.OutShape().Size())
-	l.gin = make([]float64, in.Size())
-	return l
+	return &AvgPool2D{in: in, size: size}
 }
 
 // OutShape returns the pooled volume.
@@ -34,11 +31,14 @@ func (l *AvgPool2D) ParamCount() int     { return 0 }
 func (l *AvgPool2D) Bind(_, _ []float64) {}
 func (l *AvgPool2D) Init(_ *tensor.RNG)  {}
 
+//fda:noalloc
 func (l *AvgPool2D) Forward(x []float64, _ bool) []float64 {
 	h, w := l.in.H, l.in.W
 	oh, ow := h/l.size, w/l.size
 	inv := 1 / float64(l.size*l.size)
-	for c := 0; c < l.in.C; c++ {
+	planes := len(x) / (h * w)
+	l.y = grow(l.y, planes*oh*ow)
+	for c := 0; c < planes; c++ {
 		xin := x[c*h*w:]
 		for i := 0; i < oh; i++ {
 			for j := 0; j < ow; j++ {
@@ -56,12 +56,14 @@ func (l *AvgPool2D) Forward(x []float64, _ bool) []float64 {
 	return l.y
 }
 
-func (l *AvgPool2D) Backward(gradOut []float64) []float64 {
+//fda:noalloc
+func (l *AvgPool2D) Backward(gradOut []float64, _ bool) []float64 {
 	h, w := l.in.H, l.in.W
 	oh, ow := h/l.size, w/l.size
 	inv := 1 / float64(l.size*l.size)
-	tensor.Zero(l.gin)
-	for c := 0; c < l.in.C; c++ {
+	planes := len(gradOut) / (oh * ow)
+	l.gin = grow(l.gin, planes*h*w)
+	for c := 0; c < planes; c++ {
 		gin := l.gin[c*h*w:]
 		for i := 0; i < oh; i++ {
 			for j := 0; j < ow; j++ {
@@ -88,8 +90,9 @@ type DenseBlock struct {
 	inner Layer // Shape in → Shape{in.H, in.W, growth}
 	grow  int
 
-	out []float64
-	gin []float64
+	out    []float64
+	gin    []float64
+	gInner []float64 // the inner layer's share of gradOut, packed per sample
 }
 
 // NewDenseBlock wraps inner, whose output volume must match the input
@@ -101,10 +104,7 @@ func NewDenseBlock(in Shape, inner Layer, growth int) *DenseBlock {
 	if inner.OutDim() != in.H*in.W*growth {
 		panic("nn: DenseBlock inner must map to H×W×growth")
 	}
-	b := &DenseBlock{in: in, inner: inner, grow: growth}
-	b.out = make([]float64, b.OutDim())
-	b.gin = make([]float64, in.Size())
-	return b
+	return &DenseBlock{in: in, inner: inner, grow: growth}
 }
 
 // OutShape returns the concatenated volume.
@@ -119,18 +119,39 @@ func (b *DenseBlock) ParamCount() int { return b.inner.ParamCount() }
 func (b *DenseBlock) Bind(params, grads []float64) { b.inner.Bind(params, grads) }
 func (b *DenseBlock) Init(rng *tensor.RNG)         { b.inner.Init(rng) }
 
+//fda:noalloc
 func (b *DenseBlock) Forward(x []float64, train bool) []float64 {
-	// Channel-major layout makes concatenation a pair of copies: the
-	// passthrough channels first, the new features after.
-	copy(b.out[:b.in.Size()], x)
-	copy(b.out[b.in.Size():], b.inner.Forward(x, train))
+	// Channel-major layout makes concatenation a pair of copies per
+	// sample: the passthrough channels first, the new features after.
+	in, add := b.in.Size(), b.inner.OutDim()
+	n := len(x) / in
+	feat := b.inner.Forward(x, train)
+	b.out = grow(b.out, n*(in+add))
+	for s := 0; s < n; s++ {
+		o := b.out[s*(in+add) : (s+1)*(in+add)]
+		copy(o[:in], x[s*in:(s+1)*in])
+		copy(o[in:], feat[s*add:(s+1)*add])
+	}
 	return b.out
 }
 
-func (b *DenseBlock) Backward(gradOut []float64) []float64 {
+//fda:noalloc
+func (b *DenseBlock) Backward(gradOut []float64, needInput bool) []float64 {
 	// Gradient w.r.t. the input is the passthrough part plus the inner
-	// layer's backpropagated gradient, fused into one sweep.
-	innerGrad := b.inner.Backward(gradOut[b.in.Size():])
-	tensor.AXPYTo(b.gin, 1, innerGrad, gradOut[:b.in.Size()])
+	// layer's backpropagated gradient, fused into one sweep per sample.
+	in, add := b.in.Size(), b.inner.OutDim()
+	n := len(gradOut) / (in + add)
+	b.gInner = grow(b.gInner, n*add)
+	for s := 0; s < n; s++ {
+		copy(b.gInner[s*add:(s+1)*add], gradOut[s*(in+add)+in:(s+1)*(in+add)])
+	}
+	innerGrad := b.inner.Backward(b.gInner, needInput)
+	if !needInput {
+		return nil
+	}
+	b.gin = grow(b.gin, n*in)
+	for s := 0; s < n; s++ {
+		tensor.AXPYTo(b.gin[s*in:(s+1)*in], 1, innerGrad[s*in:(s+1)*in], gradOut[s*(in+add):s*(in+add)+in])
+	}
 	return b.gin
 }

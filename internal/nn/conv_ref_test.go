@@ -152,7 +152,7 @@ func TestConvBackwardMatchesScalarReference(t *testing.T) {
 		tensor.Normal(tensor.NewRNG(uint64(90+si)), gout, 0, 1)
 
 		l.Forward(x, true)
-		gotGin := tensor.Clone(l.Backward(gout))
+		gotGin := tensor.Clone(l.Backward(gout, true))
 		nW := sh.outC * sh.in.C * sh.k * sh.k
 		gotGw := tensor.Clone(l.gw[:nW])
 		gotGb := tensor.Clone(l.gb)
@@ -190,10 +190,10 @@ func TestConvBackwardAccumulates(t *testing.T) {
 	gout := make([]float64, l.OutDim())
 	tensor.Fill(gout, 0.5)
 	l.Forward(x, true)
-	l.Backward(gout)
+	l.Backward(gout, true)
 	once := tensor.Clone(l.gw)
 	l.Forward(x, true)
-	l.Backward(gout)
+	l.Backward(gout, true)
 	for i := range once {
 		if math.Abs(l.gw[i]-2*once[i]) > 1e-12*(1+math.Abs(once[i])) {
 			t.Fatalf("gw[%d] after two passes = %v, want %v", i, l.gw[i], 2*once[i])

@@ -30,7 +30,7 @@ type Dense struct {
 	w, b   *tensor.Mat // parameter views: w is out×in, b is 1×out
 	gw, gb *tensor.Mat // gradient views, same shapes
 
-	x   []float64 // cached input
+	x   []float64 // the caller's input batch, cached by reference
 	y   []float64 // output buffer
 	gin []float64 // input-gradient buffer
 }
@@ -40,10 +40,7 @@ func NewDense(in, out int, scheme InitScheme) *Dense {
 	if in <= 0 || out <= 0 {
 		panic("nn: Dense with non-positive dimension")
 	}
-	return &Dense{
-		in: in, out: out, scheme: scheme,
-		x: make([]float64, in), y: make([]float64, out), gin: make([]float64, in),
-	}
+	return &Dense{in: in, out: out, scheme: scheme}
 }
 
 func (l *Dense) InDim() int      { return l.in }
@@ -68,30 +65,40 @@ func (l *Dense) Init(rng *tensor.RNG) {
 	tensor.Zero(l.b.Data)
 }
 
-// Forward computes y = W·x + b four rows per sweep of x (tensor.Dot4,
-// then single rows for out mod 4): each output is its own row dot
-// product, accumulated left to right, plus the bias added last — exactly
-// the operation order of MatVec followed by a bias Add, so results are
-// bit-identical to the two-pass reference. Four rows at once give the
-// kernel four independent accumulators where a lone Dot has one chain.
+// Forward computes y[s] = W·x[s] + b for the whole batch as one
+// tensor.MatVec — W streamed once per eight samples through the register
+// tile — followed by the bias: each output is its own row dot product,
+// accumulated left to right from +0, plus the bias added last, whatever
+// the batch size.
+//
+//fda:noalloc
 func (l *Dense) Forward(x []float64, _ bool) []float64 {
-	copy(l.x, x)
-	w, b, y := l.w, l.b.Data, l.y
-	i := 0
-	for ; i+4 <= l.out; i += 4 {
-		s0, s1, s2, s3 := tensor.Dot4(x, w.Row(i), w.Row(i+1), w.Row(i+2), w.Row(i+3))
-		y[i], y[i+1], y[i+2], y[i+3] = s0+b[i], s1+b[i+1], s2+b[i+2], s3+b[i+3]
-	}
-	for ; i < l.out; i++ {
-		y[i] = tensor.Dot(w.Row(i), x) + b[i]
+	n := len(x) / l.in
+	l.x = x
+	l.y = grow(l.y, n*l.out)
+	tensor.MatVec(l.y, l.w, x)
+	for s := 0; s < n; s++ {
+		ys := l.y[s*l.out : (s+1)*l.out]
+		tensor.Add(ys, ys, l.b.Data)
 	}
 	return l.y
 }
 
-func (l *Dense) Backward(gradOut []float64) []float64 {
-	// dW += g xᵀ, db += g, dx = Wᵀ g.
+// Backward accumulates dW += Σ_s g[s] x[s]ᵀ and db += Σ_s g[s] in sample
+// order (one pass over each row of dW per four samples, exact-zero
+// g[s][o] skipped) and returns dx[s] = Wᵀ g[s].
+//
+//fda:noalloc
+func (l *Dense) Backward(gradOut []float64, needInput bool) []float64 {
+	n := len(gradOut) / l.out
 	tensor.AddOuter(l.gw, 1, gradOut, l.x)
-	tensor.AXPY(1, gradOut, l.gb.Data)
+	for s := 0; s < n; s++ {
+		tensor.AXPY(1, gradOut[s*l.out:(s+1)*l.out], l.gb.Data)
+	}
+	if !needInput {
+		return nil
+	}
+	l.gin = grow(l.gin, n*l.in)
 	tensor.MatTVec(l.gin, l.w, gradOut)
 	return l.gin
 }
@@ -111,14 +118,14 @@ type Dropout struct {
 // NewDropout returns a dropout layer with the given drop rate in [0, 1).
 // The rng drives the per-step masks; giving each worker's network its own
 // stream keeps workers' stochasticity independent, as on real hardware.
+// The stream belongs to this layer alone: a batch draws its n·dim mask
+// bits sample after sample, which is the order of n single-sample passes
+// only while no other layer draws from the same stream in between.
 func NewDropout(dim int, rate float64, rng *tensor.RNG) *Dropout {
 	if rate < 0 || rate >= 1 {
 		panic("nn: dropout rate outside [0,1)")
 	}
-	return &Dropout{
-		dim: dim, rate: rate, rng: rng,
-		mask: make([]bool, dim), out: make([]float64, dim), gin: make([]float64, dim),
-	}
+	return &Dropout{dim: dim, rate: rate, rng: rng}
 }
 
 // RNGState exposes the mask stream position for checkpointing.
@@ -133,7 +140,10 @@ func (l *Dropout) ParamCount() int     { return 0 }
 func (l *Dropout) Bind(_, _ []float64) {}
 func (l *Dropout) Init(_ *tensor.RNG)  {}
 
+//fda:noalloc
 func (l *Dropout) Forward(x []float64, train bool) []float64 {
+	l.out = grow(l.out, len(x))
+	l.mask = grow(l.mask, len(x))
 	if !train || l.rate == 0 {
 		copy(l.out, x)
 		// Mark mask pass-through so a Backward after eval Forward is sane.
@@ -156,7 +166,9 @@ func (l *Dropout) Forward(x []float64, train bool) []float64 {
 	return l.out
 }
 
-func (l *Dropout) Backward(gradOut []float64) []float64 {
+//fda:noalloc
+func (l *Dropout) Backward(gradOut []float64, _ bool) []float64 {
+	l.gin = grow(l.gin, len(l.mask))
 	scale := 1 / (1 - l.rate)
 	if l.rate == 0 {
 		scale = 1

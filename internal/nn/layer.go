@@ -8,30 +8,43 @@
 // marshalling. Layers receive sub-slices of the flat vector at bind time
 // and view them as matrices in place.
 //
-// The stack is per-sample (mini-batches loop over samples and average
-// gradients), which keeps the numerics easy to verify with finite
-// differences. Within a sample the layers run on the fused kernel layer
-// of internal/tensor — convolutions lower through a per-layer reusable
-// im2col scratch (DESIGN.md §7) — and every layer owns preallocated
-// activation and gradient buffers, so a steady-state training step
-// performs zero heap allocations.
+// The stack is batch-major: an activation is n samples stored back to
+// back, and every layer takes and returns one. Network cuts a mini-batch
+// into micro-batches of at most eight samples — as many as keep one
+// micro-batch's activations no larger than the parameters, see
+// microBatchFor — and runs each through the whole stack, forward then
+// backward, so a weight matrix is streamed once per micro-batch instead
+// of once per sample (Dense reaches the GEMM-shaped tensor.MatVec /
+// AddOuter / MatTVec) while the activation caches of one micro-batch stay
+// cache-resident and small beside the model. The arithmetic is
+// per-sample arithmetic all the same — the rule every layer keeps is
+// *sample order*: each parameter-gradient element receives its samples'
+// contributions in sample order, each stateful layer (BatchNorm's
+// running statistics, Dropout's mask stream) consumes its samples in
+// sample order, and every reduction keeps the association of its
+// scalar loop. A mini-batch therefore yields the same bits at any
+// micro-batch size, n = 1 included, which is what the tests compare
+// against. Layers grow their buffers to the largest n they have seen and
+// never again, so a steady-state training step performs zero heap
+// allocations.
 package nn
 
 import (
-	"math"
-
 	"repro/internal/tensor"
 )
 
 // Layer is one differentiable stage of a network.
 //
-// The Forward/Backward contract is single-sample: Forward consumes an
-// input activation vector and returns the output activation; Backward
-// consumes ∂L/∂output, accumulates parameter gradients into the bound
-// gradient slice, and returns ∂L/∂input. Backward must be called directly
-// after the Forward whose cached activations it consumes.
+// Forward and Backward are batch-major: x holds n = len(x)/InDim()
+// samples back to back and the result holds n outputs (n = 1 is
+// inference on one input; there is no per-sample form). Ownership: the
+// caller keeps x unchanged until the matching Backward has returned —
+// layers cache the slice, not a copy; the returned slices are the
+// layer's own buffers, valid until its next Forward (outputs) or
+// Backward (input gradients). Backward must directly follow the Forward
+// whose cached activations it consumes, with the same n.
 type Layer interface {
-	// InDim and OutDim report the activation vector sizes.
+	// InDim and OutDim report the per-sample activation vector sizes.
 	InDim() int
 	OutDim() int
 	// ParamCount reports how many scalars of the flat parameter vector
@@ -42,11 +55,30 @@ type Layer interface {
 	Bind(params, grads []float64)
 	// Init writes initial weights into the bound parameter slice.
 	Init(rng *tensor.RNG)
-	// Forward computes the layer output for input x. When train is false,
-	// stochastic layers (dropout) act as identity×expectation.
+	// Forward computes the layer outputs for the samples in x. When train
+	// is false, stochastic layers (dropout) act as identity×expectation
+	// and running statistics are not updated.
 	Forward(x []float64, train bool) []float64
-	// Backward propagates the gradient; see the interface comment.
-	Backward(gradOut []float64) []float64
+	// Backward consumes ∂L/∂output for the same samples, adds each
+	// sample's parameter gradient into the bound gradient slice in sample
+	// order, and returns ∂L/∂input. The network's first layer is called
+	// with needInput false: nothing reads its input gradient, so a layer
+	// that pays for one may skip it and return nil.
+	Backward(gradOut []float64, needInput bool) []float64
+}
+
+// grow returns buf with length n, reallocating only when n exceeds
+// every length the buffer has had: layer buffers reach the largest
+// micro-batch once and are reused from then on. Contents are not kept.
+// It is the one place the //fda:noalloc layer bodies may allocate, and
+// stays out of line so that fdavet holds everything around it to zero.
+//
+//go:noinline
+func grow[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
 }
 
 // Shape describes a (height, width, channels) activation volume for
@@ -58,12 +90,13 @@ type Shape struct {
 // Size returns the flattened length of the volume.
 func (s Shape) Size() int { return s.H * s.W * s.C }
 
-// relu, tanh and sigmoid are implemented as stateless-parameter layers
-// that cache their forward activations.
+// The activation layers are element-wise, so a batch is just a longer
+// vector: they run over all n·dim elements at once and cache their
+// forward output for the backward pass.
 
 // ReLU is the rectified-linear activation layer. It caches only its
 // output: out > 0 exactly when the input was > 0, so the backward mask
-// needs no separate input copy.
+// needs no separate input copy (tensor.ReLU, tensor.ReLUGrad).
 type ReLU struct {
 	dim int
 	out []float64
@@ -71,9 +104,7 @@ type ReLU struct {
 }
 
 // NewReLU returns a ReLU over dim-length activations.
-func NewReLU(dim int) *ReLU {
-	return &ReLU{dim: dim, out: make([]float64, dim), gin: make([]float64, dim)}
-}
+func NewReLU(dim int) *ReLU { return &ReLU{dim: dim} }
 
 func (l *ReLU) InDim() int          { return l.dim }
 func (l *ReLU) OutDim() int         { return l.dim }
@@ -81,30 +112,17 @@ func (l *ReLU) ParamCount() int     { return 0 }
 func (l *ReLU) Bind(_, _ []float64) {}
 func (l *ReLU) Init(_ *tensor.RNG)  {}
 
-// Forward rectifies branchlessly: clearing all bits when the sign bit is
-// set maps negative inputs and −0 to +0 and keeps non-negative inputs
-// bit-exact, so the output equals the branching max(v, 0) for all finite
-// inputs. Random activations make the sign branch unpredictable — the
-// mask form trades it for three integer ops per element.
+//fda:noalloc
 func (l *ReLU) Forward(x []float64, _ bool) []float64 {
-	for i, v := range x {
-		b := math.Float64bits(v)
-		l.out[i] = math.Float64frombits(b &^ uint64(int64(b)>>63))
-	}
+	l.out = grow(l.out, len(x))
+	tensor.ReLU(l.out, x)
 	return l.out
 }
 
-// Backward masks the gradient by out > 0, again branchlessly: out is
-// either a strictly positive value or +0, so "out > 0" is exactly
-// "bits(out) != 0", turned into an all-ones/all-zero mask.
-func (l *ReLU) Backward(gradOut []float64) []float64 {
-	out := l.out
-	g := gradOut[:len(out)]
-	for i, v := range out {
-		b := int64(math.Float64bits(v))
-		mask := uint64((b | -b) >> 63)
-		l.gin[i] = math.Float64frombits(math.Float64bits(g[i]) & mask)
-	}
+//fda:noalloc
+func (l *ReLU) Backward(gradOut []float64, _ bool) []float64 {
+	l.gin = grow(l.gin, len(l.out))
+	tensor.ReLUGrad(l.gin, gradOut, l.out)
 	return l.gin
 }
 
@@ -116,9 +134,7 @@ type Tanh struct {
 }
 
 // NewTanh returns a Tanh over dim-length activations.
-func NewTanh(dim int) *Tanh {
-	return &Tanh{dim: dim, out: make([]float64, dim), gin: make([]float64, dim)}
-}
+func NewTanh(dim int) *Tanh { return &Tanh{dim: dim} }
 
 func (l *Tanh) InDim() int          { return l.dim }
 func (l *Tanh) OutDim() int         { return l.dim }
@@ -126,14 +142,18 @@ func (l *Tanh) ParamCount() int     { return 0 }
 func (l *Tanh) Bind(_, _ []float64) {}
 func (l *Tanh) Init(_ *tensor.RNG)  {}
 
+//fda:noalloc
 func (l *Tanh) Forward(x []float64, _ bool) []float64 {
+	l.out = grow(l.out, len(x))
 	for i, v := range x {
 		l.out[i] = tanh(v)
 	}
 	return l.out
 }
 
-func (l *Tanh) Backward(gradOut []float64) []float64 {
+//fda:noalloc
+func (l *Tanh) Backward(gradOut []float64, _ bool) []float64 {
+	l.gin = grow(l.gin, len(l.out))
 	for i, y := range l.out {
 		l.gin[i] = gradOut[i] * (1 - y*y)
 	}

@@ -20,9 +20,38 @@ type Network struct {
 	// gradient updates (used by the transfer-learning model to emulate a
 	// feature extractor that is fixed in the feature-extraction stage).
 	frozen int
-	// probs is the softmax/gradient scratch shared by LossGradBatch and
-	// Loss so the steady-state training step allocates nothing.
-	probs []float64
+	// micro is how many samples go through the stack at once (see
+	// microBatchFor). x packs one micro-batch's inputs back to back for
+	// the first layer; probs holds its softmax rows, which become
+	// dL/dlogits. Both are sized for micro samples at construction and
+	// shared by LossGradBatch, Loss and CountCorrect, so none of them
+	// allocates.
+	micro    int
+	x, probs []float64
+}
+
+// maxMicroBatch is the largest micro-batch: eight samples fill
+// tensor.MatVec's register tile, and past that a Dense layer's sweep
+// over its weights is already amortized eightfold.
+const maxMicroBatch = 8
+
+// microBatchFor chooses a network's micro-batch: as many samples, up to
+// maxMicroBatch, as keep one micro-batch's activations (each layer's
+// inputs' gradient and its outputs, InDim+OutDim per sample) no larger
+// than the parameters. Batching exists to stream weights once per
+// micro-batch instead of once per sample, and costs a cached activation
+// per extra sample: a dense stack, whose weights dwarf its activations,
+// gets the full eight; a convolutional trunk, whose activations dwarf
+// its weights and whose layers work sample by sample anyway, stays near
+// one, so neither its cache footprint nor a process's resident set grows
+// by more than a fraction of the model vectors every worker already
+// holds. The mini-batch size plays no part.
+func microBatchFor(layers []Layer, params int) int {
+	act := 0
+	for _, l := range layers {
+		act += l.InDim() + l.OutDim()
+	}
+	return max(1, min(maxMicroBatch, params/act))
 }
 
 // New wires layers into a network, allocates the flat parameter and
@@ -52,7 +81,9 @@ func New(rng *tensor.RNG, layers ...Layer) *Network {
 		l.Init(rng)
 		off += c
 	}
-	n.probs = make([]float64, n.OutDim())
+	n.micro = microBatchFor(layers, total)
+	n.x = make([]float64, n.micro*n.InDim())
+	n.probs = make([]float64, n.micro*n.OutDim())
 	return n
 }
 
@@ -134,8 +165,11 @@ func (n *Network) Freeze(count int) {
 // Frozen returns the number of frozen leading parameters.
 func (n *Network) Frozen() int { return n.frozen }
 
-// Forward runs the network on one input and returns the logits. The
+// Forward runs the network on the samples stored back to back in x (one
+// input is the n = 1 case) and returns their logits, back to back. The
 // returned slice is an internal buffer, valid until the next Forward.
+//
+//fda:noalloc
 func (n *Network) Forward(x []float64, train bool) []float64 {
 	a := x
 	for _, l := range n.layers {
@@ -144,29 +178,56 @@ func (n *Network) Forward(x []float64, train bool) []float64 {
 	return a
 }
 
-// backward propagates dL/dlogits through all layers, accumulating
-// parameter gradients.
+// backward propagates dL/dlogits of the last Forward's samples through
+// all layers, accumulating parameter gradients. Nothing reads the first
+// layer's input gradient, so it is told not to compute one.
+//
+//fda:noalloc
 func (n *Network) backward(gradOut []float64) {
 	g := gradOut
 	for i := len(n.layers) - 1; i >= 0; i-- {
-		g = n.layers[i].Backward(g)
+		g = n.layers[i].Backward(g, i > 0)
 	}
+}
+
+// pack copies up to one micro-batch of samples back to back into the network's
+// input buffer and returns the packed activation.
+//
+//fda:noalloc
+func (n *Network) pack(xs [][]float64) []float64 {
+	in := n.InDim()
+	for s, x := range xs {
+		if len(x) != in {
+			panic("nn: sample dimension mismatch") //fda:allow(noalloc, constant-string boxing on the abort path only)
+		}
+		copy(n.x[s*in:(s+1)*in], x)
+	}
+	return n.x[:len(xs)*in]
 }
 
 // LossGradBatch runs forward+backward over a mini-batch with softmax
 // cross-entropy loss, leaving the batch-mean gradient in Grads() and
 // returning the mean loss. Any frozen prefix of the gradient is zeroed.
+// The mini-batch goes through the stack in micro-batches, samples in
+// order, so loss and gradients carry the bits of a sample-at-a-time loop.
+//
+//fda:noalloc
 func (n *Network) LossGradBatch(b data.Batch) float64 {
 	if len(b.X) == 0 {
-		panic("nn: empty batch")
+		panic("nn: empty batch") //fda:allow(noalloc, constant-string boxing on the abort path only)
 	}
 	n.ZeroGrads()
+	out := n.OutDim()
 	var loss float64
-	for i := range b.X {
-		logits := n.Forward(b.X[i], true)
-		loss += SoftmaxCrossEntropy(n.probs, logits, b.Y[i])
-		// n.probs now holds softmax(logits) − onehot(y) = dL/dlogits.
-		n.backward(n.probs)
+	for lo := 0; lo < len(b.X); lo += n.micro {
+		hi := min(lo+n.micro, len(b.X))
+		logits := n.Forward(n.pack(b.X[lo:hi]), true)
+		g := n.probs[:len(logits)]
+		for s, y := range b.Y[lo:hi] {
+			loss += SoftmaxCrossEntropy(g[s*out:(s+1)*out], logits[s*out:(s+1)*out], y)
+		}
+		// g now holds softmax(logits) − onehot(y) = dL/dlogits per sample.
+		n.backward(g)
 	}
 	inv := 1 / float64(len(b.X))
 	tensor.Scale(n.grads, inv)
@@ -179,10 +240,14 @@ func (n *Network) LossGradBatch(b data.Batch) float64 {
 // Loss returns the mean softmax cross-entropy over a dataset without
 // touching gradients (dropout disabled).
 func (n *Network) Loss(ds *data.Dataset) float64 {
+	out := n.OutDim()
 	var loss float64
-	for i := range ds.X {
-		logits := n.Forward(ds.X[i], false)
-		loss += SoftmaxCrossEntropy(n.probs, logits, ds.Y[i])
+	for lo := 0; lo < ds.Len(); lo += n.micro {
+		hi := min(lo+n.micro, ds.Len())
+		logits := n.Forward(n.pack(ds.X[lo:hi]), false)
+		for s, y := range ds.Y[lo:hi] {
+			loss += SoftmaxCrossEntropy(n.probs[:out], logits[s*out:(s+1)*out], y)
+		}
 	}
 	return loss / float64(ds.Len())
 }
@@ -199,11 +264,15 @@ func (n *Network) Accuracy(ds *data.Dataset) float64 {
 // integer counts, which is order-independent and therefore bit-identical
 // to a sequential scan.
 func (n *Network) CountCorrect(ds *data.Dataset, lo, hi int) int {
+	out := n.OutDim()
 	correct := 0
-	for i := lo; i < hi; i++ {
-		logits := n.Forward(ds.X[i], false)
-		if tensor.ArgMax(logits) == ds.Y[i] {
-			correct++
+	for ; lo < hi; lo += n.micro {
+		end := min(lo+n.micro, hi)
+		logits := n.Forward(n.pack(ds.X[lo:end]), false)
+		for s, y := range ds.Y[lo:end] {
+			if tensor.ArgMax(logits[s*out:(s+1)*out]) == y {
+				correct++
+			}
 		}
 	}
 	return correct

@@ -9,34 +9,45 @@ import (
 )
 
 // batchLoss computes the mean loss of a batch without gradients, used as
-// the reference function for finite differences.
+// the reference function for finite differences. The batch goes through
+// the stack as one n-sample activation, so the forward pass under test is
+// the batched one.
 func batchLoss(n *Network, b data.Batch) float64 {
-	probs := make([]float64, n.OutDim())
+	var x []float64
+	for _, xi := range b.X {
+		x = append(x, xi...)
+	}
+	logits := n.Forward(x, true)
+	out := n.OutDim()
+	probs := make([]float64, out)
 	var loss float64
-	for i := range b.X {
-		logits := n.Forward(b.X[i], true)
-		loss += SoftmaxCrossEntropy(probs, logits, b.Y[i])
+	for i, y := range b.Y {
+		loss += SoftmaxCrossEntropy(probs, logits[i*out:(i+1)*out], y)
 	}
 	return loss / float64(len(b.X))
 }
 
 // gradCheck compares LossGradBatch's analytic gradient with central
-// finite differences on every parameter.
-func gradCheck(t *testing.T, n *Network, b data.Batch, tol float64) {
+// finite differences on every parameter, on a batch of one sample and on
+// a batch of three.
+func gradCheck(t *testing.T, n *Network, rng *tensor.RNG, tol float64) {
 	t.Helper()
-	analytic := tensor.Clone(func() []float64 { n.LossGradBatch(b); return n.Grads() }())
-	params := n.Params()
-	const h = 1e-5
-	for i := range params {
-		orig := params[i]
-		params[i] = orig + h
-		lp := batchLoss(n, b)
-		params[i] = orig - h
-		lm := batchLoss(n, b)
-		params[i] = orig
-		numeric := (lp - lm) / (2 * h)
-		if math.Abs(numeric-analytic[i]) > tol*(1+math.Abs(numeric)) {
-			t.Fatalf("param %d: analytic %v numeric %v", i, analytic[i], numeric)
+	for _, size := range []int{1, 3} {
+		b := smallBatch(rng, n.InDim(), n.OutDim(), size)
+		analytic := tensor.Clone(func() []float64 { n.LossGradBatch(b); return n.Grads() }())
+		params := n.Params()
+		const h = 1e-5
+		for i := range params {
+			orig := params[i]
+			params[i] = orig + h
+			lp := batchLoss(n, b)
+			params[i] = orig - h
+			lm := batchLoss(n, b)
+			params[i] = orig
+			numeric := (lp - lm) / (2 * h)
+			if math.Abs(numeric-analytic[i]) > tol*(1+math.Abs(numeric)) {
+				t.Fatalf("batch of %d, param %d: analytic %v numeric %v", size, i, analytic[i], numeric)
+			}
 		}
 	}
 }
@@ -59,7 +70,7 @@ func TestDenseGradientCheck(t *testing.T) {
 		NewReLU(5),
 		NewDense(5, 3, GlorotUniformInit),
 	)
-	gradCheck(t, n, smallBatch(rng, 6, 3, 4), 1e-4)
+	gradCheck(t, n, rng, 1e-4)
 }
 
 func TestTanhGradientCheck(t *testing.T) {
@@ -69,7 +80,7 @@ func TestTanhGradientCheck(t *testing.T) {
 		NewTanh(6),
 		NewDense(6, 2, HeNormalInit),
 	)
-	gradCheck(t, n, smallBatch(rng, 4, 2, 3), 1e-4)
+	gradCheck(t, n, rng, 1e-4)
 }
 
 func TestConvGradientCheck(t *testing.T) {
@@ -83,7 +94,7 @@ func TestConvGradientCheck(t *testing.T) {
 		pool,
 		NewDense(pool.OutDim(), 3, GlorotUniformInit),
 	)
-	gradCheck(t, n, smallBatch(rng, in.Size(), 3, 2), 1e-4)
+	gradCheck(t, n, rng, 1e-4)
 }
 
 func TestGlobalAvgPoolGradientCheck(t *testing.T) {
@@ -97,7 +108,7 @@ func TestGlobalAvgPoolGradientCheck(t *testing.T) {
 		gap,
 		NewDense(gap.OutDim(), 2, HeNormalInit),
 	)
-	gradCheck(t, n, smallBatch(rng, in.Size(), 2, 2), 1e-4)
+	gradCheck(t, n, rng, 1e-4)
 }
 
 func TestSoftmaxCrossEntropyProperties(t *testing.T) {
@@ -245,7 +256,7 @@ func TestDropoutBackwardMatchesMask(t *testing.T) {
 	out := l.Forward(x, true)
 	g := make([]float64, 50)
 	tensor.Fill(g, 1)
-	gin := l.Backward(g)
+	gin := l.Backward(g, true)
 	for i := range out {
 		if (out[i] == 0) != (gin[i] == 0) {
 			t.Fatalf("gradient mask mismatch at %d", i)
@@ -259,7 +270,7 @@ func TestMaxPoolForwardBackward(t *testing.T) {
 	if len(out) != 1 || out[0] != 5 {
 		t.Fatalf("maxpool out %v", out)
 	}
-	gin := p.Backward([]float64{7})
+	gin := p.Backward([]float64{7}, true)
 	want := []float64{0, 7, 0, 0}
 	for i := range want {
 		if gin[i] != want[i] {
@@ -346,5 +357,92 @@ func TestNetworkLearns(t *testing.T) {
 	}
 	if acc := n.Accuracy(test); acc < 0.6 {
 		t.Fatalf("SGD reached only %.3f accuracy", acc)
+	}
+}
+
+// TestSkippedFirstInputGradientChangesNoParameterGradient: the backward
+// pass tells layer 0 not to compute ∂L/∂input. Driving the same layers by
+// hand with the input gradient requested everywhere must leave every
+// parameter gradient bit where the network's own backward pass put it —
+// for a Dense, a Conv2D and a DenseBlock (whose inner conv inherits the
+// skip) in first position.
+func TestSkippedFirstInputGradientChangesNoParameterGradient(t *testing.T) {
+	in := Shape{H: 4, W: 4, C: 2}
+	builds := map[string]func(*tensor.RNG) *Network{
+		"dense": func(rng *tensor.RNG) *Network {
+			return New(rng, NewDense(in.Size(), 6, HeNormalInit), NewReLU(6), NewDense(6, 3, HeNormalInit))
+		},
+		"conv": func(rng *tensor.RNG) *Network {
+			c := NewConv2D(in, 3, 3, HeNormalInit)
+			return New(rng, c, NewReLU(c.OutDim()), NewDense(c.OutDim(), 3, HeNormalInit))
+		},
+		"block": func(rng *tensor.RNG) *Network {
+			b := NewDenseBlock(in, NewConv2D(in, 2, 3, HeNormalInit), 2)
+			return New(rng, b, NewTanh(b.OutDim()), NewDense(b.OutDim(), 3, HeNormalInit))
+		},
+	}
+	for name, build := range builds {
+		skip, full := build(tensor.NewRNG(21)), build(tensor.NewRNG(21))
+		b := smallBatch(tensor.NewRNG(22), in.Size(), 3, 5)
+		skip.LossGradBatch(b)
+
+		full.ZeroGrads()
+		var x []float64
+		for _, xi := range b.X {
+			x = append(x, xi...)
+		}
+		logits := full.Forward(x, true)
+		g := make([]float64, len(logits))
+		for s, y := range b.Y {
+			SoftmaxCrossEntropy(g[3*s:3*s+3], logits[3*s:3*s+3], y)
+		}
+		for i := len(full.layers) - 1; i >= 0; i-- {
+			if g = full.layers[i].Backward(g, true); len(g) != 5*full.layers[i].InDim() {
+				t.Fatalf("%s: layer %d returned an input gradient of %d elements", name, i, len(g))
+			}
+		}
+		tensor.Scale(full.grads, 1/float64(len(b.X)))
+		for i, want := range full.grads {
+			if math.Float64bits(skip.grads[i]) != math.Float64bits(want) {
+				t.Fatalf("%s: grad[%d] = %v with layer 0's input gradient skipped, %v with it computed", name, i, skip.grads[i], want)
+			}
+		}
+	}
+}
+
+// TestLossGradBatchZeroAllocs: the first call at a batch size may grow
+// layer buffers to the micro-batch; from then on — and for a smaller
+// batch after a larger one, whose last micro-batch is a new, shorter
+// length — LossGradBatch allocates nothing. Every layer kind is on the
+// path, under a dense head wide enough that the network batches by the
+// full eight.
+func TestLossGradBatchZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc counts are not meaningful under -race instrumentation")
+	}
+	rng := tensor.NewRNG(31)
+	in := Shape{H: 4, W: 4, C: 2}
+	block := NewDenseBlock(in, NewConv2D(in, 2, 3, HeNormalInit), 2)
+	conv := NewConv2D(block.OutShape(), 4, 3, HeNormalInit)
+	maxp := NewMaxPool2D(conv.OutShape(), 2)
+	avgp := NewAvgPool2D(maxp.OutShape(), 2)
+	gap := NewGlobalAvgPool(avgp.OutShape())
+	n := New(rng,
+		block, NewLeakyReLU(block.OutDim(), 0.1),
+		conv, NewReLU(conv.OutDim()), maxp, avgp, gap,
+		NewBatchNorm(gap.OutDim()), NewDropout(gap.OutDim(), 0.2, rng.Split()),
+		NewDense(gap.OutDim(), 256, HeNormalInit), NewTanh(256),
+		NewDense(256, 64, HeNormalInit), NewSigmoid(64),
+		NewDense(64, 3, HeNormalInit),
+	)
+	if n.micro != maxMicroBatch {
+		t.Fatalf("micro-batch %d, want the full %d", n.micro, maxMicroBatch)
+	}
+	large, small := smallBatch(rng, in.Size(), 3, 3*n.micro+5), smallBatch(rng, in.Size(), 3, 3)
+	n.LossGradBatch(large)
+	for name, b := range map[string]data.Batch{"steady state": large, "smaller batch after a larger one": small} {
+		if avg := testing.AllocsPerRun(20, func() { n.LossGradBatch(b) }); avg != 0 {
+			t.Fatalf("%s: LossGradBatch allocates %.1f times per call, want 0", name, avg)
+		}
 	}
 }

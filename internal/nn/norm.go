@@ -6,10 +6,11 @@ import (
 	"repro/internal/tensor"
 )
 
-// BatchNorm is a per-activation batch-normalization layer operating in
-// the per-sample training regime of this stack: normalization statistics
-// are exponential moving averages updated each training forward pass
-// (momentum Momentum), and inference uses the running statistics. The
+// BatchNorm is a per-activation batch-normalization layer in streaming
+// form: normalization statistics are exponential moving averages updated
+// once per training sample (momentum Momentum) — the samples of a batch
+// in sample order, each normalized with the statistics as they stand
+// right after its own update — and inference uses the running statistics. The
 // learnable scale γ and shift β live in the flat parameter vector, so
 // they participate in drift, variance and synchronization like any other
 // parameter — as in the paper's DenseNet models, which batch-normalize
@@ -23,8 +24,8 @@ type BatchNorm struct {
 	gGamma, gBeta []float64 // gradient views
 
 	runMean, runVar []float64
-	xhat            []float64 // cached normalized input
-	std             []float64 // cached stddev used in the last forward
+	xhat            []float64 // cached normalized inputs, per sample
+	std             []float64 // cached stddev each sample was normalized with
 	out             []float64
 	gin             []float64
 }
@@ -38,10 +39,6 @@ func NewBatchNorm(dim int) *BatchNorm {
 		dim: dim, Momentum: 0.9, Eps: 1e-5,
 		runMean: make([]float64, dim),
 		runVar:  make([]float64, dim),
-		xhat:    make([]float64, dim),
-		std:     make([]float64, dim),
-		out:     make([]float64, dim),
-		gin:     make([]float64, dim),
 	}
 	tensor.Fill(bn.runVar, 1)
 	return bn
@@ -62,21 +59,30 @@ func (l *BatchNorm) Init(_ *tensor.RNG) {
 }
 
 // Forward normalizes with running statistics; during training the
-// statistics are first updated from the current activation (a streaming
-// EMA stand-in for mini-batch statistics, suited to per-sample backprop).
+// statistics are first updated from the current sample (a streaming EMA
+// stand-in for mini-batch statistics).
+//
+//fda:noalloc
 func (l *BatchNorm) Forward(x []float64, train bool) []float64 {
-	if train {
-		m := l.Momentum
-		for i, v := range x {
-			l.runMean[i] = m*l.runMean[i] + (1-m)*v
-			d := v - l.runMean[i]
-			l.runVar[i] = m*l.runVar[i] + (1-m)*d*d
+	l.xhat = grow(l.xhat, len(x))
+	l.std = grow(l.std, len(x))
+	l.out = grow(l.out, len(x))
+	for lo := 0; lo < len(x); lo += l.dim {
+		xs := x[lo : lo+l.dim]
+		std, xhat, out := l.std[lo:lo+l.dim], l.xhat[lo:lo+l.dim], l.out[lo:lo+l.dim]
+		if train {
+			m := l.Momentum
+			for i, v := range xs {
+				l.runMean[i] = m*l.runMean[i] + (1-m)*v
+				d := v - l.runMean[i]
+				l.runVar[i] = m*l.runVar[i] + (1-m)*d*d
+			}
 		}
-	}
-	for i, v := range x {
-		l.std[i] = math.Sqrt(l.runVar[i] + l.Eps)
-		l.xhat[i] = (v - l.runMean[i]) / l.std[i]
-		l.out[i] = l.gamma[i]*l.xhat[i] + l.beta[i]
+		for i, v := range xs {
+			std[i] = math.Sqrt(l.runVar[i] + l.Eps)
+			xhat[i] = (v - l.runMean[i]) / std[i]
+			out[i] = l.gamma[i]*xhat[i] + l.beta[i]
+		}
 	}
 	return l.out
 }
@@ -84,11 +90,18 @@ func (l *BatchNorm) Forward(x []float64, train bool) []float64 {
 // Backward treats the running statistics as constants (the standard
 // inference-style gradient, exact for the EMA formulation since each
 // sample's contribution to the EMA is O(1−momentum)).
-func (l *BatchNorm) Backward(gradOut []float64) []float64 {
-	for i := range gradOut {
-		l.gGamma[i] += gradOut[i] * l.xhat[i]
-		l.gBeta[i] += gradOut[i]
-		l.gin[i] = gradOut[i] * l.gamma[i] / l.std[i]
+//
+//fda:noalloc
+func (l *BatchNorm) Backward(gradOut []float64, _ bool) []float64 {
+	l.gin = grow(l.gin, len(gradOut))
+	for lo := 0; lo < len(gradOut); lo += l.dim {
+		g, gin := gradOut[lo:lo+l.dim], l.gin[lo:lo+l.dim]
+		std, xhat := l.std[lo:lo+l.dim], l.xhat[lo:lo+l.dim]
+		for i := range g {
+			l.gGamma[i] += g[i] * xhat[i]
+			l.gBeta[i] += g[i]
+			gin[i] = g[i] * l.gamma[i] / std[i]
+		}
 	}
 	return l.gin
 }
@@ -101,9 +114,7 @@ type Sigmoid struct {
 }
 
 // NewSigmoid returns a Sigmoid over dim activations.
-func NewSigmoid(dim int) *Sigmoid {
-	return &Sigmoid{dim: dim, out: make([]float64, dim), gin: make([]float64, dim)}
-}
+func NewSigmoid(dim int) *Sigmoid { return &Sigmoid{dim: dim} }
 
 func (l *Sigmoid) InDim() int          { return l.dim }
 func (l *Sigmoid) OutDim() int         { return l.dim }
@@ -111,14 +122,18 @@ func (l *Sigmoid) ParamCount() int     { return 0 }
 func (l *Sigmoid) Bind(_, _ []float64) {}
 func (l *Sigmoid) Init(_ *tensor.RNG)  {}
 
+//fda:noalloc
 func (l *Sigmoid) Forward(x []float64, _ bool) []float64 {
+	l.out = grow(l.out, len(x))
 	for i, v := range x {
 		l.out[i] = 1 / (1 + math.Exp(-v))
 	}
 	return l.out
 }
 
-func (l *Sigmoid) Backward(gradOut []float64) []float64 {
+//fda:noalloc
+func (l *Sigmoid) Backward(gradOut []float64, _ bool) []float64 {
+	l.gin = grow(l.gin, len(l.out))
 	for i, y := range l.out {
 		l.gin[i] = gradOut[i] * y * (1 - y)
 	}
@@ -129,7 +144,7 @@ func (l *Sigmoid) Backward(gradOut []float64) []float64 {
 type LeakyReLU struct {
 	dim   int
 	Alpha float64
-	in    []float64
+	in    []float64 // the caller's input batch, cached by reference
 	out   []float64
 	gin   []float64
 }
@@ -139,10 +154,7 @@ func NewLeakyReLU(dim int, alpha float64) *LeakyReLU {
 	if alpha < 0 || alpha >= 1 {
 		panic("nn: LeakyReLU slope outside [0,1)")
 	}
-	return &LeakyReLU{
-		dim: dim, Alpha: alpha,
-		in: make([]float64, dim), out: make([]float64, dim), gin: make([]float64, dim),
-	}
+	return &LeakyReLU{dim: dim, Alpha: alpha}
 }
 
 func (l *LeakyReLU) InDim() int          { return l.dim }
@@ -151,8 +163,10 @@ func (l *LeakyReLU) ParamCount() int     { return 0 }
 func (l *LeakyReLU) Bind(_, _ []float64) {}
 func (l *LeakyReLU) Init(_ *tensor.RNG)  {}
 
+//fda:noalloc
 func (l *LeakyReLU) Forward(x []float64, _ bool) []float64 {
-	copy(l.in, x)
+	l.in = x
+	l.out = grow(l.out, len(x))
 	for i, v := range x {
 		if v > 0 {
 			l.out[i] = v
@@ -163,7 +177,9 @@ func (l *LeakyReLU) Forward(x []float64, _ bool) []float64 {
 	return l.out
 }
 
-func (l *LeakyReLU) Backward(gradOut []float64) []float64 {
+//fda:noalloc
+func (l *LeakyReLU) Backward(gradOut []float64, _ bool) []float64 {
+	l.gin = grow(l.gin, len(l.in))
 	for i, v := range l.in {
 		if v > 0 {
 			l.gin[i] = gradOut[i]

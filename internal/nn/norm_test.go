@@ -52,9 +52,8 @@ func TestBatchNormGradientCheck(t *testing.T) {
 	// gradient of the EMA-constant formulation numerically. Statistics
 	// update in Forward(train), which the loss function also invokes, so
 	// tolerate a slightly looser bound than pure-static layers.
-	b := smallBatch(rng, 4, 3, 1)
 	bn.Momentum = 1 - 1e-12 // effectively frozen statistics
-	gradCheck(t, n, b, 1e-3)
+	gradCheck(t, n, rng, 1e-3)
 }
 
 func TestSigmoidForwardBackward(t *testing.T) {
@@ -63,7 +62,7 @@ func TestSigmoidForwardBackward(t *testing.T) {
 	if math.Abs(out[0]-0.5) > 1e-12 || out[1] < 0.999 {
 		t.Fatalf("sigmoid out %v", out)
 	}
-	g := s.Backward([]float64{1, 1})
+	g := s.Backward([]float64{1, 1}, true)
 	if math.Abs(g[0]-0.25) > 1e-12 {
 		t.Fatalf("sigmoid grad at 0 = %v want 0.25", g[0])
 	}
@@ -79,7 +78,7 @@ func TestSigmoidGradientCheck(t *testing.T) {
 		NewSigmoid(4),
 		NewDense(4, 2, GlorotUniformInit),
 	)
-	gradCheck(t, n, smallBatch(rng, 3, 2, 3), 1e-4)
+	gradCheck(t, n, rng, 1e-4)
 }
 
 func TestLeakyReLU(t *testing.T) {
@@ -88,7 +87,7 @@ func TestLeakyReLU(t *testing.T) {
 	if out[0] != -1 || out[1] != 5 {
 		t.Fatalf("leaky out %v", out)
 	}
-	g := l.Backward([]float64{1, 1})
+	g := l.Backward([]float64{1, 1}, true)
 	if g[0] != 0.1 || g[1] != 1 {
 		t.Fatalf("leaky grad %v", g)
 	}
@@ -101,7 +100,7 @@ func TestLeakyReLUGradientCheck(t *testing.T) {
 		NewLeakyReLU(4, 0.2),
 		NewDense(4, 2, HeNormalInit),
 	)
-	gradCheck(t, n, smallBatch(rng, 3, 2, 3), 1e-4)
+	gradCheck(t, n, rng, 1e-4)
 }
 
 func TestLeakyReLUValidation(t *testing.T) {
@@ -119,7 +118,7 @@ func TestAvgPool2D(t *testing.T) {
 	if len(out) != 1 || out[0] != 3 {
 		t.Fatalf("avgpool out %v", out)
 	}
-	gin := p.Backward([]float64{4})
+	gin := p.Backward([]float64{4}, true)
 	for _, g := range gin {
 		if g != 1 {
 			t.Fatalf("avgpool gin %v", gin)
@@ -136,7 +135,7 @@ func TestAvgPool2DGradientCheck(t *testing.T) {
 		conv, NewTanh(conv.OutDim()), pool,
 		NewDense(pool.OutDim(), 2, HeNormalInit),
 	)
-	gradCheck(t, n, smallBatch(rng, in.Size(), 2, 2), 1e-4)
+	gradCheck(t, n, rng, 1e-4)
 }
 
 func TestDenseBlockConcatenates(t *testing.T) {
@@ -169,7 +168,7 @@ func TestDenseBlockGradientCheck(t *testing.T) {
 		NewReLU(block.OutDim()),
 		NewDense(block.OutDim(), 2, HeNormalInit),
 	)
-	gradCheck(t, n, smallBatch(rng, in.Size(), 2, 2), 1e-4)
+	gradCheck(t, n, rng, 1e-4)
 }
 
 func TestDenseBlockValidation(t *testing.T) {

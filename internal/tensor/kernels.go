@@ -9,14 +9,17 @@
 // never *floating-point association*. kernels_test.go pins each kernel to
 // its scalar reference with exact (==) comparisons.
 //
-// On amd64 with AVX2 the AXPY/Dot4 families and AdamStep hand vectors of
-// at least simdMinLen elements to the assembly bodies in kernels_amd64.s,
-// which are bit-identical to the Go loops below (lanes hold independent
-// elements or independent accumulators, no FMA — DESIGN.md §7). The Go
-// loops remain the specification, the path for short vectors, and the
-// only path on other architectures and under -tags purego. Dot, Sum,
-// SquaredNorm and SubThenSquaredNorm feed one accumulator and have no
-// bit-identical vector form; they stay scalar everywhere.
+// On amd64 with AVX2 the AXPY/Dot4 families, the reduction-free sweeps
+// (Scale, ScaleAdd, AXPYTo, ReLU, ReLUGrad), AdamStep and MatVec's
+// 4-row × 8-sample tile hand vectors of at least simdMinLen elements to
+// the assembly bodies in kernels_amd64.s, which are bit-identical to the
+// Go loops below (lanes hold independent elements or independent
+// accumulators, no FMA — DESIGN.md §7). The Go loops remain the
+// specification, the path for short vectors, and the only path on other
+// architectures and under -tags purego. Dot, Sum, SquaredNorm,
+// SubThenSquaredNorm and SubThenSquaredNormDot feed one accumulator per
+// result and have no bit-identical vector form; they stay scalar
+// everywhere.
 package tensor
 
 import "math"
@@ -116,6 +119,52 @@ func SubThenSquaredNorm(dst, a, b []float64) float64 {
 	return s
 }
 
+// SubThenSquaredNormDot stores a−b into dst and returns ‖dst‖² and
+// ⟨xi, dst⟩ — LinearFDA's whole local state in one sweep over the model
+// instead of two. The two sums are independent accumulators, each fed
+// left to right, so the results equal SubThenSquaredNorm(dst, a, b)
+// followed by Dot(xi, dst) bit for bit; side by side their add latencies
+// overlap, which is all the speed a strictly ordered sum can gain. dst
+// may alias a or b, not xi.
+//
+//fda:noalloc
+func SubThenSquaredNormDot(dst, a, b, xi []float64) (sq, dot float64) {
+	checkLen("SubThenSquaredNormDot", a, b)
+	checkLen("SubThenSquaredNormDot", dst, a)
+	checkLen("SubThenSquaredNormDot", xi, a)
+	// Resliced to one length, the unrolled body below needs no bounds
+	// checks: at nine instructions an element the sweep is bound by issue
+	// width, not by the two add chains, so each check removed is time.
+	n := len(dst)
+	a, b, xi = a[:n], b[:n], xi[:n]
+	i := 0
+	for ; i <= n-4; i += 4 {
+		d0 := a[i] - b[i]
+		dst[i] = d0
+		sq += d0 * d0
+		dot += xi[i] * d0
+		d1 := a[i+1] - b[i+1]
+		dst[i+1] = d1
+		sq += d1 * d1
+		dot += xi[i+1] * d1
+		d2 := a[i+2] - b[i+2]
+		dst[i+2] = d2
+		sq += d2 * d2
+		dot += xi[i+2] * d2
+		d3 := a[i+3] - b[i+3]
+		dst[i+3] = d3
+		sq += d3 * d3
+		dot += xi[i+3] * d3
+	}
+	for ; i < n; i++ {
+		d := a[i] - b[i]
+		dst[i] = d
+		sq += d * d
+		dot += xi[i] * d
+	}
+	return sq, dot
+}
+
 // AXPYTo stores y + alpha*x into dst without touching x or y. dst may
 // alias x or y; each element is written once.
 //
@@ -124,6 +173,10 @@ func AXPYTo(dst []float64, alpha float64, x, y []float64) {
 	checkLen("AXPYTo", x, y)
 	checkLen("AXPYTo", dst, x)
 	n := len(dst)
+	if useAVX2 && n >= simdMinLen {
+		axpyToAVX2(dst, alpha, x, y)
+		return
+	}
 	i := 0
 	for ; i+4 <= n; i += 4 {
 		xx := x[i : i+4 : i+4]
@@ -146,6 +199,10 @@ func AXPYTo(dst []float64, alpha float64, x, y []float64) {
 func ScaleAdd(v []float64, c float64, x []float64) {
 	checkLen("ScaleAdd", v, x)
 	n := len(v)
+	if useAVX2 && n >= simdMinLen {
+		scaleAddAVX2(v, c, x)
+		return
+	}
 	i := 0
 	for ; i+4 <= n; i += 4 {
 		vv := v[i : i+4 : i+4]
@@ -157,6 +214,46 @@ func ScaleAdd(v []float64, c float64, x []float64) {
 	}
 	for ; i < n; i++ {
 		v[i] = c*v[i] + x[i]
+	}
+}
+
+// ReLU stores max(x, 0) into dst, branchlessly: clearing all bits when
+// the sign bit is set maps negative inputs and −0 to +0 and keeps
+// non-negative inputs bit-exact, so the output equals the branching form
+// for every finite input. Random activations make the sign branch
+// unpredictable — the mask form trades it for three integer ops per
+// element. dst may alias x.
+//
+//fda:noalloc
+func ReLU(dst, x []float64) {
+	checkLen("ReLU", dst, x)
+	if useAVX2 && len(dst) >= simdMinLen {
+		reluAVX2(dst, x)
+		return
+	}
+	for i, v := range x {
+		b := math.Float64bits(v)
+		dst[i] = math.Float64frombits(b &^ uint64(int64(b)>>63))
+	}
+}
+
+// ReLUGrad stores g masked by out ≠ 0 into dst, where out is a ReLU
+// output: out is either strictly positive or +0, so "out > 0" is exactly
+// "bits(out) ≠ 0", turned into an all-ones/all-zero mask. dst may alias
+// g or out.
+//
+//fda:noalloc
+func ReLUGrad(dst, g, out []float64) {
+	checkLen("ReLUGrad", g, out)
+	checkLen("ReLUGrad", dst, g)
+	if useAVX2 && len(dst) >= simdMinLen {
+		reluGradAVX2(dst, g, out)
+		return
+	}
+	for i, v := range out {
+		b := int64(math.Float64bits(v))
+		mask := uint64((b | -b) >> 63)
+		dst[i] = math.Float64frombits(math.Float64bits(g[i]) & mask)
 	}
 }
 

@@ -54,3 +54,27 @@ func dot4x2AVX2(a, b, x0, x1, x2, x3 []float64) (s0, s1, s2, s3, t0, t1, t2, t3 
 //go:noescape
 //fda:noalloc
 func adamAVX2(params, grads, m, v []float64, b1, b2, lr, eps, b1c, b2c, coupledWD, decoupledWD float64)
+
+//go:noescape
+//fda:noalloc
+func scaleAVX2(v []float64, c float64)
+
+//go:noescape
+//fda:noalloc
+func scaleAddAVX2(v []float64, c float64, x []float64)
+
+//go:noescape
+//fda:noalloc
+func axpyToAVX2(dst []float64, alpha float64, x, y []float64)
+
+//go:noescape
+//fda:noalloc
+func reluAVX2(dst, x []float64)
+
+//go:noescape
+//fda:noalloc
+func reluGradAVX2(dst, g, out []float64)
+
+//go:noescape
+//fda:noalloc
+func dot4x8AVX2(dst []float64, stride int, w, x []float64, n int)

@@ -5,13 +5,16 @@
 // stands in for, by construction:
 //
 //   - a vector lane holds a *different output element* (AXPY family,
-//     Adam) or a *different accumulator* (Dot4 family, after a 4×4 lane
-//     transpose of the four x rows) — never a share of one accumulator,
-//     so every sum still runs strictly left to right;
+//     the Scale/ScaleAdd/AXPYTo/ReLU sweeps, Adam) or a *different
+//     accumulator* (Dot4 family and the MatVec tile, after a 4×4 lane
+//     transpose of four rows) — never a share of one accumulator, so
+//     every sum still runs strictly left to right;
 //   - only VMULPD/VADDPD/VSUBPD/VDIVPD/VSQRTPD and their scalar forms,
-//     which round each lane exactly as MULSD/ADDSD/… round a scalar.
-//     No FMA, anywhere: a fused multiply-add rounds once where the Go
-//     code rounds twice (kernels_simd_test.go fails on the mnemonic);
+//     which round each lane exactly as MULSD/ADDSD/… round a scalar, and
+//     the integer compare-and-mask forms of the ReLU pair, which round
+//     nothing. No FMA, anywhere: a fused multiply-add rounds once where
+//     the Go code rounds twice (kernels_simd_test.go fails on the
+//     mnemonic);
 //   - operations are issued per element in the order the Go source
 //     evaluates them.
 //
@@ -486,5 +489,320 @@ adam_store1:
 	JL     adam_loop1
 
 adam_done:
+	VZEROUPPER
+	RET
+
+// The reduction-free sweeps: lanes are elements, one multiply and at most
+// one add per element in the order of the Go expression, so vector width
+// cannot change a bit.
+
+// func scaleAVX2(v []float64, c float64)
+// v[i] = v[i]*c, i < len(v).
+TEXT ·scaleAVX2(SB), NOSPLIT, $0-32
+	MOVQ v_base+0(FP), DI
+	MOVQ v_len+8(FP), CX
+	VBROADCASTSD c+24(FP), Y0
+	XORQ AX, AX
+	SUBQ $4, CX
+	JL   scale_tail
+
+scale_loop4:
+	VMULPD  (DI)(AX*8), Y0, Y1
+	VMOVUPD Y1, (DI)(AX*8)
+	ADDQ    $4, AX
+	CMPQ    AX, CX
+	JLE     scale_loop4
+
+scale_tail:
+	ADDQ $4, CX
+	CMPQ AX, CX
+	JGE  scale_done
+
+scale_loop1:
+	VMULSD (DI)(AX*8), X0, X1
+	VMOVSD X1, (DI)(AX*8)
+	INCQ   AX
+	CMPQ   AX, CX
+	JL     scale_loop1
+
+scale_done:
+	VZEROUPPER
+	RET
+
+// func scaleAddAVX2(v []float64, c float64, x []float64)
+// v[i] = c*v[i] + x[i], i < len(v).
+TEXT ·scaleAddAVX2(SB), NOSPLIT, $0-56
+	MOVQ v_base+0(FP), DI
+	MOVQ v_len+8(FP), CX
+	VBROADCASTSD c+24(FP), Y0
+	MOVQ x_base+32(FP), SI
+	XORQ AX, AX
+	SUBQ $4, CX
+	JL   scaleadd_tail
+
+scaleadd_loop4:
+	VMULPD  (DI)(AX*8), Y0, Y1
+	VADDPD  (SI)(AX*8), Y1, Y1
+	VMOVUPD Y1, (DI)(AX*8)
+	ADDQ    $4, AX
+	CMPQ    AX, CX
+	JLE     scaleadd_loop4
+
+scaleadd_tail:
+	ADDQ $4, CX
+	CMPQ AX, CX
+	JGE  scaleadd_done
+
+scaleadd_loop1:
+	VMULSD (DI)(AX*8), X0, X1
+	VADDSD (SI)(AX*8), X1, X1
+	VMOVSD X1, (DI)(AX*8)
+	INCQ   AX
+	CMPQ   AX, CX
+	JL     scaleadd_loop1
+
+scaleadd_done:
+	VZEROUPPER
+	RET
+
+// func axpyToAVX2(dst []float64, alpha float64, x, y []float64)
+// dst[i] = y[i] + alpha*x[i], i < len(dst).
+TEXT ·axpyToAVX2(SB), NOSPLIT, $0-80
+	MOVQ dst_base+0(FP), DI
+	MOVQ dst_len+8(FP), CX
+	VBROADCASTSD alpha+24(FP), Y0
+	MOVQ x_base+32(FP), SI
+	MOVQ y_base+56(FP), DX
+	XORQ AX, AX
+	SUBQ $4, CX
+	JL   axpyto_tail
+
+axpyto_loop4:
+	VMULPD  (SI)(AX*8), Y0, Y1
+	VMOVUPD (DX)(AX*8), Y2
+	VADDPD  Y1, Y2, Y2
+	VMOVUPD Y2, (DI)(AX*8)
+	ADDQ    $4, AX
+	CMPQ    AX, CX
+	JLE     axpyto_loop4
+
+axpyto_tail:
+	ADDQ $4, CX
+	CMPQ AX, CX
+	JGE  axpyto_done
+
+axpyto_loop1:
+	VMULSD (SI)(AX*8), X0, X1
+	VMOVSD (DX)(AX*8), X2
+	VADDSD X1, X2, X2
+	VMOVSD X2, (DI)(AX*8)
+	INCQ   AX
+	CMPQ   AX, CX
+	JL     axpyto_loop1
+
+axpyto_done:
+	VZEROUPPER
+	RET
+
+// func reluAVX2(dst, x []float64)
+// dst[i] = x[i] with every bit cleared when the sign bit is set,
+// i < len(dst): 0 > x as signed integers is exactly "sign bit set".
+TEXT ·reluAVX2(SB), NOSPLIT, $0-48
+	MOVQ dst_base+0(FP), DI
+	MOVQ dst_len+8(FP), CX
+	MOVQ x_base+24(FP), SI
+	VPXOR Y0, Y0, Y0
+	XORQ AX, AX
+	SUBQ $4, CX
+	JL   relu_tail
+
+relu_loop4:
+	VMOVDQU   (SI)(AX*8), Y1
+	VPCMPGTQ  Y1, Y0, Y2
+	VPANDN    Y1, Y2, Y1
+	VMOVDQU   Y1, (DI)(AX*8)
+	ADDQ      $4, AX
+	CMPQ      AX, CX
+	JLE       relu_loop4
+
+relu_tail:
+	ADDQ $4, CX
+	CMPQ AX, CX
+	JGE  relu_done
+
+relu_loop1:
+	MOVQ (SI)(AX*8), DX
+	MOVQ DX, BX
+	SARQ $63, BX
+	NOTQ BX
+	ANDQ BX, DX
+	MOVQ DX, (DI)(AX*8)
+	INCQ AX
+	CMPQ AX, CX
+	JL   relu_loop1
+
+relu_done:
+	VZEROUPPER
+	RET
+
+// func reluGradAVX2(dst, g, out []float64)
+// dst[i] = g[i] where out[i] has any bit set, else +0, i < len(dst).
+TEXT ·reluGradAVX2(SB), NOSPLIT, $0-72
+	MOVQ dst_base+0(FP), DI
+	MOVQ dst_len+8(FP), CX
+	MOVQ g_base+24(FP), SI
+	MOVQ out_base+48(FP), DX
+	VPXOR Y0, Y0, Y0
+	XORQ R8, R8
+	XORQ AX, AX
+	SUBQ $4, CX
+	JL   relugrad_tail
+
+relugrad_loop4:
+	VPCMPEQQ  (DX)(AX*8), Y0, Y1
+	VPANDN    (SI)(AX*8), Y1, Y1
+	VMOVDQU   Y1, (DI)(AX*8)
+	ADDQ      $4, AX
+	CMPQ      AX, CX
+	JLE       relugrad_loop4
+
+relugrad_tail:
+	ADDQ $4, CX
+	CMPQ AX, CX
+	JGE  relugrad_done
+
+relugrad_loop1:
+	MOVQ    (SI)(AX*8), BX
+	CMPQ    (DX)(AX*8), $0
+	CMOVQEQ R8, BX
+	MOVQ    BX, (DI)(AX*8)
+	INCQ    AX
+	CMPQ    AX, CX
+	JL      relugrad_loop1
+
+relugrad_done:
+	VZEROUPPER
+	RET
+
+// MatVec's register tile keeps accumulator (row q, sample s) in lane q of
+// Y_s, s = 0..7: eight independent add chains where dot4 has one, so the
+// sweep runs at the multiplier's throughput instead of the adder's
+// latency. The four rows start at R8 + {0, 1, 2}·R10 and R9 = R8 + 3·R10;
+// the eight samples at R11 + {0, 1, 2, 4}·R10, R12 = R11 + 3·R10 (+2·R10
+// for sample 5) and R13 = R11 + 6·R10 (+R10 for sample 7), R10 being the
+// common stride in bytes. All five pointers advance with the sweep.
+// TILE_TRANSPOSE4 is TRANSPOSE4 on those rows, columns in Y8..Y11;
+// TILE_COLUMN1 the single tail column in Y8. TILE_STEP adds to every
+// accumulator its sample's element at byte offset off times column col —
+// for every lane the term, and the order, of that output's scalar dot.
+// All three clobber Y12..Y15.
+#define TILE_TRANSPOSE4 \
+	VMOVUPD     (R8), X12; \
+	VMOVUPD     (R8)(R10*1), X13; \
+	VINSERTF128 $1, (R8)(R10*2), Y12, Y12; \
+	VINSERTF128 $1, (R9), Y13, Y13; \
+	VUNPCKLPD   Y13, Y12, Y8; \
+	VUNPCKHPD   Y13, Y12, Y9; \
+	VMOVUPD     16(R8), X14; \
+	VMOVUPD     16(R8)(R10*1), X15; \
+	VINSERTF128 $1, 16(R8)(R10*2), Y14, Y14; \
+	VINSERTF128 $1, 16(R9), Y15, Y15; \
+	VUNPCKLPD   Y15, Y14, Y10; \
+	VUNPCKHPD   Y15, Y14, Y11
+
+#define TILE_COLUMN1 \
+	VMOVSD      (R8), X12; \
+	VMOVHPD     (R8)(R10*1), X12, X12; \
+	VMOVSD      (R8)(R10*2), X13; \
+	VMOVHPD     (R9), X13, X13; \
+	VINSERTF128 $1, X13, Y12, Y8
+
+#define TILE_MAC(addr, col, acc, tmp) \
+	VBROADCASTSD addr, tmp; \
+	VMULPD       col, tmp, tmp; \
+	VADDPD       tmp, acc, acc
+
+#define TILE_STEP(off, col) \
+	TILE_MAC(off(R11), col, Y0, Y12); \
+	TILE_MAC(off(R11)(R10*1), col, Y1, Y13); \
+	TILE_MAC(off(R11)(R10*2), col, Y2, Y14); \
+	TILE_MAC(off(R12), col, Y3, Y15); \
+	TILE_MAC(off(R11)(R10*4), col, Y4, Y12); \
+	TILE_MAC(off(R12)(R10*2), col, Y5, Y13); \
+	TILE_MAC(off(R13), col, Y6, Y14); \
+	TILE_MAC(off(R13)(R10*1), col, Y7, Y15)
+
+// func dot4x8AVX2(dst []float64, stride int, w, x []float64, n int)
+// dst[s*stride+q] = Σ x[s*n+i]*w[q*n+i] over i < n, each left to right
+// from +0, for the four rows q of w and the eight samples s of x.
+TEXT ·dot4x8AVX2(SB), NOSPLIT, $0-88
+	MOVQ w_base+32(FP), R8
+	MOVQ x_base+56(FP), R11
+	MOVQ n+80(FP), CX
+	MOVQ CX, R10
+	SHLQ $3, R10
+	LEAQ (R10)(R10*2), AX
+	LEAQ (R8)(AX*1), R9
+	LEAQ (R11)(AX*1), R12
+	LEAQ (R12)(AX*1), R13
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	VXORPD Y4, Y4, Y4
+	VXORPD Y5, Y5, Y5
+	VXORPD Y6, Y6, Y6
+	VXORPD Y7, Y7, Y7
+	SUBQ $4, CX
+	JL   dot4x8_tail
+
+dot4x8_loop4:
+	TILE_TRANSPOSE4
+	TILE_STEP(0, Y8)
+	TILE_STEP(8, Y9)
+	TILE_STEP(16, Y10)
+	TILE_STEP(24, Y11)
+	ADDQ $32, R8
+	ADDQ $32, R9
+	ADDQ $32, R11
+	ADDQ $32, R12
+	ADDQ $32, R13
+	SUBQ $4, CX
+	JGE  dot4x8_loop4
+
+dot4x8_tail:
+	ADDQ $4, CX
+	JLE  dot4x8_done
+
+dot4x8_loop1:
+	TILE_COLUMN1
+	TILE_STEP(0, Y8)
+	ADDQ $8, R8
+	ADDQ $8, R9
+	ADDQ $8, R11
+	ADDQ $8, R12
+	ADDQ $8, R13
+	DECQ CX
+	JNZ  dot4x8_loop1
+
+dot4x8_done:
+	MOVQ dst_base+0(FP), DI
+	MOVQ stride+24(FP), DX
+	SHLQ $3, DX
+	VMOVUPD Y0, (DI)
+	ADDQ    DX, DI
+	VMOVUPD Y1, (DI)
+	ADDQ    DX, DI
+	VMOVUPD Y2, (DI)
+	ADDQ    DX, DI
+	VMOVUPD Y3, (DI)
+	ADDQ    DX, DI
+	VMOVUPD Y4, (DI)
+	ADDQ    DX, DI
+	VMOVUPD Y5, (DI)
+	ADDQ    DX, DI
+	VMOVUPD Y6, (DI)
+	ADDQ    DX, DI
+	VMOVUPD Y7, (DI)
 	VZEROUPPER
 	RET

@@ -39,6 +39,27 @@ var simdKernels = []simdKernel{
 	dot4Kernel("Dot4", Dot4),
 	dot4x2Kernel("Dot4x2", Dot4x2),
 	adamKernel("AdamStep", AdamStep),
+	scaleKernel("Scale", Scale),
+	scaleAddKernel("ScaleAdd", ScaleAdd),
+	axpyToKernel("AXPYTo", AXPYTo),
+	reluKernel("ReLU", ReLU),
+	reluGradKernel("ReLUGrad", ReLUGrad),
+	{
+		name: "SubThenSquaredNormDot", vecs: 4, alias: [][2]int{{0, 1}, {0, 2}}, oracle: oracleSubThenSquaredNormDot,
+		run: func(v [][]float64, _ []float64) []float64 {
+			sq, dot := SubThenSquaredNormDot(v[0], v[1], v[2], v[3])
+			return []float64{sq, dot}
+		},
+	},
+	dot4x8Kernel("MatVec4x8", func(dst []float64, stride int, w, x []float64, n int) {
+		// Four rows, eight samples: one full tile where the assembly is
+		// in use, four Dot4x2 pairs elsewhere.
+		out := make([]float64, 32)
+		MatVec(out, MatFrom(4, n, w), x)
+		for s := 0; s < 8; s++ {
+			copy(dst[s*stride:s*stride+4], out[4*s:4*s+4])
+		}
+	}),
 }
 
 // One constructor per kernel signature: operand counts, permitted
@@ -99,6 +120,132 @@ func adamKernel(name string, f func(params, grads, m, v []float64, b1, b2, lr, e
 			return nil
 		},
 	}
+}
+
+func scaleKernel(name string, f func(v []float64, c float64)) simdKernel {
+	return simdKernel{
+		name: name, vecs: 1, scalars: 1,
+		run: func(v [][]float64, c []float64) []float64 { f(v[0], c[0]); return nil },
+		oracle: func(v [][]float64, c []float64) []float64 {
+			for i := range v[0] {
+				v[0][i] *= c[0]
+			}
+			return nil
+		},
+	}
+}
+
+func scaleAddKernel(name string, f func(v []float64, c float64, x []float64)) simdKernel {
+	return simdKernel{
+		name: name, vecs: 2, scalars: 1, alias: [][2]int{{0, 1}},
+		run: func(v [][]float64, c []float64) []float64 { f(v[0], c[0], v[1]); return nil },
+		oracle: func(v [][]float64, c []float64) []float64 {
+			for i := range v[0] {
+				v[0][i] = c[0]*v[0][i] + v[1][i]
+			}
+			return nil
+		},
+	}
+}
+
+func axpyToKernel(name string, f func(dst []float64, alpha float64, x, y []float64)) simdKernel {
+	return simdKernel{
+		name: name, vecs: 3, scalars: 1, alias: [][2]int{{0, 1}, {0, 2}, {1, 2}},
+		run: func(v [][]float64, c []float64) []float64 { f(v[0], c[0], v[1], v[2]); return nil },
+		oracle: func(v [][]float64, c []float64) []float64 {
+			for i := range v[0] {
+				v[0][i] = v[2][i] + c[0]*v[1][i]
+			}
+			return nil
+		},
+	}
+}
+
+// The ReLU oracles are the branching definitions, not the mask trick the
+// kernels use: a sign bit (−0 and negative NaNs included) rectifies to
+// +0, and the gradient passes wherever the cached output has any bit set.
+
+func reluKernel(name string, f func(dst, x []float64)) simdKernel {
+	return simdKernel{
+		name: name, vecs: 2, alias: [][2]int{{0, 1}},
+		run: func(v [][]float64, _ []float64) []float64 { f(v[0], v[1]); return nil },
+		oracle: func(v [][]float64, _ []float64) []float64 {
+			for i, x := range v[1] {
+				if math.Signbit(x) {
+					x = 0
+				}
+				v[0][i] = x
+			}
+			return nil
+		},
+	}
+}
+
+func reluGradKernel(name string, f func(dst, g, out []float64)) simdKernel {
+	return simdKernel{
+		name: name, vecs: 3, alias: [][2]int{{0, 1}, {0, 2}, {1, 2}},
+		run: func(v [][]float64, _ []float64) []float64 { f(v[0], v[1], v[2]); return nil },
+		oracle: func(v [][]float64, _ []float64) []float64 {
+			for i, o := range v[2] {
+				g := v[1][i]
+				if math.Float64bits(o) == 0 {
+					g = 0
+				}
+				v[0][i] = g
+			}
+			return nil
+		},
+	}
+}
+
+// dot4x8Kernel feeds MatVec's register tile: vectors 0–3 are the rows,
+// 4–11 the samples, packed back to back as the tile reads them, with the
+// eight 4-element outputs 5 apart so a wrong stride shows.
+func dot4x8Kernel(name string, f func(dst []float64, stride int, w, x []float64, n int)) simdKernel {
+	return simdKernel{
+		name: name, vecs: 12, oracle: oracleDot4x8,
+		run: func(v [][]float64, _ []float64) []float64 {
+			n := len(v[0])
+			// Odd element offsets: the packed operands are 8-byte aligned
+			// only, like everything else the assembly is handed.
+			w, x := make([]float64, 1, 1+4*n), make([]float64, 3, 3+8*n)
+			for _, r := range v[:4] {
+				w = append(w, r...)
+			}
+			for _, r := range v[4:] {
+				x = append(x, r...)
+			}
+			const stride = 5
+			dst := make([]float64, 7*stride+4)
+			f(dst, stride, w[1:], x[3:], n)
+			out := make([]float64, 0, 32)
+			for s := 0; s < 8; s++ {
+				out = append(out, dst[s*stride:s*stride+4]...)
+			}
+			return out
+		},
+	}
+}
+
+func oracleDot4x8(v [][]float64, _ []float64) []float64 {
+	out := make([]float64, 0, 32)
+	for s := 0; s < 8; s++ {
+		for q := 0; q < 4; q++ {
+			out = append(out, scalarDot(v[4+s], v[q]))
+		}
+	}
+	return out
+}
+
+// oracleSubThenSquaredNormDot is Sub, then SquaredNorm, then Dot, each
+// its own scalar loop: the fused sweep must return the bits of the three
+// passes it replaces.
+func oracleSubThenSquaredNormDot(v [][]float64, _ []float64) []float64 {
+	dst, a, b, xi := v[0], v[1], v[2], v[3]
+	for i := range dst {
+		dst[i] = a[i] - b[i]
+	}
+	return []float64{scalarDot(dst, dst), scalarDot(xi, dst)}
 }
 
 func oracleAXPY(v [][]float64, c []float64) []float64 {
@@ -285,6 +432,9 @@ func FuzzKernelsMatchScalar(f *testing.F) {
 	f.Add(uint8(2), uint16(4), uint8(3), uint8(2), uint64(2), []byte{0, 0, 0, 0, 0, 0, 0xf0, 0x7f, 1, 0, 0, 0, 0, 0, 0, 0})
 	f.Add(uint8(4), uint16(67), uint8(2), uint8(1), uint64(3), []byte{0, 0, 0, 0, 0, 0, 0xf8, 0xff})
 	f.Add(uint8(5), uint16(23), uint8(0), uint8(0), uint64(4), []byte{0, 0, 0, 0, 0, 0, 0, 0x80})
+	f.Add(uint8(9), uint16(13), uint8(1), uint8(1), uint64(5), []byte{0, 0, 0, 0, 0, 0, 0, 0x80, 0, 0, 0, 0, 0, 0, 0xf8, 0xff})
+	f.Add(uint8(11), uint16(67), uint8(3), uint8(2), uint64(6), []byte{0, 0, 0, 0, 0, 0, 0xf0, 0xff})
+	f.Add(uint8(12), uint16(11), uint8(2), uint8(0), uint64(7), []byte{1, 0, 0, 0, 0, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, which uint8, n uint16, off, alias uint8, seed uint64, raw []byte) {
 		k := simdKernels[int(which)%len(simdKernels)]
 		rng := NewRNG(seed)

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -136,5 +137,84 @@ func TestMatVecLinearityProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// batchVec is randVec with exact zeros, −0 and an infinity mixed in, so
+// the zero-skip of MatTVec and AddOuter is visible: a skipped 0·Inf term
+// is not a NaN, and a skipped term does not turn a −0 sum into +0.
+func batchVec(rng *RNG, n int) []float64 {
+	v := randVec(rng, n)
+	for i := range v {
+		switch rng.Intn(6) {
+		case 0:
+			v[i] = 0
+		case 1:
+			v[i] = math.Copysign(0, -1)
+		}
+	}
+	if n > 2 {
+		v[rng.Intn(n)] = math.Inf(1)
+	}
+	return v
+}
+
+// TestBatchedMatKernelsMatchPerVectorScalarLoops pins the batch-major
+// MatVec, MatTVec and AddOuter to scalar loops over one vector at a
+// time — for row { for sample { dot } } and its two transposes — at row,
+// sample and column counts on both sides of every tile and unroll width.
+func TestBatchedMatKernelsMatchPerVectorScalarLoops(t *testing.T) {
+	rng := NewRNG(77)
+	for _, rows := range []int{1, 3, 4, 5, 8, 13} {
+		for _, cols := range []int{1, 5, 8, 9, 31, 67} {
+			for _, n := range []int{1, 2, 3, 7, 8, 9, 17} {
+				m := MatFrom(rows, cols, randVec(rng, rows*cols))
+				x, g := randVec(rng, n*cols), batchVec(rng, n*rows)
+
+				got := make([]float64, n*rows)
+				MatVec(got, m, x)
+				for i := 0; i < rows; i++ {
+					for s := 0; s < n; s++ {
+						if want := scalarDot(m.Row(i), x[s*cols:(s+1)*cols]); !sameBits(got[s*rows+i], want) {
+							t.Fatalf("%dx%d n=%d: MatVec[%d][%d] = %v, scalar dot %v", rows, cols, n, s, i, got[s*rows+i], want)
+						}
+					}
+				}
+
+				gotT, wantT := make([]float64, n*cols), make([]float64, n*cols)
+				MatTVec(gotT, m, g)
+				for s := 0; s < n; s++ {
+					for i := 0; i < rows; i++ {
+						if gi := g[s*rows+i]; gi != 0 {
+							for j := 0; j < cols; j++ {
+								wantT[s*cols+j] += gi * m.At(i, j)
+							}
+						}
+					}
+				}
+
+				gotO, wantO := m.Clone(), m.Clone()
+				AddOuter(gotO, 0.5, g, x)
+				for s := 0; s < n; s++ {
+					for i := 0; i < rows; i++ {
+						if gi := 0.5 * g[s*rows+i]; gi != 0 {
+							for j := 0; j < cols; j++ {
+								wantO.Data[i*cols+j] += gi * x[s*cols+j]
+							}
+						}
+					}
+				}
+				for j := range wantT {
+					if !sameBits(gotT[j], wantT[j]) {
+						t.Fatalf("%dx%d n=%d: MatTVec[%d] = %v, per-sample loop %v", rows, cols, n, j, gotT[j], wantT[j])
+					}
+				}
+				for j := range wantO.Data {
+					if !sameBits(gotO.Data[j], wantO.Data[j]) {
+						t.Fatalf("%dx%d n=%d: AddOuter[%d] = %v, per-sample loop %v", rows, cols, n, j, gotO.Data[j], wantO.Data[j])
+					}
+				}
+			}
+		}
 	}
 }

@@ -78,6 +78,10 @@ func Sub(dst, a, b []float64) {
 //
 //fda:noalloc
 func Scale(v []float64, c float64) {
+	if useAVX2 && len(v) >= simdMinLen {
+		scaleAVX2(v, c)
+		return
+	}
 	for i := range v {
 		v[i] *= c
 	}
