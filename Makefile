@@ -34,7 +34,9 @@ lint:
 # consume bytes from disk or socket — and the kernel-vs-scalar-loop
 # equality of internal/tensor, where the fuzzer picks lengths,
 # misalignments, aliasing and raw float bits for every kernel that has
-# an assembly body.
+# an assembly body, and of internal/nn's convolution layer, where it
+# picks the geometry, the sample count and the float bits and the layer
+# must match the direct convolution and its pre-GEMM form bit for bit.
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test ./internal/checkpoint -fuzz FuzzUnmarshal -fuzztime $(FUZZTIME)
@@ -44,6 +46,7 @@ fuzz:
 	$(GO) test ./internal/comm -fuzz FuzzSplitBundle -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/obs -fuzz FuzzValidatePrometheusText -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/tensor -fuzz FuzzKernelsMatchScalar -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/nn -fuzz FuzzConvMatchesDirectReference -fuzztime $(FUZZTIME)
 
 # The public surface of the fda package is pinned in docs/fda-api.txt
 # (a go doc -all dump). apicheck fails when a change alters it without

@@ -99,17 +99,23 @@ func (s *server) handleTrain(w http.ResponseWriter, r *http.Request) {
 	cluster.WriteJSON(w, http.StatusAccepted, j.view())
 }
 
+// workerJoinTimeout is how long a distributed job waits for its K
+// workers to dial and say hello before it fails and frees its slot and
+// the fabric address.
+const workerJoinTimeout = 2 * time.Minute
+
 // trainDistributed coordinates one multi-process training run: the job
-// listens on the server's fabric address, waits for the K worker
-// processes, relays their collectives and returns the verified cluster
-// Result. Cancellation (DELETE or shutdown) closes the coordinator,
-// which unblocks the workers with transport errors.
+// listens on the server's fabric address, waits up to workerJoinTimeout
+// for the K worker processes, relays their collectives and returns the
+// verified cluster Result. Cancellation (DELETE or shutdown) closes the
+// coordinator, which unblocks the workers with transport errors.
 func (s *server) trainDistributed(ctx context.Context, j *job, spec dist.JobSpec) (core.Result, error) {
 	coord, err := comm.ListenCoordinator(s.fabricAddr, spec.K)
 	if err != nil {
 		return core.Result{}, err
 	}
 	defer coord.Close()
+	coord.JoinDeadline = time.Now().Add(workerJoinTimeout)
 	j.mu.Lock()
 	j.fabricAddr = coord.Addr()
 	j.mu.Unlock()

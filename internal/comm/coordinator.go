@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net"
 	"sync"
+	"time"
 )
 
 // Coordinator is the rendezvous point and relay of a TCP-fabric
@@ -21,8 +22,15 @@ import (
 // The run ends when every worker sends its result frame; Serve returns
 // the K result payloads in rank order.
 type Coordinator struct {
-	ln net.Listener
+	ln *net.TCPListener
 	k  int
+
+	// JoinDeadline, when set before Serve, bounds the rendezvous: a
+	// worker that has not dialled, or has dialled and not said hello, by
+	// then fails Serve with a timeout instead of parking it forever. It
+	// is an instant, not a duration, because this package reads no clock
+	// (fdavet wallclock); the relay loop runs without deadlines.
+	JoinDeadline time.Time
 
 	mu        sync.Mutex
 	conns     []*coordConn // admitted by a Serve in progress
@@ -40,7 +48,7 @@ func ListenCoordinator(addr string, k int) (*Coordinator, error) {
 	if err != nil {
 		return nil, fmt.Errorf("comm: coordinator listen %s: %w", addr, err)
 	}
-	return &Coordinator{ln: ln, k: k}, nil
+	return &Coordinator{ln: ln.(*net.TCPListener), k: k}, nil
 }
 
 // Addr returns the coordinator's bound address.
@@ -100,7 +108,11 @@ func (c *Coordinator) Serve(ctx context.Context, job []byte) (results [][]byte, 
 	stop := context.AfterFunc(ctx, func() { c.Close() })
 	defer stop()
 
-	// Rendezvous: accept K workers, assign ranks in connection order.
+	// Rendezvous: accept K workers, assign ranks in connection order. A
+	// zero JoinDeadline sets no deadline.
+	if err := c.ln.SetDeadline(c.JoinDeadline); err != nil {
+		return nil, fmt.Errorf("comm: coordinator join deadline: %w", err)
+	}
 	conns := make([]*coordConn, 0, c.k)
 	for rank := 0; rank < c.k; rank++ {
 		raw, aerr := c.ln.Accept()
@@ -114,10 +126,14 @@ func (c *Coordinator) Serve(ctx context.Context, job []byte) (results [][]byte, 
 		c.mu.Lock() // Close and the cancellation above close c.conns concurrently
 		c.conns = append(c.conns, cc)
 		c.mu.Unlock()
+		// SetReadDeadline fails only on a closed connection, which the
+		// read after it reports.
+		_ = raw.SetReadDeadline(c.JoinDeadline)
 		fr, buf, rerr := readFrame(cc.br, nil, "")
+		_ = raw.SetReadDeadline(time.Time{})
 		cc.buf = buf
 		if rerr != nil {
-			return nil, fmt.Errorf("comm: worker %d handshake: %w", rank, rerr)
+			return nil, fmt.Errorf("comm: worker %d handshake (have %d of %d workers): %w", rank, rank, c.k, rerr)
 		}
 		if fr.op != opHello {
 			return nil, fmt.Errorf("comm: worker %d sent op=%d, want hello", rank, fr.op)
@@ -130,6 +146,7 @@ func (c *Coordinator) Serve(ctx context.Context, job []byte) (results [][]byte, 
 		}
 		conns = append(conns, cc)
 	}
+	_ = c.ln.SetDeadline(time.Time{}) // nothing accepts on it again
 
 	// Relay loop. Workers run a replicated deterministic control flow, so
 	// each round every connection yields either a contribution for the

@@ -8,6 +8,7 @@ import (
 	"io"
 	"math"
 	"net"
+	"os"
 	"runtime"
 	"strings"
 	"testing"
@@ -150,6 +151,85 @@ func TestCoordinatorCloseAbortsRelay(t *testing.T) {
 	}
 	awaitFabricError(t, "rank 0's all-reduce", op)
 	fabs[1].Close()
+	noGoroutineLeft(t, base)
+}
+
+// TestJoinDeadlineFailsRendezvousAndFreesAddress: with K = 2 and one
+// worker that never dials, Serve returns a deadline error that says how
+// far the rendezvous got instead of parking forever, and hangs up on the
+// worker it had admitted; a worker that dials and stays silent fails the
+// same way. The address is then free for a later job, whose relay —
+// deadlines cleared once the rendezvous is over — outlives its own
+// JoinDeadline.
+func TestJoinDeadlineFailsRendezvousAndFreesAddress(t *testing.T) {
+	base := runtime.NumGoroutine()
+	listen := func(addr string, join time.Duration) (*Coordinator, <-chan error) {
+		coord, err := ListenCoordinator(addr, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { coord.Close() })
+		coord.JoinDeadline = time.Now().Add(join)
+		served := make(chan error, 1)
+		go func() {
+			_, err := coord.Serve(context.Background(), nil)
+			served <- err
+		}()
+		return coord, served
+	}
+	timedOut := func(what string, served <-chan error, have string) {
+		t.Helper()
+		err := await(t, what, served)
+		if !errors.Is(err, os.ErrDeadlineExceeded) || !strings.Contains(err.Error(), have) {
+			t.Fatalf("%s: Serve returned %v, want a deadline error saying %q", what, err, have)
+		}
+	}
+
+	coord, served := listen("127.0.0.1:0", 100*time.Millisecond)
+	admitted := dialRawWorker(t, coord.Addr())
+	timedOut("second worker never dials", served, "have 1 of 2 workers")
+	admitted.conn.SetReadDeadline(time.Now().Add(testDeadline))
+	if _, err := admitted.conn.Read(make([]byte, 1)); err != io.EOF {
+		t.Fatalf("admitted worker read %v after the failed rendezvous, want EOF", err)
+	}
+	addr := coord.Addr()
+	coord.Close()
+
+	coord, served = listen(addr, 100*time.Millisecond)
+	silent, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer silent.Close()
+	timedOut("first worker never says hello", served, "have 0 of 2 workers")
+	coord.Close()
+
+	const join = 200 * time.Millisecond
+	coord, served = listen(addr, join)
+	fabs := []*TCPFabric{dial(t, coord), dial(t, coord)}
+	time.Sleep(time.Until(coord.JoinDeadline) + join/4)
+	vecs := [][]float64{{1}, {3}}
+	ops := []<-chan any{
+		collective(func() { fabs[0].AllReduce("model", vecs[:1]) }),
+		collective(func() { fabs[1].AllReduce("model", vecs[1:]) }),
+	}
+	for r, op := range ops {
+		if p := await(t, "all-reduce past the join deadline", op); p != nil || vecs[r][0] != 2 {
+			t.Fatalf("rank %d: all-reduce past the join deadline gave %v, panic %v", r, vecs[r], p)
+		}
+	}
+	acked := make(chan error, len(fabs))
+	for _, f := range fabs {
+		go func() { acked <- f.SendResult(nil) }()
+	}
+	for range fabs {
+		if err := await(t, "result acknowledgement", acked); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := await(t, "Serve of the later job", served); err != nil {
+		t.Fatalf("later job on the same address: %v", err)
+	}
 	noGoroutineLeft(t, base)
 }
 

@@ -6,6 +6,12 @@ import "repro/internal/tensor"
 // [c][h][w] flattened), stride 1, with "same" zero padding for odd kernel
 // sizes. Weights are stored flat as [outC][inC][kh][kw] followed by one
 // bias per output channel.
+//
+// A pass lowers each sample to its patch matrix and works on whole
+// matrices from there (DESIGN.md §7): Forward is one grouped AXPY sweep
+// per pair of output channels, the weight gradient one tensor.MatVec per
+// sample, the input gradient one grouped sweep per pair of taps, and
+// im2col / col2im move one contiguous span per tap.
 type Conv2D struct {
 	in     Shape
 	outC   int
@@ -18,17 +24,48 @@ type Conv2D struct {
 	y   []float64 // output buffer
 	gin []float64 // input-gradient buffer
 
-	// im2col scratch, owned by the layer and reused across micro-batches
-	// so the steady-state step allocates nothing. cols holds one
-	// (inC·k·k)×(H·W) patch matrix per sample of the last Forward — row r
-	// holds, for every output pixel, the input value under kernel tap r
-	// (zero where the tap falls outside the image); Backward consumes it
-	// in place of a cached input. gcol and gcol2 are plane-length rows of
-	// the patch-gradient for a pair of taps, scattered back into gin tap
-	// by tap.
+	// taps is the geometry of the k·k kernel taps, shared by every input
+	// channel.
+	taps []convTap
+
+	// Scratch owned by the layer and reused across micro-batches so the
+	// steady-state step allocates nothing. cols holds one (inC·k·k)×(H·W)
+	// patch matrix per sample of the last Forward — row r holds, for
+	// every output pixel, the input value under kernel tap r (zero where
+	// the tap falls outside the image); Backward consumes it in place of
+	// a cached input, one sample at a time through the view patch. gws
+	// receives one sample's weight gradient in gw's own layout. gcol and
+	// gcol2 are plane-length rows of the patch gradient for a pair of
+	// taps, scattered back into gin tap by tap.
 	cols  []float64
+	patch tensor.Mat
+	gws   []float64
 	gcol  []float64
 	gcol2 []float64
+}
+
+// convTap is where one kernel tap (di, dj) meets the image. Row-major,
+// the output pixels whose input pixel under the tap exists run from lo
+// to hi, and that input pixel sits off = di·W + dj further on — so the
+// whole tap is one shifted span, except that for dj ≠ 0 the shift drags
+// |dj| pixels across each image-row boundary inside the span: gap
+// entries starting at gapAt and every W from there, which belong to the
+// padding. A tap entirely in the padding has lo = hi = 0.
+type convTap struct {
+	lo, hi, off int
+	gapAt, gap  int
+}
+
+// zeroWrapped clears the entries of a plane-length patch row that the
+// shifted span carried across an image-row boundary.
+//
+//fda:noalloc
+func (t convTap) zeroWrapped(row []float64, w int) {
+	for p := t.gapAt; p < t.hi; p += w {
+		for q := p; q < p+t.gap; q++ {
+			row[q] = 0
+		}
+	}
 }
 
 // NewConv2D returns a same-padded stride-1 convolution with a square odd
@@ -41,8 +78,24 @@ func NewConv2D(in Shape, outC, k int, scheme InitScheme) *Conv2D {
 		panic("nn: Conv2D kernel must be positive and odd")
 	}
 	l := &Conv2D{in: in, outC: outC, k: k, scheme: scheme}
-	l.gcol = make([]float64, in.H*in.W)
-	l.gcol2 = make([]float64, in.H*in.W)
+	h, w, pad := in.H, in.W, k/2
+	for ki := 0; ki < k; ki++ {
+		for kj := 0; kj < k; kj++ {
+			di, dj := ki-pad, kj-pad
+			iLo, iHi := max(0, -di), min(h, h-di)
+			jLo, jHi := max(0, -dj), min(w, w-dj)
+			var t convTap
+			if iLo < iHi && jLo < jHi {
+				t = convTap{lo: iLo*w + jLo, hi: (iHi-1)*w + jHi, off: di*w + dj,
+					gapAt: iLo*w + jHi, gap: w - (jHi - jLo)}
+			}
+			l.taps = append(l.taps, t)
+		}
+	}
+	l.patch = tensor.Mat{Rows: in.C * k * k, Cols: h * w}
+	l.gws = make([]float64, outC*in.C*k*k)
+	l.gcol = make([]float64, h*w)
+	l.gcol2 = make([]float64, h*w)
 	return l
 }
 
@@ -74,56 +127,41 @@ func (l *Conv2D) Init(rng *tensor.RNG) {
 
 // im2col lowers one sample x into its patch matrix: row r = (ic, ki, kj)
 // (the weight layout) holds, pixel by pixel, the input value that kernel
-// tap touches, with zeros where the tap falls into the padding. Boundary
-// clipping is computed once per tap here instead of once per (tap, output
-// channel) as in a direct convolution.
+// tap touches, with zeros where the tap falls into the padding — per tap
+// one shifted copy of the channel plane, zeros either side of the span
+// and over the entries that wrapped inside it.
+//
+//fda:noalloc
 func (l *Conv2D) im2col(cols, x []float64) {
-	h, w, inC := l.in.H, l.in.W, l.in.C
-	pad := l.k / 2
-	plane := h * w
+	plane := l.in.H * l.in.W
 	r := 0
-	for ic := 0; ic < inC; ic++ {
+	for ic := 0; ic < l.in.C; ic++ {
 		xin := x[ic*plane : (ic+1)*plane]
-		for ki := 0; ki < l.k; ki++ {
-			for kj := 0; kj < l.k; kj++ {
-				row := cols[r*plane : (r+1)*plane]
-				di, dj := ki-pad, kj-pad
-				iLo, iHi := max(0, -di), min(h, h-di)
-				jLo, jHi := max(0, -dj), min(w, w-dj)
-				switch {
-				case iLo >= iHi || jLo >= jHi:
-					// Tap entirely in the padding (kernel wider than the
-					// image): the whole row is zeros.
-					tensor.Zero(row)
-				case jLo == 0 && jHi == w:
-					// Horizontally centered tap: one contiguous copy with
-					// zeroed vertical borders.
-					tensor.Zero(row[:iLo*w])
-					copy(row[iLo*w:iHi*w], xin[(iLo+di)*w:(iHi+di)*w])
-					tensor.Zero(row[iHi*w:])
-				default:
-					tensor.Zero(row)
-					for i := iLo; i < iHi; i++ {
-						copy(row[i*w+jLo:i*w+jHi], xin[(i+di)*w+jLo+dj:(i+di)*w+jHi+dj])
-					}
-				}
-				r++
-			}
+		for _, t := range l.taps {
+			row := cols[r*plane : (r+1)*plane]
+			tensor.Zero(row[:t.lo])
+			copy(row[t.lo:t.hi], xin[t.lo+t.off:t.hi+t.off])
+			tensor.Zero(row[t.hi:])
+			t.zeroWrapped(row, l.in.W)
+			r++
 		}
 	}
 }
 
-// Forward computes, sample after sample, y = W·im2col(x) + b as one fused
-// AXPY sweep per (output channel, kernel tap); a batch shares the weights
-// and nothing else. For each output pixel the contributions
-// accumulate onto the bias in ascending (ic, ki, kj) order — exactly the
-// order of the direct convolution, so results are bit-identical to the
-// scalar reference (taps in the padding contribute an exact +0).
+// Forward computes, sample after sample, y = W·im2col(x) + b: each pair
+// of output channels is one grouped AXPY sweep over the patch matrix,
+// four taps to a group; a batch shares the weights and nothing else. For
+// each output pixel the contributions accumulate onto the bias in
+// ascending (ic, ki, kj) order — exactly the order of the direct
+// convolution, so results are bit-identical to the scalar reference
+// (taps in the padding contribute an exact +0). Interleaving two
+// channels never reorders any single output element's accumulation.
 //
 //fda:noalloc
 func (l *Conv2D) Forward(x []float64, _ bool) []float64 {
 	plane := l.in.H * l.in.W
 	taps := l.in.C * l.k * l.k
+	quads := taps / 4
 	inDim, outDim := l.InDim(), l.OutDim()
 	n := len(x) / inDim
 	l.y = grow(l.y, n*outDim)
@@ -132,11 +170,6 @@ func (l *Conv2D) Forward(x []float64, _ bool) []float64 {
 		y := l.y[s*outDim : (s+1)*outDim]
 		cols := l.cols[s*taps*plane : (s+1)*taps*plane]
 		l.im2col(cols, x[s*inDim:(s+1)*inDim])
-		// 2 output channels × 4 taps register blocking: each cols element
-		// loaded once serves both channels. Interleaving channels never
-		// reorders any single output element's tap accumulation, so
-		// results stay bit-identical to the channel-at-a-time scalar
-		// reference.
 		oc := 0
 		for ; oc+2 <= l.outC; oc += 2 {
 			outA := y[oc*plane : (oc+1)*plane]
@@ -145,15 +178,8 @@ func (l *Conv2D) Forward(x []float64, _ bool) []float64 {
 			tensor.Fill(outB, l.b[oc+1])
 			wa := l.w[oc*taps : (oc+1)*taps]
 			wb := l.w[(oc+1)*taps : (oc+2)*taps]
-			r := 0
-			for ; r+4 <= taps; r += 4 {
-				tensor.AXPY4x2(wa[r], wa[r+1], wa[r+2], wa[r+3],
-					wb[r], wb[r+1], wb[r+2], wb[r+3],
-					cols[r*plane:(r+1)*plane], cols[(r+1)*plane:(r+2)*plane],
-					cols[(r+2)*plane:(r+3)*plane], cols[(r+3)*plane:(r+4)*plane],
-					outA, outB)
-			}
-			for ; r < taps; r++ {
+			tensor.AXPY4x2(outA, outB, cols, wa, wb, 1, quads)
+			for r := 4 * quads; r < taps; r++ {
 				col := cols[r*plane : (r+1)*plane]
 				if wv := wa[r]; wv != 0 {
 					tensor.AXPY(wv, col, outA)
@@ -184,15 +210,22 @@ func (l *Conv2D) Forward(x []float64, _ bool) []float64 {
 }
 
 // Backward consumes the patch matrices of the last Forward, sample after
-// sample so that every gradient element receives its samples in order:
-// the bias gradient is a plane sum, the weight gradient one fused dot per
-// (output channel, tap), and the input gradient is Wᵀ·gradOut computed
-// tap by tap into gcol and scattered back through the im2col geometry.
+// sample so that every gradient element receives its samples in order.
+// The bias gradient is a plane sum. The weight gradient
+// gw[oc][r] += Σ_p gradOut[oc][p]·cols[r][p] is the patch matrix times
+// the outC planes of gradOut — tensor.MatVec, whose register tile runs
+// eight output channels' dot products side by side, each left to right
+// from +0 — written in gw's layout and added once. The input gradient is
+// Wᵀ·gradOut, two taps at a time (each gradOut element loaded once for
+// both) as one grouped sweep down two weight columns, four output
+// channels to a group in ascending order, scattered back through the
+// im2col geometry.
 //
 //fda:noalloc
 func (l *Conv2D) Backward(gradOut []float64, needInput bool) []float64 {
 	plane := l.in.H * l.in.W
 	taps := l.in.C * l.k * l.k
+	quads := l.outC / 4
 	inDim, outDim := l.InDim(), l.OutDim()
 	n := len(gradOut) / outDim
 	if needInput {
@@ -201,102 +234,36 @@ func (l *Conv2D) Backward(gradOut []float64, needInput bool) []float64 {
 	}
 	for s := 0; s < n; s++ {
 		g := gradOut[s*outDim : (s+1)*outDim]
-		cols := l.cols[s*taps*plane : (s+1)*taps*plane]
-		oc := 0
-		for ; oc+2 <= l.outC; oc += 2 {
-			goutA := g[oc*plane : (oc+1)*plane]
-			goutB := g[(oc+1)*plane : (oc+2)*plane]
-			l.gb[oc] += tensor.Sum(goutA)
-			l.gb[oc+1] += tensor.Sum(goutB)
-			gwa := l.gw[oc*taps : (oc+1)*taps]
-			gwb := l.gw[(oc+1)*taps : (oc+2)*taps]
-			r := 0
-			for ; r+4 <= taps; r += 4 {
-				s0, s1, s2, s3, t0, t1, t2, t3 := tensor.Dot4x2(goutA, goutB,
-					cols[r*plane:(r+1)*plane], cols[(r+1)*plane:(r+2)*plane],
-					cols[(r+2)*plane:(r+3)*plane], cols[(r+3)*plane:(r+4)*plane])
-				gwa[r] += s0
-				gwa[r+1] += s1
-				gwa[r+2] += s2
-				gwa[r+3] += s3
-				gwb[r] += t0
-				gwb[r+1] += t1
-				gwb[r+2] += t2
-				gwb[r+3] += t3
-			}
-			for ; r < taps; r++ {
-				col := cols[r*plane : (r+1)*plane]
-				gwa[r] += tensor.Dot(goutA, col)
-				gwb[r] += tensor.Dot(goutB, col)
-			}
+		for oc := range l.gb {
+			l.gb[oc] += tensor.Sum(g[oc*plane : (oc+1)*plane])
 		}
-		for ; oc < l.outC; oc++ {
-			gout := g[oc*plane : (oc+1)*plane]
-			l.gb[oc] += tensor.Sum(gout)
-			gwrow := l.gw[oc*taps : (oc+1)*taps]
-			r := 0
-			for ; r+4 <= taps; r += 4 {
-				s0, s1, s2, s3 := tensor.Dot4(gout,
-					cols[r*plane:(r+1)*plane], cols[(r+1)*plane:(r+2)*plane],
-					cols[(r+2)*plane:(r+3)*plane], cols[(r+3)*plane:(r+4)*plane])
-				gwrow[r] += s0
-				gwrow[r+1] += s1
-				gwrow[r+2] += s2
-				gwrow[r+3] += s3
-			}
-			for ; r < taps; r++ {
-				gwrow[r] += tensor.Dot(gout, cols[r*plane:(r+1)*plane])
-			}
-		}
+		l.patch.Data = l.cols[s*taps*plane : (s+1)*taps*plane]
+		tensor.MatVec(l.gws, &l.patch, g)
+		tensor.Accumulate(l.gw, l.gws)
 		if !needInput {
 			continue
 		}
 		gin := l.gin[s*inDim : (s+1)*inDim]
-		// Patch gradient Wᵀ·gradOut, two taps at a time (each gradOut
-		// element loaded once for both), each accumulated over output
-		// channels in ascending order and scattered back through the
-		// im2col geometry.
-		r := 0
-		for ; r+2 <= taps; r += 2 {
+		for r := 0; r < taps; r += 2 {
+			// A lone last tap rides as both halves of a pair; its second
+			// copy is dropped.
+			r2 := min(r+1, taps-1)
 			tensor.Zero(l.gcol)
 			tensor.Zero(l.gcol2)
-			oc := 0
-			for ; oc+4 <= l.outC; oc += 4 {
-				tensor.AXPY4x2(
-					l.w[oc*taps+r], l.w[(oc+1)*taps+r], l.w[(oc+2)*taps+r], l.w[(oc+3)*taps+r],
-					l.w[oc*taps+r+1], l.w[(oc+1)*taps+r+1], l.w[(oc+2)*taps+r+1], l.w[(oc+3)*taps+r+1],
-					g[oc*plane:(oc+1)*plane], g[(oc+1)*plane:(oc+2)*plane],
-					g[(oc+2)*plane:(oc+3)*plane], g[(oc+3)*plane:(oc+4)*plane],
-					l.gcol, l.gcol2)
-			}
-			for ; oc < l.outC; oc++ {
+			tensor.AXPY4x2(l.gcol, l.gcol2, g, l.w[r:], l.w[r2:], taps, quads)
+			for oc := 4 * quads; oc < l.outC; oc++ {
 				gout := g[oc*plane : (oc+1)*plane]
 				if wv := l.w[oc*taps+r]; wv != 0 {
 					tensor.AXPY(wv, gout, l.gcol)
 				}
-				if wv := l.w[oc*taps+r+1]; wv != 0 {
+				if wv := l.w[oc*taps+r2]; wv != 0 {
 					tensor.AXPY(wv, gout, l.gcol2)
 				}
 			}
 			l.scatterTap(gin, l.gcol, r)
-			l.scatterTap(gin, l.gcol2, r+1)
-		}
-		for ; r < taps; r++ {
-			tensor.Zero(l.gcol)
-			oc := 0
-			for ; oc+4 <= l.outC; oc += 4 {
-				tensor.AXPY4(
-					l.w[oc*taps+r], l.w[(oc+1)*taps+r], l.w[(oc+2)*taps+r], l.w[(oc+3)*taps+r],
-					g[oc*plane:(oc+1)*plane], g[(oc+1)*plane:(oc+2)*plane],
-					g[(oc+2)*plane:(oc+3)*plane], g[(oc+3)*plane:(oc+4)*plane],
-					l.gcol)
+			if r2 > r {
+				l.scatterTap(gin, l.gcol2, r2)
 			}
-			for ; oc < l.outC; oc++ {
-				if wv := l.w[oc*taps+r]; wv != 0 {
-					tensor.AXPY(wv, g[oc*plane:(oc+1)*plane], l.gcol)
-				}
-			}
-			l.scatterTap(gin, l.gcol, r)
 		}
 	}
 	if !needInput {
@@ -307,35 +274,17 @@ func (l *Conv2D) Backward(gradOut []float64, needInput bool) []float64 {
 
 // scatterTap adds the plane-length patch-gradient row of kernel tap r
 // into the input gradient at that tap's spatial offset (col2im for one
-// row).
+// row): im2col's shifted span run backwards as one Accumulate. The
+// wrapped entries are zeroed in gcol first, so they add +0 to gin — and
+// gin, summed up from +0, is never −0, the one value +0 would change.
+//
+//fda:noalloc
 func (l *Conv2D) scatterTap(gin, gcol []float64, r int) {
-	h, w := l.in.H, l.in.W
-	pad := l.k / 2
-	plane := h * w
 	kk := l.k * l.k
-	ic := r / kk
-	rem := r % kk
-	ki, kj := rem/l.k, rem%l.k
-	di, dj := ki-pad, kj-pad
-	iLo, iHi := max(0, -di), min(h, h-di)
-	jLo, jHi := max(0, -dj), min(w, w-dj)
-	if iLo >= iHi || jLo >= jHi {
-		return // tap entirely in the padding: nothing to scatter
-	}
-	gin = gin[ic*plane : (ic+1)*plane]
-	if jLo == 0 && jHi == w {
-		// Horizontally centered tap: the valid rows are contiguous in
-		// both buffers, so the scatter collapses to one unrolled add.
-		tensor.Accumulate(gin[(iLo+di)*w:(iHi+di)*w], gcol[iLo*w:iHi*w])
-		return
-	}
-	for i := iLo; i < iHi; i++ {
-		src := gcol[i*w+jLo : i*w+jHi]
-		dst := gin[(i+di)*w+jLo+dj : (i+di)*w+jHi+dj]
-		for j, v := range src {
-			dst[j] += v
-		}
-	}
+	t := l.taps[r%kk]
+	t.zeroWrapped(gcol, l.in.W)
+	at := r/kk*l.in.H*l.in.W + t.off
+	tensor.Accumulate(gin[at+t.lo:at+t.hi], gcol[t.lo:t.hi])
 }
 
 // MaxPool2D is a non-overlapping max pooling layer with a square window.

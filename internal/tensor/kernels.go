@@ -356,40 +356,55 @@ func Dot4(a, x0, x1, x2, x3 []float64) (s0, s1, s2, s3 float64) {
 	return
 }
 
-// AXPY4x2 is the register-blocked 2×4 convolution micro-kernel: it
-// computes ya += a0*x0+…+a3*x3 and yb += b0*x0+…+b3*x3 in one sweep,
-// loading each shared x element once for both destinations. Each
-// destination's partial sums chain in tap order, bit-identical to two
-// AXPY4 calls. Operands may coincide exactly (ya[i] is written before
-// yb[i] is read) but must not overlap partially.
+// AXPY4x2 is the register-blocked 2×4 convolution micro-kernel with the
+// tap loop inside: for each of groups successive quads of len(ya)-length
+// rows stored back to back in x it computes ya += a0*x0+…+a3*x3 and
+// yb += b0*x0+…+b3*x3 in one sweep, loading each shared x element once
+// for both destinations. Row j's coefficients are wa[j*wStride] and
+// wb[j*wStride]: stride 1 walks a weight row (the conv forward), stride
+// taps a weight column (the input gradient). Each destination's partial
+// sums chain in row order, bit-identical to one AXPY4 per quad and
+// destination; one call stands where groups calls, each with its slicing,
+// length checks and broadcasts, stood before. ya, yb and x must not
+// overlap.
 //
 //fda:noalloc
-func AXPY4x2(a0, a1, a2, a3, b0, b1, b2, b3 float64, x0, x1, x2, x3, ya, yb []float64) {
+func AXPY4x2(ya, yb, x, wa, wb []float64, wStride, groups int) {
 	n := len(ya)
-	if len(x0) != n || len(x1) != n || len(x2) != n || len(x3) != n || len(yb) != n {
-		checkLen("AXPY4x2", x0, ya)
-		checkLen("AXPY4x2", x1, ya)
-		checkLen("AXPY4x2", x2, ya)
-		checkLen("AXPY4x2", x3, ya)
-		checkLen("AXPY4x2", yb, ya)
-	}
-	if useAVX2 && n >= simdMinLen {
-		axpy4x2AVX2(a0, a1, a2, a3, b0, b1, b2, b3, x0, x1, x2, x3, ya, yb)
+	if groups <= 0 {
 		return
 	}
-	x0, x1, x2, x3, yb = x0[:n], x1[:n], x2[:n], x3[:n], yb[:n]
-	for i := range ya {
-		v0, v1, v2, v3 := x0[i], x1[i], x2[i], x3[i]
-		s := ya[i] + a0*v0
-		s += a1 * v1
-		s += a2 * v2
-		s += a3 * v3
-		ya[i] = s
-		t := yb[i] + b0*v0
-		t += b1 * v1
-		t += b2 * v2
-		t += b3 * v3
-		yb[i] = t
+	checkLen("AXPY4x2", yb, ya)
+	if len(x) < 4*groups*n {
+		lenPanic("AXPY4x2", len(x), 4*groups*n)
+	}
+	if last := (4*groups - 1) * wStride; wStride < 1 || len(wa) <= last || len(wb) <= last {
+		lenPanic("AXPY4x2", min(len(wa), len(wb)), last+1)
+	}
+	if useAVX2 && n >= simdMinLen {
+		axpy4x2AVX2(ya, yb, x, wa, wb, wStride, groups)
+		return
+	}
+	yb = yb[:n]
+	for g := 0; g < groups; g++ {
+		rows := x[4*g*n : 4*(g+1)*n]
+		x0, x1, x2, x3 := rows[:n], rows[n:2*n], rows[2*n:3*n], rows[3*n:]
+		w := 4 * g * wStride
+		a0, a1, a2, a3 := wa[w], wa[w+wStride], wa[w+2*wStride], wa[w+3*wStride]
+		b0, b1, b2, b3 := wb[w], wb[w+wStride], wb[w+2*wStride], wb[w+3*wStride]
+		for i := range ya {
+			v0, v1, v2, v3 := x0[i], x1[i], x2[i], x3[i]
+			s := ya[i] + a0*v0
+			s += a1 * v1
+			s += a2 * v2
+			s += a3 * v3
+			ya[i] = s
+			t := yb[i] + b0*v0
+			t += b1 * v1
+			t += b2 * v2
+			t += b3 * v3
+			yb[i] = t
+		}
 	}
 }
 

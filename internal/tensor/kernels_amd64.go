@@ -41,7 +41,7 @@ func axpy4AVX2(a0, a1, a2, a3 float64, x0, x1, x2, x3, y []float64)
 
 //go:noescape
 //fda:noalloc
-func axpy4x2AVX2(a0, a1, a2, a3, b0, b1, b2, b3 float64, x0, x1, x2, x3, ya, yb []float64)
+func axpy4x2AVX2(ya, yb, x, wa, wb []float64, wStride, groups int)
 
 //go:noescape
 //fda:noalloc

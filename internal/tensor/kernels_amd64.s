@@ -155,28 +155,50 @@ axpy4_done:
 	VZEROUPPER
 	RET
 
-// func axpy4x2AVX2(a0, a1, a2, a3, b0, b1, b2, b3 float64, x0, x1, x2, x3, ya, yb []float64)
-// The axpy4 chain for ya with a0..a3 and for yb with b0..b3, i < len(ya),
-// each shared x element loaded once. ya[i] is stored before yb[i] is
-// loaded, as in the Go loop.
-TEXT ·axpy4x2AVX2(SB), NOSPLIT, $0-208
-	VBROADCASTSD a0+0(FP), Y8
-	VBROADCASTSD a1+8(FP), Y9
-	VBROADCASTSD a2+16(FP), Y10
-	VBROADCASTSD a3+24(FP), Y11
-	VBROADCASTSD b0+32(FP), Y12
-	VBROADCASTSD b1+40(FP), Y13
-	VBROADCASTSD b2+48(FP), Y14
-	VBROADCASTSD b3+56(FP), Y15
-	MOVQ x0_base+64(FP), R8
-	MOVQ x1_base+88(FP), R9
-	MOVQ x2_base+112(FP), R10
-	MOVQ x3_base+136(FP), R11
-	MOVQ ya_base+160(FP), DI
-	MOVQ ya_len+168(FP), CX
-	MOVQ yb_base+184(FP), SI
-	XORQ AX, AX
+// func axpy4x2AVX2(ya, yb, x, wa, wb []float64, wStride, groups int)
+// For each of groups successive quads of len(ya)-length rows of x, the
+// axpy4 chain for ya with that quad's four wa coefficients and for yb
+// with its four wb coefficients (both wStride elements apart), each
+// shared x element loaded once. The group loop only re-points the row
+// and coefficient registers: per element the instructions are those of
+// one quad, repeated in quad order.
+TEXT ·axpy4x2AVX2(SB), NOSPLIT, $0-136
+	MOVQ ya_base+0(FP), DI
+	MOVQ ya_len+8(FP), CX
+	MOVQ yb_base+24(FP), SI
+	MOVQ x_base+48(FP), R8
+	MOVQ wa_base+72(FP), R12
+	MOVQ wb_base+96(FP), R13
+	MOVQ wStride+120(FP), DX
+	SHLQ $3, DX
+	MOVQ CX, BX
+	SHLQ $3, BX
 	SUBQ $4, CX
+	CMPQ groups+128(FP), $0
+	JLE  axpy4x2_done
+
+axpy4x2_group:
+	LEAQ (R8)(BX*1), R9
+	LEAQ (R8)(BX*2), R10
+	LEAQ (R9)(BX*2), R11
+	VBROADCASTSD (R12), Y8
+	VBROADCASTSD (R13), Y12
+	ADDQ DX, R12
+	ADDQ DX, R13
+	VBROADCASTSD (R12), Y9
+	VBROADCASTSD (R13), Y13
+	ADDQ DX, R12
+	ADDQ DX, R13
+	VBROADCASTSD (R12), Y10
+	VBROADCASTSD (R13), Y14
+	ADDQ DX, R12
+	ADDQ DX, R13
+	VBROADCASTSD (R12), Y11
+	VBROADCASTSD (R13), Y15
+	ADDQ DX, R12
+	ADDQ DX, R13
+	XORQ AX, AX
+	TESTQ CX, CX
 	JL   axpy4x2_tail
 
 axpy4x2_loop4:
@@ -209,9 +231,8 @@ axpy4x2_loop4:
 	JLE     axpy4x2_loop4
 
 axpy4x2_tail:
-	ADDQ $4, CX
-	CMPQ AX, CX
-	JGE  axpy4x2_done
+	CMPQ AX, ya_len+8(FP)
+	JGE  axpy4x2_next
 
 axpy4x2_loop1:
 	VMOVSD (R8)(AX*8), X0
@@ -239,8 +260,13 @@ axpy4x2_loop1:
 	VADDSD X7, X5, X5
 	VMOVSD X5, (SI)(AX*8)
 	INCQ   AX
-	CMPQ   AX, CX
+	CMPQ   AX, ya_len+8(FP)
 	JL     axpy4x2_loop1
+
+axpy4x2_next:
+	LEAQ (R11)(BX*1), R8
+	DECQ groups+128(FP)
+	JNZ  axpy4x2_group
 
 axpy4x2_done:
 	VZEROUPPER

@@ -14,7 +14,11 @@ func init() {
 	simdKernels = append(simdKernels,
 		axpyKernel("axpyAVX2", axpyAVX2),
 		axpy4Kernel("axpy4AVX2", axpy4AVX2),
-		axpy4x2Kernel("axpy4x2AVX2", axpy4x2AVX2),
+		axpy4x2Kernel("axpy4x2AVX2", axpy4x2AVX2, 1, 1),
+		axpy4x2Kernel("axpy4x2AVX2-g0", axpy4x2AVX2, 0, 1),
+		axpy4x2Kernel("axpy4x2AVX2-g2s72", axpy4x2AVX2, 2, 72),
+		axpy4x2Kernel("axpy4x2AVX2-g18s1", axpy4x2AVX2, 18, 1),
+		axpy4x2Kernel("axpy4x2AVX2-g18s72", axpy4x2AVX2, 18, 72),
 		dot4Kernel("dot4AVX2", dot4AVX2),
 		dot4x2Kernel("dot4x2AVX2", dot4x2AVX2),
 		adamKernel("adamAVX2", adamAVX2),

@@ -35,7 +35,11 @@ type simdKernel struct {
 var simdKernels = []simdKernel{
 	axpyKernel("AXPY", AXPY),
 	axpy4Kernel("AXPY4", AXPY4),
-	axpy4x2Kernel("AXPY4x2", AXPY4x2),
+	axpy4x2Kernel("AXPY4x2", AXPY4x2, 1, 1),
+	axpy4x2Kernel("AXPY4x2-g0", AXPY4x2, 0, 1),
+	axpy4x2Kernel("AXPY4x2-g2s72", AXPY4x2, 2, 72),
+	axpy4x2Kernel("AXPY4x2-g18s1", AXPY4x2, 18, 1),
+	axpy4x2Kernel("AXPY4x2-g18s72", AXPY4x2, 18, 72),
 	dot4Kernel("Dot4", Dot4),
 	dot4x2Kernel("Dot4x2", Dot4x2),
 	adamKernel("AdamStep", AdamStep),
@@ -82,11 +86,26 @@ func axpy4Kernel(name string, f func(a0, a1, a2, a3 float64, x0, x1, x2, x3, y [
 	}
 }
 
-func axpy4x2Kernel(name string, f func(a0, a1, a2, a3, b0, b1, b2, b3 float64, x0, x1, x2, x3, ya, yb []float64)) simdKernel {
+// axpy4x2Kernel feeds the grouped sweep: vectors 0 and 1 are ya and yb,
+// the other 4·groups the rows, packed back to back at an odd element
+// offset as the kernel reads them. Scalars come eight to a quad, a0..a3
+// then b0..b3, and are laid wStride apart between NaNs, so a coefficient
+// fetched at the wrong stride poisons the result.
+func axpy4x2Kernel(name string, f func(ya, yb, x, wa, wb []float64, wStride, groups int), groups, wStride int) simdKernel {
 	return simdKernel{
-		name: name, vecs: 6, scalars: 8, alias: [][2]int{{3, 4}, {0, 5}, {4, 5}}, oracle: oracleAXPY4x2,
+		name: name, vecs: 2 + 4*groups, scalars: 8 * groups, oracle: oracleAXPY4x2,
 		run: func(v [][]float64, c []float64) []float64 {
-			f(c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7], v[0], v[1], v[2], v[3], v[4], v[5])
+			x := make([]float64, 1, 1+4*groups*len(v[0]))
+			for _, r := range v[2:] {
+				x = append(x, r...)
+			}
+			wa, wb := make([]float64, 4*groups*wStride), make([]float64, 4*groups*wStride)
+			Fill(wa, math.NaN())
+			Fill(wb, math.NaN())
+			for j := 0; j < 4*groups; j++ {
+				wa[j*wStride], wb[j*wStride] = c[j/4*8+j%4], c[j/4*8+4+j%4]
+			}
+			f(v[0], v[1], x[1:], wa, wb, wStride, groups)
 			return nil
 		},
 	}
@@ -269,19 +288,22 @@ func oracleAXPY4(v [][]float64, c []float64) []float64 {
 }
 
 func oracleAXPY4x2(v [][]float64, c []float64) []float64 {
-	ya, yb := v[4], v[5]
-	for i := range ya {
-		x0, x1, x2, x3 := v[0][i], v[1][i], v[2][i], v[3][i]
-		s := ya[i] + c[0]*x0
-		s += c[1] * x1
-		s += c[2] * x2
-		s += c[3] * x3
-		ya[i] = s
-		u := yb[i] + c[4]*x0
-		u += c[5] * x1
-		u += c[6] * x2
-		u += c[7] * x3
-		yb[i] = u
+	ya, yb := v[0], v[1]
+	for g := 0; 8*g < len(c); g++ {
+		rows, a, b := v[2+4*g:6+4*g], c[8*g:8*g+4], c[8*g+4:8*g+8]
+		for i := range ya {
+			x0, x1, x2, x3 := rows[0][i], rows[1][i], rows[2][i], rows[3][i]
+			s := ya[i] + a[0]*x0
+			s += a[1] * x1
+			s += a[2] * x2
+			s += a[3] * x3
+			ya[i] = s
+			u := yb[i] + b[0]*x0
+			u += b[1] * x1
+			u += b[2] * x2
+			u += b[3] * x3
+			yb[i] = u
+		}
 	}
 	return nil
 }
@@ -435,6 +457,7 @@ func FuzzKernelsMatchScalar(f *testing.F) {
 	f.Add(uint8(9), uint16(13), uint8(1), uint8(1), uint64(5), []byte{0, 0, 0, 0, 0, 0, 0, 0x80, 0, 0, 0, 0, 0, 0, 0xf8, 0xff})
 	f.Add(uint8(11), uint16(67), uint8(3), uint8(2), uint64(6), []byte{0, 0, 0, 0, 0, 0, 0xf0, 0xff})
 	f.Add(uint8(12), uint16(11), uint8(2), uint8(0), uint64(7), []byte{1, 0, 0, 0, 0, 0, 0, 0})
+	f.Add(uint8(6), uint16(36), uint8(1), uint8(0), uint64(8), []byte{0, 0, 0, 0, 0, 0, 0, 0x80, 0, 0, 0, 0, 0, 0, 0xf0, 0x7f})
 	f.Fuzz(func(t *testing.T, which uint8, n uint16, off, alias uint8, seed uint64, raw []byte) {
 		k := simdKernels[int(which)%len(simdKernels)]
 		rng := NewRNG(seed)

@@ -205,21 +205,28 @@ func TestAXPY4MatchesSequentialAXPYsExactly(t *testing.T) {
 	}
 }
 
+// TestAXPY4x2MatchesTwoAXPY4Exactly: three quads in one grouped call
+// leave in each destination the bits of three successive AXPY4 sweeps,
+// with the coefficients read down a column of a 3-wide weight matrix.
 func TestAXPY4x2MatchesTwoAXPY4Exactly(t *testing.T) {
 	rng := NewRNG(22)
-	a := [4]float64{0.3, -0.9, 2.1, -0.01}
-	b := [4]float64{1.7, 0.4, -3.2, 0.08}
+	const groups, stride = 3, 3
+	wa, wb := randVec(rng, 4*groups*stride), randVec(rng, 4*groups*stride)
 	for _, n := range kernelLens {
-		xs := make([][]float64, 4)
-		for i := range xs {
-			xs[i] = randVec(rng, n)
-		}
+		x := randVec(rng, 4*groups*n)
 		ya, yb := randVec(rng, n), randVec(rng, n)
 		wantA, wantB := Clone(ya), Clone(yb)
-		oracleAXPY4(append(xs[:4:4], wantA), a[:])
-		oracleAXPY4(append(xs[:4:4], wantB), b[:])
-		AXPY4x2(a[0], a[1], a[2], a[3], b[0], b[1], b[2], b[3],
-			xs[0], xs[1], xs[2], xs[3], ya, yb)
+		for _, side := range []struct{ w, y []float64 }{{wa, wantA}, {wb, wantB}} {
+			for g := 0; g < groups; g++ {
+				var rows [][]float64
+				var c []float64
+				for j := 4 * g; j < 4*g+4; j++ {
+					rows, c = append(rows, x[j*n:(j+1)*n]), append(c, side.w[j*stride])
+				}
+				oracleAXPY4(append(rows, side.y), c)
+			}
+		}
+		AXPY4x2(ya, yb, x, wa, wb, stride, groups)
 		for i := range ya {
 			if ya[i] != wantA[i] || yb[i] != wantB[i] {
 				t.Fatalf("n=%d i=%d: AXPY4x2=(%v,%v) AXPY4=(%v,%v)",
