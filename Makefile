@@ -1,13 +1,14 @@
 GO ?= go
 
-.PHONY: check build fmt vet lint fuzz test race allocs purego crossbuild bench benchmodule loc apicheck apigen loadsmoke clustersmoke
+.PHONY: check build fmt vet lint fuzz test race allocs purego crossbuild bench benchmodule loc loccheck apicheck apigen loadsmoke clustersmoke
 
 # check is the CI gate: formatting, static analysis (go vet plus the
-# fdavet invariant analyzers), the public-API surface diff, the full
-# test suite under the race detector, the zero-allocation regressions
-# (which must run without -race, where they self-skip), and the
-# benchmark module's own vet and tests. It writes no tracked file.
-check: fmt vet lint apicheck race allocs benchmodule
+# fdavet invariant analyzers), the public-API surface diff, the size
+# ratchet, the full test suite under the race detector, the
+# zero-allocation regressions (which must run without -race, where they
+# self-skip), and the benchmark module's own vet and tests. It writes no
+# tracked file.
+check: fmt vet lint apicheck loccheck race allocs benchmodule
 
 # benchmark/ is a nested module (repro/benchmark), invisible to the
 # root ./... patterns above; -short skips its plumbing smoke run.
@@ -18,6 +19,19 @@ benchmodule:
 # benchmark/ — the size the consolidation work is measured by.
 loc:
 	@find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' | xargs cat | grep -v '^\s*//' | grep -v '^\s*$$' | wc -l
+
+# loccheck gates the size the way apicheck gates the public surface:
+# docs/loc.txt holds the committed `make loc`, and a tree that counts
+# more fails. Growth is therefore an explicit, reviewed edit of that
+# file — a PR that earns its lines raises the number, one that deletes
+# lowers it to keep the ratchet tight — and never a side effect.
+loccheck:
+	@have=$$($(MAKE) -s --no-print-directory loc); want=$$(cat docs/loc.txt); \
+	if [ "$$have" -gt "$$want" ]; then \
+		echo "make loc = $$have, above the committed $$want; delete the growth or raise docs/loc.txt in this change and say why"; \
+		exit 1; \
+	fi; \
+	echo "make loc = $$have (docs/loc.txt: $$want)"
 
 # lint runs the fdavet suite (DESIGN.md §12): detmap, wallclock,
 # floatsum, obswrite and noalloc enforce the determinism, zero-alloc
@@ -30,8 +44,10 @@ lint:
 # its always-on seed corpus (the seeds run as plain tests under
 # `go test`). Targets: the checkpoint v2 container decoder, the
 # compress wire-frame decoders, the socket fabric's frame reader and
-# bundle parser and the Prometheus exposition validator — parsers that
-# consume bytes from disk or socket — and the kernel-vs-scalar-loop
+# bundle parser, the Prometheus exposition validator, the tracev1
+# reader and the gateway's submission classifier (request body → job
+# spec → dedupe key) — parsers that consume bytes from disk, socket or
+# an HTTP client — and the kernel-vs-scalar-loop
 # equality of internal/tensor, where the fuzzer picks lengths,
 # misalignments, aliasing and raw float bits for every kernel that has
 # an assembly body, and of internal/nn's convolution layer, where it
@@ -45,6 +61,8 @@ fuzz:
 	$(GO) test ./internal/comm -fuzz FuzzReadFrame -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/comm -fuzz FuzzSplitBundle -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/obs -fuzz FuzzValidatePrometheusText -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/workload -fuzz FuzzReadTrace -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/cluster -fuzz FuzzAffinityAddress -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/tensor -fuzz FuzzKernelsMatchScalar -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/nn -fuzz FuzzConvMatchesDirectReference -fuzztime $(FUZZTIME)
 

@@ -337,13 +337,8 @@ func simulatedBytes(result any) int64 {
 // access log.
 func (s *server) routes() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		fmt.Fprintln(w, "ok")
-	})
-	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
-		s.sampleAdmissionGauges()
-		cluster.ServePrometheus(w, r)
-	})
+	shell := cluster.NewHTTPShell("fdaserve", s.now, s.accessLog)
+	shell.MountProbes(mux, map[string]string{"version": buildinfo.String("fdaserve")}, s.sampleAdmissionGauges)
 	if s.pprof {
 		mux.HandleFunc("GET /debug/pprof/", pprof.Index)
 		mux.HandleFunc("GET /debug/pprof/cmdline", pprof.Cmdline)
@@ -353,9 +348,6 @@ func (s *server) routes() http.Handler {
 	}
 	mux.HandleFunc("GET /v1/healthz", s.handleHealthz)
 	mux.HandleFunc("GET /v1/metrics", s.handleMetrics)
-	mux.HandleFunc("GET /v1/version", func(w http.ResponseWriter, r *http.Request) {
-		cluster.WriteJSON(w, http.StatusOK, map[string]string{"version": buildinfo.String("fdaserve")})
-	})
 	mux.HandleFunc("POST /v1/drain", s.handleDrain)
 	mux.HandleFunc("DELETE /v1/drain", s.handleDrain)
 	mux.HandleFunc("GET /v1/experiments", s.handleExperiments)
@@ -368,7 +360,7 @@ func (s *server) routes() http.Handler {
 	mux.HandleFunc("GET /v1/runs/{id}/events", s.handleEvents)
 	mux.HandleFunc("GET /v1/runs/{id}/records", s.handleRecords)
 	mux.HandleFunc("GET /v1/runs/{id}/output", s.handleOutput)
-	return cluster.NewHTTPShell("fdaserve", s.now, s.accessLog).Instrument(s.record(mux))
+	return shell.Instrument(s.record(mux))
 }
 
 // handleHealthz implements GET /v1/healthz: a JSON liveness probe (the

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -227,12 +228,12 @@ func TestSplitID(t *testing.T) {
 	clk := &fakeClock{}
 	p := testPool(t, clk, "http://a:1", "http://b:1")
 	r := p.Replicas()[0]
-	id := r.Prefix() + "-r17"
+	id := r.prefix + "-r17"
 	got, upstream, ok := p.SplitID(id)
 	if !ok || got != r || upstream != "r17" {
 		t.Fatalf("SplitID(%q) = %v, %q, %v", id, got, upstream, ok)
 	}
-	for _, bad := range []string{"", "r17", "ffffff-r17", "-r17", r.Prefix() + "-"} {
+	for _, bad := range []string{"", "r17", "ffffff-r17", "-r17", r.prefix + "-"} {
 		if _, _, ok := p.SplitID(bad); ok {
 			t.Fatalf("SplitID(%q) unexpectedly resolved", bad)
 		}
@@ -260,4 +261,50 @@ func TestPollAdoptsReplicaState(t *testing.T) {
 	if got := p.Candidates(""); len(got) != 0 {
 		t.Fatalf("draining replica still a candidate: %v", got)
 	}
+}
+
+// FuzzAffinityAddress feeds the gateway's submission classifier the
+// bytes of an arbitrary request body. It must never panic, and an
+// address it does hand out is a pure function of the spec: decoding the
+// body, filling the defaults and re-encoding gives a body that routes
+// to the same address — the property that lets any gateway instance,
+// and the owning replica's dedupe table, agree on what "the same job"
+// is however the client spelled it.
+func FuzzAffinityAddress(f *testing.F) {
+	f.Add(false, []byte(trainBody))
+	f.Add(false, []byte(`{"strategy":"FedAdam","seed":7,"model":"vgg16s","tau":3,"topk":0.1,"qbits":8,"distributed":true}`))
+	f.Add(false, []byte(`{"model":"nosuchmodel","strategy":"LinearFDA","theta":-0,"target":1e-320,"het":"label:2"}`))
+	f.Add(false, []byte(`{"model":"lenet5s","strategy":"LinearFDA","target":-0}`))
+	f.Add(false, []byte(`{"strategy":"LinearFDA"}`))
+	f.Add(true, []byte(`{"experiment":"fig3"}`))
+	f.Add(true, []byte(`{"experiment":"fig|3","scale":"tiny","seed":18446744073709551615}`))
+	f.Add(true, []byte(`not json`))
+	f.Fuzz(func(t *testing.T, sweep bool, body []byte) {
+		kind := "train"
+		if sweep {
+			kind = "sweep"
+		}
+		addr, ok := AffinityAddress(kind, body)
+		if !ok {
+			return
+		}
+		var canonical []byte
+		if sweep {
+			var s SweepSpec
+			if err := json.Unmarshal(body, &s); err != nil {
+				t.Fatalf("addressed a body that does not decode: %v", err)
+			}
+			s.ApplyDefaults()
+			canonical, _ = json.Marshal(s)
+		} else {
+			var s dist.JobSpec
+			if err := json.Unmarshal(body, &s); err != nil {
+				t.Fatalf("addressed a body that does not decode: %v", err)
+			}
+			canonical, _ = json.Marshal(s.WithDefaults())
+		}
+		if again, ok := AffinityAddress(kind, canonical); !ok || again != addr {
+			t.Fatalf("%s body %q addresses to %s, its defaulted re-encoding %s to %s (ok=%v)", kind, body, addr, canonical, again, ok)
+		}
+	})
 }

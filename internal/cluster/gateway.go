@@ -96,22 +96,14 @@ func NewGateway(pool *Pool, opt GatewayOptions) *Gateway {
 	}
 }
 
-// Pool returns the gateway's replica pool.
-func (g *Gateway) Pool() *Pool { return g.pool }
-
 // Handler builds the gateway's route table. Every fdaserve v1 endpoint
 // is covered; /metrics and /v1/cluster are gateway-local.
 func (g *Gateway) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		fmt.Fprintln(w, "ok")
-	})
-	mux.HandleFunc("GET /metrics", ServePrometheus)
+	shell := NewHTTPShell("fdagate", g.now, nil)
+	shell.MountProbes(mux, map[string]string{"version": g.version, "role": "gateway"}, nil)
 	mux.HandleFunc("GET /v1/healthz", g.handleHealthz)
 	mux.HandleFunc("GET /v1/cluster", g.handleCluster)
-	mux.HandleFunc("GET /v1/version", func(w http.ResponseWriter, r *http.Request) {
-		WriteJSON(w, http.StatusOK, map[string]string{"version": g.version, "role": "gateway"})
-	})
 	mux.HandleFunc("GET /v1/metrics", g.handleMetrics)
 	mux.HandleFunc("GET /v1/experiments", g.proxyAny)
 	mux.HandleFunc("GET /v1/store", g.proxyAny)
@@ -123,7 +115,7 @@ func (g *Gateway) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/runs/{id}/events", g.handleByID)
 	mux.HandleFunc("GET /v1/runs/{id}/records", g.handleByID)
 	mux.HandleFunc("GET /v1/runs/{id}/output", g.handleByID)
-	return NewHTTPShell("fdagate", g.now, nil).Instrument(mux)
+	return shell.Instrument(mux)
 }
 
 func (g *Gateway) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -158,14 +150,7 @@ func (g *Gateway) handleCluster(w http.ResponseWriter, r *http.Request) {
 // clusterMetrics is the GET /v1/metrics aggregate: replica job counts
 // summed across the pool plus the gateway's own telemetry snapshot.
 type clusterMetrics struct {
-	Jobs struct {
-		Queued    int64 `json:"queued"`
-		Running   int64 `json:"running"`
-		Done      int64 `json:"done"`
-		Failed    int64 `json:"failed"`
-		Cancelled int64 `json:"cancelled"`
-		Total     int64 `json:"total"`
-	} `json:"jobs"`
+	Jobs      jobCounts          `json:"jobs"`
 	Replicas  []View             `json:"replicas"`
 	Telemetry obs.Snap           `json:"telemetry"`
 	Runtime   map[string]float64 `json:"runtime"`
@@ -173,13 +158,8 @@ type clusterMetrics struct {
 
 func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	var m clusterMetrics
-	type counts struct {
-		Jobs struct {
-			Queued, Running, Done, Failed, Cancelled, Total int64
-		} `json:"jobs"`
-	}
 	replicas := g.pool.Replicas()
-	views := make([]counts, len(replicas))
+	views := make([]replicaMetrics, len(replicas))
 	var wg sync.WaitGroup
 	for i, rep := range replicas {
 		wg.Add(1)
@@ -204,6 +184,7 @@ func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		m.Jobs.Done += v.Jobs.Done
 		m.Jobs.Failed += v.Jobs.Failed
 		m.Jobs.Cancelled += v.Jobs.Cancelled
+		m.Jobs.Interrupted += v.Jobs.Interrupted
 		m.Jobs.Total += v.Jobs.Total
 	}
 	m.Replicas = g.pool.Views()

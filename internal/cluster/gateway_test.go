@@ -19,11 +19,15 @@ type stubReplica struct {
 	submits  atomic.Int64
 	overload atomic.Bool
 	dead     atomic.Bool
+	// jobs is the "jobs" object of the /v1/metrics body.
+	jobs atomic.Pointer[string]
 }
 
 func newStubReplica(t *testing.T, name string) *stubReplica {
 	t.Helper()
 	s := &stubReplica{}
+	idle := `{"queued":0,"running":0}`
+	s.jobs.Store(&idle)
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/train", func(w http.ResponseWriter, r *http.Request) {
 		if s.overload.Load() {
@@ -46,7 +50,7 @@ func newStubReplica(t *testing.T, name string) *stubReplica {
 		fmt.Fprintf(w, `{"id":%q,"status":"done","replica":%q}`+"\n", r.PathValue("id"), name)
 	})
 	mux.HandleFunc("GET /v1/metrics", func(w http.ResponseWriter, r *http.Request) {
-		fmt.Fprintf(w, `{"replica":%q,"jobs":{"queued":0,"running":0},"admission":{"in_flight":0,"max_queue":0,"draining":false}}`, name)
+		fmt.Fprintf(w, `{"replica":%q,"jobs":%s,"admission":{"in_flight":0,"max_queue":0,"draining":false}}`, name, *s.jobs.Load())
 	})
 	s.ts = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if s.dead.Load() {
@@ -109,6 +113,42 @@ func postTrain(t *testing.T, url string) (*http.Response, map[string]json.RawMes
 	return resp, m
 }
 
+// TestGatewayMetricsAggregateAddsUp: the gateway's /v1/metrics sums
+// every job status its replicas report — interrupted included, which a
+// replica carries after a restart — so the statuses add up to total.
+func TestGatewayMetricsAggregateAddsUp(t *testing.T) {
+	a, b := newStubReplica(t, "a"), newStubReplica(t, "b")
+	aJobs := `{"queued":1,"running":2,"done":3,"failed":1,"cancelled":1,"interrupted":0,"total":8}`
+	bJobs := `{"queued":0,"running":1,"done":2,"failed":0,"cancelled":0,"interrupted":1,"total":4}`
+	a.jobs.Store(&aJobs)
+	b.jobs.Store(&bJobs)
+	_, ts := testGateway(t, &fakeClock{}, a, b)
+	resp, err := http.Get(ts.URL + "/v1/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var m struct {
+		Jobs map[string]int64 `json:"jobs"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]int64{"queued": 1, "running": 3, "done": 5, "failed": 1, "cancelled": 1, "interrupted": 1, "total": 12}
+	var statuses int64
+	for k, w := range want {
+		if m.Jobs[k] != w {
+			t.Fatalf("jobs.%s = %d, want %d (aggregate %v)", k, m.Jobs[k], w, m.Jobs)
+		}
+		if k != "total" {
+			statuses += m.Jobs[k]
+		}
+	}
+	if len(m.Jobs) != len(want) || statuses != m.Jobs["total"] {
+		t.Fatalf("statuses sum to %d, total %d (aggregate %v)", statuses, m.Jobs["total"], m.Jobs)
+	}
+}
+
 func TestGatewayRoutesSubmissionToAffinityOwner(t *testing.T) {
 	clk := &fakeClock{}
 	stubs := []*stubReplica{newStubReplica(t, "a"), newStubReplica(t, "b"), newStubReplica(t, "c")}
@@ -118,7 +158,7 @@ func TestGatewayRoutesSubmissionToAffinityOwner(t *testing.T) {
 	if !ok {
 		t.Fatal("train body carries no affinity")
 	}
-	owner := gw.Pool().Rank(addr)[0]
+	owner := gw.pool.Rank(addr)[0]
 
 	resp, m := postTrain(t, ts.URL)
 	if resp.StatusCode != http.StatusAccepted {
@@ -129,8 +169,8 @@ func TestGatewayRoutesSubmissionToAffinityOwner(t *testing.T) {
 		t.Fatalf("affinity owner received %d submissions, want 1", got)
 	}
 	var id string
-	if err := json.Unmarshal(m["id"], &id); err != nil || !strings.HasPrefix(id, owner.Prefix()+"-") {
-		t.Fatalf("id %q not namespaced with owner prefix %q", id, owner.Prefix())
+	if err := json.Unmarshal(m["id"], &id); err != nil || !strings.HasPrefix(id, owner.prefix+"-") {
+		t.Fatalf("id %q not namespaced with owner prefix %q", id, owner.prefix)
 	}
 	// Resubmission routes to the same owner — the cache-affinity
 	// property that turns dedupe hits into actual hits.
@@ -169,7 +209,7 @@ func TestGatewayFailsOverOn503(t *testing.T) {
 	gw, ts := testGateway(t, clk, stubs...)
 
 	addr, _ := AffinityAddress("train", []byte(trainBody))
-	owner := gw.Pool().Rank(addr)[0]
+	owner := gw.pool.Rank(addr)[0]
 	stubByBase(stubs, owner.Base).overload.Store(true)
 
 	resp, m := postTrain(t, ts.URL)
@@ -178,9 +218,9 @@ func TestGatewayFailsOverOn503(t *testing.T) {
 	}
 	var id string
 	json.Unmarshal(m["id"], &id)
-	other := gw.Pool().Rank(addr)[1]
-	if !strings.HasPrefix(id, other.Prefix()+"-") {
-		t.Fatalf("id %q not served by fallback replica %q", id, other.Prefix())
+	other := gw.pool.Rank(addr)[1]
+	if !strings.HasPrefix(id, other.prefix+"-") {
+		t.Fatalf("id %q not served by fallback replica %q", id, other.prefix)
 	}
 	// The owner sits in an overload window now: the next submission goes
 	// straight to the fallback without re-hammering it.
@@ -197,7 +237,7 @@ func TestGatewayRoutesAroundDeadReplicaAndRejoins(t *testing.T) {
 	gw, ts := testGateway(t, clk, stubs...)
 
 	addr, _ := AffinityAddress("train", []byte(trainBody))
-	owner := gw.Pool().Rank(addr)[0]
+	owner := gw.pool.Rank(addr)[0]
 	ownerStub := stubByBase(stubs, owner.Base)
 	ownerStub.dead.Store(true)
 
@@ -213,7 +253,7 @@ func TestGatewayRoutesAroundDeadReplicaAndRejoins(t *testing.T) {
 	// the poll probe reinstates it.
 	ownerStub.dead.Store(false)
 	clk.advance(60e9)
-	gw.Pool().Poll(t.Context())
+	gw.pool.Poll(t.Context())
 	if !owner.available() {
 		t.Fatal("recovered replica not reinstated by poll probe")
 	}
@@ -295,11 +335,11 @@ func TestGatewayMergesRunListings(t *testing.T) {
 	}
 	seen := map[string]bool{}
 	for _, v := range views {
-		i := strings.IndexByte(v.ID, '-')
-		if i < 0 || gw.Pool().ByPrefix(v.ID[:i]) == nil {
+		r, _, ok := gw.pool.SplitID(v.ID)
+		if !ok {
 			t.Fatalf("merged id %q not namespaced", v.ID)
 		}
-		seen[v.ID[:i]] = true
+		seen[r.prefix] = true
 	}
 	if len(seen) != 2 {
 		t.Fatalf("listing did not cover both replicas: %v", seen)

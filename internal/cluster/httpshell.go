@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"encoding/json"
+	"fmt"
 	"log/slog"
 	"net/http"
 	"strconv"
@@ -120,15 +121,29 @@ func (h *HTTPShell) Instrument(next http.Handler) http.Handler {
 	})
 }
 
-// ServePrometheus implements GET /metrics: the Prometheus text
-// exposition of the process-wide registry plus a fixed set of
-// runtime/metrics samples.
-func ServePrometheus(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	if err := obs.Default.WritePrometheus(w); err != nil {
-		return // client went away; nothing to salvage
-	}
-	_ = obs.WriteRuntimeMetrics(w)
+// MountProbes mounts the three unversioned-contract endpoints both
+// servers answer identically: GET /healthz (bare-text liveness, the
+// probe load balancers, CI and benchmark/ poll), GET /metrics (the
+// Prometheus text exposition of the process-wide registry plus a fixed
+// set of runtime/metrics samples; beforeScrape, when non-nil, refreshes
+// sampled gauges first) and GET /v1/version (the version body as JSON).
+func (h *HTTPShell) MountProbes(mux *http.ServeMux, version map[string]string, beforeScrape func()) {
+	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
+		fmt.Fprintln(w, "ok")
+	})
+	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
+		if beforeScrape != nil {
+			beforeScrape()
+		}
+		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+		if err := obs.Default.WritePrometheus(w); err != nil {
+			return // client went away; nothing to salvage
+		}
+		_ = obs.WriteRuntimeMetrics(w)
+	})
+	mux.HandleFunc("GET /v1/version", func(w http.ResponseWriter, r *http.Request) {
+		WriteJSON(w, http.StatusOK, version)
+	})
 }
 
 // WriteJSON writes v as the JSON response body with the given status.

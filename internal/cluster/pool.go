@@ -64,9 +64,6 @@ type Replica struct {
 	gUp, gLoad, gDispatched *obs.Gauge
 }
 
-// Prefix returns the replica's job-id namespace.
-func (r *Replica) Prefix() string { return r.prefix }
-
 // Name returns the replica-reported identity (its -name flag), or the
 // base URL before the first successful poll.
 func (r *Replica) Name() string {
@@ -181,9 +178,6 @@ func (p *Pool) Replicas() []*Replica {
 	copy(out, p.replicas)
 	return out
 }
-
-// ByPrefix resolves a job-id namespace to its replica (nil if unknown).
-func (p *Pool) ByPrefix(prefix string) *Replica { return p.byPrefix[prefix] }
 
 // SplitID splits a gateway job id "<prefix>-<upstream>" into the owning
 // replica and the upstream id. ok is false when the prefix is unknown.
@@ -386,14 +380,25 @@ func (p *Pool) RetryAfterSec() int {
 	return int(sec)
 }
 
+// jobCounts is the "jobs" object of fdaserve's GET /v1/metrics payload
+// and of the gateway's aggregate: one count per job status, which sum
+// to Total.
+type jobCounts struct {
+	Queued      int64 `json:"queued"`
+	Running     int64 `json:"running"`
+	Done        int64 `json:"done"`
+	Failed      int64 `json:"failed"`
+	Cancelled   int64 `json:"cancelled"`
+	Interrupted int64 `json:"interrupted"`
+	Total       int64 `json:"total"`
+}
+
 // replicaMetrics is the slice of fdaserve's GET /v1/metrics payload the
-// load tracker consumes.
+// gateway consumes: the load tracker reads queue depth and admission
+// headroom, the /v1/metrics aggregate sums the job counts.
 type replicaMetrics struct {
-	Replica string `json:"replica"`
-	Jobs    struct {
-		Queued  int64 `json:"queued"`
-		Running int64 `json:"running"`
-	} `json:"jobs"`
+	Replica   string    `json:"replica"`
+	Jobs      jobCounts `json:"jobs"`
 	Admission struct {
 		InFlight int64 `json:"in_flight"`
 		MaxQueue int64 `json:"max_queue"`

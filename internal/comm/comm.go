@@ -154,14 +154,6 @@ func (m *Meter) Restore(bytes, ops map[string]int64) {
 	}
 }
 
-// Reset clears all counters.
-func (m *Meter) Reset() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.bytes = map[string]int64{}
-	m.ops = map[string]int64{}
-}
-
 // Cluster is the in-process reference fabric: a simulated group of K
 // workers sharing an AllReduce. It is the specification the other
 // Fabric backends are tested against.
@@ -310,19 +302,6 @@ func (c *Cluster) ExchangeBytes(kind string, local [][]byte) [][]byte {
 		panic(fmt.Sprintf("comm: ExchangeBytes over %d payloads in a %d-worker cluster", len(local), c.k))
 	}
 	return local
-}
-
-// AllReduceScalars averages one scalar per worker, charging a 1-element
-// AllReduce. (Reference-cluster helper, not part of the Fabric surface.)
-func (c *Cluster) AllReduceScalars(kind string, xs []float64) float64 {
-	if len(xs) != c.k {
-		panic("comm: AllReduceScalars arity mismatch")
-	}
-	// tensor.Sum is left-to-right, so this is bit-identical to the
-	// sequential loop it replaced (fdavet/floatsum).
-	s := tensor.Sum(xs)
-	c.charge(kind, 1)
-	return s / float64(len(xs))
 }
 
 // NetworkProfile translates metered bytes and step counts into estimated

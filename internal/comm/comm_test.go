@@ -48,10 +48,6 @@ func TestMeterAccumulates(t *testing.T) {
 	if len(kinds) != 2 || kinds[0] != "model" || kinds[1] != "state" {
 		t.Fatalf("kinds = %v", kinds)
 	}
-	m.Reset()
-	if m.TotalBytes() != 0 {
-		t.Fatal("reset failed")
-	}
 }
 
 func makeVecs(k, n int, seed uint64) [][]float64 {
@@ -95,11 +91,17 @@ func TestAllReduceMeanLeavesInputs(t *testing.T) {
 	}
 }
 
+// One scalar per worker reduces the way the FDA state does: a 1-element
+// AllReduceMean, charged as such.
 func TestAllReduceScalars(t *testing.T) {
 	c := NewCluster(3)
-	got := c.AllReduceScalars("norm", []float64{1, 2, 6})
-	if got != 3 {
-		t.Fatalf("scalar mean = %v", got)
+	dst := make([]float64, 1)
+	rep := c.AllReduceMean("norm", dst, [][]float64{{1}, {2}, {6}})
+	if dst[0] != 3 {
+		t.Fatalf("scalar mean = %v", dst[0])
+	}
+	if rep.Elements != 1 || c.Meter().BytesFor("norm") != rep.Bytes || rep.Bytes != 3*c.Cost().PerWorkerBytes(1, 3) {
+		t.Fatalf("charged %+v, meter %d", rep, c.Meter().BytesFor("norm"))
 	}
 }
 
@@ -108,7 +110,7 @@ func TestAllReduceValidation(t *testing.T) {
 	for _, f := range []func(){
 		func() { c.AllReduce("x", [][]float64{{1}}) },
 		func() { c.AllReduce("x", [][]float64{{1}, {1, 2}}) },
-		func() { c.AllReduceScalars("x", []float64{1}) },
+		func() { c.AllReduceMean("x", make([]float64, 1), [][]float64{{1}}) },
 		func() { NewCluster(0) },
 	} {
 		func() {

@@ -151,9 +151,6 @@ func NewSimFabric(k int, cm CostModel, scen Scenario) *SimFabric {
 	return f
 }
 
-// Scenario returns the fabric's scenario.
-func (f *SimFabric) Scenario() Scenario { return f.scen }
-
 // VirtualTime implements VirtualClocker.
 func (f *SimFabric) VirtualTime() float64 { return f.clock }
 

@@ -23,7 +23,7 @@ import (
 // Charged bytes follow the CostModel exactly as in-process (every
 // process's meter accumulates the cluster totals); the actual framed
 // bytes this process moved are reported separately in
-// CostReport.WireBytes and WireBytes().
+// CostReport.WireBytes.
 type TCPFabric struct {
 	conn net.Conn
 	br   *bufio.Reader
@@ -42,8 +42,6 @@ type TCPFabric struct {
 	parts    [][]byte
 	vecs     [][]float64
 	sendBuf  []byte
-	wireTx   int64
-	wireRx   int64
 	lastWire int64
 }
 
@@ -63,29 +61,44 @@ func DialFabric(ctx context.Context, addr string, cost CostModel) (*TCPFabric, [
 		bw:   bufio.NewWriterSize(conn, 1<<16),
 		cost: cost,
 	}
-	if err := writeFrame(f.bw, frame{op: opHello, rank: -1}); err != nil {
+	// The coordinator answers hellos one connection at a time, so the
+	// assignment can be as late as its JoinDeadline; ctx bounds the wait
+	// on this side: when it is cancelled or runs out, the connection is
+	// closed under the read. The hook is lifted before the first
+	// collective.
+	stop := context.AfterFunc(ctx, func() { conn.Close() })
+	job, err := f.handshake()
+	if !stop() { // ctx ended first: the connection is closed, whatever the handshake saw
+		err = fmt.Errorf("comm: rendezvous with %s: %w", addr, ctx.Err())
+	}
+	if err != nil {
 		conn.Close()
 		return nil, nil, err
 	}
+	return f, job, nil
+}
+
+// handshake sends the hello and reads the rank assignment, returning
+// the coordinator's job payload.
+func (f *TCPFabric) handshake() ([]byte, error) {
+	if err := writeFrame(f.bw, frame{op: opHello, rank: -1}); err != nil {
+		return nil, err
+	}
 	fr, _, err := readFrame(f.br, nil, "")
 	if err != nil {
-		conn.Close()
-		return nil, nil, fmt.Errorf("comm: waiting for rank assignment: %w", err)
+		return nil, fmt.Errorf("comm: waiting for rank assignment: %w", err)
 	}
 	if fr.op != opAssign || len(fr.payload) < 4 {
-		conn.Close()
-		return nil, nil, fmt.Errorf("comm: unexpected handshake frame op=%d", fr.op)
+		return nil, fmt.Errorf("comm: unexpected handshake frame op=%d", fr.op)
 	}
 	f.rank = int(fr.rank)
 	f.k = int(binary.LittleEndian.Uint32(fr.payload))
 	if f.k <= 0 || f.rank < 0 || f.rank >= f.k {
-		conn.Close()
-		return nil, nil, fmt.Errorf("comm: invalid assignment rank=%d k=%d", f.rank, f.k)
+		return nil, fmt.Errorf("comm: invalid assignment rank=%d k=%d", f.rank, f.k)
 	}
-	job := append([]byte(nil), fr.payload[4:]...)
 	f.ranks = []int{f.rank}
 	f.meter = NewMeter()
-	return f, job, nil
+	return append([]byte(nil), fr.payload[4:]...), nil
 }
 
 // K implements Fabric.
@@ -102,10 +115,6 @@ func (f *TCPFabric) Meter() *Meter { return f.meter }
 
 // Cost implements Fabric.
 func (f *TCPFabric) Cost() CostModel { return f.cost }
-
-// WireBytes returns the actual framed payload bytes this process has
-// sent and received (diagnostic; distinct from the charged cost model).
-func (f *TCPFabric) WireBytes() (tx, rx int64) { return f.wireTx, f.wireRx }
 
 // Close implements Fabric.
 func (f *TCPFabric) Close() error { return f.conn.Close() }
@@ -139,8 +148,6 @@ func (f *TCPFabric) exchange(kind string, payload []byte) [][]byte {
 	if len(parts) != f.k {
 		f.fail(fmt.Errorf("bundle carries %d parts, want %d", len(parts), f.k))
 	}
-	f.wireTx += int64(len(payload))
-	f.wireRx += int64(len(fr.payload))
 	f.lastWire = int64(len(payload)) + int64(len(fr.payload))
 	return parts
 }

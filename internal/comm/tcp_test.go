@@ -233,6 +233,76 @@ func TestJoinDeadlineFailsRendezvousAndFreesAddress(t *testing.T) {
 	noGoroutineLeft(t, base)
 }
 
+// TestDialFabricRendezvousHonoursContext: a worker whose hello goes
+// unanswered — here the coordinator listens but never serves; in a job
+// it is busy with an earlier, silent connection — returns when its
+// context is cancelled or runs out, with the context's error, instead of
+// blocking until the coordinator gives up. Once the rendezvous is over
+// the context no longer reaches the connection: collectives outlive both
+// its deadline and its cancellation.
+func TestDialFabricRendezvousHonoursContext(t *testing.T) {
+	base := runtime.NumGoroutine()
+	idle, err := ListenCoordinator("127.0.0.1:0", 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer idle.Close()
+	for name, bound := range map[string]func() (context.Context, context.CancelFunc, error){
+		"cancelled": func() (context.Context, context.CancelFunc, error) {
+			ctx, cancel := context.WithCancel(context.Background())
+			time.AfterFunc(50*time.Millisecond, cancel)
+			return ctx, cancel, context.Canceled
+		},
+		"deadline": func() (context.Context, context.CancelFunc, error) {
+			ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+			return ctx, cancel, context.DeadlineExceeded
+		},
+	} {
+		ctx, cancel, want := bound()
+		dialed := make(chan error, 1)
+		go func() {
+			_, _, err := DialFabric(ctx, idle.Addr(), DefaultCostModel())
+			dialed <- err
+		}()
+		if err := await(t, name+" dial", dialed); !errors.Is(err, want) {
+			t.Fatalf("%s: DialFabric returned %v, want %v", name, err, want)
+		}
+		cancel()
+	}
+
+	coord, served := serve(t, 2)
+	const bound = 200 * time.Millisecond
+	ctx, cancel := context.WithTimeout(context.Background(), bound)
+	var fabs [2]*TCPFabric
+	for r := range fabs {
+		f, _, err := DialFabric(ctx, coord.Addr(), DefaultCostModel())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		fabs[r] = f
+	}
+	<-ctx.Done()
+	cancel()
+	time.Sleep(bound / 4)
+	vecs := [][]float64{{1}, {3}}
+	ops := []<-chan any{
+		collective(func() { fabs[0].AllReduce("model", vecs[:1]) }),
+		collective(func() { fabs[1].AllReduce("model", vecs[1:]) }),
+	}
+	for r, op := range ops {
+		if p := await(t, "all-reduce past the dial context", op); p != nil || vecs[r][0] != 2 {
+			t.Fatalf("rank %d: all-reduce past the dial context gave %v, panic %v", r, vecs[r], p)
+		}
+	}
+	for _, f := range fabs {
+		f.Close()
+	}
+	await(t, "Serve after the workers left", served)
+	coord.Close()
+	noGoroutineLeft(t, base)
+}
+
 // rawWorker is a worker driven frame by frame: the handshake done, the
 // connection positioned before the first collective.
 type rawWorker struct {

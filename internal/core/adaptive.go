@@ -112,12 +112,6 @@ func (a *AdaptiveTheta) AfterLocalStep(env *Env, t int) {
 	a.thetaTrace = append(a.thetaTrace, theta)
 }
 
-// ThetaTrace returns the Θ value after each adjustment window, for
-// inspection and tests.
-func (a *AdaptiveTheta) ThetaTrace() []float64 {
-	return append([]float64(nil), a.thetaTrace...)
-}
-
 // StateSnapshot implements the session checkpoint contract: the live Θ,
 // the adjustment trace, then the wrapped variant's own state. The fixed
 // two-vector prefix lets RestoreState split the snapshot without knowing

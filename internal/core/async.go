@@ -53,8 +53,6 @@ type stepEvent struct {
 // allocates nothing once the backing array has reached cluster size.
 type eventQueue []stepEvent
 
-func (q eventQueue) Len() int { return len(q) }
-
 // Less orders events by virtual time, breaking ties by worker id so the
 // scheduling order of simultaneous completions (equal speeds are the
 // common case) is specified rather than an artifact of heap internals.
@@ -156,23 +154,13 @@ func RunAsyncContext(ctx context.Context, ac AsyncConfig, sink EventSink) (Async
 		}
 	}
 
-	root := tensor.NewRNG(cfg.Seed)
-	initNet := cfg.Model(root.Split())
-	w0 := tensor.Clone(initNet.Params())
-	d := initNet.NumParams()
-	shards := cfg.Het.Partition(cfg.Train, cfg.K, root.Split())
-
-	cluster := newAsyncCluster(cfg, d)
-	workers := make([]*Worker, cfg.K)
-	for k := range workers {
-		net := cfg.Model(root.Split())
-		net.SetParams(w0)
-		workers[k] = &Worker{
-			ID: k, Net: net, Opt: cfg.Optimizer(), Shard: shards[k],
-			drift: make([]float64, d),
-		}
-		workers[k].sampler = newSampler(shards[k], root.Split())
+	ranks := make([]int, cfg.K)
+	for k := range ranks {
+		ranks[k] = k
 	}
+	w0, workers, evalNet := buildReplicas(cfg, ranks)
+	d := len(w0)
+	cluster := newAsyncCluster(cfg, d)
 
 	// Estimator state held by the coordinator.
 	var sk *sketch.Sketcher
@@ -217,7 +205,6 @@ func RunAsyncContext(ctx context.Context, ac AsyncConfig, sink EventSink) (Async
 		return mean[0] - mean[1]*mean[1]
 	}
 
-	evalNet := cfg.Model(root.Split())
 	globalParams := make([]float64, d)
 	views := make([][]float64, cfg.K)
 	for i, w := range workers {

@@ -1,16 +1,6 @@
 package core
 
-import (
-	"repro/internal/comm"
-	"repro/internal/data"
-	"repro/internal/tensor"
-)
-
-// newSampler wraps data.NewSampler so the async runner reads like the
-// synchronous trainer.
-func newSampler(shard *data.Dataset, rng *tensor.RNG) *data.Sampler {
-	return data.NewSampler(shard, rng)
-}
+import "repro/internal/comm"
 
 // asyncCluster meters the coordinator-based communication pattern of
 // asynchronous FDA. Unlike the AllReduce fabric, traffic is point-to-point

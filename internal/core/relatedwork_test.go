@@ -93,7 +93,7 @@ func TestAdaptiveThetaTracksBudget(t *testing.T) {
 		a := NewAdaptiveTheta(NewLinearFDA(0.1), budget)
 		a.Window = 20
 		res := MustRun(cfg, a)
-		return res, a.ThetaTrace()
+		return res, a.thetaTrace
 	}
 
 	// One model sync ≈ K · 2(K−1)/K · d · 4 bytes = 2(K−1)·d·4 ≈ 77 kB.
@@ -123,7 +123,7 @@ func TestAdaptiveThetaClamps(t *testing.T) {
 	a := NewAdaptiveTheta(NewSketchFDA(0.1), 1) // impossible 1 B/step budget
 	a.Window = 10
 	MustRun(cfg, a)
-	for _, th := range a.ThetaTrace() {
+	for _, th := range a.thetaTrace {
 		if th > 0.1*64+1e-9 || math.IsInf(th, 0) {
 			t.Fatalf("Θ escaped clamp: %v", th)
 		}

@@ -8,6 +8,7 @@ import (
 	"repro/internal/checkpoint"
 	"repro/internal/comm"
 	"repro/internal/data"
+	"repro/internal/nn"
 	"repro/internal/obs"
 	"repro/internal/opt"
 	"repro/internal/tensor"
@@ -87,6 +88,40 @@ type resumable interface {
 	RestoreState(vecs [][]float64, counters []uint64) error
 }
 
+// buildReplicas draws everything a run seeds from cfg.Seed: the shared
+// initial model w0, one worker (replica, optimizer, shard, sampler) per
+// rank in ranks, and the evaluation replica. The root-RNG consumption
+// order (init replica, partition, then per rank net + sampler, then the
+// evaluation replica) is the determinism contract of every runner,
+// lock-step and asynchronous alike; reordering it would silently change
+// every trajectory. Replicas are built only for the listed ranks, but
+// the stream is consumed for all K — that alignment is what makes a
+// distributed worker's shard, model and sampler bit-identical to its
+// in-process counterpart.
+func buildReplicas(cfg Config, ranks []int) (w0 []float64, workers []*Worker, evalNet *nn.Network) {
+	root := tensor.NewRNG(cfg.Seed)
+	w0 = tensor.Clone(cfg.Model(root.Split()).Params())
+	shards := cfg.Het.Partition(cfg.Train, cfg.K, root.Split())
+	workers = make([]*Worker, 0, len(ranks))
+	for k := 0; k < cfg.K; k++ {
+		netRNG := root.Split()
+		samplerRNG := root.Split()
+		if len(workers) < len(ranks) && ranks[len(workers)] == k {
+			net := cfg.Model(netRNG)
+			net.SetParams(w0)
+			workers = append(workers, &Worker{
+				ID:      k,
+				Net:     net,
+				Opt:     cfg.Optimizer(),
+				Shard:   shards[k],
+				drift:   make([]float64, len(w0)),
+				sampler: data.NewSampler(shards[k], samplerRNG),
+			})
+		}
+	}
+	return w0, workers, cfg.Model(root.Split())
+}
+
 // NewSession validates cfg, builds the cluster, workers and strategy
 // state exactly as Run does, and returns a session positioned before
 // step 1. The context governs cancellation: once it is done, Step
@@ -99,19 +134,6 @@ func NewSession(ctx context.Context, cfg Config, strat Strategy) (*Session, erro
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	root := tensor.NewRNG(cfg.Seed)
-
-	// Shared initial model: one reference replica defines w0. The RNG
-	// consumption order below (init replica, partition, then per worker
-	// net + sampler) is the determinism contract shared with the
-	// pre-session trainer loop; reordering it would silently change every
-	// trajectory.
-	initNet := cfg.Model(root.Split())
-	w0 := tensor.Clone(initNet.Params())
-	d := initNet.NumParams()
-
-	shards := cfg.Het.Partition(cfg.Train, cfg.K, root.Split())
-
 	// The fabric decides which ranks live in this process: all of them
 	// on the in-process backends, one inside a distributed worker. A
 	// fabric instance carries a meter and (possibly) a clock, so it
@@ -124,30 +146,8 @@ func NewSession(ctx context.Context, cfg Config, strat Strategy) (*Session, erro
 	if len(ranks) == 0 {
 		return nil, fmt.Errorf("core: fabric owns no local ranks")
 	}
-
-	// Build replicas only for local ranks, but consume the root RNG
-	// stream for every rank in the same order the in-process path does —
-	// that alignment is what makes a distributed worker's shard, model
-	// and sampler bit-identical to its in-process counterpart.
-	workers := make([]*Worker, 0, len(ranks))
-	next := 0
-	for k := 0; k < cfg.K; k++ {
-		netRNG := root.Split()
-		samplerRNG := root.Split()
-		if next < len(ranks) && ranks[next] == k {
-			net := cfg.Model(netRNG)
-			net.SetParams(w0)
-			workers = append(workers, &Worker{
-				ID:      k,
-				Net:     net,
-				Opt:     cfg.Optimizer(),
-				Shard:   shards[k],
-				drift:   make([]float64, d),
-				sampler: data.NewSampler(shards[k], samplerRNG),
-			})
-			next++
-		}
-	}
+	w0, workers, evalNet := buildReplicas(cfg, ranks)
+	d := len(w0)
 
 	env := newEnv(fabric, workers)
 	env.Codec = cfg.SyncCodec
@@ -159,7 +159,7 @@ func NewSession(ctx context.Context, cfg Config, strat Strategy) (*Session, erro
 		strat:          strat,
 		ctx:            ctx,
 		env:            env,
-		eval:           newEvaluator(env.pool, cfg.Model(root.Split()), cfg.Model, cfg.Seed),
+		eval:           newEvaluator(env.pool, evalNet, cfg.Model, cfg.Seed),
 		globalParams:   make([]float64, d),
 		samplesPerStep: float64(cfg.BatchSize * cfg.K),
 		trainLen:       float64(cfg.Train.Len()),
@@ -392,10 +392,6 @@ func (s *Session) Run() (Result, error) {
 
 // Done reports whether the run has finished (successfully or not).
 func (s *Session) Done() bool { return s.finished }
-
-// Err returns the terminal error of a failed session (nil while running
-// or after a successful finish).
-func (s *Session) Err() error { return s.finishErr }
 
 // StepCount returns the number of completed global steps.
 func (s *Session) StepCount() int { return s.t }

@@ -179,10 +179,6 @@ func (e *Env) scratchD2() []float64 {
 	return e.driftScratch2
 }
 
-// Parallelism returns the effective goroutine count of the run's worker
-// pool (1 when the run is sequential).
-func (e *Env) Parallelism() int { return e.pool.Workers() }
-
 // ForEachWorker runs body(k, Workers[k]) for every worker, concurrently
 // when the run's Config.Parallelism allows it. Bodies must touch only
 // state owned by worker k (its replica, optimizer, drift scratch) and
@@ -299,17 +295,6 @@ func (e *Env) exchangeCompressedDrifts() int64 {
 // point of the run, which the replicated session loop guarantees.
 func (e *Env) GlobalModel(dst []float64) {
 	tensor.Mean(dst, e.Fabric.Gather(e.paramViews)...)
-}
-
-// MeanSquaredDrift returns the mean ‖u^(k)‖² over this process's
-// workers (measurement helper for tests; not a collective).
-func (e *Env) MeanSquaredDrift() float64 {
-	var s float64
-	for _, w := range e.Workers {
-		_, sq := w.DriftSquaredNorm(e.W0)
-		s += sq
-	}
-	return s / float64(len(e.Workers))
 }
 
 // ExactVariance returns Var(w_t) computed directly from Eq. (2) — the

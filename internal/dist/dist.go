@@ -59,6 +59,9 @@ type JobSpec struct {
 
 // WithDefaults fills the documented zero-value defaults.
 func (s JobSpec) WithDefaults() JobSpec {
+	// JSON can spell zero as -0; it is the same job and must print the
+	// same key (x+0 is +0 for either zero, x otherwise).
+	s.Theta, s.Target = s.Theta+0, s.Target+0
 	if s.Theta == 0 {
 		if spec, err := models.ByName(s.Model); err == nil && len(spec.ThetaGrid) > 1 {
 			s.Theta = spec.ThetaGrid[1]

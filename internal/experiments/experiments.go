@@ -19,6 +19,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/data"
 	"repro/internal/dist"
+	"repro/internal/metrics"
 	"repro/internal/models"
 	"repro/internal/runstore"
 )
@@ -298,18 +299,4 @@ func summarize(out io.Writer, recs []Record) {
 	}
 }
 
-func median(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := append([]float64(nil), xs...)
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
-	if len(s)%2 == 1 {
-		return s[len(s)/2]
-	}
-	return (s[len(s)/2-1] + s[len(s)/2]) / 2
-}
+func median(xs []float64) float64 { return metrics.Quantile(xs, 0.5) }

@@ -95,18 +95,9 @@ func runGrid[R any](o Options, specs []runstore.Spec, compute func(i int) []R) [
 			return recs
 		}
 	}
-	// Warm-start counters tick inside compute (runWarm), invisible to
-	// MapCtx; snapshot the totals so this grid's deltas can be folded
-	// into its MapResult.
-	var hits0, saved0 int64
-	if o.Stats != nil {
-		hits0, saved0 = o.Stats.SnapshotHits.Load(), o.Stats.StepsSaved.Load()
-	}
 	perCell, res, err := runstore.MapCtx(o.Ctx, o.Store, o.Jobs, specs, track)
 	if o.Stats != nil {
 		o.Stats.Cached.Add(int64(res.Cached))
-		res.SnapshotHits = int(o.Stats.SnapshotHits.Load() - hits0)
-		res.StepsSaved = int(o.Stats.StepsSaved.Load() - saved0)
 	}
 	cancelled := err != nil && o.Ctx != nil && errors.Is(err, o.Ctx.Err())
 	if o.Events != nil {

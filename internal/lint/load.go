@@ -98,13 +98,17 @@ func NewImporter(fset *token.FileSet, dir string, patterns ...string) (types.Imp
 	if err != nil {
 		return nil, err
 	}
-	exports := map[string]string{}
+	return newExportImporter(fset, entries), nil
+}
+
+// newExportImporter indexes the export files `go list -export` reported.
+func newExportImporter(fset *token.FileSet, entries []listEntry) *exportImporter {
+	imp := &exportImporter{exports: map[string]string{}}
 	for _, e := range entries {
 		if e.Export != "" {
-			exports[e.ImportPath] = e.Export
+			imp.exports[e.ImportPath] = e.Export
 		}
 	}
-	imp := &exportImporter{exports: exports}
 	lookup := func(path string) (io.ReadCloser, error) {
 		file, ok := imp.exports[path]
 		if !ok {
@@ -113,7 +117,7 @@ func NewImporter(fset *token.FileSet, dir string, patterns ...string) (types.Imp
 		return os.Open(file)
 	}
 	imp.gc = importer.ForCompiler(fset, "gc", lookup).(types.ImporterFrom)
-	return imp, nil
+	return imp
 }
 
 func (i *exportImporter) Import(path string) (*types.Package, error) {
@@ -171,22 +175,8 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 	if err != nil {
 		return nil, err
 	}
-	exports := map[string]string{}
-	for _, e := range entries {
-		if e.Export != "" {
-			exports[e.ImportPath] = e.Export
-		}
-	}
 	fset := token.NewFileSet()
-	imp := &exportImporter{exports: exports}
-	lookup := func(path string) (io.ReadCloser, error) {
-		file, ok := imp.exports[path]
-		if !ok {
-			return nil, fmt.Errorf("lint: no export data for %q", path)
-		}
-		return os.Open(file)
-	}
-	imp.gc = importer.ForCompiler(fset, "gc", lookup).(types.ImporterFrom)
+	imp := newExportImporter(fset, entries)
 
 	var pkgs []*Package
 	for _, e := range entries {

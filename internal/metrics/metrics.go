@@ -1,8 +1,7 @@
 // Package metrics provides the statistics and reporting helpers used by
-// the experiment harness: summary statistics, Gaussian kernel density
-// estimation (the paper visualizes cost distributions as KDE plots),
-// ordinary least-squares fits (the Θ-vs-d lines of Figure 12), and
-// aligned-text table rendering.
+// the experiment harness: summary statistics (the cost-distribution
+// figures print medians), ordinary least-squares fits (the Θ-vs-d lines
+// of Figure 12), and aligned-text table rendering.
 package metrics
 
 import (
@@ -23,20 +22,6 @@ func Mean(xs []float64) float64 {
 		s += x
 	}
 	return s / float64(len(xs))
-}
-
-// Std returns the population standard deviation of xs.
-func Std(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := Mean(xs)
-	var s float64
-	for _, x := range xs {
-		d := x - m
-		s += d * d
-	}
-	return math.Sqrt(s / float64(len(xs)))
 }
 
 // Quantile returns the q-quantile (0 ≤ q ≤ 1) with linear interpolation.
@@ -116,43 +101,6 @@ func FitThroughOrigin(xs, ys []float64) float64 {
 	}
 	return sxy / sxx
 }
-
-// KDE1D is a Gaussian kernel density estimate over a sample.
-type KDE1D struct {
-	points    []float64
-	bandwidth float64
-}
-
-// NewKDE1D builds a KDE with Scott's-rule bandwidth (or the provided
-// override when bw > 0). It panics on an empty sample.
-func NewKDE1D(points []float64, bw float64) *KDE1D {
-	if len(points) == 0 {
-		panic("metrics: KDE over empty sample")
-	}
-	if bw <= 0 {
-		sd := Std(points)
-		if sd == 0 {
-			sd = 1e-9
-		}
-		bw = 1.06 * sd * math.Pow(float64(len(points)), -0.2)
-	}
-	return &KDE1D{points: append([]float64(nil), points...), bandwidth: bw}
-}
-
-// Density evaluates the estimated density at x.
-func (k *KDE1D) Density(x float64) float64 {
-	var s float64
-	inv := 1 / k.bandwidth
-	norm := 1 / (math.Sqrt(2*math.Pi) * k.bandwidth * float64(len(k.points)))
-	for _, p := range k.points {
-		z := (x - p) * inv
-		s += math.Exp(-0.5 * z * z)
-	}
-	return s * norm
-}
-
-// Bandwidth reports the bandwidth in use.
-func (k *KDE1D) Bandwidth() float64 { return k.bandwidth }
 
 // Table renders aligned text tables for experiment output.
 type Table struct {

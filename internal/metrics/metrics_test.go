@@ -5,8 +5,6 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
-
-	"repro/internal/tensor"
 )
 
 func TestMeanStdMedian(t *testing.T) {
@@ -14,16 +12,13 @@ func TestMeanStdMedian(t *testing.T) {
 	if Mean(xs) != 2.5 {
 		t.Fatalf("mean %v", Mean(xs))
 	}
-	if math.Abs(Std(xs)-math.Sqrt(1.25)) > 1e-12 {
-		t.Fatalf("std %v", Std(xs))
-	}
 	if Quantile(xs, 0.5) != 2.5 {
 		t.Fatalf("median %v", Quantile(xs, 0.5))
 	}
 	if Quantile([]float64{3, 1, 2}, 0.5) != 2 {
 		t.Fatal("odd median")
 	}
-	if Mean(nil) != 0 || Std(nil) != 0 || Quantile(nil, 0.5) != 0 {
+	if Mean(nil) != 0 || Quantile(nil, 0.5) != 0 {
 		t.Fatal("empty-input behaviour")
 	}
 }
@@ -104,49 +99,6 @@ func TestLinearFitNormalEquationProperty(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
-}
-
-func TestKDEIntegratesToOne(t *testing.T) {
-	rng := tensor.NewRNG(1)
-	pts := make([]float64, 200)
-	tensor.Normal(rng, pts, 5, 2)
-	k := NewKDE1D(pts, 0)
-	// Trapezoid integration over ±6σ.
-	const n = 2000
-	lo, hi := -10.0, 20.0
-	h := (hi - lo) / n
-	var integral float64
-	for i := 0; i <= n; i++ {
-		w := 1.0
-		if i == 0 || i == n {
-			w = 0.5
-		}
-		integral += w * k.Density(lo+float64(i)*h)
-	}
-	integral *= h
-	if math.Abs(integral-1) > 0.01 {
-		t.Fatalf("KDE integral %v", integral)
-	}
-}
-
-func TestKDEPeaksNearMode(t *testing.T) {
-	pts := []float64{1, 1.1, 0.9, 1.05, 0.95, 5}
-	k := NewKDE1D(pts, 0.2)
-	if k.Density(1) <= k.Density(5) {
-		t.Fatal("KDE density at cluster not above outlier")
-	}
-	if k.Bandwidth() != 0.2 {
-		t.Fatalf("bandwidth %v", k.Bandwidth())
-	}
-}
-
-func TestKDEEmptyPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewKDE1D(nil, 0)
 }
 
 func TestTableRendering(t *testing.T) {

@@ -3,7 +3,7 @@
 // while preserving the paper's ordering of model dimensions
 // (LeNet-5 < VGG16* < DenseNet121 < DenseNet201 < ConvNeXtLarge), each
 // architecture's layer vocabulary (convolutions + pooling for the CNNs,
-// dropout for the DenseNets, a frozen pretrained trunk for ConvNeXt), and
+// dropout for the DenseNets, a pretrained dense trunk for ConvNeXt), and
 // each row's initialization scheme and local optimizer.
 //
 // Θ scales linearly with d in the paper (Figure 12), so preserving the

@@ -31,9 +31,6 @@ func refLossGrad(n *nn.Network, b data.Batch) float64 {
 	for i := range g {
 		g[i] *= inv
 	}
-	for i := 0; i < n.Frozen(); i++ {
-		g[i] = 0
-	}
 	return loss * inv
 }
 
@@ -83,8 +80,7 @@ const mixedNetDigest uint64 = 0x9845b1f1d46da77f
 // per-sample loop, batch after batch on one evolving model (BatchNorm's
 // statistics, Dropout's mask stream and the weights all carry over), with
 // exact zeros in the back-propagated gradients (every model has ReLUs, so
-// the zero-skip of the Dense kernels is on the path) and, in a second
-// pass, with a frozen prefix.
+// the zero-skip of the Dense kernels is on the path).
 func TestBatchedLossGradMatchesPerSampleLoop(t *testing.T) {
 	type arch struct {
 		name  string
@@ -96,36 +92,30 @@ func TestBatchedLossGradMatchesPerSampleLoop(t *testing.T) {
 	}
 	micro := map[string]int{}
 	for _, a := range archs {
-		for _, freeze := range []bool{false, true} {
-			got, ref := a.build(tensor.NewRNG(2024)), a.build(tensor.NewRNG(2024))
-			micro[a.name] = got.MicroBatch()
-			if freeze {
-				got.Freeze(got.NumParams() / 3)
-				ref.Freeze(ref.NumParams() / 3)
+		got, ref := a.build(tensor.NewRNG(2024)), a.build(tensor.NewRNG(2024))
+		micro[a.name] = got.MicroBatch()
+		rng := tensor.NewRNG(7)
+		zeros := 0
+		for _, size := range batchSizes {
+			b := randomBatch(rng, got.InDim(), got.OutDim(), size)
+			gl, rl := got.LossGradBatch(b), refLossGrad(ref, b)
+			if math.Float64bits(gl) != math.Float64bits(rl) {
+				t.Fatalf("%s batch %d: loss %v, per-sample loop %v", a.name, size, gl, rl)
 			}
-			rng := tensor.NewRNG(7)
-			zeros := 0
-			for _, size := range batchSizes {
-				b := randomBatch(rng, got.InDim(), got.OutDim(), size)
-				gl, rl := got.LossGradBatch(b), refLossGrad(ref, b)
-				if math.Float64bits(gl) != math.Float64bits(rl) {
-					t.Fatalf("%s freeze=%v batch %d: loss %v, per-sample loop %v", a.name, freeze, size, gl, rl)
+			gg, rg := got.Grads(), ref.Grads()
+			for i := range rg {
+				if math.Float64bits(gg[i]) != math.Float64bits(rg[i]) {
+					t.Fatalf("%s batch %d: grad[%d] = %v, per-sample loop %v", a.name, size, i, gg[i], rg[i])
 				}
-				gg, rg := got.Grads(), ref.Grads()
-				for i := range rg {
-					if math.Float64bits(gg[i]) != math.Float64bits(rg[i]) {
-						t.Fatalf("%s freeze=%v batch %d: grad[%d] = %v, per-sample loop %v", a.name, freeze, size, i, gg[i], rg[i])
-					}
-					if rg[i] == 0 {
-						zeros++
-					}
+				if rg[i] == 0 {
+					zeros++
 				}
-				tensor.AXPY(-0.05, gg, got.Params())
-				tensor.AXPY(-0.05, rg, ref.Params())
 			}
-			if zeros == 0 {
-				t.Fatalf("%s: no exact zero in any gradient; the zero-skip path was not exercised", a.name)
-			}
+			tensor.AXPY(-0.05, gg, got.Params())
+			tensor.AXPY(-0.05, rg, ref.Params())
+		}
+		if zeros == 0 {
+			t.Fatalf("%s: no exact zero in any gradient; the zero-skip path was not exercised", a.name)
 		}
 	}
 	// What the comparison covered: the dense stacks run full micro-batches
@@ -197,24 +187,17 @@ func TestDropoutMaskStreamSurvivesBatching(t *testing.T) {
 	}
 }
 
-// TestEvalMatchesPerSampleForward: Loss and CountCorrect, which also run
-// in micro-batches, agree with one Forward per sample on ranges that
+// TestEvalMatchesPerSampleForward: CountCorrect, which also runs
+// in micro-batches, agrees with one Forward per sample on ranges that
 // start and end off the micro-batch grid.
 func TestEvalMatchesPerSampleForward(t *testing.T) {
 	spec := models.ConvNeXtS()
 	_, test := models.DatasetFor(spec, 3)
 	n := spec.Build(tensor.NewRNG(3))
 	m := n.MicroBatch()
-	probs := make([]float64, n.OutDim())
-	var loss float64
 	hit := make([]bool, test.Len())
 	for i, x := range test.X {
-		logits := n.Forward(x, false)
-		hit[i] = tensor.ArgMax(logits) == test.Y[i]
-		loss += nn.SoftmaxCrossEntropy(probs, logits, test.Y[i])
-	}
-	if got, want := n.Loss(test), loss/float64(test.Len()); math.Float64bits(got) != math.Float64bits(want) {
-		t.Fatalf("Loss = %v, per-sample %v", got, want)
+		hit[i] = tensor.ArgMax(n.Forward(x, false)) == test.Y[i]
 	}
 	for _, r := range [][2]int{{0, test.Len()}, {3, 3}, {5, 6}, {1, 2*m + 4}, {m, 3 * m}} {
 		want := 0

@@ -16,15 +16,11 @@ type Network struct {
 	layers []Layer
 	params []float64
 	grads  []float64
-	// frozen marks a prefix of the parameter vector excluded from
-	// gradient updates (used by the transfer-learning model to emulate a
-	// feature extractor that is fixed in the feature-extraction stage).
-	frozen int
 	// micro is how many samples go through the stack at once (see
 	// microBatchFor). x packs one micro-batch's inputs back to back for
 	// the first layer; probs holds its softmax rows, which become
 	// dL/dlogits. Both are sized for micro samples at construction and
-	// shared by LossGradBatch, Loss and CountCorrect, so none of them
+	// shared by LossGradBatch and CountCorrect, so none of them
 	// allocates.
 	micro    int
 	x, probs []float64
@@ -152,19 +148,6 @@ func (n *Network) SetParams(w []float64) {
 func (n *Network) InDim() int  { return n.layers[0].InDim() }
 func (n *Network) OutDim() int { return n.layers[len(n.layers)-1].OutDim() }
 
-// Freeze marks the first `count` parameters as frozen: LossGradBatch still
-// computes their gradients but zeroes them before returning, so any
-// optimizer leaves them untouched. Freeze(0) unfreezes everything.
-func (n *Network) Freeze(count int) {
-	if count < 0 || count > len(n.params) {
-		panic("nn: Freeze count out of range")
-	}
-	n.frozen = count
-}
-
-// Frozen returns the number of frozen leading parameters.
-func (n *Network) Frozen() int { return n.frozen }
-
 // Forward runs the network on the samples stored back to back in x (one
 // input is the n = 1 case) and returns their logits, back to back. The
 // returned slice is an internal buffer, valid until the next Forward.
@@ -207,7 +190,7 @@ func (n *Network) pack(xs [][]float64) []float64 {
 
 // LossGradBatch runs forward+backward over a mini-batch with softmax
 // cross-entropy loss, leaving the batch-mean gradient in Grads() and
-// returning the mean loss. Any frozen prefix of the gradient is zeroed.
+// returning the mean loss.
 // The mini-batch goes through the stack in micro-batches, samples in
 // order, so loss and gradients carry the bits of a sample-at-a-time loop.
 //
@@ -231,25 +214,7 @@ func (n *Network) LossGradBatch(b data.Batch) float64 {
 	}
 	inv := 1 / float64(len(b.X))
 	tensor.Scale(n.grads, inv)
-	if n.frozen > 0 {
-		tensor.Zero(n.grads[:n.frozen])
-	}
 	return loss * inv
-}
-
-// Loss returns the mean softmax cross-entropy over a dataset without
-// touching gradients (dropout disabled).
-func (n *Network) Loss(ds *data.Dataset) float64 {
-	out := n.OutDim()
-	var loss float64
-	for lo := 0; lo < ds.Len(); lo += n.micro {
-		hi := min(lo+n.micro, ds.Len())
-		logits := n.Forward(n.pack(ds.X[lo:hi]), false)
-		for s, y := range ds.Y[lo:hi] {
-			loss += SoftmaxCrossEntropy(n.probs[:out], logits[s*out:(s+1)*out], y)
-		}
-	}
-	return loss / float64(ds.Len())
 }
 
 // Accuracy returns the top-1 accuracy over a dataset (dropout disabled).

@@ -191,30 +191,6 @@ func TestSetParamsRoundTrip(t *testing.T) {
 	}
 }
 
-func TestFreezeZeroesGradientPrefix(t *testing.T) {
-	rng := tensor.NewRNG(7)
-	d1 := NewDense(4, 4, GlorotUniformInit)
-	n := New(rng, d1, NewReLU(4), NewDense(4, 2, GlorotUniformInit))
-	n.Freeze(d1.ParamCount())
-	n.LossGradBatch(smallBatch(rng, 4, 2, 3))
-	g := n.Grads()
-	for i := 0; i < d1.ParamCount(); i++ {
-		if g[i] != 0 {
-			t.Fatalf("frozen gradient %d = %v", i, g[i])
-		}
-	}
-	nonzero := false
-	for _, v := range g[d1.ParamCount():] {
-		if v != 0 {
-			nonzero = true
-			break
-		}
-	}
-	if !nonzero {
-		t.Fatal("head gradient entirely zero")
-	}
-}
-
 func TestDropoutTrainEval(t *testing.T) {
 	rng := tensor.NewRNG(8)
 	l := NewDropout(1000, 0.5, rng)
@@ -327,7 +303,7 @@ func TestAccuracyAndLoss(t *testing.T) {
 	if acc < 0 || acc > 1 {
 		t.Fatalf("accuracy %v", acc)
 	}
-	loss := n.Loss(test)
+	loss := n.LossGradBatch(data.Batch{X: test.X, Y: test.Y})
 	if loss <= 0 || math.IsNaN(loss) {
 		t.Fatalf("loss %v", loss)
 	}

@@ -249,7 +249,7 @@ func (r *Registry) Gauge(name, help string, labels ...string) *Gauge {
 
 // Histogram registers (or returns the existing) histogram. scale
 // converts raw observation units into the exposed base unit — use
-// obs.Seconds for nanosecond timings and obs.Bytes for sizes.
+// obs.Seconds for nanosecond timings, 1 for values exposed as-is.
 func (r *Registry) Histogram(name, help string, scale float64, labels ...string) *Histogram {
 	if scale <= 0 {
 		panic("obs: histogram scale must be positive: " + name)
@@ -266,14 +266,9 @@ func (r *Registry) Histogram(name, help string, scale float64, labels ...string)
 	return h
 }
 
-// Histogram scale constants: the raw→base-unit divisors for the two
-// observation kinds the repo uses.
-const (
-	// Seconds scales nanosecond observations to seconds.
-	Seconds = 1e9
-	// Bytes exposes byte observations as-is.
-	Bytes = 1
-)
+// Seconds is the histogram scale (the raw→base-unit divisor) for
+// nanosecond observations.
+const Seconds = 1e9
 
 // sorted returns the registry's metrics ordered by (name, labels) so
 // exposition and snapshots are deterministic and grouped by family.

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"bufio"
-	"context"
 	"fmt"
 	"io"
 	"strconv"
@@ -166,24 +165,6 @@ func Instant(name, cat string, kv ...any) {
 	r := Region{t: t, name: name, cat: cat, start: clockNow()}
 	r.write('i', 0, kv...)
 }
-
-// Span opens a named span on the app category and returns the function
-// that ends it — the ctx-shaped convenience form:
-//
-//	defer obs.Span(ctx, "load-model")()
-//
-// ctx is accepted for signature familiarity and future propagation;
-// cancellation does not affect the span.
-func Span(ctx context.Context, name string) func() {
-	_ = ctx
-	r := StartRegion(name, "app")
-	if r.t == nil {
-		return noopEnd
-	}
-	return r.End
-}
-
-var noopEnd = func() {}
 
 // write serializes one event under the tracer lock. ts/dur are in
 // microseconds (the trace-event unit) with nanosecond decimals.

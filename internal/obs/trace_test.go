@@ -2,7 +2,6 @@ package obs
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"testing"
 )
@@ -43,11 +42,9 @@ func TestTraceSchema(t *testing.T) {
 		r := StartRegion("AllReduce", "fabric")
 		r.EndArgs("bytes", int64(1024), "virtual_sec", 0.25, "kind", "model")
 		Instant("sync", "session", "trigger", "LinearFDA")
-		done := Span(context.Background(), "load")
-		done()
 	})
-	if len(events) != 4 { // metadata + span + instant + ctx span
-		t.Fatalf("got %d events, want 4: %+v", len(events), events)
+	if len(events) != 3 { // metadata + span + instant
+		t.Fatalf("got %d events, want 3: %+v", len(events), events)
 	}
 	for i, ev := range events {
 		if ev.Name == "" || ev.Ph == "" || ev.Pid == nil || ev.Tid == nil || ev.Ts == nil {
@@ -67,9 +64,6 @@ func TestTraceSchema(t *testing.T) {
 	if inst := events[2]; inst.Ph != "i" || inst.Args["trigger"] != "LinearFDA" {
 		t.Fatalf("instant event malformed: %+v", inst)
 	}
-	if events[3].Ph != "X" || events[3].Name != "load" {
-		t.Fatalf("ctx span malformed: %+v", events[3])
-	}
 }
 
 func TestTraceInactiveIsNoop(t *testing.T) {
@@ -83,7 +77,6 @@ func TestTraceInactiveIsNoop(t *testing.T) {
 	r.End()
 	r.EndArgs("k", 1)
 	Instant("x", "y")
-	Span(context.Background(), "x")()
 	if err := StopTrace(); err != nil {
 		t.Fatal(err)
 	}

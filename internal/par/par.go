@@ -35,46 +35,46 @@ func Resolve(knob int) int {
 // goroutines. With one effective worker (or n <= 1) it runs inline on
 // the calling goroutine; otherwise indices are drawn from a shared
 // atomic counter by min(workers, n) goroutines.
+func ForEach(workers, n int, body func(i int)) {
+	forEach(nil, workers, n, body)
+}
+
 // ForEachCtx is ForEach with cooperative cancellation: once ctx is done,
 // no new index is dispatched. Bodies already running are never
 // interrupted — an index either executes fully or not at all, which is
 // what lets checkpointed sweeps resume without torn cells. It returns
 // ctx.Err() when cancellation preempted at least the dispatch loop, nil
 // when every index ran.
-//
-// The cancellation check sits on the index-draw path only, so a nil or
-// never-cancelled ctx costs one atomic load per index and the execution
-// order (and therefore every result, by the index-addressed determinism
-// contract) is identical to ForEach.
 func ForEachCtx(ctx context.Context, workers, n int, body func(i int)) error {
-	if ctx == nil {
-		ForEach(workers, n, body)
-		return nil
+	var done <-chan struct{}
+	if ctx != nil {
+		done = ctx.Done()
 	}
-	done := ctx.Done()
-	if done == nil {
-		ForEach(workers, n, body)
-		return nil
+	if forEach(done, workers, n, body) {
+		return ctx.Err()
 	}
-	cancelled := func() bool {
-		select {
-		case <-done:
-			return true
-		default:
-			return false
-		}
-	}
+	return nil
+}
+
+// forEach is the one dispatch loop and reports whether done fired
+// before every index was drawn. The check sits on the index-draw path
+// only, and a receive on a nil channel never fires, so a nil done
+// (ForEach, a nil or never-cancellable ctx) draws the same indices in
+// the same order as a cancellable one that never fires.
+func forEach(done <-chan struct{}, workers, n int, body func(i int)) bool {
 	if workers > n {
 		workers = n
 	}
 	if workers <= 1 {
 		for i := 0; i < n; i++ {
-			if cancelled() {
-				return ctx.Err()
+			select {
+			case <-done:
+				return true
+			default:
 			}
 			body(i)
 		}
-		return nil
+		return false
 	}
 	var next atomic.Int64
 	var stopped atomic.Bool
@@ -84,9 +84,11 @@ func ForEachCtx(ctx context.Context, workers, n int, body func(i int)) error {
 		go func() {
 			defer wg.Done()
 			for {
-				if cancelled() {
+				select {
+				case <-done:
 					stopped.Store(true)
 					return
+				default:
 				}
 				i := int(next.Add(1)) - 1
 				if i >= n {
@@ -97,36 +99,5 @@ func ForEachCtx(ctx context.Context, workers, n int, body func(i int)) error {
 		}()
 	}
 	wg.Wait()
-	if stopped.Load() {
-		return ctx.Err()
-	}
-	return nil
-}
-
-func ForEach(workers, n int, body func(i int)) {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			body(i)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for g := 0; g < workers; g++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				body(i)
-			}
-		}()
-	}
-	wg.Wait()
+	return stopped.Load()
 }

@@ -17,15 +17,9 @@ type MapResult struct {
 	// Cached + Executed = Cells; under cancellation Executed counts only
 	// the cells that finished before the context fired.
 	Cells, Cached, Executed int
-	// SnapshotHits counts executed cells that warm-started from a stored
-	// trajectory-prefix snapshot and StepsSaved the training steps those
-	// restores skipped. Map cannot observe this itself — warm starts
-	// happen inside compute — so warm-start-aware planners (experiments'
-	// runGrid) fill the fields in; they stay zero otherwise.
-	SnapshotHits, StepsSaved int
 }
 
-// Map is the store-aware sweep scheduler. It evaluates one grid of
+// MapCtx is the store-aware sweep scheduler. It evaluates one grid of
 // cells: cell i is described by specs[i] and computed, when needed, by
 // compute(i), which must return the cell's records as a pure function
 // of specs[i] (the determinism contract of DESIGN.md §3).
@@ -33,24 +27,22 @@ type MapResult struct {
 // For every cell the store already holds, the cached records are
 // decoded instead of recomputed; the remaining cells dispatch across
 // the par pool (jobs follows the par.Resolve convention) and persist
-// before Map returns, so an interrupted sweep resumes from the cells it
-// completed. Results are returned in grid order and are byte-identical
-// whatever mix of cache hits, misses and parallelism produced them.
+// before MapCtx returns, so an interrupted sweep resumes from the cells
+// it completed. Results are returned in grid order and are
+// byte-identical whatever mix of cache hits, misses and parallelism
+// produced them.
 //
-// st may be nil, which disables caching and reduces Map to a parallel
-// map. Store read failures (including corrupt entries) downgrade to
-// recomputation; the first store write failure is reported in err after
-// the full grid has been evaluated, so results are complete even when
-// persistence is not.
-func Map[R any](st *Store, jobs int, specs []Spec, compute func(i int) []R) (perCell [][]R, res MapResult, err error) {
-	return MapCtx(context.Background(), st, jobs, specs, compute)
-}
-
-// MapCtx is Map under a context. Cancellation is cooperative and
-// cell-granular: cells already computing finish (and persist), no new
-// cell dispatches, and the returned error is ctx.Err(). Because every
-// completed cell persisted, re-running the same grid later — with the
-// same store — resumes exactly where the cancellation landed.
+// st may be nil, which disables caching and reduces MapCtx to a
+// parallel map. Store read failures (including corrupt entries)
+// downgrade to recomputation; the first store write failure is reported
+// in err after the full grid has been evaluated, so results are
+// complete even when persistence is not.
+//
+// Cancellation is cooperative and cell-granular: cells already
+// computing finish (and persist), no new cell dispatches, and the
+// returned error is ctx.Err(). Because every completed cell persisted,
+// re-running the same grid later — with the same store — resumes
+// exactly where the cancellation landed.
 func MapCtx[R any](ctx context.Context, st *Store, jobs int, specs []Spec, compute func(i int) []R) (perCell [][]R, res MapResult, err error) {
 	if ctx == nil {
 		ctx = context.Background()

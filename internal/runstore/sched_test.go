@@ -33,7 +33,7 @@ func computeFn(calls *atomic.Int64) func(i int) []schedRecord {
 func TestMapNilStoreComputesAll(t *testing.T) {
 	var calls atomic.Int64
 	specs := schedSpecs(9)
-	perCell, res, err := Map(nil, 4, specs, computeFn(&calls))
+	perCell, res, err := MapCtx(context.Background(), nil, 4, specs, computeFn(&calls))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func TestMapCachesAcrossCalls(t *testing.T) {
 	st, _ := Open(t.TempDir())
 	specs := schedSpecs(7)
 	var cold atomic.Int64
-	first, res1, err := Map(st, 3, specs, computeFn(&cold))
+	first, res1, err := MapCtx(context.Background(), st, 3, specs, computeFn(&cold))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestMapCachesAcrossCalls(t *testing.T) {
 		t.Fatalf("cold run: calls=%d res=%+v", cold.Load(), res1)
 	}
 	var warm atomic.Int64
-	second, res2, err := Map(st, 3, specs, computeFn(&warm))
+	second, res2, err := MapCtx(context.Background(), st, 3, specs, computeFn(&warm))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,8 +86,8 @@ func TestMapResumesAfterKill(t *testing.T) {
 			}
 		}()
 		// jobs=1 keeps the dispatch inline so the panic unwinds through
-		// Map exactly like a process kill after 4 persisted cells.
-		Map(st, 1, specs, func(i int) []schedRecord {
+		// MapCtx exactly like a process kill after 4 persisted cells.
+		MapCtx(context.Background(), st, 1, specs, func(i int) []schedRecord {
 			if done.Load() == killAfter {
 				panic("killed")
 			}
@@ -96,7 +96,7 @@ func TestMapResumesAfterKill(t *testing.T) {
 		})
 	}()
 	var retries atomic.Int64
-	perCell, res, err := Map(st, 4, specs, func(i int) []schedRecord {
+	perCell, res, err := MapCtx(context.Background(), st, 4, specs, func(i int) []schedRecord {
 		retries.Add(1)
 		return []schedRecord{{Cell: i}}
 	})
@@ -122,12 +122,12 @@ func TestMapRecomputesCorruptEntries(t *testing.T) {
 	st, _ := Open(t.TempDir())
 	specs := schedSpecs(3)
 	var calls atomic.Int64
-	if _, _, err := Map(st, 2, specs, computeFn(&calls)); err != nil {
+	if _, _, err := MapCtx(context.Background(), st, 2, specs, computeFn(&calls)); err != nil {
 		t.Fatal(err)
 	}
 	flipByte(t, st.runDir(specs[1].Canonical().Hash())+"/records.jsonl")
 	var again atomic.Int64
-	perCell, res, err := Map(st, 2, specs, computeFn(&again))
+	perCell, res, err := MapCtx(context.Background(), st, 2, specs, computeFn(&again))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,10 +153,10 @@ func TestMapEmptyCellCached(t *testing.T) {
 		}
 		return []schedRecord{{Cell: i}}
 	}
-	if _, _, err := Map(st, 1, specs, compute); err != nil {
+	if _, _, err := MapCtx(context.Background(), st, 1, specs, compute); err != nil {
 		t.Fatal(err)
 	}
-	perCell, res, err := Map(st, 1, specs, func(i int) []schedRecord {
+	perCell, res, err := MapCtx(context.Background(), st, 1, specs, func(i int) []schedRecord {
 		t.Fatalf("cell %d recomputed", i)
 		return nil
 	})

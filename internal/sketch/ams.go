@@ -15,7 +15,6 @@
 package sketch
 
 import (
-	"fmt"
 	"math"
 	"math/bits"
 	"sort"
@@ -121,11 +120,8 @@ func Dimensions(eps, delta float64) (l, m int) {
 // L returns the number of rows.
 func (s *Sketcher) L() int { return s.l }
 
-// M returns the number of columns.
-func (s *Sketcher) M() int { return s.m }
-
 // Sketch is the l×m counter matrix for one vector, stored row-major.
-// Sketches from the same Sketcher combine linearly with Add/AXPY/Scale.
+// Sketches from the same Sketcher combine linearly through Data.
 type Sketch struct {
 	L, M int
 	Data []float64
@@ -150,49 +146,10 @@ func (sk *Sketch) Clone() *Sketch {
 // Zero resets all counters.
 func (sk *Sketch) Zero() { tensor.Zero(sk.Data) }
 
-// checkShape panics if two sketches are not conformal.
-func checkShape(op string, a, b *Sketch) {
-	if a.L != b.L || a.M != b.M {
-		panic(fmt.Sprintf("sketch: %s shape mismatch %dx%d vs %dx%d", op, a.L, a.M, b.L, b.M))
-	}
-}
-
-// Add accumulates other into sk (sk += other).
-func (sk *Sketch) Add(other *Sketch) {
-	checkShape("Add", sk, other)
-	tensor.Add(sk.Data, sk.Data, other.Data)
-}
-
-// AXPY accumulates alpha*other into sk.
-func (sk *Sketch) AXPY(alpha float64, other *Sketch) {
-	checkShape("AXPY", sk, other)
-	tensor.AXPY(alpha, other.Data, sk.Data)
-}
-
-// Scale multiplies all counters by c.
-func (sk *Sketch) Scale(c float64) { tensor.Scale(sk.Data, c) }
-
-// Update adds value at coordinate index into the sketch (the streaming
-// single-entry update).
-func (s *Sketcher) Update(sk *Sketch, index int, value float64) {
-	if sk.L != s.l || sk.M != s.m {
-		panic("sketch: Update with foreign sketch shape")
-	}
-	key := uint64(index)
-	for i := 0; i < s.l; i++ {
-		col := int(s.bucket[i].eval(key) % uint64(s.m))
-		sign := float64(1)
-		if s.sign[i].eval(key)&1 == 0 {
-			sign = -1
-		}
-		sk.Data[i*s.m+col] += sign * value
-	}
-}
-
 // Precompute builds lookup tables covering coordinates [0, d). Calling it
 // is optional but strongly recommended before repeatedly sketching vectors
 // of a fixed dimension (as SketchFDA does). Precompute is not safe to call
-// concurrently with SketchVec/Update.
+// concurrently with SketchVec.
 func (s *Sketcher) Precompute(d int) {
 	if d <= 0 {
 		panic("sketch: Precompute with non-positive dimension")

@@ -115,23 +115,6 @@ func TestSketchDeterministicAcrossInstances(t *testing.T) {
 	}
 }
 
-func TestUpdateMatchesSketchVec(t *testing.T) {
-	s := NewSketcher(5, 60, 7)
-	v := make([]float64, 80)
-	rng := tensor.NewRNG(4)
-	tensor.Normal(rng, v, 0, 1)
-	bulk := s.Sketch(v)
-	inc := s.NewSketch()
-	for i, x := range v {
-		s.Update(inc, i, x)
-	}
-	for i := range bulk.Data {
-		if math.Abs(bulk.Data[i]-inc.Data[i]) > 1e-9 {
-			t.Fatalf("bulk vs incremental mismatch at %d: %v vs %v", i, bulk.Data[i], inc.Data[i])
-		}
-	}
-}
-
 func TestPrecomputeMatchesHashPath(t *testing.T) {
 	v := make([]float64, 200)
 	rng := tensor.NewRNG(5)
@@ -169,8 +152,8 @@ func TestLinearityProperty(t *testing.T) {
 		}
 		left := s.Sketch(comb)
 		right := s.Sketch(a)
-		right.Scale(alpha)
-		right.AXPY(beta, s.Sketch(b))
+		tensor.Scale(right.Data, alpha)
+		tensor.AXPY(beta, s.Sketch(b).Data, right.Data)
 		for i := range left.Data {
 			if math.Abs(left.Data[i]-right.Data[i]) > 1e-6*(1+math.Abs(left.Data[i])) {
 				return false
@@ -239,7 +222,7 @@ func TestMeanOfSketchesEstimatesMeanNorm(t *testing.T) {
 		drifts[k] = make([]float64, dim)
 		tensor.Normal(rng, drifts[k], 0.1, 1)
 		tensor.AXPY(1, drifts[k], mean)
-		agg.AXPY(1.0/K, s.Sketch(drifts[k]))
+		tensor.AXPY(1.0/K, s.Sketch(drifts[k]).Data, agg.Data)
 	}
 	tensor.Scale(mean, 1.0/K)
 	truth := tensor.SquaredNorm(mean)
@@ -280,14 +263,13 @@ func TestSketchBytesAndClone(t *testing.T) {
 }
 
 func TestShapeMismatchPanics(t *testing.T) {
-	a := NewSketcher(2, 8, 1).NewSketch()
-	b := NewSketcher(3, 8, 1).NewSketch()
+	foreign := NewSketcher(3, 8, 1).NewSketch()
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
 		}
 	}()
-	a.Add(b)
+	NewSketcher(2, 8, 1).SketchVec(foreign, make([]float64, 4))
 }
 
 // Buckets should spread roughly uniformly over columns.

@@ -36,11 +36,6 @@ func (m *Mat) Set(i, j int, v float64) { m.Data[i*m.Cols+j] = v }
 // Row returns row i as a sub-slice view (no copy).
 func (m *Mat) Row(i int) []float64 { return m.Data[i*m.Cols : (i+1)*m.Cols] }
 
-// Clone returns a deep copy of m.
-func (m *Mat) Clone() *Mat {
-	return &Mat{Rows: m.Rows, Cols: m.Cols, Data: Clone(m.Data)}
-}
-
 // batchOf returns how many vectors of length dim are stored back to back
 // in v. The mat-vec kernels below are batch-major: every vector operand
 // holds n vectors contiguously, and n = 1 is the plain operation.

@@ -193,7 +193,7 @@ func TestBatchedMatKernelsMatchPerVectorScalarLoops(t *testing.T) {
 					}
 				}
 
-				gotO, wantO := m.Clone(), m.Clone()
+				gotO, wantO := MatFrom(rows, cols, Clone(m.Data)), MatFrom(rows, cols, Clone(m.Data))
 				AddOuter(gotO, 0.5, g, x)
 				for s := 0; s < n; s++ {
 					for i := 0; i < rows; i++ {

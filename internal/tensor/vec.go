@@ -5,11 +5,6 @@ import (
 	"math"
 )
 
-// Vec is a dense vector of float64 components. All vector helpers in this
-// package operate on raw slices so they compose with sub-slices of flat
-// parameter vectors without copies.
-type Vec = []float64
-
 // checkLen panics when two vectors that must be conformal are not. Length
 // mismatches here are always programming errors (model dimension is fixed
 // per run), so a panic is preferred over threading errors through hot loops.

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"bytes"
+	"encoding/json"
 	"reflect"
 	"strings"
 	"sync"
@@ -142,4 +143,59 @@ func TestTraceWriterConcurrent(t *testing.T) {
 			t.Fatalf("kind %s recorded %d times, want %d", k, counts[k], want)
 		}
 	}
+}
+
+// FuzzReadTrace feeds the trace reader arbitrary bytes — a trace file
+// comes from another process (fdaserve -record, fdaload -export) or an
+// operator's disk. It must reject what it does not accept, never panic;
+// and what it accepts is a trace: writing it back out gives a file that
+// reads back to the same header and requests and re-encodes byte for
+// byte.
+func FuzzReadTrace(f *testing.F) {
+	reqs, err := specFixture(24).Schedule()
+	if err != nil {
+		f.Fatalf("Schedule: %v", err)
+	}
+	var buf bytes.Buffer
+	if err := WriteTrace(&buf, TraceHeader{Source: "fuzz", CreatedUnix: 1754600000}, reqs[:8]); err != nil {
+		f.Fatalf("WriteTrace: %v", err)
+	}
+	clean := buf.Bytes()
+	f.Add(clean)
+	f.Add(clean[:len(clean)-15])                                         // torn tail
+	f.Add(bytes.Replace(clean, []byte(`"seq":3`), []byte(`"seq":4`), 1)) // CRC and sequence
+	f.Add([]byte(`{"format":"fda-trace","version":1}` + "\n"))           // header only
+	f.Add([]byte(`{"format":"fda-trace","version":2}` + "\n"))           // future version
+	// Accepted, but not in the writer's form: spaced JSON, an unescaped
+	// '<', a CRC that is the canonical encoding's.
+	loose := `{ "a" : "<" }`
+	crc, err := requestCRC(Request{Kind: KindStatus, Body: json.RawMessage(loose)})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add([]byte(`{"version":1, "format":"fda-trace"}` + "\n" + `{"crc":"` + crc + `", "kind":"status", "body":` + loose + `, "seq":0, "offset_ns":0}` + "\n"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		hdr, reqs, err := ReadTrace(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var first bytes.Buffer
+		if err := WriteTrace(&first, hdr, reqs); err != nil {
+			t.Fatalf("accepted trace does not write back: %v", err)
+		}
+		hdr2, reqs2, err := ReadTrace(bytes.NewReader(first.Bytes()))
+		if err != nil {
+			t.Fatalf("rewritten trace rejected: %v\n%s", err, first.Bytes())
+		}
+		if hdr2 != hdr || len(reqs2) != len(reqs) {
+			t.Fatalf("rewritten trace reads back as %+v with %d requests, wrote %+v with %d", hdr2, len(reqs2), hdr, len(reqs))
+		}
+		var second bytes.Buffer
+		if err := WriteTrace(&second, hdr2, reqs2); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first.Bytes(), second.Bytes()) {
+			t.Fatalf("trace does not round-trip byte for byte:\n%s\nthen\n%s", first.Bytes(), second.Bytes())
+		}
+	})
 }
