@@ -45,9 +45,10 @@ lint:
 # `go test`). Targets: the checkpoint v2 container decoder, the
 # compress wire-frame decoders, the socket fabric's frame reader and
 # bundle parser, the Prometheus exposition validator, the tracev1
-# reader and the gateway's submission classifier (request body → job
-# spec → dedupe key) — parsers that consume bytes from disk, socket or
-# an HTTP client — and the kernel-vs-scalar-loop
+# reader, the gateway's submission classifier (request body → job
+# spec → dedupe key) and its id rewriter (replica body → namespaced
+# body, every other value byte-equal) — parsers that consume bytes from
+# disk, socket or an HTTP peer — and the kernel-vs-scalar-loop
 # equality of internal/tensor, where the fuzzer picks lengths,
 # misalignments, aliasing and raw float bits for every kernel that has
 # an assembly body, and of internal/nn's convolution layer, where it
@@ -63,6 +64,7 @@ fuzz:
 	$(GO) test ./internal/obs -fuzz FuzzValidatePrometheusText -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/workload -fuzz FuzzReadTrace -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/cluster -fuzz FuzzAffinityAddress -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/cluster -fuzz FuzzRewriteID -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/tensor -fuzz FuzzKernelsMatchScalar -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/nn -fuzz FuzzConvMatchesDirectReference -fuzztime $(FUZZTIME)
 

@@ -465,23 +465,20 @@ func copyProxyHeaders(w http.ResponseWriter, resp *http.Response, rep *Replica) 
 
 // rewriteID namespaces the "id" field of a JSON object body with the
 // replica prefix. Field values are preserved byte-for-byte (raw
-// messages), so job records pass through the gateway bit-identical to
-// a direct fetch — only the id and the (deterministically sorted)
-// top-level key order change. Non-object or id-less bodies pass
-// through untouched.
+// messages, re-encoded without HTML escaping as WriteJSON wrote them),
+// so job records pass through the gateway bit-identical to a direct
+// fetch — only the id and the (deterministically sorted) top-level key
+// order change. Non-object or id-less bodies pass through untouched.
 func rewriteID(body []byte, prefix string) []byte {
 	var m map[string]json.RawMessage
-	if err := json.Unmarshal(body, &m); err != nil || m["id"] == nil {
+	if err := json.Unmarshal(body, &m); err != nil || !rewriteIDField(m, prefix) {
 		return body
 	}
-	if !rewriteIDField(m, prefix) {
+	var out bytes.Buffer
+	if err := encodeJSON(&out, m); err != nil {
 		return body
 	}
-	out, err := json.Marshal(m)
-	if err != nil {
-		return body
-	}
-	return append(out, '\n')
+	return out.Bytes()
 }
 
 // rewriteIDField namespaces m["id"] in place; reports whether the

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -357,12 +358,16 @@ func TestGatewayMergesRunListings(t *testing.T) {
 	}
 }
 
+// rewriteIDBody is a job view whose values a decode into Go types
+// would re-encode differently: 1e-7 as a float64, the nested object's
+// key order as a map.
+const rewriteIDBody = `{"accuracy":0.9000000000000001,"id":"r3","loss":1e-7,"nested":{"z":1,"a":2}}`
+
 func TestRewriteIDPreservesFieldBytes(t *testing.T) {
 	// Every field except id must pass through byte-for-byte — the
 	// property behind the routing-parity guarantee. Note 1e-7: a decode
 	// into float64 would re-encode differently; RawMessage must not.
-	body := []byte(`{"accuracy":0.9000000000000001,"id":"r3","loss":1e-7,"nested":{"z":1,"a":2}}`)
-	out := rewriteID(body, "abc123")
+	out := rewriteID([]byte(rewriteIDBody), "abc123")
 	var m map[string]json.RawMessage
 	if err := json.Unmarshal(out, &m); err != nil {
 		t.Fatal(err)
@@ -380,6 +385,97 @@ func TestRewriteIDPreservesFieldBytes(t *testing.T) {
 	for _, raw := range []string{`[1,2,3]`, `{"id":7}`, `plain`} {
 		if got := rewriteID([]byte(raw), "abc123"); string(got) != raw {
 			t.Fatalf("rewriteID(%q) = %q, want passthrough", raw, got)
+		}
+	}
+}
+
+// FuzzRewriteID feeds the gateway's id rewriter arbitrary replica
+// bodies. It must never panic; it either hands the body back unchanged
+// or returns an object with the same key set whose id is the old one
+// namespaced; and when the body was compact JSON, every other value
+// comes back byte-equal — escaping included.
+func FuzzRewriteID(f *testing.F) {
+	f.Add([]byte(rewriteIDBody))
+	f.Add([]byte(`{"id":"7","error":"a < b && c > d"}`))
+	f.Add([]byte(`{"id":"r1", "nested": [ 1, {"id":"x"} ] }` + "\n"))
+	f.Add([]byte(`{"id":7}`))
+	f.Fuzz(func(t *testing.T, body []byte) {
+		const prefix = "abc123"
+		out := rewriteID(body, prefix)
+		if bytes.Equal(out, body) {
+			return
+		}
+		var in, got map[string]json.RawMessage
+		if err := json.Unmarshal(body, &in); err != nil {
+			t.Fatalf("rewrote %q, which does not decode: %v", body, err)
+		}
+		if err := json.Unmarshal(out, &got); err != nil {
+			t.Fatalf("rewrote %q into %q, which does not decode: %v", body, out, err)
+		}
+		var oldID, newID string
+		if json.Unmarshal(in["id"], &oldID) != nil || json.Unmarshal(got["id"], &newID) != nil || newID != prefix+"-"+oldID {
+			t.Fatalf("id %s rewritten to %s", in["id"], got["id"])
+		}
+		if len(got) != len(in) {
+			t.Fatalf("%d keys in, %d out: %q -> %q", len(in), len(got), body, out)
+		}
+		var compact bytes.Buffer
+		isCompact := json.Compact(&compact, body) == nil && bytes.Equal(compact.Bytes(), body)
+		for k, v := range in {
+			w, ok := got[k]
+			if !ok {
+				t.Fatalf("key %q dropped: %q -> %q", k, body, out)
+			}
+			if isCompact && k != "id" && !bytes.Equal(v, w) {
+				t.Fatalf("value of %q changed: %s -> %s", k, v, w)
+			}
+		}
+	})
+}
+
+// TestGatewayRelaysJobViewUnescaped: a job view fdaserve wrote with
+// WriteJSON — here a failed job whose error holds "<", ">" and "&" —
+// reads the same through the gateway as from the replica, every value
+// byte-equal except the namespaced id.
+func TestGatewayRelaysJobViewUnescaped(t *testing.T) {
+	replica := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		WriteJSON(w, http.StatusOK, map[string]any{
+			"id": strings.TrimPrefix(r.URL.Path, "/v1/runs/"), "status": "failed",
+			"error": "comm: bundle part 1 short: 3 < 8 && a > b",
+		})
+	}))
+	t.Cleanup(replica.Close)
+	clk := &fakeClock{}
+	pool, err := NewPool([]string{replica.URL}, Options{Now: clk.clock()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gw := httptest.NewServer(NewGateway(pool, GatewayOptions{Now: clk.clock()}).Handler())
+	t.Cleanup(gw.Close)
+
+	get := func(url string) map[string]json.RawMessage {
+		resp, err := http.Get(url)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var m map[string]json.RawMessage
+		if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	id := pool.Replicas()[0].prefix + "-7"
+	direct, via := get(replica.URL+"/v1/runs/7"), get(gw.URL+"/v1/runs/"+id)
+	if string(via["id"]) != `"`+id+`"` {
+		t.Fatalf("id through the gateway = %s, want %q", via["id"], id)
+	}
+	if len(via) != len(direct) {
+		t.Fatalf("keys differ: direct %v, gateway %v", direct, via)
+	}
+	for k, v := range direct {
+		if k != "id" && string(via[k]) != string(v) {
+			t.Fatalf("%s through the gateway = %s, direct %s", k, via[k], v)
 		}
 	}
 }

@@ -3,6 +3,7 @@ package cluster
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"strconv"
@@ -150,9 +151,16 @@ func (h *HTTPShell) MountProbes(mux *http.ServeMux, version map[string]string, b
 func WriteJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
+	_ = encodeJSON(w, v)
+}
+
+// encodeJSON is the one JSON encoding the serving tier emits: no HTML
+// escaping, so "<" and "&" in a job's error read the same through
+// fdagate as from the replica, and a trailing newline.
+func encodeJSON(w io.Writer, v any) error {
 	enc := json.NewEncoder(w)
 	enc.SetEscapeHTML(false)
-	_ = enc.Encode(v)
+	return enc.Encode(v)
 }
 
 // WriteError writes the {"error": msg} body every endpoint uses.

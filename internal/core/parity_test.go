@@ -8,18 +8,24 @@ import (
 	"repro/internal/data"
 )
 
-// parityStrategies enumerates one constructor per strategy family. Each
-// call must build a fresh strategy (they carry per-run state).
+// parityStrategies enumerates one constructor per strategy family,
+// related work included. Each call must build a fresh strategy (they
+// carry per-run state).
 func parityStrategies(cfg Config) map[string]func() Strategy {
 	return map[string]func() Strategy{
-		"SketchFDA":   func() Strategy { return NewSketchFDA(0.1) },
-		"LinearFDA":   func() Strategy { return NewLinearFDA(0.1) },
-		"OracleFDA":   func() Strategy { return NewOracleFDA(0.1) },
-		"Synchronous": func() Strategy { return NewSynchronous() },
-		"LocalSGD":    func() Strategy { return NewLocalSGD(7) },
-		"FedAvg":      func() Strategy { return NewFedAvgFor(cfg, 1) },
-		"FedAvgM":     func() Strategy { return NewFedAvgMFor(cfg, 1) },
-		"FedAdam":     func() Strategy { return NewFedAdamFor(cfg, 1) },
+		"SketchFDA":     func() Strategy { return NewSketchFDA(0.1) },
+		"LinearFDA":     func() Strategy { return NewLinearFDA(0.1) },
+		"OracleFDA":     func() Strategy { return NewOracleFDA(0.1) },
+		"Synchronous":   func() Strategy { return NewSynchronous() },
+		"LocalSGD":      func() Strategy { return NewLocalSGD(7) },
+		"FedAvg":        func() Strategy { return NewFedAvgFor(cfg, 1) },
+		"FedAvgM":       func() Strategy { return NewFedAvgMFor(cfg, 1) },
+		"FedAdam":       func() Strategy { return NewFedAdamFor(cfg, 1) },
+		"IncreasingTau": func() Strategy { return NewIncreasingTauLocalSGD(2, 2) },
+		"DecreasingTau": func() Strategy { return NewDecreasingTauLocalSGD(8, 1) },
+		"PostLocalSGD":  func() Strategy { return NewPostLocalSGD(10, 5) },
+		"LAG":           func() Strategy { return NewLAG(5, 0.5) },
+		"AdaptiveTheta": func() Strategy { return NewAdaptiveTheta(NewLinearFDA(0.1), 5e4) },
 	}
 }
 

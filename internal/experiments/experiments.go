@@ -65,9 +65,12 @@ type Options struct {
 	// be goroutine-safe — and in grid order for cache hits).
 	Events func(CellEvent)
 	// Jobs bounds how many independent sweep cells (training runs) execute
-	// concurrently. 0 (the zero value) and 1 run the grid sequentially;
-	// positive values are taken literally; negative values select
-	// runtime.GOMAXPROCS. Each cell owns its seed-derived RNGs and meter,
+	// concurrently. 0 (the zero value) and 1 run the grid one cell at a
+	// time; positive values are taken literally; negative values select
+	// runtime.GOMAXPROCS. The cores the cells leave idle go to each cell's
+	// own session: it runs with Parallelism par.Inner(Jobs), so
+	// at Jobs 1 one cell's workers use every core and at Jobs ≥ GOMAXPROCS
+	// each cell gets one. Each cell owns its seed-derived RNGs and meter,
 	// and records are collected in grid order, so the output is identical
 	// at every setting.
 	Jobs int
@@ -158,8 +161,10 @@ func loadWorkload(modelName string, seed uint64) workload {
 	return workload{spec: spec, train: train, test: test}
 }
 
-// baseConfig builds the shared run configuration for a workload.
-func (w workload) baseConfig(k int, seed uint64, maxSteps, evalEvery int, target float64, het data.Heterogeneity) core.Config {
+// baseConfig builds the shared run configuration for a workload. inner
+// is the session's Parallelism — runGrid's share of the cores per cell;
+// results are bit-identical at any value.
+func (w workload) baseConfig(k int, seed uint64, maxSteps, evalEvery int, target float64, het data.Heterogeneity, inner int) core.Config {
 	return core.Config{
 		K: k, BatchSize: 32, Seed: seed,
 		Model: w.spec.Build, Optimizer: w.spec.Optimizer,
@@ -168,6 +173,7 @@ func (w workload) baseConfig(k int, seed uint64, maxSteps, evalEvery int, target
 		MaxSteps:       maxSteps,
 		EvalEvery:      evalEvery,
 		TargetAccuracy: target,
+		Parallelism:    inner,
 	}
 }
 
@@ -188,23 +194,17 @@ func modelBudget(name string) (maxSteps, evalEvery int) {
 	}
 }
 
-// runToTargets executes one training run to the highest target and emits
-// one Record per requested target by locating the first history point at
-// or above it. This mirrors the paper's "training run until a final epoch
-// achieving a specific testing accuracy" while re-using one trajectory
-// for nested targets.
+// runToTargets executes one training run to the highest target and
+// emits one Record per requested target by locating the first history
+// point at or above it. This mirrors the paper's "training run until a
+// final epoch achieving a specific testing accuracy" while re-using one
+// trajectory for nested targets. A non-nil warm consults the snapshot
+// store for the longest reusable trajectory prefix and publishes
+// prefixes for sibling cells (warm.go); the records are bit-identical
+// to a cold run's by the prefix-sharing safety argument (DESIGN.md §10).
+// inner is the session's Parallelism (baseConfig).
 func runToTargets(fig string, w workload, strategyName string, theta float64,
-	k int, het data.Heterogeneity, targets []float64, seed uint64) []Record {
-	return runToTargetsWarm(fig, w, strategyName, theta, k, het, targets, seed, nil)
-}
-
-// runToTargetsWarm is runToTargets with an optional warm-start context:
-// a non-nil warm consults the snapshot store for the longest reusable
-// trajectory prefix and publishes prefixes for sibling cells (warm.go).
-// The records are bit-identical to a cold run's by the prefix-sharing
-// safety argument (DESIGN.md §10).
-func runToTargetsWarm(fig string, w workload, strategyName string, theta float64,
-	k int, het data.Heterogeneity, targets []float64, seed uint64, warm *cellWarm) []Record {
+	k int, het data.Heterogeneity, targets []float64, seed uint64, inner int, warm *cellWarm) []Record {
 
 	maxT := targets[0]
 	for _, t := range targets[1:] {
@@ -213,7 +213,7 @@ func runToTargetsWarm(fig string, w workload, strategyName string, theta float64
 		}
 	}
 	maxSteps, evalEvery := modelBudget(w.spec.Name)
-	cfg := w.baseConfig(k, seed, maxSteps, evalEvery, maxT, het)
+	cfg := w.baseConfig(k, seed, maxSteps, evalEvery, maxT, het, inner)
 	strat := strategyFor(strategyName, theta, cfg)
 	res := runWarm(cfg, strat, warm)
 

@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/models"
+	"repro/internal/par"
 	"repro/internal/runstore"
 )
 
@@ -73,8 +74,13 @@ type sweepCancelled struct{ err error }
 // and are byte-identical whatever mix of cache hits and parallelism
 // produced them, so callers print and post-process exactly as they
 // would after a fresh sequential sweep.
-func runGrid[R any](o Options, specs []runstore.Spec, compute func(i int) []R) [][]R {
-	track := compute
+//
+// compute receives the cell index and the cell session's share of the
+// cores, par.Inner(o.Jobs), which it passes to baseConfig: cores the
+// cell pool leaves idle go to the cells it runs.
+func runGrid[R any](o Options, specs []runstore.Spec, compute func(i, inner int) []R) [][]R {
+	inner := par.Inner(o.Jobs)
+	track := func(i int) []R { return compute(i, inner) }
 	if o.Stats != nil {
 		o.Stats.Cells.Add(int64(len(specs)))
 	}
@@ -84,7 +90,7 @@ func runGrid[R any](o Options, specs []runstore.Spec, compute func(i int) []R) [
 	}
 	if o.Stats != nil || o.Events != nil {
 		track = func(i int) []R {
-			recs := compute(i)
+			recs := compute(i, inner)
 			if o.Stats != nil {
 				o.Stats.Executed.Add(1)
 			}

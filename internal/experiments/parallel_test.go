@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"encoding/json"
 	"reflect"
 	"runtime"
 	"strings"
@@ -9,12 +10,14 @@ import (
 	"time"
 
 	"repro/internal/data"
+	"repro/internal/par"
 	"repro/internal/runstore"
 )
 
 // TestRunGridCoverageAndOrder pins the dispatch contract sweeps rely
-// on: every cell runs exactly once and results land in grid order, at
-// any jobs setting, with or without a store.
+// on: every cell runs exactly once, results land in grid order, and
+// every cell is handed the same core share, par.Inner(Jobs), at any
+// jobs setting.
 func TestRunGridCoverageAndOrder(t *testing.T) {
 	specs := make([]runstore.Spec, 37)
 	for i := range specs {
@@ -23,8 +26,12 @@ func TestRunGridCoverageAndOrder(t *testing.T) {
 	}
 	for _, jobs := range []int{0, 1, 3, 8, -1} {
 		var calls atomic.Int64
-		got := runGrid(Options{Jobs: jobs}, specs, func(i int) []int {
+		want := par.Inner(jobs)
+		got := runGrid(Options{Jobs: jobs}, specs, func(i, inner int) []int {
 			calls.Add(1)
+			if inner != want {
+				t.Errorf("jobs=%d: cell %d handed width %d, want %d", jobs, i, inner, want)
+			}
 			return []int{i * i}
 		})
 		if calls.Load() != int64(len(specs)) {
@@ -36,7 +43,7 @@ func TestRunGridCoverageAndOrder(t *testing.T) {
 			}
 		}
 	}
-	if out := runGrid(Options{Jobs: 4}, nil, func(i int) []int { return nil }); len(out) != 0 {
+	if out := runGrid(Options{Jobs: 4}, nil, func(i, _ int) []int { return nil }); len(out) != 0 {
 		t.Fatalf("empty grid produced %v", out)
 	}
 }
@@ -98,8 +105,10 @@ func TestSweepFigureParallelParity(t *testing.T) {
 
 // TestParallelSweepSpeedup asserts the acceptance criterion — ≥2× wall
 // clock with Jobs ≥ 4 on a multicore runner — over a grid of independent
-// Tiny cells. It self-skips on machines without enough cores (the cells
-// would just time-slice) and in -short mode.
+// Tiny cells. The sequential baseline runs under GOMAXPROCS(1): at
+// Jobs: 1 a cell's session would otherwise take every core itself
+// (par.Inner). It self-skips on machines without enough cores (the
+// cells would just time-slice) and in -short mode.
 func TestParallelSweepSpeedup(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing test")
@@ -124,10 +133,60 @@ func TestParallelSweepSpeedup(t *testing.T) {
 		return time.Since(start)
 	}
 	run(procs) // warm caches so the timed pair compares like with like
-	seq := run(1)
-	par := run(procs)
-	t.Logf("sequential %v, %d jobs %v (%.2fx)", seq, procs, par, seq.Seconds()/par.Seconds())
-	if par*2 > seq {
-		t.Fatalf("speedup %.2fx < 2x (seq %v, par %v)", seq.Seconds()/par.Seconds(), seq, par)
+	seq := func() time.Duration {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+		return run(1)
+	}()
+	wide := run(procs)
+	t.Logf("sequential %v, %d jobs %v (%.2fx)", seq, procs, wide, seq.Seconds()/wide.Seconds())
+	if wide*2 > seq {
+		t.Fatalf("speedup %.2fx < 2x (seq %v, par %v)", seq.Seconds()/wide.Seconds(), seq, wide)
+	}
+}
+
+// TestSweepParityAcrossGOMAXPROCS pins the core-share rule end to end:
+// at Jobs: 1 a cell's session takes every core, so GOMAXPROCS 1 and 4
+// run the same cells at Parallelism 1 and 4. Records and rendered
+// output must be byte-identical for thetasweep through a fresh store —
+// its cold cells and the warm ones restoring their siblings' prefixes,
+// with the same snapshot hits and steps saved — for netsweep including
+// its virtual clock, and for a cloud figure.
+func TestSweepParityAcrossGOMAXPROCS(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-run experiment")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	type pass struct {
+		name, out, recs string
+		hits, saved     int64
+	}
+	run := func(procs int) []pass {
+		runtime.GOMAXPROCS(procs)
+		var ps []pass
+		for _, exp := range []string{"thetasweep", "netsweep", "smoke"} {
+			var b strings.Builder
+			stats := &SweepStats{}
+			res, err := Run(exp, Options{Scale: Tiny, Seed: 2, Out: &b, Jobs: 1, Stats: stats,
+				Store: testStore(t), Warm: exp == "thetasweep"})
+			if err != nil {
+				t.Fatalf("GOMAXPROCS=%d %s: %v", procs, exp, err)
+			}
+			body, err := json.Marshal(res)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ps = append(ps, pass{exp, b.String(), string(body),
+				stats.SnapshotHits.Load(), stats.StepsSaved.Load()})
+		}
+		return ps
+	}
+	narrow, wide := run(1), run(4)
+	for i, n := range narrow {
+		if w := wide[i]; n != w {
+			t.Errorf("%s diverged between GOMAXPROCS 1 and 4:\n--- 1 ---\n%+v\n--- 4 ---\n%+v", n.name, n, w)
+		}
+	}
+	if warm := narrow[0]; warm.hits == 0 || warm.saved == 0 {
+		t.Fatalf("warm thetasweep restored nothing: %d hits, %d steps saved", warm.hits, warm.saved)
 	}
 }

@@ -1,7 +1,7 @@
 // Package metrics provides the statistics and reporting helpers used by
 // the experiment harness: summary statistics (the cost-distribution
-// figures print medians), ordinary least-squares fits (the Θ-vs-d lines
-// of Figure 12), and aligned-text table rendering.
+// figures print medians), the least-squares fit through the origin (the
+// Θ-vs-d lines of Figure 12), and aligned-text table rendering.
 package metrics
 
 import (
@@ -11,18 +11,6 @@ import (
 	"sort"
 	"strings"
 )
-
-// Mean returns the arithmetic mean of xs (0 for empty input).
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var s float64
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
-}
 
 // Quantile returns the q-quantile (0 ≤ q ≤ 1) with linear interpolation.
 func Quantile(xs []float64, q float64) float64 {
@@ -42,47 +30,6 @@ func Quantile(xs []float64, q float64) float64 {
 	}
 	frac := pos - float64(lo)
 	return s[lo]*(1-frac) + s[hi]*frac
-}
-
-// GeoMean returns the geometric mean of strictly positive xs; it panics on
-// non-positive values (communication costs are positive by construction).
-func GeoMean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var s float64
-	for _, x := range xs {
-		if x <= 0 {
-			panic(fmt.Sprintf("metrics: GeoMean of non-positive value %v", x))
-		}
-		s += math.Log(x)
-	}
-	return math.Exp(s / float64(len(xs)))
-}
-
-// LinearFit returns the ordinary-least-squares slope and intercept of
-// y = slope·x + intercept. It panics on fewer than two points or on
-// degenerate (constant-x) input.
-func LinearFit(xs, ys []float64) (slope, intercept float64) {
-	if len(xs) != len(ys) {
-		panic("metrics: LinearFit length mismatch")
-	}
-	if len(xs) < 2 {
-		panic("metrics: LinearFit needs at least two points")
-	}
-	mx, my := Mean(xs), Mean(ys)
-	var sxx, sxy float64
-	for i := range xs {
-		dx := xs[i] - mx
-		sxx += dx * dx
-		sxy += dx * (ys[i] - my)
-	}
-	if sxx == 0 {
-		panic("metrics: LinearFit with constant x")
-	}
-	slope = sxy / sxx
-	intercept = my - slope*mx
-	return slope, intercept
 }
 
 // FitThroughOrigin returns the least-squares slope of y = slope·x (the

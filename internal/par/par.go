@@ -31,6 +31,14 @@ func Resolve(knob int) int {
 	return knob
 }
 
+// Inner is the share of cores each task gets when an outer knob runs
+// tasks concurrently: GOMAXPROCS divided by Resolve(outer), and never
+// below 1. It is the width a grid cell hands its own inner parallelism
+// knob, so cores the outer fan-out leaves idle go to the tasks it runs.
+func Inner(outer int) int {
+	return max(1, runtime.GOMAXPROCS(0)/Resolve(outer))
+}
+
 // ForEach runs body(i) for every i in [0, n) across up to workers
 // goroutines. With one effective worker (or n <= 1) it runs inline on
 // the calling goroutine; otherwise indices are drawn from a shared

@@ -23,6 +23,25 @@ func TestResolve(t *testing.T) {
 	}
 }
 
+// TestInner pins the share rule across the outer knob's conventions
+// (0 and 1 sequential, N literal, negative = GOMAXPROCS) and core
+// counts, including outer widths above GOMAXPROCS.
+func TestInner(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, c := range []struct {
+		procs, outer, want int
+	}{
+		{1, 0, 1}, {1, 1, 1}, {1, 3, 1}, {1, -1, 1},
+		{4, 0, 4}, {4, 1, 4}, {4, 2, 2}, {4, 3, 1}, {4, 8, 1}, {4, -1, 1},
+		{6, 0, 6}, {6, 1, 6}, {6, 2, 3}, {6, 4, 1}, {6, -1, 1},
+	} {
+		runtime.GOMAXPROCS(c.procs)
+		if got := Inner(c.outer); got != c.want {
+			t.Errorf("GOMAXPROCS=%d Inner(%d) = %d want %d", c.procs, c.outer, got, c.want)
+		}
+	}
+}
+
 // TestForEachCoversEveryIndexOnce drives the dispatch loop across widths
 // and sizes — including width > n, n == 0 and the sequential path — and
 // checks each index runs exactly once. The concurrent counter increments
