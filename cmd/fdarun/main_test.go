@@ -4,7 +4,9 @@ import (
 	"context"
 	"flag"
 	"math"
+	"os"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/fda"
@@ -68,6 +70,57 @@ func TestFlagsToResultGolden(t *testing.T) {
 			t.Errorf("%v: comm=%d state=%d model=%d syncs=%d accbits=%#x, want %d %d %d %d %#x", c.args,
 				res.CommBytes, res.StateBytes, res.ModelBytes, res.SyncCount, math.Float64bits(res.FinalTestAcc),
 				c.comm, c.state, c.model, c.syncs, c.accBits)
+		}
+	}
+}
+
+// runMain runs the binary's main on args from a clean flag slate and
+// returns what it printed to stdout.
+func runMain(t *testing.T, args ...string) string {
+	t.Helper()
+	fs.VisitAll(func(f *flag.Flag) { f.Value.Set(f.DefValue) })
+	out, err := os.CreateTemp(t.TempDir(), "stdout")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer out.Close()
+	stdout, osArgs := os.Stdout, os.Args
+	os.Stdout, os.Args = out, append([]string{"fdarun"}, args...)
+	defer func() { os.Stdout, os.Args = stdout, osArgs }()
+	main()
+	b, err := os.ReadFile(out.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
+}
+
+// TestAsyncFlagsGolden pins what `fdarun -async` prints: the summary
+// line and the per-worker steps with the virtual clock, for the linear
+// estimator at equal speeds and the sketch estimator behind stragglers.
+func TestAsyncFlagsGolden(t *testing.T) {
+	cases := []struct {
+		args  []string
+		lines []string
+	}{
+		{args: []string{"-model", "lenet5s", "-k", "3", "-steps", "40", "-async"},
+			lines: []string{
+				"AsyncFDA: steps=40 epochs=1.6 comm=0.000GB (state 0.000, model 0.000) syncs=2 acc=0.3317 target=false",
+				"per-worker steps: [40 40 40]  virtual time: 40.0",
+			}},
+		{args: []string{"-model", "lenet5s", "-strategy", "SketchFDA", "-k", "5", "-steps", "40",
+			"-async", "-speeds", "1,1,1,0.5,0.25"},
+			lines: []string{
+				"AsyncSketchFDA: steps=54 epochs=2.7 comm=0.001GB (state 0.001, model 0.000) syncs=2 acc=0.3050 target=false",
+				"per-worker steps: [54 54 53 26 13]  virtual time: 54.0",
+			}},
+	}
+	for _, c := range cases {
+		out := runMain(t, c.args...)
+		for _, line := range c.lines {
+			if !strings.Contains(out, line+"\n") {
+				t.Errorf("%v: output lacks the line %q:\n%s", c.args, line, out)
+			}
 		}
 	}
 }

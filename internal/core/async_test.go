@@ -1,8 +1,18 @@
 package core
 
 import (
+	"context"
 	"testing"
 )
+
+// runAsyncCase runs asynchronous FDA with Θ = theta over the linear or
+// sketch estimator at the given per-worker speeds (nil: all equal),
+// delivering events to sink, and reports the Result, the per-worker step
+// counts and the final virtual clock.
+func runAsyncCase(ctx context.Context, cfg Config, theta float64, sketch bool, speeds []float64, sink EventSink) (Result, []int, float64, error) {
+	res, err := RunAsyncContext(ctx, AsyncConfig{Config: cfg, Theta: theta, UseSketch: sketch, Speeds: speeds}, sink)
+	return res.Result, res.StepsPerWorker, res.VirtualTime, err
+}
 
 func asyncConfig(seed uint64) AsyncConfig {
 	return AsyncConfig{
