@@ -87,8 +87,10 @@ apigen:
 	@echo "wrote docs/fda-api.txt"
 
 # The AllocsPerRun assertions guard the steady-state zero-allocation
-# contract (DESIGN.md §7) — the batched loss-gradient pass on its own and
-# the whole training step — the telemetry layer's zero-alloc hot path
+# contract (DESIGN.md §7) — the batched loss-gradient pass on its own,
+# the whole training step and asynchronous FDA's event step (one pop, a
+# local step, a state, an estimate, a push) — the telemetry layer's
+# zero-alloc hot path
 # in both enabled and disabled states (DESIGN.md §11) and the socket
 # fabric's steady state, workers and coordinator together (DESIGN.md
 # §9); race instrumentation allocates, so they skip themselves under

@@ -9,6 +9,7 @@
 //	fdarun -model vgg16s -strategy FedAdam -k 10 -target 0.96
 //	fdarun -model lenet5s -strategy LinearFDA -theta 0.05 -het label0
 //	fdarun -model lenet5s -strategy SketchFDA -theta 0.05 -async -speeds 1,1,1,0.5,0.25
+//	fdarun -model lenet5s -strategy LinearFDA -async -scenario fedwan
 //	fdarun -model lenet5s -strategy LinearFDA -progress        # live sync/eval events
 //
 // The run executes on a pluggable communication fabric:
@@ -52,9 +53,9 @@ var (
 	fs       = flag.NewFlagSet("fdarun", flag.ExitOnError)
 	spec     dist.JobSpec
 	budget   = fs.Float64("budget", 0, "bytes/step bandwidth budget; wraps the FDA variant with the §5 adaptive-Θ controller")
-	async    = fs.Bool("async", false, "run the asynchronous (coordinator) FDA variant")
-	speeds   = fs.String("speeds", "", "comma-separated per-worker speeds for -async")
-	jobs     = fs.Int("jobs", runtime.GOMAXPROCS(0), "goroutines for the worker/eval loops (1 = sequential; results are bit-identical; no effect with -async, whose coordinator runner is sequential)")
+	async    = fs.Bool("async", false, "run the asynchronous (coordinator) variant of -strategy LinearFDA or SketchFDA: workers step at their own pace on a virtual clock (-speeds or -scenario; by default one step per second each)")
+	speeds   = fs.String("speeds", "", "comma-separated relative worker speeds (rank r takes the (r mod n)-th): simulate a network where only compute differs and report the virtual clock; pairs with -async, excludes -scenario")
+	jobs     = fs.Int("jobs", runtime.GOMAXPROCS(0), "goroutines for the worker/eval loops (1 = sequential; results are bit-identical; -async steps one worker at a time, so there it widens evaluation only)")
 	progress = fs.Bool("progress", false, "print live sync/eval events while the run executes")
 	scenario = fs.String("scenario", "", "run on the simulated-network fabric under a named scenario (lan, fedwan, straggler) and report estimated time-to-accuracy")
 	worker   = fs.Bool("worker", false, "join a multi-process cluster as one worker (requires -connect; the coordinator supplies rank and job spec)")
@@ -175,8 +176,8 @@ func main() {
 	if *coord != "" {
 		// Refuse rather than silently drop flags the job spec cannot
 		// carry to the workers.
-		if *scenario != "" {
-			fatal(errors.New("-scenario does not combine with -coordinator (the TCP fabric is the transport)"))
+		if *scenario != "" || *speeds != "" {
+			fatal(errors.New("-scenario and -speeds do not combine with -coordinator (the TCP fabric is the transport)"))
 		}
 		if *budget > 0 || *async {
 			fatal(errors.New("-budget and -async are not available in -coordinator mode"))
@@ -204,44 +205,12 @@ func main() {
 		fatal(err)
 	}
 	cfg.Parallelism = *jobs
-	if *scenario != "" {
-		scen, err := fda.ScenarioByName(*scenario)
-		if err != nil {
-			fatal(err)
-		}
-		cfg.Fabric = fda.NewSimFabric(cfg.K, fda.DefaultCostModel(), scen)
+	scen, err := simulatedNetwork()
+	if err != nil {
+		fatal(err)
 	}
-
-	if *async {
-		if *warm {
-			fatal(errors.New("-warmstart applies to plain session runs only (not -async)"))
-		}
-		if *scenario != "" {
-			// The async coordinator runner has its own speed/virtual-time
-			// model and never reads cfg.Fabric; dropping the flag silently
-			// would report times the scenario did not produce.
-			fatal(errors.New("-scenario does not apply to -async (use -speeds for async heterogeneity)"))
-		}
-		ac := fda.AsyncConfig{Config: cfg, Theta: spec.Theta, UseSketch: spec.Strategy == "SketchFDA"}
-		if *speeds != "" {
-			for _, part := range strings.Split(*speeds, ",") {
-				v, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
-				if err != nil {
-					fatal(fmt.Errorf("bad -speeds entry %q: %v", part, err))
-				}
-				ac.Speeds = append(ac.Speeds, v)
-			}
-		}
-		res, err := fda.RunAsyncContext(ctx, ac, progressSink(*progress))
-		if err != nil && !errors.Is(err, context.Canceled) {
-			fatal(err)
-		}
-		if err != nil {
-			fmt.Println("cancelled; partial result:")
-		}
-		fmt.Println(res.Result)
-		fmt.Printf("per-worker steps: %v  virtual time: %.1f\n", res.StepsPerWorker, res.VirtualTime)
-		return
+	if scen != nil {
+		cfg.Fabric = fda.NewSimFabric(cfg.K, fda.DefaultCostModel(), *scen)
 	}
 
 	strat, err := spec.BuildStrategy(cfg)
@@ -256,6 +225,9 @@ func main() {
 			fatal(errors.New("-budget only applies to LinearFDA/SketchFDA"))
 		}
 	}
+	if *async {
+		strat = fda.NewAsyncFDA(strat)
+	}
 	sess, err := fda.NewSession(ctx, cfg, strat)
 	if err != nil {
 		fatal(err)
@@ -267,8 +239,8 @@ func main() {
 		if *storeDir == "" {
 			fatal(errors.New("-warmstart requires -store"))
 		}
-		if *scenario != "" {
-			fatal(errors.New("-warmstart does not combine with -scenario (virtual-clock state is outside prefix snapshots)"))
+		if cfg.Fabric != nil {
+			fatal(errors.New("-warmstart does not combine with -scenario or -speeds (virtual-clock state is outside prefix snapshots)"))
 		}
 		if err := warmStart(sess, strat); err != nil {
 			fatal(err)
@@ -287,15 +259,44 @@ func main() {
 		fmt.Printf("  step=%4d epoch=%5.1f acc=%.4f comm=%.4fGB syncs=%d\n",
 			p.Step, p.Epoch, p.TestAcc, float64(p.CommBytes)/1e9, p.SyncCount)
 	}
+	if res.StepsPerWorker != nil {
+		fmt.Printf("per-worker steps: %v  virtual time: %.1f\n", res.StepsPerWorker, res.VirtualSec)
+		return
+	}
 	if res.VirtualSec > 0 {
 		fmt.Printf("estimated wall-clock under scenario %q: %.2fs (compute + communication, virtual clock)\n",
-			*scenario, res.VirtualSec)
+			scen.Name, res.VirtualSec)
 		return
 	}
 	for _, prof := range []fda.NetworkProfile{fda.ProfileFL, fda.ProfileBalanced, fda.ProfileHPC} {
 		bits := float64(res.CommBytes) * 8
 		fmt.Printf("est. comm time on %-9s %.2fs\n", prof.Name+":", bits/prof.BandwidthBps)
 	}
+}
+
+// simulatedNetwork returns the scenario -scenario or -speeds selects,
+// nil when neither is set.
+func simulatedNetwork() (*fda.Scenario, error) {
+	if *speeds == "" {
+		if *scenario == "" {
+			return nil, nil
+		}
+		scen, err := fda.ScenarioByName(*scenario)
+		return &scen, err
+	}
+	if *scenario != "" {
+		return nil, errors.New("-speeds and -scenario both choose the simulated network; give one")
+	}
+	var rates []float64
+	for _, part := range strings.Split(*speeds, ",") {
+		v, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
+		if err != nil {
+			return nil, fmt.Errorf("bad -speeds entry %q: %v", part, err)
+		}
+		rates = append(rates, v)
+	}
+	scen, err := fda.SpeedsScenario(rates)
+	return &scen, err
 }
 
 // progressSink returns an event sink printing live sync/eval progress

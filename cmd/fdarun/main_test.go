@@ -98,15 +98,24 @@ func runMain(t *testing.T, args ...string) string {
 // TestAsyncFlagsGolden pins what `fdarun -async` prints: the summary
 // line and the per-worker steps with the virtual clock, for the linear
 // estimator at equal speeds and the sketch estimator behind stragglers.
+// -warmstart runs async cold (it shares no prefixes), and -scenario
+// paces its workers by the scenario's compute times.
 func TestAsyncFlagsGolden(t *testing.T) {
+	equal := []string{
+		"AsyncFDA: steps=40 epochs=1.6 comm=0.000GB (state 0.000, model 0.000) syncs=2 acc=0.3317 target=false",
+		"per-worker steps: [40 40 40]  virtual time: 40.0",
+	}
 	cases := []struct {
 		args  []string
 		lines []string
 	}{
-		{args: []string{"-model", "lenet5s", "-k", "3", "-steps", "40", "-async"},
+		{args: []string{"-model", "lenet5s", "-k", "3", "-steps", "40", "-async"}, lines: equal},
+		{args: []string{"-model", "lenet5s", "-k", "3", "-steps", "40", "-async", "-warmstart", "-store", t.TempDir()},
+			lines: equal},
+		{args: []string{"-model", "lenet5s", "-k", "3", "-steps", "40", "-async", "-scenario", "fedwan"},
 			lines: []string{
-				"AsyncFDA: steps=40 epochs=1.6 comm=0.000GB (state 0.000, model 0.000) syncs=2 acc=0.3317 target=false",
-				"per-worker steps: [40 40 40]  virtual time: 40.0",
+				"AsyncFDA: steps=52 epochs=1.6 comm=0.000GB (state 0.000, model 0.000) syncs=2 acc=0.3433 target=false",
+				"per-worker steps: [34 52 34]  virtual time: 2.6",
 			}},
 		{args: []string{"-model", "lenet5s", "-strategy", "SketchFDA", "-k", "5", "-steps", "40",
 			"-async", "-speeds", "1,1,1,0.5,0.25"},

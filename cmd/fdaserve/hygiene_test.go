@@ -15,20 +15,17 @@ import (
 )
 
 // TestTrainFailureDropsCheckpoint pins the orphan-checkpoint fix: a
-// train job that fails terminally must remove its session checkpoint,
-// even when the failure is a panic out of session construction.
+// train job that fails terminally must remove its session checkpoint.
+// The job body is driven directly: its spec carries a negative Θ, which
+// admission refuses, so session construction fails before a single step.
 func TestTrainFailureDropsCheckpoint(t *testing.T) {
 	st, err := runstore.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
 	s := newServer(st, 2, context.Background())
-	ts := httptest.NewServer(s.routes())
-	t.Cleanup(ts.Close)
 
-	// Plant a stale checkpoint under the exact key the submission will
-	// compute; a negative Θ makes the strategy's Init panic, so the job
-	// fails before a single step.
+	// Plant a stale checkpoint under the exact key the job runs under.
 	spec := dist.JobSpec{Model: "lenet5s", Strategy: "SketchFDA", Theta: -1, K: 3, Steps: 40}.WithDefaults()
 	ckpt := s.checkpointPath(spec.Key())
 	if err := os.MkdirAll(filepath.Dir(ckpt), 0o755); err != nil {
@@ -38,11 +35,16 @@ func TestTrainFailureDropsCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var v jobView
-	postJSON(t, ts.URL+"/v1/train",
-		`{"model":"lenet5s","strategy":"SketchFDA","theta":-1,"k":3,"steps":40}`,
-		http.StatusAccepted, &v)
-	waitStatus(t, ts, v.ID, statusFailed)
+	j, ctx, _, err := s.createJob(spec.Key(), func(j *job) { j.Kind = "train" })
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.wg.Add(1)
+	go s.runJob(ctx, j, func(ctx context.Context) (any, error) { return s.trainLocal(ctx, j, spec) })
+	<-j.done
+	if v := j.view(); v.Status != statusFailed {
+		t.Fatalf("job status %q (%s), want failed", v.Status, v.Error)
+	}
 	if _, err := os.Stat(ckpt); !os.IsNotExist(err) {
 		t.Fatalf("failed train job left checkpoint %s (stat err %v)", ckpt, err)
 	}

@@ -98,6 +98,8 @@ func TestTrainValidationErrors(t *testing.T) {
 	postJSON(t, ts.URL+"/v1/train", `{"model":"nope","strategy":"LinearFDA"}`, http.StatusBadRequest, nil)
 	postJSON(t, ts.URL+"/v1/train", `{"model":"lenet5s","strategy":"Nope"}`, http.StatusBadRequest, nil)
 	postJSON(t, ts.URL+"/v1/train", `{"model":"lenet5s","strategy":"LinearFDA","het":"bogus"}`, http.StatusBadRequest, nil)
+	postJSON(t, ts.URL+"/v1/train", `{"model":"lenet5s","strategy":"SketchFDA","theta":-1}`, http.StatusBadRequest, nil)
+	postJSON(t, ts.URL+"/v1/train", `{"model":"lenet5s","strategy":"LinearFDA","theta":-1}`, http.StatusBadRequest, nil)
 
 	var errResp struct {
 		Error  string `json:"error"`

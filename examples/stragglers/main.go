@@ -30,25 +30,26 @@ func main() {
 	}
 	d := model(fda.NewRNG(0)).NumParams()
 
-	ac := fda.AsyncConfig{
-		Config: fda.Config{
-			K: 6, BatchSize: 32, Seed: 5,
-			Model: model, Optimizer: fda.NewAdam(1e-3),
-			Train: train, Test: test,
-			TargetAccuracy: 0.93,
-			MaxSteps:       800,
-		},
-		Theta: 4e-5 * float64(d),
-		// Five nominal workers and one 4× straggler.
-		Speeds: []float64{1, 1, 1, 1, 1, 0.25},
-	}
-	res, err := fda.RunAsync(ac)
+	// Five nominal workers and one 4× straggler.
+	scen, err := fda.SpeedsScenario([]float64{1, 1, 1, 1, 1, 0.25})
 	if err != nil {
 		panic(err)
 	}
-	fmt.Println(res.Result)
+	cfg := fda.Config{
+		K: 6, BatchSize: 32, Seed: 5,
+		Model: model, Optimizer: fda.NewAdam(1e-3),
+		Train: train, Test: test,
+		TargetAccuracy: 0.93,
+		MaxSteps:       800,
+		Fabric:         fda.NewSimFabric(6, fda.DefaultCostModel(), scen),
+	}
+	res, err := fda.Run(cfg, fda.NewAsyncFDA(fda.NewLinearFDA(4e-5*float64(d))))
+	if err != nil {
+		panic(err)
+	}
+	fmt.Println(res)
 	fmt.Printf("per-worker local steps: %v\n", res.StepsPerWorker)
-	fmt.Printf("virtual clock at end:   %.1f step-times\n", res.VirtualTime)
+	fmt.Printf("virtual clock at end:   %.1f step-times\n", res.VirtualSec)
 	fmt.Println("\nthe straggler advanced at 1/4 the rate without ever blocking")
 	fmt.Println("the cluster; synchronization still fires on variance evidence.")
 }

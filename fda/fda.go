@@ -9,13 +9,14 @@
 // the library's building blocks:
 //
 //   - strategies: NewSketchFDA, NewLinearFDA, NewSynchronous, NewLocalSGD,
-//     NewFedAvg/NewFedAvgM/NewFedAdam (and their *For constructors),
+//     NewFedAvg/NewFedAvgM/NewFedAdam (and their *For constructors), and
+//     NewAsyncFDA for the coordinator-based asynchronous variant, which
+//     steps worker by worker on a simulated network's virtual clock,
 //   - the session API: NewSession over a Config (built as a literal or
 //     with NewConfig and the With* options) returns an incremental,
 //     cancellable, checkpointable run with a typed event stream,
 //   - the batch trainer: Run/MustRun — thin, bit-identical wrappers over
-//     a session — and RunAsync/RunAsyncContext for the coordinator-based
-//     asynchronous variant,
+//     a session,
 //   - substrates: neural networks (nn), optimizers (opt), synthetic
 //     datasets and heterogeneity partitioners (data), AMS sketches
 //     (sketch), the simulated cluster (comm), and sync compression
@@ -77,10 +78,6 @@ type (
 	Strategy = core.Strategy
 	// ModelBuilder constructs model replicas.
 	ModelBuilder = core.ModelBuilder
-	// AsyncConfig configures the asynchronous runner (§3.3).
-	AsyncConfig = core.AsyncConfig
-	// AsyncResult reports an asynchronous run.
-	AsyncResult = core.AsyncResult
 	// Env is the state strategies operate on (advanced use: custom
 	// strategies implement Strategy against it).
 	Env = core.Env
@@ -90,7 +87,7 @@ type (
 // NewSession validates the config, positions the run before step 1, and
 // hands back a Session that callers Step, observe through typed events,
 // cancel via the context, and checkpoint with Snapshot/Restore. The
-// batch entry points (Run/MustRun/RunAsync) are thin wrappers over the
+// batch entry points (Run/MustRun) are thin wrappers over the
 // same loop, with bit-identical results. See DESIGN.md §8.
 type (
 	// Session is an incremental, cancellable, resumable training run.
@@ -122,11 +119,6 @@ var (
 	RunContext = core.RunContext
 	// MustRun is Run that panics on configuration errors.
 	MustRun = core.MustRun
-	// RunAsync executes the coordinator-based asynchronous FDA variant.
-	RunAsync = core.RunAsync
-	// RunAsyncContext is RunAsync on the session event spine: typed
-	// events per local step/sync/eval plus context cancellation.
-	RunAsyncContext = core.RunAsyncContext
 )
 
 // AutoParallelism, assigned to Config.Parallelism (or any Jobs knob),
@@ -161,6 +153,11 @@ var (
 	// NewAdaptiveTheta implements the paper's §5 future-work proposal:
 	// a bandwidth-budget controller over Θ.
 	NewAdaptiveTheta = core.NewAdaptiveTheta
+	// NewAsyncFDA wraps NewLinearFDA or NewSketchFDA as the asynchronous
+	// variant (§3.3): a session steps one worker's local step at a time
+	// on the fabric's virtual clock (SpeedsScenario sets the pace), and
+	// Result.StepsPerWorker reports each worker's progress.
+	NewAsyncFDA = core.NewAsyncFDA
 )
 
 // Neural-network stack.
@@ -289,6 +286,9 @@ var (
 	ScenarioFedWAN    = comm.ScenarioFedWAN
 	ScenarioStraggler = comm.ScenarioStraggler
 	ScenarioByName    = comm.ScenarioByName
+	// SpeedsScenario builds a scenario from relative worker speeds with
+	// free communication, the pace of an asynchronous run's workers.
+	SpeedsScenario = comm.SpeedsScenario
 )
 
 // Compression codecs for the synchronization step. Every codec also

@@ -1,6 +1,7 @@
 package fda_test
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/fda"
@@ -72,23 +73,24 @@ func TestFacadeHeterogeneityAndBaselines(t *testing.T) {
 
 func TestFacadeAsync(t *testing.T) {
 	train, test := fda.MNISTLike(3)
-	ac := fda.AsyncConfig{
-		Config: fda.Config{
-			K: 3, BatchSize: 16, Seed: 3,
-			Model:     buildMLP(train.Dim(), train.NumClasses),
-			Optimizer: fda.NewAdam(1e-3),
-			Train:     train, Test: test,
-			MaxSteps: 30,
-		},
-		Theta:  0.1,
-		Speeds: []float64{1, 1, 0.5},
-	}
-	res, err := fda.RunAsync(ac)
+	scen, err := fda.SpeedsScenario([]float64{1, 1, 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.StepsPerWorker) != 3 {
-		t.Fatalf("per-worker steps %v", res.StepsPerWorker)
+	cfg := fda.Config{
+		K: 3, BatchSize: 16, Seed: 3,
+		Model:     buildMLP(train.Dim(), train.NumClasses),
+		Optimizer: fda.NewAdam(1e-3),
+		Train:     train, Test: test,
+		MaxSteps: 30,
+		Fabric:   fda.NewSimFabric(3, fda.DefaultCostModel(), scen),
+	}
+	res, err := fda.Run(cfg, fda.NewAsyncFDA(fda.NewLinearFDA(0.1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprint(res.StepsPerWorker); got != "[36 36 18]" || res.VirtualSec != 36 {
+		t.Fatalf("per-worker steps %s, virtual clock %v", got, res.VirtualSec)
 	}
 }
 

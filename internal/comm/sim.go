@@ -2,6 +2,7 @@ package comm
 
 import (
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -113,15 +114,35 @@ func ScenarioByName(name string) (Scenario, error) {
 	return Scenario{}, fmt.Errorf("comm: unknown network scenario %q (have %v)", name, names)
 }
 
+// SpeedsScenario describes a cluster whose workers differ only in speed:
+// rank r runs at rate speeds[r % len(speeds)] (1 = nominal), so its local
+// step takes 1/rate virtual seconds, and communication takes no time (zero
+// latency, unbounded bandwidth). The virtual clock then counts nominal
+// step-times.
+func SpeedsScenario(speeds []float64) (Scenario, error) {
+	if len(speeds) == 0 {
+		return Scenario{}, fmt.Errorf("comm: no worker speeds")
+	}
+	links := make([]LinkProfile, len(speeds))
+	for r, v := range speeds {
+		if !(v > 0) || math.IsInf(v, 1) {
+			return Scenario{}, fmt.Errorf("comm: worker %d speed %v, want a positive finite rate", r, v)
+		}
+		links[r] = LinkProfile{BandwidthBps: math.Inf(1), ComputeMult: 1 / v}
+	}
+	return Scenario{Name: "speeds", Links: links, ComputeSecPerStep: 1}, nil
+}
+
 // SimFabric is the simulated-network backend: the in-process reference
 // math (it embeds a Cluster, so reductions and charged bytes are
 // bit-identical to it) plus a deterministic virtual clock. Collectives
 // advance the clock by the slowest link's transfer time — a synchronous
 // collective is gated by its worst participant — and StepDone advances
 // it by the slowest worker's compute time, with the scenario's
-// deterministic straggler schedule applied. The clock is a pure
-// function of the (scenario, operation sequence) pair; training math is
-// untouched.
+// deterministic straggler schedule applied. An asynchronous FDA session
+// instead sets the clock to each worker's step completion, scheduled
+// from RankStepSec. The clock is a pure function of the (scenario,
+// operation sequence) pair; training math is untouched.
 type SimFabric struct {
 	*Cluster
 	scen  Scenario
@@ -157,15 +178,24 @@ func (f *SimFabric) VirtualTime() float64 { return f.clock }
 // SetVirtualTime implements VirtualClocker (checkpoint restore).
 func (f *SimFabric) SetVirtualTime(sec float64) { f.clock = sec }
 
+// RankStepSec returns how long rank r computes its local step t
+// (1-based): the scenario's ComputeSecPerStep·ComputeMult, times
+// StragglerFactor on the straggler schedule's steps. Asynchronous FDA
+// schedules each worker's next completion with it.
+func (f *SimFabric) RankStepSec(r, t int) float64 {
+	c := f.compute[r]
+	if f.scen.StragglerEvery > 0 && t%f.scen.StragglerEvery == 0 && r == f.scen.StragglerRank {
+		c *= f.scen.StragglerFactor
+	}
+	return c
+}
+
 // StepDone implements StepTimer: one lock-step global step completed;
 // the cluster waits for its slowest worker.
 func (f *SimFabric) StepDone(t int) {
 	var worst float64
-	for r, c := range f.compute {
-		if f.scen.StragglerEvery > 0 && t%f.scen.StragglerEvery == 0 && r == f.scen.StragglerRank {
-			c *= f.scen.StragglerFactor
-		}
-		if c > worst {
+	for r := range f.compute {
+		if c := f.RankStepSec(r, t); c > worst {
 			worst = c
 		}
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/comm"
@@ -107,6 +108,41 @@ func TestSketchFDASteadyStepZeroAllocs(t *testing.T) {
 func TestOracleFDASteadyStepZeroAllocs(t *testing.T) {
 	s := NewOracleFDA(1e18)
 	measureSteadyStep(t, "OracleFDA", newAllocEnv(3), s)
+}
+
+// TestAsyncStepZeroAllocs covers asynchronous FDA's steady-state event
+// step, sync-free like the strategies above: one pop, a local step, the
+// moving worker's state, an estimate and a push.
+func TestAsyncStepZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc counts are not meaningful under -race instrumentation")
+	}
+	train, test := data.Synthetic(data.SyntheticConfig{
+		Seed: 7, Classes: 4, TrainPer: 16, TestPer: 2,
+		Height: 4, Width: 4, Channels: 1,
+	})
+	cfg := Config{
+		K: 3, BatchSize: 8, Seed: 7,
+		Model: allocModel, Optimizer: opt.NewAdam(1e-3),
+		Train: train, Test: test,
+	}
+	for _, inner := range []Strategy{NewLinearFDA(1e18), NewSketchFDA(1e18)} {
+		sess, err := NewSession(context.Background(), cfg, NewAsyncFDA(inner))
+		if err != nil {
+			t.Fatal(err)
+		}
+		step := 0
+		body := func() {
+			step++
+			sess.stepWorker(step)
+		}
+		for i := 0; i < 3*cfg.K; i++ {
+			body() // warm-up: every worker's Adam moments and batch arena, meter keys
+		}
+		if avg := testing.AllocsPerRun(20, body); avg != 0 {
+			t.Fatalf("%s: steady-state event step allocates %.1f times, want 0", sess.strat.Name(), avg)
+		}
+	}
 }
 
 // TestMomentumStepZeroAllocs covers the SGD-NM update rule used by the

@@ -1,10 +1,11 @@
 package core
 
 import (
-	"context"
 	"fmt"
 
-	"repro/internal/sketch"
+	"repro/internal/checkpoint"
+	"repro/internal/comm"
+	"repro/internal/obs"
 	"repro/internal/tensor"
 )
 
@@ -12,34 +13,217 @@ import (
 // one worker-node acts as a coordinator, aggregating local states and
 // deciding on synchronization every time a state arrives, based on the
 // most recent states from all workers. The paper notes the primary
-// benefit is tolerance to stragglers, so the simulation models per-worker
-// speeds explicitly and advances a virtual clock with an event queue.
+// benefit is tolerance to stragglers, so an asynchronous session steps
+// worker by worker, in the order the fabric's virtual clock finishes
+// their local steps.
 
-// AsyncConfig extends Config for the asynchronous runner.
-type AsyncConfig struct {
-	Config
-	// Speeds holds one relative step rate per worker (1.0 = nominal).
-	// A worker with speed 0.5 takes twice as long per local step. Nil
-	// means all workers run at speed 1.
-	Speeds []float64
-	// Theta is the variance threshold Θ.
-	Theta float64
-	// UseSketch selects the AMS-sketch estimator; false uses the linear
-	// two-scalar estimator with the drift heuristic ξ.
-	UseSketch bool
-	// MaxVirtualTime optionally caps the simulated clock (0 = no cap).
-	MaxVirtualTime float64
+// AsyncFDA is asynchronous FDA as a Session stepping mode. One Step is
+// one event: the earliest pending local-step completion on the fabric's
+// virtual clock (ties to the lower worker id). The moving worker's state
+// goes one-way to the coordinator, which evaluates H over the latest
+// state of every worker and, when H > Θ, gathers the models, averages
+// them and broadcasts the average; every state is then zero.
+//
+// The session needs a fabric that times each rank's steps — a
+// comm.SimFabric, whose ComputeSecPerStep·ComputeMult and straggler
+// schedule set each worker's pace (comm.SpeedsScenario builds one from
+// relative speeds). With no Fabric configured every worker takes one
+// virtual second per step. StepCount counts events, at most MaxSteps·K;
+// evaluation runs every EvalEvery·K events; Result.StepsPerWorker holds
+// each worker's local steps and Result.Steps their maximum.
+type AsyncFDA struct {
+	// inner is the wrapped *LinearFDA or *SketchFDA: its per-worker body
+	// computes the moving worker's state, its states are the
+	// coordinator's latest state per worker, and its estimator is H.
+	inner  Strategy
+	fda    *fdaBase // inner's; nil when inner is not an FDA variant
+	clock  rankClock
+	queue  eventQueue
+	global []float64 // a synchronization's averaged model
 }
 
-// AsyncResult augments Result with per-worker progress and the virtual
-// clock, the quantities that show straggler tolerance.
-type AsyncResult struct {
-	Result
-	// StepsPerWorker records each worker's local step count at the end;
-	// under synchronous operation these would all equal Result.Steps.
-	StepsPerWorker []int
-	// VirtualTime is the simulated clock at the end of the run.
-	VirtualTime float64
+// rankClock is the fabric face an asynchronous session steps on.
+type rankClock interface {
+	comm.VirtualClocker
+	RankStepSec(rank, step int) float64
+}
+
+// NewAsyncFDA wraps inner, which must be *LinearFDA or *SketchFDA, as
+// asynchronous FDA. A SketchFDA whose dimensions and hash seed are left
+// zero gets the coordinator's sketch: the paper's fixed l = 5, m = 250,
+// ε = 0.06, hashed from the run's Config.Seed.
+func NewAsyncFDA(inner Strategy) *AsyncFDA {
+	a := &AsyncFDA{inner: inner}
+	switch v := inner.(type) {
+	case *LinearFDA:
+		a.fda = &v.fdaBase
+	case *SketchFDA:
+		a.fda = &v.fdaBase
+	}
+	return a
+}
+
+// Name implements Strategy: AsyncFDA over LinearFDA, AsyncSketchFDA
+// over SketchFDA.
+func (a *AsyncFDA) Name() string {
+	if _, ok := a.inner.(*LinearFDA); ok {
+		return "AsyncFDA"
+	}
+	return "Async" + a.inner.Name()
+}
+
+func (a *AsyncFDA) validate() error {
+	if a.fda == nil {
+		return fmt.Errorf("core: asynchronous FDA wraps LinearFDA or SketchFDA, not %s", a.inner.Name())
+	}
+	return a.fda.validate()
+}
+
+// bind attaches the strategy to its session's fabric before Init. It is
+// the one place a configuration is refused for asynchronous FDA: a
+// fabric without per-rank step times, which includes TCP, and a sync
+// codec, since the coordinator synchronizes dense models.
+func (a *AsyncFDA) bind(cfg Config, fabric comm.Fabric) error {
+	clock, ok := fabric.(rankClock)
+	if !ok {
+		return fmt.Errorf("core: asynchronous FDA needs a fabric that times each rank's steps (comm.SimFabric), not %T; "+
+			"over TCP its one-way state uploads would need point-to-point messages the wire format does not have", fabric)
+	}
+	if cfg.SyncCodec != nil {
+		return fmt.Errorf("core: asynchronous FDA synchronizes dense models; SyncCodec %s is not supported", cfg.SyncCodec.Name())
+	}
+	a.clock = clock
+	if s, ok := a.inner.(*SketchFDA); ok {
+		if s.M == 0 {
+			s.M = 250 // Init then defaults l = 5 and ε = 0.06
+		}
+		if s.SketchSeed == 0 {
+			// Init hashes with SketchSeed^0x5ce7c4, so this seeds the
+			// coordinator's hash family with Seed^0xa57c.
+			s.SketchSeed = cfg.Seed ^ 0xa57c ^ 0x5ce7c4
+		}
+	}
+	return nil
+}
+
+// Init implements Strategy: the wrapped variant's Init, then every
+// worker's first step completion on the queue.
+func (a *AsyncFDA) Init(env *Env) {
+	a.inner.Init(env)
+	a.global = make([]float64, env.D)
+	a.queue = make(eventQueue, 0, len(env.Workers))
+	for k := range env.Workers {
+		a.queue.push(stepEvent{at: a.clock.VirtualTime() + a.clock.RankStepSec(k, 1), worker: k})
+	}
+}
+
+// AfterLocalStep implements Strategy. An asynchronous session never
+// calls it: it steps through Session.stepWorker and coordinate.
+func (a *AsyncFDA) AfterLocalStep(*Env, int) {
+	panic("core: AsyncFDA steps one worker at a time; run it through a Session")
+}
+
+// coordinate is the coordinator's reaction to worker k's local step:
+// k's state upload (one-way, charged as state traffic), H over the
+// latest states, and a synchronization when H > Θ.
+//
+//fda:noalloc
+func (a *AsyncFDA) coordinate(env *Env, k int) {
+	b := a.fda
+	b.body(k, env.Workers[k])
+	env.Fabric.Meter().Charge("state", int64(len(b.states[k]))*int64(env.Fabric.Cost().BytesPerParam))
+	tensor.Mean(b.meanSt, b.states...)
+	h := b.estimate()
+	b.observe(h)
+	if h > b.Theta {
+		a.sync(env)
+	}
+}
+
+// sync is the coordinator-led synchronization: gather every model,
+// average, broadcast (2·d per worker, charged as model traffic). After
+// it every drift, and so every state, is zero.
+func (a *AsyncFDA) sync(env *Env) {
+	tensor.Mean(a.global, env.paramViews...)
+	for _, w := range env.Workers {
+		w.Net.SetParams(a.global)
+	}
+	env.advanceW0(a.global)
+	env.SyncCount++
+	env.Fabric.Meter().Charge("model", 2*int64(env.D)*int64(env.Fabric.Cost().BytesPerParam)*int64(len(env.Workers)))
+	for _, st := range a.fda.states {
+		tensor.Zero(st)
+	}
+	if a.fda.synced != nil {
+		a.fda.synced()
+	}
+}
+
+// stepWorker runs event t of an asynchronous session: the fabric clock
+// jumps to the earliest completion, that worker takes its local step,
+// its next completion is queued, and the coordinator reacts. It returns
+// the step's event and when the coordinator started.
+//
+//fda:noalloc
+func (s *Session) stepWorker(t int) (StepEvent, int64) {
+	a := s.async
+	ev := a.queue.pop()
+	a.clock.SetVirtualTime(ev.at)
+	s.env.Workers[ev.worker].LocalStep(s.cfg.BatchSize)
+	n := s.res.StepsPerWorker[ev.worker] + 1
+	s.res.StepsPerWorker[ev.worker] = n
+	s.res.Steps = max(s.res.Steps, n)
+	a.queue.push(stepEvent{at: ev.at + a.clock.RankStepSec(ev.worker, n+1), worker: ev.worker})
+	coordStart := obs.Clock()
+	a.coordinate(s.env, ev.worker)
+	return StepEvent{Step: t / s.cfg.K, Worker: ev.worker, VirtualTime: ev.at}, coordStart
+}
+
+// snapshotEvents adds an asynchronous session's pending completions (the
+// heap array as it stands, so a restored queue pops in the same order),
+// per-worker step counts and the coordinator's latest state per worker
+// to snap.
+func (s *Session) snapshotEvents(snap *checkpoint.Snapshot) {
+	q := s.async.queue
+	at := make([]float64, len(q))
+	worker := make([]float64, len(q))
+	for i, ev := range q {
+		at[i], worker[i] = ev.at, float64(ev.worker)
+	}
+	snap.AddVec("async.heap.at", at)
+	snap.AddVec("async.heap.worker", worker)
+	for k, n := range s.res.StepsPerWorker {
+		snap.AddU64(fmt.Sprintf("w%d.steps", k), uint64(n))
+		snap.AddVec(fmt.Sprintf("w%d.state", k), s.async.fda.states[k])
+	}
+}
+
+// restoreEvents is snapshotEvents' inverse.
+func (s *Session) restoreEvents(snap *checkpoint.Snapshot) error {
+	at, worker := snap.Vec("async.heap.at"), snap.Vec("async.heap.worker")
+	if len(at) != s.cfg.K || len(worker) != s.cfg.K {
+		return fmt.Errorf("core: snapshot has %d/%d pending worker steps, want %d", len(at), len(worker), s.cfg.K)
+	}
+	q := s.async.queue[:0]
+	for i, w := range worker {
+		if w < 0 || int(w) >= s.cfg.K {
+			return fmt.Errorf("core: snapshot schedules unknown worker %v", w)
+		}
+		q = append(q, stepEvent{at: at[i], worker: int(w)})
+	}
+	s.async.queue = q
+	s.res.Steps = 0
+	for k, st := range s.async.fda.states {
+		n, ok := snap.U64(fmt.Sprintf("w%d.steps", k))
+		state := snap.Vec(fmt.Sprintf("w%d.state", k))
+		if !ok || len(state) != len(st) {
+			return fmt.Errorf("core: snapshot lacks worker %d's step count or coordinator state", k)
+		}
+		copy(st, state)
+		s.res.StepsPerWorker[k] = int(n)
+		s.res.Steps = max(s.res.Steps, int(n))
+	}
+	return nil
 }
 
 // stepEvent is one worker's next step completion in virtual time.
@@ -104,225 +288,4 @@ func (q *eventQueue) pop() stepEvent {
 		h.Swap(i, smallest)
 		i = smallest
 	}
-}
-
-// RunAsync executes asynchronous FDA. Each worker trains at its own speed;
-// after every local step it sends its small state to the coordinator
-// (charged one-way), which re-evaluates H over the latest states from all
-// workers and, when H > Θ, performs a model synchronization (gather +
-// broadcast, charged as 2d per worker under the naive model or the ring
-// cost otherwise).
-func RunAsync(ac AsyncConfig) (AsyncResult, error) {
-	return RunAsyncContext(context.Background(), ac, nil)
-}
-
-// RunAsyncContext is RunAsync on the session event spine: the
-// coordinator loop emits the same typed events a lock-step Session does
-// (StepEvent per completed local step — with the moving worker and the
-// virtual clock — SyncEvent per coordinator-led synchronization,
-// EvalEvent per evaluation, DoneEvent at the end) and honors ctx:
-// cancellation stops the virtual clock between events and returns the
-// partial result with ctx's error. A nil sink discards events.
-func RunAsyncContext(ctx context.Context, ac AsyncConfig, sink EventSink) (AsyncResult, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	emit := sink
-	if emit == nil {
-		emit = func(Event) {}
-	}
-	cfg := ac.Config.withDefaults()
-	if err := cfg.Validate(); err != nil {
-		return AsyncResult{}, err
-	}
-	if ac.Theta < 0 {
-		return AsyncResult{}, fmt.Errorf("core: negative Θ %v", ac.Theta)
-	}
-	speeds := ac.Speeds
-	if speeds == nil {
-		speeds = make([]float64, cfg.K)
-		for i := range speeds {
-			speeds[i] = 1
-		}
-	}
-	if len(speeds) != cfg.K {
-		return AsyncResult{}, fmt.Errorf("core: %d speeds for %d workers", len(speeds), cfg.K)
-	}
-	for i, s := range speeds {
-		if s <= 0 {
-			return AsyncResult{}, fmt.Errorf("core: worker %d speed %v", i, s)
-		}
-	}
-
-	ranks := make([]int, cfg.K)
-	for k := range ranks {
-		ranks[k] = k
-	}
-	w0, workers, evalNet := buildReplicas(cfg, ranks)
-	d := len(w0)
-	cluster := newAsyncCluster(cfg, d)
-
-	// Estimator state held by the coordinator.
-	var sk *sketch.Sketcher
-	var skBuf *sketch.Sketch
-	stateDim := 2
-	epsilon := 0.06
-	if ac.UseSketch {
-		sk = sketch.NewSketcher(5, 250, cfg.Seed^0xa57c)
-		sk.Precompute(d)
-		skBuf = sk.NewSketch()
-		stateDim = 1 + 5*250
-	}
-	latest := make([][]float64, cfg.K) // coordinator's latest state per worker
-	for i := range latest {
-		latest[i] = make([]float64, stateDim)
-	}
-	xi := make([]float64, d)
-	wPrev := []float64(nil)
-
-	computeState := func(w *Worker, dst []float64) {
-		u := w.Drift(w0)
-		dst[0] = tensor.SquaredNorm(u)
-		if ac.UseSketch {
-			sk.SketchVec(skBuf, u)
-			copy(dst[1:], skBuf.Data)
-		} else {
-			dst[1] = tensor.Dot(xi, u)
-		}
-	}
-	meanState := make([]float64, stateDim)
-	var m2Scratch []float64
-	if ac.UseSketch {
-		m2Scratch = make([]float64, sk.L())
-	}
-	estimate := func() float64 {
-		mean := meanState
-		tensor.Mean(mean, latest...)
-		if ac.UseSketch {
-			copy(skBuf.Data, mean[1:])
-			return mean[0] - sketch.M2Into(skBuf, m2Scratch)/(1+epsilon)
-		}
-		return mean[0] - mean[1]*mean[1]
-	}
-
-	globalParams := make([]float64, d)
-	views := make([][]float64, cfg.K)
-	for i, w := range workers {
-		views[i] = w.Net.Params()
-	}
-
-	res := AsyncResult{StepsPerWorker: make([]int, cfg.K)}
-	res.Strategy = "AsyncFDA"
-	if ac.UseSketch {
-		res.Strategy = "AsyncSketchFDA"
-	}
-
-	q := make(eventQueue, 0, cfg.K)
-	for k := 0; k < cfg.K; k++ {
-		q.push(stepEvent{at: 1 / speeds[k], worker: k})
-	}
-
-	totalSteps := 0
-	maxTotal := cfg.MaxSteps * cfg.K
-	evalCounter := 0
-	trainLen := float64(cfg.Train.Len())
-
-	// finalize fills the run totals; shared by every exit path (step
-	// budget, virtual-time cap, target reached, cancellation) so a
-	// cancelled run still reports a coherent partial result.
-	finalize := func() {
-		res.Steps = maxInts(res.StepsPerWorker)
-		res.Epochs = float64(totalSteps) * float64(cfg.BatchSize) / trainLen
-		res.CommBytes = cluster.meter.TotalBytes()
-		res.StateBytes = cluster.meter.BytesFor("state")
-		res.ModelBytes = cluster.meter.BytesFor("model")
-	}
-
-	for totalSteps < maxTotal {
-		if err := ctx.Err(); err != nil {
-			finalize()
-			return res, err
-		}
-		ev := q.pop()
-		if ac.MaxVirtualTime > 0 && ev.at > ac.MaxVirtualTime {
-			break
-		}
-		res.VirtualTime = ev.at
-		w := workers[ev.worker]
-		w.LocalStep(cfg.BatchSize)
-		res.StepsPerWorker[ev.worker]++
-		totalSteps++
-		emit(StepEvent{Step: totalSteps / cfg.K, Worker: ev.worker, VirtualTime: ev.at})
-
-		// Worker → coordinator state upload (one-way, small).
-		computeState(w, latest[ev.worker])
-		cluster.meterStateUpload(stateDim)
-
-		if estimate() > ac.Theta {
-			// Coordinator-led synchronization: gather all models, average,
-			// broadcast. After it, every drift and state is zero.
-			wPrev = w0
-			tensor.Mean(globalParams, views...)
-			for _, wk := range workers {
-				wk.Net.SetParams(globalParams)
-			}
-			w0 = tensor.Clone(globalParams)
-			prevModelBytes := cluster.meter.BytesFor("model")
-			cluster.meterModelSync()
-			res.SyncCount++
-			emit(SyncEvent{
-				Step:       totalSteps / cfg.K,
-				SyncCount:  res.SyncCount,
-				Trigger:    res.Strategy,
-				SyncBytes:  cluster.meter.BytesFor("model") - prevModelBytes,
-				TotalBytes: cluster.meter.TotalBytes(),
-			})
-			for i := range latest {
-				tensor.Zero(latest[i])
-			}
-			if !ac.UseSketch && wPrev != nil {
-				tensor.Sub(xi, w0, wPrev)
-				if tensor.Normalize(xi) == 0 {
-					tensor.Zero(xi)
-				}
-			}
-		}
-
-		evalCounter++
-		if evalCounter%(cfg.EvalEvery*cfg.K) == 0 {
-			tensor.Mean(globalParams, views...)
-			evalNet.SetParams(globalParams)
-			acc := evalNet.Accuracy(cfg.Test)
-			p := Point{
-				Step:      totalSteps / cfg.K,
-				Epoch:     float64(totalSteps) * float64(cfg.BatchSize) / trainLen,
-				TestAcc:   acc,
-				CommBytes: cluster.meter.TotalBytes(),
-				SyncCount: res.SyncCount,
-			}
-			res.History = append(res.History, p)
-			res.FinalTestAcc = acc
-			emit(EvalEvent{Point: p})
-			if cfg.TargetAccuracy > 0 && acc >= cfg.TargetAccuracy {
-				res.ReachedTarget = true
-				break
-			}
-		}
-
-		q.push(stepEvent{at: ev.at + 1/speeds[ev.worker], worker: ev.worker})
-	}
-
-	finalize()
-	emit(DoneEvent{Result: res.Result})
-	return res, nil
-}
-
-func maxInts(xs []int) int {
-	m := 0
-	for _, x := range xs {
-		if x > m {
-			m = x
-		}
-	}
-	return m
 }

@@ -23,8 +23,8 @@ func TestEventQueueLessBreaksTiesByWorker(t *testing.T) {
 	}
 }
 
-// TestEventQueueEqualSpeedsRoundRobin drives the queue exactly as
-// RunAsync does with equal worker speeds: every virtual-time slot is a
+// TestEventQueueEqualSpeedsRoundRobin drives the queue exactly as an
+// asynchronous session does with equal worker speeds: every virtual-time slot is a
 // K-way tie, and the pop order must be a strict worker-id round-robin in
 // every round.
 func TestEventQueueEqualSpeedsRoundRobin(t *testing.T) {

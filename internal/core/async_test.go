@@ -3,6 +3,9 @@ package core
 import (
 	"context"
 	"testing"
+
+	"repro/internal/comm"
+	"repro/internal/compress"
 )
 
 // runAsyncCase runs asynchronous FDA with Θ = theta over the linear or
@@ -10,24 +13,46 @@ import (
 // delivering events to sink, and reports the Result, the per-worker step
 // counts and the final virtual clock.
 func runAsyncCase(ctx context.Context, cfg Config, theta float64, sketch bool, speeds []float64, sink EventSink) (Result, []int, float64, error) {
-	res, err := RunAsyncContext(ctx, AsyncConfig{Config: cfg, Theta: theta, UseSketch: sketch, Speeds: speeds}, sink)
-	return res.Result, res.StepsPerWorker, res.VirtualTime, err
-}
-
-func asyncConfig(seed uint64) AsyncConfig {
-	return AsyncConfig{
-		Config: testConfig(seed),
-		Theta:  0.1,
+	var inner Strategy = NewLinearFDA(theta)
+	if sketch {
+		inner = NewSketchFDA(theta)
 	}
+	if speeds != nil {
+		scen, err := comm.SpeedsScenario(speeds)
+		if err != nil {
+			return Result{}, nil, 0, err
+		}
+		cfg.Fabric = comm.NewSimFabric(cfg.K, comm.DefaultCostModel(), scen)
+	}
+	sess, err := NewSession(ctx, cfg, NewAsyncFDA(inner))
+	if err != nil {
+		return Result{}, nil, 0, err
+	}
+	if sink != nil {
+		sess.Subscribe(sink)
+	}
+	res, err := sess.Run()
+	return res, res.StepsPerWorker, res.VirtualSec, err
 }
 
-func TestAsyncRunsAndTrains(t *testing.T) {
-	ac := asyncConfig(1)
-	ac.MaxSteps = 120
-	res, err := RunAsync(ac)
+// runAsync runs cfg under asynchronous LinearFDA at Θ = 0.1, on a fabric
+// built from scen when it is non-nil.
+func runAsync(t *testing.T, cfg Config, scen *comm.Scenario) Result {
+	t.Helper()
+	if scen != nil {
+		cfg.Fabric = comm.NewSimFabric(cfg.K, comm.DefaultCostModel(), *scen)
+	}
+	res, err := Run(cfg, NewAsyncFDA(NewLinearFDA(0.1)))
 	if err != nil {
 		t.Fatal(err)
 	}
+	return res
+}
+
+func TestAsyncRunsAndTrains(t *testing.T) {
+	cfg := testConfig(1)
+	cfg.MaxSteps = 120
+	res := runAsync(t, cfg, nil)
 	if res.SyncCount == 0 {
 		t.Fatal("async FDA never synchronized")
 	}
@@ -37,50 +62,49 @@ func TestAsyncRunsAndTrains(t *testing.T) {
 }
 
 func TestAsyncEqualSpeedsBalanceSteps(t *testing.T) {
-	ac := asyncConfig(2)
-	ac.MaxSteps = 60
-	res, err := RunAsync(ac)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg := testConfig(2)
+	cfg.MaxSteps = 60
+	res := runAsync(t, cfg, nil)
 	minS, maxS := res.StepsPerWorker[0], res.StepsPerWorker[0]
 	for _, s := range res.StepsPerWorker {
-		if s < minS {
-			minS = s
-		}
-		if s > maxS {
-			maxS = s
-		}
+		minS, maxS = min(minS, s), max(maxS, s)
 	}
-	if maxS-minS > 1 {
-		t.Fatalf("equal speeds but steps spread %v", res.StepsPerWorker)
+	if maxS-minS > 1 || res.Steps != maxS {
+		t.Fatalf("equal speeds but steps spread %v (Steps %d)", res.StepsPerWorker, res.Steps)
 	}
 }
 
+// TestAsyncStragglersKeepTrainingProportionally: a worker at a quarter
+// of the speed makes about a quarter of the progress, and the scenario's
+// straggler schedule slows its rank the same way.
 func TestAsyncStragglersKeepTrainingProportionally(t *testing.T) {
-	ac := asyncConfig(3)
-	ac.MaxSteps = 100
-	ac.Speeds = []float64{1, 1, 1, 1, 0.25} // one 4× slower straggler
-	res, err := RunAsync(ac)
+	cfg := testConfig(3)
+	cfg.MaxSteps = 100
+	slow, err := comm.SpeedsScenario([]float64{1, 1, 1, 1, 0.25})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fast := res.StepsPerWorker[0]
-	slow := res.StepsPerWorker[4]
-	if slow == 0 {
+	res := runAsync(t, cfg, &slow)
+	fast, straggler := res.StepsPerWorker[0], res.StepsPerWorker[4]
+	if straggler == 0 {
 		t.Fatal("straggler made no progress")
 	}
-	ratio := float64(fast) / float64(slow)
-	if ratio < 3 || ratio > 5.5 {
+	if ratio := float64(fast) / float64(straggler); ratio < 3 || ratio > 5.5 {
 		t.Fatalf("fast/slow step ratio %v want ≈ 4 (steps %v)", ratio, res.StepsPerWorker)
+	}
+
+	// ScenarioStraggler stalls rank 0 to 8× on every fifth of its steps:
+	// 12 step-times per 5 steps against the others' 5.
+	res = runAsync(t, cfg, &comm.ScenarioStraggler)
+	if ratio := float64(res.StepsPerWorker[1]) / float64(res.StepsPerWorker[0]); ratio < 2 || ratio > 3 {
+		t.Fatalf("scheduled straggler: step ratio %v want ≈ 2.4 (steps %v)", ratio, res.StepsPerWorker)
 	}
 }
 
 func TestAsyncSketchVariant(t *testing.T) {
-	ac := asyncConfig(4)
-	ac.MaxSteps = 60
-	ac.UseSketch = true
-	res, err := RunAsync(ac)
+	cfg := testConfig(4)
+	cfg.MaxSteps = 60
+	res, err := Run(cfg, NewAsyncFDA(NewSketchFDA(0.1)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,45 +116,55 @@ func TestAsyncSketchVariant(t *testing.T) {
 	}
 }
 
+// TestAsyncValidation covers every refusal: a non-positive speed, a
+// negative Θ, an inner strategy that is not an FDA estimator, a fabric
+// without per-rank step times (the TCP case) and a sync codec.
 func TestAsyncValidation(t *testing.T) {
-	ac := asyncConfig(5)
-	ac.Speeds = []float64{1, 1} // wrong arity for K=5
-	if _, err := RunAsync(ac); err == nil {
-		t.Fatal("expected speeds arity error")
-	}
-	ac = asyncConfig(5)
-	ac.Speeds = []float64{1, 1, 1, 1, 0}
-	if _, err := RunAsync(ac); err == nil {
+	if _, err := comm.SpeedsScenario([]float64{1, 1, 1, 1, 0}); err == nil {
 		t.Fatal("expected non-positive speed error")
 	}
-	ac = asyncConfig(5)
-	ac.Theta = -1
-	if _, err := RunAsync(ac); err == nil {
-		t.Fatal("expected negative theta error")
+	cfg := testConfig(5)
+	refused := func(what string, cfg Config, strat Strategy) {
+		t.Helper()
+		if _, err := NewSession(context.Background(), cfg, strat); err == nil {
+			t.Fatalf("%s accepted", what)
+		}
 	}
+	refused("negative Θ", cfg, NewAsyncFDA(NewLinearFDA(-1)))
+	refused("async Synchronous", cfg, NewAsyncFDA(NewSynchronous()))
+	plain := cfg
+	plain.Fabric = comm.NewCluster(cfg.K)
+	refused("a fabric without a clock", plain, NewAsyncFDA(NewLinearFDA(0.1)))
+	coded := cfg
+	coded.SyncCodec = compress.TopK{Fraction: 0.1}
+	refused("a sync codec", coded, NewAsyncFDA(NewLinearFDA(0.1)))
 }
 
+// TestAsyncVirtualTimeAdvances: the fabric clock ends at the last
+// completion and every evaluation point carries the clock it was taken
+// at.
 func TestAsyncVirtualTimeAdvances(t *testing.T) {
-	ac := asyncConfig(6)
-	ac.MaxSteps = 40
-	res, err := RunAsync(ac)
-	if err != nil {
-		t.Fatal(err)
+	cfg := testConfig(6)
+	cfg.MaxSteps = 40
+	cfg.EvalEvery = 10
+	res := runAsync(t, cfg, nil)
+	if res.VirtualSec != 40 {
+		t.Fatalf("virtual time %v, want 40 unit steps", res.VirtualSec)
 	}
-	if res.VirtualTime <= 0 {
-		t.Fatalf("virtual time %v", res.VirtualTime)
+	prev := 0.0
+	for _, p := range res.History {
+		if p.VirtualSec <= prev {
+			t.Fatalf("history clock %v after %v", p.VirtualSec, prev)
+		}
+		prev = p.VirtualSec
 	}
 }
 
 func TestAsyncTargetStopsEarly(t *testing.T) {
-	ac := asyncConfig(7)
-	ac.TargetAccuracy = 0.5
-	ac.MaxSteps = 400
-	res, err := RunAsync(ac)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.ReachedTarget {
+	cfg := testConfig(7)
+	cfg.TargetAccuracy = 0.5
+	cfg.MaxSteps = 400
+	if res := runAsync(t, cfg, nil); !res.ReachedTarget {
 		t.Fatal("target not reached")
 	}
 }

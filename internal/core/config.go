@@ -60,7 +60,8 @@ type Config struct {
 	// non-nil fabric must agree with K; when it owns only a subset of
 	// ranks (TCP), this process builds and steps only those workers.
 	Fabric comm.Fabric
-	// MaxSteps caps the in-parallel learning steps (safety bound).
+	// MaxSteps caps the in-parallel learning steps (safety bound); an
+	// asynchronous FDA run takes MaxSteps·K worker steps in all.
 	MaxSteps int
 	// TargetAccuracy ends the run once the global model's test accuracy
 	// reaches it ("training run" in the paper's evaluation methodology).
@@ -133,7 +134,7 @@ func (e *ConfigError) Error() string {
 // Validate checks every field of the config and returns nil or a
 // *ConfigError listing each invalid field. Zero values that withDefaults
 // fills (EvalEvery, MaxSteps, Cost) are valid; negative ones are not.
-// Run, NewSession and RunAsync all validate through here, so a config
+// Run and NewSession validate through here, so a config
 // rejected at submission time can never surface later as a panic inside
 // the training loop.
 func (c Config) Validate() error {
@@ -201,9 +202,14 @@ type Point struct {
 type Result struct {
 	Strategy string
 	// Steps is the number of in-parallel learning steps each worker
-	// performed (the paper's computation-cost metric).
+	// performed (the paper's computation-cost metric); under asynchronous
+	// FDA, the most any worker performed.
 	Steps int
-	// Epochs is Steps·b·K divided by the training-set size.
+	// StepsPerWorker is each worker's local step count under asynchronous
+	// FDA; nil in lock-step runs, where every worker performed Steps.
+	StepsPerWorker []int `json:",omitempty"`
+	// Epochs is the training samples consumed (Steps·b·K in lock-step
+	// runs) divided by the training-set size.
 	Epochs float64
 	// CommBytes is the total data transmitted by all workers (the paper's
 	// communication-cost metric), split into monitoring state and model

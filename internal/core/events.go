@@ -1,9 +1,8 @@
 package core
 
 // Event is one element of a training session's typed progress stream.
-// Sessions (and the asynchronous coordinator runner) emit events
-// synchronously, on the training goroutine, in a deterministic order per
-// step: StepEvent, then SyncEvent if the strategy synchronized, then
+// Sessions emit events synchronously, on the training goroutine, in a
+// deterministic order per step: StepEvent, then SyncEvent if the strategy synchronized, then
 // EvalEvent if the step was an evaluation point, then DoneEvent once the
 // run finishes (DESIGN.md §8). Sinks must not retain pointers into
 // mutable session state; every event payload is self-contained values.
@@ -15,16 +14,17 @@ type Event interface {
 
 // StepEvent reports one completed training step.
 type StepEvent struct {
-	// Step is the 1-based global step that just completed. In the
-	// asynchronous runner it is the per-cluster total divided by K (the
-	// in-parallel step count), and Worker identifies which worker moved.
+	// Step is the 1-based global step that just completed. Under
+	// asynchronous FDA it is the cluster's total worker steps divided by
+	// K (the in-parallel step count), and Worker identifies which worker
+	// moved.
 	Step int `json:"step"`
-	// Worker is the worker that completed a local step in the
-	// asynchronous runner; -1 in lock-step sessions, where every worker
+	// Worker is the worker that completed a local step under
+	// asynchronous FDA; -1 in lock-step sessions, where every worker
 	// steps together.
 	Worker int `json:"worker"`
-	// VirtualTime is the simulated clock of the asynchronous runner; 0 in
-	// lock-step sessions.
+	// VirtualTime is the fabric's virtual clock at that worker's
+	// completion under asynchronous FDA; 0 in lock-step sessions.
 	VirtualTime float64 `json:"virtual_time,omitempty"`
 }
 

@@ -151,6 +151,9 @@ func TestCrossFabricParity(t *testing.T) {
 	base = base.withDefaults()
 
 	cases := parityStrategies(base)
+	// Asynchronous FDA runs only on a clocked fabric; its fabric cell is
+	// TestAsyncOutputDigest (SimFabric) and TestAsyncValidation (refusals).
+	delete(cases, "AsyncFDA")
 	// Compressed synchronization exercises the real wire encode/decode
 	// path on the TCP fabric.
 	cases["LinearFDA+chain"] = func() Strategy { return NewLinearFDA(0.05) }

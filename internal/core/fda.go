@@ -7,9 +7,10 @@ import (
 	"repro/internal/tensor"
 )
 
-// fdaBase carries the state shared by both FDA variants: the variance
+// fdaBase carries the state shared by the FDA variants: the variance
 // threshold Θ and the per-step decision loop of Algorithm 1. The variant
-// contributes the local-state summary and the estimation function H.
+// contributes the local-state summary (body) and the estimation function
+// H (estimate), both bound at Init.
 //
 // Per global step t each worker k:
 //
@@ -19,20 +20,71 @@ import (
 //  4. all workers evaluate H(S̄); if H(S̄) > Θ the full models are
 //     AllReduce-averaged (charged as "model" traffic) and a new round
 //     begins.
+//
+// The asynchronous variant (AsyncFDA) runs the same body and estimate,
+// one moving worker at a time.
 type fdaBase struct {
 	Theta float64
 
 	// maxStat tracks the running maximum of H over the run — the guard a
 	// prefix snapshot publishes so siblings can prove they would not have
-	// synchronized inside it (prefix.go). Maintained by each variant's
-	// AfterLocalStep; only its pre-first-sync values are ever consumed.
+	// synchronized inside it (prefix.go). Only its pre-first-sync values
+	// are ever consumed.
 	maxStat float64
+
+	states [][]float64 // per-worker local states S^(k)
+	meanSt []float64   // S̄
+	// body computes worker i's state into states[i]; it is bound once at
+	// Init so the per-step dispatch closes over no per-call state and
+	// allocates nothing. estimate evaluates H over meanSt, and synced (nil
+	// when the variant keeps no sync-dependent state) updates the variant
+	// after a model synchronization.
+	body     func(i int, w *Worker)
+	estimate func() float64
+	synced   func()
+}
+
+// initStates allocates n per-worker states of dim elements and their mean.
+func (b *fdaBase) initStates(n, dim int) {
+	b.states = make([][]float64, n)
+	for i := range b.states {
+		b.states[i] = make([]float64, dim)
+	}
+	b.meanSt = make([]float64, dim)
+}
+
+// validate refuses a negative (or NaN) Θ: H > Θ would then hold at every
+// step, and the run would synchronize like Synchronous while metering
+// state traffic on top.
+func (b *fdaBase) validate() error {
+	if !(b.Theta >= 0) {
+		return fmt.Errorf("core: Θ must be non-negative, got %v", b.Theta)
+	}
+	return nil
 }
 
 // observe folds one step's statistic into the guard.
 func (b *fdaBase) observe(h float64) {
 	if h > b.maxStat {
 		b.maxStat = h
+	}
+}
+
+// AfterLocalStep implements Strategy for every FDA variant. The
+// per-worker state computations are independent and run on the pool;
+// the state AllReduce reduces in worker order on this goroutine.
+//
+//fda:noalloc
+func (b *fdaBase) AfterLocalStep(env *Env, _ int) {
+	env.ForEachWorker(b.body)
+	env.Fabric.AllReduceMean("state", b.meanSt, b.states)
+	h := b.estimate()
+	b.observe(h)
+	if h > b.Theta {
+		env.SyncModels()
+		if b.synced != nil {
+			b.synced()
+		}
 	}
 }
 
@@ -53,17 +105,14 @@ type SketchFDA struct {
 	// SketchSeed seeds the shared hash functions (all workers must agree).
 	SketchSeed uint64
 
-	sk     *sketch.Sketcher
-	states [][]float64 // per-worker state vectors [‖u‖², sketch...]
-	// workerSk[i] views states[i][1:] as a sketch so each worker can
-	// sketch its drift straight into its own state slot, concurrently.
-	workerSk []*sketch.Sketch
-	meanSt   []float64
-	meanSk   *sketch.Sketch
-	// body is the per-worker state computation, bound once at Init so the
-	// per-step dispatch closes over no per-call state and allocates
-	// nothing; m2Scratch backs the estimator's median-of-rows buffer.
-	body      func(i int, w *Worker)
+	// sk's hash functions are immutable after Precompute, so workers
+	// sketch concurrently. A state is [‖u‖², sketch...]; workerSk[i] views
+	// states[i][1:] as a sketch so each worker sketches its drift straight
+	// into its own state slot. m2Scratch backs the estimator's
+	// median-of-rows buffer.
+	sk        *sketch.Sketcher
+	workerSk  []*sketch.Sketch
+	meanSk    *sketch.Sketch
 	m2Scratch []float64
 }
 
@@ -108,19 +157,13 @@ func (s *SketchFDA) Init(env *Env) {
 	if s.Epsilon == 0 {
 		s.Epsilon = 0.06
 	}
-	if s.Theta < 0 {
-		panic(fmt.Sprintf("core: negative Θ %v", s.Theta))
-	}
 	s.sk = sketch.NewSketcher(s.L, s.M, s.SketchSeed^0x5ce7c4)
 	s.sk.Precompute(env.D)
-	stateDim := 1 + s.L*s.M
-	s.states = make([][]float64, len(env.Workers))
+	s.initStates(len(env.Workers), 1+s.L*s.M)
 	s.workerSk = make([]*sketch.Sketch, len(env.Workers))
-	for i := range s.states {
-		s.states[i] = make([]float64, stateDim)
-		s.workerSk[i] = &sketch.Sketch{L: s.L, M: s.M, Data: s.states[i][1:]}
+	for i, st := range s.states {
+		s.workerSk[i] = &sketch.Sketch{L: s.L, M: s.M, Data: st[1:]}
 	}
-	s.meanSt = make([]float64, stateDim)
 	s.meanSk = s.sk.NewSketch()
 	s.m2Scratch = make([]float64, s.L)
 	s.body = func(i int, w *Worker) {
@@ -128,29 +171,10 @@ func (s *SketchFDA) Init(env *Env) {
 		s.states[i][0] = sq
 		s.sk.SketchVec(s.workerSk[i], u)
 	}
-}
-
-// AfterLocalStep implements Strategy.
-//
-//fda:noalloc
-func (s *SketchFDA) AfterLocalStep(env *Env, _ int) {
-	// Per-worker drift and sketch computations are independent (the
-	// Sketcher is immutable after Precompute) and run on the pool; the
-	// state AllReduce below reduces in worker order on this goroutine.
-	env.ForEachWorker(s.body)
-	env.Fabric.AllReduceMean("state", s.meanSt, s.states)
-	h := s.estimate()
-	s.observe(h)
-	if h > s.Theta {
-		env.SyncModels()
+	s.estimate = func() float64 {
+		copy(s.meanSk.Data, s.meanSt[1:])
+		return s.meanSt[0] - sketch.M2Into(s.meanSk, s.m2Scratch)/(1+s.Epsilon)
 	}
-}
-
-// estimate computes H(S̄) from the averaged state.
-func (s *SketchFDA) estimate() float64 {
-	meanSq := s.meanSt[0]
-	copy(s.meanSk.Data, s.meanSt[1:])
-	return meanSq - sketch.M2Into(s.meanSk, s.m2Scratch)/(1+s.Epsilon)
 }
 
 // LinearFDA is the two-scalar variant (paper §3.2, Theorem 3.2): the local
@@ -172,10 +196,7 @@ type LinearFDA struct {
 	// Seed drives the random-ξ ablation.
 	Seed uint64
 
-	xi     []float64
-	states [][]float64
-	meanSt []float64
-	body   func(i int, w *Worker)
+	xi []float64
 }
 
 // NewLinearFDA returns the linear FDA strategy with threshold theta and
@@ -195,13 +216,19 @@ func (l *LinearFDA) Init(env *Env) {
 		tensor.Normal(rng, l.xi, 0, 1)
 		tensor.Normalize(l.xi)
 	}
-	l.states = make([][]float64, len(env.Workers))
-	for i := range l.states {
-		l.states[i] = make([]float64, 2)
-	}
-	l.meanSt = make([]float64, 2)
+	l.initStates(len(env.Workers), 2)
 	l.body = func(i int, w *Worker) {
 		l.states[i][0], l.states[i][1] = w.DriftState(env.W0, l.xi)
+	}
+	l.estimate = func() float64 { return l.meanSt[0] - l.meanSt[1]*l.meanSt[1] }
+	l.synced = func() {
+		if l.XiMode == "drift" && env.WPrev != nil {
+			// ξ ← (w_t0 − w_t−1) normalized; skip degenerate zero drift.
+			tensor.Sub(l.xi, env.W0, env.WPrev)
+			if tensor.Normalize(l.xi) == 0 {
+				tensor.Zero(l.xi)
+			}
+		}
 	}
 }
 
@@ -223,26 +250,6 @@ func (l *LinearFDA) RestoreState(vecs [][]float64, counters []uint64) error {
 	return nil
 }
 
-// AfterLocalStep implements Strategy.
-//
-//fda:noalloc
-func (l *LinearFDA) AfterLocalStep(env *Env, _ int) {
-	env.ForEachWorker(l.body)
-	env.Fabric.AllReduceMean("state", l.meanSt, l.states)
-	h := l.meanSt[0] - l.meanSt[1]*l.meanSt[1]
-	l.observe(h)
-	if h > l.Theta {
-		env.SyncModels()
-		if l.XiMode == "drift" && env.WPrev != nil {
-			// ξ ← (w_t0 − w_t−1) normalized; skip degenerate zero drift.
-			tensor.Sub(l.xi, env.W0, env.WPrev)
-			if tensor.Normalize(l.xi) == 0 {
-				tensor.Zero(l.xi)
-			}
-		}
-	}
-}
-
 // OracleFDA is an ablation, not a deployable strategy: it monitors the
 // exact model variance (Eq. 2) at zero estimation error and synchronizes
 // when Var(w_t) > Θ. It charges the same two-scalar state traffic as
@@ -251,10 +258,6 @@ func (l *LinearFDA) AfterLocalStep(env *Env, _ int) {
 // overestimation costs in extra synchronizations.
 type OracleFDA struct {
 	fdaBase
-
-	states [][]float64
-	meanSt []float64
-	body   func(i int, w *Worker)
 }
 
 // NewOracleFDA returns the exact-variance oracle with threshold theta.
@@ -267,25 +270,12 @@ func (o *OracleFDA) Name() string { return "OracleFDA" }
 
 // Init implements Strategy.
 func (o *OracleFDA) Init(env *Env) {
-	o.states = make([][]float64, len(env.Workers))
-	for i := range o.states {
-		o.states[i] = make([]float64, 2)
-	}
-	o.meanSt = make([]float64, 2)
+	// The state is two scalars so the AllReduce charges what a two-scalar
+	// variant would; only its first entry is ever filled.
+	o.initStates(len(env.Workers), 2)
 	o.body = func(i int, w *Worker) {
 		_, sq := w.DriftSquaredNorm(env.W0)
 		o.states[i][0] = sq
 	}
-}
-
-// AfterLocalStep implements Strategy.
-func (o *OracleFDA) AfterLocalStep(env *Env, _ int) {
-	// Charge the same state traffic a two-scalar variant would use.
-	env.ForEachWorker(o.body)
-	env.Fabric.AllReduceMean("state", o.meanSt, o.states)
-	h := env.ExactVarianceViaDrift()
-	o.observe(h)
-	if h > o.Theta {
-		env.SyncModels()
-	}
+	o.estimate = env.ExactVarianceViaDrift
 }

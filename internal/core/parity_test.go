@@ -9,7 +9,7 @@ import (
 )
 
 // parityStrategies enumerates one constructor per strategy family,
-// related work included. Each call must build a fresh strategy (they
+// related work and asynchronous FDA included. Each call must build a fresh strategy (they
 // carry per-run state).
 func parityStrategies(cfg Config) map[string]func() Strategy {
 	return map[string]func() Strategy{
@@ -26,6 +26,7 @@ func parityStrategies(cfg Config) map[string]func() Strategy {
 		"PostLocalSGD":  func() Strategy { return NewPostLocalSGD(10, 5) },
 		"LAG":           func() Strategy { return NewLAG(5, 0.5) },
 		"AdaptiveTheta": func() Strategy { return NewAdaptiveTheta(NewLinearFDA(0.1), 5e4) },
+		"AsyncFDA":      func() Strategy { return NewAsyncFDA(NewLinearFDA(0.1)) },
 	}
 }
 

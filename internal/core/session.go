@@ -47,10 +47,19 @@ type Session struct {
 	stepTimer comm.StepTimer
 	clock     comm.VirtualClocker
 
+	// samplesPerStep is the training samples one step consumes; budget
+	// and evalEvery are the step limit and evaluation cadence. An
+	// asynchronous session's step is one worker's, so there they are
+	// BatchSize, MaxSteps·K and EvalEvery·K.
 	samplesPerStep float64
 	trainLen       float64
+	budget         int
+	evalEvery      int
+	// async is the asynchronous stepping mode (async.go); nil in a
+	// lock-step session.
+	async *AsyncFDA
 
-	t         int // last completed global step
+	t         int // last completed step
 	finished  bool
 	finishErr error
 	res       Result
@@ -122,9 +131,10 @@ func buildReplicas(cfg Config, ranks []int) (w0 []float64, workers []*Worker, ev
 	return w0, workers, cfg.Model(root.Split())
 }
 
-// NewSession validates cfg, builds the cluster, workers and strategy
-// state exactly as Run does, and returns a session positioned before
-// step 1. The context governs cancellation: once it is done, Step
+// NewSession validates cfg and strat, builds the cluster, workers and
+// strategy state exactly as Run does, and returns a session positioned
+// before step 1. An *AsyncFDA strategy selects asynchronous stepping
+// (async.go). The context governs cancellation: once it is done, Step
 // returns its error without advancing. A nil ctx means Background.
 func NewSession(ctx context.Context, cfg Config, strat Strategy) (*Session, error) {
 	if ctx == nil {
@@ -134,13 +144,28 @@ func NewSession(ctx context.Context, cfg Config, strat Strategy) (*Session, erro
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	if err := ValidateStrategy(strat); err != nil {
+		return nil, err
+	}
 	// The fabric decides which ranks live in this process: all of them
 	// on the in-process backends, one inside a distributed worker. A
 	// fabric instance carries a meter and (possibly) a clock, so it
 	// belongs to exactly one run.
+	async, _ := strat.(*AsyncFDA)
 	fabric := cfg.Fabric
-	if fabric == nil {
+	switch {
+	case fabric != nil:
+	case async != nil:
+		// Asynchronous FDA needs a clock; by default every worker takes
+		// one virtual second per step.
+		fabric = comm.NewSimFabric(cfg.K, cfg.Cost, comm.Scenario{ComputeSecPerStep: 1})
+	default:
 		fabric = comm.NewClusterWithCost(cfg.K, cfg.Cost)
+	}
+	if async != nil {
+		if err := async.bind(cfg, fabric); err != nil {
+			return nil, err
+		}
 	}
 	ranks := fabric.Ranks()
 	if len(ranks) == 0 {
@@ -163,8 +188,17 @@ func NewSession(ctx context.Context, cfg Config, strat Strategy) (*Session, erro
 		globalParams:   make([]float64, d),
 		samplesPerStep: float64(cfg.BatchSize * cfg.K),
 		trainLen:       float64(cfg.Train.Len()),
+		budget:         cfg.MaxSteps,
+		evalEvery:      cfg.EvalEvery,
 		res:            Result{Strategy: strat.Name()},
 		tele:           newSessionTele(strat.Name()),
+	}
+	if async != nil {
+		s.async = async
+		s.samplesPerStep = float64(cfg.BatchSize)
+		s.budget *= cfg.K
+		s.evalEvery *= cfg.K
+		s.res.StepsPerWorker = make([]int, cfg.K)
 	}
 	if st, ok := fabric.(comm.StepTimer); ok {
 		s.stepTimer = st
@@ -190,13 +224,14 @@ func (s *Session) emit(e Event) {
 	}
 }
 
-// Step advances the session by one global step: every worker performs
-// one local update, the strategy decides on synchronization, and — on
-// evaluation steps — the averaged global model is scored. It returns
-// false once the run has finished (the final Result is then available
-// from Result); the error is non-nil when the session's context was
-// cancelled (the session stays resumable) or the model diverged (the
-// session is failed).
+// Step advances the session by one step: every worker performs one
+// local update, the strategy decides on synchronization, and — on
+// evaluation steps — the averaged global model is scored. In an
+// asynchronous session a step is one worker's local update and the
+// coordinator's decision. Step returns false once the run has finished
+// (the final Result is then available from Result); the error is
+// non-nil when the session's context was cancelled (the session stays
+// resumable) or the model diverged (the session is failed).
 func (s *Session) Step() (bool, error) {
 	if s.finished {
 		return false, s.finishErr
@@ -204,7 +239,7 @@ func (s *Session) Step() (bool, error) {
 	if err := s.ctx.Err(); err != nil {
 		return false, err
 	}
-	if s.t >= s.cfg.MaxSteps {
+	if s.t >= s.budget {
 		// Only reachable through Restore: a snapshot taken at (or past)
 		// this config's step budget has nothing left to run.
 		s.finish(nil)
@@ -218,23 +253,30 @@ func (s *Session) Step() (bool, error) {
 	stepStart := obs.Clock()
 	sp := obs.StartRegionEvery("step", "session", int64(t))
 	prevSyncs := s.env.SyncCount
-	s.env.ForEachWorker(s.stepBody)
-	if s.stepTimer != nil {
-		// Compute time of step t lands on the virtual clock before the
-		// strategy's collectives add their communication time.
-		s.stepTimer.StepDone(t)
+	var ev StepEvent
+	var syncStart int64
+	if s.async != nil {
+		ev, syncStart = s.stepWorker(t)
+	} else {
+		s.env.ForEachWorker(s.stepBody)
+		if s.stepTimer != nil {
+			// Compute time of step t lands on the virtual clock before the
+			// strategy's collectives add their communication time.
+			s.stepTimer.StepDone(t)
+		}
+		syncStart = obs.Clock()
+		s.strat.AfterLocalStep(s.env, t)
+		s.res.Steps = t
+		ev = StepEvent{Step: t, Worker: -1}
 	}
-	syncStart := obs.Clock()
-	s.strat.AfterLocalStep(s.env, t)
 	s.t = t
-	s.res.Steps = t
-	s.emit(StepEvent{Step: t, Worker: -1})
+	s.emit(ev)
 	s.tele.steps.Inc()
 	if s.env.SyncCount > prevSyncs {
 		meter := s.env.Fabric.Meter()
 		modelBytes := meter.BytesFor("model")
 		s.emit(SyncEvent{
-			Step:       t,
+			Step:       ev.Step,
 			SyncCount:  s.env.SyncCount,
 			Trigger:    s.strat.Name(),
 			SyncBytes:  modelBytes - s.modelBytesSeen,
@@ -243,7 +285,7 @@ func (s *Session) Step() (bool, error) {
 		s.tele.syncs.Inc()
 		s.tele.syncSec.Since(syncStart)
 		if obs.Tracing() {
-			obs.Instant("sync", "session", "step", t,
+			obs.Instant("sync", "session", "step", ev.Step,
 				"trigger", s.strat.Name(), "sync_bytes", modelBytes-s.modelBytesSeen)
 		}
 		s.modelBytesSeen = modelBytes
@@ -253,13 +295,15 @@ func (s *Session) Step() (bool, error) {
 		sp.EndArgs("t", t, "synced", s.env.SyncCount > prevSyncs)
 	}
 
-	if t%s.cfg.EvalEvery == 0 || t == s.cfg.MaxSteps {
+	// A lock-step run always scores its last step; an asynchronous one
+	// only on its cadence.
+	if t%s.evalEvery == 0 || (t == s.budget && s.async == nil) {
 		evalStart := obs.Clock()
 		esp := obs.StartRegion("eval", "session")
-		p := s.evaluate(t)
+		p := s.evaluate(ev.Step)
 		s.tele.evalSec.Since(evalStart)
 		if esp.Active() {
-			esp.EndArgs("step", t, "test_acc", p.TestAcc)
+			esp.EndArgs("step", ev.Step, "test_acc", p.TestAcc)
 		}
 		s.res.History = append(s.res.History, p)
 		s.res.FinalTestAcc = p.TestAcc
@@ -270,7 +314,7 @@ func (s *Session) Step() (bool, error) {
 			return false, nil
 		}
 		if !tensor.AllFinite(s.globalParams) {
-			s.finish(fmt.Errorf("core: %s diverged (non-finite parameters) at step %d", s.strat.Name(), t))
+			s.finish(fmt.Errorf("core: %s diverged (non-finite parameters) at step %d", s.strat.Name(), ev.Step))
 			return false, s.finishErr
 		}
 	}
@@ -289,7 +333,7 @@ func (s *Session) Step() (bool, error) {
 			}
 		}
 	}
-	if t >= s.cfg.MaxSteps {
+	if t >= s.budget {
 		s.finish(nil)
 		return false, nil
 	}
@@ -320,12 +364,13 @@ func (s *Session) PublishPrefixes(every int, fn func(steps int, snap *checkpoint
 	return nil
 }
 
-// evaluate scores the averaged global model at step t.
-func (s *Session) evaluate(t int) Point {
+// evaluate scores the averaged global model as of the current step,
+// recorded as in-parallel step `step`.
+func (s *Session) evaluate(step int) Point {
 	s.env.GlobalModel(s.globalParams)
 	p := Point{
-		Step:      t,
-		Epoch:     float64(t) * s.samplesPerStep / s.trainLen,
+		Step:      step,
+		Epoch:     s.epochs(),
 		TestAcc:   s.eval.accuracy(s.globalParams, s.cfg.Test),
 		CommBytes: s.env.Fabric.Meter().TotalBytes(),
 		SyncCount: s.env.SyncCount,
@@ -339,11 +384,14 @@ func (s *Session) evaluate(t int) Point {
 	return p
 }
 
+// epochs is the training data consumed so far, in passes.
+func (s *Session) epochs() float64 { return float64(s.t) * s.samplesPerStep / s.trainLen }
+
 // fillTotals copies the cost totals into the Result, matching the batch
 // Run epilogue bit-for-bit.
 func (s *Session) fillTotals() {
 	meter := s.env.Fabric.Meter()
-	s.res.Epochs = float64(s.res.Steps) * s.samplesPerStep / s.trainLen
+	s.res.Epochs = s.epochs()
 	s.res.CommBytes = meter.TotalBytes()
 	s.res.StateBytes = meter.BytesFor("state")
 	s.res.ModelBytes = meter.BytesFor("model")
@@ -393,7 +441,8 @@ func (s *Session) Run() (Result, error) {
 // Done reports whether the run has finished (successfully or not).
 func (s *Session) Done() bool { return s.finished }
 
-// StepCount returns the number of completed global steps.
+// StepCount returns the number of completed steps (worker steps in an
+// asynchronous session).
 func (s *Session) StepCount() int { return s.t }
 
 // Config returns the session's effective configuration: the one given
@@ -473,10 +522,13 @@ func (s *Session) snapshot(withStrategy bool) (*checkpoint.Snapshot, error) {
 	if s.clock != nil {
 		snap.AddU64("fabric.clock", math.Float64bits(s.clock.VirtualTime()))
 	}
+	if s.async != nil {
+		s.snapshotEvents(snap)
+	}
 
 	s.snapshotHistory(snap)
 
-	if r, ok := s.strat.(resumable); ok && withStrategy {
+	if r, ok := s.resumableStrategy(); ok && withStrategy {
 		vecs, counters := r.StateSnapshot()
 		snap.AddU64("strat.nv", uint64(len(vecs)))
 		snap.AddU64("strat.nc", uint64(len(counters)))
@@ -488,6 +540,18 @@ func (s *Session) snapshot(withStrategy bool) (*checkpoint.Snapshot, error) {
 		}
 	}
 	return snap, nil
+}
+
+// resumableStrategy returns the strategy whose cross-step state the
+// checkpoint carries: under asynchronous FDA the wrapped variant, since
+// the coordinator's own state rides the event sections (snapshotEvents).
+func (s *Session) resumableStrategy() (resumable, bool) {
+	strat := s.strat
+	if s.async != nil {
+		strat = s.async.inner
+	}
+	r, ok := strat.(resumable)
+	return r, ok
 }
 
 // snapshotHistory stores the evaluation trace as parallel columns.
@@ -612,7 +676,7 @@ func (s *Session) Restore(snap *checkpoint.Snapshot) error {
 		return err
 	}
 
-	if r, ok := s.strat.(resumable); ok {
+	if r, ok := s.resumableStrategy(); ok {
 		// Prefix snapshots carry no strategy sections at all: before the
 		// first synchronization a PrefixSharer's state equals its Init
 		// state, so there is nothing to restore — and restoring zeros
@@ -637,6 +701,9 @@ func (s *Session) Restore(snap *checkpoint.Snapshot) error {
 	}
 
 	s.t = int(snap.Step)
+	if s.async != nil {
+		return s.restoreEvents(snap)
+	}
 	s.res.Steps = s.t
 	return nil
 }

@@ -175,26 +175,30 @@ func TestRunContextCancelled(t *testing.T) {
 	}
 }
 
-// sessionResume runs cfg+strategy uninterrupted, then again with an
-// interruption at snapStep — snapshot, serialize through the checkpoint
-// codec, restore into a fresh session — and requires the resumed result
-// to be deeply equal (every float64 bit) to the uninterrupted one.
+// sessionResume runs cfg+strategy uninterrupted, then again cancelled at
+// snapStep — snapshot, serialize through the checkpoint codec, restore
+// into a fresh session — and requires the resumed result to be deeply
+// equal (every float64 bit) to the uninterrupted one.
 func sessionResume(t *testing.T, cfg Config, mk func() Strategy, snapStep int) {
 	t.Helper()
 	want := MustRun(cfg, mk())
 
-	first, err := NewSession(context.Background(), cfg, mk())
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	first, err := NewSession(ctx, cfg, mk())
 	if err != nil {
 		t.Fatal(err)
 	}
-	for first.StepCount() < snapStep {
-		more, err := first.Step()
-		if err != nil {
-			t.Fatal(err)
+	steps := 0
+	first.Subscribe(func(e Event) {
+		if _, ok := e.(StepEvent); ok {
+			if steps++; steps == snapStep {
+				cancel()
+			}
 		}
-		if !more {
-			t.Fatalf("run finished at step %d before snapshot step %d", first.StepCount(), snapStep)
-		}
+	})
+	if _, err := first.Run(); !errors.Is(err, context.Canceled) || first.StepCount() != snapStep {
+		t.Fatalf("run stopped at step %d with %v, want a cancellation at %d", first.StepCount(), err, snapStep)
 	}
 	snap, err := first.Snapshot()
 	if err != nil {
@@ -207,6 +211,7 @@ func sessionResume(t *testing.T, cfg Config, mk func() Strategy, snapStep int) {
 	if err := checkpoint.Write(&buf, snap); err != nil {
 		t.Fatal(err)
 	}
+	raw := bytes.Clone(buf.Bytes())
 	loaded, err := checkpoint.Read(&buf)
 	if err != nil {
 		t.Fatal(err)
@@ -221,6 +226,20 @@ func sessionResume(t *testing.T, cfg Config, mk func() Strategy, snapStep int) {
 	}
 	if resumed.StepCount() != snapStep {
 		t.Fatalf("restored session at step %d, want %d", resumed.StepCount(), snapStep)
+	}
+	// The restored session checkpoints to the same bytes: every section
+	// the snapshot carries was restored, not just the ones the
+	// continuation happens to read.
+	again, err := resumed.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var bufAgain bytes.Buffer
+	if err := checkpoint.Write(&bufAgain, again); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(raw, bufAgain.Bytes()) {
+		t.Fatal("a restored session's snapshot differs from the one it was restored from")
 	}
 	got, err := resumed.Run()
 	if err != nil {
@@ -256,6 +275,19 @@ func TestSessionSnapshotResumeExact(t *testing.T) {
 			// second synchronization for the FDA variants (ξ is live).
 			sessionResume(t, base, mk, 37)
 		})
+	}
+	// An asynchronous step is one worker's. Each snapshot is taken one
+	// step before a synchronization at Θ = 0.03 (linear: steps 25 and 93;
+	// sketch: 59 and 137), so the decision right after the restore reads
+	// the heap, ξ and four workers' stale states from the checkpoint.
+	for name, c := range map[string]struct {
+		mk   func() Strategy
+		snap int
+	}{
+		"AsyncFDA":       {func() Strategy { return NewAsyncFDA(NewLinearFDA(0.03)) }, 92},
+		"AsyncSketchFDA": {func() Strategy { return NewAsyncFDA(NewSketchFDA(0.03)) }, 136},
+	} {
+		t.Run(name, func(t *testing.T) { sessionResume(t, base, c.mk, c.snap) })
 	}
 }
 
@@ -434,18 +466,22 @@ func TestConfigValidateFieldErrors(t *testing.T) {
 	}
 }
 
-// TestAsyncEventsAndCancellation: the async coordinator emits the shared
-// event vocabulary and honors its context.
+// TestAsyncEventsAndCancellation: an asynchronous session emits the
+// shared event vocabulary — one StepEvent per worker step, naming the
+// worker and its completion time — and honors its context.
 func TestAsyncEventsAndCancellation(t *testing.T) {
 	cfg := testConfig(41)
 	cfg.MaxSteps = 30
 	cfg.EvalEvery = 10
-	ac := AsyncConfig{Config: cfg, Theta: 0.1, Speeds: []float64{1, 1, 1, 0.5, 0.25}}
+	speeds := []float64{1, 1, 1, 0.5, 0.25}
 
 	var steps, syncs, evals, dones int
-	want, err := RunAsyncContext(context.Background(), ac, func(e Event) {
-		switch e.(type) {
+	want, perWorker, _, err := runAsyncCase(context.Background(), cfg, 0.1, false, speeds, func(e Event) {
+		switch ev := e.(type) {
 		case StepEvent:
+			if ev.Worker < 0 || ev.VirtualTime <= 0 {
+				t.Fatalf("async StepEvent %+v names no worker or time", ev)
+			}
 			steps++
 		case SyncEvent:
 			syncs++
@@ -459,29 +495,29 @@ func TestAsyncEventsAndCancellation(t *testing.T) {
 		t.Fatal(err)
 	}
 	total := 0
-	for _, s := range want.StepsPerWorker {
+	for _, s := range perWorker {
 		total += s
 	}
-	if steps != total {
+	if steps != total || total != cfg.MaxSteps*cfg.K {
 		t.Fatalf("%d StepEvents for %d local steps", steps, total)
 	}
 	if syncs != want.SyncCount || evals != len(want.History) || dones != 1 {
 		t.Fatalf("events %d/%d/%d for syncs=%d evals=%d", syncs, evals, dones, want.SyncCount, len(want.History))
 	}
 
-	// Parity: the event-spine runner with a nil sink is RunAsync.
-	plain, err := RunAsync(ac)
+	// Parity: subscribing changes nothing.
+	plain, _, _, err := runAsyncCase(context.Background(), cfg, 0.1, false, speeds, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(want, plain) {
-		t.Fatalf("RunAsyncContext diverged from RunAsync")
+		t.Fatalf("subscribed run diverged from the plain one")
 	}
 
 	// Cancellation mid-run: stop after 7 local steps.
 	ctx, cancel := context.WithCancel(context.Background())
 	n := 0
-	partial, err := RunAsyncContext(ctx, ac, func(e Event) {
+	_, partial, _, err := runAsyncCase(ctx, cfg, 0.1, false, speeds, func(e Event) {
 		if _, ok := e.(StepEvent); ok {
 			if n++; n == 7 {
 				cancel()
@@ -492,7 +528,7 @@ func TestAsyncEventsAndCancellation(t *testing.T) {
 		t.Fatalf("cancelled async run: %v", err)
 	}
 	got := 0
-	for _, s := range partial.StepsPerWorker {
+	for _, s := range partial {
 		got += s
 	}
 	if got != 7 {

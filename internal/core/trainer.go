@@ -15,6 +15,17 @@ type Strategy interface {
 	AfterLocalStep(env *Env, t int)
 }
 
+// ValidateStrategy reports a strategy whose parameters cannot run: a
+// negative Θ, or asynchronous FDA over anything but LinearFDA or
+// SketchFDA. NewSession refuses what it reports, and dist.JobSpec's
+// Validate reports it at admission.
+func ValidateStrategy(s Strategy) error {
+	if v, ok := s.(interface{ validate() error }); ok {
+		return v.validate()
+	}
+	return nil
+}
+
 // Run executes one training run of cfg under the given strategy and
 // returns its cost/quality summary. Runs are deterministic in (cfg, s).
 //

@@ -146,8 +146,9 @@ func (s JobSpec) config() (core.Config, models.Spec, error) {
 
 // Validate vets a spec at admission without synthesizing its datasets
 // (hundreds of milliseconds BuildConfig pays later, off the request
-// path): unknown model, heterogeneity or strategy names and every
-// invalid Config field (a *core.ConfigError) are rejected here, so none
+// path): unknown model, heterogeneity or strategy names, every invalid
+// Config field (a *core.ConfigError) and strategy parameters
+// core.NewSession would refuse (a negative Θ) are rejected here, so none
 // of them can surface later as a failed job.
 func (s JobSpec) Validate() error {
 	cfg, _, err := s.config()
@@ -170,8 +171,11 @@ func (s JobSpec) Validate() error {
 			return &core.ConfigError{Fields: fields}
 		}
 	}
-	_, err = s.BuildStrategy(cfg)
-	return err
+	strat, err := s.BuildStrategy(cfg)
+	if err != nil {
+		return err
+	}
+	return core.ValidateStrategy(strat)
 }
 
 // BuildConfig materializes the replicated core.Config (datasets

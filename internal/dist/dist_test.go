@@ -179,6 +179,10 @@ func TestJobSpecValidate(t *testing.T) {
 		{Model: "nope", Strategy: "LinearFDA"},
 		{Model: "lenet5s", Strategy: "Nope"},
 		{Model: "lenet5s", Strategy: "LinearFDA", Het: "bogus"},
+		// A negative Θ is refused at admission, not left to fail the job.
+		{Model: "lenet5s", Strategy: "SketchFDA", Theta: -1},
+		{Model: "lenet5s", Strategy: "LinearFDA", Theta: -1},
+		{Model: "lenet5s", Strategy: "OracleFDA", Theta: -0.5},
 	} {
 		if err := bad.WithDefaults().Validate(); err == nil {
 			t.Errorf("%+v accepted", bad)

@@ -15,7 +15,6 @@
 package sketch
 
 import (
-	"math"
 	"math/bits"
 	"sort"
 
@@ -84,7 +83,7 @@ type Sketcher struct {
 
 // NewSketcher builds a Sketcher with l rows (depth) and m columns (width)
 // seeded deterministically from seed. The paper's recommended setting is
-// l=5, m=250 (ε≈6%, 1−δ≈95%; §3.3); see Dimensions for ε/δ-driven sizing.
+// l=5, m=250 (ε≈6%, 1−δ≈95%; §3.3).
 func NewSketcher(l, m int, seed uint64) *Sketcher {
 	if l <= 0 || m <= 0 {
 		panic("sketch: non-positive sketch dimensions")
@@ -100,23 +99,6 @@ func NewSketcher(l, m int, seed uint64) *Sketcher {
 	return s
 }
 
-// Dimensions returns (l, m) giving estimation error ε with confidence 1−δ,
-// using the standard AMS bounds l = ⌈4·ln(1/δ)⌉ and m = ⌈8/ε²⌉.
-func Dimensions(eps, delta float64) (l, m int) {
-	if eps <= 0 || delta <= 0 || delta >= 1 {
-		panic("sketch: Dimensions requires eps > 0 and 0 < delta < 1")
-	}
-	l = int(math.Ceil(4 * math.Log(1/delta)))
-	if l < 1 {
-		l = 1
-	}
-	m = int(math.Ceil(8 / (eps * eps)))
-	if m < 1 {
-		m = 1
-	}
-	return l, m
-}
-
 // L returns the number of rows.
 func (s *Sketcher) L() int { return s.l }
 
@@ -130,17 +112,6 @@ type Sketch struct {
 // NewSketch returns an all-zero sketch shaped for s.
 func (s *Sketcher) NewSketch() *Sketch {
 	return &Sketch{L: s.l, M: s.m, Data: make([]float64, s.l*s.m)}
-}
-
-// Bytes returns the wire size of the sketch payload assuming
-// bytesPerCounter bytes per counter (the paper uses 4, float32).
-func (sk *Sketch) Bytes(bytesPerCounter int) int {
-	return sk.L * sk.M * bytesPerCounter
-}
-
-// Clone returns a deep copy.
-func (sk *Sketch) Clone() *Sketch {
-	return &Sketch{L: sk.L, M: sk.M, Data: tensor.Clone(sk.Data)}
 }
 
 // Zero resets all counters.

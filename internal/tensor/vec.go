@@ -179,22 +179,6 @@ func ArgMax(v []float64) int {
 	return best
 }
 
-// Clip bounds every component of v to [-c, c] in place. c must be positive.
-//
-//fda:noalloc
-func Clip(v []float64, c float64) {
-	if c <= 0 {
-		panic("tensor: Clip with non-positive bound") //fda:allow(noalloc, constant-string boxing on the abort path only)
-	}
-	for i, x := range v {
-		if x > c {
-			v[i] = c
-		} else if x < -c {
-			v[i] = -c
-		}
-	}
-}
-
 // AllFinite reports whether every component is neither NaN nor Inf.
 //
 //fda:noalloc

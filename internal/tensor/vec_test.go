@@ -143,17 +143,6 @@ func TestArgMaxAndMaxAbs(t *testing.T) {
 	}
 }
 
-func TestClip(t *testing.T) {
-	v := []float64{-10, 0.5, 10}
-	Clip(v, 1)
-	want := []float64{-1, 0.5, 1}
-	for i := range want {
-		if v[i] != want[i] {
-			t.Fatalf("Clip[%d] = %v want %v", i, v[i], want[i])
-		}
-	}
-}
-
 func TestAllFinite(t *testing.T) {
 	if !AllFinite([]float64{1, -2, 0}) {
 		t.Fatal("finite vector reported non-finite")
