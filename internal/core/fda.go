@@ -53,9 +53,9 @@ func (b *fdaBase) initStates(n, dim int) {
 	b.meanSt = make([]float64, dim)
 }
 
-// validate refuses a negative (or NaN) Θ: H > Θ would then hold at every
-// step, and the run would synchronize like Synchronous while metering
-// state traffic on top.
+// validate refuses a negative (or NaN) Θ: H estimates a variance, so
+// such a threshold is crossed at (almost) every step, and the run would
+// synchronize like Synchronous while metering state traffic on top.
 func (b *fdaBase) validate() error {
 	if !(b.Theta >= 0) {
 		return fmt.Errorf("core: Θ must be non-negative, got %v", b.Theta)
