@@ -53,8 +53,8 @@ var (
 	fs       = flag.NewFlagSet("fdarun", flag.ExitOnError)
 	spec     dist.JobSpec
 	budget   = fs.Float64("budget", 0, "bytes/step bandwidth budget; wraps the FDA variant with the §5 adaptive-Θ controller")
-	async    = fs.Bool("async", false, "run the asynchronous (coordinator) variant of -strategy LinearFDA or SketchFDA: workers step at their own pace on a virtual clock (-speeds or -scenario; by default one step per second each)")
-	speeds   = fs.String("speeds", "", "comma-separated relative worker speeds (rank r takes the (r mod n)-th): simulate a network where only compute differs and report the virtual clock; pairs with -async, excludes -scenario")
+	async    = fs.Bool("async", false, "run the asynchronous (coordinator) variant of -strategy LinearFDA or SketchFDA: workers step at their own pace on a virtual clock of compute and link time (-speeds or -scenario; by default one step per second each and free links)")
+	speeds   = fs.String("speeds", "", "comma-separated relative worker speeds, one per worker (-k): simulate a network where only compute differs and report the virtual clock; needs -async, excludes -scenario")
 	jobs     = fs.Int("jobs", runtime.GOMAXPROCS(0), "goroutines for the worker/eval loops (1 = sequential; results are bit-identical; -async steps one worker at a time, so there it widens evaluation only)")
 	progress = fs.Bool("progress", false, "print live sync/eval events while the run executes")
 	scenario = fs.String("scenario", "", "run on the simulated-network fabric under a named scenario (lan, fedwan, straggler) and report estimated time-to-accuracy")
@@ -287,6 +287,9 @@ func simulatedNetwork() (*fda.Scenario, error) {
 	if *scenario != "" {
 		return nil, errors.New("-speeds and -scenario both choose the simulated network; give one")
 	}
+	if !*async {
+		return nil, errors.New("-speeds paces asynchronous workers; it needs -async")
+	}
 	var rates []float64
 	for _, part := range strings.Split(*speeds, ",") {
 		v, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
@@ -294,6 +297,9 @@ func simulatedNetwork() (*fda.Scenario, error) {
 			return nil, fmt.Errorf("bad -speeds entry %q: %v", part, err)
 		}
 		rates = append(rates, v)
+	}
+	if len(rates) != spec.K {
+		return nil, fmt.Errorf("-speeds gives %d speeds for %d workers; give one per worker (-k)", len(rates), spec.K)
 	}
 	scen, err := fda.SpeedsScenario(rates)
 	return &scen, err

@@ -99,7 +99,7 @@ func runMain(t *testing.T, args ...string) string {
 // line and the per-worker steps with the virtual clock, for the linear
 // estimator at equal speeds and the sketch estimator behind stragglers.
 // -warmstart runs async cold (it shares no prefixes), and -scenario
-// paces its workers by the scenario's compute times.
+// paces its workers by the scenario's compute and link times.
 func TestAsyncFlagsGolden(t *testing.T) {
 	equal := []string{
 		"AsyncFDA: steps=40 epochs=1.6 comm=0.000GB (state 0.000, model 0.000) syncs=2 acc=0.3317 target=false",
@@ -114,8 +114,8 @@ func TestAsyncFlagsGolden(t *testing.T) {
 			lines: equal},
 		{args: []string{"-model", "lenet5s", "-k", "3", "-steps", "40", "-async", "-scenario", "fedwan"},
 			lines: []string{
-				"AsyncFDA: steps=52 epochs=1.6 comm=0.000GB (state 0.000, model 0.000) syncs=2 acc=0.3433 target=false",
-				"per-worker steps: [34 52 34]  virtual time: 2.6",
+				"AsyncFDA: steps=59 epochs=1.6 comm=0.000GB (state 0.000, model 0.000) syncs=3 acc=0.3167 target=false",
+				"per-worker steps: [31 59 30]  virtual time: 3.7",
 			}},
 		{args: []string{"-model", "lenet5s", "-strategy", "SketchFDA", "-k", "5", "-steps", "40",
 			"-async", "-speeds", "1,1,1,0.5,0.25"},
@@ -131,6 +131,27 @@ func TestAsyncFlagsGolden(t *testing.T) {
 				t.Errorf("%v: output lacks the line %q:\n%s", c.args, line, out)
 			}
 		}
+	}
+}
+
+// TestSpeedsFlagRefusals: -speeds needs -async, excludes -scenario and
+// takes exactly one speed per worker; a list of another length is
+// refused, not truncated or repeated.
+func TestSpeedsFlagRefusals(t *testing.T) {
+	for _, args := range [][]string{
+		{"-k", "3", "-async", "-speeds", "1,1,1,0.5,0.25"},
+		{"-k", "5", "-async", "-speeds", "1,0.5"},
+		{"-k", "3", "-speeds", "1,1,0.5"},
+		{"-k", "3", "-async", "-speeds", "1,1,0.5", "-scenario", "lan"},
+	} {
+		parse(args...)
+		if _, err := simulatedNetwork(); err == nil {
+			t.Errorf("%v accepted", args)
+		}
+	}
+	parse("-k", "3", "-async", "-speeds", "1,1,0.5")
+	if _, err := simulatedNetwork(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -155,7 +155,8 @@ var (
 	NewAdaptiveTheta = core.NewAdaptiveTheta
 	// NewAsyncFDA wraps NewLinearFDA or NewSketchFDA as the asynchronous
 	// variant (§3.3): a session steps one worker's local step at a time
-	// on the fabric's virtual clock (SpeedsScenario sets the pace), and
+	// on the fabric's virtual clock of compute and link time
+	// (SpeedsScenario sets the pace over free links), and
 	// Result.StepsPerWorker reports each worker's progress.
 	NewAsyncFDA = core.NewAsyncFDA
 )

@@ -15,7 +15,8 @@ package comm
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"sync"
 
 	"repro/internal/tensor"
@@ -114,13 +115,7 @@ func (m *Meter) OpsFor(kind string) int64 {
 func (m *Meter) Kinds() []string {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	out := make([]string, 0, len(m.bytes))
-	//fda:allow(detmap, key collection is sorted two lines below; result is order-independent)
-	for k := range m.bytes {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
+	return slices.Sorted(maps.Keys(m.bytes))
 }
 
 // Snapshot returns a copy of the per-kind byte and operation counters,
@@ -129,29 +124,15 @@ func (m *Meter) Kinds() []string {
 func (m *Meter) Snapshot() (bytes, ops map[string]int64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	bytes = make(map[string]int64, len(m.bytes))
-	ops = make(map[string]int64, len(m.ops))
-	for k, v := range m.bytes {
-		bytes[k] = v
-	}
-	for k, v := range m.ops {
-		ops[k] = v
-	}
-	return bytes, ops
+	return maps.Clone(m.bytes), maps.Clone(m.ops)
 }
 
-// Restore overwrites the meter's counters with a Snapshot.
+// Restore overwrites the meter's counters with copies of a Snapshot's
+// maps, which must not be nil.
 func (m *Meter) Restore(bytes, ops map[string]int64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.bytes = make(map[string]int64, len(bytes))
-	m.ops = make(map[string]int64, len(ops))
-	for k, v := range bytes {
-		m.bytes[k] = v
-	}
-	for k, v := range ops {
-		m.ops[k] = v
-	}
+	m.bytes, m.ops = maps.Clone(bytes), maps.Clone(ops)
 }
 
 // Cluster is the in-process reference fabric: a simulated group of K

@@ -2,8 +2,9 @@ package comm
 
 import (
 	"fmt"
+	"maps"
 	"math"
-	"sort"
+	"slices"
 )
 
 // LinkProfile models one worker's attachment to the network plus its
@@ -105,12 +106,7 @@ func ScenarioByName(name string) (Scenario, error) {
 	if s, ok := Scenarios()[name]; ok {
 		return s, nil
 	}
-	names := make([]string, 0, 3)
-	//fda:allow(detmap, key collection is sorted before use; error-path only)
-	for n := range Scenarios() {
-		names = append(names, n)
-	}
-	sort.Strings(names)
+	names := slices.Sorted(maps.Keys(Scenarios()))
 	return Scenario{}, fmt.Errorf("comm: unknown network scenario %q (have %v)", name, names)
 }
 
@@ -140,9 +136,10 @@ func SpeedsScenario(speeds []float64) (Scenario, error) {
 // collective is gated by its worst participant — and StepDone advances
 // it by the slowest worker's compute time, with the scenario's
 // deterministic straggler schedule applied. An asynchronous FDA session
-// instead sets the clock to each worker's step completion, scheduled
-// from RankStepSec. The clock is a pure function of the (scenario,
-// operation sequence) pair; training math is untouched.
+// instead sets the clock to each worker's state arriving at the
+// coordinator, scheduled from RankStepSec and RankSendSec, and times its
+// synchronizations with TransferDone. The clock is a pure function of
+// the (scenario, operation sequence) pair; training math is untouched.
 type SimFabric struct {
 	*Cluster
 	scen  Scenario
@@ -188,6 +185,13 @@ func (f *SimFabric) RankStepSec(r, t int) float64 {
 		c *= f.scen.StragglerFactor
 	}
 	return c
+}
+
+// RankSendSec returns how long rank r's link takes to send bytes one
+// way: its latency plus the bytes at its bandwidth. Asynchronous FDA
+// times each worker's state upload with it.
+func (f *SimFabric) RankSendSec(r int, bytes int64) float64 {
+	return f.latency[r] + float64(bytes)*f.perByteSec[r]
 }
 
 // StepDone implements StepTimer: one lock-step global step completed;

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sort"
 
 	"repro/internal/checkpoint"
 	"repro/internal/comm"
@@ -18,34 +19,41 @@ import (
 // their local steps.
 
 // AsyncFDA is asynchronous FDA as a Session stepping mode. One Step is
-// one event: the earliest pending local-step completion on the fabric's
-// virtual clock (ties to the lower worker id). The moving worker's state
-// goes one-way to the coordinator, which evaluates H over the latest
-// state of every worker and, when H > Θ, gathers the models, averages
-// them and broadcasts the average; every state is then zero.
+// one event: the earliest pending state arrival at the coordinator on
+// the fabric's virtual clock (ties to the lower worker id). The moving
+// worker's state goes one-way to the coordinator, which evaluates H over
+// the latest state of every worker and, when H > Θ, gathers the models,
+// averages them and broadcasts the average; every state is then zero.
 //
-// The session needs a fabric that times each rank's steps — a
-// comm.SimFabric, whose ComputeSecPerStep·ComputeMult and straggler
-// schedule set each worker's pace (comm.SpeedsScenario builds one from
-// relative speeds). With no Fabric configured every worker takes one
-// virtual second per step. StepCount counts events, at most MaxSteps·K;
-// evaluation runs every EvalEvery·K events; Result.StepsPerWorker holds
-// each worker's local steps and Result.Steps their maximum.
+// The session needs a fabric that times each rank's steps and links — a
+// comm.SimFabric. A worker's cycle is its local step
+// (ComputeSecPerStep·ComputeMult and the straggler schedule) followed by
+// its state upload over its own link; a synchronization is timed like a
+// lock-step collective moving 2·d per worker, and every worker's pending
+// step waits it out. comm.SpeedsScenario builds a fabric from relative
+// speeds whose links take no time. With no Fabric configured every
+// worker takes one virtual second per step and communication takes none.
+// StepCount counts events, at most MaxSteps·K; evaluation runs every
+// EvalEvery·K events; Result.StepsPerWorker holds each worker's local
+// steps and Result.Steps their maximum.
 type AsyncFDA struct {
 	// inner is the wrapped *LinearFDA or *SketchFDA: its per-worker body
 	// computes the moving worker's state, its states are the
 	// coordinator's latest state per worker, and its estimator is H.
-	inner  Strategy
-	fda    *fdaBase // inner's; nil when inner is not an FDA variant
-	clock  rankClock
-	queue  eventQueue
-	global []float64 // a synchronization's averaged model
+	inner      Strategy
+	fda        *fdaBase // inner's; nil when inner is not an FDA variant
+	clock      rankClock
+	queue      eventQueue
+	global     []float64 // a synchronization's averaged model
+	stateBytes int64     // one state upload's charged size
 }
 
 // rankClock is the fabric face an asynchronous session steps on.
 type rankClock interface {
 	comm.VirtualClocker
+	comm.TransferTimer
 	RankStepSec(rank, step int) float64
+	RankSendSec(rank int, bytes int64) float64
 }
 
 // NewAsyncFDA wraps inner, which must be *LinearFDA or *SketchFDA, as
@@ -107,14 +115,23 @@ func (a *AsyncFDA) bind(cfg Config, fabric comm.Fabric) error {
 }
 
 // Init implements Strategy: the wrapped variant's Init, then every
-// worker's first step completion on the queue.
+// worker's first state arrival on the queue.
 func (a *AsyncFDA) Init(env *Env) {
 	a.inner.Init(env)
 	a.global = make([]float64, env.D)
+	a.stateBytes = int64(len(a.fda.states[0])) * int64(env.Fabric.Cost().BytesPerParam)
 	a.queue = make(eventQueue, 0, len(env.Workers))
 	for k := range env.Workers {
-		a.queue.push(stepEvent{at: a.clock.VirtualTime() + a.clock.RankStepSec(k, 1), worker: k})
+		a.queue.push(stepEvent{at: a.arrival(a.clock.VirtualTime(), k, 1), worker: k})
 	}
+}
+
+// arrival is when worker k's state after its local step n reaches the
+// coordinator, the step having started at sec: the step's compute time,
+// then the upload over k's link. The worker starts its next step once
+// its state has arrived.
+func (a *AsyncFDA) arrival(sec float64, k, n int) float64 {
+	return sec + a.clock.RankStepSec(k, n) + a.clock.RankSendSec(k, a.stateBytes)
 }
 
 // AfterLocalStep implements Strategy. An asynchronous session never
@@ -131,7 +148,7 @@ func (a *AsyncFDA) AfterLocalStep(*Env, int) {
 func (a *AsyncFDA) coordinate(env *Env, k int) {
 	b := a.fda
 	b.body(k, env.Workers[k])
-	env.Fabric.Meter().Charge("state", int64(len(b.states[k]))*int64(env.Fabric.Cost().BytesPerParam))
+	env.Fabric.Meter().Charge("state", a.stateBytes)
 	tensor.Mean(b.meanSt, b.states...)
 	h := b.estimate()
 	b.observe(h)
@@ -141,8 +158,9 @@ func (a *AsyncFDA) coordinate(env *Env, k int) {
 }
 
 // sync is the coordinator-led synchronization: gather every model,
-// average, broadcast (2·d per worker, charged as model traffic). After
-// it every drift, and so every state, is zero.
+// average, broadcast (2·d per worker, charged as model traffic). Every
+// worker takes part, so every pending arrival waits out its transfer
+// time. After it every drift, and so every state, is zero.
 func (a *AsyncFDA) sync(env *Env) {
 	tensor.Mean(a.global, env.paramViews...)
 	for _, w := range env.Workers {
@@ -150,7 +168,9 @@ func (a *AsyncFDA) sync(env *Env) {
 	}
 	env.advanceW0(a.global)
 	env.SyncCount++
-	env.Fabric.Meter().Charge("model", 2*int64(env.D)*int64(env.Fabric.Cost().BytesPerParam)*int64(len(env.Workers)))
+	perWorker := 2 * int64(env.D) * int64(env.Fabric.Cost().BytesPerParam)
+	env.Fabric.Meter().Charge("model", perWorker*int64(len(env.Workers)))
+	a.queue.delay(a.clock.TransferDone(perWorker))
 	for _, st := range a.fda.states {
 		tensor.Zero(st)
 	}
@@ -160,9 +180,9 @@ func (a *AsyncFDA) sync(env *Env) {
 }
 
 // stepWorker runs event t of an asynchronous session: the fabric clock
-// jumps to the earliest completion, that worker takes its local step,
-// its next completion is queued, and the coordinator reacts. It returns
-// the step's event and when the coordinator started.
+// jumps to the earliest arrival, that worker takes its local step, its
+// next arrival is queued, and the coordinator reacts. It returns the
+// step's event and when the coordinator started.
 //
 //fda:noalloc
 func (s *Session) stepWorker(t int) (StepEvent, int64) {
@@ -173,13 +193,13 @@ func (s *Session) stepWorker(t int) (StepEvent, int64) {
 	n := s.res.StepsPerWorker[ev.worker] + 1
 	s.res.StepsPerWorker[ev.worker] = n
 	s.res.Steps = max(s.res.Steps, n)
-	a.queue.push(stepEvent{at: ev.at + a.clock.RankStepSec(ev.worker, n+1), worker: ev.worker})
+	a.queue.push(stepEvent{at: a.arrival(ev.at, ev.worker, n+1), worker: ev.worker})
 	coordStart := obs.Clock()
 	a.coordinate(s.env, ev.worker)
 	return StepEvent{Step: t / s.cfg.K, Worker: ev.worker, VirtualTime: ev.at}, coordStart
 }
 
-// snapshotEvents adds an asynchronous session's pending completions (the
+// snapshotEvents adds an asynchronous session's pending arrivals (the
 // heap array as it stands, so a restored queue pops in the same order),
 // per-worker step counts and the coordinator's latest state per worker
 // to snap.
@@ -226,7 +246,7 @@ func (s *Session) restoreEvents(snap *checkpoint.Snapshot) error {
 	return nil
 }
 
-// stepEvent is one worker's next step completion in virtual time.
+// stepEvent is one worker's next state arrival in virtual time.
 type stepEvent struct {
 	at     float64
 	worker int
@@ -289,3 +309,17 @@ func (q *eventQueue) pop() stepEvent {
 		i = smallest
 	}
 }
+
+// delay postpones every event by sec. Rounding can tie two events that
+// were apart, so the queue is re-sorted: a sorted array is a heap.
+func (q eventQueue) delay(sec float64) {
+	if sec == 0 {
+		return
+	}
+	for i := range q {
+		q[i].at += sec
+	}
+	sort.Sort(q)
+}
+
+func (q eventQueue) Len() int { return len(q) }

@@ -2,6 +2,8 @@ package core
 
 import (
 	"context"
+	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/comm"
@@ -157,6 +159,52 @@ func TestAsyncVirtualTimeAdvances(t *testing.T) {
 			t.Fatalf("history clock %v after %v", p.VirtualSec, prev)
 		}
 		prev = p.VirtualSec
+	}
+}
+
+// TestAsyncClockCountsCommunication: a state upload adds its link's time
+// to its worker's cycle, and a synchronization delays every worker by its
+// transfer time, so at equal speeds the clock ends at
+// steps·(compute + upload) + syncs·(sync time). The sums are exact.
+func TestAsyncClockCountsCommunication(t *testing.T) {
+	cfg := testConfig(8)
+	cfg.MaxSteps = 40
+	scen := comm.Scenario{
+		Links:             []comm.LinkProfile{{BandwidthBps: math.Inf(1), LatencySec: 0.5}},
+		ComputeSecPerStep: 1,
+	}
+	res := runAsync(t, cfg, &scen)
+	if res.SyncCount == 0 {
+		t.Fatal("no synchronization to time")
+	}
+	if want := 40*1.5 + 0.5*float64(res.SyncCount); res.VirtualSec != want {
+		t.Fatalf("virtual time %v, want %v (%d syncs, steps %v)", res.VirtualSec, want, res.SyncCount, res.StepsPerWorker)
+	}
+}
+
+// TestAsyncResultIsACopy: a Result handed out mid-run keeps its
+// per-worker step counts while the session steps on.
+func TestAsyncResultIsACopy(t *testing.T) {
+	cfg := testConfig(9)
+	cfg.MaxSteps = 10
+	sess, err := NewSession(context.Background(), cfg, NewAsyncFDA(NewLinearFDA(0.1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	step := func() {
+		t.Helper()
+		if _, err := sess.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for range 3 {
+		step()
+	}
+	early := sess.Result()
+	want := slices.Clone(early.StepsPerWorker)
+	step()
+	if !slices.Equal(early.StepsPerWorker, want) {
+		t.Fatalf("handed-out steps moved from %v to %v", want, early.StepsPerWorker)
 	}
 }
 

@@ -23,8 +23,9 @@ type StepEvent struct {
 	// asynchronous FDA; -1 in lock-step sessions, where every worker
 	// steps together.
 	Worker int `json:"worker"`
-	// VirtualTime is the fabric's virtual clock at that worker's
-	// completion under asynchronous FDA; 0 in lock-step sessions.
+	// VirtualTime is the fabric's virtual clock when that worker's state
+	// reached the coordinator under asynchronous FDA; 0 in lock-step
+	// sessions.
 	VirtualTime float64 `json:"virtual_time,omitempty"`
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/checkpoint"
 	"repro/internal/comm"
@@ -157,8 +158,9 @@ func NewSession(ctx context.Context, cfg Config, strat Strategy) (*Session, erro
 	case fabric != nil:
 	case async != nil:
 		// Asynchronous FDA needs a clock; by default every worker takes
-		// one virtual second per step.
-		fabric = comm.NewSimFabric(cfg.K, cfg.Cost, comm.Scenario{ComputeSecPerStep: 1})
+		// one virtual second per step and communication takes none.
+		unit, _ := comm.SpeedsScenario([]float64{1}) // a valid rate: no error
+		fabric = comm.NewSimFabric(cfg.K, cfg.Cost, unit)
 	default:
 		fabric = comm.NewClusterWithCost(cfg.K, cfg.Cost)
 	}
@@ -409,7 +411,7 @@ func (s *Session) finish(err error) {
 	if err == nil {
 		s.fillTotals()
 	}
-	ev := DoneEvent{Result: s.res}
+	ev := DoneEvent{Result: s.Result()}
 	if err != nil {
 		ev.Err = err.Error()
 	}
@@ -430,10 +432,10 @@ func (s *Session) Run() (Result, error) {
 				// pre-session batch trainer.)
 				s.fillTotals()
 			}
-			return s.res, err
+			return s.Result(), err
 		}
 		if !more {
-			return s.res, nil
+			return s.Result(), nil
 		}
 	}
 }
@@ -450,8 +452,13 @@ func (s *Session) StepCount() int { return s.t }
 func (s *Session) Config() Config { return s.cfg }
 
 // Result returns the run summary accumulated so far; once Done it is
-// the final Result, bit-identical to what Run would have returned.
-func (s *Session) Result() Result { return s.res }
+// the final Result, bit-identical to what Run would have returned. The
+// Result is the caller's: stepping on does not change it.
+func (s *Session) Result() Result {
+	r := s.res
+	r.StepsPerWorker = slices.Clone(r.StepsPerWorker)
+	return r
+}
 
 // GlobalModel writes the current averaged global model into dst (live
 // serving helper; measurement only, not charged as communication). On a
@@ -496,17 +503,12 @@ func (s *Session) snapshot(withStrategy bool) (*checkpoint.Snapshot, error) {
 		for i, st := range w.Net.RNGStates() {
 			snap.AddU64(fmt.Sprintf("w%d.netrng.%d", k, i), st)
 		}
-		if snapOpt, ok := w.Opt.(opt.Snapshotter); ok {
-			vecs, counters := snapOpt.StateSnapshot()
-			for i, v := range vecs {
-				snap.AddVec(fmt.Sprintf("w%d.opt.v%d", k, i), v)
-			}
-			for i, c := range counters {
-				snap.AddU64(fmt.Sprintf("w%d.opt.c%d", k, i), c)
-			}
-		} else {
+		snapOpt, ok := w.Opt.(opt.Snapshotter)
+		if !ok {
 			return nil, fmt.Errorf("core: optimizer %s does not support snapshots", w.Opt.Name())
 		}
+		vecs, counters := snapOpt.StateSnapshot()
+		addState(snap, fmt.Sprintf("w%d.opt", k), vecs, counters)
 	}
 
 	bytes, ops := env.Fabric.Meter().Snapshot()
@@ -532,14 +534,34 @@ func (s *Session) snapshot(withStrategy bool) (*checkpoint.Snapshot, error) {
 		vecs, counters := r.StateSnapshot()
 		snap.AddU64("strat.nv", uint64(len(vecs)))
 		snap.AddU64("strat.nc", uint64(len(counters)))
-		for i, v := range vecs {
-			snap.AddVec(fmt.Sprintf("strat.v%d", i), v)
-		}
-		for i, c := range counters {
-			snap.AddU64(fmt.Sprintf("strat.c%d", i), c)
-		}
+		addState(snap, "strat", vecs, counters)
 	}
 	return snap, nil
+}
+
+// addState stores a strategy's or optimizer's state under prefix: vector
+// i as prefix.v<i>, counter i as prefix.c<i>.
+func addState(snap *checkpoint.Snapshot, prefix string, vecs [][]float64, counters []uint64) {
+	for i, v := range vecs {
+		snap.AddVec(fmt.Sprintf("%s.v%d", prefix, i), v)
+	}
+	for i, c := range counters {
+		snap.AddU64(fmt.Sprintf("%s.c%d", prefix, i), c)
+	}
+}
+
+// stateAt reads back nv vectors and nc counters addState stored under
+// prefix; a missing section reads as nil or zero.
+func stateAt(snap *checkpoint.Snapshot, prefix string, nv, nc int) ([][]float64, []uint64) {
+	vecs := make([][]float64, nv)
+	for i := range vecs {
+		vecs[i] = snap.Vec(fmt.Sprintf("%s.v%d", prefix, i))
+	}
+	counters := make([]uint64, nc)
+	for i := range counters {
+		counters[i], _ = snap.U64(fmt.Sprintf("%s.c%d", prefix, i))
+	}
+	return vecs, counters
 }
 
 // resumableStrategy returns the strategy whose cross-step state the
@@ -636,14 +658,7 @@ func (s *Session) Restore(snap *checkpoint.Snapshot) error {
 		}
 		// The live optimizer's own snapshot declares the expected shapes.
 		liveVecs, liveCounters := snapOpt.StateSnapshot()
-		vecs := make([][]float64, len(liveVecs))
-		for i := range vecs {
-			vecs[i] = snap.Vec(fmt.Sprintf("w%d.opt.v%d", k, i))
-		}
-		counters := make([]uint64, len(liveCounters))
-		for i := range counters {
-			counters[i], _ = snap.U64(fmt.Sprintf("w%d.opt.c%d", k, i))
-		}
+		vecs, counters := stateAt(snap, fmt.Sprintf("w%d.opt", k), len(liveVecs), len(liveCounters))
 		if err := snapOpt.RestoreState(vecs, counters); err != nil {
 			return fmt.Errorf("core: worker %d optimizer: %w", k, err)
 		}
@@ -686,14 +701,7 @@ func (s *Session) Restore(snap *checkpoint.Snapshot) error {
 		if _, hasStrat := snap.U64("strat.nv"); hasStrat {
 			nv, _ := snap.U64("strat.nv")
 			nc, _ := snap.U64("strat.nc")
-			vecs := make([][]float64, nv)
-			for i := range vecs {
-				vecs[i] = snap.Vec(fmt.Sprintf("strat.v%d", i))
-			}
-			counters := make([]uint64, nc)
-			for i := range counters {
-				counters[i], _ = snap.U64(fmt.Sprintf("strat.c%d", i))
-			}
+			vecs, counters := stateAt(snap, "strat", int(nv), int(nc))
 			if err := r.RestoreState(vecs, counters); err != nil {
 				return fmt.Errorf("core: strategy state: %w", err)
 			}
