@@ -47,13 +47,15 @@ lint:
 # bundle parser, the Prometheus exposition validator, the tracev1
 # reader, the gateway's submission classifier (request body → job
 # spec → dedupe key) and its id rewriter (replica body → namespaced
-# body, every other value byte-equal) — parsers that consume bytes from
-# disk, socket or an HTTP peer — and the kernel-vs-scalar-loop
+# body, every other value byte-equal), fdaserve's job-journal recovery
+# and the run registry's manifest check — parsers that consume bytes
+# from disk, socket or an HTTP peer — and the kernel-vs-scalar-loop
 # equality of internal/tensor, where the fuzzer picks lengths,
 # misalignments, aliasing and raw float bits for every kernel that has
-# an assembly body, and of internal/nn's convolution layer, where it
-# picks the geometry, the sample count and the float bits and the layer
-# must match the direct convolution and its pre-GEMM form bit for bit.
+# an assembly body, and of internal/nn's convolution and 2×2 max-pool
+# layers, where it picks the geometry, the sample or plane count and
+# the float bits and the layer must match the direct convolution and
+# its pre-GEMM form, or the strict-> window scan, bit for bit.
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test ./internal/checkpoint -fuzz FuzzUnmarshal -fuzztime $(FUZZTIME)
@@ -67,6 +69,9 @@ fuzz:
 	$(GO) test ./internal/cluster -fuzz FuzzRewriteID -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/tensor -fuzz FuzzKernelsMatchScalar -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/nn -fuzz FuzzConvMatchesDirectReference -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/nn -fuzz FuzzMaxPoolMatchesScalar -fuzztime $(FUZZTIME)
+	$(GO) test ./cmd/fdaserve -fuzz FuzzJournalRecover -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/runstore -fuzz FuzzStoreManifest -fuzztime $(FUZZTIME)
 
 # The public surface of the fda package is pinned in docs/fda-api.txt
 # (a go doc -all dump). apicheck fails when a change alters it without

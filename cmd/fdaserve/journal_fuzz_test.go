@@ -1,0 +1,69 @@
+package main
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"os"
+	"path/filepath"
+	"testing"
+
+	"repro/internal/runstore"
+)
+
+// FuzzJournalRecover hands recovery arbitrary jobs.jsonl bytes: the file
+// a crash can tear anywhere and an operator can edit by hand. Reading and
+// recovering never panic, compacting the journal and reading it back
+// returns the entries it was compacted from, every job recovery
+// resurrects is interrupted, and the next job gets an id that no
+// journaled job holds.
+func FuzzJournalRecover(f *testing.F) {
+	f.Add([]byte(`{"time":"2026-08-08T00:00:00Z","key":"sweep|smoke|tiny|9","id":"r7","kind":"sweep","experiment":"smoke","scale":"tiny","seed":9,"status":"running","cells":2,"executed":1}` + "\n" + `{"time":"2026-08-08T0`))
+	f.Add([]byte(`{"id":"r3","status":"running"}` + "\n" + `{"id":"r3","status":"done"}` + "\n" + `{"id":"r12","status":"interrupted","key":"k"}` + "\r\n"))
+	f.Add([]byte("\n\n{}\n[1,2]\nnull\n{\"id\":\"\"}\n{\"id\":\"r+4\",\"status\":\"running\"}\n{\"id\":\"r 5x\"}\n"))
+	f.Add([]byte(`{"time":"2026-08-08T10:00:00+05:30","id":"r1","status":"failed","error":"ÿ\ud800"}`))
+	// An id at the counter's ceiling: continuing past it wrapped the
+	// counter round to an id the journal already held.
+	f.Add([]byte(`{"id":"r9223372036854775807","status":"done"}` + "\n" + `{"id":"r-9223372036854775808","status":"running"}` + "\n"))
+	f.Fuzz(func(t *testing.T, body []byte) {
+		dir := t.TempDir()
+		st, err := runstore.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, "jobs.jsonl"), body, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s := newServer(st, 1, context.Background())
+		journaled, err := s.journal.read()
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.journal.compact(journaled)
+		again, err := s.journal.read()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _ := json.Marshal(journaled)
+		got, _ := json.Marshal(again)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("compacted journal reads back as\n%s\nnot\n%s", got, want)
+		}
+
+		s.recoverJournal()
+		for _, id := range s.order {
+			if st := s.byID[id].view().Status; st != statusInterrupted {
+				t.Fatalf("job %q resurrected as %q", id, st)
+			}
+		}
+		j, _, _, err := s.createJob("fuzz|next", func(*job) {})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range journaled {
+			if e.ID == j.ID {
+				t.Fatalf("new job got id %q, which the journal already holds", j.ID)
+			}
+		}
+	})
+}

@@ -1018,8 +1018,10 @@ func (s *server) recoverJournal() {
 	}
 	s.mu.Lock()
 	for i, e := range entries {
+		// An id at the counter's ceiling is not continued past: the
+		// counter would wrap round to ids the journal may hold.
 		var n int
-		if _, err := fmt.Sscanf(e.ID, "r%d", &n); err == nil && n > s.nextID {
+		if _, err := fmt.Sscanf(e.ID, "r%d", &n); err == nil && n > s.nextID && n < math.MaxInt {
 			s.nextID = n
 		}
 		if e.Status != statusRunning && e.Status != statusInterrupted {

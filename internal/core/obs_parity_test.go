@@ -11,7 +11,7 @@ import (
 )
 
 // The telemetry bit-exactness contract (ISSUE 7): training results are
-// identical with observability off, on, or on with span sampling —
+// identical with observability off, on, or on with tracing armed —
 // metrics and traces read the trajectory, they never steer it. Every
 // strategy family runs three times under the three modes and the
 // Results must be deeply equal, float64 bit for float64 bit.
@@ -19,7 +19,7 @@ import (
 // runWithObs executes one run in the requested telemetry mode,
 // restoring the process-global switches afterwards (the obs layer is
 // process-wide state, so this test must not run in parallel).
-func runWithObs(t *testing.T, cfg Config, strat Strategy, enable bool, traceFile string, sampleEvery int) Result {
+func runWithObs(t *testing.T, cfg Config, strat Strategy, enable bool, traceFile string) Result {
 	t.Helper()
 	if enable {
 		obs.Enable()
@@ -33,9 +33,7 @@ func runWithObs(t *testing.T, cfg Config, strat Strategy, enable bool, traceFile
 		if err := obs.TraceTo(f); err != nil {
 			t.Fatal(err)
 		}
-		obs.SetSampleEvery(sampleEvery)
 		defer func() {
-			obs.SetSampleEvery(1)
 			if err := obs.StopTrace(); err != nil {
 				t.Fatal(err)
 			}
@@ -52,14 +50,14 @@ func TestObsParityAllStrategies(t *testing.T) {
 
 	for name, mk := range parityStrategies(base) {
 		t.Run(name, func(t *testing.T) {
-			off := runWithObs(t, base, mk(), false, "", 0)
-			on := runWithObs(t, base, mk(), true, "", 0)
+			off := runWithObs(t, base, mk(), false, "")
+			on := runWithObs(t, base, mk(), true, "")
 			if !reflect.DeepEqual(off, on) {
 				t.Fatalf("metrics-enabled run diverged from disabled:\noff: %v\non:  %v", off, on)
 			}
-			traced := runWithObs(t, base, mk(), true, filepath.Join(dir, name+".json"), 3)
+			traced := runWithObs(t, base, mk(), true, filepath.Join(dir, name+".json"))
 			if !reflect.DeepEqual(off, traced) {
-				t.Fatalf("traced+sampled run diverged from disabled:\noff:    %v\ntraced: %v", off, traced)
+				t.Fatalf("traced run diverged from disabled:\noff:    %v\ntraced: %v", off, traced)
 			}
 		})
 	}
@@ -76,8 +74,8 @@ func TestObsParityVirtualClock(t *testing.T) {
 		cfg.Fabric = comm.NewSimFabric(cfg.K, cfg.Cost, comm.ScenarioStraggler)
 		return cfg
 	}
-	off := runWithObs(t, mkCfg(), NewLinearFDA(0.1), false, "", 0)
-	traced := runWithObs(t, mkCfg(), NewLinearFDA(0.1), true, filepath.Join(t.TempDir(), "sim.json"), 1)
+	off := runWithObs(t, mkCfg(), NewLinearFDA(0.1), false, "")
+	traced := runWithObs(t, mkCfg(), NewLinearFDA(0.1), true, filepath.Join(t.TempDir(), "sim.json"))
 	if !reflect.DeepEqual(off, traced) {
 		t.Fatalf("traced SimFabric run diverged:\noff:    %v\ntraced: %v", off, traced)
 	}

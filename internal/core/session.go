@@ -250,10 +250,9 @@ func (s *Session) Step() (bool, error) {
 
 	t := s.t + 1
 	// Telemetry stamps and spans are side-channel reads: they observe
-	// the step, never steer it. Disabled, each costs one atomic load;
-	// the per-step span honors the trace sampling stride.
+	// the step, never steer it. Disabled, each costs one atomic load.
 	stepStart := obs.Clock()
-	sp := obs.StartRegionEvery("step", "session", int64(t))
+	sp := obs.StartRegion("step", "session")
 	prevSyncs := s.env.SyncCount
 	var ev StepEvent
 	var syncStart int64

@@ -1,6 +1,10 @@
 package nn
 
-import "repro/internal/tensor"
+import (
+	"sync"
+
+	"repro/internal/tensor"
+)
 
 // Conv2D is a 2-D convolution over channel-major volumes (layout
 // [c][h][w] flattened), stride 1, with "same" zero padding for odd kernel
@@ -25,7 +29,7 @@ type Conv2D struct {
 	gin []float64 // input-gradient buffer
 
 	// taps is the geometry of the k·k kernel taps, shared by every input
-	// channel.
+	// channel and by every layer on the same image geometry.
 	taps []convTap
 
 	// Scratch owned by the layer and reused across micro-batches so the
@@ -48,24 +52,60 @@ type Conv2D struct {
 // the output pixels whose input pixel under the tap exists run from lo
 // to hi, and that input pixel sits off = di·W + dj further on — so the
 // whole tap is one shifted span, except that for dj ≠ 0 the shift drags
-// |dj| pixels across each image-row boundary inside the span: gap
-// entries starting at gapAt and every W from there, which belong to the
-// padding. A tap entirely in the padding has lo = hi = 0.
+// |dj| pixels across each image-row boundary inside the span, which
+// belong to the padding. mask has one element per span entry: all ones,
+// and zero at those wrapped entries. A tap entirely in the padding has
+// lo = hi = 0.
 type convTap struct {
 	lo, hi, off int
-	gapAt, gap  int
+	mask        []uint64
 }
 
-// zeroWrapped clears the entries of a plane-length patch row that the
-// shifted span carried across an image-row boundary.
-//
-//fda:noalloc
-func (t convTap) zeroWrapped(row []float64, w int) {
-	for p := t.gapAt; p < t.hi; p += w {
-		for q := p; q < p+t.gap; q++ {
-			row[q] = 0
+// tapCache holds every image geometry's taps: they depend on (H, W, k)
+// alone, so each geometry's are built once per process and shared,
+// read-only, by every layer and replica that has it.
+var tapCache = struct {
+	sync.Mutex
+	m map[[3]int][]convTap
+}{m: map[[3]int][]convTap{}}
+
+// convTaps returns the k·k taps of a k×k kernel on an h×w image in
+// weight order.
+func convTaps(h, w, k int) []convTap {
+	tapCache.Lock()
+	defer tapCache.Unlock()
+	key := [3]int{h, w, k}
+	if taps, ok := tapCache.m[key]; ok {
+		return taps
+	}
+	pad := k / 2
+	// One plane-length mask per column shift: entry p is all ones where
+	// column p mod w still has an input pixel under the shift.
+	masks := make([][]uint64, k)
+	for kj := range masks {
+		masks[kj] = make([]uint64, h*w)
+		for p := range masks[kj] {
+			if j := p%w + kj - pad; j >= 0 && j < w {
+				masks[kj][p] = ^uint64(0)
+			}
 		}
 	}
+	taps := make([]convTap, 0, k*k)
+	for ki := 0; ki < k; ki++ {
+		for kj := 0; kj < k; kj++ {
+			di, dj := ki-pad, kj-pad
+			iLo, iHi := max(0, -di), min(h, h-di)
+			jLo, jHi := max(0, -dj), min(w, w-dj)
+			var t convTap
+			if iLo < iHi && jLo < jHi {
+				lo, hi := iLo*w+jLo, (iHi-1)*w+jHi
+				t = convTap{lo: lo, hi: hi, off: di*w + dj, mask: masks[kj][lo:hi]}
+			}
+			taps = append(taps, t)
+		}
+	}
+	tapCache.m[key] = taps
+	return taps
 }
 
 // NewConv2D returns a same-padded stride-1 convolution with a square odd
@@ -77,26 +117,14 @@ func NewConv2D(in Shape, outC, k int, scheme InitScheme) *Conv2D {
 	if k <= 0 || k%2 == 0 {
 		panic("nn: Conv2D kernel must be positive and odd")
 	}
-	l := &Conv2D{in: in, outC: outC, k: k, scheme: scheme}
-	h, w, pad := in.H, in.W, k/2
-	for ki := 0; ki < k; ki++ {
-		for kj := 0; kj < k; kj++ {
-			di, dj := ki-pad, kj-pad
-			iLo, iHi := max(0, -di), min(h, h-di)
-			jLo, jHi := max(0, -dj), min(w, w-dj)
-			var t convTap
-			if iLo < iHi && jLo < jHi {
-				t = convTap{lo: iLo*w + jLo, hi: (iHi-1)*w + jHi, off: di*w + dj,
-					gapAt: iLo*w + jHi, gap: w - (jHi - jLo)}
-			}
-			l.taps = append(l.taps, t)
-		}
+	plane := in.H * in.W
+	return &Conv2D{in: in, outC: outC, k: k, scheme: scheme,
+		taps:  convTaps(in.H, in.W, k),
+		patch: tensor.Mat{Rows: in.C * k * k, Cols: plane},
+		gws:   make([]float64, outC*in.C*k*k),
+		gcol:  make([]float64, plane),
+		gcol2: make([]float64, plane),
 	}
-	l.patch = tensor.Mat{Rows: in.C * k * k, Cols: h * w}
-	l.gws = make([]float64, outC*in.C*k*k)
-	l.gcol = make([]float64, h*w)
-	l.gcol2 = make([]float64, h*w)
-	return l
 }
 
 // OutShape returns the output volume (same H, W; outC channels).
@@ -128,8 +156,8 @@ func (l *Conv2D) Init(rng *tensor.RNG) {
 // im2col lowers one sample x into its patch matrix: row r = (ic, ki, kj)
 // (the weight layout) holds, pixel by pixel, the input value that kernel
 // tap touches, with zeros where the tap falls into the padding — per tap
-// one shifted copy of the channel plane, zeros either side of the span
-// and over the entries that wrapped inside it.
+// zeros either side of the span and one masked copy of the shifted
+// channel plane, which stores +0 over the entries that wrapped.
 //
 //fda:noalloc
 func (l *Conv2D) im2col(cols, x []float64) {
@@ -140,9 +168,8 @@ func (l *Conv2D) im2col(cols, x []float64) {
 		for _, t := range l.taps {
 			row := cols[r*plane : (r+1)*plane]
 			tensor.Zero(row[:t.lo])
-			copy(row[t.lo:t.hi], xin[t.lo+t.off:t.hi+t.off])
+			tensor.MaskedCopy(row[t.lo:t.hi], xin[t.lo+t.off:t.hi+t.off], t.mask)
 			tensor.Zero(row[t.hi:])
-			t.zeroWrapped(row, l.in.W)
 			r++
 		}
 	}
@@ -274,17 +301,16 @@ func (l *Conv2D) Backward(gradOut []float64, needInput bool) []float64 {
 
 // scatterTap adds the plane-length patch-gradient row of kernel tap r
 // into the input gradient at that tap's spatial offset (col2im for one
-// row): im2col's shifted span run backwards as one Accumulate. The
-// wrapped entries are zeroed in gcol first, so they add +0 to gin — and
+// row): im2col's shifted span run backwards as one masked add. The
+// wrapped entries of gcol, whatever they hold, are masked to +0 — and
 // gin, summed up from +0, is never −0, the one value +0 would change.
 //
 //fda:noalloc
 func (l *Conv2D) scatterTap(gin, gcol []float64, r int) {
 	kk := l.k * l.k
-	t := l.taps[r%kk]
-	t.zeroWrapped(gcol, l.in.W)
+	t := &l.taps[r%kk]
 	at := r/kk*l.in.H*l.in.W + t.off
-	tensor.Accumulate(gin[at+t.lo:at+t.hi], gcol[t.lo:t.hi])
+	tensor.MaskedAdd(gin[at+t.lo:at+t.hi], gcol[t.lo:t.hi], t.mask)
 }
 
 // MaxPool2D is a non-overlapping max pooling layer with a square window.
@@ -327,7 +353,9 @@ func (l *MaxPool2D) Forward(x []float64, _ bool) []float64 {
 	l.y = grow(l.y, planes*oh*ow)
 	l.arg = grow(l.arg, planes*oh*ow)
 	if l.size == 2 {
-		l.forward2(x, planes)
+		// Every pooling layer of the model zoo: the micro-batch's planes
+		// in one call, with the generic scan's tie and NaN handling.
+		tensor.MaxPool2x2(l.y, l.arg, x[:planes*h*w], w)
 		return l.y
 	}
 	for c := 0; c < planes; c++ {
@@ -352,41 +380,6 @@ func (l *MaxPool2D) Forward(x []float64, _ bool) []float64 {
 		}
 	}
 	return l.y
-}
-
-// forward2 is the 2×2 window specialization (every pooling layer in the
-// model zoo): the four candidates are compared branch-by-branch without
-// the generic window loops or per-candidate index multiplication. Tie
-// handling matches the generic path — strictly-greater wins, so the
-// first candidate in window scan order is kept on ties.
-func (l *MaxPool2D) forward2(x []float64, planes int) {
-	h, w := l.in.H, l.in.W
-	oh, ow := h/2, w/2
-	for c := 0; c < planes; c++ {
-		xin := x[c*h*w:]
-		o := c * oh * ow
-		for i := 0; i < oh; i++ {
-			top := 2 * i * w
-			bot := top + w
-			for j := 0; j < ow; j++ {
-				i00 := top + 2*j
-				bestIdx, best := i00, xin[i00]
-				if v := xin[i00+1]; v > best {
-					bestIdx, best = i00+1, v
-				}
-				i10 := bot + 2*j
-				if v := xin[i10]; v > best {
-					bestIdx, best = i10, v
-				}
-				if v := xin[i10+1]; v > best {
-					bestIdx, best = i10+1, v
-				}
-				l.y[o] = best
-				l.arg[o] = c*h*w + bestIdx
-				o++
-			}
-		}
-	}
 }
 
 //fda:noalloc

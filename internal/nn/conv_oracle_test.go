@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"sync"
 	"testing"
 
 	"repro/internal/tensor"
@@ -495,6 +496,33 @@ func TestScatterTapIgnoresWrappedEntries(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestConvTapsSharedAcrossGoroutines: layers built at once on several
+// goroutines, as concurrent jobs and replicas build them, share one set
+// of taps and masks per image geometry, and each still matches the
+// pre-change layer.
+func TestConvTapsSharedAcrossGoroutines(t *testing.T) {
+	const workers = 8
+	layers, oracles := make([]*Conv2D, workers), make([]*oracleConv2D, workers)
+	var wg sync.WaitGroup
+	for g := range layers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			z := zooConvs[g%3] // 8×8, 4×4, and 8×8 again with other channels
+			layers[g], oracles[g] = newConvPair(z.in, z.outC, 3, uint64(700+g))
+		}()
+	}
+	wg.Wait()
+	for g, l := range layers {
+		if want := convTaps(l.in.H, l.in.W, 3); &l.taps[0] != &want[0] {
+			t.Fatalf("layer %d built its own taps for %+v", g, l.in)
+		}
+		rng := tensor.NewRNG(uint64(800 + g))
+		checkConvAgainstOracle(t, l, oracles[g], reluLike(rng, 2*l.InDim()), reluLike(rng, 2*l.OutDim()), true,
+			fmt.Sprintf("%+v", l.in))
 	}
 }
 

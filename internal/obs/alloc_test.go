@@ -56,7 +56,4 @@ func TestSpanZeroAllocsDisarmed(t *testing.T) {
 	assertZeroAllocs(t, "StartRegion/End disarmed", func() {
 		StartRegion("step", "session").End()
 	})
-	assertZeroAllocs(t, "StartRegionEvery disarmed", func() {
-		StartRegionEvery("step", "session", 7).End()
-	})
 }

@@ -26,23 +26,6 @@ type Tracer struct {
 // active is the process's tracer, nil when tracing is off.
 var active atomic.Pointer[Tracer]
 
-// sampleEvery is the span sampling stride for StartRegionEvery: 1
-// records everything, n>1 records every n-th sequence number.
-var sampleEvery atomic.Int64
-
-func init() { sampleEvery.Store(1) }
-
-// SetSampleEvery sets the sampling stride for high-frequency spans
-// (the per-step session span): n ≤ 1 records every span, n > 1 records
-// sequence numbers divisible by n. Sampling changes which spans are
-// written, never what the traced code computes.
-func SetSampleEvery(n int) {
-	if n < 1 {
-		n = 1
-	}
-	sampleEvery.Store(int64(n))
-}
-
 // TraceTo arms tracing: subsequent spans are appended to w as a Chrome
 // trace-event JSON array. If w implements io.Closer, StopTrace closes
 // it. An error is returned if a trace is already active.
@@ -92,8 +75,8 @@ func Tracing() bool { return active.Load() != nil }
 
 // Region is an in-flight span (after runtime/trace's StartRegion). It
 // is a value: starting one allocates nothing, and the zero Region —
-// returned whenever tracing is off or the span is sampled out — makes
-// every method a no-op after one nil check.
+// returned whenever tracing is off — makes every method a no-op after
+// one nil check.
 type Region struct {
 	t     *Tracer
 	name  string
@@ -109,22 +92,6 @@ type Region struct {
 func StartRegion(name, cat string) Region {
 	t := active.Load()
 	if t == nil {
-		return Region{}
-	}
-	return Region{t: t, name: name, cat: cat, start: clockNow()}
-}
-
-// StartRegionEvery is StartRegion under the sampling stride: the span
-// is recorded only when seq is a multiple of SetSampleEvery's n. Use
-// for per-step-frequency spans where full traces would dominate.
-//
-//fda:noalloc
-func StartRegionEvery(name, cat string, seq int64) Region {
-	t := active.Load()
-	if t == nil {
-		return Region{}
-	}
-	if n := sampleEvery.Load(); n > 1 && seq%n != 0 {
 		return Region{}
 	}
 	return Region{t: t, name: name, cat: cat, start: clockNow()}

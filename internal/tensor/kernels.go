@@ -10,9 +10,10 @@
 // its scalar reference with exact (==) comparisons.
 //
 // On amd64 with AVX2 the AXPY/Dot4 families, the reduction-free sweeps
-// (Scale, ScaleAdd, AXPYTo, ReLU, ReLUGrad), AdamStep and MatVec's
-// 4-row × 8-sample tile hand vectors of at least simdMinLen elements to
-// the assembly bodies in kernels_amd64.s, which are bit-identical to the
+// (Scale, ScaleAdd, AXPYTo, ReLU, ReLUGrad, MaskedCopy, MaskedAdd),
+// AdamStep and MatVec's 4-row × 8-sample tile hand vectors of at least
+// simdMinLen elements, and MaxPool2x2 every call, to the assembly
+// bodies in kernels_amd64.s, which are bit-identical to the
 // Go loops below (lanes hold independent elements or independent
 // accumulators, no FMA — DESIGN.md §7). The Go loops remain the
 // specification, the path for short vectors, and the only path on other
@@ -275,6 +276,85 @@ func Accumulate(dst, src []float64) {
 	}
 	for ; i < n; i++ {
 		dst[i] += src[i]
+	}
+}
+
+// MaskedCopy stores src into dst with every bit cleared where mask's is:
+// an all-ones mask element keeps src's bits exactly (NaN payloads
+// included), a zero one stores +0. The im2col kernel: one shifted span
+// per tap, its entries that wrapped across an image-row boundary masked
+// to the padding's +0.
+//
+//fda:noalloc
+func MaskedCopy(dst, src []float64, mask []uint64) {
+	checkLen("MaskedCopy", dst, src)
+	if len(mask) != len(dst) {
+		lenPanic("MaskedCopy", len(mask), len(dst))
+	}
+	if useAVX2 && len(dst) >= simdMinLen {
+		maskedCopyAVX2(dst, src, mask)
+		return
+	}
+	src = src[:len(mask)]
+	for i, m := range mask {
+		dst[i] = math.Float64frombits(math.Float64bits(src[i]) & m)
+	}
+}
+
+// MaskedAdd adds src, masked as in MaskedCopy, into dst: the col2im
+// kernel, where a masked-out entry adds +0.
+//
+//fda:noalloc
+func MaskedAdd(dst, src []float64, mask []uint64) {
+	checkLen("MaskedAdd", dst, src)
+	if len(mask) != len(dst) {
+		lenPanic("MaskedAdd", len(mask), len(dst))
+	}
+	if useAVX2 && len(dst) >= simdMinLen {
+		maskedAddAVX2(dst, src, mask)
+		return
+	}
+	src = src[:len(mask)]
+	for i, m := range mask {
+		dst[i] += math.Float64frombits(math.Float64bits(src[i]) & m)
+	}
+}
+
+// MaxPool2x2 is the 2×2 max pool over image rows of even width w stored
+// back to back in x — a micro-batch's planes, whose output rows follow one
+// another the same way. Output o = R·w/2 + j takes the largest of the
+// window x[a], x[a+1], x[a+w], x[a+w+1] at a = 2R·w + 2j, scanned in that
+// order with a strict >: a tie (+0 against −0 included) keeps the first
+// candidate, and a NaN wins only from the first position. arg[o] is the
+// winner's index into x. The assembly scans four windows at a time with
+// VCMPPD (GT_OQ, false on a NaN like Go's >) and VBLENDVPD in the same
+// order: this loop without its unpredictable branches.
+//
+//fda:noalloc
+func MaxPool2x2(y []float64, arg []int, x []float64, w int) {
+	if w < 2 || w%2 != 0 || len(y)%(w/2) != 0 || len(arg) != len(y) || len(x) != 4*len(y) {
+		lenPanic("MaxPool2x2 (whole rows of an even width)", len(x), 4*len(y))
+	}
+	if useAVX2 {
+		maxPool2x2AVX2(y, arg, x, len(y)/(w/2), w)
+		return
+	}
+	o := 0
+	for top := 0; top < len(x); top += 2 * w {
+		for a := top; a < top+w; a += 2 {
+			i, best := a, x[a]
+			if v := x[a+1]; v > best {
+				i, best = a+1, v
+			}
+			if v := x[a+w]; v > best {
+				i, best = a+w, v
+			}
+			if v := x[a+w+1]; v > best {
+				i, best = a+w+1, v
+			}
+			y[o], arg[o] = best, i
+			o++
+		}
 	}
 }
 

@@ -78,3 +78,15 @@ func reluGradAVX2(dst, g, out []float64)
 //go:noescape
 //fda:noalloc
 func dot4x8AVX2(dst []float64, stride int, w, x []float64, n int)
+
+//go:noescape
+//fda:noalloc
+func maskedCopyAVX2(dst, src []float64, mask []uint64)
+
+//go:noescape
+//fda:noalloc
+func maskedAddAVX2(dst, src []float64, mask []uint64)
+
+//go:noescape
+//fda:noalloc
+func maxPool2x2AVX2(y []float64, arg []int, x []float64, rows, w int)

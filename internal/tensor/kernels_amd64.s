@@ -11,8 +11,10 @@
 //     every sum still runs strictly left to right;
 //   - only VMULPD/VADDPD/VSUBPD/VDIVPD/VSQRTPD and their scalar forms,
 //     which round each lane exactly as MULSD/ADDSD/… round a scalar, and
-//     the integer compare-and-mask forms of the ReLU pair, which round
-//     nothing. No FMA, anywhere: a fused multiply-add rounds once where
+//     the compare, select and mask forms of the ReLU pair, the masked
+//     spans and the max pool (VPCMPGTQ/VPCMPEQQ/VPANDN, VANDPD,
+//     VCMPPD/VBLENDVPD), which move bits and round nothing. No FMA,
+//     anywhere: a fused multiply-add rounds once where
 //     the Go code rounds twice (kernels_simd_test.go fails on the
 //     mnemonic);
 //   - operations are issued per element in the order the Go source
@@ -21,7 +23,10 @@
 // Each routine finishes its own tail (n mod 4, or all of a short n) with
 // the scalar forms of the same instructions, and executes VZEROUPPER
 // before every RET so the SSE code the Go compiler emits pays no
-// transition penalty. Slices may be 8-byte aligned only: all vector
+// transition penalty. Inside a routine that touches a Y register every
+// instruction naming an X register is VEX-encoded (VMOVQ, never MOVQ):
+// one legacy SSE instruction between 256-bit ones pays that penalty on
+// every pass of the loop. Slices may be 8-byte aligned only: all vector
 // memory accesses are unaligned forms. Callers guarantee every input is
 // at least as long as the slice whose length the routine reads.
 
@@ -830,5 +835,216 @@ dot4x8_done:
 	VMOVUPD Y6, (DI)
 	ADDQ    DX, DI
 	VMOVUPD Y7, (DI)
+	VZEROUPPER
+	RET
+
+// func maskedCopyAVX2(dst, src []float64, mask []uint64)
+// dst[i] = src[i] with every bit cleared where mask[i]'s is, i < len(dst).
+TEXT ·maskedCopyAVX2(SB), NOSPLIT, $0-72
+	MOVQ dst_base+0(FP), DI
+	MOVQ dst_len+8(FP), CX
+	MOVQ src_base+24(FP), SI
+	MOVQ mask_base+48(FP), DX
+	XORQ AX, AX
+	SUBQ $4, CX
+	JL   maskcopy_tail
+
+maskcopy_loop4:
+	VMOVUPD (SI)(AX*8), Y0
+	VANDPD  (DX)(AX*8), Y0, Y0
+	VMOVUPD Y0, (DI)(AX*8)
+	ADDQ    $4, AX
+	CMPQ    AX, CX
+	JLE     maskcopy_loop4
+
+maskcopy_tail:
+	ADDQ $4, CX
+	CMPQ AX, CX
+	JGE  maskcopy_done
+
+maskcopy_loop1:
+	MOVQ (SI)(AX*8), BX
+	ANDQ (DX)(AX*8), BX
+	MOVQ BX, (DI)(AX*8)
+	INCQ AX
+	CMPQ AX, CX
+	JL   maskcopy_loop1
+
+maskcopy_done:
+	VZEROUPPER
+	RET
+
+// func maskedAddAVX2(dst, src []float64, mask []uint64)
+// dst[i] = dst[i] + (src[i] masked by mask[i]), i < len(dst).
+TEXT ·maskedAddAVX2(SB), NOSPLIT, $0-72
+	MOVQ dst_base+0(FP), DI
+	MOVQ dst_len+8(FP), CX
+	MOVQ src_base+24(FP), SI
+	MOVQ mask_base+48(FP), DX
+	XORQ AX, AX
+	SUBQ $4, CX
+	JL   maskadd_tail
+
+maskadd_loop4:
+	VMOVUPD (SI)(AX*8), Y0
+	VANDPD  (DX)(AX*8), Y0, Y0
+	VMOVUPD (DI)(AX*8), Y1
+	VADDPD  Y0, Y1, Y1
+	VMOVUPD Y1, (DI)(AX*8)
+	ADDQ    $4, AX
+	CMPQ    AX, CX
+	JLE     maskadd_loop4
+
+maskadd_tail:
+	ADDQ $4, CX
+	CMPQ AX, CX
+	JGE  maskadd_done
+
+maskadd_loop1:
+	VMOVSD (SI)(AX*8), X0
+	VMOVSD (DX)(AX*8), X2
+	VANDPD X2, X0, X0
+	VMOVSD (DI)(AX*8), X1
+	VADDSD X0, X1, X1
+	VMOVSD X1, (DI)(AX*8)
+	INCQ   AX
+	CMPQ   AX, CX
+	JL     maskadd_loop1
+
+maskadd_done:
+	VZEROUPPER
+	RET
+
+// The max pool keeps window q of a group in lane q. POOL_PICK runs the
+// scan of MaxPool2x2's Go loop on every lane at once: candidates a, b, c,
+// d in window order, each replacing the best so far (in a) only where it
+// is greater — VCMPPD's GT_OQ is false when either side is a NaN, as Go's
+// > is — and the same mask picks the winner's offset among oa..od into i.
+#define POOL_PICK(a, b, c, d, m, i, oa, ob, oc, od) \
+	VCMPPD    $0x1e, a, b, m; \
+	VBLENDVPD m, b, a, a; \
+	VBLENDVPD m, ob, oa, i; \
+	VCMPPD    $0x1e, a, c, m; \
+	VBLENDVPD m, c, a, a; \
+	VBLENDVPD m, oc, i, i; \
+	VCMPPD    $0x1e, a, d, m; \
+	VBLENDVPD m, d, a, a; \
+	VBLENDVPD m, od, i, i
+
+// Window q of a group starts 2q elements on.
+DATA pool2Lanes<>+0(SB)/8, $0
+DATA pool2Lanes<>+8(SB)/8, $2
+DATA pool2Lanes<>+16(SB)/8, $4
+DATA pool2Lanes<>+24(SB)/8, $6
+GLOBL pool2Lanes<>(SB), RODATA|NOPTR, $32
+
+// func maxPool2x2AVX2(y []float64, arg []int, x []float64, rows, w int)
+// For each of rows output rows R and each j < w/2: y[o] and arg[o],
+// o = R·w/2 + j, as MaxPool2x2's scan of the window at 2R·w + 2j. Four
+// windows to a group, then a pair, then one: any even w, one body.
+// Y12..Y15 hold the candidates' offsets 2q + {0, 1, w, w+1} from the
+// group's first element, whose index AX is added to the winner's.
+TEXT ·maxPool2x2AVX2(SB), NOSPLIT, $0-88
+	MOVQ y_base+0(FP), DI
+	MOVQ arg_base+24(FP), R8
+	MOVQ x_base+48(FP), SI
+	MOVQ rows+72(FP), R9
+	MOVQ w+80(FP), DX
+	MOVQ DX, R10
+	SHRQ $1, R10
+	VMOVDQU      pool2Lanes<>(SB), Y12
+	MOVQ         $1, BX
+	VMOVQ        BX, X11
+	VPBROADCASTQ X11, Y11
+	VPADDQ       Y11, Y12, Y13
+	VMOVQ        DX, X10
+	VPBROADCASTQ X10, Y10
+	VPADDQ       Y10, Y12, Y14
+	VPADDQ       Y11, Y14, Y15
+	SHLQ $3, DX
+	XORQ AX, AX
+	TESTQ R9, R9
+	JLE  pool_done
+
+pool_row:
+	MOVQ R10, CX
+	SUBQ $4, CX
+	JL   pool_pair
+
+pool_loop4:
+	VMOVUPD     (SI), X0
+	VINSERTF128 $1, 32(SI), Y0, Y0
+	VMOVUPD     16(SI), X1
+	VINSERTF128 $1, 48(SI), Y1, Y1
+	VMOVUPD     (SI)(DX*1), X2
+	VINSERTF128 $1, 32(SI)(DX*1), Y2, Y2
+	VMOVUPD     16(SI)(DX*1), X3
+	VINSERTF128 $1, 48(SI)(DX*1), Y3, Y3
+	VUNPCKLPD   Y1, Y0, Y4
+	VUNPCKHPD   Y1, Y0, Y5
+	VUNPCKLPD   Y3, Y2, Y6
+	VUNPCKHPD   Y3, Y2, Y7
+	POOL_PICK(Y4, Y5, Y6, Y7, Y8, Y9, Y12, Y13, Y14, Y15)
+	VMOVQ        AX, X10
+	VPBROADCASTQ X10, Y10
+	VPADDQ       Y10, Y9, Y9
+	VMOVUPD      Y4, (DI)
+	VMOVDQU      Y9, (R8)
+	ADDQ $64, SI
+	ADDQ $32, DI
+	ADDQ $32, R8
+	ADDQ $8, AX
+	SUBQ $4, CX
+	JGE  pool_loop4
+
+pool_pair:
+	ADDQ $4, CX
+	CMPQ CX, $2
+	JL   pool_single
+	VMOVUPD   (SI), X0
+	VMOVUPD   16(SI), X1
+	VMOVUPD   (SI)(DX*1), X2
+	VMOVUPD   16(SI)(DX*1), X3
+	VUNPCKLPD X1, X0, X4
+	VUNPCKHPD X1, X0, X5
+	VUNPCKLPD X3, X2, X6
+	VUNPCKHPD X3, X2, X7
+	POOL_PICK(X4, X5, X6, X7, X8, X9, X12, X13, X14, X15)
+	VMOVQ        AX, X10
+	VPBROADCASTQ X10, X10
+	VPADDQ       X10, X9, X9
+	VMOVUPD      X4, (DI)
+	VMOVDQU      X9, (R8)
+	ADDQ $32, SI
+	ADDQ $16, DI
+	ADDQ $16, R8
+	ADDQ $4, AX
+	SUBQ $2, CX
+
+pool_single:
+	TESTQ CX, CX
+	JZ    pool_next
+	VMOVSD (SI), X4
+	VMOVSD 8(SI), X5
+	VMOVSD (SI)(DX*1), X6
+	VMOVSD 8(SI)(DX*1), X7
+	POOL_PICK(X4, X5, X6, X7, X8, X9, X12, X13, X14, X15)
+	VMOVQ  AX, X10
+	VPADDQ X10, X9, X9
+	VMOVSD X4, (DI)
+	VMOVQ  X9, (R8)
+	ADDQ $16, SI
+	ADDQ $8, DI
+	ADDQ $8, R8
+	ADDQ $2, AX
+
+pool_next:
+	// SI and AX stand at the start of the bottom row: skip it.
+	ADDQ DX, SI
+	ADDQ w+80(FP), AX
+	DECQ R9
+	JNZ  pool_row
+
+pool_done:
 	VZEROUPPER
 	RET

@@ -28,5 +28,7 @@ func init() {
 		reluKernel("reluAVX2", reluAVX2),
 		reluGradKernel("reluGradAVX2", reluGradAVX2),
 		dot4x8Kernel("dot4x8AVX2", dot4x8AVX2),
+		maskedKernel("maskedCopyAVX2", maskedCopyAVX2, false),
+		maskedKernel("maskedAddAVX2", maskedAddAVX2, true),
 	)
 }

@@ -44,3 +44,11 @@ func reluGradAVX2(dst, g, out []float64) { panic("tensor: no assembly in this bu
 func dot4x8AVX2(dst []float64, stride int, w, x []float64, n int) {
 	panic("tensor: no assembly in this build")
 }
+
+func maskedCopyAVX2(dst, src []float64, mask []uint64) { panic("tensor: no assembly in this build") }
+
+func maskedAddAVX2(dst, src []float64, mask []uint64) { panic("tensor: no assembly in this build") }
+
+func maxPool2x2AVX2(y []float64, arg []int, x []float64, rows, w int) {
+	panic("tensor: no assembly in this build")
+}

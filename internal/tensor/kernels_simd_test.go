@@ -48,6 +48,8 @@ var simdKernels = []simdKernel{
 	axpyToKernel("AXPYTo", AXPYTo),
 	reluKernel("ReLU", ReLU),
 	reluGradKernel("ReLUGrad", ReLUGrad),
+	maskedKernel("MaskedCopy", MaskedCopy, false),
+	maskedKernel("MaskedAdd", MaskedAdd, true),
 	{
 		name: "SubThenSquaredNormDot", vecs: 4, alias: [][2]int{{0, 1}, {0, 2}}, oracle: oracleSubThenSquaredNormDot,
 		run: func(v [][]float64, _ []float64) []float64 {
@@ -211,6 +213,38 @@ func reluGradKernel(name string, f func(dst, g, out []float64)) simdKernel {
 					g = 0
 				}
 				v[0][i] = g
+			}
+			return nil
+		},
+	}
+}
+
+// maskedKernel feeds the masked spans: vectors 0 and 1 are dst and src,
+// and vector 2 only draws the mask — zero where its element's sign bit
+// is set, all ones elsewhere — so special values meet both. The oracle
+// branches where the kernels mask.
+func maskedKernel(name string, f func(dst, src []float64, mask []uint64), add bool) simdKernel {
+	mask := func(v []float64) []uint64 {
+		m := make([]uint64, len(v))
+		for i, x := range v {
+			if !math.Signbit(x) {
+				m[i] = ^uint64(0)
+			}
+		}
+		return m
+	}
+	return simdKernel{
+		name: name, vecs: 3, alias: [][2]int{{0, 1}},
+		run: func(v [][]float64, _ []float64) []float64 { f(v[0], v[1], mask(v[2])); return nil },
+		oracle: func(v [][]float64, _ []float64) []float64 {
+			for i, x := range v[1] {
+				if math.Signbit(v[2][i]) {
+					x = 0
+				}
+				if add {
+					x = v[0][i] + x
+				}
+				v[0][i] = x
 			}
 			return nil
 		},
@@ -500,16 +534,120 @@ func TestMeanFoldsInArgumentOrderThenScalesOnce(t *testing.T) {
 }
 
 var (
-	asmFMA  = regexp.MustCompile(`\bVFN?M(ADD|SUB)`)
-	asmText = regexp.MustCompile(`^TEXT\s+·(\w+)`)
-	asmVec  = regexp.MustCompile(`\b[XYZ]\d+\b`)
+	asmFMA    = regexp.MustCompile(`\bVFN?M(ADD|SUB)`)
+	asmText   = regexp.MustCompile(`^TEXT\s+·(\w+)`)
+	asmDefine = regexp.MustCompile(`^#define\s+(\w+)`)
+	asmCall   = regexp.MustCompile(`^(\w+)\s*(\(|$)`)
+	asmVec    = regexp.MustCompile(`\b[XYZ]\d+\b`)
+	asmX      = regexp.MustCompile(`\bX\d+\b`)
+	asmY      = regexp.MustCompile(`\bY\d+\b`)
 )
+
+// asmStmt is one instruction of a .s file, at the line that wrote it.
+type asmStmt struct {
+	line int
+	text string
+}
+
+// asmMacro is a #define: its parameter names and its instructions.
+type asmMacro struct {
+	params []string
+	body   []asmStmt
+}
+
+// asmArgs splits a macro's argument list at its top-level commas.
+func asmArgs(list string) []string {
+	var args []string
+	depth, start := 0, 0
+	for i, c := range list {
+		switch c {
+		case '(':
+			depth++
+		case ')':
+			depth--
+		case ',':
+			if depth == 0 {
+				args, start = append(args, strings.TrimSpace(list[start:i])), i+1
+			}
+		}
+	}
+	return append(args, strings.TrimSpace(list[start:]))
+}
+
+// asmBodies splits an assembly source into its TEXT bodies, one
+// instruction per statement, with every macro invocation replaced by the
+// macro's instructions, arguments substituted — the code each routine
+// actually runs.
+func asmBodies(src string) (names []string, bodies [][]asmStmt) {
+	macros := map[string]*asmMacro{}
+	var def *asmMacro
+	var expand func(s asmStmt, out []asmStmt) []asmStmt
+	expand = func(s asmStmt, out []asmStmt) []asmStmt {
+		m := asmCall.FindStringSubmatch(s.text)
+		if m == nil || macros[m[1]] == nil {
+			return append(out, s)
+		}
+		mac := macros[m[1]]
+		var args []string
+		if m[2] == "(" {
+			args = asmArgs(strings.TrimSuffix(strings.TrimSpace(s.text[len(m[0]):]), ")"))
+		}
+		for _, ms := range mac.body {
+			text := ms.text
+			for p, name := range mac.params {
+				if p < len(args) {
+					text = regexp.MustCompile(`\b`+name+`\b`).ReplaceAllLiteralString(text, args[p])
+				}
+			}
+			out = expand(asmStmt{s.line, text}, out)
+		}
+		return out
+	}
+	for ln, line := range strings.Split(src, "\n") {
+		if i := strings.Index(line, "//"); i >= 0 {
+			line = line[:i]
+		}
+		line = strings.TrimSpace(line)
+		cont := strings.HasSuffix(line, "\\")
+		line = strings.TrimSpace(strings.TrimSuffix(line, "\\"))
+		if m := asmDefine.FindStringSubmatch(line); m != nil {
+			def = &asmMacro{}
+			rest := line[len(m[0]):]
+			if strings.HasPrefix(rest, "(") {
+				params, after, _ := strings.Cut(rest[1:], ")")
+				def.params, rest = asmArgs(params), after
+			}
+			macros[m[1]], line = def, rest
+		}
+		for _, text := range strings.Split(line, ";") {
+			s := asmStmt{ln + 1, strings.TrimSpace(text)}
+			switch {
+			case s.text == "":
+			case def != nil:
+				def.body = append(def.body, s)
+			case asmText.MatchString(s.text):
+				names = append(names, asmText.FindStringSubmatch(s.text)[1])
+				bodies = append(bodies, nil)
+			case len(bodies) > 0:
+				bodies[len(bodies)-1] = expand(s, bodies[len(bodies)-1])
+			}
+		}
+		if !cont {
+			def = nil
+		}
+	}
+	return names, bodies
+}
 
 // TestAssemblyHasNoFMAAndClearsUpperLanes reads the package's .s files
 // as text, so it holds on every platform: no fused multiply-add (it
 // rounds once where the Go code rounds twice — adding one "for speed"
-// silently breaks bit-identity with the portable build), and every RET
-// of a routine that touches vector registers is preceded by VZEROUPPER.
+// silently breaks bit-identity with the portable build); every RET of a
+// routine that touches vector registers is preceded by VZEROUPPER; and a
+// routine that touches a Y register names X registers only in VEX
+// instructions — a legacy SSE one (MOVQ AX, X0 where VMOVQ was meant)
+// between 256-bit instructions pays the SSE/AVX transition penalty on
+// every pass.
 func TestAssemblyHasNoFMAAndClearsUpperLanes(t *testing.T) {
 	files, err := filepath.Glob("*.s")
 	if err != nil || len(files) == 0 {
@@ -520,27 +658,25 @@ func TestAssemblyHasNoFMAAndClearsUpperLanes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var fn, prev string
-		vector := false
-		for ln, line := range strings.Split(string(src), "\n") {
-			if i := strings.Index(line, "//"); i >= 0 {
-				line = line[:i]
+		names, bodies := asmBodies(string(src))
+		for b, body := range bodies {
+			fn := names[b]
+			vector, wide := false, false
+			for _, s := range body {
+				wide = wide || asmY.MatchString(s.text)
 			}
-			line = strings.TrimSpace(strings.TrimSuffix(strings.TrimSpace(line), "\\"))
-			if line == "" {
-				continue
+			for i, s := range body {
+				if asmFMA.MatchString(s.text) {
+					t.Errorf("%s:%d: fused multiply-add %q in %s", file, s.line, s.text, fn)
+				}
+				if wide && asmX.MatchString(s.text) && !strings.HasPrefix(s.text, "V") {
+					t.Errorf("%s:%d: legacy SSE %q in %s, which uses Y registers", file, s.line, s.text, fn)
+				}
+				vector = vector || asmVec.MatchString(s.text)
+				if s.text == "RET" && vector && (i == 0 || body[i-1].text != "VZEROUPPER") {
+					t.Errorf("%s:%d: RET in %s not preceded by VZEROUPPER", file, s.line, fn)
+				}
 			}
-			if asmFMA.MatchString(line) {
-				t.Errorf("%s:%d: fused multiply-add %q", file, ln+1, line)
-			}
-			if m := asmText.FindStringSubmatch(line); m != nil {
-				fn, vector = m[1], false
-			}
-			vector = vector || asmVec.MatchString(line)
-			if line == "RET" && vector && prev != "VZEROUPPER" {
-				t.Errorf("%s:%d: RET in %s not preceded by VZEROUPPER", file, ln+1, fn)
-			}
-			prev = line
 		}
 	}
 }
