@@ -45,7 +45,7 @@ func main() {
 		exp      = flag.String("exp", "all", "table2, fig3 … fig13, smoke, netsweep, or all (= the paper artifacts)")
 		scale    = flag.String("scale", "quick", "tiny, quick or full")
 		seed     = flag.Uint64("seed", 1, "experiment seed")
-		jobs     = flag.Int("jobs", runtime.GOMAXPROCS(0), "concurrent sweep cells (1 = one cell at a time, its workers on the idle cores; output is identical at any setting)")
+		jobs     = flag.Int("jobs", runtime.GOMAXPROCS(0), "cap on concurrent sweep cells (1 = one cell at a time; every cell widens into the idle cores; output is identical at any setting)")
 		storeDir = flag.String("store", "", "run-registry directory: cache every grid cell's records there and reuse cached cells")
 		resume   = flag.Bool("resume", false, "resume from the run registry (implies -store "+defaultStoreDir+" when -store is not set)")
 		warm     = flag.Bool("warmstart", false, "reuse trajectory-prefix snapshots across grid cells sharing a trajectory (needs -store; bit-identical output, lower wall clock)")

@@ -55,7 +55,7 @@ var (
 	budget   = fs.Float64("budget", 0, "bytes/step bandwidth budget; wraps the FDA variant with the §5 adaptive-Θ controller")
 	async    = fs.Bool("async", false, "run the asynchronous (coordinator) variant of -strategy LinearFDA or SketchFDA: workers step at their own pace on a virtual clock of compute and link time (-speeds or -scenario; by default one step per second each and free links)")
 	speeds   = fs.String("speeds", "", "comma-separated relative worker speeds, one per worker (-k): simulate a network where only compute differs and report the virtual clock; needs -async, excludes -scenario")
-	jobs     = fs.Int("jobs", runtime.GOMAXPROCS(0), "goroutines for the worker/eval loops (1 = sequential; results are bit-identical; -async steps one worker at a time, so there it widens evaluation only)")
+	jobs     = fs.Int("jobs", runtime.GOMAXPROCS(0), "cap on goroutines for the worker/eval loops (1 = sequential; results are bit-identical; -async steps one worker at a time, so there it widens evaluation only)")
 	progress = fs.Bool("progress", false, "print live sync/eval events while the run executes")
 	scenario = fs.String("scenario", "", "run on the simulated-network fabric under a named scenario (lan, fedwan, straggler) and report estimated time-to-accuracy")
 	worker   = fs.Bool("worker", false, "join a multi-process cluster as one worker (requires -connect; the coordinator supplies rank and job spec)")

@@ -59,7 +59,7 @@ func main() {
 	var (
 		addr     = flag.String("addr", ":8080", "listen address")
 		storeDir = flag.String("store", "fdaserve-store", "run-registry directory backing the service")
-		jobs     = flag.Int("jobs", runtime.GOMAXPROCS(0), "concurrent sweep cells per run, each cell's workers sharing the cores the cells leave idle; goroutines per local train job (results are identical at any setting)")
+		jobs     = flag.Int("jobs", runtime.GOMAXPROCS(0), "cap on concurrent sweep cells per run and on goroutines per local train job; every call widens into the idle cores (results are identical at any setting)")
 		fabric   = flag.String("fabric", "", "TCP-fabric listen address for distributed train jobs (e.g. :9000); empty disables them")
 		warm     = flag.Bool("warmstart", true, "reuse trajectory-prefix snapshots across sweep cells sharing a trajectory (records stay bit-identical; wall clock drops)")
 		ttl      = flag.Duration("session-ttl", 7*24*time.Hour, "expire orphaned session checkpoints and prefix snapshots older than this at startup (0 disables the sweep)")

@@ -36,7 +36,8 @@ import (
 // the store does not yet hold.
 type server struct {
 	store *runstore.Store
-	// jobs is the per-sweep cell parallelism (par.Resolve convention).
+	// jobs caps a sweep's concurrent cells and a local train job's
+	// goroutines (par.Resolve convention); cores come from par's budget.
 	jobs int
 	// fabricAddr, when non-empty, is the TCP-fabric listen address for
 	// distributed train jobs (`fdarun -worker` processes connect here).

@@ -33,7 +33,7 @@ func allocModel(rng *tensor.RNG) *nn.Network {
 }
 
 // newAllocEnv wires K workers over a tiny synthetic shard, sequential
-// pool, ready for steady-state stepping.
+// (width 1), ready for steady-state stepping.
 func newAllocEnv(k int) *Env {
 	rng := tensor.NewRNG(7)
 	train, _ := data.Synthetic(data.SyntheticConfig{
@@ -53,7 +53,7 @@ func newAllocEnv(k int) *Env {
 	}
 	_ = d
 	env := newEnv(comm.NewCluster(k), workers)
-	env.pool = newPool(1)
+	env.width = 1
 	return env
 }
 

@@ -78,12 +78,14 @@ type Config struct {
 	// sparsification, quantization); nil transmits dense models as in the
 	// paper's main experiments.
 	SyncCodec compress.Codec
-	// Parallelism bounds the goroutines used for the per-step worker loop,
+	// Parallelism caps the goroutines used for the per-step worker loop,
 	// the strategies' per-worker drift/state computations and accuracy
 	// evaluation. 0 (the zero value) and 1 run sequentially; positive
 	// values are taken literally; AutoParallelism (any negative value)
-	// selects runtime.GOMAXPROCS. Results are bit-identical across all
-	// settings: parallel sections write only index-addressed slots and
+	// selects runtime.GOMAXPROCS. It is a cap, not an allocation: each
+	// call runs at the width the process's core budget grants it then
+	// (internal/par). Results are bit-identical across all settings and
+	// widths: parallel sections write only index-addressed slots and
 	// every floating-point reduction stays in worker order.
 	Parallelism int
 }

@@ -71,8 +71,9 @@ func (b *fdaBase) observe(h float64) {
 }
 
 // AfterLocalStep implements Strategy for every FDA variant. The
-// per-worker state computations are independent and run on the pool;
-// the state AllReduce reduces in worker order on this goroutine.
+// per-worker state computations are independent and fan out through
+// ForEachWorker; the state AllReduce reduces in worker order on this
+// goroutine.
 //
 //fda:noalloc
 func (b *fdaBase) AfterLocalStep(env *Env, _ int) {

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"sync/atomic"
+
 	"repro/internal/data"
 	"repro/internal/nn"
 	"repro/internal/par"
@@ -11,84 +13,46 @@ import (
 // parallelism knob accepts it (Config.Parallelism, experiments' Jobs).
 const AutoParallelism = -1
 
-// pool executes index-addressed loop bodies across a bounded set of
-// goroutines. It is the simulation's parallel substrate: the trainer uses
-// it for the per-step worker loop and for evaluation, and strategies use
-// it (through Env.ForEachWorker) for their per-worker drift/state
-// computations.
-//
-// Determinism contract: see par.ForEach — callers keep results
-// bit-identical to the sequential path by writing only to
-// index-addressed slots (slice element i from body invocation i) and by
-// performing any floating-point reduction over those slots afterwards,
-// in index order, on the calling goroutine.
-type pool struct {
-	workers int
-}
-
-// newPool returns a pool for the given parallelism knob value. A nil pool
-// is valid and sequential, so strategies can run against a zero Env.
-func newPool(parallelism int) *pool {
-	return &pool{workers: par.Resolve(parallelism)}
-}
-
-// Workers returns the effective goroutine count (1 = sequential).
-func (p *pool) Workers() int {
-	if p == nil {
-		return 1
-	}
-	return p.workers
-}
-
-// ForEach runs body(i) for every i in [0, n) across up to Workers()
-// goroutines.
-func (p *pool) ForEach(n int, body func(i int)) {
-	par.ForEach(p.Workers(), n, body)
-}
-
 // evaluator computes dataset accuracy for the trainer, chunking the scan
-// across the run's pool. Network.Forward reuses internal activation
-// buffers, so parallel evaluation needs one replica per concurrent
-// chunk. Replicas are built lazily on the first parallel scan (a run
-// that never evaluates in parallel — or whose datasets are smaller than
-// the pool — pays nothing) and their init RNGs are derived from the run
-// seed alone, not the root stream, so enabling parallelism leaves the
-// training trajectory untouched; their initialization is overwritten by
-// SetParams before every scan anyway. Chunk results are integer counts
-// reduced in chunk order, making the accuracy bit-identical to a
-// sequential scan.
+// into up to cap(free) pieces on par.ForEach. Network.Forward reuses
+// internal activation buffers, so each concurrently running chunk needs
+// its own network: a chunk takes a free one or builds a replica when
+// all are busy, and hands it back when done. Replicas therefore never
+// outnumber the bodies the core budget lets run at once, and handing
+// one back never blocks, since at most width networks exist. Replica
+// init RNGs are derived from the run seed alone, not the root stream,
+// so enabling parallelism leaves the training trajectory untouched;
+// their initialization is overwritten by SetParams before every chunk
+// anyway. Chunks add integer counts, which is order-independent, so the
+// accuracy is bit-identical to a sequential scan whichever network
+// scores which chunk, in whatever order.
 type evaluator struct {
-	pool  *pool
 	build ModelBuilder
 	seed  uint64
-	nets  []*nn.Network
+	free  chan *nn.Network
 }
 
-func newEvaluator(p *pool, primary *nn.Network, build ModelBuilder, seed uint64) *evaluator {
-	return &evaluator{pool: p, build: build, seed: seed, nets: []*nn.Network{primary}}
+// newEvaluator returns an evaluator whose scans use up to width chunks.
+func newEvaluator(width int, primary *nn.Network, build ModelBuilder, seed uint64) *evaluator {
+	e := &evaluator{build: build, seed: seed, free: make(chan *nn.Network, max(1, width))}
+	e.free <- primary
+	return e
 }
 
 func (e *evaluator) accuracy(params []float64, ds *data.Dataset) float64 {
 	n := ds.Len()
-	chunks := e.pool.Workers()
-	if chunks > n {
-		chunks = n
-	}
-	if chunks <= 1 {
-		e.nets[0].SetParams(params)
-		return e.nets[0].Accuracy(ds)
-	}
-	for i := len(e.nets); i < chunks; i++ {
-		e.nets = append(e.nets, e.build(tensor.NewRNG(e.seed^0xe7a1^uint64(i)<<32)))
-	}
-	counts := make([]int, chunks)
-	e.pool.ForEach(chunks, func(i int) {
-		e.nets[i].SetParams(params)
-		counts[i] = e.nets[i].CountCorrect(ds, i*n/chunks, (i+1)*n/chunks)
+	chunks := max(1, min(cap(e.free), n))
+	var correct atomic.Int64
+	par.ForEach(chunks, chunks, func(i int) {
+		var net *nn.Network
+		select {
+		case net = <-e.free:
+		default:
+			net = e.build(tensor.NewRNG(e.seed ^ 0xe7a1 ^ uint64(i)<<32))
+		}
+		net.SetParams(params)
+		correct.Add(int64(net.CountCorrect(ds, i*n/chunks, (i+1)*n/chunks)))
+		e.free <- net
 	})
-	total := 0
-	for _, c := range counts {
-		total += c
-	}
-	return float64(total) / float64(n)
+	return float64(correct.Load()) / float64(n)
 }

@@ -1,11 +1,14 @@
 package core
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"reflect"
 	"testing"
 
 	"repro/internal/compress"
 	"repro/internal/data"
+	"repro/internal/par"
 )
 
 // parityStrategies enumerates one constructor per strategy family,
@@ -34,7 +37,9 @@ func parityStrategies(cfg Config) map[string]func() Strategy {
 // parallel execution engine: for every strategy, Run with Parallelism 4
 // must return a Result deeply equal — histories, byte counts, accuracies,
 // every float64 bit — to the sequential run at the same seed, and two
-// parallel runs must agree with each other.
+// parallel runs must agree with each other. A third run takes its width
+// on every call from par.SeedWidths (1…8), so each step and each scan
+// may run at a different width on different goroutines.
 func TestParallelRunParityAllStrategies(t *testing.T) {
 	base := testConfig(42)
 	base.MaxSteps = 45
@@ -45,20 +50,35 @@ func TestParallelRunParityAllStrategies(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			seq := base
 			seq.Parallelism = 0
-			par := base
-			par.Parallelism = 4
+			wide := base
+			wide.Parallelism = 4
 
 			want := MustRun(seq, mk())
-			got := MustRun(par, mk())
+			got := MustRun(wide, mk())
 			if !reflect.DeepEqual(want, got) {
 				t.Fatalf("parallel run diverged from sequential:\nseq: %v\npar: %v", want, got)
 			}
-			again := MustRun(par, mk())
+			again := MustRun(wide, mk())
 			if !reflect.DeepEqual(got, again) {
 				t.Fatalf("two parallel runs diverged:\n1st: %v\n2nd: %v", got, again)
 			}
+
+			defer par.SeedWidths(uint64(len(name)))()
+			wide.Parallelism = 8
+			seeded := MustRun(wide, mk())
+			if !reflect.DeepEqual(want, seeded) || resultBits(want) != resultBits(seeded) {
+				t.Fatalf("seeded-width run diverged from sequential:\nseq: %v\ngot: %v", want, seeded)
+			}
 		})
 	}
+}
+
+// resultBits digests every float of a Result by its bits, so -0 and 0
+// (which reflect.DeepEqual equates) tell apart.
+func resultBits(r Result) string {
+	h := sha256.New()
+	writeAsyncResult(h, "result", r)
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 // TestParallelRunParityAutoAndOddWidths checks the knob's edge settings:
@@ -80,7 +100,7 @@ func TestParallelRunParityAutoAndOddWidths(t *testing.T) {
 }
 
 // TestParallelRunParityWithCodec covers the compressed-synchronization
-// path, whose broadcast fans out across the pool.
+// path, whose broadcast fans out across the workers.
 func TestParallelRunParityWithCodec(t *testing.T) {
 	base := testConfig(9)
 	base.MaxSteps = 30
@@ -96,7 +116,7 @@ func TestParallelRunParityWithCodec(t *testing.T) {
 }
 
 // TestParallelRunParityHeterogeneous runs the label-skew partitioner under
-// parallelism: shard sizes differ across workers, so the pool sees uneven
+// parallelism: shard sizes differ across workers, so the fan-out sees uneven
 // per-index work.
 func TestParallelRunParityHeterogeneous(t *testing.T) {
 	base := testConfig(11)

@@ -12,6 +12,7 @@ import (
 	"repro/internal/nn"
 	"repro/internal/obs"
 	"repro/internal/opt"
+	"repro/internal/par"
 	"repro/internal/tensor"
 )
 
@@ -178,7 +179,7 @@ func NewSession(ctx context.Context, cfg Config, strat Strategy) (*Session, erro
 
 	env := newEnv(fabric, workers)
 	env.Codec = cfg.SyncCodec
-	env.pool = newPool(cfg.Parallelism)
+	env.width = par.Resolve(cfg.Parallelism)
 	strat.Init(env)
 
 	s := &Session{
@@ -186,7 +187,7 @@ func NewSession(ctx context.Context, cfg Config, strat Strategy) (*Session, erro
 		strat:          strat,
 		ctx:            ctx,
 		env:            env,
-		eval:           newEvaluator(env.pool, evalNet, cfg.Model, cfg.Seed),
+		eval:           newEvaluator(env.width, evalNet, cfg.Model, cfg.Seed),
 		globalParams:   make([]float64, d),
 		samplesPerStep: float64(cfg.BatchSize * cfg.K),
 		trainLen:       float64(cfg.Train.Len()),

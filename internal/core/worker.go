@@ -8,6 +8,7 @@ import (
 	"repro/internal/data"
 	"repro/internal/nn"
 	"repro/internal/opt"
+	"repro/internal/par"
 	"repro/internal/tensor"
 )
 
@@ -98,7 +99,9 @@ type Env struct {
 	codecBuf   []float64
 	codecMean  []float64
 	encoded    [][]byte // distributed compressed sync: encoded local drifts
-	pool       *pool
+	// width caps ForEachWorker's goroutines: Config.Parallelism resolved
+	// by par.Resolve. The zero Env's 0 runs inline.
+	width int
 
 	// w0Arenas double-buffers the (W0, WPrev) pair: at most two
 	// synchronization-point models are live at once, so each sync writes
@@ -180,22 +183,22 @@ func (e *Env) scratchD2() []float64 {
 }
 
 // ForEachWorker runs body(k, Workers[k]) for every worker, concurrently
-// when the run's Config.Parallelism allows it. Bodies must touch only
+// when the run's Config.Parallelism and the core budget allow it. Bodies must touch only
 // state owned by worker k (its replica, optimizer, drift scratch) and
 // index-addressed slots such as states[k]; cross-worker reductions belong
-// after the call, in worker order, as in the sequential path. A nil-pool
-// Env (zero value, tests) runs inline.
+// after the call, in worker order, as in the sequential path. A zero
+// Env (tests) runs inline.
 func (e *Env) ForEachWorker(body func(k int, w *Worker)) {
 	// Sequential fast path: calling body inline avoids building the
-	// index-adapter closure, which escapes into the pool and would be the
-	// one heap allocation left on the steady-state step.
-	if e.pool.Workers() <= 1 || len(e.Workers) <= 1 {
+	// index-adapter closure, which escapes into par.ForEach and would be
+	// the one heap allocation left on the steady-state step.
+	if e.width <= 1 || len(e.Workers) <= 1 {
 		for i, w := range e.Workers {
 			body(i, w)
 		}
 		return
 	}
-	e.pool.ForEach(len(e.Workers), func(i int) { body(i, e.Workers[i]) })
+	par.ForEach(e.width, len(e.Workers), func(i int) { body(i, e.Workers[i]) })
 }
 
 // SyncModels performs the expensive model synchronization: an AllReduce

@@ -64,15 +64,17 @@ type Options struct {
 	// cell (live from the worker pool for computed cells — the sink must
 	// be goroutine-safe — and in grid order for cache hits).
 	Events func(CellEvent)
-	// Jobs bounds how many independent sweep cells (training runs) execute
+	// Jobs caps how many independent sweep cells (training runs) execute
 	// concurrently. 0 (the zero value) and 1 run the grid one cell at a
 	// time; positive values are taken literally; negative values select
-	// runtime.GOMAXPROCS. The cores the cells leave idle go to each cell's
-	// own session: it runs with Parallelism par.Inner(Jobs), so
-	// at Jobs 1 one cell's workers use every core and at Jobs ≥ GOMAXPROCS
-	// each cell gets one. Each cell owns its seed-derived RNGs and meter,
-	// and records are collected in grid order, so the output is identical
-	// at every setting.
+	// runtime.GOMAXPROCS. It is a cap, not an allocation: the cell pool
+	// and every cell's own worker fan-out draw their helpers from the
+	// process's one core budget (internal/par), so cores the cells leave
+	// idle — a grid smaller than Jobs, or a grid's tail once the helpers
+	// running its other cells finish — go to the next fan-outs of the
+	// cells still running. Each cell owns its seed-derived RNGs and
+	// meter, and records are collected in grid order, so the output is
+	// identical at every setting.
 	Jobs int
 	// Store, when non-nil, is the run registry consulted before each grid
 	// cell dispatches: cells already present load from disk, only missing
@@ -161,10 +163,10 @@ func loadWorkload(modelName string, seed uint64) workload {
 	return workload{spec: spec, train: train, test: test}
 }
 
-// baseConfig builds the shared run configuration for a workload. inner
-// is the session's Parallelism — runGrid's share of the cores per cell;
-// results are bit-identical at any value.
-func (w workload) baseConfig(k int, seed uint64, maxSteps, evalEvery int, target float64, het data.Heterogeneity, inner int) core.Config {
+// baseConfig builds the shared run configuration for a workload. Its
+// Parallelism is AutoParallelism, a cap: each call's width is what the
+// core budget grants then, and results are bit-identical at any width.
+func (w workload) baseConfig(k int, seed uint64, maxSteps, evalEvery int, target float64, het data.Heterogeneity) core.Config {
 	return core.Config{
 		K: k, BatchSize: 32, Seed: seed,
 		Model: w.spec.Build, Optimizer: w.spec.Optimizer,
@@ -173,7 +175,7 @@ func (w workload) baseConfig(k int, seed uint64, maxSteps, evalEvery int, target
 		MaxSteps:       maxSteps,
 		EvalEvery:      evalEvery,
 		TargetAccuracy: target,
-		Parallelism:    inner,
+		Parallelism:    core.AutoParallelism,
 	}
 }
 
@@ -202,9 +204,8 @@ func modelBudget(name string) (maxSteps, evalEvery int) {
 // store for the longest reusable trajectory prefix and publishes
 // prefixes for sibling cells (warm.go); the records are bit-identical
 // to a cold run's by the prefix-sharing safety argument (DESIGN.md §10).
-// inner is the session's Parallelism (baseConfig).
 func runToTargets(fig string, w workload, strategyName string, theta float64,
-	k int, het data.Heterogeneity, targets []float64, seed uint64, inner int, warm *cellWarm) []Record {
+	k int, het data.Heterogeneity, targets []float64, seed uint64, warm *cellWarm) []Record {
 
 	maxT := targets[0]
 	for _, t := range targets[1:] {
@@ -213,7 +214,7 @@ func runToTargets(fig string, w workload, strategyName string, theta float64,
 		}
 	}
 	maxSteps, evalEvery := modelBudget(w.spec.Name)
-	cfg := w.baseConfig(k, seed, maxSteps, evalEvery, maxT, het, inner)
+	cfg := w.baseConfig(k, seed, maxSteps, evalEvery, maxT, het)
 	strat := strategyFor(strategyName, theta, cfg)
 	res := runWarm(cfg, strat, warm)
 

@@ -28,7 +28,7 @@ func TestGridsGrowWithScale(t *testing.T) {
 
 func TestStrategyForKnownNames(t *testing.T) {
 	w := loadWorkload("lenet5s", 1)
-	cfg := w.baseConfig(2, 1, 10, 5, 0, data.IID(), 0)
+	cfg := w.baseConfig(2, 1, 10, 5, 0, data.IID())
 	for _, name := range []string{"LinearFDA", "SketchFDA", "OracleFDA", "Synchronous", "FedAvg", "FedAvgM", "FedAdam"} {
 		s := strategyFor(name, 0.1, cfg)
 		if s == nil {
@@ -68,7 +68,7 @@ func TestRunToTargetsNestedExtraction(t *testing.T) {
 	// One short lenet run, two nested targets: the lower target must cross
 	// no later and cost no more than the higher one.
 	w := loadWorkload("lenet5s", 3)
-	recs := runToTargets("t", w, "Synchronous", 0, 3, data.IID(), []float64{0.5, 0.8}, 7, 0, nil)
+	recs := runToTargets("t", w, "Synchronous", 0, 3, data.IID(), []float64{0.5, 0.8}, 7, nil)
 	if len(recs) != 2 {
 		t.Fatalf("got %d records", len(recs))
 	}
@@ -90,7 +90,7 @@ func TestRunToTargetsUnreachedMarked(t *testing.T) {
 	recs := func() []Record {
 		// shrink the budget by overriding through a custom config run: use
 		// an absurd target so Reached must be false.
-		return runToTargets("t", w, "LinearFDA", w.spec.ThetaGrid[3], 2, data.IID(), []float64{1.01}, 8, 0, nil)
+		return runToTargets("t", w, "LinearFDA", w.spec.ThetaGrid[3], 2, data.IID(), []float64{1.01}, 8, nil)
 	}()
 	if recs[0].Reached {
 		t.Fatal("impossible target marked reached")

@@ -86,10 +86,10 @@ func Figure12(o Options) []ThetaFit {
 		specs[i] = o.cellSpec("fig12", j.name, "LinearFDA", j.theta, 3, "iid",
 			[]float64{targets[j.name]}, o.Seed+31)
 	}
-	results := runGrid(o, specs, func(i, inner int) []cell {
+	results := runGrid(o, specs, func(i int) []cell {
 		j := jobsList[i]
 		maxSteps, evalEvery := modelBudget(j.name)
-		cfg := j.lw.get().baseConfig(3, o.Seed+31, maxSteps, evalEvery, targets[j.name], data.IID(), inner)
+		cfg := j.lw.get().baseConfig(3, o.Seed+31, maxSteps, evalEvery, targets[j.name], data.IID())
 		res := core.MustRun(cfg, core.NewLinearFDA(j.theta))
 		if !res.ReachedTarget {
 			return nil

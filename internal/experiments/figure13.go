@@ -78,10 +78,10 @@ func Figure13(o Options) []Record {
 		sp.Extra = map[string]string{"pretrain": pretrainTag}
 		specs[i] = sp
 	}
-	recs := flatten(runGrid(o, specs, func(i, inner int) []Record {
+	recs := flatten(runGrid(o, specs, func(i int) []Record {
 		c := cells[i]
 		return runToTargets("fig13", w, c.strat, c.theta, c.k,
-			data.IID(), []float64{target}, c.seed, inner, nil)
+			data.IID(), []float64{target}, c.seed, nil)
 	}))
 	printRecords(out, "fig13 — ConvNeXtLarge (convnexts) fine-tuning", recs)
 

@@ -71,11 +71,11 @@ func Figure7(o Options) []Curve {
 		sp.Extra = map[string]string{"steps": strconv.Itoa(p.steps), "train_acc": "1"}
 		specs[i] = sp
 	}
-	perCell := runGrid(o, specs, func(i, inner int) []Curve {
+	perCell := runGrid(o, specs, func(i int) []Curve {
 		p, w := panels[cells[i].panel], lws[cells[i].panel].get()
 		strat := cells[i].strat
 		theta := w.spec.ThetaGrid[1]
-		cfg := w.baseConfig(5, o.Seed+7, p.steps, 20, 0 /* run full length */, data.IID(), inner)
+		cfg := w.baseConfig(5, o.Seed+7, p.steps, 20, 0 /* run full length */, data.IID())
 		cfg.RecordTrainAccuracy = true
 		res := core.MustRun(cfg, strategyFor(strat, theta, cfg))
 		c := Curve{

@@ -75,10 +75,10 @@ func cloudFigure(cs cloudSpec, o Options) []Record {
 		specs[i] = o.cellSpec(cs.figure, cs.model, c.strat, c.theta, c.k,
 			c.het.String(), cs.targets, c.seed)
 	}
-	recs := flatten(runGrid(o, specs, func(i, inner int) []Record {
+	recs := flatten(runGrid(o, specs, func(i int) []Record {
 		c := cells[i]
 		return runToTargets(cs.figure, lw.get(), c.strat, c.theta, c.k, c.het,
-			cs.targets, c.seed, inner, o.warmCell(specs[i]))
+			cs.targets, c.seed, o.warmCell(specs[i]))
 	}))
 	printRecords(o.out(), cs.figure+" — "+lw.spec.PaperModel+" ("+cs.model+")", recs)
 	summarize(o.out(), recs)

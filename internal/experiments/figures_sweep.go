@@ -75,10 +75,10 @@ func sweepFigure(ss sweepSpec, o Options) []Record {
 	for i, c := range cells {
 		specs[i] = o.cellSpec(c.figure, ss.model, c.strat, c.theta, c.k, "iid", targets, c.seed)
 	}
-	recs := flatten(runGrid(o, specs, func(i, inner int) []Record {
+	recs := flatten(runGrid(o, specs, func(i int) []Record {
 		c := cells[i]
 		return runToTargets(c.figure, lw.get(), c.strat, c.theta, c.k, data.IID(),
-			targets, c.seed, inner, o.warmCell(specs[i]))
+			targets, c.seed, o.warmCell(specs[i]))
 	}))
 	printRecords(o.out(), fmt.Sprintf("%s — %s: cost vs K (Θ=%.3f) and vs Θ (K=%d), target %.2f",
 		ss.figure, lw.spec.PaperModel, fixedTheta, fixedK, ss.target), recs)

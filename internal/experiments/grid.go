@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/models"
-	"repro/internal/par"
 	"repro/internal/runstore"
 )
 
@@ -74,13 +73,7 @@ type sweepCancelled struct{ err error }
 // and are byte-identical whatever mix of cache hits and parallelism
 // produced them, so callers print and post-process exactly as they
 // would after a fresh sequential sweep.
-//
-// compute receives the cell index and the cell session's share of the
-// cores, par.Inner(o.Jobs), which it passes to baseConfig: cores the
-// cell pool leaves idle go to the cells it runs.
-func runGrid[R any](o Options, specs []runstore.Spec, compute func(i, inner int) []R) [][]R {
-	inner := par.Inner(o.Jobs)
-	track := func(i int) []R { return compute(i, inner) }
+func runGrid[R any](o Options, specs []runstore.Spec, compute func(i int) []R) [][]R {
 	if o.Stats != nil {
 		o.Stats.Cells.Add(int64(len(specs)))
 	}
@@ -88,18 +81,16 @@ func runGrid[R any](o Options, specs []runstore.Spec, compute func(i, inner int)
 	if o.Events != nil {
 		computed = make([]atomic.Bool, len(specs))
 	}
-	if o.Stats != nil || o.Events != nil {
-		track = func(i int) []R {
-			recs := compute(i, inner)
-			if o.Stats != nil {
-				o.Stats.Executed.Add(1)
-			}
-			if o.Events != nil {
-				computed[i].Store(true)
-				o.Events(CellEvent{Spec: specs[i], Index: i, Total: len(specs)})
-			}
-			return recs
+	track := func(i int) []R {
+		recs := compute(i)
+		if o.Stats != nil {
+			o.Stats.Executed.Add(1)
 		}
+		if o.Events != nil {
+			computed[i].Store(true)
+			o.Events(CellEvent{Spec: specs[i], Index: i, Total: len(specs)})
+		}
+		return recs
 	}
 	perCell, res, err := runstore.MapCtx(o.Ctx, o.Store, o.Jobs, specs, track)
 	if o.Stats != nil {

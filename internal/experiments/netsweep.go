@@ -91,9 +91,9 @@ func NetSweep(o Options) []NetRecord {
 		specs[i] = sp
 	}
 
-	results := runGrid(o, specs, func(i, inner int) []NetRecord {
+	results := runGrid(o, specs, func(i int) []NetRecord {
 		c := cells[i]
-		cfg := lw.get().baseConfig(k, o.Seed+57, maxSteps, evalEvery, target, data.IID(), inner)
+		cfg := lw.get().baseConfig(k, o.Seed+57, maxSteps, evalEvery, target, data.IID())
 		cfg.Fabric = comm.NewSimFabric(k, comm.DefaultCostModel(), c.scen)
 		var strat core.Strategy
 		switch c.strat {

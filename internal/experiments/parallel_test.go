@@ -15,9 +15,8 @@ import (
 )
 
 // TestRunGridCoverageAndOrder pins the dispatch contract sweeps rely
-// on: every cell runs exactly once, results land in grid order, and
-// every cell is handed the same core share, par.Inner(Jobs), at any
-// jobs setting.
+// on: every cell runs exactly once and results land in grid order, at
+// any jobs setting.
 func TestRunGridCoverageAndOrder(t *testing.T) {
 	specs := make([]runstore.Spec, 37)
 	for i := range specs {
@@ -26,12 +25,8 @@ func TestRunGridCoverageAndOrder(t *testing.T) {
 	}
 	for _, jobs := range []int{0, 1, 3, 8, -1} {
 		var calls atomic.Int64
-		want := par.Inner(jobs)
-		got := runGrid(Options{Jobs: jobs}, specs, func(i, inner int) []int {
+		got := runGrid(Options{Jobs: jobs}, specs, func(i int) []int {
 			calls.Add(1)
-			if inner != want {
-				t.Errorf("jobs=%d: cell %d handed width %d, want %d", jobs, i, inner, want)
-			}
 			return []int{i * i}
 		})
 		if calls.Load() != int64(len(specs)) {
@@ -43,7 +38,7 @@ func TestRunGridCoverageAndOrder(t *testing.T) {
 			}
 		}
 	}
-	if out := runGrid(Options{Jobs: 4}, nil, func(i, _ int) []int { return nil }); len(out) != 0 {
+	if out := runGrid(Options{Jobs: 4}, nil, func(int) []int { return nil }); len(out) != 0 {
 		t.Fatalf("empty grid produced %v", out)
 	}
 }
@@ -106,8 +101,8 @@ func TestSweepFigureParallelParity(t *testing.T) {
 // TestParallelSweepSpeedup asserts the acceptance criterion — ≥2× wall
 // clock with Jobs ≥ 4 on a multicore runner — over a grid of independent
 // Tiny cells. The sequential baseline runs under GOMAXPROCS(1): at
-// Jobs: 1 a cell's session would otherwise take every core itself
-// (par.Inner). It self-skips on machines without enough cores (the
+// Jobs: 1 a cell's session would otherwise take every core the budget
+// has free. It self-skips on machines without enough cores (the
 // cells would just time-slice) and in -short mode.
 func TestParallelSweepSpeedup(t *testing.T) {
 	if testing.Short() {
@@ -144,13 +139,16 @@ func TestParallelSweepSpeedup(t *testing.T) {
 	}
 }
 
-// TestSweepParityAcrossGOMAXPROCS pins the core-share rule end to end:
-// at Jobs: 1 a cell's session takes every core, so GOMAXPROCS 1 and 4
-// run the same cells at Parallelism 1 and 4. Records and rendered
+// TestSweepParityAcrossGOMAXPROCS pins the core budget end to end. At
+// Jobs: 1 a cell's session may take every core, so GOMAXPROCS 1 and 4
+// run the same cells at widths 1 and up to 4; the seeded passes then
+// draw every call's width at random (par.SeedWidths), for the cell pool
+// at Jobs 1 and 2 and for every session inside it. Records and rendered
 // output must be byte-identical for thetasweep through a fresh store —
-// its cold cells and the warm ones restoring their siblings' prefixes,
-// with the same snapshot hits and steps saved — for netsweep including
-// its virtual clock, and for a cloud figure.
+// its cold cells and the warm ones restoring their siblings' prefixes —
+// for netsweep including its virtual clock, and for a cloud figure.
+// Snapshot hits and steps saved must match too at Jobs 1; at Jobs 2
+// they depend on which sibling publishes a prefix first.
 func TestSweepParityAcrossGOMAXPROCS(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-run experiment")
@@ -160,16 +158,19 @@ func TestSweepParityAcrossGOMAXPROCS(t *testing.T) {
 		name, out, recs string
 		hits, saved     int64
 	}
-	run := func(procs int) []pass {
+	run := func(procs, jobs int, seed uint64) []pass {
 		runtime.GOMAXPROCS(procs)
+		if seed != 0 {
+			defer par.SeedWidths(seed)()
+		}
 		var ps []pass
 		for _, exp := range []string{"thetasweep", "netsweep", "smoke"} {
 			var b strings.Builder
 			stats := &SweepStats{}
-			res, err := Run(exp, Options{Scale: Tiny, Seed: 2, Out: &b, Jobs: 1, Stats: stats,
+			res, err := Run(exp, Options{Scale: Tiny, Seed: 2, Out: &b, Jobs: jobs, Stats: stats,
 				Store: testStore(t), Warm: exp == "thetasweep"})
 			if err != nil {
-				t.Fatalf("GOMAXPROCS=%d %s: %v", procs, exp, err)
+				t.Fatalf("GOMAXPROCS=%d jobs=%d %s: %v", procs, jobs, exp, err)
 			}
 			body, err := json.Marshal(res)
 			if err != nil {
@@ -180,10 +181,24 @@ func TestSweepParityAcrossGOMAXPROCS(t *testing.T) {
 		}
 		return ps
 	}
-	narrow, wide := run(1), run(4)
-	for i, n := range narrow {
-		if w := wide[i]; n != w {
-			t.Errorf("%s diverged between GOMAXPROCS 1 and 4:\n--- 1 ---\n%+v\n--- 4 ---\n%+v", n.name, n, w)
+	narrow := run(1, 1, 0)
+	for _, c := range []struct {
+		name        string
+		procs, jobs int
+		seed        uint64
+	}{
+		{"GOMAXPROCS 4", 4, 1, 0},
+		{"seeded widths, Jobs 1", 4, 1, 11},
+		{"seeded widths, Jobs 2", 4, 2, 12},
+	} {
+		for i, w := range run(c.procs, c.jobs, c.seed) {
+			n := narrow[i]
+			if c.jobs > 1 {
+				w.hits, w.saved = n.hits, n.saved
+			}
+			if n != w {
+				t.Errorf("%s: %s diverged from GOMAXPROCS 1:\n--- 1 ---\n%+v\n--- %s ---\n%+v", c.name, n.name, n, c.name, w)
+			}
 		}
 	}
 	if warm := narrow[0]; warm.hits == 0 || warm.saved == 0 {

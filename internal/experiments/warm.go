@@ -165,10 +165,10 @@ func ThetaSweep(o Options) []Record {
 	for i, c := range cells {
 		specs[i] = o.cellSpec("thetasweep", "lenet5s", c.strat, c.theta, fixedK, "iid", targets, c.seed)
 	}
-	recs := flatten(runGrid(o, specs, func(i, inner int) []Record {
+	recs := flatten(runGrid(o, specs, func(i int) []Record {
 		c := cells[i]
 		return runToTargets("thetasweep", lw.get(), c.strat, c.theta, fixedK,
-			data.IID(), targets, c.seed, inner, o.warmCell(specs[i]))
+			data.IID(), targets, c.seed, o.warmCell(specs[i]))
 	}))
 	printRecords(o.out(), fmt.Sprintf("thetasweep — %s: cost vs Θ (K=%d, shared trajectory seeds)",
 		lw.spec.PaperModel, fixedK), recs)

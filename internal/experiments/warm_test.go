@@ -107,7 +107,7 @@ func TestThetaSweepWarmMatchesCold(t *testing.T) {
 // and both runs stay bit-identical to a cold run.
 func TestWarmStartCadenceSingleDefault(t *testing.T) {
 	w := loadWorkload("lenet5s", 3)
-	cfg := w.baseConfig(3, 3, 70, 0, 0, data.IID(), 0) // EvalEvery left to core
+	cfg := w.baseConfig(3, 3, 70, 0, 0, data.IID()) // EvalEvery left to core
 	// Θ far above any drift the run reaches: the whole run is one silent
 	// prefix, so every cadence point publishes.
 	const theta = 1e6

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 )
@@ -20,25 +22,6 @@ func TestResolve(t *testing.T) {
 	}
 	if got := Resolve(-1); got != runtime.GOMAXPROCS(0) {
 		t.Fatalf("Resolve(-1) = %d want GOMAXPROCS %d", got, runtime.GOMAXPROCS(0))
-	}
-}
-
-// TestInner pins the share rule across the outer knob's conventions
-// (0 and 1 sequential, N literal, negative = GOMAXPROCS) and core
-// counts, including outer widths above GOMAXPROCS.
-func TestInner(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	for _, c := range []struct {
-		procs, outer, want int
-	}{
-		{1, 0, 1}, {1, 1, 1}, {1, 3, 1}, {1, -1, 1},
-		{4, 0, 4}, {4, 1, 4}, {4, 2, 2}, {4, 3, 1}, {4, 8, 1}, {4, -1, 1},
-		{6, 0, 6}, {6, 1, 6}, {6, 2, 3}, {6, 4, 1}, {6, -1, 1},
-	} {
-		runtime.GOMAXPROCS(c.procs)
-		if got := Inner(c.outer); got != c.want {
-			t.Errorf("GOMAXPROCS=%d Inner(%d) = %d want %d", c.procs, c.outer, got, c.want)
-		}
 	}
 }
 
@@ -146,5 +129,114 @@ func TestForEachCtxCancellation(t *testing.T) {
 	}
 	if ran3 != 0 {
 		t.Fatalf("pre-cancelled ctx ran %d bodies", ran3)
+	}
+}
+
+// TestBudgetBoundsNestedCallers pins the process-wide budget: eight
+// concurrent callers, each fanning out into nested calls, never hold
+// more than GOMAXPROCS−1 helpers between them, and every token is back
+// once the calls return.
+func TestBudgetBoundsNestedCallers(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	limit := int64(runtime.GOMAXPROCS(0) - 1)
+	check := func() {
+		if c := helpers.Load(); c < 0 || c > limit {
+			t.Errorf("%d helpers in use, budget %d", c, limit)
+		}
+	}
+	var wg sync.WaitGroup
+	hits := make([]atomic.Int32, 8*16*4)
+	for c := 0; c < 8; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ForEach(8, 16, func(i int) {
+				ForEach(8, 4, func(j int) {
+					hits[(c*16+i)*4+j].Add(1)
+					runtime.Gosched()
+					check()
+				})
+				check()
+			})
+		}()
+	}
+	wg.Wait()
+	for i := range hits {
+		if hits[i].Load() != 1 {
+			t.Fatalf("index %d ran %d times", i, hits[i].Load())
+		}
+	}
+	if c := helpers.Load(); c != 0 {
+		t.Fatalf("%d helpers still held after every call returned", c)
+	}
+}
+
+// goid is the calling goroutine's id, read from its stack header.
+func goid() string {
+	b := make([]byte, 64)
+	return strings.Fields(string(b[:runtime.Stack(b, false)]))[1]
+}
+
+// TestPanicOnCallerWaitsForHelpers: a body that panics on the caller's
+// goroutine re-panics out of ForEach only once every helper has left
+// its body and returned its token, so a caller that recovers leaves
+// nothing running.
+func TestPanicOnCallerWaitsForHelpers(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	caller := goid()
+	helperRan := make(chan struct{})
+	var once sync.Once
+	var inBody atomic.Int32
+	func() {
+		defer func() {
+			if r := recover(); r != "boom" {
+				t.Fatalf("recovered %v, want the body's panic", r)
+			}
+			if c := inBody.Load(); c != 0 {
+				t.Fatalf("re-panicked with %d helper bodies still running", c)
+			}
+			if c := helpers.Load(); c != 0 {
+				t.Fatalf("re-panicked with %d tokens still held", c)
+			}
+		}()
+		ForEach(4, 1000, func(int) {
+			if goid() == caller {
+				<-helperRan
+				panic("boom")
+			}
+			inBody.Add(1)
+			once.Do(func() { close(helperRan) })
+			for k := 0; k < 100; k++ {
+				runtime.Gosched()
+			}
+			inBody.Add(-1)
+		})
+		t.Fatal("ForEach returned after its body panicked")
+	}()
+}
+
+// TestCancelledCallReturnsTokens: a ForEachCtx stopped by its context,
+// mid-loop or before it starts, hands back every token it took.
+func TestCancelledCallReturnsTokens(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	ctx, cancel := context.WithCancel(context.Background())
+	var count atomic.Int32
+	err := ForEachCtx(ctx, 4, 1000, func(int) {
+		if count.Add(1) == 5 {
+			cancel()
+		}
+		runtime.Gosched()
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v", err)
+	}
+	if c := helpers.Load(); c != 0 {
+		t.Fatalf("cancelled call left %d tokens held", c)
+	}
+	if err := ForEachCtx(ctx, 4, 10, func(int) {}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("pre-cancelled err = %v", err)
+	}
+	if c := helpers.Load(); c != 0 {
+		t.Fatalf("pre-cancelled call left %d tokens held", c)
 	}
 }
