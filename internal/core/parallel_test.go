@@ -10,14 +10,14 @@ import (
 	"repro/internal/tensor"
 )
 
-// TestForEachWorkerCoversEveryWorkerOnce drives ForEachWorker across
-// caps — the zero Env's 0, the inline 1, widths above K and
-// AutoParallelism — and checks each worker runs exactly once; the zero
-// Env runs inline, in worker order (an unsynchronized append would be
-// a race report otherwise).
-func TestForEachWorkerCoversEveryWorkerOnce(t *testing.T) {
+// TestPoolForEachCoversEveryIndexOnce drives the Env's worker pool,
+// ForEachWorker, across caps — the zero Env's 0, the inline 1, widths
+// above K and AutoParallelism — and sizes, and checks each worker runs
+// exactly once. The concurrent counter increments also make this a
+// race-detector probe for the dispatch loop.
+func TestPoolForEachCoversEveryIndexOnce(t *testing.T) {
 	for _, width := range []int{0, 1, 2, 4, 13, par.Resolve(AutoParallelism)} {
-		for _, k := range []int{0, 1, 5, 64} {
+		for _, k := range []int{0, 1, 5, 64, 257} {
 			hits := make([]atomic.Int32, k)
 			env := &Env{Workers: make([]*Worker, k), width: width}
 			env.ForEachWorker(func(i int, _ *Worker) { hits[i].Add(1) })
@@ -28,6 +28,13 @@ func TestForEachWorkerCoversEveryWorkerOnce(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestPoolNilIsSequential makes the zero-Env contract explicit:
+// strategies may call ForEachWorker on an Env that was never given a
+// width, and it runs every worker inline, in worker order (an
+// unsynchronized append would be a race report otherwise).
+func TestPoolNilIsSequential(t *testing.T) {
 	var order []int
 	(&Env{Workers: make([]*Worker, 4)}).ForEachWorker(func(i int, _ *Worker) { order = append(order, i) })
 	if !reflect.DeepEqual(order, []int{0, 1, 2, 3}) {
