@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build fmt vet lint fuzz test race allocs purego crossbuild bench benchmodule loc loccheck apicheck apigen loadsmoke clustersmoke
+.PHONY: check build fmt vet lint fuzz test race allocs purego crossbuild bench benchmodule loc loccheck apicheck apigen loadsmoke clustersmoke distsmoke
 
 # check is the CI gate: formatting, static analysis (go vet plus the
 # fdavet invariant analyzers), the public-API surface diff, the size
@@ -106,14 +106,17 @@ allocs:
 # purego runs the numeric core with the assembly compiled out, so the
 # portable Go loops — the specification the AVX2 kernels are pinned to,
 # and the only path off amd64 — cannot rot. internal/models carries the
-# trajectory digests that must match in both builds.
+# trajectory digests that must match in both builds; internal/comm's
+# socket fabric folds and encodes its wire bytes with the little-endian
+# byte kernels, so its tests run the wire fold's Go specification.
 purego:
-	$(GO) test -tags purego ./internal/tensor ./internal/nn ./internal/opt ./internal/models ./internal/core
+	$(GO) test -tags purego ./internal/tensor ./internal/nn ./internal/opt ./internal/models ./internal/core ./internal/comm
 
-# crossbuild checks the build-tag split on a non-amd64 target.
+# crossbuild checks the build-tag split on a non-amd64 target: the
+# kernels and their callers in the optimizer and the socket fabric.
 crossbuild:
 	GOARCH=arm64 $(GO) build ./...
-	GOARCH=arm64 $(GO) vet ./internal/tensor ./internal/opt
+	GOARCH=arm64 $(GO) vet ./internal/tensor ./internal/opt ./internal/comm
 
 build:
 	$(GO) build ./...
@@ -193,3 +196,40 @@ clustersmoke:
 		-mix train=1,status=4,store=1 -steps 10 -k 1 -eval-every 10 \
 		-out .clustersmoke/report.json -check -max-rejected 0.25
 	@rm -rf .clustersmoke
+
+# distsmoke is the socket fabric's cross-process gate (DESIGN.md §9): a
+# coordinator and two worker processes train a tiny spec over loopback
+# TCP. The coordinator's result block must equal an in-process run of
+# the same spec, and its relay line must report the wire-version-2 byte
+# count: 21 rounds (20 syncs and the final evaluation's gather) of
+# 2·(8P out + 4 + 4 + 8P in) bytes for P = 2618 lenet5s parameters,
+# 1 759 632 bytes — a relay echoing each worker its own part would move
+# 2 639 448. Workers start once the coordinator is listening; they are
+# waited on first, so a worker that fails ends the gate instead of
+# leaving the coordinator waiting for it.
+DISTSMOKE_SPEC = -model lenet5s -strategy Synchronous -k 2 -steps 20
+distsmoke:
+	@rm -rf .distsmoke && mkdir -p .distsmoke
+	@$(GO) build -o .distsmoke/ ./cmd/fdarun
+	@./.distsmoke/fdarun $(DISTSMOKE_SPEC) | sed '/^history:/,$$d' >.distsmoke/local.txt
+	@./.distsmoke/fdarun $(DISTSMOKE_SPEC) -coordinator 127.0.0.1:18094 \
+		>.distsmoke/coord.out 2>.distsmoke/coord.log & \
+	coord=$$!; pids=$$coord; \
+	trap 'kill $$pids 2>/dev/null; wait' EXIT; \
+	for i in $$(seq 1 50); do \
+		grep -q '^coordinating' .distsmoke/coord.out && break; sleep 0.2; \
+	done; \
+	workers=""; \
+	for r in 0 1; do \
+		./.distsmoke/fdarun -worker -connect 127.0.0.1:18094 >.distsmoke/worker$$r.log 2>&1 & \
+		workers="$$workers $$!"; \
+	done; \
+	pids="$$pids $$workers"; \
+	for w in $$workers; do wait $$w || { echo "distsmoke: a worker failed"; exit 1; }; done; \
+	wait $$coord || { echo "distsmoke: the coordinator failed"; cat .distsmoke/coord.log; exit 1; }; \
+	grep -v '^coordinating\|^relay:' .distsmoke/coord.out >.distsmoke/dist.txt; \
+	diff .distsmoke/local.txt .distsmoke/dist.txt || { echo "distsmoke: distributed result differs from the in-process run"; exit 1; }; \
+	grep -qx 'relay: 21 collective rounds, 1.760 MB framed payload moved' .distsmoke/coord.out || \
+		{ echo "distsmoke: relay byte count is not wire version 2's"; cat .distsmoke/coord.out; exit 1; }; \
+	echo "distsmoke: check ok ($$(grep '^relay:' .distsmoke/coord.out))"
+	@rm -rf .distsmoke

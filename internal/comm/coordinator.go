@@ -13,9 +13,10 @@ import (
 // cluster. It accepts exactly K worker connections, assigns global
 // ranks in connection order, hands every worker the job payload, and
 // then relays collectives: each round it reads one contribution frame
-// per worker, verifies they agree on (sequence, kind) and writes the
-// payloads in rank order to every worker as one bundle frame, straight
-// from the buffers they were received into (bundleWriter). The
+// per worker, verifies they agree on (sequence, kind) and writes every
+// worker the K − 1 other payloads in rank order as one bundle frame,
+// straight from the buffers they were received into (bundleWriter); a
+// worker's own contribution is never echoed back to it. The
 // coordinator performs no arithmetic — reductions are replicated on the
 // workers — so it cannot perturb training math, only move bytes.
 //
@@ -73,7 +74,8 @@ func (c *Coordinator) closeConns() {
 }
 
 // Stats reports relay totals: completed collective rounds and payload
-// bytes moved through the coordinator (both directions).
+// bytes moved through the coordinator (both directions): each round,
+// every contribution read plus every bundle payload written.
 func (c *Coordinator) Stats() (rounds, wireBytes int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -202,15 +204,16 @@ func (c *Coordinator) Serve(ctx context.Context, job []byte) (results [][]byte, 
 			return results, nil
 		case opContrib:
 			for rank, cc := range conns {
-				if werr := bundle.write(cc.raw, frame{op: opBundle, rank: int32(rank), seq: seq, kind: kind}, parts, crcs); werr != nil {
+				if werr := bundle.write(cc.raw, frame{op: opBundle, rank: int32(rank), seq: seq, kind: kind}, parts, crcs, rank); werr != nil {
 					if ctx.Err() != nil {
 						return nil, ctx.Err()
 					}
 					return nil, fmt.Errorf("comm: broadcasting bundle to worker %d: %w", rank, werr)
 				}
 			}
-			bundleLen := 4 + 4*int64(c.k) + roundBytes
-			c.addStats(1, roundBytes+bundleLen*int64(c.k))
+			// Worker r's bundle is 4 + 4(K−1) + roundBytes − len(parts[r]).
+			bundles := int64(c.k)*(4+4*int64(c.k-1)) + int64(c.k-1)*roundBytes
+			c.addStats(1, roundBytes+bundles)
 		}
 	}
 }

@@ -52,10 +52,11 @@ type Fabric interface {
 	// themselves.
 	Gather(local [][]float64) [][]float64
 	// ExchangeBytes moves one opaque payload per local rank and returns
-	// all K payloads in global rank order. The socket fabric frames them
-	// for real (this is how codec-compressed drifts travel); in-process
-	// fabrics hand the contributions back directly. Uncharged — callers
-	// account wire costs under their own model.
+	// all K payloads in global rank order; a local rank's entry is the
+	// caller's own payload. The socket fabric frames the others for real
+	// (this is how codec-compressed drifts travel); in-process fabrics
+	// hand the contributions back directly. Uncharged — callers account
+	// wire costs under their own model.
 	ExchangeBytes(kind string, local [][]byte) [][]byte
 	// Meter returns the fabric's cost meter.
 	Meter() *Meter

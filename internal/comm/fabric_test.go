@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"math/big"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -148,7 +149,9 @@ func TestScenarioByName(t *testing.T) {
 
 // TestTCPFabricCollectives drives the raw socket fabric without any
 // training on top: K fabric clients against a loopback coordinator,
-// checking the mean, the meter and the result round trip.
+// checking the mean, the meter, the rank order of the spliced parts (K =
+// 3, so a middle rank splices its own between two others), the exact
+// bytes each side moved and the result round trip.
 func TestTCPFabricCollectives(t *testing.T) {
 	const k = 3
 	coord, err := ListenCoordinator("127.0.0.1:0", k)
@@ -169,6 +172,10 @@ func TestTCPFabricCollectives(t *testing.T) {
 	for i := range want {
 		want[i] = (inputs[0][i] + inputs[1][i] + inputs[2][i]) / k
 	}
+	// One rank's bytes per round: its contribution out, then a bundle of
+	// count, K − 1 lengths and the K − 1 other contributions in.
+	const part = 8 * 3
+	const rankWire = part + 4 + 4*(k-1) + (k-1)*part
 
 	var wg sync.WaitGroup
 	errs := make([]error, k)
@@ -200,13 +207,18 @@ func TestTCPFabricCollectives(t *testing.T) {
 			if rep.Bytes != f.Meter().TotalBytes() {
 				t.Errorf("rank %d report/meter mismatch", f.Rank())
 			}
-			if rep.WireBytes <= 0 {
-				t.Errorf("rank %d moved no wire bytes", f.Rank())
+			if rep.WireBytes != rankWire {
+				t.Errorf("rank %d moved %d wire bytes, want %d", f.Rank(), rep.WireBytes, rankWire)
 			}
 			// Gather: every rank sees every contribution in rank order.
-			got := f.Gather([][]float64{vec})
+			got := f.Gather([][]float64{inputs[f.Rank()]})
 			if len(got) != k {
 				t.Errorf("rank %d gathered %d vectors", f.Rank(), len(got))
+			}
+			for r := range got {
+				if !slices.Equal(got[r], inputs[r]) {
+					t.Errorf("rank %d gathered %v at rank %d, want %v", f.Rank(), got[r], r, inputs[r])
+				}
 			}
 			errs[w] = f.SendResult([]byte{byte('a' + f.Rank())})
 		}(w)
@@ -226,7 +238,7 @@ func TestTCPFabricCollectives(t *testing.T) {
 		}
 	}
 	rounds, wire := coord.Stats()
-	if rounds != 2 || wire <= 0 { // AllReduce + Gather
-		t.Fatalf("coordinator stats rounds=%d wire=%d", rounds, wire)
+	if rounds != 2 || wire != 2*k*rankWire { // AllReduce + Gather
+		t.Fatalf("coordinator stats rounds=%d wire=%d, want 2 and %d", rounds, wire, 2*k*rankWire)
 	}
 }

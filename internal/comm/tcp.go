@@ -6,16 +6,18 @@ import (
 	"encoding/binary"
 	"fmt"
 	"net"
+	"slices"
 	"time"
 )
 
 // TCPFabric is the socket backend: one fabric per worker process, each
 // owning exactly one global rank, all connected to a Coordinator. A
 // collective is one framed round trip — the worker sends its
-// contribution, the coordinator bundles all K contributions in rank
-// order and broadcasts the bundle, and every worker computes the
-// reduction locally, folding the bundle's bytes into the destination in
-// the in-process reference's association (meanF64s).
+// contribution, the coordinator sends it the K − 1 other contributions
+// in rank order as one bundle, the worker splices its own payload back
+// in at its rank, and every worker computes the reduction locally,
+// folding the K parts into the destination in the in-process
+// reference's association (meanF64s).
 // The coordinator therefore does no arithmetic at all: reductions are
 // replicated, which is what makes the training math bit-identical to
 // the other fabrics regardless of network timing.
@@ -125,7 +127,8 @@ func (f *TCPFabric) fail(err error) {
 }
 
 // exchange performs one framed collective round trip: send this rank's
-// payload, receive the K-part bundle, split it into rank-order views.
+// payload, receive the bundle of the K − 1 others, split it into
+// rank-order views and splice payload itself in at this rank.
 func (f *TCPFabric) exchange(kind string, payload []byte) [][]byte {
 	f.seq++
 	if err := writeFrame(f.bw, frame{op: opContrib, rank: int32(f.rank), seq: f.seq, kind: kind, payload: payload}); err != nil {
@@ -144,10 +147,11 @@ func (f *TCPFabric) exchange(kind string, payload []byte) [][]byte {
 	if err != nil {
 		f.fail(err)
 	}
-	f.parts = parts
-	if len(parts) != f.k {
-		f.fail(fmt.Errorf("bundle carries %d parts, want %d", len(parts), f.k))
+	if len(parts) != f.k-1 {
+		f.fail(fmt.Errorf("bundle carries %d parts, want %d", len(parts), f.k-1))
 	}
+	parts = slices.Insert(parts, f.rank, payload)
+	f.parts = parts
 	f.lastWire = int64(len(payload)) + int64(len(fr.payload))
 	return parts
 }
@@ -250,7 +254,8 @@ func (f *TCPFabric) Gather(local [][]float64) [][]float64 {
 }
 
 // ExchangeBytes implements Fabric: opaque payload exchange, uncharged.
-// The returned views are valid until the next collective.
+// The returned views are valid until the next collective; this rank's is
+// local[0] itself, the others view the received bundle.
 func (f *TCPFabric) ExchangeBytes(kind string, local [][]byte) [][]byte {
 	if len(local) != 1 {
 		f.fail(fmt.Errorf("TCPFabric drives 1 rank, got %d local payloads", len(local)))

@@ -10,6 +10,7 @@ import (
 	"net"
 	"os"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -360,14 +361,16 @@ func TestWorkerDiesMidContribution(t *testing.T) {
 }
 
 // TestWorkerDiesMidBundle is the write-side twin: a worker that closes
-// its socket while the coordinator is writing its bundle — larger than
-// the loopback socket buffers, so the write cannot already be over.
+// its socket while the coordinator is writing its bundle — the
+// survivor's 8 MiB part, twice the 4 MiB the loopback send and receive
+// buffers of an unread connection absorb on Linux, so the write cannot
+// already be over.
 func TestWorkerDiesMidBundle(t *testing.T) {
 	base := runtime.NumGoroutine()
 	coord, served := serve(t, 2)
 	dying := dialRawWorker(t, coord.Addr()) // rank 0: its bundle is written first
 	survivor := dial(t, coord)
-	vec := make([]float64, 1<<20) // 8 MiB a part, 16 MiB a bundle
+	vec := make([]float64, 1<<20) // 8 MiB a part, one part a bundle
 	op := collective(func() { survivor.AllReduce("model", [][]float64{vec}) })
 	if _, err := dying.conn.Write(dying.contribution(t, "model", vec)); err != nil {
 		t.Fatal(err)
@@ -383,6 +386,108 @@ func TestWorkerDiesMidBundle(t *testing.T) {
 	}
 	awaitFabricError(t, "the survivor's all-reduce", op)
 	survivor.Close()
+	noGoroutineLeft(t, base)
+}
+
+// v1Frame is f as a peer of the previous wire version sends it: magic
+// "FDA1", the rest (which the CRC covers) unchanged.
+func v1Frame(t testing.TB, f frame) []byte {
+	b := frameBytes(t, f)
+	copy(b, "FDA1")
+	return b
+}
+
+// fakeCoordinator listens on loopback for one worker and, in the
+// background, answers each frame it reads with the next of replies, then
+// reads until the worker hangs up; done closes once it has returned.
+func fakeCoordinator(t *testing.T, replies ...[]byte) (addr string, done <-chan struct{}) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	c := make(chan struct{})
+	go func() {
+		defer close(c)
+		conn, err := ln.Accept()
+		ln.Close()
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		defer conn.Close()
+		br := bufio.NewReader(conn)
+		for _, reply := range replies {
+			if _, _, err := readFrame(br, nil, ""); err != nil {
+				t.Errorf("fake coordinator: %v", err)
+				return
+			}
+			if _, err := conn.Write(reply); err != nil {
+				t.Errorf("fake coordinator: %v", err)
+				return
+			}
+		}
+		_, _ = io.Copy(io.Discard, br) // until the worker hangs up
+	}()
+	return ln.Addr().String(), c
+}
+
+// assignment makes its recipient rank 0 of a 2-worker cluster.
+var assignment = frame{op: opAssign, payload: []byte{2, 0, 0, 0}}
+
+// TestPreviousWireVersionRefused: a peer of the previous wire version is
+// refused at the rendezvous, either way round — a version-1 hello fails
+// Serve naming the worker, a version-1 assignment fails DialFabric — and
+// neither side leaves a goroutine behind.
+func TestPreviousWireVersionRefused(t *testing.T) {
+	base := runtime.NumGoroutine()
+	coord, served := serve(t, 2)
+	old, err := net.Dial("tcp", coord.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := old.Write(v1Frame(t, frame{op: opHello, rank: -1})); err != nil {
+		t.Fatal(err)
+	}
+	if err := await(t, "Serve", served); err == nil || !strings.Contains(err.Error(), "worker 0") ||
+		!strings.Contains(err.Error(), "bad wire magic") {
+		t.Fatalf("Serve returned %v, want a bad-wire-magic error naming worker 0", err)
+	}
+	old.Close()
+	coord.Close()
+
+	addr, done := fakeCoordinator(t, v1Frame(t, assignment))
+	if _, _, err := DialFabric(context.Background(), addr, DefaultCostModel()); err == nil ||
+		!strings.Contains(err.Error(), "bad wire magic") {
+		t.Fatalf("DialFabric returned %v, want a bad-wire-magic error", err)
+	}
+	await(t, "fake coordinator", done)
+	noGoroutineLeft(t, base)
+}
+
+// TestBundleWithOwnPartRefused: a bundle of the previous shape — all K
+// contributions, the recipient's own included — fails the collective
+// with a *FabricError before anything is folded into the vector.
+func TestBundleWithOwnPartRefused(t *testing.T) {
+	base := runtime.NumGoroutine()
+	vec := []float64{1, 2, 3}
+	own := appendF64s(nil, vec)
+	both := frame{op: opBundle, seq: 1, kind: "model", payload: appendBundle(nil, [][]byte{own, own}, -1)}
+	addr, done := fakeCoordinator(t, frameBytes(t, assignment), frameBytes(t, both))
+	f, _, err := DialFabric(context.Background(), addr, DefaultCostModel())
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := await(t, "all-reduce over an old-shape bundle", collective(func() { f.AllReduce("model", [][]float64{vec}) }))
+	if fe, ok := p.(*FabricError); !ok || !strings.Contains(fe.Error(), "bundle carries 2 parts, want 1") {
+		t.Fatalf("all-reduce over a 2-part bundle ended with %v, want a *FabricError saying it carries 2 parts, want 1", p)
+	}
+	if !slices.Equal(vec, []float64{1, 2, 3}) {
+		t.Fatalf("all-reduce over a refused bundle folded it: %v", vec)
+	}
+	f.Close()
+	await(t, "fake coordinator", done)
 	noGoroutineLeft(t, base)
 }
 

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"math"
 	"net"
 	"slices"
 
@@ -16,7 +15,7 @@ import (
 // The socket fabric's frame protocol. Every message between a worker
 // and the coordinator is one frame:
 //
-//	magic   [4]byte "FDA1"
+//	magic   [4]byte "FDA2" (the wire version: a peer speaking another is refused)
 //	opcode  u8
 //	rank    i32  (little-endian; -1 before assignment)
 //	seq     u32  (collective sequence number; 0 for handshake frames)
@@ -30,13 +29,13 @@ import (
 // travel little-endian (appendF64s/decodeF64s), codec-compressed drifts
 // travel in their compress wire encoding, bundles in bundle framing.
 const (
-	wireMagic   = "FDA1"
+	wireMagic   = "FDA2"
 	maxFrameLen = 1 << 30 // hard cap: a frame larger than 1 GiB is a protocol error
 
 	opHello   = 1 // worker → coordinator: request a rank
 	opAssign  = 2 // coordinator → worker: rank, K, job payload
 	opContrib = 3 // worker → coordinator: one collective contribution
-	opBundle  = 4 // coordinator → worker: all K contributions, rank order
+	opBundle  = 4 // coordinator → worker: the K − 1 other contributions, rank order
 	opResult  = 5 // worker → coordinator: final result payload
 	opDone    = 6 // coordinator → worker: run acknowledged, close
 	opError   = 7 // either direction: fatal error message
@@ -246,6 +245,8 @@ func crcCombine(crcA, crcB uint32, lenB int) uint32 {
 }
 
 // bundle framing: u32 count, then count × (u32 len, bytes), rank order.
+// A worker's bundle carries the K − 1 contributions of the other ranks;
+// the worker splices its own back in at its rank (TCPFabric.exchange).
 
 // bundleWriter writes opBundle frames straight from the buffers the
 // contributions were received into: one vectored write of
@@ -259,10 +260,11 @@ type bundleWriter struct {
 	vec  net.Buffers
 }
 
-// write sends parts (crcs[r] = CRC-32 of parts[r]) as the payload of one
-// opBundle frame with header f.
-func (b *bundleWriter) write(w io.Writer, f frame, parts [][]byte, crcs []uint32) error {
-	payLen := 4
+// write sends parts (crcs[r] = CRC-32 of parts[r]) but parts[skip], the
+// recipient's own, as the payload of one opBundle frame with header f.
+func (b *bundleWriter) write(w io.Writer, f frame, parts [][]byte, crcs []uint32, skip int) error {
+	// The count word, then every part but skip's with its length word.
+	payLen := 4 - (4 + len(parts[skip]))
 	for _, p := range parts {
 		payLen += 4 + len(p)
 	}
@@ -272,11 +274,14 @@ func (b *bundleWriter) write(w io.Writer, f frame, parts [][]byte, crcs []uint32
 	}
 	// Grow first: iov holds views into meta, which must not move.
 	meta = slices.Grow(meta, 4+4*len(parts)+4)
-	meta = binary.LittleEndian.AppendUint32(meta, uint32(len(parts)))
+	meta = binary.LittleEndian.AppendUint32(meta, uint32(len(parts)-1))
 	iov := b.iov[:0]
 	crc := crc32.Update(0, crc32.IEEETable, meta[4:])
 	from := 0
 	for r, p := range parts {
+		if r == skip {
+			continue
+		}
 		lenAt := len(meta)
 		meta = binary.LittleEndian.AppendUint32(meta, uint32(len(p)))
 		crc = crc32.Update(crc, crc32.IEEETable, meta[lenAt:])
@@ -317,9 +322,7 @@ func splitBundle(b []byte, into [][]byte) ([][]byte, error) {
 	return into, nil
 }
 
-// appendF64s encodes v little-endian into dst. In the 4-wide form (here,
-// in decodeF64s and in addScaleF64s) the loop condition proves every
-// index in range, so the body carries no bounds check.
+// appendF64s encodes v little-endian into dst (tensor.EncodeLE).
 //
 //fda:noalloc
 func appendF64s(dst []byte, v []float64) []byte {
@@ -328,17 +331,7 @@ func appendF64s(dst []byte, v []float64) []byte {
 		dst = append(make([]byte, 0, end), dst...) //fda:allow(noalloc, the send buffer grows once per vector length)
 	}
 	dst = dst[:end]
-	b := dst[at:]
-	for len(v) >= 4 && len(b) >= 32 {
-		binary.LittleEndian.PutUint64(b[0:8], math.Float64bits(v[0]))
-		binary.LittleEndian.PutUint64(b[8:16], math.Float64bits(v[1]))
-		binary.LittleEndian.PutUint64(b[16:24], math.Float64bits(v[2]))
-		binary.LittleEndian.PutUint64(b[24:32], math.Float64bits(v[3]))
-		v, b = v[4:], b[32:]
-	}
-	for i, x := range v {
-		binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(x))
-	}
+	tensor.EncodeLE(dst[at:], v)
 	return dst
 }
 
@@ -362,12 +355,12 @@ func meanF64s(dst []float64, parts [][]byte) error {
 	for lo := 0; lo < len(dst); lo += tile {
 		hi := min(lo+tile, len(dst))
 		d := dst[lo:hi]
-		_ = decodeF64s(d, parts[0][8*lo:8*hi]) // lengths checked above
+		tensor.DecodeLE(d, parts[0][8*lo:8*hi])
 		for r := 1; r < last; r++ {
-			addScaleF64s(d, parts[r][8*lo:8*hi], 1)
+			tensor.AddScaleLE(d, parts[r][8*lo:8*hi], 1)
 		}
 		if last > 0 {
-			addScaleF64s(d, parts[last][8*lo:8*hi], inv)
+			tensor.AddScaleLE(d, parts[last][8*lo:8*hi], inv)
 		} else {
 			tensor.Scale(d, inv)
 		}
@@ -375,40 +368,13 @@ func meanF64s(dst []float64, parts [][]byte) error {
 	return nil
 }
 
-// addScaleF64s computes d[i] = (d[i] + b's i-th little-endian float64)·s
-// for len(d) = len(b)/8 elements. s = 1 is exact, so a middle part of a
-// mean is the plain sum.
-//
-//fda:noalloc
-func addScaleF64s(d []float64, b []byte, s float64) {
-	for len(d) >= 4 && len(b) >= 32 {
-		d[0] = (d[0] + math.Float64frombits(binary.LittleEndian.Uint64(b[0:8]))) * s
-		d[1] = (d[1] + math.Float64frombits(binary.LittleEndian.Uint64(b[8:16]))) * s
-		d[2] = (d[2] + math.Float64frombits(binary.LittleEndian.Uint64(b[16:24]))) * s
-		d[3] = (d[3] + math.Float64frombits(binary.LittleEndian.Uint64(b[24:32]))) * s
-		d, b = d[4:], b[32:]
-	}
-	for i := range d {
-		d[i] = (d[i] + math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))) * s
-	}
-}
-
-// decodeF64s decodes exactly len(dst) little-endian float64s from b.
+// decodeF64s decodes exactly len(dst) little-endian float64s from b
+// (tensor.DecodeLE).
 func decodeF64s(dst []float64, b []byte) error {
 	if len(b) != 8*len(dst) {
 		return fmt.Errorf("comm: float payload %d bytes, want %d", len(b), 8*len(dst))
 	}
-	d := dst
-	for len(d) >= 4 && len(b) >= 32 {
-		d[0] = math.Float64frombits(binary.LittleEndian.Uint64(b[0:8]))
-		d[1] = math.Float64frombits(binary.LittleEndian.Uint64(b[8:16]))
-		d[2] = math.Float64frombits(binary.LittleEndian.Uint64(b[16:24]))
-		d[3] = math.Float64frombits(binary.LittleEndian.Uint64(b[24:32]))
-		d, b = d[4:], b[32:]
-	}
-	for i := range d {
-		d[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
-	}
+	tensor.DecodeLE(dst, b)
 	return nil
 }
 

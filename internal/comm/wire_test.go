@@ -9,6 +9,7 @@ import (
 	"io"
 	"math"
 	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/tensor"
@@ -112,15 +113,22 @@ func TestReadFrameGrowsWithTheBytesThatArrive(t *testing.T) {
 	}
 }
 
-// appendBundle encodes parts into dst: the bundle framing as one
-// contiguous payload. The coordinator assembled every bundle this way
-// before it relayed them with vectored writes; it stays as the oracle the
-// relay's bytes are pinned to.
-func appendBundle(dst []byte, parts [][]byte) []byte {
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(parts)))
-	for _, p := range parts {
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(p)))
-		dst = append(dst, p...)
+// appendBundle encodes parts but parts[skip] into dst: the bundle
+// framing as one contiguous payload, for the recipient of rank skip (a
+// skip outside the parts omits none). The coordinator assembled every
+// bundle this way before it relayed them with vectored writes; it stays
+// as the oracle the relay's bytes are pinned to.
+func appendBundle(dst []byte, parts [][]byte, skip int) []byte {
+	count := len(parts)
+	if skip >= 0 && skip < len(parts) {
+		count--
+	}
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(count))
+	for r, p := range parts {
+		if r != skip {
+			dst = binary.LittleEndian.AppendUint32(dst, uint32(len(p)))
+			dst = append(dst, p...)
+		}
 	}
 	return dst
 }
@@ -135,48 +143,65 @@ func frameBytes(t testing.TB, f frame) []byte {
 	return wire.Bytes()
 }
 
-// relayedBundle is the bundle frame bundleWriter puts on the wire for parts.
-func relayedBundle(t testing.TB, b *bundleWriter, f frame, parts [][]byte) []byte {
+// relayedBundle is the bundle frame bundleWriter puts on the wire for
+// parts to the worker of rank skip.
+func relayedBundle(t testing.TB, b *bundleWriter, f frame, parts [][]byte, skip int) []byte {
 	t.Helper()
 	crcs := make([]uint32, len(parts))
 	for r, p := range parts {
 		crcs[r] = crc32.ChecksumIEEE(p)
 	}
 	var wire bytes.Buffer
-	if err := b.write(&wire, f, parts, crcs); err != nil {
+	if err := b.write(&wire, f, parts, crcs, skip); err != nil {
 		t.Fatal(err)
 	}
 	return wire.Bytes()
 }
 
 // goldenBundle is the wire format, frozen: rank 1's copy of collective 7,
-// kind "model", parts "ab", "" and "c".
-const goldenBundle = "46444131" + "04" + "01000000" + "07000000" + "05" + "6d6f64656c" + "13000000" +
-	"03000000" + "02000000" + "6162" + "00000000" + "01000000" + "63" + "05b4662e"
+// kind "model", over the parts "ab", "" and "c" — it carries "ab" and
+// "c", rank 1's own part stays home.
+const goldenBundle = "46444132" + "04" + "01000000" + "07000000" + "05" + "6d6f64656c" + "0f000000" +
+	"02000000" + "02000000" + "6162" + "01000000" + "63" + "5208cae4"
 
 // TestBundleWriterBytes pins the relay's vectored bundle frames to the
 // frozen format: byte for byte what writeFrame sends for the assembled
 // payload, for every K × part-size combination around the reader's 64 KiB
-// buffer, with one writer reused throughout as the relay reuses its own.
+// buffer and every recipient rank, with one writer reused throughout as
+// the relay reuses its own. Each frame reads back, splits into the K − 1
+// other parts, and with the recipient's own spliced in at its rank gives
+// back all K.
 func TestBundleWriterBytes(t *testing.T) {
 	var b bundleWriter
 	head := frame{op: opBundle, rank: 1, seq: 7, kind: "model"}
-	golden := relayedBundle(t, &b, head, [][]byte{[]byte("ab"), nil, []byte("c")})
+	golden := relayedBundle(t, &b, head, [][]byte{[]byte("ab"), nil, []byte("c")}, 1)
 	if hex.EncodeToString(golden) != goldenBundle {
 		t.Fatalf("golden bundle frame:\n got %x\nwant %s", golden, goldenBundle)
 	}
 	check := func(parts [][]byte) {
 		t.Helper()
-		got := relayedBundle(t, &b, head, parts)
-		full := head
-		full.payload = appendBundle(nil, parts)
-		if want := frameBytes(t, full); !bytes.Equal(got, want) {
-			t.Fatalf("K=%d, part 0 of %d bytes: relayed frame (%d bytes) differs from writeFrame(appendBundle) (%d bytes)",
-				len(parts), len(parts[0]), len(got), len(want))
-		}
-		fr, _, err := readFrame(bufio.NewReader(bytes.NewReader(got)), nil, "model")
-		if err != nil || !bytes.Equal(fr.payload, full.payload) {
-			t.Fatalf("K=%d, part 0 of %d bytes: relayed frame does not read back: %v", len(parts), len(parts[0]), err)
+		for skip := range parts {
+			got := relayedBundle(t, &b, head, parts, skip)
+			full := head
+			full.payload = appendBundle(nil, parts, skip)
+			if want := frameBytes(t, full); !bytes.Equal(got, want) {
+				t.Fatalf("K=%d, part 0 of %d bytes, to rank %d: relayed frame (%d bytes) differs from writeFrame(appendBundle) (%d bytes)",
+					len(parts), len(parts[0]), skip, len(got), len(want))
+			}
+			fr, _, err := readFrame(bufio.NewReader(bytes.NewReader(got)), nil, "model")
+			if err != nil || !bytes.Equal(fr.payload, full.payload) {
+				t.Fatalf("K=%d, part 0 of %d bytes, to rank %d: relayed frame does not read back: %v", len(parts), len(parts[0]), skip, err)
+			}
+			others, err := splitBundle(fr.payload, nil)
+			if err != nil || len(others) != len(parts)-1 {
+				t.Fatalf("K=%d, to rank %d: bundle splits into %d parts, want %d: %v", len(parts), skip, len(others), len(parts)-1, err)
+			}
+			spliced := slices.Insert(others, skip, parts[skip])
+			for r := range parts {
+				if !bytes.Equal(spliced[r], parts[r]) {
+					t.Fatalf("K=%d, to rank %d: spliced part %d differs from the contribution", len(parts), skip, r)
+				}
+			}
 		}
 	}
 	rng := tensor.NewRNG(5)
@@ -203,12 +228,14 @@ func TestBundleWriterBytes(t *testing.T) {
 	}
 	check(mixed)
 
-	huge := make([][]byte, 17) // 17 views of one 64 MiB part: past the 1 GiB frame cap
+	// 17 views of one 64 MiB part, 16 of them sent: 1 GiB of parts and
+	// their length words, past the frame cap.
+	huge := make([][]byte, 17)
 	huge[0] = make([]byte, maxFrameLen/16)
 	for r := range huge {
 		huge[r] = huge[0]
 	}
-	if err := b.write(io.Discard, head, huge, make([]uint32, len(huge))); err == nil {
+	if err := b.write(io.Discard, head, huge, make([]uint32, len(huge)), 0); err == nil {
 		t.Fatal("bundle over the frame cap accepted")
 	}
 }
@@ -300,7 +327,7 @@ func TestMeanF64sMatchesTensorMean(t *testing.T) {
 // accepts exactly what the one-pass reader did.
 func FuzzReadFrame(f *testing.F) {
 	var b bundleWriter
-	f.Add(relayedBundle(f, &b, frame{op: opBundle, rank: 1, seq: 7, kind: "model"}, [][]byte{[]byte("ab"), nil, []byte("c")}))
+	f.Add(relayedBundle(f, &b, frame{op: opBundle, rank: 1, seq: 7, kind: "model"}, [][]byte{[]byte("ab"), nil, []byte("c")}, 1))
 	f.Add(frameBytes(f, frame{op: opContrib, rank: 1, seq: 7, kind: "state", payload: bytes.Repeat([]byte{0xa5}, 16)}))
 	f.Add(frameBytes(f, frame{op: opHello, rank: -1}))
 	f.Add(frameBytes(f, frame{op: opError, payload: []byte("worker 1 failed")}))
@@ -327,16 +354,16 @@ func FuzzReadFrame(f *testing.F) {
 // FuzzSplitBundle feeds the bundle parser arbitrary payloads: it must
 // never panic, and the parts it returns re-encode to the input exactly.
 func FuzzSplitBundle(f *testing.F) {
-	f.Add(appendBundle(nil, [][]byte{[]byte("ab"), nil, []byte("c")}))
-	f.Add(appendBundle(nil, [][]byte{bytes.Repeat([]byte{0xa5}, 16), bytes.Repeat([]byte{0x5a}, 16)}))
-	f.Add(appendBundle(nil, nil))
+	f.Add(appendBundle(nil, [][]byte{[]byte("ab"), nil, []byte("c")}, 1))
+	f.Add(appendBundle(nil, [][]byte{bytes.Repeat([]byte{0xa5}, 16), bytes.Repeat([]byte{0x5a}, 16)}, 0))
+	f.Add(appendBundle(nil, nil, -1))
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		parts, err := splitBundle(data, nil)
 		if err != nil {
 			return
 		}
-		if !bytes.Equal(appendBundle(nil, parts), data) {
+		if !bytes.Equal(appendBundle(nil, parts, -1), data) {
 			t.Fatalf("accepted bundle %x does not re-encode from its %d parts", data, len(parts))
 		}
 	})

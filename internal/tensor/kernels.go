@@ -10,7 +10,8 @@
 // its scalar reference with exact (==) comparisons.
 //
 // On amd64 with AVX2 the AXPY/Dot4 families, the reduction-free sweeps
-// (Scale, ScaleAdd, AXPYTo, ReLU, ReLUGrad, MaskedCopy, MaskedAdd),
+// (Scale, ScaleAdd, AXPYTo, ReLU, ReLUGrad, MaskedCopy, MaskedAdd and
+// the little-endian byte kernels EncodeLE, DecodeLE, AddScaleLE),
 // AdamStep and MatVec's 4-row × 8-sample tile hand vectors of at least
 // simdMinLen elements, and MaxPool2x2 every call, to the assembly
 // bodies in kernels_amd64.s, which are bit-identical to the
@@ -23,7 +24,10 @@
 // everywhere.
 package tensor
 
-import "math"
+import (
+	"encoding/binary"
+	"math"
+)
 
 // simdMinLen is the shortest vector dispatched to assembly. A call
 // through the ABI0 wrapper (up to 26 argument words spilled to the stack,
@@ -317,6 +321,82 @@ func MaskedAdd(dst, src []float64, mask []uint64) {
 	src = src[:len(mask)]
 	for i, m := range mask {
 		dst[i] += math.Float64frombits(math.Float64bits(src[i]) & m)
+	}
+}
+
+// The little-endian byte kernels: float64 vectors to and from the wire
+// format of the socket fabric's float payloads (eight little-endian bytes
+// an element), and the fabric's mean fold straight from those bytes. A
+// byte view may start at any offset; its length is checked against the
+// vector's, which sets the element count. In the Go loops' 4-wide form
+// the loop condition proves every index in range, so the body carries no
+// bounds check.
+
+// EncodeLE stores v into dst[:8·len(v)], each element's bits unchanged
+// (NaN payloads included).
+//
+//fda:noalloc
+func EncodeLE(dst []byte, v []float64) {
+	b := dst[:8*len(v)]
+	if useAVX2 && len(v) >= simdMinLen {
+		encodeLEAVX2(b, v)
+		return
+	}
+	for len(v) >= 4 && len(b) >= 32 {
+		binary.LittleEndian.PutUint64(b[0:8], math.Float64bits(v[0]))
+		binary.LittleEndian.PutUint64(b[8:16], math.Float64bits(v[1]))
+		binary.LittleEndian.PutUint64(b[16:24], math.Float64bits(v[2]))
+		binary.LittleEndian.PutUint64(b[24:32], math.Float64bits(v[3]))
+		v, b = v[4:], b[32:]
+	}
+	for i, x := range v {
+		binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(x))
+	}
+}
+
+// DecodeLE stores into dst the len(dst) elements encoded in b[:8·len(dst)],
+// each element's bits unchanged.
+//
+//fda:noalloc
+func DecodeLE(dst []float64, b []byte) {
+	b = b[:8*len(dst)]
+	if useAVX2 && len(dst) >= simdMinLen {
+		decodeLEAVX2(dst, b)
+		return
+	}
+	d := dst
+	for len(d) >= 4 && len(b) >= 32 {
+		d[0] = math.Float64frombits(binary.LittleEndian.Uint64(b[0:8]))
+		d[1] = math.Float64frombits(binary.LittleEndian.Uint64(b[8:16]))
+		d[2] = math.Float64frombits(binary.LittleEndian.Uint64(b[16:24]))
+		d[3] = math.Float64frombits(binary.LittleEndian.Uint64(b[24:32]))
+		d, b = d[4:], b[32:]
+	}
+	for i := range d {
+		d[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
+	}
+}
+
+// AddScaleLE computes d[i] = (d[i] + x[i])·s, x being the len(d)
+// elements encoded in b[:8·len(d)]: one add, then one multiply, each
+// rounded. s = 1 is exact, so with it the fold is the plain sum.
+//
+//fda:noalloc
+func AddScaleLE(d []float64, b []byte, s float64) {
+	b = b[:8*len(d)]
+	if useAVX2 && len(d) >= simdMinLen {
+		addScaleLEAVX2(d, b, s)
+		return
+	}
+	for len(d) >= 4 && len(b) >= 32 {
+		d[0] = (d[0] + math.Float64frombits(binary.LittleEndian.Uint64(b[0:8]))) * s
+		d[1] = (d[1] + math.Float64frombits(binary.LittleEndian.Uint64(b[8:16]))) * s
+		d[2] = (d[2] + math.Float64frombits(binary.LittleEndian.Uint64(b[16:24]))) * s
+		d[3] = (d[3] + math.Float64frombits(binary.LittleEndian.Uint64(b[24:32]))) * s
+		d, b = d[4:], b[32:]
+	}
+	for i := range d {
+		d[i] = (d[i] + math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))) * s
 	}
 }
 

@@ -90,3 +90,15 @@ func maskedAddAVX2(dst, src []float64, mask []uint64)
 //go:noescape
 //fda:noalloc
 func maxPool2x2AVX2(y []float64, arg []int, x []float64, rows, w int)
+
+//go:noescape
+//fda:noalloc
+func encodeLEAVX2(dst []byte, v []float64)
+
+//go:noescape
+//fda:noalloc
+func decodeLEAVX2(dst []float64, b []byte)
+
+//go:noescape
+//fda:noalloc
+func addScaleLEAVX2(d []float64, b []byte, s float64)

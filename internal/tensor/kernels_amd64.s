@@ -1048,3 +1048,126 @@ pool_next:
 pool_done:
 	VZEROUPPER
 	RET
+
+// The little-endian byte kernels. On amd64 a float64's memory image is
+// its little-endian encoding, so EncodeLE and DecodeLE are one move of
+// 8n bytes and AddScaleLE reads its second operand straight from the
+// bytes: lanes are elements, element i lives at byte 8i on both sides,
+// and an operand may start at any byte offset (unaligned forms only).
+
+// func encodeLEAVX2(dst []byte, v []float64)
+// dst[8i:8i+8] = v[i]'s bits, i < len(v).
+TEXT ·encodeLEAVX2(SB), NOSPLIT, $0-48
+	MOVQ dst_base+0(FP), DI
+	MOVQ v_base+24(FP), SI
+	MOVQ v_len+32(FP), CX
+	JMP  moveLE<>(SB)
+
+// func decodeLEAVX2(dst []float64, b []byte)
+// dst[i] = the bits of b[8i:8i+8], i < len(dst).
+TEXT ·decodeLEAVX2(SB), NOSPLIT, $0-48
+	MOVQ dst_base+0(FP), DI
+	MOVQ dst_len+8(FP), CX
+	MOVQ b_base+24(FP), SI
+	JMP  moveLE<>(SB)
+
+// moveLE<> copies CX 8-byte elements from SI to DI, 16 at a time, then
+// 4, then 1. Tail of encodeLEAVX2 and decodeLEAVX2.
+TEXT moveLE<>(SB), NOSPLIT, $0
+	XORQ AX, AX
+	SUBQ $16, CX
+	JL   movele_tail4
+
+movele_loop16:
+	VMOVUPD (SI)(AX*8), Y0
+	VMOVUPD 32(SI)(AX*8), Y1
+	VMOVUPD 64(SI)(AX*8), Y2
+	VMOVUPD 96(SI)(AX*8), Y3
+	VMOVUPD Y0, (DI)(AX*8)
+	VMOVUPD Y1, 32(DI)(AX*8)
+	VMOVUPD Y2, 64(DI)(AX*8)
+	VMOVUPD Y3, 96(DI)(AX*8)
+	ADDQ    $16, AX
+	CMPQ    AX, CX
+	JLE     movele_loop16
+
+movele_tail4:
+	ADDQ $12, CX
+	CMPQ AX, CX
+	JG   movele_tail1
+
+movele_loop4:
+	VMOVUPD (SI)(AX*8), Y0
+	VMOVUPD Y0, (DI)(AX*8)
+	ADDQ    $4, AX
+	CMPQ    AX, CX
+	JLE     movele_loop4
+
+movele_tail1:
+	ADDQ $4, CX
+	CMPQ AX, CX
+	JGE  movele_done
+
+movele_loop1:
+	MOVQ (SI)(AX*8), BX
+	MOVQ BX, (DI)(AX*8)
+	INCQ AX
+	CMPQ AX, CX
+	JL   movele_loop1
+
+movele_done:
+	VZEROUPPER
+	RET
+
+// func addScaleLEAVX2(d []float64, b []byte, s float64)
+// d[i] = (d[i] + the float64 at b[8i:8i+8])·s, i < len(d): VADDPD, then
+// VMULPD, as the Go expression evaluates.
+TEXT ·addScaleLEAVX2(SB), NOSPLIT, $0-56
+	MOVQ d_base+0(FP), DI
+	MOVQ d_len+8(FP), CX
+	MOVQ b_base+24(FP), SI
+	VBROADCASTSD s+48(FP), Y0
+	XORQ AX, AX
+	SUBQ $8, CX
+	JL   addscalele_tail4
+
+addscalele_loop8:
+	VMOVUPD (DI)(AX*8), Y1
+	VMOVUPD 32(DI)(AX*8), Y2
+	VADDPD  (SI)(AX*8), Y1, Y1
+	VADDPD  32(SI)(AX*8), Y2, Y2
+	VMULPD  Y0, Y1, Y1
+	VMULPD  Y0, Y2, Y2
+	VMOVUPD Y1, (DI)(AX*8)
+	VMOVUPD Y2, 32(DI)(AX*8)
+	ADDQ    $8, AX
+	CMPQ    AX, CX
+	JLE     addscalele_loop8
+
+addscalele_tail4:
+	ADDQ $4, CX
+	CMPQ AX, CX
+	JG   addscalele_tail1
+	VMOVUPD (DI)(AX*8), Y1
+	VADDPD  (SI)(AX*8), Y1, Y1
+	VMULPD  Y0, Y1, Y1
+	VMOVUPD Y1, (DI)(AX*8)
+	ADDQ    $4, AX
+
+addscalele_tail1:
+	ADDQ $4, CX
+	CMPQ AX, CX
+	JGE  addscalele_done
+
+addscalele_loop1:
+	VMOVSD (DI)(AX*8), X1
+	VADDSD (SI)(AX*8), X1, X1
+	VMULSD X0, X1, X1
+	VMOVSD X1, (DI)(AX*8)
+	INCQ   AX
+	CMPQ   AX, CX
+	JL     addscalele_loop1
+
+addscalele_done:
+	VZEROUPPER
+	RET

@@ -31,4 +31,5 @@ func init() {
 		maskedKernel("maskedCopyAVX2", maskedCopyAVX2, false),
 		maskedKernel("maskedAddAVX2", maskedAddAVX2, true),
 	)
+	simdKernels = append(simdKernels, leKernels("AVX2", encodeLEAVX2, decodeLEAVX2, addScaleLEAVX2)...)
 }

@@ -1,6 +1,8 @@
 package tensor
 
 import (
+	"encoding/binary"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -28,11 +30,13 @@ type simdKernel struct {
 	oracle  func(v [][]float64, c []float64) []float64
 	// alias lists operand pairs {i, j} that may be the very same slice.
 	alias [][2]int
+	// exact compares NaN payloads too: the kernel only moves bits.
+	exact bool
 }
 
 // simdKernels is the matrix; kernels_amd64_test.go appends the raw
 // assembly routines to it through the same constructors.
-var simdKernels = []simdKernel{
+var simdKernels = append([]simdKernel{
 	axpyKernel("AXPY", AXPY),
 	axpy4Kernel("AXPY4", AXPY4),
 	axpy4x2Kernel("AXPY4x2", AXPY4x2, 1, 1),
@@ -66,7 +70,7 @@ var simdKernels = []simdKernel{
 			copy(dst[s*stride:s*stride+4], out[4*s:4*s+4])
 		}
 	}),
-}
+}, leKernels("", EncodeLE, DecodeLE, AddScaleLE)...)
 
 // One constructor per kernel signature: operand counts, permitted
 // aliasing and the oracle are stated once, whichever implementation f is.
@@ -280,6 +284,116 @@ func dot4x8Kernel(name string, f func(dst []float64, stride int, w, x []float64,
 	}
 }
 
+// leKernels puts the little-endian byte kernels in the matrix once for
+// every byte offset mod 8 of their byte view: a bundle's parts start
+// 4 + 4K bytes into its payload, so the fabric hands them views at any
+// offset. A kernel's name is its Go name, suffix, "+" and the offset.
+func leKernels(suffix string, enc func(dst []byte, v []float64), dec func(dst []float64, b []byte),
+	fold func(d []float64, b []byte, s float64)) []simdKernel {
+	var ks []simdKernel
+	for shift := 0; shift < 8; shift++ {
+		ks = append(ks,
+			encodeLEKernel(fmt.Sprintf("EncodeLE%s+%d", suffix, shift), enc, shift),
+			decodeLEKernel(fmt.Sprintf("DecodeLE%s+%d", suffix, shift), dec, shift),
+			addScaleLEKernel(fmt.Sprintf("AddScaleLE%s+%d", suffix, shift), fold, shift))
+	}
+	return ks
+}
+
+// leGuard fills the bytes around a byte view.
+const leGuard = 0xa5
+
+// leView is the byte view at offset shift of buf, whose other bytes
+// (shift before the view, 8 after) hold leGuard.
+type leView struct {
+	buf   []byte
+	shift int
+}
+
+// leBytes encodes v into a fresh view at shift with the test's own loop.
+func leBytes(v []float64, shift int) leView {
+	l := leView{make([]byte, shift+8*len(v)+8), shift}
+	for i := range l.buf {
+		l.buf[i] = leGuard
+	}
+	for i, x := range v {
+		binary.LittleEndian.PutUint64(l.bytes()[8*i:], math.Float64bits(x))
+	}
+	return l
+}
+
+func (l leView) bytes() []byte { return l.buf[l.shift : len(l.buf)-8] }
+
+// guardsHit counts the bytes around the view that no longer hold
+// leGuard: a kernel that writes outside its view shows here.
+func (l leView) guardsHit() []float64 {
+	hit := 0
+	for i, c := range l.buf {
+		if (i < l.shift || i >= len(l.buf)-8) && c != leGuard {
+			hit++
+		}
+	}
+	return []float64{float64(hit)}
+}
+
+// leDecode is the test's own decoder: v[i] from b[8i:8i+8].
+func leDecode(v []float64, b []byte) {
+	for i := range v {
+		v[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
+	}
+}
+
+// leOracleOK is the oracles' scalar result: no guard byte hit.
+var leOracleOK = []float64{0}
+
+// encodeLEKernel: vector 0 is what the byte view held before (and, read
+// back, what it holds after), vector 1 the source.
+func encodeLEKernel(name string, f func(dst []byte, v []float64), shift int) simdKernel {
+	return simdKernel{
+		name: name, vecs: 2, exact: true,
+		run: func(v [][]float64, _ []float64) []float64 {
+			l := leBytes(v[0], shift)
+			f(l.bytes(), v[1])
+			leDecode(v[0], l.bytes())
+			return l.guardsHit()
+		},
+		oracle: func(v [][]float64, _ []float64) []float64 { copy(v[0], v[1]); return leOracleOK },
+	}
+}
+
+// decodeLEKernel: vector 0 is the destination, vector 1 the values the
+// byte view encodes.
+func decodeLEKernel(name string, f func(dst []float64, b []byte), shift int) simdKernel {
+	return simdKernel{
+		name: name, vecs: 2, exact: true,
+		run: func(v [][]float64, _ []float64) []float64 {
+			l := leBytes(v[1], shift)
+			f(v[0], l.bytes())
+			return l.guardsHit()
+		},
+		oracle: func(v [][]float64, _ []float64) []float64 { copy(v[0], v[1]); return leOracleOK },
+	}
+}
+
+// addScaleLEKernel: vector 0 is d, vector 1 the values the byte view
+// encodes, the scalar s.
+func addScaleLEKernel(name string, f func(d []float64, b []byte, s float64), shift int) simdKernel {
+	return simdKernel{
+		name: name, vecs: 2, scalars: 1,
+		run: func(v [][]float64, c []float64) []float64 {
+			l := leBytes(v[1], shift)
+			f(v[0], l.bytes(), c[0])
+			return l.guardsHit()
+		},
+		oracle: func(v [][]float64, c []float64) []float64 {
+			for i := range v[0] {
+				v[0][i] = (v[0][i] + v[1][i]) * c[0]
+			}
+			return leOracleOK
+		},
+	}
+}
+
 func oracleDot4x8(v [][]float64, _ []float64) []float64 {
 	out := make([]float64, 0, 32)
 	for s := 0; s < 8; s++ {
@@ -385,14 +499,18 @@ func oracleAdam(v [][]float64, c []float64) []float64 {
 // and a result is Inf exactly when the oracle's is. Any NaN matches any
 // NaN: which payload survives x+y when both are NaN depends on operand
 // order, which the Go compiler is free to choose for the scalar code too,
-// so payloads were never part of the contract (DESIGN.md §7).
+// so payloads were never part of the contract (DESIGN.md §7) — except
+// for the kernels that only move bits, which a simdKernel marks exact.
 func sameBits(a, b float64) bool {
 	return math.Float64bits(a) == math.Float64bits(b) || (a != a && b != b)
 }
 
 // specials are the values rounding and exception handling trip over.
+// The NaNs carry distinct payloads, one of them signalling, for the
+// kernels that must move them unchanged.
 var specials = []float64{
 	0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(),
+	math.Float64frombits(0xfff8_0000_dead_beef), math.Float64frombits(0x7ff0_0000_0000_0001),
 	5e-324, -2.5e-310, 2.2250738585072014e-308, 1e300, -1e300, 1e-300, 1, -1,
 }
 
@@ -424,16 +542,20 @@ func checkKernel(t *testing.T, k simdKernel, n, off, aliasPair int, fill func(j 
 	}
 	gs := k.run(got, c)
 	ws := k.oracle(want, c)
+	same := sameBits
+	if k.exact {
+		same = func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	}
 	for q := range got {
 		for i := range got[q] {
-			if !sameBits(got[q][i], want[q][i]) {
+			if !same(got[q][i], want[q][i]) {
 				t.Fatalf("%s n=%d off=%d alias=%d: vec %d[%d] = %v (%#x), scalar loop %v (%#x)", k.name, n, off,
 					aliasPair, q, i, got[q][i], math.Float64bits(got[q][i]), want[q][i], math.Float64bits(want[q][i]))
 			}
 		}
 	}
 	for i := range ws {
-		if !sameBits(gs[i], ws[i]) {
+		if !same(gs[i], ws[i]) {
 			t.Fatalf("%s n=%d off=%d alias=%d: result %d = %v (%#x), scalar loop %v (%#x)", k.name, n, off,
 				aliasPair, i, gs[i], math.Float64bits(gs[i]), ws[i], math.Float64bits(ws[i]))
 		}
@@ -535,7 +657,7 @@ func TestMeanFoldsInArgumentOrderThenScalesOnce(t *testing.T) {
 
 var (
 	asmFMA    = regexp.MustCompile(`\bVFN?M(ADD|SUB)`)
-	asmText   = regexp.MustCompile(`^TEXT\s+·(\w+)`)
+	asmText   = regexp.MustCompile(`^TEXT\s+·?(\w+)`)
 	asmDefine = regexp.MustCompile(`^#define\s+(\w+)`)
 	asmCall   = regexp.MustCompile(`^(\w+)\s*(\(|$)`)
 	asmVec    = regexp.MustCompile(`\b[XYZ]\d+\b`)
