@@ -152,20 +152,46 @@ bench:
 # fdaserve with the admission cap armed, drive two seconds of Poisson
 # traffic through fdaload's default mix, and validate the report —
 # nonzero completed work, zero unexpected errors (-check exits
-# non-zero otherwise).
+# non-zero otherwise). Its restart leg then trains one fixed spec to
+# done, kills fdaserve with -9, restarts it on the same store and
+# resubmits: the records (job id aside) must compare equal, and the
+# restarted process must have taken no training step (no
+# fda_steps_total sample above 0).
+LOADSMOKE_ADDR = http://127.0.0.1:18091
+LOADSMOKE_TRAIN = {"model":"lenet5s","strategy":"LinearFDA","k":2,"steps":20,"eval_every":10,"seed":8675309}
 loadsmoke:
 	@rm -rf .loadsmoke && mkdir -p .loadsmoke
 	@$(GO) build -o .loadsmoke/ ./cmd/fdaserve ./cmd/fdaload
-	@./.loadsmoke/fdaserve -store .loadsmoke/store -addr 127.0.0.1:18091 \
-		-max-queue 256 >.loadsmoke/server.log 2>&1 & \
-	pid=$$!; \
-	trap 'kill $$pid 2>/dev/null; wait' EXIT; \
-	for i in $$(seq 1 50); do \
-		curl -sf http://127.0.0.1:18091/healthz >/dev/null 2>&1 && break; sleep 0.2; \
-	done; \
-	./.loadsmoke/fdaload -addr http://127.0.0.1:18091 -rate 40 -duration 2s \
+	@serve() { \
+		./.loadsmoke/fdaserve -store .loadsmoke/store -addr 127.0.0.1:18091 \
+			-max-queue 256 >>.loadsmoke/server.log 2>&1 & \
+		pid=$$!; \
+		for i in $$(seq 1 50); do \
+			curl -sf $(LOADSMOKE_ADDR)/healthz >/dev/null 2>&1 && break; sleep 0.2; \
+		done; \
+	}; \
+	train() { \
+		id=$$(curl -sf -X POST $(LOADSMOKE_ADDR)/v1/train -d '$(LOADSMOKE_TRAIN)' | \
+			sed -n 's/^{"id":"\([^"]*\)".*/\1/p'); \
+		for i in $$(seq 1 300); do \
+			curl -sf $(LOADSMOKE_ADDR)/v1/runs/$$id | grep -q '"status":"running"' || break; sleep 0.1; \
+		done; \
+		curl -sf $(LOADSMOKE_ADDR)/v1/runs/$$id/records | sed 's/^{"id":"[^"]*",//' >$$1; \
+	}; \
+	pid=; trap 'kill $$pid 2>/dev/null; wait' EXIT; \
+	serve; \
+	./.loadsmoke/fdaload -addr $(LOADSMOKE_ADDR) -rate 40 -duration 2s \
 		-mix train=1,status=4,store=1 -steps 10 -k 1 -eval-every 10 \
-		-out .loadsmoke/report.json -check
+		-out .loadsmoke/report.json -check || exit 1; \
+	train .loadsmoke/records1.json; \
+	kill -9 $$pid; wait $$pid 2>/dev/null; \
+	serve; \
+	train .loadsmoke/records2.json; \
+	grep -q '"records"' .loadsmoke/records1.json || { echo "loadsmoke: the restart leg's train did not finish"; exit 1; }; \
+	cmp .loadsmoke/records1.json .loadsmoke/records2.json || { echo "loadsmoke: records differ after a restart"; exit 1; }; \
+	curl -sf $(LOADSMOKE_ADDR)/metrics | awk '$$1 ~ /^fda_steps_total/ && $$2 > 0 { bad = 1 } END { exit bad }' || \
+		{ echo "loadsmoke: the restarted fdaserve retrained a stored result"; exit 1; }; \
+	echo "loadsmoke: restart ok (the resubmission was a store hit)"
 	@rm -rf .loadsmoke
 
 # clustersmoke is the scale-out CI gate (DESIGN.md §14): three fdaserve

@@ -8,14 +8,13 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/dist"
 	"repro/internal/runstore"
 )
 
 // TestTrainFailureDropsCheckpoint pins the orphan-checkpoint fix: a
-// train job that fails terminally must remove its session checkpoint.
+// train job that fails terminally must remove its resume snapshots.
 // The job body is driven directly: its spec carries a negative Θ, which
 // admission refuses, so session construction fails before a single step.
 func TestTrainFailureDropsCheckpoint(t *testing.T) {
@@ -25,13 +24,10 @@ func TestTrainFailureDropsCheckpoint(t *testing.T) {
 	}
 	s := newServer(st, 2, context.Background())
 
-	// Plant a stale checkpoint under the exact key the job runs under.
+	// Plant stale resume state under the exact key the job runs under.
 	spec := dist.JobSpec{Model: "lenet5s", Strategy: "SketchFDA", Theta: -1, K: 3, Steps: 40}.WithDefaults()
-	ckpt := s.checkpointPath(spec.Key())
-	if err := os.MkdirAll(filepath.Dir(ckpt), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(ckpt, []byte("stale"), 0o644); err != nil {
+	resume := trainSpec(spec.Key()).Prefix("resume")
+	if err := st.PutSnapshot(resume, 7, 0, []byte("stale")); err != nil {
 		t.Fatal(err)
 	}
 
@@ -45,49 +41,8 @@ func TestTrainFailureDropsCheckpoint(t *testing.T) {
 	if v := j.view(); v.Status != statusFailed {
 		t.Fatalf("job status %q (%s), want failed", v.Status, v.Error)
 	}
-	if _, err := os.Stat(ckpt); !os.IsNotExist(err) {
-		t.Fatalf("failed train job left checkpoint %s (stat err %v)", ckpt, err)
-	}
-}
-
-// TestSweepSessionCheckpoints pins the startup TTL sweep: checkpoints
-// older than the TTL go, fresh ones and foreign files stay.
-func TestSweepSessionCheckpoints(t *testing.T) {
-	dir := t.TempDir()
-	sessions := filepath.Join(dir, "sessions")
-	if err := os.MkdirAll(sessions, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	old := filepath.Join(sessions, "deadbeef.ckpt")
-	fresh := filepath.Join(sessions, "cafef00d.ckpt")
-	other := filepath.Join(sessions, "notes.txt")
-	for _, p := range []string{old, fresh, other} {
-		if err := os.WriteFile(p, []byte("x"), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	stale := time.Now().Add(-48 * time.Hour)
-	if err := os.Chtimes(old, stale, stale); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Chtimes(other, stale, stale); err != nil {
-		t.Fatal(err)
-	}
-
-	if n := sweepSessionCheckpoints(dir, 24*time.Hour); n != 1 {
-		t.Fatalf("swept %d checkpoints, want 1", n)
-	}
-	if _, err := os.Stat(old); !os.IsNotExist(err) {
-		t.Fatal("expired checkpoint survived the sweep")
-	}
-	for _, p := range []string{fresh, other} {
-		if _, err := os.Stat(p); err != nil {
-			t.Fatalf("sweep removed %s: %v", p, err)
-		}
-	}
-	// No sessions directory at all is a quiet no-op.
-	if n := sweepSessionCheckpoints(t.TempDir(), time.Hour); n != 0 {
-		t.Fatalf("sweep of empty store removed %d", n)
+	if n := resumeSnapshots(t, st, spec.Key()); n != 0 {
+		t.Fatalf("failed train job left %d resume snapshot(s)", n)
 	}
 }
 

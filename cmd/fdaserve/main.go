@@ -2,10 +2,11 @@
 // backed by the content-addressed run registry: submit a figure sweep
 // or a single training session, watch its progress live over SSE,
 // cancel it, fetch its records, and browse the cached-run catalog.
-// Every grid cell persists in the registry and every cancelled training
-// session checkpoints its full state, so repeated or interrupted
+// Every grid cell and every finished local training session persists
+// in the registry, and a cancelled session stores its full state there
+// as a resume snapshot, so repeated, interrupted or post-restart
 // submissions cost only the work the store does not yet hold
-// (DESIGN.md §6, §8).
+// (DESIGN.md §6, §8, §10).
 //
 //	fdaserve -store runs.d -addr :8080
 //
@@ -31,7 +32,7 @@
 //	curl -s localhost:8080/v1/store
 //
 // The server shuts down gracefully on SIGINT/SIGTERM: in-flight run
-// contexts are cancelled (training sessions write resume checkpoints,
+// contexts are cancelled (training sessions store resume snapshots,
 // sweeps keep their persisted cells), the listener drains, and the job
 // journal is flushed.
 package main
@@ -62,7 +63,7 @@ func main() {
 		jobs     = flag.Int("jobs", runtime.GOMAXPROCS(0), "cap on concurrent sweep cells per run and on goroutines per local train job; every call widens into the idle cores (results are identical at any setting)")
 		fabric   = flag.String("fabric", "", "TCP-fabric listen address for distributed train jobs (e.g. :9000); empty disables them")
 		warm     = flag.Bool("warmstart", true, "reuse trajectory-prefix snapshots across sweep cells sharing a trajectory (records stay bit-identical; wall clock drops)")
-		ttl      = flag.Duration("session-ttl", 7*24*time.Hour, "expire orphaned session checkpoints and prefix snapshots older than this at startup (0 disables the sweep)")
+		ttl      = flag.Duration("session-ttl", 7*24*time.Hour, "expire prefix snapshots and train resume snapshots older than this at startup (0 disables the sweep)")
 		pprofOn  = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 		name     = flag.String("name", "", "replica identity reported on /v1/metrics and /v1/healthz (for fdagate clusters; default: the listen address)")
 		maxQueue = flag.Int("max-queue", 0, "admission cap on in-flight jobs; beyond it new submissions get 503 + Retry-After (0 = unbounded)")
@@ -88,18 +89,17 @@ func main() {
 	}
 
 	// baseCtx parents every job; the signal handler cancels it so every
-	// in-flight run winds down (and checkpoints) before the process exits.
+	// in-flight run winds down (and stores its resume state) before the
+	// process exits.
 	baseCtx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	// Startup hygiene: drop expired session checkpoints and prefix
-	// snapshots, then resurface journaled mid-run jobs as "interrupted".
+	// Startup hygiene: drop expired snapshots (sweep prefixes and train
+	// resume state alike), then resurface journaled mid-run jobs as
+	// "interrupted".
 	if *ttl > 0 {
-		if n := sweepSessionCheckpoints(st.Dir(), *ttl); n > 0 {
-			fmt.Printf("fdaserve: expired %d orphaned session checkpoint(s)\n", n)
-		}
 		if n := st.SweepSnapshots(*ttl); n > 0 {
-			fmt.Printf("fdaserve: expired %d stale prefix snapshot(s)\n", n)
+			fmt.Printf("fdaserve: expired %d stale snapshot(s)\n", n)
 		}
 	}
 	s := newServer(st, *jobs, baseCtx)
@@ -159,6 +159,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "fdaserve: shutdown: %v\n", err)
 	}
 	// Job contexts are children of baseCtx, already cancelled; drain
-	// waits for their goroutines to checkpoint and record final status.
+	// waits for their goroutines to store resume state and record final
+	// status.
 	s.drain()
 }

@@ -3,12 +3,10 @@ package main
 import (
 	"bufio"
 	"context"
-	"encoding/json"
 	"errors"
 	"math"
 	"net/http"
 	"net/http/httptest"
-	"path/filepath"
 	"strconv"
 	"strings"
 	"sync"
@@ -24,79 +22,82 @@ import (
 )
 
 // This file pins the seams several binaries share one definition of:
-// the train-job identity (body → dedupe key → checkpoint path → gateway
-// address), the instrumented HTTP shell both servers sit behind, and
-// the job-goroutine lifecycle.
+// the train-job identity (body → dedupe key → run-registry addresses →
+// gateway address), the instrumented HTTP shell both servers sit
+// behind, and the job-goroutine lifecycle.
 
-// TestTrainKeyGolden pins request body → canonical key → resume
-// checkpoint path → gateway affinity address against a table captured
-// before the spec moved into dist.JobSpec (when cluster.TrainSpec and
-// fdaserve's trainRequest computed them): a resubmission after an
-// upgrade must find the checkpoint written before it, on the replica
-// affinity routing sent it to before. The compression fields join the
-// key only when they compress.
+// TestTrainKeyGolden pins request body → canonical key → run address
+// and resume-snapshot address → gateway affinity address. The key and
+// gateway columns were captured before the spec moved into
+// dist.JobSpec (when cluster.TrainSpec and fdaserve's trainRequest
+// computed them); the two registry columns change only with
+// runstore.SpecVersion. A resubmission after an upgrade must find the
+// result and resume state written before it, on the replica affinity
+// routing sent it to before. The compression fields join the key only
+// when they compress.
 func TestTrainKeyGolden(t *testing.T) {
-	golden := []struct{ body, key, ckpt, addr string }{
+	golden := []struct{ body, key, run, resume, addr string }{
 		{`{"model":"lenet5s","strategy":"LinearFDA"}`,
 			"train|lenet5s|LinearFDA|0.052360000000000004|10|5|32|200|20|0|iid|1",
-			"sessions/1ffbfd69fc99a5c1.ckpt",
+			"5236fd870d2ed08fd216e14a1267cdf8db83a514b841e93e339c4bf48be63434",
+			"e9ea95fd982941cd17d12e4768d735cc11b0396b7f6aa985c3eb9c1084ba0bdb",
 			"1ffbfd69fc99a5c161cc8c565cfe6f3248f70ed0c21b45c6f71bec4c4e9ca706"},
 		{`{"strategy":"LinearFDA","seed":1,"model":"lenet5s","tau":10}`,
 			"train|lenet5s|LinearFDA|0.052360000000000004|10|5|32|200|20|0|iid|1",
-			"sessions/1ffbfd69fc99a5c1.ckpt",
+			"5236fd870d2ed08fd216e14a1267cdf8db83a514b841e93e339c4bf48be63434",
+			"e9ea95fd982941cd17d12e4768d735cc11b0396b7f6aa985c3eb9c1084ba0bdb",
 			"1ffbfd69fc99a5c161cc8c565cfe6f3248f70ed0c21b45c6f71bec4c4e9ca706"},
 		{`{"model":"lenet5s","strategy":"LinearFDA","theta":0.05,"k":4,"steps":60,"eval_every":10}`,
 			"train|lenet5s|LinearFDA|0.05|10|4|32|60|10|0|iid|1",
-			"sessions/74e02a6ecb6195fa.ckpt",
+			"14fa24ced510027b09d3fe43eeb0101106eb66efea039ef3fae1d603a7b4e312",
+			"0ebfd08ba50f3627a67b2759c200a0aa350016cca571329fa3b087e4e57aa486",
 			"74e02a6ecb6195fa66dcd755df6966285567c7c7a4f5c15e1659d054b005c7d9"},
 		{`{"model":"lenet5s","strategy":"SketchFDA","theta":-1,"k":3,"steps":40}`,
 			"train|lenet5s|SketchFDA|-1|10|3|32|40|20|0|iid|1",
-			"sessions/d8706d6f598ff70a.ckpt",
+			"d4071df18bc59cf8ceabfcd1535f294c463af203a951d75d97e405fff8fced02",
+			"f1e4259302a8a0d15deb07b2e0e285701c4074cecb1582e53a6253f6074cbe50",
 			"d8706d6f598ff70a470624dc67a49709fa6f9f6f75dc26da65060e4513e49f20"},
 		{`{"model":"vgg16s","strategy":"Synchronous","k":2,"batch":16,"steps":30,"seed":9}`,
 			"train|vgg16s|Synchronous|0.36708|10|2|16|30|20|0|iid|9",
-			"sessions/666b687ff70853fd.ckpt",
+			"b9768ef1419e4afaec47724f5d99b521913be753b8503e7787c8b8a0c0be6f67",
+			"06e582e50c38702ce7fc99a8a23366d70fae4ba43d00802b94e037a563de01ad",
 			"666b687ff70853fddeb1e38d1b9a4921c215c449ddb5cedaa1f6524b0318c890"},
 		{`{"model":"lenet5s","strategy":"LocalSGD","tau":5,"het":"label0","target":0.9}`,
 			"train|lenet5s|LocalSGD|0.052360000000000004|5|5|32|200|20|0.9|label0|1",
-			"sessions/4592bdf15f5b40cd.ckpt",
+			"b9d2ba83f509d9fd30b51a6c39ec29fab7db297adbe4d799bd374c40b5cfc9fc",
+			"9bdfc6829ab6e6ce712b34fdf067bf03ed1aebb1caf9c3df60ae328d8d5a1a40",
 			"4592bdf15f5b40cdc96caa41a028a5fba0f8bdc226fd2f429d067d11ede38d0c"},
 		{`{"model":"lenet5s","strategy":"FedAdam","het":"dir0.5","k":8,"seed":42}`,
 			"train|lenet5s|FedAdam|0.052360000000000004|10|8|32|200|20|0|dir0.5|42",
-			"sessions/f55d208220157abc.ckpt",
+			"d5ba6e8b4c9cdea31c228e993f5446ac3d01f33c8c238763c037da71a56e0154",
+			"8fd67060479ef9be8ca8da2164d8805b6dbde0852ac7271786e251408ee5145b",
 			"f55d208220157abcfd9687e4eb4851785217c226994dc19412a042fd252bb6d8"},
 		{`{"model":"lenet5s","strategy":"LinearFDA","distributed":true,"k":2,"steps":20}`,
 			"train|lenet5s|LinearFDA|0.052360000000000004|10|2|32|20|20|0|iid|1|dist",
-			"sessions/19ad9a610aa5f7f3.ckpt",
+			"212755f413cc6950d90bc22457273242c81b1ba45631bbab9e8bee97a0dfc688",
+			"bc4a6979e3408601185f6ed0c29fad0fbabd358d249b1f0ee91ab1a32b94fa14",
 			"19ad9a610aa5f7f3160ec5a1203141c4d4217452ea3f37aedcbe72dc6bf502b3"},
 		{`{"model":"densenet121s","strategy":"OracleFDA","theta":1e-3,"target":0.75,"eval_every":5}`,
 			"train|densenet121s|OracleFDA|0.001|10|5|32|200|5|0.75|iid|1",
-			"sessions/ca9f104cc2a6b8d3.ckpt",
+			"da32ad86719eb8aaec32655fb35a4a13ef8579c82e855d7fb5d40b9e66cfd906",
+			"15953ce107fbac134850efc2a3aceb435d32813a2f4f6b37abcbf370ba71a28a",
 			"ca9f104cc2a6b8d3459e0648ccd9ef46ac25fb6fce2c0275d6ccd2125c787cdd"},
 		{`{"model":"lenet5s","strategy":"LinearFDA","topk":0,"qbits":0}`,
 			"train|lenet5s|LinearFDA|0.052360000000000004|10|5|32|200|20|0|iid|1",
-			"sessions/1ffbfd69fc99a5c1.ckpt",
+			"5236fd870d2ed08fd216e14a1267cdf8db83a514b841e93e339c4bf48be63434",
+			"e9ea95fd982941cd17d12e4768d735cc11b0396b7f6aa985c3eb9c1084ba0bdb",
 			"1ffbfd69fc99a5c161cc8c565cfe6f3248f70ed0c21b45c6f71bec4c4e9ca706"},
 	}
-	st, err := runstore.Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := newServer(st, 1, context.Background())
-	keyOf := func(body string) string {
-		var spec dist.JobSpec
-		if err := json.Unmarshal([]byte(body), &spec); err != nil {
-			t.Fatal(err)
-		}
-		return spec.WithDefaults().Key()
-	}
 	for _, g := range golden {
-		key := keyOf(g.body)
+		key := bodyKey(t, g.body)
 		if key != g.key {
 			t.Errorf("%s\n key %q\nwant %q", g.body, key, g.key)
 		}
-		if rel, _ := filepath.Rel(st.Dir(), s.checkpointPath(key)); filepath.ToSlash(rel) != g.ckpt {
-			t.Errorf("%s: checkpoint %q, want %q", g.body, rel, g.ckpt)
+		if run := trainSpec(key).Hash(); run != g.run {
+			t.Errorf("%s: run address %q, want %q", g.body, run, g.run)
+		}
+		if resume := trainSpec(key).Prefix("resume").Hash(); resume != g.resume {
+			t.Errorf("%s: resume address %q, want %q", g.body, resume, g.resume)
 		}
 		if addr, ok := cluster.AffinityAddress("train", []byte(g.body)); !ok || addr != g.addr {
 			t.Errorf("%s: affinity address %q (ok=%v), want %q", g.body, addr, ok, g.addr)
@@ -111,7 +112,7 @@ func TestTrainKeyGolden(t *testing.T) {
 		`{"model":"lenet5s","strategy":"LinearFDA","topk":0.1,"qbits":8}`,
 		`{"model":"lenet5s","strategy":"LinearFDA","topk":0.1,"qbits":8,"distributed":true}`,
 	} {
-		key := keyOf(body)
+		key := bodyKey(t, body)
 		if other, dup := seen[key]; dup {
 			t.Errorf("%s and %s share key %q", body, other, key)
 		}

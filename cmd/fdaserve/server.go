@@ -112,7 +112,7 @@ func (s *server) drain() { s.wg.Wait() }
 // "interrupted" is assigned only at startup, to journaled jobs a
 // previous server process left mid-run; like failed and cancelled it
 // gives way to a resubmission of the same spec, which resumes from the
-// run registry or the session checkpoint.
+// run registry (sweep cells, a train's result or its resume snapshot).
 const (
 	statusRunning     = "running"
 	statusDone        = "done"
@@ -407,8 +407,9 @@ type metricsView struct {
 	// finished since the server started (training results and sweep
 	// records).
 	BytesSimulated int64 `json:"bytes_simulated"`
-	// StoreRuns counts the cached run manifests in the registry;
-	// StoreSnapshots the trajectory-prefix snapshots beside them.
+	// StoreRuns counts the cached run manifests in the registry (sweep
+	// cells and finished local trains); StoreSnapshots the snapshots
+	// beside them (trajectory prefixes and train resume state).
 	StoreRuns      int `json:"store_runs"`
 	StoreSnapshots int `json:"store_snapshots"`
 	// SnapshotHits/StepsSaved total the warm-start reuse across every
@@ -616,10 +617,11 @@ func (s *server) handleDrain(w http.ResponseWriter, r *http.Request) {
 // concurrent DELETE always finds a live cancel function — or returns
 // the existing job when a live (running/done) one already owns the key.
 // Failed and cancelled jobs give way to a retry, which re-executes only
-// the work the registry (or a session checkpoint) lacks. With -max-queue
-// set, a submission that would push the in-flight job count past the
-// cap returns errAtCapacity instead of admitting unboundedly; dedupe
-// hits are never refused — they create no work.
+// the work the registry (cells, train results, resume snapshots)
+// lacks. With -max-queue set, a submission that would push the
+// in-flight job count past the cap returns errAtCapacity instead of
+// admitting unboundedly; dedupe hits are never refused — they create
+// no work.
 func (s *server) createJob(key string, init func(*job)) (*job, context.Context, bool, error) {
 	s.mu.Lock()
 	if j, ok := s.byKey[key]; ok {
@@ -709,8 +711,8 @@ func (s *server) handleRun(w http.ResponseWriter, r *http.Request) {
 
 // handleCancel implements DELETE /v1/runs/{id}: the job's context is
 // cancelled, the handler waits for the run goroutine to wind down
-// (sweeps stop between cells, training sessions between steps — saving
-// a resume checkpoint), and the final view (status "cancelled") is
+// (sweeps stop between cells, training sessions between steps — storing
+// a resume snapshot), and the final view (status "cancelled") is
 // returned. Cancelling a finished job is a no-op conflict.
 func (s *server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.job(r)
@@ -911,7 +913,7 @@ func (b *broker) close() {
 
 // journal appends job status transitions to <store>/jobs.jsonl so an
 // operator (or the server itself after a restart) can see which runs
-// were interrupted — the discovery half of checkpoint-backed resume.
+// were interrupted — the discovery half of registry-backed resume.
 // Journal writes are advisory: a failure disables the journal but never
 // a run.
 type journal struct {
@@ -1006,7 +1008,7 @@ func (jn *journal) compact(entries []journalEntry) {
 // recoverJournal replays the job journal left by previous server
 // processes: jobs journaled mid-run resurface in /v1/runs as
 // "interrupted" (their keys give way to resubmissions, which resume
-// from the registry or session checkpoint), the ID counter continues
+// from the registry), the ID counter continues
 // past every journaled ID, and the journal file is compacted to its
 // last entry per job. Called once, before the listener starts.
 func (s *server) recoverJournal() {

@@ -2,8 +2,10 @@ package main
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -13,7 +15,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/checkpoint"
 	"repro/internal/core"
+	"repro/internal/dist"
 	"repro/internal/models"
 	"repro/internal/runstore"
 )
@@ -51,6 +55,34 @@ func trainWant(t *testing.T) core.Result {
 		t.Fatal(err)
 	}
 	return res
+}
+
+// bodyKey is the dedupe key (and so the run-registry address) the
+// server derives from a POST /v1/train body.
+func bodyKey(t *testing.T, body string) string {
+	t.Helper()
+	var spec dist.JobSpec
+	if err := json.Unmarshal([]byte(body), &spec); err != nil {
+		t.Fatal(err)
+	}
+	return spec.WithDefaults().Key()
+}
+
+// resumeSnapshots counts the resume snapshots stored for a train key.
+func resumeSnapshots(t *testing.T, st *runstore.Store, key string) int {
+	t.Helper()
+	ms, err := st.Snapshots()
+	if err != nil {
+		t.Fatal(err)
+	}
+	hash := trainSpec(key).Prefix("resume").Hash()
+	n := 0
+	for _, m := range ms {
+		if m.Hash == hash {
+			n++
+		}
+	}
+	return n
 }
 
 // awaitSteps polls a train job until it has taken at least n steps.
@@ -178,7 +210,7 @@ func TestTrainSSEStreamsLiveEvents(t *testing.T) {
 
 // TestTrainCancelResumeExact is the cancelled-then-resumed parity
 // contract end to end over HTTP: DELETE a mid-flight training session
-// (the store records the cancelled status and a resume checkpoint),
+// (the store records the cancelled status and a resume snapshot),
 // resubmit the identical spec, and the resumed job's final records must
 // equal — bit for bit — an uninterrupted in-process run.
 func TestTrainCancelResumeExact(t *testing.T) {
@@ -187,6 +219,11 @@ func TestTrainCancelResumeExact(t *testing.T) {
 	}
 	dir := t.TempDir()
 	ts := testServer(t, dir)
+	st, err := runstore.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := bodyKey(t, trainBody)
 	want := trainWant(t)
 
 	var created jobView
@@ -201,7 +238,7 @@ func TestTrainCancelResumeExact(t *testing.T) {
 		t.Fatalf("DELETE left status %q", cancelled.Status)
 	}
 	// The store directory records both the cancelled status (journal)
-	// and the session checkpoint that funds the resume.
+	// and the resume snapshot that funds the resume.
 	journal, err := os.ReadFile(filepath.Join(dir, "jobs.jsonl"))
 	if err != nil {
 		t.Fatal(err)
@@ -209,9 +246,8 @@ func TestTrainCancelResumeExact(t *testing.T) {
 	if !strings.Contains(string(journal), `"status":"cancelled"`) {
 		t.Fatalf("journal lacks cancelled status:\n%s", journal)
 	}
-	ckpts, err := filepath.Glob(filepath.Join(dir, "sessions", "*.ckpt"))
-	if err != nil || len(ckpts) != 1 {
-		t.Fatalf("resume checkpoints on disk: %v (%v)", ckpts, err)
+	if n := resumeSnapshots(t, st, key); n != 1 {
+		t.Fatalf("resume snapshots in the store: %d, want 1", n)
 	}
 	// Records of a cancelled run conflict rather than serve partials.
 	getJSON(t, ts.URL+"/v1/runs/"+created.ID+"/records", http.StatusConflict, nil)
@@ -229,8 +265,8 @@ func TestTrainCancelResumeExact(t *testing.T) {
 	if !final.Resumed {
 		t.Fatal("resubmission did not restore the checkpoint")
 	}
-	if left, _ := filepath.Glob(filepath.Join(dir, "sessions", "*.ckpt")); len(left) != 0 {
-		t.Fatalf("checkpoint not cleaned up after completion: %v", left)
+	if n := resumeSnapshots(t, st, key); n != 0 {
+		t.Fatalf("%d resume snapshot(s) not cleaned up after completion", n)
 	}
 
 	var recs struct {
@@ -300,7 +336,7 @@ func TestSweepCancelAndStoreResume(t *testing.T) {
 
 // TestShutdownCancelsAndCheckpoints: cancelling the server's base
 // context (the graceful-shutdown path) winds down in-flight training
-// sessions with a resume checkpoint and a journalled cancelled status.
+// sessions with a resume snapshot and a journalled cancelled status.
 func TestShutdownCancelsAndCheckpoints(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a training session")
@@ -326,8 +362,122 @@ func TestShutdownCancelsAndCheckpoints(t *testing.T) {
 	if v.Status != "cancelled" {
 		t.Fatalf("shutdown left run %q", v.Status)
 	}
-	ckpts, _ := filepath.Glob(filepath.Join(dir, "sessions", "*.ckpt"))
-	if len(ckpts) != 1 {
-		t.Fatalf("shutdown saved %d checkpoints", len(ckpts))
+	if n := resumeSnapshots(t, st, bodyKey(t, trainBody)); n != 1 {
+		t.Fatalf("shutdown saved %d resume snapshots", n)
+	}
+}
+
+// TestTrainResultSurvivesRestart: a finished local train is a run in
+// the registry. A fresh server over the same store answers the
+// resubmitted spec from it without a training step, with records
+// byte-identical to the first server's, and resume state written under
+// another SpecVersion is never restored.
+func TestTrainResultSurvivesRestart(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs a training session")
+	}
+	dir := t.TempDir()
+	st, err := runstore.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var spec dist.JobSpec
+	if err := json.Unmarshal([]byte(trainBody), &spec); err != nil {
+		t.Fatal(err)
+	}
+	spec = spec.WithDefaults()
+	key := spec.Key()
+
+	// Plant a genuine mid-run snapshot of this very spec under the
+	// previous SpecVersion's resume address: restorable bytes, but
+	// written by other numerics.
+	cfg, err := spec.BuildConfig()
+	if err != nil {
+		t.Fatal(err)
+	}
+	strat, err := spec.BuildStrategy(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, err := core.NewSession(context.Background(), cfg, strat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for range 25 {
+		if _, err := sess.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snap, err := sess.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := checkpoint.Marshal(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stale := trainSpec(key)
+	stale.Version = runstore.SpecVersion - 1
+	if err := st.PutSnapshot(stale.Prefix("resume"), sess.StepCount(), 0, blob); err != nil {
+		t.Fatal(err)
+	}
+
+	records := func(base, id string) []byte {
+		t.Helper()
+		resp, err := http.Get(base + "/v1/runs/" + id + "/records")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET records of %s = %d", id, resp.StatusCode)
+		}
+		b, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+
+	first := httptestServer(t, newServer(st, 2, context.Background()))
+	var created jobView
+	postJSON(t, first+"/v1/train", trainBody, http.StatusAccepted, &created)
+	done := awaitDone(t, first, created.ID)
+	if done.Status != "done" || done.Steps != 400 {
+		t.Fatalf("first run: %+v", done)
+	}
+	if done.Resumed {
+		t.Fatal("restored resume state written under another SpecVersion")
+	}
+	want := records(first, created.ID)
+
+	// A restarted process: a new server over the same directory. The
+	// resubmission is driven through the job body so its event stream
+	// is watched from before the first event.
+	st2, err := runstore.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s2 := newServer(st2, 2, context.Background())
+	second := httptestServer(t, s2)
+	j, ctx, _, err := s2.createJob(key, func(j *job) { j.Kind = "train" })
+	if err != nil {
+		t.Fatal(err)
+	}
+	events, unsub := j.events.subscribe()
+	defer unsub()
+	s2.wg.Add(1)
+	go s2.runJob(ctx, j, func(ctx context.Context) (any, error) { return s2.trainLocal(ctx, j, spec) })
+	<-j.done
+	for msg := range events {
+		if msg.event == "step" {
+			t.Fatal("the resubmission ran a training step")
+		}
+	}
+	if v := j.view(); v.Status != statusDone || v.Steps != 400 || v.Resumed {
+		t.Fatalf("resubmission after restart: %+v", v)
+	}
+	if got := records(second, j.ID); !bytes.Equal(got, want) {
+		t.Fatalf("records after restart differ:\nfirst:  %s\nsecond: %s", want, got)
 	}
 }

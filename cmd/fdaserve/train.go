@@ -2,15 +2,12 @@ package main
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"os"
-	"path/filepath"
-	"strings"
 	"time"
 
 	"repro/internal/checkpoint"
@@ -18,27 +15,24 @@ import (
 	"repro/internal/comm"
 	"repro/internal/core"
 	"repro/internal/dist"
+	"repro/internal/runstore"
 )
 
 // This file implements single-run training sessions as first-class
 // server jobs: POST /v1/train starts a core.Session, its typed events
 // stream over the job's SSE endpoint, DELETE cancels it between steps
-// and writes a full-state checkpoint into the store directory, and
-// resubmitting the same spec restores that checkpoint and continues
+// and stores a full-state resume snapshot in the run registry, and
+// resubmitting the same spec restores that snapshot and continues
 // bit-identically to a run that was never interrupted (the session
-// resume contract, pinned by TestTrainCancelResumeExact).
+// resume contract, pinned by TestTrainCancelResumeExact). A finished
+// local train is a one-cell run in the same registry, so a
+// resubmission — to this process or to one restarted over the same
+// store — is answered without a training step.
 
 // The POST /v1/train body is a dist.JobSpec: its fields, defaults,
 // canonical dedupe key and Config construction all live there, so the
 // fdagate affinity router, this server's dedupe and the distributed
 // workers read one definition.
-
-// checkpointPath addresses the resume checkpoint of a train spec inside
-// the store directory.
-func (s *server) checkpointPath(key string) string {
-	sum := sha256.Sum256([]byte(key))
-	return filepath.Join(s.store.Dir(), "sessions", hex.EncodeToString(sum[:8])+".ckpt")
-}
 
 func (s *server) handleTrain(w http.ResponseWriter, r *http.Request) {
 	var spec dist.JobSpec
@@ -129,21 +123,40 @@ func (s *server) trainDistributed(ctx context.Context, j *job, spec dist.JobSpec
 	return res, err
 }
 
-// trainLocal drives one core.Session under the job's context, restoring
-// a prior interrupted submission's checkpoint when one exists and
-// writing one when this run is cancelled. Dataset synthesis happens
-// here, off the admission path — the handler already vetted everything
-// that can 400.
+// trainSpec is a local train's address in the run registry: the job
+// key already covers every input of the Result, and the Spec adds
+// SpecVersion, so state written under other numerics is never found.
+// The entry holds the JSON-encoded Result; a cancelled run's resume
+// state lives at trainSpec(key).Prefix("resume").
+func trainSpec(key string) runstore.Spec {
+	return runstore.Spec{Experiment: "train", Extra: map[string]string{"key": key}}
+}
+
+// trainLocal drives one core.Session under the job's context. A stored
+// Result answers the spec without building a session; otherwise the
+// run restores a prior cancelled submission's resume snapshot when one
+// exists, stores its Result on success and a resume snapshot on
+// cancellation. Dataset synthesis happens here, off the admission path
+// — the handler already vetted everything that can 400.
 func (s *server) trainLocal(ctx context.Context, j *job, spec dist.JobSpec) (res core.Result, err error) {
-	ckpt := s.checkpointPath(j.key)
-	// The sessions directory only ever holds resumable state: a finished
-	// run has nothing left to resume, and a failed one (an error or a
-	// panic — re-running the same deterministic spec re-fails) would
-	// leave the checkpoint of an earlier cancellation behind as an
-	// orphan. Only a cancelled run keeps (and refreshes) it.
+	run := trainSpec(j.key)
+	if recs, ok, _ := s.store.Get(run); ok && len(recs) == 1 {
+		var hit core.Result
+		if json.Unmarshal(recs[0], &hit) == nil {
+			j.steps.Store(int64(hit.Steps))
+			j.syncs.Store(int64(hit.SyncCount))
+			return hit, nil
+		}
+	}
+	// Resume snapshots are only ever resumable state: a finished run has
+	// nothing left to resume, and a failed one (an error or a panic —
+	// re-running the same deterministic spec re-fails) would leave the
+	// snapshot of an earlier cancellation behind as an orphan. Only a
+	// cancelled run keeps (and refreshes) them.
+	resume := run.Prefix("resume")
 	defer func() {
 		if !cancelled(err) {
-			os.Remove(ckpt)
+			s.store.DeleteSnapshots(resume)
 		}
 	}()
 
@@ -160,12 +173,16 @@ func (s *server) trainLocal(ctx context.Context, j *job, spec dist.JobSpec) (res
 	if err != nil {
 		return res, err
 	}
-	if snap, err := checkpoint.Load(ckpt); err == nil {
-		if err := sess.Restore(snap); err != nil {
-			// A stale or mismatched checkpoint must not poison the run:
+	if blob, _, ok, _ := s.store.BestSnapshot(resume, math.MaxInt, nil); ok {
+		snap, rerr := checkpoint.Unmarshal(blob)
+		if rerr == nil {
+			rerr = sess.Restore(snap)
+		}
+		if rerr != nil {
+			// A stale or mismatched snapshot must not poison the run:
 			// drop it and train from scratch.
-			fmt.Fprintf(os.Stderr, "fdaserve: dropping bad checkpoint %s: %v\n", ckpt, err)
-			os.Remove(ckpt)
+			fmt.Fprintf(os.Stderr, "fdaserve: dropping bad resume snapshot: %v\n", rerr)
+			s.store.DeleteSnapshots(resume)
 		} else {
 			j.resumed.Store(true)
 			j.steps.Store(int64(sess.StepCount()))
@@ -188,53 +205,27 @@ func (s *server) trainLocal(ctx context.Context, j *job, spec dist.JobSpec) (res
 	})
 
 	res, err = sess.Run()
-	if cancelled(err) {
-		if snap, serr := sess.Snapshot(); serr == nil {
-			if werr := saveCheckpoint(ckpt, snap); werr != nil {
-				fmt.Fprintf(os.Stderr, "fdaserve: saving resume checkpoint: %v\n", werr)
-			}
-		} else {
-			fmt.Fprintf(os.Stderr, "fdaserve: snapshotting cancelled session: %v\n", serr)
+	// A failed put costs a later resubmission work, never this job.
+	var perr error
+	switch {
+	case err == nil:
+		var b []byte
+		if b, perr = json.Marshal(res); perr == nil {
+			perr = s.store.Put(run, []json.RawMessage{b})
 		}
+	case cancelled(err) && sess.StepCount() > 0:
+		var snap *checkpoint.Snapshot
+		var blob []byte
+		if snap, perr = sess.Snapshot(); perr == nil {
+			if blob, perr = checkpoint.Marshal(snap); perr == nil {
+				perr = s.store.PutSnapshot(resume, sess.StepCount(), 0, blob)
+			}
+		}
+	}
+	if perr != nil {
+		fmt.Fprintf(os.Stderr, "fdaserve: storing train state: %v\n", perr)
 	}
 	return res, err
-}
-
-// sweepSessionCheckpoints removes session resume checkpoints older than
-// ttl from <store>/sessions. A checkpoint is only useful to a
-// resubmission of the same spec; one that has sat unclaimed past the
-// TTL is an orphan — its job was abandoned, or a crash skipped the
-// cleanup paths. Returns how many files were removed.
-func sweepSessionCheckpoints(storeDir string, ttl time.Duration) int {
-	dir := filepath.Join(storeDir, "sessions")
-	des, err := os.ReadDir(dir)
-	if err != nil {
-		return 0
-	}
-	cutoff := time.Now().Add(-ttl)
-	n := 0
-	for _, de := range des {
-		if de.IsDir() || !strings.HasSuffix(de.Name(), ".ckpt") {
-			continue
-		}
-		info, err := de.Info()
-		if err != nil || info.ModTime().After(cutoff) {
-			continue
-		}
-		if os.Remove(filepath.Join(dir, de.Name())) == nil {
-			n++
-		}
-	}
-	return n
-}
-
-// saveCheckpoint writes snap to path, creating the sessions directory on
-// first use.
-func saveCheckpoint(path string, snap *checkpoint.Snapshot) error {
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return err
-	}
-	return checkpoint.Save(path, snap)
 }
 
 // appendLine appends one line to path (creating it as needed).

@@ -295,6 +295,13 @@ func (s *Store) SweepSnapshots(maxAge time.Duration) int {
 	return n
 }
 
+// DeleteSnapshots removes every stored snapshot of p, at any step
+// count; a prefix with none is a no-op.
+func (s *Store) DeleteSnapshots(p PrefixSpec) error {
+	hash := p.Canonical().Hash()
+	return os.RemoveAll(filepath.Join(s.dir, "snapshots", hash[:2], hash))
+}
+
 // eachSnapshotDir walks <dir>/snapshots/<hh>/<hash>/<steps> and calls
 // fn with every step directory; fn returns false to stop early.
 func (s *Store) eachSnapshotDir(fn func(dir string) bool) {

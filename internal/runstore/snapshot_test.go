@@ -196,6 +196,29 @@ func TestSnapshotsListAndSweep(t *testing.T) {
 	if n := st.SnapshotCount(); n != 0 {
 		t.Fatalf("%d snapshots survived the sweep", n)
 	}
+
+	// DeleteSnapshots drops every step of one prefix and nothing else:
+	// not the sibling prefix, not a run entry.
+	for i, p := range []PrefixSpec{samplePrefix(1), samplePrefix(1), samplePrefix(2)} {
+		if err := st.PutSnapshot(p, 10*(i+1), 0, []byte("x")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.Put(sampleSpec(1), rawLines(`{"a":1}`)); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.DeleteSnapshots(samplePrefix(1)); err != nil {
+		t.Fatal(err)
+	}
+	if ms, _ := st.Snapshots(); len(ms) != 1 || ms[0].Hash != samplePrefix(2).Hash() {
+		t.Fatalf("after DeleteSnapshots: %+v, want only the sibling prefix", ms)
+	}
+	if !st.Contains(sampleSpec(1)) {
+		t.Fatal("DeleteSnapshots removed a run entry")
+	}
+	if err := st.DeleteSnapshots(samplePrefix(1)); err != nil {
+		t.Fatalf("DeleteSnapshots of a missing prefix: %v", err)
+	}
 }
 
 // TestOpenSweepsStaleStaging simulates a writer killed mid-Put: its
