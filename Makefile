@@ -48,7 +48,8 @@ lint:
 # reader, the gateway's submission classifier (request body → job
 # spec → dedupe key) and its id rewriter (replica body → namespaced
 # body, every other value byte-equal), fdaserve's job-journal recovery
-# and the run registry's manifest check — parsers that consume bytes
+# and the run registry's manifest check, planted in a run and a
+# snapshot alike (one entry format) — parsers that consume bytes
 # from disk, socket or an HTTP peer — and the kernel-vs-scalar-loop
 # equality of internal/tensor, where the fuzzer picks lengths,
 # misalignments, aliasing and raw float bits for every kernel that has
@@ -106,7 +107,9 @@ allocs:
 # purego runs the numeric core with the assembly compiled out, so the
 # portable Go loops — the specification the AVX2 kernels are pinned to,
 # and the only path off amd64 — cannot rot. internal/models carries the
-# trajectory digests that must match in both builds; internal/comm's
+# trajectory digests and internal/core every strategy's pinned digest
+# (TestStrategyDigestsMatchPinnedBuild), which must match in both
+# builds; internal/comm's
 # socket fabric folds and encodes its wire bytes with the little-endian
 # byte kernels, so its tests run the wire fold's Go specification.
 purego:

@@ -26,7 +26,7 @@ func TestEventsSlowConsumerNoLeak(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := newServer(st, 2, context.Background())
+	srv := newServer(st, "", 2, context.Background())
 	ts := httptest.NewServer(srv.routes())
 
 	var v jobView

@@ -28,7 +28,7 @@ func newKillableReplica(t *testing.T, dir string) *killableReplica {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inner := newServer(st, 2, context.Background()).routes()
+	inner := newServer(st, "", 2, context.Background()).routes()
 	r := &killableReplica{}
 	r.ts = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		if r.down.Load() {

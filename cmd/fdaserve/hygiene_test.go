@@ -22,7 +22,7 @@ func TestTrainFailureDropsCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := newServer(st, 2, context.Background())
+	s := newServer(st, "", 2, context.Background())
 
 	// Plant stale resume state under the exact key the job runs under.
 	spec := dist.JobSpec{Model: "lenet5s", Strategy: "SketchFDA", Theta: -1, K: 3, Steps: 40}.WithDefaults()
@@ -59,7 +59,7 @@ func TestJournalRecovery(t *testing.T) {
 
 	// First server life: one sweep runs to completion, a second is
 	// journaled as running and never transitions (simulating a crash).
-	first := newServer(st, 2, context.Background())
+	first := newServer(st, "", 2, context.Background())
 	ts := httptest.NewServer(first.routes())
 	var done jobView
 	postJSON(t, ts.URL+"/v1/runs", `{"experiment":"smoke","scale":"tiny","seed":1}`, http.StatusAccepted, &done)
@@ -69,12 +69,12 @@ func TestJournalRecovery(t *testing.T) {
 		Status: statusRunning, Cells: 2, Executed: 1}
 	first.journal.record(crashed, "sweep|smoke|tiny|9")
 	// A torn tail line (crash mid-append) must not poison recovery.
-	if err := appendLine(filepath.Join(dir, "jobs.jsonl"), []byte(`{"time":"2026-08-08T0`)); err != nil {
+	if err := appendLine(filepath.Join(dir, journalFile("")), []byte(`{"time":"2026-08-08T0`)); err != nil {
 		t.Fatal(err)
 	}
 
 	// Second life over the same store directory.
-	second := newServer(st, 2, context.Background())
+	second := newServer(st, "", 2, context.Background())
 	second.recoverJournal()
 	ts2 := httptest.NewServer(second.routes())
 	t.Cleanup(ts2.Close)
@@ -100,7 +100,7 @@ func TestJournalRecovery(t *testing.T) {
 	getJSON(t, ts2.URL+"/v1/runs/r7/records", http.StatusConflict, nil)
 
 	// The journal is compacted to one line per job, torn tail dropped.
-	b, err := os.ReadFile(filepath.Join(dir, "jobs.jsonl"))
+	b, err := os.ReadFile(filepath.Join(dir, journalFile("")))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,4 +116,44 @@ func TestJournalRecovery(t *testing.T) {
 		t.Fatalf("resubmission got ID %s, want r8 (counter continues past journal)", re.ID)
 	}
 	waitStatus(t, ts2, re.ID, statusDone)
+}
+
+// TestJournalPerReplicaOnSharedStore runs two replicas over one store,
+// as a gateway cluster does: each admits a job (both numbered r1) and
+// dies mid-run. A restarted replica recovers its own interrupted job
+// and never the other's, and continues its own id counter.
+func TestJournalPerReplicaOnSharedStore(t *testing.T) {
+	st, err := runstore.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	admit := func(s *server, key, experiment string) string {
+		t.Helper()
+		j, _, _, err := s.createJob(key, func(j *job) { j.Kind, j.Experiment = "sweep", experiment })
+		if err != nil {
+			t.Fatal(err)
+		}
+		return j.ID
+	}
+	ctx := context.Background()
+	a, b := newServer(st, "a", 1, ctx), newServer(st, "b", 1, ctx)
+	if ida, idb := admit(a, "key-a", "fig3"), admit(b, "key-b", "fig8"); ida != "r1" || idb != "r1" {
+		t.Fatalf("first admissions got ids %s and %s, want r1 on each replica", ida, idb)
+	}
+
+	for _, want := range []struct{ name, key, experiment string }{{"a", "key-a", "fig3"}, {"b", "key-b", "fig8"}} {
+		restarted := newServer(st, want.name, 1, ctx)
+		restarted.recoverJournal()
+		j := restarted.byID["r1"]
+		if len(restarted.byID) != 1 || j == nil {
+			t.Fatalf("replica %s recovered %d jobs, want its own r1", want.name, len(restarted.byID))
+		}
+		if v := j.view(); j.key != want.key || v.Experiment != want.experiment || v.Status != statusInterrupted {
+			t.Fatalf("replica %s recovered %+v under key %q, want its own %s job %q, interrupted",
+				want.name, v, j.key, want.experiment, want.key)
+		}
+		if id := admit(restarted, "key-next-"+want.name, "fig3"); id != "r2" {
+			t.Fatalf("replica %s's next admission got %s, want r2", want.name, id)
+		}
+	}
 }

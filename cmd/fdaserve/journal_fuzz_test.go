@@ -11,7 +11,7 @@ import (
 	"repro/internal/runstore"
 )
 
-// FuzzJournalRecover hands recovery arbitrary jobs.jsonl bytes: the file
+// FuzzJournalRecover hands recovery arbitrary journal bytes: the file
 // a crash can tear anywhere and an operator can edit by hand. Reading and
 // recovering never panic, compacting the journal and reading it back
 // returns the entries it was compacted from, every job recovery
@@ -31,10 +31,10 @@ func FuzzJournalRecover(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(filepath.Join(dir, "jobs.jsonl"), body, 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(dir, journalFile("")), body, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		s := newServer(st, 1, context.Background())
+		s := newServer(st, "", 1, context.Background())
 		journaled, err := s.journal.read()
 		if err != nil {
 			t.Fatal(err)

@@ -102,15 +102,15 @@ func main() {
 			fmt.Printf("fdaserve: expired %d stale snapshot(s)\n", n)
 		}
 	}
-	s := newServer(st, *jobs, baseCtx)
+	replica := *name
+	if replica == "" {
+		replica = *addr
+	}
+	s := newServer(st, replica, *jobs, baseCtx)
 	s.fabricAddr = *fabric
 	s.warm = *warm
 	s.accessLog = slog.New(slog.NewTextHandler(os.Stderr, nil))
 	s.pprof = *pprofOn
-	s.name = *name
-	if s.name == "" {
-		s.name = *addr
-	}
 	s.maxQueue = *maxQueue
 	if *record != "" {
 		f, err := os.Create(*record)

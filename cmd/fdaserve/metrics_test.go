@@ -121,7 +121,7 @@ func TestAccessLog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := newServer(st, 2, context.Background())
+	srv := newServer(st, "", 2, context.Background())
 	var buf bytes.Buffer
 	srv.accessLog = slog.New(slog.NewTextHandler(&buf, nil))
 	ts := httptest.NewServer(srv.routes())
@@ -169,7 +169,7 @@ func TestTrainDistributedEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := newServer(st, 2, context.Background())
+	srv := newServer(st, "", 2, context.Background())
 	srv.fabricAddr = "127.0.0.1:0"
 	ts := httptest.NewServer(srv.routes())
 	t.Cleanup(ts.Close)

@@ -136,7 +136,7 @@ func TestTrainCompressionHonoured(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := newServer(st, 2, context.Background())
+	srv := newServer(st, "", 2, context.Background())
 	srv.fabricAddr = "127.0.0.1:0"
 	ts := httptest.NewServer(srv.routes())
 	t.Cleanup(ts.Close)
@@ -214,7 +214,7 @@ func TestHTTPShellBothServers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(newServer(st, 2, context.Background()).routes())
+	ts := httptest.NewServer(newServer(st, "", 2, context.Background()).routes())
 	t.Cleanup(ts.Close)
 	var clock atomic.Int64
 	now := func() int64 { return clock.Add(1) }
@@ -319,7 +319,7 @@ func TestRunJobTerminalStatuses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := newServer(st, 1, context.Background())
+	s := newServer(st, "", 1, context.Background())
 	for _, c := range []struct {
 		name, status, errMsg string
 		cancel               bool

@@ -2,6 +2,8 @@ package main
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -9,7 +11,9 @@ import (
 	"math"
 	"net/http"
 	"net/http/pprof"
+	"net/url"
 	"os"
+	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
@@ -89,15 +93,19 @@ type server struct {
 	nextID int
 }
 
-func newServer(store *runstore.Store, jobs int, baseCtx context.Context) *server {
+// newServer builds the server for replica name over store. The name
+// keys the replica's job journal, so replicas sharing one store never
+// read each other's jobs as their own.
+func newServer(store *runstore.Store, name string, jobs int, baseCtx context.Context) *server {
 	if baseCtx == nil {
 		baseCtx = context.Background()
 	}
 	return &server{
 		store:   store,
+		name:    name,
 		jobs:    jobs,
 		baseCtx: baseCtx,
-		journal: openJournal(store.Dir()),
+		journal: &journal{path: filepath.Join(store.Dir(), journalFile(name))},
 		started: time.Now(),
 		byID:    map[string]*job{},
 		byKey:   map[string]*job{},
@@ -911,9 +919,10 @@ func (b *broker) close() {
 	b.subs = map[chan sseMsg]struct{}{}
 }
 
-// journal appends job status transitions to <store>/jobs.jsonl so an
-// operator (or the server itself after a restart) can see which runs
-// were interrupted — the discovery half of registry-backed resume.
+// journal appends job status transitions to the replica's own file in
+// the store directory (journalFile) so an operator (or the replica
+// itself after a restart) can see which runs were interrupted — the
+// discovery half of registry-backed resume.
 // Journal writes are advisory: a failure disables the journal but never
 // a run.
 type journal struct {
@@ -931,8 +940,17 @@ type journalEntry struct {
 	jobView
 }
 
-func openJournal(dir string) *journal {
-	return &journal{path: dir + "/jobs.jsonl"}
+// journalFile names replica name's journal, jobs-<name>.jsonl with the
+// name query-escaped: any name (a listen address like ":8080", a label
+// with a slash) is one portable file name, and distinct names never
+// share a file. A name too long to escape into one gets a digest.
+func journalFile(name string) string {
+	esc := url.QueryEscape(name)
+	if len(esc) > 128 {
+		sum := sha256.Sum256([]byte(name))
+		esc = hex.EncodeToString(sum[:8])
+	}
+	return "jobs-" + esc + ".jsonl"
 }
 
 func (jn *journal) record(v jobView, key string) {

@@ -20,7 +20,7 @@ func testServer(t *testing.T, dir string) *httptest.Server {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(newServer(st, 2, context.Background()).routes())
+	ts := httptest.NewServer(newServer(st, "", 2, context.Background()).routes())
 	t.Cleanup(ts.Close)
 	return ts
 }

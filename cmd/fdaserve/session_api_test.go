@@ -239,7 +239,7 @@ func TestTrainCancelResumeExact(t *testing.T) {
 	}
 	// The store directory records both the cancelled status (journal)
 	// and the resume snapshot that funds the resume.
-	journal, err := os.ReadFile(filepath.Join(dir, "jobs.jsonl"))
+	journal, err := os.ReadFile(filepath.Join(dir, journalFile("")))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,7 +347,7 @@ func TestShutdownCancelsAndCheckpoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	baseCtx, shutdown := context.WithCancel(context.Background())
-	s := newServer(st, 2, baseCtx)
+	s := newServer(st, "", 2, baseCtx)
 	ts := httptestServer(t, s)
 
 	var created jobView
@@ -439,7 +439,7 @@ func TestTrainResultSurvivesRestart(t *testing.T) {
 		return b
 	}
 
-	first := httptestServer(t, newServer(st, 2, context.Background()))
+	first := httptestServer(t, newServer(st, "", 2, context.Background()))
 	var created jobView
 	postJSON(t, first+"/v1/train", trainBody, http.StatusAccepted, &created)
 	done := awaitDone(t, first, created.ID)
@@ -458,7 +458,7 @@ func TestTrainResultSurvivesRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2 := newServer(st2, 2, context.Background())
+	s2 := newServer(st2, "", 2, context.Background())
 	second := httptestServer(t, s2)
 	j, ctx, _, err := s2.createJob(key, func(j *job) { j.Kind = "train" })
 	if err != nil {

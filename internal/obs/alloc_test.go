@@ -53,7 +53,7 @@ func TestSpanZeroAllocsDisarmed(t *testing.T) {
 	if Tracing() {
 		t.Fatal("tracer unexpectedly armed")
 	}
-	assertZeroAllocs(t, "StartRegion/End disarmed", func() {
-		StartRegion("step", "session").End()
+	assertZeroAllocs(t, "StartRegion/EndArgs disarmed", func() {
+		StartRegion("step", "session").EndArgs()
 	})
 }

@@ -103,16 +103,6 @@ func StartRegion(name, cat string) Region {
 //fda:noalloc
 func (r Region) Active() bool { return r.t != nil }
 
-// End closes the span with no args.
-//
-//fda:noalloc
-func (r Region) End() {
-	if r.t == nil {
-		return
-	}
-	r.write('X', clockNow()-r.start)
-}
-
 // EndArgs closes the span attaching trace args from alternating
 // key/value pairs (values: int, int64, float64, bool, string).
 func (r Region) EndArgs(kv ...any) {

@@ -74,7 +74,7 @@ func TestTraceInactiveIsNoop(t *testing.T) {
 	if r.Active() {
 		t.Fatal("region active without a tracer")
 	}
-	r.End()
+	r.EndArgs()
 	r.EndArgs("k", 1)
 	Instant("x", "y")
 	if err := StopTrace(); err != nil {

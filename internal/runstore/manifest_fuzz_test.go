@@ -8,13 +8,17 @@ import (
 	"testing"
 )
 
-// FuzzStoreManifest hands a stored entry arbitrary manifest.json bytes:
-// a torn write, a hand edit, another entry's manifest. Get, Contains and
-// List never panic, and a manifest any of them accepts re-hashes to its
-// own address, the address of the spec asked for.
+// FuzzStoreManifest hands a stored run and a stored snapshot the same
+// arbitrary manifest.json bytes: a torn write, a hand edit, another
+// entry's manifest. No reader or listing panics. A run manifest that
+// Get, Contains or List accepts re-hashes to its own address, the
+// address of the spec asked for; a snapshot manifest that GetSnapshot,
+// BestSnapshot or Snapshots accepts is one loadSnapshotManifest accepts
+// at the snapshot's address.
 func FuzzStoreManifest(f *testing.F) {
 	spec := sampleSpec(7)
 	records := rawLines(`{"a":1}`, `{"b":[2,3]}`)
+	prefix, steps, blob := samplePrefix(7), 20, []byte("state")
 	st, err := Open(f.TempDir())
 	if err != nil {
 		f.Fatal(err)
@@ -22,7 +26,14 @@ func FuzzStoreManifest(f *testing.F) {
 	if err := st.Put(spec, records); err != nil {
 		f.Fatal(err)
 	}
+	if err := st.PutSnapshot(prefix, steps, 0.5, blob); err != nil {
+		f.Fatal(err)
+	}
 	valid, err := os.ReadFile(filepath.Join(st.runDir(spec.Hash()), "manifest.json"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	validSnap, err := os.ReadFile(filepath.Join(st.snapDir(prefix.Hash(), steps), "manifest.json"))
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -33,6 +44,7 @@ func FuzzStoreManifest(f *testing.F) {
 	f.Add([]byte(strings.Replace(string(valid), `"records": 2`, `"records": 3`, 1)))
 	f.Add([]byte(`{"manifest_version":1,"hash":"","spec":{}}`))
 	f.Add([]byte(`null`))
+	f.Add(validSnap)
 	f.Fuzz(func(t *testing.T, manifest []byte) {
 		st, err := Open(t.TempDir())
 		if err != nil {
@@ -41,10 +53,17 @@ func FuzzStoreManifest(f *testing.F) {
 		if err := st.Put(spec, records); err != nil {
 			t.Fatal(err)
 		}
-		hash := spec.Canonical().Hash()
-		if err := os.WriteFile(filepath.Join(st.runDir(hash), "manifest.json"), manifest, 0o644); err != nil {
+		if err := st.PutSnapshot(prefix, steps, 0.5, blob); err != nil {
 			t.Fatal(err)
 		}
+		hash := spec.Canonical().Hash()
+		snapDir := st.snapDir(prefix.Canonical().Hash(), steps)
+		for _, dir := range []string{st.runDir(hash), snapDir} {
+			if err := os.WriteFile(filepath.Join(dir, "manifest.json"), manifest, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		checkSnapshotReaders(t, st, prefix, steps, blob)
 		recs, ok, _ := st.Get(spec)
 		has := st.Contains(spec)
 		list, err := st.List()
@@ -68,4 +87,31 @@ func FuzzStoreManifest(f *testing.F) {
 			t.Fatalf("Get served %d records of %d", len(recs), len(records))
 		}
 	})
+}
+
+// checkSnapshotReaders asserts every snapshot reader accepts the entry
+// at (p, steps) exactly when loadSnapshotManifest does, and serves only
+// its stored blob.
+func checkSnapshotReaders(t *testing.T, st *Store, p PrefixSpec, steps int, blob []byte) {
+	t.Helper()
+	_, loadErr := loadSnapshotManifest(st.snapDir(p.Canonical().Hash(), steps), p.Canonical().Hash(), steps)
+	want := loadErr == nil
+	got, _, ok, _ := st.GetSnapshot(p, steps)
+	best, _, bestOK, _ := st.BestSnapshot(p, steps, nil)
+	list, err := st.Snapshots()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The readers CRC the blob, so a manifest can pass the load and
+	// still be refused; none may accept what the load refuses.
+	if (ok && !want) || (bestOK && !want) || (len(list) > 0 && !want) {
+		t.Fatalf("accepted (get %v, best %v, listed %d) a snapshot manifest loadSnapshotManifest refuses: %v",
+			ok, bestOK, len(list), loadErr)
+	}
+	if ok != bestOK || (ok && (!bytes.Equal(got, blob) || !bytes.Equal(best, blob))) {
+		t.Fatalf("GetSnapshot (%v %q) and BestSnapshot (%v %q) disagree", ok, got, bestOK, best)
+	}
+	if len(list) > 1 || (ok && len(list) != 1) {
+		t.Fatalf("Snapshots of a readable entry = %+v", list)
+	}
 }

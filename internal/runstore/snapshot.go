@@ -1,9 +1,7 @@
 package runstore
 
 import (
-	"encoding/json"
 	"fmt"
-	"hash/crc64"
 	"os"
 	"path/filepath"
 	"sort"
@@ -12,10 +10,6 @@ import (
 
 	"repro/internal/obs"
 )
-
-// SnapshotManifestVersion gates the on-disk layout of a prefix
-// snapshot.
-const SnapshotManifestVersion = 1
 
 // SnapshotManifest describes one stored trajectory-prefix snapshot. It
 // lives next to the checkpoint blob and carries everything a planner
@@ -69,24 +63,17 @@ func (s *Store) PutSnapshot(p PrefixSpec, steps int, guard float64, blob []byte)
 	}
 	p = p.Canonical()
 	m := SnapshotManifest{
-		ManifestVersion: SnapshotManifestVersion,
+		ManifestVersion: ManifestVersion,
 		Hash:            p.Hash(),
 		Prefix:          p,
 		Steps:           steps,
 		Guard:           guard,
 		Bytes:           int64(len(blob)),
-		CRC64:           fmt.Sprintf("%016x", crc64.Checksum(blob, crcTable)),
+		CRC64:           checksum(blob),
 		//fda:allow(wallclock, snapshot provenance timestamp; excluded from the content address and restore path)
 		CreatedUnix: time.Now().Unix(),
 	}
-	mb, err := json.MarshalIndent(m, "", "  ")
-	if err != nil {
-		return fmt.Errorf("runstore: %v", err)
-	}
-	return s.installStaged(map[string][]byte{
-		"state.ckpt":    blob,
-		"manifest.json": mb,
-	}, s.snapDir(m.Hash, steps))
+	return s.install(s.snapDir(m.Hash, steps), m, "state.ckpt", blob)
 }
 
 // loadSnapshotManifest reads and structurally verifies the snapshot
@@ -94,38 +81,14 @@ func (s *Store) PutSnapshot(p PrefixSpec, steps int, guard float64, blob []byte)
 // loadManifest it never touches the blob; the error wraps ErrCorrupt
 // for anything but a missing manifest.
 func loadSnapshotManifest(dir, hash string, steps int) (SnapshotManifest, error) {
-	mb, err := os.ReadFile(filepath.Join(dir, "manifest.json"))
-	if err != nil {
-		if os.IsNotExist(err) {
-			return SnapshotManifest{}, err
-		}
-		return SnapshotManifest{}, fmt.Errorf("%w: reading snapshot manifest: %v", ErrCorrupt, err)
-	}
 	var m SnapshotManifest
-	if err := json.Unmarshal(mb, &m); err != nil {
-		return SnapshotManifest{}, fmt.Errorf("%w: decoding snapshot manifest: %v", ErrCorrupt, err)
-	}
-	if m.ManifestVersion != SnapshotManifestVersion {
-		return SnapshotManifest{}, fmt.Errorf("%w: snapshot manifest version %d, want %d",
-			ErrCorrupt, m.ManifestVersion, SnapshotManifestVersion)
+	if err := readManifest(dir, &m, &m.ManifestVersion); err != nil {
+		return SnapshotManifest{}, err
 	}
 	if m.Hash != hash || m.Steps != steps || m.Prefix.Canonical().Hash() != hash {
 		return SnapshotManifest{}, fmt.Errorf("%w: snapshot manifest does not match its address", ErrCorrupt)
 	}
 	return m, nil
-}
-
-// readSnapshotBlob loads and CRC-verifies dir's checkpoint blob
-// against its manifest.
-func readSnapshotBlob(dir string, m SnapshotManifest) ([]byte, error) {
-	blob, err := os.ReadFile(filepath.Join(dir, "state.ckpt"))
-	if err != nil {
-		return nil, fmt.Errorf("%w: reading snapshot blob: %v", ErrCorrupt, err)
-	}
-	if int64(len(blob)) != m.Bytes || fmt.Sprintf("%016x", crc64.Checksum(blob, crcTable)) != m.CRC64 {
-		return nil, fmt.Errorf("%w: snapshot blob fails CRC", ErrCorrupt)
-	}
-	return blob, nil
 }
 
 // GetSnapshot loads the snapshot stored for p at exactly steps. ok is
@@ -149,7 +112,7 @@ func (s *Store) GetSnapshot(p PrefixSpec, steps int) (blob []byte, m SnapshotMan
 		}
 		return nil, SnapshotManifest{}, false, err
 	}
-	blob, err = readSnapshotBlob(dir, m)
+	blob, err = readPayload(dir, "state.ckpt", m.Bytes, m.CRC64)
 	if err != nil {
 		return nil, SnapshotManifest{}, false, err
 	}
@@ -179,18 +142,12 @@ func (s *Store) BestSnapshot(p PrefixSpec, maxSteps int, accept func(steps int, 
 	}()
 	hash := p.Canonical().Hash()
 	base := filepath.Join(s.dir, "snapshots", hash[:2], hash)
-	entries, err := os.ReadDir(base)
-	if err != nil {
-		return nil, SnapshotManifest{}, false, nil
-	}
 	var steps []int
-	for _, e := range entries {
-		n, convErr := strconv.Atoi(e.Name())
-		if convErr != nil || !e.IsDir() || n <= 0 || n > maxSteps {
-			continue
+	walk(base, 1, func(dir string) {
+		if n, err := strconv.Atoi(filepath.Base(dir)); err == nil && n > 0 && n <= maxSteps {
+			steps = append(steps, n)
 		}
-		steps = append(steps, n)
-	}
+	})
 	sort.Sort(sort.Reverse(sort.IntSlice(steps)))
 	var firstErr error
 	for _, n := range steps {
@@ -205,7 +162,7 @@ func (s *Store) BestSnapshot(p PrefixSpec, maxSteps int, accept func(steps int, 
 		if accept != nil && !accept(m.Steps, m.Guard) {
 			continue
 		}
-		blob, err := readSnapshotBlob(dir, m)
+		blob, err := readPayload(dir, "state.ckpt", m.Bytes, m.CRC64)
 		if err != nil {
 			if firstErr == nil {
 				firstErr = err
@@ -222,34 +179,26 @@ func (s *Store) BestSnapshot(p PrefixSpec, maxSteps int, accept func(steps int, 
 // for periodic monitors (fdaserve's /v1/metrics).
 func (s *Store) SnapshotCount() int {
 	n := 0
-	s.eachSnapshotDir(func(string) bool { n++; return true })
+	walk(filepath.Join(s.dir, "snapshots"), 3, func(string) { n++ })
 	return n
 }
 
 // Snapshots returns the manifests of every structurally verified
-// snapshot, sorted by (experiment, model, family, steps, hash) so
-// listings are stable. Blob CRCs are deferred to Get/BestSnapshot,
-// mirroring List.
+// snapshot — a consistent manifest at its own (hash, steps) directory
+// whose blob has the declared size — sorted by (experiment, model,
+// family, steps, hash) so listings are stable. Blob CRCs are deferred
+// to GetSnapshot/BestSnapshot, mirroring List.
 func (s *Store) Snapshots() ([]SnapshotManifest, error) {
 	var out []SnapshotManifest
-	s.eachSnapshotDir(func(dir string) bool {
-		mb, err := os.ReadFile(filepath.Join(dir, "manifest.json"))
+	walk(filepath.Join(s.dir, "snapshots"), 3, func(dir string) {
+		steps, err := strconv.Atoi(filepath.Base(dir))
 		if err != nil {
-			return true
+			return
 		}
-		var m SnapshotManifest
-		if err := json.Unmarshal(mb, &m); err != nil {
-			return true
+		m, err := loadSnapshotManifest(dir, filepath.Base(filepath.Dir(dir)), steps)
+		if err == nil && sized(dir, "state.ckpt", m.Bytes) {
+			out = append(out, m)
 		}
-		if m.ManifestVersion != SnapshotManifestVersion || m.Prefix.Canonical().Hash() != m.Hash {
-			return true
-		}
-		fi, err := os.Stat(filepath.Join(dir, "state.ckpt"))
-		if err != nil || fi.Size() != m.Bytes {
-			return true
-		}
-		out = append(out, m)
-		return true
 	})
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i], out[j]
@@ -279,18 +228,14 @@ func (s *Store) SweepSnapshots(maxAge time.Duration) int {
 	//fda:allow(wallclock, snapshot-GC age cutoff; snapshots are pure accelerators so expiry cannot change results)
 	cutoff := time.Now().Add(-maxAge).Unix()
 	n := 0
-	s.eachSnapshotDir(func(dir string) bool {
-		mb, err := os.ReadFile(filepath.Join(dir, "manifest.json"))
-		if err == nil {
-			var m SnapshotManifest
-			if json.Unmarshal(mb, &m) == nil && m.CreatedUnix > cutoff {
-				return true
-			}
+	walk(filepath.Join(s.dir, "snapshots"), 3, func(dir string) {
+		var m SnapshotManifest
+		if readManifest(dir, &m, &m.ManifestVersion) == nil && m.CreatedUnix > cutoff {
+			return
 		}
 		if os.RemoveAll(dir) == nil {
 			n++
 		}
-		return true
 	})
 	return n
 }
@@ -300,40 +245,4 @@ func (s *Store) SweepSnapshots(maxAge time.Duration) int {
 func (s *Store) DeleteSnapshots(p PrefixSpec) error {
 	hash := p.Canonical().Hash()
 	return os.RemoveAll(filepath.Join(s.dir, "snapshots", hash[:2], hash))
-}
-
-// eachSnapshotDir walks <dir>/snapshots/<hh>/<hash>/<steps> and calls
-// fn with every step directory; fn returns false to stop early.
-func (s *Store) eachSnapshotDir(fn func(dir string) bool) {
-	root := filepath.Join(s.dir, "snapshots")
-	shards, err := os.ReadDir(root)
-	if err != nil {
-		return
-	}
-	for _, shard := range shards {
-		if !shard.IsDir() {
-			continue
-		}
-		hashes, err := os.ReadDir(filepath.Join(root, shard.Name()))
-		if err != nil {
-			continue
-		}
-		for _, h := range hashes {
-			if !h.IsDir() {
-				continue
-			}
-			steps, err := os.ReadDir(filepath.Join(root, shard.Name(), h.Name()))
-			if err != nil {
-				continue
-			}
-			for _, st := range steps {
-				if !st.IsDir() {
-					continue
-				}
-				if !fn(filepath.Join(root, shard.Name(), h.Name(), st.Name())) {
-					return
-				}
-			}
-		}
-	}
 }

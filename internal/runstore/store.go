@@ -3,9 +3,7 @@ package runstore
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"hash/crc64"
 	"os"
 	"path/filepath"
 	"sort"
@@ -13,17 +11,6 @@ import (
 
 	"repro/internal/obs"
 )
-
-// ManifestVersion gates the on-disk layout of a run entry.
-const ManifestVersion = 1
-
-var crcTable = crc64.MakeTable(crc64.ECMA)
-
-// ErrCorrupt marks a store entry whose bytes fail verification (CRC or
-// record-count mismatch, unreadable manifest, or a spec that does not
-// re-hash to its address). Readers treat corrupt entries as cache
-// misses; the next Put overwrites them.
-var ErrCorrupt = errors.New("runstore: corrupt entry")
 
 // Manifest describes one stored run. It lives next to the records file
 // and carries everything needed to verify and list the entry without
@@ -116,11 +103,7 @@ func (s *Store) Contains(spec Spec) bool {
 	hash := spec.Hash()
 	dir := s.runDir(hash)
 	m, err := loadManifest(dir)
-	if err != nil || m.Hash != hash {
-		return false
-	}
-	fi, err := os.Stat(filepath.Join(dir, "records.jsonl"))
-	return err == nil && fi.Size() == m.Bytes
+	return err == nil && m.Hash == hash && sized(dir, "records.jsonl", m.Bytes)
 }
 
 // loadManifest reads dir/manifest.json and verifies it is internally
@@ -129,20 +112,9 @@ func (s *Store) Contains(spec Spec) bool {
 // collisions). It does not touch the records file; the returned error
 // wraps ErrCorrupt for anything but a missing manifest.
 func loadManifest(dir string) (Manifest, error) {
-	mb, err := os.ReadFile(filepath.Join(dir, "manifest.json"))
-	if err != nil {
-		if os.IsNotExist(err) {
-			return Manifest{}, err
-		}
-		return Manifest{}, fmt.Errorf("%w: reading manifest: %v", ErrCorrupt, err)
-	}
 	var m Manifest
-	if err := json.Unmarshal(mb, &m); err != nil {
-		return Manifest{}, fmt.Errorf("%w: decoding manifest: %v", ErrCorrupt, err)
-	}
-	if m.ManifestVersion != ManifestVersion {
-		return Manifest{}, fmt.Errorf("%w: manifest version %d, want %d",
-			ErrCorrupt, m.ManifestVersion, ManifestVersion)
+	if err := readManifest(dir, &m, &m.ManifestVersion); err != nil {
+		return Manifest{}, err
 	}
 	if m.Spec.Canonical().Hash() != m.Hash {
 		return Manifest{}, fmt.Errorf("%w: manifest spec does not re-hash to %s", ErrCorrupt, m.Hash)
@@ -179,12 +151,9 @@ func (s *Store) Get(spec Spec) (recs []json.RawMessage, ok bool, err error) {
 	if m.Hash != hash {
 		return nil, false, fmt.Errorf("%w: manifest %s does not match its spec", ErrCorrupt, hash)
 	}
-	rb, err := os.ReadFile(filepath.Join(dir, "records.jsonl"))
+	rb, err := readPayload(dir, "records.jsonl", m.Bytes, m.CRC64)
 	if err != nil {
-		return nil, false, fmt.Errorf("%w: reading records %s: %v", ErrCorrupt, hash, err)
-	}
-	if int64(len(rb)) != m.Bytes || fmt.Sprintf("%016x", crc64.Checksum(rb, crcTable)) != m.CRC64 {
-		return nil, false, fmt.Errorf("%w: records %s fail CRC", ErrCorrupt, hash)
+		return nil, false, fmt.Errorf("entry %s: %w", hash, err)
 	}
 	recs = splitLines(rb)
 	if len(recs) != m.Records {
@@ -234,52 +203,11 @@ func (s *Store) Put(spec Spec, records []json.RawMessage) (err error) {
 		Spec:            spec,
 		Records:         len(records),
 		Bytes:           int64(rb.Len()),
-		CRC64:           fmt.Sprintf("%016x", crc64.Checksum(rb.Bytes(), crcTable)),
+		CRC64:           checksum(rb.Bytes()),
 		//fda:allow(wallclock, manifest provenance timestamp; excluded from the content address and record bytes)
 		CreatedUnix: time.Now().Unix(),
 	}
-	mb, err := json.MarshalIndent(m, "", "  ")
-	if err != nil {
-		return fmt.Errorf("runstore: %v", err)
-	}
-	return s.installStaged(map[string][]byte{
-		"records.jsonl": rb.Bytes(),
-		"manifest.json": mb,
-	}, s.runDir(hash))
-}
-
-// installStaged writes files into a fresh staging directory under
-// <dir>/tmp and renames it over dst — the atomic-replace dance shared
-// by run entries and prefix snapshots. Any previous entry is first
-// renamed out of the readers' way. If a concurrent writer won the
-// rename race, its entry encodes the same content address —
-// determinism makes the two byte-identical up to the manifest
-// timestamp — so losing is success.
-func (s *Store) installStaged(files map[string][]byte, dst string) error {
-	stage, err := os.MkdirTemp(filepath.Join(s.dir, "tmp"), "put-*")
-	if err != nil {
-		return fmt.Errorf("runstore: %v", err)
-	}
-	defer os.RemoveAll(stage)
-	for name, b := range files {
-		if err := os.WriteFile(filepath.Join(stage, name), b, 0o644); err != nil {
-			return fmt.Errorf("runstore: %v", err)
-		}
-	}
-	if err := os.MkdirAll(filepath.Dir(dst), 0o755); err != nil {
-		return fmt.Errorf("runstore: %v", err)
-	}
-	old := stage + ".old"
-	if err := os.Rename(dst, old); err == nil {
-		defer os.RemoveAll(old)
-	}
-	if err := os.Rename(stage, dst); err != nil {
-		if _, statErr := os.Stat(filepath.Join(dst, "manifest.json")); statErr == nil {
-			return nil
-		}
-		return fmt.Errorf("runstore: %v", err)
-	}
-	return nil
+	return s.install(s.runDir(hash), m, "records.jsonl", rb.Bytes())
 }
 
 // Delete removes spec's entry if present.
@@ -293,61 +221,25 @@ func (s *Store) Delete(spec Spec) error {
 // file reads per poll. Unverifiable entries are counted; the catalog of
 // record (List) remains the verified view.
 func (s *Store) Count() int {
-	shards, err := os.ReadDir(filepath.Join(s.dir, "runs"))
-	if err != nil {
-		return 0
-	}
 	n := 0
-	for _, shard := range shards {
-		if !shard.IsDir() {
-			continue
-		}
-		entries, err := os.ReadDir(filepath.Join(s.dir, "runs", shard.Name()))
-		if err != nil {
-			continue
-		}
-		for _, e := range entries {
-			if e.IsDir() {
-				n++
-			}
-		}
-	}
+	walk(filepath.Join(s.dir, "runs"), 2, func(string) { n++ })
 	return n
 }
 
-// List returns the manifests of every verified entry, sorted by
-// (experiment, model, strategy, hash) so listings are stable.
+// List returns the manifests of every structurally verified entry — a
+// consistent manifest at its own address whose records file has the
+// declared size — sorted by (experiment, model, strategy, hash) so
+// listings are stable. Get still CRC-checks the records it serves.
 func (s *Store) List() ([]Manifest, error) {
 	var out []Manifest
-	shards, err := os.ReadDir(filepath.Join(s.dir, "runs"))
-	if err != nil {
-		return nil, fmt.Errorf("runstore: %v", err)
-	}
-	for _, shard := range shards {
-		if !shard.IsDir() {
-			continue
-		}
-		entries, err := os.ReadDir(filepath.Join(s.dir, "runs", shard.Name()))
-		if err != nil {
-			continue
-		}
-		for _, e := range entries {
-			dir := filepath.Join(s.dir, "runs", shard.Name(), e.Name())
-			// Structural verification only: a consistent manifest whose
-			// records file exists at the declared size. Get still CRC-checks
-			// the records bytes it serves, so a listed-then-fetched entry is
-			// fully verified; List itself stays O(manifests), not O(store
-			// bytes), per call.
-			m, err := loadManifest(dir)
-			if err != nil || m.Hash != e.Name() {
-				continue
-			}
-			fi, err := os.Stat(filepath.Join(dir, "records.jsonl"))
-			if err != nil || fi.Size() != m.Bytes {
-				continue
-			}
+	err := walk(filepath.Join(s.dir, "runs"), 2, func(dir string) {
+		m, err := loadManifest(dir)
+		if err == nil && m.Hash == filepath.Base(dir) && sized(dir, "records.jsonl", m.Bytes) {
 			out = append(out, m)
 		}
+	})
+	if err != nil {
+		return nil, fmt.Errorf("runstore: %v", err)
 	}
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i], out[j]

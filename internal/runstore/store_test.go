@@ -1,11 +1,14 @@
 package runstore
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -132,76 +135,168 @@ func TestStoreOverwrite(t *testing.T) {
 	}
 }
 
-// corrupt each stored artifact in turn and check Get degrades to a miss
-// that reports ErrCorrupt (so schedulers recompute instead of failing).
-func TestStoreCorruptionIsAMiss(t *testing.T) {
-	cases := []struct {
-		name string
-		// listed reports whether List/Contains may still advertise the
-		// entry: their verification is deliberately structural (manifest
-		// consistency + records size), so a same-size bitflip is only
-		// caught by Get's CRC — the reader that would serve the bytes.
-		listed  bool
-		corrupt func(t *testing.T, runDir string)
-	}{
-		{"records-bitflip", true, func(t *testing.T, dir string) {
-			flipByte(t, filepath.Join(dir, "records.jsonl"))
-		}},
-		{"records-truncated", false, func(t *testing.T, dir string) {
-			path := filepath.Join(dir, "records.jsonl")
-			b, err := os.ReadFile(path)
+// entryKind is one user of the shared entry format, driven through the
+// corruption cases below by cell seed: store entry i, find its
+// directory, delete it, read it back, list and count the store.
+type entryKind struct {
+	name, payload string
+	put           func(st *Store, i uint64, payload string) error
+	dir           func(st *Store, i uint64) string
+	del           func(st *Store, i uint64) error
+	// get reads entry i through every reader of the kind and returns
+	// the served payload, whether it hit, and the first error.
+	get    func(st *Store, i uint64) (payload string, ok bool, err error)
+	listed func(t *testing.T, st *Store) int
+	count  func(st *Store) int
+}
+
+var entryKinds = []entryKind{
+	{
+		name: "run", payload: "records.jsonl",
+		put: func(st *Store, i uint64, v string) error {
+			return st.Put(sampleSpec(i), rawLines(`{"v":`+v+`}`, `{"w":2}`))
+		},
+		dir: func(st *Store, i uint64) string { return st.runDir(sampleSpec(i).Canonical().Hash()) },
+		del: func(st *Store, i uint64) error { return st.Delete(sampleSpec(i)) },
+		get: func(st *Store, i uint64) (string, bool, error) {
+			recs, ok, err := st.Get(sampleSpec(i))
+			if len(recs) == 0 {
+				return "", ok, err
+			}
+			return string(recs[0]), ok, err
+		},
+		listed: func(t *testing.T, st *Store) int {
+			ms, err := st.List()
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := os.WriteFile(path, b[:len(b)/2], 0o644); err != nil {
+			if st.Contains(sampleSpec(5)) != (len(ms) == 1) {
+				t.Fatalf("Contains disagrees with List (%d listed)", len(ms))
+			}
+			return len(ms)
+		},
+		count: (*Store).Count,
+	},
+	{
+		name: "snapshot", payload: "state.ckpt",
+		put: func(st *Store, i uint64, v string) error {
+			return st.PutSnapshot(samplePrefix(i), 10, 0, []byte("blob-"+v))
+		},
+		dir: func(st *Store, i uint64) string { return st.snapDir(samplePrefix(i).Canonical().Hash(), 10) },
+		del: func(st *Store, i uint64) error { return st.DeleteSnapshots(samplePrefix(i)) },
+		get: func(st *Store, i uint64) (string, bool, error) {
+			blob, _, ok, err := st.GetSnapshot(samplePrefix(i), 10)
+			bestBlob, _, bestOK, bestErr := st.BestSnapshot(samplePrefix(i), 100, nil)
+			if ok != bestOK || string(blob) != string(bestBlob) || (err == nil) != (bestErr == nil) {
+				return "", false, fmt.Errorf("GetSnapshot (%q %v %v) and BestSnapshot (%q %v %v) disagree",
+					blob, ok, err, bestBlob, bestOK, bestErr)
+			}
+			return string(blob), ok, err
+		},
+		listed: func(t *testing.T, st *Store) int {
+			ms, err := st.Snapshots()
+			if err != nil {
+				t.Fatal(err)
+			}
+			return len(ms)
+		},
+		count: (*Store).SnapshotCount,
+	},
+}
+
+// TestStoreCorruptionIsAMiss damages one stored entry of each kind in
+// each way in turn. The readers must answer a miss wrapping ErrCorrupt
+// (so schedulers recompute instead of failing), the listing must skip
+// the entry, the count (directory names only) must still count it, and
+// a fresh put must heal it.
+func TestStoreCorruptionIsAMiss(t *testing.T) {
+	rewrite := func(t *testing.T, path string, edit func([]byte) []byte) {
+		t.Helper()
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, edit(b), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cases := []struct {
+		name string
+		// listed reports whether the listing may still advertise the
+		// entry: listings verify structurally (manifest consistency +
+		// payload size), so a same-size bitflip is only caught by the
+		// reader's CRC — the reader that would serve the bytes.
+		listed  bool
+		corrupt func(t *testing.T, k entryKind, st *Store, dir string)
+	}{
+		{"payload-bitflip", true, func(t *testing.T, k entryKind, _ *Store, dir string) {
+			flipByte(t, filepath.Join(dir, k.payload))
+		}},
+		{"payload-truncated", false, func(t *testing.T, k entryKind, _ *Store, dir string) {
+			rewrite(t, filepath.Join(dir, k.payload), func(b []byte) []byte { return b[:len(b)/2] })
+		}},
+		{"payload-removed", false, func(t *testing.T, k entryKind, _ *Store, dir string) {
+			if err := os.Remove(filepath.Join(dir, k.payload)); err != nil {
 				t.Fatal(err)
 			}
 		}},
-		{"manifest-garbage", false, func(t *testing.T, dir string) {
-			if err := os.WriteFile(filepath.Join(dir, "manifest.json"), []byte("not json"), 0o644); err != nil {
-				t.Fatal(err)
-			}
+		{"manifest-wrong-version", false, func(t *testing.T, _ entryKind, _ *Store, dir string) {
+			rewrite(t, filepath.Join(dir, "manifest.json"), func(b []byte) []byte {
+				return bytes.Replace(b, []byte(`"manifest_version": 1`), []byte(`"manifest_version": 2`), 1)
+			})
 		}},
-		{"manifest-wrong-spec", false, func(t *testing.T, dir string) {
-			other := sampleSpec(99).Canonical()
-			m := Manifest{ManifestVersion: ManifestVersion, Hash: other.Hash(), Spec: other}
-			b, _ := json.Marshal(m)
-			if err := os.WriteFile(filepath.Join(dir, "manifest.json"), b, 0o644); err != nil {
+		{"manifest-garbage", false, func(t *testing.T, _ entryKind, _ *Store, dir string) {
+			rewrite(t, filepath.Join(dir, "manifest.json"), func([]byte) []byte { return []byte("not json") })
+		}},
+		{"manifest-wrong-spec", false, func(t *testing.T, k entryKind, st *Store, dir string) {
+			// Another entry's intact manifest, copied under this address.
+			if err := k.put(st, 99, "9"); err != nil {
 				t.Fatal(err)
 			}
+			other, err := os.ReadFile(filepath.Join(k.dir(st, 99), "manifest.json"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := k.del(st, 99); err != nil {
+				t.Fatal(err)
+			}
+			rewrite(t, filepath.Join(dir, "manifest.json"), func([]byte) []byte { return other })
 		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			st, _ := Open(t.TempDir())
-			spec := sampleSpec(5)
-			if err := st.Put(spec, rawLines(`{"v":1}`, `{"v":2}`)); err != nil {
-				t.Fatal(err)
-			}
-			tc.corrupt(t, filepath.Join(st.Dir(), "runs", spec.Canonical().Hash()[:2], spec.Canonical().Hash()))
-			recs, ok, err := st.Get(spec)
-			if ok || recs != nil {
-				t.Fatalf("corrupt entry served: %s", recs)
-			}
-			if !errors.Is(err, ErrCorrupt) {
-				t.Fatalf("want ErrCorrupt, got %v", err)
-			}
-			wantListed := 0
-			if tc.listed {
-				wantListed = 1
-			}
-			if ms, _ := st.List(); len(ms) != wantListed {
-				t.Fatalf("List advertised %d entries, want %d: %+v", len(ms), wantListed, ms)
-			}
-			if got := st.Contains(spec); got != tc.listed {
-				t.Fatalf("Contains = %v, want %v", got, tc.listed)
-			}
-			// Self-healing: a fresh Put replaces the damaged entry.
-			if err := st.Put(spec, rawLines(`{"v":3}`)); err != nil {
-				t.Fatal(err)
-			}
-			if got, ok, err := st.Get(spec); !ok || err != nil || string(got[0]) != `{"v":3}` {
-				t.Fatalf("store did not heal: %s ok=%v err=%v", got, ok, err)
+			for _, k := range entryKinds {
+				t.Run(k.name, func(t *testing.T) {
+					st, _ := Open(t.TempDir())
+					if err := k.put(st, 5, "1"); err != nil {
+						t.Fatal(err)
+					}
+					tc.corrupt(t, k, st, k.dir(st, 5))
+					got, ok, err := k.get(st, 5)
+					if ok || got != "" {
+						t.Fatalf("corrupt entry served: %q", got)
+					}
+					if !errors.Is(err, ErrCorrupt) {
+						t.Fatalf("want ErrCorrupt, got %v", err)
+					}
+					wantListed := 0
+					if tc.listed {
+						wantListed = 1
+					}
+					if n := k.listed(t, st); n != wantListed {
+						t.Fatalf("listing advertised %d entries, want %d", n, wantListed)
+					}
+					if n := k.count(st); n != 1 {
+						t.Fatalf("count = %d, want the damaged entry counted (1)", n)
+					}
+					// Self-healing: a fresh put replaces the damaged entry.
+					if err := k.put(st, 5, "3"); err != nil {
+						t.Fatal(err)
+					}
+					if got, ok, err := k.get(st, 5); !ok || err != nil || !strings.Contains(got, "3") {
+						t.Fatalf("store did not heal: %q ok=%v err=%v", got, ok, err)
+					}
+				})
 			}
 		})
 	}

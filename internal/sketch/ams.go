@@ -99,9 +99,6 @@ func NewSketcher(l, m int, seed uint64) *Sketcher {
 	return s
 }
 
-// L returns the number of rows.
-func (s *Sketcher) L() int { return s.l }
-
 // Sketch is the l×m counter matrix for one vector, stored row-major.
 // Sketches from the same Sketcher combine linearly through Data.
 type Sketch struct {
