@@ -47,7 +47,8 @@ lint:
 # bundle parser, the Prometheus exposition validator, the tracev1
 # reader, the gateway's submission classifier (request body → job
 # spec → dedupe key) and its id rewriter (replica body → namespaced
-# body, every other value byte-equal), fdaserve's job-journal recovery
+# body, every other value byte-equal), the job table's journal recovery
+# (internal/jobs, fdaserve's jobs)
 # and the run registry's manifest check, planted in a run and a
 # snapshot alike (one entry format) — parsers that consume bytes
 # from disk, socket or an HTTP peer — and the kernel-vs-scalar-loop
@@ -71,7 +72,7 @@ fuzz:
 	$(GO) test ./internal/tensor -fuzz FuzzKernelsMatchScalar -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/nn -fuzz FuzzConvMatchesDirectReference -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/nn -fuzz FuzzMaxPoolMatchesScalar -fuzztime $(FUZZTIME)
-	$(GO) test ./cmd/fdaserve -fuzz FuzzJournalRecover -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/jobs -fuzz FuzzJournalRecover -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/runstore -fuzz FuzzStoreManifest -fuzztime $(FUZZTIME)
 
 # The public surface of the fda package is pinned in docs/fda-api.txt

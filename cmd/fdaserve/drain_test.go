@@ -5,6 +5,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/jobs"
 )
 
 // TestDrainAndDerivedRetryAfter pins the scale-out admission surface: the
@@ -13,11 +15,11 @@ import (
 // Retry-After derived from observed job runtimes rather than a constant.
 func TestDrainAndDerivedRetryAfter(t *testing.T) {
 	s, ts := loadServer(t, t.TempDir())
-	s.maxQueue = 2
+	s.table.MaxQueue = 2
 
 	// A completed job seeds the jobRun histograms the Retry-After
 	// derivation reads.
-	var warm jobView
+	var warm jobs.View
 	postJSON(t, ts.URL+"/v1/runs", `{"experiment":"smoke","scale":"tiny","seed":1}`,
 		http.StatusAccepted, &warm)
 	awaitDone(t, ts.URL, warm.ID)
@@ -58,8 +60,8 @@ func TestDrainAndDerivedRetryAfter(t *testing.T) {
 
 	// Fill the queue with held jobs; the over-cap 503 must carry an
 	// integral Retry-After in the clamp range, consistent with the body.
-	submit := func(seed int) jobView {
-		var v jobView
+	submit := func(seed int) jobs.View {
+		var v jobs.View
 		postJSON(t, ts.URL+"/v1/train",
 			"{\"model\":\"lenet5s\",\"strategy\":\"LinearFDA\",\"k\":1,\"batch\":8,\"steps\":100000,\"eval_every\":50000,\"seed\":"+strconv.Itoa(seed)+"}",
 			http.StatusAccepted, &v)

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/jobs"
 	"repro/internal/runstore"
 )
 
@@ -29,7 +30,7 @@ func TestEventsSlowConsumerNoLeak(t *testing.T) {
 	srv := newServer(st, "", 2, context.Background())
 	ts := httptest.NewServer(srv.routes())
 
-	var v jobView
+	var v jobs.View
 	postJSON(t, ts.URL+"/v1/train",
 		`{"model":"lenet5s","strategy":"LinearFDA","k":2,"batch":8,"steps":120,"eval_every":30,"seed":11}`,
 		http.StatusAccepted, &v)
@@ -53,14 +54,14 @@ func TestEventsSlowConsumerNoLeak(t *testing.T) {
 	}
 	drop.Body.Close()
 
-	final := waitStatus(t, ts, v.ID, statusDone)
+	final := waitStatus(t, ts, v.ID, jobs.Done)
 	if final.Steps != 120 {
 		t.Fatalf("run finished at %d steps, want 120 — a consumer stalled it", final.Steps)
 	}
 
 	slow.Body.Close()
 	ts.Close()
-	srv.drain()
+	srv.table.Wait()
 
 	// Everything is shut down; the goroutine count must return to the
 	// pre-test baseline (modulo runtime noise). Idle client connections

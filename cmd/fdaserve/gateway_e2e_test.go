@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/cluster"
+	"repro/internal/jobs"
 	"repro/internal/runstore"
 )
 
@@ -103,16 +104,16 @@ func TestGatewayEndToEnd(t *testing.T) {
 	// owner, and resubmitting the identical spec through the gateway is a
 	// dedupe hit (200, same namespaced id) because affinity routing sends
 	// it back to the replica that already owns the job.
-	var first jobView
+	var first jobs.View
 	postJSON(t, gwts.URL+"/v1/runs", bodyA, http.StatusAccepted, &first)
 	wantPrefix := prefixOf(r1.ts.URL) + "-"
 	if len(first.ID) <= len(wantPrefix) || first.ID[:len(wantPrefix)] != wantPrefix {
 		t.Fatalf("job id %q not namespaced by affinity owner prefix %q", first.ID, wantPrefix)
 	}
-	if done := awaitDone(t, gwts.URL, first.ID); done.Status != statusDone {
+	if done := awaitDone(t, gwts.URL, first.ID); done.Status != jobs.Done {
 		t.Fatalf("gateway job finished %q (err %q), want done", done.Status, done.Error)
 	}
-	var again jobView
+	var again jobs.View
 	postJSON(t, gwts.URL+"/v1/runs", bodyA, http.StatusOK, &again)
 	if again.ID != first.ID {
 		t.Fatalf("resubmitted spec got id %s, want dedupe hit on %s", again.ID, first.ID)
@@ -121,9 +122,9 @@ func TestGatewayEndToEnd(t *testing.T) {
 	// --- Routing parity: the same spec executed on a standalone server
 	// (own store) yields byte-identical records to the gateway run.
 	direct := testServer(t, t.TempDir())
-	var dv jobView
+	var dv jobs.View
 	postJSON(t, direct.URL+"/v1/runs", bodyA, http.StatusAccepted, &dv)
-	if done := awaitDone(t, direct.URL, dv.ID); done.Status != statusDone {
+	if done := awaitDone(t, direct.URL, dv.ID); done.Status != jobs.Done {
 		t.Fatalf("direct job finished %q (err %q), want done", done.Status, done.Error)
 	}
 	var viaGateway, viaDirect map[string]json.RawMessage
@@ -138,19 +139,19 @@ func TestGatewayEndToEnd(t *testing.T) {
 	// survivor is unaffected, and a spec whose affinity owner is the dead
 	// replica fails over to the survivor instead of erroring.
 	orphanSpec, _ := sweepOwnedBy(t, pool, r1.ts.URL, 1000)
-	var onSurvivor jobView
+	var onSurvivor jobs.View
 	postJSON(t, gwts.URL+"/v1/runs", bodyB, http.StatusAccepted, &onSurvivor)
 	r1.down.Store(true)
-	var failedOver jobView
+	var failedOver jobs.View
 	postJSON(t, gwts.URL+"/v1/runs", orphanSpec, http.StatusAccepted, &failedOver)
 	survivorPrefix := prefixOf(r2.ts.URL) + "-"
 	if failedOver.ID[:len(survivorPrefix)] != survivorPrefix {
 		t.Fatalf("failover job id %q not on survivor (prefix %q)", failedOver.ID, survivorPrefix)
 	}
-	if done := awaitDone(t, gwts.URL, onSurvivor.ID); done.Status != statusDone {
+	if done := awaitDone(t, gwts.URL, onSurvivor.ID); done.Status != jobs.Done {
 		t.Fatalf("survivor's in-flight job finished %q (err %q), want done", done.Status, done.Error)
 	}
-	if done := awaitDone(t, gwts.URL, failedOver.ID); done.Status != statusDone {
+	if done := awaitDone(t, gwts.URL, failedOver.ID); done.Status != jobs.Done {
 		t.Fatalf("failed-over job finished %q (err %q), want done", done.Status, done.Error)
 	}
 
@@ -169,9 +170,9 @@ func TestGatewayEndToEnd(t *testing.T) {
 		}
 	}
 	bodyC, _ := sweepOwnedBy(t, pool, r1.ts.URL, 2000)
-	var rejoined jobView
+	var rejoined jobs.View
 	postJSON(t, gwts.URL+"/v1/runs", bodyC, http.StatusAccepted, &rejoined)
-	if done := awaitDone(t, gwts.URL, rejoined.ID); done.Status != statusDone {
+	if done := awaitDone(t, gwts.URL, rejoined.ID); done.Status != jobs.Done {
 		t.Fatalf("post-rejoin job finished %q (err %q), want done", done.Status, done.Error)
 	}
 }

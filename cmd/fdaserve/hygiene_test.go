@@ -10,13 +10,15 @@ import (
 	"testing"
 
 	"repro/internal/dist"
+	"repro/internal/jobs"
 	"repro/internal/runstore"
 )
 
 // TestTrainFailureDropsCheckpoint pins the orphan-checkpoint fix: a
 // train job that fails terminally must remove its resume snapshots.
-// The job body is driven directly: its spec carries a negative Θ, which
-// admission refuses, so session construction fails before a single step.
+// The job goes to the table directly, past the handler: its spec
+// carries a negative Θ, which admission refuses, so session
+// construction fails before a single step.
 func TestTrainFailureDropsCheckpoint(t *testing.T) {
 	st, err := runstore.Open(t.TempDir())
 	if err != nil {
@@ -31,14 +33,13 @@ func TestTrainFailureDropsCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	j, ctx, _, err := s.createJob(spec.Key(), func(j *job) { j.Kind = "train" })
+	j, _, err := s.table.Submit(spec.Key(), func(j *jobs.Job) { j.Kind = "train" },
+		func(ctx context.Context, j *jobs.Job) (any, error) { return s.trainLocal(ctx, j, spec) })
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.wg.Add(1)
-	go s.runJob(ctx, j, func(ctx context.Context) (any, error) { return s.trainLocal(ctx, j, spec) })
-	<-j.done
-	if v := j.view(); v.Status != statusFailed {
+	<-j.Done()
+	if v := j.View(); v.Status != jobs.Failed {
 		t.Fatalf("job status %q (%s), want failed", v.Status, v.Error)
 	}
 	if n := resumeSnapshots(t, st, spec.Key()); n != 0 {
@@ -61,31 +62,38 @@ func TestJournalRecovery(t *testing.T) {
 	// journaled as running and never transitions (simulating a crash).
 	first := newServer(st, "", 2, context.Background())
 	ts := httptest.NewServer(first.routes())
-	var done jobView
+	var done jobs.View
 	postJSON(t, ts.URL+"/v1/runs", `{"experiment":"smoke","scale":"tiny","seed":1}`, http.StatusAccepted, &done)
-	waitStatus(t, ts, done.ID, statusDone)
+	waitStatus(t, ts, done.ID, jobs.Done)
 	ts.Close()
-	crashed := jobView{ID: "r7", Kind: "sweep", Experiment: "smoke", Scale: "tiny", Seed: 9,
-		Status: statusRunning, Cells: 2, Executed: 1}
-	first.journal.record(crashed, "sweep|smoke|tiny|9")
-	// A torn tail line (crash mid-append) must not poison recovery.
-	if err := appendLine(filepath.Join(dir, journalFile("")), []byte(`{"time":"2026-08-08T0`)); err != nil {
+	first.table.Wait() // the done line is journaled
+	// The crashed job's line, then a torn tail line (crash mid-append),
+	// which must not poison recovery.
+	f, err := os.OpenFile(filepath.Join(dir, jobs.JournalFile("")), os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
 		t.Fatal(err)
 	}
+	if _, err := f.WriteString(`{"time":"2026-08-08T00:00:00Z","key":"sweep|smoke|tiny|9","id":"r7","kind":"sweep","experiment":"smoke","scale":"tiny","seed":9,"status":"running","cells":2,"executed":1}` + "\n" +
+		`{"time":"2026-08-08T0` + "\n"); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
 
 	// Second life over the same store directory.
 	second := newServer(st, "", 2, context.Background())
-	second.recoverJournal()
+	if err := second.table.Recover(); err != nil {
+		t.Fatal(err)
+	}
 	ts2 := httptest.NewServer(second.routes())
 	t.Cleanup(ts2.Close)
 
-	var views []jobView
+	var views []jobs.View
 	getJSON(t, ts2.URL+"/v1/runs", http.StatusOK, &views)
 	if len(views) != 1 {
 		t.Fatalf("recovered %d jobs, want 1 (the interrupted one): %+v", len(views), views)
 	}
 	v := views[0]
-	if v.ID != "r7" || v.Status != statusInterrupted || v.Error == "" {
+	if v.ID != "r7" || v.Status != jobs.Interrupted || v.Error == "" {
 		t.Fatalf("recovered job = %+v", v)
 	}
 	if v.Cells != 2 || v.Executed != 1 {
@@ -100,7 +108,7 @@ func TestJournalRecovery(t *testing.T) {
 	getJSON(t, ts2.URL+"/v1/runs/r7/records", http.StatusConflict, nil)
 
 	// The journal is compacted to one line per job, torn tail dropped.
-	b, err := os.ReadFile(filepath.Join(dir, journalFile("")))
+	b, err := os.ReadFile(filepath.Join(dir, jobs.JournalFile("")))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,12 +118,12 @@ func TestJournalRecovery(t *testing.T) {
 
 	// Resubmitting the interrupted spec starts a fresh job with a fresh
 	// ID past every journaled one — the interrupted shell gave way.
-	var re jobView
+	var re jobs.View
 	postJSON(t, ts2.URL+"/v1/runs", `{"experiment":"smoke","scale":"tiny","seed":9}`, http.StatusAccepted, &re)
 	if re.ID != "r8" {
 		t.Fatalf("resubmission got ID %s, want r8 (counter continues past journal)", re.ID)
 	}
-	waitStatus(t, ts2, re.ID, statusDone)
+	waitStatus(t, ts2, re.ID, jobs.Done)
 }
 
 // TestJournalPerReplicaOnSharedStore runs two replicas over one store,
@@ -127,30 +135,44 @@ func TestJournalPerReplicaOnSharedStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Each admitted job holds until the test ends: its journal line says
+	// running, as a crash would leave it.
+	ctx, release := context.WithCancel(context.Background())
+	var servers []*server
+	t.Cleanup(func() {
+		release()
+		for _, s := range servers {
+			s.table.Wait()
+		}
+	})
 	admit := func(s *server, key, experiment string) string {
 		t.Helper()
-		j, _, _, err := s.createJob(key, func(j *job) { j.Kind, j.Experiment = "sweep", experiment })
+		j, _, err := s.table.Submit(key, func(j *jobs.Job) { j.Kind, j.Experiment = "sweep", experiment },
+			func(ctx context.Context, _ *jobs.Job) (any, error) { <-ctx.Done(); return nil, ctx.Err() })
 		if err != nil {
 			t.Fatal(err)
 		}
 		return j.ID
 	}
-	ctx := context.Background()
 	a, b := newServer(st, "a", 1, ctx), newServer(st, "b", 1, ctx)
+	servers = append(servers, a, b)
 	if ida, idb := admit(a, "key-a", "fig3"), admit(b, "key-b", "fig8"); ida != "r1" || idb != "r1" {
 		t.Fatalf("first admissions got ids %s and %s, want r1 on each replica", ida, idb)
 	}
 
 	for _, want := range []struct{ name, key, experiment string }{{"a", "key-a", "fig3"}, {"b", "key-b", "fig8"}} {
 		restarted := newServer(st, want.name, 1, ctx)
-		restarted.recoverJournal()
-		j := restarted.byID["r1"]
-		if len(restarted.byID) != 1 || j == nil {
-			t.Fatalf("replica %s recovered %d jobs, want its own r1", want.name, len(restarted.byID))
+		servers = append(servers, restarted)
+		if err := restarted.table.Recover(); err != nil {
+			t.Fatal(err)
 		}
-		if v := j.view(); j.key != want.key || v.Experiment != want.experiment || v.Status != statusInterrupted {
+		j, ok := restarted.table.Get("r1")
+		if n := len(restarted.table.List()); n != 1 || !ok {
+			t.Fatalf("replica %s recovered %d jobs, want its own r1", want.name, n)
+		}
+		if v := j.View(); j.Key != want.key || v.Experiment != want.experiment || v.Status != jobs.Interrupted {
 			t.Fatalf("replica %s recovered %+v under key %q, want its own %s job %q, interrupted",
-				want.name, v, j.key, want.experiment, want.key)
+				want.name, v, j.Key, want.experiment, want.key)
 		}
 		if id := admit(restarted, "key-next-"+want.name, "fig3"); id != "r2" {
 			t.Fatalf("replica %s's next admission got %s, want r2", want.name, id)

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/jobs"
 	"repro/internal/runstore"
 	"repro/internal/workload"
 )
@@ -39,12 +40,12 @@ func loadServer(t *testing.T, dir string) (*server, *httptest.Server) {
 
 func TestAdmissionCap(t *testing.T) {
 	s, ts := loadServer(t, t.TempDir())
-	s.maxQueue = 2
+	s.table.MaxQueue = 2
 
 	// Two long-running training jobs fill the queue. Steps is far more
 	// work than the test will wait for; the jobs are cancelled below.
-	submit := func(seed int) jobView {
-		var v jobView
+	submit := func(seed int) jobs.View {
+		var v jobs.View
 		postJSON(t, ts.URL+"/v1/train",
 			fmt.Sprintf(`{"model":"lenet5s","strategy":"LinearFDA","k":1,"batch":8,"steps":100000,"eval_every":50000,"seed":%d}`, seed),
 			http.StatusAccepted, &v)
@@ -74,8 +75,8 @@ func TestAdmissionCap(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
 		t.Fatalf("decoding 503 body: %v", err)
 	}
-	if body.Error == "" || body.MaxQueue != 2 || body.InFlight < 2 {
-		t.Fatalf("503 body %+v, want error text, max_queue=2, in_flight>=2", body)
+	if body.Error == "" || body.MaxQueue != 2 || body.InFlight != 2 {
+		t.Fatalf("503 body %+v, want error text, max_queue=2, in_flight=2", body)
 	}
 
 	// Sweeps share the same admission gate.
@@ -88,7 +89,7 @@ func TestAdmissionCap(t *testing.T) {
 	getJSON(t, ts.URL+"/v1/store", http.StatusOK, nil)
 
 	// Resubmitting a queued spec is a dedupe hit, not a new admission.
-	var dup jobView
+	var dup jobs.View
 	postJSON(t, ts.URL+"/v1/train",
 		`{"model":"lenet5s","strategy":"LinearFDA","k":1,"batch":8,"steps":100000,"eval_every":50000,"seed":1}`,
 		http.StatusOK, &dup)
@@ -96,8 +97,10 @@ func TestAdmissionCap(t *testing.T) {
 		t.Fatalf("dedupe under cap returned job %s, want %s", dup.ID, j1.ID)
 	}
 
-	// Cancelling drains the queue and admission reopens.
-	for _, id := range []string{j1.ID, j2.ID} {
+	// Cancelling drains the queue and admission reopens: a job seen
+	// terminal has left the in-flight count, so a submission right after
+	// the first cancellation is admitted while the second job still runs.
+	cancel := func(id string) {
 		req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/runs/"+id, nil)
 		resp, err := http.DefaultClient.Do(req)
 		if err != nil {
@@ -106,7 +109,11 @@ func TestAdmissionCap(t *testing.T) {
 		resp.Body.Close()
 		awaitDone(t, ts.URL, id)
 	}
-	submit(4)
+	cancel(j1.ID)
+	j4 := submit(4)
+	for _, id := range []string{j2.ID, j4.ID} {
+		cancel(id)
+	}
 }
 
 // TestConcurrentRecordingReplay pins the admission-order recording
@@ -305,19 +312,19 @@ func TestLoadE2EThousandConcurrentJobs(t *testing.T) {
 
 	// Every submission has returned and no held job can finish on its
 	// own, so the in-flight counter now reads the sustained concurrency.
-	peak := s.active.Load()
+	peak := s.table.Admission().InFlight
 
 	// Release: cancelling the base context closes every coordinator,
 	// driving every job to a terminal status.
 	cancel()
 	deadline := time.Now().Add(2 * time.Minute)
-	for s.active.Load() > 0 {
+	for s.table.Admission().InFlight > 0 {
 		if time.Now().After(deadline) {
-			t.Fatalf("%d jobs still in flight after release", s.active.Load())
+			t.Fatalf("%d jobs still in flight after release", s.table.Admission().InFlight)
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	s.drain()
+	s.table.Wait()
 
 	if stats.Errors != 0 {
 		t.Fatalf("run reported %d unexpected errors: %+v", stats.Errors, stats)

@@ -111,7 +111,7 @@ func main() {
 	s.warm = *warm
 	s.accessLog = slog.New(slog.NewTextHandler(os.Stderr, nil))
 	s.pprof = *pprofOn
-	s.maxQueue = *maxQueue
+	s.table.MaxQueue = *maxQueue
 	if *record != "" {
 		f, err := os.Create(*record)
 		if err != nil {
@@ -131,7 +131,9 @@ func main() {
 		s.recorder = tw
 		fmt.Printf("fdaserve: recording workload trace to %s\n", *record)
 	}
-	s.recoverJournal()
+	if err := s.table.Recover(); err != nil {
+		fmt.Fprintf(os.Stderr, "fdaserve: reading job journal: %v\n", err)
+	}
 	srv := &http.Server{
 		Addr:    *addr,
 		Handler: s.routes(),
@@ -158,8 +160,7 @@ func main() {
 	if err := srv.Shutdown(shCtx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
 		fmt.Fprintf(os.Stderr, "fdaserve: shutdown: %v\n", err)
 	}
-	// Job contexts are children of baseCtx, already cancelled; drain
-	// waits for their goroutines to store resume state and record final
-	// status.
-	s.drain()
+	// Job contexts are children of baseCtx, already cancelled; Wait lets
+	// their goroutines store resume state and record final status.
+	s.table.Wait()
 }

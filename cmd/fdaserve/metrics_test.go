@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/dist"
+	"repro/internal/jobs"
 	"repro/internal/obs"
 	"repro/internal/runstore"
 )
@@ -42,9 +43,9 @@ func TestHealthzAndMetrics(t *testing.T) {
 	}
 
 	// Run one tiny sweep to completion, then the counters must move.
-	var v jobView
+	var v jobs.View
 	postJSON(t, ts.URL+"/v1/runs", `{"experiment":"smoke","scale":"tiny","seed":1}`, http.StatusAccepted, &v)
-	waitStatus(t, ts, v.ID, statusDone)
+	waitStatus(t, ts, v.ID, jobs.Done)
 
 	getJSON(t, ts.URL+"/v1/metrics", http.StatusOK, &m)
 	if m.Jobs.Done != 1 || m.Jobs.Total != 1 || m.Jobs.Running != 0 {
@@ -68,11 +69,11 @@ func TestPromMetricsEndpoint(t *testing.T) {
 	ts := testServer(t, t.TempDir())
 
 	getJSON(t, ts.URL+"/v1/healthz", http.StatusOK, nil)
-	var v jobView
+	var v jobs.View
 	postJSON(t, ts.URL+"/v1/train",
 		`{"model":"lenet5s","strategy":"LinearFDA","k":2,"batch":8,"steps":8,"eval_every":4,"seed":5}`,
 		http.StatusAccepted, &v)
-	waitStatus(t, ts, v.ID, statusDone)
+	waitStatus(t, ts, v.ID, jobs.Done)
 
 	resp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
@@ -140,16 +141,16 @@ func TestAccessLog(t *testing.T) {
 }
 
 // waitStatus polls a job until it reaches the wanted terminal status.
-func waitStatus(t *testing.T, ts *httptest.Server, id, want string) jobView {
+func waitStatus(t *testing.T, ts *httptest.Server, id, want string) jobs.View {
 	t.Helper()
 	deadline := time.Now().Add(60 * time.Second)
 	for {
-		var v jobView
+		var v jobs.View
 		getJSON(t, ts.URL+"/v1/runs/"+id, http.StatusOK, &v)
 		if v.Status == want {
 			return v
 		}
-		if v.Status != statusRunning {
+		if v.Status != jobs.Running {
 			t.Fatalf("job %s reached %q (err %q), want %q", id, v.Status, v.Error, want)
 		}
 		if time.Now().After(deadline) {
@@ -179,7 +180,7 @@ func TestTrainDistributedEndToEnd(t *testing.T) {
 	postJSON(t, noFabric.URL+"/v1/train",
 		`{"model":"lenet5s","strategy":"LinearFDA","distributed":true}`, http.StatusBadRequest, nil)
 
-	var v jobView
+	var v jobs.View
 	postJSON(t, ts.URL+"/v1/train",
 		`{"model":"lenet5s","strategy":"LinearFDA","k":2,"batch":16,"steps":16,"eval_every":8,"seed":7,"distributed":true}`,
 		http.StatusAccepted, &v)
@@ -202,7 +203,7 @@ func TestTrainDistributedEndToEnd(t *testing.T) {
 			t.Fatalf("worker %d: %v", w, err)
 		}
 	}
-	final := waitStatus(t, ts, v.ID, statusDone)
+	final := waitStatus(t, ts, v.ID, jobs.Done)
 	if final.Steps != 16 {
 		t.Fatalf("distributed job ran %d steps, want 16", final.Steps)
 	}
@@ -220,12 +221,12 @@ func waitFabricAddr(t *testing.T, ts *httptest.Server, id string) string {
 	t.Helper()
 	deadline := time.Now().Add(30 * time.Second)
 	for time.Now().Before(deadline) {
-		var v jobView
+		var v jobs.View
 		getJSON(t, ts.URL+"/v1/runs/"+id, http.StatusOK, &v)
 		if v.FabricAddr != "" {
 			return v.FabricAddr
 		}
-		if v.Status != statusRunning {
+		if v.Status != jobs.Running {
 			t.Fatalf("job %s reached %q before binding its fabric listener", id, v.Status)
 		}
 		time.Sleep(10 * time.Millisecond)

@@ -17,6 +17,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/dist"
+	"repro/internal/jobs"
 	"repro/internal/obs"
 	"repro/internal/runstore"
 )
@@ -155,7 +156,7 @@ func TestTrainCompressionHonoured(t *testing.T) {
 	want := core.MustRun(cfg, strat)
 
 	result := func(id string) core.Result {
-		waitStatus(t, ts, id, statusDone)
+		waitStatus(t, ts, id, jobs.Done)
 		var rec struct{ Records core.Result }
 		getJSON(t, ts.URL+"/v1/runs/"+id+"/records", http.StatusOK, &rec)
 		return rec.Records
@@ -170,7 +171,7 @@ func TestTrainCompressionHonoured(t *testing.T) {
 		}
 	}
 
-	var dense, local, remote jobView
+	var dense, local, remote jobs.View
 	postJSON(t, ts.URL+"/v1/train", plain+`}`, http.StatusAccepted, &dense)
 	postJSON(t, ts.URL+"/v1/train", plain+`,"topk":0.25,"qbits":8}`, http.StatusAccepted, &local)
 	if local.ID == dense.ID {
@@ -226,7 +227,7 @@ func TestHTTPShellBothServers(t *testing.T) {
 	t.Cleanup(gts.Close)
 
 	// A job long enough to still be running while both streams open.
-	var job jobView
+	var job jobs.View
 	postJSON(t, ts.URL+"/v1/train",
 		`{"model":"lenet5s","strategy":"LinearFDA","k":2,"batch":8,"steps":1000000,"seed":3}`, http.StatusAccepted, &job)
 	defer deleteRun(t, ts.URL, job.ID, http.StatusOK)
@@ -325,45 +326,48 @@ func TestRunJobTerminalStatuses(t *testing.T) {
 		cancel               bool
 		body                 func(context.Context) (any, error)
 	}{
-		{name: "done", status: statusDone,
+		{name: "done", status: jobs.Done,
 			body: func(context.Context) (any, error) { return core.Result{CommBytes: 7}, nil }},
-		{name: "failing", status: statusFailed, errMsg: "disk full",
+		{name: "failing", status: jobs.Failed, errMsg: "disk full",
 			body: func(context.Context) (any, error) { return nil, errors.New("disk full") }},
-		{name: "cancelled", status: statusCancelled, errMsg: context.Canceled.Error(), cancel: true,
+		{name: "cancelled", status: jobs.Cancelled, errMsg: context.Canceled.Error(), cancel: true,
 			body: func(ctx context.Context) (any, error) { <-ctx.Done(); return core.Result{}, ctx.Err() }},
-		{name: "panicking", status: statusFailed, errMsg: "panic: boom",
+		{name: "panicking", status: jobs.Failed, errMsg: "panic: boom",
 			body: func(context.Context) (any, error) { panic("boom") }},
 	} {
-		j, ctx, existing, err := s.createJob("lifecycle|"+c.name, func(j *job) { j.Kind = "train" })
+		// The body holds at a gate until the test has read the admission
+		// window and subscribed.
+		gate := make(chan struct{})
+		j, existing, err := s.table.Submit("lifecycle|"+c.name, func(j *jobs.Job) { j.Kind = "train" },
+			func(ctx context.Context, _ *jobs.Job) (any, error) { <-gate; return c.body(ctx) })
 		if err != nil || existing {
-			t.Fatalf("%s: createJob: existing=%v err=%v", c.name, existing, err)
+			t.Fatalf("%s: Submit: existing=%v err=%v", c.name, existing, err)
 		}
-		if n := s.active.Load(); n != 1 {
-			t.Fatalf("%s: %d jobs in the admission window after createJob, want 1", c.name, n)
+		if n := s.table.Admission().InFlight; n != 1 {
+			t.Fatalf("%s: %d jobs in the admission window after Submit, want 1", c.name, n)
 		}
-		events, unsub := j.events.subscribe()
-		s.wg.Add(1)
-		go s.runJob(ctx, j, c.body)
+		events, unsub := j.Subscribe()
+		close(gate)
 		if c.cancel {
-			j.cancel()
+			j.Cancel()
 		}
-		if !closes(j.done) {
+		if !closes(j.Done()) {
 			t.Fatalf("%s: done channel never closed", c.name)
 		}
 		if !closes(events) {
 			t.Fatalf("%s: event broker never closed", c.name)
 		}
 		unsub()
-		v := j.view()
+		v := j.View()
 		if v.Status != c.status || v.Error != c.errMsg {
 			t.Fatalf("%s: status %q error %q, want %q %q", c.name, v.Status, v.Error, c.status, c.errMsg)
 		}
-		if n := s.active.Load(); n != 0 {
+		if n := s.table.Admission().InFlight; n != 0 {
 			t.Fatalf("%s: %d jobs in the admission window after the terminal status, want 0", c.name, n)
 		}
 	}
-	s.drain() // every runJob released the wait group
-	if got := s.bytesSimulated.Load(); got != 7 {
+	s.table.Wait() // every job goroutine has returned
+	if got := s.table.Tally().BytesSimulated; got != 7 {
 		t.Fatalf("bytesSimulated = %d, want the done job's 7", got)
 	}
 }

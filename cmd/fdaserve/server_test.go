@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/jobs"
 	"repro/internal/runstore"
 )
 
@@ -60,11 +61,11 @@ func postJSON(t *testing.T, url, body string, wantCode int, v any) {
 }
 
 // awaitDone polls a run until it leaves "running".
-func awaitDone(t *testing.T, base, id string) jobView {
+func awaitDone(t *testing.T, base, id string) jobs.View {
 	t.Helper()
 	deadline := time.Now().Add(3 * time.Minute)
 	for {
-		var v jobView
+		var v jobs.View
 		getJSON(t, base+"/v1/runs/"+id, http.StatusOK, &v)
 		if v.Status != "running" {
 			return v
@@ -103,7 +104,7 @@ func TestServeEndpointsAndValidation(t *testing.T) {
 	if len(manifests) != 0 {
 		t.Fatalf("fresh store lists %d entries", len(manifests))
 	}
-	var views []jobView
+	var views []jobs.View
 	getJSON(t, ts.URL+"/v1/runs", http.StatusOK, &views)
 	if len(views) != 0 {
 		t.Fatalf("fresh server lists %d runs", len(views))
@@ -126,12 +127,12 @@ func TestServeRunLifecycleAndCache(t *testing.T) {
 	submit := `{"experiment":"smoke","scale":"tiny","seed":3}`
 
 	// Submit; identical resubmission dedupes onto the same job.
-	var created jobView
+	var created jobs.View
 	postJSON(t, ts.URL+"/v1/runs", submit, http.StatusAccepted, &created)
 	if created.ID == "" || created.Experiment != "smoke" || created.Seed != 3 {
 		t.Fatalf("submit view: %+v", created)
 	}
-	var dup jobView
+	var dup jobs.View
 	postJSON(t, ts.URL+"/v1/runs", submit, http.StatusOK, &dup)
 	if dup.ID != created.ID {
 		t.Fatalf("identical spec created a second job: %s vs %s", dup.ID, created.ID)
@@ -180,7 +181,7 @@ func TestServeRunLifecycleAndCache(t *testing.T) {
 	// A second service instance over the same registry serves the whole
 	// sweep from cache: zero executed cells.
 	ts2 := testServer(t, dir)
-	var again jobView
+	var again jobs.View
 	postJSON(t, ts2.URL+"/v1/runs", submit, http.StatusAccepted, &again)
 	warm := awaitDone(t, ts2.URL, again.ID)
 	if warm.Status != "done" || warm.Executed != 0 || warm.Cached != done.Cells {

@@ -18,6 +18,7 @@ import (
 	"repro/internal/checkpoint"
 	"repro/internal/core"
 	"repro/internal/dist"
+	"repro/internal/jobs"
 	"repro/internal/models"
 	"repro/internal/runstore"
 )
@@ -86,11 +87,11 @@ func resumeSnapshots(t *testing.T, st *runstore.Store, key string) int {
 }
 
 // awaitSteps polls a train job until it has taken at least n steps.
-func awaitSteps(t *testing.T, base, id string, n int64) jobView {
+func awaitSteps(t *testing.T, base, id string, n int64) jobs.View {
 	t.Helper()
 	deadline := time.Now().Add(time.Minute)
 	for {
-		var v jobView
+		var v jobs.View
 		getJSON(t, base+"/v1/runs/"+id, http.StatusOK, &v)
 		if v.Steps >= n || v.Status != "running" {
 			return v
@@ -103,7 +104,7 @@ func awaitSteps(t *testing.T, base, id string, n int64) jobView {
 }
 
 // deleteRun issues DELETE /v1/runs/{id} and decodes the final view.
-func deleteRun(t *testing.T, base, id string, wantCode int) jobView {
+func deleteRun(t *testing.T, base, id string, wantCode int) jobs.View {
 	t.Helper()
 	req, err := http.NewRequest(http.MethodDelete, base+"/v1/runs/"+id, nil)
 	if err != nil {
@@ -117,7 +118,7 @@ func deleteRun(t *testing.T, base, id string, wantCode int) jobView {
 	if resp.StatusCode != wantCode {
 		t.Fatalf("DELETE %s = %d, want %d", id, resp.StatusCode, wantCode)
 	}
-	var v jobView
+	var v jobs.View
 	_ = json.NewDecoder(resp.Body).Decode(&v)
 	return v
 }
@@ -146,7 +147,7 @@ func TestTrainValidationErrors(t *testing.T) {
 		t.Fatalf("structured field errors missing: %+v", errResp)
 	}
 
-	var views []jobView
+	var views []jobs.View
 	getJSON(t, ts.URL+"/v1/runs", http.StatusOK, &views)
 	if len(views) != 0 {
 		t.Fatalf("rejected submissions created %d jobs", len(views))
@@ -160,7 +161,7 @@ func TestTrainSSEStreamsLiveEvents(t *testing.T) {
 		t.Skip("runs a training session")
 	}
 	ts := testServer(t, t.TempDir())
-	var created jobView
+	var created jobs.View
 	postJSON(t, ts.URL+"/v1/train", trainBody, http.StatusAccepted, &created)
 	if created.Kind != "train" || created.Status != "running" {
 		t.Fatalf("train submit view: %+v", created)
@@ -186,7 +187,7 @@ func TestTrainSSEStreamsLiveEvents(t *testing.T) {
 			event = strings.TrimPrefix(line, "event: ")
 			events[event]++
 		case strings.HasPrefix(line, "data: ") && event == "status":
-			var v jobView
+			var v jobs.View
 			if err := json.Unmarshal([]byte(strings.TrimPrefix(line, "data: ")), &v); err != nil {
 				t.Fatalf("status payload: %v", err)
 			}
@@ -226,7 +227,7 @@ func TestTrainCancelResumeExact(t *testing.T) {
 	key := bodyKey(t, trainBody)
 	want := trainWant(t)
 
-	var created jobView
+	var created jobs.View
 	postJSON(t, ts.URL+"/v1/train", trainBody, http.StatusAccepted, &created)
 	mid := awaitSteps(t, ts.URL, created.ID, 25)
 	if mid.Status != "running" {
@@ -239,7 +240,7 @@ func TestTrainCancelResumeExact(t *testing.T) {
 	}
 	// The store directory records both the cancelled status (journal)
 	// and the resume snapshot that funds the resume.
-	journal, err := os.ReadFile(filepath.Join(dir, journalFile("")))
+	journal, err := os.ReadFile(filepath.Join(dir, jobs.JournalFile("")))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +254,7 @@ func TestTrainCancelResumeExact(t *testing.T) {
 	getJSON(t, ts.URL+"/v1/runs/"+created.ID+"/records", http.StatusConflict, nil)
 
 	// Resubmit: a fresh job restores the checkpoint and continues.
-	var resumedView jobView
+	var resumedView jobs.View
 	postJSON(t, ts.URL+"/v1/train", trainBody, http.StatusAccepted, &resumedView)
 	if resumedView.ID == created.ID {
 		t.Fatal("cancelled job did not give way to a resubmission")
@@ -288,7 +289,7 @@ func TestSweepCancelAndStoreResume(t *testing.T) {
 	dir := t.TempDir()
 	ts := testServer(t, dir)
 
-	var created jobView
+	var created jobs.View
 	postJSON(t, ts.URL+"/v1/runs", `{"experiment":"smoke","scale":"tiny","seed":7}`, http.StatusAccepted, &created)
 
 	// Cancel immediately: the two smoke cells take long enough that the
@@ -312,7 +313,7 @@ func TestSweepCancelAndStoreResume(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("DELETE = %d", resp.StatusCode)
 	}
-	var v jobView
+	var v jobs.View
 	getJSON(t, ts.URL+"/v1/runs/"+created.ID, http.StatusOK, &v)
 	if v.Status != "cancelled" {
 		t.Fatalf("DELETE left the sweep %q", v.Status)
@@ -320,7 +321,7 @@ func TestSweepCancelAndStoreResume(t *testing.T) {
 
 	// Resubmitting completes the grid; any cell that finished before the
 	// cancellation is served from the registry, not recomputed.
-	var again jobView
+	var again jobs.View
 	postJSON(t, ts.URL+"/v1/runs", `{"experiment":"smoke","scale":"tiny","seed":7}`, http.StatusAccepted, &again)
 	if again.ID == created.ID {
 		t.Fatal("cancelled sweep did not give way to a resubmission")
@@ -350,14 +351,14 @@ func TestShutdownCancelsAndCheckpoints(t *testing.T) {
 	s := newServer(st, "", 2, baseCtx)
 	ts := httptestServer(t, s)
 
-	var created jobView
+	var created jobs.View
 	postJSON(t, ts+"/v1/train", trainBody, http.StatusAccepted, &created)
 	awaitSteps(t, ts, created.ID, 10)
 
 	shutdown()
-	s.drain()
+	s.table.Wait()
 
-	var v jobView
+	var v jobs.View
 	getJSON(t, ts+"/v1/runs/"+created.ID, http.StatusOK, &v)
 	if v.Status != "cancelled" {
 		t.Fatalf("shutdown left run %q", v.Status)
@@ -440,7 +441,7 @@ func TestTrainResultSurvivesRestart(t *testing.T) {
 	}
 
 	first := httptestServer(t, newServer(st, "", 2, context.Background()))
-	var created jobView
+	var created jobs.View
 	postJSON(t, first+"/v1/train", trainBody, http.StatusAccepted, &created)
 	done := awaitDone(t, first, created.ID)
 	if done.Status != "done" || done.Steps != 400 {
@@ -452,7 +453,7 @@ func TestTrainResultSurvivesRestart(t *testing.T) {
 	want := records(first, created.ID)
 
 	// A restarted process: a new server over the same directory. The
-	// resubmission is driven through the job body so its event stream
+	// resubmission is driven through the job table so its event stream
 	// is watched from before the first event.
 	st2, err := runstore.Open(dir)
 	if err != nil {
@@ -460,24 +461,84 @@ func TestTrainResultSurvivesRestart(t *testing.T) {
 	}
 	s2 := newServer(st2, "", 2, context.Background())
 	second := httptestServer(t, s2)
-	j, ctx, _, err := s2.createJob(key, func(j *job) { j.Kind = "train" })
+	var events <-chan jobs.Event
+	j, _, err := s2.table.Submit(key, func(j *jobs.Job) {
+		j.Kind = "train"
+		events, _ = j.Subscribe() // before the job's goroutine starts
+	}, func(ctx context.Context, j *jobs.Job) (any, error) { return s2.trainLocal(ctx, j, spec) })
 	if err != nil {
 		t.Fatal(err)
 	}
-	events, unsub := j.events.subscribe()
-	defer unsub()
-	s2.wg.Add(1)
-	go s2.runJob(ctx, j, func(ctx context.Context) (any, error) { return s2.trainLocal(ctx, j, spec) })
-	<-j.done
+	<-j.Done()
 	for msg := range events {
-		if msg.event == "step" {
+		if msg.Name == "step" {
 			t.Fatal("the resubmission ran a training step")
 		}
 	}
-	if v := j.view(); v.Status != statusDone || v.Steps != 400 || v.Resumed {
+	if v := j.View(); v.Status != jobs.Done || v.Steps != 400 || v.Resumed {
 		t.Fatalf("resubmission after restart: %+v", v)
 	}
 	if got := records(second, j.ID); !bytes.Equal(got, want) {
 		t.Fatalf("records after restart differ:\nfirst:  %s\nsecond: %s", want, got)
+	}
+}
+
+// TestEvictedTrainAnsweredFromStore runs a server that remembers one
+// finished job: once train B finishes, train A is evicted and its id
+// answers 404. Resubmitting A's spec is a new job, which the run
+// registry answers without a training step, with the same records.
+func TestEvictedTrainAnsweredFromStore(t *testing.T) {
+	st, err := runstore.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := newServer(st, "", 2, context.Background())
+	s.table = jobs.New(st.Dir(), "", 1, time.Now, context.Background())
+	base := httptestServer(t, s)
+	specA := `{"model":"lenet5s","strategy":"LinearFDA","k":1,"batch":8,"steps":20,"eval_every":10,"seed":61}`
+	specB := `{"model":"lenet5s","strategy":"LinearFDA","k":1,"batch":8,"steps":20,"eval_every":10,"seed":62}`
+	records := func(id string) json.RawMessage {
+		t.Helper()
+		var body struct{ Records json.RawMessage }
+		getJSON(t, base+"/v1/runs/"+id+"/records", http.StatusOK, &body)
+		return body.Records
+	}
+
+	var a, b jobs.View
+	postJSON(t, base+"/v1/train", specA, http.StatusAccepted, &a)
+	if done := awaitDone(t, base, a.ID); done.Status != jobs.Done {
+		t.Fatalf("train A: %+v", done)
+	}
+	want := records(a.ID)
+	postJSON(t, base+"/v1/train", specB, http.StatusAccepted, &b)
+	if done := awaitDone(t, base, b.ID); done.Status != jobs.Done {
+		t.Fatalf("train B: %+v", done)
+	}
+	getJSON(t, base+"/v1/runs/"+a.ID, http.StatusNotFound, nil)
+
+	var spec dist.JobSpec
+	if err := json.Unmarshal([]byte(specA), &spec); err != nil {
+		t.Fatal(err)
+	}
+	spec = spec.WithDefaults()
+	var events <-chan jobs.Event
+	j, existing, err := s.table.Submit(spec.Key(), func(j *jobs.Job) {
+		j.Kind = "train"
+		events, _ = j.Subscribe() // before the job's goroutine starts
+	}, func(ctx context.Context, j *jobs.Job) (any, error) { return s.trainLocal(ctx, j, spec) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if existing || j.ID == a.ID {
+		t.Fatalf("resubmitting evicted A got job %s (existing=%v), want a new job", j.ID, existing)
+	}
+	<-j.Done()
+	for msg := range events {
+		if msg.Name == "step" {
+			t.Fatal("the resubmission of an evicted train ran a training step")
+		}
+	}
+	if got := records(j.ID); !bytes.Equal(got, want) {
+		t.Fatalf("records of the resubmission differ:\nfirst: %s\nagain: %s", want, got)
 	}
 }

@@ -15,6 +15,7 @@ import (
 	"repro/internal/comm"
 	"repro/internal/core"
 	"repro/internal/dist"
+	"repro/internal/jobs"
 	"repro/internal/runstore"
 )
 
@@ -71,26 +72,14 @@ func (s *server) handleTrain(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	j, ctx, existing, err := s.createJob(spec.Key(), func(j *job) {
-		j.Kind = "train"
-		j.Experiment = spec.Model + "/" + spec.Strategy
-		j.Seed = spec.Seed
-	})
-	if err != nil {
-		s.writeUnavailable(w, err)
-		return
-	}
-	if existing {
-		cluster.WriteJSON(w, http.StatusOK, j.view())
-		return
-	}
 	train := s.trainLocal
 	if spec.Distributed {
 		train = s.trainDistributed
 	}
-	s.wg.Add(1)
-	go s.runJob(ctx, j, func(ctx context.Context) (any, error) { return train(ctx, j, spec) })
-	cluster.WriteJSON(w, http.StatusAccepted, j.view())
+	j, existing, err := s.table.Submit(spec.Key(), func(j *jobs.Job) {
+		j.Kind, j.Experiment, j.Seed = "train", spec.Model+"/"+spec.Strategy, spec.Seed
+	}, func(ctx context.Context, j *jobs.Job) (any, error) { return train(ctx, j, spec) })
+	s.writeSubmitted(w, j, existing, err)
 }
 
 // workerJoinTimeout is how long a distributed job waits for its K
@@ -103,22 +92,20 @@ const workerJoinTimeout = 2 * time.Minute
 // for the K worker processes, relays their collectives and returns the
 // verified cluster Result. Cancellation (DELETE or shutdown) closes the
 // coordinator, which unblocks the workers with transport errors.
-func (s *server) trainDistributed(ctx context.Context, j *job, spec dist.JobSpec) (core.Result, error) {
+func (s *server) trainDistributed(ctx context.Context, j *jobs.Job, spec dist.JobSpec) (core.Result, error) {
 	coord, err := comm.ListenCoordinator(s.fabricAddr, spec.K)
 	if err != nil {
 		return core.Result{}, err
 	}
 	defer coord.Close()
 	coord.JoinDeadline = time.Now().Add(workerJoinTimeout)
-	j.mu.Lock()
-	j.fabricAddr = coord.Addr()
-	j.mu.Unlock()
-	j.events.publish("fabric", map[string]any{"addr": coord.Addr(), "workers": spec.K})
+	j.SetFabricAddr(coord.Addr())
+	j.Publish("fabric", map[string]any{"addr": coord.Addr(), "workers": spec.K})
 
 	res, err := dist.Coordinate(ctx, coord, spec)
 	if err == nil {
-		j.steps.Store(int64(res.Steps))
-		j.syncs.Store(int64(res.SyncCount))
+		j.Steps.Store(int64(res.Steps))
+		j.Syncs.Store(int64(res.SyncCount))
 	}
 	return res, err
 }
@@ -138,13 +125,13 @@ func trainSpec(key string) runstore.Spec {
 // exists, stores its Result on success and a resume snapshot on
 // cancellation. Dataset synthesis happens here, off the admission path
 // — the handler already vetted everything that can 400.
-func (s *server) trainLocal(ctx context.Context, j *job, spec dist.JobSpec) (res core.Result, err error) {
-	run := trainSpec(j.key)
+func (s *server) trainLocal(ctx context.Context, j *jobs.Job, spec dist.JobSpec) (res core.Result, err error) {
+	run := trainSpec(j.Key)
 	if recs, ok, _ := s.store.Get(run); ok && len(recs) == 1 {
 		var hit core.Result
 		if json.Unmarshal(recs[0], &hit) == nil {
-			j.steps.Store(int64(hit.Steps))
-			j.syncs.Store(int64(hit.SyncCount))
+			j.Steps.Store(int64(hit.Steps))
+			j.Syncs.Store(int64(hit.SyncCount))
 			return hit, nil
 		}
 	}
@@ -155,7 +142,7 @@ func (s *server) trainLocal(ctx context.Context, j *job, spec dist.JobSpec) (res
 	// cancelled run keeps (and refreshes) them.
 	resume := run.Prefix("resume")
 	defer func() {
-		if !cancelled(err) {
+		if !jobs.IsCancellation(err) {
 			s.store.DeleteSnapshots(resume)
 		}
 	}()
@@ -184,23 +171,23 @@ func (s *server) trainLocal(ctx context.Context, j *job, spec dist.JobSpec) (res
 			fmt.Fprintf(os.Stderr, "fdaserve: dropping bad resume snapshot: %v\n", rerr)
 			s.store.DeleteSnapshots(resume)
 		} else {
-			j.resumed.Store(true)
-			j.steps.Store(int64(sess.StepCount()))
+			j.Resumed.Store(true)
+			j.Steps.Store(int64(sess.StepCount()))
 		}
 	}
 
 	sess.Subscribe(func(e core.Event) {
 		switch ev := e.(type) {
 		case core.StepEvent:
-			j.steps.Store(int64(ev.Step))
-			j.events.publish("step", ev)
+			j.Steps.Store(int64(ev.Step))
+			j.Publish("step", ev)
 		case core.SyncEvent:
-			j.syncs.Store(int64(ev.SyncCount))
-			j.events.publish("sync", ev)
+			j.Syncs.Store(int64(ev.SyncCount))
+			j.Publish("sync", ev)
 		case core.EvalEvent:
-			j.events.publish("eval", ev)
+			j.Publish("eval", ev)
 		case core.DoneEvent:
-			j.events.publish("done", ev)
+			j.Publish("done", ev)
 		}
 	})
 
@@ -213,7 +200,7 @@ func (s *server) trainLocal(ctx context.Context, j *job, spec dist.JobSpec) (res
 		if b, perr = json.Marshal(res); perr == nil {
 			perr = s.store.Put(run, []json.RawMessage{b})
 		}
-	case cancelled(err) && sess.StepCount() > 0:
+	case jobs.IsCancellation(err) && sess.StepCount() > 0:
 		var snap *checkpoint.Snapshot
 		var blob []byte
 		if snap, perr = sess.Snapshot(); perr == nil {
@@ -226,17 +213,4 @@ func (s *server) trainLocal(ctx context.Context, j *job, spec dist.JobSpec) (res
 		fmt.Fprintf(os.Stderr, "fdaserve: storing train state: %v\n", perr)
 	}
 	return res, err
-}
-
-// appendLine appends one line to path (creating it as needed).
-func appendLine(path string, line []byte) error {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(append(line, '\n')); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

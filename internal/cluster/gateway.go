@@ -10,6 +10,7 @@ import (
 	"strings"
 	"sync"
 
+	"repro/internal/jobs"
 	"repro/internal/obs"
 )
 
@@ -150,7 +151,7 @@ func (g *Gateway) handleCluster(w http.ResponseWriter, r *http.Request) {
 // clusterMetrics is the GET /v1/metrics aggregate: replica job counts
 // summed across the pool plus the gateway's own telemetry snapshot.
 type clusterMetrics struct {
-	Jobs      jobCounts          `json:"jobs"`
+	Jobs      jobs.Counts        `json:"jobs"`
 	Replicas  []View             `json:"replicas"`
 	Telemetry obs.Snap           `json:"telemetry"`
 	Runtime   map[string]float64 `json:"runtime"`
@@ -179,13 +180,7 @@ func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 	wg.Wait()
 	for _, v := range views {
-		m.Jobs.Queued += v.Jobs.Queued
-		m.Jobs.Running += v.Jobs.Running
-		m.Jobs.Done += v.Jobs.Done
-		m.Jobs.Failed += v.Jobs.Failed
-		m.Jobs.Cancelled += v.Jobs.Cancelled
-		m.Jobs.Interrupted += v.Jobs.Interrupted
-		m.Jobs.Total += v.Jobs.Total
+		m.Jobs.Add(v.Jobs)
 	}
 	m.Replicas = g.pool.Views()
 	m.Telemetry = obs.Default.Snapshot()

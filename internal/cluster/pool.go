@@ -13,6 +13,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/jobs"
 	"repro/internal/obs"
 )
 
@@ -380,30 +381,13 @@ func (p *Pool) RetryAfterSec() int {
 	return int(sec)
 }
 
-// jobCounts is the "jobs" object of fdaserve's GET /v1/metrics payload
-// and of the gateway's aggregate: one count per job status, which sum
-// to Total.
-type jobCounts struct {
-	Queued      int64 `json:"queued"`
-	Running     int64 `json:"running"`
-	Done        int64 `json:"done"`
-	Failed      int64 `json:"failed"`
-	Cancelled   int64 `json:"cancelled"`
-	Interrupted int64 `json:"interrupted"`
-	Total       int64 `json:"total"`
-}
-
 // replicaMetrics is the slice of fdaserve's GET /v1/metrics payload the
 // gateway consumes: the load tracker reads queue depth and admission
 // headroom, the /v1/metrics aggregate sums the job counts.
 type replicaMetrics struct {
-	Replica   string    `json:"replica"`
-	Jobs      jobCounts `json:"jobs"`
-	Admission struct {
-		InFlight int64 `json:"in_flight"`
-		MaxQueue int64 `json:"max_queue"`
-		Draining bool  `json:"draining"`
-	} `json:"admission"`
+	Replica   string         `json:"replica"`
+	Jobs      jobs.Counts    `json:"jobs"`
+	Admission jobs.Admission `json:"admission"`
 }
 
 // Poll refreshes every replica's health and load from its /v1/metrics

@@ -1,4 +1,4 @@
-package main
+package jobs
 
 import (
 	"bytes"
@@ -7,8 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-
-	"repro/internal/runstore"
+	"time"
 )
 
 // FuzzJournalRecover hands recovery arbitrary journal bytes: the file
@@ -25,22 +24,19 @@ func FuzzJournalRecover(f *testing.F) {
 	// An id at the counter's ceiling: continuing past it wrapped the
 	// counter round to an id the journal already held.
 	f.Add([]byte(`{"id":"r9223372036854775807","status":"done"}` + "\n" + `{"id":"r-9223372036854775808","status":"running"}` + "\n"))
+	epoch := time.Date(2026, 8, 8, 0, 0, 0, 0, time.UTC)
 	f.Fuzz(func(t *testing.T, body []byte) {
 		dir := t.TempDir()
-		st, err := runstore.Open(dir)
+		if err := os.WriteFile(filepath.Join(dir, JournalFile("")), body, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		tb := New(dir, "", 4, func() time.Time { return epoch }, context.Background())
+		journaled, err := tb.journal.read()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(filepath.Join(dir, journalFile("")), body, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		s := newServer(st, "", 1, context.Background())
-		journaled, err := s.journal.read()
-		if err != nil {
-			t.Fatal(err)
-		}
-		s.journal.compact(journaled)
-		again, err := s.journal.read()
+		tb.journal.compact(journaled)
+		again, err := tb.journal.read()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -50,16 +46,19 @@ func FuzzJournalRecover(f *testing.F) {
 			t.Fatalf("compacted journal reads back as\n%s\nnot\n%s", got, want)
 		}
 
-		s.recoverJournal()
-		for _, id := range s.order {
-			if st := s.byID[id].view().Status; st != statusInterrupted {
-				t.Fatalf("job %q resurrected as %q", id, st)
+		if err := tb.Recover(); err != nil {
+			t.Fatal(err)
+		}
+		for _, v := range tb.List() {
+			if v.Status != Interrupted {
+				t.Fatalf("job %q resurrected as %q", v.ID, v.Status)
 			}
 		}
-		j, _, _, err := s.createJob("fuzz|next", func(*job) {})
+		j, _, err := tb.Submit("fuzz|next", func(*Job) {}, func(context.Context, *Job) (any, error) { return nil, nil })
 		if err != nil {
 			t.Fatal(err)
 		}
+		tb.Wait()
 		for _, e := range journaled {
 			if e.ID == j.ID {
 				t.Fatalf("new job got id %q, which the journal already holds", j.ID)

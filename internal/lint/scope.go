@@ -22,6 +22,7 @@ var deterministicPackages = map[string]bool{
 	modulePath + "/internal/dist":        true,
 	modulePath + "/internal/workload":    true,
 	modulePath + "/internal/cluster":     true,
+	modulePath + "/internal/jobs":        true,
 }
 
 // obsPath is the telemetry package, whose one-way dependency rule
