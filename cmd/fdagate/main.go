@@ -38,6 +38,7 @@ import (
 	"time"
 
 	"repro/internal/buildinfo"
+	"repro/internal/clock"
 	"repro/internal/cluster"
 	"repro/internal/obs"
 )
@@ -70,21 +71,14 @@ func main() {
 	// surface.
 	obs.Enable()
 
-	// The cluster package is inside the deterministic-lint scope, so it
-	// never touches the ambient clock; the gateway injects one (the same
-	// epoch-offset idiom as fdaload's realClock).
-	epoch := time.Now()
-	now := func() int64 { return int64(time.Since(epoch)) }
-
 	pool, err := cluster.NewPool(bases, cluster.Options{
 		Client: &http.Client{Timeout: 5 * time.Second},
-		Now:    now,
+		Clock:  clock.Wall(),
 	})
 	if err != nil {
 		fatal(err)
 	}
 	gw := cluster.NewGateway(pool, cluster.GatewayOptions{
-		Now:        now,
 		MaxPending: *maxPending,
 		Version:    buildinfo.String("fdagate"),
 	})

@@ -24,6 +24,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -36,6 +37,7 @@ import (
 	"time"
 
 	"repro/internal/buildinfo"
+	"repro/internal/clock"
 	"repro/internal/workload"
 )
 
@@ -78,13 +80,9 @@ func main() {
 		return
 	}
 
-	stop := make(chan struct{})
-	go func() {
-		ch := make(chan os.Signal, 1)
-		signal.Notify(ch, os.Interrupt, syscall.SIGTERM)
-		<-ch
-		close(stop)
-	}()
+	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer cancel()
+	clk, stop := clock.Wall(), ctx.Done()
 
 	// What to issue: a recorded trace verbatim, or the schedule a spec
 	// generates.
@@ -110,7 +108,7 @@ func main() {
 			fatal(err)
 		}
 		if *export != "" {
-			if err := exportSchedule(sp, *export); err != nil {
+			if err := exportSchedule(sp, *export, clk); err != nil {
 				fatal(err)
 			}
 			fmt.Printf("fdaload: wrote schedule %s\n", *export)
@@ -121,7 +119,7 @@ func main() {
 		}
 		spec, durationNS = &sp, int64(sp.DurationSec*1e9)
 	}
-	stats, err := run(reqs, *addr, *inflight, durationNS, stop)
+	stats, err := run(reqs, *addr, clk, *inflight, durationNS, stop)
 	if err != nil {
 		fatal(err)
 	}
@@ -149,15 +147,16 @@ func main() {
 	}
 }
 
-// run executes one schedule against the server(s) named by addr.
-func run(reqs []workload.Request, addr string, inflight int, durationNS int64, stop <-chan struct{}) (workload.RunStats, error) {
+// run executes one schedule against the server(s) named by addr,
+// dispatched and timed by clk.
+func run(reqs []workload.Request, addr string, clk clock.Clock, inflight int, durationNS int64, stop <-chan struct{}) (workload.RunStats, error) {
 	target, err := workload.NewHTTPTarget(addr)
 	if err != nil {
 		return workload.RunStats{}, fmt.Errorf("-addr %q: %w", addr, err)
 	}
 	fmt.Fprintf(os.Stderr, "fdaload: %d requests against %s\n", len(reqs), addr)
 	return workload.Run(reqs, target, workload.RunOptions{
-		Clock:       newRealClock(),
+		Clock:       clk,
 		MaxInFlight: inflight,
 		Stop:        stop,
 		DurationNS:  durationNS,
@@ -262,7 +261,7 @@ func loadTrace(path string) ([]workload.Request, string, error) {
 	return reqs, src, nil
 }
 
-func exportSchedule(spec workload.Spec, path string) error {
+func exportSchedule(spec workload.Spec, path string, clk clock.Clock) error {
 	reqs, err := spec.Schedule()
 	if err != nil {
 		return err
@@ -271,7 +270,7 @@ func exportSchedule(spec workload.Spec, path string) error {
 	if err != nil {
 		return err
 	}
-	hdr := workload.TraceHeader{Source: "fdaload", CreatedUnix: time.Now().Unix()}
+	hdr := workload.TraceHeader{Source: "fdaload", CreatedUnix: clk.Now() / 1e9}
 	if err := workload.WriteTrace(f, hdr, reqs); err != nil {
 		f.Close()
 		return err
@@ -307,29 +306,6 @@ func summarize(w io.Writer, rep workload.Report) {
 	for _, ks := range s.Kinds {
 		fmt.Fprintf(w, "fdaload:   %-8s %5d ok  p50 %8.2fms  p95 %8.2fms  p99 %8.2fms\n",
 			ks.Kind, ks.OK, ks.P50Ms, ks.P95Ms, ks.P99Ms)
-	}
-}
-
-// realClock is the wall-clock implementation of workload.Clock: a
-// monotonic nanosecond offset from construction.
-type realClock struct {
-	epoch time.Time
-}
-
-func newRealClock() *realClock { return &realClock{epoch: time.Now()} }
-
-func (c *realClock) Now() int64 { return int64(time.Since(c.epoch)) }
-
-func (c *realClock) WaitUntil(ns int64, stop <-chan struct{}) {
-	d := time.Duration(ns - c.Now())
-	if d <= 0 {
-		return
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-	case <-stop:
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/clock"
 	"repro/internal/workload"
 )
 
@@ -45,7 +46,7 @@ func TestCheckReport(t *testing.T) {
 func TestRunRejectsEmptyAddr(t *testing.T) {
 	reqs := []workload.Request{{Kind: workload.KindTrain}}
 	for _, addr := range []string{"", ",", " , "} {
-		stats, err := run(reqs, addr, 1, 0, nil)
+		stats, err := run(reqs, addr, &clock.Virtual{}, 1, 0, nil)
 		if err == nil || !strings.Contains(err.Error(), "-addr") {
 			t.Errorf("run with -addr %q: err = %v, want an -addr error", addr, err)
 		}

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/jobs"
 	"repro/internal/runstore"
 )
@@ -27,7 +28,7 @@ func TestEventsSlowConsumerNoLeak(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := newServer(st, "", 2, context.Background())
+	srv := newServer(st, "", 2, clock.Wall(), context.Background())
 	ts := httptest.NewServer(srv.routes())
 
 	var v jobs.View

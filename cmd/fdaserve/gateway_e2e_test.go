@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/clock"
 	"repro/internal/cluster"
 	"repro/internal/jobs"
 	"repro/internal/runstore"
@@ -29,7 +30,7 @@ func newKillableReplica(t *testing.T, dir string) *killableReplica {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inner := newServer(st, "", 2, context.Background()).routes()
+	inner := newServer(st, "", 2, clock.Wall(), context.Background()).routes()
 	r := &killableReplica{}
 	r.ts = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		if r.down.Load() {
@@ -77,14 +78,13 @@ func TestGatewayEndToEnd(t *testing.T) {
 	r1 := newKillableReplica(t, shared)
 	r2 := newKillableReplica(t, shared)
 
-	// Deterministic injected clock: the test owns quarantine windows.
-	var clock atomic.Int64
-	now := func() int64 { return clock.Load() }
-	pool, err := cluster.NewPool([]string{r1.ts.URL, r2.ts.URL}, cluster.Options{Now: now})
+	// Virtual clock: the test owns quarantine windows.
+	clk := &clock.Virtual{}
+	pool, err := cluster.NewPool([]string{r1.ts.URL, r2.ts.URL}, cluster.Options{Clock: clk})
 	if err != nil {
 		t.Fatal(err)
 	}
-	gw := cluster.NewGateway(pool, cluster.GatewayOptions{Now: now})
+	gw := cluster.NewGateway(pool, cluster.GatewayOptions{})
 	gwts := httptest.NewServer(gw.Handler())
 	t.Cleanup(gwts.Close)
 
@@ -158,7 +158,7 @@ func TestGatewayEndToEnd(t *testing.T) {
 	// --- Rejoin: r1 comes back; once its quarantine window elapses the
 	// poll probe reinstates it and affinity traffic returns.
 	r1.down.Store(false)
-	clock.Add(60e9)
+	clk.Advance(60e9)
 	pool.Poll(t.Context())
 	var cl struct {
 		Replicas []cluster.View `json:"replicas"`

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/jobs"
 	"repro/internal/runstore"
 	"repro/internal/workload"
@@ -32,7 +33,7 @@ func loadServer(t *testing.T, dir string) (*server, *httptest.Server) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := newServer(st, "", 2, context.Background())
+	s := newServer(st, "", 2, clock.Wall(), context.Background())
 	ts := httptest.NewServer(s.routes())
 	t.Cleanup(ts.Close)
 	return s, ts
@@ -123,9 +124,7 @@ func TestAdmissionCap(t *testing.T) {
 func TestConcurrentRecordingReplay(t *testing.T) {
 	s, ts := loadServer(t, t.TempDir())
 	var buf bytes.Buffer
-	epoch := time.Now()
-	tw, err := workload.NewTraceWriter(&buf, "fdaserve", epoch.Unix(),
-		func() int64 { return int64(time.Since(epoch)) })
+	tw, err := workload.NewTraceWriter(&buf, "fdaserve", s.clock)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +199,7 @@ func TestConcurrentRecordingReplay(t *testing.T) {
 		mu.Unlock()
 		return workload.Outcome{Status: 200}
 	})
-	stats := workload.Run(reqs, target, workload.RunOptions{Clock: instantClock{}})
+	stats := workload.Run(reqs, target, workload.RunOptions{Clock: &clock.Virtual{}})
 	if stats.Issued != int64(workers*perWorker) {
 		t.Fatalf("replay issued %d requests, want %d", stats.Issued, workers*perWorker)
 	}
@@ -217,31 +216,6 @@ func TestConcurrentRecordingReplay(t *testing.T) {
 type targetFunc func(workload.Request) workload.Outcome
 
 func (f targetFunc) Do(r workload.Request) workload.Outcome { return f(r) }
-
-// instantClock fires the whole schedule immediately (offsets are only
-// ordering here; latency numbers come from the real clock below).
-type instantClock struct{}
-
-func (instantClock) Now() int64                               { return 0 }
-func (instantClock) WaitUntil(ns int64, stop <-chan struct{}) {}
-
-// wallClock is the test's real-time Clock (test files are outside the
-// wallclock lint scope; the production twin lives in cmd/fdaload).
-type wallClock struct{ epoch time.Time }
-
-func (c wallClock) Now() int64 { return int64(time.Since(c.epoch)) }
-func (c wallClock) WaitUntil(ns int64, stop <-chan struct{}) {
-	d := time.Duration(ns - c.Now())
-	if d <= 0 {
-		return
-	}
-	timer := time.NewTimer(d)
-	defer timer.Stop()
-	select {
-	case <-timer.C:
-	case <-stop:
-	}
-}
 
 // TestLoadE2EThousandConcurrentJobs drives the full path — workload
 // schedule → open-loop runner → live fdaserve — and checks that the
@@ -263,7 +237,7 @@ func TestLoadE2EThousandConcurrentJobs(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	s := newServer(st, "", 2, ctx)
+	s := newServer(st, "", 2, clock.Wall(), ctx)
 	s.fabricAddr = "127.0.0.1:0" // every job coordinates on its own ephemeral port
 	ts := httptest.NewServer(s.routes())
 	t.Cleanup(ts.Close)
@@ -305,7 +279,7 @@ func TestLoadE2EThousandConcurrentJobs(t *testing.T) {
 		t.Fatal(err)
 	}
 	stats := workload.Run(reqs, target, workload.RunOptions{
-		Clock:       wallClock{epoch: time.Now()},
+		Clock:       clock.Wall(),
 		MaxInFlight: 2048,
 		DurationNS:  int64(spec.DurationSec * 1e9),
 	})

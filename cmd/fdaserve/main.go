@@ -51,6 +51,7 @@ import (
 	"time"
 
 	"repro/internal/buildinfo"
+	"repro/internal/clock"
 	"repro/internal/obs"
 	"repro/internal/runstore"
 	"repro/internal/workload"
@@ -106,7 +107,7 @@ func main() {
 	if replica == "" {
 		replica = *addr
 	}
-	s := newServer(st, replica, *jobs, baseCtx)
+	s := newServer(st, replica, *jobs, clock.Wall(), baseCtx)
 	s.fabricAddr = *fabric
 	s.warm = *warm
 	s.accessLog = slog.New(slog.NewTextHandler(os.Stderr, nil))
@@ -119,11 +120,7 @@ func main() {
 			os.Exit(1)
 		}
 		defer f.Close()
-		// Offsets are relative to recording start, so a trace replays at
-		// the original cadence regardless of when it was captured.
-		epoch := time.Now()
-		tw, err := workload.NewTraceWriter(f, "fdaserve", epoch.Unix(),
-			func() int64 { return int64(time.Since(epoch)) })
+		tw, err := workload.NewTraceWriter(f, "fdaserve", s.clock)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "fdaserve: starting trace: %v\n", err)
 			os.Exit(1)

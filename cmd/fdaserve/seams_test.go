@@ -10,13 +10,14 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/dist"
+	"repro/internal/experiments"
 	"repro/internal/jobs"
 	"repro/internal/obs"
 	"repro/internal/runstore"
@@ -137,7 +138,7 @@ func TestTrainCompressionHonoured(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := newServer(st, "", 2, context.Background())
+	srv := newServer(st, "", 2, clock.Wall(), context.Background())
 	srv.fabricAddr = "127.0.0.1:0"
 	ts := httptest.NewServer(srv.routes())
 	t.Cleanup(ts.Close)
@@ -215,15 +216,13 @@ func TestHTTPShellBothServers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(newServer(st, "", 2, context.Background()).routes())
+	ts := httptest.NewServer(newServer(st, "", 2, clock.Wall(), context.Background()).routes())
 	t.Cleanup(ts.Close)
-	var clock atomic.Int64
-	now := func() int64 { return clock.Add(1) }
-	pool, err := cluster.NewPool([]string{ts.URL}, cluster.Options{Now: now})
+	pool, err := cluster.NewPool([]string{ts.URL}, cluster.Options{Clock: &clock.Virtual{}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	gts := httptest.NewServer(cluster.NewGateway(pool, cluster.GatewayOptions{Now: now}).Handler())
+	gts := httptest.NewServer(cluster.NewGateway(pool, cluster.GatewayOptions{}).Handler())
 	t.Cleanup(gts.Close)
 
 	// A job long enough to still be running while both streams open.
@@ -320,7 +319,7 @@ func TestRunJobTerminalStatuses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := newServer(st, "", 1, context.Background())
+	s := newServer(st, "", 1, clock.Wall(), context.Background())
 	for _, c := range []struct {
 		name, status, errMsg string
 		cancel               bool
@@ -369,5 +368,42 @@ func TestRunJobTerminalStatuses(t *testing.T) {
 	s.table.Wait() // every job goroutine has returned
 	if got := s.table.Tally().BytesSimulated; got != 7 {
 		t.Fatalf("bytesSimulated = %d, want the done job's 7", got)
+	}
+}
+
+// TestSimulatedBytes pins the byte accounting the server hands its job
+// table: a sweep cell evaluated at nested accuracy targets counts its
+// largest CommGB once (its byte counts are cumulative along one
+// trajectory), network-sweep records are keyed per scenario cell, a
+// training result passes its CommBytes through, and any other shape
+// counts nothing.
+func TestSimulatedBytes(t *testing.T) {
+	rec := func(theta, target, gb float64) experiments.Record {
+		return experiments.Record{Figure: "fig3", Model: "lenet5s", Het: "iid", Strategy: "LinearFDA",
+			K: 2, Theta: theta, Target: target, CommGB: gb}
+	}
+	net := func(scenario string, target, gb float64) experiments.NetRecord {
+		return experiments.NetRecord{Scenario: scenario, Model: "lenet5s", Strategy: "LinearFDA",
+			K: 2, Theta: 1, Target: target, CommGB: gb}
+	}
+	for _, c := range []struct {
+		name   string
+		result any
+		want   int64
+	}{
+		{"nested targets count the cell's largest once",
+			[]experiments.Record{rec(1, 0.5, 0.5), rec(1, 0.7, 1.5), rec(1, 0.6, 1)}, 1.5e9},
+		{"distinct cells add",
+			[]experiments.Record{rec(1, 0.5, 0.5), rec(1, 0.7, 1.5), rec(2, 0.5, 0.25)}, 1.75e9},
+		{"network records keyed per scenario cell",
+			[]experiments.NetRecord{net("lan", 0.5, 0.5), net("lan", 0.7, 1.5), net("wan", 0.5, 0.25)}, 1.75e9},
+		{"a training result passes CommBytes through", core.Result{CommBytes: 7}, 7},
+		{"an empty sweep", []experiments.Record{}, 0},
+		{"an unknown shape", "rendered table", 0},
+		{"no result", nil, 0},
+	} {
+		if got := simulatedBytes(c.result); got != c.want {
+			t.Errorf("%s: %d bytes, want %d", c.name, got, c.want)
+		}
 	}
 }

@@ -6,14 +6,17 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"maps"
 	"net/http"
 	"net/http/pprof"
+	"slices"
 	"strconv"
 	"strings"
-	"time"
 
 	"repro/internal/buildinfo"
+	"repro/internal/clock"
 	"repro/internal/cluster"
+	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/jobs"
 	"repro/internal/obs"
@@ -38,6 +41,9 @@ const retainJobs = 1024
 type server struct {
 	store *runstore.Store
 	table *jobs.Table
+	// clock is the process's one serving clock, shared by the table, the
+	// HTTP shell and the trace recorder.
+	clock clock.Clock
 	// jobs caps a sweep's concurrent cells and a local train job's
 	// goroutines (par.Resolve convention); cores come from par's budget.
 	jobs int
@@ -59,14 +65,15 @@ type server struct {
 	recorder *workload.TraceWriter
 }
 
-// newServer builds the server for replica name over store. The name
-// keys the replica's job journal, so replicas sharing one store never
-// read each other's jobs as their own; cancelling baseCtx (graceful
-// shutdown) cancels every in-flight job.
-func newServer(store *runstore.Store, name string, width int, baseCtx context.Context) *server {
+// newServer builds the server for replica name over store, timed by
+// clk. The name keys the replica's job journal, so replicas sharing one
+// store never read each other's jobs as their own; cancelling baseCtx
+// (graceful shutdown) cancels every in-flight job.
+func newServer(store *runstore.Store, name string, width int, clk clock.Clock, baseCtx context.Context) *server {
 	return &server{
 		store: store,
-		table: jobs.New(store.Dir(), name, retainJobs, time.Now, baseCtx),
+		table: jobs.New(store.Dir(), name, retainJobs, clk, simulatedBytes, baseCtx),
+		clock: clk,
 		jobs:  width,
 		name:  name,
 	}
@@ -98,7 +105,7 @@ func newServer(store *runstore.Store, name string, width int, baseCtx context.Co
 // access log.
 func (s *server) routes() http.Handler {
 	mux := http.NewServeMux()
-	shell := cluster.NewHTTPShell("fdaserve", s.table.Now, s.accessLog)
+	shell := cluster.NewHTTPShell("fdaserve", s.clock, s.accessLog)
 	shell.MountProbes(mux, map[string]string{"version": buildinfo.String("fdaserve")}, s.table.SampleGauges)
 	if s.pprof {
 		mux.HandleFunc("GET /debug/pprof/", pprof.Index)
@@ -225,7 +232,7 @@ func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	j, existing, err := s.table.Submit(req.Key(), func(j *jobs.Job) {
 		j.Kind, j.Experiment, j.Scale, j.Seed = "sweep", req.Experiment, req.Scale, req.Seed
-		j.Stats = &experiments.SweepStats{}
+		j.Stats = &jobs.SweepStats{}
 	}, func(ctx context.Context, j *jobs.Job) (any, error) { return s.sweep(ctx, j, scale) })
 	s.writeSubmitted(w, j, existing, err)
 }
@@ -282,7 +289,7 @@ func (s *server) sweep(ctx context.Context, j *jobs.Job, scale experiments.Scale
 		Out:   &j.Out,
 		Jobs:  s.jobs,
 		Store: s.store,
-		Stats: j.Stats,
+		Stats: (*experiments.SweepStats)(j.Stats),
 		Warm:  s.warm,
 		Ctx:   ctx,
 		Events: func(ce experiments.CellEvent) {
@@ -411,4 +418,41 @@ func writeSSE(w http.ResponseWriter, event string, v any) {
 		data = []byte(fmt.Sprintf("%q", err.Error()))
 	}
 	fmt.Fprintf(w, "event: %s\ndata: %s\n\n", event, data)
+}
+
+// simulatedBytes is the table's byte accounting: the communication a
+// finished job's result simulated. Sweep records with nested accuracy
+// targets share one training trajectory whose byte counts are
+// cumulative, so each grid cell contributes its maximum CommGB once
+// rather than the sum over targets. Unknown result shapes contribute
+// nothing.
+func simulatedBytes(result any) int64 {
+	maxPerCell := map[string]float64{}
+	cell := func(key string, gb float64) {
+		if gb > maxPerCell[key] {
+			maxPerCell[key] = gb
+		}
+	}
+	switch r := result.(type) {
+	case core.Result:
+		return r.CommBytes
+	case []experiments.Record:
+		for _, rec := range r {
+			cell(fmt.Sprintf("%s|%s|%s|%s|%d|%g", rec.Figure, rec.Model, rec.Het, rec.Strategy, rec.K, rec.Theta), rec.CommGB)
+		}
+	case []experiments.NetRecord:
+		for _, rec := range r {
+			cell(fmt.Sprintf("%s|%s|%s|%d|%g", rec.Scenario, rec.Model, rec.Strategy, rec.K, rec.Theta), rec.CommGB)
+		}
+	default:
+		return 0
+	}
+	// Sum in sorted key order: float addition is not associative, and the
+	// aggregate feeds a metrics endpoint that should be byte-stable across
+	// restarts of the same job history.
+	var gb float64
+	for _, k := range slices.Sorted(maps.Keys(maxPerCell)) {
+		gb += maxPerCell[k]
+	}
+	return int64(gb * 1e9)
 }

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/jobs"
 	"repro/internal/runstore"
 )
@@ -21,7 +22,7 @@ func testServer(t *testing.T, dir string) *httptest.Server {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(newServer(st, "", 2, context.Background()).routes())
+	ts := httptest.NewServer(newServer(st, "", 2, clock.Wall(), context.Background()).routes())
 	t.Cleanup(ts.Close)
 	return ts
 }

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"repro/internal/checkpoint"
+	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/dist"
 	"repro/internal/jobs"
@@ -348,7 +349,7 @@ func TestShutdownCancelsAndCheckpoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	baseCtx, shutdown := context.WithCancel(context.Background())
-	s := newServer(st, "", 2, baseCtx)
+	s := newServer(st, "", 2, clock.Wall(), baseCtx)
 	ts := httptestServer(t, s)
 
 	var created jobs.View
@@ -440,7 +441,7 @@ func TestTrainResultSurvivesRestart(t *testing.T) {
 		return b
 	}
 
-	first := httptestServer(t, newServer(st, "", 2, context.Background()))
+	first := httptestServer(t, newServer(st, "", 2, clock.Wall(), context.Background()))
 	var created jobs.View
 	postJSON(t, first+"/v1/train", trainBody, http.StatusAccepted, &created)
 	done := awaitDone(t, first, created.ID)
@@ -459,7 +460,7 @@ func TestTrainResultSurvivesRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2 := newServer(st2, "", 2, context.Background())
+	s2 := newServer(st2, "", 2, clock.Wall(), context.Background())
 	second := httptestServer(t, s2)
 	var events <-chan jobs.Event
 	j, _, err := s2.table.Submit(key, func(j *jobs.Job) {
@@ -492,8 +493,8 @@ func TestEvictedTrainAnsweredFromStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := newServer(st, "", 2, context.Background())
-	s.table = jobs.New(st.Dir(), "", 1, time.Now, context.Background())
+	s := newServer(st, "", 2, clock.Wall(), context.Background())
+	s.table = jobs.New(st.Dir(), "", 1, s.clock, simulatedBytes, context.Background())
 	base := httptestServer(t, s)
 	specA := `{"model":"lenet5s","strategy":"LinearFDA","k":1,"batch":8,"steps":20,"eval_every":10,"seed":61}`
 	specB := `{"model":"lenet5s","strategy":"LinearFDA","k":1,"batch":8,"steps":20,"eval_every":10,"seed":62}`

@@ -9,19 +9,13 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/clock"
 	"repro/internal/dist"
 )
 
-// fakeClock is a manually advanced monotonic clock.
-type fakeClock struct{ ns atomic.Int64 }
-
-func (c *fakeClock) now() int64       { return c.ns.Load() }
-func (c *fakeClock) advance(ns int64) { c.ns.Add(ns) }
-func (c *fakeClock) clock() Clock     { return c.now }
-
-func testPool(t *testing.T, clk *fakeClock, bases ...string) *Pool {
+func testPool(t *testing.T, clk *clock.Virtual, bases ...string) *Pool {
 	t.Helper()
-	p, err := NewPool(bases, Options{Now: clk.clock()})
+	p, err := NewPool(bases, Options{Clock: clk})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +70,7 @@ func TestAffinityAddressStability(t *testing.T) {
 }
 
 func TestRendezvousDeterministicAndBalanced(t *testing.T) {
-	clk := &fakeClock{}
+	clk := &clock.Virtual{}
 	bases := []string{"http://a:1", "http://b:1", "http://c:1", "http://d:1"}
 	p1 := testPool(t, clk, bases...)
 	p2 := testPool(t, clk, bases[3], bases[1], bases[0], bases[2]) // reordered
@@ -104,7 +98,7 @@ func TestRendezvousMinimalDisruption(t *testing.T) {
 	// Removing one replica must only remap the addresses it owned;
 	// every other address keeps its owner (the property that makes
 	// rendezvous hashing cache-friendly under membership change).
-	clk := &fakeClock{}
+	clk := &clock.Virtual{}
 	all := []string{"http://a:1", "http://b:1", "http://c:1", "http://d:1"}
 	full := testPool(t, clk, all...)
 	reduced := testPool(t, clk, all[:3]...)
@@ -127,7 +121,7 @@ func TestRendezvousMinimalDisruption(t *testing.T) {
 }
 
 func TestCandidatesAffinityAndLoadOrder(t *testing.T) {
-	clk := &fakeClock{}
+	clk := &clock.Virtual{}
 	p := testPool(t, clk, "http://a:1", "http://b:1", "http://c:1")
 	addr := Address("some-spec")
 	owner := p.Rank(addr)[0]
@@ -157,7 +151,7 @@ func TestCandidatesAffinityAndLoadOrder(t *testing.T) {
 }
 
 func TestCandidatesOverloadAndQuarantine(t *testing.T) {
-	clk := &fakeClock{}
+	clk := &clock.Virtual{}
 	p := testPool(t, clk, "http://a:1", "http://b:1", "http://c:1")
 	addr := Address("spec")
 	ranked := p.Rank(addr)
@@ -173,7 +167,7 @@ func TestCandidatesOverloadAndQuarantine(t *testing.T) {
 		t.Fatal("overloaded owner should remain as the last-resort candidate")
 	}
 	// The window expires with the clock.
-	clk.advance(3e9)
+	clk.Advance(3e9)
 	if cands = p.Candidates(addr); cands[0] != owner {
 		t.Fatal("owner did not recover first slot after the overload window")
 	}
@@ -197,26 +191,25 @@ func TestCandidatesOverloadAndQuarantine(t *testing.T) {
 }
 
 func TestQuarantineBackoffDoubles(t *testing.T) {
-	clk := &fakeClock{}
-	p, err := NewPool([]string{"http://a:1"}, Options{
-		Now: clk.clock(), QuarantineBaseNS: 1e9, QuarantineMaxNS: 8e9,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	clk := &clock.Virtual{}
+	p := testPool(t, clk, "http://a:1")
 	r := p.Replicas()[0]
-	wantWindows := []int64{1e9, 2e9, 4e9, 8e9, 8e9} // doubling, capped
+	wantWindows := []int64{0.5e9, 1e9, 2e9, 4e9, 8e9, 16e9, 30e9, 30e9} // doubling, capped
 	for i, want := range wantWindows {
 		p.OnTransportError(r, fmt.Errorf("down"))
 		r.mu.Lock()
-		got := r.quarantinedUntil - clk.now()
+		got := r.quarantinedUntil - clk.Now()
 		r.mu.Unlock()
 		if got != want {
 			t.Fatalf("failure %d: quarantine window %d, want %d", i+1, got, want)
 		}
 	}
-	if got := p.RetryAfterSec(); got != 8 {
-		t.Fatalf("RetryAfterSec = %d, want 8 (soonest window)", got)
+	if got := p.RetryAfterSec(); got != 30 {
+		t.Fatalf("RetryAfterSec = %d, want 30 (soonest window)", got)
+	}
+	clk.Advance(30e9 - 1)
+	if got := p.RetryAfterSec(); got != 1 {
+		t.Fatalf("RetryAfterSec 1ns before the window closes = %d, want 1", got)
 	}
 	// The window must actually gate polling probes until it elapses.
 	if r.available() {
@@ -225,7 +218,7 @@ func TestQuarantineBackoffDoubles(t *testing.T) {
 }
 
 func TestSplitID(t *testing.T) {
-	clk := &fakeClock{}
+	clk := &clock.Virtual{}
 	p := testPool(t, clk, "http://a:1", "http://b:1")
 	r := p.Replicas()[0]
 	id := r.prefix + "-r17"
@@ -246,7 +239,7 @@ func TestPollAdoptsReplicaState(t *testing.T) {
 		fmt.Fprintf(w, `{"replica":"r-test","jobs":{"queued":2,"running":3},"admission":{"in_flight":5,"max_queue":8,"draining":%v}}`, draining.Load())
 	}))
 	defer ts.Close()
-	clk := &fakeClock{}
+	clk := &clock.Virtual{}
 	p := testPool(t, clk, ts.URL)
 	p.Poll(t.Context())
 	v := p.Views()[0]

@@ -31,7 +31,6 @@ type Gateway struct {
 	// timeout (the SSE proxy streams indefinitely) — per-attempt
 	// deadlines come from the incoming request context.
 	client  *http.Client
-	now     Clock
 	version string
 	// pending is the bounded admission gate for proxied submissions.
 	pending chan struct{}
@@ -50,8 +49,6 @@ type GatewayOptions struct {
 	// timeout (SSE streams through it); defaults to a fresh
 	// http.Client with a large connection pool.
 	Client *http.Client
-	// Now is the monotonic clock; defaults to the pool's.
-	Now Clock
 	// MaxPending bounds concurrently proxied submissions; beyond it new
 	// submissions are answered 503 immediately. Default 1024.
 	MaxPending int
@@ -67,9 +64,6 @@ func NewGateway(pool *Pool, opt GatewayOptions) *Gateway {
 			MaxIdleConnsPerHost: 1 << 12,
 		}}
 	}
-	if opt.Now == nil {
-		opt.Now = pool.now
-	}
 	if opt.MaxPending <= 0 {
 		opt.MaxPending = 1024
 	}
@@ -79,7 +73,6 @@ func NewGateway(pool *Pool, opt GatewayOptions) *Gateway {
 	return &Gateway{
 		pool:    pool,
 		client:  opt.Client,
-		now:     opt.Now,
 		version: opt.Version,
 		pending: make(chan struct{}, opt.MaxPending),
 		mSubmit: obs.Default.Counter("fdagate_submissions_total",
@@ -101,7 +94,7 @@ func NewGateway(pool *Pool, opt GatewayOptions) *Gateway {
 // is covered; /metrics and /v1/cluster are gateway-local.
 func (g *Gateway) Handler() http.Handler {
 	mux := http.NewServeMux()
-	shell := NewHTTPShell("fdagate", g.now, nil)
+	shell := NewHTTPShell("fdagate", g.pool.clock, nil)
 	shell.MountProbes(mux, map[string]string{"version": g.version, "role": "gateway"}, nil)
 	mux.HandleFunc("GET /v1/healthz", g.handleHealthz)
 	mux.HandleFunc("GET /v1/cluster", g.handleCluster)

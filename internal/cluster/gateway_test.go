@@ -10,6 +10,8 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+
+	"repro/internal/clock"
 )
 
 // stubReplica is a minimal fdaserve stand-in: it accepts submissions,
@@ -70,17 +72,17 @@ func newStubReplica(t *testing.T, name string) *stubReplica {
 	return s
 }
 
-func testGateway(t *testing.T, clk *fakeClock, stubs ...*stubReplica) (*Gateway, *httptest.Server) {
+func testGateway(t *testing.T, clk *clock.Virtual, stubs ...*stubReplica) (*Gateway, *httptest.Server) {
 	t.Helper()
 	bases := make([]string, len(stubs))
 	for i, s := range stubs {
 		bases[i] = s.ts.URL
 	}
-	pool, err := NewPool(bases, Options{Now: clk.clock()})
+	pool, err := NewPool(bases, Options{Clock: clk})
 	if err != nil {
 		t.Fatal(err)
 	}
-	gw := NewGateway(pool, GatewayOptions{Now: clk.clock()})
+	gw := NewGateway(pool, GatewayOptions{})
 	ts := httptest.NewServer(gw.Handler())
 	t.Cleanup(ts.Close)
 	return gw, ts
@@ -123,7 +125,7 @@ func TestGatewayMetricsAggregateAddsUp(t *testing.T) {
 	bJobs := `{"queued":0,"running":1,"done":2,"failed":0,"cancelled":0,"interrupted":1,"total":4}`
 	a.jobs.Store(&aJobs)
 	b.jobs.Store(&bJobs)
-	_, ts := testGateway(t, &fakeClock{}, a, b)
+	_, ts := testGateway(t, &clock.Virtual{}, a, b)
 	resp, err := http.Get(ts.URL + "/v1/metrics")
 	if err != nil {
 		t.Fatal(err)
@@ -151,7 +153,7 @@ func TestGatewayMetricsAggregateAddsUp(t *testing.T) {
 }
 
 func TestGatewayRoutesSubmissionToAffinityOwner(t *testing.T) {
-	clk := &fakeClock{}
+	clk := &clock.Virtual{}
 	stubs := []*stubReplica{newStubReplica(t, "a"), newStubReplica(t, "b"), newStubReplica(t, "c")}
 	gw, ts := testGateway(t, clk, stubs...)
 
@@ -205,7 +207,7 @@ func TestGatewayRoutesSubmissionToAffinityOwner(t *testing.T) {
 }
 
 func TestGatewayFailsOverOn503(t *testing.T) {
-	clk := &fakeClock{}
+	clk := &clock.Virtual{}
 	stubs := []*stubReplica{newStubReplica(t, "a"), newStubReplica(t, "b")}
 	gw, ts := testGateway(t, clk, stubs...)
 
@@ -233,7 +235,7 @@ func TestGatewayFailsOverOn503(t *testing.T) {
 }
 
 func TestGatewayRoutesAroundDeadReplicaAndRejoins(t *testing.T) {
-	clk := &fakeClock{}
+	clk := &clock.Virtual{}
 	stubs := []*stubReplica{newStubReplica(t, "a"), newStubReplica(t, "b")}
 	gw, ts := testGateway(t, clk, stubs...)
 
@@ -253,7 +255,7 @@ func TestGatewayRoutesAroundDeadReplicaAndRejoins(t *testing.T) {
 	// Recovery: the replica comes back, its backoff window elapses, and
 	// the poll probe reinstates it.
 	ownerStub.dead.Store(false)
-	clk.advance(60e9)
+	clk.Advance(60e9)
 	gw.pool.Poll(t.Context())
 	if !owner.available() {
 		t.Fatal("recovered replica not reinstated by poll probe")
@@ -266,7 +268,7 @@ func TestGatewayRoutesAroundDeadReplicaAndRejoins(t *testing.T) {
 }
 
 func TestGatewayDegradesWith503WhenClusterDown(t *testing.T) {
-	clk := &fakeClock{}
+	clk := &clock.Virtual{}
 	stubs := []*stubReplica{newStubReplica(t, "a"), newStubReplica(t, "b")}
 	_, ts := testGateway(t, clk, stubs...)
 	for _, s := range stubs {
@@ -289,13 +291,13 @@ func TestGatewayDegradesWith503WhenClusterDown(t *testing.T) {
 }
 
 func TestGatewayAdmissionGate(t *testing.T) {
-	clk := &fakeClock{}
+	clk := &clock.Virtual{}
 	stub := newStubReplica(t, "a")
-	pool, err := NewPool([]string{stub.ts.URL}, Options{Now: clk.clock()})
+	pool, err := NewPool([]string{stub.ts.URL}, Options{Clock: clk})
 	if err != nil {
 		t.Fatal(err)
 	}
-	gw := NewGateway(pool, GatewayOptions{Now: clk.clock(), MaxPending: 1})
+	gw := NewGateway(pool, GatewayOptions{MaxPending: 1})
 	ts := httptest.NewServer(gw.Handler())
 	t.Cleanup(ts.Close)
 
@@ -316,7 +318,7 @@ func TestGatewayAdmissionGate(t *testing.T) {
 }
 
 func TestGatewayMergesRunListings(t *testing.T) {
-	clk := &fakeClock{}
+	clk := &clock.Virtual{}
 	stubs := []*stubReplica{newStubReplica(t, "a"), newStubReplica(t, "b")}
 	gw, ts := testGateway(t, clk, stubs...)
 
@@ -445,12 +447,12 @@ func TestGatewayRelaysJobViewUnescaped(t *testing.T) {
 		})
 	}))
 	t.Cleanup(replica.Close)
-	clk := &fakeClock{}
-	pool, err := NewPool([]string{replica.URL}, Options{Now: clk.clock()})
+	clk := &clock.Virtual{}
+	pool, err := NewPool([]string{replica.URL}, Options{Clock: clk})
 	if err != nil {
 		t.Fatal(err)
 	}
-	gw := httptest.NewServer(NewGateway(pool, GatewayOptions{Now: clk.clock()}).Handler())
+	gw := httptest.NewServer(NewGateway(pool, GatewayOptions{}).Handler())
 	t.Cleanup(gw.Close)
 
 	get := func(url string) map[string]json.RawMessage {

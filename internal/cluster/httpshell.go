@@ -10,6 +10,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/obs"
 )
 
@@ -21,16 +22,16 @@ import (
 // series instead of exploding cardinality.
 type HTTPShell struct {
 	prefix string
-	now    Clock
+	clock  clock.Clock
 	log    *slog.Logger
 	routes sync.Map // route pattern -> *routeTele
 }
 
 // NewHTTPShell builds a shell whose metric families are named
-// <prefix>_http_*. now is the monotonic clock latencies are read from;
+// <prefix>_http_*. clk is the clock latencies are read from;
 // accessLog, when non-nil, receives one line per request.
-func NewHTTPShell(prefix string, now Clock, accessLog *slog.Logger) *HTTPShell {
-	return &HTTPShell{prefix: prefix, now: now, log: accessLog}
+func NewHTTPShell(prefix string, clk clock.Clock, accessLog *slog.Logger) *HTTPShell {
+	return &HTTPShell{prefix: prefix, clock: clk, log: accessLog}
 }
 
 // routeTele caches one route's metric handles so a request costs one
@@ -92,7 +93,7 @@ func (w *statusWriter) Flush() {
 // is readable here after ServeHTTP returns.
 func (h *HTTPShell) Instrument(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		start := h.now()
+		start := h.clock.Now()
 		sw := &statusWriter{ResponseWriter: w}
 		next.ServeHTTP(sw, r)
 		if sw.status == 0 {
@@ -102,7 +103,7 @@ func (h *HTTPShell) Instrument(next http.Handler) http.Handler {
 		if route == "" {
 			route = "(unmatched)"
 		}
-		dur := h.now() - start
+		dur := h.clock.Now() - start
 		t := h.teleFor(route)
 		t.seconds.Observe(dur)
 		h.counter(t, route, sw.status).Inc()

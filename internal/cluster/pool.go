@@ -13,23 +13,17 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/clock"
 	"repro/internal/jobs"
 	"repro/internal/obs"
 )
 
-// Clock is the pool's time source: monotonic nanoseconds from an
-// arbitrary epoch. It is injected (cmd/fdagate passes the wall clock,
-// tests pass a virtual one) so the package itself stays off the
-// ambient clock — only the quarantine/backoff windows and load
-// staleness consume it, never a routing hash.
-type Clock func() int64
-
-// Quarantine backoff defaults: first failure parks a replica for
-// defaultQuarantineBase, each consecutive failure doubles the window up
-// to defaultQuarantineMax.
+// Quarantine backoff: a first failure parks a replica for
+// quarantineBase, each consecutive failure doubles the window up to
+// quarantineMax.
 const (
-	defaultQuarantineBase = int64(500e6) // 500ms
-	defaultQuarantineMax  = int64(30e9)  // 30s
+	quarantineBase = int64(500e6) // 500ms
+	quarantineMax  = int64(30e9)  // 30s
 )
 
 // Replica is one fdaserve process behind the gateway.
@@ -100,9 +94,7 @@ type Pool struct {
 	replicas []*Replica
 	byPrefix map[string]*Replica
 	client   *http.Client
-	now      Clock
-	qBase    int64
-	qMax     int64
+	clock    clock.Clock
 }
 
 // Options configures a pool.
@@ -110,12 +102,9 @@ type Options struct {
 	// Client executes health polls and probes; it should carry a
 	// timeout. Defaults to http.DefaultClient.
 	Client *http.Client
-	// Now is the monotonic clock (required).
-	Now Clock
-	// QuarantineBaseNS/QuarantineMaxNS bound the failure backoff
-	// windows; zero takes the defaults (500ms, 30s).
-	QuarantineBaseNS int64
-	QuarantineMaxNS  int64
+	// Clock times the quarantine and overload windows (required); the
+	// gateway's latencies read it too. It never feeds a routing hash.
+	Clock clock.Clock
 }
 
 // NewPool builds a pool over the given replica base URLs.
@@ -123,23 +112,15 @@ func NewPool(bases []string, opt Options) (*Pool, error) {
 	if len(bases) == 0 {
 		return nil, fmt.Errorf("cluster: at least one replica is required")
 	}
-	if opt.Now == nil {
-		return nil, fmt.Errorf("cluster: Options.Now clock is required")
+	if opt.Clock == nil {
+		return nil, fmt.Errorf("cluster: Options.Clock is required")
 	}
 	if opt.Client == nil {
 		opt.Client = http.DefaultClient
 	}
-	if opt.QuarantineBaseNS <= 0 {
-		opt.QuarantineBaseNS = defaultQuarantineBase
-	}
-	if opt.QuarantineMaxNS <= 0 {
-		opt.QuarantineMaxNS = defaultQuarantineMax
-	}
 	p := &Pool{
 		client:   opt.Client,
-		now:      opt.Now,
-		qBase:    opt.QuarantineBaseNS,
-		qMax:     opt.QuarantineMaxNS,
+		clock:    opt.Clock,
 		byPrefix: map[string]*Replica{},
 	}
 	for _, base := range bases {
@@ -262,7 +243,7 @@ func (r *Replica) overloaded(now int64) bool {
 // The first tier is deterministic; the fallback tier deliberately is
 // not, because it ranks replicas by measured queue depth.
 func (p *Pool) Candidates(address string) []*Replica {
-	now := p.now()
+	now := p.clock.Now()
 	ranked := p.replicas
 	if address != "" {
 		ranked = p.Rank(address)
@@ -319,13 +300,13 @@ func (p *Pool) OnSuccess(r *Replica) {
 // consecutive failure, capped), and rejoins when a poll-probe or a
 // routed request succeeds.
 func (p *Pool) OnTransportError(r *Replica, err error) {
-	now := p.now()
+	now := p.clock.Now()
 	r.mu.Lock()
 	r.fails++
 	r.healthy = false
-	window := p.qBase << (r.fails - 1)
-	if window > p.qMax || window <= 0 {
-		window = p.qMax
+	window := quarantineBase << (r.fails - 1)
+	if window > quarantineMax || window <= 0 {
+		window = quarantineMax
 	}
 	r.quarantinedUntil = now + window
 	if err != nil {
@@ -342,7 +323,7 @@ func (p *Pool) OnOverload(r *Replica, retryAfterSec int) {
 	if retryAfterSec < 1 {
 		retryAfterSec = 1
 	}
-	now := p.now()
+	now := p.clock.Now()
 	r.mu.Lock()
 	until := now + int64(retryAfterSec)*1e9
 	if until > r.overloadedUntil {
@@ -355,7 +336,7 @@ func (p *Pool) OnOverload(r *Replica, retryAfterSec int) {
 // submission: the soonest expiry among quarantine and overload windows,
 // clamped to [1, 30] seconds.
 func (p *Pool) RetryAfterSec() int {
-	now := p.now()
+	now := p.clock.Now()
 	var soonest int64
 	for _, r := range p.replicas {
 		r.mu.Lock()
@@ -397,7 +378,7 @@ type replicaMetrics struct {
 // it). Polls run concurrently; Poll returns when all complete.
 func (p *Pool) Poll(ctx context.Context) {
 	var wg sync.WaitGroup
-	now := p.now()
+	now := p.clock.Now()
 	for _, r := range p.replicas {
 		r.mu.Lock()
 		probe := r.healthy || now >= r.quarantinedUntil
@@ -453,7 +434,7 @@ func (p *Pool) pollOne(ctx context.Context, r *Replica) {
 
 // Views snapshots every replica's state in configured order.
 func (p *Pool) Views() []View {
-	now := p.now()
+	now := p.clock.Now()
 	out := make([]View, 0, len(p.replicas))
 	for _, r := range p.replicas {
 		r.mu.Lock()

@@ -3,8 +3,10 @@
 // runs on and the mapping of its outcome to a terminal status, bounded
 // retention of finished jobs, and the per-replica journal a restarted
 // server recovers interrupted jobs from. It imports no net/http — the
-// server routes and encodes, the table decides — and reads time only
-// through the clock it is built with.
+// server routes and encodes, the table decides — and no training
+// package: a sweep's counters are its own SweepStats and the byte
+// accounting of a result is a function the server passes in. It reads
+// time only through the clock it is built with.
 package jobs
 
 import (
@@ -12,17 +14,14 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"maps"
 	"math"
 	"path/filepath"
 	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
-	"repro/internal/core"
-	"repro/internal/experiments"
+	"repro/internal/clock"
 	"repro/internal/obs"
 )
 
@@ -128,6 +127,14 @@ type Tally struct {
 	StepsSaved   int64 `json:"steps_saved"`
 }
 
+// SweepStats is a sweep job's grid progress. Its fields are exactly
+// those of experiments.SweepStats, so the server hands the grid
+// (*experiments.SweepStats)(j.Stats), a conversion the compiler checks.
+type SweepStats struct {
+	Cells, Cached, Executed  atomic.Int64
+	SnapshotHits, StepsSaved atomic.Int64
+}
+
 // Job is one submitted run: a figure sweep or a training session. The
 // identity fields are set by Submit's init and read-only after it; the
 // progress fields are written by the job's body.
@@ -141,7 +148,7 @@ type Job struct {
 	Key string
 
 	// Stats tracks a sweep's grid progress (nil for trains).
-	Stats *experiments.SweepStats
+	Stats *SweepStats
 	// Out holds a sweep's rendered tables and plots.
 	Out Buffer
 	// Steps, Syncs and Resumed track a training session (zero for sweeps).
@@ -155,7 +162,7 @@ type Job struct {
 	cancel context.CancelFunc
 
 	// admittedNs and startedNs are table-clock offsets, at admission and
-	// when the job's goroutine starts (0 = still queued).
+	// when the job's goroutine starts (-1 = still queued).
 	admittedNs int64
 	startedNs  atomic.Int64
 
@@ -306,8 +313,9 @@ type Table struct {
 	MaxQueue int
 
 	base    context.Context
-	clock   func() time.Time
-	start   time.Time
+	clock   clock.Clock
+	start   int64
+	bytes   func(any) int64
 	retain  int
 	journal journal
 	wg      sync.WaitGroup
@@ -329,12 +337,13 @@ type Table struct {
 
 // New builds replica name's table, journaling to dir/JournalFile(name).
 // It retains at most retain terminal jobs, evicting the oldest first;
-// every job context is a child of base; clock stamps queue waits, run
-// times and journal lines.
-func New(dir, name string, retain int, clock func() time.Time, base context.Context) *Table {
+// every job context is a child of base; clk stamps queue waits, run
+// times and journal lines; bytes reads the simulated communication
+// bytes off a finished job's result for Tally.BytesSimulated.
+func New(dir, name string, retain int, clk clock.Clock, bytes func(any) int64, base context.Context) *Table {
 	run := "Job wall-clock from execution start to terminal status."
 	return &Table{
-		base: base, clock: clock, start: clock(), retain: retain,
+		base: base, clock: clk, start: clk.Now(), bytes: bytes, retain: retain,
 		journal: journal{path: filepath.Join(dir, JournalFile(name))},
 		byID:    map[string]*Job{}, byKey: map[string]*Job{},
 		queueWait: obs.Default.Histogram("fdaserve_job_queue_wait_seconds",
@@ -350,8 +359,8 @@ func New(dir, name string, retain int, clock func() time.Time, base context.Cont
 	}
 }
 
-// Now is the table's monotonic clock: nanoseconds since New.
-func (t *Table) Now() int64 { return int64(t.clock().Sub(t.start)) }
+// Now is the table's uptime: nanoseconds since New.
+func (t *Table) Now() int64 { return t.clock.Now() - t.start }
 
 // Submit admits a job under key and runs body on the job's own
 // goroutine, or returns the job already holding key (existing) while
@@ -364,6 +373,7 @@ func (t *Table) Now() int64 { return int64(t.clock().Sub(t.start)) }
 func (t *Table) Submit(key string, init func(*Job), body func(context.Context, *Job) (any, error)) (j *Job, existing bool, err error) {
 	j = &Job{Key: key, done: make(chan struct{}), status: Running}
 	j.events.open = true
+	j.startedNs.Store(-1)
 	init(j)
 	t.mu.Lock()
 	if old, ok := t.byKey[key]; ok {
@@ -394,7 +404,7 @@ func (t *Table) Submit(key string, init func(*Job), body func(context.Context, *
 	t.mu.Unlock()
 	// Journal I/O happens outside t.mu, so a slow disk cannot stall every
 	// status poll behind a submission.
-	t.journal.record(t.clock(), view, key)
+	t.journal.record(t.clock.Now(), view, key)
 	go t.run(ctx, j, body)
 	return j, false, nil
 }
@@ -432,7 +442,7 @@ func (t *Table) run(ctx context.Context, j *Job, body func(context.Context, *Job
 // and the in-flight count change under one lock, so a job seen terminal
 // has left the admission window.
 func (t *Table) finish(j *Job, status, errMsg string, result any) {
-	bytes := simulatedBytes(result)
+	bytes := t.bytes(result)
 	t.mu.Lock()
 	j.mu.Lock()
 	j.status, j.errMsg, j.result = status, errMsg, result
@@ -446,7 +456,7 @@ func (t *Table) finish(j *Job, status, errMsg string, result any) {
 		run = t.runTrain
 	}
 	run.Observe(t.Now() - j.startedNs.Load())
-	t.journal.record(t.clock(), j.View(), j.Key)
+	t.journal.record(t.clock.Now(), j.View(), j.Key)
 }
 
 // retire evicts the oldest terminal jobs past the retention bound from
@@ -466,42 +476,6 @@ func (t *Table) retire() {
 		t.carry.SnapshotHits += v.SnapshotHits
 		t.carry.StepsSaved += v.StepsSaved
 	}
-}
-
-// simulatedBytes extracts the communication accounting of a finished
-// job's result. Sweep records with nested accuracy targets share one
-// training trajectory whose byte counts are cumulative, so each grid
-// cell contributes its maximum CommGB once rather than the sum over
-// targets. Unknown result shapes contribute nothing.
-func simulatedBytes(result any) int64 {
-	maxPerCell := map[string]float64{}
-	cell := func(key string, gb float64) {
-		if gb > maxPerCell[key] {
-			maxPerCell[key] = gb
-		}
-	}
-	switch r := result.(type) {
-	case core.Result:
-		return r.CommBytes
-	case []experiments.Record:
-		for _, rec := range r {
-			cell(fmt.Sprintf("%s|%s|%s|%s|%d|%g", rec.Figure, rec.Model, rec.Het, rec.Strategy, rec.K, rec.Theta), rec.CommGB)
-		}
-	case []experiments.NetRecord:
-		for _, rec := range r {
-			cell(fmt.Sprintf("%s|%s|%s|%d|%g", rec.Scenario, rec.Model, rec.Strategy, rec.K, rec.Theta), rec.CommGB)
-		}
-	default:
-		return 0
-	}
-	// Sum in sorted key order: float addition is not associative, and the
-	// aggregate feeds a metrics endpoint that should be byte-stable across
-	// restarts of the same job history.
-	var gb float64
-	for _, k := range slices.Sorted(maps.Keys(maxPerCell)) {
-		gb += maxPerCell[k]
-	}
-	return int64(gb * 1e9)
 }
 
 // Get returns the job with id, if the table still holds it.
@@ -534,7 +508,7 @@ func (t *Table) Tally() Tally {
 		v := j.View()
 		switch v.Status {
 		case Running:
-			if j.startedNs.Load() == 0 {
+			if j.startedNs.Load() < 0 {
 				out.Jobs.Queued++
 			} else {
 				out.Jobs.Running++

@@ -6,16 +6,21 @@ import (
 	"runtime"
 	"testing"
 	"time"
+
+	"repro/internal/clock"
 )
 
 func noop(context.Context, *Job) (any, error) { return nil, nil }
+
+// noBytes is a byte accounting that counts nothing.
+func noBytes(any) int64 { return 0 }
 
 // TestRetentionEvictsOldestTerminal pins the retention rule on a table
 // that keeps one finished job: the oldest terminal job is evicted from
 // the listing, the id index and the key index, an in-flight job is
 // never evicted however old, and an evicted key admits a new job.
 func TestRetentionEvictsOldestTerminal(t *testing.T) {
-	tb := New(t.TempDir(), "", 1, time.Now, context.Background())
+	tb := New(t.TempDir(), "", 1, &clock.Virtual{}, noBytes, context.Background())
 	submit := func(key string, body func(context.Context, *Job) (any, error)) *Job {
 		t.Helper()
 		j, existing, err := tb.Submit(key, func(j *Job) { j.Kind = "sweep" }, body)
@@ -76,7 +81,7 @@ func TestRetentionSoak(t *testing.T) {
 		return int64(ms.HeapInuse)
 	}
 
-	tb := New(t.TempDir(), "soak", retain, time.Now, base)
+	tb := New(t.TempDir(), "soak", retain, &clock.Virtual{}, noBytes, base)
 	var atMark int64
 	for i := 1; i <= total; i++ {
 		j, _, err := tb.Submit(fmt.Sprintf("soak|%d", i), func(j *Job) { j.Kind = "train" }, noop)
@@ -104,4 +109,26 @@ func TestRetentionSoak(t *testing.T) {
 			t.Fatalf("%d goroutines after the soak, baseline %d", runtime.NumGoroutine(), baseline)
 		}
 	}
+}
+
+// TestTallyRunningAtClockStart pins the queued/running split on a
+// virtual clock that never moves: a job whose goroutine started at the
+// table's first instant is running, not queued.
+func TestTallyRunningAtClockStart(t *testing.T) {
+	tb := New(t.TempDir(), "", 1, &clock.Virtual{}, noBytes, context.Background())
+	started := make(chan struct{})
+	j, _, err := tb.Submit("k", func(*Job) {}, func(ctx context.Context, _ *Job) (any, error) {
+		close(started)
+		<-ctx.Done()
+		return nil, ctx.Err()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-started
+	if c := tb.Tally().Jobs; c.Running != 1 || c.Queued != 0 {
+		t.Fatalf("counts %+v, want the started job running", c)
+	}
+	j.Cancel()
+	tb.Wait()
 }

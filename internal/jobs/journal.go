@@ -13,8 +13,6 @@ import (
 	"strings"
 	"sync"
 	"time"
-
-	"repro/internal/experiments"
 )
 
 // journal appends job status transitions to the replica's own file in
@@ -50,13 +48,15 @@ func JournalFile(name string) string {
 	return "jobs-" + esc + ".jsonl"
 }
 
-func (jn *journal) record(now time.Time, v View, key string) {
+// record appends v, stamped with the clock instant now (Unix
+// nanoseconds).
+func (jn *journal) record(now int64, v View, key string) {
 	jn.mu.Lock()
 	defer jn.mu.Unlock()
 	if jn.bad {
 		return
 	}
-	line, err := json.Marshal(entry{Time: now.UTC(), Key: key, View: v})
+	line, err := json.Marshal(entry{Time: time.Unix(0, now).UTC(), Key: key, View: v})
 	if err != nil {
 		return
 	}
@@ -176,7 +176,7 @@ func recovered(e entry) *Job {
 		status: e.Status, errMsg: e.Error,
 	}
 	if e.Cells > 0 || e.Cached > 0 || e.Executed > 0 || e.SnapshotHits > 0 {
-		j.Stats = &experiments.SweepStats{}
+		j.Stats = &SweepStats{}
 		j.Stats.Cells.Store(e.Cells)
 		j.Stats.Cached.Store(e.Cached)
 		j.Stats.Executed.Store(e.Executed)

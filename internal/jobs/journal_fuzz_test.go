@@ -8,6 +8,8 @@ import (
 	"path/filepath"
 	"testing"
 	"time"
+
+	"repro/internal/clock"
 )
 
 // FuzzJournalRecover hands recovery arbitrary journal bytes: the file
@@ -30,7 +32,9 @@ func FuzzJournalRecover(f *testing.F) {
 		if err := os.WriteFile(filepath.Join(dir, JournalFile("")), body, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		tb := New(dir, "", 4, func() time.Time { return epoch }, context.Background())
+		clk := &clock.Virtual{}
+		clk.Advance(epoch.UnixNano())
+		tb := New(dir, "", 4, clk, noBytes, context.Background())
 		journaled, err := tb.journal.read()
 		if err != nil {
 			t.Fatal(err)

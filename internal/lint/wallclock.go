@@ -12,9 +12,10 @@ import (
 // clock (DESIGN.md §9), randomness on the counter-based tensor.RNG
 // (§3); real wall time is legitimate only at the annotated edges
 // (runstore manifest timestamps and staging GC, the obs trace epoch,
-// comm/tcp socket timing), each carrying //fda:allow(wallclock, ...)
-// so the full exemption surface is one grep away. The cmd binaries
-// are out of scope: servers and CLIs legitimately live on wall time.
+// comm/tcp socket timing, the serving wall clock (internal/clock)),
+// each carrying //fda:allow(wallclock, ...) so the full exemption
+// surface is one grep away. The cmd binaries are out of scope: servers
+// and CLIs legitimately live on wall time.
 var WallclockAnalyzer = &Analyzer{
 	Name: "wallclock",
 	Doc:  "forbids time.Now/Sleep/etc and global math/rand outside annotated sites",

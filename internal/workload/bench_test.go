@@ -3,6 +3,8 @@ package workload
 import (
 	"bytes"
 	"testing"
+
+	"repro/internal/clock"
 )
 
 // The Workload series prices the load-generation machinery itself, so
@@ -81,7 +83,7 @@ func BenchmarkWorkloadRun(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		stats := Run(reqs, nopTarget{}, RunOptions{Clock: &fakeClock{}})
+		stats := Run(reqs, nopTarget{}, RunOptions{Clock: &clock.Virtual{}})
 		if stats.OK != int64(len(reqs)) {
 			b.Fatalf("ok = %d, want %d", stats.OK, len(reqs))
 		}

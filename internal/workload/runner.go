@@ -11,20 +11,9 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/obs"
 )
-
-// Clock abstracts the runner's time source so the package stays off
-// the ambient wall clock (fdavet wallclock scope): cmd/fdaload injects
-// a real monotonic clock, tests inject a virtual one that fires the
-// whole schedule instantly. All values are nanoseconds since the
-// clock's epoch.
-type Clock interface {
-	Now() int64
-	// WaitUntil blocks until Now() >= ns or stop closes. A nil stop
-	// never fires.
-	WaitUntil(ns int64, stop <-chan struct{})
-}
 
 // Outcome is one request's result as observed by the client.
 type Outcome struct {
@@ -41,7 +30,10 @@ type Target interface {
 
 // RunOptions shapes one open-loop execution of a schedule.
 type RunOptions struct {
-	Clock Clock
+	// Clock dispatches the schedule and times each request: cmd/fdaload
+	// passes clock.Wall(), tests a clock.Virtual, which fires the whole
+	// schedule at once.
+	Clock clock.Clock
 	// MaxInFlight bounds concurrent outstanding requests (default
 	// 4096). The runner stays open-loop — request start times follow
 	// the schedule, not the responses — but dispatch blocks when the

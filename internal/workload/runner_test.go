@@ -8,19 +8,9 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"repro/internal/clock"
 )
-
-// fakeClock advances instantly to whatever deadline the runner waits
-// for, so a multi-second schedule executes in microseconds of wall
-// time. Workers only read it; the dispatch loop is the sole advancer.
-type fakeClock struct{ t atomic.Int64 }
-
-func (c *fakeClock) Now() int64 { return c.t.Load() }
-func (c *fakeClock) WaitUntil(ns int64, stop <-chan struct{}) {
-	if ns > c.t.Load() {
-		c.t.Store(ns)
-	}
-}
 
 // scriptedTarget answers each kind with a fixed status.
 type scriptedTarget struct {
@@ -49,7 +39,7 @@ func TestRunClassifiesOutcomes(t *testing.T) {
 		KindRecords: 404, // poll race: records before done
 		KindCancel:  409, // poll race: cancel after done
 	}}
-	stats := Run(reqs, target, RunOptions{Clock: &fakeClock{}, DurationNS: 60})
+	stats := Run(reqs, target, RunOptions{Clock: &clock.Virtual{}, DurationNS: 60})
 	if stats.Scheduled != 6 || stats.Issued != 6 {
 		t.Fatalf("scheduled/issued = %d/%d, want 6/6", stats.Scheduled, stats.Issued)
 	}
@@ -102,7 +92,7 @@ func TestRunBoundsInFlight(t *testing.T) {
 	target := &blockingTarget{release: make(chan struct{})}
 	done := make(chan RunStats, 1)
 	go func() {
-		done <- Run(reqs, target, RunOptions{Clock: &fakeClock{}, MaxInFlight: bound})
+		done <- Run(reqs, target, RunOptions{Clock: &clock.Virtual{}, MaxInFlight: bound})
 	}()
 	// The runner must stall at the bound; releasing lets it finish.
 	for target.cur.Load() < bound {
@@ -131,7 +121,7 @@ func TestRunStopAbortsEarly(t *testing.T) {
 	stop := make(chan struct{})
 	close(stop)
 	stats := Run(reqs, &scriptedTarget{status: map[Kind]int{KindStore: 200}},
-		RunOptions{Clock: &fakeClock{}, Stop: stop})
+		RunOptions{Clock: &clock.Virtual{}, Stop: stop})
 	if stats.Issued != 0 {
 		t.Fatalf("issued %d requests after stop, want 0", stats.Issued)
 	}

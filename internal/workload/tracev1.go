@@ -7,6 +7,8 @@ import (
 	"hash/crc32"
 	"io"
 	"sync"
+
+	"repro/internal/clock"
 )
 
 // Trace format v1 (DESIGN.md §13): a JSONL file whose first line is a
@@ -152,28 +154,31 @@ func ReadTrace(r io.Reader) (TraceHeader, []Request, error) {
 // (fdaserve -record). Sequence numbers, offsets and line writes all
 // happen under one mutex, so entries land in admission order and
 // offsets are monotone even under full handler concurrency — the
-// property the concurrent-recording regression test pins. The clock is
-// injected (nanoseconds since the recorder's epoch); the writer itself
-// never reads wall time.
+// property the concurrent-recording regression test pins. Offsets are
+// read off the injected clock relative to the writer's creation, so a
+// trace replays at its original cadence whenever it was captured.
 type TraceWriter struct {
-	mu   sync.Mutex
-	w    io.Writer
-	now  func() int64
-	seq  int64
-	last int64
-	err  error // first write error; recording disables itself, never the server
+	mu    sync.Mutex
+	w     io.Writer
+	clk   clock.Clock
+	start int64
+	seq   int64
+	last  int64
+	err   error // first write error; recording disables itself, never the server
 }
 
-// NewTraceWriter writes the trace header and returns a recorder.
-func NewTraceWriter(w io.Writer, source string, createdUnix int64, now func() int64) (*TraceWriter, error) {
-	hb, err := json.Marshal(TraceHeader{Format: TraceFormat, Version: TraceVersion, Source: source, CreatedUnix: createdUnix})
+// NewTraceWriter writes the trace header, stamped with clk's current
+// Unix second, and returns a recorder timed by clk.
+func NewTraceWriter(w io.Writer, source string, clk clock.Clock) (*TraceWriter, error) {
+	start := clk.Now()
+	hb, err := json.Marshal(TraceHeader{Format: TraceFormat, Version: TraceVersion, Source: source, CreatedUnix: start / 1e9})
 	if err != nil {
 		return nil, err
 	}
 	if _, err := w.Write(append(hb, '\n')); err != nil {
 		return nil, err
 	}
-	return &TraceWriter{w: w, now: now}, nil
+	return &TraceWriter{w: w, clk: clk, start: start}, nil
 }
 
 // Record journals one admitted request. The sequence number and offset
@@ -185,7 +190,7 @@ func (tw *TraceWriter) Record(kind Kind, path string, body json.RawMessage) int6
 	if tw.err != nil {
 		return -1
 	}
-	off := tw.now()
+	off := tw.clk.Now() - tw.start
 	if off < tw.last {
 		off = tw.last
 	}

@@ -7,6 +7,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"repro/internal/clock"
 )
 
 func TestTraceRoundTrip(t *testing.T) {
@@ -89,20 +91,25 @@ func TestTraceRejectsCorruption(t *testing.T) {
 	})
 }
 
+// tickingClock moves one nanosecond forward on every read, so no two
+// recordings share an instant and an offset read outside the writer
+// lock could reach the file out of order.
+type tickingClock struct{ clock.Virtual }
+
+func (c *tickingClock) Now() int64 {
+	c.Advance(1)
+	return c.Virtual.Now()
+}
+
 // TestTraceWriterConcurrent pins the admission-order property: many
 // goroutines recording at once still produce a valid trace (consecutive
-// seqs, monotone offsets) containing exactly the requests issued.
+// seqs, monotone offsets) containing exactly the requests issued. The
+// header's created_unix is the clock's second at creation.
 func TestTraceWriterConcurrent(t *testing.T) {
-	var mu sync.Mutex
 	var buf bytes.Buffer
-	var tick int64
-	now := func() int64 {
-		mu.Lock()
-		defer mu.Unlock()
-		tick++
-		return tick
-	}
-	tw, err := NewTraceWriter(&buf, "test", 0, now)
+	clk := &tickingClock{}
+	clk.Advance(1754600000e9)
+	tw, err := NewTraceWriter(&buf, "test", clk)
 	if err != nil {
 		t.Fatalf("NewTraceWriter: %v", err)
 	}
@@ -124,9 +131,12 @@ func TestTraceWriterConcurrent(t *testing.T) {
 	if err := tw.Err(); err != nil {
 		t.Fatalf("trace writer failed: %v", err)
 	}
-	_, reqs, err := ReadTrace(bytes.NewReader(buf.Bytes()))
+	hdr, reqs, err := ReadTrace(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatalf("concurrently recorded trace fails validation: %v", err)
+	}
+	if hdr.CreatedUnix != 1754600000 {
+		t.Fatalf("created_unix = %d, want the clock's 1754600000", hdr.CreatedUnix)
 	}
 	if len(reqs) != workers*perWorker {
 		t.Fatalf("recorded %d entries, want %d", len(reqs), workers*perWorker)

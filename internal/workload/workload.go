@@ -12,7 +12,7 @@
 // the schedule-parity tests), so two load runs against two server
 // builds exercise exactly the same traffic and every difference in the
 // report is attributable to the server. Real time enters only through
-// the injected Clock at execution/recording time — the package itself
+// the injected clock.Clock at execution/recording time — the package itself
 // never reads the wall clock (it is in scope for fdavet's wallclock
 // analyzer, and for detmap/floatsum via the deterministic-package
 // list).
