@@ -24,7 +24,6 @@
 package main
 
 import (
-	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -80,9 +79,14 @@ func main() {
 		return
 	}
 
-	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer cancel()
-	clk, stop := clock.Wall(), ctx.Done()
+	clk := clock.Wall()
+	stop := make(chan struct{})
+	go func() {
+		ch := make(chan os.Signal, 1)
+		signal.Notify(ch, os.Interrupt, syscall.SIGTERM)
+		<-ch
+		close(stop)
+	}()
 
 	// What to issue: a recorded trace verbatim, or the schedule a spec
 	// generates.

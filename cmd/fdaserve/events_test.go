@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/clock"
 	"repro/internal/jobs"
 	"repro/internal/runstore"
 )
@@ -28,7 +27,7 @@ func TestEventsSlowConsumerNoLeak(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := newServer(st, "", 2, clock.Wall(), context.Background())
+	srv := newServer(st, "", 2, context.Background())
 	ts := httptest.NewServer(srv.routes())
 
 	var v jobs.View

@@ -9,7 +9,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/clock"
 	"repro/internal/dist"
 	"repro/internal/jobs"
 	"repro/internal/runstore"
@@ -25,7 +24,7 @@ func TestTrainFailureDropsCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := newServer(st, "", 2, clock.Wall(), context.Background())
+	s := newServer(st, "", 2, context.Background())
 
 	// Plant stale resume state under the exact key the job runs under.
 	spec := dist.JobSpec{Model: "lenet5s", Strategy: "SketchFDA", Theta: -1, K: 3, Steps: 40}.WithDefaults()
@@ -61,7 +60,7 @@ func TestJournalRecovery(t *testing.T) {
 
 	// First server life: one sweep runs to completion, a second is
 	// journaled as running and never transitions (simulating a crash).
-	first := newServer(st, "", 2, clock.Wall(), context.Background())
+	first := newServer(st, "", 2, context.Background())
 	ts := httptest.NewServer(first.routes())
 	var done jobs.View
 	postJSON(t, ts.URL+"/v1/runs", `{"experiment":"smoke","scale":"tiny","seed":1}`, http.StatusAccepted, &done)
@@ -81,7 +80,7 @@ func TestJournalRecovery(t *testing.T) {
 	f.Close()
 
 	// Second life over the same store directory.
-	second := newServer(st, "", 2, clock.Wall(), context.Background())
+	second := newServer(st, "", 2, context.Background())
 	if err := second.table.Recover(); err != nil {
 		t.Fatal(err)
 	}
@@ -155,14 +154,14 @@ func TestJournalPerReplicaOnSharedStore(t *testing.T) {
 		}
 		return j.ID
 	}
-	a, b := newServer(st, "a", 1, clock.Wall(), ctx), newServer(st, "b", 1, clock.Wall(), ctx)
+	a, b := newServer(st, "a", 1, ctx), newServer(st, "b", 1, ctx)
 	servers = append(servers, a, b)
 	if ida, idb := admit(a, "key-a", "fig3"), admit(b, "key-b", "fig8"); ida != "r1" || idb != "r1" {
 		t.Fatalf("first admissions got ids %s and %s, want r1 on each replica", ida, idb)
 	}
 
 	for _, want := range []struct{ name, key, experiment string }{{"a", "key-a", "fig3"}, {"b", "key-b", "fig8"}} {
-		restarted := newServer(st, want.name, 1, clock.Wall(), ctx)
+		restarted := newServer(st, want.name, 1, ctx)
 		servers = append(servers, restarted)
 		if err := restarted.table.Recover(); err != nil {
 			t.Fatal(err)

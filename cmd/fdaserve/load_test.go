@@ -33,7 +33,7 @@ func loadServer(t *testing.T, dir string) (*server, *httptest.Server) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := newServer(st, "", 2, clock.Wall(), context.Background())
+	s := newServer(st, "", 2, context.Background())
 	ts := httptest.NewServer(s.routes())
 	t.Cleanup(ts.Close)
 	return s, ts
@@ -237,7 +237,7 @@ func TestLoadE2EThousandConcurrentJobs(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	s := newServer(st, "", 2, clock.Wall(), ctx)
+	s := newServer(st, "", 2, ctx)
 	s.fabricAddr = "127.0.0.1:0" // every job coordinates on its own ephemeral port
 	ts := httptest.NewServer(s.routes())
 	t.Cleanup(ts.Close)

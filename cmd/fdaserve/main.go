@@ -51,7 +51,6 @@ import (
 	"time"
 
 	"repro/internal/buildinfo"
-	"repro/internal/clock"
 	"repro/internal/obs"
 	"repro/internal/runstore"
 	"repro/internal/workload"
@@ -107,7 +106,7 @@ func main() {
 	if replica == "" {
 		replica = *addr
 	}
-	s := newServer(st, replica, *jobs, clock.Wall(), baseCtx)
+	s := newServer(st, replica, *jobs, baseCtx)
 	s.fabricAddr = *fabric
 	s.warm = *warm
 	s.accessLog = slog.New(slog.NewTextHandler(os.Stderr, nil))

@@ -11,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/clock"
 	"repro/internal/dist"
 	"repro/internal/jobs"
 	"repro/internal/obs"
@@ -123,7 +122,7 @@ func TestAccessLog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := newServer(st, "", 2, clock.Wall(), context.Background())
+	srv := newServer(st, "", 2, context.Background())
 	var buf bytes.Buffer
 	srv.accessLog = slog.New(slog.NewTextHandler(&buf, nil))
 	ts := httptest.NewServer(srv.routes())
@@ -171,7 +170,7 @@ func TestTrainDistributedEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := newServer(st, "", 2, clock.Wall(), context.Background())
+	srv := newServer(st, "", 2, context.Background())
 	srv.fabricAddr = "127.0.0.1:0"
 	ts := httptest.NewServer(srv.routes())
 	t.Cleanup(ts.Close)

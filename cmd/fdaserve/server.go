@@ -65,11 +65,12 @@ type server struct {
 	recorder *workload.TraceWriter
 }
 
-// newServer builds the server for replica name over store, timed by
-// clk. The name keys the replica's job journal, so replicas sharing one
-// store never read each other's jobs as their own; cancelling baseCtx
-// (graceful shutdown) cancels every in-flight job.
-func newServer(store *runstore.Store, name string, width int, clk clock.Clock, baseCtx context.Context) *server {
+// newServer builds the server for replica name over store. The name
+// keys the replica's job journal, so replicas sharing one store never
+// read each other's jobs as their own; cancelling baseCtx (graceful
+// shutdown) cancels every in-flight job.
+func newServer(store *runstore.Store, name string, width int, baseCtx context.Context) *server {
+	clk := clock.Wall()
 	return &server{
 		store: store,
 		table: jobs.New(store.Dir(), name, retainJobs, clk, simulatedBytes, baseCtx),
@@ -428,11 +429,7 @@ func writeSSE(w http.ResponseWriter, event string, v any) {
 // nothing.
 func simulatedBytes(result any) int64 {
 	maxPerCell := map[string]float64{}
-	cell := func(key string, gb float64) {
-		if gb > maxPerCell[key] {
-			maxPerCell[key] = gb
-		}
-	}
+	cell := func(key string, gb float64) { maxPerCell[key] = max(maxPerCell[key], gb) }
 	switch r := result.(type) {
 	case core.Result:
 		return r.CommBytes

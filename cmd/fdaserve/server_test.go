@@ -11,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/clock"
 	"repro/internal/jobs"
 	"repro/internal/runstore"
 )
@@ -22,7 +21,7 @@ func testServer(t *testing.T, dir string) *httptest.Server {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(newServer(st, "", 2, clock.Wall(), context.Background()).routes())
+	ts := httptest.NewServer(newServer(st, "", 2, context.Background()).routes())
 	t.Cleanup(ts.Close)
 	return ts
 }

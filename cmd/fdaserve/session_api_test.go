@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"repro/internal/checkpoint"
-	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/dist"
 	"repro/internal/jobs"
@@ -349,7 +348,7 @@ func TestShutdownCancelsAndCheckpoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	baseCtx, shutdown := context.WithCancel(context.Background())
-	s := newServer(st, "", 2, clock.Wall(), baseCtx)
+	s := newServer(st, "", 2, baseCtx)
 	ts := httptestServer(t, s)
 
 	var created jobs.View
@@ -441,7 +440,7 @@ func TestTrainResultSurvivesRestart(t *testing.T) {
 		return b
 	}
 
-	first := httptestServer(t, newServer(st, "", 2, clock.Wall(), context.Background()))
+	first := httptestServer(t, newServer(st, "", 2, context.Background()))
 	var created jobs.View
 	postJSON(t, first+"/v1/train", trainBody, http.StatusAccepted, &created)
 	done := awaitDone(t, first, created.ID)
@@ -460,7 +459,7 @@ func TestTrainResultSurvivesRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2 := newServer(st2, "", 2, clock.Wall(), context.Background())
+	s2 := newServer(st2, "", 2, context.Background())
 	second := httptestServer(t, s2)
 	var events <-chan jobs.Event
 	j, _, err := s2.table.Submit(key, func(j *jobs.Job) {
@@ -493,7 +492,7 @@ func TestEvictedTrainAnsweredFromStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := newServer(st, "", 2, clock.Wall(), context.Background())
+	s := newServer(st, "", 2, context.Background())
 	s.table = jobs.New(st.Dir(), "", 1, s.clock, simulatedBytes, context.Background())
 	base := httptestServer(t, s)
 	specA := `{"model":"lenet5s","strategy":"LinearFDA","k":1,"batch":8,"steps":20,"eval_every":10,"seed":61}`

@@ -56,8 +56,9 @@ type Virtual struct{ ns atomic.Int64 }
 // Now returns the virtual instant.
 func (v *Virtual) Now() int64 { return v.ns.Load() }
 
-// Advance moves the clock forward by d nanoseconds; d <= 0 leaves it.
-func (v *Virtual) Advance(d int64) { v.ns.Add(max(d, 0)) }
+// Advance moves the clock forward by d nanoseconds; d must be
+// non-negative.
+func (v *Virtual) Advance(d int64) { v.ns.Add(d) }
 
 // WaitUntil moves the clock to ns unless it already reads later, and
 // returns at once. It retries only when another call moved the clock
