@@ -44,7 +44,8 @@ lint:
 # its always-on seed corpus (the seeds run as plain tests under
 # `go test`). Targets: the checkpoint v2 container decoder, the
 # compress wire-frame decoders, the socket fabric's frame reader and
-# bundle parser, the Prometheus exposition validator, the tracev1
+# rendezvous parsers (the assignment's peer table, the peer hello), the
+# Prometheus exposition validator, the tracev1
 # reader, the gateway's submission classifier (request body → job
 # spec → dedupe key) and its id rewriter (replica body → namespaced
 # body, every other value byte-equal), the job table's journal recovery
@@ -64,7 +65,7 @@ fuzz:
 	$(GO) test ./internal/compress -fuzz FuzzWireDecode -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/compress -fuzz FuzzWireRoundtrip -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/comm -fuzz FuzzReadFrame -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/comm -fuzz FuzzSplitBundle -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/comm -fuzz FuzzRendezvousParsers -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/obs -fuzz FuzzValidatePrometheusText -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/workload -fuzz FuzzReadTrace -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/cluster -fuzz FuzzAffinityAddress -fuzztime $(FUZZTIME)
@@ -99,8 +100,8 @@ apigen:
 # local step, a state, an estimate, a push) — the telemetry layer's
 # zero-alloc hot path
 # in both enabled and disabled states (DESIGN.md §11) and the socket
-# fabric's steady state, workers and coordinator together (DESIGN.md
-# §9); race instrumentation allocates, so they skip themselves under
+# fabric's steady state, two workers, their writer and watcher
+# goroutines and the coordinator together (DESIGN.md §9); race instrumentation allocates, so they skip themselves under
 # -race and need this separate uninstrumented run.
 allocs:
 	$(GO) test ./internal/nn/ ./internal/core/ ./internal/obs/ ./internal/comm/ -run ZeroAllocs -v | grep -v '^=== RUN'
@@ -230,13 +231,14 @@ clustersmoke:
 # distsmoke is the socket fabric's cross-process gate (DESIGN.md §9): a
 # coordinator and two worker processes train a tiny spec over loopback
 # TCP. The coordinator's result block must equal an in-process run of
-# the same spec, and its relay line must report the wire-version-2 byte
-# count: 21 rounds (20 syncs and the final evaluation's gather) of
-# 2·(8P out + 4 + 4 + 8P in) bytes for P = 2618 lenet5s parameters,
-# 1 759 632 bytes — a relay echoing each worker its own part would move
-# 2 639 448. Workers start once the coordinator is listening; they are
-# waited on first, so a worker that fails ends the gate instead of
-# leaving the coordinator waiting for it.
+# the same spec, and each worker must report the payload bytes its
+# fabric moved, exactly: the workers exchange their collectives
+# directly, so a worker's 21 rounds (20 syncs and the final evaluation's
+# gather) move 8P bytes out to its peer and 8P in, for P = 2618 lenet5s
+# parameters — 21 × 2 × 8 × 2 618 = 879 648 bytes. Workers start once
+# the coordinator is listening; they are waited on first, so a worker
+# that fails ends the gate instead of leaving the coordinator waiting
+# for it.
 DISTSMOKE_SPEC = -model lenet5s -strategy Synchronous -k 2 -steps 20
 distsmoke:
 	@rm -rf .distsmoke && mkdir -p .distsmoke
@@ -257,9 +259,11 @@ distsmoke:
 	pids="$$pids $$workers"; \
 	for w in $$workers; do wait $$w || { echo "distsmoke: a worker failed"; exit 1; }; done; \
 	wait $$coord || { echo "distsmoke: the coordinator failed"; cat .distsmoke/coord.log; exit 1; }; \
-	grep -v '^coordinating\|^relay:' .distsmoke/coord.out >.distsmoke/dist.txt; \
+	grep -v '^coordinating' .distsmoke/coord.out >.distsmoke/dist.txt; \
 	diff .distsmoke/local.txt .distsmoke/dist.txt || { echo "distsmoke: distributed result differs from the in-process run"; exit 1; }; \
-	grep -qx 'relay: 21 collective rounds, 1.760 MB framed payload moved' .distsmoke/coord.out || \
-		{ echo "distsmoke: relay byte count is not wire version 2's"; cat .distsmoke/coord.out; exit 1; }; \
-	echo "distsmoke: check ok ($$(grep '^relay:' .distsmoke/coord.out))"
+	for r in 0 1; do \
+		grep -qx 'fabric: 879648 payload bytes moved' .distsmoke/worker$$r.log || \
+			{ echo "distsmoke: a worker's fabric did not move exactly 879648 payload bytes"; cat .distsmoke/worker$$r.log; exit 1; }; \
+	done; \
+	echo "distsmoke: check ok (each worker's fabric: 879648 payload bytes moved)"
 	@rm -rf .distsmoke

@@ -162,17 +162,22 @@ func main() {
 		if *connect == "" {
 			fatal(errors.New("-worker requires -connect host:port"))
 		}
-		res, rank, err := dist.RunWorker(ctx, *connect, *jobs)
+		fabric, payload, err := comm.DialFabric(ctx, *connect, comm.DefaultCostModel())
 		if err != nil {
 			fatal(err)
 		}
-		fmt.Printf("worker rank %d finished:\n%s\n", rank, res)
+		defer fabric.Close()
+		res, err := dist.RunFabric(ctx, fabric, payload, *jobs)
+		if err != nil {
+			fatal(err)
+		}
+		fmt.Printf("worker rank %d finished:\n%s\nfabric: %d payload bytes moved\n", fabric.Rank(), res, fabric.MovedBytes())
 		return
 	}
 
 	// Coordinator mode: no local training — ship the job spec to -k
-	// worker processes, relay their collectives and report the verified
-	// cluster result.
+	// worker processes, which exchange their collectives directly, and
+	// report the verified cluster result.
 	if *coord != "" {
 		// Refuse rather than silently drop flags the job spec cannot
 		// carry to the workers.
@@ -193,10 +198,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		rounds, wire := co.Stats()
 		fmt.Println(res)
-		fmt.Printf("relay: %d collective rounds, %.3f MB framed payload moved\n",
-			rounds, float64(wire)/1e6)
 		return
 	}
 

@@ -13,8 +13,8 @@
 // With -fabric, the server also coordinates genuinely multi-process
 // training: POST /v1/train with "distributed": true listens for K
 // `fdarun -worker -connect` processes on the fabric address (published
-// in the job view as fabric_addr), relays their collectives and stores
-// the verified cluster result.
+// in the job view as fabric_addr), hands them the job — they exchange
+// their collectives directly — and stores the verified cluster result.
 //
 //	fdaserve -store runs.d -addr :8080 -fabric :9000
 //

@@ -89,9 +89,10 @@ const workerJoinTimeout = 2 * time.Minute
 
 // trainDistributed coordinates one multi-process training run: the job
 // listens on the server's fabric address, waits up to workerJoinTimeout
-// for the K worker processes, relays their collectives and returns the
-// verified cluster Result. Cancellation (DELETE or shutdown) closes the
-// coordinator, which unblocks the workers with transport errors.
+// for the K worker processes, which exchange their collectives directly,
+// and returns the verified cluster Result. Cancellation (DELETE or
+// shutdown) closes the coordinator, and every worker's fabric, watching
+// its coordinator connection, fails its collectives with transport errors.
 func (s *server) trainDistributed(ctx context.Context, j *jobs.Job, spec dist.JobSpec) (core.Result, error) {
 	coord, err := comm.ListenCoordinator(s.fabricAddr, spec.K)
 	if err != nil {

@@ -9,16 +9,15 @@ import (
 	"time"
 )
 
-// Coordinator is the rendezvous point and relay of a TCP-fabric
-// cluster. It accepts exactly K worker connections, assigns global
-// ranks in connection order, hands every worker the job payload, and
-// then relays collectives: each round it reads one contribution frame
-// per worker, verifies they agree on (sequence, kind) and writes every
-// worker the K − 1 other payloads in rank order as one bundle frame,
-// straight from the buffers they were received into (bundleWriter); a
-// worker's own contribution is never echoed back to it. The
-// coordinator performs no arithmetic — reductions are replicated on the
-// workers — so it cannot perturb training math, only move bytes.
+// Coordinator is the rendezvous point of a TCP-fabric cluster. It
+// accepts exactly K worker connections, assigns global ranks in
+// connection order, and once all K have said hello sends every worker
+// its assignment: its rank, the table of the K workers' peer listen
+// addresses and the job payload. The workers then connect to one another
+// and exchange their collectives directly (TCPFabric); the coordinator
+// moves no collective byte and performs no arithmetic, so it cannot
+// perturb training math. It stays connected to every worker for failure
+// detection and result collection.
 //
 // The run ends when every worker sends its result frame; Serve returns
 // the K result payloads in rank order.
@@ -30,13 +29,11 @@ type Coordinator struct {
 	// worker that has not dialled, or has dialled and not said hello, by
 	// then fails Serve with a timeout instead of parking it forever. It
 	// is an instant, not a duration, because this package reads no clock
-	// (fdavet wallclock); the relay loop runs without deadlines.
+	// (fdavet wallclock); the run after the rendezvous has no deadline.
 	JoinDeadline time.Time
 
-	mu        sync.Mutex
-	conns     []*coordConn // admitted by a Serve in progress
-	rounds    int64
-	wireBytes int64
+	mu    sync.Mutex
+	conns []*coordConn // admitted by a Serve in progress
 }
 
 // ListenCoordinator starts a coordinator for k workers on addr
@@ -56,8 +53,9 @@ func ListenCoordinator(addr string, k int) (*Coordinator, error) {
 func (c *Coordinator) Addr() string { return c.ln.Addr().String() }
 
 // Close stops listening and aborts a Serve in progress: it also closes
-// the connections Serve has admitted, so a relay blocked reading or
-// writing one returns with an error.
+// the connections Serve has admitted, so a Serve blocked reading one
+// returns with an error, and every worker's fabric, which watches its
+// coordinator connection, fails its next collective.
 func (c *Coordinator) Close() error {
 	err := c.ln.Close()
 	c.closeConns()
@@ -73,40 +71,25 @@ func (c *Coordinator) closeConns() {
 	c.mu.Unlock()
 }
 
-// Stats reports relay totals: completed collective rounds and payload
-// bytes moved through the coordinator (both directions): each round,
-// every contribution read plus every bundle payload written.
-func (c *Coordinator) Stats() (rounds, wireBytes int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.rounds, c.wireBytes
-}
-
-func (c *Coordinator) addStats(rounds, bytes int64) {
-	c.mu.Lock()
-	c.rounds += rounds
-	c.wireBytes += bytes
-	c.mu.Unlock()
-}
-
-// conn bundles one worker connection's buffered streams.
+// coordConn is one worker connection: its buffered reader and its frame
+// writer.
 type coordConn struct {
 	raw net.Conn
 	br  *bufio.Reader
-	bw  *bufio.Writer
-	buf []byte
+	fw  frameWriter
 }
 
-// Serve runs one complete distributed session: rendezvous, relay,
-// result collection. job is the opaque payload delivered to every
-// worker at assignment (the serialized training spec). Serve blocks
-// until all workers finished or the context is cancelled (which closes
-// every connection, unblocking the workers with transport errors).
+// Serve runs one complete distributed session: rendezvous, then result
+// collection. job is the opaque payload delivered to every worker at
+// assignment (the serialized training spec). Serve blocks until all
+// workers finished, one failed (the error names the rank at fault, see
+// fault) or the context is cancelled (which closes every connection,
+// failing the workers' collectives with transport errors).
 func (c *Coordinator) Serve(ctx context.Context, job []byte) (results [][]byte, err error) {
 	defer c.closeConns()
 
 	// Cancellation support: closing the listener unblocks Accept; closing
-	// the connections unblocks relay reads and writes.
+	// the connections unblocks reads and tells the workers.
 	stop := context.AfterFunc(ctx, func() { c.Close() })
 	defer stop()
 
@@ -116,6 +99,7 @@ func (c *Coordinator) Serve(ctx context.Context, job []byte) (results [][]byte, 
 		return nil, fmt.Errorf("comm: coordinator join deadline: %w", err)
 	}
 	conns := make([]*coordConn, 0, c.k)
+	addrs := make([]string, c.k)
 	for rank := 0; rank < c.k; rank++ {
 		raw, aerr := c.ln.Accept()
 		if aerr != nil {
@@ -124,103 +108,99 @@ func (c *Coordinator) Serve(ctx context.Context, job []byte) (results [][]byte, 
 			}
 			return nil, fmt.Errorf("comm: coordinator accept (have %d of %d workers): %w", rank, c.k, aerr)
 		}
-		cc := &coordConn{raw: raw, br: bufio.NewReaderSize(raw, 1<<16), bw: bufio.NewWriterSize(raw, 1<<16)}
+		cc := &coordConn{raw: raw, br: bufio.NewReaderSize(raw, 1<<16), fw: frameWriter{w: raw}}
 		c.mu.Lock() // Close and the cancellation above close c.conns concurrently
 		c.conns = append(c.conns, cc)
 		c.mu.Unlock()
 		// SetReadDeadline fails only on a closed connection, which the
 		// read after it reports.
 		_ = raw.SetReadDeadline(c.JoinDeadline)
-		fr, buf, rerr := readFrame(cc.br, nil, "")
+		fr, _, rerr := readFrame(cc.br, nil, "")
 		_ = raw.SetReadDeadline(time.Time{})
-		cc.buf = buf
 		if rerr != nil {
 			return nil, fmt.Errorf("comm: worker %d handshake (have %d of %d workers): %w", rank, rank, c.k, rerr)
 		}
-		if fr.op != opHello {
-			return nil, fmt.Errorf("comm: worker %d sent op=%d, want hello", rank, fr.op)
+		if fr.op != opHello || len(fr.payload) == 0 || len(fr.payload) > 255 {
+			return nil, fmt.Errorf("comm: worker %d sent op=%d with a %d-byte address, want a hello", rank, fr.op, len(fr.payload))
 		}
-		assign := make([]byte, 0, 4+len(job))
-		assign = append(assign, byte(c.k), byte(c.k>>8), byte(c.k>>16), byte(c.k>>24))
-		assign = append(assign, job...)
-		if werr := writeFrame(cc.bw, frame{op: opAssign, rank: int32(rank), payload: assign}); werr != nil {
-			return nil, fmt.Errorf("comm: assigning rank %d: %w", rank, werr)
-		}
+		addrs[rank] = string(fr.payload)
 		conns = append(conns, cc)
 	}
 	_ = c.ln.SetDeadline(time.Time{}) // nothing accepts on it again
+	table := appendAssignment(nil, addrs, job)
+	for rank, cc := range conns {
+		if werr := cc.fw.write(frame{op: opAssign, rank: int32(rank), payload: table}); werr != nil {
+			return nil, fmt.Errorf("comm: assigning rank %d: %w", rank, werr)
+		}
+	}
 
-	// Relay loop. Workers run a replicated deterministic control flow, so
-	// each round every connection yields either a contribution for the
-	// same (seq, kind) or — on the final round — a result frame.
+	// Result collection. Each connection yields one final frame: the
+	// worker's result, its report of a failed collective, or the end of
+	// the connection. They are read in rank order; a failure is final.
 	results = make([][]byte, c.k)
-	parts := make([][]byte, c.k)
-	crcs := make([]uint32, c.k)
-	var bundle bundleWriter
-	var kind string // outlives the round: readFrame reuses it while the kind repeats
+	for rank, cc := range conns {
+		fr, _, rerr := readFrame(cc.br, nil, "result")
+		if rerr == nil && fr.op == opResult {
+			results[rank] = fr.payload
+			continue
+		}
+		if ctx.Err() != nil {
+			return nil, ctx.Err()
+		}
+		ferr := fault(conns, rank, fr, rerr)
+		c.broadcastError(conns, ferr.Error())
+		return nil, ferr
+	}
+	for _, cc := range conns {
+		if werr := cc.fw.write(frame{op: opDone}); werr != nil {
+			return nil, fmt.Errorf("comm: acknowledging results: %w", werr)
+		}
+	}
+	return results, nil
+}
+
+// fault names the rank a failure is due to, given the final frame fr (and
+// read error err) of rank's connection, every lower rank having sent its
+// result. A connection that ends or breaks is its worker's death. A
+// worker whose collective fails reports the peer it holds responsible (a
+// remoteError whose frame's rank field is that peer) before it gives up,
+// and a survivor's report is not the survivor's fault: a peer's death
+// takes its coordinator connection down too, so the report is followed
+// to the blamed rank's own connection, and on through any report found
+// there, until a connection ends without one (that rank died), the
+// blamed worker sent its result or blames itself, or the chain reaches a
+// rank already read; the last rank blamed is named then.
+func fault(conns []*coordConn, rank int, fr frame, err error) error {
+	read := make([]bool, len(conns))
+	for r := range rank + 1 {
+		read[r] = true
+	}
 	for {
-		var seq uint32
-		var op byte
-		var roundBytes int64
-		for rank, cc := range conns {
-			fr, buf, rerr := readFrame(cc.br, cc.buf, kind)
-			cc.buf = buf
-			if rerr != nil {
-				if ctx.Err() != nil {
-					return nil, ctx.Err()
-				}
-				c.broadcastError(conns, fmt.Sprintf("worker %d failed: %v", rank, rerr))
-				return nil, fmt.Errorf("comm: reading worker %d: %w", rank, rerr)
-			}
-			if rank == 0 {
-				op, seq, kind = fr.op, fr.seq, fr.kind
-			} else if fr.op != op || fr.seq != seq || (op == opContrib && fr.kind != kind) {
-				c.broadcastError(conns, "cluster desynchronized")
-				return nil, fmt.Errorf("comm: cluster desync: worker %d sent op=%d seq=%d kind=%q, worker 0 sent op=%d seq=%d kind=%q",
-					rank, fr.op, fr.seq, fr.kind, op, seq, kind)
-			}
-			switch fr.op {
-			case opContrib:
-				// The frame's payload view lives in cc.buf, which the next
-				// readFrame on this conn would clobber — but each conn is
-				// read once per round, so the views stay valid until the
-				// bundle is written below.
-				parts[rank], crcs[rank] = fr.payload, fr.crc
-				roundBytes += int64(len(fr.payload))
-			case opResult:
-				results[rank] = append([]byte(nil), fr.payload...)
-			default:
-				c.broadcastError(conns, "unexpected frame")
-				return nil, fmt.Errorf("comm: worker %d sent unexpected op=%d", rank, fr.op)
-			}
+		if err == nil {
+			return fmt.Errorf("comm: worker %d sent op=%d, want its result", rank, fr.op)
 		}
-		switch op {
-		case opResult:
-			for _, cc := range conns {
-				if werr := writeFrame(cc.bw, frame{op: opDone, seq: seq}); werr != nil {
-					return nil, fmt.Errorf("comm: acknowledging results: %w", werr)
-				}
-			}
-			return results, nil
-		case opContrib:
-			for rank, cc := range conns {
-				if werr := bundle.write(cc.raw, frame{op: opBundle, rank: int32(rank), seq: seq, kind: kind}, parts, crcs, rank); werr != nil {
-					if ctx.Err() != nil {
-						return nil, ctx.Err()
-					}
-					return nil, fmt.Errorf("comm: broadcasting bundle to worker %d: %w", rank, werr)
-				}
-			}
-			// Worker r's bundle is 4 + 4(K−1) + roundBytes − len(parts[r]).
-			bundles := int64(c.k)*(4+4*int64(c.k-1)) + int64(c.k-1)*roundBytes
-			c.addStats(1, roundBytes+bundles)
+		if _, report := err.(remoteError); !report {
+			return fmt.Errorf("comm: worker %d: %w", rank, inFrame(err))
 		}
+		to := int(fr.rank)
+		if to < 0 || to >= len(conns) || to == rank {
+			return fmt.Errorf("comm: worker %d failed: %w", rank, err)
+		}
+		if read[to] {
+			return fmt.Errorf("comm: worker %d failed, reported by worker %d: %w", to, rank, err)
+		}
+		next, _, nerr := readFrame(conns[to].br, nil, "result")
+		read[to] = true
+		if nerr == nil {
+			return fmt.Errorf("comm: worker %d failed, reported by worker %d: %w", to, rank, err)
+		}
+		rank, fr, err = to, next, nerr
 	}
 }
 
 // broadcastError best-effort notifies every worker before aborting.
 func (c *Coordinator) broadcastError(conns []*coordConn, msg string) {
 	for _, cc := range conns {
-		_ = writeFrame(cc.bw, frame{op: opError, payload: []byte(msg)})
+		_ = cc.fw.write(frame{op: opError, rank: -1, payload: []byte(msg)})
 	}
 }

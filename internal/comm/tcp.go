@@ -3,33 +3,40 @@ package comm
 import (
 	"bufio"
 	"context"
-	"encoding/binary"
+	"errors"
 	"fmt"
+	"io"
 	"net"
-	"slices"
+	"sync"
 	"time"
 )
 
 // TCPFabric is the socket backend: one fabric per worker process, each
-// owning exactly one global rank, all connected to a Coordinator. A
-// collective is one framed round trip — the worker sends its
-// contribution, the coordinator sends it the K − 1 other contributions
-// in rank order as one bundle, the worker splices its own payload back
-// in at its rank, and every worker computes the reduction locally,
-// folding the K parts into the destination in the in-process
-// reference's association (meanF64s).
-// The coordinator therefore does no arithmetic at all: reductions are
-// replicated, which is what makes the training math bit-identical to
-// the other fabrics regardless of network timing.
+// owning exactly one global rank. It reaches the coordinator for the
+// rendezvous and the result, and every other worker over a direct peer
+// connection (a full mesh: rank i dials every rank j > i). A collective
+// hands this rank's encoded contribution to one long-lived writer
+// goroutine per peer connection (a contribution of a few KiB it writes
+// itself, see directWriteMax), reads the K − 1 peer frames in rank order
+// on the calling goroutine, and folds the K parts into the destination
+// in the in-process reference's association (meanF64s).
+// Every worker computes every reduction locally from the same bytes:
+// reductions are replicated, which is what makes the training math
+// bit-identical to the other fabrics regardless of network timing.
+//
+// A second goroutine watches the coordinator connection: when the
+// coordinator reports a failure or goes away, it closes the peer
+// connections, so a collective in flight, or the next one, fails with
+// *FabricError. Close stops both kinds of goroutine.
 //
 // Charged bytes follow the CostModel exactly as in-process (every
-// process's meter accumulates the cluster totals); the actual framed
-// bytes this process moved are reported separately in
-// CostReport.WireBytes.
+// process's meter accumulates the cluster totals); the payload bytes
+// this process moved are reported separately in CostReport.WireBytes and
+// summed by MovedBytes.
 type TCPFabric struct {
-	conn net.Conn
-	br   *bufio.Reader
-	bw   *bufio.Writer
+	coord net.Conn
+	cbr   *bufio.Reader // the rendezvous, then the watcher alone reads it
+	cfw   frameWriter   // the goroutine driving the fabric alone writes it
 
 	k     int
 	rank  int
@@ -37,20 +44,51 @@ type TCPFabric struct {
 	cost  CostModel
 	meter *Meter
 	seq   uint32
+	peers []*peer // by rank; nil at this rank
 
-	// Reusable receive state: the bundle buffer, per-rank payload views
-	// and Gather's decoded vectors.
-	recvBuf  []byte
+	// watched closes when the coordinator connection has ended; watchErr,
+	// written before, is why (nil for the run's acknowledgement).
+	watched  chan struct{}
+	watchErr error
+	stop     chan struct{} // closed by Close: the writers return
+	stopOnce sync.Once
+	wg       sync.WaitGroup
+
+	mu      sync.Mutex // guards closers and closed against Close and a cancelled rendezvous
+	closers []io.Closer
+	closed  bool
+
+	// Reusable collective state: per-rank payload views and Gather's
+	// decoded vectors.
 	parts    [][]byte
 	vecs     [][]float64
 	sendBuf  []byte
 	lastWire int64
+	moved    int64
 }
 
-// DialFabric connects to a coordinator, performs the rendezvous
-// handshake, and returns the fabric positioned before the first
-// collective plus the coordinator's job payload (the serialized
-// training spec every worker builds its replicated session from).
+// peer is one peer connection and its writer goroutine's channels.
+type peer struct {
+	conn net.Conn
+	br   *bufio.Reader
+	fw   frameWriter // the writer goroutine's
+	buf  []byte      // receive buffer, reused across collectives
+	send chan frame  // the frame to write; read by the writer goroutine
+	sent chan error  // the write's outcome, one per frame sent
+	busy bool        // a frame is with the writer and its outcome unread
+}
+
+// DialFabric connects to a coordinator, performs the rendezvous — the
+// hello, the assignment, then a peer connection to every other worker —
+// and returns the fabric positioned before the first collective plus the
+// coordinator's job payload (the serialized training spec every worker
+// builds its replicated session from). It returns once all K − 1 peer
+// connections are up.
+//
+// The worker listens for its lower-ranked peers on an ephemeral port at
+// the IP of its end of the coordinator connection, so every worker must
+// be reachable from the others at the address it reaches the
+// coordinator from.
 func DialFabric(ctx context.Context, addr string, cost CostModel) (*TCPFabric, []byte, error) {
 	var d net.Dialer
 	conn, err := d.DialContext(ctx, "tcp", addr)
@@ -58,49 +96,221 @@ func DialFabric(ctx context.Context, addr string, cost CostModel) (*TCPFabric, [
 		return nil, nil, fmt.Errorf("comm: dialing coordinator %s: %w", addr, err)
 	}
 	f := &TCPFabric{
-		conn: conn,
-		br:   bufio.NewReaderSize(conn, 1<<16),
-		bw:   bufio.NewWriterSize(conn, 1<<16),
-		cost: cost,
+		coord:   conn,
+		cbr:     bufio.NewReaderSize(conn, 1<<16),
+		cfw:     frameWriter{w: conn},
+		cost:    cost,
+		watched: make(chan struct{}),
+		stop:    make(chan struct{}),
+		closers: []io.Closer{conn},
 	}
-	// The coordinator answers hellos one connection at a time, so the
-	// assignment can be as late as its JoinDeadline; ctx bounds the wait
-	// on this side: when it is cancelled or runs out, the connection is
-	// closed under the read. The hook is lifted before the first
-	// collective.
-	stop := context.AfterFunc(ctx, func() { conn.Close() })
-	job, err := f.handshake()
-	if !stop() { // ctx ended first: the connection is closed, whatever the handshake saw
+	// The coordinator assigns ranks once all K workers have said hello, so
+	// the assignment can be as late as its JoinDeadline, and peers may be
+	// later still; ctx bounds the wait on this side: when it is cancelled
+	// or runs out, every connection and the listener are closed under the
+	// rendezvous. The hook is lifted before the first collective.
+	stop := context.AfterFunc(ctx, func() { f.closeAll() })
+	job, err := f.rendezvous(ctx)
+	if !stop() { // ctx ended first: the connections are closed, whatever the rendezvous saw
 		err = fmt.Errorf("comm: rendezvous with %s: %w", addr, ctx.Err())
 	}
 	if err != nil {
-		conn.Close()
+		f.closeAll()
 		return nil, nil, err
 	}
+	f.wg.Add(f.k) // K − 1 writers and the watcher
+	for _, p := range f.peers {
+		if p != nil {
+			go p.write(f.stop, &f.wg)
+		}
+	}
+	go f.watch()
 	return f, job, nil
 }
 
-// handshake sends the hello and reads the rank assignment, returning
-// the coordinator's job payload.
-func (f *TCPFabric) handshake() ([]byte, error) {
-	if err := writeFrame(f.bw, frame{op: opHello, rank: -1}); err != nil {
-		return nil, err
+// track registers c to be closed with the fabric; it reports false, and
+// closes c, when the fabric is already closed.
+func (f *TCPFabric) track(c io.Closer) bool {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.closed {
+		c.Close()
+		return false
 	}
-	fr, _, err := readFrame(f.br, nil, "")
+	f.closers = append(f.closers, c)
+	return true
+}
+
+// closeAll closes the coordinator connection, the peer connections and,
+// during the rendezvous, the listener; it returns the coordinator
+// connection's Close error.
+func (f *TCPFabric) closeAll() error {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.closed = true
+	var err error
+	for i, c := range f.closers {
+		if cerr := c.Close(); i == 0 {
+			err = cerr
+		}
+	}
+	f.closers = f.closers[:0]
+	return err
+}
+
+// closePeers closes the peer connections, unblocking every read and
+// write on them; the fabric is unusable afterwards.
+func (f *TCPFabric) closePeers() {
+	for _, p := range f.peers {
+		if p != nil {
+			p.conn.Close()
+		}
+	}
+}
+
+// errRendezvousClosed reports a rendezvous whose connections were closed
+// under it: the caller's context ended.
+var errRendezvousClosed = errors.New("comm: rendezvous aborted")
+
+// rendezvous sends the hello, reads the assignment, and connects this
+// rank to every other: it dials each higher rank, accepts each lower one
+// on its listener — refusing any connection whose peer hello is not
+// another rank of this cluster that has not connected yet — and reads
+// the higher ranks' replies. It returns the coordinator's job payload.
+func (f *TCPFabric) rendezvous(ctx context.Context) ([]byte, error) {
+	local := f.coord.LocalAddr().(*net.TCPAddr)
+	ln, err := net.ListenTCP("tcp", &net.TCPAddr{IP: local.IP, Zone: local.Zone})
+	if err != nil {
+		return nil, fmt.Errorf("comm: peer listener: %w", err)
+	}
+	defer ln.Close()
+	if !f.track(ln) {
+		return nil, errRendezvousClosed
+	}
+	if err := f.cfw.write(frame{op: opHello, rank: -1, payload: []byte(ln.Addr().String())}); err != nil {
+		return nil, fmt.Errorf("comm: hello: %w", err)
+	}
+	fr, _, err := readFrame(f.cbr, nil, "")
 	if err != nil {
 		return nil, fmt.Errorf("comm: waiting for rank assignment: %w", err)
 	}
-	if fr.op != opAssign || len(fr.payload) < 4 {
+	if fr.op != opAssign {
 		return nil, fmt.Errorf("comm: unexpected handshake frame op=%d", fr.op)
 	}
-	f.rank = int(fr.rank)
-	f.k = int(binary.LittleEndian.Uint32(fr.payload))
-	if f.k <= 0 || f.rank < 0 || f.rank >= f.k {
+	addrs, job, err := parseAssignment(fr.payload)
+	if err != nil {
+		return nil, err
+	}
+	f.k, f.rank = len(addrs), int(fr.rank)
+	if f.rank < 0 || f.rank >= f.k {
 		return nil, fmt.Errorf("comm: invalid assignment rank=%d k=%d", f.rank, f.k)
 	}
 	f.ranks = []int{f.rank}
 	f.meter = NewMeter()
-	return append([]byte(nil), fr.payload[4:]...), nil
+	f.peers = make([]*peer, f.k)
+	hello := peerHello(f.rank, f.k)
+
+	var d net.Dialer
+	for j := f.rank + 1; j < f.k; j++ {
+		conn, err := d.DialContext(ctx, "tcp", addrs[j])
+		if err != nil {
+			return nil, fmt.Errorf("comm: dialing rank %d at %s: %w", j, addrs[j], err)
+		}
+		p := f.addPeer(conn)
+		if p == nil {
+			return nil, errRendezvousClosed
+		}
+		f.peers[j] = p
+		if err := p.fw.write(hello); err != nil {
+			return nil, fmt.Errorf("comm: peer hello to rank %d: %w", j, err)
+		}
+	}
+	for need := f.rank; need > 0; {
+		conn, err := ln.Accept()
+		if err != nil {
+			return nil, fmt.Errorf("comm: accepting peers (%d of %d still to come): %w", need, f.rank, err)
+		}
+		p := f.addPeer(conn)
+		if p == nil {
+			return nil, errRendezvousClosed
+		}
+		fr, _, err := readFrame(p.br, nil, "")
+		j := -1
+		if err == nil {
+			j, err = parsePeerHello(fr, f.k)
+		}
+		if err != nil || j >= f.rank || f.peers[j] != nil {
+			conn.Close() // a stranger: refused, the rendezvous goes on
+			continue
+		}
+		f.peers[j] = p
+		if err := p.fw.write(hello); err != nil {
+			return nil, fmt.Errorf("comm: peer hello to rank %d: %w", j, err)
+		}
+		need--
+	}
+	for j := f.rank + 1; j < f.k; j++ {
+		p := f.peers[j]
+		fr, _, err := readFrame(p.br, nil, "")
+		if err != nil {
+			return nil, fmt.Errorf("comm: awaiting rank %d's peer hello: %w", j, err)
+		}
+		if got, err := parsePeerHello(fr, f.k); err != nil || got != j {
+			return nil, fmt.Errorf("comm: rank %d's address answered as rank %d: %v", j, got, err)
+		}
+	}
+	return job, nil
+}
+
+// addPeer sets up one peer connection and registers it to be closed with
+// the fabric; nil when the fabric is already closed.
+func (f *TCPFabric) addPeer(conn net.Conn) *peer {
+	if !f.track(conn) {
+		return nil
+	}
+	p := &peer{
+		conn: conn,
+		br:   bufio.NewReaderSize(conn, 1<<16),
+		fw:   frameWriter{w: conn},
+		send: make(chan frame),
+		sent: make(chan error, 1), // the writer never waits on its answer
+	}
+	return p
+}
+
+// write is a peer connection's writer goroutine: it writes each frame it
+// is handed and answers with the outcome, until stop closes.
+func (p *peer) write(stop <-chan struct{}, wg *sync.WaitGroup) {
+	defer wg.Done()
+	for {
+		select {
+		case fr := <-p.send:
+			p.sent <- p.fw.write(fr)
+		case <-stop:
+			return
+		}
+	}
+}
+
+// watch reads the coordinator connection for the run's acknowledgement.
+// Anything else — a failure the coordinator broadcasts, its end or a
+// broken connection — closes the peer connections, so no collective
+// waits on a cluster that is gone.
+func (f *TCPFabric) watch() {
+	defer f.wg.Done()
+	fr, _, err := readFrame(f.cbr, nil, "")
+	if err == nil && fr.op != opDone {
+		err = fmt.Errorf("comm: coordinator sent op=%d mid-run", fr.op)
+	}
+	if err != nil {
+		f.watchErr = fmt.Errorf("coordinator connection: %w", inFrame(err))
+	}
+	// Closed before the peers are, so a collective those closes fail finds
+	// the cause.
+	close(f.watched)
+	if err != nil {
+		f.closePeers()
+	}
 }
 
 // K implements Fabric.
@@ -118,41 +328,113 @@ func (f *TCPFabric) Meter() *Meter { return f.meter }
 // Cost implements Fabric.
 func (f *TCPFabric) Cost() CostModel { return f.cost }
 
-// Close implements Fabric.
-func (f *TCPFabric) Close() error { return f.conn.Close() }
+// MovedBytes returns the payload bytes this fabric's collectives have
+// sent and received so far: (K − 1)·part out and (K − 1)·part in per
+// collective of equal parts.
+func (f *TCPFabric) MovedBytes() int64 { return f.moved }
 
-// fail aborts the collective with a transport panic (see FabricError).
-func (f *TCPFabric) fail(err error) {
+// Close implements Fabric: it closes every connection and returns once
+// the fabric's goroutines have.
+func (f *TCPFabric) Close() error {
+	f.stopOnce.Do(func() { close(f.stop) })
+	err := f.closeAll()
+	f.wg.Wait()
+	return err
+}
+
+// fail aborts the collective with a transport panic (see FabricError)
+// after closing the peer connections, so the fabric's own writes end and
+// its peers fail too, and waiting out the writes in flight. Unless the
+// coordinator is gone already, it first reports err to the coordinator,
+// blaming rank blame — the peer whose frame or connection failed, or
+// this rank itself.
+func (f *TCPFabric) fail(blame int, err error) {
+	f.closePeers()
+	for _, p := range f.peers {
+		if p != nil && p.busy {
+			<-p.sent
+			p.busy = false
+		}
+	}
+	select {
+	case <-f.watched:
+		if f.watchErr != nil {
+			err = fmt.Errorf("%w (%v)", f.watchErr, err)
+		}
+	default:
+		_ = f.cfw.write(frame{op: opError, rank: int32(blame), payload: []byte(err.Error())})
+	}
 	panic(&FabricError{Err: err})
 }
 
-// exchange performs one framed collective round trip: send this rank's
-// payload, receive the bundle of the K − 1 others, split it into
-// rank-order views and splice payload itself in at this rank.
+// directWriteMax is the largest payload a collective writes to its peers
+// from the calling goroutine. Collectives are lock-step, so a rank is at
+// most two frames ahead of what a peer has read, and two frames this
+// small fit the socket buffers of any TCP stack: the write cannot wait
+// on a peer that is itself writing. Handing a small frame to the writer
+// goroutine instead costs a goroutine switch on each side, and when the
+// ranks compute between collectives — a state round every step — the
+// woken goroutine can wait for a whole local step before it runs.
+const directWriteMax = 4 << 10
+
+// exchange performs one collective: send this rank's payload to every
+// peer — a small one directly, a larger one through each peer's writer
+// goroutine, so it is written while the peers' frames are read — read
+// the K − 1 peer frames in rank order, checking that each is rank j's
+// contribution to this collective, and return the K parts in rank
+// order, payload itself at this rank.
 func (f *TCPFabric) exchange(kind string, payload []byte) [][]byte {
 	f.seq++
-	if err := writeFrame(f.bw, frame{op: opContrib, rank: int32(f.rank), seq: f.seq, kind: kind, payload: payload}); err != nil {
-		f.fail(fmt.Errorf("sending contribution seq %d: %w", f.seq, err))
+	out := frame{op: opContrib, rank: int32(f.rank), seq: f.seq, kind: kind, payload: payload}
+	for j, p := range f.peers {
+		if p == nil {
+			continue
+		}
+		if len(payload) <= directWriteMax {
+			if err := p.fw.write(out); err != nil {
+				f.fail(j, fmt.Errorf("sending seq %d to rank %d: %w", f.seq, j, err))
+			}
+			continue
+		}
+		select {
+		case p.send <- out:
+			p.busy = true
+		case <-f.stop:
+			f.fail(j, fmt.Errorf("sending seq %d to rank %d: fabric closed", f.seq, j))
+		}
 	}
-	fr, buf, err := readFrame(f.br, f.recvBuf, kind)
-	f.recvBuf = buf
-	if err != nil {
-		f.fail(fmt.Errorf("awaiting bundle seq %d: %w", f.seq, err))
+	parts := f.parts[:0]
+	var wire int64
+	for j, p := range f.peers {
+		if p == nil {
+			parts = append(parts, payload)
+			continue
+		}
+		in, buf, err := readFrame(p.br, p.buf, kind)
+		p.buf = buf
+		if err != nil {
+			f.fail(j, fmt.Errorf("reading rank %d's frame seq %d: %w", j, f.seq, err))
+		}
+		if in.op != opContrib || in.seq != f.seq || in.kind != kind || in.rank != int32(j) {
+			f.fail(j, fmt.Errorf("protocol desync: rank %d's connection sent op=%d seq=%d kind=%q from rank %d, want seq=%d kind=%q",
+				j, in.op, in.seq, in.kind, in.rank, f.seq, kind))
+		}
+		parts = append(parts, in.payload)
+		wire += int64(len(payload) + len(in.payload))
 	}
-	if fr.op != opBundle || fr.seq != f.seq || fr.kind != kind {
-		f.fail(fmt.Errorf("protocol desync: got op=%d seq=%d kind=%q, want bundle seq=%d kind=%q",
-			fr.op, fr.seq, fr.kind, f.seq, kind))
-	}
-	parts, err := splitBundle(fr.payload, f.parts)
-	if err != nil {
-		f.fail(err)
-	}
-	if len(parts) != f.k-1 {
-		f.fail(fmt.Errorf("bundle carries %d parts, want %d", len(parts), f.k-1))
-	}
-	parts = slices.Insert(parts, f.rank, payload)
 	f.parts = parts
-	f.lastWire = int64(len(payload)) + int64(len(fr.payload))
+	for j, p := range f.peers {
+		if p == nil || !p.busy {
+			continue
+		}
+		err := <-p.sent
+		p.busy = false
+		if err != nil {
+			f.fail(j, fmt.Errorf("sending seq %d to rank %d: %w", f.seq, j, err))
+		}
+	}
+	f.lastWire = wire
+	f.moved += wire
 	return parts
 }
 
@@ -160,7 +442,7 @@ func (f *TCPFabric) exchange(kind string, payload []byte) [][]byte {
 // encoded contributions (rank order).
 func (f *TCPFabric) exchangeVec(kind string, local [][]float64) [][]byte {
 	if len(local) != 1 {
-		f.fail(fmt.Errorf("TCPFabric drives 1 rank, got %d local vectors", len(local)))
+		f.fail(f.rank, fmt.Errorf("TCPFabric drives 1 rank, got %d local vectors", len(local)))
 	}
 	f.sendBuf = appendF64s(f.sendBuf[:0], local[0])
 	return f.exchange(kind, f.sendBuf)
@@ -189,7 +471,7 @@ func (f *TCPFabric) AllReduce(kind string, local [][]float64) CostReport {
 	start := time.Now()
 	parts := f.exchangeVec(kind, local)
 	if err := meanF64s(local[0], parts); err != nil {
-		f.fail(err)
+		f.fail(f.rank, err)
 	}
 	rep := f.charge(kind, len(local[0]), start)
 	endOp(sp, kind, rep)
@@ -203,7 +485,7 @@ func (f *TCPFabric) AllReduceMean(kind string, dst []float64, local [][]float64)
 	start := time.Now()
 	parts := f.exchangeVec(kind, local)
 	if err := meanF64s(dst, parts); err != nil {
-		f.fail(err)
+		f.fail(f.rank, err)
 	}
 	rep := f.charge(kind, len(dst), start)
 	endOp(sp, kind, rep)
@@ -220,7 +502,7 @@ func (f *TCPFabric) Broadcast(kind string, root int, local [][]float64) CostRepo
 	start := time.Now()
 	parts := f.exchangeVec(kind, local)
 	if err := decodeF64s(local[0], parts[root]); err != nil {
-		f.fail(fmt.Errorf("rank %d contribution: %w", root, err))
+		f.fail(root, fmt.Errorf("rank %d contribution: %w", root, err))
 	}
 	n := len(local[0])
 	payload := int64(n) * int64(f.cost.BytesPerParam)
@@ -247,7 +529,7 @@ func (f *TCPFabric) Gather(local [][]float64) [][]float64 {
 		}
 		f.vecs[r] = f.vecs[r][:n]
 		if err := decodeF64s(f.vecs[r], p); err != nil {
-			f.fail(fmt.Errorf("rank %d contribution: %w", r, err))
+			f.fail(r, fmt.Errorf("rank %d contribution: %w", r, err))
 		}
 	}
 	return f.vecs
@@ -255,10 +537,10 @@ func (f *TCPFabric) Gather(local [][]float64) [][]float64 {
 
 // ExchangeBytes implements Fabric: opaque payload exchange, uncharged.
 // The returned views are valid until the next collective; this rank's is
-// local[0] itself, the others view the received bundle.
+// local[0] itself, the others view the peers' receive buffers.
 func (f *TCPFabric) ExchangeBytes(kind string, local [][]byte) [][]byte {
 	if len(local) != 1 {
-		f.fail(fmt.Errorf("TCPFabric drives 1 rank, got %d local payloads", len(local)))
+		f.fail(f.rank, fmt.Errorf("TCPFabric drives 1 rank, got %d local payloads", len(local)))
 	}
 	sp := startOp("ExchangeBytes")
 	out := f.exchange(kind, local[0])
@@ -272,16 +554,9 @@ func (f *TCPFabric) ExchangeBytes(kind string, local [][]byte) [][]byte {
 // coordinator and waits for the acknowledgement, completing the run.
 func (f *TCPFabric) SendResult(result []byte) error {
 	f.seq++
-	if err := writeFrame(f.bw, frame{op: opResult, rank: int32(f.rank), seq: f.seq, kind: "result", payload: result}); err != nil {
+	if err := f.cfw.write(frame{op: opResult, rank: int32(f.rank), seq: f.seq, kind: "result", payload: result}); err != nil {
 		return err
 	}
-	fr, buf, err := readFrame(f.br, f.recvBuf, "")
-	f.recvBuf = buf
-	if err != nil {
-		return err
-	}
-	if fr.op != opDone {
-		return fmt.Errorf("comm: expected done acknowledgement, got op=%d", fr.op)
-	}
-	return nil
+	<-f.watched
+	return f.watchErr
 }

@@ -7,18 +7,17 @@ import (
 	"hash/crc32"
 	"io"
 	"net"
-	"slices"
 
 	"repro/internal/tensor"
 )
 
-// The socket fabric's frame protocol. Every message between a worker
-// and the coordinator is one frame:
+// The socket fabric's frame protocol. Every message, between a worker
+// and the coordinator or between two workers, is one frame:
 //
-//	magic   [4]byte "FDA2" (the wire version: a peer speaking another is refused)
+//	magic   [4]byte "FDA3" (the wire version: a peer speaking another is refused)
 //	opcode  u8
-//	rank    i32  (little-endian; -1 before assignment)
-//	seq     u32  (collective sequence number; 0 for handshake frames)
+//	rank    i32  (little-endian; the sender's rank — see the opcodes for the exceptions)
+//	seq     u32  (collective sequence number; 0 for rendezvous frames)
 //	kindLen u8, kind bytes (the meter kind, for protocol sanity checks)
 //	payLen  u32, payload bytes
 //	crc     u32  CRC-32 (IEEE) over opcode..payload
@@ -27,30 +26,27 @@ import (
 // mismatch is a hard protocol error — the fabric never guesses at
 // resynchronization. Payloads are opaque at this layer: float64 vectors
 // travel little-endian (appendF64s/decodeF64s), codec-compressed drifts
-// travel in their compress wire encoding, bundles in bundle framing.
+// travel in their compress wire encoding.
 const (
-	wireMagic   = "FDA2"
+	wireMagic   = "FDA3"
 	maxFrameLen = 1 << 30 // hard cap: a frame larger than 1 GiB is a protocol error
 
-	opHello   = 1 // worker → coordinator: request a rank
-	opAssign  = 2 // coordinator → worker: rank, K, job payload
-	opContrib = 3 // worker → coordinator: one collective contribution
-	opBundle  = 4 // coordinator → worker: the K − 1 other contributions, rank order
+	opHello   = 1 // worker → coordinator: the worker's peer listen address; rank −1
+	opAssign  = 2 // coordinator → worker: rank (header), peer table and job (appendAssignment)
+	opContrib = 3 // worker → worker: one collective contribution
+	opPeer    = 4 // worker ↔ worker: rank and K, first on a peer connection (peerHello)
 	opResult  = 5 // worker → coordinator: final result payload
 	opDone    = 6 // coordinator → worker: run acknowledged, close
-	opError   = 7 // either direction: fatal error message
+	opError   = 7 // either direction: fatal error message; from a worker, rank is the rank it blames
 )
 
-// frame is one decoded protocol message. crc is the CRC-32 of the
-// payload alone, a by-product of verifying a received frame (readFrame)
-// that lets the coordinator relay the payload without summing it again.
+// frame is one decoded protocol message.
 type frame struct {
 	op      byte
 	rank    int32
 	seq     uint32
 	kind    string
 	payload []byte
-	crc     uint32
 }
 
 // appendFrameHead appends a frame's header, magic through payLen, to dst.
@@ -70,30 +66,34 @@ func appendFrameHead(dst []byte, f frame, payLen int) ([]byte, error) {
 	return binary.LittleEndian.AppendUint32(dst, uint32(payLen)), nil
 }
 
-// writeFrame encodes and flushes one frame. The header and the CRC
-// trailer are built in the writer's own spare buffer (AvailableBuffer)
-// and the CRC is a running uint32, so a frame allocates nothing: the
-// fabric's state exchange is four frames per step.
-func writeFrame(w *bufio.Writer, f frame) error {
-	head, err := appendFrameHead(w.AvailableBuffer(), f, len(f.payload))
+// frameWriter writes frames to w straight from their payloads: one
+// vectored write of header | payload | trailer, so a payload is neither
+// copied into a buffer nor split across writes, and the CRC is one
+// running uint32. The other fields are scratch reused across frames, so
+// a frame allocates nothing; vec is a field because net.Buffers.WriteTo
+// consumes its receiver through a pointer.
+type frameWriter struct {
+	w    io.Writer
+	meta []byte // header, then trailer
+	iov  [3][]byte
+	vec  net.Buffers
+}
+
+// write encodes and sends one frame.
+func (fw *frameWriter) write(f frame) error {
+	meta, err := appendFrameHead(fw.meta[:0], f, len(f.payload))
 	if err != nil {
 		return err
 	}
-
+	head := len(meta)
 	// opcode onward; magic is the resync marker, not data
-	crc := crc32.Update(0, crc32.IEEETable, head[4:])
+	crc := crc32.Update(0, crc32.IEEETable, meta[4:])
 	crc = crc32.Update(crc, crc32.IEEETable, f.payload)
-
-	if _, err := w.Write(head); err != nil {
-		return err
-	}
-	if _, err := w.Write(f.payload); err != nil {
-		return err
-	}
-	if _, err := w.Write(binary.LittleEndian.AppendUint32(w.AvailableBuffer(), crc)); err != nil {
-		return err
-	}
-	return w.Flush()
+	fw.meta = binary.LittleEndian.AppendUint32(meta, crc)
+	fw.iov = [3][]byte{fw.meta[:head], f.payload, fw.meta[head:]}
+	fw.vec = fw.iov[:]
+	_, err = fw.vec.WriteTo(fw.w)
+	return err
 }
 
 // frameHeadLen is the fixed part of the header: magic(4) op(1) rank(4)
@@ -116,8 +116,6 @@ func inFrame(err error) error {
 // allocating its own. The header is parsed in place in the reader's buffer
 // (Peek, then Discard), which must hold frameHeadLen+255+4 bytes. A stream
 // that ends between frames yields io.EOF, inside one io.ErrUnexpectedEOF.
-// Header and payload are summed separately and the trailer is checked
-// against their combination, so the frame keeps its payload's own CRC.
 func readFrame(r *bufio.Reader, buf []byte, kind string) (frame, []byte, error) {
 	head, err := r.Peek(frameHeadLen)
 	if err != nil {
@@ -138,7 +136,7 @@ func readFrame(r *bufio.Reader, buf []byte, kind string) (frame, []byte, error) 
 	if head, err = r.Peek(kindEnd + 4); err != nil {
 		return f, buf, inFrame(err)
 	}
-	headCRC := crc32.Update(0, crc32.IEEETable, head[4:])
+	crc := crc32.Update(0, crc32.IEEETable, head[4:])
 	f.kind = kind
 	if string(head[frameHeadLen:kindEnd]) != kind {
 		f.kind = string(head[frameHeadLen:kindEnd])
@@ -152,8 +150,7 @@ func readFrame(r *bufio.Reader, buf []byte, kind string) (frame, []byte, error) 
 		return f, buf, inFrame(err)
 	}
 	f.payload = buf
-	f.crc = crc32.Update(0, crc32.IEEETable, f.payload)
-	crc := crcCombine(headCRC, f.crc, payLen)
+	crc = crc32.Update(crc, crc32.IEEETable, f.payload)
 
 	tail, err := r.Peek(4)
 	if err != nil {
@@ -165,10 +162,16 @@ func readFrame(r *bufio.Reader, buf []byte, kind string) (frame, []byte, error) 
 		return f, buf, fmt.Errorf("comm: wire CRC mismatch: frame %08x, computed %08x", got, crc)
 	}
 	if f.op == opError {
-		return f, buf, fmt.Errorf("comm: peer error: %s", f.payload)
+		return f, buf, remoteError(f.payload)
 	}
 	return f, buf, nil
 }
+
+// remoteError is the message of an opError frame: a failure its sender
+// reports.
+type remoteError string
+
+func (e remoteError) Error() string { return "comm: peer error: " + string(e) }
 
 // payloadGrowStep is the least the payload buffer grows by while a frame
 // larger than it is being read.
@@ -199,127 +202,70 @@ func readPayload(r io.Reader, buf []byte, n int) ([]byte, error) {
 	return buf, nil
 }
 
-// crcPoly is the CRC-32 (IEEE) polynomial, bit-reversed as in hash/crc32.
-const crcPoly = 0xedb88320
+// The rendezvous payloads. An assignment carries the peer table and the
+// job: u32 K, then K × (u8 len, listen address), rank order, then the job
+// bytes to the end of the payload. A peer hello carries u32 K; its
+// header's rank field is the sender's rank.
 
-// crcMulMod returns a(x)·b(x) mod the CRC polynomial (reflected bit
-// order: bit 31 is x^0).
-//
-//fda:noalloc
-func crcMulMod(a, b uint32) uint32 {
-	var p uint32
-	for ; a != 0; a <<= 1 { // a's terms from x^0 up, until none is left
-		if a&(1<<31) != 0 {
-			p ^= b
-		}
-		b = b>>1 ^ crcPoly&-(b&1)
+// appendAssignment encodes the peer table addrs (one listen address per
+// rank, each 1–255 bytes) and job into dst.
+func appendAssignment(dst []byte, addrs []string, job []byte) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(addrs)))
+	for _, a := range addrs {
+		dst = append(dst, byte(len(a)))
+		dst = append(dst, a...)
 	}
-	return p
+	return append(dst, job...)
 }
 
-// crcX2N[k] is x^(2^k) mod the CRC polynomial. x has order 2^32−1, so
-// the table repeats with period 32.
-var crcX2N = func() (t [32]uint32) {
-	t[0] = 1 << 30 // x^1
-	for k := 1; k < len(t); k++ {
-		t[k] = crcMulMod(t[k-1], t[k-1])
+// parseAssignment decodes an assignment payload into the peer table and
+// the job, which views p.
+func parseAssignment(p []byte) (addrs []string, job []byte, err error) {
+	if len(p) < 4 {
+		return nil, nil, fmt.Errorf("comm: truncated assignment")
 	}
-	return t
-}()
-
-// crcCombine returns the CRC-32 of A‖B given crc(A), crc(B) and len(B):
-// crc(A)·x^(8·len(B)) + crc(B) in GF(2)[x] mod the polynomial (zlib's
-// crc32_combine; hash/crc32 has no equivalent). The cost is one
-// crcMulMod per set bit of lenB — under 2 µs for any length — where
-// summing B again costs its length.
-//
-//fda:noalloc
-func crcCombine(crcA, crcB uint32, lenB int) uint32 {
-	shift := uint32(1) << 31 // x^0
-	for n, k := uint64(lenB), 3; n != 0; n, k = n>>1, k+1 {
-		if n&1 != 0 {
-			shift = crcMulMod(crcX2N[k&31], shift)
+	k := binary.LittleEndian.Uint32(p)
+	p = p[4:]
+	// Every entry takes at least two bytes, which bounds the table before
+	// anything is allocated on the header's word.
+	if k == 0 || uint64(k) > uint64(len(p)/2) {
+		return nil, nil, fmt.Errorf("comm: assignment for %d workers in %d bytes", k, len(p))
+	}
+	addrs = make([]string, k)
+	for r := range addrs {
+		n := 0
+		if len(p) > 0 {
+			n = int(p[0])
 		}
+		if n == 0 || len(p) < 1+n {
+			return nil, nil, fmt.Errorf("comm: assignment's address of rank %d is empty or truncated", r)
+		}
+		addrs[r] = string(p[1 : 1+n])
+		p = p[1+n:]
 	}
-	return crcMulMod(shift, crcA) ^ crcB
+	return addrs, p, nil
 }
 
-// bundle framing: u32 count, then count × (u32 len, bytes), rank order.
-// A worker's bundle carries the K − 1 contributions of the other ranks;
-// the worker splices its own back in at its rank (TCPFabric.exchange).
-
-// bundleWriter writes opBundle frames straight from the buffers the
-// contributions were received into: one vectored write of
-// header+count+len₀ | part₀ | len₁ | part₁ … | trailer, the frame CRC
-// combined from the parts' CRCs. No part is copied or summed again. The
-// fields are scratch reused across writes; vec is a field because
-// net.Buffers.WriteTo consumes its receiver through a pointer.
-type bundleWriter struct {
-	meta []byte // header, count, part lengths, trailer
-	iov  [][]byte
-	vec  net.Buffers
+// peerHello is the frame each end of a peer connection sends first: the
+// sender's rank and the size of the cluster it was assigned to.
+func peerHello(rank, k int) frame {
+	return frame{op: opPeer, rank: int32(rank), payload: binary.LittleEndian.AppendUint32(nil, uint32(k))}
 }
 
-// write sends parts (crcs[r] = CRC-32 of parts[r]) but parts[skip], the
-// recipient's own, as the payload of one opBundle frame with header f.
-func (b *bundleWriter) write(w io.Writer, f frame, parts [][]byte, crcs []uint32, skip int) error {
-	// The count word, then every part but skip's with its length word.
-	payLen := 4 - (4 + len(parts[skip]))
-	for _, p := range parts {
-		payLen += 4 + len(p)
+// parsePeerHello returns the rank a peer hello claims, checked against a
+// cluster of k: a frame of another kind, another cluster size or a rank
+// outside 0..k−1 is refused.
+func parsePeerHello(f frame, k int) (int, error) {
+	if f.op != opPeer || f.seq != 0 || f.kind != "" || len(f.payload) != 4 {
+		return -1, fmt.Errorf("comm: expected a peer hello, got op=%d seq=%d kind=%q with %d payload bytes", f.op, f.seq, f.kind, len(f.payload))
 	}
-	meta, err := appendFrameHead(b.meta[:0], f, payLen)
-	if err != nil {
-		return err
+	if got := binary.LittleEndian.Uint32(f.payload); uint64(got) != uint64(k) {
+		return -1, fmt.Errorf("comm: peer hello from a cluster of %d, want %d", got, k)
 	}
-	// Grow first: iov holds views into meta, which must not move.
-	meta = slices.Grow(meta, 4+4*len(parts)+4)
-	meta = binary.LittleEndian.AppendUint32(meta, uint32(len(parts)-1))
-	iov := b.iov[:0]
-	crc := crc32.Update(0, crc32.IEEETable, meta[4:])
-	from := 0
-	for r, p := range parts {
-		if r == skip {
-			continue
-		}
-		lenAt := len(meta)
-		meta = binary.LittleEndian.AppendUint32(meta, uint32(len(p)))
-		crc = crc32.Update(crc, crc32.IEEETable, meta[lenAt:])
-		crc = crcCombine(crc, crcs[r], len(p))
-		iov = append(iov, meta[from:], p)
-		from = len(meta)
+	if f.rank < 0 || int(f.rank) >= k {
+		return -1, fmt.Errorf("comm: peer hello from rank %d outside a cluster of %d", f.rank, k)
 	}
-	meta = binary.LittleEndian.AppendUint32(meta, crc)
-	iov = append(iov, meta[from:])
-	b.meta, b.iov, b.vec = meta, iov, iov
-	_, err = b.vec.WriteTo(w)
-	return err
-}
-
-// splitBundle decodes a bundle into per-rank payload views into b.
-func splitBundle(b []byte, into [][]byte) ([][]byte, error) {
-	if len(b) < 4 {
-		return nil, fmt.Errorf("comm: truncated bundle header")
-	}
-	count := int(binary.LittleEndian.Uint32(b))
-	b = b[4:]
-	into = into[:0]
-	for i := 0; i < count; i++ {
-		if len(b) < 4 {
-			return nil, fmt.Errorf("comm: truncated bundle part %d", i)
-		}
-		n := int(binary.LittleEndian.Uint32(b))
-		b = b[4:]
-		if len(b) < n {
-			return nil, fmt.Errorf("comm: bundle part %d short: %d < %d", i, len(b), n)
-		}
-		into = append(into, b[:n])
-		b = b[n:]
-	}
-	if len(b) != 0 {
-		return nil, fmt.Errorf("comm: %d trailing bundle bytes", len(b))
-	}
-	return into, nil
+	return int(f.rank), nil
 }
 
 // appendF64s encodes v little-endian into dst (tensor.EncodeLE).
@@ -336,7 +282,7 @@ func appendF64s(dst []byte, v []float64) []byte {
 }
 
 // meanF64s stores into dst the mean of the K little-endian float64
-// vectors in parts, reading the bundle bytes once: a tile of dst at a
+// vectors in parts, reading the received bytes once: a tile of dst at a
 // time, the first part is stored, the middle parts are added and the
 // last is added and scaled by 1/K — tensor.Mean's ((v0+v1)+…)·(1/K)
 // association, so the result equals decoding every part and calling

@@ -16,19 +16,19 @@ import (
 )
 
 // TestFrameRoundTripDoesNotAllocate pins the per-frame cost of the socket
-// fabric's framing: a steady-state writeFrame + readFrame pair (reused
-// payload buffer, the kind the reader expects) allocates at most one
-// object. dist_fda exchanges four frames per step on a path DESIGN.md §7
-// calls allocation-free.
+// fabric's framing: a steady-state frameWriter.write + readFrame pair
+// (reused payload buffer, the kind the reader expects) allocates at most
+// one object. dist_fda exchanges a frame each way per step on a path
+// DESIGN.md §7 calls allocation-free.
 func TestFrameRoundTripDoesNotAllocate(t *testing.T) {
 	var pipe bytes.Buffer
 	pipe.Grow(1 << 12)
-	bw, br := bufio.NewWriterSize(&pipe, 1<<12), bufio.NewReaderSize(&pipe, 1<<12)
+	fw, br := frameWriter{w: &pipe}, bufio.NewReaderSize(&pipe, 1<<12)
 	payload := bytes.Repeat([]byte{0xa5}, 16) // a two-scalar state exchange
 	var buf []byte
 	roundTrip := func() {
 		pipe.Reset()
-		if err := writeFrame(bw, frame{op: opContrib, rank: 1, seq: 7, kind: "state", payload: payload}); err != nil {
+		if err := fw.write(frame{op: opContrib, rank: 1, seq: 7, kind: "state", payload: payload}); err != nil {
 			t.Fatal(err)
 		}
 		br.Reset(&pipe)
@@ -50,13 +50,8 @@ func TestFrameRoundTripDoesNotAllocate(t *testing.T) {
 // anywhere after the magic is a CRC (or framing) error, and a kind that
 // differs from the caller's hint still comes back as sent.
 func TestReadFrameBoundaries(t *testing.T) {
-	var wire bytes.Buffer
-	bw := bufio.NewWriter(&wire)
-	want := frame{op: opBundle, rank: 2, seq: 9, kind: "model", payload: []byte("0123456789")}
-	if err := writeFrame(bw, want); err != nil {
-		t.Fatal(err)
-	}
-	enc := wire.Bytes()
+	want := frame{op: opContrib, rank: 2, seq: 9, kind: "model", payload: []byte("0123456789")}
+	enc := frameBytes(t, want)
 	read := func(b []byte) (frame, error) {
 		fr, _, err := readFrame(bufio.NewReader(bytes.NewReader(b)), nil, "state")
 		return fr, err
@@ -113,152 +108,53 @@ func TestReadFrameGrowsWithTheBytesThatArrive(t *testing.T) {
 	}
 }
 
-// appendBundle encodes parts but parts[skip] into dst: the bundle
-// framing as one contiguous payload, for the recipient of rank skip (a
-// skip outside the parts omits none). The coordinator assembled every
-// bundle this way before it relayed them with vectored writes; it stays
-// as the oracle the relay's bytes are pinned to.
-func appendBundle(dst []byte, parts [][]byte, skip int) []byte {
-	count := len(parts)
-	if skip >= 0 && skip < len(parts) {
-		count--
-	}
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(count))
-	for r, p := range parts {
-		if r != skip {
-			dst = binary.LittleEndian.AppendUint32(dst, uint32(len(p)))
-			dst = append(dst, p...)
-		}
-	}
-	return dst
-}
-
-// frameBytes is writeFrame's output for f.
+// frameBytes is frameWriter's output for f.
 func frameBytes(t testing.TB, f frame) []byte {
 	t.Helper()
 	var wire bytes.Buffer
-	if err := writeFrame(bufio.NewWriter(&wire), f); err != nil {
+	fw := frameWriter{w: &wire}
+	if err := fw.write(f); err != nil {
 		t.Fatal(err)
 	}
 	return wire.Bytes()
 }
 
-// relayedBundle is the bundle frame bundleWriter puts on the wire for
-// parts to the worker of rank skip.
-func relayedBundle(t testing.TB, b *bundleWriter, f frame, parts [][]byte, skip int) []byte {
-	t.Helper()
-	crcs := make([]uint32, len(parts))
-	for r, p := range parts {
-		crcs[r] = crc32.ChecksumIEEE(p)
-	}
-	var wire bytes.Buffer
-	if err := b.write(&wire, f, parts, crcs, skip); err != nil {
-		t.Fatal(err)
-	}
-	return wire.Bytes()
-}
+// goldenContribution is the wire format, frozen: rank 1's contribution to
+// collective 7, kind "model", the vector {1.5, −2} — what a worker's
+// writer goroutine sends each peer.
+const goldenContribution = "46444133" + "03" + "01000000" + "07000000" + "05" + "6d6f64656c" + "10000000" +
+	"000000000000f83f" + "00000000000000c0" + "e80f9b4f"
 
-// goldenBundle is the wire format, frozen: rank 1's copy of collective 7,
-// kind "model", over the parts "ab", "" and "c" — it carries "ab" and
-// "c", rank 1's own part stays home.
-const goldenBundle = "46444132" + "04" + "01000000" + "07000000" + "05" + "6d6f64656c" + "0f000000" +
-	"02000000" + "02000000" + "6162" + "01000000" + "63" + "5208cae4"
-
-// TestBundleWriterBytes pins the relay's vectored bundle frames to the
-// frozen format: byte for byte what writeFrame sends for the assembled
-// payload, for every K × part-size combination around the reader's 64 KiB
-// buffer and every recipient rank, with one writer reused throughout as
-// the relay reuses its own. Each frame reads back, splits into the K − 1
-// other parts, and with the recipient's own spliced in at its rank gives
-// back all K.
-func TestBundleWriterBytes(t *testing.T) {
-	var b bundleWriter
-	head := frame{op: opBundle, rank: 1, seq: 7, kind: "model"}
-	golden := relayedBundle(t, &b, head, [][]byte{[]byte("ab"), nil, []byte("c")}, 1)
-	if hex.EncodeToString(golden) != goldenBundle {
-		t.Fatalf("golden bundle frame:\n got %x\nwant %s", golden, goldenBundle)
+// TestPeerFrameBytes pins a peer contribution frame to the frozen format,
+// checks that it reads back whole, and that a worker sends exactly those
+// bytes to its peer: a fabric of rank 1 in a 2-worker cluster, whose
+// rank-0 peer is driven frame by frame.
+func TestPeerFrameBytes(t *testing.T) {
+	vec := []float64{1.5, -2}
+	golden := frameBytes(t, frame{op: opContrib, rank: 1, seq: 7, kind: "model", payload: appendF64s(nil, vec)})
+	if hex.EncodeToString(golden) != goldenContribution {
+		t.Fatalf("golden contribution frame:\n got %x\nwant %s", golden, goldenContribution)
 	}
-	check := func(parts [][]byte) {
-		t.Helper()
-		for skip := range parts {
-			got := relayedBundle(t, &b, head, parts, skip)
-			full := head
-			full.payload = appendBundle(nil, parts, skip)
-			if want := frameBytes(t, full); !bytes.Equal(got, want) {
-				t.Fatalf("K=%d, part 0 of %d bytes, to rank %d: relayed frame (%d bytes) differs from writeFrame(appendBundle) (%d bytes)",
-					len(parts), len(parts[0]), skip, len(got), len(want))
-			}
-			fr, _, err := readFrame(bufio.NewReader(bytes.NewReader(got)), nil, "model")
-			if err != nil || !bytes.Equal(fr.payload, full.payload) {
-				t.Fatalf("K=%d, part 0 of %d bytes, to rank %d: relayed frame does not read back: %v", len(parts), len(parts[0]), skip, err)
-			}
-			others, err := splitBundle(fr.payload, nil)
-			if err != nil || len(others) != len(parts)-1 {
-				t.Fatalf("K=%d, to rank %d: bundle splits into %d parts, want %d: %v", len(parts), skip, len(others), len(parts)-1, err)
-			}
-			spliced := slices.Insert(others, skip, parts[skip])
-			for r := range parts {
-				if !bytes.Equal(spliced[r], parts[r]) {
-					t.Fatalf("K=%d, to rank %d: spliced part %d differs from the contribution", len(parts), skip, r)
-				}
-			}
+	fr, _, err := readFrame(bufio.NewReader(bytes.NewReader(golden)), nil, "model")
+	if err != nil || fr.op != opContrib || fr.rank != 1 || fr.seq != 7 || !bytes.Equal(fr.payload, golden[frameHeadLen+len("model")+4:len(golden)-4]) {
+		t.Fatalf("golden frame reads back as %+v, %v", fr, err)
+	}
+
+	coord, _ := serve(t, 2)
+	raw := helloRaw(t, coord.Addr()) // rank 0
+	fab := dialAfter(t, coord, 1)    // rank 1
+	raw.assigned(t)
+	link := raw.link(t, 1)
+	f := fab()
+	for seq := uint32(1); seq <= 7; seq++ {
+		sent := collective(func() { f.AllReduce("model", [][]float64{slices.Clone(vec)}) })
+		got := link.read(t, len(golden))
+		link.send(t, contribution(0, seq, "model", vec))
+		if p := await(t, "all-reduce", sent); p != nil {
+			t.Fatalf("all-reduce %d panicked: %v", seq, p)
 		}
-	}
-	rng := tensor.NewRNG(5)
-	random := func(n int) []byte {
-		p := make([]byte, n)
-		for i := range p {
-			p[i] = byte(rng.Intn(256))
-		}
-		return p
-	}
-	sizes := []int{0, 1, 16, 65535, 65539, 1 << 20}
-	for _, k := range []int{1, 2, 3, 8} {
-		for _, size := range sizes {
-			parts := make([][]byte, k)
-			for r := range parts {
-				parts[r] = random(size)
-			}
-			check(parts)
-		}
-	}
-	mixed := make([][]byte, len(sizes))
-	for r, size := range sizes {
-		mixed[r] = random(size)
-	}
-	check(mixed)
-
-	// 17 views of one 64 MiB part, 16 of them sent: 1 GiB of parts and
-	// their length words, past the frame cap.
-	huge := make([][]byte, 17)
-	huge[0] = make([]byte, maxFrameLen/16)
-	for r := range huge {
-		huge[r] = huge[0]
-	}
-	if err := b.write(io.Discard, head, huge, make([]uint32, len(huge)), 0); err == nil {
-		t.Fatal("bundle over the frame cap accepted")
-	}
-}
-
-// TestCRCCombine checks the identity the relay and the reader rest on:
-// crcCombine(crc(A), crc(B), len(B)) == crc(A‖B), empty sides included.
-func TestCRCCombine(t *testing.T) {
-	rng := tensor.NewRNG(17)
-	lens := []int{0, 1, 2, 3, 4, 7, 8, 16, 31, 32, 33, 255, 256, 4097, 65535, 65536, 755488}
-	for i := 0; i < 40; i++ {
-		lens = append(lens, rng.Intn(1<<rng.Intn(18)))
-	}
-	buf := make([]byte, 2*755488)
-	for i := range buf {
-		buf[i] = byte(rng.Intn(256))
-	}
-	for _, la := range lens {
-		for _, lb := range lens {
-			a, b := buf[:la], buf[la:la+lb]
-			got := crcCombine(crc32.ChecksumIEEE(a), crc32.ChecksumIEEE(b), lb)
-			if want := crc32.ChecksumIEEE(buf[:la+lb]); got != want {
-				t.Fatalf("len(A)=%d len(B)=%d: combined %08x, crc(A‖B) %08x", la, lb, got, want)
-			}
+		if seq == 7 && !bytes.Equal(got, golden) {
+			t.Fatalf("rank 1 sent its peer\n%x\nwant the golden frame\n%x", got, golden)
 		}
 	}
 }
@@ -323,13 +219,15 @@ func TestMeanF64sMatchesTensorMean(t *testing.T) {
 
 // FuzzReadFrame feeds the frame reader arbitrary bytes: it must never
 // panic, and a frame it accepts carries a trailer equal to the plain
-// sequential CRC-32 over opcode‥payload — the combine-verified reader
-// accepts exactly what the one-pass reader did.
+// sequential CRC-32 over opcode‥payload.
 func FuzzReadFrame(f *testing.F) {
-	var b bundleWriter
-	f.Add(relayedBundle(f, &b, frame{op: opBundle, rank: 1, seq: 7, kind: "model"}, [][]byte{[]byte("ab"), nil, []byte("c")}, 1))
+	golden, err := hex.DecodeString(goldenContribution)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(golden)
 	f.Add(frameBytes(f, frame{op: opContrib, rank: 1, seq: 7, kind: "state", payload: bytes.Repeat([]byte{0xa5}, 16)}))
-	f.Add(frameBytes(f, frame{op: opHello, rank: -1}))
+	f.Add(frameBytes(f, frame{op: opHello, rank: -1, payload: []byte("127.0.0.1:4001")}))
 	f.Add(frameBytes(f, frame{op: opError, payload: []byte("worker 1 failed")}))
 	// A header alone may declare a payload up to the 1 GiB cap; the
 	// reader must find the stream short without allocating it.
@@ -345,26 +243,39 @@ func FuzzReadFrame(f *testing.F) {
 		if want := crc32.ChecksumIEEE(data[4:n]); binary.LittleEndian.Uint32(data[n:]) != want {
 			t.Fatalf("accepted a frame whose trailer %08x is not crc(opcode‥payload) %08x", data[n:n+4], want)
 		}
-		if !bytes.Equal(fr.payload, data[n-len(fr.payload):n]) || fr.crc != crc32.ChecksumIEEE(fr.payload) {
-			t.Fatalf("accepted frame's payload or payload CRC differs from the input's")
+		if !bytes.Equal(fr.payload, data[n-len(fr.payload):n]) {
+			t.Fatalf("accepted frame's payload differs from the input's")
 		}
 	})
 }
 
-// FuzzSplitBundle feeds the bundle parser arbitrary payloads: it must
-// never panic, and the parts it returns re-encode to the input exactly.
-func FuzzSplitBundle(f *testing.F) {
-	f.Add(appendBundle(nil, [][]byte{[]byte("ab"), nil, []byte("c")}, 1))
-	f.Add(appendBundle(nil, [][]byte{bytes.Repeat([]byte{0xa5}, 16), bytes.Repeat([]byte{0x5a}, 16)}, 0))
-	f.Add(appendBundle(nil, nil, -1))
+// FuzzRendezvousParsers feeds the rendezvous parsers arbitrary bytes:
+// neither may panic, an assignment payload that parseAssignment accepts
+// re-encodes from its peer table and job to the input exactly, and a
+// frame that parsePeerHello accepts is byte for byte the peer hello of
+// the rank and cluster size it claims.
+func FuzzRendezvousParsers(f *testing.F) {
+	f.Add(appendAssignment(nil, []string{"127.0.0.1:4001", "127.0.0.1:4002"}, []byte(`{"model":"lenet5s"}`)))
+	f.Add(appendAssignment(nil, []string{"[::1]:9"}, nil))
+	f.Add(frameBytes(f, peerHello(1, 3)))
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		parts, err := splitBundle(data, nil)
+		if addrs, job, err := parseAssignment(data); err == nil {
+			if got := appendAssignment(nil, addrs, job); !bytes.Equal(got, data) {
+				t.Fatalf("accepted assignment %x re-encodes as %x", data, got)
+			}
+		}
+		fr, _, err := readFrame(bufio.NewReader(bytes.NewReader(data)), nil, "")
+		if err != nil || len(fr.payload) != 4 {
+			return
+		}
+		k := int(binary.LittleEndian.Uint32(fr.payload))
+		rank, err := parsePeerHello(fr, k)
 		if err != nil {
 			return
 		}
-		if !bytes.Equal(appendBundle(nil, parts, -1), data) {
-			t.Fatalf("accepted bundle %x does not re-encode from its %d parts", data, len(parts))
+		if want := frameBytes(t, peerHello(rank, k)); !bytes.HasPrefix(data, want) {
+			t.Fatalf("accepted peer hello %x is not the hello of rank %d of %d, %x", data, rank, k, want)
 		}
 	})
 }

@@ -12,11 +12,10 @@ import (
 )
 
 // RunWorker joins the coordinator at addr as one worker process: it
-// dials the fabric, receives its rank and the job spec, builds the
-// replicated session for its rank, trains to completion, and reports
-// its Result to the coordinator. The returned Result is this rank's
-// local view — bit-identical to every other rank's by the fabric
-// determinism contract.
+// dials the fabric, receives its rank and the job spec, and runs the job
+// on it (RunFabric). The returned Result is this rank's local view —
+// bit-identical to every other rank's by the fabric determinism
+// contract.
 //
 // parallelism bounds the in-process worker/eval goroutines exactly like
 // the -jobs flag (results are unaffected).
@@ -26,36 +25,43 @@ func RunWorker(ctx context.Context, addr string, parallelism int) (res core.Resu
 		return core.Result{}, -1, err
 	}
 	defer fabric.Close()
-	rank = fabric.Rank()
+	res, err = RunFabric(ctx, fabric, payload, parallelism)
+	return res, fabric.Rank(), err
+}
 
+// RunFabric runs the job whose spec the coordinator sent as payload on a
+// dialled fabric: it builds the replicated session for the fabric's rank,
+// trains to completion, and reports its Result to the coordinator. The
+// caller keeps the fabric, and closes it.
+func RunFabric(ctx context.Context, fabric *comm.TCPFabric, payload []byte, parallelism int) (core.Result, error) {
 	var spec JobSpec
 	if err := json.Unmarshal(payload, &spec); err != nil {
-		return core.Result{}, rank, fmt.Errorf("dist: decoding job spec: %w", err)
+		return core.Result{}, fmt.Errorf("dist: decoding job spec: %w", err)
 	}
 	spec = spec.WithDefaults()
 	cfg, err := spec.BuildConfig()
 	if err != nil {
-		return core.Result{}, rank, err
+		return core.Result{}, err
 	}
 	cfg.Fabric = fabric
 	cfg.Parallelism = parallelism
 	strat, err := spec.BuildStrategy(cfg)
 	if err != nil {
-		return core.Result{}, rank, err
+		return core.Result{}, err
 	}
 
-	res, err = runSession(ctx, cfg, strat)
+	res, err := runSession(ctx, cfg, strat)
 	if err != nil {
-		return res, rank, err
+		return res, err
 	}
 	body, err := json.Marshal(res)
 	if err != nil {
-		return res, rank, err
+		return res, err
 	}
 	if err := fabric.SendResult(body); err != nil {
-		return res, rank, fmt.Errorf("dist: reporting result: %w", err)
+		return res, fmt.Errorf("dist: reporting result: %w", err)
 	}
-	return res, rank, nil
+	return res, nil
 }
 
 // runSession drives one session, converting fabric transport panics
@@ -79,7 +85,7 @@ func runSession(ctx context.Context, cfg core.Config, strat core.Strategy) (res 
 }
 
 // Coordinate drives one distributed training run end to end: it serves
-// the rendezvous and relay on coord, hands spec to every worker, waits
+// the rendezvous on coord, hands spec to every worker, waits
 // for all K results, verifies the ranks agree bit-for-bit, and returns
 // the cluster Result. The coordinator owns no training state — it is
 // transport plus verification.

@@ -285,9 +285,9 @@ func dot4x8Kernel(name string, f func(dst []float64, stride int, w, x []float64,
 }
 
 // leKernels puts the little-endian byte kernels in the matrix once for
-// every byte offset mod 8 of their byte view: a bundle's parts start
-// 4 + 4K bytes into its payload, so the fabric hands them views at any
-// offset. A kernel's name is its Go name, suffix, "+" and the offset.
+// every byte offset mod 8 of their byte view: nothing aligns the byte
+// slices the fabric hands them — a received payload or a caller's own —
+// so a view may start at any offset. A kernel's name is its Go name, suffix, "+" and the offset.
 func leKernels(suffix string, enc func(dst []byte, v []float64), dec func(dst []float64, b []byte),
 	fold func(d []float64, b []byte, s float64)) []simdKernel {
 	var ks []simdKernel
