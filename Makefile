@@ -155,12 +155,12 @@ bench:
 
 # loadsmoke is the load-path CI gate (DESIGN.md §13): boot a real
 # fdaserve with the admission cap armed, drive two seconds of Poisson
-# traffic through fdaload's default mix, and validate the report —
-# nonzero completed work, zero unexpected errors (-check exits
-# non-zero otherwise). Its restart leg then trains one fixed spec to
-# done, kills fdaserve with -9, restarts it on the same store and
-# resubmits: the records (job id aside) must compare equal, and the
-# restarted process must have taken no training step (no
+# traffic from the committed spec docs/workloads/loadsmoke.json, and
+# validate the report — nonzero completed work, zero unexpected errors
+# (-check exits non-zero otherwise). Its restart leg then trains one
+# fixed spec to done, kills fdaserve with -9, restarts it on the same
+# store and resubmits: the records (job id aside) must compare equal,
+# and the restarted process must have taken no training step (no
 # fda_steps_total sample above 0).
 LOADSMOKE_ADDR = http://127.0.0.1:18091
 LOADSMOKE_TRAIN = {"model":"lenet5s","strategy":"LinearFDA","k":2,"steps":20,"eval_every":10,"seed":8675309}
@@ -185,8 +185,7 @@ loadsmoke:
 	}; \
 	pid=; trap 'kill $$pid 2>/dev/null; wait' EXIT; \
 	serve; \
-	./.loadsmoke/fdaload -addr $(LOADSMOKE_ADDR) -rate 40 -duration 2s \
-		-mix train=1,status=4,store=1 -steps 10 -k 1 -eval-every 10 \
+	./.loadsmoke/fdaload -addr $(LOADSMOKE_ADDR) -spec docs/workloads/loadsmoke.json \
 		-out .loadsmoke/report.json -check || exit 1; \
 	train .loadsmoke/records1.json; \
 	kill -9 $$pid; wait $$pid 2>/dev/null; \
@@ -201,10 +200,11 @@ loadsmoke:
 
 # clustersmoke is the scale-out CI gate (DESIGN.md §14): three fdaserve
 # replicas on one shared store behind fdagate, two seconds of Poisson
-# traffic through the gateway, and the fdaload report gated on zero
-# unexpected errors with at most 25% shed load. Traffic starts once the
-# gateway is up (bare /healthz, the probe loadsmoke, CI and benchmark/
-# use) and its /v1/healthz reports a routable replica.
+# traffic (docs/workloads/clustersmoke.json) through the gateway, and
+# the fdaload report gated on zero unexpected errors with at most 25%
+# shed load. Traffic starts once the gateway is up (bare /healthz, the
+# probe loadsmoke, CI and benchmark/ use) and its /v1/healthz reports a
+# routable replica.
 clustersmoke:
 	@rm -rf .clustersmoke && mkdir -p .clustersmoke
 	@$(GO) build -o .clustersmoke/ ./cmd/fdaserve ./cmd/fdagate ./cmd/fdaload
@@ -223,8 +223,7 @@ clustersmoke:
 		curl -sf http://127.0.0.1:18090/healthz >/dev/null 2>&1 && \
 		curl -sf http://127.0.0.1:18090/v1/healthz 2>/dev/null | grep -q '"status":"ok"' && break; sleep 0.2; \
 	done; \
-	./.clustersmoke/fdaload -addr http://127.0.0.1:18090 -rate 15 -duration 2s \
-		-mix train=1,status=4,store=1 -steps 10 -k 1 -eval-every 10 \
+	./.clustersmoke/fdaload -addr http://127.0.0.1:18090 -spec docs/workloads/clustersmoke.json \
 		-out .clustersmoke/report.json -check -max-rejected 0.25
 	@rm -rf .clustersmoke
 

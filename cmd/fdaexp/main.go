@@ -5,8 +5,9 @@
 // With -store, results are cached in a content-addressed run registry
 // (DESIGN.md §6): every grid cell that was already computed — by a
 // previous invocation, an interrupted sweep, or fdaserve — loads from
-// disk, and only the missing cells execute. Output is byte-identical
-// either way.
+// disk, and only the missing cells execute. The registry also holds
+// trajectory-prefix snapshots, so cells sharing a trajectory warm start
+// from each other (DESIGN.md §10). Output is byte-identical either way.
 //
 // Examples:
 //
@@ -14,9 +15,8 @@
 //	fdaexp -exp fig3
 //	fdaexp -exp all -scale quick
 //	fdaexp -exp fig12 -scale full        # paper-like grids; hours of CPU
-//	fdaexp -exp all -store runs.d        # populate the run registry
-//	fdaexp -exp all -resume              # pick up where a killed sweep stopped
-//	fdaexp -exp thetasweep -store runs.d -warmstart  # share trajectory prefixes across Θ cells
+//	fdaexp -exp all -store runs.d        # populate the run registry; rerun to resume a killed sweep
+//	fdaexp -exp thetasweep -store runs.d # Θ cells share trajectory prefixes
 package main
 
 import (
@@ -37,18 +37,13 @@ import (
 	"repro/internal/runstore"
 )
 
-// defaultStoreDir is where -resume caches runs when -store is not given.
-const defaultStoreDir = "fdaexp-store"
-
 func main() {
 	var (
 		exp      = flag.String("exp", "all", "table2, fig3 … fig13, smoke, netsweep, or all (= the paper artifacts)")
 		scale    = flag.String("scale", "quick", "tiny, quick or full")
 		seed     = flag.Uint64("seed", 1, "experiment seed")
 		jobs     = flag.Int("jobs", runtime.GOMAXPROCS(0), "cap on concurrent sweep cells (1 = one cell at a time; every cell widens into the idle cores; output is identical at any setting)")
-		storeDir = flag.String("store", "", "run-registry directory: cache every grid cell's records there and reuse cached cells")
-		resume   = flag.Bool("resume", false, "resume from the run registry (implies -store "+defaultStoreDir+" when -store is not set)")
-		warm     = flag.Bool("warmstart", false, "reuse trajectory-prefix snapshots across grid cells sharing a trajectory (needs -store; bit-identical output, lower wall clock)")
+		storeDir = flag.String("store", "", "run-registry directory: cache every grid cell's records there, reuse cached cells and warm start cells sharing a trajectory prefix (bit-identical output, lower wall clock)")
 		progress = flag.Bool("progress", false, "print one line per grid cell as the sweep executes")
 		traceOut = flag.String("trace", "", "write a whole-sweep Chrome trace-event JSON (open in Perfetto) to this file and enable telemetry; output is byte-identical with or without it")
 		version  = flag.Bool("version", false, "print version information and exit")
@@ -84,8 +79,8 @@ func main() {
 		os.Exit(1)
 	}
 	// Ctrl-C cancels the sweep between grid cells; with -store, the cells
-	// that completed are persisted, so rerunning with -resume picks up
-	// exactly where the cancellation landed.
+	// that completed are persisted, so rerunning with the same -store
+	// picks up exactly where the cancellation landed.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
@@ -104,9 +99,6 @@ func main() {
 		}
 	}
 
-	if *resume && *storeDir == "" {
-		*storeDir = defaultStoreDir
-	}
 	if *storeDir != "" {
 		st, err := runstore.Open(*storeDir)
 		if err != nil {
@@ -115,9 +107,7 @@ func main() {
 		}
 		o.Store = st
 		o.Stats = &experiments.SweepStats{}
-		o.Warm = *warm
-	} else if *warm {
-		fmt.Fprintln(os.Stderr, "fdaexp: -warmstart needs -store (or -resume); ignoring")
+		o.Warm = true
 	}
 
 	names := experiments.PaperNames()
@@ -136,7 +126,7 @@ func main() {
 			if errors.Is(err, context.Canceled) {
 				fmt.Fprintf(os.Stderr, "fdaexp: %s cancelled", name)
 				if o.Store != nil {
-					fmt.Fprintf(os.Stderr, "; completed cells are in %s (rerun with -resume)", *storeDir)
+					fmt.Fprintf(os.Stderr, "; completed cells are in %s (rerun with the same -store)", *storeDir)
 				}
 				fmt.Fprintln(os.Stderr)
 				os.Exit(130)
@@ -151,9 +141,7 @@ func main() {
 	if o.Stats != nil {
 		fmt.Printf("[store %s: %d cells, %d cached, %d executed]\n",
 			*storeDir, o.Stats.Cells.Load(), o.Stats.Cached.Load(), o.Stats.Executed.Load())
-		if o.Warm {
-			fmt.Printf("[warmstart: %d snapshot hits, %d steps saved]\n",
-				o.Stats.SnapshotHits.Load(), o.Stats.StepsSaved.Load())
-		}
+		fmt.Printf("[warmstart: %d snapshot hits, %d steps saved]\n",
+			o.Stats.SnapshotHits.Load(), o.Stats.StepsSaved.Load())
 	}
 }

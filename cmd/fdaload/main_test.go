@@ -1,6 +1,8 @@
 package main
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -52,6 +54,38 @@ func TestRunRejectsEmptyAddr(t *testing.T) {
 		}
 		if stats.Issued != 0 {
 			t.Errorf("run with -addr %q issued %d requests", addr, stats.Issued)
+		}
+	}
+}
+
+// TestSourceNeedsOneInput: fdaload issues either a spec file's schedule
+// or a recorded trace, and refuses to guess when given neither or both;
+// a spec file with a misspelled key is refused with the key named.
+func TestSourceNeedsOneInput(t *testing.T) {
+	dir := t.TempDir()
+	bad := filepath.Join(dir, "bad.json")
+	spec := `{"arrival":{"process":"poisson","rate":40},"duration_sec":2,"seed":1,` +
+		`"mix":[{"kind":"status","weight":4}],"durration_sec":9}`
+	if err := os.WriteFile(bad, []byte(spec), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		specFile, replay string
+		want             []string
+	}{
+		{"", "", []string{"-spec", "-replay"}},
+		{bad, "trace.jsonl", []string{"-spec", "-replay"}},
+		{bad, "", []string{bad, `"durration_sec"`}},
+	} {
+		reqs, _, _, err := source(c.specFile, c.replay)
+		if err == nil || reqs != nil {
+			t.Errorf("source(%q, %q) = %d requests, err %v; want a refusal", c.specFile, c.replay, len(reqs), err)
+			continue
+		}
+		for _, w := range c.want {
+			if !strings.Contains(err.Error(), w) {
+				t.Errorf("source(%q, %q): err %q does not name %s", c.specFile, c.replay, err, w)
+			}
 		}
 	}
 }

@@ -11,6 +11,7 @@
 //	fdarun -model lenet5s -strategy SketchFDA -theta 0.05 -async -speeds 1,1,1,0.5,0.25
 //	fdarun -model lenet5s -strategy LinearFDA -async -scenario fedwan
 //	fdarun -model lenet5s -strategy LinearFDA -progress        # live sync/eval events
+//	fdarun -model lenet5s -strategy OracleFDA -store runs.d    # warm start from stored prefixes
 //
 // The run executes on a pluggable communication fabric:
 //
@@ -61,8 +62,7 @@ var (
 	worker   = fs.Bool("worker", false, "join a multi-process cluster as one worker (requires -connect; the coordinator supplies rank and job spec)")
 	connect  = fs.String("connect", "", "coordinator address for -worker")
 	coord    = fs.String("coordinator", "", "host a multi-process cluster on this address (e.g. :9000): wait for -k workers, drive the run, verify and print the result")
-	storeDir = fs.String("store", "", "run-registry directory holding trajectory-prefix snapshots for -warmstart")
-	warm     = fs.Bool("warmstart", false, "restore the longest stored trajectory prefix compatible with this run and publish new prefixes (needs -store; result is bit-identical to a cold run)")
+	storeDir = fs.String("store", "", "run-registry directory of trajectory-prefix snapshots: warm start from the longest stored prefix compatible with this run and publish new prefixes (result is bit-identical to a cold run)")
 	traceOut = fs.String("trace", "", "write a whole-run Chrome trace-event JSON (open in Perfetto) to this file and enable telemetry; results are bit-identical with or without it")
 	version  = fs.Bool("version", false, "print version information and exit")
 )
@@ -97,7 +97,7 @@ func parseFlags(args []string) {
 // and that is the sharing the prefix family machinery makes safe.
 func warmStart(sess *fda.Session, strat fda.Strategy) error {
 	if _, ok := strat.(core.PrefixSharer); !ok {
-		fmt.Fprintf(os.Stderr, "fdarun: %s does not share trajectory prefixes; -warmstart has no effect\n", strat.Name())
+		fmt.Fprintf(os.Stderr, "fdarun: %s does not share trajectory prefixes; -store has no effect, it runs cold\n", strat.Name())
 		return nil
 	}
 	st, err := runstore.Open(*storeDir)
@@ -184,8 +184,8 @@ func main() {
 		if *scenario != "" || *speeds != "" {
 			fatal(errors.New("-scenario and -speeds do not combine with -coordinator (the TCP fabric is the transport)"))
 		}
-		if *budget > 0 || *async {
-			fatal(errors.New("-budget and -async are not available in -coordinator mode"))
+		if *budget > 0 || *async || *storeDir != "" {
+			fatal(errors.New("-budget, -async and -store are not available in -coordinator mode"))
 		}
 		co, err := comm.ListenCoordinator(*coord, spec.K)
 		if err != nil {
@@ -237,12 +237,9 @@ func main() {
 	if sink := progressSink(*progress); sink != nil {
 		sess.Subscribe(sink)
 	}
-	if *warm {
-		if *storeDir == "" {
-			fatal(errors.New("-warmstart requires -store"))
-		}
+	if *storeDir != "" {
 		if cfg.Fabric != nil {
-			fatal(errors.New("-warmstart does not combine with -scenario or -speeds (virtual-clock state is outside prefix snapshots)"))
+			fatal(errors.New("-store does not combine with -scenario or -speeds (virtual-clock state is outside prefix snapshots)"))
 		}
 		if err := warmStart(sess, strat); err != nil {
 			fatal(err)

@@ -98,7 +98,7 @@ func runMain(t *testing.T, args ...string) string {
 // TestAsyncFlagsGolden pins what `fdarun -async` prints: the summary
 // line and the per-worker steps with the virtual clock, for the linear
 // estimator at equal speeds and the sketch estimator behind stragglers.
-// -warmstart runs async cold (it shares no prefixes), and -scenario
+// -store runs async cold (it shares no prefixes), and -scenario
 // paces its workers by the scenario's compute and link times.
 func TestAsyncFlagsGolden(t *testing.T) {
 	equal := []string{
@@ -110,7 +110,7 @@ func TestAsyncFlagsGolden(t *testing.T) {
 		lines []string
 	}{
 		{args: []string{"-model", "lenet5s", "-k", "3", "-steps", "40", "-async"}, lines: equal},
-		{args: []string{"-model", "lenet5s", "-k", "3", "-steps", "40", "-async", "-warmstart", "-store", t.TempDir()},
+		{args: []string{"-model", "lenet5s", "-k", "3", "-steps", "40", "-async", "-store", t.TempDir()},
 			lines: equal},
 		{args: []string{"-model", "lenet5s", "-k", "3", "-steps", "40", "-async", "-scenario", "fedwan"},
 			lines: []string{

@@ -62,7 +62,6 @@ func main() {
 		storeDir = flag.String("store", "fdaserve-store", "run-registry directory backing the service")
 		jobs     = flag.Int("jobs", runtime.GOMAXPROCS(0), "cap on concurrent sweep cells per run and on goroutines per local train job; every call widens into the idle cores (results are identical at any setting)")
 		fabric   = flag.String("fabric", "", "TCP-fabric listen address for distributed train jobs (e.g. :9000); empty disables them")
-		warm     = flag.Bool("warmstart", true, "reuse trajectory-prefix snapshots across sweep cells sharing a trajectory (records stay bit-identical; wall clock drops)")
 		ttl      = flag.Duration("session-ttl", 7*24*time.Hour, "expire prefix snapshots and train resume snapshots older than this at startup (0 disables the sweep)")
 		pprofOn  = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 		name     = flag.String("name", "", "replica identity reported on /v1/metrics and /v1/healthz (for fdagate clusters; default: the listen address)")
@@ -108,7 +107,6 @@ func main() {
 	}
 	s := newServer(st, replica, *jobs, baseCtx)
 	s.fabricAddr = *fabric
-	s.warm = *warm
 	s.accessLog = slog.New(slog.NewTextHandler(os.Stderr, nil))
 	s.pprof = *pprofOn
 	s.table.MaxQueue = *maxQueue

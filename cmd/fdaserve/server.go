@@ -50,8 +50,6 @@ type server struct {
 	// fabricAddr, when non-empty, is the TCP-fabric listen address for
 	// distributed train jobs (`fdarun -worker` processes connect here).
 	fabricAddr string
-	// warm enables trajectory-prefix snapshot reuse inside sweep jobs.
-	warm bool
 	// accessLog, when non-nil, receives one structured line per HTTP
 	// request from the HTTP shell.
 	accessLog *slog.Logger
@@ -291,7 +289,7 @@ func (s *server) sweep(ctx context.Context, j *jobs.Job, scale experiments.Scale
 		Jobs:  s.jobs,
 		Store: s.store,
 		Stats: (*experiments.SweepStats)(j.Stats),
-		Warm:  s.warm,
+		Warm:  true,
 		Ctx:   ctx,
 		Events: func(ce experiments.CellEvent) {
 			j.Publish("cell", map[string]any{

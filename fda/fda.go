@@ -12,9 +12,9 @@
 //     NewFedAvg/NewFedAvgM/NewFedAdam (and their *For constructors), and
 //     NewAsyncFDA for the coordinator-based asynchronous variant, which
 //     steps worker by worker on a simulated network's virtual clock,
-//   - the session API: NewSession over a Config (built as a literal or
-//     with NewConfig and the With* options) returns an incremental,
-//     cancellable, checkpointable run with a typed event stream,
+//   - the session API: NewSession over a Config (a struct literal)
+//     returns an incremental, cancellable, checkpointable run with a
+//     typed event stream,
 //   - the batch trainer: Run/MustRun — thin, bit-identical wrappers over
 //     a session,
 //   - substrates: neural networks (nn), optimizers (opt), synthetic
@@ -62,8 +62,7 @@ import (
 // Core training types.
 type (
 	// Config describes one training run; see core.Config. Construct it
-	// as a literal or with NewConfig and the With* options; Validate
-	// reports structured per-field errors.
+	// as a struct literal; Validate reports structured per-field errors.
 	Config = core.Config
 	// FieldError pinpoints one invalid Config field.
 	FieldError = core.FieldError

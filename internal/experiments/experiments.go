@@ -90,7 +90,8 @@ type Options struct {
 	// stored trajectory prefix compatible with the cell and runs only the
 	// divergent tail, publishing prefixes for sibling cells as it goes.
 	// Requires Store (ignored without one); records are bit-identical
-	// either way — warm starts change wall clock, never bytes.
+	// either way — warm starts change wall clock, never bytes — so every
+	// command sets it whenever it attaches a Store.
 	Warm bool
 	// WarmEvery is the prefix publication cadence in steps; 0 selects
 	// each cell's evaluation cadence.

@@ -100,7 +100,7 @@ func TestThetaSweepWarmMatchesCold(t *testing.T) {
 
 // TestWarmStartCadenceSingleDefault pins the publish-cadence fix: the
 // two warm-start entry points — WarmStart called directly with no
-// cadence (what fdarun -warmstart does) and runWarm (what sweep cells
+// cadence (what fdarun -store does) and runWarm (what sweep cells
 // do) — publish snapshots at the same step set for a config that
 // leaves EvalEvery to core's default, that set is the multiples of the
 // session's effective EvalEvery (the one place the default is written),

@@ -3,6 +3,7 @@ package workload
 import (
 	"bytes"
 	"encoding/json"
+	"strings"
 	"testing"
 )
 
@@ -141,6 +142,35 @@ func TestSpecValidate(t *testing.T) {
 		mutate(&s)
 		if err := s.Validate(); err == nil {
 			t.Errorf("case %d: Validate accepted an invalid spec", i)
+		}
+	}
+}
+
+// TestParseSpecStrict: a spec that names a key the grammar does not
+// define, at any depth, or carries data after its value is refused
+// with the offending key or the trailing data named; the same spec
+// spelled correctly parses.
+func TestParseSpecStrict(t *testing.T) {
+	const good = `{"arrival":{"process":"poisson","rate":40},"duration_sec":2,"seed":1,` +
+		`"mix":[{"kind":"train","weight":1,"train":{"model":"lenet5s","strategy":"LinearFDA","steps":10}},` +
+		`{"kind":"status","weight":4}]}`
+	if _, err := ParseSpec(strings.NewReader(good + "\n")); err != nil {
+		t.Fatalf("well-formed spec refused: %v", err)
+	}
+	cases := []struct {
+		name, spec, want string
+	}{
+		{"top-level key", strings.Replace(good, `"seed":1`, `"seed":1,"durration_sec":9`, 1), `"durration_sec"`},
+		{"arrival key", strings.Replace(good, `"rate":40`, `"rate":40,"on":1`, 1), `"on"`},
+		{"template key", strings.Replace(good, `"steps":10`, `"step":10`, 1), `"step"`},
+		{"trailing garbage", good + `}`, "trailing data"},
+		{"second value", good + good, "trailing data"},
+		{"invalid spec", strings.Replace(good, `"rate":40`, `"rate":0`, 1), "rate must be positive"},
+	}
+	for _, c := range cases {
+		_, err := ParseSpec(strings.NewReader(c.spec))
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: err = %v, want one containing %s", c.name, err, c.want)
 		}
 	}
 }

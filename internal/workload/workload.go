@@ -21,6 +21,7 @@ package workload
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 )
 
 // Kind identifies one request class over fdaserve's API surface.
@@ -85,6 +86,23 @@ type Spec struct {
 	// Seed addresses the schedule's random streams (arrival times and
 	// mix draws are decorrelated splits of it).
 	Seed uint64 `json:"seed"`
+}
+
+// ParseSpec reads one spec from r strictly: a key the Spec does not
+// define, at any depth, and any data after the value are errors, so a
+// misspelled setting fails loudly instead of silently taking its
+// default. The decoded spec must also Validate.
+func ParseSpec(r io.Reader) (Spec, error) {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	var s Spec
+	if err := dec.Decode(&s); err != nil {
+		return Spec{}, fmt.Errorf("workload: spec: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return Spec{}, fmt.Errorf("workload: spec: trailing data after the spec value")
+	}
+	return s, s.Validate()
 }
 
 // Validate checks the spec's static shape.
