@@ -195,7 +195,10 @@ const (
 	HeNormalInit      = nn.HeNormalInit
 )
 
-// Optimizers.
+// Optimizer is a local optimizer. LinearFDA's local state comes from its
+// Watch method, which every later Step must honour: an Optimizer written
+// outside this module with a no-op Watch leaves that state at zero, and
+// LinearFDA then never synchronizes.
 type Optimizer = opt.Optimizer
 
 var (

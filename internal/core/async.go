@@ -38,8 +38,9 @@ import (
 // steps and Result.Steps their maximum.
 type AsyncFDA struct {
 	// inner is the wrapped *LinearFDA or *SketchFDA: its per-worker body
-	// computes the moving worker's state, its states are the
-	// coordinator's latest state per worker, and its estimator is H.
+	// (or, for LinearFDA, the moving worker's local step) computes the
+	// moving worker's state, its states are the coordinator's latest
+	// state per worker, and its estimator is H.
 	inner      Strategy
 	fda        *fdaBase // inner's; nil when inner is not an FDA variant
 	clock      rankClock
@@ -141,13 +142,16 @@ func (a *AsyncFDA) AfterLocalStep(*Env, int) {
 }
 
 // coordinate is the coordinator's reaction to worker k's local step:
-// k's state upload (one-way, charged as state traffic), H over the
-// latest states, and a synchronization when H > Θ.
+// k's state (computed by the variant's body, or already by the step),
+// its upload (one-way, charged as state traffic), H over the latest
+// states, and a synchronization when H > Θ.
 //
 //fda:noalloc
 func (a *AsyncFDA) coordinate(env *Env, k int) {
 	b := a.fda
-	b.body(k, env.Workers[k])
+	if b.body != nil {
+		b.body(k, env.Workers[k])
+	}
 	env.Fabric.Meter().Charge("state", a.stateBytes)
 	tensor.Mean(b.meanSt, b.states...)
 	h := b.estimate()

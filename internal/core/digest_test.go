@@ -134,6 +134,12 @@ var pinnedDigests = map[string]string{
 	"TestStrategyDigestsMatchPinnedBuild/AsyncFDA/iid":         "79e50f7a580bbcf7",
 	"TestStrategyDigestsMatchPinnedBuild/AsyncFDA/label0":      "195cd95bb037cbbe",
 	"TestStrategyDigestsMatchPinnedBuild/AsyncFDA/dir0.5":      "08c1d8cb05a58b8f",
+
+	// testConfig(3), iid, 400 steps, captured before Adam skipped its
+	// division by 1 − β1ᵗ once that rounds to 1.
+	"TestStrategyDigestsMatchPinnedBuild/LinearFDA/long": "f2e9c56bfdb4ecda",
+	"TestStrategyDigestsMatchPinnedBuild/AsyncFDA/long":  "49b0cc0022ae0017",
+	"TestStrategyDigestsMatchPinnedBuild/LAG/long":       "24042fda542f9df2",
 }
 
 // checkPinned compares the calling (sub)test's digest with its pin.
@@ -212,23 +218,40 @@ func TestStrategyDigestsMatchPinnedBuild(t *testing.T) {
 	base := testConfig(3)
 	base.MaxSteps = 30
 	base.EvalEvery = 10
-	for name, mk := range parityStrategies(base) {
+	strategies := parityStrategies(base)
+	for name, mk := range strategies {
 		for het, h := range partitions {
 			t.Run(name+"/"+het, func(t *testing.T) {
 				cfg := base
 				cfg.Het = h
-				sess, err := NewSession(context.Background(), cfg, mk())
-				if err != nil {
-					t.Fatal(err)
-				}
-				var run asyncRun
-				sess.Subscribe(func(e Event) { run.events = append(run.events, e) })
-				run.res, run.err = sess.Run()
-				run.perWorker, run.virtual = run.res.StepsPerWorker, run.res.VirtualSec
-				run.global = make([]float64, sess.NumParams())
-				sess.GlobalModel(run.global)
-				checkPinned(t, asyncDigest(run), run.res)
+				checkStrategyDigest(t, cfg, mk())
 			})
 		}
 	}
+	// The long cells run past step 356, where Adam's 1 − β1ᵗ rounds to
+	// exactly 1, and far enough from LAG's start that its threshold
+	// decides rounds the 30-step cells never reach.
+	long := testConfig(3)
+	long.MaxSteps = 400
+	long.EvalEvery = 100
+	for _, name := range []string{"LinearFDA", "AsyncFDA", "LAG"} {
+		t.Run(name+"/long", func(t *testing.T) { checkStrategyDigest(t, long, strategies[name]()) })
+	}
+}
+
+// checkStrategyDigest runs strat on cfg and checks the run's digest,
+// final global model included, against the calling test's pin.
+func checkStrategyDigest(t *testing.T, cfg Config, strat Strategy) {
+	t.Helper()
+	sess, err := NewSession(context.Background(), cfg, strat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var run asyncRun
+	sess.Subscribe(func(e Event) { run.events = append(run.events, e) })
+	run.res, run.err = sess.Run()
+	run.perWorker, run.virtual = run.res.StepsPerWorker, run.res.VirtualSec
+	run.global = make([]float64, sess.NumParams())
+	sess.GlobalModel(run.global)
+	checkPinned(t, asyncDigest(run), run.res)
 }

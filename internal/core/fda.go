@@ -14,7 +14,8 @@ import (
 //
 // Per global step t each worker k:
 //
-//  1. computes its drift u^(k) = w^(k) − w_t0 and squared norm ‖u^(k)‖²,
+//  1. computes its drift u^(k) = w^(k) − w_t0 and squared norm ‖u^(k)‖²
+//     (LinearFDA inside its local step's optimizer sweep),
 //  2. builds the variant's local state S^(k),
 //  3. the states are AllReduce-averaged (charged as "state" traffic),
 //  4. all workers evaluate H(S̄); if H(S̄) > Θ the full models are
@@ -36,7 +37,8 @@ type fdaBase struct {
 	meanSt []float64   // S̄
 	// body computes worker i's state into states[i]; it is bound once at
 	// Init so the per-step dispatch closes over no per-call state and
-	// allocates nothing. estimate evaluates H over meanSt, and synced (nil
+	// allocates nothing. It is nil when the local step itself fills the
+	// state (LinearFDA). estimate evaluates H over meanSt, and synced (nil
 	// when the variant keeps no sync-dependent state) updates the variant
 	// after a model synchronization.
 	body     func(i int, w *Worker)
@@ -71,13 +73,15 @@ func (b *fdaBase) observe(h float64) {
 }
 
 // AfterLocalStep implements Strategy for every FDA variant. The
-// per-worker state computations are independent and fan out through
-// ForEachWorker; the state AllReduce reduces in worker order on this
-// goroutine.
+// per-worker state computations, where the variant has any, are
+// independent and fan out through ForEachWorker; the state AllReduce
+// reduces in worker order on this goroutine.
 //
 //fda:noalloc
 func (b *fdaBase) AfterLocalStep(env *Env, _ int) {
-	env.ForEachWorker(b.body)
+	if b.body != nil {
+		env.ForEachWorker(b.body)
+	}
 	env.Fabric.AllReduceMean("state", b.meanSt, b.states)
 	h := b.estimate()
 	b.observe(h)
@@ -218,8 +222,12 @@ func (l *LinearFDA) Init(env *Env) {
 		tensor.Normalize(l.xi)
 	}
 	l.initStates(len(env.Workers), 2)
-	l.body = func(i int, w *Worker) {
-		l.states[i][0], l.states[i][1] = w.DriftState(env.W0, l.xi)
+	// The state comes out of each worker's own update sweep: its
+	// optimizer writes (‖u‖², ⟨ξ, u⟩) of the updated model into states[i]
+	// at every local step. W0 is watched through its field, because sync
+	// points swap the slice between two arenas. No per-worker body is left.
+	for i, w := range env.Workers {
+		w.Opt.Watch(&env.W0, l.xi, l.states[i])
 	}
 	l.estimate = func() float64 { return l.meanSt[0] - l.meanSt[1]*l.meanSt[1] }
 	l.synced = func() {

@@ -3,11 +3,14 @@ package core
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"math"
 	"reflect"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/compress"
 	"repro/internal/data"
+	"repro/internal/opt"
 	"repro/internal/par"
 )
 
@@ -129,5 +132,62 @@ func TestParallelRunParityHeterogeneous(t *testing.T) {
 	got := MustRun(par, NewSketchFDA(0.1))
 	if !reflect.DeepEqual(seq, got) {
 		t.Fatalf("heterogeneous run diverged under parallelism:\nseq: %v\npar: %v", seq, got)
+	}
+}
+
+// stepOnlyOptimizer has the shape of a tracing decorator: it embeds
+// opt.Optimizer and overrides Step alone, counting the calls. Every
+// other method, Watch included, is the embedded optimizer's.
+type stepOnlyOptimizer struct {
+	opt.Optimizer
+	steps *atomic.Int64
+}
+
+func (o *stepOnlyOptimizer) Step(params, grads []float64) {
+	o.steps.Add(1)
+	o.Optimizer.Step(params, grads)
+}
+
+// TestWrappedOptimizerRunsFusedSweep: LinearFDA's state comes out of the
+// optimizer's Step, reached through the Optimizer interface, so a
+// decorator that overrides only Step still runs the fused sweep inside
+// its own Step. Wrapped and bare runs of LinearFDA and asynchronous FDA
+// must agree on the Result and the global model's bits, and the wrapper
+// must see every local step.
+func TestWrappedOptimizerRunsFusedSweep(t *testing.T) {
+	base := testConfig(5)
+	base.MaxSteps = 40
+	base.EvalEvery = 20
+	for name, mk := range map[string]func() Strategy{
+		"LinearFDA": func() Strategy { return NewLinearFDA(0.1) },
+		"AsyncFDA":  func() Strategy { return NewAsyncFDA(NewLinearFDA(0.1)) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			wantRes, wantModel := fabricRun(t, base, mk, nil)
+			var steps atomic.Int64
+			wrapped := base
+			wrapped.Optimizer = func() opt.Optimizer {
+				return &stepOnlyOptimizer{Optimizer: base.Optimizer(), steps: &steps}
+			}
+			gotRes, gotModel := fabricRun(t, wrapped, mk, nil)
+			if !reflect.DeepEqual(gotRes, wantRes) {
+				t.Fatalf("wrapped run diverged:\nwant: %v\ngot:  %v", wantRes, gotRes)
+			}
+			for i := range wantModel {
+				if math.Float64bits(gotModel[i]) != math.Float64bits(wantModel[i]) {
+					t.Fatalf("global model[%d] = %v wrapped, %v bare", i, gotModel[i], wantModel[i])
+				}
+			}
+			local := int64(gotRes.Steps * base.K)
+			if gotRes.StepsPerWorker != nil {
+				local = 0
+				for _, n := range gotRes.StepsPerWorker {
+					local += int64(n)
+				}
+			}
+			if steps.Load() != local || local == 0 {
+				t.Fatalf("wrapper saw %d Step calls, the run took %d local steps", steps.Load(), local)
+			}
+		})
 	}
 }

@@ -659,6 +659,11 @@ func (s *Session) Restore(snap *checkpoint.Snapshot) error {
 		// The live optimizer's own snapshot declares the expected shapes.
 		liveVecs, liveCounters := snapOpt.StateSnapshot()
 		vecs, counters := stateAt(snap, fmt.Sprintf("w%d.opt", k), len(liveVecs), len(liveCounters))
+		for i, v := range vecs {
+			if len(v) != 0 && len(v) != env.D {
+				return fmt.Errorf("core: snapshot w%d.opt.v%d (worker %d optimizer state) length %d, want 0 or %d", k, i, k, len(v), env.D)
+			}
+		}
 		if err := snapOpt.RestoreState(vecs, counters); err != nil {
 			return fmt.Errorf("core: worker %d optimizer: %w", k, err)
 		}

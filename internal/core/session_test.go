@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/checkpoint"
+	"repro/internal/opt"
 )
 
 // TestSessionStepMatchesRun drives a session manually and checks the
@@ -369,6 +370,50 @@ func TestSessionRestoreRejectsMismatch(t *testing.T) {
 	}
 	if err := stepped.Restore(snap); err == nil {
 		t.Fatal("Restore accepted on an already-stepped session")
+	}
+}
+
+// TestSessionRestoreRejectsOptimizerState: a snapshot whose optimizer
+// vectors are cut short, or which carries one of Adam's two moments
+// without the other, is refused at Restore with the worker and vector
+// named — not restored, to panic in the next Step's update sweep.
+func TestSessionRestoreRejectsOptimizerState(t *testing.T) {
+	cases := []struct {
+		name    string
+		opt     opt.Factory
+		corrupt func(sections map[string][]float64)
+		want    string
+	}{
+		{"adam/short", opt.NewAdam(1e-3), func(s map[string][]float64) { s["w0.opt.v0"] = s["w0.opt.v0"][:3] }, "w0.opt.v0"},
+		{"adam/one-moment", opt.NewAdam(1e-3), func(s map[string][]float64) { delete(s, "w2.opt.v1") }, "worker 2"},
+		{"momentum/short", opt.NewSGDMomentum(0.05, 0.9), func(s map[string][]float64) { s["w1.opt.v0"] = s["w1.opt.v0"][:3] }, "w1.opt.v0"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			cfg := testConfig(1)
+			cfg.Optimizer = c.opt
+			sess, err := NewSession(context.Background(), cfg, NewLinearFDA(0.1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 3; i++ {
+				if _, err := sess.Step(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			snap, err := sess.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.corrupt(snap.Sections)
+			resumed, err := NewSession(context.Background(), cfg, NewLinearFDA(0.1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := resumed.Restore(snap); err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("Restore of a corrupted optimizer state returned %v, want an error naming %q", err, c.want)
+			}
+		})
 	}
 }
 

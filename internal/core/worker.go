@@ -57,16 +57,6 @@ func (w *Worker) DriftSquaredNorm(w0 []float64) ([]float64, float64) {
 	return w.drift, sq
 }
 
-// DriftState recomputes the drift and returns LinearFDA's local state
-// (‖u‖², ⟨ξ, u⟩) from the same single sweep — two independent
-// left-to-right sums, bit-identical to DriftSquaredNorm followed by
-// tensor.Dot(xi, u).
-//
-//fda:noalloc
-func (w *Worker) DriftState(w0, xi []float64) (sq, dot float64) {
-	return tensor.SubThenSquaredNormDot(w.drift, w.Net.Params(), w0, xi)
-}
-
 // Env is the shared state a strategy operates on: the communication
 // fabric, this process's workers, and the models at the last two
 // synchronization points (w_t0 and w_t−1 in the paper's notation,

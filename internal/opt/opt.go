@@ -21,10 +21,44 @@ type Optimizer interface {
 	// Step applies one update. params and grads must have equal lengths,
 	// constant across calls (state buffers are sized on first use).
 	Step(params, grads []float64)
-	// Reset clears internal state (moments, step counters).
+	// Reset clears internal state (moments, step counters). A watch
+	// stays set.
 	Reset()
 	// Name identifies the optimizer for logs and experiment tables.
 	Name() string
+	// Watch makes every later Step also report the drift of the updated
+	// parameters p from the vector *w0 points to, read anew at each Step:
+	// out[0] = ‖p − *w0‖² and out[1] = ⟨xi, p − *w0⟩, each summed left to
+	// right. Adam computes both inside its update sweep, so the watcher
+	// (LinearFDA's local state) costs no second pass over the model. A nil
+	// w0 removes the watch. Every implementation must honour it: LinearFDA
+	// reads its state nowhere else.
+	Watch(w0 *[]float64, xi, out []float64)
+}
+
+// watch is the state behind Optimizer.Watch; every optimizer embeds it.
+type watch struct {
+	w0      *[]float64
+	xi, out []float64
+}
+
+// Watch implements Optimizer.
+func (w *watch) Watch(w0 *[]float64, xi, out []float64) { *w = watch{w0, xi, out} }
+
+// target returns the watched w0 and xi, nil when no watch is set.
+func (w *watch) target() (w0, xi []float64) {
+	if w.w0 == nil {
+		return nil, nil
+	}
+	return *w.w0, w.xi
+}
+
+// report writes the drift of p after a Step that has no fused sweep of
+// its own: one read-only pass, summed as Adam's watched sweep sums.
+func (w *watch) report(p []float64) {
+	if w0, xi := w.target(); w0 != nil {
+		w.out[0], w.out[1] = tensor.DriftSums(p, w0, xi)
+	}
 }
 
 // Factory builds a fresh optimizer; each simulated worker gets its own
@@ -53,6 +87,8 @@ type Snapshotter interface {
 type SGD struct {
 	LR          float64
 	WeightDecay float64
+
+	watch
 }
 
 // NewSGD returns an SGD factory.
@@ -67,12 +103,13 @@ func (o *SGD) Step(params, grads []float64) {
 	checkLens(params, grads)
 	if o.WeightDecay == 0 {
 		tensor.AXPY(-o.LR, grads, params)
-		return
+	} else {
+		lr, wd := o.LR, o.WeightDecay
+		for i, g := range grads {
+			params[i] -= lr * (g + wd*params[i])
+		}
 	}
-	lr, wd := o.LR, o.WeightDecay
-	for i, g := range grads {
-		params[i] -= lr * (g + wd*params[i])
-	}
+	o.report(params)
 }
 
 // Reset implements Optimizer.
@@ -102,6 +139,7 @@ type Momentum struct {
 	WeightDecay float64
 
 	velocity []float64
+	watch
 }
 
 // NewSGDMomentum returns a classical-momentum factory.
@@ -154,6 +192,7 @@ func (o *Momentum) Step(params, grads []float64) {
 			params[i] -= lr * (g + mu*vi)
 		}
 	}
+	o.report(params)
 }
 
 // Reset implements Optimizer.
@@ -194,6 +233,7 @@ type Adam struct {
 
 	m, v []float64
 	t    int
+	watch
 }
 
 // NewAdam returns an Adam factory with the default hyper-parameters from
@@ -215,7 +255,8 @@ func NewAdamW(lr, weightDecay float64) Factory {
 	}
 }
 
-// Step implements Optimizer.
+// Step implements Optimizer. A watch rides the update sweep
+// (tensor.AdamStep).
 func (o *Adam) Step(params, grads []float64) {
 	checkLens(params, grads)
 	if o.m == nil {
@@ -236,7 +277,11 @@ func (o *Adam) Step(params, grads []float64) {
 			coupledWD = o.WeightDecay
 		}
 	}
-	tensor.AdamStep(params, grads, o.m, o.v, o.Beta1, o.Beta2, o.LR, o.Eps, b1c, b2c, coupledWD, decoupledWD)
+	w0, xi := o.target()
+	sq, dot := tensor.AdamStep(params, grads, o.m, o.v, o.Beta1, o.Beta2, o.LR, o.Eps, b1c, b2c, coupledWD, decoupledWD, w0, xi)
+	if w0 != nil {
+		o.out[0], o.out[1] = sq, dot
+	}
 }
 
 // Reset implements Optimizer.
@@ -255,6 +300,9 @@ func (o *Adam) StateSnapshot() ([][]float64, []uint64) {
 func (o *Adam) RestoreState(vecs [][]float64, counters []uint64) error {
 	if len(vecs) != 2 || len(counters) != 1 {
 		return fmt.Errorf("opt: adam snapshot shape %d/%d", len(vecs), len(counters))
+	}
+	if (len(vecs[0]) == 0) != (len(vecs[1]) == 0) {
+		return fmt.Errorf("opt: adam snapshot has one moment of length %d and one of length %d", len(vecs[0]), len(vecs[1]))
 	}
 	o.m = cloneOrNil(vecs[0])
 	o.v = cloneOrNil(vecs[1])

@@ -192,11 +192,16 @@ func TestLengthMismatchPanics(t *testing.T) {
 // TestAdamStepMatchesScalarLoopExactly pins Adam.Step — bias corrections,
 // weight-decay mode selection and the tensor.AdamStep kernel behind it,
 // assembly included — to the element loop Step ran before the kernel
-// existed: 50 consecutive updates of a 1003-element vector (a vector main
+// existed: 400 consecutive updates of a 1003-element vector (a vector main
 // loop plus a three-element tail) for Adam, coupled-decay Adam and AdamW,
 // every parameter and both moments compared with == after every update.
+// From step 356 on 1 − β1ᵗ rounds to 1 and the kernel skips its division,
+// which the loop here still performs.
 func TestAdamStepMatchesScalarLoopExactly(t *testing.T) {
-	const n, steps = 1003, 50
+	const n, steps = 1003, 400
+	if 1-math.Pow(0.9, 355) == 1 || 1-math.Pow(0.9, 356) != 1 {
+		t.Fatal("1 − 0.9ᵗ no longer first rounds to 1 at t = 356")
+	}
 	for _, o := range []*Adam{
 		NewAdam(1e-3)().(*Adam),
 		{LR: 2e-3, Beta1: 0.9, Beta2: 0.999, Eps: 1e-7, WeightDecay: 1e-2},
@@ -233,6 +238,54 @@ func TestAdamStepMatchesScalarLoopExactly(t *testing.T) {
 						o.Name(), o.WeightDecay, step, i, params[i], vecs[0][i], vecs[1][i], wantP[i], wantM[i], wantV[i])
 				}
 			}
+		}
+	}
+}
+
+// TestWatchReportsDriftOfUpdatedParams: every optimizer's watched Step
+// writes ‖p − w0‖² and ⟨ξ, p − w0⟩ of the updated p, summed left to right
+// as a scalar loop sums them, reads w0 through its pointer at each Step
+// (the caller swaps the slice between steps) and stops writing once the
+// watch is removed.
+func TestWatchReportsDriftOfUpdatedParams(t *testing.T) {
+	const n = 1003
+	for _, o := range []Optimizer{
+		&SGD{LR: 0.1},
+		&SGD{LR: 0.1, WeightDecay: 1e-2},
+		NewSGDMomentum(0.1, 0.9)(),
+		NewSGDNesterov(0.1, 0.9, 1e-2)(),
+		NewAdam(1e-3)(),
+		&Adam{LR: 2e-3, Beta1: 0.9, Beta2: 0.999, Eps: 1e-7, WeightDecay: 1e-2},
+		NewAdamW(1e-3, 5e-2)(),
+	} {
+		rng := tensor.NewRNG(78)
+		params, g, xi := make([]float64, n), make([]float64, n), make([]float64, n)
+		tensor.Normal(rng, params, 0, 1)
+		tensor.Normal(rng, xi, 0, 1)
+		arenas := [2][]float64{tensor.Clone(params), make([]float64, n)}
+		tensor.Normal(rng, arenas[1], 0, 1)
+		w0 := arenas[0]
+		out := make([]float64, 2)
+		o.Watch(&w0, xi, out)
+		for step := 1; step <= 4; step++ {
+			w0 = arenas[step%2]
+			tensor.Normal(rng, g, 0, 0.1)
+			o.Step(params, g)
+			var sq, dot float64
+			for i := range params {
+				d := params[i] - w0[i]
+				sq += d * d
+				dot += xi[i] * d
+			}
+			if math.Float64bits(out[0]) != math.Float64bits(sq) || math.Float64bits(out[1]) != math.Float64bits(dot) {
+				t.Fatalf("%s step %d: watch reported (%v, %v), scalar loop (%v, %v)", o.Name(), step, out[0], out[1], sq, dot)
+			}
+		}
+		o.Watch(nil, nil, nil)
+		out[0], out[1] = -1, -1
+		o.Step(params, g)
+		if out[0] != -1 || out[1] != -1 {
+			t.Fatalf("%s wrote %v after its watch was removed", o.Name(), out)
 		}
 	}
 }

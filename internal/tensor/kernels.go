@@ -19,9 +19,10 @@
 // accumulators, no FMA — DESIGN.md §7). The Go loops remain the
 // specification, the path for short vectors, and the only path on other
 // architectures and under -tags purego. Dot, Sum, SquaredNorm,
-// SubThenSquaredNorm and SubThenSquaredNormDot feed one accumulator per
-// result and have no bit-identical vector form; they stay scalar
-// everywhere.
+// SubThenSquaredNorm and DriftSums feed one accumulator per result and
+// have no bit-identical vector form; they stay scalar everywhere. AdamStep's
+// watched drift sums are ordered sums too: its assembly adds them one
+// element at a time, in index order.
 package tensor
 
 import (
@@ -124,46 +125,18 @@ func SubThenSquaredNorm(dst, a, b []float64) float64 {
 	return s
 }
 
-// SubThenSquaredNormDot stores a−b into dst and returns ‖dst‖² and
-// ⟨xi, dst⟩ — LinearFDA's whole local state in one sweep over the model
-// instead of two. The two sums are independent accumulators, each fed
-// left to right, so the results equal SubThenSquaredNorm(dst, a, b)
-// followed by Dot(xi, dst) bit for bit; side by side their add latencies
-// overlap, which is all the speed a strictly ordered sum can gain. dst
-// may alias a or b, not xi.
+// DriftSums returns ‖p − w0‖² and ⟨xi, p − w0⟩ without storing the drift:
+// two independent accumulators, each fed left to right, so they give the
+// bits of AdamStep's watched sums. It is the watch of the optimizers
+// whose update sweep has no fused form (opt.SGD, opt.Momentum).
 //
 //fda:noalloc
-func SubThenSquaredNormDot(dst, a, b, xi []float64) (sq, dot float64) {
-	checkLen("SubThenSquaredNormDot", a, b)
-	checkLen("SubThenSquaredNormDot", dst, a)
-	checkLen("SubThenSquaredNormDot", xi, a)
-	// Resliced to one length, the unrolled body below needs no bounds
-	// checks: at nine instructions an element the sweep is bound by issue
-	// width, not by the two add chains, so each check removed is time.
-	n := len(dst)
-	a, b, xi = a[:n], b[:n], xi[:n]
-	i := 0
-	for ; i <= n-4; i += 4 {
-		d0 := a[i] - b[i]
-		dst[i] = d0
-		sq += d0 * d0
-		dot += xi[i] * d0
-		d1 := a[i+1] - b[i+1]
-		dst[i+1] = d1
-		sq += d1 * d1
-		dot += xi[i+1] * d1
-		d2 := a[i+2] - b[i+2]
-		dst[i+2] = d2
-		sq += d2 * d2
-		dot += xi[i+2] * d2
-		d3 := a[i+3] - b[i+3]
-		dst[i+3] = d3
-		sq += d3 * d3
-		dot += xi[i+3] * d3
-	}
-	for ; i < n; i++ {
-		d := a[i] - b[i]
-		dst[i] = d
+func DriftSums(p, w0, xi []float64) (sq, dot float64) {
+	checkLen("DriftSums", w0, p)
+	checkLen("DriftSums", xi, p)
+	w0, xi = w0[:len(p)], xi[:len(p)]
+	for i, pi := range p {
+		d := pi - w0[i]
 		sq += d * d
 		dot += xi[i] * d
 	}
@@ -609,19 +582,29 @@ func Dot4x2(a, b, x0, x1, x2, x3 []float64) (s0, s1, s2, s3, t0, t1, t2, t3 floa
 // decoupledWD applies AdamW's decay to the updated weight. grads is only
 // read; the four vectors must not overlap. The expression shapes —
 // ((1−b2)·g)·g, (lr·(m/b1c)) / (√(v/b2c)+eps), (lr·wd)·p — are the
-// specification the assembly reproduces operation for operation.
+// specification the assembly reproduces operation for operation. Once
+// b1c rounds to exactly 1 (t ≥ 356 for β1 = 0.9) the division by it is
+// skipped: x/1 is x for every value the moment update can produce.
+//
+// A non-nil w0 sets a watch: the sweep also returns the drift of the
+// updated weights, sq = ‖p − w0‖² and dot = ⟨xi, p − w0⟩, each summed left
+// to right in its own accumulator — LinearFDA's local state without a
+// second pass over the model. w0 and xi are only read and must not
+// overlap params, m or v. With w0 nil both sums are zero.
 //
 //fda:noalloc
-func AdamStep(params, grads, m, v []float64, b1, b2, lr, eps, b1c, b2c, coupledWD, decoupledWD float64) {
+func AdamStep(params, grads, m, v []float64, b1, b2, lr, eps, b1c, b2c, coupledWD, decoupledWD float64, w0, xi []float64) (sq, dot float64) {
 	n := len(params)
-	if len(grads) != n || len(m) != n || len(v) != n {
+	watch := w0 != nil
+	if len(grads) != n || len(m) != n || len(v) != n || watch && (len(w0) != n || len(xi) != n) {
 		checkLen("AdamStep", grads, params)
 		checkLen("AdamStep", m, params)
 		checkLen("AdamStep", v, params)
+		checkLen("AdamStep", w0, params)
+		checkLen("AdamStep", xi, params)
 	}
 	if useAVX2 && n >= simdMinLen {
-		adamAVX2(params, grads, m, v, b1, b2, lr, eps, b1c, b2c, coupledWD, decoupledWD)
-		return
+		return adamAVX2(params, grads, m, v, b1, b2, lr, eps, b1c, b2c, coupledWD, decoupledWD, w0, xi)
 	}
 	for i, g := range grads {
 		if coupledWD != 0 {
@@ -631,9 +614,19 @@ func AdamStep(params, grads, m, v []float64, b1, b2, lr, eps, b1c, b2c, coupledW
 		vi := b2*v[i] + (1-b2)*g*g
 		m[i] = mi
 		v[i] = vi
-		params[i] -= lr * (mi / b1c) / (math.Sqrt(vi/b2c) + eps)
+		if b1c != 1 {
+			mi /= b1c
+		}
+		p := params[i] - lr*mi/(math.Sqrt(vi/b2c)+eps)
 		if decoupledWD != 0 {
-			params[i] -= lr * decoupledWD * params[i]
+			p -= lr * decoupledWD * p
+		}
+		params[i] = p
+		if watch {
+			d := p - w0[i]
+			sq += d * d
+			dot += xi[i] * d
 		}
 	}
+	return sq, dot
 }

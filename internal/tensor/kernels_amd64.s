@@ -402,20 +402,30 @@ dot4x2_done:
 	VZEROUPPER
 	RET
 
-// func adamAVX2(params, grads, m, v []float64, b1, b2, lr, eps, b1c, b2c, coupledWD, decoupledWD float64)
+// func adamAVX2(params, grads, m, v []float64, b1, b2, lr, eps, b1c, b2c, coupledWD, decoupledWD float64, w0, xi []float64) (sq, dot float64)
 // One Adam update per element, i < len(params), in the evaluation order of
-// adamGo: g += cwd*p (only if cwd != 0); m = b1*m + (1-b1)*g;
-// v = b2*v + ((1-b2)*g)*g; p -= (lr*(m/b1c)) / (sqrt(v/b2c) + eps);
-// p -= (lr*dwd)*p (only if dwd != 0). Lanes are elements. R12/R13 are
-// non-zero iff cwd/dwd != 0 in Go's sense (a shift drops the sign bit, so
-// ±0 is zero and NaN is not).
-TEXT ·adamAVX2(SB), NOSPLIT, $0-160
+// AdamStep's Go loop: g += cwd*p (only if cwd != 0); m = b1*m + (1-b1)*g;
+// v = b2*v + ((1-b2)*g)*g; p -= (lr*(m/b1c)) / (sqrt(v/b2c) + eps), the
+// division by b1c skipped when b1c is exactly 1; p -= (lr*dwd)*p (only if
+// dwd != 0). Lanes are elements. R12/R13 are non-zero iff cwd/dwd != 0 in
+// Go's sense (a shift drops the sign bit, so ±0 is zero and NaN is not);
+// R14 is zero iff b1c's bits are 1.0's.
+//
+// With w0 non-nil (R10) each updated p also feeds the watch: u = p - w0,
+// sq += u*u and dot += xi*u, element by element. X5 holds the pair
+// [sq, dot]: one 128-bit add of [u*u, xi*u] advances both sums by one
+// element, so each lane is its own left-to-right sum from +0.
+TEXT ·adamAVX2(SB), NOSPLIT, $0-224
 	MOVQ params_base+0(FP), DI
 	MOVQ params_len+8(FP), CX
 	MOVQ grads_base+24(FP), SI
 	MOVQ m_base+48(FP), R8
 	MOVQ v_base+72(FP), R9
+	MOVQ w0_base+160(FP), R10
+	MOVQ xi_base+184(FP), R11
 	MOVQ $0x3FF0000000000000, AX
+	MOVQ b1c+128(FP), R14
+	SUBQ AX, R14
 	VMOVQ AX, X5
 	VMOVSD b1+96(FP), X8
 	VSUBSD X8, X5, X9
@@ -434,6 +444,7 @@ TEXT ·adamAVX2(SB), NOSPLIT, $0-160
 	VBROADCASTSD eps+120(FP), Y13
 	VBROADCASTSD b1c+128(FP), Y14
 	VBROADCASTSD b2c+136(FP), Y15
+	VXORPD Y5, Y5, Y5
 	MOVQ coupledWD+144(FP), R12
 	SHLQ $1, R12
 	MOVQ decoupledWD+152(FP), R13
@@ -460,7 +471,11 @@ adam_moments4:
 	VMULPD  Y0, Y4, Y4
 	VADDPD  Y4, Y3, Y3
 	VMOVUPD Y3, (R9)(AX*8)
+	TESTQ   R14, R14
+	JZ      adam_step4
 	VDIVPD  Y14, Y2, Y2
+
+adam_step4:
 	VMULPD  Y2, Y12, Y2
 	VDIVPD  Y15, Y3, Y3
 	VSQRTPD Y3, Y3
@@ -474,6 +489,21 @@ adam_moments4:
 
 adam_store4:
 	VMOVUPD Y1, (DI)(AX*8)
+	TESTQ   R10, R10
+	JZ      adam_next4
+	VSUBPD  (R10)(AX*8), Y1, Y0
+	VMULPD  Y0, Y0, Y2
+	VMULPD  (R11)(AX*8), Y0, Y3
+	VUNPCKLPD Y3, Y2, Y4
+	VUNPCKHPD Y3, Y2, Y0
+	VADDPD  X4, X5, X5
+	VADDPD  X0, X5, X5
+	VEXTRACTF128 $1, Y4, X4
+	VADDPD  X4, X5, X5
+	VEXTRACTF128 $1, Y0, X0
+	VADDPD  X0, X5, X5
+
+adam_next4:
 	ADDQ    $4, AX
 	CMPQ    AX, CX
 	JLE     adam_loop4
@@ -501,7 +531,11 @@ adam_moments1:
 	VMULSD  X0, X4, X4
 	VADDSD  X4, X3, X3
 	VMOVSD  X3, (R9)(AX*8)
+	TESTQ   R14, R14
+	JZ      adam_step1
 	VDIVSD  X14, X2, X2
+
+adam_step1:
 	VMULSD  X2, X12, X2
 	VDIVSD  X15, X3, X3
 	VSQRTSD X3, X3, X3
@@ -515,11 +549,21 @@ adam_moments1:
 
 adam_store1:
 	VMOVSD X1, (DI)(AX*8)
+	TESTQ  R10, R10
+	JZ     adam_next1
+	VSUBSD (R10)(AX*8), X1, X0
+	VMULSD X0, X0, X2
+	VMULSD (R11)(AX*8), X0, X3
+	VUNPCKLPD X3, X2, X4
+	VADDPD X4, X5, X5
+
+adam_next1:
 	INCQ   AX
 	CMPQ   AX, CX
 	JL     adam_loop1
 
 adam_done:
+	VMOVUPD X5, sq+208(FP)
 	VZEROUPPER
 	RET
 

@@ -21,7 +21,6 @@ func init() {
 		axpy4x2Kernel("axpy4x2AVX2-g18s72", axpy4x2AVX2, 18, 72),
 		dot4Kernel("dot4AVX2", dot4AVX2),
 		dot4x2Kernel("dot4x2AVX2", dot4x2AVX2),
-		adamKernel("adamAVX2", adamAVX2),
 		scaleKernel("scaleAVX2", scaleAVX2),
 		scaleAddKernel("scaleAddAVX2", scaleAddAVX2),
 		axpyToKernel("axpyToAVX2", axpyToAVX2),
@@ -31,5 +30,6 @@ func init() {
 		maskedKernel("maskedCopyAVX2", maskedCopyAVX2, false),
 		maskedKernel("maskedAddAVX2", maskedAddAVX2, true),
 	)
+	simdKernels = append(simdKernels, adamKernels("adamAVX2", adamAVX2)...)
 	simdKernels = append(simdKernels, leKernels("AVX2", encodeLEAVX2, decodeLEAVX2, addScaleLEAVX2)...)
 }

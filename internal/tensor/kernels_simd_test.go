@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -36,7 +37,7 @@ type simdKernel struct {
 
 // simdKernels is the matrix; kernels_amd64_test.go appends the raw
 // assembly routines to it through the same constructors.
-var simdKernels = append([]simdKernel{
+var simdKernels = slices.Concat([]simdKernel{
 	axpyKernel("AXPY", AXPY),
 	axpy4Kernel("AXPY4", AXPY4),
 	axpy4x2Kernel("AXPY4x2", AXPY4x2, 1, 1),
@@ -46,7 +47,6 @@ var simdKernels = append([]simdKernel{
 	axpy4x2Kernel("AXPY4x2-g18s72", AXPY4x2, 18, 72),
 	dot4Kernel("Dot4", Dot4),
 	dot4x2Kernel("Dot4x2", Dot4x2),
-	adamKernel("AdamStep", AdamStep),
 	scaleKernel("Scale", Scale),
 	scaleAddKernel("ScaleAdd", ScaleAdd),
 	axpyToKernel("AXPYTo", AXPYTo),
@@ -55,11 +55,12 @@ var simdKernels = append([]simdKernel{
 	maskedKernel("MaskedCopy", MaskedCopy, false),
 	maskedKernel("MaskedAdd", MaskedAdd, true),
 	{
-		name: "SubThenSquaredNormDot", vecs: 4, alias: [][2]int{{0, 1}, {0, 2}}, oracle: oracleSubThenSquaredNormDot,
+		name: "DriftSums", vecs: 3, alias: [][2]int{{1, 2}},
 		run: func(v [][]float64, _ []float64) []float64 {
-			sq, dot := SubThenSquaredNormDot(v[0], v[1], v[2], v[3])
+			sq, dot := DriftSums(v[0], v[1], v[2])
 			return []float64{sq, dot}
 		},
+		oracle: func(v [][]float64, _ []float64) []float64 { return oracleDrift(v[0], v[1], v[2]) },
 	},
 	dot4x8Kernel("MatVec4x8", func(dst []float64, stride int, w, x []float64, n int) {
 		// Four rows, eight samples: one full tile where the assembly is
@@ -70,7 +71,7 @@ var simdKernels = append([]simdKernel{
 			copy(dst[s*stride:s*stride+4], out[4*s:4*s+4])
 		}
 	}),
-}, leKernels("", EncodeLE, DecodeLE, AddScaleLE)...)
+}, adamKernels("AdamStep", AdamStep), leKernels("", EncodeLE, DecodeLE, AddScaleLE))
 
 // One constructor per kernel signature: operand counts, permitted
 // aliasing and the oracle are stated once, whichever implementation f is.
@@ -137,14 +138,70 @@ func dot4x2Kernel(name string, f func(a, b, x0, x1, x2, x3 []float64) (s0, s1, s
 	}
 }
 
-func adamKernel(name string, f func(params, grads, m, v []float64, b1, b2, lr, eps, b1c, b2c, coupledWD, decoupledWD float64)) simdKernel {
-	return simdKernel{
-		name: name, vecs: 4, scalars: 8, oracle: oracleAdam,
-		run: func(v [][]float64, c []float64) []float64 {
-			f(v[0], v[1], v[2], v[3], c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7])
-			return nil
-		},
+// adamFunc is AdamStep's signature, shared by its assembly body.
+type adamFunc func(params, grads, m, v []float64, b1, b2, lr, eps, b1c, b2c, coupledWD, decoupledWD float64, w0, xi []float64) (sq, dot float64)
+
+// adamKernels puts f in the matrix once per weight-decay mode — each
+// (coupledWD, decoupledWD) pair from {0, non-zero}², named by its
+// suffix (none, /coupled, /decoupled, /both) — with the watch off and on,
+// and with b1c drawn or exactly 1 (/b1c=1), where the division by it is
+// skipped. All eight scalars are drawn — b1, b2, lr, eps, b1c, b2c,
+// coupledWD, decoupledWD — so specials reach each of them; an entry
+// overrides only what its name fixes. A decay that is off keeps the sign
+// of its drawn value, so both ±0 meet the kernel's zero test; one that is
+// on keeps its drawn value unless that is ±0, which becomes 1e-2.
+// Vectors: params, grads, m, v and, watched, w0 and xi, which may be one
+// slice. Unwatched, both sums must be +0.
+func adamKernels(name string, f adamFunc) []simdKernel {
+	var ks []simdKernel
+	for mode, wd := range []string{"", "/coupled", "/decoupled", "/both"} {
+		on := [2]bool{mode&1 != 0, mode&2 != 0}
+		for _, watch := range []bool{false, true} {
+			for _, unit := range []bool{false, true} {
+				k := simdKernel{name: name + wd, vecs: 4, scalars: 8}
+				if watch {
+					k.name += "/watched"
+					k.vecs, k.alias = 6, [][2]int{{4, 5}}
+				}
+				if unit {
+					k.name += "/b1c=1"
+				}
+				scalars := func(c []float64) []float64 {
+					out := slices.Clone(c)
+					if unit {
+						out[4] = 1
+					}
+					for j := range on {
+						switch wd := &out[6+j]; {
+						case !on[j]:
+							*wd = math.Copysign(0, *wd)
+						case *wd == 0:
+							*wd = 1e-2
+						}
+					}
+					return out
+				}
+				k.run = func(v [][]float64, c []float64) []float64 {
+					a := scalars(c)
+					var w0, xi []float64
+					if watch {
+						w0, xi = v[4], v[5]
+					}
+					sq, dot := f(v[0], v[1], v[2], v[3], a[0], a[1], a[2], a[3], a[4], a[5], a[6], a[7], w0, xi)
+					return []float64{sq, dot}
+				}
+				k.oracle = func(v [][]float64, c []float64) []float64 {
+					oracleAdam(v[:4], scalars(c))
+					if !watch {
+						return []float64{0, 0}
+					}
+					return oracleDrift(v[0], v[4], v[5])
+				}
+				ks = append(ks, k)
+			}
+		}
 	}
+	return ks
 }
 
 func scaleKernel(name string, f func(v []float64, c float64)) simdKernel {
@@ -404,15 +461,15 @@ func oracleDot4x8(v [][]float64, _ []float64) []float64 {
 	return out
 }
 
-// oracleSubThenSquaredNormDot is Sub, then SquaredNorm, then Dot, each
-// its own scalar loop: the fused sweep must return the bits of the three
-// passes it replaces.
-func oracleSubThenSquaredNormDot(v [][]float64, _ []float64) []float64 {
-	dst, a, b, xi := v[0], v[1], v[2], v[3]
-	for i := range dst {
-		dst[i] = a[i] - b[i]
+// oracleDrift is Sub, then SquaredNorm, then Dot, each its own scalar
+// loop: the watched Adam sweep must return the bits of the passes over
+// the updated weights it replaces.
+func oracleDrift(p, w0, xi []float64) []float64 {
+	u := make([]float64, len(p))
+	for i := range u {
+		u[i] = p[i] - w0[i]
 	}
-	return []float64{scalarDot(dst, dst), scalarDot(xi, dst)}
+	return []float64{scalarDot(u, u), scalarDot(xi, u)}
 }
 
 func oracleAXPY(v [][]float64, c []float64) []float64 {
@@ -475,7 +532,9 @@ func oracleDot4x2(v [][]float64, _ []float64) []float64 {
 
 // oracleAdam is the element loop opt.Adam.Step ran before it became a
 // kernel, copied so a change to AdamStep's Go body cannot move its own
-// oracle. Scalars: b1, b2, lr, eps, b1c, b2c, coupledWD, decoupledWD.
+// oracle. It always divides by b1c, so at b1c = 1 it checks that the
+// kernel's skipped division moves no bit. Scalars: b1, b2, lr, eps, b1c,
+// b2c, coupledWD, decoupledWD.
 func oracleAdam(v [][]float64, c []float64) []float64 {
 	params, grads, m, vv := v[0], v[1], v[2], v[3]
 	b1, b2, lr, eps, b1c, b2c, coupledWD, decoupledWD := c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7]
@@ -606,14 +665,27 @@ func TestSIMDKernelsMatchScalarLoops(t *testing.T) {
 // the misalignment, the aliasing and the raw bits of the leading inputs
 // (the rest come from a seeded stream).
 func FuzzKernelsMatchScalar(f *testing.F) {
-	f.Add(uint8(0), uint16(9), uint8(1), uint8(0), uint64(1), []byte{})
-	f.Add(uint8(2), uint16(4), uint8(3), uint8(2), uint64(2), []byte{0, 0, 0, 0, 0, 0, 0xf0, 0x7f, 1, 0, 0, 0, 0, 0, 0, 0})
-	f.Add(uint8(4), uint16(67), uint8(2), uint8(1), uint64(3), []byte{0, 0, 0, 0, 0, 0, 0xf8, 0xff})
-	f.Add(uint8(5), uint16(23), uint8(0), uint8(0), uint64(4), []byte{0, 0, 0, 0, 0, 0, 0, 0x80})
-	f.Add(uint8(9), uint16(13), uint8(1), uint8(1), uint64(5), []byte{0, 0, 0, 0, 0, 0, 0, 0x80, 0, 0, 0, 0, 0, 0, 0xf8, 0xff})
-	f.Add(uint8(11), uint16(67), uint8(3), uint8(2), uint64(6), []byte{0, 0, 0, 0, 0, 0, 0xf0, 0xff})
-	f.Add(uint8(12), uint16(11), uint8(2), uint8(0), uint64(7), []byte{1, 0, 0, 0, 0, 0, 0, 0})
-	f.Add(uint8(6), uint16(36), uint8(1), uint8(0), uint64(8), []byte{0, 0, 0, 0, 0, 0, 0, 0x80, 0, 0, 0, 0, 0, 0, 0xf0, 0x7f})
+	f.Add(kernelIndex("AXPY"), uint16(9), uint8(1), uint8(0), uint64(1), []byte{})
+	f.Add(kernelIndex("AXPY4x2"), uint16(4), uint8(3), uint8(2), uint64(2), []byte{0, 0, 0, 0, 0, 0, 0xf0, 0x7f, 1, 0, 0, 0, 0, 0, 0, 0})
+	f.Add(kernelIndex("AXPY4x2-g2s72"), uint16(67), uint8(2), uint8(1), uint64(3), []byte{0, 0, 0, 0, 0, 0, 0xf8, 0xff})
+	f.Add(kernelIndex("AXPY4x2-g18s1"), uint16(23), uint8(0), uint8(0), uint64(4), []byte{0, 0, 0, 0, 0, 0, 0, 0x80})
+	f.Add(kernelIndex("AdamStep/both"), uint16(13), uint8(1), uint8(1), uint64(5), []byte{0, 0, 0, 0, 0, 0, 0, 0x80, 0, 0, 0, 0, 0, 0, 0xf8, 0xff})
+	f.Add(kernelIndex("ScaleAdd"), uint16(67), uint8(3), uint8(2), uint64(6), []byte{0, 0, 0, 0, 0, 0, 0xf0, 0xff})
+	f.Add(kernelIndex("AXPYTo"), uint16(11), uint8(2), uint8(0), uint64(7), []byte{1, 0, 0, 0, 0, 0, 0, 0})
+	f.Add(kernelIndex("AXPY4x2-g18s72"), uint16(36), uint8(1), uint8(0), uint64(8), []byte{0, 0, 0, 0, 0, 0, 0, 0x80, 0, 0, 0, 0, 0, 0, 0xf0, 0x7f})
+	// b1c = 1, watched: the skipped division next to the drift sums, a
+	// coupled decay of −0 that must count as off, and the first params
+	// element a subnormal.
+	f.Add(kernelIndex("AdamStep/decoupled/watched/b1c=1"), uint16(37), uint8(3), uint8(1), uint64(9),
+		[]byte{0, 0, 0, 0, 0, 0, 0xee, 0x3f, 0, 0, 0, 0, 0, 0, 0xf0, 0x3f, 0, 0, 0, 0, 0, 0, 0x50, 0x3f,
+			0, 0, 0, 0, 0, 0, 0x80, 0x3e, 0, 0, 0, 0, 0, 0, 0xf0, 0x3f, 0, 0, 0, 0, 0, 0, 0xf0, 0x3f,
+			0, 0, 0, 0, 0, 0, 0, 0x80, 0, 0, 0, 0, 0, 0, 0x80, 0x3f, 1, 0, 0, 0, 0, 0, 0, 0})
+	// A drawn b1c of +0 and b2c subnormal, a coupled decay of NaN and a
+	// decoupled one of −0, watched.
+	f.Add(kernelIndex("AdamStep/coupled/watched"), uint16(19), uint8(2), uint8(1), uint64(10),
+		[]byte{0, 0, 0, 0, 0, 0, 0xee, 0x3f, 0, 0, 0, 0, 0, 0xf0, 0xef, 0x3f, 0, 0, 0, 0, 0, 0, 0x50, 0x3f,
+			0, 0, 0, 0, 0, 0, 0x80, 0x3e, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0,
+			0, 0, 0, 0, 0, 0, 0xf8, 0x7f, 0, 0, 0, 0, 0, 0, 0, 0x80})
 	f.Fuzz(func(t *testing.T, which uint8, n uint16, off, alias uint8, seed uint64, raw []byte) {
 		k := simdKernels[int(which)%len(simdKernels)]
 		rng := NewRNG(seed)
@@ -629,6 +701,15 @@ func FuzzKernelsMatchScalar(f *testing.F) {
 		}
 		checkKernel(t, k, int(n)%300, int(off)%4, int(alias)%(len(k.alias)+1)-1, fill)
 	})
+}
+
+// kernelIndex is the fuzz target's kernel selector for the named kernel.
+func kernelIndex(name string) uint8 {
+	i := slices.IndexFunc(simdKernels, func(k simdKernel) bool { return k.name == name })
+	if i < 0 || i > math.MaxUint8 {
+		panic("tensor: no fuzzable kernel " + name)
+	}
+	return uint8(i)
 }
 
 // TestMeanFoldsInArgumentOrderThenScalesOnce pins Mean's association:

@@ -312,3 +312,55 @@ func TestBlockedMatMulMatchesNaiveExactly(t *testing.T) {
 		}
 	}
 }
+
+// TestAdamStepChecksWatchLengths: a watched AdamStep refuses a w0 or xi
+// shorter than params before the assembly, which reads them unchecked,
+// can run past their end.
+func TestAdamStepChecksWatchLengths(t *testing.T) {
+	const n = 16
+	full, short := make([]float64, n), make([]float64, n-1)
+	for _, c := range []struct {
+		name   string
+		w0, xi []float64
+	}{{"w0", short, full}, {"xi", full, short}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("AdamStep accepted a %d-element %s for %d parameters", n-1, c.name, n)
+				}
+			}()
+			p, g, m, v := make([]float64, n), make([]float64, n), make([]float64, n), make([]float64, n)
+			AdamStep(p, g, m, v, 0.9, 0.999, 1e-3, 1e-7, 1, 1, 0, 0, c.w0, c.xi)
+		}()
+	}
+}
+
+// BenchmarkAdamStep times one AdamW update sweep over the 94 436
+// parameters of the repository benchmark's dist workloads: plain, watched
+// (LinearFDA's drift sums in the same sweep) and watched once 1 − β1ᵗ
+// has rounded to 1, where the division by it is skipped. It is the opt
+// layer's probe; `-cpu 1` gives the single-core number.
+func BenchmarkAdamStep(b *testing.B) {
+	const n = 94436
+	rng := NewRNG(7)
+	params, grads, m, v := randVec(rng, n), randVec(rng, n), randVec(rng, n), make([]float64, n)
+	w0, xi := randVec(rng, n), randVec(rng, n)
+	for i := range v {
+		v[i] = rng.Float64()
+	}
+	for _, c := range []struct {
+		name  string
+		watch bool
+		b1c   float64
+	}{{"plain", false, 1 - math.Pow(0.9, 5)}, {"watched", true, 1 - math.Pow(0.9, 5)}, {"watched/b1c=1", true, 1}} {
+		b.Run(c.name, func(b *testing.B) {
+			var ww0, wxi []float64
+			if c.watch {
+				ww0, wxi = w0, xi
+			}
+			for range b.N {
+				AdamStep(params, grads, m, v, 0.9, 0.999, 1e-3, 1e-7, c.b1c, 1-math.Pow(0.999, 5), 0, 1e-4, ww0, wxi)
+			}
+		})
+	}
+}
