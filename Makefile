@@ -113,15 +113,20 @@ allocs:
 # (TestStrategyDigestsMatchPinnedBuild), which must match in both
 # builds; internal/comm's
 # socket fabric folds and encodes its wire bytes with the little-endian
-# byte kernels, so its tests run the wire fold's Go specification.
+# byte kernels, so its tests run the wire fold's Go specification and
+# the encoded send of builds without tensor.ViewLE's memory view.
 purego:
 	$(GO) test -tags purego ./internal/tensor ./internal/nn ./internal/opt ./internal/models ./internal/core ./internal/comm
 
-# crossbuild checks the build-tag split on a non-amd64 target: the
-# kernels and their callers in the optimizer and the socket fabric.
+# crossbuild checks the build-tag split on non-amd64 targets: the
+# kernels and their callers in the optimizer and the socket fabric. s390x
+# is big-endian, where a float64's memory image is not its wire encoding,
+# so the socket fabric must build there without tensor.ViewLE's view.
 crossbuild:
 	GOARCH=arm64 $(GO) build ./...
 	GOARCH=arm64 $(GO) vet ./internal/tensor ./internal/opt ./internal/comm
+	GOARCH=s390x $(GO) build ./...
+	GOARCH=s390x $(GO) vet ./internal/tensor ./internal/comm
 
 build:
 	$(GO) build ./...

@@ -7,6 +7,8 @@ import (
 	"slices"
 	"sync"
 	"testing"
+
+	"repro/internal/tensor"
 )
 
 // Compile-time checks: every backend implements Fabric, and the
@@ -152,7 +154,11 @@ func TestScenarioByName(t *testing.T) {
 // checking the mean, the meter, the rank order of the parts (K = 3, so a
 // middle rank reads one peer on either side of its own part), the exact
 // payload bytes each rank moved and the result round trip, for parts
-// written both directly and through the writer goroutines.
+// written both directly and through the writer goroutines. A rank sends
+// from its caller's vector, which the caller may reuse the moment the
+// collective returns: each rank overwrites its input with NaN right
+// after AllReduce or Gather returns, so a write still in flight would
+// put NaN in a peer's result, and -race reports the overlap.
 func TestTCPFabricCollectives(t *testing.T) {
 	const k = 3
 	coord, err := ListenCoordinator("127.0.0.1:0", k)
@@ -200,9 +206,10 @@ func TestTCPFabricCollectives(t *testing.T) {
 			}
 			vec := append([]float64(nil), inputs[f.Rank()]...)
 			rep := f.AllReduce("model", [][]float64{vec})
-			for i := range vec {
-				if math.Float64bits(vec[i]) != math.Float64bits(want[i]) {
-					t.Errorf("rank %d mean[%d] = %v want %v", f.Rank(), i, vec[i], want[i])
+			mean := reuse(vec)
+			for i := range mean {
+				if math.Float64bits(mean[i]) != math.Float64bits(want[i]) {
+					t.Errorf("rank %d mean[%d] = %v want %v", f.Rank(), i, mean[i], want[i])
 				}
 			}
 			if rep.Bytes != f.Meter().TotalBytes() {
@@ -212,7 +219,9 @@ func TestTCPFabricCollectives(t *testing.T) {
 				t.Errorf("rank %d moved %d wire bytes, want %d", f.Rank(), rep.WireBytes, rankWire)
 			}
 			// Gather: every rank sees every contribution in rank order.
-			got := f.Gather([][]float64{inputs[f.Rank()]})
+			own := slices.Clone(inputs[f.Rank()])
+			got := f.Gather([][]float64{own})
+			reuse(own)
 			if len(got) != k {
 				t.Errorf("rank %d gathered %d vectors", f.Rank(), len(got))
 			}
@@ -221,22 +230,29 @@ func TestTCPFabricCollectives(t *testing.T) {
 					t.Errorf("rank %d gathered %v at rank %d, want %v", f.Rank(), got[r], r, inputs[r])
 				}
 			}
-			// A part above directWriteMax goes through the writer goroutines.
-			big := make([]float64, 1024)
-			for i := range big {
-				big[i] = float64(f.Rank()*len(big) + i)
-			}
-			if rep := f.AllReduce("model", [][]float64{big}); rep.WireBytes != 2*(k-1)*8*int64(len(big)) {
-				t.Errorf("rank %d moved %d wire bytes in a %d-element all-reduce, want %d", f.Rank(), rep.WireBytes, len(big), 2*(k-1)*8*len(big))
-			}
-			for i, v := range big {
-				if want := float64(len(big) + i); v != want {
-					t.Errorf("rank %d mean of the large round [%d] = %v want %v", f.Rank(), i, v, want)
-					break
+			// Parts above directWriteMax go through the writer goroutines: a
+			// 1 024-element round, then SketchFDA's state at L = 5, M = 250
+			// (1 251 elements, 10 008 bytes).
+			var bigWire int64
+			for _, n := range []int{1024, 1251} {
+				vecs := roundVecs(k, n)
+				want := make([]float64, n)
+				tensor.Mean(want, vecs[0][0], vecs[1][0], vecs[2][0])
+				rep := f.AllReduce("model", vecs[f.Rank()])
+				mean := reuse(vecs[f.Rank()][0])
+				if rep.WireBytes != 2*(k-1)*8*int64(n) {
+					t.Errorf("rank %d moved %d wire bytes in a %d-element all-reduce, want %d", f.Rank(), rep.WireBytes, n, 2*(k-1)*8*n)
+				}
+				bigWire += rep.WireBytes
+				for i := range mean {
+					if math.Float64bits(mean[i]) != math.Float64bits(want[i]) {
+						t.Errorf("rank %d mean of the %d-element round [%d] = %v want %v", f.Rank(), n, i, mean[i], want[i])
+						break
+					}
 				}
 			}
-			if moved, want := f.MovedBytes(), 2*rankWire+2*(k-1)*8*int64(len(big)); moved != want { // AllReduce + Gather + AllReduce
-				t.Errorf("rank %d moved %d payload bytes in three collectives, want %d", f.Rank(), moved, want)
+			if moved, want := f.MovedBytes(), 2*rankWire+bigWire; moved != want { // AllReduce + Gather + two AllReduces
+				t.Errorf("rank %d moved %d payload bytes in four collectives, want %d", f.Rank(), moved, want)
 			}
 			errs[w] = f.SendResult([]byte{byte('a' + f.Rank())})
 		}(w)
@@ -255,4 +271,12 @@ func TestTCPFabricCollectives(t *testing.T) {
 			t.Fatalf("rank %d result %q", r, res)
 		}
 	}
+}
+
+// reuse returns a copy of v and then overwrites v with NaN, as a caller
+// that reuses its vector once a collective has returned would.
+func reuse(v []float64) []float64 {
+	c := slices.Clone(v)
+	tensor.Fill(v, math.NaN())
+	return c
 }

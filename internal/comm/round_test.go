@@ -49,18 +49,19 @@ func roundVecs(ranks, n int) [][][]float64 {
 }
 
 // BenchmarkLoopbackRound times one all-reduce round of the socket fabric
-// over loopback, two ranks and the coordinator in this process: model is
-// the 94 436-element round of the repository benchmark's dist workloads,
-// state its two-scalar round. It is the collective probe: run it with
-// -cpuprofile for the round's split between system calls, moves, CRC and
-// fold.
+// over loopback, the ranks and the coordinator in this process: model is
+// the 94 436-element round of the repository benchmark's dist workloads
+// at K = 2, state its two-scalar round, and model/k3 the model round at
+// K = 3, where the middle rank folds its own part from a saved tile
+// (meanF64s). It is the collective probe: run it with -cpuprofile for
+// the round's split between system calls, moves, CRC and fold.
 func BenchmarkLoopbackRound(b *testing.B) {
 	for _, c := range []struct {
-		kind string
-		n    int
-	}{{"model", 94436}, {"state", 2}} {
-		b.Run(c.kind, func(b *testing.B) {
-			_, _, fabs := loopback(b, 2)
+		name, kind string
+		k, n       int
+	}{{"model", "model", 2, 94436}, {"state", "state", 2, 2}, {"model/k3", "model", 3, 94436}} {
+		b.Run(c.name, func(b *testing.B) {
+			_, _, fabs := loopback(b, c.k)
 			round := roundDriver(b, fabs)
 			vecs := roundVecs(len(fabs), c.n)
 			round(c.kind, vecs) // warm-up: buffers grow to the round's size

@@ -9,17 +9,21 @@ import (
 	"net"
 	"sync"
 	"time"
+
+	"repro/internal/tensor"
 )
 
 // TCPFabric is the socket backend: one fabric per worker process, each
 // owning exactly one global rank. It reaches the coordinator for the
 // rendezvous and the result, and every other worker over a direct peer
 // connection (a full mesh: rank i dials every rank j > i). A collective
-// hands this rank's encoded contribution to one long-lived writer
-// goroutine per peer connection (a contribution of a few KiB it writes
-// itself, see directWriteMax), reads the K − 1 peer frames in rank order
-// on the calling goroutine, and folds the K parts into the destination
-// in the in-process reference's association (meanF64s).
+// hands this rank's contribution — the caller's vector's own memory
+// where tensor.ViewLE gives it, an encoded copy elsewhere — to one
+// long-lived writer goroutine per peer connection (a contribution of a
+// few KiB it writes itself, see directWriteMax), reads the K − 1 peer
+// frames in rank order on the calling goroutine, and folds the K parts
+// into the destination in the in-process reference's association
+// (meanF64s).
 // Every worker computes every reduction locally from the same bytes:
 // reductions are replicated, which is what makes the training math
 // bit-identical to the other fabrics regardless of network timing.
@@ -58,8 +62,9 @@ type TCPFabric struct {
 	closers []io.Closer
 	closed  bool
 
-	// Reusable collective state: per-rank payload views and Gather's
-	// decoded vectors.
+	// Reusable collective state: per-rank payload views, Gather's
+	// decoded vectors and, in builds without tensor.ViewLE, the encoded
+	// contribution.
 	parts    [][]byte
 	vecs     [][]float64
 	sendBuf  []byte
@@ -383,6 +388,13 @@ const directWriteMax = 4 << 10
 // the K − 1 peer frames in rank order, checking that each is rank j's
 // contribution to this collective, and return the K parts in rank
 // order, payload itself at this rank.
+//
+// payload may be the caller's own memory (exchangeVec sends a vector's
+// memory image), which the caller may overwrite as soon as the
+// collective returns — the mean is folded into it. So exchange never
+// returns while a writer goroutine still reads payload: it waits for
+// every handed-off write's outcome (p.sent) before it returns, and fail
+// waits out the writes in flight before it panics.
 func (f *TCPFabric) exchange(kind string, payload []byte) [][]byte {
 	f.seq++
 	out := frame{op: opContrib, rank: int32(f.rank), seq: f.seq, kind: kind, payload: payload}
@@ -438,14 +450,21 @@ func (f *TCPFabric) exchange(kind string, payload []byte) [][]byte {
 	return parts
 }
 
-// exchangeVec encodes the local vector, exchanges it and returns the K
-// encoded contributions (rank order).
-func (f *TCPFabric) exchangeVec(kind string, local [][]float64) [][]byte {
+// exchangeVec exchanges the local vector and returns the K encoded
+// contributions (rank order). This rank's is the vector's memory image
+// (tensor.ViewLE), sent without an encode pass, and self is then
+// f.rank; in a build without that view it is the vector encoded into
+// sendBuf, and self is −1: no part shares local[0]'s memory.
+func (f *TCPFabric) exchangeVec(kind string, local [][]float64) (parts [][]byte, self int) {
 	if len(local) != 1 {
 		f.fail(f.rank, fmt.Errorf("TCPFabric drives 1 rank, got %d local vectors", len(local)))
 	}
-	f.sendBuf = appendF64s(f.sendBuf[:0], local[0])
-	return f.exchange(kind, f.sendBuf)
+	payload, self := tensor.ViewLE(local[0]), f.rank
+	if payload == nil {
+		f.sendBuf = appendF64s(f.sendBuf[:0], local[0])
+		payload, self = f.sendBuf, -1
+	}
+	return f.exchange(kind, payload), self
 }
 
 // charge meters one collective over n elements, cluster-total like the
@@ -469,8 +488,8 @@ func (f *TCPFabric) AllReduce(kind string, local [][]float64) CostReport {
 	sp := startOp("AllReduce")
 	//fda:allow(wallclock, real socket timing on the TCP fabric; diagnostic only)
 	start := time.Now()
-	parts := f.exchangeVec(kind, local)
-	if err := meanF64s(local[0], parts); err != nil {
+	parts, self := f.exchangeVec(kind, local) // folded in place: this rank's part may be local[0] itself
+	if err := meanF64s(local[0], parts, self); err != nil {
 		f.fail(f.rank, err)
 	}
 	rep := f.charge(kind, len(local[0]), start)
@@ -483,8 +502,8 @@ func (f *TCPFabric) AllReduceMean(kind string, dst []float64, local [][]float64)
 	sp := startOp("AllReduceMean")
 	//fda:allow(wallclock, real socket timing on the TCP fabric; diagnostic only)
 	start := time.Now()
-	parts := f.exchangeVec(kind, local)
-	if err := meanF64s(dst, parts); err != nil {
+	parts, _ := f.exchangeVec(kind, local)
+	if err := meanF64s(dst, parts, -1); err != nil {
 		f.fail(f.rank, err)
 	}
 	rep := f.charge(kind, len(dst), start)
@@ -500,9 +519,11 @@ func (f *TCPFabric) Broadcast(kind string, root int, local [][]float64) CostRepo
 	sp := startOp("Broadcast")
 	//fda:allow(wallclock, real socket timing on the TCP fabric; diagnostic only)
 	start := time.Now()
-	parts := f.exchangeVec(kind, local)
-	if err := decodeF64s(local[0], parts[root]); err != nil {
-		f.fail(root, fmt.Errorf("rank %d contribution: %w", root, err))
+	parts, _ := f.exchangeVec(kind, local)
+	if root != f.rank {
+		if err := decodeF64s(local[0], parts[root]); err != nil {
+			f.fail(root, fmt.Errorf("rank %d contribution: %w", root, err))
+		}
 	}
 	n := len(local[0])
 	payload := int64(n) * int64(f.cost.BytesPerParam)
@@ -517,7 +538,7 @@ func (f *TCPFabric) Broadcast(kind string, root int, local [][]float64) CostRepo
 
 // Gather implements Fabric (uncharged measurement exchange).
 func (f *TCPFabric) Gather(local [][]float64) [][]float64 {
-	parts := f.exchangeVec("gather", local)
+	parts, _ := f.exchangeVec("gather", local)
 	n := len(local[0])
 	if cap(f.vecs) < f.k {
 		f.vecs = make([][]float64, f.k)

@@ -288,25 +288,44 @@ func appendF64s(dst []byte, v []float64) []byte {
 // association, so the result equals decoding every part and calling
 // tensor.Mean bit for bit.
 //
+// self is the index of the part that is dst's own memory image (an
+// all-reduce in place, tensor.ViewLE), or −1 when no part shares dst.
+// That part's tile is not decoded into itself: at self = 0 the tile
+// already holds v0, and at a later self it is saved before v0 overwrites
+// it and folded from the saved copy in its turn, so every operand and
+// every operation is the one the unshared fold applies.
+//
 //fda:noalloc
-func meanF64s(dst []float64, parts [][]byte) error {
+func meanF64s(dst []float64, parts [][]byte, self int) error {
 	for r, p := range parts {
 		if len(p) != 8*len(dst) {
 			return fmt.Errorf("rank %d contribution: float payload %d bytes, want %d", r, len(p), 8*len(dst)) //fda:allow(noalloc, argument boxing on the protocol-error path only)
 		}
 	}
 	const tile = 512 // elements: K+1 tiles of 4 KiB stay in L1
+	var saved [tile]float64
 	last := len(parts) - 1
 	inv := 1 / float64(len(parts))
 	for lo := 0; lo < len(dst); lo += tile {
 		hi := min(lo+tile, len(dst))
 		d := dst[lo:hi]
-		tensor.DecodeLE(d, parts[0][8*lo:8*hi])
+		part := func(r int) []byte {
+			if r == self {
+				return tensor.ViewLE(saved[:len(d)])
+			}
+			return parts[r][8*lo : 8*hi]
+		}
+		if self > 0 {
+			copy(saved[:], d)
+		}
+		if self != 0 {
+			tensor.DecodeLE(d, parts[0][8*lo:8*hi])
+		}
 		for r := 1; r < last; r++ {
-			tensor.AddScaleLE(d, parts[r][8*lo:8*hi], 1)
+			tensor.AddScaleLE(d, part(r), 1)
 		}
 		if last > 0 {
-			tensor.AddScaleLE(d, parts[last][8*lo:8*hi], inv)
+			tensor.AddScaleLE(d, part(last), inv)
 		} else {
 			tensor.Scale(d, inv)
 		}

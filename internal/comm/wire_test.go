@@ -165,27 +165,13 @@ func TestPeerFrameBytes(t *testing.T) {
 // parts starting at odd byte offsets, ordinary and special values; any
 // NaN matches any NaN, as in tensor's kernels_simd_test.go.
 func TestMeanF64sMatchesTensorMean(t *testing.T) {
-	specials := []float64{
-		0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(),
-		5e-324, -2.5e-310, 2.2250738585072014e-308, 1e300, -1e300, 1e-300, 1, -1,
-	}
-	lens := []int{1023, 1024, 1025, 4099}
-	for n := 0; n <= 67; n++ {
-		lens = append(lens, n)
-	}
 	rng := tensor.NewRNG(29)
 	for k := 1; k <= 9; k++ {
-		for _, n := range lens {
+		for _, n := range meanLens() {
 			vecs := make([][]float64, k)
 			parts := make([][]byte, k)
 			for r := range vecs {
-				v := make([]float64, n)
-				for i := range v {
-					v[i] = (rng.Float64() - 0.5) * math.Pow(10, float64(rng.Intn(7))-3)
-					if rng.Intn(3) == 0 {
-						v[i] = specials[rng.Intn(len(specials))]
-					}
-				}
+				v := meanVec(rng, n, meanSpecials)
 				off := 1 + (r+n)%7 // never 8-byte aligned
 				parts[r] = appendF64s(make([]byte, off, off+8*n), v)[off:]
 				vecs[r] = make([]float64, n)
@@ -201,7 +187,7 @@ func TestMeanF64sMatchesTensorMean(t *testing.T) {
 			want := make([]float64, n)
 			tensor.Mean(want, vecs...)
 			got := make([]float64, n)
-			if err := meanF64s(got, parts); err != nil {
+			if err := meanF64s(got, parts, -1); err != nil {
 				t.Fatal(err)
 			}
 			for i := range got {
@@ -212,8 +198,82 @@ func TestMeanF64sMatchesTensorMean(t *testing.T) {
 			}
 		}
 	}
-	if err := meanF64s(make([]float64, 3), [][]byte{make([]byte, 24), make([]byte, 23)}); err == nil {
+	if err := meanF64s(make([]float64, 3), [][]byte{make([]byte, 24), make([]byte, 23)}, -1); err == nil {
 		t.Fatal("short contribution accepted")
+	}
+}
+
+// meanSpecials are the special values the fold tests mix in.
+var meanSpecials = []float64{
+	0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(),
+	5e-324, -2.5e-310, 2.2250738585072014e-308, 1e300, -1e300, 1e-300, 1, -1,
+}
+
+// meanLens are the fold tests' vector lengths: every main-loop and tail
+// length up to 67, and both sides of the fold's 512-element tile edges.
+func meanLens() []int {
+	lens := []int{1023, 1024, 1025, 4099}
+	for n := 0; n <= 67; n++ {
+		lens = append(lens, n)
+	}
+	return lens
+}
+
+// meanVec draws an n-element contribution across seven decades, one
+// element in three replaced by one of specials.
+func meanVec(rng *tensor.RNG, n int, specials []float64) []float64 {
+	v := make([]float64, n)
+	for i := range v {
+		v[i] = (rng.Float64() - 0.5) * math.Pow(10, float64(rng.Intn(7))-3)
+		if rng.Intn(3) == 0 {
+			v[i] = specials[rng.Intn(len(specials))]
+		}
+	}
+	return v
+}
+
+// TestMeanF64sInPlaceMatchesFold pins the in-place fold of an
+// all-reduce, whose own part is its destination's memory image
+// (tensor.ViewLE): for K = 1…9 and that part at every rank position, the
+// result equals the fold of the same bytes into a separate destination
+// through Float64bits, NaN payloads included. A second NaN payload joins
+// the special values, so a fold that swapped two operands — the same
+// sum, another NaN — shows.
+func TestMeanF64sInPlaceMatchesFold(t *testing.T) {
+	if tensor.ViewLE(make([]float64, 1)) == nil {
+		t.Skip("this build has no memory view: an all-reduce folds from an encoded copy")
+	}
+	specials := append(slices.Clone(meanSpecials), math.Float64frombits(0xfff8_0000_0000_0abc))
+	rng := tensor.NewRNG(31)
+	for k := 1; k <= 9; k++ {
+		for _, n := range meanLens() {
+			parts := make([][]byte, k)
+			for r := range parts {
+				off := 1 + (r+n)%7 // never 8-byte aligned
+				parts[r] = appendF64s(make([]byte, off, off+8*n), meanVec(rng, n, specials))[off:]
+			}
+			want := make([]float64, n)
+			if err := meanF64s(want, parts, -1); err != nil {
+				t.Fatal(err)
+			}
+			for self := range k {
+				dst := make([]float64, n)
+				if err := decodeF64s(dst, parts[self]); err != nil {
+					t.Fatal(err)
+				}
+				own := slices.Clone(parts)
+				own[self] = tensor.ViewLE(dst)
+				if err := meanF64s(dst, own, self); err != nil {
+					t.Fatal(err)
+				}
+				for i := range dst {
+					if math.Float64bits(dst[i]) != math.Float64bits(want[i]) {
+						t.Fatalf("K=%d n=%d, own part at rank %d [%d]: in place %#x, separate %#x", k, n, self, i,
+							math.Float64bits(dst[i]), math.Float64bits(want[i]))
+					}
+				}
+			}
+		}
 	}
 }
 

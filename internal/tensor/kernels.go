@@ -11,7 +11,7 @@
 //
 // On amd64 with AVX2 the AXPY/Dot4 families, the reduction-free sweeps
 // (Scale, ScaleAdd, AXPYTo, ReLU, ReLUGrad, MaskedCopy, MaskedAdd and
-// the little-endian byte kernels EncodeLE, DecodeLE, AddScaleLE),
+// the little-endian byte kernels DecodeLE and AddScaleLE),
 // AdamStep and MatVec's 4-row × 8-sample tile hand vectors of at least
 // simdMinLen elements, and MaxPool2x2 every call, to the assembly
 // bodies in kernels_amd64.s, which are bit-identical to the
@@ -306,15 +306,12 @@ func MaskedAdd(dst, src []float64, mask []uint64) {
 // bounds check.
 
 // EncodeLE stores v into dst[:8·len(v)], each element's bits unchanged
-// (NaN payloads included).
+// (NaN payloads included). It has no assembly body: where a float64's
+// memory image is its encoding, ViewLE gives the bytes without a pass.
 //
 //fda:noalloc
 func EncodeLE(dst []byte, v []float64) {
 	b := dst[:8*len(v)]
-	if useAVX2 && len(v) >= simdMinLen {
-		encodeLEAVX2(b, v)
-		return
-	}
 	for len(v) >= 4 && len(b) >= 32 {
 		binary.LittleEndian.PutUint64(b[0:8], math.Float64bits(v[0]))
 		binary.LittleEndian.PutUint64(b[8:16], math.Float64bits(v[1]))

@@ -2,6 +2,8 @@
 
 package tensor
 
+import "unsafe"
+
 // useAVX2 selects the assembly bodies in kernels_amd64.s. It is decided
 // once, from the CPU alone: there is no flag, variable or option that
 // turns the assembly off at run time — building with -tags purego (or
@@ -93,12 +95,19 @@ func maxPool2x2AVX2(y []float64, arg []int, x []float64, rows, w int)
 
 //go:noescape
 //fda:noalloc
-func encodeLEAVX2(dst []byte, v []float64)
-
-//go:noescape
-//fda:noalloc
 func decodeLEAVX2(dst []float64, b []byte)
 
 //go:noescape
 //fda:noalloc
 func addScaleLEAVX2(d []float64, b []byte, s float64)
+
+// ViewLE returns v's memory image: 8·len(v) bytes that share v's memory,
+// so a write through either shows in the other. On amd64 a float64's
+// memory image is its little-endian encoding, so the view holds exactly
+// what EncodeLE would write, and the socket fabric sends a vector from
+// it without an encode pass. This is the repository's one use of
+// unsafe; where memory order is not wire order, or under -tags purego,
+// ViewLE returns nil and callers encode.
+func ViewLE(v []float64) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(v))), 8*len(v))
+}

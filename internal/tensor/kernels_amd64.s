@@ -1094,30 +1094,20 @@ pool_done:
 	RET
 
 // The little-endian byte kernels. On amd64 a float64's memory image is
-// its little-endian encoding, so EncodeLE and DecodeLE are one move of
-// 8n bytes and AddScaleLE reads its second operand straight from the
-// bytes: lanes are elements, element i lives at byte 8i on both sides,
-// and an operand may start at any byte offset (unaligned forms only).
-
-// func encodeLEAVX2(dst []byte, v []float64)
-// dst[8i:8i+8] = v[i]'s bits, i < len(v).
-TEXT ·encodeLEAVX2(SB), NOSPLIT, $0-48
-	MOVQ dst_base+0(FP), DI
-	MOVQ v_base+24(FP), SI
-	MOVQ v_len+32(FP), CX
-	JMP  moveLE<>(SB)
+// its little-endian encoding, so DecodeLE is one move of 8n bytes and
+// AddScaleLE reads its second operand straight from the bytes: lanes
+// are elements, element i lives at byte 8i on both sides, and an
+// operand may start at any byte offset (unaligned forms only). Nothing
+// encodes here: the socket fabric sends a vector's memory image itself
+// (ViewLE).
 
 // func decodeLEAVX2(dst []float64, b []byte)
-// dst[i] = the bits of b[8i:8i+8], i < len(dst).
+// dst[i] = the bits of b[8i:8i+8], i < len(dst); 16 elements at a time,
+// then 4, then 1.
 TEXT ·decodeLEAVX2(SB), NOSPLIT, $0-48
 	MOVQ dst_base+0(FP), DI
 	MOVQ dst_len+8(FP), CX
 	MOVQ b_base+24(FP), SI
-	JMP  moveLE<>(SB)
-
-// moveLE<> copies CX 8-byte elements from SI to DI, 16 at a time, then
-// 4, then 1. Tail of encodeLEAVX2 and decodeLEAVX2.
-TEXT moveLE<>(SB), NOSPLIT, $0
 	XORQ AX, AX
 	SUBQ $16, CX
 	JL   movele_tail4

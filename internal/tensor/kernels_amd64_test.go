@@ -31,5 +31,5 @@ func init() {
 		maskedKernel("maskedAddAVX2", maskedAddAVX2, true),
 	)
 	simdKernels = append(simdKernels, adamKernels("adamAVX2", adamAVX2)...)
-	simdKernels = append(simdKernels, leKernels("AVX2", encodeLEAVX2, decodeLEAVX2, addScaleLEAVX2)...)
+	simdKernels = append(simdKernels, leKernels("AVX2", nil, decodeLEAVX2, addScaleLEAVX2)...)
 }

@@ -53,8 +53,9 @@ func maxPool2x2AVX2(y []float64, arg []int, x []float64, rows, w int) {
 	panic("tensor: no assembly in this build")
 }
 
-func encodeLEAVX2(dst []byte, v []float64) { panic("tensor: no assembly in this build") }
-
 func decodeLEAVX2(dst []float64, b []byte) { panic("tensor: no assembly in this build") }
 
 func addScaleLEAVX2(d []float64, b []byte, s float64) { panic("tensor: no assembly in this build") }
+
+// ViewLE has no view in this build: callers encode (EncodeLE).
+func ViewLE(v []float64) []byte { return nil }

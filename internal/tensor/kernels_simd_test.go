@@ -345,12 +345,15 @@ func dot4x8Kernel(name string, f func(dst []float64, stride int, w, x []float64,
 // every byte offset mod 8 of their byte view: nothing aligns the byte
 // slices the fabric hands them — a received payload or a caller's own —
 // so a view may start at any offset. A kernel's name is its Go name, suffix, "+" and the offset.
+// A nil enc has no entries (the assembly has no encoder).
 func leKernels(suffix string, enc func(dst []byte, v []float64), dec func(dst []float64, b []byte),
 	fold func(d []float64, b []byte, s float64)) []simdKernel {
 	var ks []simdKernel
 	for shift := 0; shift < 8; shift++ {
+		if enc != nil {
+			ks = append(ks, encodeLEKernel(fmt.Sprintf("EncodeLE%s+%d", suffix, shift), enc, shift))
+		}
 		ks = append(ks,
-			encodeLEKernel(fmt.Sprintf("EncodeLE%s+%d", suffix, shift), enc, shift),
 			decodeLEKernel(fmt.Sprintf("DecodeLE%s+%d", suffix, shift), dec, shift),
 			addScaleLEKernel(fmt.Sprintf("AddScaleLE%s+%d", suffix, shift), fold, shift))
 	}
@@ -448,6 +451,26 @@ func addScaleLEKernel(name string, f func(d []float64, b []byte, s float64), shi
 			}
 			return leOracleOK
 		},
+	}
+}
+
+// TestViewLEIsTheEncoding pins ViewLE where the build has a view: its
+// bytes are EncodeLE's, NaN payloads included, and they are v's own
+// memory, so a write through the view shows in v.
+func TestViewLEIsTheEncoding(t *testing.T) {
+	v := []float64{1.5, -2, math.Copysign(0, -1), math.Inf(-1), math.Float64frombits(0x7ff4000000000abc), 5e-324}
+	b := ViewLE(v)
+	if b == nil {
+		t.Skip("this build has no memory view; callers encode")
+	}
+	want := make([]byte, 8*len(v))
+	EncodeLE(want, v)
+	if !slices.Equal(b, want) {
+		t.Fatalf("ViewLE = %x, EncodeLE wrote %x", b, want)
+	}
+	b[8] ^= 1
+	if got := math.Float64bits(v[1]); got != math.Float64bits(-2)^1 {
+		t.Fatalf("a write through the view left v[1] at %#x", got)
 	}
 }
 
