@@ -155,7 +155,7 @@ func TestSpeedsFlagRefusals(t *testing.T) {
 	}
 }
 
-// TestWarmStartFlagPath drives -warmstart the way main does: the first
+// TestWarmStartFlagPath drives -store the way main does: the first
 // run publishes prefixes at the session's evaluation cadence, a second
 // run with a larger Θ restores the longest of them, and both land on
 // the bits of a cold run.

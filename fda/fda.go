@@ -69,6 +69,9 @@ type (
 	// ConfigError aggregates every invalid field found by
 	// Config.Validate.
 	ConfigError = core.ConfigError
+	// SilentOptimizerError fails a LinearFDA run whose optimizer does
+	// not honour Optimizer.Watch; errors.As finds it in a Session's error.
+	SilentOptimizerError = core.SilentOptimizerError
 	// Result summarizes a run's cost and quality.
 	Result = core.Result
 	// Point is one evaluation snapshot of a run.
@@ -195,10 +198,12 @@ const (
 	HeNormalInit      = nn.HeNormalInit
 )
 
-// Optimizer is a local optimizer. LinearFDA's local state comes from its
-// Watch method, which every later Step must honour: an Optimizer written
-// outside this module with a no-op Watch leaves that state at zero, and
-// LinearFDA then never synchronizes.
+// Optimizer is a local optimizer. LinearFDA's local state comes only
+// from its Watch method, which every later Step must honour: it writes
+// the drift sums and adds one to the report count. A watched Step that
+// leaves the count where it was, as one of an Optimizer written outside
+// this module with a no-op Watch does, fails the run with a
+// *SilentOptimizerError naming the optimizer and the worker.
 type Optimizer = opt.Optimizer
 
 var (

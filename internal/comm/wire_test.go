@@ -163,7 +163,14 @@ func TestPeerFrameBytes(t *testing.T) {
 // arithmetic it replaced: decode every part, tensor.Mean. Exact through
 // Float64bits for every K, every main-loop / tail / tile-edge length,
 // parts starting at odd byte offsets, ordinary and special values; any
-// NaN matches any NaN, as in tensor's kernels_simd_test.go.
+// NaN matches any NaN, as in tensor's kernels_simd_test.go. That is not a
+// loose end: the two paths put an add's operands in different positions,
+// so with two NaN payloads in play they keep different ones (a second
+// payload, 0xfff8…0abc, gives K=6 n=5 [1] 0xfff8…0abc folded against
+// 0x7ff8…0001 from tensor.Mean, and the reverse at K=2 n=1024 [15] under
+// -tags purego), and NaN payloads are outside the bit contract (DESIGN
+// §7). TestMeanF64sInPlaceMatchesFold pins the fold's own operand order,
+// payloads included.
 func TestMeanF64sMatchesTensorMean(t *testing.T) {
 	rng := tensor.NewRNG(29)
 	for k := 1; k <= 9; k++ {

@@ -57,8 +57,9 @@ func newAllocEnv(k int) *Env {
 	return env
 }
 
-// measureSteadyStep warms the arenas, then asserts the fused step
-// allocates nothing.
+// measureSteadyStep warms the arenas, then asserts the fused step,
+// the session's check of each worker's drift report included, allocates
+// nothing.
 func measureSteadyStep(t *testing.T, name string, env *Env, strat Strategy) {
 	t.Helper()
 	if raceEnabled {
@@ -70,6 +71,9 @@ func measureSteadyStep(t *testing.T, name string, env *Env, strat Strategy) {
 		step++
 		for _, w := range env.Workers {
 			w.LocalStep(8)
+			if err := w.checkReport(); err != nil {
+				t.Fatal(err)
+			}
 		}
 		strat.AfterLocalStep(env, step)
 	}
@@ -108,6 +112,18 @@ func TestSketchFDASteadyStepZeroAllocs(t *testing.T) {
 func TestOracleFDASteadyStepZeroAllocs(t *testing.T) {
 	s := NewOracleFDA(1e18)
 	measureSteadyStep(t, "OracleFDA", newAllocEnv(3), s)
+}
+
+// TestLAGSteadyStepZeroAllocs: LAG computes and exchanges its state
+// every τ = 2 steps. Its first round synchronizes (there is no earlier
+// round to compare with) inside the warm-up; the measured window then
+// holds ten rounds, none past the threshold.
+func TestLAGSteadyStepZeroAllocs(t *testing.T) {
+	env := newAllocEnv(3)
+	measureSteadyStep(t, "LAG", env, NewLAG(2, 1e18))
+	if rounds := env.Fabric.Meter().OpsFor("state"); rounds < 10 || env.SyncCount != 1 {
+		t.Fatalf("LAG ran %d state rounds and %d syncs, want ≥ 10 rounds and the one warm-up sync", rounds, env.SyncCount)
+	}
 }
 
 // TestAsyncStepZeroAllocs covers asynchronous FDA's steady-state event

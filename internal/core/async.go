@@ -37,10 +37,10 @@ import (
 // EvalEvery·K events; Result.StepsPerWorker holds each worker's local
 // steps and Result.Steps their maximum.
 type AsyncFDA struct {
-	// inner is the wrapped *LinearFDA or *SketchFDA: its per-worker body
-	// (or, for LinearFDA, the moving worker's local step) computes the
-	// moving worker's state, its states are the coordinator's latest
-	// state per worker, and its estimator is H.
+	// inner is the wrapped *LinearFDA or *SketchFDA: SketchFDA's
+	// per-worker body, or for LinearFDA the moving worker's watched local
+	// step, computes the moving worker's state, its states are the
+	// coordinator's latest state per worker, and its estimator is H.
 	inner      Strategy
 	fda        *fdaBase // inner's; nil when inner is not an FDA variant
 	clock      rankClock
@@ -186,21 +186,25 @@ func (a *AsyncFDA) sync(env *Env) {
 // stepWorker runs event t of an asynchronous session: the fabric clock
 // jumps to the earliest arrival, that worker takes its local step, its
 // next arrival is queued, and the coordinator reacts. It returns the
-// step's event and when the coordinator started.
+// step's event and when the coordinator started, or the worker's
+// checkReport error, before the coordinator reads a stale state.
 //
 //fda:noalloc
-func (s *Session) stepWorker(t int) (StepEvent, int64) {
+func (s *Session) stepWorker(t int) (StepEvent, int64, error) {
 	a := s.async
 	ev := a.queue.pop()
 	a.clock.SetVirtualTime(ev.at)
 	s.env.Workers[ev.worker].LocalStep(s.cfg.BatchSize)
+	if err := s.env.Workers[ev.worker].checkReport(); err != nil {
+		return StepEvent{}, 0, err
+	}
 	n := s.res.StepsPerWorker[ev.worker] + 1
 	s.res.StepsPerWorker[ev.worker] = n
 	s.res.Steps = max(s.res.Steps, n)
 	a.queue.push(stepEvent{at: a.arrival(ev.at, ev.worker, n+1), worker: ev.worker})
 	coordStart := obs.Clock()
 	a.coordinate(s.env, ev.worker)
-	return StepEvent{Step: t / s.cfg.K, Worker: ev.worker, VirtualTime: ev.at}, coordStart
+	return StepEvent{Step: t / s.cfg.K, Worker: ev.worker, VirtualTime: ev.at}, coordStart, nil
 }
 
 // snapshotEvents adds an asynchronous session's pending arrivals (the

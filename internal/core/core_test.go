@@ -96,6 +96,21 @@ func TestVarianceIdentityDuringTraining(t *testing.T) {
 	}
 }
 
+// exactVariance returns Var(w_t) computed directly from Eq. (2), the
+// ground truth the FDA estimators bound. Only tests need it; they hold
+// Env.ExactVarianceViaDrift, OracleFDA's H, to it.
+func exactVariance(e *Env) float64 {
+	all := e.Fabric.Gather(e.paramViews)
+	mean := make([]float64, e.D)
+	tensor.Mean(mean, all...)
+	var s float64
+	diff := make([]float64, e.D)
+	for _, p := range all {
+		s += tensor.SubThenSquaredNorm(diff, p, mean)
+	}
+	return s / float64(e.Fabric.K())
+}
+
 type identityProbe struct {
 	t      *testing.T
 	checks int
@@ -104,7 +119,7 @@ type identityProbe struct {
 func (p *identityProbe) Name() string { return "identity-probe" }
 func (p *identityProbe) Init(_ *Env)  {}
 func (p *identityProbe) AfterLocalStep(env *Env, step int) {
-	direct := env.ExactVariance()
+	direct := exactVariance(env)
 	viaDrift := env.ExactVarianceViaDrift()
 	if math.Abs(direct-viaDrift) > 1e-9*(1+direct) {
 		p.t.Fatalf("step %d: Var direct %v != via-drift %v", step, direct, viaDrift)
@@ -429,7 +444,7 @@ func (p *resetProbe) AfterLocalStep(env *Env, step int) {
 		return
 	}
 	p.syncsSeen++
-	if v := env.ExactVariance(); v > 1e-18 {
+	if v := exactVariance(env); v > 1e-18 {
 		p.t.Fatalf("%s: variance %v after synchronization", p.inner.Name(), v)
 	}
 	ref := env.Workers[0].Net.Params()

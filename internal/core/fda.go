@@ -37,10 +37,10 @@ type fdaBase struct {
 	meanSt []float64   // S̄
 	// body computes worker i's state into states[i]; it is bound once at
 	// Init so the per-step dispatch closes over no per-call state and
-	// allocates nothing. It is nil when the local step itself fills the
-	// state (LinearFDA). estimate evaluates H over meanSt, and synced (nil
-	// when the variant keeps no sync-dependent state) updates the variant
-	// after a model synchronization.
+	// allocates nothing. It is nil when the local step's watch fills the
+	// state (LinearFDA) or nothing does (OracleFDA). estimate evaluates H
+	// over meanSt, and synced (nil when the variant keeps no sync-dependent
+	// state) updates the variant after a model synchronization.
 	body     func(i int, w *Worker)
 	estimate func() float64
 	synced   func()
@@ -171,6 +171,9 @@ func (s *SketchFDA) Init(env *Env) {
 	}
 	s.meanSk = s.sk.NewSketch()
 	s.m2Scratch = make([]float64, s.L)
+	// The sketch needs u itself, so SketchFDA sets no watch: one fused
+	// pass writes u and sums ‖u‖², where a watch would add a second pass
+	// under SGD and Momentum (ROADMAP, SketchFDA at LinearFDA's price).
 	s.body = func(i int, w *Worker) {
 		u, sq := w.DriftSquaredNorm(env.W0)
 		s.states[i][0] = sq
@@ -224,10 +227,13 @@ func (l *LinearFDA) Init(env *Env) {
 	l.initStates(len(env.Workers), 2)
 	// The state comes out of each worker's own update sweep: its
 	// optimizer writes (‖u‖², ⟨ξ, u⟩) of the updated model into states[i]
-	// at every local step. W0 is watched through its field, because sync
-	// points swap the slice between two arenas. No per-worker body is left.
+	// at every local step and counts the report, which the session's
+	// checkReport then requires. W0 is watched through its field, because
+	// sync points swap the slice between two arenas. No per-worker body is
+	// left.
 	for i, w := range env.Workers {
-		w.Opt.Watch(&env.W0, l.xi, l.states[i])
+		w.reports, w.watched = 0, true
+		w.Opt.Watch(&env.W0, l.xi, l.states[i], &w.reports)
 	}
 	l.estimate = func() float64 { return l.meanSt[0] - l.meanSt[1]*l.meanSt[1] }
 	l.synced = func() {
@@ -279,12 +285,9 @@ func (o *OracleFDA) Name() string { return "OracleFDA" }
 
 // Init implements Strategy.
 func (o *OracleFDA) Init(env *Env) {
-	// The state is two scalars so the AllReduce charges what a two-scalar
-	// variant would; only its first entry is ever filled.
+	// The state is two zero scalars, so the AllReduce charges what a
+	// two-scalar variant would; H reads the models, never the state, so
+	// nothing fills it and no watch is set.
 	o.initStates(len(env.Workers), 2)
-	o.body = func(i int, w *Worker) {
-		_, sq := w.DriftSquaredNorm(env.W0)
-		o.states[i][0] = sq
-	}
 	o.estimate = env.ExactVarianceViaDrift
 }

@@ -151,16 +151,21 @@ func (o *stepOnlyOptimizer) Step(params, grads []float64) {
 // TestWrappedOptimizerRunsFusedSweep: LinearFDA's state comes out of the
 // optimizer's Step, reached through the Optimizer interface, so a
 // decorator that overrides only Step still runs the fused sweep inside
-// its own Step. Wrapped and bare runs of LinearFDA and asynchronous FDA
-// must agree on the Result and the global model's bits, and the wrapper
-// must see every local step.
+// its own Step, and its reports still reach the session's check, with no
+// type assertion anywhere. SketchFDA and LAG make their own drift pass
+// and must not notice the decorator either. Wrapped and bare runs,
+// synchronous and asynchronous, must agree on the Result and the global
+// model's bits, and the wrapper must see every local step.
 func TestWrappedOptimizerRunsFusedSweep(t *testing.T) {
 	base := testConfig(5)
 	base.MaxSteps = 40
 	base.EvalEvery = 20
 	for name, mk := range map[string]func() Strategy{
-		"LinearFDA": func() Strategy { return NewLinearFDA(0.1) },
-		"AsyncFDA":  func() Strategy { return NewAsyncFDA(NewLinearFDA(0.1)) },
+		"LinearFDA":      func() Strategy { return NewLinearFDA(0.1) },
+		"SketchFDA":      func() Strategy { return NewSketchFDA(0.1) },
+		"LAG":            func() Strategy { return NewLAG(5, 0.5) },
+		"AsyncFDA":       func() Strategy { return NewAsyncFDA(NewLinearFDA(0.1)) },
+		"AsyncSketchFDA": func() Strategy { return NewAsyncFDA(NewSketchFDA(0.1)) },
 	} {
 		t.Run(name, func(t *testing.T) {
 			wantRes, wantModel := fabricRun(t, base, mk, nil)

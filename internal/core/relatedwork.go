@@ -197,6 +197,8 @@ func (l *LAG) RestoreState(vecs [][]float64, counters []uint64) error {
 }
 
 // AfterLocalStep implements Strategy.
+//
+//fda:noalloc
 func (l *LAG) AfterLocalStep(env *Env, t int) {
 	if t%l.Tau != 0 {
 		return

@@ -234,7 +234,9 @@ func (s *Session) emit(e Event) {
 // coordinator's decision. Step returns false once the run has finished
 // (the final Result is then available from Result); the error is
 // non-nil when the session's context was cancelled (the session stays
-// resumable) or the model diverged (the session is failed).
+// resumable), or the session is failed: the model diverged, or a
+// worker's optimizer did not report the drift its strategy watches
+// (*SilentOptimizerError).
 func (s *Session) Step() (bool, error) {
 	if s.finished {
 		return false, s.finishErr
@@ -258,9 +260,19 @@ func (s *Session) Step() (bool, error) {
 	var ev StepEvent
 	var syncStart int64
 	if s.async != nil {
-		ev, syncStart = s.stepWorker(t)
+		var err error
+		if ev, syncStart, err = s.stepWorker(t); err != nil {
+			s.finish(err)
+			return false, err
+		}
 	} else {
 		s.env.ForEachWorker(s.stepBody)
+		for _, w := range s.env.Workers {
+			if err := w.checkReport(); err != nil {
+				s.finish(err)
+				return false, err
+			}
+		}
 		if s.stepTimer != nil {
 			// Compute time of step t lands on the virtual clock before the
 			// strategy's collectives add their communication time.

@@ -28,6 +28,11 @@ type Worker struct {
 
 	drift []float64  // scratch: u^(k) = w^(k) − w_t0
 	batch data.Batch // scratch: reused mini-batch view
+	// reports is the count of drift reports Opt's watch has made since
+	// the last checkReport; watched is set once a strategy armed the watch
+	// (LinearFDA.Init).
+	reports int
+	watched bool
 }
 
 // LocalStep performs one mini-batch Optimize step and returns the batch
@@ -49,12 +54,44 @@ func (w *Worker) Drift(w0 []float64) []float64 {
 }
 
 // DriftSquaredNorm recomputes the drift and returns it together with
-// ‖u‖², fused into one sweep (every FDA state computation needs both).
-// The squared norm accumulates left to right, bit-identical to
-// SquaredNorm(Drift(w0)).
+// ‖u‖², fused into one sweep (SketchFDA's state needs both; LAG's,
+// computed every τ steps, needs the norm). The squared norm accumulates
+// left to right, bit-identical to SquaredNorm(Drift(w0)) and to the watch.
 func (w *Worker) DriftSquaredNorm(w0 []float64) ([]float64, float64) {
 	sq := tensor.SubThenSquaredNorm(w.drift, w.Net.Params(), w0)
 	return w.drift, sq
+}
+
+// checkReport returns a *SilentOptimizerError when w is watched and its
+// last local step made no drift report, and restarts the count.
+//
+//fda:noalloc
+func (w *Worker) checkReport() error {
+	n := w.reports
+	w.reports = 0
+	if w.watched && n == 0 {
+		return silentOptimizer(w)
+	}
+	return nil
+}
+
+// SilentOptimizerError fails a run whose strategy watches the drift when
+// a worker's optimizer steps without reporting it (opt.Optimizer.Watch):
+// the strategy's state would stay stale, so it would never synchronize.
+type SilentOptimizerError struct {
+	Optimizer string // the optimizer's Name
+	Worker    int    // the worker's rank
+}
+
+func (e *SilentOptimizerError) Error() string {
+	return fmt.Sprintf("core: optimizer %s of worker %d stepped without reporting the drift its strategy watches (opt.Optimizer.Watch)", e.Optimizer, e.Worker)
+}
+
+// silentOptimizer builds checkReport's error off the hot path.
+//
+//go:noinline
+func silentOptimizer(w *Worker) error {
+	return &SilentOptimizerError{Optimizer: w.Opt.Name(), Worker: w.ID}
 }
 
 // Env is the shared state a strategy operates on: the communication
@@ -99,11 +136,9 @@ type Env struct {
 	// WPrev instead of allocating. w0Idx tracks which arena W0 occupies.
 	w0Arenas [2][]float64
 	w0Idx    int
-	// driftScratch and driftScratch2 back the measurement helpers
-	// (ExactVariance and the drift-identity variant), which strategies
-	// may evaluate every step.
-	driftScratch  []float64
-	driftScratch2 []float64
+	// meanDrift and diff back ExactVarianceViaDrift, which OracleFDA
+	// evaluates every step; both are sized on its first call.
+	meanDrift, diff []float64
 }
 
 func newEnv(fabric comm.Fabric, workers []*Worker) *Env {
@@ -153,23 +188,6 @@ func (e *Env) restoreSyncPoints(w0, wPrev []float64) {
 	}
 	copy(e.w0Arenas[1], wPrev)
 	e.WPrev = e.w0Arenas[1]
-}
-
-// scratchD returns the Env's lazily sized d-length measurement scratch.
-func (e *Env) scratchD() []float64 {
-	if e.driftScratch == nil {
-		e.driftScratch = make([]float64, e.D)
-	}
-	return e.driftScratch
-}
-
-// scratchD2 is the second measurement scratch (per-rank drift while
-// scratchD accumulates the mean).
-func (e *Env) scratchD2() []float64 {
-	if e.driftScratch2 == nil {
-		e.driftScratch2 = make([]float64, e.D)
-	}
-	return e.driftScratch2
 }
 
 // ForEachWorker runs body(k, Workers[k]) for every worker, concurrently
@@ -290,31 +308,19 @@ func (e *Env) GlobalModel(dst []float64) {
 	tensor.Mean(dst, e.Fabric.Gather(e.paramViews)...)
 }
 
-// ExactVariance returns Var(w_t) computed directly from Eq. (2) — the
-// ground truth that the FDA estimators bound. Used by tests and the
-// oracle ablation; a real deployment cannot compute it cheaply.
-func (e *Env) ExactVariance() float64 {
-	all := e.Fabric.Gather(e.paramViews)
-	mean := make([]float64, e.D)
-	tensor.Mean(mean, all...)
-	var s float64
-	diff := make([]float64, e.D)
-	for _, p := range all {
-		s += tensor.SubThenSquaredNorm(diff, p, mean)
-	}
-	return s / float64(e.Fabric.K())
-}
-
-// ExactVarianceViaDrift returns Var(w_t) through the drift identity
-// Eq. (4): mean‖u‖² − ‖ū‖². Tests assert it matches ExactVariance.
-// OracleFDA evaluates it every step, so the drifts and their mean
-// accumulate in Env scratch arenas rather than fresh vectors; the
-// gathered parameters and the same fused kernel keep the reduction
-// bit-identical to the pre-fabric per-worker loop.
+// ExactVarianceViaDrift returns Var(w_t), the ground truth the FDA
+// estimators bound, through the drift identity Eq. (4): mean‖u‖² − ‖ū‖².
+// Tests assert it matches Eq. (2) computed directly. OracleFDA evaluates
+// it every step, so the drifts and their mean accumulate in Env scratch
+// arenas rather than fresh vectors; the gathered parameters and the same
+// fused kernel keep the reduction bit-identical to the pre-fabric
+// per-worker loop.
 func (e *Env) ExactVarianceViaDrift() float64 {
 	all := e.Fabric.Gather(e.paramViews)
-	meanDrift := e.scratchD()
-	diff := e.scratchD2()
+	if e.meanDrift == nil {
+		e.meanDrift, e.diff = make([]float64, e.D), make([]float64, e.D)
+	}
+	meanDrift, diff := e.meanDrift, e.diff
 	tensor.Zero(meanDrift)
 	var meanSq float64
 	for _, p := range all {

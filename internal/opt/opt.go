@@ -29,21 +29,24 @@ type Optimizer interface {
 	// Watch makes every later Step also report the drift of the updated
 	// parameters p from the vector *w0 points to, read anew at each Step:
 	// out[0] = ‖p − *w0‖² and out[1] = ⟨xi, p − *w0⟩, each summed left to
-	// right. Adam computes both inside its update sweep, so the watcher
-	// (LinearFDA's local state) costs no second pass over the model. A nil
-	// w0 removes the watch. Every implementation must honour it: LinearFDA
-	// reads its state nowhere else.
-	Watch(w0 *[]float64, xi, out []float64)
+	// right, and *reports counts the Steps that wrote them. Adam computes
+	// both inside its update sweep, so the watcher costs no second pass
+	// over the model. A nil w0 removes the watch. Every implementation
+	// must honour it: LinearFDA reads its state nowhere else, and a
+	// session fails the run when a watched Step leaves the count where it
+	// was.
+	Watch(w0 *[]float64, xi, out []float64, reports *int)
 }
 
 // watch is the state behind Optimizer.Watch; every optimizer embeds it.
 type watch struct {
 	w0      *[]float64
 	xi, out []float64
+	reports *int
 }
 
 // Watch implements Optimizer.
-func (w *watch) Watch(w0 *[]float64, xi, out []float64) { *w = watch{w0, xi, out} }
+func (w *watch) Watch(w0 *[]float64, xi, out []float64, n *int) { *w = watch{w0, xi, out, n} }
 
 // target returns the watched w0 and xi, nil when no watch is set.
 func (w *watch) target() (w0, xi []float64) {
@@ -58,6 +61,7 @@ func (w *watch) target() (w0, xi []float64) {
 func (w *watch) report(p []float64) {
 	if w0, xi := w.target(); w0 != nil {
 		w.out[0], w.out[1] = tensor.DriftSums(p, w0, xi)
+		*w.reports++
 	}
 }
 
@@ -281,6 +285,7 @@ func (o *Adam) Step(params, grads []float64) {
 	sq, dot := tensor.AdamStep(params, grads, o.m, o.v, o.Beta1, o.Beta2, o.LR, o.Eps, b1c, b2c, coupledWD, decoupledWD, w0, xi)
 	if w0 != nil {
 		o.out[0], o.out[1] = sq, dot
+		*o.reports++
 	}
 }
 

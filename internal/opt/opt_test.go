@@ -244,9 +244,9 @@ func TestAdamStepMatchesScalarLoopExactly(t *testing.T) {
 
 // TestWatchReportsDriftOfUpdatedParams: every optimizer's watched Step
 // writes ‖p − w0‖² and ⟨ξ, p − w0⟩ of the updated p, summed left to right
-// as a scalar loop sums them, reads w0 through its pointer at each Step
-// (the caller swaps the slice between steps) and stops writing once the
-// watch is removed.
+// as a scalar loop sums them, counts the report, reads w0 through its
+// pointer at each Step (the caller swaps the slice between steps) and
+// stops writing and counting once the watch is removed.
 func TestWatchReportsDriftOfUpdatedParams(t *testing.T) {
 	const n = 1003
 	for _, o := range []Optimizer{
@@ -266,7 +266,8 @@ func TestWatchReportsDriftOfUpdatedParams(t *testing.T) {
 		tensor.Normal(rng, arenas[1], 0, 1)
 		w0 := arenas[0]
 		out := make([]float64, 2)
-		o.Watch(&w0, xi, out)
+		reports := 0
+		o.Watch(&w0, xi, out, &reports)
 		for step := 1; step <= 4; step++ {
 			w0 = arenas[step%2]
 			tensor.Normal(rng, g, 0, 0.1)
@@ -280,12 +281,15 @@ func TestWatchReportsDriftOfUpdatedParams(t *testing.T) {
 			if math.Float64bits(out[0]) != math.Float64bits(sq) || math.Float64bits(out[1]) != math.Float64bits(dot) {
 				t.Fatalf("%s step %d: watch reported (%v, %v), scalar loop (%v, %v)", o.Name(), step, out[0], out[1], sq, dot)
 			}
+			if reports != step {
+				t.Fatalf("%s step %d: watch counted %d reports", o.Name(), step, reports)
+			}
 		}
-		o.Watch(nil, nil, nil)
+		o.Watch(nil, nil, nil, nil)
 		out[0], out[1] = -1, -1
 		o.Step(params, g)
-		if out[0] != -1 || out[1] != -1 {
-			t.Fatalf("%s wrote %v after its watch was removed", o.Name(), out)
+		if out[0] != -1 || out[1] != -1 || reports != 4 {
+			t.Fatalf("%s wrote %v (count %d) after its watch was removed", o.Name(), out, reports)
 		}
 	}
 }
