@@ -7,21 +7,22 @@ import (
 	"repro/fda"
 )
 
-// The extended facade surface: new layers, related-work strategies, the
-// adaptive-Θ controller, Dirichlet splits and checkpoints.
+// The extended facade surface: every layer constructor, related-work
+// strategies, the adaptive-Θ controller, Dirichlet splits and checkpoints.
 func TestFacadeNewLayersTrain(t *testing.T) {
 	train, test := fda.MNISTLike(21)
 	model := func(rng *fda.RNG) *fda.Network {
 		conv := fda.NewConv2D(fda.Shape{H: 8, W: 8, C: 1}, 4, 3, fda.HeNormalInit)
-		block := fda.NewDenseBlock(fda.Shape{H: 8, W: 8, C: 1}, conv, 4)
-		pool := fda.NewAvgPool2D(block.OutShape(), 2)
+		pool := fda.NewMaxPool2D(conv.OutShape(), 2)
+		gap := fda.NewGlobalAvgPool(pool.OutShape())
 		return fda.NewNetwork(rng,
-			block,
-			fda.NewLeakyReLU(block.OutDim(), 0.1),
+			conv,
+			fda.NewReLU(conv.OutDim()),
 			pool,
-			fda.NewBatchNorm(pool.OutDim()),
-			fda.NewDense(pool.OutDim(), 16, fda.HeNormalInit),
-			fda.NewSigmoid(16),
+			gap,
+			fda.NewDropout(gap.OutDim(), 0.1, rng.Split()),
+			fda.NewDense(gap.OutDim(), 16, fda.HeNormalInit),
+			fda.NewReLU(16),
 			fda.NewDense(16, 10, fda.GlorotUniformInit),
 		)
 	}

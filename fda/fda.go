@@ -180,16 +180,9 @@ var (
 	NewDense         = nn.NewDense
 	NewConv2D        = nn.NewConv2D
 	NewMaxPool2D     = nn.NewMaxPool2D
-	NewAvgPool2D     = nn.NewAvgPool2D
 	NewGlobalAvgPool = nn.NewGlobalAvgPool
 	NewReLU          = nn.NewReLU
-	NewLeakyReLU     = nn.NewLeakyReLU
-	NewTanh          = nn.NewTanh
-	NewSigmoid       = nn.NewSigmoid
 	NewDropout       = nn.NewDropout
-	NewBatchNorm     = nn.NewBatchNorm
-	// NewDenseBlock builds DenseNet-style concatenation blocks.
-	NewDenseBlock = nn.NewDenseBlock
 )
 
 // Weight initialization schemes.

@@ -96,7 +96,7 @@ func (a *AsyncFDA) bind(cfg Config, fabric comm.Fabric) error {
 	clock, ok := fabric.(rankClock)
 	if !ok {
 		return fmt.Errorf("core: asynchronous FDA needs a fabric that times each rank's steps (comm.SimFabric), not %T; "+
-			"over TCP its one-way state uploads would need point-to-point messages the wire format does not have", fabric)
+			"over TCP the order of its events would depend on network timing, so the run would not be bit-identical", fabric)
 	}
 	if cfg.SyncCodec != nil {
 		return fmt.Errorf("core: asynchronous FDA synchronizes dense models; SyncCodec %s is not supported", cfg.SyncCodec.Name())

@@ -66,8 +66,8 @@ func intSum(xs []int) int {
 	return s
 }
 
-// window shows the exemption grammar for reductions no kernel covers
-// (the AvgPool2D strided-tap window carries the same annotation).
+// window shows the exemption grammar for reductions no kernel covers,
+// such as a pooling window over strided taps.
 func window(xs []float64) float64 {
 	var s float64
 	for _, x := range xs {

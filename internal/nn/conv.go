@@ -316,7 +316,7 @@ func (l *Conv2D) scatterTap(gin, gcol []float64, r int) {
 // MaxPool2D is a non-overlapping max pooling layer with a square window.
 // Input dimensions must be divisible by the window size. Pooling treats
 // every channel plane alone, so a batch of n samples is simply n·C planes
-// back to back (likewise AvgPool2D and GlobalAvgPool).
+// back to back (likewise GlobalAvgPool).
 type MaxPool2D struct {
 	in   Shape
 	size int

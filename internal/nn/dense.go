@@ -1,13 +1,6 @@
 package nn
 
-import (
-	"math"
-
-	"repro/internal/tensor"
-)
-
-// exp is math.Exp; aliased so activation code reads compactly.
-func exp(x float64) float64 { return math.Exp(x) }
+import "repro/internal/tensor"
 
 // InitScheme selects the weight initialization for parameterized layers,
 // matching the paper's model settings (Glorot uniform for LeNet-5/VGG16*,

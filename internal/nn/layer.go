@@ -19,9 +19,9 @@
 // cache-resident and small beside the model. The arithmetic is
 // per-sample arithmetic all the same — the rule every layer keeps is
 // *sample order*: each parameter-gradient element receives its samples'
-// contributions in sample order, each stateful layer (BatchNorm's
-// running statistics, Dropout's mask stream) consumes its samples in
-// sample order, and every reduction keeps the association of its
+// contributions in sample order, the one stateful layer (Dropout, whose
+// mask stream lives outside the parameter vector) consumes its samples
+// in sample order, and every reduction keeps the association of its
 // scalar loop. A mini-batch therefore yields the same bits at any
 // micro-batch size, n = 1 included, which is what the tests compare
 // against. Layers grow their buffers to the largest n they have seen and
@@ -56,8 +56,7 @@ type Layer interface {
 	// Init writes initial weights into the bound parameter slice.
 	Init(rng *tensor.RNG)
 	// Forward computes the layer outputs for the samples in x. When train
-	// is false, stochastic layers (dropout) act as identity×expectation
-	// and running statistics are not updated.
+	// is false, stochastic layers (dropout) act as identity×expectation.
 	Forward(x []float64, train bool) []float64
 	// Backward consumes ∂L/∂output for the same samples, adds each
 	// sample's parameter gradient into the bound gradient slice in sample
@@ -124,51 +123,4 @@ func (l *ReLU) Backward(gradOut []float64, _ bool) []float64 {
 	l.gin = grow(l.gin, len(l.out))
 	tensor.ReLUGrad(l.gin, gradOut, l.out)
 	return l.gin
-}
-
-// Tanh is the hyperbolic-tangent activation layer.
-type Tanh struct {
-	dim int
-	out []float64
-	gin []float64
-}
-
-// NewTanh returns a Tanh over dim-length activations.
-func NewTanh(dim int) *Tanh { return &Tanh{dim: dim} }
-
-func (l *Tanh) InDim() int          { return l.dim }
-func (l *Tanh) OutDim() int         { return l.dim }
-func (l *Tanh) ParamCount() int     { return 0 }
-func (l *Tanh) Bind(_, _ []float64) {}
-func (l *Tanh) Init(_ *tensor.RNG)  {}
-
-//fda:noalloc
-func (l *Tanh) Forward(x []float64, _ bool) []float64 {
-	l.out = grow(l.out, len(x))
-	for i, v := range x {
-		l.out[i] = tanh(v)
-	}
-	return l.out
-}
-
-//fda:noalloc
-func (l *Tanh) Backward(gradOut []float64, _ bool) []float64 {
-	l.gin = grow(l.gin, len(l.out))
-	for i, y := range l.out {
-		l.gin[i] = gradOut[i] * (1 - y*y)
-	}
-	return l.gin
-}
-
-// tanh avoids importing math in the hot path signature; math.Tanh is fine.
-func tanh(x float64) float64 {
-	// Clamp to avoid overflow in exp for extreme activations.
-	if x > 20 {
-		return 1
-	}
-	if x < -20 {
-		return -1
-	}
-	e2 := exp(2 * x)
-	return (e2 - 1) / (e2 + 1)
 }

@@ -73,16 +73,6 @@ func TestDenseGradientCheck(t *testing.T) {
 	gradCheck(t, n, rng, 1e-4)
 }
 
-func TestTanhGradientCheck(t *testing.T) {
-	rng := tensor.NewRNG(2)
-	n := New(rng,
-		NewDense(4, 6, HeNormalInit),
-		NewTanh(6),
-		NewDense(6, 2, HeNormalInit),
-	)
-	gradCheck(t, n, rng, 1e-4)
-}
-
 func TestConvGradientCheck(t *testing.T) {
 	rng := tensor.NewRNG(3)
 	in := Shape{H: 4, W: 4, C: 2}
@@ -104,7 +94,7 @@ func TestGlobalAvgPoolGradientCheck(t *testing.T) {
 	gap := NewGlobalAvgPool(conv.OutShape())
 	n := New(rng,
 		conv,
-		NewTanh(conv.OutDim()),
+		NewReLU(conv.OutDim()),
 		gap,
 		NewDense(gap.OutDim(), 2, HeNormalInit),
 	)
@@ -340,8 +330,7 @@ func TestNetworkLearns(t *testing.T) {
 // pass tells layer 0 not to compute ∂L/∂input. Driving the same layers by
 // hand with the input gradient requested everywhere must leave every
 // parameter gradient bit where the network's own backward pass put it —
-// for a Dense, a Conv2D and a DenseBlock (whose inner conv inherits the
-// skip) in first position.
+// for a Dense and a Conv2D in first position.
 func TestSkippedFirstInputGradientChangesNoParameterGradient(t *testing.T) {
 	in := Shape{H: 4, W: 4, C: 2}
 	builds := map[string]func(*tensor.RNG) *Network{
@@ -351,10 +340,6 @@ func TestSkippedFirstInputGradientChangesNoParameterGradient(t *testing.T) {
 		"conv": func(rng *tensor.RNG) *Network {
 			c := NewConv2D(in, 3, 3, HeNormalInit)
 			return New(rng, c, NewReLU(c.OutDim()), NewDense(c.OutDim(), 3, HeNormalInit))
-		},
-		"block": func(rng *tensor.RNG) *Network {
-			b := NewDenseBlock(in, NewConv2D(in, 2, 3, HeNormalInit), 2)
-			return New(rng, b, NewTanh(b.OutDim()), NewDense(b.OutDim(), 3, HeNormalInit))
 		},
 	}
 	for name, build := range builds {
@@ -398,17 +383,16 @@ func TestLossGradBatchZeroAllocs(t *testing.T) {
 	}
 	rng := tensor.NewRNG(31)
 	in := Shape{H: 4, W: 4, C: 2}
-	block := NewDenseBlock(in, NewConv2D(in, 2, 3, HeNormalInit), 2)
-	conv := NewConv2D(block.OutShape(), 4, 3, HeNormalInit)
+	first := NewConv2D(in, 2, 3, HeNormalInit)
+	conv := NewConv2D(first.OutShape(), 4, 3, HeNormalInit)
 	maxp := NewMaxPool2D(conv.OutShape(), 2)
-	avgp := NewAvgPool2D(maxp.OutShape(), 2)
-	gap := NewGlobalAvgPool(avgp.OutShape())
+	gap := NewGlobalAvgPool(maxp.OutShape())
 	n := New(rng,
-		block, NewLeakyReLU(block.OutDim(), 0.1),
-		conv, NewReLU(conv.OutDim()), maxp, avgp, gap,
-		NewBatchNorm(gap.OutDim()), NewDropout(gap.OutDim(), 0.2, rng.Split()),
-		NewDense(gap.OutDim(), 256, HeNormalInit), NewTanh(256),
-		NewDense(256, 64, HeNormalInit), NewSigmoid(64),
+		first, NewReLU(first.OutDim()),
+		conv, NewReLU(conv.OutDim()), maxp, gap,
+		NewDropout(gap.OutDim(), 0.2, rng.Split()),
+		NewDense(gap.OutDim(), 256, HeNormalInit), NewReLU(256),
+		NewDense(256, 64, HeNormalInit), NewReLU(64),
 		NewDense(64, 3, HeNormalInit),
 	)
 	if n.micro != maxMicroBatch {

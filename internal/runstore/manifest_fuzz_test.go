@@ -12,9 +12,9 @@ import (
 // arbitrary manifest.json bytes: a torn write, a hand edit, another
 // entry's manifest. No reader or listing panics. A run manifest that
 // Get, Contains or List accepts re-hashes to its own address, the
-// address of the spec asked for; a snapshot manifest that GetSnapshot,
-// BestSnapshot or Snapshots accepts is one loadSnapshotManifest accepts
-// at the snapshot's address.
+// address of the spec asked for; a snapshot manifest that BestSnapshot
+// or Snapshots accepts is one loadSnapshotManifest accepts at the
+// snapshot's address.
 func FuzzStoreManifest(f *testing.F) {
 	spec := sampleSpec(7)
 	records := rawLines(`{"a":1}`, `{"b":[2,3]}`)
@@ -96,20 +96,19 @@ func checkSnapshotReaders(t *testing.T, st *Store, p PrefixSpec, steps int, blob
 	t.Helper()
 	_, loadErr := loadSnapshotManifest(st.snapDir(p.Canonical().Hash(), steps), p.Canonical().Hash(), steps)
 	want := loadErr == nil
-	got, _, ok, _ := st.GetSnapshot(p, steps)
-	best, _, bestOK, _ := st.BestSnapshot(p, steps, nil)
+	best, _, ok, _ := st.BestSnapshot(p, steps, nil)
 	list, err := st.Snapshots()
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The readers CRC the blob, so a manifest can pass the load and
-	// still be refused; none may accept what the load refuses.
-	if (ok && !want) || (bestOK && !want) || (len(list) > 0 && !want) {
-		t.Fatalf("accepted (get %v, best %v, listed %d) a snapshot manifest loadSnapshotManifest refuses: %v",
-			ok, bestOK, len(list), loadErr)
+	// BestSnapshot CRCs the blob, so a manifest can pass the load and
+	// still be refused; no reader may accept what the load refuses.
+	if (ok && !want) || (len(list) > 0 && !want) {
+		t.Fatalf("accepted (best %v, listed %d) a snapshot manifest loadSnapshotManifest refuses: %v",
+			ok, len(list), loadErr)
 	}
-	if ok != bestOK || (ok && (!bytes.Equal(got, blob) || !bytes.Equal(best, blob))) {
-		t.Fatalf("GetSnapshot (%v %q) and BestSnapshot (%v %q) disagree", ok, got, bestOK, best)
+	if ok && !bytes.Equal(best, blob) {
+		t.Fatalf("BestSnapshot served %q, stored %q", best, blob)
 	}
 	if len(list) > 1 || (ok && len(list) != 1) {
 		t.Fatalf("Snapshots of a readable entry = %+v", list)

@@ -13,7 +13,6 @@ var (
 	getSec      = obs.Default.Histogram("fda_runstore_op_seconds", storeOpHelp, obs.Seconds, "op", "get")
 	putSec      = obs.Default.Histogram("fda_runstore_op_seconds", storeOpHelp, obs.Seconds, "op", "put")
 	snapPutSec  = obs.Default.Histogram("fda_runstore_op_seconds", storeOpHelp, obs.Seconds, "op", "snapshot_put")
-	snapGetSec  = obs.Default.Histogram("fda_runstore_op_seconds", storeOpHelp, obs.Seconds, "op", "snapshot_get")
 	snapBestSec = obs.Default.Histogram("fda_runstore_op_seconds", storeOpHelp, obs.Seconds, "op", "snapshot_best")
 
 	// bestHits/bestMisses count warm-start lookups: the ratio is the

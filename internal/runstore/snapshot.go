@@ -91,34 +91,6 @@ func loadSnapshotManifest(dir, hash string, steps int) (SnapshotManifest, error)
 	return m, nil
 }
 
-// GetSnapshot loads the snapshot stored for p at exactly steps. ok is
-// false on a miss; a non-nil error wrapping ErrCorrupt additionally
-// reports an entry that exists but failed verification.
-func (s *Store) GetSnapshot(p PrefixSpec, steps int) (blob []byte, m SnapshotManifest, ok bool, err error) {
-	start := obs.Clock()
-	sp := obs.StartRegion("runstore.GetSnapshot", "runstore")
-	defer func() {
-		snapGetSec.Since(start)
-		if sp.Active() {
-			sp.EndArgs("steps", steps, "hit", ok)
-		}
-	}()
-	hash := p.Canonical().Hash()
-	dir := s.snapDir(hash, steps)
-	m, err = loadSnapshotManifest(dir, hash, steps)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, SnapshotManifest{}, false, nil
-		}
-		return nil, SnapshotManifest{}, false, err
-	}
-	blob, err = readPayload(dir, "state.ckpt", m.Bytes, m.CRC64)
-	if err != nil {
-		return nil, SnapshotManifest{}, false, err
-	}
-	return blob, m, true, nil
-}
-
 // BestSnapshot returns the longest stored prefix of p with steps ≤
 // maxSteps that accept admits, reading (and CRC-verifying) only the
 // blob it selects. accept receives the candidate's step count and
@@ -187,7 +159,7 @@ func (s *Store) SnapshotCount() int {
 // snapshot — a consistent manifest at its own (hash, steps) directory
 // whose blob has the declared size — sorted by (experiment, model,
 // family, steps, hash) so listings are stable. Blob CRCs are deferred
-// to GetSnapshot/BestSnapshot, mirroring List.
+// to BestSnapshot, mirroring List.
 func (s *Store) Snapshots() ([]SnapshotManifest, error) {
 	var out []SnapshotManifest
 	walk(filepath.Join(s.dir, "snapshots"), 3, func(dir string) {

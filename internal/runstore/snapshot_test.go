@@ -57,6 +57,12 @@ func TestPrefixSpecHashStableAndSensitive(t *testing.T) {
 	}
 }
 
+// snapshotAt reads the snapshot stored for p at exactly steps: a
+// BestSnapshot whose accept admits only that step count.
+func snapshotAt(st *Store, p PrefixSpec, steps int) ([]byte, SnapshotManifest, bool, error) {
+	return st.BestSnapshot(p, steps, func(n int, _ float64) bool { return n == steps })
+}
+
 func TestSnapshotPutGetRoundTrip(t *testing.T) {
 	st, err := Open(t.TempDir())
 	if err != nil {
@@ -67,7 +73,7 @@ func TestSnapshotPutGetRoundTrip(t *testing.T) {
 	if err := st.PutSnapshot(p, 25, 0.031, blob); err != nil {
 		t.Fatal(err)
 	}
-	got, m, ok, err := st.GetSnapshot(p, 25)
+	got, m, ok, err := snapshotAt(st, p, 25)
 	if err != nil || !ok {
 		t.Fatalf("get: ok=%v err=%v", ok, err)
 	}
@@ -75,17 +81,17 @@ func TestSnapshotPutGetRoundTrip(t *testing.T) {
 		t.Fatalf("round trip: %q %+v", got, m)
 	}
 	// Misses: wrong step, wrong prefix.
-	if _, _, ok, err := st.GetSnapshot(p, 50); ok || err != nil {
+	if _, _, ok, err := snapshotAt(st, p, 50); ok || err != nil {
 		t.Fatalf("missing step served: ok=%v err=%v", ok, err)
 	}
-	if _, _, ok, _ := st.GetSnapshot(samplePrefix(2), 25); ok {
+	if _, _, ok, _ := snapshotAt(st, samplePrefix(2), 25); ok {
 		t.Fatal("different cell seed hit the same snapshot")
 	}
 	// Replacement is atomic and leaves no staging debris.
 	if err := st.PutSnapshot(p, 25, 0.04, []byte("checkpoint-bytes-2")); err != nil {
 		t.Fatal(err)
 	}
-	got, m, ok, _ = st.GetSnapshot(p, 25)
+	got, m, ok, _ = snapshotAt(st, p, 25)
 	if !ok || string(got) != "checkpoint-bytes-2" || m.Guard != 0.04 {
 		t.Fatalf("overwrite not visible: %q %+v", got, m)
 	}
@@ -153,15 +159,15 @@ func TestBestSnapshotSkipsCorruptEntries(t *testing.T) {
 	if !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("damage not surfaced: err=%v", err)
 	}
-	// Direct Get of the damaged entry is a loud miss.
-	if _, _, ok, err := st.GetSnapshot(p, 20); ok || !errors.Is(err, ErrCorrupt) {
+	// Reading the damaged step alone is a loud miss.
+	if _, _, ok, err := snapshotAt(st, p, 20); ok || !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("corrupt snapshot served: ok=%v err=%v", ok, err)
 	}
 	// Self-healing: a fresh Put replaces the damaged entry.
 	if err := st.PutSnapshot(p, 20, 0, []byte("healed")); err != nil {
 		t.Fatal(err)
 	}
-	if blob, _, ok, err := st.GetSnapshot(p, 20); !ok || err != nil || string(blob) != "healed" {
+	if blob, _, ok, err := snapshotAt(st, p, 20); !ok || err != nil || string(blob) != "healed" {
 		t.Fatalf("snapshot did not heal: %q ok=%v err=%v", blob, ok, err)
 	}
 }
@@ -303,7 +309,7 @@ func TestStoreConcurrentPutSameSpec(t *testing.T) {
 		}()
 	}
 	wg2.Wait()
-	blob, m, ok, err := st.GetSnapshot(p, 30)
+	blob, m, ok, err := snapshotAt(st, p, 30)
 	if !ok || err != nil || string(blob) != "deterministic-blob" || m.Guard != 0.01 {
 		t.Fatalf("snapshot after race: %q %+v ok=%v err=%v", blob, m, ok, err)
 	}

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -185,12 +184,7 @@ var entryKinds = []entryKind{
 		dir: func(st *Store, i uint64) string { return st.snapDir(samplePrefix(i).Canonical().Hash(), 10) },
 		del: func(st *Store, i uint64) error { return st.DeleteSnapshots(samplePrefix(i)) },
 		get: func(st *Store, i uint64) (string, bool, error) {
-			blob, _, ok, err := st.GetSnapshot(samplePrefix(i), 10)
-			bestBlob, _, bestOK, bestErr := st.BestSnapshot(samplePrefix(i), 100, nil)
-			if ok != bestOK || string(blob) != string(bestBlob) || (err == nil) != (bestErr == nil) {
-				return "", false, fmt.Errorf("GetSnapshot (%q %v %v) and BestSnapshot (%q %v %v) disagree",
-					blob, ok, err, bestBlob, bestOK, bestErr)
-			}
+			blob, _, ok, err := st.BestSnapshot(samplePrefix(i), 100, nil)
 			return string(blob), ok, err
 		},
 		listed: func(t *testing.T, st *Store) int {
