@@ -292,15 +292,13 @@ var (
 	SpeedsScenario = comm.SpeedsScenario
 )
 
-// Compression codecs for the synchronization step. Every codec also
-// implements WireCodec: Encode/Decode materialize the compressed form
-// as length-prefixed, CRC-checked bytes, which is what the TCP fabric
-// actually transmits during a compressed synchronization.
+// Compression codecs for the synchronization step. A codec's
+// Encode/Decode materialize the compressed form as length-prefixed,
+// CRC-checked bytes, which is what the TCP fabric actually transmits
+// during a compressed synchronization.
 type (
 	// Codec compresses synchronized drifts.
 	Codec = compress.Codec
-	// WireCodec is a Codec with a real byte-level wire format.
-	WireCodec = compress.WireCodec
 	// TopK keeps the largest-magnitude fraction of components.
 	TopK = compress.TopK
 	// Quantize maps components onto 2^Bits uniform levels.

@@ -8,15 +8,15 @@
 package checkpoint
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc64"
 	"io"
-	"math"
 	"os"
+	"path/filepath"
 	"sort"
+
+	"repro/internal/tensor"
 )
 
 // magic identifies the file format; version gates layout changes.
@@ -32,7 +32,16 @@ const (
 	versionSections = 2
 )
 
+// Decoder caps: a length above these is corrupt, whatever the CRC says.
+const (
+	maxLen     = 1 << 30 // float64s in one vector (8 GiB)
+	maxName    = 1 << 16 // bytes in one section or counter name
+	maxEntries = 1 << 24 // sections or counters in one snapshot
+)
+
 var crcTable = crc64.MakeTable(crc64.ECMA)
+
+var le = binary.LittleEndian
 
 // Snapshot is a named training state: the flat parameter vector plus
 // bookkeeping an FDA run needs to resume (step counter and the model at
@@ -88,233 +97,149 @@ func (s *Snapshot) AddU64(name string, v uint64) {
 	s.Counters[name] = v
 }
 
-// Write serializes s to w.
-func Write(w io.Writer, s *Snapshot) error {
-	bw := bufio.NewWriter(w)
-	crc := crc64.New(crcTable)
-	out := io.MultiWriter(bw, crc)
-
-	writeU64 := func(v uint64) error {
-		var buf [8]byte
-		binary.LittleEndian.PutUint64(buf[:], v)
-		_, err := out.Write(buf[:])
-		return err
-	}
-	writeVec := func(v []float64) error {
-		if err := writeU64(uint64(len(v))); err != nil {
-			return err
-		}
-		var buf [8]byte
-		for _, x := range v {
-			binary.LittleEndian.PutUint64(buf[:], math.Float64bits(x))
-			if _, err := out.Write(buf[:]); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
-	writeStr := func(str string) error {
-		if err := writeU64(uint64(len(str))); err != nil {
-			return err
-		}
-		_, err := out.Write([]byte(str))
-		return err
-	}
-
+// Marshal serializes s into one image: header, vectors, then a CRC64
+// of everything before it. The error is always nil.
+func Marshal(s *Snapshot) ([]byte, error) {
 	ver := uint64(version)
+	var sections, counters []string
+	size := 8 * (6 + len(s.Params) + len(s.W0)) // header, two vectors, CRC
 	if len(s.Sections) > 0 || len(s.Counters) > 0 {
 		ver = versionSections
+		sections, counters = sortedKeys(s.Sections), sortedKeys(s.Counters)
+		size += 16
+		for _, name := range sections {
+			size += 16 + len(name) + 8*len(s.Sections[name])
+		}
+		for _, name := range counters {
+			size += 16 + len(name)
+		}
 	}
-	if err := writeU64(magic); err != nil {
-		return err
-	}
-	if err := writeU64(ver); err != nil {
-		return err
-	}
-	if err := writeU64(uint64(s.Step)); err != nil {
-		return err
-	}
-	if err := writeVec(s.Params); err != nil {
-		return err
-	}
-	if err := writeVec(s.W0); err != nil {
-		return err
-	}
+	b := make([]byte, 0, size)
+	b = le.AppendUint64(b, magic)
+	b = le.AppendUint64(b, ver)
+	b = le.AppendUint64(b, uint64(s.Step))
+	b = appendVec(b, s.Params)
+	b = appendVec(b, s.W0)
 	if ver == versionSections {
 		// Key-sorted section and counter tables: deterministic bytes.
-		if err := writeU64(uint64(len(s.Sections))); err != nil {
-			return err
+		b = le.AppendUint64(b, uint64(len(sections)))
+		for _, name := range sections {
+			b = appendVec(appendStr(b, name), s.Sections[name])
 		}
-		for _, name := range sortedKeys(s.Sections) {
-			if err := writeStr(name); err != nil {
-				return err
-			}
-			if err := writeVec(s.Sections[name]); err != nil {
-				return err
-			}
-		}
-		if err := writeU64(uint64(len(s.Counters))); err != nil {
-			return err
-		}
-		for _, name := range sortedKeys(s.Counters) {
-			if err := writeStr(name); err != nil {
-				return err
-			}
-			if err := writeU64(s.Counters[name]); err != nil {
-				return err
-			}
+		b = le.AppendUint64(b, uint64(len(counters)))
+		for _, name := range counters {
+			b = le.AppendUint64(appendStr(b, name), s.Counters[name])
 		}
 	}
-	// Trailer: CRC64 of everything written so far (not itself CRC'd).
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], crc.Sum64())
-	if _, err := bw.Write(buf[:]); err != nil {
-		return err
-	}
-	return bw.Flush()
+	return le.AppendUint64(b, crc64.Checksum(b, crcTable)), nil
 }
 
-// Read deserializes a snapshot from r, verifying magic, version and CRC.
-func Read(r io.Reader) (*Snapshot, error) {
-	br := bufio.NewReader(r)
-	crc := crc64.New(crcTable)
-	in := io.TeeReader(br, crc)
+func appendVec(b []byte, v []float64) []byte {
+	return tensor.AppendLE(le.AppendUint64(b, uint64(len(v))), v)
+}
 
-	readU64 := func() (uint64, error) {
-		var buf [8]byte
-		if _, err := io.ReadFull(in, buf[:]); err != nil {
-			return 0, err
-		}
-		return binary.LittleEndian.Uint64(buf[:]), nil
-	}
-	readVec := func() ([]float64, error) {
-		n, err := readU64()
-		if err != nil {
-			return nil, err
-		}
-		const maxLen = 1 << 30 // 8 GiB of float64s; reject corrupt headers
-		if n > maxLen {
-			return nil, fmt.Errorf("checkpoint: implausible vector length %d", n)
-		}
-		// Grow as bytes actually arrive instead of trusting the header:
-		// a truncated or corrupt stream then fails with EOF after the
-		// available data, not an n-sized up-front allocation.
-		v := make([]float64, 0, min(n, 4096))
-		var buf [8]byte
-		for i := uint64(0); i < n; i++ {
-			if _, err := io.ReadFull(in, buf[:]); err != nil {
-				return nil, err
-			}
-			v = append(v, math.Float64frombits(binary.LittleEndian.Uint64(buf[:])))
-		}
-		return v, nil
-	}
+func appendStr(b []byte, s string) []byte {
+	return append(le.AppendUint64(b, uint64(len(s))), s...)
+}
 
-	m, err := readU64()
-	if err != nil {
-		return nil, fmt.Errorf("checkpoint: reading magic: %w", err)
-	}
-	if m != magic {
+// Unmarshal decodes an image produced by Marshal (or Write), verifying
+// magic, version, lengths and, last, the CRC.
+func Unmarshal(b []byte) (*Snapshot, error) {
+	d := decoder{rest: b}
+	if m := d.u64(); d.err != nil {
+		return nil, fmt.Errorf("checkpoint: reading magic: %w", d.err)
+	} else if m != magic {
 		return nil, fmt.Errorf("checkpoint: bad magic %#x", m)
 	}
-	readStr := func() (string, error) {
-		n, err := readU64()
-		if err != nil {
-			return "", err
-		}
-		const maxName = 1 << 16
-		if n > maxName {
-			return "", fmt.Errorf("checkpoint: implausible name length %d", n)
-		}
-		buf := make([]byte, n)
-		if _, err := io.ReadFull(in, buf); err != nil {
-			return "", err
-		}
-		return string(buf), nil
-	}
-
-	ver, err := readU64()
-	if err != nil {
-		return nil, err
-	}
-	if ver != version && ver != versionSections {
+	ver := d.u64()
+	if d.err == nil && ver != version && ver != versionSections {
 		return nil, fmt.Errorf("checkpoint: unsupported version %d", ver)
 	}
-	step, err := readU64()
-	if err != nil {
-		return nil, err
-	}
-	params, err := readVec()
-	if err != nil {
-		return nil, err
-	}
-	w0, err := readVec()
-	if err != nil {
-		return nil, err
-	}
-	var sections map[string][]float64
-	var counters map[string]uint64
-	if ver == versionSections {
-		const maxEntries = 1 << 24
-		ns, err := readU64()
-		if err != nil {
-			return nil, err
-		}
-		if ns > maxEntries {
-			return nil, fmt.Errorf("checkpoint: implausible section count %d", ns)
-		}
-		sections = make(map[string][]float64, min(ns, 1024))
-		for i := uint64(0); i < ns; i++ {
-			name, err := readStr()
-			if err != nil {
-				return nil, err
-			}
-			vec, err := readVec()
-			if err != nil {
-				return nil, err
-			}
-			sections[name] = vec
-		}
-		nc, err := readU64()
-		if err != nil {
-			return nil, err
-		}
-		if nc > maxEntries {
-			return nil, fmt.Errorf("checkpoint: implausible counter count %d", nc)
-		}
-		counters = make(map[string]uint64, min(nc, 1024))
-		for i := uint64(0); i < nc; i++ {
-			name, err := readStr()
-			if err != nil {
-				return nil, err
-			}
-			v, err := readU64()
-			if err != nil {
-				return nil, err
-			}
-			counters[name] = v
-		}
-	}
-	want := crc.Sum64()
-	var buf [8]byte
-	if _, err := io.ReadFull(br, buf[:]); err != nil {
-		return nil, fmt.Errorf("checkpoint: reading CRC: %w", err)
-	}
-	if got := binary.LittleEndian.Uint64(buf[:]); got != want {
-		return nil, fmt.Errorf("checkpoint: CRC mismatch: file %#x computed %#x", got, want)
-	}
-	s := &Snapshot{Step: int64(step), Params: params}
-	if len(w0) > 0 {
+	s := &Snapshot{Step: int64(d.u64()), Params: d.vec()}
+	if w0 := d.vec(); len(w0) > 0 {
 		s.W0 = w0
 	}
-	if len(sections) > 0 {
-		s.Sections = sections
+	if ver == versionSections {
+		if n := d.length("section count", maxEntries); n > 0 {
+			s.Sections = make(map[string][]float64, min(n, 1024))
+			for i := uint64(0); i < n && d.err == nil; i++ {
+				name := d.str()
+				s.Sections[name] = d.vec()
+			}
+		}
+		if n := d.length("counter count", maxEntries); n > 0 {
+			s.Counters = make(map[string]uint64, min(n, 1024))
+			for i := uint64(0); i < n && d.err == nil; i++ {
+				name := d.str()
+				s.Counters[name] = d.u64()
+			}
+		}
 	}
-	if len(counters) > 0 {
-		s.Counters = counters
+	if d.err != nil {
+		return nil, d.err
+	}
+	want := crc64.Checksum(b[:len(b)-len(d.rest)], crcTable)
+	if got := d.u64(); d.err != nil {
+		return nil, fmt.Errorf("checkpoint: reading CRC: %w", d.err)
+	} else if got != want {
+		return nil, fmt.Errorf("checkpoint: CRC mismatch: file %#x computed %#x", got, want)
 	}
 	return s, nil
+}
+
+// decoder reads an image front to back. The first short read or
+// implausible length sticks in err, and every later read returns zero.
+type decoder struct {
+	rest []byte
+	err  error
+}
+
+func (d *decoder) u64() uint64 {
+	b := d.take(8)
+	if b == nil {
+		return 0
+	}
+	return le.Uint64(b)
+}
+
+// take consumes n bytes. A length the image cannot hold fails as a
+// truncation here, before the caller allocates anything for it.
+func (d *decoder) take(n uint64) []byte {
+	if d.err != nil {
+		return nil
+	}
+	if n > uint64(len(d.rest)) {
+		d.err = fmt.Errorf("checkpoint: %d bytes wanted, %d left: %w", n, len(d.rest), io.ErrUnexpectedEOF)
+		return nil
+	}
+	b := d.rest[:n:n]
+	d.rest = d.rest[n:]
+	return b
+}
+
+// length reads a length field and fails it above limit.
+func (d *decoder) length(what string, limit uint64) uint64 {
+	n := d.u64()
+	if n > limit {
+		d.err = fmt.Errorf("checkpoint: implausible %s %d", what, n)
+		return 0
+	}
+	return n
+}
+
+func (d *decoder) vec() []float64 {
+	n := d.length("vector length", maxLen)
+	b := d.take(8 * n)
+	if d.err != nil {
+		return nil
+	}
+	v := make([]float64, n)
+	tensor.DecodeLE(v, b)
+	return v
+}
+
+func (d *decoder) str() string {
+	return string(d.take(d.length("name length", maxName)))
 }
 
 // sortedKeys returns m's keys in ascending order.
@@ -327,20 +252,36 @@ func sortedKeys[V any](m map[string]V) []string {
 	return keys
 }
 
-// Save writes a snapshot to path atomically (write to a temp file in the
-// same directory, then rename).
+// Write serializes s to w as one Marshal image.
+func Write(w io.Writer, s *Snapshot) error {
+	b, _ := Marshal(s) // Marshal never fails
+	_, err := w.Write(b)
+	return err
+}
+
+// Read reads r to its end and decodes the image.
+func Read(r io.Reader) (*Snapshot, error) {
+	b, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("checkpoint: reading: %w", err)
+	}
+	return Unmarshal(b)
+}
+
+// Save writes a snapshot to path atomically: the finished image goes
+// to a temp file in the same directory, which is then renamed.
 func Save(path string, s *Snapshot) error {
-	tmp, err := os.CreateTemp(dirOf(path), ".ckpt-*")
+	b, _ := Marshal(s) // Marshal never fails
+	tmp, err := os.CreateTemp(filepath.Dir(path), ".ckpt-*")
 	if err != nil {
 		return err
 	}
 	tmpName := tmp.Name()
-	if err := Write(tmp, s); err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
-		return err
+	_, err = tmp.Write(b)
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
 	}
-	if err := tmp.Close(); err != nil {
+	if err != nil {
 		os.Remove(tmpName)
 		return err
 	}
@@ -349,35 +290,9 @@ func Save(path string, s *Snapshot) error {
 
 // Load reads a snapshot from path.
 func Load(path string) (*Snapshot, error) {
-	f, err := os.Open(path)
+	b, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	return Read(f)
-}
-
-// Marshal serializes a snapshot to the checkpoint wire format in
-// memory — the blob embedded in content-addressed stores (the run
-// registry's prefix snapshots).
-func Marshal(s *Snapshot) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := Write(&buf, s); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-// Unmarshal decodes a blob produced by Marshal (or Write).
-func Unmarshal(b []byte) (*Snapshot, error) {
-	return Read(bytes.NewReader(b))
-}
-
-func dirOf(path string) string {
-	for i := len(path) - 1; i >= 0; i-- {
-		if path[i] == '/' {
-			return path[:i]
-		}
-	}
-	return "."
+	return Unmarshal(b)
 }

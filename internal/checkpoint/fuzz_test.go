@@ -37,6 +37,13 @@ func FuzzUnmarshal(f *testing.F) {
 	lie = binary.LittleEndian.AppendUint64(lie, 3) // step
 	lie = binary.LittleEndian.AppendUint64(lie, 1<<62)
 	f.Add(lie)
+	// A params length under the cap that the blob cannot hold: the
+	// decoder must fail it as a truncation before allocating 4 GiB.
+	short := binary.LittleEndian.AppendUint64(nil, magic)
+	short = binary.LittleEndian.AppendUint64(short, versionSections)
+	short = binary.LittleEndian.AppendUint64(short, 3)
+	short = binary.LittleEndian.AppendUint64(short, 1<<29)
+	f.Add(append(short, make([]byte, 32)...))
 
 	f.Fuzz(func(t *testing.T, b []byte) {
 		s, err := Unmarshal(b)

@@ -461,7 +461,7 @@ func (f *TCPFabric) exchangeVec(kind string, local [][]float64) (parts [][]byte,
 	}
 	payload, self := tensor.ViewLE(local[0]), f.rank
 	if payload == nil {
-		f.sendBuf = appendF64s(f.sendBuf[:0], local[0])
+		f.sendBuf = tensor.AppendLE(f.sendBuf[:0], local[0])
 		payload, self = f.sendBuf, -1
 	}
 	return f.exchange(kind, payload), self

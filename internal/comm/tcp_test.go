@@ -13,6 +13,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/tensor"
 )
 
 // testDeadline bounds every wait of the socket tests: a relay or a
@@ -551,7 +553,7 @@ func (l rawLink) read(t *testing.T, n int) []byte {
 
 // contribution is rank's frame for collective seq over v.
 func contribution(rank int, seq uint32, kind string, v []float64) frame {
-	return frame{op: opContrib, rank: int32(rank), seq: seq, kind: kind, payload: appendF64s(nil, v)}
+	return frame{op: opContrib, rank: int32(rank), seq: seq, kind: kind, payload: tensor.AppendLE(nil, v)}
 }
 
 // TestWorkerDiesMidContribution pins what a worker's death half-way

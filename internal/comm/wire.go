@@ -25,7 +25,7 @@ import (
 // Frames are length-prefixed (payLen) and integrity-checked (crc); a
 // mismatch is a hard protocol error — the fabric never guesses at
 // resynchronization. Payloads are opaque at this layer: float64 vectors
-// travel little-endian (appendF64s/decodeF64s), codec-compressed drifts
+// travel little-endian (tensor.AppendLE/decodeF64s), codec-compressed drifts
 // travel in their compress wire encoding.
 const (
 	wireMagic   = "FDA3"
@@ -266,19 +266,6 @@ func parsePeerHello(f frame, k int) (int, error) {
 		return -1, fmt.Errorf("comm: peer hello from rank %d outside a cluster of %d", f.rank, k)
 	}
 	return int(f.rank), nil
-}
-
-// appendF64s encodes v little-endian into dst (tensor.EncodeLE).
-//
-//fda:noalloc
-func appendF64s(dst []byte, v []float64) []byte {
-	at, end := len(dst), len(dst)+8*len(v)
-	if cap(dst) < end {
-		dst = append(make([]byte, 0, end), dst...) //fda:allow(noalloc, the send buffer grows once per vector length)
-	}
-	dst = dst[:end]
-	tensor.EncodeLE(dst[at:], v)
-	return dst
 }
 
 // meanF64s stores into dst the mean of the K little-endian float64

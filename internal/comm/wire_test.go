@@ -131,7 +131,7 @@ const goldenContribution = "46444133" + "03" + "01000000" + "07000000" + "05" + 
 // rank-0 peer is driven frame by frame.
 func TestPeerFrameBytes(t *testing.T) {
 	vec := []float64{1.5, -2}
-	golden := frameBytes(t, frame{op: opContrib, rank: 1, seq: 7, kind: "model", payload: appendF64s(nil, vec)})
+	golden := frameBytes(t, frame{op: opContrib, rank: 1, seq: 7, kind: "model", payload: tensor.AppendLE(nil, vec)})
 	if hex.EncodeToString(golden) != goldenContribution {
 		t.Fatalf("golden contribution frame:\n got %x\nwant %s", golden, goldenContribution)
 	}
@@ -180,7 +180,7 @@ func TestMeanF64sMatchesTensorMean(t *testing.T) {
 			for r := range vecs {
 				v := meanVec(rng, n, meanSpecials)
 				off := 1 + (r+n)%7 // never 8-byte aligned
-				parts[r] = appendF64s(make([]byte, off, off+8*n), v)[off:]
+				parts[r] = tensor.AppendLE(make([]byte, off, off+8*n), v)[off:]
 				vecs[r] = make([]float64, n)
 				if err := decodeF64s(vecs[r], parts[r]); err != nil {
 					t.Fatal(err)
@@ -257,7 +257,7 @@ func TestMeanF64sInPlaceMatchesFold(t *testing.T) {
 			parts := make([][]byte, k)
 			for r := range parts {
 				off := 1 + (r+n)%7 // never 8-byte aligned
-				parts[r] = appendF64s(make([]byte, off, off+8*n), meanVec(rng, n, specials))[off:]
+				parts[r] = tensor.AppendLE(make([]byte, off, off+8*n), meanVec(rng, n, specials))[off:]
 			}
 			want := make([]float64, n)
 			if err := meanF64s(want, parts, -1); err != nil {

@@ -5,8 +5,9 @@
 // shrink *what* is transmitted during a synchronization, so their savings
 // stack multiplicatively with FDA's (paper §2, "Compression").
 //
-// Codecs are lossy round-trips: Encode produces the wire size in bytes and
-// Decode reconstructs an approximation. The trainer applies them to worker
+// Codecs are lossy round-trips: Roundtrip reconstructs an approximation
+// and prices its wire size in bytes, and Encode/Decode carry the same
+// reconstruction as real framed bytes. The trainer applies them to worker
 // drifts during a synchronization and charges the compressed size.
 package compress
 
@@ -16,7 +17,8 @@ import (
 	"sort"
 )
 
-// Codec is a lossy vector compressor with explicit wire accounting.
+// Codec is a lossy vector compressor with explicit wire accounting and
+// a real byte-level wire format (wire.go).
 type Codec interface {
 	// Name identifies the codec in experiment output.
 	Name() string
@@ -24,6 +26,11 @@ type Codec interface {
 	// (which may alias v) and returns the wire size in bytes that
 	// transmitting encode(v) would cost.
 	Roundtrip(dst, v []float64) int
+	// Encode produces the framed wire payload for v.
+	Encode(v []float64) []byte
+	// Decode reconstructs into dst (len(dst) must equal the encoded n)
+	// from a payload produced by the same codec configuration.
+	Decode(dst []float64, payload []byte) error
 }
 
 // TopK keeps only the Fraction largest-magnitude components, zeroing the

@@ -5,7 +5,7 @@ import (
 	"testing"
 )
 
-// FuzzWireDecode drives every WireCodec decoder with arbitrary frames.
+// FuzzWireDecode drives every Codec decoder with arbitrary frames.
 // Decode reconstructs into a fixed-length destination from bytes that
 // crossed a socket, so corrupt frames — bad CRCs, lying length
 // prefixes, out-of-range TopK indices, short Quantize bodies — must
@@ -44,7 +44,7 @@ func FuzzWireRoundtrip(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, which uint8, a, b, c, d float64) {
 		v := []float64{a, b, c, d}
-		var codec WireCodec
+		var codec Codec
 		switch which % 3 {
 		case 0:
 			codec = Chain{}

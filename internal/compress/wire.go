@@ -29,18 +29,9 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
-)
 
-// WireCodec is a Codec that can materialize its compressed form as real
-// bytes. All codecs in this package implement it.
-type WireCodec interface {
-	Codec
-	// Encode produces the framed wire payload for v.
-	Encode(v []float64) []byte
-	// Decode reconstructs into dst (len(dst) must equal the encoded n)
-	// from a payload produced by the same codec configuration.
-	Decode(dst []float64, payload []byte) error
-}
+	"repro/internal/tensor"
+)
 
 const (
 	idDense byte = 0
@@ -88,7 +79,7 @@ func open(payload []byte, wantID byte, wantN int) ([]byte, error) {
 	return payload[9:crcOff], nil
 }
 
-// Encode implements WireCodec. Body: u32 kept count, then kept ×
+// Encode implements Codec. Body: u32 kept count, then kept ×
 // (u32 index, f64 value), indices ascending.
 func (c TopK) Encode(v []float64) []byte {
 	idx := c.kept(v)
@@ -101,7 +92,7 @@ func (c TopK) Encode(v []float64) []byte {
 	return seal(frame)
 }
 
-// Decode implements WireCodec.
+// Decode implements Codec.
 func (c TopK) Decode(dst []float64, payload []byte) error {
 	body, err := open(payload, idTopK, len(dst))
 	if err != nil {
@@ -130,7 +121,7 @@ func (c TopK) Decode(dst []float64, payload []byte) error {
 	return nil
 }
 
-// Encode implements WireCodec. Body: f64 lo, f64 hi, then the level
+// Encode implements Codec. Body: f64 lo, f64 hi, then the level
 // indices q packed Bits per component (little-endian bit order). The
 // decoder recomputes lo + q·scale with the exact arithmetic Roundtrip
 // uses, so the reconstruction is bit-equal to the in-process one. The
@@ -160,10 +151,7 @@ func (c Quantize) Encode(v []float64) []byte {
 	frame = binary.LittleEndian.AppendUint64(frame, math.Float64bits(lo))
 	frame = binary.LittleEndian.AppendUint64(frame, math.Float64bits(hi))
 	if hi == lo {
-		for _, x := range v {
-			frame = binary.LittleEndian.AppendUint64(frame, math.Float64bits(x))
-		}
-		return seal(frame)
+		return seal(tensor.AppendLE(frame, v))
 	}
 	levels := float64(int(1)<<c.Bits) - 1
 	scale := (hi - lo) / levels
@@ -185,7 +173,7 @@ func (c Quantize) Encode(v []float64) []byte {
 	return seal(frame)
 }
 
-// Decode implements WireCodec.
+// Decode implements Codec.
 func (c Quantize) Decode(dst []float64, payload []byte) error {
 	if c.Bits < 1 || c.Bits > 16 {
 		panic(fmt.Sprintf("compress: Quantize bits %d outside [1,16]", c.Bits))
@@ -211,9 +199,7 @@ func (c Quantize) Decode(dst []float64, payload []byte) error {
 		if len(body) != 8*n {
 			return fmt.Errorf("compress: Quantize degenerate-range wire carries %d bytes, want %d", len(body), 8*n)
 		}
-		for i := range dst {
-			dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(body[8*i:]))
-		}
+		tensor.DecodeLE(dst, body)
 		return nil
 	}
 	if want := (n*c.Bits + 7) / 8; len(body) != want {
@@ -239,7 +225,7 @@ func (c Quantize) Decode(dst []float64, payload []byte) error {
 	return nil
 }
 
-// Encode implements WireCodec: the chain is applied for real — every
+// Encode implements Codec: the chain is applied for real — every
 // stage but the last is round-tripped locally (exactly as Roundtrip
 // composes them) and the final stage's encoder frames the survivor, so
 // the transmitted payload is the last stage's wire format of the
@@ -253,33 +239,22 @@ func (c Chain) Encode(v []float64) []byte {
 	for _, st := range c.Stages[:len(c.Stages)-1] {
 		st.Roundtrip(cur, cur)
 	}
-	last, ok := c.Stages[len(c.Stages)-1].(WireCodec)
-	if !ok {
-		panic(fmt.Sprintf("compress: chain stage %s has no wire encoding", c.Stages[len(c.Stages)-1].Name()))
-	}
-	return last.Encode(cur)
+	return c.Stages[len(c.Stages)-1].Encode(cur)
 }
 
-// Decode implements WireCodec: only the final stage materialized on the
+// Decode implements Codec: only the final stage materialized on the
 // wire, so only it decodes.
 func (c Chain) Decode(dst []float64, payload []byte) error {
 	if len(c.Stages) == 0 {
 		return decodeDense(dst, payload)
 	}
-	last, ok := c.Stages[len(c.Stages)-1].(WireCodec)
-	if !ok {
-		return fmt.Errorf("compress: chain stage %s has no wire encoding", c.Stages[len(c.Stages)-1].Name())
-	}
-	return last.Decode(dst, payload)
+	return c.Stages[len(c.Stages)-1].Decode(dst, payload)
 }
 
 // encodeDense frames a vector verbatim (empty-chain wire format).
 func encodeDense(v []float64) []byte {
 	frame := frameHeader(make([]byte, 0, 13+8*len(v)+4), idDense, len(v))
-	for _, x := range v {
-		frame = binary.LittleEndian.AppendUint64(frame, math.Float64bits(x))
-	}
-	return seal(frame)
+	return seal(tensor.AppendLE(frame, v))
 }
 
 func decodeDense(dst []float64, payload []byte) error {
@@ -290,8 +265,6 @@ func decodeDense(dst []float64, payload []byte) error {
 	if len(body) != 8*len(dst) {
 		return fmt.Errorf("compress: dense wire carries %d bytes, want %d", len(body), 8*len(dst))
 	}
-	for i := range dst {
-		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(body[8*i:]))
-	}
+	tensor.DecodeLE(dst, body)
 	return nil
 }

@@ -10,7 +10,7 @@ import (
 // wireCase runs the exactness contract on one (codec, vector) pair:
 // Decode(Encode(v)) must be bit-for-bit equal to the in-process
 // Roundtrip(v) reconstruction, and the original v must be untouched.
-func wireCase(t *testing.T, c WireCodec, v []float64) {
+func wireCase(t *testing.T, c Codec, v []float64) {
 	t.Helper()
 	orig := append([]float64(nil), v...)
 

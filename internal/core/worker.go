@@ -277,10 +277,6 @@ func (e *Env) syncCompressed() {
 // rank order into the accumulating mean. Returns the cluster-total
 // charged wire size.
 func (e *Env) exchangeCompressedDrifts() int64 {
-	wc, ok := e.Codec.(compress.WireCodec)
-	if !ok {
-		panic(fmt.Sprintf("core: distributed compressed sync needs a wire codec, %s has no encoding", e.Codec.Name()))
-	}
 	var perWorker int64
 	e.encoded = e.encoded[:0]
 	for _, w := range e.Workers {
@@ -288,11 +284,11 @@ func (e *Env) exchangeCompressedDrifts() int64 {
 		// Cost-model size of one drift (length-dependent only, so it
 		// prices every rank's payload); the real frame travels below.
 		perWorker = int64(e.Codec.Roundtrip(e.codecBuf, u))
-		e.encoded = append(e.encoded, wc.Encode(u))
+		e.encoded = append(e.encoded, e.Codec.Encode(u))
 	}
 	parts := e.Fabric.ExchangeBytes("model", e.encoded)
 	for r, p := range parts {
-		if err := wc.Decode(e.codecBuf, p); err != nil {
+		if err := e.Codec.Decode(e.codecBuf, p); err != nil {
 			panic(fmt.Sprintf("core: decoding rank %d compressed drift: %v", r, err))
 		}
 		tensor.AXPY(1, e.codecBuf, e.codecMean)

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -28,7 +30,8 @@ func TestSweepCacheParityAndResume(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-run experiment")
 	}
-	st, err := runstore.Open(t.TempDir())
+	dir := t.TempDir()
+	st, err := runstore.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,8 +65,9 @@ func TestSweepCacheParityAndResume(t *testing.T) {
 		t.Fatalf("cached output diverged:\n--- cold ---\n%s\n--- warm ---\n%s", coldOut, warmOut)
 	}
 
-	// Simulate a sweep killed mid-grid by deleting part of the store,
-	// then resume: exactly the missing cells execute, bytes unchanged.
+	// Simulate a sweep killed mid-grid by removing part of the store's
+	// run directories (<store>/runs/<hash[:2]>/<hash>, DESIGN §6), then
+	// resume: exactly the missing cells execute, bytes unchanged.
 	manifests, err := st.List()
 	if err != nil {
 		t.Fatal(err)
@@ -73,7 +77,7 @@ func TestSweepCacheParityAndResume(t *testing.T) {
 	}
 	const drop = 1
 	for _, m := range manifests[:drop] {
-		if err := st.Delete(m.Spec); err != nil {
+		if err := os.RemoveAll(filepath.Join(dir, "runs", m.Hash[:2], m.Hash)); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -210,11 +210,6 @@ func (s *Store) Put(spec Spec, records []json.RawMessage) (err error) {
 	return s.install(s.runDir(hash), m, "records.jsonl", rb.Bytes())
 }
 
-// Delete removes spec's entry if present.
-func (s *Store) Delete(spec Spec) error {
-	return os.RemoveAll(s.runDir(spec.Canonical().Hash()))
-}
-
 // Count returns the number of stored entries by walking directory
 // names only — no manifest decoding or record verification — so cheap
 // periodic monitors (fdaserve's /v1/metrics) don't pay List's O(runs)

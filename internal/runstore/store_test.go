@@ -135,8 +135,8 @@ func TestStoreOverwrite(t *testing.T) {
 }
 
 // entryKind is one user of the shared entry format, driven through the
-// corruption cases below by cell seed: store entry i, find its
-// directory, delete it, read it back, list and count the store.
+// corruption cases below by cell seed: store entry i, find (or remove)
+// its directory, read it back, list and count the store.
 type entryKind struct {
 	name, payload string
 	put           func(st *Store, i uint64, payload string) error
@@ -156,7 +156,6 @@ var entryKinds = []entryKind{
 			return st.Put(sampleSpec(i), rawLines(`{"v":`+v+`}`, `{"w":2}`))
 		},
 		dir: func(st *Store, i uint64) string { return st.runDir(sampleSpec(i).Canonical().Hash()) },
-		del: func(st *Store, i uint64) error { return st.Delete(sampleSpec(i)) },
 		get: func(st *Store, i uint64) (string, bool, error) {
 			recs, ok, err := st.Get(sampleSpec(i))
 			if len(recs) == 0 {
@@ -182,7 +181,6 @@ var entryKinds = []entryKind{
 			return st.PutSnapshot(samplePrefix(i), 10, 0, []byte("blob-"+v))
 		},
 		dir: func(st *Store, i uint64) string { return st.snapDir(samplePrefix(i).Canonical().Hash(), 10) },
-		del: func(st *Store, i uint64) error { return st.DeleteSnapshots(samplePrefix(i)) },
 		get: func(st *Store, i uint64) (string, bool, error) {
 			blob, _, ok, err := st.BestSnapshot(samplePrefix(i), 100, nil)
 			return string(blob), ok, err
@@ -251,7 +249,7 @@ func TestStoreCorruptionIsAMiss(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := k.del(st, 99); err != nil {
+			if err := os.RemoveAll(k.dir(st, 99)); err != nil {
 				t.Fatal(err)
 			}
 			rewrite(t, filepath.Join(dir, "manifest.json"), func([]byte) []byte { return other })
@@ -308,7 +306,7 @@ func flipByte(t *testing.T, path string) {
 	}
 }
 
-func TestStoreDeleteAndList(t *testing.T) {
+func TestStoreList(t *testing.T) {
 	st, _ := Open(t.TempDir())
 	specs := []Spec{sampleSpec(1), sampleSpec(2), sampleSpec(3)}
 	for i, spec := range specs {
@@ -327,18 +325,5 @@ func TestStoreDeleteAndList(t *testing.T) {
 		if m.Records != 1 || m.Spec.Experiment != "figX" {
 			t.Fatalf("bad manifest %+v", m)
 		}
-	}
-	if err := st.Delete(specs[1]); err != nil {
-		t.Fatal(err)
-	}
-	if st.Contains(specs[1]) {
-		t.Fatal("deleted entry still present")
-	}
-	if ms, _ = st.List(); len(ms) != 2 {
-		t.Fatalf("listed %d entries after delete, want 2", len(ms))
-	}
-	// Deleting a missing entry is a no-op.
-	if err := st.Delete(specs[1]); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -10,7 +10,7 @@
 // its scalar reference with exact (==) comparisons.
 //
 // On amd64 with AVX2 the AXPY/Dot4 families, the reduction-free sweeps
-// (Scale, ScaleAdd, AXPYTo, ReLU, ReLUGrad, MaskedCopy, MaskedAdd and
+// (Scale, ScaleAdd, ReLU, ReLUGrad, MaskedCopy, MaskedAdd and
 // the little-endian byte kernels DecodeLE and AddScaleLE),
 // AdamStep and MatVec's 4-row × 8-sample tile hand vectors of at least
 // simdMinLen elements, and MaxPool2x2 every call, to the assembly
@@ -141,33 +141,6 @@ func DriftSums(p, w0, xi []float64) (sq, dot float64) {
 		dot += xi[i] * d
 	}
 	return sq, dot
-}
-
-// AXPYTo stores y + alpha*x into dst without touching x or y. dst may
-// alias x or y; each element is written once.
-//
-//fda:noalloc
-func AXPYTo(dst []float64, alpha float64, x, y []float64) {
-	checkLen("AXPYTo", x, y)
-	checkLen("AXPYTo", dst, x)
-	n := len(dst)
-	if useAVX2 && n >= simdMinLen {
-		axpyToAVX2(dst, alpha, x, y)
-		return
-	}
-	i := 0
-	for ; i+4 <= n; i += 4 {
-		xx := x[i : i+4 : i+4]
-		yy := y[i : i+4 : i+4]
-		dd := dst[i : i+4 : i+4]
-		dd[0] = yy[0] + alpha*xx[0]
-		dd[1] = yy[1] + alpha*xx[1]
-		dd[2] = yy[2] + alpha*xx[2]
-		dd[3] = yy[3] + alpha*xx[3]
-	}
-	for ; i < n; i++ {
-		dst[i] = y[i] + alpha*x[i]
-	}
 }
 
 // ScaleAdd computes v = c*v + x in place — the momentum-velocity update
@@ -322,6 +295,20 @@ func EncodeLE(dst []byte, v []float64) {
 	for i, x := range v {
 		binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(x))
 	}
+}
+
+// AppendLE appends v's EncodeLE bytes to dst. A dst too short for them
+// grows once, to exactly the length needed.
+//
+//fda:noalloc
+func AppendLE(dst []byte, v []float64) []byte {
+	at, end := len(dst), len(dst)+8*len(v)
+	if cap(dst) < end {
+		dst = append(make([]byte, 0, end), dst...) //fda:allow(noalloc, a short dst grows once to the length needed)
+	}
+	dst = dst[:end]
+	EncodeLE(dst[at:], v)
+	return dst
 }
 
 // DecodeLE stores into dst the len(dst) elements encoded in b[:8·len(dst)],

@@ -67,10 +67,6 @@ func scaleAddAVX2(v []float64, c float64, x []float64)
 
 //go:noescape
 //fda:noalloc
-func axpyToAVX2(dst []float64, alpha float64, x, y []float64)
-
-//go:noescape
-//fda:noalloc
 func reluAVX2(dst, x []float64)
 
 //go:noescape

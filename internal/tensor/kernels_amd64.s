@@ -5,7 +5,7 @@
 // stands in for, by construction:
 //
 //   - a vector lane holds a *different output element* (AXPY family,
-//     the Scale/ScaleAdd/AXPYTo/ReLU sweeps, Adam) or a *different
+//     the Scale/ScaleAdd/ReLU sweeps, Adam) or a *different
 //     accumulator* (Dot4 family and the MatVec tile, after a 4×4 lane
 //     transpose of four rows) — never a share of one accumulator, so
 //     every sum still runs strictly left to right;
@@ -637,45 +637,6 @@ scaleadd_loop1:
 	JL     scaleadd_loop1
 
 scaleadd_done:
-	VZEROUPPER
-	RET
-
-// func axpyToAVX2(dst []float64, alpha float64, x, y []float64)
-// dst[i] = y[i] + alpha*x[i], i < len(dst).
-TEXT ·axpyToAVX2(SB), NOSPLIT, $0-80
-	MOVQ dst_base+0(FP), DI
-	MOVQ dst_len+8(FP), CX
-	VBROADCASTSD alpha+24(FP), Y0
-	MOVQ x_base+32(FP), SI
-	MOVQ y_base+56(FP), DX
-	XORQ AX, AX
-	SUBQ $4, CX
-	JL   axpyto_tail
-
-axpyto_loop4:
-	VMULPD  (SI)(AX*8), Y0, Y1
-	VMOVUPD (DX)(AX*8), Y2
-	VADDPD  Y1, Y2, Y2
-	VMOVUPD Y2, (DI)(AX*8)
-	ADDQ    $4, AX
-	CMPQ    AX, CX
-	JLE     axpyto_loop4
-
-axpyto_tail:
-	ADDQ $4, CX
-	CMPQ AX, CX
-	JGE  axpyto_done
-
-axpyto_loop1:
-	VMULSD (SI)(AX*8), X0, X1
-	VMOVSD (DX)(AX*8), X2
-	VADDSD X1, X2, X2
-	VMOVSD X2, (DI)(AX*8)
-	INCQ   AX
-	CMPQ   AX, CX
-	JL     axpyto_loop1
-
-axpyto_done:
 	VZEROUPPER
 	RET
 

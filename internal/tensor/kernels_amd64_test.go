@@ -23,7 +23,6 @@ func init() {
 		dot4x2Kernel("dot4x2AVX2", dot4x2AVX2),
 		scaleKernel("scaleAVX2", scaleAVX2),
 		scaleAddKernel("scaleAddAVX2", scaleAddAVX2),
-		axpyToKernel("axpyToAVX2", axpyToAVX2),
 		reluKernel("reluAVX2", reluAVX2),
 		reluGradKernel("reluGradAVX2", reluGradAVX2),
 		dot4x8Kernel("dot4x8AVX2", dot4x8AVX2),

@@ -33,10 +33,6 @@ func scaleAVX2(v []float64, c float64) { panic("tensor: no assembly in this buil
 
 func scaleAddAVX2(v []float64, c float64, x []float64) { panic("tensor: no assembly in this build") }
 
-func axpyToAVX2(dst []float64, alpha float64, x, y []float64) {
-	panic("tensor: no assembly in this build")
-}
-
 func reluAVX2(dst, x []float64) { panic("tensor: no assembly in this build") }
 
 func reluGradAVX2(dst, g, out []float64) { panic("tensor: no assembly in this build") }

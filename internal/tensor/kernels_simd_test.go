@@ -49,7 +49,6 @@ var simdKernels = slices.Concat([]simdKernel{
 	dot4x2Kernel("Dot4x2", Dot4x2),
 	scaleKernel("Scale", Scale),
 	scaleAddKernel("ScaleAdd", ScaleAdd),
-	axpyToKernel("AXPYTo", AXPYTo),
 	reluKernel("ReLU", ReLU),
 	reluGradKernel("ReLUGrad", ReLUGrad),
 	maskedKernel("MaskedCopy", MaskedCopy, false),
@@ -224,19 +223,6 @@ func scaleAddKernel(name string, f func(v []float64, c float64, x []float64)) si
 		oracle: func(v [][]float64, c []float64) []float64 {
 			for i := range v[0] {
 				v[0][i] = c[0]*v[0][i] + v[1][i]
-			}
-			return nil
-		},
-	}
-}
-
-func axpyToKernel(name string, f func(dst []float64, alpha float64, x, y []float64)) simdKernel {
-	return simdKernel{
-		name: name, vecs: 3, scalars: 1, alias: [][2]int{{0, 1}, {0, 2}, {1, 2}},
-		run: func(v [][]float64, c []float64) []float64 { f(v[0], c[0], v[1], v[2]); return nil },
-		oracle: func(v [][]float64, c []float64) []float64 {
-			for i := range v[0] {
-				v[0][i] = v[2][i] + c[0]*v[1][i]
 			}
 			return nil
 		},
@@ -694,7 +680,6 @@ func FuzzKernelsMatchScalar(f *testing.F) {
 	f.Add(kernelIndex("AXPY4x2-g18s1"), uint16(23), uint8(0), uint8(0), uint64(4), []byte{0, 0, 0, 0, 0, 0, 0, 0x80})
 	f.Add(kernelIndex("AdamStep/both"), uint16(13), uint8(1), uint8(1), uint64(5), []byte{0, 0, 0, 0, 0, 0, 0, 0x80, 0, 0, 0, 0, 0, 0, 0xf8, 0xff})
 	f.Add(kernelIndex("ScaleAdd"), uint16(67), uint8(3), uint8(2), uint64(6), []byte{0, 0, 0, 0, 0, 0, 0xf0, 0xff})
-	f.Add(kernelIndex("AXPYTo"), uint16(11), uint8(2), uint8(0), uint64(7), []byte{1, 0, 0, 0, 0, 0, 0, 0})
 	f.Add(kernelIndex("AXPY4x2-g18s72"), uint16(36), uint8(1), uint8(0), uint64(8), []byte{0, 0, 0, 0, 0, 0, 0, 0x80, 0, 0, 0, 0, 0, 0, 0xf0, 0x7f})
 	// b1c = 1, watched: the skipped division next to the drift sums, a
 	// coupled decay of −0 that must count as off, and the first params

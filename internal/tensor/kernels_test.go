@@ -103,33 +103,6 @@ func TestSubThenSquaredNormAliasing(t *testing.T) {
 	}
 }
 
-func TestAXPYTo(t *testing.T) {
-	rng := NewRNG(15)
-	for _, n := range kernelLens {
-		x, y := randVec(rng, n), randVec(rng, n)
-		want := make([]float64, n)
-		for i := range want {
-			want[i] = y[i] + 2.5*x[i]
-		}
-		dst := make([]float64, n)
-		AXPYTo(dst, 2.5, x, y)
-		for i := range dst {
-			if dst[i] != want[i] {
-				t.Fatalf("n=%d i=%d: AXPYTo=%v want %v", n, i, dst[i], want[i])
-			}
-		}
-		// Aliasing dst with y must match AXPY.
-		y2 := Clone(y)
-		AXPY(2.5, x, y2)
-		AXPYTo(y, 2.5, x, y)
-		for i := range y {
-			if y[i] != y2[i] {
-				t.Fatalf("n=%d i=%d: aliased AXPYTo=%v AXPY=%v", n, i, y[i], y2[i])
-			}
-		}
-	}
-}
-
 func TestScaleAdd(t *testing.T) {
 	rng := NewRNG(16)
 	for _, n := range kernelLens {
