@@ -42,11 +42,11 @@ lint:
 
 # fuzz gives each native fuzz target a short adversarial run on top of
 # its always-on seed corpus (the seeds run as plain tests under
-# `go test`). Targets: the checkpoint v2 container decoder, the
-# compress wire-frame decoders, the socket fabric's frame reader and
-# rendezvous parsers (the assignment's peer table, the peer hello), the
-# Prometheus exposition validator, the tracev1
-# reader, the gateway's submission classifier (request body → job
+# `go test`). Targets: the checkpoint v2 container decoder (anything it
+# accepts must re-marshal to the same bytes), the socket fabric's frame
+# reader and rendezvous parsers (the assignment's peer table, the peer
+# hello), the Prometheus exposition validator, the tracev1 reader, the
+# gateway's submission classifier (request body → job
 # spec → dedupe key) and its id rewriter (replica body → namespaced
 # body, every other value byte-equal), the job table's journal recovery
 # (internal/jobs, fdaserve's jobs)
@@ -62,8 +62,6 @@ lint:
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test ./internal/checkpoint -fuzz FuzzUnmarshal -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/compress -fuzz FuzzWireDecode -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/compress -fuzz FuzzWireRoundtrip -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/comm -fuzz FuzzReadFrame -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/comm -fuzz FuzzRendezvousParsers -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/obs -fuzz FuzzValidatePrometheusText -fuzztime $(FUZZTIME)

@@ -213,24 +213,3 @@ func BenchmarkAblationOracle(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkAblationCompression composes top-k and quantization codecs
-// with FDA's synchronization step (the paper's §2 compatibility claim).
-func BenchmarkAblationCompression(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		for _, c := range []struct {
-			name  string
-			codec fda.Codec
-		}{
-			{"dense", nil},
-			{"top10", fda.TopK{Fraction: 0.1}},
-			{"q8", fda.Quantize{Bits: 8}},
-		} {
-			cfg := ablationConfig(7)
-			cfg.SyncCodec = c.codec
-			res := fda.MustRun(cfg, fda.NewLinearFDA(0.05))
-			b.ReportMetric(float64(res.ModelBytes)/1e6, "modelMB_"+c.name)
-			b.ReportMetric(res.FinalTestAcc, "acc_"+c.name)
-		}
-	}
-}

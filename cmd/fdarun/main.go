@@ -78,8 +78,6 @@ func init() {
 	fs.Float64Var(&spec.Target, "target", 0, "test-accuracy target (0 = run all steps)")
 	fs.StringVar(&spec.Het, "het", "iid", "data split: iid, label<Y>, pct<X>, dir<alpha>")
 	fs.Uint64Var(&spec.Seed, "seed", 1, "run seed")
-	fs.Float64Var(&spec.TopK, "topk", 0, "compose top-k sync compression with the given keep fraction")
-	fs.IntVar(&spec.QBits, "qbits", 0, "compose uniform quantization with the given bits per component")
 }
 
 // parseFlags fills the flag variables and resolves the spec's defaults
@@ -90,7 +88,7 @@ func parseFlags(args []string) {
 }
 
 // warmStart wires the session into the -store snapshot registry and
-// reports a restore. Sync-time knobs (codecs, -jobs) are deliberately
+// reports a restore. Sync-time knobs (-jobs) are deliberately
 // absent from the registry spec: it captures every trajectory- and
 // stopping-determining input, so prefix addresses can only collide
 // between runs that would replay the same silent steps (DESIGN.md §10),

@@ -25,8 +25,9 @@ func parse(args ...string) {
 // inline Config builder this binary had before it shared the spec with
 // fdaserve and the workers: the summary line, and the exact byte split,
 // sync count and accuracy bits behind it. The cases cover the Θ
-// default (no -theta), each codec flag alone and both chained, a
-// non-IID split and a τ-scheduled baseline.
+// default (no -theta), a non-IID split and a τ-scheduled baseline; the
+// last two were captured from the dense path when the sync codec flags
+// went.
 func TestFlagsToResultGolden(t *testing.T) {
 	cases := []struct {
 		args               []string
@@ -38,15 +39,12 @@ func TestFlagsToResultGolden(t *testing.T) {
 		{args: []string{"-model", "lenet5s", "-strategy", "LinearFDA", "-k", "3", "-steps", "60"},
 			summary: "LinearFDA: steps=60 epochs=2.4 comm=0.000GB (state 0.000, model 0.000) syncs=3 acc=0.4550 target=false",
 			comm:    127458, state: 1800, model: 125658, syncs: 3, accBits: 0x3fdd1eb851eb851f},
-		{args: []string{"-model", "lenet5s", "-strategy", "LinearFDA", "-k", "3", "-steps", "60", "-topk", "0.1", "-qbits", "8"},
-			summary: "LinearFDA: steps=60 epochs=2.4 comm=0.000GB (state 0.000, model 0.000) syncs=4 acc=0.3033 target=false",
-			comm:    115128, state: 1800, model: 113328, syncs: 4, accBits: 0x3fd369d0369d036a},
-		{args: []string{"-model", "lenet5s", "-strategy", "FedAvg", "-k", "3", "-steps", "60", "-qbits", "8", "-het", "label0"},
+		{args: []string{"-model", "lenet5s", "-strategy", "FedAvg", "-k", "3", "-steps", "60", "-het", "label0"},
 			summary: "FedAvg: steps=60 epochs=2.4 comm=0.000GB (state 0.000, model 0.000) syncs=2 acc=0.4167 target=false",
 			comm:    83772, state: 0, model: 83772, syncs: 2, accBits: 0x3fdaaaaaaaaaaaab},
-		{args: []string{"-model", "lenet5s", "-strategy", "LocalSGD", "-tau", "5", "-k", "2", "-steps", "40", "-topk", "0.25", "-seed", "7"},
-			summary: "LocalSGD(τ=5): steps=40 epochs=1.1 comm=0.000GB (state 0.000, model 0.000) syncs=8 acc=0.2500 target=false",
-			comm:    167680, state: 0, model: 167680, syncs: 8, accBits: 0x3fd0000000000000},
+		{args: []string{"-model", "lenet5s", "-strategy", "LocalSGD", "-tau", "5", "-k", "2", "-steps", "40", "-seed", "7"},
+			summary: "LocalSGD(τ=5): steps=40 epochs=1.1 comm=0.000GB (state 0.000, model 0.000) syncs=8 acc=0.3033 target=false",
+			comm:    167552, state: 0, model: 167552, syncs: 8, accBits: 0x3fd369d0369d036a},
 	}
 	for _, c := range cases {
 		parse(c.args...)

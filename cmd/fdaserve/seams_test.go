@@ -4,19 +4,16 @@ import (
 	"bufio"
 	"context"
 	"errors"
-	"math"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/clock"
 	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/dist"
 	"repro/internal/experiments"
 	"repro/internal/jobs"
 	"repro/internal/obs"
@@ -35,8 +32,7 @@ import (
 // computed them); the two registry columns change only with
 // runstore.SpecVersion. A resubmission after an upgrade must find the
 // result and resume state written before it, on the replica affinity
-// routing sent it to before. The compression fields join the key only
-// when they compress.
+// routing sent it to before.
 func TestTrainKeyGolden(t *testing.T) {
 	golden := []struct{ body, key, run, resume, addr string }{
 		{`{"model":"lenet5s","strategy":"LinearFDA"}`,
@@ -84,11 +80,6 @@ func TestTrainKeyGolden(t *testing.T) {
 			"da32ad86719eb8aaec32655fb35a4a13ef8579c82e855d7fb5d40b9e66cfd906",
 			"15953ce107fbac134850efc2a3aceb435d32813a2f4f6b37abcbf370ba71a28a",
 			"ca9f104cc2a6b8d3459e0648ccd9ef46ac25fb6fce2c0275d6ccd2125c787cdd"},
-		{`{"model":"lenet5s","strategy":"LinearFDA","topk":0,"qbits":0}`,
-			"train|lenet5s|LinearFDA|0.052360000000000004|10|5|32|200|20|0|iid|1",
-			"5236fd870d2ed08fd216e14a1267cdf8db83a514b841e93e339c4bf48be63434",
-			"e9ea95fd982941cd17d12e4768d735cc11b0396b7f6aa985c3eb9c1084ba0bdb",
-			"1ffbfd69fc99a5c161cc8c565cfe6f3248f70ed0c21b45c6f71bec4c4e9ca706"},
 	}
 	for _, g := range golden {
 		key := bodyKey(t, g.body)
@@ -105,98 +96,35 @@ func TestTrainKeyGolden(t *testing.T) {
 			t.Errorf("%s: affinity address %q (ok=%v), want %q", g.body, addr, ok, g.addr)
 		}
 	}
-
-	// New with the shared spec: a compressing submission is its own job.
-	seen := map[string]string{golden[0].key: golden[0].body}
-	for _, body := range []string{
-		`{"model":"lenet5s","strategy":"LinearFDA","topk":0.1}`,
-		`{"model":"lenet5s","strategy":"LinearFDA","qbits":8}`,
-		`{"model":"lenet5s","strategy":"LinearFDA","topk":0.1,"qbits":8}`,
-		`{"model":"lenet5s","strategy":"LinearFDA","topk":0.1,"qbits":8,"distributed":true}`,
-	} {
-		key := bodyKey(t, body)
-		if other, dup := seen[key]; dup {
-			t.Errorf("%s and %s share key %q", body, other, key)
-		}
-		seen[key] = body
-		if !strings.HasPrefix(key, golden[0].key+"|") {
-			t.Errorf("%s: key %q does not extend the uncompressed key", body, key)
-		}
-	}
 }
 
-// TestTrainCompressionHonoured pins the /v1/train topk/qbits fix end
-// to end: the compressed submission is admitted as a job of its own
-// (it used to dedupe onto the uncompressed one and train dense), and on
-// both the local and the distributed path its result is the bit-exact
-// result of an in-process run of the same compressed spec.
-func TestTrainCompressionHonoured(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs training sessions")
-	}
-	st, err := runstore.Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := newServer(st, "", 2, context.Background())
-	srv.fabricAddr = "127.0.0.1:0"
-	ts := httptest.NewServer(srv.routes())
-	t.Cleanup(ts.Close)
-
-	const plain = `{"model":"lenet5s","strategy":"Synchronous","k":2,"batch":16,"steps":16,"eval_every":8,"seed":7`
-	spec := dist.JobSpec{Model: "lenet5s", Strategy: "Synchronous", K: 2, Batch: 16, Steps: 16, EvalEvery: 8, Seed: 7,
-		TopK: 0.25, QBits: 8}.WithDefaults()
-	cfg, err := spec.BuildConfig()
-	if err != nil {
-		t.Fatal(err)
-	}
-	strat, err := spec.BuildStrategy(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := core.MustRun(cfg, strat)
-
-	result := func(id string) core.Result {
-		waitStatus(t, ts, id, jobs.Done)
-		var rec struct{ Records core.Result }
-		getJSON(t, ts.URL+"/v1/runs/"+id+"/records", http.StatusOK, &rec)
-		return rec.Records
-	}
-	same := func(path string, got core.Result) {
-		t.Helper()
-		if got.CommBytes != want.CommBytes || got.ModelBytes != want.ModelBytes || got.SyncCount != want.SyncCount ||
-			math.Float64bits(got.FinalTestAcc) != math.Float64bits(want.FinalTestAcc) {
-			t.Fatalf("%s compressed job: comm=%d model=%d syncs=%d acc=%v, in-process run of the spec: %d %d %d %v",
-				path, got.CommBytes, got.ModelBytes, got.SyncCount, got.FinalTestAcc,
-				want.CommBytes, want.ModelBytes, want.SyncCount, want.FinalTestAcc)
+// TestSubmitUnknownFieldsRefused pins strict request bodies on both
+// submission endpoints: a field the spec does not have, whether one the
+// server once took (topk, qbits) or a misspelling, is a 400 that names
+// it, and no job is created. A lenient decoder would admit such a body
+// as the job it names without the field, under that job's key.
+func TestSubmitUnknownFieldsRefused(t *testing.T) {
+	ts := testServer(t, t.TempDir())
+	for _, c := range []struct{ path, body, field string }{
+		{"/v1/train", `{"model":"lenet5s","strategy":"LinearFDA","topk":0,"qbits":0}`, "topk"},
+		{"/v1/train", `{"model":"lenet5s","strategy":"Synchronous","topk":2}`, "topk"},
+		{"/v1/train", `{"model":"lenet5s","strategy":"Synchronous","qbits":40}`, "qbits"},
+		{"/v1/train", `{"model":"lenet5s","strategy":"LinearFDA","stpes":20}`, "stpes"},
+		{"/v1/runs", `{"experiment":"fig3","scael":"tiny"}`, "scael"},
+	} {
+		var errResp struct {
+			Error string `json:"error"`
+		}
+		postJSON(t, ts.URL+c.path, c.body, http.StatusBadRequest, &errResp)
+		if !strings.Contains(errResp.Error, `"`+c.field+`"`) {
+			t.Errorf("%s %s: error %q does not name %q", c.path, c.body, errResp.Error, c.field)
 		}
 	}
-
-	var dense, local, remote jobs.View
-	postJSON(t, ts.URL+"/v1/train", plain+`}`, http.StatusAccepted, &dense)
-	postJSON(t, ts.URL+"/v1/train", plain+`,"topk":0.25,"qbits":8}`, http.StatusAccepted, &local)
-	if local.ID == dense.ID {
-		t.Fatal("compressed submission deduped onto the uncompressed job")
+	var views []jobs.View
+	getJSON(t, ts.URL+"/v1/runs", http.StatusOK, &views)
+	if len(views) != 0 {
+		t.Fatalf("refused submissions created %d jobs", len(views))
 	}
-	if d := result(dense.ID); d.ModelBytes == want.ModelBytes {
-		t.Fatalf("dense job and compressed spec both moved %d model bytes: degenerate test", d.ModelBytes)
-	}
-	same("local", result(local.ID))
-
-	postJSON(t, ts.URL+"/v1/train", plain+`,"topk":0.25,"qbits":8,"distributed":true}`, http.StatusAccepted, &remote)
-	addr := waitFabricAddr(t, ts, remote.ID)
-	var wg sync.WaitGroup
-	for w := 0; w < spec.K; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if _, _, err := dist.RunWorker(context.Background(), addr, 1); err != nil {
-				t.Errorf("worker: %v", err)
-			}
-		}()
-	}
-	wg.Wait()
-	same("distributed", result(remote.ID))
 }
 
 // TestHTTPShellBothServers runs one table against the two surfaces that

@@ -214,8 +214,7 @@ func (s *server) handleListRuns(w http.ResponseWriter, r *http.Request) {
 
 func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req cluster.SweepSpec
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		cluster.WriteError(w, http.StatusBadRequest, "invalid JSON body: "+err.Error())
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	req.ApplyDefaults()
@@ -234,6 +233,21 @@ func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		j.Stats = &jobs.SweepStats{}
 	}, func(ctx context.Context, j *jobs.Job) (any, error) { return s.sweep(ctx, j, scale) })
 	s.writeSubmitted(w, j, existing, err)
+}
+
+// decodeBody decodes a submission body into v strictly, the rule
+// workload.ParseSpec follows: a field v does not have (a misspelling, or
+// one an older or newer client sends) is a 400 naming it, never a
+// silently different job under another job's key. It reports whether v
+// was filled; on false the error response is written.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	dec := json.NewDecoder(r.Body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		cluster.WriteError(w, http.StatusBadRequest, "invalid JSON body: "+err.Error())
+		return false
+	}
+	return true
 }
 
 // writeSubmitted answers a submission: 202 with the new job's view, 200

@@ -37,8 +37,7 @@ import (
 
 func (s *server) handleTrain(w http.ResponseWriter, r *http.Request) {
 	var spec dist.JobSpec
-	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
-		cluster.WriteError(w, http.StatusBadRequest, "invalid JSON body: "+err.Error())
+	if !decodeBody(w, r, &spec) {
 		return
 	}
 	if spec.Model == "" || spec.Strategy == "" {

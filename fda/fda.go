@@ -19,8 +19,7 @@
 //     a session,
 //   - substrates: neural networks (nn), optimizers (opt), synthetic
 //     datasets and heterogeneity partitioners (data), AMS sketches
-//     (sketch), the simulated cluster (comm), and sync compression
-//     (compress) through type aliases.
+//     (sketch) and the simulated cluster (comm) through type aliases.
 //
 // A minimal training run:
 //
@@ -48,7 +47,6 @@ package fda
 import (
 	"repro/internal/checkpoint"
 	"repro/internal/comm"
-	"repro/internal/compress"
 	"repro/internal/core"
 	"repro/internal/data"
 	"repro/internal/models"
@@ -290,21 +288,6 @@ var (
 	// SpeedsScenario builds a scenario from relative worker speeds with
 	// free communication, the pace of an asynchronous run's workers.
 	SpeedsScenario = comm.SpeedsScenario
-)
-
-// Compression codecs for the synchronization step. A codec's
-// Encode/Decode materialize the compressed form as length-prefixed,
-// CRC-checked bytes, which is what the TCP fabric actually transmits
-// during a compressed synchronization.
-type (
-	// Codec compresses synchronized drifts.
-	Codec = compress.Codec
-	// TopK keeps the largest-magnitude fraction of components.
-	TopK = compress.TopK
-	// Quantize maps components onto 2^Bits uniform levels.
-	Quantize = compress.Quantize
-	// Chain composes codecs left to right (e.g. top-k then quantize).
-	Chain = compress.Chain
 )
 
 // Model zoo (the scaled Table 2 architectures).

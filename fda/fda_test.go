@@ -94,24 +94,6 @@ func TestFacadeAsync(t *testing.T) {
 	}
 }
 
-func TestFacadeCompressionComposes(t *testing.T) {
-	train, test := fda.MNISTLike(4)
-	cfg := fda.Config{
-		K: 3, BatchSize: 16, Seed: 4,
-		Model:     buildMLP(train.Dim(), train.NumClasses),
-		Optimizer: fda.NewAdam(1e-3),
-		Train:     train, Test: test,
-		MaxSteps: 60, EvalEvery: 30,
-	}
-	dense := fda.MustRun(cfg, fda.NewLinearFDA(0.05))
-	cfg.SyncCodec = fda.TopK{Fraction: 0.1}
-	sparse := fda.MustRun(cfg, fda.NewLinearFDA(0.05))
-	if sparse.ModelBytes >= dense.ModelBytes {
-		t.Fatalf("top-k sync (%d B) not cheaper than dense (%d B)",
-			sparse.ModelBytes, dense.ModelBytes)
-	}
-}
-
 func TestFacadeModelZooAndSketches(t *testing.T) {
 	if len(fda.ModelCatalog()) != 5 {
 		t.Fatal("zoo size")

@@ -143,7 +143,8 @@ func appendStr(b []byte, s string) []byte {
 }
 
 // Unmarshal decodes an image produced by Marshal (or Write), verifying
-// magic, version, lengths and, last, the CRC.
+// magic, version, lengths and, last, the CRC. It accepts only the bytes
+// Marshal writes: Marshal of its result gives back b.
 func Unmarshal(b []byte) (*Snapshot, error) {
 	d := decoder{rest: b}
 	if m := d.u64(); d.err != nil {
@@ -160,19 +161,11 @@ func Unmarshal(b []byte) (*Snapshot, error) {
 		s.W0 = w0
 	}
 	if ver == versionSections {
-		if n := d.length("section count", maxEntries); n > 0 {
-			s.Sections = make(map[string][]float64, min(n, 1024))
-			for i := uint64(0); i < n && d.err == nil; i++ {
-				name := d.str()
-				s.Sections[name] = d.vec()
-			}
-		}
-		if n := d.length("counter count", maxEntries); n > 0 {
-			s.Counters = make(map[string]uint64, min(n, 1024))
-			for i := uint64(0); i < n && d.err == nil; i++ {
-				name := d.str()
-				s.Counters[name] = d.u64()
-			}
+		s.Sections = table(&d, "section", d.vec)
+		s.Counters = table(&d, "counter", d.u64)
+		if d.err == nil && s.Sections == nil && s.Counters == nil {
+			// Marshal writes such a snapshot as version 1.
+			return nil, fmt.Errorf("checkpoint: version %d image with no sections and no counters", ver)
 		}
 	}
 	if d.err != nil {
@@ -184,7 +177,35 @@ func Unmarshal(b []byte) (*Snapshot, error) {
 	} else if got != want {
 		return nil, fmt.Errorf("checkpoint: CRC mismatch: file %#x computed %#x", got, want)
 	}
+	if len(d.rest) > 0 {
+		return nil, fmt.Errorf("checkpoint: %d bytes after the CRC", len(d.rest))
+	}
 	return s, nil
+}
+
+// table reads a section or counter table: a count, then that many
+// (name, value) entries. Names must ascend strictly, the order Marshal
+// writes them in, so a duplicate or a reordering fails: Unmarshal takes
+// exactly the images Marshal writes, and the run registry, which
+// addresses snapshots by their bytes, never sees two images of one
+// snapshot.
+func table[V any](d *decoder, what string, val func() V) map[string]V {
+	n := d.length(what+" count", maxEntries)
+	if n == 0 {
+		return nil
+	}
+	m := make(map[string]V, min(n, 1024))
+	prev := ""
+	for i := uint64(0); i < n && d.err == nil; i++ {
+		name := d.str()
+		if i > 0 && name <= prev && d.err == nil {
+			d.err = fmt.Errorf("checkpoint: %s %q after %q: names must ascend", what, name, prev)
+			return nil
+		}
+		m[name] = val()
+		prev = name
+	}
+	return m
 }
 
 // decoder reads an image front to back. The first short read or

@@ -3,6 +3,7 @@ package checkpoint
 import (
 	"bytes"
 	"encoding/binary"
+	"hash/crc64"
 	"os"
 	"path/filepath"
 	"strings"
@@ -278,5 +279,52 @@ func TestSectionsRoundTrip(t *testing.T) {
 	}
 	if v := binary.LittleEndian.Uint64(plain.Bytes()[8:16]); v != version {
 		t.Fatalf("plain snapshot wrote version %d", v)
+	}
+}
+
+// TestNonCanonicalImagesRejected: each image is Marshal's bytes changed
+// in one way Marshal never writes, with the CRC recomputed where the
+// change sits before it, so only the canonical-form check can refuse it.
+func TestNonCanonicalImagesRejected(t *testing.T) {
+	le := binary.LittleEndian
+	// v2 builds a version-2 image from a section table and a counter
+	// table written in the order given, then its CRC.
+	v2 := func(sections, counters []string) []byte {
+		b := le.AppendUint64(nil, magic)
+		b = le.AppendUint64(b, versionSections)
+		b = le.AppendUint64(b, 5)         // step
+		b = appendVec(b, []float64{1, 2}) // params
+		b = appendVec(b, nil)             // w0
+		b = le.AppendUint64(b, uint64(len(sections)))
+		for i, name := range sections {
+			b = appendVec(appendStr(b, name), []float64{float64(i)})
+		}
+		b = le.AppendUint64(b, uint64(len(counters)))
+		for i, name := range counters {
+			b = le.AppendUint64(appendStr(b, name), uint64(i))
+		}
+		return le.AppendUint64(b, crc64.Checksum(b, crcTable))
+	}
+	// The builder writes what Marshal writes when the names ascend.
+	want, _ := Marshal(&Snapshot{Step: 5, Params: []float64{1, 2},
+		Sections: map[string][]float64{"a": {0}, "b": {1}}, Counters: map[string]uint64{"c": 0}})
+	if !bytes.Equal(v2([]string{"a", "b"}, []string{"c"}), want) {
+		t.Fatal("the test's image builder disagrees with Marshal")
+	}
+	plain, _ := Marshal(sampleSnapshot(3, 1))
+	for _, c := range []struct {
+		name  string
+		image []byte
+	}{
+		{"bytes after the CRC", append(plain, 0, 0)},
+		{"version 2 with no sections and no counters", v2(nil, nil)},
+		{"sections out of name order", v2([]string{"b", "a"}, nil)},
+		{"counters out of name order", v2(nil, []string{"y", "x"})},
+		{"duplicate section names", v2([]string{"a", "a"}, nil)},
+		{"duplicate counter names", v2([]string{"a"}, []string{"x", "x"})},
+	} {
+		if s, err := Unmarshal(c.image); err == nil {
+			t.Errorf("%s: accepted, step %d", c.name, s.Step)
+		}
 	}
 }

@@ -53,10 +53,10 @@ type Fabric interface {
 	Gather(local [][]float64) [][]float64
 	// ExchangeBytes moves one opaque payload per local rank and returns
 	// all K payloads in global rank order; a local rank's entry is the
-	// caller's own payload. The socket fabric frames the others for real
-	// (this is how codec-compressed drifts travel); in-process fabrics
-	// hand the contributions back directly. Uncharged — callers account
-	// wire costs under their own model.
+	// caller's own payload. The socket fabric frames the others for real;
+	// in-process fabrics hand the contributions back directly. Uncharged
+	// — callers account wire costs under their own model. No strategy
+	// calls it: it stays for benchmark/wrap.go, which forwards it.
 	ExchangeBytes(kind string, local [][]byte) [][]byte
 	// Meter returns the fabric's cost meter.
 	Meter() *Meter
@@ -104,9 +104,9 @@ type StepTimer interface {
 }
 
 // TransferTimer is implemented by fabrics whose clock should advance
-// for custom-charged transfers — codec-compressed synchronizations
-// bypass the collective cost model and charge the meter directly, so
-// they report their per-worker wire bytes here. Returns the modeled
+// for custom-charged transfers — asynchronous FDA's coordinator-led
+// synchronizations bypass the collective cost model and charge the
+// meter directly, so they report their per-worker wire bytes here. Returns the modeled
 // seconds.
 type TransferTimer interface {
 	TransferDone(perWorkerBytes int64) float64

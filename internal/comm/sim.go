@@ -207,7 +207,8 @@ func (f *SimFabric) StepDone(t int) {
 }
 
 // TransferDone implements TransferTimer: a custom-charged transfer
-// (compressed synchronization) moving perWorker bytes on every link.
+// (asynchronous FDA's synchronization) moving perWorker bytes on every
+// link.
 func (f *SimFabric) TransferDone(perWorker int64) float64 {
 	s := f.collectiveSeconds(perWorker)
 	f.clock += s

@@ -25,8 +25,7 @@ import (
 // Frames are length-prefixed (payLen) and integrity-checked (crc); a
 // mismatch is a hard protocol error — the fabric never guesses at
 // resynchronization. Payloads are opaque at this layer: float64 vectors
-// travel little-endian (tensor.AppendLE/decodeF64s), codec-compressed drifts
-// travel in their compress wire encoding.
+// travel little-endian (tensor.AppendLE/decodeF64s).
 const (
 	wireMagic   = "FDA3"
 	maxFrameLen = 1 << 30 // hard cap: a frame larger than 1 GiB is a protocol error

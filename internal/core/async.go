@@ -90,16 +90,12 @@ func (a *AsyncFDA) validate() error {
 
 // bind attaches the strategy to its session's fabric before Init. It is
 // the one place a configuration is refused for asynchronous FDA: a
-// fabric without per-rank step times, which includes TCP, and a sync
-// codec, since the coordinator synchronizes dense models.
+// fabric without per-rank step times, which includes TCP.
 func (a *AsyncFDA) bind(cfg Config, fabric comm.Fabric) error {
 	clock, ok := fabric.(rankClock)
 	if !ok {
 		return fmt.Errorf("core: asynchronous FDA needs a fabric that times each rank's steps (comm.SimFabric), not %T; "+
 			"over TCP the order of its events would depend on network timing, so the run would not be bit-identical", fabric)
-	}
-	if cfg.SyncCodec != nil {
-		return fmt.Errorf("core: asynchronous FDA synchronizes dense models; SyncCodec %s is not supported", cfg.SyncCodec.Name())
 	}
 	a.clock = clock
 	if s, ok := a.inner.(*SketchFDA); ok {

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/comm"
-	"repro/internal/compress"
 )
 
 // runAsyncCase runs asynchronous FDA with Θ = theta over the linear or
@@ -120,7 +119,7 @@ func TestAsyncSketchVariant(t *testing.T) {
 
 // TestAsyncValidation covers every refusal: a non-positive speed, a
 // negative Θ, an inner strategy that is not an FDA estimator, a fabric
-// without per-rank step times (the TCP case) and a sync codec.
+// without per-rank step times (the TCP case).
 func TestAsyncValidation(t *testing.T) {
 	if _, err := comm.SpeedsScenario([]float64{1, 1, 1, 1, 0}); err == nil {
 		t.Fatal("expected non-positive speed error")
@@ -137,9 +136,6 @@ func TestAsyncValidation(t *testing.T) {
 	plain := cfg
 	plain.Fabric = comm.NewCluster(cfg.K)
 	refused("a fabric without a clock", plain, NewAsyncFDA(NewLinearFDA(0.1)))
-	coded := cfg
-	coded.SyncCodec = compress.TopK{Fraction: 0.1}
-	refused("a sync codec", coded, NewAsyncFDA(NewLinearFDA(0.1)))
 }
 
 // TestAsyncVirtualTimeAdvances: the fabric clock ends at the last

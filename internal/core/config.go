@@ -16,7 +16,6 @@ import (
 	"fmt"
 
 	"repro/internal/comm"
-	"repro/internal/compress"
 	"repro/internal/data"
 	"repro/internal/nn"
 	"repro/internal/opt"
@@ -74,10 +73,6 @@ type Config struct {
 	// RecordTrainAccuracy additionally evaluates training accuracy at each
 	// evaluation point (needed by the Figure 7 generalization-gap plot).
 	RecordTrainAccuracy bool
-	// SyncCodec optionally compresses model synchronizations (top-k
-	// sparsification, quantization); nil transmits dense models as in the
-	// paper's main experiments.
-	SyncCodec compress.Codec
 	// Parallelism caps the goroutines used for the per-step worker loop,
 	// the strategies' per-worker drift/state computations and accuracy
 	// evaluation. 0 (the zero value) and 1 run sequentially; positive

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"repro/internal/comm"
-	"repro/internal/compress"
 )
 
 // fabricRun executes cfg under a fresh strategy on the given fabric and
@@ -154,19 +153,10 @@ func TestCrossFabricParity(t *testing.T) {
 	// Asynchronous FDA runs only on a clocked fabric; its fabric cell is
 	// TestAsyncOutputDigest (SimFabric) and TestAsyncValidation (refusals).
 	delete(cases, "AsyncFDA")
-	// Compressed synchronization exercises the real wire encode/decode
-	// path on the TCP fabric.
-	cases["LinearFDA+chain"] = func() Strategy { return NewLinearFDA(0.05) }
-	codecs := map[string]compress.Codec{
-		"LinearFDA+chain": compress.Chain{Stages: []compress.Codec{
-			compress.TopK{Fraction: 0.25}, compress.Quantize{Bits: 8}}},
-	}
 
 	for name, mk := range cases {
 		t.Run(name, func(t *testing.T) {
 			cfg := base
-			cfg.SyncCodec = codecs[name]
-
 			refRes, refParams := fabricRun(t, cfg, mk, comm.NewClusterWithCost(cfg.K, cfg.Cost))
 
 			simRes, simParams := fabricRun(t, cfg, mk,

@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"repro/internal/compress"
 	"repro/internal/data"
 	"repro/internal/opt"
 	"repro/internal/par"
@@ -99,22 +98,6 @@ func TestParallelRunParityAutoAndOddWidths(t *testing.T) {
 		if !reflect.DeepEqual(want, got) {
 			t.Fatalf("Parallelism=%d diverged from sequential:\nseq: %v\ngot: %v", p, want, got)
 		}
-	}
-}
-
-// TestParallelRunParityWithCodec covers the compressed-synchronization
-// path, whose broadcast fans out across the workers.
-func TestParallelRunParityWithCodec(t *testing.T) {
-	base := testConfig(9)
-	base.MaxSteps = 30
-	base.EvalEvery = 10
-	base.SyncCodec = compress.TopK{Fraction: 0.1}
-	seq := MustRun(base, NewLinearFDA(0.05))
-	par := base
-	par.Parallelism = 4
-	got := MustRun(par, NewLinearFDA(0.05))
-	if !reflect.DeepEqual(seq, got) {
-		t.Fatalf("codec run diverged under parallelism:\nseq: %v\npar: %v", seq, got)
 	}
 }
 

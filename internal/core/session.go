@@ -178,7 +178,6 @@ func NewSession(ctx context.Context, cfg Config, strat Strategy) (*Session, erro
 	d := len(w0)
 
 	env := newEnv(fabric, workers)
-	env.Codec = cfg.SyncCodec
 	env.width = par.Resolve(cfg.Parallelism)
 	strat.Init(env)
 

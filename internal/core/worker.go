@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/comm"
-	"repro/internal/compress"
 	"repro/internal/data"
 	"repro/internal/nn"
 	"repro/internal/opt"
@@ -117,15 +116,8 @@ type Env struct {
 	D int
 	// SyncCount counts model synchronizations performed so far.
 	SyncCount int
-	// Codec, when non-nil, compresses the drifts exchanged during model
-	// synchronization (see Config.SyncCodec). FDA composes with model
-	// compression because it only changes when synchronization happens.
-	Codec compress.Codec
 
 	paramViews [][]float64 // local workers' parameter slices, for AllReduce
-	codecBuf   []float64
-	codecMean  []float64
-	encoded    [][]byte // distributed compressed sync: encoded local drifts
 	// width caps ForEachWorker's goroutines: Config.Parallelism resolved
 	// by par.Resolve. The zero Env's 0 runs inline.
 	width int
@@ -211,89 +203,11 @@ func (e *Env) ForEachWorker(body func(k int, w *Worker)) {
 
 // SyncModels performs the expensive model synchronization: an AllReduce
 // over the full parameter vectors, leaving every worker holding the
-// average model, and advances the (w_t0, w_t−1) bookkeeping. When a codec
-// is configured, each worker's drift is compressed before aggregation and
-// the compressed wire size is charged instead of the dense model.
+// average model, and advances the (w_t0, w_t−1) bookkeeping.
 func (e *Env) SyncModels() {
-	if e.Codec != nil {
-		e.syncCompressed()
-		return
-	}
 	e.Fabric.AllReduce("model", e.paramViews)
 	e.advanceW0(e.Workers[0].Net.Params())
 	e.SyncCount++
-}
-
-// syncCompressed implements compressed synchronization: workers exchange
-// codec-compressed drifts; the new global model is w_t0 plus the mean of
-// the reconstructed drifts. The residual each worker keeps (its true
-// parameters minus the reconstruction) is discarded, matching plain
-// (non-error-feedback) compressed averaging.
-//
-// When the fabric is distributed (this process owns a strict subset of
-// ranks), the drifts genuinely travel in their compress wire encoding
-// through ExchangeBytes and every process reconstructs the mean from
-// the decoded payloads. Decode(Encode(u)) is bit-equal to the
-// in-process Roundtrip(u) reconstruction (the compress wire contract),
-// so the resulting global model is bit-identical to the in-process
-// fabrics'.
-func (e *Env) syncCompressed() {
-	if e.codecBuf == nil {
-		e.codecBuf = make([]float64, e.D)
-		e.codecMean = make([]float64, e.D)
-	}
-	tensor.Zero(e.codecMean)
-	var wire int64
-	if len(e.Workers) == e.Fabric.K() {
-		// In-process: reconstruct each drift locally, no bytes needed.
-		for _, w := range e.Workers {
-			u := w.Drift(e.W0)
-			wire += int64(e.Codec.Roundtrip(e.codecBuf, u))
-			tensor.AXPY(1, e.codecBuf, e.codecMean)
-		}
-	} else {
-		wire = e.exchangeCompressedDrifts()
-	}
-	tensor.Scale(e.codecMean, 1/float64(e.Fabric.K()))
-	// New global model w_t0 + mean(û), assembled in the codec scratch and
-	// copied into the W0 arena by advanceW0.
-	tensor.Add(e.codecMean, e.W0, e.codecMean)
-	global := e.codecMean
-	e.ForEachWorker(func(_ int, w *Worker) { w.Net.SetParams(global) })
-	e.advanceW0(global)
-	e.SyncCount++
-	// Each worker uploads its compressed drift and downloads the
-	// aggregate; charge 2× the summed compressed payloads. All codecs
-	// price by vector length alone, so every process computes the same
-	// cluster total from its local drifts.
-	e.Fabric.Meter().Charge("model", 2*wire)
-	if tt, ok := e.Fabric.(comm.TransferTimer); ok {
-		tt.TransferDone(2 * wire / int64(e.Fabric.K()))
-	}
-}
-
-// exchangeCompressedDrifts runs the distributed half of syncCompressed:
-// encode local drifts, exchange the framed payloads, decode all K in
-// rank order into the accumulating mean. Returns the cluster-total
-// charged wire size.
-func (e *Env) exchangeCompressedDrifts() int64 {
-	var perWorker int64
-	e.encoded = e.encoded[:0]
-	for _, w := range e.Workers {
-		u := w.Drift(e.W0)
-		// Cost-model size of one drift (length-dependent only, so it
-		// prices every rank's payload); the real frame travels below.
-		perWorker = int64(e.Codec.Roundtrip(e.codecBuf, u))
-		e.encoded = append(e.encoded, e.Codec.Encode(u))
-	}
-	parts := e.Fabric.ExchangeBytes("model", e.encoded)
-	for r, p := range parts {
-		if err := e.Codec.Decode(e.codecBuf, p); err != nil {
-			panic(fmt.Sprintf("core: decoding rank %d compressed drift: %v", r, err))
-		}
-		tensor.AXPY(1, e.codecBuf, e.codecMean)
-	}
-	return perWorker * int64(e.Fabric.K())
 }
 
 // GlobalModel writes the current average model w̄ into dst (measurement

@@ -19,7 +19,6 @@ import (
 	"errors"
 	"fmt"
 
-	"repro/internal/compress"
 	"repro/internal/core"
 	"repro/internal/data"
 	"repro/internal/models"
@@ -49,9 +48,6 @@ type JobSpec struct {
 	Target    float64 `json:"target,omitempty"`
 	Het       string  `json:"het,omitempty"`
 	Seed      uint64  `json:"seed"`
-	// TopK/QBits compose sync compression exactly as the fdarun flags.
-	TopK  float64 `json:"topk,omitempty"`
-	QBits int     `json:"qbits,omitempty"`
 	// Distributed asks fdaserve to coordinate the job across K worker
 	// processes on its TCP fabric instead of training in-process.
 	Distributed bool `json:"distributed,omitempty"`
@@ -93,18 +89,10 @@ func (s JobSpec) WithDefaults() JobSpec {
 
 // Key returns the canonical dedupe key of a defaulted spec: the string
 // fdaserve registers the job under, addresses its resume checkpoint by,
-// and fdagate hashes for affinity routing. The compression fields enter
-// only when they compress, so every key minted before they were part of
-// the request body is unchanged.
+// and fdagate hashes for affinity routing.
 func (s JobSpec) Key() string {
 	key := fmt.Sprintf("train|%s|%s|%g|%d|%d|%d|%d|%d|%g|%s|%d",
 		s.Model, s.Strategy, s.Theta, s.Tau, s.K, s.Batch, s.Steps, s.EvalEvery, s.Target, s.Het, s.Seed)
-	if s.TopK > 0 {
-		key += fmt.Sprintf("|topk=%g", s.TopK)
-	}
-	if s.QBits > 0 {
-		key += fmt.Sprintf("|qbits=%d", s.QBits)
-	}
 	if s.Distributed {
 		// Distributed jobs never share resume checkpoints with local
 		// ones, so they dedupe under their own key space.
@@ -114,7 +102,7 @@ func (s JobSpec) Key() string {
 }
 
 // config is BuildConfig without the datasets: model looked up,
-// heterogeneity parsed, codec composed.
+// heterogeneity parsed.
 func (s JobSpec) config() (core.Config, models.Spec, error) {
 	spec, err := models.ByName(s.Model)
 	if err != nil {
@@ -131,15 +119,6 @@ func (s JobSpec) config() (core.Config, models.Spec, error) {
 		MaxSteps:       s.Steps,
 		EvalEvery:      s.EvalEvery,
 		TargetAccuracy: s.Target,
-	}
-	switch {
-	case s.TopK > 0 && s.QBits > 0:
-		cfg.SyncCodec = compress.Chain{Stages: []compress.Codec{
-			compress.TopK{Fraction: s.TopK}, compress.Quantize{Bits: s.QBits}}}
-	case s.TopK > 0:
-		cfg.SyncCodec = compress.TopK{Fraction: s.TopK}
-	case s.QBits > 0:
-		cfg.SyncCodec = compress.Quantize{Bits: s.QBits}
 	}
 	return cfg, spec, nil
 }
@@ -179,7 +158,7 @@ func (s JobSpec) Validate() error {
 }
 
 // BuildConfig materializes the replicated core.Config (datasets
-// generated, heterogeneity parsed, codec composed). The caller still
+// generated, heterogeneity parsed). The caller still
 // sets Fabric and Parallelism — the two knobs that are process-local by
 // design.
 func (s JobSpec) BuildConfig() (core.Config, error) {

@@ -98,36 +98,6 @@ func TestDistributedMatchesLocal(t *testing.T) {
 	}
 }
 
-// TestDistributedCompressedSync sends the drifts through the real wire
-// codec path (Encode on the sender, framed exchange, Decode on every
-// receiver) and still matches the local run bit-for-bit.
-func TestDistributedCompressedSync(t *testing.T) {
-	spec := testSpec()
-	spec.TopK = 0.25
-	spec.QBits = 8
-	spec = spec.WithDefaults()
-
-	cfg, err := spec.BuildConfig()
-	if err != nil {
-		t.Fatal(err)
-	}
-	strat, err := spec.BuildStrategy(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	local, err := core.Run(cfg, strat)
-	if err != nil {
-		t.Fatal(err)
-	}
-	distRes, _ := runDistributed(t, spec)
-	if !reflect.DeepEqual(local, distRes) {
-		t.Fatalf("compressed distributed result diverged:\n%+v\nvs\n%+v", distRes, local)
-	}
-	if local.SyncCount == 0 {
-		t.Fatal("degenerate test: no synchronizations happened")
-	}
-}
-
 // TestCoordinateRejectsDivergence exercises the verification half of
 // Coordinate through its helper.
 func TestCoordinateRejectsDivergence(t *testing.T) {
@@ -171,7 +141,7 @@ func TestJobSpecDefaults(t *testing.T) {
 func TestJobSpecValidate(t *testing.T) {
 	for _, name := range []string{"LinearFDA", "SketchFDA", "OracleFDA", "Synchronous", "LocalSGD", "IncTau",
 		"DecTau", "PostLocal", "LAG", "FedAvg", "FedAvgM", "FedAdam"} {
-		if err := (JobSpec{Model: "lenet5s", Strategy: name, TopK: 0.1}).WithDefaults().Validate(); err != nil {
+		if err := (JobSpec{Model: "lenet5s", Strategy: name}).WithDefaults().Validate(); err != nil {
 			t.Errorf("%s: %v", name, err)
 		}
 	}

@@ -17,7 +17,6 @@ var deterministicPackages = map[string]bool{
 	modulePath + "/internal/opt":         true,
 	modulePath + "/internal/tensor":      true,
 	modulePath + "/internal/comm":        true,
-	modulePath + "/internal/compress":    true,
 	modulePath + "/internal/experiments": true,
 	modulePath + "/internal/dist":        true,
 	modulePath + "/internal/workload":    true,
