@@ -101,22 +101,24 @@ func TestTrainKeyGolden(t *testing.T) {
 // TestSubmitUnknownFieldsRefused pins strict request bodies on both
 // submission endpoints: a field the spec does not have, whether one the
 // server once took (topk, qbits) or a misspelling, is a 400 that names
-// it, and no job is created. A lenient decoder would admit such a body
-// as the job it names without the field, under that job's key.
+// it, as is a second value after the body, and no job is created. A
+// lenient decoder would admit such a body as the job it names without
+// the extra, under that job's key.
 func TestSubmitUnknownFieldsRefused(t *testing.T) {
 	ts := testServer(t, t.TempDir())
 	for _, c := range []struct{ path, body, field string }{
-		{"/v1/train", `{"model":"lenet5s","strategy":"LinearFDA","topk":0,"qbits":0}`, "topk"},
-		{"/v1/train", `{"model":"lenet5s","strategy":"Synchronous","topk":2}`, "topk"},
-		{"/v1/train", `{"model":"lenet5s","strategy":"Synchronous","qbits":40}`, "qbits"},
-		{"/v1/train", `{"model":"lenet5s","strategy":"LinearFDA","stpes":20}`, "stpes"},
-		{"/v1/runs", `{"experiment":"fig3","scael":"tiny"}`, "scael"},
+		{"/v1/train", `{"model":"lenet5s","strategy":"LinearFDA","topk":0,"qbits":0}`, `"topk"`},
+		{"/v1/train", `{"model":"lenet5s","strategy":"Synchronous","topk":2}`, `"topk"`},
+		{"/v1/train", `{"model":"lenet5s","strategy":"Synchronous","qbits":40}`, `"qbits"`},
+		{"/v1/train", `{"model":"lenet5s","strategy":"LinearFDA","stpes":20}`, `"stpes"`},
+		{"/v1/runs", `{"experiment":"fig3","scael":"tiny"}`, `"scael"`},
+		{"/v1/train", `{"model":"lenet5s","strategy":"LinearFDA"} {"topk":2}`, "data after the JSON value"},
 	} {
 		var errResp struct {
 			Error string `json:"error"`
 		}
 		postJSON(t, ts.URL+c.path, c.body, http.StatusBadRequest, &errResp)
-		if !strings.Contains(errResp.Error, `"`+c.field+`"`) {
+		if !strings.Contains(errResp.Error, c.field) {
 			t.Errorf("%s %s: error %q does not name %q", c.path, c.body, errResp.Error, c.field)
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"maps"
 	"net/http"
@@ -237,13 +238,20 @@ func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 
 // decodeBody decodes a submission body into v strictly, the rule
 // workload.ParseSpec follows: a field v does not have (a misspelling, or
-// one an older or newer client sends) is a 400 naming it, never a
-// silently different job under another job's key. It reports whether v
-// was filled; on false the error response is written.
+// one an older or newer client sends) and data after the value are a
+// 400 naming them, never a silently different job under another job's
+// key. It reports whether v was filled; on false the error response is
+// written.
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
+	err := dec.Decode(v)
+	if err == nil {
+		if _, tail := dec.Token(); tail != io.EOF {
+			err = errors.New("data after the JSON value")
+		}
+	}
+	if err != nil {
 		cluster.WriteError(w, http.StatusBadRequest, "invalid JSON body: "+err.Error())
 		return false
 	}
