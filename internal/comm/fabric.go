@@ -106,8 +106,8 @@ type StepTimer interface {
 // TransferTimer is implemented by fabrics whose clock should advance
 // for custom-charged transfers — asynchronous FDA's coordinator-led
 // synchronizations bypass the collective cost model and charge the
-// meter directly, so they report their per-worker wire bytes here. Returns the modeled
-// seconds.
+// meter directly, so they report their per-worker wire bytes here.
+// Returns the modeled seconds.
 type TransferTimer interface {
 	TransferDone(perWorkerBytes int64) float64
 }
