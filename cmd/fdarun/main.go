@@ -53,7 +53,6 @@ import (
 var (
 	fs       = flag.NewFlagSet("fdarun", flag.ExitOnError)
 	spec     dist.JobSpec
-	budget   = fs.Float64("budget", 0, "bytes/step bandwidth budget; wraps the FDA variant with the §5 adaptive-Θ controller")
 	async    = fs.Bool("async", false, "run the asynchronous (coordinator) variant of -strategy LinearFDA or SketchFDA: workers step at their own pace on a virtual clock of compute and link time (-speeds or -scenario; by default one step per second each and free links)")
 	speeds   = fs.String("speeds", "", "comma-separated relative worker speeds, one per worker (-k): simulate a network where only compute differs and report the virtual clock; needs -async, excludes -scenario")
 	jobs     = fs.Int("jobs", runtime.GOMAXPROCS(0), "cap on goroutines for the worker/eval loops (1 = sequential; results are bit-identical; -async steps one worker at a time, so there it widens evaluation only)")
@@ -69,9 +68,9 @@ var (
 
 func init() {
 	fs.StringVar(&spec.Model, "model", "lenet5s", "zoo model: lenet5s, vgg16s, densenet121s, densenet201s, convnexts")
-	fs.StringVar(&spec.Strategy, "strategy", "LinearFDA", "LinearFDA, SketchFDA, OracleFDA, Synchronous, LocalSGD, IncTau, DecTau, PostLocal, LAG, FedAvg, FedAvgM, FedAdam")
+	fs.StringVar(&spec.Strategy, "strategy", "LinearFDA", "LinearFDA, SketchFDA, OracleFDA, Synchronous, LocalSGD, FedAvgM, FedAdam")
 	fs.Float64Var(&spec.Theta, "theta", 0, "variance threshold Θ (0 = second entry of the model's default grid)")
-	fs.IntVar(&spec.Tau, "tau", 10, "τ for LocalSGD/IncTau/DecTau/PostLocal/LAG")
+	fs.IntVar(&spec.Tau, "tau", 10, "τ for LocalSGD")
 	fs.IntVar(&spec.K, "k", 5, "number of workers K")
 	fs.IntVar(&spec.Batch, "batch", 32, "local mini-batch size")
 	fs.IntVar(&spec.Steps, "steps", 600, "maximum in-parallel steps")
@@ -80,11 +79,13 @@ func init() {
 	fs.Uint64Var(&spec.Seed, "seed", 1, "run seed")
 }
 
-// parseFlags fills the flag variables and resolves the spec's defaults
-// (Θ from the model's grid, the evaluation cadence).
-func parseFlags(args []string) {
+// parseFlags fills the flag variables, resolves the spec's defaults
+// (Θ from the model's grid, the evaluation cadence) and vets the spec
+// the way fdaserve does at admission.
+func parseFlags(args []string) error {
 	fs.Parse(args)
 	spec = spec.WithDefaults()
+	return spec.Validate()
 }
 
 // warmStart wires the session into the -store snapshot registry and
@@ -127,11 +128,13 @@ func warmStart(sess *fda.Session, strat fda.Strategy) error {
 }
 
 func main() {
-	parseFlags(os.Args[1:])
-
+	err := parseFlags(os.Args[1:])
 	if *version {
 		fmt.Println(buildinfo.String("fdarun"))
 		return
+	}
+	if err != nil {
+		fatal(err)
 	}
 
 	if *traceOut != "" {
@@ -182,8 +185,8 @@ func main() {
 		if *scenario != "" || *speeds != "" {
 			fatal(errors.New("-scenario and -speeds do not combine with -coordinator (the TCP fabric is the transport)"))
 		}
-		if *budget > 0 || *async || *storeDir != "" {
-			fatal(errors.New("-budget, -async and -store are not available in -coordinator mode"))
+		if *async || *storeDir != "" {
+			fatal(errors.New("-async and -store are not available in -coordinator mode"))
 		}
 		co, err := comm.ListenCoordinator(*coord, spec.K)
 		if err != nil {
@@ -216,14 +219,6 @@ func main() {
 	strat, err := spec.BuildStrategy(cfg)
 	if err != nil {
 		fatal(err)
-	}
-	if *budget > 0 {
-		switch spec.Strategy {
-		case "LinearFDA", "SketchFDA":
-			strat = fda.NewAdaptiveTheta(strat, *budget)
-		default:
-			fatal(errors.New("-budget only applies to LinearFDA/SketchFDA"))
-		}
 	}
 	if *async {
 		strat = fda.NewAsyncFDA(strat)

@@ -15,9 +15,9 @@ import (
 
 // parse is parseFlags from a clean slate: every flag back at its
 // default first, so cases do not inherit each other's settings.
-func parse(args ...string) {
+func parse(args ...string) error {
 	fs.VisitAll(func(f *flag.Flag) { f.Value.Set(f.DefValue) })
-	parseFlags(args)
+	return parseFlags(args)
 }
 
 // TestFlagsToResultGolden pins the flag surface → dist.JobSpec →
@@ -39,9 +39,9 @@ func TestFlagsToResultGolden(t *testing.T) {
 		{args: []string{"-model", "lenet5s", "-strategy", "LinearFDA", "-k", "3", "-steps", "60"},
 			summary: "LinearFDA: steps=60 epochs=2.4 comm=0.000GB (state 0.000, model 0.000) syncs=3 acc=0.4550 target=false",
 			comm:    127458, state: 1800, model: 125658, syncs: 3, accBits: 0x3fdd1eb851eb851f},
-		{args: []string{"-model", "lenet5s", "-strategy", "FedAvg", "-k", "3", "-steps", "60", "-het", "label0"},
-			summary: "FedAvg: steps=60 epochs=2.4 comm=0.000GB (state 0.000, model 0.000) syncs=2 acc=0.4167 target=false",
-			comm:    83772, state: 0, model: 83772, syncs: 2, accBits: 0x3fdaaaaaaaaaaaab},
+		{args: []string{"-model", "lenet5s", "-strategy", "FedAvgM", "-k", "3", "-steps", "60", "-het", "label0"},
+			summary: "FedAvgM: steps=60 epochs=2.4 comm=0.000GB (state 0.000, model 0.000) syncs=2 acc=0.2200 target=false",
+			comm:    83772, state: 0, model: 83772, syncs: 2, accBits: 0x3fcc28f5c28f5c29},
 		{args: []string{"-model", "lenet5s", "-strategy", "LocalSGD", "-tau", "5", "-k", "2", "-steps", "40", "-seed", "7"},
 			summary: "LocalSGD(τ=5): steps=40 epochs=1.1 comm=0.000GB (state 0.000, model 0.000) syncs=8 acc=0.3033 target=false",
 			comm:    167552, state: 0, model: 167552, syncs: 8, accBits: 0x3fd369d0369d036a},
@@ -149,6 +149,25 @@ func TestSpeedsFlagRefusals(t *testing.T) {
 	}
 	parse("-k", "3", "-async", "-speeds", "1,1,0.5")
 	if _, err := simulatedNetwork(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSpecFlagRefusals: a bad spec flag is an error from parseFlags,
+// which main prints before anything runs, not a panic in a strategy
+// constructor.
+func TestSpecFlagRefusals(t *testing.T) {
+	for _, args := range [][]string{
+		{"-strategy", "LocalSGD", "-tau", "-1"},
+		{"-strategy", "LinearFDA", "-tau", "-1"},
+		{"-strategy", "LinearFDA", "-theta", "-1"},
+		{"-strategy", "Nope"},
+	} {
+		if err := parse(args...); err == nil {
+			t.Errorf("%v accepted", args)
+		}
+	}
+	if err := parse("-strategy", "LocalSGD", "-tau", "5"); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -146,6 +146,18 @@ func TestTrainValidationErrors(t *testing.T) {
 	if len(errResp.Fields) == 0 || errResp.Fields[0].Field != "K" {
 		t.Fatalf("structured field errors missing: %+v", errResp)
 	}
+	// A negative τ is a field error for every strategy, including the
+	// ones that never read it; LocalSGD's constructor would panic on it.
+	for _, body := range []string{
+		`{"model":"lenet5s","strategy":"LocalSGD","tau":-1}`,
+		`{"model":"lenet5s","strategy":"LinearFDA","tau":-1}`,
+	} {
+		errResp.Fields = nil
+		postJSON(t, ts.URL+"/v1/train", body, http.StatusBadRequest, &errResp)
+		if len(errResp.Fields) != 1 || errResp.Fields[0].Field != "Tau" {
+			t.Fatalf("%s: want one field error for Tau, got %+v", body, errResp)
+		}
+	}
 
 	var views []jobs.View
 	getJSON(t, ts.URL+"/v1/runs", http.StatusOK, &views)

@@ -7,8 +7,7 @@ import (
 	"repro/fda"
 )
 
-// The extended facade surface: every layer constructor, related-work
-// strategies, the adaptive-Θ controller, Dirichlet splits and checkpoints.
+// The extended facade surface: every layer constructor and checkpoints.
 func TestFacadeNewLayersTrain(t *testing.T) {
 	train, test := fda.MNISTLike(21)
 	model := func(rng *fda.RNG) *fda.Network {
@@ -35,30 +34,6 @@ func TestFacadeNewLayersTrain(t *testing.T) {
 	res := fda.MustRun(cfg, fda.NewLinearFDA(0.1))
 	if res.Steps != 30 {
 		t.Fatalf("run stopped early: %v", res)
-	}
-}
-
-func TestFacadeRelatedWorkStrategies(t *testing.T) {
-	train, test := fda.MNISTLike(22)
-	cfg := fda.Config{
-		K: 3, BatchSize: 16, Seed: 22,
-		Model:     buildMLP(train.Dim(), train.NumClasses),
-		Optimizer: fda.NewAdam(1e-3),
-		Train:     train, Test: test,
-		MaxSteps: 40, EvalEvery: 20,
-		Het: fda.NonIIDDirichlet(0.5),
-	}
-	for _, s := range []fda.Strategy{
-		fda.NewIncreasingTauLocalSGD(4, 2),
-		fda.NewDecreasingTauLocalSGD(16, 1),
-		fda.NewPostLocalSGD(10, 5),
-		fda.NewLAG(8, 0.5),
-		fda.NewAdaptiveTheta(fda.NewLinearFDA(0.05), 5000),
-	} {
-		res := fda.MustRun(cfg, s)
-		if res.Steps != 40 {
-			t.Fatalf("%s stopped early", res.Strategy)
-		}
 	}
 }
 

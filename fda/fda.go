@@ -8,8 +8,8 @@
 // for LinearFDA) instead of on a fixed schedule. The package re-exports
 // the library's building blocks:
 //
-//   - strategies: NewSketchFDA, NewLinearFDA, NewSynchronous, NewLocalSGD,
-//     NewFedAvg/NewFedAvgM/NewFedAdam (and their *For constructors), and
+//   - strategies: NewSketchFDA, NewLinearFDA, NewOracleFDA,
+//     NewSynchronous, NewLocalSGD, NewFedAvgMFor/NewFedAdamFor, and
 //     NewAsyncFDA for the coordinator-based asynchronous variant, which
 //     steps worker by worker on a simulated network's virtual clock,
 //   - the session API: NewSession over a Config (a struct literal)
@@ -139,20 +139,10 @@ var (
 	NewSynchronous = core.NewSynchronous
 	// NewLocalSGD returns the fixed-τ Local-SGD baseline.
 	NewLocalSGD = core.NewLocalSGD
-	// NewFedAvgFor, NewFedAvgMFor and NewFedAdamFor return the federated
-	// optimization baselines with round lengths bound to a config.
-	NewFedAvgFor  = core.NewFedAvgFor
+	// NewFedAvgMFor and NewFedAdamFor return the federated optimization
+	// baselines with round lengths bound to a config.
 	NewFedAvgMFor = core.NewFedAvgMFor
 	NewFedAdamFor = core.NewFedAdamFor
-	// Related-work schedules (§2): increasing/decreasing τ, post-local
-	// SGD and lazily aggregated rounds.
-	NewIncreasingTauLocalSGD = core.NewIncreasingTauLocalSGD
-	NewDecreasingTauLocalSGD = core.NewDecreasingTauLocalSGD
-	NewPostLocalSGD          = core.NewPostLocalSGD
-	NewLAG                   = core.NewLAG
-	// NewAdaptiveTheta implements the paper's §5 future-work proposal:
-	// a bandwidth-budget controller over Θ.
-	NewAdaptiveTheta = core.NewAdaptiveTheta
 	// NewAsyncFDA wraps NewLinearFDA or NewSketchFDA as the asynchronous
 	// variant (§3.3): a session steps one worker's local step at a time
 	// on the fabric's virtual clock of compute and link time

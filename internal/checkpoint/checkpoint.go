@@ -273,22 +273,6 @@ func sortedKeys[V any](m map[string]V) []string {
 	return keys
 }
 
-// Write serializes s to w as one Marshal image.
-func Write(w io.Writer, s *Snapshot) error {
-	b, _ := Marshal(s) // Marshal never fails
-	_, err := w.Write(b)
-	return err
-}
-
-// Read reads r to its end and decodes the image.
-func Read(r io.Reader) (*Snapshot, error) {
-	b, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("checkpoint: reading: %w", err)
-	}
-	return Unmarshal(b)
-}
-
 // Save writes a snapshot to path atomically: the finished image goes
 // to a temp file in the same directory, which is then renamed.
 func Save(path string, s *Snapshot) error {

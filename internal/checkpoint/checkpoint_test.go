@@ -24,11 +24,8 @@ func sampleSnapshot(n int, seed uint64) *Snapshot {
 
 func TestRoundTrip(t *testing.T) {
 	s := sampleSnapshot(257, 1)
-	var buf bytes.Buffer
-	if err := Write(&buf, s); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Read(&buf)
+	buf, _ := Marshal(s)
+	got, err := Unmarshal(buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,11 +41,8 @@ func TestRoundTrip(t *testing.T) {
 
 func TestRoundTripWithoutW0(t *testing.T) {
 	s := &Snapshot{Step: 1, Params: []float64{1, 2, 3}}
-	var buf bytes.Buffer
-	if err := Write(&buf, s); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Read(&buf)
+	buf, _ := Marshal(s)
+	got, err := Unmarshal(buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,13 +53,10 @@ func TestRoundTripWithoutW0(t *testing.T) {
 
 func TestCorruptionDetected(t *testing.T) {
 	s := sampleSnapshot(64, 2)
-	var buf bytes.Buffer
-	if err := Write(&buf, s); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
+	buf, _ := Marshal(s)
+	data := buf
 	data[40] ^= 0x01 // flip one payload bit
-	if _, err := Read(bytes.NewReader(data)); err == nil {
+	if _, err := Unmarshal(data); err == nil {
 		t.Fatal("corrupted checkpoint accepted")
 	}
 }
@@ -74,13 +65,10 @@ func TestCorruptionDetected(t *testing.T) {
 // itself (the payload stays intact), which must still be rejected.
 func TestCRCTrailerCorruptionDetected(t *testing.T) {
 	s := sampleSnapshot(64, 5)
-	var buf bytes.Buffer
-	if err := Write(&buf, s); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
+	buf, _ := Marshal(s)
+	data := buf
 	data[len(data)-1] ^= 0x80 // inside the 8-byte CRC64 trailer
-	_, err := Read(bytes.NewReader(data))
+	_, err := Unmarshal(data)
 	if err == nil {
 		t.Fatal("corrupted CRC trailer accepted")
 	}
@@ -90,18 +78,15 @@ func TestCRCTrailerCorruptionDetected(t *testing.T) {
 }
 
 // TestWrongVersionRejected patches the header's version field to an
-// unsupported value; Read must fail on the version check (which runs
+// unsupported value; Unmarshal must fail on the version check (which runs
 // before the CRC is even reachable) with a version error.
 func TestWrongVersionRejected(t *testing.T) {
 	s := sampleSnapshot(16, 6)
-	var buf bytes.Buffer
-	if err := Write(&buf, s); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
+	buf, _ := Marshal(s)
+	data := buf
 	// Layout: bytes [0,8) magic, [8,16) version.
 	binary.LittleEndian.PutUint64(data[8:16], versionSections+1)
-	_, err := Read(bytes.NewReader(data))
+	_, err := Unmarshal(data)
 	if err == nil {
 		t.Fatal("wrong-version checkpoint accepted")
 	}
@@ -114,13 +99,10 @@ func TestWrongVersionRejected(t *testing.T) {
 // the header, inside a vector, and inside the CRC trailer.
 func TestTruncationEveryPrefix(t *testing.T) {
 	s := sampleSnapshot(8, 7)
-	var buf bytes.Buffer
-	if err := Write(&buf, s); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
+	buf, _ := Marshal(s)
+	data := buf
 	for _, n := range []int{0, 4, 8, 15, 16, 23, 24, 40, len(data) - 12, len(data) - 1} {
-		if _, err := Read(bytes.NewReader(data[:n])); err == nil {
+		if _, err := Unmarshal(data[:n]); err == nil {
 			t.Fatalf("checkpoint truncated to %d of %d bytes accepted", n, len(data))
 		}
 	}
@@ -130,33 +112,27 @@ func TestTruncationEveryPrefix(t *testing.T) {
 // instead of attempting a giant allocation.
 func TestImplausibleLengthRejected(t *testing.T) {
 	s := &Snapshot{Step: 1, Params: []float64{1}}
-	var buf bytes.Buffer
-	if err := Write(&buf, s); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
+	buf, _ := Marshal(s)
+	data := buf
 	// Bytes [24,32) hold len(Params); write an absurd value.
 	binary.LittleEndian.PutUint64(data[24:32], 1<<40)
-	_, err := Read(bytes.NewReader(data))
+	_, err := Unmarshal(data)
 	if err == nil || !strings.Contains(err.Error(), "implausible") {
 		t.Fatalf("want implausible-length error, got: %v", err)
 	}
 }
 
 func TestBadMagicRejected(t *testing.T) {
-	if _, err := Read(bytes.NewReader(make([]byte, 64))); err == nil {
+	if _, err := Unmarshal(make([]byte, 64)); err == nil {
 		t.Fatal("zero stream accepted")
 	}
 }
 
 func TestTruncationDetected(t *testing.T) {
 	s := sampleSnapshot(64, 3)
-	var buf bytes.Buffer
-	if err := Write(&buf, s); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()[:buf.Len()-9]
-	if _, err := Read(bytes.NewReader(data)); err == nil {
+	buf, _ := Marshal(s)
+	data := buf[:len(buf)-9]
+	if _, err := Unmarshal(data); err == nil {
 		t.Fatal("truncated checkpoint accepted")
 	}
 }
@@ -196,11 +172,8 @@ func TestLoadMissingFile(t *testing.T) {
 func TestRoundTripProperty(t *testing.T) {
 	f := func(step uint32, params [9]float64) bool {
 		s := &Snapshot{Step: int64(step), Params: params[:]}
-		var buf bytes.Buffer
-		if err := Write(&buf, s); err != nil {
-			return false
-		}
-		got, err := Read(&buf)
+		buf, _ := Marshal(s)
+		got, err := Unmarshal(buf)
 		if err != nil {
 			return false
 		}
@@ -230,12 +203,9 @@ func TestSectionsRoundTrip(t *testing.T) {
 	s.AddU64("t", 1234)
 	s.AddU64("meter.b.model", 1<<60)
 
-	var buf bytes.Buffer
-	if err := Write(&buf, s); err != nil {
-		t.Fatal(err)
-	}
-	first := append([]byte(nil), buf.Bytes()...)
-	got, err := Read(&buf)
+	buf, _ := Marshal(s)
+	first := append([]byte(nil), buf...)
+	got, err := Unmarshal(buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,27 +227,21 @@ func TestSectionsRoundTrip(t *testing.T) {
 
 	// Determinism: re-encoding the same snapshot yields identical bytes
 	// (sections are key-sorted, not map-ordered).
-	var buf2 bytes.Buffer
-	if err := Write(&buf2, s); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(first, buf2.Bytes()) {
+	buf2, _ := Marshal(s)
+	if !bytes.Equal(first, buf2) {
 		t.Fatal("v2 encoding is not deterministic")
 	}
 
 	// A sectioned snapshot corrupted anywhere in the tables is rejected.
 	data := append([]byte(nil), first...)
 	data[len(data)-20] ^= 0x40
-	if _, err := Read(bytes.NewReader(data)); err == nil {
+	if _, err := Unmarshal(data); err == nil {
 		t.Fatal("corrupted v2 checkpoint accepted")
 	}
 
 	// Plain snapshots still write version 1.
-	var plain bytes.Buffer
-	if err := Write(&plain, sampleSnapshot(8, 9)); err != nil {
-		t.Fatal(err)
-	}
-	if v := binary.LittleEndian.Uint64(plain.Bytes()[8:16]); v != version {
+	plain, _ := Marshal(sampleSnapshot(8, 9))
+	if v := binary.LittleEndian.Uint64(plain[8:16]); v != version {
 		t.Fatalf("plain snapshot wrote version %d", v)
 	}
 }

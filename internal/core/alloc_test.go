@@ -114,18 +114,6 @@ func TestOracleFDASteadyStepZeroAllocs(t *testing.T) {
 	measureSteadyStep(t, "OracleFDA", newAllocEnv(3), s)
 }
 
-// TestLAGSteadyStepZeroAllocs: LAG computes and exchanges its state
-// every τ = 2 steps. Its first round synchronizes (there is no earlier
-// round to compare with) inside the warm-up; the measured window then
-// holds ten rounds, none past the threshold.
-func TestLAGSteadyStepZeroAllocs(t *testing.T) {
-	env := newAllocEnv(3)
-	measureSteadyStep(t, "LAG", env, NewLAG(2, 1e18))
-	if rounds := env.Fabric.Meter().OpsFor("state"); rounds < 10 || env.SyncCount != 1 {
-		t.Fatalf("LAG ran %d state rounds and %d syncs, want ≥ 10 rounds and the one warm-up sync", rounds, env.SyncCount)
-	}
-}
-
 // TestAsyncStepZeroAllocs covers asynchronous FDA's steady-state event
 // step, sync-free like the strategies above: one pop, a local step, the
 // moving worker's state, an estimate and a push.

@@ -65,7 +65,6 @@ func (l *LocalSGD) AfterLocalStep(env *Env, t int) {
 //     the SGD-NM experiments)
 //   - Server Adam                        ⇒ FedAdam (baseline for the Adam
 //     experiments)
-//   - Server plain SGD with lr 1        ⇒ FedAvg
 //
 // Communication per round is one model AllReduce, identical in size to an
 // FDA synchronization; FedOpt simply spaces them on a fixed schedule.
@@ -82,11 +81,6 @@ type FedOpt struct {
 	mean       []float64
 	views      [][]float64
 	broadcast  func(i int, w *Worker)
-}
-
-// NewFedAvg returns plain federated averaging with E local epochs.
-func NewFedAvg(e int) *FedOpt {
-	return newFedOpt("FedAvg", e, &opt.SGD{LR: 1})
 }
 
 // NewFedAvgM returns FedAvgM: server SGD with momentum. The paper's server
@@ -155,16 +149,9 @@ func FedRoundSteps(cfg Config, e int) int {
 	return steps
 }
 
-// NewFedAvgFor, NewFedAvgMFor and NewFedAdamFor bind the round length to
-// cfg so one local round spans E full epochs of the worker shards, as in
-// the paper's FedOpt experiments (E = 1).
-
-// NewFedAvgFor returns FedAvg with its round length derived from cfg.
-func NewFedAvgFor(cfg Config, e int) *FedOpt {
-	f := NewFedAvg(e)
-	f.SetRoundSteps(FedRoundSteps(cfg, e))
-	return f
-}
+// NewFedAvgMFor and NewFedAdamFor bind the round length to cfg so one
+// local round spans E full epochs of the worker shards, as in the
+// paper's FedOpt experiments (E = 1).
 
 // NewFedAvgMFor returns FedAvgM with its round length derived from cfg.
 func NewFedAvgMFor(cfg Config, e int) *FedOpt {

@@ -1,7 +1,7 @@
 // Package core implements the paper's contribution — Federated Dynamic
 // Averaging (Algorithm 1) with its SketchFDA and LinearFDA variants — plus
 // every distributed training baseline the paper evaluates against:
-// Synchronous (BSP), Local-SGD with fixed τ, FedAvg, FedAvgM and FedAdam.
+// Synchronous (BSP), Local-SGD with fixed τ, FedAvgM and FedAdam.
 //
 // A training run wires K simulated workers (each with its own model
 // replica, optimizer state and data shard) to a metered AllReduce fabric

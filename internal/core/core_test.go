@@ -73,14 +73,14 @@ func TestLocalSGDSyncCadence(t *testing.T) {
 func TestFedOptRoundCadence(t *testing.T) {
 	cfg := testConfig(3)
 	cfg.MaxSteps = 45
-	f := NewFedAvgFor(cfg, 1)
+	f := NewFedAvgMFor(cfg, 1)
 	// shard = 2400/5 = 480; 480/32 = 15 steps per epoch.
 	if f.roundSteps != 15 {
 		t.Fatalf("round steps = %d want 15", f.roundSteps)
 	}
 	res := MustRun(cfg, f)
 	if res.SyncCount != 3 {
-		t.Fatalf("FedAvg synced %d times in 45 steps", res.SyncCount)
+		t.Fatalf("FedAvgM synced %d times in 45 steps", res.SyncCount)
 	}
 }
 
@@ -416,7 +416,7 @@ func TestSyncResetsVarianceInvariant(t *testing.T) {
 		func(Config) Strategy { return NewLinearFDA(0.05) },
 		func(Config) Strategy { return NewSketchFDA(0.05) },
 		func(Config) Strategy { return NewLocalSGD(7) },
-		func(cfg Config) Strategy { return NewFedAvgFor(cfg, 1) },
+		func(cfg Config) Strategy { return NewFedAvgMFor(cfg, 1) },
 	} {
 		cfg := testConfig(50)
 		cfg.MaxSteps = 40

@@ -4,8 +4,18 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/opt"
 	"repro/internal/tensor"
 )
+
+// fedAvgFor is FedAvg: FedOpt with a unit-learning-rate plain-SGD
+// server, one epoch per round. It is the reference the pseudo-gradient
+// formulation that FedAvgM and FedAdam share is checked against.
+func fedAvgFor(cfg Config) *FedOpt {
+	f := newFedOpt("FedAvg", 1, &opt.SGD{LR: 1})
+	f.SetRoundSteps(FedRoundSteps(cfg, 1))
+	return f
+}
 
 // FedAvg with a unit-learning-rate plain-SGD server is mathematically
 // plain model averaging: w_global ← w_global − 1·(w_global − w̄) = w̄.
@@ -13,7 +23,7 @@ import (
 func TestFedAvgEqualsPlainAveraging(t *testing.T) {
 	cfg := testConfig(40)
 	cfg.MaxSteps = 15
-	f := NewFedAvgFor(cfg, 1) // roundSteps = 15 ⇒ exactly one round
+	f := fedAvgFor(cfg) // roundSteps = 15 ⇒ exactly one round
 
 	var checked bool
 	probe := &fedAvgProbe{t: t, inner: f, checked: &checked}
@@ -103,7 +113,7 @@ func (p *broadcastProbe) AfterLocalStep(env *Env, step int) {
 func TestFedAvgMDiffersFromFedAvg(t *testing.T) {
 	cfg := testConfig(42)
 	cfg.MaxSteps = 60
-	avg := MustRun(cfg, NewFedAvgFor(cfg, 1))
+	avg := MustRun(cfg, fedAvgFor(cfg))
 	avgM := MustRun(cfg, NewFedAvgMFor(cfg, 1))
 	if avg.FinalTestAcc == avgM.FinalTestAcc {
 		t.Fatal("server momentum had no effect (suspicious)")
@@ -118,12 +128,12 @@ func TestFedAvgMDiffersFromFedAvg(t *testing.T) {
 func TestFedOptResetsLocalOptimizers(t *testing.T) {
 	cfg := testConfig(43)
 	cfg.MaxSteps = 30
-	// Indirect but robust check: two FedAvg runs whose only difference is
+	// Indirect but robust check: two FedAvgM runs whose only difference is
 	// MaxSteps spanning one extra full round must share the first round's
 	// trajectory exactly (determinism would break if reset state leaked
 	// differently). Primarily this guards the Opt.Reset call path.
-	a := MustRun(cfg, NewFedAvgFor(cfg, 1))
-	b := MustRun(cfg, NewFedAvgFor(cfg, 1))
+	a := MustRun(cfg, NewFedAvgMFor(cfg, 1))
+	b := MustRun(cfg, NewFedAvgMFor(cfg, 1))
 	if a.FinalTestAcc != b.FinalTestAcc || a.CommBytes != b.CommBytes {
 		t.Fatal("FedOpt runs not deterministic")
 	}

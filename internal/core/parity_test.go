@@ -14,24 +14,18 @@ import (
 )
 
 // parityStrategies enumerates one constructor per strategy family,
-// related work and asynchronous FDA included. Each call must build a fresh strategy (they
+// asynchronous FDA included. Each call must build a fresh strategy (they
 // carry per-run state).
 func parityStrategies(cfg Config) map[string]func() Strategy {
 	return map[string]func() Strategy{
-		"SketchFDA":     func() Strategy { return NewSketchFDA(0.1) },
-		"LinearFDA":     func() Strategy { return NewLinearFDA(0.1) },
-		"OracleFDA":     func() Strategy { return NewOracleFDA(0.1) },
-		"Synchronous":   func() Strategy { return NewSynchronous() },
-		"LocalSGD":      func() Strategy { return NewLocalSGD(7) },
-		"FedAvg":        func() Strategy { return NewFedAvgFor(cfg, 1) },
-		"FedAvgM":       func() Strategy { return NewFedAvgMFor(cfg, 1) },
-		"FedAdam":       func() Strategy { return NewFedAdamFor(cfg, 1) },
-		"IncreasingTau": func() Strategy { return NewIncreasingTauLocalSGD(2, 2) },
-		"DecreasingTau": func() Strategy { return NewDecreasingTauLocalSGD(8, 1) },
-		"PostLocalSGD":  func() Strategy { return NewPostLocalSGD(10, 5) },
-		"LAG":           func() Strategy { return NewLAG(5, 0.5) },
-		"AdaptiveTheta": func() Strategy { return NewAdaptiveTheta(NewLinearFDA(0.1), 5e4) },
-		"AsyncFDA":      func() Strategy { return NewAsyncFDA(NewLinearFDA(0.1)) },
+		"SketchFDA":   func() Strategy { return NewSketchFDA(0.1) },
+		"LinearFDA":   func() Strategy { return NewLinearFDA(0.1) },
+		"OracleFDA":   func() Strategy { return NewOracleFDA(0.1) },
+		"Synchronous": func() Strategy { return NewSynchronous() },
+		"LocalSGD":    func() Strategy { return NewLocalSGD(7) },
+		"FedAvgM":     func() Strategy { return NewFedAvgMFor(cfg, 1) },
+		"FedAdam":     func() Strategy { return NewFedAdamFor(cfg, 1) },
+		"AsyncFDA":    func() Strategy { return NewAsyncFDA(NewLinearFDA(0.1)) },
 	}
 }
 
@@ -135,10 +129,10 @@ func (o *stepOnlyOptimizer) Step(params, grads []float64) {
 // optimizer's Step, reached through the Optimizer interface, so a
 // decorator that overrides only Step still runs the fused sweep inside
 // its own Step, and its reports still reach the session's check, with no
-// type assertion anywhere. SketchFDA and LAG make their own drift pass
-// and must not notice the decorator either. Wrapped and bare runs,
-// synchronous and asynchronous, must agree on the Result and the global
-// model's bits, and the wrapper must see every local step.
+// type assertion anywhere. SketchFDA makes its own drift pass and must
+// not notice the decorator either. Wrapped and bare runs, synchronous and
+// asynchronous, must agree on the Result and the global model's bits, and
+// the wrapper must see every local step.
 func TestWrappedOptimizerRunsFusedSweep(t *testing.T) {
 	base := testConfig(5)
 	base.MaxSteps = 40
@@ -146,7 +140,6 @@ func TestWrappedOptimizerRunsFusedSweep(t *testing.T) {
 	for name, mk := range map[string]func() Strategy{
 		"LinearFDA":      func() Strategy { return NewLinearFDA(0.1) },
 		"SketchFDA":      func() Strategy { return NewSketchFDA(0.1) },
-		"LAG":            func() Strategy { return NewLAG(5, 0.5) },
 		"AsyncFDA":       func() Strategy { return NewAsyncFDA(NewLinearFDA(0.1)) },
 		"AsyncSketchFDA": func() Strategy { return NewAsyncFDA(NewSketchFDA(0.1)) },
 	} {

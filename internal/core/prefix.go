@@ -25,13 +25,13 @@ import "fmt"
 //     different state traffic per step — so each variant is its own
 //     family.
 //
-//   - Schedule-triggered strategies (LocalSGD and relatives) do nothing
+//   - Schedule-triggered strategies (LocalSGD and the FedOpt rounds) do nothing
 //     at all before their first scheduled action: no collective, no
 //     metered traffic, no state change. They all share one "silent"
 //     family, and a consumer accepts a prefix iff it ends strictly
 //     before its own first scheduled action. Sharing here crosses
-//     strategy boundaries: a LocalSGD(τ=20) prefix serves a FedAvg cell
-//     whose first round lands later.
+//     strategy boundaries: a LocalSGD(τ=20) prefix serves a FedAvgM
+//     cell whose first round lands later.
 //
 // Synchronous syncs at step 1 and has no shareable prefix, so it simply
 // does not implement PrefixSharer (nor does any wrapper whose trigger
@@ -119,43 +119,3 @@ func (f *FedOpt) PrefixGuard() float64 { return 0 }
 func (f *FedOpt) AcceptPrefix(steps int, _ float64) bool {
 	return f.roundSteps > 0 && steps < f.roundSteps
 }
-
-// PrefixFamily implements PrefixSharer.
-func (v *VaryingTauLocalSGD) PrefixFamily() string { return silentFamily }
-
-// PrefixGuard implements PrefixSharer.
-func (v *VaryingTauLocalSGD) PrefixGuard() float64 { return 0 }
-
-// AcceptPrefix implements PrefixSharer: silent strictly before the
-// schedule's first synchronization τ_0.
-func (v *VaryingTauLocalSGD) AcceptPrefix(steps int, _ float64) bool {
-	return v.Schedule != nil && steps < v.Schedule(0)
-}
-
-// PrefixFamily implements PrefixSharer.
-func (p *PostLocalSGD) PrefixFamily() string { return silentFamily }
-
-// PrefixGuard implements PrefixSharer.
-func (p *PostLocalSGD) PrefixGuard() float64 { return 0 }
-
-// AcceptPrefix implements PrefixSharer: with an initial BSP phase the
-// first sync is at step 1 (no shareable prefix); with SwitchStep 0 the
-// strategy degenerates to LocalSGD(τ).
-func (p *PostLocalSGD) AcceptPrefix(steps int, _ float64) bool {
-	if p.SwitchStep >= 1 {
-		return false
-	}
-	return steps < p.Tau
-}
-
-// PrefixFamily implements PrefixSharer. LAG's first action — the state
-// AllReduce at t=τ, which always syncs because lastNorm starts at 0 —
-// is its first deviation from silence, so it shares the silent family
-// below τ.
-func (l *LAG) PrefixFamily() string { return silentFamily }
-
-// PrefixGuard implements PrefixSharer.
-func (l *LAG) PrefixGuard() float64 { return 0 }
-
-// AcceptPrefix implements PrefixSharer.
-func (l *LAG) AcceptPrefix(steps int, _ float64) bool { return steps < l.Tau }

@@ -85,10 +85,10 @@ type Session struct {
 }
 
 // resumable is implemented by strategies that carry cross-step state
-// beyond Env (ξ direction, server optimizer moments, schedule
-// counters...) so Session.Snapshot can capture it. Strategies whose
+// beyond Env (LinearFDA's ξ direction, FedOpt's global model and server
+// optimizer moments) so Session.Snapshot can capture it. Strategies whose
 // AfterLocalStep is a pure function of (Env, t) — Synchronous, LocalSGD,
-// PostLocalSGD, SketchFDA, OracleFDA — need not implement it.
+// SketchFDA, OracleFDA — need not implement it.
 //
 // StateSnapshot returns views; the session copies them into the
 // checkpoint before the strategy runs again. RestoreState is called
@@ -523,11 +523,11 @@ func (s *Session) snapshot(withStrategy bool) (*checkpoint.Snapshot, error) {
 	}
 
 	bytes, ops := env.Fabric.Meter().Snapshot()
-	//fda:allow(detmap, AddU64 writes distinct map keys; checkpoint.Write serializes them sorted)
+	//fda:allow(detmap, AddU64 writes distinct map keys; checkpoint.Marshal serializes them sorted)
 	for kind, b := range bytes {
 		snap.AddU64("meter.b."+kind, uint64(b))
 	}
-	//fda:allow(detmap, AddU64 writes distinct map keys; checkpoint.Write serializes them sorted)
+	//fda:allow(detmap, AddU64 writes distinct map keys; checkpoint.Marshal serializes them sorted)
 	for kind, o := range ops {
 		snap.AddU64("meter.o."+kind, uint64(o))
 	}

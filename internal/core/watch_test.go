@@ -11,11 +11,10 @@ import (
 )
 
 // TestDriftNormStateMatchesSeparatePass: the ‖u‖² slot of LinearFDA
-// (from the optimizer's watch), SketchFDA (from its own fused pass, every
-// step) and LAG (the same pass, every τ steps) must carry the bits of a
-// separate SubThenSquaredNorm pass over the worker's parameters and W0,
-// under every local optimizer family, whenever the strategy fills it, and
-// across synchronizations, which move W0 to the other arena. The pinned
+// (from the optimizer's watch) and SketchFDA (from its own fused pass)
+// must carry the bits of a separate SubThenSquaredNorm pass over the
+// worker's parameters and W0 at every step, under every local optimizer
+// family, and across synchronizations, which move W0 to the other arena. The pinned
 // digests run Adam only, so this is what pins the SGD family's path.
 func TestDriftNormStateMatchesSeparatePass(t *testing.T) {
 	optimizers := map[string]opt.Factory{
@@ -26,25 +25,20 @@ func TestDriftNormStateMatchesSeparatePass(t *testing.T) {
 		"Adam":   opt.NewAdam(1e-3),
 		"AdamW":  opt.NewAdamW(1e-3, 1e-2),
 	}
-	// Each case returns the strategy, its ‖u‖² slot of worker i and
-	// whether it fills that slot at step t.
+	// Each case returns the strategy and its ‖u‖² slot of worker i.
 	type slotFn func(i int) float64
 	for optName, factory := range optimizers {
-		for _, mk := range []func() (Strategy, slotFn, func(t int) bool){
-			func() (Strategy, slotFn, func(int) bool) {
+		for _, mk := range []func() (Strategy, slotFn){
+			func() (Strategy, slotFn) {
 				s := NewLinearFDA(1e18)
-				return s, func(i int) float64 { return s.states[i][0] }, func(int) bool { return true }
+				return s, func(i int) float64 { return s.states[i][0] }
 			},
-			func() (Strategy, slotFn, func(int) bool) {
+			func() (Strategy, slotFn) {
 				s := NewSketchFDA(1e18)
-				return s, func(i int) float64 { return s.states[i][0] }, func(int) bool { return true }
-			},
-			func() (Strategy, slotFn, func(int) bool) {
-				s := NewLAG(3, 1e18)
-				return s, func(i int) float64 { return s.states[i][0] }, func(t int) bool { return t%3 == 0 }
+				return s, func(i int) float64 { return s.states[i][0] }
 			},
 		} {
-			strat, slot, fills := mk()
+			strat, slot := mk()
 			t.Run(strat.Name()+"/"+optName, func(t *testing.T) {
 				env := newAllocEnv(3)
 				for _, w := range env.Workers {
@@ -61,11 +55,9 @@ func TestDriftNormStateMatchesSeparatePass(t *testing.T) {
 						}
 						want[i] = tensor.SubThenSquaredNorm(scratch, w.Net.Params(), env.W0)
 					}
-					// LAG's first round synchronizes inside AfterLocalStep;
-					// its state holds the drift from before that sync.
 					strat.AfterLocalStep(env, step)
 					for i := range env.Workers {
-						if got := slot(i); fills(step) && math.Float64bits(got) != math.Float64bits(want[i]) {
+						if got := slot(i); math.Float64bits(got) != math.Float64bits(want[i]) {
 							t.Fatalf("step %d worker %d: ‖u‖² slot %v, separate pass %v", step, i, got, want[i])
 						}
 					}
@@ -94,8 +86,8 @@ func (deafSGD) Watch(*[]float64, []float64, []float64, *int) {}
 // nowhere but the optimizer's watch, so an optimizer that ignores the
 // watch must fail the run at its first step with a typed error naming the
 // optimizer and the worker, not leave the state at zero and never
-// synchronize. Strategies that watch nothing (Synchronous, and SketchFDA
-// and LAG, which make their own drift pass) still run.
+// synchronize. Strategies that watch nothing (Synchronous, and SketchFDA,
+// which makes its own drift pass) still run.
 func TestSilentOptimizerFailsWatchingRun(t *testing.T) {
 	cfg := testConfig(3)
 	cfg.MaxSteps = 20
@@ -127,7 +119,7 @@ func TestSilentOptimizerFailsWatchingRun(t *testing.T) {
 			t.Fatalf("%s: a failed session stepped on: %v", strat.Name(), again)
 		}
 	}
-	for _, strat := range []Strategy{NewSynchronous(), NewSketchFDA(0.1), NewLAG(5, 0.5)} {
+	for _, strat := range []Strategy{NewSynchronous(), NewSketchFDA(0.1)} {
 		res, err := Run(cfg, strat)
 		if err != nil || res.Steps != cfg.MaxSteps || res.SyncCount == 0 {
 			t.Fatalf("%s with an unwatched optimizer: %d steps, %d syncs, error %v", strat.Name(), res.Steps, res.SyncCount, err)

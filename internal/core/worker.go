@@ -53,9 +53,9 @@ func (w *Worker) Drift(w0 []float64) []float64 {
 }
 
 // DriftSquaredNorm recomputes the drift and returns it together with
-// ‖u‖², fused into one sweep (SketchFDA's state needs both; LAG's,
-// computed every τ steps, needs the norm). The squared norm accumulates
-// left to right, bit-identical to SquaredNorm(Drift(w0)) and to the watch.
+// ‖u‖², fused into one sweep (SketchFDA's state needs both). The squared
+// norm accumulates left to right, bit-identical to SquaredNorm(Drift(w0))
+// and to the watch.
 func (w *Worker) DriftSquaredNorm(w0 []float64) ([]float64, float64) {
 	sq := tensor.SubThenSquaredNorm(w.drift, w.Net.Params(), w0)
 	return w.drift, sq

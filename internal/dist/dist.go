@@ -38,7 +38,8 @@ type JobSpec struct {
 	// Theta is the FDA variance threshold; 0 selects the model's default
 	// grid entry.
 	Theta float64 `json:"theta,omitempty"`
-	// Tau is the round length for the schedule-based baselines.
+	// Tau is LocalSGD's round length in steps; 0 selects 10, and a
+	// negative value is refused for every strategy.
 	Tau int `json:"tau,omitempty"`
 	// K, Batch, Steps, EvalEvery, Target, Het, Seed mirror core.Config.
 	K         int     `json:"k"`
@@ -126,9 +127,9 @@ func (s JobSpec) config() (core.Config, models.Spec, error) {
 // Validate vets a spec at admission without synthesizing its datasets
 // (hundreds of milliseconds BuildConfig pays later, off the request
 // path): unknown model, heterogeneity or strategy names, every invalid
-// Config field (a *core.ConfigError) and strategy parameters
-// core.NewSession would refuse (a negative Θ) are rejected here, so none
-// of them can surface later as a failed job.
+// Config field and a negative Tau (a *core.ConfigError), and strategy
+// parameters core.NewSession would refuse (a negative Θ) are rejected
+// here, so none of them can surface later as a failed job or a panic.
 func (s JobSpec) Validate() error {
 	cfg, _, err := s.config()
 	if err != nil {
@@ -138,17 +139,20 @@ func (s JobSpec) Validate() error {
 	// cannot actually be invalid; the empty placeholder is for the FedOpt
 	// constructors, which read Train's length.
 	cfg.Train = &data.Dataset{}
+	var fields []core.FieldError
 	var cerr *core.ConfigError
 	if errors.As(cfg.Validate(), &cerr) {
-		fields := cerr.Fields[:0:0]
 		for _, f := range cerr.Fields {
 			if f.Field != "Train" && f.Field != "Test" {
 				fields = append(fields, f)
 			}
 		}
-		if len(fields) > 0 {
-			return &core.ConfigError{Fields: fields}
-		}
+	}
+	if s.Tau < 0 {
+		fields = append(fields, core.FieldError{Field: "Tau", Msg: fmt.Sprintf("must be non-negative, got %d", s.Tau)})
+	}
+	if len(fields) > 0 {
+		return &core.ConfigError{Fields: fields}
 	}
 	strat, err := s.BuildStrategy(cfg)
 	if err != nil {
@@ -171,8 +175,7 @@ func (s JobSpec) BuildConfig() (core.Config, error) {
 }
 
 // BuildStrategy constructs the named strategy. FedOpt variants bind
-// their round length to cfg; PostLocal switches at a quarter of the
-// step budget, matching the fdarun CLI convention.
+// their round length to cfg.
 func (s JobSpec) BuildStrategy(cfg core.Config) (core.Strategy, error) {
 	return StrategyFor(s.Strategy, s.Theta, s.Tau, cfg)
 }
@@ -192,16 +195,6 @@ func StrategyFor(name string, theta float64, tau int, cfg core.Config) (core.Str
 		return core.NewSynchronous(), nil
 	case "LocalSGD":
 		return core.NewLocalSGD(tau), nil
-	case "IncTau":
-		return core.NewIncreasingTauLocalSGD(tau, 2), nil
-	case "DecTau":
-		return core.NewDecreasingTauLocalSGD(tau, 2), nil
-	case "PostLocal":
-		return core.NewPostLocalSGD(cfg.MaxSteps/4, tau), nil
-	case "LAG":
-		return core.NewLAG(tau, 0.5), nil
-	case "FedAvg":
-		return core.NewFedAvgFor(cfg, 1), nil
 	case "FedAvgM":
 		return core.NewFedAvgMFor(cfg, 1), nil
 	case "FedAdam":

@@ -139,8 +139,7 @@ func TestJobSpecDefaults(t *testing.T) {
 // training set) passes without datasets, and each kind of bad input is
 // rejected — field errors structured, with no Train/Test noise.
 func TestJobSpecValidate(t *testing.T) {
-	for _, name := range []string{"LinearFDA", "SketchFDA", "OracleFDA", "Synchronous", "LocalSGD", "IncTau",
-		"DecTau", "PostLocal", "LAG", "FedAvg", "FedAvgM", "FedAdam"} {
+	for _, name := range []string{"LinearFDA", "SketchFDA", "OracleFDA", "Synchronous", "LocalSGD", "FedAvgM", "FedAdam"} {
 		if err := (JobSpec{Model: "lenet5s", Strategy: name}).WithDefaults().Validate(); err != nil {
 			t.Errorf("%s: %v", name, err)
 		}
@@ -153,6 +152,10 @@ func TestJobSpecValidate(t *testing.T) {
 		{Model: "lenet5s", Strategy: "SketchFDA", Theta: -1},
 		{Model: "lenet5s", Strategy: "LinearFDA", Theta: -1},
 		{Model: "lenet5s", Strategy: "OracleFDA", Theta: -0.5},
+		// A negative τ is refused for every strategy, not handed to a
+		// constructor that panics on it.
+		{Model: "lenet5s", Strategy: "LocalSGD", Tau: -1},
+		{Model: "lenet5s", Strategy: "LinearFDA", Tau: -1},
 	} {
 		if err := bad.WithDefaults().Validate(); err == nil {
 			t.Errorf("%+v accepted", bad)
@@ -162,5 +165,9 @@ func TestJobSpecValidate(t *testing.T) {
 	err := JobSpec{Model: "lenet5s", Strategy: "LinearFDA", K: -2, Steps: -1}.WithDefaults().Validate()
 	if !errors.As(err, &cerr) || len(cerr.Fields) != 2 || cerr.Fields[0].Field != "K" || cerr.Fields[1].Field != "MaxSteps" {
 		t.Fatalf("want field errors for K and MaxSteps only, got %v", err)
+	}
+	err = JobSpec{Model: "lenet5s", Strategy: "LocalSGD", Tau: -1}.WithDefaults().Validate()
+	if !errors.As(err, &cerr) || len(cerr.Fields) != 1 || cerr.Fields[0].Field != "Tau" {
+		t.Fatalf("want a field error for Tau only, got %v", err)
 	}
 }

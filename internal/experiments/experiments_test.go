@@ -29,7 +29,7 @@ func TestGridsGrowWithScale(t *testing.T) {
 func TestStrategyForKnownNames(t *testing.T) {
 	w := loadWorkload("lenet5s", 1)
 	cfg := w.baseConfig(2, 1, 10, 5, 0, data.IID())
-	for _, name := range []string{"LinearFDA", "SketchFDA", "OracleFDA", "Synchronous", "FedAvg", "FedAvgM", "FedAdam"} {
+	for _, name := range []string{"LinearFDA", "SketchFDA", "OracleFDA", "Synchronous", "FedAvgM", "FedAdam"} {
 		s := strategyFor(name, 0.1, cfg)
 		if s == nil {
 			t.Fatalf("nil strategy for %s", name)

@@ -46,11 +46,8 @@ func TestEveryModelResumesExact(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", s.Name, err)
 		}
-		var buf bytes.Buffer
-		if err := checkpoint.Write(&buf, snap); err != nil {
-			t.Fatalf("%s: %v", s.Name, err)
-		}
-		loaded, err := checkpoint.Read(&buf)
+		image, _ := checkpoint.Marshal(snap)
+		loaded, err := checkpoint.Unmarshal(image)
 		if err != nil {
 			t.Fatalf("%s: %v", s.Name, err)
 		}
