@@ -99,10 +99,17 @@ apigen:
 # zero-alloc hot path
 # in both enabled and disabled states (DESIGN.md §11) and the socket
 # fabric's steady state, two workers, their writer and watcher
-# goroutines and the coordinator together (DESIGN.md §9); race instrumentation allocates, so they skip themselves under
-# -race and need this separate uninstrumented run.
+# goroutines and the coordinator together (DESIGN.md §9) — and the
+# bounds on a train submission's request path: a cached zoo lookup, a
+# spec's admission (defaults, validation, key) and the gateway's
+# affinity routing (DESIGN.md §14); race instrumentation allocates, so
+# they skip themselves under -race and need this separate
+# uninstrumented run. The exit status is go test's, not the filter's.
 allocs:
-	$(GO) test ./internal/nn/ ./internal/core/ ./internal/obs/ ./internal/comm/ -run ZeroAllocs -v | grep -v '^=== RUN'
+	@out=$$($(GO) test ./internal/nn/ ./internal/core/ ./internal/obs/ ./internal/comm/ \
+		./internal/models/ ./internal/dist/ ./internal/cluster/ \
+		-run 'ZeroAllocs|ByNameAllocs|AdmissionAllocs|AffinityAddressAllocs' -v 2>&1); st=$$?; \
+	printf '%s\n' "$$out" | grep -v '^=== RUN'; exit $$st
 
 # purego runs the numeric core with the assembly compiled out, so the
 # portable Go loops — the specification the AVX2 kernels are pinned to,

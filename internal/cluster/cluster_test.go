@@ -69,6 +69,24 @@ func TestAffinityAddressStability(t *testing.T) {
 	}
 }
 
+// TestAffinityAddressAllocs bounds the gateway's per-request routing
+// work on a train body: decode, defaults, key, hash — a few small
+// allocations, not a build of the zoo's networks per request.
+func TestAffinityAddressAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc counts are not meaningful under -race instrumentation")
+	}
+	body := []byte(`{"model":"lenet5s","strategy":"LinearFDA"}`)
+	n := testing.AllocsPerRun(20, func() {
+		if _, ok := AffinityAddress("train", body); !ok {
+			t.Fatal("no affinity for a train body")
+		}
+	})
+	if n > 32 {
+		t.Fatalf("AffinityAddress allocates %v times, want at most 32", n)
+	}
+}
+
 func TestRendezvousDeterministicAndBalanced(t *testing.T) {
 	clk := &clock.Virtual{}
 	bases := []string{"http://a:1", "http://b:1", "http://c:1", "http://d:1"}

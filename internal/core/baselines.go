@@ -83,23 +83,29 @@ type FedOpt struct {
 	broadcast  func(i int, w *Worker)
 }
 
-// NewFedAvgM returns FedAvgM: server SGD with momentum. The paper's server
-// settings are momentum 0.9 and learning rate 0.316.
-func NewFedAvgM(e int) *FedOpt {
-	return newFedOpt("FedAvgM", e, &opt.Momentum{LR: 0.316, Mu: 0.9})
+// NewFedAvgMFor returns FedAvgM: server SGD with momentum, at the
+// paper's server settings (momentum 0.9, learning rate 0.316).
+func NewFedAvgMFor(cfg Config, e int) *FedOpt {
+	return newFedOpt("FedAvgM", e, &opt.Momentum{LR: 0.316, Mu: 0.9}, cfg)
 }
 
-// NewFedAdam returns FedAdam: server Adam with the reference defaults
+// NewFedAdamFor returns FedAdam: server Adam with the reference defaults
 // (lr 1e-2, τ-adaptivity via epsilon 1e-3 as in Reddi et al.).
-func NewFedAdam(e int) *FedOpt {
-	return newFedOpt("FedAdam", e, &opt.Adam{LR: 1e-2, Beta1: 0.9, Beta2: 0.999, Eps: 1e-3})
+func NewFedAdamFor(cfg Config, e int) *FedOpt {
+	return newFedOpt("FedAdam", e, &opt.Adam{LR: 1e-2, Beta1: 0.9, Beta2: 0.999, Eps: 1e-3}, cfg)
 }
 
-func newFedOpt(name string, e int, server opt.Optimizer) *FedOpt {
+// newFedOpt binds the round length to cfg so one round spans E full
+// epochs of the worker shards, as in the paper's FedOpt experiments
+// (E = 1): ceil(shardSize/b)·E lock-step iterations with
+// shardSize = |train|/K, at least one.
+func newFedOpt(name string, e int, server opt.Optimizer, cfg Config) *FedOpt {
 	if e <= 0 {
 		panic(fmt.Sprintf("core: FedOpt E = %d", e))
 	}
-	return &FedOpt{name: name, E: e, ServerOpt: server}
+	shard := max(cfg.Train.Len()/cfg.K, 1)
+	steps := max((shard+cfg.BatchSize-1)/cfg.BatchSize*e, 1)
+	return &FedOpt{name: name, E: e, ServerOpt: server, roundSteps: steps}
 }
 
 // Name implements Strategy.
@@ -107,11 +113,6 @@ func (f *FedOpt) Name() string { return f.name }
 
 // Init implements Strategy.
 func (f *FedOpt) Init(env *Env) {
-	// Round length must be set (SetRoundSteps / the *For constructors)
-	// before Run; an unset value degenerates to per-step rounds.
-	if f.roundSteps == 0 {
-		f.roundSteps = 1
-	}
 	f.global = tensor.Clone(env.W0)
 	f.pseudoGrad = make([]float64, env.D)
 	f.mean = make([]float64, env.D)
@@ -124,47 +125,6 @@ func (f *FedOpt) Init(env *Env) {
 		w.Opt.Reset() // local optimizer state restarts each round
 	}
 	f.ServerOpt.Reset()
-}
-
-// SetRoundSteps fixes the number of lock-step iterations per communication
-// round. Use FedRoundSteps to derive it from a config.
-func (f *FedOpt) SetRoundSteps(steps int) {
-	if steps <= 0 {
-		panic("core: FedOpt round steps must be positive")
-	}
-	f.roundSteps = steps
-}
-
-// FedRoundSteps returns the lock-step iterations that make up E local
-// epochs for cfg: ceil(shardSize/b)·E with shardSize = |train|/K.
-func FedRoundSteps(cfg Config, e int) int {
-	shard := cfg.Train.Len() / cfg.K
-	if shard == 0 {
-		shard = 1
-	}
-	steps := (shard + cfg.BatchSize - 1) / cfg.BatchSize * e
-	if steps < 1 {
-		steps = 1
-	}
-	return steps
-}
-
-// NewFedAvgMFor and NewFedAdamFor bind the round length to cfg so one
-// local round spans E full epochs of the worker shards, as in the
-// paper's FedOpt experiments (E = 1).
-
-// NewFedAvgMFor returns FedAvgM with its round length derived from cfg.
-func NewFedAvgMFor(cfg Config, e int) *FedOpt {
-	f := NewFedAvgM(e)
-	f.SetRoundSteps(FedRoundSteps(cfg, e))
-	return f
-}
-
-// NewFedAdamFor returns FedAdam with its round length derived from cfg.
-func NewFedAdamFor(cfg Config, e int) *FedOpt {
-	f := NewFedAdam(e)
-	f.SetRoundSteps(FedRoundSteps(cfg, e))
-	return f
 }
 
 // StateSnapshot implements the session checkpoint contract: the server's

@@ -12,9 +12,7 @@ import (
 // server, one epoch per round. It is the reference the pseudo-gradient
 // formulation that FedAvgM and FedAdam share is checked against.
 func fedAvgFor(cfg Config) *FedOpt {
-	f := newFedOpt("FedAvg", 1, &opt.SGD{LR: 1})
-	f.SetRoundSteps(FedRoundSteps(cfg, 1))
-	return f
+	return newFedOpt("FedAvg", 1, &opt.SGD{LR: 1}, cfg)
 }
 
 // FedAvg with a unit-learning-rate plain-SGD server is mathematically

@@ -114,8 +114,5 @@ func (f *FedOpt) PrefixFamily() string { return silentFamily }
 func (f *FedOpt) PrefixGuard() float64 { return 0 }
 
 // AcceptPrefix implements PrefixSharer: silent strictly before the
-// first round boundary. roundSteps is derived at Init/SetRoundSteps;
-// before that (zero) nothing is accepted.
-func (f *FedOpt) AcceptPrefix(steps int, _ float64) bool {
-	return f.roundSteps > 0 && steps < f.roundSteps
-}
+// first round boundary.
+func (f *FedOpt) AcceptPrefix(steps int, _ float64) bool { return steps < f.roundSteps }

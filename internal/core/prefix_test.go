@@ -134,7 +134,7 @@ func TestSessionWarmStartParity(t *testing.T) {
 			func() Strategy { return NewOracleFDA(0.045) },
 			func() Strategy { return NewOracleFDA(0.12) }},
 		// The silent family: τ → τ′ and cross-strategy shares. At this
-		// config FedRoundSteps(cfg, 1) = 15.
+		// config a FedOpt round (E = 1) is 15 steps.
 		{"LocalSGD-tau",
 			func() Strategy { return NewLocalSGD(20) },
 			func() Strategy { return NewLocalSGD(30) }},

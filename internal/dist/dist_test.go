@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/comm"
 	"repro/internal/core"
+	"repro/internal/models"
 )
 
 // testSpec is a fast distributed job: the smallest zoo model, two
@@ -169,5 +170,27 @@ func TestJobSpecValidate(t *testing.T) {
 	err = JobSpec{Model: "lenet5s", Strategy: "LocalSGD", Tau: -1}.WithDefaults().Validate()
 	if !errors.As(err, &cerr) || len(cerr.Fields) != 1 || cerr.Fields[0].Field != "Tau" {
 		t.Fatalf("want a field error for Tau only, got %v", err)
+	}
+}
+
+// TestJobSpecAdmissionAllocs bounds what admission spends per spec —
+// defaults, validation, the dedupe key — for every zoo model: a few
+// small allocations, not a build of the zoo's networks per call.
+func TestJobSpecAdmissionAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc counts are not meaningful under -race instrumentation")
+	}
+	for _, m := range models.Catalog() {
+		spec := JobSpec{Model: m.Name, Strategy: "LinearFDA"}
+		n := testing.AllocsPerRun(10, func() {
+			s := spec.WithDefaults()
+			if err := s.Validate(); err != nil {
+				t.Fatal(err)
+			}
+			_ = s.Key()
+		})
+		if n > 32 {
+			t.Errorf("%s: admission allocates %v times, want at most 32", m.Name, n)
+		}
 	}
 }

@@ -12,6 +12,8 @@ package models
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 
 	"repro/internal/core"
 	"repro/internal/data"
@@ -57,7 +59,9 @@ func thetaGrid(d int) []float64 {
 	return grid
 }
 
-// countParams instantiates a builder once to measure d.
+// countParams instantiates a builder once to measure d. Catalog and
+// ByName build each spec once per process, so this runs five times in
+// all, not once per lookup.
 func countParams(b core.ModelBuilder) int {
 	return b(tensor.NewRNG(0)).NumParams()
 }
@@ -192,16 +196,37 @@ func ConvNeXtS() Spec {
 	}
 }
 
-// Catalog returns all Table 2 rows in the paper's order.
-func Catalog() []Spec {
+// catalog is the zoo, built once per process: each spec's countParams
+// initializes a full network, too much to repeat on every lookup of a
+// request path. Callers only ever see copies.
+var catalog = sync.OnceValue(func() []Spec {
 	return []Spec{LeNet5S(), VGG16S(), DenseNet121S(), DenseNet201S(), ConvNeXtS()}
+})
+
+// clone copies s with its own ThetaGrid, so a caller that edits the grid
+// cannot change the cached spec.
+func (s Spec) clone() Spec {
+	s.ThetaGrid = slices.Clone(s.ThetaGrid)
+	return s
 }
 
-// ByName returns the spec with the given zoo name.
+// Catalog returns all Table 2 rows in the paper's order. The specs are
+// built once per process; each call returns fresh copies.
+func Catalog() []Spec {
+	cat := catalog()
+	out := make([]Spec, len(cat))
+	for i, s := range cat {
+		out[i] = s.clone()
+	}
+	return out
+}
+
+// ByName returns a copy of the spec with the given zoo name, from the
+// catalog built once per process.
 func ByName(name string) (Spec, error) {
-	for _, s := range Catalog() {
+	for _, s := range catalog() {
 		if s.Name == name {
-			return s, nil
+			return s.clone(), nil
 		}
 	}
 	return Spec{}, fmt.Errorf("models: unknown model %q", name)
