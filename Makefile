@@ -169,11 +169,14 @@ bench:
 # validate the report — nonzero completed work, zero unexpected errors
 # (-check exits non-zero otherwise). Its restart leg then trains one
 # fixed spec to done, kills fdaserve with -9, restarts it on the same
-# store and resubmits: the records (job id aside) must compare equal,
-# and the restarted process must have taken no training step (no
+# store and resubmits it twice, the second time with a field the
+# strategy does not read spelled out (LinearFDA's tau): one run has one
+# key, so the records (job id aside) must all compare equal, and the
+# restarted process must have taken no training step (no
 # fda_steps_total sample above 0).
 LOADSMOKE_ADDR = http://127.0.0.1:18091
 LOADSMOKE_TRAIN = {"model":"lenet5s","strategy":"LinearFDA","k":2,"steps":20,"eval_every":10,"seed":8675309}
+LOADSMOKE_TRAIN_TAU = {"model":"lenet5s","strategy":"LinearFDA","tau":5,"k":2,"steps":20,"eval_every":10,"seed":8675309}
 loadsmoke:
 	@rm -rf .loadsmoke && mkdir -p .loadsmoke
 	@$(GO) build -o .loadsmoke/ ./cmd/fdaserve ./cmd/fdaload
@@ -186,7 +189,7 @@ loadsmoke:
 		done; \
 	}; \
 	train() { \
-		id=$$(curl -sf -X POST $(LOADSMOKE_ADDR)/v1/train -d '$(LOADSMOKE_TRAIN)' | \
+		id=$$(curl -sf -X POST $(LOADSMOKE_ADDR)/v1/train -d "$$2" | \
 			sed -n 's/^{"id":"\([^"]*\)".*/\1/p'); \
 		for i in $$(seq 1 300); do \
 			curl -sf $(LOADSMOKE_ADDR)/v1/runs/$$id | grep -q '"status":"running"' || break; sleep 0.1; \
@@ -197,15 +200,17 @@ loadsmoke:
 	serve; \
 	./.loadsmoke/fdaload -addr $(LOADSMOKE_ADDR) -spec docs/workloads/loadsmoke.json \
 		-out .loadsmoke/report.json -check || exit 1; \
-	train .loadsmoke/records1.json; \
+	train .loadsmoke/records1.json '$(LOADSMOKE_TRAIN)'; \
 	kill -9 $$pid; wait $$pid 2>/dev/null; \
 	serve; \
-	train .loadsmoke/records2.json; \
+	train .loadsmoke/records2.json '$(LOADSMOKE_TRAIN)'; \
+	train .loadsmoke/records3.json '$(LOADSMOKE_TRAIN_TAU)'; \
 	grep -q '"records"' .loadsmoke/records1.json || { echo "loadsmoke: the restart leg's train did not finish"; exit 1; }; \
 	cmp .loadsmoke/records1.json .loadsmoke/records2.json || { echo "loadsmoke: records differ after a restart"; exit 1; }; \
+	cmp .loadsmoke/records1.json .loadsmoke/records3.json || { echo "loadsmoke: an ignored tau changed the records"; exit 1; }; \
 	curl -sf $(LOADSMOKE_ADDR)/metrics | awk '$$1 ~ /^fda_steps_total/ && $$2 > 0 { bad = 1 } END { exit bad }' || \
 		{ echo "loadsmoke: the restarted fdaserve retrained a stored result"; exit 1; }; \
-	echo "loadsmoke: restart ok (the resubmission was a store hit)"
+	echo "loadsmoke: restart ok (neither resubmission took a training step)"
 	@rm -rf .loadsmoke
 
 # clustersmoke is the scale-out CI gate (DESIGN.md §14): three fdaserve

@@ -4,8 +4,11 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -13,6 +16,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/jobs"
 	"repro/internal/runstore"
+	"repro/internal/workload"
 )
 
 // killableReplica is a real fdaserve instance whose HTTP front can be
@@ -175,4 +179,55 @@ func TestGatewayEndToEnd(t *testing.T) {
 	if done := awaitDone(t, gwts.URL, rejoined.ID); done.Status != jobs.Done {
 		t.Fatalf("post-rejoin job finished %q (err %q), want done", done.Status, done.Error)
 	}
+}
+
+// TestOversizedBodyRefused pins the serving tier's one body limit: a
+// submission one byte over cluster.MaxBodyBytes gets a 413 naming the
+// limit from the gateway, which never forwards it, and the same from
+// the replica, with the trace recorder reading the body ahead of the
+// handler and without it.
+func TestOversizedBodyRefused(t *testing.T) {
+	st, err := runstore.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := newServer(st, "", 2, context.Background())
+	inner := s.routes()
+	var posts atomic.Int64
+	replica := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodPost {
+			posts.Add(1)
+		}
+		inner.ServeHTTP(w, r)
+	}))
+	t.Cleanup(replica.Close)
+	pool, err := cluster.NewPool([]string{replica.URL}, cluster.Options{Clock: &clock.Virtual{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gw := httptest.NewServer(cluster.NewGateway(pool, cluster.GatewayOptions{}).Handler())
+	t.Cleanup(gw.Close)
+
+	head, tail := `{"model":"lenet5s","strategy":"LinearFDA","het":"`, `"}`
+	body := head + strings.Repeat("x", cluster.MaxBodyBytes+1-len(head)-len(tail)) + tail
+	refused := func(url string) {
+		t.Helper()
+		var errResp struct {
+			Error string `json:"error"`
+		}
+		postJSON(t, url+"/v1/train", body, http.StatusRequestEntityTooLarge, &errResp)
+		if !strings.Contains(errResp.Error, strconv.Itoa(cluster.MaxBodyBytes)) {
+			t.Errorf("413 from %s does not name the limit: %q", url, errResp.Error)
+		}
+	}
+	refused(gw.URL)
+	if n := posts.Load(); n != 0 {
+		t.Fatalf("the gateway forwarded an oversized body %d time(s)", n)
+	}
+	refused(replica.URL)
+	recording := newServer(st, "", 2, context.Background())
+	if recording.recorder, err = workload.NewTraceWriter(io.Discard, "fdaserve", recording.clock); err != nil {
+		t.Fatal(err)
+	}
+	refused(httptestServer(t, recording))
 }

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"strings"
 
+	"repro/internal/cluster"
 	"repro/internal/workload"
 )
 
@@ -57,9 +58,11 @@ func recordKind(method, path string) (workload.Kind, bool) {
 }
 
 // record wraps the API with the trace recorder. POST bodies are read
-// once here and replayed to the handler from memory; only valid JSON
-// bodies are journaled (a malformed body is the client's bug and gets
-// its 400 from the handler — the trace stays replayable).
+// once here, under the serving tier's size limit, and replayed to the
+// handler from memory; only valid JSON bodies are journaled (a malformed
+// body is the client's bug and gets its 400 from the handler — the trace
+// stays replayable). A body over the limit is not replayed: the handler
+// reads the same limit error and answers 413.
 func (s *server) record(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		// The recorder check is per-request: tests (and a future runtime
@@ -67,11 +70,12 @@ func (s *server) record(next http.Handler) http.Handler {
 		if kind, ok := recordKind(r.Method, r.URL.Path); ok && s.recorder != nil {
 			var body json.RawMessage
 			if r.Method == http.MethodPost && r.Body != nil {
-				b, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
-				r.Body.Close()
-				r.Body = io.NopCloser(bytes.NewReader(b))
-				if err == nil && json.Valid(b) {
-					body = b
+				r.Body = http.MaxBytesReader(w, r.Body, cluster.MaxBodyBytes)
+				if b, err := io.ReadAll(r.Body); err == nil {
+					r.Body = io.NopCloser(bytes.NewReader(b))
+					if json.Valid(b) {
+						body = b
+					}
 				}
 			}
 			s.recorder.Record(kind, r.URL.Path, body)

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"context"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -14,6 +15,7 @@ import (
 	"repro/internal/clock"
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/dist"
 	"repro/internal/experiments"
 	"repro/internal/jobs"
 	"repro/internal/obs"
@@ -27,59 +29,53 @@ import (
 
 // TestTrainKeyGolden pins request body → canonical key → run address
 // and resume-snapshot address → gateway affinity address. The key and
-// gateway columns were captured before the spec moved into
-// dist.JobSpec (when cluster.TrainSpec and fdaserve's trainRequest
-// computed them); the two registry columns change only with
-// runstore.SpecVersion. A resubmission after an upgrade must find the
-// result and resume state written before it, on the replica affinity
-// routing sent it to before.
+// gateway columns last moved when parsed specs became canonical (a
+// strategy parameter the strategy does not read prints as 0); the two
+// registry columns change only with runstore.SpecVersion. A
+// resubmission after an upgrade must find the result and resume state
+// written before it, on the replica affinity routing sent it to before.
 func TestTrainKeyGolden(t *testing.T) {
 	golden := []struct{ body, key, run, resume, addr string }{
 		{`{"model":"lenet5s","strategy":"LinearFDA"}`,
-			"train|lenet5s|LinearFDA|0.052360000000000004|10|5|32|200|20|0|iid|1",
-			"5236fd870d2ed08fd216e14a1267cdf8db83a514b841e93e339c4bf48be63434",
-			"e9ea95fd982941cd17d12e4768d735cc11b0396b7f6aa985c3eb9c1084ba0bdb",
-			"1ffbfd69fc99a5c161cc8c565cfe6f3248f70ed0c21b45c6f71bec4c4e9ca706"},
+			"train|lenet5s|LinearFDA|0.052360000000000004|0|5|32|200|20|0|iid|1",
+			"10212130b8a1933cfe20280defb0fcb57cce2f2287bfe049db1f73ce62e4b152",
+			"081998e8eda1f349a80dbda47b089bb362743c71abd2344acdd2a81d6e52727e",
+			"d0e856918b953569e033e760160fe81b7abb1f8daa20c7db8720b49d58672433"},
 		{`{"strategy":"LinearFDA","seed":1,"model":"lenet5s","tau":10}`,
-			"train|lenet5s|LinearFDA|0.052360000000000004|10|5|32|200|20|0|iid|1",
-			"5236fd870d2ed08fd216e14a1267cdf8db83a514b841e93e339c4bf48be63434",
-			"e9ea95fd982941cd17d12e4768d735cc11b0396b7f6aa985c3eb9c1084ba0bdb",
-			"1ffbfd69fc99a5c161cc8c565cfe6f3248f70ed0c21b45c6f71bec4c4e9ca706"},
+			"train|lenet5s|LinearFDA|0.052360000000000004|0|5|32|200|20|0|iid|1",
+			"10212130b8a1933cfe20280defb0fcb57cce2f2287bfe049db1f73ce62e4b152",
+			"081998e8eda1f349a80dbda47b089bb362743c71abd2344acdd2a81d6e52727e",
+			"d0e856918b953569e033e760160fe81b7abb1f8daa20c7db8720b49d58672433"},
 		{`{"model":"lenet5s","strategy":"LinearFDA","theta":0.05,"k":4,"steps":60,"eval_every":10}`,
-			"train|lenet5s|LinearFDA|0.05|10|4|32|60|10|0|iid|1",
-			"14fa24ced510027b09d3fe43eeb0101106eb66efea039ef3fae1d603a7b4e312",
-			"0ebfd08ba50f3627a67b2759c200a0aa350016cca571329fa3b087e4e57aa486",
-			"74e02a6ecb6195fa66dcd755df6966285567c7c7a4f5c15e1659d054b005c7d9"},
-		{`{"model":"lenet5s","strategy":"SketchFDA","theta":-1,"k":3,"steps":40}`,
-			"train|lenet5s|SketchFDA|-1|10|3|32|40|20|0|iid|1",
-			"d4071df18bc59cf8ceabfcd1535f294c463af203a951d75d97e405fff8fced02",
-			"f1e4259302a8a0d15deb07b2e0e285701c4074cecb1582e53a6253f6074cbe50",
-			"d8706d6f598ff70a470624dc67a49709fa6f9f6f75dc26da65060e4513e49f20"},
+			"train|lenet5s|LinearFDA|0.05|0|4|32|60|10|0|iid|1",
+			"2d37873c4f2fffc79db50b2b7c0583b3c83f3f9a864d11044a19c0383ddc5b3b",
+			"b71e496ea38096247eab22a6f07591419befdce5e8446da76b36b97e7214c445",
+			"82485bfe34ae11752ad308c26043fead6260887a3085dafd6ca07b0ed5bcaf02"},
 		{`{"model":"vgg16s","strategy":"Synchronous","k":2,"batch":16,"steps":30,"seed":9}`,
-			"train|vgg16s|Synchronous|0.36708|10|2|16|30|20|0|iid|9",
-			"b9768ef1419e4afaec47724f5d99b521913be753b8503e7787c8b8a0c0be6f67",
-			"06e582e50c38702ce7fc99a8a23366d70fae4ba43d00802b94e037a563de01ad",
-			"666b687ff70853fddeb1e38d1b9a4921c215c449ddb5cedaa1f6524b0318c890"},
+			"train|vgg16s|Synchronous|0|0|2|16|30|20|0|iid|9",
+			"16814cac35d153c25ccb206c7bc39a45a61118ab2580c8ad735d50531eb5517e",
+			"d5325afd9377ce99cb94f1e9071115cd0efd37dcf91bc1ecf26283c43c84d603",
+			"293e13bdb6d243076356dbc583f5fe8966095f471be5e08caaf24735a1ab272c"},
 		{`{"model":"lenet5s","strategy":"LocalSGD","tau":5,"het":"label0","target":0.9}`,
-			"train|lenet5s|LocalSGD|0.052360000000000004|5|5|32|200|20|0.9|label0|1",
-			"b9d2ba83f509d9fd30b51a6c39ec29fab7db297adbe4d799bd374c40b5cfc9fc",
-			"9bdfc6829ab6e6ce712b34fdf067bf03ed1aebb1caf9c3df60ae328d8d5a1a40",
-			"4592bdf15f5b40cdc96caa41a028a5fba0f8bdc226fd2f429d067d11ede38d0c"},
+			"train|lenet5s|LocalSGD|0|5|5|32|200|20|0.9|label0|1",
+			"c24ef450627a11fb7979d95e7e3fd0c4a5cd4a26d09a88b23470b86b09ca4dcf",
+			"132e8257cc7c4c8bbcd4ae6101a28577f7d18dee4d9779d211f023cb8d4f8b75",
+			"52456420d7b32c529c5f1f29aa8c995c497abb11b063dafffd49eca0af0e634b"},
 		{`{"model":"lenet5s","strategy":"FedAdam","het":"dir0.5","k":8,"seed":42}`,
-			"train|lenet5s|FedAdam|0.052360000000000004|10|8|32|200|20|0|dir0.5|42",
-			"d5ba6e8b4c9cdea31c228e993f5446ac3d01f33c8c238763c037da71a56e0154",
-			"8fd67060479ef9be8ca8da2164d8805b6dbde0852ac7271786e251408ee5145b",
-			"f55d208220157abcfd9687e4eb4851785217c226994dc19412a042fd252bb6d8"},
+			"train|lenet5s|FedAdam|0|0|8|32|200|20|0|dir0.5|42",
+			"d0681b84501e6c0c665b49497d054beba8625feea701e43e59059bf46bcb106d",
+			"ae24380e1a69d53222398ef5a5858d731ce2252c25c3c6977706a9fbee34412e",
+			"0685d52b584d4a39bd607a05798c6648a4e031042d26d672c61eb14940f6bf3d"},
 		{`{"model":"lenet5s","strategy":"LinearFDA","distributed":true,"k":2,"steps":20}`,
-			"train|lenet5s|LinearFDA|0.052360000000000004|10|2|32|20|20|0|iid|1|dist",
-			"212755f413cc6950d90bc22457273242c81b1ba45631bbab9e8bee97a0dfc688",
-			"bc4a6979e3408601185f6ed0c29fad0fbabd358d249b1f0ee91ab1a32b94fa14",
-			"19ad9a610aa5f7f3160ec5a1203141c4d4217452ea3f37aedcbe72dc6bf502b3"},
+			"train|lenet5s|LinearFDA|0.052360000000000004|0|2|32|20|20|0|iid|1|dist",
+			"fff9cb0ac3c1adef64b87e31017c0a9256c049cb9eed37eb1ed51f9350d79681",
+			"a611793da97842ae96d14df8c7eea9ff553da0ba8b0c61817f6d0c384de8175b",
+			"13017b02b3bac5aa87d950292734b1bdd9f2b0f086ed19d1a3b7cbc7145545a7"},
 		{`{"model":"densenet121s","strategy":"OracleFDA","theta":1e-3,"target":0.75,"eval_every":5}`,
-			"train|densenet121s|OracleFDA|0.001|10|5|32|200|5|0.75|iid|1",
-			"da32ad86719eb8aaec32655fb35a4a13ef8579c82e855d7fb5d40b9e66cfd906",
-			"15953ce107fbac134850efc2a3aceb435d32813a2f4f6b37abcbf370ba71a28a",
-			"ca9f104cc2a6b8d3459e0648ccd9ef46ac25fb6fce2c0275d6ccd2125c787cdd"},
+			"train|densenet121s|OracleFDA|0.001|0|5|32|200|5|0.75|iid|1",
+			"d95308a997b0b219613dd09a0a0928fea2810ee0126ff325a13f9f6c28a9d7f5",
+			"cd3e9cf37f2401ffcbb5ca235d239722071ec98f589665afd9dd6a457928ad7d",
+			"eef59a389b1aad9a45d026e1683823031233ad8bee25c276ebf611deba73055a"},
 	}
 	for _, g := range golden {
 		key := bodyKey(t, g.body)
@@ -94,6 +90,59 @@ func TestTrainKeyGolden(t *testing.T) {
 		}
 		if addr, ok := cluster.AffinityAddress("train", []byte(g.body)); !ok || addr != g.addr {
 			t.Errorf("%s: affinity address %q (ok=%v), want %q", g.body, addr, ok, g.addr)
+		}
+	}
+}
+
+// TestIgnoredFieldsShareOneKey pins the canonical form, strategy by
+// strategy: bodies that differ only in a strategy parameter the strategy
+// does not read (Θ outside the FDA family, τ outside LocalSGD) parse to
+// one key, one run address and one affinity address, while bodies that
+// differ in one it reads keep theirs apart. A negative Θ, where Θ is
+// read, is refused by the parser and so carries no affinity either.
+func TestIgnoredFieldsShareOneKey(t *testing.T) {
+	for _, c := range []struct {
+		strategy   string
+		theta, tau bool // the strategy parameters it reads
+	}{
+		{"LinearFDA", true, false}, {"SketchFDA", true, false}, {"OracleFDA", true, false},
+		{"Synchronous", false, false}, {"LocalSGD", false, true}, {"FedAvgM", false, false}, {"FedAdam", false, false},
+	} {
+		body := func(extra string) string {
+			return fmt.Sprintf(`{"model":"lenet5s","strategy":%q%s}`, c.strategy, extra)
+		}
+		for _, f := range []struct {
+			reads    bool
+			variants []string
+		}{
+			{c.theta, []string{"", `,"theta":0.01`, `,"theta":0.5`}},
+			{c.tau, []string{"", `,"tau":3`, `,"tau":7`}},
+		} {
+			ids := map[[3]string]bool{}
+			for _, v := range f.variants {
+				key := bodyKey(t, body(v))
+				addr, ok := cluster.AffinityAddress("train", []byte(body(v)))
+				if !ok {
+					t.Fatalf("%s: no affinity address", body(v))
+				}
+				ids[[3]string{key, trainSpec(key).Hash(), addr}] = true
+			}
+			want := 1
+			if f.reads {
+				want = len(f.variants)
+			}
+			if len(ids) != want {
+				t.Errorf("%s %v: %d distinct (key, run, affinity) triples, want %d", c.strategy, f.variants, len(ids), want)
+			}
+		}
+		if c.theta {
+			bad := body(`,"theta":-1`)
+			if _, err := dist.ParseJobSpec([]byte(bad)); err == nil {
+				t.Errorf("%s admitted", bad)
+			}
+			if addr, ok := cluster.AffinityAddress("train", []byte(bad)); ok {
+				t.Errorf("%s routed to %s", bad, addr)
+			}
 		}
 	}
 }

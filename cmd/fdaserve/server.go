@@ -5,14 +5,12 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"maps"
 	"net/http"
 	"net/http/pprof"
 	"slices"
 	"strconv"
-	"strings"
 
 	"repro/internal/buildinfo"
 	"repro/internal/clock"
@@ -214,21 +212,11 @@ func (s *server) handleListRuns(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var req cluster.SweepSpec
-	if !decodeBody(w, r, &req) {
+	req, ok := decodeBody(w, r, cluster.ParseSweepSpec)
+	if !ok {
 		return
 	}
-	req.ApplyDefaults()
-	if _, ok := experiments.Lookup(req.Experiment); !ok {
-		cluster.WriteError(w, http.StatusBadRequest,
-			fmt.Sprintf("unknown experiment %q (have %s)", req.Experiment, strings.Join(experiments.Names(), ", ")))
-		return
-	}
-	scale, err := experiments.ParseScale(req.Scale)
-	if err != nil {
-		cluster.WriteError(w, http.StatusBadRequest, err.Error())
-		return
-	}
+	scale, _ := experiments.ParseScale(req.Scale) // ParseSweepSpec admitted it
 	j, existing, err := s.table.Submit(req.Key(), func(j *jobs.Job) {
 		j.Kind, j.Experiment, j.Scale, j.Seed = "sweep", req.Experiment, req.Scale, req.Seed
 		j.Stats = &jobs.SweepStats{}
@@ -236,26 +224,29 @@ func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.writeSubmitted(w, j, existing, err)
 }
 
-// decodeBody decodes a submission body into v strictly, the rule
-// workload.ParseSpec follows: a field v does not have (a misspelling, or
-// one an older or newer client sends) and data after the value are a
-// 400 naming them, never a silently different job under another job's
-// key. It reports whether v was filled; on false the error response is
-// written.
-func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	err := dec.Decode(v)
+// decodeBody reads a submission body under the serving tier's size limit
+// (cluster.ReadBody) and parses it with parse, the parser fdagate routes
+// by. A body parse refuses is a 400 carrying its error, with the
+// structured field errors where there are any, so a bad spec is turned
+// away at the door instead of surfacing later as a failed job. It
+// reports whether the spec was parsed; on false the response is written.
+func decodeBody[T any](w http.ResponseWriter, r *http.Request, parse func([]byte) (T, error)) (T, bool) {
+	var spec T
+	body, ok := cluster.ReadBody(w, r)
+	if !ok {
+		return spec, false
+	}
+	spec, err := parse(body)
 	if err == nil {
-		if _, tail := dec.Token(); tail != io.EOF {
-			err = errors.New("data after the JSON value")
-		}
+		return spec, true
 	}
-	if err != nil {
-		cluster.WriteError(w, http.StatusBadRequest, "invalid JSON body: "+err.Error())
-		return false
+	var cerr *core.ConfigError
+	if errors.As(err, &cerr) {
+		cluster.WriteJSON(w, http.StatusBadRequest, map[string]any{"error": err.Error(), "fields": cerr.Fields})
+	} else {
+		cluster.WriteError(w, http.StatusBadRequest, err.Error())
 	}
-	return true
+	return spec, false
 }
 
 // writeSubmitted answers a submission: 202 with the new job's view, 200

@@ -62,11 +62,11 @@ func trainWant(t *testing.T) core.Result {
 // server derives from a POST /v1/train body.
 func bodyKey(t *testing.T, body string) string {
 	t.Helper()
-	var spec dist.JobSpec
-	if err := json.Unmarshal([]byte(body), &spec); err != nil {
+	spec, err := dist.ParseJobSpec([]byte(body))
+	if err != nil {
 		t.Fatal(err)
 	}
-	return spec.WithDefaults().Key()
+	return spec.Key()
 }
 
 // resumeSnapshots counts the resume snapshots stored for a train key.
@@ -394,11 +394,10 @@ func TestTrainResultSurvivesRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var spec dist.JobSpec
-	if err := json.Unmarshal([]byte(trainBody), &spec); err != nil {
+	spec, err := dist.ParseJobSpec([]byte(trainBody))
+	if err != nil {
 		t.Fatal(err)
 	}
-	spec = spec.WithDefaults()
 	key := spec.Key()
 
 	// Plant a genuine mid-run snapshot of this very spec under the
@@ -528,11 +527,10 @@ func TestEvictedTrainAnsweredFromStore(t *testing.T) {
 	}
 	getJSON(t, base+"/v1/runs/"+a.ID, http.StatusNotFound, nil)
 
-	var spec dist.JobSpec
-	if err := json.Unmarshal([]byte(specA), &spec); err != nil {
+	spec, err := dist.ParseJobSpec([]byte(specA))
+	if err != nil {
 		t.Fatal(err)
 	}
-	spec = spec.WithDefaults()
 	var events <-chan jobs.Event
 	j, existing, err := s.table.Submit(spec.Key(), func(j *jobs.Job) {
 		j.Kind = "train"

@@ -3,7 +3,6 @@ package main
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"math"
 	"net/http"
@@ -30,40 +29,20 @@ import (
 // resubmission — to this process or to one restarted over the same
 // store — is answered without a training step.
 
-// The POST /v1/train body is a dist.JobSpec: its fields, defaults,
-// canonical dedupe key and Config construction all live there, so the
-// fdagate affinity router, this server's dedupe and the distributed
-// workers read one definition.
+// The POST /v1/train body is a dist.JobSpec read by dist.ParseJobSpec:
+// its fields, defaults, canonical dedupe key and Config construction all
+// live there, so the fdagate affinity router, this server's dedupe and
+// the distributed workers read one definition. Admission does not
+// synthesize the datasets: that costs hundreds of milliseconds and would
+// make admission latency scale with dataset size instead of queue depth
+// (and distributed jobs never use the result: the workers synthesize
+// their own shards). The job goroutine materializes them;
+// core.NewSession re-validates the completed config before any training
+// step runs.
 
 func (s *server) handleTrain(w http.ResponseWriter, r *http.Request) {
-	var spec dist.JobSpec
-	if !decodeBody(w, r, &spec) {
-		return
-	}
-	if spec.Model == "" || spec.Strategy == "" {
-		cluster.WriteError(w, http.StatusBadRequest, "model and strategy are required")
-		return
-	}
-	spec = spec.WithDefaults()
-	// Reject bad specs at the door — with the structured field errors
-	// where there are any — instead of surfacing them later as a failed
-	// job. The datasets are NOT synthesized here: that costs hundreds of
-	// milliseconds and made admission latency scale with dataset size
-	// instead of queue depth (and distributed jobs never use the result:
-	// the workers synthesize their own shards). The job goroutine
-	// materializes them; core.NewSession re-validates the completed
-	// config before any training step runs.
-	if err := spec.Validate(); err != nil {
-		var cerr *core.ConfigError
-		if errors.As(err, &cerr) {
-			fields := make([]map[string]string, 0, len(cerr.Fields))
-			for _, f := range cerr.Fields {
-				fields = append(fields, map[string]string{"field": f.Field, "msg": f.Msg})
-			}
-			cluster.WriteJSON(w, http.StatusBadRequest, map[string]any{"error": err.Error(), "fields": fields})
-			return
-		}
-		cluster.WriteError(w, http.StatusBadRequest, err.Error())
+	spec, ok := decodeBody(w, r, dist.ParseJobSpec)
+	if !ok {
 		return
 	}
 	if spec.Distributed && s.fabricAddr == "" {

@@ -53,7 +53,7 @@ func TestAffinityAddressStability(t *testing.T) {
 	if !ok1 || !ok2 || a1 != a2 {
 		t.Fatalf("equivalent train bodies disagree: %q(%v) vs %q(%v)", a1, ok1, a2, ok2)
 	}
-	if a1 != Address(dist.JobSpec{Model: "lenet5s", Strategy: "LinearFDA"}.WithDefaults().Key()) {
+	if spec, err := dist.ParseJobSpec([]byte(`{"model":"lenet5s","strategy":"LinearFDA"}`)); err != nil || a1 != Address(spec.Key()) {
 		t.Fatal("AffinityAddress does not match Address(Key())")
 	}
 	if _, ok := AffinityAddress("train", []byte(`{"strategy":"LinearFDA"}`)); ok {
@@ -275,16 +275,24 @@ func TestPollAdoptsReplicaState(t *testing.T) {
 }
 
 // FuzzAffinityAddress feeds the gateway's submission classifier the
-// bytes of an arbitrary request body. It must never panic, and an
-// address it does hand out is a pure function of the spec: decoding the
-// body, filling the defaults and re-encoding gives a body that routes
-// to the same address — the property that lets any gateway instance,
-// and the owning replica's dedupe table, agree on what "the same job"
-// is however the client spelled it.
+// bytes of an arbitrary request body. It must never panic; it hands out
+// an address exactly when the replica's parser (dist.ParseJobSpec,
+// ParseSweepSpec) admits the body, that address is the parsed spec's
+// Address(Key()), and re-encoding the parsed spec routes to the same
+// address — the property that lets any gateway instance, and the owning
+// replica's dedupe table, agree on what "the same job" is however the
+// client spelled it.
 func FuzzAffinityAddress(f *testing.F) {
+	topk := `{"strategy":"FedAdam","seed":7,"model":"vgg16s","tau":3,"topk":0.1,"qbits":8,"distributed":true}`
+	nosuchmodel := `{"model":"nosuchmodel","strategy":"LinearFDA","theta":-0,"target":1e-320,"het":"label:2"}`
+	for _, body := range []string{topk, nosuchmodel} {
+		if addr, ok := AffinityAddress("train", []byte(body)); ok {
+			f.Fatalf("%s routed to %s; the replica refuses it", body, addr)
+		}
+	}
 	f.Add(false, []byte(trainBody))
-	f.Add(false, []byte(`{"strategy":"FedAdam","seed":7,"model":"vgg16s","tau":3,"topk":0.1,"qbits":8,"distributed":true}`))
-	f.Add(false, []byte(`{"model":"nosuchmodel","strategy":"LinearFDA","theta":-0,"target":1e-320,"het":"label:2"}`))
+	f.Add(false, []byte(topk))
+	f.Add(false, []byte(nosuchmodel))
 	f.Add(false, []byte(`{"model":"lenet5s","strategy":"LinearFDA","target":-0}`))
 	f.Add(false, []byte(`{"strategy":"LinearFDA"}`))
 	f.Add(true, []byte(`{"experiment":"fig3"}`))
@@ -292,30 +300,31 @@ func FuzzAffinityAddress(f *testing.F) {
 	f.Add(true, []byte(`not json`))
 	f.Fuzz(func(t *testing.T, sweep bool, body []byte) {
 		kind := "train"
+		var key string
+		var canonical []byte
+		var perr error
 		if sweep {
 			kind = "sweep"
+			s, err := ParseSweepSpec(body)
+			key, perr = s.Key(), err
+			canonical, _ = json.Marshal(s)
+		} else {
+			s, err := dist.ParseJobSpec(body)
+			key, perr = s.Key(), err
+			canonical, _ = json.Marshal(s)
 		}
 		addr, ok := AffinityAddress(kind, body)
+		if ok != (perr == nil) {
+			t.Fatalf("%s body %q: affinity %v, parser error %v", kind, body, ok, perr)
+		}
 		if !ok {
 			return
 		}
-		var canonical []byte
-		if sweep {
-			var s SweepSpec
-			if err := json.Unmarshal(body, &s); err != nil {
-				t.Fatalf("addressed a body that does not decode: %v", err)
-			}
-			s.ApplyDefaults()
-			canonical, _ = json.Marshal(s)
-		} else {
-			var s dist.JobSpec
-			if err := json.Unmarshal(body, &s); err != nil {
-				t.Fatalf("addressed a body that does not decode: %v", err)
-			}
-			canonical, _ = json.Marshal(s.WithDefaults())
+		if addr != Address(key) {
+			t.Fatalf("%s body %q addresses to %s, its parsed key %q to %s", kind, body, addr, key, Address(key))
 		}
 		if again, ok := AffinityAddress(kind, canonical); !ok || again != addr {
-			t.Fatalf("%s body %q addresses to %s, its defaulted re-encoding %s to %s (ok=%v)", kind, body, addr, canonical, again, ok)
+			t.Fatalf("%s body %q addresses to %s, its parsed re-encoding %s to %s (ok=%v)", kind, body, addr, canonical, again, ok)
 		}
 	})
 }

@@ -186,9 +186,8 @@ func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // transport failures and 503s on the next candidate, and namespace the
 // created job's id with the serving replica's prefix.
 func (g *Gateway) handleSubmit(w http.ResponseWriter, r *http.Request, kind string) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
-	if err != nil {
-		WriteError(w, http.StatusBadRequest, "reading body: "+err.Error())
+	body, ok := ReadBody(w, r)
+	if !ok {
 		return
 	}
 	select {

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log/slog"
@@ -167,4 +168,23 @@ func encodeJSON(w io.Writer, v any) error {
 // WriteError writes the {"error": msg} body every endpoint uses.
 func WriteError(w http.ResponseWriter, code int, msg string) {
 	WriteJSON(w, code, map[string]string{"error": msg})
+}
+
+// MaxBodyBytes is the one request-body limit of the serving tier, the
+// same on fdagate and fdaserve: a submission is a few hundred bytes.
+const MaxBodyBytes = 1 << 20
+
+// ReadBody reads a request body of at most MaxBodyBytes. A larger body is
+// a 413 naming the limit, never a truncated prefix read as the request,
+// and a failed read is a 400; on false the response is written.
+func ReadBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, MaxBodyBytes))
+	var tooLarge *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooLarge):
+		WriteError(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("request body exceeds the %d-byte limit", MaxBodyBytes))
+	case err != nil:
+		WriteError(w, http.StatusBadRequest, "reading body: "+err.Error())
+	}
+	return body, err == nil
 }

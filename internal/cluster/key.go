@@ -19,34 +19,25 @@
 package cluster
 
 import (
+	"bytes"
+	"cmp"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
+	"strings"
 
 	"repro/internal/dist"
+	"repro/internal/experiments"
 )
 
-// SweepSpec is the POST /v1/runs body: fdaserve decodes submissions
-// into it and the gateway computes the same canonical dedupe key from
-// it, so affinity routing and server-side dedupe always agree on what
-// "the same sweep" means. (Train jobs are dist.JobSpec, for the same
-// reason.)
+// SweepSpec is the POST /v1/runs body: fdaserve and the gateway both
+// read a submission with ParseSweepSpec and key it with Key, so affinity
+// routing and server-side dedupe always agree on what "the same sweep"
+// means. (Train jobs are dist.JobSpec, for the same reason.)
 type SweepSpec struct {
 	Experiment string `json:"experiment"`
 	Scale      string `json:"scale"`
 	Seed       uint64 `json:"seed"`
-}
-
-// ApplyDefaults fills the server-side defaults. Two submissions that
-// differ only in spelled-out defaults must share one key.
-func (s *SweepSpec) ApplyDefaults() {
-	if s.Scale == "" {
-		s.Scale = "quick"
-	}
-	if s.Seed == 0 {
-		s.Seed = 1
-	}
 }
 
 // Key returns the canonical dedupe key of the sweep spec.
@@ -63,28 +54,47 @@ func Address(key string) string {
 	return hex.EncodeToString(sum[:])
 }
 
+// ParseSweepSpec is dist.ParseJobSpec's twin for a POST /v1/runs body:
+// a strict decode, the defaults, and a known experiment and scale.
+func ParseSweepSpec(body []byte) (SweepSpec, error) {
+	var s SweepSpec
+	if err := dist.DecodeStrict(bytes.NewReader(body), &s); err != nil {
+		return SweepSpec{}, fmt.Errorf("invalid JSON body: %w", err)
+	}
+	// The server-side defaults: two submissions that differ only in
+	// spelled-out defaults share one key.
+	s.Scale, s.Seed = cmp.Or(s.Scale, "quick"), cmp.Or(s.Seed, 1)
+	if _, ok := experiments.Lookup(s.Experiment); !ok {
+		return SweepSpec{}, fmt.Errorf("unknown experiment %q (have %s)", s.Experiment, strings.Join(experiments.Names(), ", "))
+	}
+	if _, err := experiments.ParseScale(s.Scale); err != nil {
+		return SweepSpec{}, err
+	}
+	return s, nil
+}
+
 // AffinityAddress classifies a raw submission body (the bytes of a
 // POST /v1/train or POST /v1/runs request) and returns the content
-// address its job will dedupe under. ok is false when the body does
-// not decode — such requests carry no affinity and fall through to
-// least-loaded routing, where the owning replica will produce the
-// authoritative validation error.
+// address its job will dedupe under. ok is false exactly when the
+// replica's parser refuses the body — such requests carry no affinity
+// and fall through to least-loaded routing, where the replica answers
+// them with the same parser's 400.
 func AffinityAddress(kind string, body []byte) (addr string, ok bool) {
 	switch kind {
 	case "train":
-		var t dist.JobSpec
-		if err := json.Unmarshal(body, &t); err != nil || t.Model == "" || t.Strategy == "" {
-			return "", false
-		}
-		return Address(t.WithDefaults().Key()), true
+		return addressOf(dist.ParseJobSpec, body)
 	case "sweep":
-		var s SweepSpec
-		if err := json.Unmarshal(body, &s); err != nil || s.Experiment == "" {
-			return "", false
-		}
-		s.ApplyDefaults()
-		return Address(s.Key()), true
-	default:
+		return addressOf(ParseSweepSpec, body)
+	}
+	return "", false
+}
+
+// addressOf is the address of the spec parse reads from body, when parse
+// admits it.
+func addressOf[S interface{ Key() string }](parse func([]byte) (S, error), body []byte) (string, bool) {
+	s, err := parse(body)
+	if err != nil {
 		return "", false
 	}
+	return Address(s.Key()), true
 }

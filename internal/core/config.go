@@ -101,9 +101,9 @@ func (c Config) withDefaults() Config {
 // FieldError pinpoints one invalid Config field.
 type FieldError struct {
 	// Field is the Config field name (e.g. "K", "Train").
-	Field string
+	Field string `json:"field"`
 	// Msg explains what is wrong with its value.
-	Msg string
+	Msg string `json:"msg"`
 }
 
 // Error implements error.

@@ -16,8 +16,12 @@
 package dist
 
 import (
+	"bytes"
+	"cmp"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 
 	"repro/internal/core"
 	"repro/internal/data"
@@ -29,17 +33,20 @@ import (
 // every worker at rank assignment, and the input of the dedupe key
 // fdaserve and the fdagate affinity router share. Every field is
 // deterministic input, so two processes holding equal specs build
-// bit-identical cluster state.
+// bit-identical cluster state. A body becomes a JobSpec only through
+// ParseJobSpec.
 type JobSpec struct {
 	// Model is a zoo model name (lenet5s, vgg16s, ...). Required.
 	Model string `json:"model"`
 	// Strategy is the synchronization policy name. Required.
 	Strategy string `json:"strategy"`
 	// Theta is the FDA variance threshold; 0 selects the model's default
-	// grid entry.
+	// grid entry. Only LinearFDA, SketchFDA and OracleFDA read it: a
+	// parsed spec of any other strategy holds 0 here.
 	Theta float64 `json:"theta,omitempty"`
 	// Tau is LocalSGD's round length in steps; 0 selects 10, and a
-	// negative value is refused for every strategy.
+	// negative value is refused for every strategy. Only LocalSGD reads
+	// it: a parsed spec of any other strategy holds 0 here.
 	Tau int `json:"tau,omitempty"`
 	// K, Batch, Steps, EvalEvery, Target, Het, Seed mirror core.Config.
 	K         int     `json:"k"`
@@ -64,33 +71,62 @@ func (s JobSpec) WithDefaults() JobSpec {
 			s.Theta = spec.ThetaGrid[1]
 		}
 	}
-	if s.Tau == 0 {
-		s.Tau = 10
-	}
-	if s.K == 0 {
-		s.K = 5
-	}
-	if s.Batch == 0 {
-		s.Batch = 32
-	}
-	if s.Steps == 0 {
-		s.Steps = 200
-	}
-	if s.EvalEvery == 0 {
-		s.EvalEvery = 20
-	}
-	if s.Het == "" {
-		s.Het = "iid"
-	}
-	if s.Seed == 0 {
-		s.Seed = 1
-	}
+	s.Tau = cmp.Or(s.Tau, 10)
+	s.K = cmp.Or(s.K, 5)
+	s.Batch = cmp.Or(s.Batch, 32)
+	s.Steps = cmp.Or(s.Steps, 200)
+	s.EvalEvery = cmp.Or(s.EvalEvery, 20)
+	s.Het = cmp.Or(s.Het, "iid")
+	s.Seed = cmp.Or(s.Seed, 1)
 	return s
 }
 
-// Key returns the canonical dedupe key of a defaulted spec: the string
-// fdaserve registers the job under, addresses its resume checkpoint by,
-// and fdagate hashes for affinity routing.
+// DecodeStrict decodes one JSON value from r into v strictly: a field v
+// does not have, at any depth (a misspelling, or one an older or newer
+// client sends), and any data after the value are errors, so a request
+// or a spec file never silently means something other than it says.
+func DecodeStrict(r io.Reader, v any) error {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	err := dec.Decode(v)
+	if _, tail := dec.Token(); err == nil && tail != io.EOF {
+		err = errors.New("trailing data after the JSON value")
+	}
+	return err
+}
+
+// ParseJobSpec is the one reader of a train body: the POST /v1/train
+// request fdaserve admits and fdagate routes, the payload a worker
+// receives and the body fdaload generates. It decodes strictly, requires
+// a model and a strategy, fills the defaults and validates; the spec it
+// returns is canonical, holding zero in each strategy parameter its
+// strategy does not read (strategies), so a field the run ignores never
+// splits one run into two keys.
+func ParseJobSpec(body []byte) (JobSpec, error) {
+	var s JobSpec
+	if err := DecodeStrict(bytes.NewReader(body), &s); err != nil {
+		return JobSpec{}, fmt.Errorf("invalid JSON body: %w", err)
+	}
+	if s.Model == "" || s.Strategy == "" {
+		return JobSpec{}, errors.New("model and strategy are required")
+	}
+	s = s.WithDefaults()
+	if err := s.Validate(); err != nil {
+		return JobSpec{}, err
+	}
+	reads := strategies[s.Strategy]
+	if !reads.theta {
+		s.Theta = 0
+	}
+	if !reads.tau {
+		s.Tau = 0
+	}
+	return s, nil
+}
+
+// Key returns the dedupe key of a parsed spec (ParseJobSpec): the string
+// fdaserve registers the job under, addresses its result and resume
+// checkpoint by, and fdagate hashes for affinity routing.
 func (s JobSpec) Key() string {
 	key := fmt.Sprintf("train|%s|%s|%g|%d|%d|%d|%d|%d|%g|%s|%d",
 		s.Model, s.Strategy, s.Theta, s.Tau, s.K, s.Batch, s.Steps, s.EvalEvery, s.Target, s.Het, s.Seed)
@@ -180,26 +216,28 @@ func (s JobSpec) BuildStrategy(cfg core.Config) (core.Strategy, error) {
 	return StrategyFor(s.Strategy, s.Theta, s.Tau, cfg)
 }
 
-// StrategyFor is the repo's one strategy-name index: fdarun, fdaserve,
+// strategies is the repo's one strategy-name index: fdarun, fdaserve,
 // the distributed workers and the experiment runners all resolve names
-// here.
+// here. theta and tau say which of a spec's strategy parameters the
+// strategy reads; ParseJobSpec zeroes the others.
+var strategies = map[string]struct {
+	theta, tau bool
+	build      func(theta float64, tau int, cfg core.Config) core.Strategy
+}{
+	"LinearFDA":   {theta: true, build: func(theta float64, _ int, _ core.Config) core.Strategy { return core.NewLinearFDA(theta) }},
+	"SketchFDA":   {theta: true, build: func(theta float64, _ int, _ core.Config) core.Strategy { return core.NewSketchFDA(theta) }},
+	"OracleFDA":   {theta: true, build: func(theta float64, _ int, _ core.Config) core.Strategy { return core.NewOracleFDA(theta) }},
+	"LocalSGD":    {tau: true, build: func(_ float64, tau int, _ core.Config) core.Strategy { return core.NewLocalSGD(tau) }},
+	"Synchronous": {build: func(float64, int, core.Config) core.Strategy { return core.NewSynchronous() }},
+	"FedAvgM":     {build: func(_ float64, _ int, cfg core.Config) core.Strategy { return core.NewFedAvgMFor(cfg, 1) }},
+	"FedAdam":     {build: func(_ float64, _ int, cfg core.Config) core.Strategy { return core.NewFedAdamFor(cfg, 1) }},
+}
+
+// StrategyFor builds the named strategy from the index.
 func StrategyFor(name string, theta float64, tau int, cfg core.Config) (core.Strategy, error) {
-	switch name {
-	case "LinearFDA":
-		return core.NewLinearFDA(theta), nil
-	case "SketchFDA":
-		return core.NewSketchFDA(theta), nil
-	case "OracleFDA":
-		return core.NewOracleFDA(theta), nil
-	case "Synchronous":
-		return core.NewSynchronous(), nil
-	case "LocalSGD":
-		return core.NewLocalSGD(tau), nil
-	case "FedAvgM":
-		return core.NewFedAvgMFor(cfg, 1), nil
-	case "FedAdam":
-		return core.NewFedAdamFor(cfg, 1), nil
-	default:
+	st, ok := strategies[name]
+	if !ok {
 		return nil, fmt.Errorf("dist: unknown strategy %q", name)
 	}
+	return st.build(theta, tau, cfg), nil
 }

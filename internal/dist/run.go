@@ -34,11 +34,10 @@ func RunWorker(ctx context.Context, addr string, parallelism int) (res core.Resu
 // trains to completion, and reports its Result to the coordinator. The
 // caller keeps the fabric, and closes it.
 func RunFabric(ctx context.Context, fabric *comm.TCPFabric, payload []byte, parallelism int) (core.Result, error) {
-	var spec JobSpec
-	if err := json.Unmarshal(payload, &spec); err != nil {
-		return core.Result{}, fmt.Errorf("dist: decoding job spec: %w", err)
+	spec, err := ParseJobSpec(payload)
+	if err != nil {
+		return core.Result{}, fmt.Errorf("dist: job spec: %w", err)
 	}
-	spec = spec.WithDefaults()
 	cfg, err := spec.BuildConfig()
 	if err != nil {
 		return core.Result{}, err
@@ -90,7 +89,6 @@ func runSession(ctx context.Context, cfg core.Config, strat core.Strategy) (res 
 // the cluster Result. The coordinator owns no training state — it is
 // transport plus verification.
 func Coordinate(ctx context.Context, coord *comm.Coordinator, spec JobSpec) (core.Result, error) {
-	spec = spec.WithDefaults()
 	job, err := json.Marshal(spec)
 	if err != nil {
 		return core.Result{}, err

@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 
+	"repro/internal/cluster"
+	"repro/internal/dist"
 	"repro/internal/tensor"
 )
 
@@ -56,28 +58,41 @@ type SweepTemplate struct {
 	DedupeSeeds bool   `json:"dedupe_seeds,omitempty"`
 }
 
-// trainBody mirrors fdaserve's POST /v1/train request shape. Struct
-// marshaling has a fixed field order, so generated payload bytes are
-// deterministic.
-type trainBody struct {
-	Model       string  `json:"model"`
-	Strategy    string  `json:"strategy"`
-	Theta       float64 `json:"theta,omitempty"`
-	Tau         int     `json:"tau,omitempty"`
-	K           int     `json:"k,omitempty"`
-	Batch       int     `json:"batch,omitempty"`
-	Steps       int     `json:"steps,omitempty"`
-	EvalEvery   int     `json:"eval_every,omitempty"`
-	Het         string  `json:"het,omitempty"`
-	Seed        uint64  `json:"seed"`
-	Distributed bool    `json:"distributed,omitempty"`
+// body is the payload of the entry's n-th request: a dist.JobSpec or a
+// cluster.SweepSpec, the type the server parses it into, and nil for a
+// poll kind. Struct marshaling has a fixed field order, so generated
+// payload bytes are deterministic.
+func (e MixEntry) body(n uint64) ([]byte, error) {
+	var v any
+	switch e.Kind {
+	case KindTrain:
+		t := e.Train
+		v = dist.JobSpec{
+			Model: t.Model, Strategy: t.Strategy, Theta: t.Theta, Tau: t.Tau,
+			K: t.K, Batch: t.Batch, Steps: t.Steps, EvalEvery: t.EvalEvery, Het: t.Het,
+			Seed: cohortSeed(t.SeedBase, t.DedupeSeeds, n), Distributed: t.Distributed,
+		}
+	case KindSweep:
+		t := e.Sweep
+		v = cluster.SweepSpec{Experiment: t.Experiment, Scale: t.Scale, Seed: cohortSeed(t.SeedBase, t.DedupeSeeds, n)}
+	default:
+		return nil, nil
+	}
+	b, err := json.Marshal(v)
+	if err != nil {
+		return nil, fmt.Errorf("workload: marshaling %s body: %w", e.Kind, err)
+	}
+	return b, nil
 }
 
-// sweepBody mirrors fdaserve's POST /v1/runs request shape.
-type sweepBody struct {
-	Experiment string `json:"experiment"`
-	Scale      string `json:"scale,omitempty"`
-	Seed       uint64 `json:"seed"`
+// cohortSeed is the seed of a cohort's n-th request: base+n, or base
+// for every request under dedupe. The server reads seed 0 as "default",
+// so 0 becomes 1 and every spec stays addressable.
+func cohortSeed(base uint64, dedupe bool, n uint64) uint64 {
+	if !dedupe {
+		base += n
+	}
+	return max(base, 1)
 }
 
 // mixer draws kinds in proportion to the entry weights and stamps
@@ -106,43 +121,9 @@ func (m *mixer) next(rng *tensor.RNG) (Kind, json.RawMessage, error) {
 		i++
 	}
 	e := m.entries[i]
-	switch e.Kind {
-	case KindTrain:
-		seed := e.Train.SeedBase
-		if !e.Train.DedupeSeeds {
-			seed += m.issued[i]
-		}
-		if seed == 0 {
-			seed = 1 // the server treats seed 0 as "default"; keep specs addressable
-		}
-		m.issued[i]++
-		b, err := json.Marshal(trainBody{
-			Model: e.Train.Model, Strategy: e.Train.Strategy, Theta: e.Train.Theta,
-			Tau: e.Train.Tau, K: e.Train.K, Batch: e.Train.Batch, Steps: e.Train.Steps,
-			EvalEvery: e.Train.EvalEvery, Het: e.Train.Het, Seed: seed,
-			Distributed: e.Train.Distributed,
-		})
-		if err != nil {
-			return "", nil, fmt.Errorf("workload: marshaling train body: %w", err)
-		}
-		return KindTrain, b, nil
-	case KindSweep:
-		seed := e.Sweep.SeedBase
-		if !e.Sweep.DedupeSeeds {
-			seed += m.issued[i]
-		}
-		if seed == 0 {
-			seed = 1
-		}
-		m.issued[i]++
-		b, err := json.Marshal(sweepBody{Experiment: e.Sweep.Experiment, Scale: e.Sweep.Scale, Seed: seed})
-		if err != nil {
-			return "", nil, fmt.Errorf("workload: marshaling sweep body: %w", err)
-		}
-		return KindSweep, b, nil
-	default:
-		return e.Kind, nil, nil
-	}
+	b, err := e.body(m.issued[i])
+	m.issued[i]++
+	return e.Kind, b, err
 }
 
 // Schedule expands the spec into its deterministic request schedule:

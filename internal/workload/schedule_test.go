@@ -136,6 +136,12 @@ func TestSpecValidate(t *testing.T) {
 			}
 		},
 		func(s *Spec) { s.Arrival.Rate = 0 },
+		// Templates whose every request the server's parser would refuse.
+		func(s *Spec) { s.Mix[0].Train.Model = "nosuch" },
+		func(s *Spec) { s.Mix[0].Train.Tau = -1 },
+		func(s *Spec) {
+			s.Mix = append(s.Mix, MixEntry{Kind: KindSweep, Weight: 1, Sweep: &SweepTemplate{Experiment: "nosuch"}})
+		},
 	}
 	for i, mutate := range cases {
 		s := specFixture(1)

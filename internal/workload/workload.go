@@ -22,6 +22,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+
+	"repro/internal/cluster"
+	"repro/internal/dist"
 )
 
 // Kind identifies one request class over fdaserve's API surface.
@@ -93,14 +96,9 @@ type Spec struct {
 // misspelled setting fails loudly instead of silently taking its
 // default. The decoded spec must also Validate.
 func ParseSpec(r io.Reader) (Spec, error) {
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
 	var s Spec
-	if err := dec.Decode(&s); err != nil {
+	if err := dist.DecodeStrict(r, &s); err != nil {
 		return Spec{}, fmt.Errorf("workload: spec: %w", err)
-	}
-	if _, err := dec.Token(); err != io.EOF {
-		return Spec{}, fmt.Errorf("workload: spec: trailing data after the spec value")
 	}
 	return s, s.Validate()
 }
@@ -130,6 +128,18 @@ func (s Spec) Validate() error {
 		}
 		if e.Kind == KindSweep && e.Sweep == nil {
 			return fmt.Errorf("workload: mix[%d]: kind sweep requires a sweep template", i)
+		}
+		// A template the server's parser refuses would make every
+		// request it generates a 400.
+		b, err := e.body(0)
+		if err == nil && e.Kind == KindTrain {
+			_, err = dist.ParseJobSpec(b)
+		}
+		if err == nil && e.Kind == KindSweep {
+			_, err = cluster.ParseSweepSpec(b)
+		}
+		if err != nil {
+			return fmt.Errorf("workload: mix[%d] (%s): %w", i, e.Kind, err)
 		}
 	}
 	if total <= 0 {
