@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build fmt vet lint fuzz test race allocs purego crossbuild bench benchmodule loc loccheck apicheck apigen loadsmoke clustersmoke distsmoke
+.PHONY: check build fmt vet lint fuzz test race allocs purego crossbuild benchmodule loc loccheck apicheck apigen loadsmoke clustersmoke distsmoke
 
 # check is the CI gate: formatting, static analysis (go vet plus the
 # fdavet invariant analyzers), the public-API surface diff, the size
@@ -151,17 +151,6 @@ test:
 # tripping go test's 10m default on small (1–2 core) machines.
 race:
 	$(GO) test -race -timeout 45m ./...
-
-# bench prints the paper's artefacts — the Table 2 / Figure 3–13 /
-# ablation series at Tiny scale, once each — and the workload engine's
-# schedule-generation series. It writes no file and times no code path
-# a claim may cite: speed is measured with
-# `go run -C benchmark repro/benchmark` (BENCHMARK.json) only.
-bench:
-	$(GO) test -run '^$$' -bench '^Benchmark(Table2|Figure|Ablation)' \
-		-benchtime 1x -benchmem -timeout 0 .
-	$(GO) test -run '^$$' -bench '^BenchmarkWorkload' \
-		-benchtime 100x -benchmem -timeout 0 ./internal/workload
 
 # loadsmoke is the load-path CI gate (DESIGN.md §13): boot a real
 # fdaserve with the admission cap armed, drive two seconds of Poisson

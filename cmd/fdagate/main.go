@@ -65,6 +65,9 @@ func main() {
 	if *poll <= 0 {
 		fatal(fmt.Errorf("-poll must be a positive interval, got %v", *poll))
 	}
+	if *maxPending <= 0 {
+		fatal(fmt.Errorf("-max-pending must be positive, got %d", *maxPending))
+	}
 
 	// The gateway always runs with telemetry on, like fdaserve: the
 	// per-replica gauges and routing counters are its operational

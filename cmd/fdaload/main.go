@@ -35,7 +35,7 @@ import (
 
 func main() {
 	var (
-		addr     = flag.String("addr", "http://localhost:8080", "base URL(s) of the server under load; comma-separated to spread directly across replicas (submissions round-robin, polls follow the submitting replica)")
+		addr     = flag.String("addr", "http://localhost:8080", "base URL of the server under load: one fdaserve, or an fdagate in front of several")
 		specFile = flag.String("spec", "", "workload spec file (JSON, decoded strictly; DESIGN.md §13)")
 		replay   = flag.String("replay", "", "replay a recorded tracev1 file instead of generating a schedule")
 		export   = flag.String("export", "", "with -spec: write the generated schedule as a tracev1 file and exit (no server needed)")
@@ -110,7 +110,7 @@ func main() {
 	}
 }
 
-// run executes one schedule against the server(s) named by addr,
+// run executes one schedule against the server named by addr,
 // dispatched and timed by clk.
 func run(reqs []workload.Request, addr string, clk clock.Clock, inflight int, durationNS int64, stop <-chan struct{}) (workload.RunStats, error) {
 	target, err := workload.NewHTTPTarget(addr)

@@ -44,10 +44,11 @@ func TestCheckReport(t *testing.T) {
 
 // An -addr with no base URL in it used to reach the runner and divide
 // by zero in its goroutines; it must be refused before any request is
-// issued.
+// issued, and so must a list of several (fdagate spreads load across
+// replicas).
 func TestRunRejectsEmptyAddr(t *testing.T) {
 	reqs := []workload.Request{{Kind: workload.KindTrain}}
-	for _, addr := range []string{"", ",", " , "} {
+	for _, addr := range []string{"", ",", " , ", "http://a:1,http://b:2"} {
 		stats, err := run(reqs, addr, &clock.Virtual{}, 1, 0, nil)
 		if err == nil || !strings.Contains(err.Error(), "-addr") {
 			t.Errorf("run with -addr %q: err = %v, want an -addr error", addr, err)

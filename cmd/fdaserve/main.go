@@ -75,6 +75,10 @@ func main() {
 		fmt.Println(buildinfo.String("fdaserve"))
 		return
 	}
+	if *maxQueue < 0 {
+		fmt.Fprintf(os.Stderr, "fdaserve: -max-queue must be 0 (unbounded) or positive, got %d\n", *maxQueue)
+		os.Exit(1)
+	}
 
 	// The server always runs with telemetry on: training results are
 	// bit-identical either way (the parity tests pin this), and the

@@ -52,7 +52,7 @@ func main() {
 			if name == "LinearFDA" {
 				strat = fda.NewLinearFDA(theta)
 			} else {
-				strat = fda.NewFedAdamFor(cfg, 1)
+				strat = fda.NewFedAdamFor(cfg)
 			}
 			res := fda.MustRun(cfg, strat)
 			fmt.Printf("%-20s %-11s %8d %12.3f %8v\n",

@@ -62,7 +62,7 @@ func TestFacadeHeterogeneityAndBaselines(t *testing.T) {
 	for _, s := range []fda.Strategy{
 		fda.NewSynchronous(),
 		fda.NewLocalSGD(10),
-		fda.NewFedAdamFor(cfg, 1),
+		fda.NewFedAdamFor(cfg),
 	} {
 		res := fda.MustRun(cfg, s)
 		if res.Steps != 40 {

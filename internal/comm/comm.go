@@ -22,28 +22,27 @@ import (
 	"repro/internal/tensor"
 )
 
-// CostModel controls how AllReduce operations are charged.
+// CostModel controls how AllReduce operations are charged. Every
+// operation is charged as a ring AllReduce, the paper's accounting: each
+// worker sends 2(K−1)/K × payload bytes.
 type CostModel struct {
 	// BytesPerParam is the wire size of one tensor element. The paper
 	// transmits float32 models, so the default (see DefaultCostModel) is 4
 	// even though the simulation computes in float64.
 	BytesPerParam int
-	// Ring selects ring-AllReduce accounting: each worker sends
-	// 2(K−1)/K × payload bytes per operation. When false, the naive model
-	// charges each worker the full payload (send to aggregation).
-	Ring bool
 }
 
 // DefaultCostModel matches the paper's accounting assumptions.
 func DefaultCostModel() CostModel {
-	return CostModel{BytesPerParam: 4, Ring: true}
+	return CostModel{BytesPerParam: 4}
 }
 
 // PerWorkerBytes returns how many bytes one worker transmits for an
-// AllReduce over a payload of n elements in a K-worker cluster.
+// AllReduce over a payload of n elements in a K-worker cluster; a single
+// worker is charged the payload itself.
 func (cm CostModel) PerWorkerBytes(n, k int) int64 {
 	payload := int64(n) * int64(cm.BytesPerParam)
-	if !cm.Ring || k <= 1 {
+	if k <= 1 {
 		return payload
 	}
 	// Ring all-reduce: reduce-scatter + all-gather, each moving
@@ -245,7 +244,7 @@ func (c *Cluster) allReduceMean(kind string, dst []float64, vecs [][]float64) Co
 }
 
 // Broadcast implements Fabric: every worker's vector is overwritten with
-// rank root's, charged under the naive model ((K−1)·payload total).
+// rank root's, charged as root's upload to each peer ((K−1)·payload total).
 func (c *Cluster) Broadcast(kind string, root int, vecs [][]float64) CostReport {
 	sp := startOp("Broadcast")
 	rep := c.broadcast(kind, root, vecs)

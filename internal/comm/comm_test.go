@@ -8,16 +8,6 @@ import (
 	"repro/internal/tensor"
 )
 
-func TestCostModelNaive(t *testing.T) {
-	cm := CostModel{BytesPerParam: 4, Ring: false}
-	if got := cm.PerWorkerBytes(100, 8); got != 400 {
-		t.Fatalf("naive per-worker = %d", got)
-	}
-	if got := cm.TotalBytes(100, 8); got != 3200 {
-		t.Fatalf("naive total = %d", got)
-	}
-}
-
 func TestCostModelRing(t *testing.T) {
 	cm := DefaultCostModel()
 	// K=4, n=100: per worker 2*(3/4)*400 = 600 bytes.
@@ -27,7 +17,7 @@ func TestCostModelRing(t *testing.T) {
 	if got := cm.TotalBytes(100, 4); got != 2400 {
 		t.Fatalf("ring total = %d", got)
 	}
-	// Single worker communicates the payload under either model.
+	// A single worker is charged the payload itself.
 	if got := cm.PerWorkerBytes(100, 1); got != 400 {
 		t.Fatalf("K=1 per-worker = %d", got)
 	}

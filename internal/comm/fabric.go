@@ -42,8 +42,8 @@ type Fabric interface {
 	// modifying them, charging like AllReduce.
 	AllReduceMean(kind string, dst []float64, local [][]float64) CostReport
 	// Broadcast overwrites every worker's vector with global rank root's,
-	// charging kind under the naive model (root uploads one payload per
-	// peer: (K−1)·payload total).
+	// charging kind for root's upload to each peer ((K−1)·payload
+	// total).
 	Broadcast(kind string, root int, local [][]float64) CostReport
 	// Gather returns all K workers' vectors in global rank order,
 	// uncharged (measurement and evaluation only — the deployed

@@ -99,14 +99,10 @@ func (a *AsyncFDA) bind(cfg Config, fabric comm.Fabric) error {
 	}
 	a.clock = clock
 	if s, ok := a.inner.(*SketchFDA); ok {
-		if s.M == 0 {
-			s.M = 250 // Init then defaults l = 5 and ε = 0.06
-		}
-		if s.SketchSeed == 0 {
-			// Init hashes with SketchSeed^0x5ce7c4, so this seeds the
-			// coordinator's hash family with Seed^0xa57c.
-			s.SketchSeed = cfg.Seed ^ 0xa57c ^ 0x5ce7c4
-		}
+		// The paper's width whatever the model (Init then derives
+		// ε = 0.06). Init hashes with seed^0x5ce7c4, so this seeds the
+		// coordinator's hash family with Seed^0xa57c.
+		s.m, s.seed = 250, cfg.Seed^0xa57c^0x5ce7c4
 	}
 	return nil
 }

@@ -57,9 +57,10 @@ func (l *LocalSGD) AfterLocalStep(env *Env, t int) {
 }
 
 // FedOpt is the federated-optimization family (Reddi et al.): workers run
-// E local epochs between rounds; at a round boundary the server forms the
-// pseudo-gradient Δ = w_t0 − w̄ (the negated average local progress) and
-// applies a server optimizer to the global model, which is then broadcast.
+// one local epoch between rounds (the paper's E = 1); at a round boundary
+// the server forms the pseudo-gradient Δ = w_t0 − w̄ (the negated average
+// local progress) and applies a server optimizer to the global model,
+// which is then broadcast.
 //
 //   - Server SGD with momentum 0.9       ⇒ FedAvgM (paper's baseline for
 //     the SGD-NM experiments)
@@ -70,8 +71,6 @@ func (l *LocalSGD) AfterLocalStep(env *Env, t int) {
 // FDA synchronization; FedOpt simply spaces them on a fixed schedule.
 type FedOpt struct {
 	name string
-	// E is the number of local epochs per round (the paper uses E=1).
-	E int
 	// ServerOpt updates the global model from the pseudo-gradient.
 	ServerOpt opt.Optimizer
 
@@ -85,27 +84,22 @@ type FedOpt struct {
 
 // NewFedAvgMFor returns FedAvgM: server SGD with momentum, at the
 // paper's server settings (momentum 0.9, learning rate 0.316).
-func NewFedAvgMFor(cfg Config, e int) *FedOpt {
-	return newFedOpt("FedAvgM", e, &opt.Momentum{LR: 0.316, Mu: 0.9}, cfg)
+func NewFedAvgMFor(cfg Config) *FedOpt {
+	return newFedOpt("FedAvgM", &opt.Momentum{LR: 0.316, Mu: 0.9}, cfg)
 }
 
 // NewFedAdamFor returns FedAdam: server Adam with the reference defaults
 // (lr 1e-2, τ-adaptivity via epsilon 1e-3 as in Reddi et al.).
-func NewFedAdamFor(cfg Config, e int) *FedOpt {
-	return newFedOpt("FedAdam", e, &opt.Adam{LR: 1e-2, Beta1: 0.9, Beta2: 0.999, Eps: 1e-3}, cfg)
+func NewFedAdamFor(cfg Config) *FedOpt {
+	return newFedOpt("FedAdam", &opt.Adam{LR: 1e-2, Beta1: 0.9, Beta2: 0.999, Eps: 1e-3}, cfg)
 }
 
-// newFedOpt binds the round length to cfg so one round spans E full
-// epochs of the worker shards, as in the paper's FedOpt experiments
-// (E = 1): ceil(shardSize/b)·E lock-step iterations with
+// newFedOpt binds the round length to cfg so one round spans one full
+// epoch of the worker shards: ⌈shardSize/b⌉ lock-step iterations with
 // shardSize = |train|/K, at least one.
-func newFedOpt(name string, e int, server opt.Optimizer, cfg Config) *FedOpt {
-	if e <= 0 {
-		panic(fmt.Sprintf("core: FedOpt E = %d", e))
-	}
+func newFedOpt(name string, server opt.Optimizer, cfg Config) *FedOpt {
 	shard := max(cfg.Train.Len()/cfg.K, 1)
-	steps := max((shard+cfg.BatchSize-1)/cfg.BatchSize*e, 1)
-	return &FedOpt{name: name, E: e, ServerOpt: server, roundSteps: steps}
+	return &FedOpt{name: name, ServerOpt: server, roundSteps: (shard + cfg.BatchSize - 1) / cfg.BatchSize}
 }
 
 // Name implements Strategy.

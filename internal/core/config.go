@@ -48,8 +48,6 @@ type Config struct {
 	Train, Test *data.Dataset
 	// Het selects the data-heterogeneity scenario (default IID).
 	Het data.Heterogeneity
-	// Cost is the communication cost model (default: paper accounting).
-	Cost comm.CostModel
 	// Fabric is the communication backend the run executes on. Nil
 	// selects the in-process reference cluster (comm.NewCluster); a
 	// comm.SimFabric adds a deterministic virtual clock (time-to-accuracy
@@ -92,9 +90,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxSteps == 0 {
 		c.MaxSteps = 10000
 	}
-	if c.Cost.BytesPerParam == 0 {
-		c.Cost = comm.DefaultCostModel()
-	}
 	return c
 }
 
@@ -130,7 +125,7 @@ func (e *ConfigError) Error() string {
 
 // Validate checks every field of the config and returns nil or a
 // *ConfigError listing each invalid field. Zero values that withDefaults
-// fills (EvalEvery, MaxSteps, Cost) are valid; negative ones are not.
+// fills (EvalEvery, MaxSteps) are valid; negative ones are not.
 // Run and NewSession validate through here, so a config
 // rejected at submission time can never surface later as a panic inside
 // the training loop.
@@ -167,9 +162,6 @@ func (c Config) Validate() error {
 		// Targets above 1 are legal: they mean "never stop early" (the
 		// experiments use them to force full-budget runs).
 		add("TargetAccuracy", "must be non-negative, got %v", c.TargetAccuracy)
-	}
-	if c.Cost.BytesPerParam < 0 {
-		add("Cost", "BytesPerParam must be non-negative, got %d", c.Cost.BytesPerParam)
 	}
 	if c.Fabric != nil && c.K > 0 && c.Fabric.K() != c.K {
 		add("Fabric", "spans %d workers, config has K=%d", c.Fabric.K(), c.K)

@@ -73,7 +73,7 @@ func TestLocalSGDSyncCadence(t *testing.T) {
 func TestFedOptRoundCadence(t *testing.T) {
 	cfg := testConfig(3)
 	cfg.MaxSteps = 45
-	f := NewFedAvgMFor(cfg, 1)
+	f := NewFedAvgMFor(cfg)
 	// shard = 2400/5 = 480; 480/32 = 15 steps per epoch.
 	if f.roundSteps != 15 {
 		t.Fatalf("round steps = %d want 15", f.roundSteps)
@@ -362,34 +362,11 @@ func TestOracleNeverSyncsMoreThanVariants(t *testing.T) {
 	}
 }
 
-func TestLinearFDAXiAblationModes(t *testing.T) {
-	cfg := testConfig(18)
-	cfg.MaxSteps = 60
-	for _, mode := range []string{"drift", "random", "zero"} {
-		l := NewLinearFDA(0.1)
-		l.XiMode = mode
-		res := MustRun(cfg, l)
-		if res.Steps != 60 {
-			t.Fatalf("mode %s stopped early", mode)
-		}
-	}
-	// Zero ξ cannot deflate, so it can only sync at least as often as the
-	// drift heuristic.
-	drift := NewLinearFDA(0.1)
-	zero := NewLinearFDA(0.1)
-	zero.XiMode = "zero"
-	dRes := MustRun(cfg, drift)
-	zRes := MustRun(cfg, zero)
-	if zRes.SyncCount < dRes.SyncCount {
-		t.Fatalf("zero-ξ synced %d < drift-ξ %d", zRes.SyncCount, dRes.SyncCount)
-	}
-}
-
 func TestFedOptTrainsAndSpacesComm(t *testing.T) {
 	cfg := testConfig(19)
 	cfg.Optimizer = opt.NewAdam(1e-3)
 	cfg.MaxSteps = 150
-	res := MustRun(cfg, NewFedAdamFor(cfg, 1))
+	res := MustRun(cfg, NewFedAdamFor(cfg))
 	if res.SyncCount != 10 {
 		t.Fatalf("FedAdam rounds = %d want 10 (150 steps / 15-step epochs)", res.SyncCount)
 	}
@@ -416,7 +393,7 @@ func TestSyncResetsVarianceInvariant(t *testing.T) {
 		func(Config) Strategy { return NewLinearFDA(0.05) },
 		func(Config) Strategy { return NewSketchFDA(0.05) },
 		func(Config) Strategy { return NewLocalSGD(7) },
-		func(cfg Config) Strategy { return NewFedAvgMFor(cfg, 1) },
+		func(cfg Config) Strategy { return NewFedAvgMFor(cfg) },
 	} {
 		cfg := testConfig(50)
 		cfg.MaxSteps = 40

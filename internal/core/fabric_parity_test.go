@@ -69,7 +69,7 @@ func tcpRun(t *testing.T, cfg Config, mk func() Strategy) (Result, []float64) {
 					panic(r)
 				}
 			}()
-			fabric, _, err := comm.DialFabric(ctx, coord.Addr(), cfg.Cost)
+			fabric, _, err := comm.DialFabric(ctx, coord.Addr(), comm.DefaultCostModel())
 			if err != nil {
 				outs[w].err = err
 				return
@@ -157,10 +157,10 @@ func TestCrossFabricParity(t *testing.T) {
 	for name, mk := range cases {
 		t.Run(name, func(t *testing.T) {
 			cfg := base
-			refRes, refParams := fabricRun(t, cfg, mk, comm.NewClusterWithCost(cfg.K, cfg.Cost))
+			refRes, refParams := fabricRun(t, cfg, mk, comm.NewClusterWithCost(cfg.K, comm.DefaultCostModel()))
 
 			simRes, simParams := fabricRun(t, cfg, mk,
-				comm.NewSimFabric(cfg.K, cfg.Cost, comm.ScenarioFedWAN))
+				comm.NewSimFabric(cfg.K, comm.DefaultCostModel(), comm.ScenarioFedWAN))
 			if simRes.VirtualSec <= 0 {
 				t.Fatalf("sim fabric reported no virtual time")
 			}
@@ -178,7 +178,7 @@ func TestCrossFabricParity(t *testing.T) {
 			// Per-worker byte counts: every fabric charges the same
 			// per-worker cost for the dominant collectives.
 			d := len(refParams)
-			if per := cfg.Cost.PerWorkerBytes(d, cfg.K); per <= 0 {
+			if per := comm.DefaultCostModel().PerWorkerBytes(d, cfg.K); per <= 0 {
 				t.Fatalf("degenerate per-worker cost %d", per)
 			}
 			if refRes.CommBytes%int64(cfg.K) != 0 {
@@ -199,7 +199,7 @@ func TestSimFabricSnapshotRestoresClock(t *testing.T) {
 	cfg.EvalEvery = 8
 	cfg = cfg.withDefaults()
 	mkFabric := func() comm.Fabric {
-		return comm.NewSimFabric(cfg.K, cfg.Cost, comm.ScenarioStraggler)
+		return comm.NewSimFabric(cfg.K, comm.DefaultCostModel(), comm.ScenarioStraggler)
 	}
 
 	full := cfg
@@ -262,8 +262,8 @@ func TestFabricPerWorkerBytesIdentical(t *testing.T) {
 	mk := func() Strategy { return NewLinearFDA(0.1) }
 
 	fabrics := map[string]comm.Fabric{
-		"ref": comm.NewClusterWithCost(cfg.K, cfg.Cost),
-		"sim": comm.NewSimFabric(cfg.K, cfg.Cost, comm.ScenarioStraggler),
+		"ref": comm.NewClusterWithCost(cfg.K, comm.DefaultCostModel()),
+		"sim": comm.NewSimFabric(cfg.K, comm.DefaultCostModel(), comm.ScenarioStraggler),
 	}
 	meters := map[string]map[string]int64{}
 	for name, f := range fabrics {

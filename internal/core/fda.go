@@ -98,17 +98,17 @@ func (b *fdaBase) AfterLocalStep(env *Env, _ int) {
 //
 //	H(S̄) = mean‖u‖² − M2(mean sketch)/(1+ε),
 //
-// which overestimates Var(w_t) with probability ≥ 1−δ.
+// which overestimates Var(w_t) with probability ≥ 1−δ. The sketch has the
+// paper's depth l = 5; its width m and error bound ε are derived from the
+// model dimension at Init (see there).
 type SketchFDA struct {
 	fdaBase
-	// L and M are the sketch depth and width; zero values select the
-	// paper's recommendation l=5, m=250 (ε≈6%, 1−δ≈95%).
-	L, M int
-	// Epsilon is the sketch error bound used in H's deflation term;
-	// zero selects 0.06, matching the default dimensions.
-	Epsilon float64
-	// SketchSeed seeds the shared hash functions (all workers must agree).
-	SketchSeed uint64
+	// m is the sketch width and eps the error bound of H's deflation
+	// term, both set at Init; seed (xored into the hash seed) makes every
+	// worker's hash functions agree. Only AsyncFDA presets m and seed.
+	m    int
+	eps  float64
+	seed uint64
 
 	// sk's hash functions are immutable after Precompute, so workers
 	// sketch concurrently. A state is [‖u‖², sketch...]; workerSk[i] views
@@ -121,8 +121,10 @@ type SketchFDA struct {
 	m2Scratch []float64
 }
 
-// NewSketchFDA returns the sketch-based FDA strategy with threshold theta
-// and default sketch dimensions.
+// sketchDepth is the paper's sketch depth l.
+const sketchDepth = 5
+
+// NewSketchFDA returns the sketch-based FDA strategy with threshold theta.
 func NewSketchFDA(theta float64) *SketchFDA {
 	return &SketchFDA{fdaBase: fdaBase{Theta: theta}}
 }
@@ -132,45 +134,26 @@ func (s *SketchFDA) Name() string { return "SketchFDA" }
 
 // Init implements Strategy.
 func (s *SketchFDA) Init(env *Env) {
-	if s.L == 0 {
-		s.L = 5
-	}
-	if s.M == 0 {
+	if s.m == 0 {
 		// The paper's m=250 assumes sketches far smaller than the model
 		// (5 kB vs multi-MB models, §3.3). At reproduction scale small
 		// models would otherwise carry sketches comparable to themselves,
 		// so cap the sketch at ~1/10 of the model dimension, floored to
-		// keep estimates usable. The error bound ε widens accordingly
-		// (ε ~ 1/√m), keeping H a conservative overestimate.
-		s.M = env.D / (10 * s.L)
-		if s.M > 250 {
-			s.M = 250
-		}
-		if s.M < 16 {
-			s.M = 16
-		}
-		if s.Epsilon == 0 {
-			s.Epsilon = 15.0 / float64(s.M)
-			if s.Epsilon < 0.06 {
-				s.Epsilon = 0.06
-			}
-			if s.Epsilon > 0.5 {
-				s.Epsilon = 0.5
-			}
-		}
+		// keep estimates usable.
+		s.m = min(max(env.D/(10*sketchDepth), 16), 250)
 	}
-	if s.Epsilon == 0 {
-		s.Epsilon = 0.06
-	}
-	s.sk = sketch.NewSketcher(s.L, s.M, s.SketchSeed^0x5ce7c4)
+	// The error bound widens as the sketch narrows (ε ~ 1/√m), keeping H
+	// a conservative overestimate; at m = 250 it is the paper's 6%.
+	s.eps = min(max(15/float64(s.m), 0.06), 0.5)
+	s.sk = sketch.NewSketcher(sketchDepth, s.m, s.seed^0x5ce7c4)
 	s.sk.Precompute(env.D)
-	s.initStates(len(env.Workers), 1+s.L*s.M)
+	s.initStates(len(env.Workers), 1+sketchDepth*s.m)
 	s.workerSk = make([]*sketch.Sketch, len(env.Workers))
 	for i, st := range s.states {
-		s.workerSk[i] = &sketch.Sketch{L: s.L, M: s.M, Data: st[1:]}
+		s.workerSk[i] = &sketch.Sketch{L: sketchDepth, M: s.m, Data: st[1:]}
 	}
 	s.meanSk = s.sk.NewSketch()
-	s.m2Scratch = make([]float64, s.L)
+	s.m2Scratch = make([]float64, sketchDepth)
 	// The sketch needs u itself, so SketchFDA sets no watch: one fused
 	// pass writes u and sums ‖u‖², where a watch would add a second pass
 	// under SGD and Momentum (ROADMAP, SketchFDA at LinearFDA's price).
@@ -181,7 +164,7 @@ func (s *SketchFDA) Init(env *Env) {
 	}
 	s.estimate = func() float64 {
 		copy(s.meanSk.Data, s.meanSt[1:])
-		return s.meanSt[0] - sketch.M2Into(s.meanSk, s.m2Scratch)/(1+s.Epsilon)
+		return s.meanSt[0] - sketch.M2Into(s.meanSk, s.m2Scratch)/(1+s.eps)
 	}
 }
 
@@ -197,20 +180,12 @@ func (s *SketchFDA) Init(env *Env) {
 // mean-squared-drift bound.
 type LinearFDA struct {
 	fdaBase
-	// XiMode selects the direction heuristic: "drift" (paper), "random"
-	// (ablation: a fixed random unit vector), or "zero" (ablation: no
-	// deflation term at all).
-	XiMode string
-	// Seed drives the random-ξ ablation.
-	Seed uint64
-
 	xi []float64
 }
 
-// NewLinearFDA returns the linear FDA strategy with threshold theta and
-// the paper's ξ heuristic.
+// NewLinearFDA returns the linear FDA strategy with threshold theta.
 func NewLinearFDA(theta float64) *LinearFDA {
-	return &LinearFDA{fdaBase: fdaBase{Theta: theta}, XiMode: "drift"}
+	return &LinearFDA{fdaBase: fdaBase{Theta: theta}}
 }
 
 // Name implements Strategy.
@@ -219,11 +194,6 @@ func (l *LinearFDA) Name() string { return "LinearFDA" }
 // Init implements Strategy.
 func (l *LinearFDA) Init(env *Env) {
 	l.xi = make([]float64, env.D)
-	if l.XiMode == "random" {
-		rng := tensor.NewRNG(l.Seed ^ 0x11fda)
-		tensor.Normal(rng, l.xi, 0, 1)
-		tensor.Normalize(l.xi)
-	}
 	l.initStates(len(env.Workers), 2)
 	// The state comes out of each worker's own update sweep: its
 	// optimizer writes (‖u‖², ⟨ξ, u⟩) of the updated model into states[i]
@@ -237,7 +207,7 @@ func (l *LinearFDA) Init(env *Env) {
 	}
 	l.estimate = func() float64 { return l.meanSt[0] - l.meanSt[1]*l.meanSt[1] }
 	l.synced = func() {
-		if l.XiMode == "drift" && env.WPrev != nil {
+		if env.WPrev != nil {
 			// ξ ← (w_t0 − w_t−1) normalized; skip degenerate zero drift.
 			tensor.Sub(l.xi, env.W0, env.WPrev)
 			if tensor.Normalize(l.xi) == 0 {

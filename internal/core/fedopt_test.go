@@ -12,7 +12,7 @@ import (
 // server, one epoch per round. It is the reference the pseudo-gradient
 // formulation that FedAvgM and FedAdam share is checked against.
 func fedAvgFor(cfg Config) *FedOpt {
-	return newFedOpt("FedAvg", 1, &opt.SGD{LR: 1}, cfg)
+	return newFedOpt("FedAvg", &opt.SGD{LR: 1}, cfg)
 }
 
 // FedAvg with a unit-learning-rate plain-SGD server is mathematically
@@ -68,7 +68,7 @@ func (p *fedAvgProbe) AfterLocalStep(env *Env, step int) {
 func TestFedOptBroadcastConsistency(t *testing.T) {
 	cfg := testConfig(41)
 	cfg.MaxSteps = 15
-	f := NewFedAdamFor(cfg, 1)
+	f := NewFedAdamFor(cfg)
 	probe := &broadcastProbe{t: t, inner: f}
 	MustRun(cfg, probe)
 	if !probe.checked {
@@ -112,7 +112,7 @@ func TestFedAvgMDiffersFromFedAvg(t *testing.T) {
 	cfg := testConfig(42)
 	cfg.MaxSteps = 60
 	avg := MustRun(cfg, fedAvgFor(cfg))
-	avgM := MustRun(cfg, NewFedAvgMFor(cfg, 1))
+	avgM := MustRun(cfg, NewFedAvgMFor(cfg))
 	if avg.FinalTestAcc == avgM.FinalTestAcc {
 		t.Fatal("server momentum had no effect (suspicious)")
 	}
@@ -130,8 +130,8 @@ func TestFedOptResetsLocalOptimizers(t *testing.T) {
 	// MaxSteps spanning one extra full round must share the first round's
 	// trajectory exactly (determinism would break if reset state leaked
 	// differently). Primarily this guards the Opt.Reset call path.
-	a := MustRun(cfg, NewFedAvgMFor(cfg, 1))
-	b := MustRun(cfg, NewFedAvgMFor(cfg, 1))
+	a := MustRun(cfg, NewFedAvgMFor(cfg))
+	b := MustRun(cfg, NewFedAvgMFor(cfg))
 	if a.FinalTestAcc != b.FinalTestAcc || a.CommBytes != b.CommBytes {
 		t.Fatal("FedOpt runs not deterministic")
 	}

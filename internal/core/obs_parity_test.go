@@ -71,7 +71,7 @@ func TestObsParityVirtualClock(t *testing.T) {
 		cfg := testConfig(31)
 		cfg.MaxSteps = 30
 		cfg.EvalEvery = 10
-		cfg.Fabric = comm.NewSimFabric(cfg.K, cfg.Cost, comm.ScenarioStraggler)
+		cfg.Fabric = comm.NewSimFabric(cfg.K, comm.DefaultCostModel(), comm.ScenarioStraggler)
 		return cfg
 	}
 	off := runWithObs(t, mkCfg(), NewLinearFDA(0.1), false, "")

@@ -23,8 +23,8 @@ func parityStrategies(cfg Config) map[string]func() Strategy {
 		"OracleFDA":   func() Strategy { return NewOracleFDA(0.1) },
 		"Synchronous": func() Strategy { return NewSynchronous() },
 		"LocalSGD":    func() Strategy { return NewLocalSGD(7) },
-		"FedAvgM":     func() Strategy { return NewFedAvgMFor(cfg, 1) },
-		"FedAdam":     func() Strategy { return NewFedAdamFor(cfg, 1) },
+		"FedAvgM":     func() Strategy { return NewFedAvgMFor(cfg) },
+		"FedAdam":     func() Strategy { return NewFedAdamFor(cfg) },
 		"AsyncFDA":    func() Strategy { return NewAsyncFDA(NewLinearFDA(0.1)) },
 	}
 }

@@ -69,23 +69,16 @@ func (b *fdaBase) PrefixGuard() float64 { return b.maxStat }
 // consumer provably never fires inside it.
 func (b *fdaBase) AcceptPrefix(_ int, guard float64) bool { return guard <= b.Theta }
 
-// PrefixFamily implements PrefixSharer. Drift- and zero-ξ LinearFDA
-// share a family: ξ is zero for both until the second synchronization,
-// so their pre-first-sync h sequences coincide. Random ξ is fixed from
-// Init and parameterized by its seed.
-func (l *LinearFDA) PrefixFamily() string {
-	if l.XiMode == "random" {
-		return fmt.Sprintf("LinearFDA/random/%d", l.Seed)
-	}
-	return "LinearFDA/xi0"
-}
+// PrefixFamily implements PrefixSharer. ξ is zero until the second
+// synchronization, so every LinearFDA prefix has the same h sequence.
+func (l *LinearFDA) PrefixFamily() string { return "LinearFDA/xi0" }
 
-// PrefixFamily implements PrefixSharer. The sketch dimensions and hash
-// seed shape both the h sequence and the per-step state traffic, so
-// they are part of the family; call after Init (which derives defaults
-// from the model dimension).
+// PrefixFamily implements PrefixSharer. The sketch width, error bound and
+// hash seed shape both the h sequence and the per-step state traffic, so
+// they are part of the family; call after Init (which derives the width
+// and bound from the model dimension).
 func (s *SketchFDA) PrefixFamily() string {
-	return fmt.Sprintf("SketchFDA/l%d/m%d/e%g/s%d", s.L, s.M, s.Epsilon, s.SketchSeed)
+	return fmt.Sprintf("SketchFDA/l%d/m%d/e%g/s%d", sketchDepth, s.m, s.eps, s.seed)
 }
 
 // PrefixFamily implements PrefixSharer.

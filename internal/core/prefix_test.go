@@ -140,9 +140,9 @@ func TestSessionWarmStartParity(t *testing.T) {
 			func() Strategy { return NewLocalSGD(30) }},
 		{"LocalSGD-to-FedAvgM",
 			func() Strategy { return NewLocalSGD(20) },
-			func() Strategy { return NewFedAvgMFor(cfg, 1) }},
+			func() Strategy { return NewFedAvgMFor(cfg) }},
 		{"FedAdam-to-LocalSGD",
-			func() Strategy { return NewFedAdamFor(cfg, 1) },
+			func() Strategy { return NewFedAdamFor(cfg) },
 			func() Strategy { return NewLocalSGD(25) }},
 	}
 	for _, tc := range cases {

@@ -161,9 +161,9 @@ func NewSession(ctx context.Context, cfg Config, strat Strategy) (*Session, erro
 		// Asynchronous FDA needs a clock; by default every worker takes
 		// one virtual second per step and communication takes none.
 		unit, _ := comm.SpeedsScenario([]float64{1}) // a valid rate: no error
-		fabric = comm.NewSimFabric(cfg.K, cfg.Cost, unit)
+		fabric = comm.NewSimFabric(cfg.K, comm.DefaultCostModel(), unit)
 	default:
-		fabric = comm.NewClusterWithCost(cfg.K, cfg.Cost)
+		fabric = comm.NewCluster(cfg.K)
 	}
 	if async != nil {
 		if err := async.bind(cfg, fabric); err != nil {

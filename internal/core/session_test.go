@@ -256,8 +256,8 @@ func TestSessionSnapshotResumeExact(t *testing.T) {
 		"OracleFDA":   func() Strategy { return NewOracleFDA(0.1) },
 		"Synchronous": func() Strategy { return NewSynchronous() },
 		"LocalSGD":    func() Strategy { return NewLocalSGD(7) },
-		"FedAvgM":     func() Strategy { return NewFedAvgMFor(base, 1) },
-		"FedAdam":     func() Strategy { return NewFedAdamFor(base, 1) },
+		"FedAvgM":     func() Strategy { return NewFedAvgMFor(base) },
+		"FedAdam":     func() Strategy { return NewFedAdamFor(base) },
 	}
 	for name, mk := range strategies {
 		t.Run(name, func(t *testing.T) {

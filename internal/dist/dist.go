@@ -229,8 +229,8 @@ var strategies = map[string]struct {
 	"OracleFDA":   {theta: true, build: func(theta float64, _ int, _ core.Config) core.Strategy { return core.NewOracleFDA(theta) }},
 	"LocalSGD":    {tau: true, build: func(_ float64, tau int, _ core.Config) core.Strategy { return core.NewLocalSGD(tau) }},
 	"Synchronous": {build: func(float64, int, core.Config) core.Strategy { return core.NewSynchronous() }},
-	"FedAvgM":     {build: func(_ float64, _ int, cfg core.Config) core.Strategy { return core.NewFedAvgMFor(cfg, 1) }},
-	"FedAdam":     {build: func(_ float64, _ int, cfg core.Config) core.Strategy { return core.NewFedAdamFor(cfg, 1) }},
+	"FedAvgM":     {build: func(_ float64, _ int, cfg core.Config) core.Strategy { return core.NewFedAvgMFor(cfg) }},
+	"FedAdam":     {build: func(_ float64, _ int, cfg core.Config) core.Strategy { return core.NewFedAdamFor(cfg) }},
 }
 
 // StrategyFor builds the named strategy from the index.

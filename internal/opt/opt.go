@@ -225,15 +225,15 @@ func (o *Momentum) Name() string {
 	return "SGD-M"
 }
 
-// Adam implements Kingma & Ba's Adam with bias correction and optional
-// coupled L2 weight decay (added to the gradient, as in classic Adam).
+// Adam implements Kingma & Ba's Adam with bias correction; a nonzero
+// WeightDecay makes it AdamW (Loshchilov & Hutter), whose decay is
+// applied directly to the weights rather than added to the gradient.
 type Adam struct {
 	LR          float64
 	Beta1       float64
 	Beta2       float64
 	Eps         float64
-	WeightDecay float64 // coupled L2 (added to gradient)
-	Decoupled   bool    // true = AdamW: decay applied directly to weights
+	WeightDecay float64 // decoupled (AdamW) decay; zero for plain Adam
 
 	m, v []float64
 	t    int
@@ -254,7 +254,7 @@ func NewAdamW(lr, weightDecay float64) Factory {
 	return func() Optimizer {
 		return &Adam{
 			LR: lr, Beta1: 0.9, Beta2: 0.999, Eps: 1e-7,
-			WeightDecay: weightDecay, Decoupled: true,
+			WeightDecay: weightDecay,
 		}
 	}
 }
@@ -270,19 +270,11 @@ func (o *Adam) Step(params, grads []float64) {
 	o.t++
 	b1c := 1 - math.Pow(o.Beta1, float64(o.t))
 	b2c := 1 - math.Pow(o.Beta2, float64(o.t))
-	// The weight-decay mode is chosen once, outside the element loop; the
-	// loop itself is the tensor.AdamStep kernel (vectorized bit-identically
-	// where the CPU allows).
-	coupledWD, decoupledWD := 0.0, 0.0
-	if o.WeightDecay != 0 {
-		if o.Decoupled {
-			decoupledWD = o.WeightDecay
-		} else {
-			coupledWD = o.WeightDecay
-		}
-	}
+	// The element loop is the tensor.AdamStep kernel (vectorized
+	// bit-identically where the CPU allows); its coupled-decay operand
+	// stays 0.
 	w0, xi := o.target()
-	sq, dot := tensor.AdamStep(params, grads, o.m, o.v, o.Beta1, o.Beta2, o.LR, o.Eps, b1c, b2c, coupledWD, decoupledWD, w0, xi)
+	sq, dot := tensor.AdamStep(params, grads, o.m, o.v, o.Beta1, o.Beta2, o.LR, o.Eps, b1c, b2c, 0, o.WeightDecay, w0, xi)
 	if w0 != nil {
 		o.out[0], o.out[1] = sq, dot
 		*o.reports++
@@ -327,7 +319,7 @@ func cloneOrNil(v []float64) []float64 {
 
 // Name implements Optimizer.
 func (o *Adam) Name() string {
-	if o.Decoupled {
+	if o.WeightDecay != 0 {
 		return "AdamW"
 	}
 	return "Adam"

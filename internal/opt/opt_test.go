@@ -105,26 +105,12 @@ func TestAdamFirstStepIsSignedLR(t *testing.T) {
 }
 
 func TestAdamWDecaysWithoutGradient(t *testing.T) {
-	o := &Adam{LR: 0.1, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8, WeightDecay: 0.1, Decoupled: true}
+	o := &Adam{LR: 0.1, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8, WeightDecay: 0.1}
 	x := []float64{1}
 	o.Step(x, []float64{0})
 	// Zero gradient: only decoupled decay applies: x *= (1 − lr·wd).
 	if math.Abs(x[0]-0.99) > 1e-12 {
 		t.Fatalf("AdamW decayed to %v want 0.99", x[0])
-	}
-}
-
-func TestCoupledVsDecoupledDiffer(t *testing.T) {
-	coupled := &Adam{LR: 0.1, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8, WeightDecay: 0.1}
-	decoupled := &Adam{LR: 0.1, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8, WeightDecay: 0.1, Decoupled: true}
-	xc := []float64{1}
-	xd := []float64{1}
-	for i := 0; i < 3; i++ {
-		coupled.Step(xc, []float64{0.5})
-		decoupled.Step(xd, []float64{0.5})
-	}
-	if xc[0] == xd[0] {
-		t.Fatal("coupled and decoupled decay coincide")
 	}
 }
 
@@ -189,12 +175,12 @@ func TestLengthMismatchPanics(t *testing.T) {
 	(&SGD{LR: 0.1}).Step([]float64{1, 2}, []float64{1})
 }
 
-// TestAdamStepMatchesScalarLoopExactly pins Adam.Step — bias corrections,
-// weight-decay mode selection and the tensor.AdamStep kernel behind it,
-// assembly included — to the element loop Step ran before the kernel
-// existed: 400 consecutive updates of a 1003-element vector (a vector main
-// loop plus a three-element tail) for Adam, coupled-decay Adam and AdamW,
-// every parameter and both moments compared with == after every update.
+// TestAdamStepMatchesScalarLoopExactly pins Adam.Step — bias corrections
+// and the tensor.AdamStep kernel behind it, assembly included — to the
+// element loop Step ran before the kernel existed: 400 consecutive
+// updates of a 1003-element vector (a vector main loop plus a
+// three-element tail) for Adam and AdamW, every parameter and both
+// moments compared with == after every update.
 // From step 356 on 1 − β1ᵗ rounds to 1 and the kernel skips its division,
 // which the loop here still performs.
 func TestAdamStepMatchesScalarLoopExactly(t *testing.T) {
@@ -204,7 +190,6 @@ func TestAdamStepMatchesScalarLoopExactly(t *testing.T) {
 	}
 	for _, o := range []*Adam{
 		NewAdam(1e-3)().(*Adam),
-		{LR: 2e-3, Beta1: 0.9, Beta2: 0.999, Eps: 1e-7, WeightDecay: 1e-2},
 		NewAdamW(1e-3, 5e-2)().(*Adam),
 	} {
 		rng := tensor.NewRNG(77)
@@ -220,14 +205,11 @@ func TestAdamStepMatchesScalarLoopExactly(t *testing.T) {
 			b1c := 1 - math.Pow(o.Beta1, float64(step))
 			b2c := 1 - math.Pow(o.Beta2, float64(step))
 			for i, gi := range g {
-				if o.WeightDecay != 0 && !o.Decoupled {
-					gi += o.WeightDecay * wantP[i]
-				}
 				mi := o.Beta1*wantM[i] + (1-o.Beta1)*gi
 				vi := o.Beta2*wantV[i] + (1-o.Beta2)*gi*gi
 				wantM[i], wantV[i] = mi, vi
 				wantP[i] -= o.LR * (mi / b1c) / (math.Sqrt(vi/b2c) + o.Eps)
-				if o.WeightDecay != 0 && o.Decoupled {
+				if o.WeightDecay != 0 {
 					wantP[i] -= o.LR * o.WeightDecay * wantP[i]
 				}
 			}
@@ -255,7 +237,6 @@ func TestWatchReportsDriftOfUpdatedParams(t *testing.T) {
 		NewSGDMomentum(0.1, 0.9)(),
 		NewSGDNesterov(0.1, 0.9, 1e-2)(),
 		NewAdam(1e-3)(),
-		&Adam{LR: 2e-3, Beta1: 0.9, Beta2: 0.999, Eps: 1e-7, WeightDecay: 1e-2},
 		NewAdamW(1e-3, 5e-2)(),
 	} {
 		rng := tensor.NewRNG(78)

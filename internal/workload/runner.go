@@ -261,39 +261,34 @@ func stopped(stop <-chan struct{}) bool {
 }
 
 // HTTPTarget is the production Target: it executes requests against
-// the fdaserve (or fdagate) API, tracking the job ids its submissions
-// create so poll kinds have real targets. With multiple bases
-// submissions round-robin across them and each id remembers its
-// submitting base — replica job ids are replica-local, so polls must
-// follow the replica that issued them (the gateway namespaces ids
-// itself, so a single gateway base needs none of this).
+// one fdaserve (or fdagate) base URL, tracking the job ids its
+// submissions create so poll kinds have real targets. Several replicas
+// are driven through fdagate, which spreads the load and namespaces
+// their ids.
 type HTTPTarget struct {
-	bases  []string
+	base   string
 	client *http.Client
 
 	mu     sync.Mutex
-	ids    []string          // submitted job ids, in creation order
-	idBase map[string]string // id -> submitting base URL
+	ids    []string            // submitted job ids, in creation order
+	known  map[string]struct{} // the set of ids
 	cursor atomic.Uint64
-	subSeq atomic.Uint64 // round-robin over bases for submissions
 }
 
-// NewHTTPTarget builds the target for a comma-separated list of base
-// URLs. A list with no usable entry is an error here, not a divide by
-// zero in the first submission.
+// NewHTTPTarget builds the target for one base URL. An empty URL, or a
+// comma-separated list, is an error here rather than a failed request
+// later.
 func NewHTTPTarget(addr string) (*HTTPTarget, error) {
-	var bases []string
-	for _, b := range strings.Split(addr, ",") {
-		if b = strings.TrimRight(strings.TrimSpace(b), "/"); b != "" {
-			bases = append(bases, b)
-		}
+	base := strings.TrimRight(strings.TrimSpace(addr), "/")
+	if base == "" {
+		return nil, errors.New("workload: no base URL to drive (want http://host:port)")
 	}
-	if len(bases) == 0 {
-		return nil, errors.New("workload: no base URL to drive (want http://host:port[,http://host:port...])")
+	if strings.Contains(base, ",") {
+		return nil, errors.New("workload: one base URL only; drive several replicas through an fdagate in front of them")
 	}
 	return &HTTPTarget{
-		bases:  bases,
-		idBase: map[string]string{},
+		base:  base,
+		known: map[string]struct{}{},
 		client: &http.Client{
 			Transport: &http.Transport{MaxIdleConns: 1 << 14, MaxIdleConnsPerHost: 1 << 14},
 			Timeout:   5 * time.Minute,
@@ -301,48 +296,38 @@ func NewHTTPTarget(addr string) (*HTTPTarget, error) {
 	}, nil
 }
 
-// pickID returns a submitted job id round-robin with the base that owns
-// it, or "" when none is known yet (early polls fall back to collection
-// endpoints).
-func (t *HTTPTarget) pickID() (id, base string) {
+// pickID returns a submitted job id round-robin, or "" when none is
+// known yet (early polls fall back to collection endpoints).
+func (t *HTTPTarget) pickID() string {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if len(t.ids) == 0 {
-		return "", ""
+		return ""
 	}
-	id = t.ids[int(t.cursor.Add(1))%len(t.ids)]
-	return id, t.idBase[id]
+	return t.ids[int(t.cursor.Add(1))%len(t.ids)]
 }
 
-func (t *HTTPTarget) addID(id, base string) {
+func (t *HTTPTarget) addID(id string) {
 	if id == "" {
 		return
 	}
 	t.mu.Lock()
-	if _, dup := t.idBase[id]; !dup {
+	if _, dup := t.known[id]; !dup {
 		t.ids = append(t.ids, id)
-		t.idBase[id] = base
+		t.known[id] = struct{}{}
 	}
 	t.mu.Unlock()
-}
-
-// submitBase picks the next base for a submission (round-robin).
-func (t *HTTPTarget) submitBase() string {
-	if len(t.bases) == 1 {
-		return t.bases[0]
-	}
-	return t.bases[int(t.subSeq.Add(1))%len(t.bases)]
 }
 
 // Do issues req and reports the response status; a submission's
 // returned job id is remembered for later polls.
 func (t *HTTPTarget) Do(req Request) Outcome {
-	method, path, base := t.resolve(req)
+	method, path := t.resolve(req)
 	var body io.Reader
 	if method == http.MethodPost && len(req.Body) > 0 {
 		body = bytes.NewReader(req.Body)
 	}
-	hr, err := http.NewRequest(method, base+path, body)
+	hr, err := http.NewRequest(method, t.base+path, body)
 	if err != nil {
 		return Outcome{Err: err}
 	}
@@ -359,7 +344,7 @@ func (t *HTTPTarget) Do(req Request) Outcome {
 			ID string `json:"id"`
 		}
 		if json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&v) == nil {
-			t.addID(v.ID, base)
+			t.addID(v.ID)
 		}
 	}
 	// Drain so the transport can reuse the connection.
@@ -367,42 +352,41 @@ func (t *HTTPTarget) Do(req Request) Outcome {
 	return Outcome{Status: resp.StatusCode}
 }
 
-// resolve maps a request to its method, URL path and base URL. Recorded
-// traces carry explicit paths; generated schedules resolve poll targets
-// against the ids this client has created, on the base that created
-// them.
-func (t *HTTPTarget) resolve(req Request) (method, path, base string) {
+// resolve maps a request to its method and URL path. Recorded traces
+// carry explicit paths; generated schedules resolve poll targets against
+// the ids this client has created.
+func (t *HTTPTarget) resolve(req Request) (method, path string) {
 	if req.Path != "" {
 		switch req.Kind {
 		case KindTrain, KindSweep:
-			return http.MethodPost, req.Path, t.submitBase()
+			return http.MethodPost, req.Path
 		case KindCancel:
-			return http.MethodDelete, req.Path, t.submitBase()
+			return http.MethodDelete, req.Path
 		default:
-			return http.MethodGet, req.Path, t.submitBase()
+			return http.MethodGet, req.Path
 		}
 	}
 	switch req.Kind {
 	case KindTrain:
-		return http.MethodPost, "/v1/train", t.submitBase()
+		return http.MethodPost, "/v1/train"
 	case KindSweep:
-		return http.MethodPost, "/v1/runs", t.submitBase()
+		return http.MethodPost, "/v1/runs"
 	case KindStatus:
-		if id, b := t.pickID(); id != "" {
-			return http.MethodGet, "/v1/runs/" + id, b
+		if id := t.pickID(); id != "" {
+			return http.MethodGet, "/v1/runs/" + id
 		}
-		return http.MethodGet, "/v1/runs", t.submitBase()
+		return http.MethodGet, "/v1/runs"
 	case KindRecords:
-		if id, b := t.pickID(); id != "" {
-			return http.MethodGet, "/v1/runs/" + id + "/records", b
+		if id := t.pickID(); id != "" {
+			return http.MethodGet, "/v1/runs/" + id + "/records"
 		}
-		return http.MethodGet, "/v1/store", t.submitBase()
+		return http.MethodGet, "/v1/store"
 	case KindCancel:
-		if id, b := t.pickID(); id != "" {
-			return http.MethodDelete, "/v1/runs/" + id, b
+		if id := t.pickID(); id != "" {
+			return http.MethodDelete, "/v1/runs/" + id
 		}
-		return http.MethodGet, "/v1/runs", t.submitBase()
+		return http.MethodGet, "/v1/runs"
 	default:
-		return http.MethodGet, "/v1/store", t.submitBase()
+		return http.MethodGet, "/v1/store"
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -128,79 +129,74 @@ func TestRunStopAbortsEarly(t *testing.T) {
 }
 
 func TestNewHTTPTargetRejectsEmptyBaseList(t *testing.T) {
-	for _, addr := range []string{"", ",", " , /,"} {
+	for _, addr := range []string{"", " ", " / "} {
 		if _, err := NewHTTPTarget(addr); err == nil {
-			t.Errorf("NewHTTPTarget(%q) accepted an empty base list", addr)
+			t.Errorf("NewHTTPTarget(%q) accepted an empty base URL", addr)
 		}
 	}
-	tg, err := NewHTTPTarget(" http://a/ ,,http://b")
+	for _, addr := range []string{",", "http://a,http://b", " http://a/ ,"} {
+		if _, err := NewHTTPTarget(addr); err == nil || !strings.Contains(err.Error(), "fdagate") {
+			t.Errorf("NewHTTPTarget(%q): err = %v, want a refusal naming fdagate", addr, err)
+		}
+	}
+	tg, err := NewHTTPTarget(" http://a/ ")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tg.bases) != 2 || tg.bases[0] != "http://a" || tg.bases[1] != "http://b" {
-		t.Fatalf("bases = %q, want [http://a http://b]", tg.bases)
+	if tg.base != "http://a" {
+		t.Fatalf("base = %q, want http://a", tg.base)
 	}
 }
 
-// TestResolve pins the request → (method, path, base) mapping for every
-// kind: before any job id is known, once one is, and for recorded
-// requests that carry their own path.
+// TestResolve pins the request → (method, path) mapping for every kind:
+// before any job id is known, once one is, and for recorded requests
+// that carry their own path.
 func TestResolve(t *testing.T) {
-	const owner = "http://owner"
 	fresh, err := NewHTTPTarget("http://only")
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Two bases, one id submitted through the second: id-scoped polls
-	// must follow it there whatever the submission round-robin says.
-	known, err := NewHTTPTarget("http://other," + owner)
+	known, err := NewHTTPTarget("http://only")
 	if err != nil {
 		t.Fatal(err)
 	}
-	known.addID("j1", owner)
-	known.addID("j1", "http://other") // a dedupe hit elsewhere does not move the owner
-	known.addID("", owner)
+	known.addID("j1")
+	known.addID("j1") // a dedupe hit does not add a second poll target
+	known.addID("")
 
 	cases := []struct {
 		name         string
 		tg           *HTTPTarget
 		req          Request
 		method, path string
-		base         string // "" = any submission base
 	}{
-		{"train", fresh, Request{Kind: KindTrain}, http.MethodPost, "/v1/train", "http://only"},
-		{"sweep", fresh, Request{Kind: KindSweep}, http.MethodPost, "/v1/runs", "http://only"},
-		{"status/no id", fresh, Request{Kind: KindStatus}, http.MethodGet, "/v1/runs", "http://only"},
-		{"records/no id", fresh, Request{Kind: KindRecords}, http.MethodGet, "/v1/store", "http://only"},
-		{"store", fresh, Request{Kind: KindStore}, http.MethodGet, "/v1/store", "http://only"},
-		{"cancel/no id", fresh, Request{Kind: KindCancel}, http.MethodGet, "/v1/runs", "http://only"},
+		{"train", fresh, Request{Kind: KindTrain}, http.MethodPost, "/v1/train"},
+		{"sweep", fresh, Request{Kind: KindSweep}, http.MethodPost, "/v1/runs"},
+		{"status/no id", fresh, Request{Kind: KindStatus}, http.MethodGet, "/v1/runs"},
+		{"records/no id", fresh, Request{Kind: KindRecords}, http.MethodGet, "/v1/store"},
+		{"store", fresh, Request{Kind: KindStore}, http.MethodGet, "/v1/store"},
+		{"cancel/no id", fresh, Request{Kind: KindCancel}, http.MethodGet, "/v1/runs"},
 
-		{"train/known", known, Request{Kind: KindTrain}, http.MethodPost, "/v1/train", ""},
-		{"sweep/known", known, Request{Kind: KindSweep}, http.MethodPost, "/v1/runs", ""},
-		{"status/known", known, Request{Kind: KindStatus}, http.MethodGet, "/v1/runs/j1", owner},
-		{"records/known", known, Request{Kind: KindRecords}, http.MethodGet, "/v1/runs/j1/records", owner},
-		{"store/known", known, Request{Kind: KindStore}, http.MethodGet, "/v1/store", ""},
-		{"cancel/known", known, Request{Kind: KindCancel}, http.MethodDelete, "/v1/runs/j1", owner},
+		{"train/known", known, Request{Kind: KindTrain}, http.MethodPost, "/v1/train"},
+		{"sweep/known", known, Request{Kind: KindSweep}, http.MethodPost, "/v1/runs"},
+		{"status/known", known, Request{Kind: KindStatus}, http.MethodGet, "/v1/runs/j1"},
+		{"records/known", known, Request{Kind: KindRecords}, http.MethodGet, "/v1/runs/j1/records"},
+		{"store/known", known, Request{Kind: KindStore}, http.MethodGet, "/v1/store"},
+		{"cancel/known", known, Request{Kind: KindCancel}, http.MethodDelete, "/v1/runs/j1"},
 
-		{"train/path", known, Request{Kind: KindTrain, Path: "/v1/train"}, http.MethodPost, "/v1/train", ""},
-		{"sweep/path", known, Request{Kind: KindSweep, Path: "/v1/runs"}, http.MethodPost, "/v1/runs", ""},
-		{"status/path", known, Request{Kind: KindStatus, Path: "/v1/runs/x9"}, http.MethodGet, "/v1/runs/x9", ""},
-		{"records/path", known, Request{Kind: KindRecords, Path: "/v1/runs/x9/records"}, http.MethodGet, "/v1/runs/x9/records", ""},
-		{"store/path", known, Request{Kind: KindStore, Path: "/v1/store/abc"}, http.MethodGet, "/v1/store/abc", ""},
-		{"cancel/path", known, Request{Kind: KindCancel, Path: "/v1/runs/x9"}, http.MethodDelete, "/v1/runs/x9", ""},
+		{"train/path", known, Request{Kind: KindTrain, Path: "/v1/train"}, http.MethodPost, "/v1/train"},
+		{"sweep/path", known, Request{Kind: KindSweep, Path: "/v1/runs"}, http.MethodPost, "/v1/runs"},
+		{"status/path", known, Request{Kind: KindStatus, Path: "/v1/runs/x9"}, http.MethodGet, "/v1/runs/x9"},
+		{"records/path", known, Request{Kind: KindRecords, Path: "/v1/runs/x9/records"}, http.MethodGet, "/v1/runs/x9/records"},
+		{"store/path", known, Request{Kind: KindStore, Path: "/v1/store/abc"}, http.MethodGet, "/v1/store/abc"},
+		{"cancel/path", known, Request{Kind: KindCancel, Path: "/v1/runs/x9"}, http.MethodDelete, "/v1/runs/x9"},
 	}
 	seen := map[Kind]bool{}
 	for _, c := range cases {
 		seen[c.req.Kind] = true
-		method, path, base := c.tg.resolve(c.req)
+		method, path := c.tg.resolve(c.req)
 		if method != c.method || path != c.path {
 			t.Errorf("%s: resolved to %s %s, want %s %s", c.name, method, path, c.method, c.path)
-		}
-		if c.base != "" && base != c.base {
-			t.Errorf("%s: base %s, want %s", c.name, base, c.base)
-		}
-		if c.base == "" && base != owner && base != "http://other" {
-			t.Errorf("%s: base %q is not one of the target's", c.name, base)
 		}
 	}
 	for _, k := range Kinds() {
@@ -208,12 +204,8 @@ func TestResolve(t *testing.T) {
 			t.Errorf("kind %s has no resolve case", k)
 		}
 	}
-
-	// Submissions spread round-robin over the bases.
-	_, _, b1 := known.resolve(Request{Kind: KindTrain})
-	_, _, b2 := known.resolve(Request{Kind: KindTrain})
-	if b1 == b2 {
-		t.Errorf("two consecutive submissions both went to %s", b1)
+	if len(known.ids) != 1 {
+		t.Errorf("known ids %q, want [j1]", known.ids)
 	}
 }
 
