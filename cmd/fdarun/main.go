@@ -75,7 +75,7 @@ func init() {
 	fs.IntVar(&spec.Batch, "batch", 32, "local mini-batch size")
 	fs.IntVar(&spec.Steps, "steps", 600, "maximum in-parallel steps")
 	fs.Float64Var(&spec.Target, "target", 0, "test-accuracy target (0 = run all steps)")
-	fs.StringVar(&spec.Het, "het", "iid", "data split: iid, label<Y>, pct<X>, dir<alpha>")
+	fs.StringVar(&spec.Het, "het", "iid", "data split: iid, label<Y>, pct<X>")
 	fs.Uint64Var(&spec.Seed, "seed", 1, "run seed")
 }
 

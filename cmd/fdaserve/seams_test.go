@@ -61,11 +61,11 @@ func TestTrainKeyGolden(t *testing.T) {
 			"c24ef450627a11fb7979d95e7e3fd0c4a5cd4a26d09a88b23470b86b09ca4dcf",
 			"132e8257cc7c4c8bbcd4ae6101a28577f7d18dee4d9779d211f023cb8d4f8b75",
 			"52456420d7b32c529c5f1f29aa8c995c497abb11b063dafffd49eca0af0e634b"},
-		{`{"model":"lenet5s","strategy":"FedAdam","het":"dir0.5","k":8,"seed":42}`,
-			"train|lenet5s|FedAdam|0|0|8|32|200|20|0|dir0.5|42",
-			"d0681b84501e6c0c665b49497d054beba8625feea701e43e59059bf46bcb106d",
-			"ae24380e1a69d53222398ef5a5858d731ce2252c25c3c6977706a9fbee34412e",
-			"0685d52b584d4a39bd607a05798c6648a4e031042d26d672c61eb14940f6bf3d"},
+		{`{"model":"lenet5s","strategy":"FedAdam","het":"pct60","k":8,"seed":42}`,
+			"train|lenet5s|FedAdam|0|0|8|32|200|20|0|pct60|42",
+			"c81809116856bb99938c0d00ad9a35cd3081da30a0f10b573ea591d0af27940d",
+			"3bcb2b54c65f029bc95b155dc815d4e9ccb3272ad1c034b0e89e1886ef4785d3",
+			"39cf4ed5e6da8820a72e12710d32f291e046e57dc807306c86b40056f7750bc4"},
 		{`{"model":"lenet5s","strategy":"LinearFDA","distributed":true,"k":2,"steps":20}`,
 			"train|lenet5s|LinearFDA|0.052360000000000004|0|2|32|20|20|0|iid|1|dist",
 			"fff9cb0ac3c1adef64b87e31017c0a9256c049cb9eed37eb1ed51f9350d79681",
@@ -96,9 +96,10 @@ func TestTrainKeyGolden(t *testing.T) {
 
 // TestIgnoredFieldsShareOneKey pins the canonical form, strategy by
 // strategy: bodies that differ only in a strategy parameter the strategy
-// does not read (Θ outside the FDA family, τ outside LocalSGD) parse to
-// one key, one run address and one affinity address, while bodies that
-// differ in one it reads keep theirs apart. A negative Θ, where Θ is
+// does not read (Θ outside the FDA family, τ outside LocalSGD) or in the
+// spelling of one data split (pct60, pct60.0, pct6e1) parse to one key,
+// one run address and one affinity address, while bodies that differ in
+// a parameter the strategy reads keep theirs apart. A negative Θ, where Θ is
 // read, is refused by the parser and so carries no affinity either.
 func TestIgnoredFieldsShareOneKey(t *testing.T) {
 	for _, c := range []struct {
@@ -117,6 +118,9 @@ func TestIgnoredFieldsShareOneKey(t *testing.T) {
 		}{
 			{c.theta, []string{"", `,"theta":0.01`, `,"theta":0.5`}},
 			{c.tau, []string{"", `,"tau":3`, `,"tau":7`}},
+			// Spellings of one data split are one job.
+			{false, []string{`,"het":"pct60"`, `,"het":"pct60.0"`, `,"het":"pct6e1"`}},
+			{false, []string{`,"het":"label0"`, `,"het":"label00"`, `,"het":"label+0"`}},
 		} {
 			ids := map[[3]string]bool{}
 			for _, v := range f.variants {

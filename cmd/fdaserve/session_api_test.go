@@ -148,14 +148,22 @@ func TestTrainValidationErrors(t *testing.T) {
 	}
 	// A negative τ is a field error for every strategy, including the
 	// ones that never read it; LocalSGD's constructor would panic on it.
-	for _, body := range []string{
-		`{"model":"lenet5s","strategy":"LocalSGD","tau":-1}`,
-		`{"model":"lenet5s","strategy":"LinearFDA","tau":-1}`,
+	// A split the partitioner would refuse (lenet5s has 10 classes, and a
+	// label split needs 2 holders) or one with no parser is a Het error.
+	for _, c := range []struct{ body, field string }{
+		{`{"model":"lenet5s","strategy":"LocalSGD","tau":-1}`, "Tau"},
+		{`{"model":"lenet5s","strategy":"LinearFDA","tau":-1}`, "Tau"},
+		{`{"model":"lenet5s","strategy":"LinearFDA","het":"pct150"}`, "Het"},
+		{`{"model":"lenet5s","strategy":"LinearFDA","het":"pctNaN"}`, "Het"},
+		{`{"model":"lenet5s","strategy":"LinearFDA","het":"label99"}`, "Het"},
+		{`{"model":"lenet5s","strategy":"LinearFDA","het":"label-1"}`, "Het"},
+		{`{"model":"lenet5s","strategy":"LinearFDA","het":"label0","k":1}`, "Het"},
+		{`{"model":"lenet5s","strategy":"LinearFDA","het":"dir0.5"}`, "Het"},
 	} {
 		errResp.Fields = nil
-		postJSON(t, ts.URL+"/v1/train", body, http.StatusBadRequest, &errResp)
-		if len(errResp.Fields) != 1 || errResp.Fields[0].Field != "Tau" {
-			t.Fatalf("%s: want one field error for Tau, got %+v", body, errResp)
+		postJSON(t, ts.URL+"/v1/train", c.body, http.StatusBadRequest, &errResp)
+		if len(errResp.Fields) != 1 || errResp.Fields[0].Field != c.field {
+			t.Fatalf("%s: want one field error for %s, got %+v", c.body, c.field, errResp)
 		}
 	}
 

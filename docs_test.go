@@ -218,7 +218,7 @@ func TestDocsInvokeDefinedFlags(t *testing.T) {
 // parses strictly, validates and schedules. The smoke specs and the
 // README's shapes are the inline fdaload flag sets they replaced
 // (-rate 40 / 15 -duration 2s -mix train=1,status=4,store=1 -steps 10
-// -k 1 -eval-every 10; the quickstart, bursty and diurnal commands), so
+// -k 1 -eval-every 10; the quickstart command), so
 // their request lines after the tracev1 header are pinned to the
 // digests those flags exported; and DESIGN.md §13 shows example.json
 // verbatim.
@@ -230,8 +230,6 @@ func TestWorkloadSpecFiles(t *testing.T) {
 		"loadsmoke.json":    {89, "f762751660065ade5cc2c4eb46cc932adbbb06cc2014bc640be7e261df204c6a"},
 		"clustersmoke.json": {37, "ef35cd3a2150e8b6f7e92a7deda34e905af2ec5cb4e1aa46f6b9f9420d06890b"},
 		"poisson.json":      {485, "a9021154d843e74f154af6e4724dfeccfc4b08485feb77590bf756412f9248e3"},
-		"bursty.json":       {1020, "3e5f7825e0fb9045bc8a67c558958a81d366d47275b0ae7e8c2a9ced06492f71"},
-		"diurnal.json":      {7272, "fc7a710b5004dabc5b1d8342586566b50dc47bdeff27e3602460f66253b79542"},
 	}
 	files, err := filepath.Glob("docs/workloads/*.json")
 	if err != nil || len(files) == 0 {

@@ -59,12 +59,10 @@ func ExampleHeterogeneity() {
 	fmt.Println(fda.IID())
 	fmt.Println(fda.NonIIDPercent(60))
 	fmt.Println(fda.NonIIDLabel(0, 2))
-	fmt.Println(fda.NonIIDDirichlet(0.5))
 	// Output:
 	// IID
 	// Non-IID: 60%
 	// Non-IID: Label "0"
-	// Non-IID: Dir(0.5)
 }
 
 // ExampleCostModel shows the paper's communication accounting: one ring

@@ -188,10 +188,8 @@ const (
 type Optimizer = opt.Optimizer
 
 var (
-	// NewSGD, NewSGDMomentum, NewSGDNesterov, NewAdam and NewAdamW return
+	// NewSGDNesterov, NewAdam and NewAdamW return the paper's
 	// local-optimizer factories.
-	NewSGD         = opt.NewSGD
-	NewSGDMomentum = opt.NewSGDMomentum
 	NewSGDNesterov = opt.NewSGDNesterov
 	NewAdam        = opt.NewAdam
 	NewAdamW       = opt.NewAdamW
@@ -215,12 +213,11 @@ var (
 	CIFAR10Like   = data.CIFAR10Like
 	CIFAR100Like  = data.CIFAR100Like
 	FitNormalizer = data.FitNormalizer
-	// IID, NonIIDPercent, NonIIDLabel and NonIIDDirichlet name the
-	// heterogeneity scenarios (Dirichlet is the FL-literature extension).
-	IID             = data.IID
-	NonIIDPercent   = data.NonIIDPercent
-	NonIIDLabel     = data.NonIIDLabel
-	NonIIDDirichlet = data.NonIIDDirichlet
+	// IID, NonIIDPercent and NonIIDLabel name the paper's heterogeneity
+	// scenarios.
+	IID           = data.IID
+	NonIIDPercent = data.NonIIDPercent
+	NonIIDLabel   = data.NonIIDLabel
 )
 
 // Sketches (exposed for advanced monitoring uses).

@@ -285,14 +285,30 @@ func TestPollAdoptsReplicaState(t *testing.T) {
 func FuzzAffinityAddress(f *testing.F) {
 	topk := `{"strategy":"FedAdam","seed":7,"model":"vgg16s","tau":3,"topk":0.1,"qbits":8,"distributed":true}`
 	nosuchmodel := `{"model":"nosuchmodel","strategy":"LinearFDA","theta":-0,"target":1e-320,"het":"label:2"}`
-	for _, body := range []string{topk, nosuchmodel} {
+	het := func(h, extra string) string {
+		return `{"model":"lenet5s","strategy":"LinearFDA","het":"` + h + `"` + extra + `}`
+	}
+	// Splits the partitioner would refuse (lenet5s has 10 classes, a
+	// label split needs 2 holders) and one with no parser.
+	refused := []string{topk, nosuchmodel, het("pct150", ""), het("pctNaN", ""), het("label99", ""),
+		het("label-1", ""), het("label0", `,"k":1`), het("dir0.5", "")}
+	for _, body := range refused {
 		if addr, ok := AffinityAddress("train", []byte(body)); ok {
 			f.Fatalf("%s routed to %s; the replica refuses it", body, addr)
 		}
+		f.Add(false, []byte(body))
+	}
+	// Other spellings of one split route as its canonical spelling.
+	for canonical, spellings := range map[string][]string{"pct60": {"pct60.0", "pct6e1"}, "label0": {"label00", "label+0"}} {
+		want, _ := AffinityAddress("train", []byte(het(canonical, "")))
+		for _, h := range spellings {
+			if addr, ok := AffinityAddress("train", []byte(het(h, ""))); !ok || addr != want {
+				f.Fatalf("%s routed to %s (ok=%v), %s to %s", het(h, ""), addr, ok, het(canonical, ""), want)
+			}
+			f.Add(false, []byte(het(h, "")))
+		}
 	}
 	f.Add(false, []byte(trainBody))
-	f.Add(false, []byte(topk))
-	f.Add(false, []byte(nosuchmodel))
 	f.Add(false, []byte(`{"model":"lenet5s","strategy":"LinearFDA","target":-0}`))
 	f.Add(false, []byte(`{"strategy":"LinearFDA"}`))
 	f.Add(true, []byte(`{"experiment":"fig3"}`))

@@ -152,6 +152,11 @@ func (c Config) Validate() error {
 	if c.Test == nil || c.Test.Len() == 0 {
 		add("Test", "test set is empty")
 	}
+	if c.Train != nil && c.K > 0 {
+		if err := c.Het.Check(c.Train.NumClasses, c.K); err != nil {
+			add("Het", "%v", err)
+		}
+	}
 	if c.MaxSteps < 0 {
 		add("MaxSteps", "must be non-negative, got %d", c.MaxSteps)
 	}

@@ -94,28 +94,28 @@ var pinnedDigests = map[string]string{
 	// Every parityStrategies family on testConfig(3), 30 steps.
 	"TestStrategyDigestsMatchPinnedBuild/SketchFDA/iid":      "2b78a5981e91c825",
 	"TestStrategyDigestsMatchPinnedBuild/SketchFDA/label0":   "512a0bc921e92fce",
-	"TestStrategyDigestsMatchPinnedBuild/SketchFDA/dir0.5":   "e5eb8462e15b049b",
+	"TestStrategyDigestsMatchPinnedBuild/SketchFDA/pct60":    "91214076876d80b1",
 	"TestStrategyDigestsMatchPinnedBuild/LinearFDA/iid":      "3bae104957a82371",
 	"TestStrategyDigestsMatchPinnedBuild/LinearFDA/label0":   "f480f80a5763204d",
-	"TestStrategyDigestsMatchPinnedBuild/LinearFDA/dir0.5":   "a9de5e741714463d",
+	"TestStrategyDigestsMatchPinnedBuild/LinearFDA/pct60":    "72b9efbf829ee465",
 	"TestStrategyDigestsMatchPinnedBuild/OracleFDA/iid":      "3cf4131ca672120a",
 	"TestStrategyDigestsMatchPinnedBuild/OracleFDA/label0":   "0b5de29fae81ce49",
-	"TestStrategyDigestsMatchPinnedBuild/OracleFDA/dir0.5":   "f9b155c9efd494bc",
+	"TestStrategyDigestsMatchPinnedBuild/OracleFDA/pct60":    "7b32677c804b41af",
 	"TestStrategyDigestsMatchPinnedBuild/Synchronous/iid":    "a0211ac6675c254d",
 	"TestStrategyDigestsMatchPinnedBuild/Synchronous/label0": "a3650b135f8c19bc",
-	"TestStrategyDigestsMatchPinnedBuild/Synchronous/dir0.5": "edb99b9b94f08015",
+	"TestStrategyDigestsMatchPinnedBuild/Synchronous/pct60":  "b48719e10f038244",
 	"TestStrategyDigestsMatchPinnedBuild/LocalSGD/iid":       "04a2d271750005ee",
 	"TestStrategyDigestsMatchPinnedBuild/LocalSGD/label0":    "f91c9d4fb2ac157d",
-	"TestStrategyDigestsMatchPinnedBuild/LocalSGD/dir0.5":    "7068048ba69e80da",
+	"TestStrategyDigestsMatchPinnedBuild/LocalSGD/pct60":     "b40c6b34633cd0c2",
 	"TestStrategyDigestsMatchPinnedBuild/FedAvgM/iid":        "12589be027fdc862",
 	"TestStrategyDigestsMatchPinnedBuild/FedAvgM/label0":     "89eb76b181de17de",
-	"TestStrategyDigestsMatchPinnedBuild/FedAvgM/dir0.5":     "42f64ea0bbd52832",
+	"TestStrategyDigestsMatchPinnedBuild/FedAvgM/pct60":      "0e6ebaaf233351ea",
 	"TestStrategyDigestsMatchPinnedBuild/FedAdam/iid":        "e17da79ad5031ce6",
 	"TestStrategyDigestsMatchPinnedBuild/FedAdam/label0":     "d887ece0899cf928",
-	"TestStrategyDigestsMatchPinnedBuild/FedAdam/dir0.5":     "aa83830ef4a69ad3",
+	"TestStrategyDigestsMatchPinnedBuild/FedAdam/pct60":      "57e4d84f8062b34f",
 	"TestStrategyDigestsMatchPinnedBuild/AsyncFDA/iid":       "79e50f7a580bbcf7",
 	"TestStrategyDigestsMatchPinnedBuild/AsyncFDA/label0":    "195cd95bb037cbbe",
-	"TestStrategyDigestsMatchPinnedBuild/AsyncFDA/dir0.5":    "08c1d8cb05a58b8f",
+	"TestStrategyDigestsMatchPinnedBuild/AsyncFDA/pct60":     "9a9a8054cdec992c",
 
 	// testConfig(3), iid, 400 steps, captured before Adam skipped its
 	// division by 1 − β1ᵗ once that rounds to 1.
@@ -187,14 +187,14 @@ func TestAsyncOutputDigest(t *testing.T) {
 
 // TestStrategyDigestsMatchPinnedBuild pins every strategy family's
 // complete output — the final global model's bits, every Result counter
-// and the event stream — on an IID, a label-skew and a Dirichlet
+// and the event stream — on an IID, a label-skew and a sorted-percent
 // partition, so a change to a strategy, an optimizer or a partitioner
 // that moves a single bit fails here.
 func TestStrategyDigestsMatchPinnedBuild(t *testing.T) {
 	partitions := map[string]data.Heterogeneity{
 		"iid":    data.IID(),
 		"label0": data.NonIIDLabel(0, 2),
-		"dir0.5": data.NonIIDDirichlet(0.5),
+		"pct60":  data.NonIIDPercent(60),
 	}
 	base := testConfig(3)
 	base.MaxSteps = 30

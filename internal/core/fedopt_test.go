@@ -12,7 +12,7 @@ import (
 // server, one epoch per round. It is the reference the pseudo-gradient
 // formulation that FedAvgM and FedAdam share is checked against.
 func fedAvgFor(cfg Config) *FedOpt {
-	return newFedOpt("FedAvg", &opt.SGD{LR: 1}, cfg)
+	return newFedOpt("FedAvg", &opt.Momentum{LR: 1}, cfg)
 }
 
 // FedAvg with a unit-learning-rate plain-SGD server is mathematically

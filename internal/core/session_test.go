@@ -375,7 +375,7 @@ func TestSessionRestoreRejectsOptimizerState(t *testing.T) {
 	}{
 		{"adam/short", opt.NewAdam(1e-3), func(s map[string][]float64) { s["w0.opt.v0"] = s["w0.opt.v0"][:3] }, "w0.opt.v0"},
 		{"adam/one-moment", opt.NewAdam(1e-3), func(s map[string][]float64) { delete(s, "w2.opt.v1") }, "worker 2"},
-		{"momentum/short", opt.NewSGDMomentum(0.05, 0.9), func(s map[string][]float64) { s["w1.opt.v0"] = s["w1.opt.v0"][:3] }, "w1.opt.v0"},
+		{"momentum/short", func() opt.Optimizer { return &opt.Momentum{LR: 0.05, Mu: 0.9} }, func(s map[string][]float64) { s["w1.opt.v0"] = s["w1.opt.v0"][:3] }, "w1.opt.v0"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -18,8 +18,9 @@ import (
 // digests run Adam only, so this is what pins the SGD family's path.
 func TestDriftNormStateMatchesSeparatePass(t *testing.T) {
 	optimizers := map[string]opt.Factory{
-		"SGD":   opt.NewSGD(0.05),
-		"SGD-M": opt.NewSGDMomentum(0.05, 0.9),
+		// Momentum at µ = 0 is plain SGD; µ > 0 is FedAvgM's server rule
+		"SGD":   func() opt.Optimizer { return &opt.Momentum{LR: 0.05} },
+		"SGD-M": func() opt.Optimizer { return &opt.Momentum{LR: 0.05, Mu: 0.9} },
 		// the DenseNet rows' optimizer, weight decay included
 		"SGD-NM": opt.NewSGDNesterov(0.05, 0.9, 1e-4),
 		"Adam":   opt.NewAdam(1e-3),

@@ -34,7 +34,7 @@ func PartitionIID(ds *Dataset, k int, rng *tensor.RNG) []*Dataset {
 // sorted shards.
 func PartitionNonIIDPercent(ds *Dataset, k int, pct float64, rng *tensor.RNG) []*Dataset {
 	checkPartitionArgs(ds, k)
-	if pct < 0 || pct > 100 {
+	if !(pct >= 0 && pct <= 100) {
 		panic(fmt.Sprintf("data: pct %v out of [0,100]", pct))
 	}
 	n := ds.Len()
@@ -159,9 +159,9 @@ func NonIIDLabel(label, holders int) Heterogeneity {
 }
 
 // ParseHeterogeneity converts the CLI/API selector grammar — "iid",
-// "label<Y>", "pct<X>", "dir<alpha>" — into a scenario. It is the
-// single parser shared by fdarun, fdaserve and the distributed job
-// spec, so every surface accepts exactly the same spellings.
+// "label<Y>", "pct<X>" — into a scenario. It is the single parser shared
+// by fdarun, fdaserve and the distributed job spec, so every surface
+// accepts exactly the same spellings.
 func ParseHeterogeneity(s string) (Heterogeneity, error) {
 	switch {
 	case s == "" || s == "iid":
@@ -178,15 +178,57 @@ func ParseHeterogeneity(s string) (Heterogeneity, error) {
 			return Heterogeneity{}, fmt.Errorf("data: bad heterogeneity %q", s)
 		}
 		return NonIIDPercent(x), nil
-	case strings.HasPrefix(s, "dir"):
-		a, err := strconv.ParseFloat(strings.TrimPrefix(s, "dir"), 64)
-		if err != nil {
-			return Heterogeneity{}, fmt.Errorf("data: bad heterogeneity %q", s)
-		}
-		return NonIIDDirichlet(a), nil
 	default:
 		return Heterogeneity{}, fmt.Errorf("data: unknown heterogeneity %q", s)
 	}
+}
+
+// Selector is the canonical spelling of h in ParseHeterogeneity's
+// grammar ("iid", "label<Y>", "pct<X>" with X printed shortest), so
+// every spelling that parses to one scenario prints one string. The
+// grammar fixes a label's holders at 2; Selector does not print them.
+func (h Heterogeneity) Selector() string {
+	switch h.Kind {
+	case "percent":
+		return "pct" + strconv.FormatFloat(h.Pct+0, 'g', -1, 64)
+	case "label":
+		return "label" + strconv.Itoa(h.Label)
+	default:
+		return "iid"
+	}
+}
+
+// Check reports what Partition would refuse for k ≥ 1 workers over a
+// dataset of the given label arity: a percent outside [0, 100] (NaN
+// included), a label outside [0, classes), or more label holders than
+// workers. Admission calls it so a bad scenario is an error, not a
+// panic in the partitioner.
+func (h Heterogeneity) Check(classes, k int) error {
+	switch h.Kind {
+	case "iid", "":
+	case "percent":
+		if !(h.Pct >= 0 && h.Pct <= 100) {
+			return fmt.Errorf("pct %v out of [0,100]", h.Pct)
+		}
+	case "label":
+		if h.Label < 0 || h.Label >= classes {
+			return fmt.Errorf("label %d out of [0,%d)", h.Label, classes)
+		}
+		if holders := h.holders(); holders < 1 || holders > k {
+			return fmt.Errorf("%d label holders out of [1,%d] (K)", holders, k)
+		}
+	default:
+		return fmt.Errorf("unknown heterogeneity kind %q", h.Kind)
+	}
+	return nil
+}
+
+// holders is the label scenario's holder count, 2 when unset.
+func (h Heterogeneity) holders() int {
+	if h.Holders == 0 {
+		return 2
+	}
+	return h.Holders
 }
 
 // String returns the paper's naming for the scenario.
@@ -198,8 +240,6 @@ func (h Heterogeneity) String() string {
 		return fmt.Sprintf("Non-IID: %.0f%%", h.Pct)
 	case "label":
 		return fmt.Sprintf("Non-IID: Label %q", fmt.Sprint(h.Label))
-	case "dirichlet":
-		return fmt.Sprintf("Non-IID: Dir(%.2g)", h.Pct)
 	default:
 		return "unknown"
 	}
@@ -213,13 +253,7 @@ func (h Heterogeneity) Partition(ds *Dataset, k int, rng *tensor.RNG) []*Dataset
 	case "percent":
 		return PartitionNonIIDPercent(ds, k, h.Pct, rng)
 	case "label":
-		holders := h.Holders
-		if holders == 0 {
-			holders = 2
-		}
-		return PartitionNonIIDLabel(ds, k, h.Label, holders, rng)
-	case "dirichlet":
-		return PartitionDirichlet(ds, k, h.Pct, rng)
+		return PartitionNonIIDLabel(ds, k, h.Label, h.holders(), rng)
 	default:
 		panic("data: unknown heterogeneity kind " + h.Kind)
 	}

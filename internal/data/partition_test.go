@@ -1,6 +1,7 @@
 package data
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -138,6 +139,7 @@ func TestPartitionValidation(t *testing.T) {
 		func() { PartitionIID(ds, 0, tensor.NewRNG(1)) },
 		func() { PartitionIID(ds, 11, tensor.NewRNG(1)) },
 		func() { PartitionNonIIDPercent(ds, 2, 120, tensor.NewRNG(1)) },
+		func() { PartitionNonIIDPercent(ds, 2, math.NaN(), tensor.NewRNG(1)) },
 		func() { PartitionNonIIDLabel(ds, 2, 9, 1, tensor.NewRNG(1)) },
 		func() { PartitionNonIIDLabel(ds, 2, 0, 3, tensor.NewRNG(1)) },
 	} {
@@ -161,6 +163,42 @@ func TestHeterogeneityString(t *testing.T) {
 	}
 	if got := NonIIDLabel(0, 2).String(); got != `Non-IID: Label "0"` {
 		t.Fatalf("label string %q", got)
+	}
+}
+
+// TestHeterogeneitySelector: every spelling of one split prints one
+// canonical selector, which parses back to the same split.
+func TestHeterogeneitySelector(t *testing.T) {
+	for spelling, want := range map[string]string{
+		"": "iid", "iid": "iid", "pct60": "pct60", "pct60.0": "pct60", "pct6e1": "pct60", "pct-0": "pct0",
+		"pct12.5": "pct12.5", "label0": "label0", "label00": "label0", "label+0": "label0", "label7": "label7",
+	} {
+		h, err := ParseHeterogeneity(spelling)
+		if err != nil {
+			t.Fatalf("%q: %v", spelling, err)
+		}
+		if got := h.Selector(); got != want {
+			t.Errorf("%q: selector %q, want %q", spelling, got, want)
+		}
+		if again, _ := ParseHeterogeneity(want); again != h {
+			t.Errorf("%q: %q parses to %+v, not %+v", spelling, want, again, h)
+		}
+	}
+}
+
+// TestHeterogeneityCheck: Check refuses exactly the splits Partition
+// panics on, NaN percent included, for 10 classes and K = 2.
+func TestHeterogeneityCheck(t *testing.T) {
+	for _, h := range []Heterogeneity{IID(), NonIIDPercent(0), NonIIDPercent(100), NonIIDLabel(9, 2), NonIIDLabel(0, 0)} {
+		if err := h.Check(10, 2); err != nil {
+			t.Errorf("%+v: %v", h, err)
+		}
+	}
+	for _, h := range []Heterogeneity{NonIIDPercent(-1), NonIIDPercent(150), NonIIDPercent(math.NaN()),
+		NonIIDLabel(10, 2), NonIIDLabel(-1, 2), NonIIDLabel(0, 3), {Kind: "zipf"}} {
+		if err := h.Check(10, 2); err == nil {
+			t.Errorf("%+v accepted", h)
+		}
 	}
 }
 

@@ -49,6 +49,8 @@ type JobSpec struct {
 	// it: a parsed spec of any other strategy holds 0 here.
 	Tau int `json:"tau,omitempty"`
 	// K, Batch, Steps, EvalEvery, Target, Het, Seed mirror core.Config.
+	// Het is in data.ParseHeterogeneity's grammar; WithDefaults rewrites
+	// it to its canonical spelling (data.Heterogeneity.Selector).
 	K         int     `json:"k"`
 	Batch     int     `json:"batch"`
 	Steps     int     `json:"steps"`
@@ -76,7 +78,12 @@ func (s JobSpec) WithDefaults() JobSpec {
 	s.Batch = cmp.Or(s.Batch, 32)
 	s.Steps = cmp.Or(s.Steps, 200)
 	s.EvalEvery = cmp.Or(s.EvalEvery, 20)
-	s.Het = cmp.Or(s.Het, "iid")
+	// Every spelling of one scenario (pct60, pct60.0, pct6e1) is one
+	// job: print the canonical one. An unparsable Het is left for
+	// Validate to refuse.
+	if het, err := data.ParseHeterogeneity(s.Het); err == nil {
+		s.Het = het.Selector()
+	}
 	s.Seed = cmp.Or(s.Seed, 1)
 	return s
 }
@@ -147,7 +154,7 @@ func (s JobSpec) config() (core.Config, models.Spec, error) {
 	}
 	het, err := data.ParseHeterogeneity(s.Het)
 	if err != nil {
-		return core.Config{}, spec, err
+		return core.Config{}, spec, &core.ConfigError{Fields: []core.FieldError{{Field: "Het", Msg: err.Error()}}}
 	}
 	cfg := core.Config{
 		K: s.K, BatchSize: s.Batch, Seed: s.Seed,
@@ -162,19 +169,22 @@ func (s JobSpec) config() (core.Config, models.Spec, error) {
 
 // Validate vets a spec at admission without synthesizing its datasets
 // (hundreds of milliseconds BuildConfig pays later, off the request
-// path): unknown model, heterogeneity or strategy names, every invalid
-// Config field and a negative Tau (a *core.ConfigError), and strategy
-// parameters core.NewSession would refuse (a negative Θ) are rejected
-// here, so none of them can surface later as a failed job or a panic.
+// path): unknown model or strategy names, every invalid Config field, an
+// unknown or out-of-range Het (a label outside the model's classes, more
+// label holders than K, a percent outside [0, 100]) and a negative Tau
+// (a *core.ConfigError), and strategy parameters core.NewSession would
+// refuse (a negative Θ) are rejected here, so none of them can surface
+// later as a failed job or a panic.
 func (s JobSpec) Validate() error {
-	cfg, _, err := s.config()
+	cfg, spec, err := s.config()
 	if err != nil {
 		return err
 	}
 	// DatasetFor never yields an empty set for a zoo spec, so Train/Test
 	// cannot actually be invalid; the empty placeholder is for the FedOpt
-	// constructors, which read Train's length.
-	cfg.Train = &data.Dataset{}
+	// constructors, which read Train's length, and the Het check, which
+	// reads its label arity.
+	cfg.Train = &data.Dataset{NumClasses: spec.Classes}
 	var fields []core.FieldError
 	var cerr *core.ConfigError
 	if errors.As(cfg.Validate(), &cerr) {

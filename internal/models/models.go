@@ -32,6 +32,8 @@ type Spec struct {
 	// Dataset names the synthetic workload ("mnist-like", "cifar10-like",
 	// "cifar100-like").
 	Dataset string
+	// Classes is Dataset's label arity, the width of the model's output.
+	Classes int
 	// Optimizer is the paper's local optimizer for this row.
 	Optimizer opt.Factory
 	// OptimizerName is used in the Table 2 rendering.
@@ -87,7 +89,7 @@ func LeNet5S() Spec {
 	d := countParams(build)
 	return Spec{
 		Name: "lenet5s", PaperModel: "LeNet-5", PaperParams: "62K",
-		Dataset: "mnist-like", Optimizer: opt.NewAdam(1e-3), OptimizerName: "Adam",
+		Dataset: "mnist-like", Classes: 10, Optimizer: opt.NewAdam(1e-3), OptimizerName: "Adam",
 		Build: build, Params: d, ThetaGrid: thetaGrid(d),
 		Algorithms: "FDA, Synchronous, FedAdam",
 	}
@@ -117,7 +119,7 @@ func VGG16S() Spec {
 	d := countParams(build)
 	return Spec{
 		Name: "vgg16s", PaperModel: "VGG16*", PaperParams: "2.6M",
-		Dataset: "mnist-like", Optimizer: opt.NewAdam(1e-3), OptimizerName: "Adam",
+		Dataset: "mnist-like", Classes: 10, Optimizer: opt.NewAdam(1e-3), OptimizerName: "Adam",
 		Build: build, Params: d, ThetaGrid: thetaGrid(d),
 		Algorithms: "FDA, Synchronous, FedAdam",
 	}
@@ -162,7 +164,7 @@ func densenet(name, paperModel, paperParams string, ch1, ch2, ch3, head int) Spe
 	d := countParams(build)
 	return Spec{
 		Name: name, PaperModel: paperModel, PaperParams: paperParams,
-		Dataset:   "cifar10-like",
+		Dataset: "cifar10-like", Classes: 10,
 		Optimizer: opt.NewSGDNesterov(0.05, 0.9, 1e-4), OptimizerName: "SGD-NM",
 		Build: build, Params: d, ThetaGrid: thetaGrid(d),
 		Algorithms: "FDA, Synchronous, FedAvgM",
@@ -189,7 +191,7 @@ func ConvNeXtS() Spec {
 	d := countParams(build)
 	return Spec{
 		Name: "convnexts", PaperModel: "ConvNeXtLarge (fine-tuning)", PaperParams: "198M",
-		Dataset:   "cifar100-like",
+		Dataset: "cifar100-like", Classes: 100,
 		Optimizer: opt.NewAdamW(5e-4, 1e-4), OptimizerName: "AdamW",
 		Build: build, Params: d, ThetaGrid: thetaGrid(d),
 		Algorithms: "FDA, Synchronous",

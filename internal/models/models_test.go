@@ -43,8 +43,8 @@ func TestBuildersMatchDataset(t *testing.T) {
 		if net.InDim() != train.Dim() {
 			t.Fatalf("%s input %d != dataset dim %d", s.Name, net.InDim(), train.Dim())
 		}
-		if net.OutDim() != train.NumClasses {
-			t.Fatalf("%s output %d != classes %d", s.Name, net.OutDim(), train.NumClasses)
+		if net.OutDim() != train.NumClasses || s.Classes != train.NumClasses {
+			t.Fatalf("%s output %d, spec classes %d != classes %d", s.Name, net.OutDim(), s.Classes, train.NumClasses)
 		}
 		if test.NumClasses != train.NumClasses {
 			t.Fatalf("%s test/train class mismatch", s.Name)

@@ -1,8 +1,8 @@
 // Package opt implements the stochastic optimizers used by the paper's
-// experiments: SGD, SGD with (Nesterov) momentum, Adam and AdamW for local
+// experiments: SGD with Nesterov momentum, Adam and AdamW for local
 // optimization, and the same algorithms reused as *server* optimizers by
-// the FedOpt baselines (FedAvgM = server SGD-momentum, FedAdam = server
-// Adam) applied to pseudo-gradients.
+// the FedOpt baselines (FedAvgM = server SGD with classical momentum,
+// FedAdam = server Adam) applied to pseudo-gradients.
 //
 // All optimizers mutate a flat parameter vector in place given a gradient
 // vector of the same length, matching the flat-model representation in
@@ -87,55 +87,10 @@ type Snapshotter interface {
 	RestoreState(vecs [][]float64, counters []uint64) error
 }
 
-// SGD is plain stochastic gradient descent with optional L2 weight decay.
-type SGD struct {
-	LR          float64
-	WeightDecay float64
-
-	watch
-}
-
-// NewSGD returns an SGD factory.
-func NewSGD(lr float64) Factory {
-	return func() Optimizer { return &SGD{LR: lr} }
-}
-
-// Step implements Optimizer. Without weight decay the update is a single
-// fused AXPY (p += (−lr)·g, bit-identical to p −= lr·g); with decay the
-// decay branch is hoisted out of the element loop.
-func (o *SGD) Step(params, grads []float64) {
-	checkLens(params, grads)
-	if o.WeightDecay == 0 {
-		tensor.AXPY(-o.LR, grads, params)
-	} else {
-		lr, wd := o.LR, o.WeightDecay
-		for i, g := range grads {
-			params[i] -= lr * (g + wd*params[i])
-		}
-	}
-	o.report(params)
-}
-
-// Reset implements Optimizer.
-func (o *SGD) Reset() {}
-
-// StateSnapshot implements Snapshotter: SGD carries no state.
-func (o *SGD) StateSnapshot() ([][]float64, []uint64) { return nil, nil }
-
-// RestoreState implements Snapshotter.
-func (o *SGD) RestoreState(vecs [][]float64, counters []uint64) error {
-	if len(vecs) != 0 || len(counters) != 0 {
-		return fmt.Errorf("opt: SGD snapshot carries unexpected state")
-	}
-	return nil
-}
-
-// Name implements Optimizer.
-func (o *SGD) Name() string { return "SGD" }
-
 // Momentum is SGD with classical or Nesterov momentum and optional L2
 // weight decay. With Nesterov=true and Mu=0.9 it matches the paper's
-// "SGD-NM" local optimizer for the DenseNet experiments.
+// "SGD-NM" local optimizer for the DenseNet experiments; with Mu=0 it is
+// plain SGD (the velocity is the gradient).
 type Momentum struct {
 	LR          float64
 	Mu          float64
@@ -144,11 +99,6 @@ type Momentum struct {
 
 	velocity []float64
 	watch
-}
-
-// NewSGDMomentum returns a classical-momentum factory.
-func NewSGDMomentum(lr, mu float64) Factory {
-	return func() Optimizer { return &Momentum{LR: lr, Mu: mu} }
 }
 
 // NewSGDNesterov returns a Nesterov-momentum factory (the paper's SGD-NM).
@@ -271,10 +221,9 @@ func (o *Adam) Step(params, grads []float64) {
 	b1c := 1 - math.Pow(o.Beta1, float64(o.t))
 	b2c := 1 - math.Pow(o.Beta2, float64(o.t))
 	// The element loop is the tensor.AdamStep kernel (vectorized
-	// bit-identically where the CPU allows); its coupled-decay operand
-	// stays 0.
+	// bit-identically where the CPU allows).
 	w0, xi := o.target()
-	sq, dot := tensor.AdamStep(params, grads, o.m, o.v, o.Beta1, o.Beta2, o.LR, o.Eps, b1c, b2c, 0, o.WeightDecay, w0, xi)
+	sq, dot := tensor.AdamStep(params, grads, o.m, o.v, o.Beta1, o.Beta2, o.LR, o.Eps, b1c, b2c, o.WeightDecay, w0, xi)
 	if w0 != nil {
 		o.out[0], o.out[1] = sq, dot
 		*o.reports++

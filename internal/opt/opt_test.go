@@ -36,8 +36,8 @@ func TestAllOptimizersMinimizeQuadratic(t *testing.T) {
 		steps int
 		tol   float64
 	}{
-		{"sgd", NewSGD(0.1), 300, 1e-6},
-		{"momentum", NewSGDMomentum(0.05, 0.9), 400, 1e-6},
+		{"sgd", func() Optimizer { return &Momentum{LR: 0.1} }, 300, 1e-6},
+		{"momentum", func() Optimizer { return &Momentum{LR: 0.05, Mu: 0.9} }, 400, 1e-6},
 		{"nesterov", NewSGDNesterov(0.05, 0.9, 0), 400, 1e-6},
 		{"adam", NewAdam(0.3), 600, 1e-3},
 		{"adamw", NewAdamW(0.3, 0), 600, 1e-3},
@@ -49,8 +49,10 @@ func TestAllOptimizersMinimizeQuadratic(t *testing.T) {
 	}
 }
 
+// Momentum at µ = 0 is plain SGD: the velocity is the gradient. FedAvg's
+// unit-rate server in the core tests relies on it.
 func TestSGDSingleStep(t *testing.T) {
-	o := &SGD{LR: 0.5}
+	o := &Momentum{LR: 0.5}
 	x := []float64{1, 2}
 	o.Step(x, []float64{2, -4})
 	if x[0] != 0 || x[1] != 4 {
@@ -59,7 +61,7 @@ func TestSGDSingleStep(t *testing.T) {
 }
 
 func TestSGDWeightDecay(t *testing.T) {
-	o := &SGD{LR: 0.1, WeightDecay: 0.5}
+	o := &Momentum{LR: 0.1, WeightDecay: 0.5}
 	x := []float64{2}
 	o.Step(x, []float64{0})
 	// g_eff = 0 + 0.5*2 = 1 ⇒ x = 2 − 0.1 = 1.9.
@@ -140,8 +142,7 @@ func TestResetClearsState(t *testing.T) {
 
 func TestNames(t *testing.T) {
 	cases := map[string]Factory{
-		"SGD":    NewSGD(0.1),
-		"SGD-M":  NewSGDMomentum(0.1, 0.9),
+		"SGD-M":  func() Optimizer { return &Momentum{LR: 0.1, Mu: 0.9} },
 		"SGD-NM": NewSGDNesterov(0.1, 0.9, 0),
 		"Adam":   NewAdam(0.1),
 		"AdamW":  NewAdamW(0.1, 0.01),
@@ -154,15 +155,17 @@ func TestNames(t *testing.T) {
 }
 
 func TestFactoriesProduceIndependentState(t *testing.T) {
-	f := NewSGDMomentum(0.1, 0.9)
+	f := NewSGDNesterov(0.1, 0.9, 0)
 	a, b := f(), f()
 	x := []float64{0}
+	a.Step(x, []float64{1})
+	first := x[0]
 	a.Step(x, []float64{1})
 	// b must behave as fresh.
 	y := []float64{0}
 	b.Step(y, []float64{1})
-	if y[0] != -0.1 {
-		t.Fatalf("second factory instance shares state: %v", y[0])
+	if y[0] != first {
+		t.Fatalf("second factory instance shares state: %v, fresh %v", y[0], first)
 	}
 }
 
@@ -172,7 +175,7 @@ func TestLengthMismatchPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	(&SGD{LR: 0.1}).Step([]float64{1, 2}, []float64{1})
+	(&Momentum{LR: 0.1}).Step([]float64{1, 2}, []float64{1})
 }
 
 // TestAdamStepMatchesScalarLoopExactly pins Adam.Step — bias corrections
@@ -232,9 +235,9 @@ func TestAdamStepMatchesScalarLoopExactly(t *testing.T) {
 func TestWatchReportsDriftOfUpdatedParams(t *testing.T) {
 	const n = 1003
 	for _, o := range []Optimizer{
-		&SGD{LR: 0.1},
-		&SGD{LR: 0.1, WeightDecay: 1e-2},
-		NewSGDMomentum(0.1, 0.9)(),
+		&Momentum{LR: 0.1},
+		&Momentum{LR: 0.1, Mu: 0.9},
+		&Momentum{LR: 0.1, Mu: 0.9, WeightDecay: 1e-2},
 		NewSGDNesterov(0.1, 0.9, 1e-2)(),
 		NewAdam(1e-3)(),
 		NewAdamW(1e-3, 5e-2)(),

@@ -128,7 +128,7 @@ func SubThenSquaredNorm(dst, a, b []float64) float64 {
 // DriftSums returns ‖p − w0‖² and ⟨xi, p − w0⟩ without storing the drift:
 // two independent accumulators, each fed left to right, so they give the
 // bits of AdamStep's watched sums. It is the watch of the optimizers
-// whose update sweep has no fused form (opt.SGD, opt.Momentum).
+// whose update sweep has no fused form (opt.Momentum).
 //
 //fda:noalloc
 func DriftSums(p, w0, xi []float64) (sq, dot float64) {
@@ -562,8 +562,8 @@ func Dot4x2(a, b, x0, x1, x2, x3 []float64) (s0, s1, s2, s3, t0, t1, t2, t3 floa
 // AdamStep is the element loop of one Adam update (opt.Adam.Step): for
 // every i it folds grads[i] into the moments m[i], v[i] and moves
 // params[i] by the bias-corrected step, where b1c = 1−β1ᵗ and b2c = 1−β2ᵗ.
-// A non-zero coupledWD adds classic L2 decay to the gradient; a non-zero
-// decoupledWD applies AdamW's decay to the updated weight. grads is only
+// A non-zero wd applies AdamW's decoupled decay to the updated weight.
+// grads is only
 // read; the four vectors must not overlap. The expression shapes —
 // ((1−b2)·g)·g, (lr·(m/b1c)) / (√(v/b2c)+eps), (lr·wd)·p — are the
 // specification the assembly reproduces operation for operation. Once
@@ -577,7 +577,7 @@ func Dot4x2(a, b, x0, x1, x2, x3 []float64) (s0, s1, s2, s3, t0, t1, t2, t3 floa
 // overlap params, m or v. With w0 nil both sums are zero.
 //
 //fda:noalloc
-func AdamStep(params, grads, m, v []float64, b1, b2, lr, eps, b1c, b2c, coupledWD, decoupledWD float64, w0, xi []float64) (sq, dot float64) {
+func AdamStep(params, grads, m, v []float64, b1, b2, lr, eps, b1c, b2c, wd float64, w0, xi []float64) (sq, dot float64) {
 	n := len(params)
 	watch := w0 != nil
 	if len(grads) != n || len(m) != n || len(v) != n || watch && (len(w0) != n || len(xi) != n) {
@@ -588,12 +588,9 @@ func AdamStep(params, grads, m, v []float64, b1, b2, lr, eps, b1c, b2c, coupledW
 		checkLen("AdamStep", xi, params)
 	}
 	if useAVX2 && n >= simdMinLen {
-		return adamAVX2(params, grads, m, v, b1, b2, lr, eps, b1c, b2c, coupledWD, decoupledWD, w0, xi)
+		return adamAVX2(params, grads, m, v, b1, b2, lr, eps, b1c, b2c, wd, w0, xi)
 	}
 	for i, g := range grads {
-		if coupledWD != 0 {
-			g += coupledWD * params[i]
-		}
 		mi := b1*m[i] + (1-b1)*g
 		vi := b2*v[i] + (1-b2)*g*g
 		m[i] = mi
@@ -602,8 +599,8 @@ func AdamStep(params, grads, m, v []float64, b1, b2, lr, eps, b1c, b2c, coupledW
 			mi /= b1c
 		}
 		p := params[i] - lr*mi/(math.Sqrt(vi/b2c)+eps)
-		if decoupledWD != 0 {
-			p -= lr * decoupledWD * p
+		if wd != 0 {
+			p -= lr * wd * p
 		}
 		params[i] = p
 		if watch {

@@ -402,27 +402,27 @@ dot4x2_done:
 	VZEROUPPER
 	RET
 
-// func adamAVX2(params, grads, m, v []float64, b1, b2, lr, eps, b1c, b2c, coupledWD, decoupledWD float64, w0, xi []float64) (sq, dot float64)
+// func adamAVX2(params, grads, m, v []float64, b1, b2, lr, eps, b1c, b2c, wd float64, w0, xi []float64) (sq, dot float64)
 // One Adam update per element, i < len(params), in the evaluation order of
-// AdamStep's Go loop: g += cwd*p (only if cwd != 0); m = b1*m + (1-b1)*g;
-// v = b2*v + ((1-b2)*g)*g; p -= (lr*(m/b1c)) / (sqrt(v/b2c) + eps), the
-// division by b1c skipped when b1c is exactly 1; p -= (lr*dwd)*p (only if
-// dwd != 0). Lanes are elements. R12/R13 are non-zero iff cwd/dwd != 0 in
-// Go's sense (a shift drops the sign bit, so ±0 is zero and NaN is not);
-// R14 is zero iff b1c's bits are 1.0's.
+// AdamStep's Go loop: m = b1*m + (1-b1)*g; v = b2*v + ((1-b2)*g)*g;
+// p -= (lr*(m/b1c)) / (sqrt(v/b2c) + eps), the division by b1c skipped
+// when b1c is exactly 1; p -= (lr*wd)*p (only if wd != 0). Lanes are
+// elements. R13 is non-zero iff wd != 0 in Go's sense (a shift drops the
+// sign bit, so ±0 is zero and NaN is not); R14 is zero iff b1c's bits
+// are 1.0's.
 //
 // With w0 non-nil (R10) each updated p also feeds the watch: u = p - w0,
 // sq += u*u and dot += xi*u, element by element. X5 holds the pair
 // [sq, dot]: one 128-bit add of [u*u, xi*u] advances both sums by one
 // element, so each lane is its own left-to-right sum from +0.
-TEXT ·adamAVX2(SB), NOSPLIT, $0-224
+TEXT ·adamAVX2(SB), NOSPLIT, $0-216
 	MOVQ params_base+0(FP), DI
 	MOVQ params_len+8(FP), CX
 	MOVQ grads_base+24(FP), SI
 	MOVQ m_base+48(FP), R8
 	MOVQ v_base+72(FP), R9
-	MOVQ w0_base+160(FP), R10
-	MOVQ xi_base+184(FP), R11
+	MOVQ w0_base+152(FP), R10
+	MOVQ xi_base+176(FP), R11
 	MOVQ $0x3FF0000000000000, AX
 	MOVQ b1c+128(FP), R14
 	SUBQ AX, R14
@@ -432,22 +432,18 @@ TEXT ·adamAVX2(SB), NOSPLIT, $0-224
 	VMOVSD b2+104(FP), X10
 	VSUBSD X10, X5, X11
 	VMOVSD lr+112(FP), X12
-	VMOVSD coupledWD+144(FP), X6
-	VMULSD decoupledWD+152(FP), X12, X7
+	VMULSD wd+144(FP), X12, X7
 	VBROADCASTSD X8, Y8
 	VBROADCASTSD X9, Y9
 	VBROADCASTSD X10, Y10
 	VBROADCASTSD X11, Y11
 	VBROADCASTSD X12, Y12
-	VBROADCASTSD X6, Y6
 	VBROADCASTSD X7, Y7
 	VBROADCASTSD eps+120(FP), Y13
 	VBROADCASTSD b1c+128(FP), Y14
 	VBROADCASTSD b2c+136(FP), Y15
 	VXORPD Y5, Y5, Y5
-	MOVQ coupledWD+144(FP), R12
-	SHLQ $1, R12
-	MOVQ decoupledWD+152(FP), R13
+	MOVQ wd+144(FP), R13
 	SHLQ $1, R13
 	XORQ AX, AX
 	SUBQ $4, CX
@@ -456,12 +452,6 @@ TEXT ·adamAVX2(SB), NOSPLIT, $0-224
 adam_loop4:
 	VMOVUPD (SI)(AX*8), Y0
 	VMOVUPD (DI)(AX*8), Y1
-	TESTQ   R12, R12
-	JZ      adam_moments4
-	VMULPD  Y1, Y6, Y4
-	VADDPD  Y4, Y0, Y0
-
-adam_moments4:
 	VMULPD  (R8)(AX*8), Y8, Y2
 	VMULPD  Y0, Y9, Y4
 	VADDPD  Y4, Y2, Y2
@@ -516,12 +506,6 @@ adam_tail:
 adam_loop1:
 	VMOVSD (SI)(AX*8), X0
 	VMOVSD (DI)(AX*8), X1
-	TESTQ  R12, R12
-	JZ     adam_moments1
-	VMULSD X1, X6, X4
-	VADDSD X4, X0, X0
-
-adam_moments1:
 	VMULSD  (R8)(AX*8), X8, X2
 	VMULSD  X0, X9, X4
 	VADDSD  X4, X2, X2
@@ -563,7 +547,7 @@ adam_next1:
 	JL     adam_loop1
 
 adam_done:
-	VMOVUPD X5, sq+208(FP)
+	VMOVUPD X5, sq+200(FP)
 	VZEROUPPER
 	RET
 

@@ -138,26 +138,27 @@ func dot4x2Kernel(name string, f func(a, b, x0, x1, x2, x3 []float64) (s0, s1, s
 }
 
 // adamFunc is AdamStep's signature, shared by its assembly body.
-type adamFunc func(params, grads, m, v []float64, b1, b2, lr, eps, b1c, b2c, coupledWD, decoupledWD float64, w0, xi []float64) (sq, dot float64)
+type adamFunc func(params, grads, m, v []float64, b1, b2, lr, eps, b1c, b2c, wd float64, w0, xi []float64) (sq, dot float64)
 
-// adamKernels puts f in the matrix once per weight-decay mode — each
-// (coupledWD, decoupledWD) pair from {0, non-zero}², named by its
-// suffix (none, /coupled, /decoupled, /both) — with the watch off and on,
-// and with b1c drawn or exactly 1 (/b1c=1), where the division by it is
-// skipped. All eight scalars are drawn — b1, b2, lr, eps, b1c, b2c,
-// coupledWD, decoupledWD — so specials reach each of them; an entry
-// overrides only what its name fixes. A decay that is off keeps the sign
-// of its drawn value, so both ±0 meet the kernel's zero test; one that is
-// on keeps its drawn value unless that is ±0, which becomes 1e-2.
+// adamKernels puts f in the matrix once per weight-decay mode — wd zero
+// (no suffix) or non-zero (/decoupled) — with the watch off and on, and
+// with b1c drawn or exactly 1 (/b1c=1), where the division by it is
+// skipped. All seven scalars are drawn — b1, b2, lr, eps, b1c, b2c, wd —
+// so specials reach each of them; an entry overrides only what its name
+// fixes. A decay that is off keeps the sign of its drawn value, so both
+// ±0 meet the kernel's zero test; one that is on keeps its drawn value
+// unless that is ±0, which becomes 1e-2.
 // Vectors: params, grads, m, v and, watched, w0 and xi, which may be one
 // slice. Unwatched, both sums must be +0.
 func adamKernels(name string, f adamFunc) []simdKernel {
 	var ks []simdKernel
-	for mode, wd := range []string{"", "/coupled", "/decoupled", "/both"} {
-		on := [2]bool{mode&1 != 0, mode&2 != 0}
+	for _, decay := range []bool{false, true} {
 		for _, watch := range []bool{false, true} {
 			for _, unit := range []bool{false, true} {
-				k := simdKernel{name: name + wd, vecs: 4, scalars: 8}
+				k := simdKernel{name: name, vecs: 4, scalars: 7}
+				if decay {
+					k.name += "/decoupled"
+				}
 				if watch {
 					k.name += "/watched"
 					k.vecs, k.alias = 6, [][2]int{{4, 5}}
@@ -170,13 +171,11 @@ func adamKernels(name string, f adamFunc) []simdKernel {
 					if unit {
 						out[4] = 1
 					}
-					for j := range on {
-						switch wd := &out[6+j]; {
-						case !on[j]:
-							*wd = math.Copysign(0, *wd)
-						case *wd == 0:
-							*wd = 1e-2
-						}
+					switch wd := &out[6]; {
+					case !decay:
+						*wd = math.Copysign(0, *wd)
+					case *wd == 0:
+						*wd = 1e-2
 					}
 					return out
 				}
@@ -186,7 +185,7 @@ func adamKernels(name string, f adamFunc) []simdKernel {
 					if watch {
 						w0, xi = v[4], v[5]
 					}
-					sq, dot := f(v[0], v[1], v[2], v[3], a[0], a[1], a[2], a[3], a[4], a[5], a[6], a[7], w0, xi)
+					sq, dot := f(v[0], v[1], v[2], v[3], a[0], a[1], a[2], a[3], a[4], a[5], a[6], w0, xi)
 					return []float64{sq, dot}
 				}
 				k.oracle = func(v [][]float64, c []float64) []float64 {
@@ -543,21 +542,18 @@ func oracleDot4x2(v [][]float64, _ []float64) []float64 {
 // kernel, copied so a change to AdamStep's Go body cannot move its own
 // oracle. It always divides by b1c, so at b1c = 1 it checks that the
 // kernel's skipped division moves no bit. Scalars: b1, b2, lr, eps, b1c,
-// b2c, coupledWD, decoupledWD.
+// b2c, wd.
 func oracleAdam(v [][]float64, c []float64) []float64 {
 	params, grads, m, vv := v[0], v[1], v[2], v[3]
-	b1, b2, lr, eps, b1c, b2c, coupledWD, decoupledWD := c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7]
+	b1, b2, lr, eps, b1c, b2c, wd := c[0], c[1], c[2], c[3], c[4], c[5], c[6]
 	for i, g := range grads {
-		if coupledWD != 0 {
-			g += coupledWD * params[i]
-		}
 		mi := b1*m[i] + (1-b1)*g
 		vi := b2*vv[i] + (1-b2)*g*g
 		m[i] = mi
 		vv[i] = vi
 		params[i] -= lr * (mi / b1c) / (math.Sqrt(vi/b2c) + eps)
-		if decoupledWD != 0 {
-			params[i] -= lr * decoupledWD * params[i]
+		if wd != 0 {
+			params[i] -= lr * wd * params[i]
 		}
 	}
 	return nil
@@ -678,22 +674,21 @@ func FuzzKernelsMatchScalar(f *testing.F) {
 	f.Add(kernelIndex("AXPY4x2"), uint16(4), uint8(3), uint8(2), uint64(2), []byte{0, 0, 0, 0, 0, 0, 0xf0, 0x7f, 1, 0, 0, 0, 0, 0, 0, 0})
 	f.Add(kernelIndex("AXPY4x2-g2s72"), uint16(67), uint8(2), uint8(1), uint64(3), []byte{0, 0, 0, 0, 0, 0, 0xf8, 0xff})
 	f.Add(kernelIndex("AXPY4x2-g18s1"), uint16(23), uint8(0), uint8(0), uint64(4), []byte{0, 0, 0, 0, 0, 0, 0, 0x80})
-	f.Add(kernelIndex("AdamStep/both"), uint16(13), uint8(1), uint8(1), uint64(5), []byte{0, 0, 0, 0, 0, 0, 0, 0x80, 0, 0, 0, 0, 0, 0, 0xf8, 0xff})
+	f.Add(kernelIndex("AdamStep/decoupled"), uint16(13), uint8(1), uint8(1), uint64(5), []byte{0, 0, 0, 0, 0, 0, 0, 0x80, 0, 0, 0, 0, 0, 0, 0xf8, 0xff})
 	f.Add(kernelIndex("ScaleAdd"), uint16(67), uint8(3), uint8(2), uint64(6), []byte{0, 0, 0, 0, 0, 0, 0xf0, 0xff})
 	f.Add(kernelIndex("AXPY4x2-g18s72"), uint16(36), uint8(1), uint8(0), uint64(8), []byte{0, 0, 0, 0, 0, 0, 0, 0x80, 0, 0, 0, 0, 0, 0, 0xf0, 0x7f})
-	// b1c = 1, watched: the skipped division next to the drift sums, a
-	// coupled decay of −0 that must count as off, and the first params
-	// element a subnormal.
+	// b1c = 1, watched: the skipped division next to the drift sums, and
+	// the first params element a subnormal.
 	f.Add(kernelIndex("AdamStep/decoupled/watched/b1c=1"), uint16(37), uint8(3), uint8(1), uint64(9),
 		[]byte{0, 0, 0, 0, 0, 0, 0xee, 0x3f, 0, 0, 0, 0, 0, 0, 0xf0, 0x3f, 0, 0, 0, 0, 0, 0, 0x50, 0x3f,
 			0, 0, 0, 0, 0, 0, 0x80, 0x3e, 0, 0, 0, 0, 0, 0, 0xf0, 0x3f, 0, 0, 0, 0, 0, 0, 0xf0, 0x3f,
-			0, 0, 0, 0, 0, 0, 0, 0x80, 0, 0, 0, 0, 0, 0, 0x80, 0x3f, 1, 0, 0, 0, 0, 0, 0, 0})
-	// A drawn b1c of +0 and b2c subnormal, a coupled decay of NaN and a
-	// decoupled one of −0, watched.
-	f.Add(kernelIndex("AdamStep/coupled/watched"), uint16(19), uint8(2), uint8(1), uint64(10),
+			0, 0, 0, 0, 0, 0, 0x80, 0x3f, 1, 0, 0, 0, 0, 0, 0, 0})
+	// A drawn b1c of +0, b2c subnormal and a decay of −0 that must count
+	// as off, watched.
+	f.Add(kernelIndex("AdamStep/watched"), uint16(19), uint8(2), uint8(1), uint64(10),
 		[]byte{0, 0, 0, 0, 0, 0, 0xee, 0x3f, 0, 0, 0, 0, 0, 0xf0, 0xef, 0x3f, 0, 0, 0, 0, 0, 0, 0x50, 0x3f,
 			0, 0, 0, 0, 0, 0, 0x80, 0x3e, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0,
-			0, 0, 0, 0, 0, 0, 0xf8, 0x7f, 0, 0, 0, 0, 0, 0, 0, 0x80})
+			0, 0, 0, 0, 0, 0, 0, 0x80})
 	f.Fuzz(func(t *testing.T, which uint8, n uint16, off, alias uint8, seed uint64, raw []byte) {
 		k := simdKernels[int(which)%len(simdKernels)]
 		rng := NewRNG(seed)

@@ -303,7 +303,7 @@ func TestAdamStepChecksWatchLengths(t *testing.T) {
 				}
 			}()
 			p, g, m, v := make([]float64, n), make([]float64, n), make([]float64, n), make([]float64, n)
-			AdamStep(p, g, m, v, 0.9, 0.999, 1e-3, 1e-7, 1, 1, 0, 0, c.w0, c.xi)
+			AdamStep(p, g, m, v, 0.9, 0.999, 1e-3, 1e-7, 1, 1, 0, c.w0, c.xi)
 		}()
 	}
 }
@@ -332,7 +332,7 @@ func BenchmarkAdamStep(b *testing.B) {
 				ww0, wxi = w0, xi
 			}
 			for range b.N {
-				AdamStep(params, grads, m, v, 0.9, 0.999, 1e-3, 1e-7, c.b1c, 1-math.Pow(0.999, 5), 0, 1e-4, ww0, wxi)
+				AdamStep(params, grads, m, v, 0.9, 0.999, 1e-3, 1e-7, c.b1c, 1-math.Pow(0.999, 5), 1e-4, ww0, wxi)
 			}
 		})
 	}

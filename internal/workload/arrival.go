@@ -7,59 +7,24 @@ import (
 	"repro/internal/tensor"
 )
 
-// Arrival names a stochastic arrival process and its parameters. All
-// three processes are generated by inversion from the seeded
-// tensor.RNG — no rejection or thinning — so a given (Arrival, seed,
-// duration) triple consumes a deterministic prefix of the stream and
-// yields a bit-identical offset sequence.
+// Arrival names a stochastic arrival process and its parameters. The
+// process is generated by inversion from the seeded tensor.RNG — no
+// rejection or thinning — so a given (Arrival, seed, duration) triple
+// consumes a deterministic prefix of the stream and yields a
+// bit-identical offset sequence.
 type Arrival struct {
-	// Process selects the shape: "poisson", "bursty" or "diurnal".
+	// Process selects the shape; "poisson" is the only one.
 	Process string `json:"process"`
-	// Rate is the mean arrival rate in requests per second: the
-	// homogeneous rate for poisson, the in-burst rate for bursty, and
-	// the rate at weight 1.0 for diurnal.
+	// Rate is the mean arrival rate in requests per second.
 	Rate float64 `json:"rate"`
-	// OnSec/OffSec shape the bursty process: Poisson arrivals at Rate
-	// for OnSec seconds, silence for OffSec seconds, repeating.
-	OnSec  float64 `json:"on_sec,omitempty"`
-	OffSec float64 `json:"off_sec,omitempty"`
-	// PeriodSec and Weights shape the diurnal process: one period is
-	// split into len(Weights) equal phase windows, and window w runs a
-	// Poisson process at Rate*Weights[w]. A zero weight silences its
-	// window entirely. Composing several scales in one spec means
-	// multiplying their piecewise profiles into a single weight vector.
-	PeriodSec float64   `json:"period_sec,omitempty"`
-	Weights   []float64 `json:"weights,omitempty"`
 }
 
 func (a Arrival) validate() error {
 	if a.Rate <= 0 {
 		return fmt.Errorf("workload: arrival rate must be positive, got %g", a.Rate)
 	}
-	switch a.Process {
-	case "poisson":
-	case "bursty":
-		if a.OnSec <= 0 || a.OffSec < 0 {
-			return fmt.Errorf("workload: bursty arrivals need on_sec > 0 and off_sec >= 0 (got on=%g off=%g)", a.OnSec, a.OffSec)
-		}
-	case "diurnal":
-		if a.PeriodSec <= 0 || len(a.Weights) == 0 {
-			return fmt.Errorf("workload: diurnal arrivals need period_sec > 0 and a non-empty weight vector")
-		}
-		positive := false
-		for i, w := range a.Weights {
-			if w < 0 {
-				return fmt.Errorf("workload: diurnal weight[%d] must be non-negative, got %g", i, w)
-			}
-			if w > 0 {
-				positive = true
-			}
-		}
-		if !positive {
-			return fmt.Errorf("workload: diurnal weights are all zero; the process would never fire")
-		}
-	default:
-		return fmt.Errorf("workload: unknown arrival process %q (have poisson, bursty, diurnal)", a.Process)
+	if a.Process != "poisson" {
+		return fmt.Errorf("workload: unknown arrival process %q (have poisson)", a.Process)
 	}
 	return nil
 }
@@ -78,19 +43,8 @@ func expGapNS(rng *tensor.RNG, rate float64) int64 {
 
 // Times generates the process's arrival offsets (nanoseconds from
 // schedule start, strictly within [0, durationNS), non-decreasing)
-// using draws from rng.
+// using draws from rng: exponential inter-arrival gaps at Rate.
 func (a Arrival) Times(rng *tensor.RNG, durationNS int64) []int64 {
-	switch a.Process {
-	case "bursty":
-		return a.burstyTimes(rng, durationNS)
-	case "diurnal":
-		return a.diurnalTimes(rng, durationNS)
-	default:
-		return a.poissonTimes(rng, durationNS)
-	}
-}
-
-func (a Arrival) poissonTimes(rng *tensor.RNG, durationNS int64) []int64 {
 	var out []int64
 	t := expGapNS(rng, a.Rate)
 	for t < durationNS {
@@ -98,66 +52,4 @@ func (a Arrival) poissonTimes(rng *tensor.RNG, durationNS int64) []int64 {
 		t += expGapNS(rng, a.Rate)
 	}
 	return out
-}
-
-// burstyTimes generates a Poisson process on the compressed "active
-// time" axis (on-windows only, concatenated) and maps each arrival
-// back to real time by re-inserting the off-windows. The mapping is
-// exact — no thinning — so the in-burst process is genuinely Poisson
-// at Rate and the off-windows are genuinely silent.
-func (a Arrival) burstyTimes(rng *tensor.RNG, durationNS int64) []int64 {
-	onNS := int64(a.OnSec * 1e9)
-	cycleNS := onNS + int64(a.OffSec*1e9)
-	var out []int64
-	active := expGapNS(rng, a.Rate)
-	for {
-		real := (active/onNS)*cycleNS + active%onNS
-		if real >= durationNS {
-			return out
-		}
-		out = append(out, real)
-		active += expGapNS(rng, a.Rate)
-	}
-}
-
-// diurnalTimes generates a unit-rate-style Poisson process on the
-// integrated-intensity axis and maps it back through the inverse of
-// the piecewise-linear cumulative rate profile (time-scale
-// transformation), again with no thinning: window w of each period
-// contributes Weights[w]×windowLen of "scaled time" per real
-// windowLen, so arrivals land in proportion to their window's weight
-// and zero-weight windows stay empty.
-func (a Arrival) diurnalTimes(rng *tensor.RNG, durationNS int64) []int64 {
-	winNS := int64(a.PeriodSec * 1e9 / float64(len(a.Weights)))
-	if winNS <= 0 {
-		return nil
-	}
-	var out []int64
-	// scaled is the position on the integrated-intensity axis, in
-	// nanoseconds of weight-1.0 time. win walks the phase windows;
-	// winStartScaled is the scaled-axis position of win's left edge.
-	scaled := expGapNS(rng, a.Rate)
-	win := 0
-	var winStartReal, winStartScaled int64
-	for {
-		w := a.Weights[win%len(a.Weights)]
-		// Scaled capacity of this window; zero-weight windows add none.
-		capScaled := int64(float64(winNS) * w)
-		for scaled >= winStartScaled+capScaled {
-			winStartScaled += capScaled
-			win++
-			winStartReal += winNS
-			if winStartReal >= durationNS {
-				return out
-			}
-			w = a.Weights[win%len(a.Weights)]
-			capScaled = int64(float64(winNS) * w)
-		}
-		real := winStartReal + int64(float64(scaled-winStartScaled)/w)
-		if real >= durationNS {
-			return out
-		}
-		out = append(out, real)
-		scaled += expGapNS(rng, a.Rate)
-	}
 }

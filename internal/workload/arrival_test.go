@@ -25,59 +25,6 @@ func TestPoissonMeanRate(t *testing.T) {
 	checkMonotone(t, times, int64(durSec*1e9))
 }
 
-func TestBurstyDutyCycle(t *testing.T) {
-	a := Arrival{Process: "bursty", Rate: 400, OnSec: 1, OffSec: 3}
-	const durSec = 40.0
-	durNS := int64(durSec * 1e9)
-	times := a.Times(tensor.NewRNG(11), durNS)
-	checkMonotone(t, times, durNS)
-	// Every arrival must land strictly inside an on-window.
-	onNS := int64(a.OnSec * 1e9)
-	cycleNS := onNS + int64(a.OffSec*1e9)
-	for i, ts := range times {
-		if ts%cycleNS >= onNS {
-			t.Fatalf("arrival %d at %dns falls in an off-window (phase %dns, on=%dns)", i, ts, ts%cycleNS, onNS)
-		}
-	}
-	// The count reflects the duty cycle: Rate applies only during the
-	// active quarter of each cycle.
-	want := a.Rate * durSec * (a.OnSec / (a.OnSec + a.OffSec))
-	got := float64(len(times))
-	if sigma := math.Sqrt(want); math.Abs(got-want) > 5*sigma {
-		t.Fatalf("bursty count %v, want %v +/- %v", got, want, 5*sigma)
-	}
-}
-
-func TestDiurnalPeriodAlignment(t *testing.T) {
-	// Four phase windows per 4s period: silent, low, silent, high.
-	a := Arrival{Process: "diurnal", Rate: 300, PeriodSec: 4, Weights: []float64{0, 1, 0, 2}}
-	const durSec = 60.0
-	durNS := int64(durSec * 1e9)
-	times := a.Times(tensor.NewRNG(13), durNS)
-	checkMonotone(t, times, durNS)
-	winNS := int64(a.PeriodSec * 1e9 / float64(len(a.Weights)))
-	periodNS := int64(a.PeriodSec * 1e9)
-	counts := make([]float64, len(a.Weights))
-	for i, ts := range times {
-		win := int((ts % periodNS) / winNS)
-		if a.Weights[win] == 0 {
-			t.Fatalf("arrival %d at %dns lands in zero-weight window %d", i, ts, win)
-		}
-		counts[win]++
-	}
-	// Window 3 carries twice window 1's weight, so twice its arrivals.
-	ratio := counts[3] / counts[1]
-	if ratio < 1.7 || ratio > 2.3 {
-		t.Fatalf("window count ratio %v (counts %v), want ~2.0", ratio, counts)
-	}
-	total := counts[0] + counts[1] + counts[2] + counts[3]
-	// Mean effective rate is Rate * mean(weights) = 300 * 0.75.
-	want := a.Rate * durSec * 3 / 4
-	if sigma := math.Sqrt(want); math.Abs(total-want) > 5*sigma {
-		t.Fatalf("diurnal count %v, want %v +/- %v", total, want, 5*sigma)
-	}
-}
-
 func checkMonotone(t *testing.T, times []int64, durNS int64) {
 	t.Helper()
 	if len(times) == 0 {
@@ -99,12 +46,6 @@ func TestArrivalValidate(t *testing.T) {
 	cases := []Arrival{
 		{Process: "poisson", Rate: 0},
 		{Process: "warp", Rate: 1},
-		{Process: "bursty", Rate: 1, OnSec: 0, OffSec: 1},
-		{Process: "bursty", Rate: 1, OnSec: 1, OffSec: -1},
-		{Process: "diurnal", Rate: 1, PeriodSec: 0, Weights: []float64{1}},
-		{Process: "diurnal", Rate: 1, PeriodSec: 1},
-		{Process: "diurnal", Rate: 1, PeriodSec: 1, Weights: []float64{0, 0}},
-		{Process: "diurnal", Rate: 1, PeriodSec: 1, Weights: []float64{1, -1}},
 	}
 	for i, a := range cases {
 		if err := a.validate(); err == nil {

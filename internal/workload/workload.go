@@ -1,6 +1,5 @@
 // Package workload is the declarative, deterministic traffic engine
-// behind the fdaload driver (DESIGN.md §13): arrival processes
-// (Poisson, bursty on/off, diurnal multi-period composition) drawn
+// behind the fdaload driver (DESIGN.md §13): Poisson arrivals drawn
 // from the seeded counter-based tensor.RNG, job-mix cohorts that
 // weight request kinds over fdaserve's real API surface, and a
 // versioned CRC-checked JSONL trace format that can be recorded from
