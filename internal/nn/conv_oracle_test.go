@@ -527,8 +527,9 @@ func TestConvTapsSharedAcrossGoroutines(t *testing.T) {
 }
 
 // FuzzConvMatchesDirectReference fuzzes the layer, not just its kernels:
-// the fuzzer picks the geometry, the sample count and the raw bits of
-// the leading values. gradOut takes the bits as they come — NaN, Inf and
+// the fuzzer picks the geometry (H, W ≤ 12, up to 20 input and 28
+// output channels: every zoo plane, channel tile and remainder channel
+// count), the sample count and the raw bits of the leading values. gradOut takes the bits as they come — NaN, Inf and
 // −0 included; inputs and parameters are made finite (and no bias −0),
 // the domain on which the direct convolution's zero-weight skip is exact.
 // Forward must equal refConv2D bit for bit, Backward the pre-change layer.
@@ -538,9 +539,18 @@ func FuzzConvMatchesDirectReference(f *testing.F) {
 	f.Add(uint8(4), uint8(6), uint8(1), uint8(2), uint8(2), uint8(1), uint64(3), []byte{0, 0, 0, 0, 0, 0, 0xf8, 0xff})
 	f.Add(uint8(0), uint8(7), uint8(0), uint8(1), uint8(2), uint8(0), uint64(4), []byte{1, 0, 0, 0, 0, 0, 0, 0})
 	f.Add(uint8(2), uint8(2), uint8(2), uint8(8), uint8(0), uint8(1), uint64(5), []byte{0, 0, 0, 0, 0, 0, 0xf0, 0xff})
+	// One seed per zoo convolution at its own k = 3, leading gradient
+	// entries NaN, +Inf and −0 where the seed has raw bytes.
+	for i, z := range zooConvs {
+		var raw []byte
+		if i%2 == 0 {
+			raw = []byte{0, 0, 0, 0, 0, 0, 0xf8, 0x7f, 0, 0, 0, 0, 0, 0, 0xf0, 0x7f, 0, 0, 0, 0, 0, 0, 0, 0x80}
+		}
+		f.Add(uint8(z.in.H-1), uint8(z.in.W-1), uint8(z.in.C-1), uint8(z.outC-1), uint8(1), uint8(i%3), uint64(10+i), raw)
+	}
 	f.Fuzz(func(t *testing.T, h, w, inC, outC, k, n uint8, seed uint64, raw []byte) {
-		in := Shape{H: 1 + int(h)%9, W: 1 + int(w)%9, C: 1 + int(inC)%4}
-		l, o := newConvPair(in, 1+int(outC)%9, 1+2*(int(k)%3), seed)
+		in := Shape{H: 1 + int(h)%12, W: 1 + int(w)%12, C: 1 + int(inC)%20}
+		l, o := newConvPair(in, 1+int(outC)%28, 1+2*(int(k)%3), seed)
 		samples := 1 + int(n)%3
 		rng := tensor.NewRNG(seed)
 		j := 0
