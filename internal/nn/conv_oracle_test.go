@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"sync"
 	"testing"
 
 	"repro/internal/tensor"
@@ -455,74 +454,6 @@ func TestConvMatchesPreChangeLayerBitForBit(t *testing.T) {
 					fmt.Sprintf("%+v batch %d needInput=%v", g, n, needInput))
 			}
 		}
-	}
-}
-
-// TestScatterTapIgnoresWrappedEntries: col2im adds a tap's whole shifted
-// span in one Accumulate, which sweeps over the patch-gradient entries
-// that wrapped across an image-row boundary. Whatever the grouped sweep
-// left there — NaN, ±Inf, −0 — must not reach gin: every tap of a 5×5
-// kernel (gaps of one and two) and of kernels wider than the image
-// scatters exactly what the per-row scatter did.
-func TestScatterTapIgnoresWrappedEntries(t *testing.T) {
-	garbage := []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1)}
-	for si, sh := range []struct {
-		in Shape
-		k  int
-	}{{Shape{H: 5, W: 7, C: 2}, 5}, {Shape{H: 8, W: 8, C: 1}, 3}, {Shape{H: 1, W: 8, C: 1}, 5}, {Shape{H: 8, W: 1, C: 2}, 5}, {Shape{H: 2, W: 2, C: 1}, 5}} {
-		l, o := newConvPair(sh.in, 2, sh.k, uint64(500+si))
-		h, w, pad := sh.in.H, sh.in.W, sh.k/2
-		rng := tensor.NewRNG(uint64(600 + si))
-		for r := 0; r < sh.in.C*sh.k*sh.k; r++ {
-			di, dj := r%(sh.k*sh.k)/sh.k-pad, r%sh.k-pad
-			gcol := make([]float64, h*w)
-			tensor.Normal(rng, gcol, 0, 1)
-			for i := 0; i < h; i++ {
-				for j := 0; j < w; j++ {
-					if i+di < 0 || i+di >= h || j+dj < 0 || j+dj >= w {
-						gcol[i*w+j] = garbage[(i+j+r)%len(garbage)]
-					}
-				}
-			}
-			// gin as an accumulator that started at +0 can hold it:
-			// anything but −0.
-			gin := reluLike(rng, sh.in.Size())
-			want := tensor.Clone(gin)
-			o.scatterTap(want, tensor.Clone(gcol), r)
-			l.scatterTap(gin, gcol, r)
-			for i := range want {
-				if math.Float64bits(gin[i]) != math.Float64bits(want[i]) || math.IsNaN(gin[i]) || math.IsInf(gin[i], 0) {
-					t.Fatalf("shape %+v tap %d: gin[%d] = %v, per-row scatter %v", sh, r, i, gin[i], want[i])
-				}
-			}
-		}
-	}
-}
-
-// TestConvTapsSharedAcrossGoroutines: layers built at once on several
-// goroutines, as concurrent jobs and replicas build them, share one set
-// of taps and masks per image geometry, and each still matches the
-// pre-change layer.
-func TestConvTapsSharedAcrossGoroutines(t *testing.T) {
-	const workers = 8
-	layers, oracles := make([]*Conv2D, workers), make([]*oracleConv2D, workers)
-	var wg sync.WaitGroup
-	for g := range layers {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			z := zooConvs[g%3] // 8×8, 4×4, and 8×8 again with other channels
-			layers[g], oracles[g] = newConvPair(z.in, z.outC, 3, uint64(700+g))
-		}()
-	}
-	wg.Wait()
-	for g, l := range layers {
-		if want := convTaps(l.in.H, l.in.W, 3); &l.taps[0] != &want[0] {
-			t.Fatalf("layer %d built its own taps for %+v", g, l.in)
-		}
-		rng := tensor.NewRNG(uint64(800 + g))
-		checkConvAgainstOracle(t, l, oracles[g], reluLike(rng, 2*l.InDim()), reluLike(rng, 2*l.OutDim()), true,
-			fmt.Sprintf("%+v", l.in))
 	}
 }
 

@@ -229,47 +229,6 @@ func Accumulate(dst, src []float64) {
 	}
 }
 
-// MaskedCopy stores src into dst with every bit cleared where mask's is:
-// an all-ones mask element keeps src's bits exactly (NaN payloads
-// included), a zero one stores +0. The im2col kernel: one shifted span
-// per tap, its entries that wrapped across an image-row boundary masked
-// to the padding's +0.
-//
-//fda:noalloc
-func MaskedCopy(dst, src []float64, mask []uint64) {
-	checkLen("MaskedCopy", dst, src)
-	if len(mask) != len(dst) {
-		lenPanic("MaskedCopy", len(mask), len(dst))
-	}
-	if useAVX2 && len(dst) >= simdMinLen {
-		maskedCopyAVX2(dst, src, mask)
-		return
-	}
-	src = src[:len(mask)]
-	for i, m := range mask {
-		dst[i] = math.Float64frombits(math.Float64bits(src[i]) & m)
-	}
-}
-
-// MaskedAdd adds src, masked as in MaskedCopy, into dst: the col2im
-// kernel, where a masked-out entry adds +0.
-//
-//fda:noalloc
-func MaskedAdd(dst, src []float64, mask []uint64) {
-	checkLen("MaskedAdd", dst, src)
-	if len(mask) != len(dst) {
-		lenPanic("MaskedAdd", len(mask), len(dst))
-	}
-	if useAVX2 && len(dst) >= simdMinLen {
-		maskedAddAVX2(dst, src, mask)
-		return
-	}
-	src = src[:len(mask)]
-	for i, m := range mask {
-		dst[i] += math.Float64frombits(math.Float64bits(src[i]) & m)
-	}
-}
-
 // The little-endian byte kernels: float64 vectors to and from the wire
 // format of the socket fabric's float payloads (eight little-endian bytes
 // an element), and the fabric's mean fold straight from those bytes. A
@@ -471,58 +430,6 @@ func Dot4(a, x0, x1, x2, x3 []float64) (s0, s1, s2, s3 float64) {
 		s3 += av * x3[i]
 	}
 	return
-}
-
-// AXPY4x2 is the register-blocked 2×4 convolution micro-kernel with the
-// tap loop inside: for each of groups successive quads of len(ya)-length
-// rows stored back to back in x it computes ya += a0*x0+…+a3*x3 and
-// yb += b0*x0+…+b3*x3 in one sweep, loading each shared x element once
-// for both destinations. Row j's coefficients are wa[j*wStride] and
-// wb[j*wStride]: stride 1 walks a weight row (the conv forward), stride
-// taps a weight column (the input gradient). Each destination's partial
-// sums chain in row order, bit-identical to one AXPY4 per quad and
-// destination; one call stands where groups calls, each with its slicing,
-// length checks and broadcasts, stood before. ya, yb and x must not
-// overlap.
-//
-//fda:noalloc
-func AXPY4x2(ya, yb, x, wa, wb []float64, wStride, groups int) {
-	n := len(ya)
-	if groups <= 0 {
-		return
-	}
-	checkLen("AXPY4x2", yb, ya)
-	if len(x) < 4*groups*n {
-		lenPanic("AXPY4x2", len(x), 4*groups*n)
-	}
-	if last := (4*groups - 1) * wStride; wStride < 1 || len(wa) <= last || len(wb) <= last {
-		lenPanic("AXPY4x2", min(len(wa), len(wb)), last+1)
-	}
-	if useAVX2 && n >= simdMinLen {
-		axpy4x2AVX2(ya, yb, x, wa, wb, wStride, groups)
-		return
-	}
-	yb = yb[:n]
-	for g := 0; g < groups; g++ {
-		rows := x[4*g*n : 4*(g+1)*n]
-		x0, x1, x2, x3 := rows[:n], rows[n:2*n], rows[2*n:3*n], rows[3*n:]
-		w := 4 * g * wStride
-		a0, a1, a2, a3 := wa[w], wa[w+wStride], wa[w+2*wStride], wa[w+3*wStride]
-		b0, b1, b2, b3 := wb[w], wb[w+wStride], wb[w+2*wStride], wb[w+3*wStride]
-		for i := range ya {
-			v0, v1, v2, v3 := x0[i], x1[i], x2[i], x3[i]
-			s := ya[i] + a0*v0
-			s += a1 * v1
-			s += a2 * v2
-			s += a3 * v3
-			ya[i] = s
-			t := yb[i] + b0*v0
-			t += b1 * v1
-			t += b2 * v2
-			t += b3 * v3
-			yb[i] = t
-		}
-	}
 }
 
 // Dot4x2 is the 2×4 weight-gradient micro-kernel: the eight inner

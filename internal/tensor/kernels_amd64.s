@@ -160,123 +160,6 @@ axpy4_done:
 	VZEROUPPER
 	RET
 
-// func axpy4x2AVX2(ya, yb, x, wa, wb []float64, wStride, groups int)
-// For each of groups successive quads of len(ya)-length rows of x, the
-// axpy4 chain for ya with that quad's four wa coefficients and for yb
-// with its four wb coefficients (both wStride elements apart), each
-// shared x element loaded once. The group loop only re-points the row
-// and coefficient registers: per element the instructions are those of
-// one quad, repeated in quad order.
-TEXT ·axpy4x2AVX2(SB), NOSPLIT, $0-136
-	MOVQ ya_base+0(FP), DI
-	MOVQ ya_len+8(FP), CX
-	MOVQ yb_base+24(FP), SI
-	MOVQ x_base+48(FP), R8
-	MOVQ wa_base+72(FP), R12
-	MOVQ wb_base+96(FP), R13
-	MOVQ wStride+120(FP), DX
-	SHLQ $3, DX
-	MOVQ CX, BX
-	SHLQ $3, BX
-	SUBQ $4, CX
-	CMPQ groups+128(FP), $0
-	JLE  axpy4x2_done
-
-axpy4x2_group:
-	LEAQ (R8)(BX*1), R9
-	LEAQ (R8)(BX*2), R10
-	LEAQ (R9)(BX*2), R11
-	VBROADCASTSD (R12), Y8
-	VBROADCASTSD (R13), Y12
-	ADDQ DX, R12
-	ADDQ DX, R13
-	VBROADCASTSD (R12), Y9
-	VBROADCASTSD (R13), Y13
-	ADDQ DX, R12
-	ADDQ DX, R13
-	VBROADCASTSD (R12), Y10
-	VBROADCASTSD (R13), Y14
-	ADDQ DX, R12
-	ADDQ DX, R13
-	VBROADCASTSD (R12), Y11
-	VBROADCASTSD (R13), Y15
-	ADDQ DX, R12
-	ADDQ DX, R13
-	XORQ AX, AX
-	TESTQ CX, CX
-	JL   axpy4x2_tail
-
-axpy4x2_loop4:
-	VMOVUPD (R8)(AX*8), Y0
-	VMOVUPD (R9)(AX*8), Y1
-	VMOVUPD (R10)(AX*8), Y2
-	VMOVUPD (R11)(AX*8), Y3
-	VMOVUPD (DI)(AX*8), Y4
-	VMULPD  Y0, Y8, Y6
-	VADDPD  Y6, Y4, Y4
-	VMULPD  Y1, Y9, Y6
-	VADDPD  Y6, Y4, Y4
-	VMULPD  Y2, Y10, Y6
-	VADDPD  Y6, Y4, Y4
-	VMULPD  Y3, Y11, Y6
-	VADDPD  Y6, Y4, Y4
-	VMOVUPD Y4, (DI)(AX*8)
-	VMOVUPD (SI)(AX*8), Y5
-	VMULPD  Y0, Y12, Y7
-	VADDPD  Y7, Y5, Y5
-	VMULPD  Y1, Y13, Y7
-	VADDPD  Y7, Y5, Y5
-	VMULPD  Y2, Y14, Y7
-	VADDPD  Y7, Y5, Y5
-	VMULPD  Y3, Y15, Y7
-	VADDPD  Y7, Y5, Y5
-	VMOVUPD Y5, (SI)(AX*8)
-	ADDQ    $4, AX
-	CMPQ    AX, CX
-	JLE     axpy4x2_loop4
-
-axpy4x2_tail:
-	CMPQ AX, ya_len+8(FP)
-	JGE  axpy4x2_next
-
-axpy4x2_loop1:
-	VMOVSD (R8)(AX*8), X0
-	VMOVSD (R9)(AX*8), X1
-	VMOVSD (R10)(AX*8), X2
-	VMOVSD (R11)(AX*8), X3
-	VMOVSD (DI)(AX*8), X4
-	VMULSD X0, X8, X6
-	VADDSD X6, X4, X4
-	VMULSD X1, X9, X6
-	VADDSD X6, X4, X4
-	VMULSD X2, X10, X6
-	VADDSD X6, X4, X4
-	VMULSD X3, X11, X6
-	VADDSD X6, X4, X4
-	VMOVSD X4, (DI)(AX*8)
-	VMOVSD (SI)(AX*8), X5
-	VMULSD X0, X12, X7
-	VADDSD X7, X5, X5
-	VMULSD X1, X13, X7
-	VADDSD X7, X5, X5
-	VMULSD X2, X14, X7
-	VADDSD X7, X5, X5
-	VMULSD X3, X15, X7
-	VADDSD X7, X5, X5
-	VMOVSD X5, (SI)(AX*8)
-	INCQ   AX
-	CMPQ   AX, ya_len+8(FP)
-	JL     axpy4x2_loop1
-
-axpy4x2_next:
-	LEAQ (R11)(BX*1), R8
-	DECQ groups+128(FP)
-	JNZ  axpy4x2_group
-
-axpy4x2_done:
-	VZEROUPPER
-	RET
-
 // The Dot4 family keeps accumulator q in lane q. TRANSPOSE4 turns four
 // consecutive elements of the four rows x0..x3 (bases R8..R11, index AX)
 // into four column vectors Y4..Y7, column j = (x0[i+j], x1[i+j],
@@ -827,83 +710,6 @@ dot4x8_done:
 	VZEROUPPER
 	RET
 
-// func maskedCopyAVX2(dst, src []float64, mask []uint64)
-// dst[i] = src[i] with every bit cleared where mask[i]'s is, i < len(dst).
-TEXT ·maskedCopyAVX2(SB), NOSPLIT, $0-72
-	MOVQ dst_base+0(FP), DI
-	MOVQ dst_len+8(FP), CX
-	MOVQ src_base+24(FP), SI
-	MOVQ mask_base+48(FP), DX
-	XORQ AX, AX
-	SUBQ $4, CX
-	JL   maskcopy_tail
-
-maskcopy_loop4:
-	VMOVUPD (SI)(AX*8), Y0
-	VANDPD  (DX)(AX*8), Y0, Y0
-	VMOVUPD Y0, (DI)(AX*8)
-	ADDQ    $4, AX
-	CMPQ    AX, CX
-	JLE     maskcopy_loop4
-
-maskcopy_tail:
-	ADDQ $4, CX
-	CMPQ AX, CX
-	JGE  maskcopy_done
-
-maskcopy_loop1:
-	MOVQ (SI)(AX*8), BX
-	ANDQ (DX)(AX*8), BX
-	MOVQ BX, (DI)(AX*8)
-	INCQ AX
-	CMPQ AX, CX
-	JL   maskcopy_loop1
-
-maskcopy_done:
-	VZEROUPPER
-	RET
-
-// func maskedAddAVX2(dst, src []float64, mask []uint64)
-// dst[i] = dst[i] + (src[i] masked by mask[i]), i < len(dst).
-TEXT ·maskedAddAVX2(SB), NOSPLIT, $0-72
-	MOVQ dst_base+0(FP), DI
-	MOVQ dst_len+8(FP), CX
-	MOVQ src_base+24(FP), SI
-	MOVQ mask_base+48(FP), DX
-	XORQ AX, AX
-	SUBQ $4, CX
-	JL   maskadd_tail
-
-maskadd_loop4:
-	VMOVUPD (SI)(AX*8), Y0
-	VANDPD  (DX)(AX*8), Y0, Y0
-	VMOVUPD (DI)(AX*8), Y1
-	VADDPD  Y0, Y1, Y1
-	VMOVUPD Y1, (DI)(AX*8)
-	ADDQ    $4, AX
-	CMPQ    AX, CX
-	JLE     maskadd_loop4
-
-maskadd_tail:
-	ADDQ $4, CX
-	CMPQ AX, CX
-	JGE  maskadd_done
-
-maskadd_loop1:
-	VMOVSD (SI)(AX*8), X0
-	VMOVSD (DX)(AX*8), X2
-	VANDPD X2, X0, X0
-	VMOVSD (DI)(AX*8), X1
-	VADDSD X0, X1, X1
-	VMOVSD X1, (DI)(AX*8)
-	INCQ   AX
-	CMPQ   AX, CX
-	JL     maskadd_loop1
-
-maskadd_done:
-	VZEROUPPER
-	RET
-
 // The max pool keeps window q of a group in lane q. POOL_PICK runs the
 // scan of MaxPool2x2's Go loop on every lane at once: candidates a, b, c,
 // d in window order, each replacing the best so far (in a) only where it
@@ -1148,5 +954,723 @@ addscalele_loop1:
 	JL     addscalele_loop1
 
 addscalele_done:
+	VZEROUPPER
+	RET
+
+// The convolution tiles (ConvPlan). A run is up to four pixels of one
+// image row, one lane each; its ConvPlan.vecs entry is six words: the
+// run's top-left tap in the padded plane, its first pixel's index in an
+// output plane and four lane masks, all ones for the pixels inside the
+// image. Lanes past the image compute on the plane's border and are
+// never stored: results leave through VMASKMOVPD under those masks.
+
+// convLanes<>+32n is the mask of the first n lanes, n = 0..4.
+DATA convLanes<>+0(SB)/8, $0
+DATA convLanes<>+8(SB)/8, $0
+DATA convLanes<>+16(SB)/8, $0
+DATA convLanes<>+24(SB)/8, $0
+DATA convLanes<>+32(SB)/8, $-1
+DATA convLanes<>+40(SB)/8, $0
+DATA convLanes<>+48(SB)/8, $0
+DATA convLanes<>+56(SB)/8, $0
+DATA convLanes<>+64(SB)/8, $-1
+DATA convLanes<>+72(SB)/8, $-1
+DATA convLanes<>+80(SB)/8, $0
+DATA convLanes<>+88(SB)/8, $0
+DATA convLanes<>+96(SB)/8, $-1
+DATA convLanes<>+104(SB)/8, $-1
+DATA convLanes<>+112(SB)/8, $-1
+DATA convLanes<>+120(SB)/8, $0
+DATA convLanes<>+128(SB)/8, $-1
+DATA convLanes<>+136(SB)/8, $-1
+DATA convLanes<>+144(SB)/8, $-1
+DATA convLanes<>+152(SB)/8, $-1
+GLOBL convLanes<>(SB), RODATA|NOPTR, $160
+
+// FWD_MAC adds w·x into acc, tmp clobbered.
+#define FWD_MAC(x, w, acc, tmp) \
+	VMULPD x, w, tmp; \
+	VADDPD tmp, acc, acc
+
+// FWD_SEL adds w·x into acc only where the lane of m is set (the weight
+// is non-zero): the sum is formed, then selected, so a skipped tap leaves
+// acc's bits as they were. tmp clobbered.
+#define FWD_SEL(x, w, m, acc, tmp) \
+	VMULPD    x, w, tmp; \
+	VADDPD    tmp, acc, tmp; \
+	VBLENDVPD m, tmp, acc, acc
+
+// FWD_STORE stores the pair of accumulators of run k of the quad at R13
+// into the output planes at AX and BX.
+#define FWD_STORE(k, a, b) \
+	MOVQ       (48*k+8)(R13), DX; \
+	VMOVDQU    (48*k+16)(R13), Y8; \
+	VMASKMOVPD a, Y8, (AX)(DX*8); \
+	VMASKMOVPD b, Y8, (BX)(DX*8)
+
+// func convForwardAVX2(y, xp, w, b []float64, taps, vecs []int, hw int)
+// One sample's forward pass: for each pair of output channels (the last
+// of an odd count paired with itself) and each quad of runs, eight
+// accumulators — channel × run — start at the bias and add every tap r
+// in order, weight broadcast times the padded input at the run's offset
+// plus taps[r]; the taps from len(taps) &^ 3 on add only where their
+// weight is non-zero (VCMPPD NEQ_UQ: NaN counts as non-zero, ±0 as zero,
+// like Go's !=). Output planes are hw long.
+// Locals: 0 oc, 8 wa, 16 wb, 24 ya, 32 yb, 40 ba, 48 bb.
+TEXT ·convForwardAVX2(SB), NOSPLIT, $56-152
+	MOVQ taps_base+96(FP), SI
+	MOVQ taps_len+104(FP), CX
+	MOVQ $0, 0(SP)
+
+fwd_oc:
+	// DI = oc, R12 = min(oc+1, outC-1)
+	MOVQ  0(SP), DI
+	LEAQ  1(DI), R12
+	MOVQ  b_len+80(FP), AX
+	DECQ  AX
+	CMPQ  R12, AX
+	CMOVQGT AX, R12
+	MOVQ  b_base+72(FP), AX
+	LEAQ  (AX)(DI*8), BX
+	MOVQ  BX, 40(SP)
+	LEAQ  (AX)(R12*8), BX
+	MOVQ  BX, 48(SP)
+	MOVQ  hw+144(FP), AX
+	MOVQ  DI, BX
+	IMULQ AX, BX
+	SHLQ  $3, BX
+	ADDQ  y_base+0(FP), BX
+	MOVQ  BX, 24(SP)
+	MOVQ  R12, BX
+	IMULQ AX, BX
+	SHLQ  $3, BX
+	ADDQ  y_base+0(FP), BX
+	MOVQ  BX, 32(SP)
+	MOVQ  DI, BX
+	IMULQ CX, BX
+	SHLQ  $3, BX
+	ADDQ  w_base+48(FP), BX
+	MOVQ  BX, 8(SP)
+	MOVQ  R12, BX
+	IMULQ CX, BX
+	SHLQ  $3, BX
+	ADDQ  w_base+48(FP), BX
+	MOVQ  BX, 16(SP)
+	MOVQ  vecs_base+120(FP), R13
+	MOVQ  vecs_len+128(FP), R14
+	SHLQ  $3, R14
+	ADDQ  R13, R14
+
+fwd_quad:
+	MOVQ xp_base+24(FP), AX
+	MOVQ 0(R13), R8
+	LEAQ (AX)(R8*8), R8
+	MOVQ 48(R13), R9
+	LEAQ (AX)(R9*8), R9
+	MOVQ 96(R13), R10
+	LEAQ (AX)(R10*8), R10
+	MOVQ 144(R13), R11
+	LEAQ (AX)(R11*8), R11
+	MOVQ 8(SP), DI
+	MOVQ 16(SP), R12
+	MOVQ 40(SP), AX
+	VBROADCASTSD (AX), Y0
+	VMOVAPD      Y0, Y1
+	VMOVAPD      Y0, Y2
+	VMOVAPD      Y0, Y3
+	MOVQ         48(SP), AX
+	VBROADCASTSD (AX), Y4
+	VMOVAPD      Y4, Y5
+	VMOVAPD      Y4, Y6
+	VMOVAPD      Y4, Y7
+	XORQ         DX, DX
+	MOVQ         CX, AX
+	ANDQ         $-4, AX
+	JZ           fwd_rem
+
+fwd_tap:
+	MOVQ         (SI)(DX*8), BX
+	VBROADCASTSD (DI)(DX*8), Y8
+	VBROADCASTSD (R12)(DX*8), Y9
+	VMOVUPD      (R8)(BX*8), Y10
+	VMOVUPD      (R9)(BX*8), Y11
+	VMOVUPD      (R10)(BX*8), Y12
+	VMOVUPD      (R11)(BX*8), Y13
+	FWD_MAC(Y10, Y8, Y0, Y14)
+	FWD_MAC(Y11, Y8, Y1, Y15)
+	FWD_MAC(Y12, Y8, Y2, Y14)
+	FWD_MAC(Y13, Y8, Y3, Y15)
+	FWD_MAC(Y10, Y9, Y4, Y14)
+	FWD_MAC(Y11, Y9, Y5, Y15)
+	FWD_MAC(Y12, Y9, Y6, Y14)
+	FWD_MAC(Y13, Y9, Y7, Y15)
+	INCQ         DX
+	CMPQ         DX, AX
+	JL           fwd_tap
+
+fwd_rem:
+	CMPQ   DX, CX
+	JGE    fwd_store
+	VXORPD Y15, Y15, Y15
+
+fwd_remtap:
+	MOVQ         (SI)(DX*8), BX
+	VBROADCASTSD (DI)(DX*8), Y8
+	VBROADCASTSD (R12)(DX*8), Y9
+	VCMPPD       $4, Y15, Y8, Y13
+	VCMPPD       $4, Y15, Y9, Y14
+	VMOVUPD      (R8)(BX*8), Y10
+	FWD_SEL(Y10, Y8, Y13, Y0, Y11)
+	FWD_SEL(Y10, Y9, Y14, Y4, Y12)
+	VMOVUPD      (R9)(BX*8), Y10
+	FWD_SEL(Y10, Y8, Y13, Y1, Y11)
+	FWD_SEL(Y10, Y9, Y14, Y5, Y12)
+	VMOVUPD      (R10)(BX*8), Y10
+	FWD_SEL(Y10, Y8, Y13, Y2, Y11)
+	FWD_SEL(Y10, Y9, Y14, Y6, Y12)
+	VMOVUPD      (R11)(BX*8), Y10
+	FWD_SEL(Y10, Y8, Y13, Y3, Y11)
+	FWD_SEL(Y10, Y9, Y14, Y7, Y12)
+	INCQ         DX
+	CMPQ         DX, CX
+	JL           fwd_remtap
+
+fwd_store:
+	MOVQ 24(SP), AX
+	MOVQ 32(SP), BX
+	FWD_STORE(0, Y0, Y4)
+	FWD_STORE(1, Y1, Y5)
+	FWD_STORE(2, Y2, Y6)
+	FWD_STORE(3, Y3, Y7)
+	ADDQ $192, R13
+	CMPQ R13, R14
+	JL   fwd_quad
+	MOVQ 0(SP), AX
+	ADDQ $2, AX
+	MOVQ AX, 0(SP)
+	CMPQ AX, b_len+80(FP)
+	JL   fwd_oc
+	VZEROUPPER
+	RET
+
+// CONV_T4 transposes the 4×4 block in rows a, b, c, d in place (row q
+// becomes column q), t0..t3 clobbered.
+#define CONV_T4(a, b, c, d, t0, t1, t2, t3) \
+	VUNPCKLPD  b, a, t0; \
+	VUNPCKHPD  b, a, t1; \
+	VUNPCKLPD  d, c, t2; \
+	VUNPCKHPD  d, c, t3; \
+	VPERM2F128 $0x20, t2, t0, a; \
+	VPERM2F128 $0x20, t3, t1, b; \
+	VPERM2F128 $0x31, t2, t0, c; \
+	VPERM2F128 $0x31, t3, t1, d
+
+// GW_MAC adds broadcast(tap) · Y8 into acc, tmp clobbered.
+#define GW_MAC(tap, acc, tmp) \
+	VBROADCASTSD tap, tmp; \
+	VMULPD       Y8, tmp, tmp; \
+	VADDPD       tmp, acc, acc
+
+// GW_ADD adds row lo (taps r0..r0+3) and hi (r0+4..r0+7) into the gw row
+// at DI under the tap masks Y12, Y13.
+#define GW_ADD(lo, hi) \
+	VMASKMOVPD (DI), Y12, Y14; \
+	VADDPD     lo, Y14, Y14; \
+	VMASKMOVPD Y14, Y12, (DI); \
+	VMASKMOVPD 32(DI), Y13, Y15; \
+	VADDPD     hi, Y15, Y15; \
+	VMASKMOVPD Y15, Y13, 32(DI)
+
+// GW_TAP loads the pointer to tap r0+k of the padded input (AX) into reg,
+// BX pointing at taps[r0].
+#define GW_TAP(k, reg) \
+	MOVQ (8*k)(BX), reg; \
+	LEAQ (AX)(reg*8), reg
+
+// func convWeightGradAVX2(gw, gb, xp, gt []float64, taps, pix []int, nTaps, outC int)
+// One sample's weight and bias gradients: gt is the gradient
+// pixel-major, its channels rounded up to four (lane q = channel 4c+q).
+// For each quad of channels, the bias gradient first: one sum over the
+// pixels from +0, added into gb. Then tiles of eight taps r0..r0+7
+// (taps is zero-padded to a multiple of eight), or four for the last at
+// most four: for every pixel p in order, accumulator k adds the
+// broadcast padded input at pix[p] + taps[r0+k] times the pixel's four
+// gradient lanes, each lane its own dot from +0, left to right. The tile
+// is transposed to four channel rows of taps and added into gw, the taps
+// past nTaps and the channels past outC left alone.
+// Locals: 0 channel quad c, 8 r0.
+TEXT ·convWeightGradAVX2(SB), NOSPLIT, $16-160
+	MOVQ $0, 0(SP)
+
+gw_quad:
+	// Y12 = the mask of the quad's channels, DX = its lanes of pixel 0,
+	// DI = the gt row stride in bytes
+	MOVQ    outC+152(FP), CX
+	MOVQ    0(SP), AX
+	SHLQ    $2, AX
+	SUBQ    AX, CX
+	MOVQ    $4, BX
+	CMPQ    CX, BX
+	CMOVQGT BX, CX
+	SHLQ    $5, CX
+	LEAQ    convLanes<>(SB), DX
+	VMOVDQU (DX)(CX*1), Y12
+	MOVQ    outC+152(FP), DI
+	ADDQ    $3, DI
+	ANDQ    $-4, DI
+	SHLQ    $3, DI
+	MOVQ    0(SP), DX
+	SHLQ    $5, DX
+	ADDQ    gt_base+72(FP), DX
+	MOVQ    pix_len+128(FP), CX
+	VXORPD  Y0, Y0, Y0
+
+gw_bias:
+	VADDPD (DX), Y0, Y0
+	ADDQ   DI, DX
+	DECQ   CX
+	JNZ    gw_bias
+	MOVQ       gb_base+24(FP), SI
+	LEAQ       (SI)(AX*8), SI
+	VMASKMOVPD (SI), Y12, Y1
+	VADDPD     Y0, Y1, Y1
+	VMASKMOVPD Y1, Y12, (SI)
+	MOVQ       $0, 8(SP)
+
+gw_tile:
+	MOVQ xp_base+48(FP), AX
+	MOVQ taps_base+96(FP), BX
+	MOVQ 8(SP), CX
+	LEAQ (BX)(CX*8), BX
+	GW_TAP(0, R8)
+	GW_TAP(1, R9)
+	GW_TAP(2, R10)
+	GW_TAP(3, R11)
+	MOVQ outC+152(FP), DI
+	ADDQ $3, DI
+	ANDQ $-4, DI
+	SHLQ $3, DI
+	MOVQ 0(SP), DX
+	SHLQ $5, DX
+	ADDQ gt_base+72(FP), DX
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	MOVQ nTaps+144(FP), AX
+	SUBQ CX, AX
+	CMPQ AX, $4
+	MOVQ pix_base+120(FP), CX
+	JLE  gw_four
+	MOVQ xp_base+48(FP), AX
+	GW_TAP(4, R12)
+	GW_TAP(5, R13)
+	GW_TAP(6, R14)
+	GW_TAP(7, SI)
+	MOVQ pix_len+128(FP), AX
+	VXORPD Y4, Y4, Y4
+	VXORPD Y5, Y5, Y5
+	VXORPD Y6, Y6, Y6
+	VXORPD Y7, Y7, Y7
+
+gw_pixel:
+	MOVQ    (CX), BX
+	VMOVUPD (DX), Y8
+	GW_MAC((R8)(BX*8), Y0, Y9)
+	GW_MAC((R9)(BX*8), Y1, Y10)
+	GW_MAC((R10)(BX*8), Y2, Y11)
+	GW_MAC((R11)(BX*8), Y3, Y12)
+	GW_MAC((R12)(BX*8), Y4, Y9)
+	GW_MAC((R13)(BX*8), Y5, Y10)
+	GW_MAC((R14)(BX*8), Y6, Y11)
+	GW_MAC((SI)(BX*8), Y7, Y12)
+	ADDQ    $8, CX
+	ADDQ    DI, DX
+	DECQ    AX
+	JNZ     gw_pixel
+	CONV_T4(Y4, Y5, Y6, Y7, Y8, Y9, Y10, Y11)
+	JMP     gw_store
+
+gw_four:
+	MOVQ pix_len+128(FP), AX
+
+gw_pixel4:
+	MOVQ    (CX), BX
+	VMOVUPD (DX), Y8
+	GW_MAC((R8)(BX*8), Y0, Y9)
+	GW_MAC((R9)(BX*8), Y1, Y10)
+	GW_MAC((R10)(BX*8), Y2, Y11)
+	GW_MAC((R11)(BX*8), Y3, Y12)
+	ADDQ    $8, CX
+	ADDQ    DI, DX
+	DECQ    AX
+	JNZ     gw_pixel4
+
+gw_store:
+	CONV_T4(Y0, Y1, Y2, Y3, Y8, Y9, Y10, Y11)
+	// Y12, Y13 = the masks of min(m, 4) and clamp(m−4, 0, 4) lanes, m the
+	// taps left from r0.
+	MOVQ    nTaps+144(FP), AX
+	SUBQ    8(SP), AX
+	MOVQ    $4, BX
+	MOVQ    AX, CX
+	CMPQ    CX, BX
+	CMOVQGT BX, CX
+	SHLQ    $5, CX
+	LEAQ    convLanes<>(SB), DX
+	VMOVDQU (DX)(CX*1), Y12
+	SUBQ    $4, AX
+	MOVQ    $0, CX
+	CMPQ    AX, CX
+	CMOVQLT CX, AX
+	CMPQ    AX, BX
+	CMOVQGT BX, AX
+	SHLQ    $5, AX
+	VMOVDQU (DX)(AX*1), Y13
+	// DI = gw row of channel 4c at tap r0, SI = row stride, CX = channels
+	// left in the quad; a four-tap tile (Y13 empty) moves r0 on by four
+	MOVQ    nTaps+144(FP), SI
+	MOVQ    0(SP), AX
+	SHLQ    $2, AX
+	MOVQ    outC+152(FP), CX
+	SUBQ    AX, CX
+	IMULQ   SI, AX
+	ADDQ    8(SP), AX
+	SHLQ    $3, SI
+	MOVQ    gw_base+0(FP), DI
+	LEAQ    (DI)(AX*8), DI
+	GW_ADD(Y0, Y4)
+	CMPQ    CX, $1
+	JLE     gw_next
+	ADDQ    SI, DI
+	GW_ADD(Y1, Y5)
+	CMPQ    CX, $2
+	JLE     gw_next
+	ADDQ    SI, DI
+	GW_ADD(Y2, Y6)
+	CMPQ    CX, $3
+	JLE     gw_next
+	ADDQ    SI, DI
+	GW_ADD(Y3, Y7)
+
+gw_next:
+	MOVQ 8(SP), AX
+	ADDQ $8, AX
+	MOVQ AX, 8(SP)
+	CMPQ AX, nTaps+144(FP)
+	JL   gw_tile
+	MOVQ 0(SP), AX
+	INCQ AX
+	MOVQ AX, 0(SP)
+	SHLQ $2, AX
+	CMPQ AX, outC+152(FP)
+	JL   gw_quad
+	VZEROUPPER
+	RET
+
+// GIN_MAC adds w[t] · the padded gradient at tap t's address into acc.
+#define GIN_MAC(t, addr, acc) \
+	VBROADCASTSD (8*t)(R10), Y10; \
+	VMULPD       addr, Y10, Y11; \
+	VADDPD       Y11, acc, acc
+
+// GIN_SEL is GIN_MAC where w[t] is non-zero, acc's bits kept elsewhere
+// (Y13 is +0).
+#define GIN_SEL(t, addr, acc) \
+	VBROADCASTSD (8*t)(R10), Y10; \
+	VMULPD       addr, Y10, Y11; \
+	VADDPD       Y11, acc, Y11; \
+	VCMPPD       $4, Y13, Y10, Y12; \
+	VBLENDVPD    Y12, Y11, acc, acc
+
+// GIN_TAPS applies op to the nine taps of a 3×3 kernel: the output
+// pixel that input pixel (a, b) reaches under tap (ki, kj) sits at
+// (2−ki)·wp + 2−kj past the run's offset in the padded gradient (R8,
+// R9 = wp·8).
+#define GIN_TAPS(op) \
+	op(0, 16(R8)(R9*2), Y0); \
+	op(1, 8(R8)(R9*2), Y1); \
+	op(2, (R8)(R9*2), Y2); \
+	op(3, 16(R8)(R9*1), Y3); \
+	op(4, 8(R8)(R9*1), Y4); \
+	op(5, (R8)(R9*1), Y5); \
+	op(6, 16(R8), Y6); \
+	op(7, 8(R8), Y7); \
+	op(8, (R8), Y8)
+
+// GIN_MASK masks tap t's sum to +0 where its output pixel lies outside
+// the image and stores it into the run's nine sums at AX.
+#define GIN_MASK(t, acc) \
+	VANDPD  (32*t)(R14), acc, acc; \
+	VMOVUPD acc, (32*t)(AX)
+
+// GIN_SUM adds tap t's sums of the four runs at AX into Y0..Y3.
+#define GIN_SUM(t) \
+	VADDPD (32*t)(AX), Y0, Y0; \
+	VADDPD (32*t+288)(AX), Y1, Y1; \
+	VADDPD (32*t+576)(AX), Y2, Y2; \
+	VADDPD (32*t+864)(AX), Y3, Y3
+
+// GIN_STORE stores Y0..Y3's run k of the quad at R13 into gin at SI.
+#define GIN_STORE(k, acc) \
+	MOVQ       (48*k+8)(R13), BX; \
+	VMOVDQU    (48*k+16)(R13), Y8; \
+	VMASKMOVPD acc, Y8, (SI)(BX*8)
+
+// func convInputGradAVX2(gin, gp, w []float64, vecs []int, masks []uint64, sums []float64, inC, outC, wp, hw, plane int)
+// One sample's input gradient for a 3×3 kernel: gp is the gradient as
+// outC padded planes (plane long, rows wp). For each input channel,
+// first each run: nine accumulators — one per tap — sum from +0 over the
+// output channels in order the broadcast weight times the padded
+// gradient under the tap, the last outC mod 4 channels only where their
+// weight is non-zero; each is masked by its run's mask in masks (nine per
+// run) and stored into the run's nine sums. Then, four runs at a time,
+// each run's nine sums are added in tap order into a sum from +0, which
+// is stored into gin. Four runs side by side are four independent add
+// chains, where one run alone would wait on each add.
+TEXT ·convInputGradAVX2(SB), NOSPLIT, $0-184
+	MOVQ   gin_base+0(FP), SI
+	MOVQ   wp+160(FP), R9
+	SHLQ   $3, R9
+	MOVQ   plane+176(FP), R12
+	SHLQ   $3, R12
+	MOVQ   inC+144(FP), DX
+	LEAQ   (DX)(DX*8), DX
+	SHLQ   $3, DX
+	XORQ   DI, DI
+	VXORPD Y13, Y13, Y13
+
+gin_ic:
+	MOVQ vecs_base+72(FP), R13
+	MOVQ masks_base+96(FP), R14
+	MOVQ sums_base+120(FP), AX
+	MOVQ vecs_len+80(FP), CX
+
+gin_run:
+	MOVQ   0(R13), R8
+	SHLQ   $3, R8
+	ADDQ   gp_base+24(FP), R8
+	LEAQ   (DI)(DI*8), R10
+	SHLQ   $3, R10
+	ADDQ   w_base+48(FP), R10
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	VXORPD Y4, Y4, Y4
+	VXORPD Y5, Y5, Y5
+	VXORPD Y6, Y6, Y6
+	VXORPD Y7, Y7, Y7
+	VXORPD Y8, Y8, Y8
+	MOVQ   outC+152(FP), R11
+	ANDQ   $-4, R11
+	JZ     gin_rem
+
+gin_oc:
+	GIN_TAPS(GIN_MAC)
+	ADDQ R12, R8
+	ADDQ DX, R10
+	DECQ R11
+	JNZ  gin_oc
+
+gin_rem:
+	MOVQ outC+152(FP), R11
+	ANDQ $3, R11
+	JZ   gin_mask
+
+gin_remoc:
+	GIN_TAPS(GIN_SEL)
+	ADDQ R12, R8
+	ADDQ DX, R10
+	DECQ R11
+	JNZ  gin_remoc
+
+gin_mask:
+	GIN_MASK(0, Y0)
+	GIN_MASK(1, Y1)
+	GIN_MASK(2, Y2)
+	GIN_MASK(3, Y3)
+	GIN_MASK(4, Y4)
+	GIN_MASK(5, Y5)
+	GIN_MASK(6, Y6)
+	GIN_MASK(7, Y7)
+	GIN_MASK(8, Y8)
+	ADDQ $48, R13
+	ADDQ $288, R14
+	ADDQ $288, AX
+	SUBQ $6, CX
+	JNZ  gin_run
+
+	MOVQ vecs_base+72(FP), R13
+	MOVQ sums_base+120(FP), AX
+	MOVQ vecs_len+80(FP), CX
+
+gin_quad:
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	GIN_SUM(0)
+	GIN_SUM(1)
+	GIN_SUM(2)
+	GIN_SUM(3)
+	GIN_SUM(4)
+	GIN_SUM(5)
+	GIN_SUM(6)
+	GIN_SUM(7)
+	GIN_SUM(8)
+	GIN_STORE(0, Y0)
+	GIN_STORE(1, Y1)
+	GIN_STORE(2, Y2)
+	GIN_STORE(3, Y3)
+	ADDQ $192, R13
+	ADDQ $1152, AX
+	SUBQ $24, CX
+	JNZ  gin_quad
+	MOVQ hw+168(FP), BX
+	LEAQ (SI)(BX*8), SI
+	INCQ DI
+	CMPQ DI, inC+144(FP)
+	JL   gin_ic
+	VZEROUPPER
+	RET
+
+// func convPadAVX2(dst, src []float64, planes, h, w, wp, plane int)
+// Copies planes·h rows of w elements, back to back in src, into dst: row
+// i of plane c starts at c·plane + i·wp.
+TEXT ·convPadAVX2(SB), NOSPLIT, $0-88
+	MOVQ dst_base+0(FP), DI
+	MOVQ src_base+24(FP), SI
+	MOVQ w+64(FP), DX
+	MOVQ wp+72(FP), R9
+	SHLQ $3, R9
+	MOVQ plane+80(FP), R10
+	SHLQ $3, R10
+	MOVQ planes+48(FP), R11
+	TESTQ R11, R11
+	JZ   pad_done
+
+pad_plane:
+	MOVQ DI, R8
+	MOVQ h+56(FP), R12
+
+pad_row:
+	XORQ AX, AX
+	MOVQ DX, CX
+	SUBQ $4, CX
+	JL   pad_tail
+
+pad_loop4:
+	VMOVUPD (SI)(AX*8), Y0
+	VMOVUPD Y0, (R8)(AX*8)
+	ADDQ    $4, AX
+	CMPQ    AX, CX
+	JLE     pad_loop4
+
+pad_tail:
+	CMPQ AX, DX
+	JGE  pad_next
+
+pad_loop1:
+	MOVQ (SI)(AX*8), BX
+	MOVQ BX, (R8)(AX*8)
+	INCQ AX
+	CMPQ AX, DX
+	JL   pad_loop1
+
+pad_next:
+	LEAQ (SI)(DX*8), SI
+	ADDQ R9, R8
+	DECQ R12
+	JNZ  pad_row
+	ADDQ R10, DI
+	DECQ R11
+	JNZ  pad_plane
+
+pad_done:
+	VZEROUPPER
+	RET
+
+// func convTransposeAVX2(gt, g []float64, outC, hw int)
+// gt[q·oc4 + oc] = g[oc·hw + q] for every channel oc < outC and pixel q
+// < hw, oc4 = ⌈outC/4⌉·4: four channels by four pixels through CONV_T4,
+// pixel by pixel in the tail. The lanes of the last quad past outC get
+// copies of its first channel.
+TEXT ·convTransposeAVX2(SB), NOSPLIT, $0-64
+	MOVQ outC+48(FP), R12
+	MOVQ hw+56(FP), R13
+	MOVQ R13, R14
+	SHLQ $3, R14
+	LEAQ 3(R12), DX
+	ANDQ $-4, DX
+	SHLQ $3, DX
+	MOVQ g_base+24(FP), R8
+	MOVQ gt_base+0(FP), DI
+
+tr_quad:
+	// R8..R11 = the quad's channel rows, a missing one repeating R8; R12
+	// counts the channels left
+	MOVQ R8, R9
+	MOVQ R8, R10
+	MOVQ R8, R11
+	MOVQ R12, AX
+	CMPQ AX, $1
+	JLE  tr_rows
+	LEAQ (R8)(R14*1), R9
+	CMPQ AX, $2
+	JLE  tr_rows
+	LEAQ (R8)(R14*2), R10
+	CMPQ AX, $3
+	JLE  tr_rows
+	LEAQ (R10)(R14*1), R11
+
+tr_rows:
+	MOVQ DI, SI
+	XORQ AX, AX
+	MOVQ R13, CX
+	SUBQ $4, CX
+	JL   tr_tail
+
+tr_loop4:
+	VMOVUPD (R8)(AX*8), Y0
+	VMOVUPD (R9)(AX*8), Y1
+	VMOVUPD (R10)(AX*8), Y2
+	VMOVUPD (R11)(AX*8), Y3
+	CONV_T4(Y0, Y1, Y2, Y3, Y4, Y5, Y6, Y7)
+	VMOVUPD Y0, (SI)
+	ADDQ    DX, SI
+	VMOVUPD Y1, (SI)
+	ADDQ    DX, SI
+	VMOVUPD Y2, (SI)
+	ADDQ    DX, SI
+	VMOVUPD Y3, (SI)
+	ADDQ    DX, SI
+	ADDQ    $4, AX
+	CMPQ    AX, CX
+	JLE     tr_loop4
+
+tr_tail:
+	CMPQ AX, R13
+	JGE  tr_next
+
+tr_loop1:
+	MOVQ (R8)(AX*8), BX
+	MOVQ BX, 0(SI)
+	MOVQ (R9)(AX*8), BX
+	MOVQ BX, 8(SI)
+	MOVQ (R10)(AX*8), BX
+	MOVQ BX, 16(SI)
+	MOVQ (R11)(AX*8), BX
+	MOVQ BX, 24(SI)
+	ADDQ DX, SI
+	INCQ AX
+	CMPQ AX, R13
+	JL   tr_loop1
+
+tr_next:
+	LEAQ (R8)(R14*4), R8
+	ADDQ $32, DI
+	SUBQ $4, R12
+	JG   tr_quad
 	VZEROUPPER
 	RET

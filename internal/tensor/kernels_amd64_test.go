@@ -14,11 +14,6 @@ func init() {
 	simdKernels = append(simdKernels,
 		axpyKernel("axpyAVX2", axpyAVX2),
 		axpy4Kernel("axpy4AVX2", axpy4AVX2),
-		axpy4x2Kernel("axpy4x2AVX2", axpy4x2AVX2, 1, 1),
-		axpy4x2Kernel("axpy4x2AVX2-g0", axpy4x2AVX2, 0, 1),
-		axpy4x2Kernel("axpy4x2AVX2-g2s72", axpy4x2AVX2, 2, 72),
-		axpy4x2Kernel("axpy4x2AVX2-g18s1", axpy4x2AVX2, 18, 1),
-		axpy4x2Kernel("axpy4x2AVX2-g18s72", axpy4x2AVX2, 18, 72),
 		dot4Kernel("dot4AVX2", dot4AVX2),
 		dot4x2Kernel("dot4x2AVX2", dot4x2AVX2),
 		scaleKernel("scaleAVX2", scaleAVX2),
@@ -26,8 +21,6 @@ func init() {
 		reluKernel("reluAVX2", reluAVX2),
 		reluGradKernel("reluGradAVX2", reluGradAVX2),
 		dot4x8Kernel("dot4x8AVX2", dot4x8AVX2),
-		maskedKernel("maskedCopyAVX2", maskedCopyAVX2, false),
-		maskedKernel("maskedAddAVX2", maskedAddAVX2, true),
 	)
 	simdKernels = append(simdKernels, adamKernels("adamAVX2", adamAVX2)...)
 	simdKernels = append(simdKernels, leKernels("AVX2", nil, decodeLEAVX2, addScaleLEAVX2)...)

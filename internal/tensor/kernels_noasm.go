@@ -13,10 +13,6 @@ func axpy4AVX2(a0, a1, a2, a3 float64, x0, x1, x2, x3, y []float64) {
 	panic("tensor: no assembly in this build")
 }
 
-func axpy4x2AVX2(ya, yb, x, wa, wb []float64, wStride, groups int) {
-	panic("tensor: no assembly in this build")
-}
-
 func dot4AVX2(a, x0, x1, x2, x3 []float64) (s0, s1, s2, s3 float64) {
 	panic("tensor: no assembly in this build")
 }
@@ -41,9 +37,23 @@ func dot4x8AVX2(dst []float64, stride int, w, x []float64, n int) {
 	panic("tensor: no assembly in this build")
 }
 
-func maskedCopyAVX2(dst, src []float64, mask []uint64) { panic("tensor: no assembly in this build") }
+func convForwardAVX2(y, xp, w, b []float64, taps, vecs []int, hw int) {
+	panic("tensor: no assembly in this build")
+}
 
-func maskedAddAVX2(dst, src []float64, mask []uint64) { panic("tensor: no assembly in this build") }
+func convWeightGradAVX2(gw, gb, xp, gt []float64, taps, pix []int, nTaps, outC int) {
+	panic("tensor: no assembly in this build")
+}
+
+func convInputGradAVX2(gin, gp, w []float64, vecs []int, masks []uint64, sums []float64, inC, outC, wp, hw, plane int) {
+	panic("tensor: no assembly in this build")
+}
+
+func convPadAVX2(dst, src []float64, planes, h, w, wp, plane int) {
+	panic("tensor: no assembly in this build")
+}
+
+func convTransposeAVX2(gt, g []float64, outC, hw int) { panic("tensor: no assembly in this build") }
 
 func maxPool2x2AVX2(y []float64, arg []int, x []float64, rows, w int) {
 	panic("tensor: no assembly in this build")

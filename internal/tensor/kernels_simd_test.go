@@ -40,19 +40,12 @@ type simdKernel struct {
 var simdKernels = slices.Concat([]simdKernel{
 	axpyKernel("AXPY", AXPY),
 	axpy4Kernel("AXPY4", AXPY4),
-	axpy4x2Kernel("AXPY4x2", AXPY4x2, 1, 1),
-	axpy4x2Kernel("AXPY4x2-g0", AXPY4x2, 0, 1),
-	axpy4x2Kernel("AXPY4x2-g2s72", AXPY4x2, 2, 72),
-	axpy4x2Kernel("AXPY4x2-g18s1", AXPY4x2, 18, 1),
-	axpy4x2Kernel("AXPY4x2-g18s72", AXPY4x2, 18, 72),
 	dot4Kernel("Dot4", Dot4),
 	dot4x2Kernel("Dot4x2", Dot4x2),
 	scaleKernel("Scale", Scale),
 	scaleAddKernel("ScaleAdd", ScaleAdd),
 	reluKernel("ReLU", ReLU),
 	reluGradKernel("ReLUGrad", ReLUGrad),
-	maskedKernel("MaskedCopy", MaskedCopy, false),
-	maskedKernel("MaskedAdd", MaskedAdd, true),
 	{
 		name: "DriftSums", vecs: 3, alias: [][2]int{{1, 2}},
 		run: func(v [][]float64, _ []float64) []float64 {
@@ -87,31 +80,6 @@ func axpy4Kernel(name string, f func(a0, a1, a2, a3 float64, x0, x1, x2, x3, y [
 		name: name, vecs: 5, scalars: 4, alias: [][2]int{{0, 4}, {3, 4}}, oracle: oracleAXPY4,
 		run: func(v [][]float64, c []float64) []float64 {
 			f(c[0], c[1], c[2], c[3], v[0], v[1], v[2], v[3], v[4])
-			return nil
-		},
-	}
-}
-
-// axpy4x2Kernel feeds the grouped sweep: vectors 0 and 1 are ya and yb,
-// the other 4·groups the rows, packed back to back at an odd element
-// offset as the kernel reads them. Scalars come eight to a quad, a0..a3
-// then b0..b3, and are laid wStride apart between NaNs, so a coefficient
-// fetched at the wrong stride poisons the result.
-func axpy4x2Kernel(name string, f func(ya, yb, x, wa, wb []float64, wStride, groups int), groups, wStride int) simdKernel {
-	return simdKernel{
-		name: name, vecs: 2 + 4*groups, scalars: 8 * groups, oracle: oracleAXPY4x2,
-		run: func(v [][]float64, c []float64) []float64 {
-			x := make([]float64, 1, 1+4*groups*len(v[0]))
-			for _, r := range v[2:] {
-				x = append(x, r...)
-			}
-			wa, wb := make([]float64, 4*groups*wStride), make([]float64, 4*groups*wStride)
-			Fill(wa, math.NaN())
-			Fill(wb, math.NaN())
-			for j := 0; j < 4*groups; j++ {
-				wa[j*wStride], wb[j*wStride] = c[j/4*8+j%4], c[j/4*8+4+j%4]
-			}
-			f(v[0], v[1], x[1:], wa, wb, wStride, groups)
 			return nil
 		},
 	}
@@ -259,38 +227,6 @@ func reluGradKernel(name string, f func(dst, g, out []float64)) simdKernel {
 					g = 0
 				}
 				v[0][i] = g
-			}
-			return nil
-		},
-	}
-}
-
-// maskedKernel feeds the masked spans: vectors 0 and 1 are dst and src,
-// and vector 2 only draws the mask — zero where its element's sign bit
-// is set, all ones elsewhere — so special values meet both. The oracle
-// branches where the kernels mask.
-func maskedKernel(name string, f func(dst, src []float64, mask []uint64), add bool) simdKernel {
-	mask := func(v []float64) []uint64 {
-		m := make([]uint64, len(v))
-		for i, x := range v {
-			if !math.Signbit(x) {
-				m[i] = ^uint64(0)
-			}
-		}
-		return m
-	}
-	return simdKernel{
-		name: name, vecs: 3, alias: [][2]int{{0, 1}},
-		run: func(v [][]float64, _ []float64) []float64 { f(v[0], v[1], mask(v[2])); return nil },
-		oracle: func(v [][]float64, _ []float64) []float64 {
-			for i, x := range v[1] {
-				if math.Signbit(v[2][i]) {
-					x = 0
-				}
-				if add {
-					x = v[0][i] + x
-				}
-				v[0][i] = x
 			}
 			return nil
 		},
@@ -500,27 +436,6 @@ func oracleAXPY4(v [][]float64, c []float64) []float64 {
 	return nil
 }
 
-func oracleAXPY4x2(v [][]float64, c []float64) []float64 {
-	ya, yb := v[0], v[1]
-	for g := 0; 8*g < len(c); g++ {
-		rows, a, b := v[2+4*g:6+4*g], c[8*g:8*g+4], c[8*g+4:8*g+8]
-		for i := range ya {
-			x0, x1, x2, x3 := rows[0][i], rows[1][i], rows[2][i], rows[3][i]
-			s := ya[i] + a[0]*x0
-			s += a[1] * x1
-			s += a[2] * x2
-			s += a[3] * x3
-			ya[i] = s
-			u := yb[i] + b[0]*x0
-			u += b[1] * x1
-			u += b[2] * x2
-			u += b[3] * x3
-			yb[i] = u
-		}
-	}
-	return nil
-}
-
 func oracleDot4(v [][]float64, _ []float64) []float64 {
 	out := make([]float64, 4)
 	for q := range out {
@@ -671,12 +586,8 @@ func TestSIMDKernelsMatchScalarLoops(t *testing.T) {
 // (the rest come from a seeded stream).
 func FuzzKernelsMatchScalar(f *testing.F) {
 	f.Add(kernelIndex("AXPY"), uint16(9), uint8(1), uint8(0), uint64(1), []byte{})
-	f.Add(kernelIndex("AXPY4x2"), uint16(4), uint8(3), uint8(2), uint64(2), []byte{0, 0, 0, 0, 0, 0, 0xf0, 0x7f, 1, 0, 0, 0, 0, 0, 0, 0})
-	f.Add(kernelIndex("AXPY4x2-g2s72"), uint16(67), uint8(2), uint8(1), uint64(3), []byte{0, 0, 0, 0, 0, 0, 0xf8, 0xff})
-	f.Add(kernelIndex("AXPY4x2-g18s1"), uint16(23), uint8(0), uint8(0), uint64(4), []byte{0, 0, 0, 0, 0, 0, 0, 0x80})
 	f.Add(kernelIndex("AdamStep/decoupled"), uint16(13), uint8(1), uint8(1), uint64(5), []byte{0, 0, 0, 0, 0, 0, 0, 0x80, 0, 0, 0, 0, 0, 0, 0xf8, 0xff})
 	f.Add(kernelIndex("ScaleAdd"), uint16(67), uint8(3), uint8(2), uint64(6), []byte{0, 0, 0, 0, 0, 0, 0xf0, 0xff})
-	f.Add(kernelIndex("AXPY4x2-g18s72"), uint16(36), uint8(1), uint8(0), uint64(8), []byte{0, 0, 0, 0, 0, 0, 0, 0x80, 0, 0, 0, 0, 0, 0, 0xf0, 0x7f})
 	// b1c = 1, watched: the skipped division next to the drift sums, and
 	// the first params element a subnormal.
 	f.Add(kernelIndex("AdamStep/decoupled/watched/b1c=1"), uint16(37), uint8(3), uint8(1), uint64(9),

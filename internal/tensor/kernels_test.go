@@ -178,37 +178,6 @@ func TestAXPY4MatchesSequentialAXPYsExactly(t *testing.T) {
 	}
 }
 
-// TestAXPY4x2MatchesTwoAXPY4Exactly: three quads in one grouped call
-// leave in each destination the bits of three successive AXPY4 sweeps,
-// with the coefficients read down a column of a 3-wide weight matrix.
-func TestAXPY4x2MatchesTwoAXPY4Exactly(t *testing.T) {
-	rng := NewRNG(22)
-	const groups, stride = 3, 3
-	wa, wb := randVec(rng, 4*groups*stride), randVec(rng, 4*groups*stride)
-	for _, n := range kernelLens {
-		x := randVec(rng, 4*groups*n)
-		ya, yb := randVec(rng, n), randVec(rng, n)
-		wantA, wantB := Clone(ya), Clone(yb)
-		for _, side := range []struct{ w, y []float64 }{{wa, wantA}, {wb, wantB}} {
-			for g := 0; g < groups; g++ {
-				var rows [][]float64
-				var c []float64
-				for j := 4 * g; j < 4*g+4; j++ {
-					rows, c = append(rows, x[j*n:(j+1)*n]), append(c, side.w[j*stride])
-				}
-				oracleAXPY4(append(rows, side.y), c)
-			}
-		}
-		AXPY4x2(ya, yb, x, wa, wb, stride, groups)
-		for i := range ya {
-			if ya[i] != wantA[i] || yb[i] != wantB[i] {
-				t.Fatalf("n=%d i=%d: AXPY4x2=(%v,%v) AXPY4=(%v,%v)",
-					n, i, ya[i], yb[i], wantA[i], wantB[i])
-			}
-		}
-	}
-}
-
 func TestDot4MatchesSeparateDotsExactly(t *testing.T) {
 	rng := NewRNG(23)
 	for _, n := range kernelLens {
