@@ -51,12 +51,14 @@ type ConvPlan struct {
 	// input channel, four lane masks: all ones where the output pixel
 	// the input pixel reaches under the tap lies in the image (3×3 only).
 	gmask []uint64
+	// goff[t] is how far past an input pixel's top-left tap the padded
+	// gradient of the output pixel it reaches under tap t lies (3×3 only).
+	goff []int
 
 	// Scratch of the assembly tiles: one sample's gradient as outC
 	// padded planes (gp, whose border stays +0 like the input's) and
 	// pixel-major with the channels rounded up to four (gt), and the
-	// input gradient's masked per-tap sums of one input channel's runs
-	// (gs, laid out like gmask).
+	// input gradient's running sums of one input channel's runs (gs).
 	gp, gt, gs []float64
 }
 
@@ -110,7 +112,10 @@ func NewConvPlan(h, w, k, inC, outC int) *ConvPlan {
 				}
 			}
 		}
-		p.gs = make([]float64, len(p.gmask))
+		p.gs = make([]float64, 4*len(p.vecs)/convVec)
+		for t := 0; t < 9; t++ {
+			p.goff = append(p.goff, (2-t/3)*wp+2-t%3)
+		}
 	}
 	p.gp = make([]float64, outC*p.plane)
 	p.gt = make([]float64, h*w*((outC+3)&^3))
@@ -225,7 +230,7 @@ func (p *ConvPlan) InputGrad(gin, g, w []float64) {
 	}
 	if useAVX2 && p.k == 3 {
 		p.pad(p.gp, g, p.outC)
-		convInputGradAVX2(gin, p.gp, w, p.vecs, p.gmask, p.gs, p.inC, p.outC, p.wp, hw, p.plane)
+		convInputGradAVX2(gin, p.gp, w, p.vecs, p.gmask, p.gs, p.goff, p.inC, p.outC, hw, p.plane)
 		return
 	}
 	pad := p.k / 2

@@ -83,7 +83,7 @@ func convWeightGradAVX2(gw, gb, xp, gt []float64, taps, pix []int, nTaps, outC i
 
 //go:noescape
 //fda:noalloc
-func convInputGradAVX2(gin, gp, w []float64, vecs []int, masks []uint64, sums []float64, inC, outC, wp, hw, plane int)
+func convInputGradAVX2(gin, gp, w []float64, vecs []int, masks []uint64, sums []float64, goff []int, inC, outC, hw, plane int)
 
 //go:noescape
 //fda:noalloc

@@ -1368,169 +1368,280 @@ gw_next:
 	VZEROUPPER
 	RET
 
-// GIN_MAC adds w[t] · the padded gradient at tap t's address into acc.
-#define GIN_MAC(t, addr, acc) \
-	VBROADCASTSD (8*t)(R10), Y10; \
-	VMULPD       addr, Y10, Y11; \
-	VADDPD       Y11, acc, acc
+// The input-gradient tile holds two taps t, t+1 × four runs (Y0..Y3
+// tap t, Y4..Y7 tap t+1), or the last tap alone × four runs. The
+// padded gradient of run k under tap t is at DI + R8..R11 (tap t+1: R12,
+// R13, R14, SI), DI advancing by a plane per output channel; BX points
+// at w[oc][ic][t].
 
-// GIN_SEL is GIN_MAC where w[t] is non-zero, acc's bits kept elsewhere
-// (Y13 is +0).
-#define GIN_SEL(t, addr, acc) \
-	VBROADCASTSD (8*t)(R10), Y10; \
-	VMULPD       addr, Y10, Y11; \
-	VADDPD       Y11, acc, Y11; \
-	VCMPPD       $4, Y13, Y10, Y12; \
-	VBLENDVPD    Y12, Y11, acc, acc
+// GIN_MAC adds w · mem into acc, tmp clobbered.
+#define GIN_MAC(mem, w, acc, tmp) \
+	VMULPD mem, w, tmp; \
+	VADDPD tmp, acc, acc
 
-// GIN_TAPS applies op to the nine taps of a 3×3 kernel: the output
-// pixel that input pixel (a, b) reaches under tap (ki, kj) sits at
-// (2−ki)·wp + 2−kj past the run's offset in the padded gradient (R8,
-// R9 = wp·8).
-#define GIN_TAPS(op) \
-	op(0, 16(R8)(R9*2), Y0); \
-	op(1, 8(R8)(R9*2), Y1); \
-	op(2, (R8)(R9*2), Y2); \
-	op(3, 16(R8)(R9*1), Y3); \
-	op(4, 8(R8)(R9*1), Y4); \
-	op(5, (R8)(R9*1), Y5); \
-	op(6, 16(R8), Y6); \
-	op(7, 8(R8), Y7); \
-	op(8, (R8), Y8)
+// GIN_SEL is GIN_MAC where the lane of m is set (the weight is
+// non-zero), acc's bits kept elsewhere.
+#define GIN_SEL(mem, w, m, acc) \
+	VMULPD    mem, w, Y10; \
+	VADDPD    Y10, acc, Y10; \
+	VBLENDVPD m, Y10, acc, acc
 
-// GIN_MASK masks tap t's sum to +0 where its output pixel lies outside
-// the image and stores it into the run's nine sums at AX.
-#define GIN_MASK(t, acc) \
-	VANDPD  (32*t)(R14), acc, acc; \
-	VMOVUPD acc, (32*t)(AX)
+// GIN_RUN folds the tile's sums of run k into the run's sum at (32k)(SI)
+// in tap order, each first masked to +0 where its output pixel lies
+// outside the image (masks of run k, tap t at (288k)(DX)).
+#define GIN_RUN(k, acc) \
+	VANDPD  (288*k)(DX), acc, acc; \
+	VMOVUPD (32*k)(SI), Y10; \
+	VADDPD  acc, Y10, Y10; \
+	VMOVUPD Y10, (32*k)(SI)
 
-// GIN_SUM adds tap t's sums of the four runs at AX into Y0..Y3.
-#define GIN_SUM(t) \
-	VADDPD (32*t)(AX), Y0, Y0; \
-	VADDPD (32*t+288)(AX), Y1, Y1; \
-	VADDPD (32*t+576)(AX), Y2, Y2; \
-	VADDPD (32*t+864)(AX), Y3, Y3
+#define GIN_RUN2(k, acc, acc2) \
+	VANDPD  (288*k)(DX), acc, acc; \
+	VANDPD  (288*k+32)(DX), acc2, acc2; \
+	VMOVUPD (32*k)(SI), Y10; \
+	VADDPD  acc, Y10, Y10; \
+	VADDPD  acc2, Y10, Y10; \
+	VMOVUPD Y10, (32*k)(SI)
 
-// GIN_STORE stores Y0..Y3's run k of the quad at R13 into gin at SI.
-#define GIN_STORE(k, acc) \
-	MOVQ       (48*k+8)(R13), BX; \
-	VMOVDQU    (48*k+16)(R13), Y8; \
-	VMASKMOVPD acc, Y8, (SI)(BX*8)
+// GIN_IDX loads into reg the byte offset of run k's padded gradient under
+// the tap whose offset is in BX (CX points at the quad's runs).
+#define GIN_IDX(k, reg) \
+	MOVQ (48*k)(CX), reg; \
+	ADDQ BX, reg; \
+	SHLQ $3, reg
 
-// func convInputGradAVX2(gin, gp, w []float64, vecs []int, masks []uint64, sums []float64, inC, outC, wp, hw, plane int)
+// GIN_STORE stores run k's sum at (32k)(SI) into gin at DI under the
+// run's lane mask (vecs entry at CX).
+#define GIN_STORE(k) \
+	MOVQ       (48*k+8)(CX), BX; \
+	VMOVUPD    (32*k)(SI), Y0; \
+	VMOVDQU    (48*k+16)(CX), Y1; \
+	VMASKMOVPD Y0, Y1, (DI)(BX*8)
+
+// func convInputGradAVX2(gin, gp, w []float64, vecs []int, masks []uint64, sums []float64, goff []int, inC, outC, hw, plane int)
 // One sample's input gradient for a 3×3 kernel: gp is the gradient as
-// outC padded planes (plane long, rows wp). For each input channel,
-// first each run: nine accumulators — one per tap — sum from +0 over the
-// output channels in order the broadcast weight times the padded
-// gradient under the tap, the last outC mod 4 channels only where their
-// weight is non-zero; each is masked by its run's mask in masks (nine per
-// run) and stored into the run's nine sums. Then, four runs at a time,
-// each run's nine sums are added in tap order into a sum from +0, which
-// is stored into gin. Four runs side by side are four independent add
-// chains, where one run alone would wait on each add.
-TEXT ·convInputGradAVX2(SB), NOSPLIT, $0-184
-	MOVQ   gin_base+0(FP), SI
-	MOVQ   wp+160(FP), R9
-	SHLQ   $3, R9
-	MOVQ   plane+176(FP), R12
-	SHLQ   $3, R12
-	MOVQ   inC+144(FP), DX
-	LEAQ   (DX)(DX*8), DX
-	SHLQ   $3, DX
-	XORQ   DI, DI
-	VXORPD Y13, Y13, Y13
+// outC padded planes (plane long), goff[t] the offset of the output
+// pixel an input pixel reaches under tap t. For each input channel each
+// run's sum starts at +0 in sums; then tile by tile, each accumulator
+// sums from +0 over the output channels in order the broadcast weight
+// times the padded gradient under its tap, the last outC mod 4 channels
+// only where their weight is non-zero, and is masked to +0 where its
+// output pixel lies outside the image (masks: nine per run) and added
+// into the run's sum, tap after tap. The sums are stored into gin.
+// Locals: 0 ic, 8 t, 16 quad's first run index.
+TEXT ·convInputGradAVX2(SB), NOSPLIT, $24-200
+	MOVQ $0, 0(SP)
 
 gin_ic:
-	MOVQ vecs_base+72(FP), R13
-	MOVQ masks_base+96(FP), R14
-	MOVQ sums_base+120(FP), AX
-	MOVQ vecs_len+80(FP), CX
+	// sums = +0
+	VXORPD Y0, Y0, Y0
+	MOVQ   sums_base+120(FP), SI
+	MOVQ   vecs_len+80(FP), CX
 
-gin_run:
-	MOVQ   0(R13), R8
-	SHLQ   $3, R8
-	ADDQ   gp_base+24(FP), R8
-	LEAQ   (DI)(DI*8), R10
-	SHLQ   $3, R10
-	ADDQ   w_base+48(FP), R10
+gin_zero:
+	VMOVUPD Y0, (SI)
+	ADDQ    $32, SI
+	SUBQ    $6, CX
+	JNZ     gin_zero
+	MOVQ    $0, 8(SP)
+
+gin_tap:
+	MOVQ $0, 16(SP)
+
+gin_quad:
+	// CX = the quad's vecs entries, DI = gp, BX = &w[0][ic][t], AX =
+	// plane bytes, DX = weight row bytes
+	MOVQ 16(SP), CX
+	LEAQ (CX)(CX*2), CX
+	SHLQ $4, CX
+	ADDQ vecs_base+72(FP), CX
+	MOVQ goff_base+144(FP), DX
+	MOVQ 8(SP), AX
+	MOVQ (DX)(AX*8), BX
+	GIN_IDX(0, R8)
+	GIN_IDX(1, R9)
+	GIN_IDX(2, R10)
+	GIN_IDX(3, R11)
 	VXORPD Y0, Y0, Y0
 	VXORPD Y1, Y1, Y1
 	VXORPD Y2, Y2, Y2
 	VXORPD Y3, Y3, Y3
+	CMPQ   AX, $8
+	JEQ    gin_one
+	MOVQ   8(DX)(AX*8), BX
+	GIN_IDX(0, R12)
+	GIN_IDX(1, R13)
+	GIN_IDX(2, R14)
+	GIN_IDX(3, SI)
 	VXORPD Y4, Y4, Y4
 	VXORPD Y5, Y5, Y5
 	VXORPD Y6, Y6, Y6
 	VXORPD Y7, Y7, Y7
-	VXORPD Y8, Y8, Y8
-	MOVQ   outC+152(FP), R11
-	ANDQ   $-4, R11
-	JZ     gin_rem
+	MOVQ gp_base+24(FP), DI
+	MOVQ 0(SP), BX
+	LEAQ (BX)(BX*8), BX
+	ADDQ 8(SP), BX
+	SHLQ $3, BX
+	ADDQ w_base+48(FP), BX
+	MOVQ plane+192(FP), AX
+	SHLQ $3, AX
+	MOVQ inC+168(FP), DX
+	LEAQ (DX)(DX*8), DX
+	SHLQ $3, DX
+	MOVQ outC+176(FP), CX
+	ANDQ   $-4, CX
+	JZ     gin_rem2
 
-gin_oc:
-	GIN_TAPS(GIN_MAC)
-	ADDQ R12, R8
-	ADDQ DX, R10
-	DECQ R11
-	JNZ  gin_oc
+gin_oc2:
+	VBROADCASTSD (BX), Y8
+	VBROADCASTSD 8(BX), Y9
+	GIN_MAC((DI)(R8*1), Y8, Y0, Y10)
+	GIN_MAC((DI)(R9*1), Y8, Y1, Y11)
+	GIN_MAC((DI)(R10*1), Y8, Y2, Y12)
+	GIN_MAC((DI)(R11*1), Y8, Y3, Y13)
+	GIN_MAC((DI)(R12*1), Y9, Y4, Y10)
+	GIN_MAC((DI)(R13*1), Y9, Y5, Y11)
+	GIN_MAC((DI)(R14*1), Y9, Y6, Y12)
+	GIN_MAC((DI)(SI*1), Y9, Y7, Y13)
+	ADDQ         AX, DI
+	ADDQ         DX, BX
+	DECQ         CX
+	JNZ          gin_oc2
 
-gin_rem:
-	MOVQ outC+152(FP), R11
-	ANDQ $3, R11
-	JZ   gin_mask
+gin_rem2:
+	MOVQ   outC+176(FP), CX
+	ANDQ   $3, CX
+	JZ     gin_fold2
+	VXORPD Y15, Y15, Y15
 
-gin_remoc:
-	GIN_TAPS(GIN_SEL)
-	ADDQ R12, R8
-	ADDQ DX, R10
-	DECQ R11
-	JNZ  gin_remoc
+gin_remoc2:
+	VBROADCASTSD (BX), Y8
+	VBROADCASTSD 8(BX), Y9
+	VCMPPD       $4, Y15, Y8, Y14
+	VCMPPD       $4, Y15, Y9, Y13
+	GIN_SEL((DI)(R8*1), Y8, Y14, Y0)
+	GIN_SEL((DI)(R9*1), Y8, Y14, Y1)
+	GIN_SEL((DI)(R10*1), Y8, Y14, Y2)
+	GIN_SEL((DI)(R11*1), Y8, Y14, Y3)
+	GIN_SEL((DI)(R12*1), Y9, Y13, Y4)
+	GIN_SEL((DI)(R13*1), Y9, Y13, Y5)
+	GIN_SEL((DI)(R14*1), Y9, Y13, Y6)
+	GIN_SEL((DI)(SI*1), Y9, Y13, Y7)
+	ADDQ         AX, DI
+	ADDQ         DX, BX
+	DECQ         CX
+	JNZ          gin_remoc2
 
-gin_mask:
-	GIN_MASK(0, Y0)
-	GIN_MASK(1, Y1)
-	GIN_MASK(2, Y2)
-	GIN_MASK(3, Y3)
-	GIN_MASK(4, Y4)
-	GIN_MASK(5, Y5)
-	GIN_MASK(6, Y6)
-	GIN_MASK(7, Y7)
-	GIN_MASK(8, Y8)
-	ADDQ $48, R13
-	ADDQ $288, R14
-	ADDQ $288, AX
-	SUBQ $6, CX
-	JNZ  gin_run
+gin_fold2:
+	MOVQ 16(SP), AX
+	LEAQ (AX)(AX*8), DX
+	ADDQ 8(SP), DX
+	SHLQ $5, DX
+	ADDQ masks_base+96(FP), DX
+	SHLQ $5, AX
+	MOVQ sums_base+120(FP), SI
+	ADDQ AX, SI
+	GIN_RUN2(0, Y0, Y4)
+	GIN_RUN2(1, Y1, Y5)
+	GIN_RUN2(2, Y2, Y6)
+	GIN_RUN2(3, Y3, Y7)
+	JMP  gin_nextquad
 
-	MOVQ vecs_base+72(FP), R13
-	MOVQ sums_base+120(FP), AX
-	MOVQ vecs_len+80(FP), CX
+gin_one:
+	MOVQ gp_base+24(FP), DI
+	MOVQ 0(SP), BX
+	LEAQ (BX)(BX*8), BX
+	ADDQ 8(SP), BX
+	SHLQ $3, BX
+	ADDQ w_base+48(FP), BX
+	MOVQ plane+192(FP), AX
+	SHLQ $3, AX
+	MOVQ inC+168(FP), DX
+	LEAQ (DX)(DX*8), DX
+	SHLQ $3, DX
+	MOVQ outC+176(FP), CX
+	ANDQ $-4, CX
+	JZ   gin_rem1
 
-gin_quad:
-	VXORPD Y0, Y0, Y0
-	VXORPD Y1, Y1, Y1
-	VXORPD Y2, Y2, Y2
-	VXORPD Y3, Y3, Y3
-	GIN_SUM(0)
-	GIN_SUM(1)
-	GIN_SUM(2)
-	GIN_SUM(3)
-	GIN_SUM(4)
-	GIN_SUM(5)
-	GIN_SUM(6)
-	GIN_SUM(7)
-	GIN_SUM(8)
-	GIN_STORE(0, Y0)
-	GIN_STORE(1, Y1)
-	GIN_STORE(2, Y2)
-	GIN_STORE(3, Y3)
-	ADDQ $192, R13
-	ADDQ $1152, AX
-	SUBQ $24, CX
-	JNZ  gin_quad
-	MOVQ hw+168(FP), BX
-	LEAQ (SI)(BX*8), SI
-	INCQ DI
-	CMPQ DI, inC+144(FP)
+gin_oc1:
+	VBROADCASTSD (BX), Y8
+	GIN_MAC((DI)(R8*1), Y8, Y0, Y10)
+	GIN_MAC((DI)(R9*1), Y8, Y1, Y11)
+	GIN_MAC((DI)(R10*1), Y8, Y2, Y12)
+	GIN_MAC((DI)(R11*1), Y8, Y3, Y13)
+	ADDQ         AX, DI
+	ADDQ         DX, BX
+	DECQ         CX
+	JNZ          gin_oc1
+
+gin_rem1:
+	MOVQ   outC+176(FP), CX
+	ANDQ   $3, CX
+	JZ     gin_fold1
+	VXORPD Y15, Y15, Y15
+
+gin_remoc1:
+	VBROADCASTSD (BX), Y8
+	VCMPPD       $4, Y15, Y8, Y14
+	GIN_SEL((DI)(R8*1), Y8, Y14, Y0)
+	GIN_SEL((DI)(R9*1), Y8, Y14, Y1)
+	GIN_SEL((DI)(R10*1), Y8, Y14, Y2)
+	GIN_SEL((DI)(R11*1), Y8, Y14, Y3)
+	ADDQ         AX, DI
+	ADDQ         DX, BX
+	DECQ         CX
+	JNZ          gin_remoc1
+
+gin_fold1:
+	MOVQ 16(SP), AX
+	LEAQ (AX)(AX*8), DX
+	ADDQ 8(SP), DX
+	SHLQ $5, DX
+	ADDQ masks_base+96(FP), DX
+	SHLQ $5, AX
+	MOVQ sums_base+120(FP), SI
+	ADDQ AX, SI
+	GIN_RUN(0, Y0)
+	GIN_RUN(1, Y1)
+	GIN_RUN(2, Y2)
+	GIN_RUN(3, Y3)
+
+gin_nextquad:
+	MOVQ 16(SP), AX
+	ADDQ $4, AX
+	MOVQ AX, 16(SP)
+	LEAQ (AX)(AX*2), AX
+	SHLQ $1, AX
+	CMPQ AX, vecs_len+80(FP)
+	JL   gin_quad
+	MOVQ 8(SP), AX
+	ADDQ $2, AX
+	MOVQ AX, 8(SP)
+	CMPQ AX, $9
+	JL   gin_tap
+
+	// gin[ic] = the sums, under each run's lane mask
+	MOVQ hw+184(FP), DI
+	IMULQ 0(SP), DI
+	SHLQ $3, DI
+	ADDQ gin_base+0(FP), DI
+	MOVQ sums_base+120(FP), SI
+	MOVQ vecs_base+72(FP), CX
+	MOVQ vecs_len+80(FP), DX
+
+gin_store:
+	GIN_STORE(0)
+	GIN_STORE(1)
+	GIN_STORE(2)
+	GIN_STORE(3)
+	ADDQ $128, SI
+	ADDQ $192, CX
+	SUBQ $24, DX
+	JNZ  gin_store
+	MOVQ 0(SP), AX
+	INCQ AX
+	MOVQ AX, 0(SP)
+	CMPQ AX, inC+168(FP)
 	JL   gin_ic
 	VZEROUPPER
 	RET

@@ -45,7 +45,7 @@ func convWeightGradAVX2(gw, gb, xp, gt []float64, taps, pix []int, nTaps, outC i
 	panic("tensor: no assembly in this build")
 }
 
-func convInputGradAVX2(gin, gp, w []float64, vecs []int, masks []uint64, sums []float64, inC, outC, wp, hw, plane int) {
+func convInputGradAVX2(gin, gp, w []float64, vecs []int, masks []uint64, sums []float64, goff []int, inC, outC, hw, plane int) {
 	panic("tensor: no assembly in this build")
 }
 
