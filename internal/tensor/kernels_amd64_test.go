@@ -24,4 +24,6 @@ func init() {
 	)
 	simdKernels = append(simdKernels, adamKernels("adamAVX2", adamAVX2)...)
 	simdKernels = append(simdKernels, leKernels("AVX2", nil, decodeLEAVX2, addScaleLEAVX2)...)
+	simdKernels = append(simdKernels,
+		convAsmKernels(convForwardAVX2, convWeightGradAVX2, convInputGradAVX2, convPadAVX2, convTransposeAVX2)...)
 }
