@@ -33,7 +33,7 @@ func main() {
 
 	scenarios := []fda.Heterogeneity{
 		fda.IID(),
-		fda.NonIIDLabel(0, 2),
+		fda.NonIIDLabel(0),
 		fda.NonIIDPercent(60),
 	}
 

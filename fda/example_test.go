@@ -58,7 +58,7 @@ func ExampleNewSketcher() {
 func ExampleHeterogeneity() {
 	fmt.Println(fda.IID())
 	fmt.Println(fda.NonIIDPercent(60))
-	fmt.Println(fda.NonIIDLabel(0, 2))
+	fmt.Println(fda.NonIIDLabel(0))
 	// Output:
 	// IID
 	// Non-IID: 60%

@@ -56,7 +56,7 @@ func TestFacadeHeterogeneityAndBaselines(t *testing.T) {
 		Model:     buildMLP(train.Dim(), train.NumClasses),
 		Optimizer: fda.NewAdam(1e-3),
 		Train:     train, Test: test,
-		Het:      fda.NonIIDLabel(0, 2),
+		Het:      fda.NonIIDLabel(0),
 		MaxSteps: 40, EvalEvery: 20,
 	}
 	for _, s := range []fda.Strategy{

@@ -321,7 +321,7 @@ func TestHistoryRecorded(t *testing.T) {
 
 func TestHeterogeneousRunsComplete(t *testing.T) {
 	for _, het := range []data.Heterogeneity{
-		data.IID(), data.NonIIDPercent(60), data.NonIIDLabel(0, 2),
+		data.IID(), data.NonIIDPercent(60), data.NonIIDLabel(0),
 	} {
 		cfg := testConfig(15)
 		cfg.Het = het

@@ -193,7 +193,7 @@ func TestAsyncOutputDigest(t *testing.T) {
 func TestStrategyDigestsMatchPinnedBuild(t *testing.T) {
 	partitions := map[string]data.Heterogeneity{
 		"iid":    data.IID(),
-		"label0": data.NonIIDLabel(0, 2),
+		"label0": data.NonIIDLabel(0),
 		"pct60":  data.NonIIDPercent(60),
 	}
 	base := testConfig(3)

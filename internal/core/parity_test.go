@@ -102,7 +102,7 @@ func TestParallelRunParityHeterogeneous(t *testing.T) {
 	base := testConfig(11)
 	base.MaxSteps = 30
 	base.EvalEvery = 10
-	base.Het = data.NonIIDLabel(0, 2)
+	base.Het = data.NonIIDLabel(0)
 	seq := MustRun(base, NewSketchFDA(0.1))
 	par := base
 	par.Parallelism = 3

@@ -67,17 +67,23 @@ func PartitionNonIIDPercent(ds *Dataset, k int, pct float64, rng *tensor.RNG) []
 	return subsets(ds, shards)
 }
 
+// labelHolders is how many workers hold all of the label scenario's
+// samples of its label: the paper's scenario 3 concentrates a label on
+// two workers.
+const labelHolders = 2
+
 // PartitionNonIIDLabel implements scenario 3: all samples with label y are
-// concentrated on `holders` workers (holders >= 1); everything else is
-// IID across all K workers. To keep shard sizes approximately equal, the
-// IID remainder is dealt preferentially to the non-holder workers first.
-func PartitionNonIIDLabel(ds *Dataset, k int, label, holders int, rng *tensor.RNG) []*Dataset {
+// concentrated on labelHolders workers (k ≥ labelHolders); everything
+// else is IID across all K workers. To keep shard sizes approximately
+// equal, the IID remainder is dealt preferentially to the non-holder
+// workers first.
+func PartitionNonIIDLabel(ds *Dataset, k, label int, rng *tensor.RNG) []*Dataset {
 	checkPartitionArgs(ds, k)
 	if label < 0 || label >= ds.NumClasses {
 		panic(fmt.Sprintf("data: label %d out of range", label))
 	}
-	if holders < 1 || holders > k {
-		panic(fmt.Sprintf("data: holders %d out of [1,%d]", holders, k))
+	if labelHolders > k {
+		panic(fmt.Sprintf("data: %d label holders out of [1,%d]", labelHolders, k))
 	}
 	var labelled, rest []int
 	for i, y := range ds.Y {
@@ -92,11 +98,11 @@ func PartitionNonIIDLabel(ds *Dataset, k int, label, holders int, rng *tensor.RN
 
 	shards := make([][]int, k)
 	for i, idx := range labelled {
-		shards[i%holders] = append(shards[i%holders], idx)
+		shards[i%labelHolders] = append(shards[i%labelHolders], idx)
 	}
 	// Balance: fill shards smallest-first with the remaining samples.
 	target := ds.Len() / k
-	w := holders % k
+	w := labelHolders % k
 	for _, idx := range rest {
 		// Skip workers already at or above the target unless everyone is.
 		tries := 0
@@ -141,8 +147,8 @@ type Heterogeneity struct {
 	Kind string
 	// Pct is used when Kind == "percent".
 	Pct float64
-	// Label and Holders are used when Kind == "label".
-	Label, Holders int
+	// Label is used when Kind == "label".
+	Label int
 }
 
 // IID is the identically-distributed scenario.
@@ -153,9 +159,10 @@ func NonIIDPercent(pct float64) Heterogeneity {
 	return Heterogeneity{Kind: "percent", Pct: pct}
 }
 
-// NonIIDLabel is the concentrated-label scenario.
-func NonIIDLabel(label, holders int) Heterogeneity {
-	return Heterogeneity{Kind: "label", Label: label, Holders: holders}
+// NonIIDLabel is the concentrated-label scenario: every sample of label
+// on two workers.
+func NonIIDLabel(label int) Heterogeneity {
+	return Heterogeneity{Kind: "label", Label: label}
 }
 
 // ParseHeterogeneity converts the CLI/API selector grammar — "iid",
@@ -171,7 +178,7 @@ func ParseHeterogeneity(s string) (Heterogeneity, error) {
 		if err != nil {
 			return Heterogeneity{}, fmt.Errorf("data: bad heterogeneity %q", s)
 		}
-		return NonIIDLabel(y, 2), nil
+		return NonIIDLabel(y), nil
 	case strings.HasPrefix(s, "pct"):
 		x, err := strconv.ParseFloat(strings.TrimPrefix(s, "pct"), 64)
 		if err != nil {
@@ -185,8 +192,7 @@ func ParseHeterogeneity(s string) (Heterogeneity, error) {
 
 // Selector is the canonical spelling of h in ParseHeterogeneity's
 // grammar ("iid", "label<Y>", "pct<X>" with X printed shortest), so
-// every spelling that parses to one scenario prints one string. The
-// grammar fixes a label's holders at 2; Selector does not print them.
+// every spelling that parses to one scenario prints one string.
 func (h Heterogeneity) Selector() string {
 	switch h.Kind {
 	case "percent":
@@ -214,21 +220,13 @@ func (h Heterogeneity) Check(classes, k int) error {
 		if h.Label < 0 || h.Label >= classes {
 			return fmt.Errorf("label %d out of [0,%d)", h.Label, classes)
 		}
-		if holders := h.holders(); holders < 1 || holders > k {
-			return fmt.Errorf("%d label holders out of [1,%d] (K)", holders, k)
+		if labelHolders > k {
+			return fmt.Errorf("%d label holders out of [1,%d] (K)", labelHolders, k)
 		}
 	default:
 		return fmt.Errorf("unknown heterogeneity kind %q", h.Kind)
 	}
 	return nil
-}
-
-// holders is the label scenario's holder count, 2 when unset.
-func (h Heterogeneity) holders() int {
-	if h.Holders == 0 {
-		return 2
-	}
-	return h.Holders
 }
 
 // String returns the paper's naming for the scenario.
@@ -253,7 +251,7 @@ func (h Heterogeneity) Partition(ds *Dataset, k int, rng *tensor.RNG) []*Dataset
 	case "percent":
 		return PartitionNonIIDPercent(ds, k, h.Pct, rng)
 	case "label":
-		return PartitionNonIIDLabel(ds, k, h.Label, h.holders(), rng)
+		return PartitionNonIIDLabel(ds, k, h.Label, rng)
 	default:
 		panic("data: unknown heterogeneity kind " + h.Kind)
 	}

@@ -110,7 +110,7 @@ func TestPartitionNonIIDPercentSixtySkewsSome(t *testing.T) {
 
 func TestPartitionNonIIDLabelConcentrates(t *testing.T) {
 	ds := taggedDataset(400, 4)
-	shards := PartitionNonIIDLabel(ds, 8, 0, 2, tensor.NewRNG(6))
+	shards := PartitionNonIIDLabel(ds, 8, 0, tensor.NewRNG(6))
 	conservesSamples(t, ds, shards)
 	for i := 2; i < 8; i++ {
 		if got := shards[i].ClassCounts()[0]; got != 0 {
@@ -125,7 +125,7 @@ func TestPartitionNonIIDLabelConcentrates(t *testing.T) {
 
 func TestPartitionNonIIDLabelShardsRoughlyBalanced(t *testing.T) {
 	ds := taggedDataset(400, 4)
-	shards := PartitionNonIIDLabel(ds, 8, 0, 2, tensor.NewRNG(7))
+	shards := PartitionNonIIDLabel(ds, 8, 0, tensor.NewRNG(7))
 	for i, s := range shards {
 		if s.Len() < 30 || s.Len() > 70 {
 			t.Fatalf("shard %d size %d far from balanced 50", i, s.Len())
@@ -140,8 +140,8 @@ func TestPartitionValidation(t *testing.T) {
 		func() { PartitionIID(ds, 11, tensor.NewRNG(1)) },
 		func() { PartitionNonIIDPercent(ds, 2, 120, tensor.NewRNG(1)) },
 		func() { PartitionNonIIDPercent(ds, 2, math.NaN(), tensor.NewRNG(1)) },
-		func() { PartitionNonIIDLabel(ds, 2, 9, 1, tensor.NewRNG(1)) },
-		func() { PartitionNonIIDLabel(ds, 2, 0, 3, tensor.NewRNG(1)) },
+		func() { PartitionNonIIDLabel(ds, 2, 9, tensor.NewRNG(1)) },
+		func() { PartitionNonIIDLabel(ds, 1, 0, tensor.NewRNG(1)) },
 	} {
 		func() {
 			defer func() {
@@ -161,7 +161,7 @@ func TestHeterogeneityString(t *testing.T) {
 	if got := NonIIDPercent(60).String(); got != "Non-IID: 60%" {
 		t.Fatalf("percent string %q", got)
 	}
-	if got := NonIIDLabel(0, 2).String(); got != `Non-IID: Label "0"` {
+	if got := NonIIDLabel(0).String(); got != `Non-IID: Label "0"` {
 		t.Fatalf("label string %q", got)
 	}
 }
@@ -189,22 +189,25 @@ func TestHeterogeneitySelector(t *testing.T) {
 // TestHeterogeneityCheck: Check refuses exactly the splits Partition
 // panics on, NaN percent included, for 10 classes and K = 2.
 func TestHeterogeneityCheck(t *testing.T) {
-	for _, h := range []Heterogeneity{IID(), NonIIDPercent(0), NonIIDPercent(100), NonIIDLabel(9, 2), NonIIDLabel(0, 0)} {
+	for _, h := range []Heterogeneity{IID(), NonIIDPercent(0), NonIIDPercent(100), NonIIDLabel(9)} {
 		if err := h.Check(10, 2); err != nil {
 			t.Errorf("%+v: %v", h, err)
 		}
 	}
 	for _, h := range []Heterogeneity{NonIIDPercent(-1), NonIIDPercent(150), NonIIDPercent(math.NaN()),
-		NonIIDLabel(10, 2), NonIIDLabel(-1, 2), NonIIDLabel(0, 3), {Kind: "zipf"}} {
+		NonIIDLabel(10), NonIIDLabel(-1), {Kind: "zipf"}} {
 		if err := h.Check(10, 2); err == nil {
 			t.Errorf("%+v accepted", h)
 		}
+	}
+	if err := NonIIDLabel(0).Check(10, 1); err == nil {
+		t.Error("a label split over K = 1 accepted")
 	}
 }
 
 func TestHeterogeneityDispatch(t *testing.T) {
 	ds := taggedDataset(120, 4)
-	for _, h := range []Heterogeneity{IID(), NonIIDPercent(50), NonIIDLabel(1, 2)} {
+	for _, h := range []Heterogeneity{IID(), NonIIDPercent(50), NonIIDLabel(1)} {
 		shards := h.Partition(ds, 4, tensor.NewRNG(8))
 		conservesSamples(t, ds, shards)
 	}

@@ -140,7 +140,7 @@ func Figure3(o Options) []Record {
 		model:  "lenet5s",
 		hets: []data.Heterogeneity{
 			data.IID(),
-			data.NonIIDLabel(0, 2),
+			data.NonIIDLabel(0),
 			data.NonIIDPercent(60),
 		},
 		targets:    []float64{0.95},
@@ -158,8 +158,8 @@ func Figure4(o Options) []Record {
 		model:  "vgg16s",
 		hets: []data.Heterogeneity{
 			data.IID(),
-			data.NonIIDLabel(0, 2),
-			data.NonIIDLabel(8, 2),
+			data.NonIIDLabel(0),
+			data.NonIIDLabel(8),
 		},
 		targets:    []float64{0.96, 0.98},
 		strategies: []string{"LinearFDA", "SketchFDA", "FedAdam", "Synchronous"},
