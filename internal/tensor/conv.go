@@ -42,11 +42,10 @@ type ConvPlan struct {
 	// vecs holds, for each run of up to four pixels of an image row,
 	// convVec words: the run's top-left tap in the padded plane, its
 	// first pixel's index in an output plane and four lane masks, all
-	// ones for the lanes inside the image. The forward tile takes runs
-	// four at a time, so the last one is repeated up to a multiple of
-	// four (a repeat stores the same bits twice); nvec counts the runs.
+	// ones for the lanes inside the image. The tiles take runs four at a
+	// time, so the last one is repeated up to a multiple of four (a
+	// repeat stores the same bits twice).
 	vecs []int
-	nvec int
 	// gmask holds, for each run of vecs and each of the nine taps of an
 	// input channel, four lane masks: all ones where the output pixel
 	// the input pixel reaches under the tap lies in the image (3×3 only).
@@ -55,7 +54,8 @@ type ConvPlan struct {
 	// gradient of the output pixel it reaches under tap t lies (3×3 only).
 	goff []int
 
-	// Scratch of the assembly tiles: one sample's gradient as outC
+	// Scratch of the assembly tiles, made on first use (a first layer
+	// never takes the input gradient): one sample's gradient as outC
 	// padded planes (gp, whose border stays +0 like the input's) and
 	// pixel-major with the channels rounded up to four (gt), and the
 	// input gradient's running sums of one input channel's runs (gs).
@@ -85,7 +85,6 @@ func NewConvPlan(h, w, k, inC, outC int) *ConvPlan {
 			p.pix = append(p.pix, i*wp+j)
 		}
 	}
-	pad := k / 2
 	for i := 0; i < h; i++ {
 		for j0 := 0; j0 < w; j0 += 4 {
 			v := []int{i*wp + j0, i*w + j0, 0, 0, 0, 0}
@@ -95,31 +94,32 @@ func NewConvPlan(h, w, k, inC, outC int) *ConvPlan {
 			p.vecs = append(p.vecs, v...)
 		}
 	}
-	p.nvec = len(p.vecs) / convVec
 	for len(p.vecs)%(4*convVec) != 0 {
 		p.vecs = append(p.vecs, p.vecs[len(p.vecs)-convVec:]...)
 	}
-	if k == 3 {
-		for v := 0; v < len(p.vecs); v += convVec {
-			i, j0 := p.vecs[v]/wp, p.vecs[v]%wp
-			for t := 0; t < 9; t++ {
-				for l := 0; l < 4; l++ {
-					var m uint64
-					if oi, oj := i-t/3+pad, j0+l-t%3+pad; oi >= 0 && oi < h && oj >= 0 && oj < w {
-						m = ^uint64(0)
-					}
-					p.gmask = append(p.gmask, m)
+	return p
+}
+
+// inputGradTables makes the input-gradient tile's masks, tap offsets and
+// scratch (3×3 only).
+func (p *ConvPlan) inputGradTables() {
+	for v := 0; v < len(p.vecs); v += convVec {
+		i, j0 := p.vecs[v]/p.wp, p.vecs[v]%p.wp
+		for t := 0; t < 9; t++ {
+			for l := 0; l < 4; l++ {
+				var m uint64
+				if oi, oj := i-t/3+1, j0+l-t%3+1; oi >= 0 && oi < p.h && oj >= 0 && oj < p.w {
+					m = ^uint64(0)
 				}
+				p.gmask = append(p.gmask, m)
 			}
 		}
-		p.gs = make([]float64, 4*len(p.vecs)/convVec)
-		for t := 0; t < 9; t++ {
-			p.goff = append(p.goff, (2-t/3)*wp+2-t%3)
-		}
 	}
-	p.gp = make([]float64, outC*p.plane)
-	p.gt = make([]float64, h*w*((outC+3)&^3))
-	return p
+	for t := 0; t < 9; t++ {
+		p.goff = append(p.goff, (2-t/3)*p.wp+2-t%3)
+	}
+	p.gs = make([]float64, 4*len(p.vecs)/convVec)
+	p.gp = make([]float64, p.outC*p.plane)
 }
 
 // PaddedLen is the length of one sample's padded input planes.
@@ -198,6 +198,9 @@ func (p *ConvPlan) WeightGrad(gw, gb, xp, g []float64) {
 		lenPanic("ConvPlan.WeightGrad", len(g), p.outC*hw)
 	}
 	if useAVX2 {
+		if p.gt == nil {
+			p.gt = make([]float64, hw*((p.outC+3)&^3)) //fda:allow(noalloc, once per layer, on its first backward pass)
+		}
 		convTransposeAVX2(p.gt, g, p.outC, hw)
 		convWeightGradAVX2(gw, gb, xp, p.gt, p.taps, p.pix, nt, p.outC)
 		return
@@ -229,6 +232,9 @@ func (p *ConvPlan) InputGrad(gin, g, w []float64) {
 		lenPanic("ConvPlan.InputGrad", len(gin), p.inC*hw)
 	}
 	if useAVX2 && p.k == 3 {
+		if p.gp == nil {
+			p.inputGradTables()
+		}
 		p.pad(p.gp, g, p.outC)
 		convInputGradAVX2(gin, p.gp, w, p.vecs, p.gmask, p.gs, p.goff, p.inC, p.outC, hw, p.plane)
 		return

@@ -270,6 +270,7 @@ func convAsmKernels(
 		}, oracleConvWeightGrad),
 		convKernel("convInputGradAVX2", convK3, func(c convCase) []float64 {
 			p := plan(c)
+			p.inputGradTables()
 			gin := convOut(c.inC*c.h*c.w, 1)
 			igrad(gin, padded(p, c.gout, c.outC), c.wt, p.vecs, p.gmask, p.gs, p.goff, c.inC, c.outC, c.h*c.w, p.plane)
 			return guarded(gin)
@@ -326,7 +327,7 @@ func TestConvPlanBorderStaysZero(t *testing.T) {
 			p.InputGrad(make([]float64, g.inC*g.h*g.w), gout, randVec(rng, g.outC*nt))
 		}
 		pad := g.k / 2
-		for _, buf := range [][]float64{xp, p.gp[:g.outC*p.plane]} {
+		for _, buf := range [][]float64{xp, p.gp} {
 			for i, v := range buf {
 				at := i % p.plane
 				r, col := at/p.wp, at%p.wp

@@ -10,11 +10,11 @@
 // its scalar reference with exact (==) comparisons.
 //
 // On amd64 with AVX2 the AXPY/Dot4 families, the reduction-free sweeps
-// (Scale, ScaleAdd, ReLU, ReLUGrad, MaskedCopy, MaskedAdd and
-// the little-endian byte kernels DecodeLE and AddScaleLE),
+// (Scale, ScaleAdd, ReLU, ReLUGrad and the little-endian byte kernels
+// DecodeLE and AddScaleLE),
 // AdamStep and MatVec's 4-row × 8-sample tile hand vectors of at least
-// simdMinLen elements, and MaxPool2x2 every call, to the assembly
-// bodies in kernels_amd64.s, which are bit-identical to the
+// simdMinLen elements, and MaxPool2x2 and the ConvPlan passes
+// (conv.go) every call, to the assembly bodies in kernels_amd64.s, which are bit-identical to the
 // Go loops below (lanes hold independent elements or independent
 // accumulators, no FMA — DESIGN.md §7). The Go loops remain the
 // specification, the path for short vectors, and the only path on other
@@ -34,8 +34,9 @@ import (
 // through the ABI0 wrapper (up to 26 argument words spilled to the stack,
 // eight broadcasts, VZEROUPPER) costs 10–15 ns; measured on the reference
 // box the Go loops win at 4 elements, the two break even at 6–7 and the
-// assembly wins from 8. Conv planes are 64, 16 and 4 elements long, so
-// this threshold sits on the hot path, not in a corner.
+// assembly wins from 8. The hot callers now hand over whole layers (the
+// batched Dense kernels, Adam's sweep over the model); the conv passes
+// (conv.go) make one call per sample and pass and do not consult it.
 const simdMinLen = 8
 
 // dotUnrolled is the shared body of Dot: a 4-way unrolled product loop
@@ -209,7 +210,7 @@ func ReLUGrad(dst, g, out []float64) {
 }
 
 // Accumulate computes dst += src (an AXPY with alpha 1, without the
-// multiplication), 4-way unrolled; the col2im scatter kernel.
+// multiplication), 4-way unrolled.
 //
 //fda:noalloc
 func Accumulate(dst, src []float64) {
