@@ -1119,6 +1119,22 @@ fwd_remtap:
 	VBROADCASTSD (R12)(DX*8), Y9
 	VCMPPD       $4, Y15, Y8, Y13
 	VCMPPD       $4, Y15, Y9, Y14
+	// Both weights non-zero, the usual case: the plain tap.
+	VANDPD       Y13, Y14, Y10
+	VMOVMSKPD    Y10, AX
+	CMPQ         AX, $15
+	JNE          fwd_seltap
+	FWD_MAC((R8)(BX*8), Y8, Y0, Y10)
+	FWD_MAC((R9)(BX*8), Y8, Y1, Y11)
+	FWD_MAC((R10)(BX*8), Y8, Y2, Y12)
+	FWD_MAC((R11)(BX*8), Y8, Y3, Y13)
+	FWD_MAC((R8)(BX*8), Y9, Y4, Y10)
+	FWD_MAC((R9)(BX*8), Y9, Y5, Y11)
+	FWD_MAC((R10)(BX*8), Y9, Y6, Y12)
+	FWD_MAC((R11)(BX*8), Y9, Y7, Y13)
+	JMP          fwd_remnext
+
+fwd_seltap:
 	VMOVUPD      (R8)(BX*8), Y10
 	FWD_SEL(Y10, Y8, Y13, Y0, Y11)
 	FWD_SEL(Y10, Y9, Y14, Y4, Y12)
@@ -1131,6 +1147,8 @@ fwd_remtap:
 	VMOVUPD      (R11)(BX*8), Y10
 	FWD_SEL(Y10, Y8, Y13, Y3, Y11)
 	FWD_SEL(Y10, Y9, Y14, Y7, Y12)
+
+fwd_remnext:
 	INCQ         DX
 	CMPQ         DX, CX
 	JL           fwd_remtap
