@@ -46,19 +46,23 @@ type ConvPlan struct {
 	// time, so the last one is repeated up to a multiple of four (a
 	// repeat stores the same bits twice).
 	vecs []int
-	// gmask holds, for each run of vecs and each of the nine taps of an
-	// input channel, four lane masks: all ones where the output pixel
-	// the input pixel reaches under the tap lies in the image (3×3 only).
-	gmask []uint64
-	// goff[t] is how far past an input pixel's top-left tap the padded
-	// gradient of the output pixel it reaches under tap t lies (3×3 only).
-	goff []int
+	// The input-gradient tile's tables (3×3 only, inputGradTables):
+	// gvecs are its runs, in vecs' format, an even count; gmask holds,
+	// for each run and each of the nine taps of an input channel, four
+	// lane masks, all ones where the output pixel the input pixel
+	// reaches under the tap lies in the image; goff[t] is how far past
+	// an input pixel the gradient of that output pixel lies in gp, whose
+	// planes are gplane long.
+	gvecs  []int
+	gmask  []uint64
+	goff   []int
+	gplane int
 
 	// Scratch of the assembly tiles, made on first use (a first layer
-	// never takes the input gradient): one sample's gradient as outC
-	// padded planes (gp, whose border stays +0 like the input's) and
-	// pixel-major with the channels rounded up to four (gt), and the
-	// input gradient's running sums of one input channel's runs (gs).
+	// never takes the input gradient): one sample's gradient laid out
+	// for the input-gradient tile (gp) and pixel-major with the channels
+	// rounded up to four (gt), and the input gradient's running sums of
+	// one input channel's runs (gs).
 	gp, gt, gs []float64
 }
 
@@ -100,15 +104,32 @@ func NewConvPlan(h, w, k, inC, outC int) *ConvPlan {
 	return p
 }
 
-// inputGradTables makes the input-gradient tile's masks, tap offsets and
-// scratch (3×3 only).
+// inputGradTables makes the input-gradient tile's runs, masks, tap
+// offsets and scratch (3×3 only). Its runs are four consecutive pixels
+// of a plane in row-major order, rows included, so a 6×6 plane is nine
+// runs where row by row it would be twelve; gp holds each output
+// channel's gradient plane whole, gplane apart, behind one row and one
+// element of slack, and a lane whose tap reaches past a row's end reads
+// the next row's gradient, which its mask clears.
 func (p *ConvPlan) inputGradTables() {
-	for v := 0; v < len(p.vecs); v += convVec {
-		i, j0 := p.vecs[v]/p.wp, p.vecs[v]%p.wp
+	hw := p.h * p.w
+	for q0 := 0; q0 < hw; q0 += 4 {
+		v := []int{q0, q0, 0, 0, 0, 0}
+		for l := 0; l < 4 && q0+l < hw; l++ {
+			v[2+l] = -1
+		}
+		p.gvecs = append(p.gvecs, v...)
+	}
+	if len(p.gvecs)%(2*convVec) != 0 {
+		p.gvecs = append(p.gvecs, p.gvecs[len(p.gvecs)-convVec:]...)
+	}
+	runs := len(p.gvecs) / convVec
+	for v := 0; v < runs; v++ {
 		for t := 0; t < 9; t++ {
 			for l := 0; l < 4; l++ {
+				q := p.gvecs[v*convVec] + l
 				var m uint64
-				if oi, oj := i-t/3+1, j0+l-t%3+1; oi >= 0 && oi < p.h && oj >= 0 && oj < p.w {
+				if oi, oj := q/p.w-t/3+1, q%p.w-t%3+1; q < hw && oi >= 0 && oi < p.h && oj >= 0 && oj < p.w {
 					m = ^uint64(0)
 				}
 				p.gmask = append(p.gmask, m)
@@ -116,10 +137,11 @@ func (p *ConvPlan) inputGradTables() {
 		}
 	}
 	for t := 0; t < 9; t++ {
-		p.goff = append(p.goff, (2-t/3)*p.wp+2-t%3)
+		p.goff = append(p.goff, (2-t/3)*p.w+2-t%3)
 	}
-	p.gs = make([]float64, 4*len(p.vecs)/convVec)
-	p.gp = make([]float64, p.outC*p.plane)
+	p.gplane = 4*runs + 2*p.w + 2
+	p.gs = make([]float64, 4*runs)
+	p.gp = make([]float64, p.outC*p.gplane)
 }
 
 // PaddedLen is the length of one sample's padded input planes.
@@ -235,8 +257,8 @@ func (p *ConvPlan) InputGrad(gin, g, w []float64) {
 		if p.gp == nil {
 			p.inputGradTables()
 		}
-		p.pad(p.gp, g, p.outC)
-		convInputGradAVX2(gin, p.gp, w, p.vecs, p.gmask, p.gs, p.goff, p.inC, p.outC, hw, p.plane)
+		convPadAVX2(p.gp[1+p.w:], g, p.outC, 1, hw, 0, p.gplane)
+		convInputGradAVX2(gin, p.gp, w, p.gvecs, p.gmask, p.gs, p.goff, p.inC, p.outC, hw, p.gplane)
 		return
 	}
 	pad := p.k / 2

@@ -1386,11 +1386,14 @@ gw_next:
 	VZEROUPPER
 	RET
 
-// The input-gradient tile holds two taps t, t+1 × four runs (Y0..Y3
-// tap t, Y4..Y7 tap t+1), or the last tap alone × four runs. The
-// padded gradient of run k under tap t is at DI + R8..R11 (tap t+1: R12,
-// R13, R14, SI), DI advancing by a plane per output channel; BX points
-// at w[oc][ic][t].
+// The input-gradient tile holds four taps t..t+3 × two runs (Y0..Y3
+// run 0, Y4..Y7 run 1), or the last tap alone × two runs (Y0, Y4). Its
+// runs are four consecutive pixels of the plane in row-major order,
+// rows included: a lane whose tap reaches past the image edge reads a
+// neighbouring row's gradient, and its mask clears it. The padded
+// gradient of run r under tap t+j is at DI + the index register of (r,
+// j) — R8..R11 for run 0, R12, R13, R14, SI for run 1 — DI advancing by
+// a plane per output channel; BX points at w[oc][ic][t].
 
 // GIN_MAC adds w · mem into acc, tmp clobbered.
 #define GIN_MAC(mem, w, acc, tmp) \
@@ -1400,53 +1403,66 @@ gw_next:
 // GIN_SEL is GIN_MAC where the lane of m is set (the weight is
 // non-zero), acc's bits kept elsewhere.
 #define GIN_SEL(mem, w, m, acc) \
-	VMULPD    mem, w, Y10; \
-	VADDPD    Y10, acc, Y10; \
-	VBLENDVPD m, Y10, acc, acc
+	VMULPD    mem, w, Y13; \
+	VADDPD    Y13, acc, Y13; \
+	VBLENDVPD m, Y13, acc, acc
 
-// GIN_RUN folds the tile's sums of run k into the run's sum at (32k)(SI)
-// in tap order, each first masked to +0 where its output pixel lies
-// outside the image (masks of run k, tap t at (288k)(DX)).
-#define GIN_RUN(k, acc) \
-	VANDPD  (288*k)(DX), acc, acc; \
-	VMOVUPD (32*k)(SI), Y10; \
-	VADDPD  acc, Y10, Y10; \
-	VMOVUPD Y10, (32*k)(SI)
+// GIN_SELTAP adds tap j (weight at 8j(BX)) of both runs where its weight
+// is non-zero (Y12 is +0).
+#define GIN_SELTAP(j, m0, m1, acc0, acc1) \
+	VBROADCASTSD (8*j)(BX), Y8; \
+	VCMPPD       $4, Y12, Y8, Y9; \
+	GIN_SEL((DI)(m0*1), Y8, Y9, acc0); \
+	GIN_SEL((DI)(m1*1), Y8, Y9, acc1)
 
-#define GIN_RUN2(k, acc, acc2) \
-	VANDPD  (288*k)(DX), acc, acc; \
-	VANDPD  (288*k+32)(DX), acc2, acc2; \
-	VMOVUPD (32*k)(SI), Y10; \
-	VADDPD  acc, Y10, Y10; \
-	VADDPD  acc2, Y10, Y10; \
-	VMOVUPD Y10, (32*k)(SI)
+// GIN_FOLD adds the tile's tap sums of run r — masked to +0 where the
+// output pixel lies outside the image (masks of run r, tap t at DX) —
+// into the run's running sum at (32r)(SI), in tap order.
+#define GIN_FOLD(r, a0, a1, a2, a3) \
+	VANDPD  (288*r)(DX), a0, a0; \
+	VANDPD  (288*r+32)(DX), a1, a1; \
+	VANDPD  (288*r+64)(DX), a2, a2; \
+	VANDPD  (288*r+96)(DX), a3, a3; \
+	VMOVUPD (32*r)(SI), Y8; \
+	VADDPD  a0, Y8, Y8; \
+	VADDPD  a1, Y8, Y8; \
+	VADDPD  a2, Y8, Y8; \
+	VADDPD  a3, Y8, Y8; \
+	VMOVUPD Y8, (32*r)(SI)
 
-// GIN_IDX loads into reg the byte offset of run k's padded gradient under
-// the tap whose offset is in BX (CX points at the quad's runs).
-#define GIN_IDX(k, reg) \
-	MOVQ (48*k)(CX), reg; \
-	ADDQ BX, reg; \
+#define GIN_FOLD1(r, a0) \
+	VANDPD  (288*r)(DX), a0, a0; \
+	VMOVUPD (32*r)(SI), Y8; \
+	VADDPD  a0, Y8, Y8; \
+	VMOVUPD Y8, (32*r)(SI)
+
+// GIN_IDX loads into reg the byte offset of run r's padded gradient
+// under tap t+j (AX = &goff[t], CX = the pair's first vecs entry).
+#define GIN_IDX(r, j, reg) \
+	MOVQ (48*r)(CX), reg; \
+	ADDQ (8*j)(AX), reg; \
 	SHLQ $3, reg
 
-// GIN_STORE stores run k's sum at (32k)(SI) into gin at DI under the
+// GIN_STORE stores run r's sum at (32r)(SI) into gin at DI under the
 // run's lane mask (vecs entry at CX).
-#define GIN_STORE(k) \
-	MOVQ       (48*k+8)(CX), BX; \
-	VMOVUPD    (32*k)(SI), Y0; \
-	VMOVDQU    (48*k+16)(CX), Y1; \
+#define GIN_STORE(r) \
+	MOVQ       (48*r+8)(CX), BX; \
+	VMOVUPD    (32*r)(SI), Y0; \
+	VMOVDQU    (48*r+16)(CX), Y1; \
 	VMASKMOVPD Y0, Y1, (DI)(BX*8)
 
 // func convInputGradAVX2(gin, gp, w []float64, vecs []int, masks []uint64, sums []float64, goff []int, inC, outC, hw, plane int)
 // One sample's input gradient for a 3×3 kernel: gp is the gradient as
-// outC padded planes (plane long), goff[t] the offset of the output
-// pixel an input pixel reaches under tap t. For each input channel each
-// run's sum starts at +0 in sums; then tile by tile, each accumulator
-// sums from +0 over the output channels in order the broadcast weight
-// times the padded gradient under its tap, the last outC mod 4 channels
-// only where their weight is non-zero, and is masked to +0 where its
-// output pixel lies outside the image (masks: nine per run) and added
-// into the run's sum, tap after tap. The sums are stored into gin.
-// Locals: 0 ic, 8 t, 16 quad's first run index.
+// outC planes (plane long), goff[t] the offset of the output pixel an
+// input pixel reaches under tap t, vecs the runs (an even count). For
+// each input channel each run's sum starts at +0 in sums; then tile by
+// tile, each accumulator sums from +0 over the output channels in order
+// the broadcast weight times the gradient under its tap, the last outC
+// mod 4 channels only where their weight is non-zero, and is masked to
+// +0 where its output pixel lies outside the image (masks: nine per
+// run) and added into the run's sum, tap after tap. The sums are stored
+// into gin.
+// Locals: 0 ic, 8 t, 16 the pair's first run.
 TEXT ·convInputGradAVX2(SB), NOSPLIT, $24-200
 	MOVQ $0, 0(SP)
 
@@ -1466,91 +1482,125 @@ gin_zero:
 gin_tap:
 	MOVQ $0, 16(SP)
 
-gin_quad:
-	// CX = the quad's vecs entries, DI = gp, BX = &w[0][ic][t], AX =
-	// plane bytes, DX = weight row bytes
+gin_pair:
+	// CX = the pair's vecs entries, AX = &goff[t]
 	MOVQ 16(SP), CX
 	LEAQ (CX)(CX*2), CX
 	SHLQ $4, CX
 	ADDQ vecs_base+72(FP), CX
-	MOVQ goff_base+144(FP), DX
 	MOVQ 8(SP), AX
-	MOVQ (DX)(AX*8), BX
-	GIN_IDX(0, R8)
-	GIN_IDX(1, R9)
-	GIN_IDX(2, R10)
-	GIN_IDX(3, R11)
+	SHLQ $3, AX
+	ADDQ goff_base+144(FP), AX
+	GIN_IDX(0, 0, R8)
+	GIN_IDX(1, 0, R12)
 	VXORPD Y0, Y0, Y0
+	VXORPD Y4, Y4, Y4
+	CMPQ   8(SP), $8
+	JEQ    gin_one
+	GIN_IDX(0, 1, R9)
+	GIN_IDX(0, 2, R10)
+	GIN_IDX(0, 3, R11)
+	GIN_IDX(1, 1, R13)
+	GIN_IDX(1, 2, R14)
+	GIN_IDX(1, 3, SI)
 	VXORPD Y1, Y1, Y1
 	VXORPD Y2, Y2, Y2
 	VXORPD Y3, Y3, Y3
-	CMPQ   AX, $8
-	JEQ    gin_one
-	MOVQ   8(DX)(AX*8), BX
-	GIN_IDX(0, R12)
-	GIN_IDX(1, R13)
-	GIN_IDX(2, R14)
-	GIN_IDX(3, SI)
-	VXORPD Y4, Y4, Y4
 	VXORPD Y5, Y5, Y5
 	VXORPD Y6, Y6, Y6
 	VXORPD Y7, Y7, Y7
-	MOVQ gp_base+24(FP), DI
-	MOVQ 0(SP), BX
-	LEAQ (BX)(BX*8), BX
-	ADDQ 8(SP), BX
-	SHLQ $3, BX
-	ADDQ w_base+48(FP), BX
-	MOVQ plane+192(FP), AX
-	SHLQ $3, AX
-	MOVQ inC+168(FP), DX
-	LEAQ (DX)(DX*8), DX
-	SHLQ $3, DX
-	MOVQ outC+176(FP), CX
-	ANDQ   $-4, CX
-	JZ     gin_rem2
+	MOVQ   gp_base+24(FP), DI
+	MOVQ   0(SP), BX
+	LEAQ   (BX)(BX*8), BX
+	ADDQ   8(SP), BX
+	SHLQ   $3, BX
+	ADDQ   w_base+48(FP), BX
+	MOVQ   plane+192(FP), AX
+	SHLQ   $3, AX
+	MOVQ   inC+168(FP), DX
+	LEAQ   (DX)(DX*8), DX
+	SHLQ   $3, DX
+	MOVQ   outC+176(FP), CX
+	SHRQ   $2, CX
+	JZ     gin_rem4
 
-gin_oc2:
+gin_oc4:
 	VBROADCASTSD (BX), Y8
 	VBROADCASTSD 8(BX), Y9
-	GIN_MAC((DI)(R8*1), Y8, Y0, Y10)
-	GIN_MAC((DI)(R9*1), Y8, Y1, Y11)
-	GIN_MAC((DI)(R10*1), Y8, Y2, Y12)
-	GIN_MAC((DI)(R11*1), Y8, Y3, Y13)
-	GIN_MAC((DI)(R12*1), Y9, Y4, Y10)
-	GIN_MAC((DI)(R13*1), Y9, Y5, Y11)
-	GIN_MAC((DI)(R14*1), Y9, Y6, Y12)
-	GIN_MAC((DI)(SI*1), Y9, Y7, Y13)
+	VBROADCASTSD 16(BX), Y10
+	VBROADCASTSD 24(BX), Y11
+	GIN_MAC((DI)(R8*1), Y8, Y0, Y12)
+	GIN_MAC((DI)(R12*1), Y8, Y4, Y13)
+	GIN_MAC((DI)(R9*1), Y9, Y1, Y14)
+	GIN_MAC((DI)(R13*1), Y9, Y5, Y15)
+	GIN_MAC((DI)(R10*1), Y10, Y2, Y12)
+	GIN_MAC((DI)(R14*1), Y10, Y6, Y13)
+	GIN_MAC((DI)(R11*1), Y11, Y3, Y14)
+	GIN_MAC((DI)(SI*1), Y11, Y7, Y15)
+	ADDQ         AX, DI
+	ADDQ         DX, BX
+	VBROADCASTSD (BX), Y8
+	VBROADCASTSD 8(BX), Y9
+	VBROADCASTSD 16(BX), Y10
+	VBROADCASTSD 24(BX), Y11
+	GIN_MAC((DI)(R8*1), Y8, Y0, Y12)
+	GIN_MAC((DI)(R12*1), Y8, Y4, Y13)
+	GIN_MAC((DI)(R9*1), Y9, Y1, Y14)
+	GIN_MAC((DI)(R13*1), Y9, Y5, Y15)
+	GIN_MAC((DI)(R10*1), Y10, Y2, Y12)
+	GIN_MAC((DI)(R14*1), Y10, Y6, Y13)
+	GIN_MAC((DI)(R11*1), Y11, Y3, Y14)
+	GIN_MAC((DI)(SI*1), Y11, Y7, Y15)
+	ADDQ         AX, DI
+	ADDQ         DX, BX
+	VBROADCASTSD (BX), Y8
+	VBROADCASTSD 8(BX), Y9
+	VBROADCASTSD 16(BX), Y10
+	VBROADCASTSD 24(BX), Y11
+	GIN_MAC((DI)(R8*1), Y8, Y0, Y12)
+	GIN_MAC((DI)(R12*1), Y8, Y4, Y13)
+	GIN_MAC((DI)(R9*1), Y9, Y1, Y14)
+	GIN_MAC((DI)(R13*1), Y9, Y5, Y15)
+	GIN_MAC((DI)(R10*1), Y10, Y2, Y12)
+	GIN_MAC((DI)(R14*1), Y10, Y6, Y13)
+	GIN_MAC((DI)(R11*1), Y11, Y3, Y14)
+	GIN_MAC((DI)(SI*1), Y11, Y7, Y15)
+	ADDQ         AX, DI
+	ADDQ         DX, BX
+	VBROADCASTSD (BX), Y8
+	VBROADCASTSD 8(BX), Y9
+	VBROADCASTSD 16(BX), Y10
+	VBROADCASTSD 24(BX), Y11
+	GIN_MAC((DI)(R8*1), Y8, Y0, Y12)
+	GIN_MAC((DI)(R12*1), Y8, Y4, Y13)
+	GIN_MAC((DI)(R9*1), Y9, Y1, Y14)
+	GIN_MAC((DI)(R13*1), Y9, Y5, Y15)
+	GIN_MAC((DI)(R10*1), Y10, Y2, Y12)
+	GIN_MAC((DI)(R14*1), Y10, Y6, Y13)
+	GIN_MAC((DI)(R11*1), Y11, Y3, Y14)
+	GIN_MAC((DI)(SI*1), Y11, Y7, Y15)
 	ADDQ         AX, DI
 	ADDQ         DX, BX
 	DECQ         CX
-	JNZ          gin_oc2
+	JNZ          gin_oc4
 
-gin_rem2:
+gin_rem4:
 	MOVQ   outC+176(FP), CX
 	ANDQ   $3, CX
-	JZ     gin_fold2
-	VXORPD Y15, Y15, Y15
+	JZ     gin_fold4
+	VXORPD Y12, Y12, Y12
 
-gin_remoc2:
-	VBROADCASTSD (BX), Y8
-	VBROADCASTSD 8(BX), Y9
-	VCMPPD       $4, Y15, Y8, Y14
-	VCMPPD       $4, Y15, Y9, Y13
-	GIN_SEL((DI)(R8*1), Y8, Y14, Y0)
-	GIN_SEL((DI)(R9*1), Y8, Y14, Y1)
-	GIN_SEL((DI)(R10*1), Y8, Y14, Y2)
-	GIN_SEL((DI)(R11*1), Y8, Y14, Y3)
-	GIN_SEL((DI)(R12*1), Y9, Y13, Y4)
-	GIN_SEL((DI)(R13*1), Y9, Y13, Y5)
-	GIN_SEL((DI)(R14*1), Y9, Y13, Y6)
-	GIN_SEL((DI)(SI*1), Y9, Y13, Y7)
-	ADDQ         AX, DI
-	ADDQ         DX, BX
-	DECQ         CX
-	JNZ          gin_remoc2
+gin_remoc4:
+	GIN_SELTAP(0, R8, R12, Y0, Y4)
+	GIN_SELTAP(1, R9, R13, Y1, Y5)
+	GIN_SELTAP(2, R10, R14, Y2, Y6)
+	GIN_SELTAP(3, R11, SI, Y3, Y7)
+	ADDQ AX, DI
+	ADDQ DX, BX
+	DECQ CX
+	JNZ  gin_remoc4
 
-gin_fold2:
+gin_fold4:
 	MOVQ 16(SP), AX
 	LEAQ (AX)(AX*8), DX
 	ADDQ 8(SP), DX
@@ -1559,11 +1609,9 @@ gin_fold2:
 	SHLQ $5, AX
 	MOVQ sums_base+120(FP), SI
 	ADDQ AX, SI
-	GIN_RUN2(0, Y0, Y4)
-	GIN_RUN2(1, Y1, Y5)
-	GIN_RUN2(2, Y2, Y6)
-	GIN_RUN2(3, Y3, Y7)
-	JMP  gin_nextquad
+	GIN_FOLD(0, Y0, Y1, Y2, Y3)
+	GIN_FOLD(1, Y4, Y5, Y6, Y7)
+	JMP  gin_nextpair
 
 gin_one:
 	MOVQ gp_base+24(FP), DI
@@ -1583,10 +1631,8 @@ gin_one:
 
 gin_oc1:
 	VBROADCASTSD (BX), Y8
-	GIN_MAC((DI)(R8*1), Y8, Y0, Y10)
-	GIN_MAC((DI)(R9*1), Y8, Y1, Y11)
-	GIN_MAC((DI)(R10*1), Y8, Y2, Y12)
-	GIN_MAC((DI)(R11*1), Y8, Y3, Y13)
+	GIN_MAC((DI)(R8*1), Y8, Y0, Y12)
+	GIN_MAC((DI)(R12*1), Y8, Y4, Y13)
 	ADDQ         AX, DI
 	ADDQ         DX, BX
 	DECQ         CX
@@ -1596,19 +1642,14 @@ gin_rem1:
 	MOVQ   outC+176(FP), CX
 	ANDQ   $3, CX
 	JZ     gin_fold1
-	VXORPD Y15, Y15, Y15
+	VXORPD Y12, Y12, Y12
 
 gin_remoc1:
-	VBROADCASTSD (BX), Y8
-	VCMPPD       $4, Y15, Y8, Y14
-	GIN_SEL((DI)(R8*1), Y8, Y14, Y0)
-	GIN_SEL((DI)(R9*1), Y8, Y14, Y1)
-	GIN_SEL((DI)(R10*1), Y8, Y14, Y2)
-	GIN_SEL((DI)(R11*1), Y8, Y14, Y3)
-	ADDQ         AX, DI
-	ADDQ         DX, BX
-	DECQ         CX
-	JNZ          gin_remoc1
+	GIN_SELTAP(0, R8, R12, Y0, Y4)
+	ADDQ AX, DI
+	ADDQ DX, BX
+	DECQ CX
+	JNZ  gin_remoc1
 
 gin_fold1:
 	MOVQ 16(SP), AX
@@ -1619,42 +1660,38 @@ gin_fold1:
 	SHLQ $5, AX
 	MOVQ sums_base+120(FP), SI
 	ADDQ AX, SI
-	GIN_RUN(0, Y0)
-	GIN_RUN(1, Y1)
-	GIN_RUN(2, Y2)
-	GIN_RUN(3, Y3)
+	GIN_FOLD1(0, Y0)
+	GIN_FOLD1(1, Y4)
 
-gin_nextquad:
+gin_nextpair:
 	MOVQ 16(SP), AX
-	ADDQ $4, AX
+	ADDQ $2, AX
 	MOVQ AX, 16(SP)
 	LEAQ (AX)(AX*2), AX
 	SHLQ $1, AX
 	CMPQ AX, vecs_len+80(FP)
-	JL   gin_quad
+	JL   gin_pair
 	MOVQ 8(SP), AX
-	ADDQ $2, AX
+	ADDQ $4, AX
 	MOVQ AX, 8(SP)
 	CMPQ AX, $9
 	JL   gin_tap
 
 	// gin[ic] = the sums, under each run's lane mask
-	MOVQ hw+184(FP), DI
+	MOVQ  hw+184(FP), DI
 	IMULQ 0(SP), DI
-	SHLQ $3, DI
-	ADDQ gin_base+0(FP), DI
-	MOVQ sums_base+120(FP), SI
-	MOVQ vecs_base+72(FP), CX
-	MOVQ vecs_len+80(FP), DX
+	SHLQ  $3, DI
+	ADDQ  gin_base+0(FP), DI
+	MOVQ  sums_base+120(FP), SI
+	MOVQ  vecs_base+72(FP), CX
+	MOVQ  vecs_len+80(FP), DX
 
 gin_store:
 	GIN_STORE(0)
 	GIN_STORE(1)
-	GIN_STORE(2)
-	GIN_STORE(3)
-	ADDQ $128, SI
-	ADDQ $192, CX
-	SUBQ $24, DX
+	ADDQ $64, SI
+	ADDQ $96, CX
+	SUBQ $12, DX
 	JNZ  gin_store
 	MOVQ 0(SP), AX
 	INCQ AX
