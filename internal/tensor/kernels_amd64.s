@@ -1199,6 +1199,33 @@ fwd_store:
 	VADDPD     hi, Y15, Y15; \
 	VMASKMOVPD Y15, Y13, 32(DI)
 
+// GW_PIX8 adds pixel p's products into the eight accumulators of an
+// eight-tap tile: CX points at pix[p], DX at the pixel's gradient lanes.
+#define GW_PIX8 \
+	MOVQ    (CX), BX; \
+	VMOVUPD (DX), Y8; \
+	GW_MAC((R8)(BX*8), Y0, Y9); \
+	GW_MAC((R9)(BX*8), Y1, Y10); \
+	GW_MAC((R10)(BX*8), Y2, Y11); \
+	GW_MAC((R11)(BX*8), Y3, Y12); \
+	GW_MAC((R12)(BX*8), Y4, Y9); \
+	GW_MAC((R13)(BX*8), Y5, Y10); \
+	GW_MAC((R14)(BX*8), Y6, Y11); \
+	GW_MAC((SI)(BX*8), Y7, Y12); \
+	ADDQ    $8, CX; \
+	ADDQ    DI, DX
+
+// GW_PIX4 is GW_PIX8 for a four-tap tile.
+#define GW_PIX4 \
+	MOVQ    (CX), BX; \
+	VMOVUPD (DX), Y8; \
+	GW_MAC((R8)(BX*8), Y0, Y9); \
+	GW_MAC((R9)(BX*8), Y1, Y10); \
+	GW_MAC((R10)(BX*8), Y2, Y11); \
+	GW_MAC((R11)(BX*8), Y3, Y12); \
+	ADDQ    $8, CX; \
+	ADDQ    DI, DX
+
 // GW_TAP loads the pointer to tap r0+k of the padded input (AX) into reg,
 // BX pointing at taps[r0].
 #define GW_TAP(k, reg) \
@@ -1208,52 +1235,21 @@ fwd_store:
 // func convWeightGradAVX2(gw, gb, xp, gt []float64, taps, pix []int, nTaps, outC int)
 // One sample's weight and bias gradients: gt is the gradient
 // pixel-major, its channels rounded up to four (lane q = channel 4c+q).
-// For each quad of channels, the bias gradient first: one sum over the
-// pixels from +0, added into gb. Then tiles of eight taps r0..r0+7
-// (taps is zero-padded to a multiple of eight), or four for the last at
-// most four: for every pixel p in order, accumulator k adds the
-// broadcast padded input at pix[p] + taps[r0+k] times the pixel's four
-// gradient lanes, each lane its own dot from +0, left to right. The tile
-// is transposed to four channel rows of taps and added into gw, the taps
-// past nTaps and the channels past outC left alone.
+// For each quad of channels, tiles of eight taps r0..r0+7 (taps is
+// zero-padded to a multiple of eight), or four for the last at most
+// four: for every pixel p in order, accumulator k adds the broadcast
+// padded input at pix[p] + taps[r0+k] times the pixel's four gradient
+// lanes, each lane its own dot from +0, left to right. The tile is
+// transposed to four channel rows of taps and added into gw, the taps
+// past nTaps and the channels past outC left alone. The quad's first
+// tile also sums the gradient lanes themselves, pixel by pixel from +0,
+// and adds those bias gradients into gb.
 // Locals: 0 channel quad c, 8 r0.
 TEXT ·convWeightGradAVX2(SB), NOSPLIT, $16-160
 	MOVQ $0, 0(SP)
 
 gw_quad:
-	// Y12 = the mask of the quad's channels, DX = its lanes of pixel 0,
-	// DI = the gt row stride in bytes
-	MOVQ    outC+152(FP), CX
-	MOVQ    0(SP), AX
-	SHLQ    $2, AX
-	SUBQ    AX, CX
-	MOVQ    $4, BX
-	CMPQ    CX, BX
-	CMOVQGT BX, CX
-	SHLQ    $5, CX
-	LEAQ    convLanes<>(SB), DX
-	VMOVDQU (DX)(CX*1), Y12
-	MOVQ    outC+152(FP), DI
-	ADDQ    $3, DI
-	ANDQ    $-4, DI
-	SHLQ    $3, DI
-	MOVQ    0(SP), DX
-	SHLQ    $5, DX
-	ADDQ    gt_base+72(FP), DX
-	MOVQ    pix_len+128(FP), CX
-	VXORPD  Y0, Y0, Y0
-
-gw_bias:
-	VADDPD (DX), Y0, Y0
-	ADDQ   DI, DX
-	DECQ   CX
-	JNZ    gw_bias
-	MOVQ       gb_base+24(FP), SI
-	LEAQ       (SI)(AX*8), SI
-	VMASKMOVPD (SI), Y12, Y1
-	VADDPD     Y0, Y1, Y1
-	VMASKMOVPD Y1, Y12, (SI)
-	MOVQ       $0, 8(SP)
+	MOVQ $0, 8(SP)
 
 gw_tile:
 	MOVQ xp_base+48(FP), AX
@@ -1290,41 +1286,66 @@ gw_tile:
 	VXORPD Y5, Y5, Y5
 	VXORPD Y6, Y6, Y6
 	VXORPD Y7, Y7, Y7
+	VXORPD Y13, Y13, Y13
+	CMPQ   8(SP), $0
+	JNE    gw_pixel
+
+gw_pixelb:
+	GW_PIX8
+	VADDPD Y8, Y13, Y13
+	DECQ   AX
+	JNZ    gw_pixelb
+	JMP    gw_pixeldone
 
 gw_pixel:
-	MOVQ    (CX), BX
-	VMOVUPD (DX), Y8
-	GW_MAC((R8)(BX*8), Y0, Y9)
-	GW_MAC((R9)(BX*8), Y1, Y10)
-	GW_MAC((R10)(BX*8), Y2, Y11)
-	GW_MAC((R11)(BX*8), Y3, Y12)
-	GW_MAC((R12)(BX*8), Y4, Y9)
-	GW_MAC((R13)(BX*8), Y5, Y10)
-	GW_MAC((R14)(BX*8), Y6, Y11)
-	GW_MAC((SI)(BX*8), Y7, Y12)
-	ADDQ    $8, CX
-	ADDQ    DI, DX
-	DECQ    AX
-	JNZ     gw_pixel
+	GW_PIX8
+	DECQ AX
+	JNZ  gw_pixel
+
+gw_pixeldone:
 	CONV_T4(Y4, Y5, Y6, Y7, Y8, Y9, Y10, Y11)
-	JMP     gw_store
+	JMP gw_store
 
 gw_four:
-	MOVQ pix_len+128(FP), AX
+	MOVQ   pix_len+128(FP), AX
+	VXORPD Y13, Y13, Y13
+	CMPQ   8(SP), $0
+	JNE    gw_pixel4
+
+gw_pixel4b:
+	GW_PIX4
+	VADDPD Y8, Y13, Y13
+	DECQ   AX
+	JNZ    gw_pixel4b
+	JMP    gw_store
 
 gw_pixel4:
-	MOVQ    (CX), BX
-	VMOVUPD (DX), Y8
-	GW_MAC((R8)(BX*8), Y0, Y9)
-	GW_MAC((R9)(BX*8), Y1, Y10)
-	GW_MAC((R10)(BX*8), Y2, Y11)
-	GW_MAC((R11)(BX*8), Y3, Y12)
-	ADDQ    $8, CX
-	ADDQ    DI, DX
-	DECQ    AX
-	JNZ     gw_pixel4
+	GW_PIX4
+	DECQ AX
+	JNZ  gw_pixel4
 
 gw_store:
+	// The first tile also summed the quad's bias gradients in Y13: add
+	// them into gb under the mask of the quad's channels.
+	CMPQ       8(SP), $0
+	JNE        gw_taps
+	MOVQ       outC+152(FP), CX
+	MOVQ       0(SP), AX
+	SHLQ       $2, AX
+	SUBQ       AX, CX
+	MOVQ       $4, BX
+	CMPQ       CX, BX
+	CMOVQGT    BX, CX
+	SHLQ       $5, CX
+	LEAQ       convLanes<>(SB), DX
+	VMOVDQU    (DX)(CX*1), Y14
+	MOVQ       gb_base+24(FP), SI
+	LEAQ       (SI)(AX*8), SI
+	VMASKMOVPD (SI), Y14, Y15
+	VADDPD     Y13, Y15, Y15
+	VMASKMOVPD Y15, Y14, (SI)
+
+gw_taps:
 	CONV_T4(Y0, Y1, Y2, Y3, Y8, Y9, Y10, Y11)
 	// Y12, Y13 = the masks of min(m, 4) and clamp(m−4, 0, 4) lanes, m the
 	// taps left from r0.
