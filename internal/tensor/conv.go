@@ -151,19 +151,16 @@ func (p *ConvPlan) PaddedLen() int { return p.inC * p.plane }
 // planes dst (PaddedLen long), leaving the border as it is.
 //
 //fda:noalloc
-func (p *ConvPlan) Pad(dst, src []float64) { p.pad(dst, src, p.inC) }
-
-//fda:noalloc
-func (p *ConvPlan) pad(dst, src []float64, planes int) {
+func (p *ConvPlan) Pad(dst, src []float64) {
 	h, w, pad := p.h, p.w, p.k/2
-	if len(dst) < planes*p.plane || len(src) != planes*h*w {
-		lenPanic("ConvPlan.Pad", len(src), planes*h*w)
+	if len(dst) != p.PaddedLen() || len(src) != p.inC*h*w {
+		lenPanic("ConvPlan.Pad", len(src), p.inC*h*w)
 	}
 	if useAVX2 {
-		convPadAVX2(dst[pad*p.wp+pad:], src, planes, h, w, p.wp, p.plane)
+		convPadAVX2(dst[pad*p.wp+pad:], src, p.inC, h, w, p.wp, p.plane)
 		return
 	}
-	for c := 0; c < planes; c++ {
+	for c := 0; c < p.inC; c++ {
 		in := src[c*h*w : (c+1)*h*w]
 		out := dst[c*p.plane+pad*p.wp+pad:]
 		for i := 0; i < h; i++ {

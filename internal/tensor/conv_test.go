@@ -8,13 +8,14 @@ import (
 // convGeoms are the geometries the convolution entries of the
 // exact-equality matrix cycle through, one per vector length: widths on
 // both sides of a 4-pixel run (1…9, 12), kernels wider than the image,
-// k = 1, 3, 5, tap counts and output channel counts around multiples of
-// four and eight, and the zoo's planes (8×8, 4×4, 12×12, 6×6, 3×3).
+// k = 1, 3, 5, tap counts (3 included, whose only weight-gradient tile
+// is a four-tap one) and output channel counts around multiples of four
+// and eight, and the zoo's planes (8×8, 4×4, 12×12, 6×6, 3×3).
 var convGeoms = []struct{ h, w, k, inC, outC int }{
 	{4, 4, 3, 2, 5}, {8, 8, 3, 1, 6}, {3, 3, 3, 3, 7}, {6, 6, 3, 2, 9},
 	{5, 7, 3, 1, 4}, {1, 5, 3, 2, 3}, {2, 9, 3, 1, 2}, {7, 2, 3, 3, 1},
 	{4, 4, 1, 5, 6}, {5, 6, 5, 1, 3}, {1, 1, 3, 2, 2}, {12, 12, 3, 1, 8},
-	{2, 1, 5, 2, 5}, {3, 4, 1, 9, 10}, {4, 8, 3, 4, 13},
+	{2, 1, 5, 2, 5}, {3, 4, 1, 9, 10}, {4, 8, 3, 4, 13}, {5, 3, 1, 3, 5},
 }
 
 // convK3 are the 3×3 geometries, for the routines that only take those.

@@ -589,13 +589,14 @@ func FuzzKernelsMatchScalar(f *testing.F) {
 	f.Add(kernelIndex("AdamStep/decoupled"), uint16(13), uint8(1), uint8(1), uint64(5), []byte{0, 0, 0, 0, 0, 0, 0, 0x80, 0, 0, 0, 0, 0, 0, 0xf8, 0xff})
 	f.Add(kernelIndex("ScaleAdd"), uint16(67), uint8(3), uint8(2), uint64(6), []byte{0, 0, 0, 0, 0, 0, 0xf0, 0xff})
 	// The convolution passes: the length picks the geometry (3: a 6×6
-	// plane, 13: nine input planes and a 1×1 kernel) and the leading
-	// inputs, cycled through every operand, are +Inf, NaN and −0.
+	// plane, 11: 12×12, 13: nine input planes and a 1×1 kernel) and the
+	// leading inputs, cycled through every operand, are +Inf, NaN and −0.
 	f.Add(kernelIndex("ConvPlan.Forward"), uint16(3), uint8(0), uint8(0), uint64(11),
 		[]byte{0, 0, 0, 0, 0, 0, 0xf0, 0x7f, 0, 0, 0, 0, 0, 0, 0xf8, 0x7f, 0, 0, 0, 0, 0, 0, 0, 0x80})
 	f.Add(kernelIndex("ConvPlan.WeightGrad"), uint16(13), uint8(1), uint8(0), uint64(12), []byte{0, 0, 0, 0, 0, 0, 0, 0x80})
 	f.Add(kernelIndex("ConvPlan.InputGrad"), uint16(3), uint8(2), uint8(0), uint64(13),
 		[]byte{0, 0, 0, 0, 0, 0, 0xf8, 0x7f, 0, 0, 0, 0, 0, 0, 0xf0, 0xff})
+	f.Add(kernelIndex("ConvPlan.InputGrad"), uint16(11), uint8(3), uint8(0), uint64(14), []byte{0, 0, 0, 0, 0, 0, 0, 0x80})
 	// b1c = 1, watched: the skipped division next to the drift sums, and
 	// the first params element a subnormal.
 	f.Add(kernelIndex("AdamStep/decoupled/watched/b1c=1"), uint16(37), uint8(3), uint8(1), uint64(9),
