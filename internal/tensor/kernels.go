@@ -13,9 +13,9 @@
 // (Scale, ScaleAdd, ReLU, ReLUGrad and the little-endian byte kernels
 // DecodeLE and AddScaleLE),
 // AdamStep and MatVec's 4-row × 8-sample tile hand vectors of at least
-// simdMinLen elements, and MaxPool2x2 and the ConvPlan passes
-// (conv.go) every call, to the assembly bodies in kernels_amd64.s, which are bit-identical to the
-// Go loops below (lanes hold independent elements or independent
+// simdMinLen elements, and MaxPool2x2 and the ConvPlan passes (conv.go)
+// every call, to the assembly bodies in kernels_amd64.s, which are
+// bit-identical to the Go loops below (lanes hold independent elements or independent
 // accumulators, no FMA — DESIGN.md §7). The Go loops remain the
 // specification, the path for short vectors, and the only path on other
 // architectures and under -tags purego. Dot, Sum, SquaredNorm,
@@ -34,9 +34,9 @@ import (
 // through the ABI0 wrapper (up to 26 argument words spilled to the stack,
 // eight broadcasts, VZEROUPPER) costs 10–15 ns; measured on the reference
 // box the Go loops win at 4 elements, the two break even at 6–7 and the
-// assembly wins from 8. The hot callers now hand over whole layers (the
-// batched Dense kernels, Adam's sweep over the model); the conv passes
-// (conv.go) make one call per sample and pass and do not consult it.
+// assembly wins from 8. The conv passes (conv.go), whose planes are 4
+// to 144 elements long, make one call per sample and pass and do not
+// consult it.
 const simdMinLen = 8
 
 // dotUnrolled is the shared body of Dot: a 4-way unrolled product loop
@@ -355,7 +355,7 @@ func MaxPool2x2(y []float64, arg []int, x []float64, w int) {
 	}
 }
 
-// Sum returns the left-to-right sum of v (the conv bias-gradient kernel).
+// Sum returns the left-to-right sum of v.
 //
 //fda:noalloc
 func Sum(v []float64) float64 {
@@ -375,9 +375,9 @@ func Sum(v []float64) float64 {
 	return s
 }
 
-// AXPY4 computes y += a0*x0 + a1*x1 + a2*x2 + a3*x3 in one sweep — the
-// quad-tap convolution kernel: one load/store of y per four taps instead
-// of four. Each element's partial sums chain in argument order, so the
+// AXPY4 computes y += a0*x0 + a1*x1 + a2*x2 + a3*x3 in one sweep (four
+// terms of axpyRows, under MatTVec and AddOuter): one load/store of y
+// per four terms instead of four. Each element's partial sums chain in argument order, so the
 // result is bit-identical to four sequential AXPY calls. An x may be y
 // itself; operands must not overlap partially.
 //
@@ -407,8 +407,8 @@ func AXPY4(a0, a1, a2, a3 float64, x0, x1, x2, x3, y []float64) {
 	}
 }
 
-// Dot4 returns the four inner products <a, x0..3> in one sweep over a —
-// the quad-tap weight-gradient kernel. Each accumulator runs strictly
+// Dot4 returns the four inner products <a, x0..3> in one sweep over a
+// (MatVec's last lone sample). Each accumulator runs strictly
 // left to right, bit-identical to four separate Dot calls.
 //
 //fda:noalloc
@@ -433,7 +433,7 @@ func Dot4(a, x0, x1, x2, x3 []float64) (s0, s1, s2, s3 float64) {
 	return
 }
 
-// Dot4x2 is the 2×4 weight-gradient micro-kernel: the eight inner
+// Dot4x2 is MatVec's 2×4 sample-pair micro-kernel: the eight inner
 // products of {a, b} against {x0..x3}, loading each shared x element once.
 // Every accumulator runs strictly left to right, bit-identical to eight
 // separate Dot calls.

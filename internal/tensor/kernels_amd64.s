@@ -5,15 +5,16 @@
 // stands in for, by construction:
 //
 //   - a vector lane holds a *different output element* (AXPY family,
-//     the Scale/ScaleAdd/ReLU sweeps, Adam) or a *different
-//     accumulator* (Dot4 family and the MatVec tile, after a 4×4 lane
-//     transpose of four rows) — never a share of one accumulator, so
-//     every sum still runs strictly left to right;
+//     the Scale/ScaleAdd/ReLU sweeps, Adam, the conv forward and input
+//     gradient) or a *different accumulator* (Dot4 family and the
+//     MatVec tile, after a 4×4 lane transpose of four rows; the conv
+//     weight gradient, one output channel a lane) — never a share of one
+//     accumulator, so every sum still runs strictly left to right;
 //   - only VMULPD/VADDPD/VSUBPD/VDIVPD/VSQRTPD and their scalar forms,
 //     which round each lane exactly as MULSD/ADDSD/… round a scalar, and
-//     the compare, select and mask forms of the ReLU pair, the masked
-//     spans and the max pool (VPCMPGTQ/VPCMPEQQ/VPANDN, VANDPD,
-//     VCMPPD/VBLENDVPD), which move bits and round nothing. No FMA,
+//     the compare, select, mask and move forms of the ReLU pair, the max
+//     pool and the conv tiles (VPCMPGTQ/VPCMPEQQ/VPANDN, VANDPD,
+//     VCMPPD/VBLENDVPD, VMASKMOVPD), which move bits and round nothing. No FMA,
 //     anywhere: a fused multiply-add rounds once where
 //     the Go code rounds twice (kernels_simd_test.go fails on the
 //     mnemonic);
@@ -21,7 +22,8 @@
 //     evaluates them.
 //
 // Each routine finishes its own tail (n mod 4, or all of a short n) with
-// the scalar forms of the same instructions, and executes VZEROUPPER
+// the scalar forms of the same instructions — the conv tiles instead
+// store their edge lanes under masks — and executes VZEROUPPER
 // before every RET so the SSE code the Go compiler emits pays no
 // transition penalty. Inside a routine that touches a Y register every
 // instruction naming an X register is VEX-encoded (VMOVQ, never MOVQ):
