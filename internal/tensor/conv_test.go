@@ -116,8 +116,7 @@ func oracleConvForward(c convCase) []float64 {
 // left to right from +0 and added once.
 func oracleConvWeightGrad(c convCase) []float64 {
 	pad, nt, hw := c.k/2, c.inC*c.k*c.k, c.h*c.w
-	gw, gb := guarded(c.gw), guarded(c.gb)
-	gw, gb = Clone(gw)[:len(c.gw)], Clone(gb)[:len(c.gb)]
+	gw, gb := Clone(guarded(c.gw)), Clone(guarded(c.gb))
 	for oc := 0; oc < c.outC; oc++ {
 		var sb float64
 		for p := 0; p < hw; p++ {
@@ -135,7 +134,7 @@ func oracleConvWeightGrad(c convCase) []float64 {
 			gw[oc*nt+r] += s
 		}
 	}
-	return append(Clone(guarded(gw)), guarded(gb)...)
+	return append(gw, gb...)
 }
 
 // oracleConvInputGrad is the input gradient: per input pixel a sum from
